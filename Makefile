@@ -64,12 +64,18 @@ conformance-ooc:
 # type × metric × selectivity against the exact filter-then-scan oracle
 # (internal/index), every strategy A–E against the oracle over a pushdown
 # Table with the dense/sparse crossover audited from trace annotations
-# (internal/query), and the multi-segment + tombstone pushdown paths
-# (internal/core).
+# (internal/query), the multi-segment + tombstone pushdown paths
+# (internal/core), the positional predicate compile against "filter rows
+# by raw value" (internal/colstore), and the cluster ≡ single-node gate:
+# the same rows behind two readers and one collection, with and without
+# tombstones, both equal to the oracle, the readers' bitsets pooled
+# (internal/cluster).
 conformance-filter:
 	$(GO) test ./internal/index -run TestFiltered
 	$(GO) test ./internal/query -run 'TestStrategyFilteredConformance|TestSelectivitySweep|TestStrategyBPushedAllocs'
 	$(GO) test ./internal/core -run TestPushdown
+	$(GO) test ./internal/colstore -run 'TestFillRange|TestCompilePred|FuzzPredCompile'
+	$(GO) test ./internal/cluster -run 'TestClusterEqualsSingleNode|TestReaderFilteredAllocs|TestSearchRejectsBadRequest'
 
 # kernel-guard keeps every hot read path on the blocked batch kernels.
 # The static half — no per-tier kernel calls outside internal/vec — is

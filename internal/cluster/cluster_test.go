@@ -50,10 +50,7 @@ func newTestCluster(t *testing.T, readers int) (*Cluster, *dataset.Dataset) {
 }
 
 func TestRingDistributionAndStability(t *testing.T) {
-	r := NewRing(256)
-	r.Add("a")
-	r.Add("b")
-	r.Add("c")
+	r := NewRing(256).Add("a").Add("b").Add("c")
 	counts := map[string]int{}
 	owner1 := map[string]string{}
 	for i := 0; i < 3000; i++ {
@@ -68,7 +65,7 @@ func TestRingDistributionAndStability(t *testing.T) {
 		}
 	}
 	// Removing one node must not move keys between surviving nodes.
-	r.Remove("b")
+	r = r.Remove("b")
 	for k, o := range owner1 {
 		if o == "b" {
 			continue
@@ -80,8 +77,7 @@ func TestRingDistributionAndStability(t *testing.T) {
 	if r.Lookup("x") == "b" {
 		t.Fatal("removed node still owns keys")
 	}
-	r.Remove("b") // idempotent
-	r.Add("a")    // idempotent
+	r = r.Remove("b").Add("a") // both idempotent
 	if r.Size() != 2 {
 		t.Fatalf("Size = %d", r.Size())
 	}

@@ -17,7 +17,7 @@ func newCoordState(vnodes int) *coordState {
 }
 
 func (s *coordState) clone() *coordState {
-	c := &coordState{ring: s.ring.Clone(), manifestVer: map[string]int64{}}
+	c := &coordState{ring: s.ring, manifestVer: map[string]int64{}} // rings are immutable
 	for k, v := range s.manifestVer {
 		c.manifestVer[k] = v
 	}
@@ -111,9 +111,10 @@ func (c *Coordinator) update(fn func(*coordState)) error {
 	return nil
 }
 
+// read returns the leader's state; the caller holds c.mu for as long as it
+// looks at it (update replaces the ring and writes the version map under
+// the same lock).
 func (c *Coordinator) read() (*coordState, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.alive[c.leader] {
 		return nil, fmt.Errorf("cluster: coordinator unavailable")
 	}
@@ -122,25 +123,31 @@ func (c *Coordinator) read() (*coordState, error) {
 
 // RegisterReader adds a reader to the sharding ring.
 func (c *Coordinator) RegisterReader(id string) error {
-	return c.update(func(s *coordState) { s.ring.Add(id) })
+	return c.update(func(s *coordState) { s.ring = s.ring.Add(id) })
 }
 
 // DeregisterReader removes a reader from the sharding ring.
 func (c *Coordinator) DeregisterReader(id string) error {
-	return c.update(func(s *coordState) { s.ring.Remove(id) })
+	return c.update(func(s *coordState) { s.ring = s.ring.Remove(id) })
 }
 
-// Ring returns a copy of the current sharding ring.
+// Ring returns the current sharding ring. Rings are immutable — membership
+// changes install a new one — so the result keeps answering with the
+// membership it was taken under.
 func (c *Coordinator) Ring() (*Ring, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	s, err := c.read()
 	if err != nil {
 		return nil, err
 	}
-	return s.ring.Clone(), nil
+	return s.ring, nil
 }
 
 // Readers lists the registered readers.
 func (c *Coordinator) Readers() ([]string, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	s, err := c.read()
 	if err != nil {
 		return nil, err
@@ -160,6 +167,8 @@ func (c *Coordinator) BumpManifest(collection string) (int64, error) {
 
 // ManifestVersion reads a collection's manifest version.
 func (c *Coordinator) ManifestVersion(collection string) (int64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	s, err := c.read()
 	if err != nil {
 		return 0, err

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"time"
 
+	"vectordb/internal/bitset"
 	"vectordb/internal/bufferpool"
+	"vectordb/internal/colstore"
 	"vectordb/internal/core"
 	"vectordb/internal/index"
 	"vectordb/internal/objstore"
@@ -69,6 +71,7 @@ type readerManifest struct {
 	version int64
 	man     *Manifest
 	schema  core.Schema
+	deleted map[int64]int64 // man's tombstones in core.Snapshot.Deleted form
 }
 
 // NewReader creates a live reader instance.
@@ -186,7 +189,7 @@ func (r *Reader) refreshManifest(collection string, version int64) (*readerManif
 	if err != nil {
 		return nil, err
 	}
-	rm = &readerManifest{version: m.Version, man: m, schema: schema}
+	rm = &readerManifest{version: m.Version, man: m, schema: schema, deleted: m.TombstonesToMap()}
 	r.mu.Lock()
 	r.manifests[collection] = rm
 	r.mu.Unlock()
@@ -217,7 +220,10 @@ func (r *Reader) SearchOwned(collection string, version int64, ring *Ring, query
 
 // SearchOwnedCtx is SearchOwned with cancellation: the shard scan checks
 // ctx before loading each owned segment, so a cancelled or timed-out
-// distributed query stops pulling segments from shared storage.
+// distributed query stops pulling segments from shared storage. The range
+// filter and the manifest's tombstones reach each segment as one compiled
+// bitset over build positions (core.Segment.CompileFilter), pushed beneath
+// its index or scan like every collection-level filtered search.
 func (r *Reader) SearchOwnedCtx(ctx context.Context, collection string, version int64, ring *Ring, query []float32, opts core.SearchOptions, rf ...*RangeFilter) ([]topk.Result, error) {
 	r.mu.RLock()
 	alive := r.alive
@@ -237,19 +243,30 @@ func (r *Reader) SearchOwnedCtx(ctx context.Context, collection string, version 
 			return nil, err
 		}
 	}
-	var filter *RangeFilter
-	if len(rf) > 0 {
-		filter = rf[0]
+	// Request errors, never ErrReaderDown: a bad K or query must not cost
+	// the ring a healthy reader, and must not reach the heap or a kernel,
+	// which panic on them.
+	if opts.K <= 0 {
+		return nil, fmt.Errorf("cluster: K must be positive, got %d", opts.K)
 	}
-	attr := -1
-	if filter != nil {
-		if attr, err = rm.schema.AttrFieldIndex(filter.Attr); err != nil {
+	if vf := rm.schema.VectorFields[field]; len(query) != vf.Dim {
+		return nil, fmt.Errorf("cluster: query dim %d, field %q wants %d", len(query), vf.Name, vf.Dim)
+	}
+	// pred stays nil when there is nothing to exclude; with tombstones but
+	// no range filter it is the empty conjunction, which matches every row,
+	// so the compile only clears the hidden positions.
+	var pred colstore.Pred
+	if len(rf) > 0 && rf[0] != nil {
+		attr, err := rm.schema.AttrFieldIndex(rf[0].Attr)
+		if err != nil {
 			return nil, err
 		}
+		pred = colstore.RangePred{Attr: attr, Lo: rf[0].Lo, Hi: rf[0].Hi}
+	} else if len(rm.deleted) > 0 {
+		pred = colstore.AndPred{}
 	}
-	deleted := rm.man.TombstonesToMap()
-	sn := &core.Snapshot{Deleted: deleted}
-	p := opts
+	sp := opts.Params()
+	sp.Filter = opts.Filter
 	h := topk.New(opts.K)
 	for _, segKey := range rm.man.SegmentKeys {
 		if err := ctx.Err(); err != nil {
@@ -263,23 +280,15 @@ func (r *Reader) SearchOwnedCtx(ctx context.Context, collection string, version 
 			return nil, err
 		}
 		seg := v.(*core.Segment)
-		userFilter := opts.Filter
-		if filter != nil {
-			inner := userFilter
-			seg := seg
-			userFilter = func(id int64) bool {
-				val, ok := seg.AttrByID(attr, id)
-				if !ok || val < filter.Lo || val > filter.Hi {
-					return false
-				}
-				return inner == nil || inner(id)
+		var bits *bitset.Bitset
+		if pred != nil {
+			if bits, err = seg.CompileFilter(pred, rm.deleted); err != nil {
+				return nil, err
 			}
 		}
-		sp := p.Params()
-		sp.Filter = sn.FilterFor(seg.ID, userFilter)
-		for _, res := range seg.Search(&rm.schema, field, query, sp) {
-			h.Push(res.ID, res.Distance)
-		}
+		sp.Bits = bits
+		seg.SearchInto(h, &rm.schema, field, query, sp)
+		bitset.Put(bits)
 	}
 	return h.Results(), nil
 }

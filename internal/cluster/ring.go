@@ -11,27 +11,34 @@ package cluster
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
-	"sync"
 )
 
 // Ring is a consistent-hash ring with virtual nodes, mapping shard keys
-// (segment keys) to node names (reader IDs).
+// (segment keys) to node names (reader IDs). A Ring is immutable: Add and
+// Remove return a new ring and leave the receiver answering with the
+// membership it was built with, so the coordinator hands the current ring
+// to every query without copying it and a query in flight keeps a
+// consistent shard map across a membership change.
 type Ring struct {
-	mu      sync.RWMutex
 	vnodes  int
-	hashes  []uint64
-	owner   map[uint64]string
-	members map[string]bool
+	points  []ringPoint // sorted by hash
+	members []string    // sorted
 }
 
-// NewRing creates a ring with the given virtual-node count per member
-// (default 64 when ≤ 0).
+type ringPoint struct {
+	hash uint64
+	node string
+}
+
+// NewRing creates an empty ring with the given virtual-node count per
+// member (default 64 when ≤ 0).
 func NewRing(vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = 64
 	}
-	return &Ring{vnodes: vnodes, owner: map[uint64]string{}, members: map[string]bool{}}
+	return &Ring{vnodes: vnodes}
 }
 
 func hash64(s string) uint64 {
@@ -48,88 +55,47 @@ func hash64(s string) uint64 {
 	return x
 }
 
-// Add inserts a member; idempotent.
-func (r *Ring) Add(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.members[node] {
-		return
+// Add returns the ring with node a member; r itself when it already is.
+func (r *Ring) Add(node string) *Ring {
+	if slices.Contains(r.members, node) {
+		return r
 	}
-	r.members[node] = true
+	c := &Ring{vnodes: r.vnodes, points: slices.Clone(r.points), members: append(slices.Clone(r.members), node)}
 	for v := 0; v < r.vnodes; v++ {
-		h := hash64(fmt.Sprintf("%s#%d", node, v))
-		r.owner[h] = node
-		r.hashes = append(r.hashes, h)
+		c.points = append(c.points, ringPoint{hash64(fmt.Sprintf("%s#%d", node, v)), node})
 	}
-	sort.Slice(r.hashes, func(i, j int) bool { return r.hashes[i] < r.hashes[j] })
+	sort.Slice(c.points, func(i, j int) bool { return c.points[i].hash < c.points[j].hash })
+	sort.Strings(c.members)
+	return c
 }
 
-// Remove deletes a member; idempotent.
-func (r *Ring) Remove(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.members[node] {
-		return
+// Remove returns the ring without node; r itself when it is no member.
+func (r *Ring) Remove(node string) *Ring {
+	if !slices.Contains(r.members, node) {
+		return r
 	}
-	delete(r.members, node)
-	kept := r.hashes[:0]
-	for _, h := range r.hashes {
-		if r.owner[h] == node {
-			delete(r.owner, h)
-			continue
-		}
-		kept = append(kept, h)
+	return &Ring{
+		vnodes:  r.vnodes,
+		points:  slices.DeleteFunc(slices.Clone(r.points), func(p ringPoint) bool { return p.node == node }),
+		members: slices.DeleteFunc(slices.Clone(r.members), func(m string) bool { return m == node }),
 	}
-	r.hashes = kept
 }
 
 // Lookup maps a key to its owning member ("" when the ring is empty).
 func (r *Ring) Lookup(key string) string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.hashes) == 0 {
+	if len(r.points) == 0 {
 		return ""
 	}
 	h := hash64(key)
-	i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
-	if i == len(r.hashes) {
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
 		i = 0
 	}
-	return r.owner[r.hashes[i]]
+	return r.points[i].node
 }
 
-// Members returns the member names, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
+// Members returns the member names, sorted (shared: do not modify).
+func (r *Ring) Members() []string { return r.members }
 
 // Size returns the member count.
-func (r *Ring) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
-}
-
-// Clone returns an independent copy (coordinator replication). State is
-// copied directly — not rebuilt through Add — so no second Ring lock is
-// taken while r.mu is held and members are not re-hashed and re-sorted.
-func (r *Ring) Clone() *Ring {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c := NewRing(r.vnodes)
-	c.hashes = append(c.hashes, r.hashes...)
-	for h, n := range r.owner {
-		c.owner[h] = n
-	}
-	for m := range r.members {
-		c.members[m] = true
-	}
-	return c
-}
+func (r *Ring) Size() int { return len(r.members) }

@@ -1,8 +1,10 @@
 package colstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -11,25 +13,43 @@ import (
 // support the paper lists as future work ("we plan to support categorical
 // attributes with indexes like inverted lists or bitmaps", Sec. 2.1).
 type CategoricalColumn struct {
-	// dict maps each distinct value to its postings (sorted row IDs).
-	dict map[string][]int64
+	dict map[string]*posting
 	rows int
 }
 
+// posting is one value's inverted list: the row IDs holding it, sorted, and
+// beside each its build position (its index in the slice handed to
+// BuildCategoricalColumn), which is what the predicate compiler sets bits
+// from.
+type posting struct {
+	rows []int64
+	pos  []int32
+}
+
 // BuildCategoricalColumn indexes values; values[i] belongs to ids[i]
-// (row position when ids is nil).
+// (row position when ids is nil) and sits at build position i.
 func BuildCategoricalColumn(values []string, ids []int64) *CategoricalColumn {
-	c := &CategoricalColumn{dict: map[string][]int64{}, rows: len(values)}
+	c := &CategoricalColumn{dict: map[string]*posting{}, rows: len(values)}
 	for i, v := range values {
-		row := int64(i)
-		if ids != nil {
-			row = ids[i]
-		}
-		c.dict[v] = append(c.dict[v], row)
-	}
-	for v := range c.dict {
 		p := c.dict[v]
-		sort.Slice(p, func(i, j int) bool { return p[i] < p[j] })
+		if p == nil {
+			p = &posting{}
+			c.dict[v] = p
+		}
+		p.pos = append(p.pos, int32(i))
+	}
+	row := func(q int32) int64 {
+		if ids != nil {
+			return ids[q]
+		}
+		return int64(q)
+	}
+	for _, p := range c.dict {
+		slices.SortFunc(p.pos, func(a, b int32) int { return cmp.Compare(row(a), row(b)) })
+		p.rows = make([]int64, len(p.pos))
+		for i, q := range p.pos {
+			p.rows[i] = row(q)
+		}
 	}
 	return c
 }
@@ -51,90 +71,30 @@ func (c *CategoricalColumn) Values() []string {
 }
 
 // Rows returns the postings for one value (shared slice: do not mutate).
-func (c *CategoricalColumn) Rows(value string) []int64 { return c.dict[value] }
+func (c *CategoricalColumn) Rows(value string) []int64 {
+	if p := c.dict[value]; p != nil {
+		return p.rows
+	}
+	return nil
+}
+
+// Positions returns the build positions of the rows holding value, aligned
+// with Rows(value) (shared slice: do not mutate).
+func (c *CategoricalColumn) Positions(value string) []int32 {
+	if p := c.dict[value]; p != nil {
+		return p.pos
+	}
+	return nil
+}
 
 // Count returns the posting length for one value without materializing —
 // the selectivity estimate for cost-based planning.
 func (c *CategoricalColumn) Count(values ...string) int {
 	n := 0
 	for _, v := range values {
-		n += len(c.dict[v])
+		n += len(c.Rows(v))
 	}
 	return n
-}
-
-// Bitmap returns the membership set of rows matching ANY of the values
-// (an IN predicate).
-func (c *CategoricalColumn) Bitmap(values ...string) map[int64]struct{} {
-	out := map[int64]struct{}{}
-	for _, v := range values {
-		for _, row := range c.dict[v] {
-			out[row] = struct{}{}
-		}
-	}
-	return out
-}
-
-const categoricalMagic = uint32(0x43415443) // "CATC"
-
-// Marshal serializes the column (row-aligned values are reconstructed from
-// postings, so only the dictionary is stored).
-func (c *CategoricalColumn) Marshal() []byte {
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint32(buf, categoricalMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.rows))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.dict)))
-	for _, v := range c.Values() {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-		buf = append(buf, v...)
-		p := c.dict[v]
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p)))
-		for _, row := range p {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(row))
-		}
-	}
-	return buf
-}
-
-// UnmarshalCategoricalColumn reverses Marshal.
-func UnmarshalCategoricalColumn(data []byte) (*CategoricalColumn, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("colstore: categorical column too short")
-	}
-	if binary.LittleEndian.Uint32(data) != categoricalMagic {
-		return nil, fmt.Errorf("colstore: bad categorical column magic")
-	}
-	c := &CategoricalColumn{dict: map[string][]int64{}}
-	c.rows = int(binary.LittleEndian.Uint32(data[4:]))
-	nvals := int(binary.LittleEndian.Uint32(data[8:]))
-	off := 12
-	for i := 0; i < nvals; i++ {
-		if off+4 > len(data) {
-			return nil, fmt.Errorf("colstore: categorical column truncated")
-		}
-		l := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		if off+l > len(data) {
-			return nil, fmt.Errorf("colstore: categorical value overruns")
-		}
-		v := string(data[off : off+l])
-		off += l
-		if off+4 > len(data) {
-			return nil, fmt.Errorf("colstore: categorical postings truncated")
-		}
-		np := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		if off+8*np > len(data) {
-			return nil, fmt.Errorf("colstore: categorical postings overrun")
-		}
-		p := make([]int64, np)
-		for j := range p {
-			p[j] = int64(binary.LittleEndian.Uint64(data[off:]))
-			off += 8
-		}
-		c.dict[v] = p
-	}
-	return c, nil
 }
 
 // MarshalStrings serializes a row-aligned string array (raw categorical

@@ -25,11 +25,7 @@ func TestCategoricalColumnBasics(t *testing.T) {
 	if c.Count("shirt", "hat") != 4 {
 		t.Fatalf("Count = %d", c.Count("shirt", "hat"))
 	}
-	bm := c.Bitmap("shoe", "hat")
-	if len(bm) != 3 {
-		t.Fatalf("Bitmap = %v", bm)
-	}
-	if c.Rows("missing") != nil {
+	if c.Rows("missing") != nil || c.Positions("missing") != nil {
 		t.Fatal("missing value returned postings")
 	}
 }
@@ -42,34 +38,28 @@ func TestCategoricalCustomIDs(t *testing.T) {
 	}
 }
 
-func TestCategoricalMarshalRoundTrip(t *testing.T) {
-	values := []string{"x", "", "日本語", "x"}
-	c := BuildCategoricalColumn(values, []int64{4, 3, 2, 1})
-	c2, err := UnmarshalCategoricalColumn(c.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Len() != c.Len() || c2.Cardinality() != c.Cardinality() {
-		t.Fatalf("shape: %d/%d vs %d/%d", c2.Len(), c2.Cardinality(), c.Len(), c.Cardinality())
-	}
+// Postings are sorted by row ID whatever order the IDs were built in, and
+// each carries the build position its value came from.
+func TestCategoricalPositions(t *testing.T) {
+	values := []string{"x", "", "日本語", "x", "x"}
+	ids := []int64{40, 30, 20, 10, 25}
+	c := BuildCategoricalColumn(values, ids)
 	for _, v := range c.Values() {
-		a, b := c.Rows(v), c2.Rows(v)
-		if len(a) != len(b) {
-			t.Fatalf("postings for %q differ", v)
+		rows, pos := c.Rows(v), c.Positions(v)
+		if len(rows) != len(pos) || len(rows) == 0 {
+			t.Fatalf("%q: %d rows, %d positions", v, len(rows), len(pos))
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("postings for %q differ at %d", v, i)
+		for i, p := range pos {
+			if values[p] != v || ids[p] != rows[i] {
+				t.Fatalf("%q: posting %d = row %d at position %d", v, i, rows[i], p)
+			}
+			if i > 0 && rows[i-1] >= rows[i] {
+				t.Fatalf("%q: postings not sorted: %v", v, rows)
 			}
 		}
 	}
-	if _, err := UnmarshalCategoricalColumn([]byte{1, 2}); err == nil {
-		t.Error("short blob accepted")
-	}
-	b := c.Marshal()
-	b[0] ^= 0xFF
-	if _, err := UnmarshalCategoricalColumn(b); err == nil {
-		t.Error("bad magic accepted")
+	if got := c.Positions("x"); len(got) != 3 || got[0] != 3 || got[1] != 4 || got[2] != 0 {
+		t.Fatalf("Positions(x) = %v, want [3 4 0]", got)
 	}
 }
 

@@ -102,58 +102,10 @@ func TestAttributeColumnRangeProperty(t *testing.T) {
 				return false
 			}
 		}
-		bm := c.RangeBitmap(lo, hi)
-		if len(bm) != len(uniq(want)) {
-			return false
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func uniq(xs []int64) []int64 {
-	seen := map[int64]struct{}{}
-	var out []int64
-	for _, x := range xs {
-		if _, ok := seen[x]; !ok {
-			seen[x] = struct{}{}
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func TestAttributeColumnMarshalRoundTrip(t *testing.T) {
-	values := []int64{9, 3, 7, 3, -5}
-	ids := []int64{10, 20, 30, 40, 50}
-	c := BuildAttributeColumn(values, ids)
-	c2, err := UnmarshalAttributeColumn(c.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Len() != c.Len() {
-		t.Fatalf("len %d != %d", c2.Len(), c.Len())
-	}
-	for i := 0; i < c.Len(); i++ {
-		if c.Entry(i) != c2.Entry(i) {
-			t.Fatalf("entry %d: %v != %v", i, c.Entry(i), c2.Entry(i))
-		}
-	}
-}
-
-func TestAttributeColumnUnmarshalErrors(t *testing.T) {
-	if _, err := UnmarshalAttributeColumn(nil); err == nil {
-		t.Error("nil accepted")
-	}
-	if _, err := UnmarshalAttributeColumn(make([]byte, 8)); err == nil {
-		t.Error("bad magic accepted")
-	}
-	c := BuildAttributeColumn([]int64{1, 2}, nil)
-	b := c.Marshal()
-	if _, err := UnmarshalAttributeColumn(b[:len(b)-3]); err == nil {
-		t.Error("truncated column accepted")
 	}
 }
 

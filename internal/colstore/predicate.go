@@ -45,20 +45,18 @@ func (OrPred) predNode()    {}
 func (NotPred) predNode()   {}
 
 // PredColumns is the column access a segment exposes to the compiler.
-// Columns store row IDs; PosOf maps a row ID back to its build position
-// (the bit index every scan path agrees on). PosOf returning ok=false
-// means the row is not in this segment (e.g. a cross-segment posting)
-// and is skipped.
+// Every column was built over the segment's Rows() values in build order
+// and carries each entry's build position — the bit index every scan path
+// agrees on — so compiling never maps a row ID back to a position.
 type PredColumns interface {
 	Rows() int
 	AttrColumn(attr int) *AttributeColumn
 	CatColumn(cat int) *CategoricalColumn
-	PosOf(row int64) (int32, bool)
 }
 
 // CompilePred evaluates p against cols into out, resized to cols.Rows().
-// Leaves set bits straight from the zone-map range walk (RangeEach) or
-// the dictionary postings; interior nodes combine children with the
+// Leaves set bits from the columns' own positions (FillRange, the
+// dictionary postings); interior nodes combine children with the
 // word-parallel bitset ops, using pooled scratch for siblings.
 func CompilePred(p Pred, cols PredColumns, out *bitset.Bitset) error {
 	out.Reset(cols.Rows())
@@ -73,22 +71,22 @@ func compilePred(p Pred, cols PredColumns, out *bitset.Bitset) error {
 		if col == nil {
 			return fmt.Errorf("colstore: predicate references unknown attribute %d", p.Attr)
 		}
-		col.RangeEach(p.Lo, p.Hi, func(row int64) {
-			if pos, ok := cols.PosOf(row); ok {
-				out.Set(int(pos))
-			}
-		})
+		if col.Len() != out.Len() {
+			return fmt.Errorf("colstore: attribute %d has %d entries for %d rows", p.Attr, col.Len(), out.Len())
+		}
+		col.FillRange(p.Lo, p.Hi, out)
 		return nil
 	case InPred:
 		col := cols.CatColumn(p.Cat)
 		if col == nil {
 			return fmt.Errorf("colstore: predicate references unknown categorical %d", p.Cat)
 		}
+		if col.Len() != out.Len() {
+			return fmt.Errorf("colstore: categorical %d has %d entries for %d rows", p.Cat, col.Len(), out.Len())
+		}
 		for _, v := range p.Values {
-			for _, row := range col.Rows(v) {
-				if pos, ok := cols.PosOf(row); ok {
-					out.Set(int(pos))
-				}
+			for _, pos := range col.Positions(v) {
+				out.Set(int(pos))
 			}
 		}
 		return nil

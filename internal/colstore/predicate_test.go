@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,7 +10,8 @@ import (
 )
 
 // predCols is a segment stand-in: row-aligned raw values per column, with
-// row IDs = 10 + 2·pos so PosOf is exercised on a non-identity mapping.
+// row IDs = 10 + 2·pos so a compile that confused row IDs with build
+// positions would show.
 type predCols struct {
 	attrRaw [][]int64
 	catRaw  [][]string
@@ -51,17 +54,6 @@ func (c *predCols) CatColumn(cat int) *CategoricalColumn {
 		return nil
 	}
 	return c.cats[cat]
-}
-
-func (c *predCols) PosOf(row int64) (int32, bool) {
-	if row < 10 || (row-10)%2 != 0 {
-		return 0, false
-	}
-	pos := (row - 10) / 2
-	if pos >= int64(c.rows) {
-		return 0, false
-	}
-	return int32(pos), true
 }
 
 // evalNaive evaluates p for build position i straight off the raw arrays.
@@ -107,10 +99,19 @@ func (c *predCols) check(t *testing.T, tag string, p Pred) {
 	if out.Len() != c.rows {
 		t.Fatalf("%s: compiled bitset over %d positions, want %d", tag, out.Len(), c.rows)
 	}
+	count := 0
 	for i := 0; i < c.rows; i++ {
-		if out.Test(i) != c.evalNaive(p, i) {
-			t.Fatalf("%s: position %d: compiled %v, naive %v", tag, i, out.Test(i), c.evalNaive(p, i))
+		want := c.evalNaive(p, i)
+		if out.Test(i) != want {
+			t.Fatalf("%s: position %d: compiled %v, naive %v (pred %#v)", tag, i, out.Test(i), want, p)
 		}
+		if want {
+			count++
+		}
+	}
+	// Count walks whole words, so a bit set past Rows() shows up here.
+	if out.Count() != count {
+		t.Fatalf("%s: Count() = %d, naive count %d (pred %#v)", tag, out.Count(), count, p)
 	}
 }
 
@@ -183,34 +184,102 @@ func TestCompilePredErrors(t *testing.T) {
 	}
 }
 
-// TestCompilePredSkipsForeignRows: postings pointing at rows outside the
-// segment (PosOf not ok) must be dropped, not mis-mapped.
-func TestCompilePredSkipsForeignRows(t *testing.T) {
-	// Build columns whose ids include rows the PredColumns cannot map.
-	ids := []int64{10, 11, 12, 9999}
-	attr := BuildAttributeColumn([]int64{1, 1, 1, 1}, ids)
-	cat := BuildCategoricalColumn([]string{"x", "x", "x", "x"}, ids)
+// TestCompilePredRowMismatch: a column built over a different row count
+// than the segment reports is refused, not compiled into the wrong bits.
+func TestCompilePredRowMismatch(t *testing.T) {
 	c := &predCols{
-		attrRaw: [][]int64{{1, 1}},
-		catRaw:  [][]string{{"x", "x"}},
-		attrs:   []*AttributeColumn{attr},
-		cats:    []*CategoricalColumn{cat},
-		rows:    2,
+		attrs: []*AttributeColumn{BuildAttributeColumn([]int64{1, 1, 1, 1}, nil)},
+		cats:  []*CategoricalColumn{BuildCategoricalColumn([]string{"x", "x", "x", "x"}, nil)},
+		rows:  2,
 	}
 	out := bitset.New(2)
-	if err := CompilePred(RangePred{Attr: 0, Lo: 0, Hi: 2}, c, out); err != nil {
-		t.Fatal(err)
+	for _, p := range []Pred{RangePred{Attr: 0, Lo: 0, Hi: 2}, InPred{Cat: 0, Values: []string{"x"}}} {
+		if err := CompilePred(p, c, out); err == nil {
+			t.Fatalf("%#v compiled against a column of the wrong length", p)
+		}
 	}
-	// Only rows 10 (pos 0) and 12 (pos 1) map; 11 and 9999 are foreign.
-	if !out.Test(0) || !out.Test(1) || out.Count() != 2 {
-		t.Fatalf("range compile over foreign rows: got count %d", out.Count())
+}
+
+// edgeDataset is the oracle's hard case: attribute 0 mixes the int64
+// extremes with small negative and positive keys, attribute 1 is four
+// heavily duplicated keys, and the categorical has an empty string.
+func edgeDataset(n int, seed int64) *predCols {
+	r := rand.New(rand.NewSource(seed))
+	edge := []int64{math.MinInt64, math.MinInt64 + 1, -7, -1, 0, 1, 7, math.MaxInt64 - 1, math.MaxInt64}
+	wide := make([]int64, n)
+	dup := make([]int64, n)
+	color := make([]string, n)
+	for i := 0; i < n; i++ {
+		if r.Intn(3) == 0 {
+			wide[i] = edge[r.Intn(len(edge))]
+		} else {
+			wide[i] = int64(r.Intn(2000)) - 1000
+		}
+		dup[i] = int64(r.Intn(4)) - 2
+		color[i] = []string{"red", "", "blue"}[r.Intn(3)]
 	}
-	out2 := bitset.New(2)
-	if err := CompilePred(InPred{Cat: 0, Values: []string{"x"}}, c, out2); err != nil {
-		t.Fatal(err)
+	return newPredCols([][]int64{wide, dup}, [][]string{color})
+}
+
+// TestFillRangeOracle is the differential test of the positional compile
+// against "filter rows by raw value": duplicate and negative keys, int64
+// extremes as keys and as bounds, inverted ranges, row counts on every
+// side of a word boundary, and ranges on both sides of the narrow/wide
+// crossover (the count is asserted, so each path is known to have run).
+func TestFillRangeOracle(t *testing.T) {
+	bounds := []int64{math.MinInt64, math.MinInt64 + 1, -1000, -8, -2, -1, 0, 1, 6, 999, math.MaxInt64 - 1, math.MaxInt64}
+	narrow, wide := 0, 0
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129, 1000, 4096 + 37} {
+		c := edgeDataset(n, int64(100+n))
+		for attr := 0; attr < 2; attr++ {
+			for _, lo := range bounds {
+				for _, hi := range bounds {
+					p := RangePred{Attr: attr, Lo: lo, Hi: hi}
+					c.check(t, fmt.Sprintf("n=%d", n), p)
+					if m := c.attrs[attr].CountRange(lo, hi); m*wideFillDiv < n {
+						narrow++
+					} else {
+						wide++
+					}
+				}
+			}
+		}
+		// Trees over the same columns go through the same oracle.
+		for name, p := range map[string]Pred{
+			"and":    AndPred{Preds: []Pred{RangePred{Attr: 0, Lo: math.MinInt64, Hi: 0}, RangePred{Attr: 1, Lo: -1, Hi: 1}}},
+			"or":     OrPred{Preds: []Pred{RangePred{Attr: 0, Lo: math.MaxInt64, Hi: math.MaxInt64}, InPred{Cat: 0, Values: []string{""}}}},
+			"not":    NotPred{Pred: RangePred{Attr: 1, Lo: 0, Hi: 0}},
+			"not_in": NotPred{Pred: InPred{Cat: 0, Values: []string{"red", "blue"}}},
+			"nested": AndPred{Preds: []Pred{
+				NotPred{Pred: RangePred{Attr: 0, Lo: -1, Hi: math.MaxInt64}},
+				OrPred{Preds: []Pred{InPred{Cat: 0, Values: []string{"red"}}, RangePred{Attr: 1, Lo: 5, Hi: -5}}},
+			}},
+		} {
+			c.check(t, fmt.Sprintf("n=%d %s", n, name), p)
+		}
 	}
-	if out2.Count() != 2 {
-		t.Fatalf("in compile over foreign rows: got count %d", out2.Count())
+	if narrow == 0 || wide == 0 {
+		t.Fatalf("crossover not straddled: %d narrow, %d wide compiles", narrow, wide)
+	}
+}
+
+// TestFillRangeKeepsBits: FillRange ORs into out — what an OrPred sibling
+// already set survives on both fill paths.
+func TestFillRangeKeepsBits(t *testing.T) {
+	values := make([]int64, 200)
+	for i := range values {
+		values[i] = int64(i)
+	}
+	col := BuildAttributeColumn(values, nil)
+	for _, hi := range []int64{3, 150} { // narrow, wide
+		out := bitset.New(len(values))
+		out.Set(199)
+		if got := col.FillRange(0, hi, out); got != int(hi)+1 {
+			t.Fatalf("FillRange(0,%d) = %d", hi, got)
+		}
+		if !out.Test(199) || out.Count() != int(hi)+2 {
+			t.Fatalf("FillRange(0,%d) dropped a set bit: count %d", hi, out.Count())
+		}
 	}
 }
 

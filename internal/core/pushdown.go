@@ -27,28 +27,45 @@ func predRows(src *SourceView, pred colstore.Pred) []int64 {
 	return nil
 }
 
-// segPredCols adapts one immutable segment to the predicate compiler: the
-// sorted/inverted columns store row IDs, and PosOf maps them back to build
-// positions — the bit index every scan and index path agrees on.
-type segPredCols struct{ seg *Segment }
-
-func (s segPredCols) Rows() int { return s.seg.Rows() }
-
-func (s segPredCols) AttrColumn(attr int) *colstore.AttributeColumn {
-	if attr < 0 || attr >= len(s.seg.Attrs) {
+// AttrColumn and CatColumn (with Rows) make a segment the predicate
+// compiler's colstore.PredColumns: its sorted and inverted columns carry
+// build positions — the bit index every scan and index path agrees on — so
+// nothing on the filter path resolves a row ID through posOf.
+func (s *Segment) AttrColumn(attr int) *colstore.AttributeColumn {
+	if attr < 0 || attr >= len(s.Attrs) {
 		return nil
 	}
-	return s.seg.Attrs[attr]
+	return s.Attrs[attr]
 }
 
-func (s segPredCols) CatColumn(cat int) *colstore.CategoricalColumn {
-	if cat < 0 || cat >= len(s.seg.Cats) {
+func (s *Segment) CatColumn(cat int) *colstore.CategoricalColumn {
+	if cat < 0 || cat >= len(s.Cats) {
 		return nil
 	}
-	return s.seg.Cats[cat]
+	return s.Cats[cat]
 }
 
-func (s segPredCols) PosOf(row int64) (int32, bool) { return s.seg.posOf(row) }
+// CompileFilter compiles the segment's visible rows satisfying pred into a
+// pooled bitset over build positions: the predicate's matches with the
+// positions that deleted hides cleared. deleted holds sequence-scoped
+// tombstones as Snapshot.Deleted does. This is the one filter compile
+// under every pushed-down search — the collection's snapshot paths and the
+// cluster readers. The caller releases the result with bitset.Put.
+func (s *Segment) CompileFilter(pred colstore.Pred, deleted map[int64]int64) (*bitset.Bitset, error) {
+	b := bitset.Get(s.Rows())
+	if err := colstore.CompilePred(pred, s, b); err != nil {
+		bitset.Put(b)
+		return nil, err
+	}
+	for id, seq := range deleted {
+		if s.ID <= seq {
+			if p, ok := s.posOf(id); ok {
+				b.Clear(int(p))
+			}
+		}
+	}
+	return b, nil
+}
 
 // pushedBits is the compiled filter payload for one pinned snapshot: a
 // pooled bitset per segment, keyed by segment ID, over build positions,
@@ -65,25 +82,17 @@ func (pb *pushedBits) release() {
 }
 
 // compileSnapshotPred compiles pred against every segment of the pinned
-// snapshot and clears tombstoned positions, so no hidden or filtered-out
-// row can surface from the pushed scan. Returns the payload plus the
-// matched (visible) and total physical row counts.
+// snapshot (Segment.CompileFilter), so no hidden or filtered-out row can
+// surface from the pushed scan. Returns the payload plus the matched
+// (visible) and total physical row counts.
 func (v *SourceView) compileSnapshotPred(pred colstore.Pred) (*pushedBits, int, int, error) {
 	pb := &pushedBits{bits: make(map[int64]*bitset.Bitset, len(v.sn.Segments))}
 	matched, total := 0, 0
 	for _, seg := range v.sn.Segments {
-		b := bitset.Get(seg.Rows())
-		if err := colstore.CompilePred(pred, segPredCols{seg}, b); err != nil {
+		b, err := seg.CompileFilter(pred, v.sn.Deleted)
+		if err != nil {
 			pb.release()
-			bitset.Put(b)
 			return nil, 0, 0, err
-		}
-		for id, seq := range v.sn.Deleted {
-			if seg.ID <= seq {
-				if p, ok := seg.posOf(id); ok {
-					b.Clear(int(p))
-				}
-			}
 		}
 		pb.bits[seg.ID] = b
 		matched += b.Count()
@@ -176,7 +185,7 @@ func (c *Collection) SearchPredCtx(ctx context.Context, queryVec []float32, pred
 	// them; arbitrary trees can only push down.
 	est := 0
 	for _, seg := range src.sn.Segments {
-		est += colstore.EstimatePred(pred, segPredCols{seg})
+		est += colstore.EstimatePred(pred, seg)
 	}
 	fs := src.PlanFilterShape(field)
 	fs.Dim = c.schema.VectorFields[field].Dim

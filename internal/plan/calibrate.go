@@ -236,36 +236,30 @@ func calibrateLookup() float64 {
 	return ns
 }
 
-// calCols adapts a synthetic attribute column to the predicate compiler.
-type calCols struct {
-	rows int
-	attr *colstore.AttributeColumn
-}
-
-func (c calCols) Rows() int                                 { return c.rows }
-func (c calCols) AttrColumn(int) *colstore.AttributeColumn  { return c.attr }
-func (c calCols) CatColumn(int) *colstore.CategoricalColumn { return nil }
-func (c calCols) PosOf(row int64) (int32, bool)             { return int32(row), true }
-
 // calibrateBitset fits compile(rows, matches) = rows·perRow +
-// matches·perMatch from two CompilePred runs at different selectivities
-// over the same column.
+// matches·perMatch from two runs, at different selectivities over the same
+// column, of the RangePred compile every filtered query runs
+// (AttributeColumn.FillRange into a cleared bitset).
 func calibrateBitset() (perRowNs, perMatchNs float64) {
 	const n = 1 << 15
 	values := make([]int64, n)
 	for i := range values {
 		values[i] = int64(i % 4096)
 	}
-	cols := calCols{rows: n, attr: colstore.BuildAttributeColumn(values, nil)}
+	col := colstore.BuildAttributeColumn(values, nil)
 	bs := bitset.New(n)
 	run := func(hi int64) float64 {
 		return measure(func() {
-			_ = colstore.CompilePred(colstore.RangePred{Attr: 0, Lo: 0, Hi: hi}, cols, bs)
+			bs.Reset(n)
+			col.FillRange(0, hi, bs)
 		})
 	}
+	// Both points sit on FillRange's per-match side of its crossover: the
+	// prefilter/pushdown decision this prices is made at narrow ranges,
+	// and past half the column the compile costs less than the fit says.
 	tLo := run(40)   // ~1% selectivity
-	tHi := run(4095) // 100% selectivity
-	mLo, mHi := float64(n)*41/4096, float64(n)
+	tHi := run(1023) // 25% selectivity
+	mLo, mHi := float64(n)*41/4096, float64(n)*1024/4096
 	perMatchNs = (tHi - tLo) / (mHi - mLo)
 	if perMatchNs < 0 {
 		perMatchNs = 0

@@ -120,58 +120,21 @@ func pushedMode(idx index.Index, selectivity float64) string {
 }
 
 // CompileRange implements PushdownSource: the attribute constraint becomes
-// one pooled bitset over build positions, filled from the sorted column's
-// zone-map walk when selective and from the raw row-aligned array when the
-// range covers most of the table (cheaper than per-row PosOf resolution).
+// one pooled bitset over build positions, filled by the column itself
+// (colstore.AttributeColumn.FillRange — the same compile every segment
+// runs).
 func (t *Table) CompileRange(attr int, lo, hi int64) (*PushedFilter, bool) {
 	if attr < 0 || attr >= len(t.cols) {
 		return nil, false
 	}
 	n := len(t.ids)
 	bits := bitset.Get(n)
-	matched := t.cols[attr].CountRange(lo, hi)
-	if matched*8 >= n {
-		// Word-at-a-time branchless fill: on a wide range roughly half the
-		// rows miss, so a per-row `if` pays a branch mispredict per miss
-		// (~9ns/row measured); comparison bits OR'd into a word cost none.
-		// XOR of the sign bit maps signed order onto unsigned, avoiding
-		// subtraction overflow for any bounds.
-		vals := t.attrs[attr]
-		const sign = uint64(1) << 63
-		ulo, uhi := uint64(lo)^sign, uint64(hi)^sign
-		for w0 := 0; w0 < n; w0 += 64 {
-			end := w0 + 64
-			if end > n {
-				end = n
-			}
-			var word uint64
-			for j, v := range vals[w0:end] {
-				uv := uint64(v) ^ sign
-				word |= (b2u(uv >= ulo) & b2u(uv <= uhi)) << uint(j)
-			}
-			bits.SetWord(w0/64, word)
-		}
-	} else {
-		t.cols[attr].RangeEach(lo, hi, func(row int64) {
-			if p, ok := t.pos[row]; ok {
-				bits.Set(int(p))
-			}
-		})
-	}
+	matched := t.cols[attr].FillRange(lo, hi, bits)
 	sel := 0.0
 	if n > 0 {
 		sel = float64(matched) / float64(n)
 	}
 	return NewPushedFilter(matched, n, pushedMode(t.idx, sel), bits, func() { bitset.Put(bits) }), true
-}
-
-// b2u compiles to a flagless SETcc, the building block of the branchless
-// word fill.
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // VectorQueryPushed implements PushdownSource.
