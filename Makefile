@@ -40,8 +40,12 @@ lint:
 # (internal/stress) with fault injection — the cancellation/leak gate,
 # the filtered-search gates (ground-truth conformance plus the concurrent
 # filtered stress mode), the observability coverage floor, the
-# batch-kernel guard and the benchmark smoke run.
+# batch-kernel guard, the benchmark smoke run, and the e2ebench module
+# (its own go.mod, so `go build ./... && go test ./...` at the root never
+# compiles it: a signature change in internal/core that breaks the
+# repository's benchmark shows up here, not when the benchmark next runs).
 ci: vet fmt build lint test cover kernel-guard conformance-filter conformance-ooc bench-smoke
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race ./internal/...
 	$(GO) test -race ./internal/stress -run TestStressCancel -short -faults=cancel
 	$(GO) test -race ./internal/stress -run TestStressFiltered -short -faults=filtered

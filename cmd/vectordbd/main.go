@@ -32,6 +32,7 @@ import (
 	"log"
 	"net/http"
 	"path/filepath"
+	"time"
 
 	"vectordb/internal/core"
 	"vectordb/internal/objstore"
@@ -96,7 +97,10 @@ func main() {
 		BatchSize:    *batchSize,
 	})
 	log.Printf("vectordbd listening on %s (data: %s)", *addr, dataDesc(*data))
-	if err := http.ListenAndServe(*addr, srv); err != nil {
+	// A client that never finishes its request headers must not hold a
+	// connection open forever; bodies are bounded by size in internal/rest.
+	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: 10 * time.Second}
+	if err := hs.ListenAndServe(); err != nil {
 		log.Fatalf("vectordbd: %v", err)
 	}
 }

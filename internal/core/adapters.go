@@ -2,32 +2,28 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"time"
 
 	"vectordb/internal/colstore"
-	"vectordb/internal/index"
-	"vectordb/internal/obs"
-	"vectordb/internal/plan"
 	"vectordb/internal/query"
 	"vectordb/internal/topk"
 )
 
 // SourceView adapts a pinned snapshot of a collection to the query.Source
-// interface so the attribute-filtering strategies of Sec. 4.1 run over the
-// LSM engine. Release it when done.
+// and query.MultiSource interfaces, so the attribute-filtering strategies of
+// Sec. 4.1 and the multi-vector algorithms of Sec. 4.2 run over the LSM
+// engine. Release it when done.
 type SourceView struct {
 	c  *Collection
 	sn *Snapshot
-	// Trace, when set, is threaded into vector sub-queries issued through
-	// this view, so strategy-internal searches land on the query's trace.
-	Trace *obs.Trace
 	// Ctx, when set, cancels vector sub-queries issued through this view.
 	// Nil means background (never cancelled).
 	Ctx context.Context
 }
 
-var _ query.Source = (*SourceView)(nil)
+var (
+	_ query.Source      = (*SourceView)(nil)
+	_ query.MultiSource = (*SourceView)(nil)
+)
 
 // Source pins the current snapshot and returns its Source adapter.
 func (c *Collection) Source() *SourceView {
@@ -81,13 +77,15 @@ func (v *SourceView) AttrValue(attr int, id int64) (int64, bool) {
 
 // VectorQuery implements query.Source.
 func (v *SourceView) VectorQuery(field int, q []float32, k, nprobe int, filter func(int64) bool) []topk.Result {
-	res, err := v.c.searchSnapshot(v.ctx(), v.sn, q, SearchOptions{
-		Field:  v.c.schema.VectorFields[field].Name,
-		K:      k,
-		Nprobe: nprobe,
-		Filter: filter,
-		Trace:  v.Trace,
-	})
+	return v.search(field, q, SearchOptions{K: k, Nprobe: nprobe, Filter: filter})
+}
+
+// search runs one vector sub-query over the view's snapshot. The strategy
+// interfaces have no error result, so a rejected or cancelled sub-query
+// yields no rows; callers that care inspect their ctx.
+func (v *SourceView) search(field int, q []float32, opts SearchOptions) []topk.Result {
+	opts.Field = v.c.schema.VectorFields[field].Name
+	res, err := v.c.SearchSnapshotCtx(v.ctx(), v.sn, q, opts)
 	if err != nil {
 		return nil
 	}
@@ -116,50 +114,21 @@ func (v *SourceView) DistanceByID(field int, q []float32, id int64) (float32, bo
 	return 0, false
 }
 
-// MultiView adapts the collection to query.MultiSource for the multi-vector
-// algorithms of Sec. 4.2. Release it when done.
-type MultiView struct {
-	c  *Collection
-	sn *Snapshot
-	// Ctx, when set, cancels per-field sub-queries issued through this
-	// view. Nil means background.
-	Ctx context.Context
-}
-
-var _ query.MultiSource = (*MultiView)(nil)
-
-// MultiSource pins the current snapshot and returns its MultiSource adapter.
-func (c *Collection) MultiSource() *MultiView {
-	return &MultiView{c: c, sn: c.snaps.acquire()}
-}
-
-// Release unpins the underlying snapshot.
-func (v *MultiView) Release() { v.c.snaps.release(v.sn) }
+// MultiSource pins the current snapshot and returns its view, named for the
+// query.MultiSource side of it.
+func (c *Collection) MultiSource() *SourceView { return c.Source() }
 
 // Fields implements query.MultiSource.
-func (v *MultiView) Fields() int { return len(v.c.schema.VectorFields) }
+func (v *SourceView) Fields() int { return len(v.c.schema.VectorFields) }
 
 // FieldQuery implements query.MultiSource.
-func (v *MultiView) FieldQuery(field int, q []float32, k int) []topk.Result {
-	ctx := v.Ctx
-	if ctx == nil {
-		//lint:allow ctxflow nil-Ctx view means detached-from-request by documented contract
-		ctx = context.Background()
-	}
-	res, err := v.c.searchSnapshot(ctx, v.sn, q, SearchOptions{
-		Field: v.c.schema.VectorFields[field].Name,
-		K:     k,
-	})
-	if err != nil {
-		return nil
-	}
-	return res
+func (v *SourceView) FieldQuery(field int, q []float32, k int) []topk.Result {
+	return v.search(field, q, SearchOptions{K: k})
 }
 
 // FieldDistance implements query.MultiSource.
-func (v *MultiView) FieldDistance(field int, q []float32, id int64) (float32, bool) {
-	sv := SourceView{c: v.c, sn: v.sn}
-	return sv.DistanceByID(field, q, id)
+func (v *SourceView) FieldDistance(field int, q []float32, id int64) (float32, bool) {
+	return v.DistanceByID(field, q, id)
 }
 
 // SearchFiltered runs an attribute-filtered vector query using the
@@ -171,99 +140,30 @@ func (c *Collection) SearchFiltered(queryVec []float32, attrName string, lo, hi 
 }
 
 // SearchFilteredCtx is SearchFiltered with admission control and
-// cancellation: the chosen strategy's scans and sub-queries check ctx and
-// stop early; a cancelled query returns ctx's error, not partial results.
-// The filter strategy — pushdown (strategy B) vs attribute-first exact
-// scan (strategy A) — is picked per query by the calibrated planner from
-// the zone-map-estimated selectivity and the snapshot's physical shape,
-// replacing the static crossover.
+// cancellation: lo ≤ attr ≤ hi as a RangePred on the predicate path, where
+// the planner picks pushdown (strategy B) or the attribute-first exact scan
+// (strategy A) per query from the zone-map-estimated selectivity.
 func (c *Collection) SearchFilteredCtx(ctx context.Context, queryVec []float32, attrName string, lo, hi int64, opts SearchOptions) ([]topk.Result, error) {
 	attr, err := c.schema.AttrFieldIndex(attrName)
 	if err != nil {
 		return nil, err
 	}
-	field := 0
-	if opts.Field != "" {
-		if field, err = c.schema.VectorFieldIndex(opts.Field); err != nil {
-			return nil, err
-		}
-	}
-	if opts.K <= 0 {
-		return nil, fmt.Errorf("core: K must be positive")
-	}
-	done := c.beginQuery("filtered", &opts.Trace)
-	defer done()
-	opts.Trace.Annotate("placement", "cpu")
-	release, err := c.admit(ctx, opts.Trace)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	src := c.Source()
-	src.Trace = opts.Trace
-	src.Ctx = ctx
-	defer src.Release()
-	t0 := time.Now()
-	res, _, dec := query.StrategyPlanned(c.planner, src,
-		query.RangeCond{Attr: attr, Lo: lo, Hi: hi},
-		query.VecCond{Field: field, Query: queryVec, K: opts.K, Nprobe: opts.Nprobe, Trace: opts.Trace, Ctx: ctx})
-	annotatePlan(opts.Trace, dec)
-	c.planner.Observe(dec, time.Since(t0))
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return c.SearchPredCtx(ctx, queryVec, colstore.RangePred{Attr: attr, Lo: lo, Hi: hi}, opts)
 }
 
-// SearchMultiVector runs the iterative-merging multi-vector query over the
-// current snapshot (falls back from vector fusion when the metric is not
-// decomposable, mirroring Sec. 4.2's guidance).
+// SearchMultiVector runs a multi-vector query over the current snapshot:
+// vector fusion when the schema's metric and the weights are decomposable,
+// iterative merging otherwise (Sec. 4.2's guidance).
 func (c *Collection) SearchMultiVector(queries [][]float32, weights []float32, k int) ([]topk.Result, error) {
 	//lint:allow ctxflow ctx-less compat wrapper: public API without a context anchors at Background
 	return c.SearchMultiVectorCtx(context.Background(), queries, weights, k)
 }
 
 // SearchMultiVectorCtx is SearchMultiVector with admission control and
-// cancellation. Admission is taken once here; the fused attempt and the
-// iterative-merging rounds both run under that single in-flight slot.
+// cancellation; the whole query runs under one in-flight slot.
 func (c *Collection) SearchMultiVectorCtx(ctx context.Context, queries [][]float32, weights []float32, k int) ([]topk.Result, error) {
-	if len(queries) != len(c.schema.VectorFields) {
-		return nil, fmt.Errorf("core: %d query vectors for %d fields", len(queries), len(c.schema.VectorFields))
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("core: K must be positive")
-	}
-	var tr *obs.Trace
-	done := c.beginQuery("multi", &tr)
-	defer done()
-	tr.Annotate("placement", "cpu")
-	release, err := c.admit(ctx, tr)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if _, err := c.fusedMetric(); err == nil {
-		if fq, err := c.FusedQueryVector(queries, weights); err == nil {
-			m, _ := c.fusedMetric()
-			sn := c.snaps.acquire()
-			res, err := c.searchFused(ctx, sn, fq, m, SearchOptions{K: k, Trace: tr})
-			c.snaps.release(sn)
-			if err != nil {
-				return nil, err
-			}
-			tr.Annotate("multi_algorithm", "fused")
-			return res, nil
-		}
-	}
-	tr.Annotate("multi_algorithm", "iterative_merging")
-	mv := c.MultiSource()
-	mv.Ctx = ctx
-	defer mv.Release()
-	res := query.IterativeMergingCtx(ctx, mv, queries, weights, k, 16384)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	res, err := c.execute(ctx, &Query{kind: kindMulti, vecs: queries, weights: weights, opts: SearchOptions{K: k}})
+	return res.hits, err
 }
 
 // CatRows returns the IDs whose categorical field matches any of values,
@@ -285,105 +185,19 @@ func (v *SourceView) CatRows(cat int, values ...string) []int64 {
 
 // SearchCategorical runs a vector query restricted to entities whose
 // categorical field matches ANY of values — the inverted-list filtering of
-// the Sec. 2.1 extension, using the bitmap strategy (strategy B) since
-// equality predicates resolve to exact postings.
+// the Sec. 2.1 extension.
 func (c *Collection) SearchCategorical(queryVec []float32, catName string, values []string, opts SearchOptions) ([]topk.Result, error) {
 	//lint:allow ctxflow ctx-less compat wrapper: public API without a context anchors at Background
 	return c.SearchCategoricalCtx(context.Background(), queryVec, catName, values, opts)
 }
 
 // SearchCategoricalCtx is SearchCategorical with admission control and
-// cancellation.
+// cancellation: the IN-list as an InPred on the predicate path.
 func (c *Collection) SearchCategoricalCtx(ctx context.Context, queryVec []float32, catName string, values []string, opts SearchOptions) ([]topk.Result, error) {
 	cat, err := c.schema.CatFieldIndex(catName)
 	if err != nil {
 		return nil, err
 	}
-	if opts.K <= 0 {
-		return nil, fmt.Errorf("core: K must be positive")
-	}
-	if len(values) == 0 {
-		return nil, fmt.Errorf("core: at least one categorical value required")
-	}
-	done := c.beginQuery("categorical", &opts.Trace)
-	defer done()
-	tr := opts.Trace
-	tr.Annotate("placement", "cpu")
-	release, err := c.admit(ctx, tr)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	field := 0
-	if opts.Field != "" {
-		if field, err = c.schema.VectorFieldIndex(opts.Field); err != nil {
-			return nil, err
-		}
-	}
-	src := c.Source()
-	src.Trace = tr
-	src.Ctx = ctx
-	defer src.Release()
-	filterSpan := tr.StartSpan("attr_filter")
-	rows := src.CatRows(cat, values...)
-	filterSpan.AnnotateInt("rows", int64(len(rows)))
-	filterSpan.End()
-	if len(rows) == 0 {
-		tr.Annotate("plan", string(plan.StrategyPrefilter))
-		return nil, nil
-	}
-	// The planner prices the exact scan over the postings matches
-	// (strategy A's regime) against the bitset pushdown (strategy B) from
-	// the postings' exact match count and the snapshot's physical shape.
-	fs := src.PlanFilterShape(field)
-	fs.Dim = c.schema.VectorFields[field].Dim
-	fs.K = opts.K
-	if opts.Nprobe > 0 {
-		fs.Nprobe = opts.Nprobe
-	}
-	fs.Matched = len(rows)
-	dec := c.planner.PickFilterStrategy(fs)
-	annotatePlan(tr, dec)
-	t0 := time.Now()
-	if dec.Strategy == plan.StrategyPrefilter {
-		tr.Annotate("filter_strategy", "A")
-		scan := tr.StartSpan("exact_scan")
-		defer scan.End()
-		h := topk.New(opts.K)
-		for i, id := range rows {
-			if i&255 == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if d, ok := src.DistanceByID(field, queryVec, id); ok {
-				h.Push(id, d)
-			}
-		}
-		c.planner.Observe(dec, time.Since(t0))
-		return h.Results(), nil
-	}
-	tr.Annotate("filter_strategy", "B")
-	defer func() { c.planner.Observe(dec, time.Since(t0)) }()
-	// Wider postings: the IN-list compiles to per-segment bitsets pushed
-	// beneath the scans (postings → build positions, word-aligned).
-	pb, matched, total, err := src.compileSnapshotPred(colstore.InPred{Cat: cat, Values: values})
-	if err != nil {
-		return nil, err
-	}
-	defer pb.release()
-	sel := 0.0
-	if total > 0 {
-		sel = float64(matched) / float64(total)
-	}
-	query.AnnotatePushed(tr, query.NewPushedFilter(matched, total, index.FilterModeName(sel), nil, nil))
-	if matched == 0 {
-		return nil, ctx.Err()
-	}
-	o := opts
-	o.segBits = pb.bits
-	// Search against the already-pinned snapshot so this stays one query
-	// (and one trace) rather than re-entering the counted, admitted
-	// Search path.
-	return c.searchSnapshot(ctx, src.sn, queryVec, o)
+	res, err := c.execute(ctx, &Query{kind: kindCategorical, vec: queryVec, pred: colstore.InPred{Cat: cat, Values: values}, opts: opts})
+	return res.hits, err
 }

@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
-	"time"
 
 	"vectordb/internal/batchform"
 	"vectordb/internal/bufferpool"
@@ -40,26 +38,13 @@ func (c *Collection) batchFormKey(f int, opts *SearchOptions, venue plan.Venue) 
 	}
 }
 
-// searchBatched offers an eligible query to the batch former. handled
-// false means the caller must run the query on the per-query path —
-// either the query is ineligible (filtered, invalid, non-decomposable
-// metric) or the former passed it through because the pool is idle.
-// Validation failures also fall through so the per-query path stays the
-// single source of the canonical error messages.
-func (c *Collection) searchBatched(ctx context.Context, query []float32, opts SearchOptions, venue plan.Venue) (res []topk.Result, handled bool, err error) {
+// searchBatched offers a validated, unfiltered query to the batch former.
+// handled false means the caller must run the query on the per-query path —
+// either the query is ineligible (row filter, non-decomposable metric) or
+// the former passed it through because the pool is idle.
+func (c *Collection) searchBatched(ctx context.Context, f int, query []float32, opts SearchOptions, venue plan.Venue) (res []topk.Result, handled bool, err error) {
 	bf := c.former
-	if bf == nil || opts.Filter != nil {
-		return nil, false, nil
-	}
-	f := 0
-	if opts.Field != "" {
-		var ferr error
-		if f, ferr = c.schema.VectorFieldIndex(opts.Field); ferr != nil {
-			return nil, false, nil
-		}
-	}
-	vf := &c.schema.VectorFields[f]
-	if len(query) != vf.Dim || opts.K <= 0 || !vf.Metric.BatchEligible() {
+	if bf == nil || opts.Filter != nil || !c.schema.VectorFields[f].Metric.BatchEligible() {
 		return nil, false, nil
 	}
 	sp := opts.Trace.StartSpan("batch_form")
@@ -72,15 +57,46 @@ func (c *Collection) searchBatched(ctx context.Context, query []float32, opts Se
 	return res, true, err
 }
 
-// runFormedBatch is the former's Runner: it executes one compatible batch
-// against a single snapshot, sharing one segment sweep across all members.
+// runFormedBatch is the former's Runner: a formed batch spans several
+// admitted queries, so it pins its own snapshot for the shared sweep.
+func (c *Collection) runFormedBatch(ctx context.Context, key batchform.Key, items []*batchform.Item) {
+	sn := c.snaps.acquire()
+	defer c.snaps.release(sn)
+	c.runBatch(ctx, sn, key, items)
+}
+
+// searchBatch answers an explicit batch over the pinned snapshot through
+// the same executor the former routes concurrent SearchCtx traffic to;
+// result lists come back in input order.
+func (c *Collection) searchBatch(ctx context.Context, sn *Snapshot, key batchform.Key, queries [][]float32) ([][]topk.Result, error) {
+	if len(queries) == 0 {
+		return nil, nil
+	}
+	items := make([]*batchform.Item, len(queries))
+	for i, q := range queries {
+		items[i] = batchform.NewItem(ctx, q)
+	}
+	c.runBatch(ctx, sn, key, items)
+	out := make([][]topk.Result, len(items))
+	for i, it := range items {
+		res, _, err := it.Outcome()
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
+// runBatch executes one compatible batch against one snapshot, sharing one
+// segment sweep across all members.
 // Indexed segments are searched once per live member; scan segments go
 // through the m-query tile kernels, so each cached data block is reused
 // across the whole batch — the paper's Fig. 11 cache-aware batching,
 // applied to coalesced online traffic. A member whose context died gets
 // its own ctx error; live members are never aborted by dead peers (ctx
 // here is the joined batch context).
-func (c *Collection) runFormedBatch(ctx context.Context, key batchform.Key, items []*batchform.Item) {
+func (c *Collection) runBatch(ctx context.Context, sn *Snapshot, key batchform.Key, items []*batchform.Item) {
 	m := len(items)
 	vf := &c.schema.VectorFields[key.Field]
 	metric := vf.Metric
@@ -90,8 +106,6 @@ func (c *Collection) runFormedBatch(ctx context.Context, key batchform.Key, item
 		qs = append(qs, it.Query()...)
 	}
 	p := index.SearchParams{K: key.K, Nprobe: key.Nprobe, Ef: key.Ef, SearchL: key.SearchL}
-	sn := c.snaps.acquire()
-	defer c.snaps.release(sn)
 	segs := sn.Segments
 	if len(segs) == 0 {
 		for _, it := range items {
@@ -187,66 +201,14 @@ func (c *Collection) batchSegment(sn *Snapshot, seg *Segment, field int, metric 
 	return false
 }
 
-// SearchBatchCtx answers len(queries) top-k queries in one formed batch
-// over a single snapshot — the deterministic entry to the same executor
-// the former routes concurrent SearchCtx traffic through. All queries
-// share opts (field, K, index knobs; a filter is rejected — filtered
-// strategies are per-query plans); per-query result lists come back in
-// input order. The batch holds one admission slot, like any other
-// top-level query.
+// SearchBatchCtx answers len(queries) top-k queries in one batch over a
+// single snapshot — the deterministic entry to the same executor the former
+// routes concurrent SearchCtx traffic through. All queries share opts
+// (field, K, index knobs; a filter is rejected — filtered strategies are
+// per-query plans); per-query result lists come back in input order. The
+// batch is planned as one nq-query shape and holds one admission slot, like
+// any other top-level query.
 func (c *Collection) SearchBatchCtx(ctx context.Context, queries [][]float32, opts SearchOptions) ([][]topk.Result, error) {
-	done := c.beginQuery("batch", &opts.Trace)
-	defer done()
-	opts.Trace.Annotate("placement", "cpu")
-	release, err := c.admit(ctx, opts.Trace)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	f := 0
-	if opts.Field != "" {
-		if f, err = c.schema.VectorFieldIndex(opts.Field); err != nil {
-			return nil, err
-		}
-	}
-	vf := &c.schema.VectorFields[f]
-	if opts.K <= 0 {
-		return nil, fmt.Errorf("core: K must be positive")
-	}
-	if opts.Filter != nil {
-		return nil, fmt.Errorf("core: batched search does not take a filter; filtered queries are per-query plans")
-	}
-	if !vf.Metric.BatchEligible() {
-		return nil, fmt.Errorf("core: metric %s does not decompose per query block", vf.Metric)
-	}
-	for _, q := range queries {
-		if len(q) != vf.Dim {
-			return nil, fmt.Errorf("core: query dim %d, field %q wants %d", len(q), vf.Name, vf.Dim)
-		}
-	}
-	if len(queries) == 0 {
-		return nil, nil
-	}
-	// Plan the whole batch as one nq-query shape. The batch executor is the
-	// CPU tile sweep, so only CPU venues are offered; the decision still
-	// prices load and residency, and the venue keys the formed batch.
-	sn := c.snaps.acquire()
-	dec := c.planVenue(sn, f, len(queries), opts.K, opts.Nprobe, opts.Trace, false)
-	c.snaps.release(sn)
-	items := make([]*batchform.Item, len(queries))
-	for i, q := range queries {
-		items[i] = batchform.NewItem(ctx, q)
-	}
-	t0 := time.Now()
-	c.runFormedBatch(ctx, c.batchFormKey(f, &opts, dec.Venue), items)
-	c.planner.Observe(dec, time.Since(t0))
-	out := make([][]topk.Result, len(items))
-	for i, it := range items {
-		res, _, err := it.Outcome()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
+	res, err := c.execute(ctx, &Query{kind: kindBatch, vecs: queries, opts: opts})
+	return res.batch, err
 }

@@ -637,7 +637,7 @@ type SearchOptions struct {
 	// bitset over build positions, tombstones already cleared). Set only
 	// by the pushdown paths, which compile against the same pinned
 	// snapshot the search runs on.
-	segBits map[int64]*bitset.Bitset
+	segBits pushedBits
 }
 
 // Params converts the options to index-level search parameters (without a
@@ -662,94 +662,29 @@ func (c *Collection) Search(query []float32, opts SearchOptions) ([]topk.Result,
 // probe vs attached GPU) from the snapshot's shape and the live pool load;
 // the decision rides the trace as plan=.
 func (c *Collection) SearchCtx(ctx context.Context, query []float32, opts SearchOptions) ([]topk.Result, error) {
-	done := c.beginQuery("vector", &opts.Trace)
-	defer done()
-	release, err := c.admit(ctx, opts.Trace)
+	res, err := c.execute(ctx, &Query{kind: kindVector, vec: query, opts: opts})
+	return res.hits, err
+}
+
+// SearchSnapshotCtx is SearchCtx against an explicitly pinned snapshot. It is
+// not counted, planned or admitted — callers holding a pinned snapshot are
+// either inside an already-admitted query (filter strategies, multi-vector
+// rounds) or managing admission themselves.
+func (c *Collection) SearchSnapshotCtx(ctx context.Context, sn *Snapshot, query []float32, opts SearchOptions) ([]topk.Result, error) {
+	f, err := c.checkVector(opts.Field, query, opts.K)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	sn := c.snaps.acquire()
-	defer c.snaps.release(sn)
-	f, ok := c.planField(opts.Field, query, opts.K)
-	if !ok {
-		// Invalid queries fall through so the per-query path stays the
-		// single source of the canonical error messages.
-		opts.Trace.Annotate("placement", "cpu")
-		opts.Trace.Annotate("plan", "none")
-		return c.searchSnapshot(ctx, sn, query, opts)
-	}
-	// A caller-supplied row filter is evaluated on the host, so the GPU
-	// venue (whole-column kernels) is not offered for it.
-	dec := c.planVenue(sn, f, 1, opts.K, opts.Nprobe, opts.Trace, opts.Filter == nil)
-	t0 := time.Now()
-	res, err := c.dispatchPlanned(ctx, sn, dec, f, query, opts)
-	c.planner.Observe(dec, time.Since(t0))
-	return res, err
+	return c.searchSnapshot(ctx, sn, f, query, opts)
 }
 
-// dispatchPlanned executes one planned query on its decided venue. The
-// CPU venues share the batched/per-query scan path (the venue label names
-// how the snapshot's segments execute there); the GPU venue runs the
-// device-scheduled per-segment path.
-func (c *Collection) dispatchPlanned(ctx context.Context, sn *Snapshot, dec plan.Decision, f int, query []float32, opts SearchOptions) ([]topk.Result, error) {
-	if dec.Venue == plan.VenueGPU {
-		if sched := c.gpuScheduler(); sched != nil {
-			opts.Trace.Annotate("placement", "gpu")
-			res, _, err := c.gpuSearchSnapshot(ctx, sn, sched, f, query, opts)
-			return res, err
-		}
-		// The scheduler detached between planning and dispatch: the CPU
-		// path serves the identical result set.
-	}
-	opts.Trace.Annotate("placement", "cpu")
-	// Under concurrent load, compatible queries coalesce into one
-	// cache-aware tile sweep; an idle pool (or an ineligible query) falls
-	// through to the per-query path below. The venue is part of the batch
-	// key, so a batch never mixes venues.
-	if res, handled, err := c.searchBatched(ctx, query, opts, dec.Venue); handled {
-		return res, err
-	}
-	return c.searchSnapshot(ctx, sn, query, opts)
-}
-
-// SearchSnapshot is Search against an explicitly pinned snapshot.
-func (c *Collection) SearchSnapshot(sn *Snapshot, query []float32, opts SearchOptions) ([]topk.Result, error) {
-	//lint:allow ctxflow ctx-less compat wrapper: public API without a context anchors at Background
-	return c.searchSnapshot(context.Background(), sn, query, opts)
-}
-
-// SearchSnapshotCtx is SearchSnapshot with cancellation. It does not take
-// admission — callers holding a pinned snapshot are either inside an
-// already-admitted query (filter strategies, multi-vector rounds) or
-// managing admission themselves.
-func (c *Collection) SearchSnapshotCtx(ctx context.Context, sn *Snapshot, query []float32, opts SearchOptions) ([]topk.Result, error) {
-	return c.searchSnapshot(ctx, sn, query, opts)
-}
-
-func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, query []float32, opts SearchOptions) ([]topk.Result, error) {
+// searchSnapshot is the per-segment sweep: every segment of the pinned
+// snapshot is searched (index or scan) into per-task heaps, and the heaps
+// are merged. The query is already validated; f is its vector field.
+func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, query []float32, opts SearchOptions) ([]topk.Result, error) {
 	tr := opts.Trace
-	plan := tr.StartSpan("plan")
-	f := 0
-	if opts.Field != "" {
-		var err error
-		if f, err = c.schema.VectorFieldIndex(opts.Field); err != nil {
-			plan.End()
-			return nil, err
-		}
-	}
-	if len(query) != c.schema.VectorFields[f].Dim {
-		plan.End()
-		return nil, fmt.Errorf("core: query dim %d, field %q wants %d", len(query), c.schema.VectorFields[f].Name, c.schema.VectorFields[f].Dim)
-	}
-	if opts.K <= 0 {
-		plan.End()
-		return nil, fmt.Errorf("core: K must be positive")
-	}
 	p := opts.Params()
 	segs := sn.Segments
-	plan.AnnotateInt("segments", int64(len(segs)))
-	plan.End()
 	if len(segs) == 0 {
 		return nil, ctx.Err()
 	}
@@ -760,7 +695,7 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, query []f
 	// it claims (cross-segment pruning), and the final merge touches at
 	// most `workers` short lists.
 	heaps := make([]*topk.Heap, workers)
-	indexed := make([]bool, len(segs))
+	var nIdx atomic.Int64 // segments served by an index
 	// Segments are claimed dynamically off an atomic cursor by however
 	// many shared-pool tasks this query gets, so slow segments do not
 	// stall the rest (same balancing the per-query channel fanout had,
@@ -787,7 +722,7 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, query []f
 			idx := segs[i].Index(f)
 			if idx != nil {
 				stage = "index_search"
-				indexed[i] = true
+				nIdx.Add(1)
 			}
 			span := segSpan.StartChild(stage)
 			span.AnnotateInt("segment", segs[i].ID)
@@ -799,16 +734,10 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, query []f
 			span.End()
 		}
 	})
-	nIdx := int64(0)
-	for _, ok := range indexed {
-		if ok {
-			nIdx++
-		}
-	}
-	c.met.segIndex.Add(nIdx)
-	c.met.segScan.Add(int64(len(segs)) - nIdx)
-	segSpan.AnnotateInt("indexed", nIdx)
-	segSpan.AnnotateInt("scanned", int64(len(segs))-nIdx)
+	c.met.segIndex.Add(nIdx.Load())
+	c.met.segScan.Add(int64(len(segs)) - nIdx.Load())
+	segSpan.AnnotateInt("indexed", nIdx.Load())
+	segSpan.AnnotateInt("scanned", int64(len(segs))-nIdx.Load())
 	segSpan.End()
 	if err != nil {
 		return nil, err

@@ -43,41 +43,36 @@ func (c *Collection) fusedMetric() (vec.Metric, error) {
 	return m, nil
 }
 
-// FusedQueryVector folds per-field queries and weights into the single
-// aggregated query of the fusion algorithm: for IP the weights scale the
-// query sub-vectors ([w0·q0, w1·q1, ...]); for L2 only unit weights are
-// decomposable.
-func (c *Collection) FusedQueryVector(queries [][]float32, weights []float32) ([]float32, error) {
+// fusable reports whether vector fusion applies to the schema and weights:
+// one decomposable metric across fields, and for L2 only unit weights.
+func (c *Collection) fusable(weights []float32) error {
 	m, err := c.fusedMetric()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if len(queries) != len(c.schema.VectorFields) {
-		return nil, fmt.Errorf("core: %d query vectors for %d fields", len(queries), len(c.schema.VectorFields))
-	}
-	if weights == nil {
-		weights = make([]float32, len(queries))
-		for i := range weights {
-			weights[i] = 1
+	for _, w := range weights {
+		if m == vec.L2 && w != 1 {
+			return fmt.Errorf("core: weighted L2 is not decomposable; use iterative merging")
 		}
 	}
-	if len(weights) != len(queries) {
-		return nil, fmt.Errorf("core: %d weights for %d fields", len(weights), len(queries))
-	}
+	return nil
+}
+
+// fuseQuery folds validated, fusable per-field queries and weights into the
+// single aggregated query of the fusion algorithm: the weights scale the
+// query sub-vectors ([w0·q0, w1·q1, ...]).
+func (c *Collection) fuseQuery(queries [][]float32, weights []float32) []float32 {
 	out := make([]float32, 0, c.FusedDim())
 	for i, q := range queries {
-		if len(q) != c.schema.VectorFields[i].Dim {
-			return nil, fmt.Errorf("core: query %d has dim %d, want %d", i, len(q), c.schema.VectorFields[i].Dim)
-		}
-		w := weights[i]
-		if m == vec.L2 && w != 1 {
-			return nil, fmt.Errorf("core: weighted L2 is not decomposable; use iterative merging")
+		w := float32(1)
+		if weights != nil {
+			w = weights[i]
 		}
 		for _, x := range q {
 			out = append(out, w*x)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // BuildFusedIndex builds, on every current segment, an index over the
@@ -113,28 +108,15 @@ func (c *Collection) SearchFused(queries [][]float32, weights []float32, opts Se
 
 // SearchFusedCtx is SearchFused with admission control and cancellation.
 func (c *Collection) SearchFusedCtx(ctx context.Context, queries [][]float32, weights []float32, opts SearchOptions) ([]topk.Result, error) {
-	fq, err := c.FusedQueryVector(queries, weights)
-	if err != nil {
-		return nil, err
-	}
-	if opts.K <= 0 {
-		return nil, fmt.Errorf("core: K must be positive")
-	}
-	release, err := c.admit(ctx, opts.Trace)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	m, _ := c.fusedMetric()
-	sn := c.snaps.acquire()
-	defer c.snaps.release(sn)
-	return c.searchFused(ctx, sn, fq, m, opts)
+	res, err := c.execute(ctx, &Query{kind: kindFused, vecs: queries, weights: weights, opts: opts})
+	return res.hits, err
 }
 
-// searchFused is the admission-free core of the fused search: segments of
-// the pinned snapshot are claimed dynamically by shared-pool tasks, exactly
-// like searchSnapshot.
-func (c *Collection) searchFused(ctx context.Context, sn *Snapshot, fq []float32, m vec.Metric, opts SearchOptions) ([]topk.Result, error) {
+// searchFused is the fused sweep: segments of the pinned snapshot are
+// claimed dynamically by shared-pool tasks, exactly like searchSnapshot,
+// each searched with the aggregated query fq.
+func (c *Collection) searchFused(ctx context.Context, sn *Snapshot, fq []float32, opts SearchOptions) ([]topk.Result, error) {
+	m := c.schema.VectorFields[0].Metric
 	p := opts.Params()
 	segs := sn.Segments
 	if len(segs) == 0 {
@@ -142,6 +124,7 @@ func (c *Collection) searchFused(ctx context.Context, sn *Snapshot, fq []float32
 	}
 	results := make([][]topk.Result, len(segs))
 	var cursor atomic.Int64
+	segSpan := opts.Trace.StartSpan("segments")
 	err := c.pool.Map(ctx, poolTasks(c.pool, len(segs)), func(int) {
 		for ctx.Err() == nil {
 			i := int(cursor.Add(1)) - 1
@@ -198,8 +181,11 @@ func (c *Collection) searchFused(ctx context.Context, sn *Snapshot, fq []float32
 			results[i] = h.Results()
 		}
 	})
+	segSpan.End()
 	if err != nil {
 		return nil, err
 	}
+	mergeSpan := opts.Trace.StartSpan("topk_merge")
+	defer mergeSpan.End()
 	return topk.Merge(opts.K, results...), nil
 }

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"vectordb/internal/gpu"
-	"vectordb/internal/index"
-	"vectordb/internal/plan"
 	"vectordb/internal/topk"
 )
 
@@ -60,44 +58,21 @@ func (g *GPUSearcher) Search(query []float32, opts SearchOptions) ([]topk.Result
 // The GPU venue here is the caller's explicit choice, not the planner's —
 // the trace records it as a forced plan.
 func (g *GPUSearcher) SearchCtx(ctx context.Context, query []float32, opts SearchOptions) ([]topk.Result, GPUSearchStats, error) {
-	field := 0
-	var err error
-	if opts.Field != "" {
-		if field, err = g.col.schema.VectorFieldIndex(opts.Field); err != nil {
-			return nil, GPUSearchStats{}, err
-		}
-	}
-	if opts.K <= 0 {
-		return nil, GPUSearchStats{}, fmt.Errorf("core: K must be positive")
-	}
-	done := g.col.beginQuery("gpu", &opts.Trace)
-	defer done()
-	tr := opts.Trace
-	tr.Annotate("placement", "gpu")
-	tr.Annotate("plan", string(plan.VenueGPU))
-	tr.Annotate("plan_forced", "true")
-	release, err := g.col.admit(ctx, tr)
-	if err != nil {
-		return nil, GPUSearchStats{}, err
-	}
-	defer release()
-	sn := g.col.snaps.acquire()
-	defer g.col.snaps.release(sn)
-	return g.col.gpuSearchSnapshot(ctx, sn, g.sched, field, query, opts)
+	res, err := g.col.execute(ctx, &Query{kind: kindGPU, vec: query, gpu: g.sched, opts: opts})
+	return res.hits, res.gpu, err
 }
 
 // gpuSearchSnapshot runs one query over a pinned snapshot on the device
 // fleet: every segment's scan is assigned to a (sticky) device, the
-// segment's vector data is made resident, the scan kernel is charged on
-// the device's virtual clock, and per-segment results — computed exactly
-// on the host — are merged. Shared by the explicit GPUSearcher entry and
-// SearchCtx queries the planner placed on the GPU venue.
+// segment's vector data is made resident and the scan kernel is charged on
+// the device's virtual clock; the results are then computed exactly on the
+// host by the per-segment sweep. Shared by the explicit GPUSearcher entry
+// and SearchCtx queries the planner placed on the GPU venue.
 func (c *Collection) gpuSearchSnapshot(ctx context.Context, sn *Snapshot, sched *gpu.Scheduler, field int, query []float32, opts SearchOptions) ([]topk.Result, GPUSearchStats, error) {
 	tr := opts.Trace
 	var stats GPUSearchStats
 	stats.Segments = len(sn.Segments)
 	start := map[int]time.Duration{}
-	lists := make([][]topk.Result, 0, len(sn.Segments))
 	dim := c.schema.VectorFields[field].Dim
 	for _, seg := range sn.Segments {
 		if err := ctx.Err(); err != nil {
@@ -120,10 +95,6 @@ func (c *Collection) gpuSearchSnapshot(ctx context.Context, sn *Snapshot, sched 
 			span.AnnotateInt("pcie_bytes", tb)
 		}
 		dev.RunKernel(int64(seg.Rows()) * int64(dim))
-
-		sp := index.SearchParams{K: opts.K, Nprobe: opts.Nprobe, Ef: opts.Ef, SearchL: opts.SearchL}
-		sp.Filter = sn.FilterFor(seg.ID, opts.Filter)
-		lists = append(lists, seg.Search(c.schema, field, query, sp))
 		span.End()
 	}
 	for id, s0 := range start {
@@ -133,9 +104,7 @@ func (c *Collection) gpuSearchSnapshot(ctx context.Context, sn *Snapshot, sched 
 			}
 		}
 	}
-	mergeSpan := tr.StartSpan("topk_merge")
-	res := topk.Merge(opts.K, lists...)
-	mergeSpan.End()
 	tr.AnnotateInt("transfer_bytes", stats.TransferBytes)
-	return res, stats, nil
+	res, err := c.searchSnapshot(ctx, sn, field, query, opts)
+	return res, stats, err
 }

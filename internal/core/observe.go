@@ -68,8 +68,7 @@ func newColMetrics(reg *obs.Registry, name string) *colMetrics {
 	}
 }
 
-// query returns the per-type query counter (type is the entry point:
-// vector, filtered, categorical, multi, gpu).
+// query returns the per-type query counter (type is one of the Query kinds).
 func (m *colMetrics) query(kind string) *obs.Counter {
 	return m.reg.Counter("vectordb_query_total", "collection", m.name, "type", kind)
 }
@@ -101,8 +100,8 @@ func (c *Collection) beginQuery(kind string, trp **obs.Trace) func() {
 
 // admit reserves an in-flight slot on the shared execution pool for one
 // top-level query, recording the wait as a sched_wait span on the query's
-// trace. Admission is taken once per query, at the public entry point;
-// everything the query does downstream runs under that single slot.
+// trace. Admission is taken once per query, in execute; everything the
+// query does downstream runs under that single slot.
 func (c *Collection) admit(ctx context.Context, tr *obs.Trace) (release func(), err error) {
 	sp := tr.StartSpan("sched_wait")
 	release, err = c.pool.Admit(ctx)

@@ -110,16 +110,13 @@ func (c *Collection) planShape(sn *Snapshot, f, nq, k, nprobe int, sched *gpu.Sc
 	return s, venues
 }
 
-// planVenue decides one query's execution venue against the pinned
-// snapshot and annotates the trace with the plan and its estimate.
-func (c *Collection) planVenue(sn *Snapshot, f, nq, k, nprobe int, tr *obs.Trace, allowGPU bool) plan.Decision {
-	var sched *gpu.Scheduler
-	if allowGPU {
-		sched = c.gpuScheduler()
-	}
-	shape, venues := c.planShape(sn, f, nq, k, nprobe, sched)
+// planVenue decides a vector query's execution venue against the pinned
+// snapshot and annotates the trace with the plan and its estimate. A non-nil
+// sched offers the device venue.
+func (c *Collection) planVenue(sn *Snapshot, f, nq int, opts *SearchOptions, sched *gpu.Scheduler) plan.Decision {
+	shape, venues := c.planShape(sn, f, nq, opts.K, opts.Nprobe, sched)
 	dec := c.planner.PlaceQuery(c.Name+"/f"+fmt.Sprint(f), shape, venues...)
-	annotatePlan(tr, dec)
+	annotatePlan(opts.Trace, dec)
 	return dec
 }
 
@@ -133,33 +130,24 @@ func annotatePlan(tr *obs.Trace, dec plan.Decision) {
 	}
 }
 
-// planField resolves the field for planning purposes; ok=false means the
-// query is invalid and must run the legacy path for its canonical error.
-func (c *Collection) planField(fieldName string, query []float32, k int) (int, bool) {
-	f := 0
-	if fieldName != "" {
-		var err error
-		if f, err = c.schema.VectorFieldIndex(fieldName); err != nil {
-			return 0, false
-		}
-	}
-	if len(query) != c.schema.VectorFields[f].Dim || k <= 0 {
-		return 0, false
-	}
-	return f, true
-}
-
 // PlanFilterShape implements query.Shaped: the physical shape of the
 // vector leg under this pinned snapshot, for filter-strategy pricing.
 func (v *SourceView) PlanFilterShape(field int) plan.FilterShape {
+	if field < 0 || field >= len(v.c.schema.VectorFields) {
+		return plan.FilterShape{}
+	}
+	return v.c.filterShape(v.sn, field)
+}
+
+// filterShape summarizes the snapshot's vector leg for filter-strategy
+// pricing: rows, index family and geometry, and the live pool backlog.
+func (c *Collection) filterShape(sn *Snapshot, field int) plan.FilterShape {
 	fs := plan.FilterShape{
-		QueueDepth: v.c.readLoad(),
-		Workers:    v.c.pool.Workers(),
+		Dim:        c.schema.VectorFields[field].Dim,
+		QueueDepth: c.readLoad(),
+		Workers:    c.pool.Workers(),
 	}
-	if field >= 0 && field < len(v.c.schema.VectorFields) {
-		fs.Dim = v.c.schema.VectorFields[field].Dim
-	}
-	for _, seg := range v.sn.Segments {
+	for _, seg := range sn.Segments {
 		fs.Rows += seg.Rows()
 		idx := seg.Index(field)
 		if idx == nil {

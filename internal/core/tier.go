@@ -381,13 +381,18 @@ func (c *Collection) tierSegment(seg *Segment) error {
 		_ = os.Remove(t.path)
 		return fmt.Errorf("core: map segment %d: %w", seg.ID, err)
 	}
+	// The size is read, and the mapping installed under t.mu, before seg.tier
+	// publishes t: from then on a concurrent demote or destroy may close mf.
+	size := int64(mf.Size())
+	t.mu.Lock()
 	t.mf = mf
+	t.mu.Unlock()
 	seg.tier = t
 	// Drop the RAM payloads: every later read goes through the accessors.
 	for f := range seg.Vectors {
 		seg.Vectors[f] = &colstore.VectorColumn{Dim: seg.Vectors[f].Dim}
 	}
-	ct.register(t, int64(mf.Size()))
+	ct.register(t, size)
 	c.met.tierSealed.Inc()
 	return nil
 }
@@ -718,7 +723,10 @@ func (c *Collection) tierIndexPayload(seg *Segment, field int) {
 		_ = ct.spill.Delete(t.key)
 		return
 	}
+	size := int64(mf.Size()) // before seg.tierIdx publishes t, as in tierSegment
+	t.mu.Lock()
 	t.mf = mf
+	t.mu.Unlock()
 	// Couple the index swap with the tier bookkeeping: concurrent rebuilds
 	// of the same field (manual BuildIndex racing the async builder, or two
 	// manual builds) must never leave the live index pointing at a destroyed
@@ -743,7 +751,7 @@ func (c *Collection) tierIndexPayload(seg *Segment, field int) {
 	if old != nil {
 		old.destroy()
 	}
-	ct.register(t, int64(mf.Size()))
+	ct.register(t, size)
 	c.met.tierIdxSealed.Inc()
 	// The async builder races segment GC exactly like persistIndex: if the
 	// segment died while we were externalizing, the GC destroy loop may have

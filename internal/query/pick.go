@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"vectordb/internal/plan"
-	"vectordb/internal/topk"
 )
 
 // Shaped is an optional Source extension: the engine reports the physical
@@ -47,17 +46,4 @@ func PickStrategy(p *plan.Planner, s Source, rc RangeCond, vc VecCond) (string, 
 		return StratA, dec
 	}
 	return StratB, dec
-}
-
-// StrategyPlanned picks via PickStrategy and executes the chosen
-// strategy: A's exact scan over the qualifying rows, or B's pushdown
-// (which a graph-indexed source serves with filtered traversal). Returns
-// the results, the strategy letter, and the planner decision so the
-// caller can feed the actual latency back through Planner.Observe.
-func StrategyPlanned(p *plan.Planner, s Source, rc RangeCond, vc VecCond) ([]topk.Result, string, plan.Decision) {
-	strat, dec := PickStrategy(p, s, rc, vc)
-	if strat == StratA {
-		return StrategyA(s, rc, vc), StratA, dec
-	}
-	return StrategyB(s, rc, vc), StratB, dec
 }

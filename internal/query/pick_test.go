@@ -88,30 +88,6 @@ func TestPickStrategyCrossover(t *testing.T) {
 	}
 }
 
-// TestStrategyPlannedExecutes: the chosen strategy actually runs — A's
-// exact scan for the sub-crossover query, B's search for the dense one.
-func TestStrategyPlannedExecutes(t *testing.T) {
-	p := plan.New(plan.Config{Profile: planTestProfile()})
-	base := plan.FilterShape{Rows: 100000, Dim: 128, K: 10, Indexed: true, Nlist: 64, Nprobe: 32}
-	vc := VecCond{Field: 0, Query: make([]float32, 128), K: 10, Nprobe: 32}
-	rc := RangeCond{Attr: 0, Lo: 0, Hi: 100}
-
-	low := &shapedSource{shape: base, matched: 500}
-	res, strat, _ := StrategyPlanned(p, low, rc, vc)
-	if strat != StratA || !low.ranPlain || low.ranPush {
-		t.Errorf("low selectivity: strat=%s ranPlain=%v ranPush=%v", strat, low.ranPlain, low.ranPush)
-	}
-	if len(res) != vc.K {
-		t.Errorf("strategy A returned %d results, want %d", len(res), vc.K)
-	}
-
-	high := &shapedSource{shape: base, matched: 60000}
-	_, strat, _ = StrategyPlanned(p, high, rc, vc)
-	if strat != StratB || !high.ranPush {
-		t.Errorf("high selectivity: strat=%s ranPush=%v", strat, high.ranPush)
-	}
-}
-
 // benchFilterReport mirrors the cells of BENCH_filter.json this planner
 // must fix: the measured IVF pushdown speedups by selectivity.
 type benchFilterReport struct {

@@ -31,6 +31,13 @@ func StrategyA(s Source, rc RangeCond, vc VecCond) []topk.Result {
 	rows := s.RangeRows(rc.Attr, rc.Lo, rc.Hi)
 	filter.AnnotateInt("rows", int64(len(rows)))
 	filter.End()
+	return ExactScan(s, rows, vc)
+}
+
+// ExactScan is strategy A's second half, shared with the engine's prefilter
+// runner (which also resolves IN-lists to rows): every row of rows is
+// compared against the query vector.
+func ExactScan(s Source, rows []int64, vc VecCond) []topk.Result {
 	scan := vc.Trace.StartSpan("exact_scan")
 	defer scan.End()
 	h := topk.New(vc.K)

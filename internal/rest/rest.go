@@ -189,6 +189,27 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, ErrorResponse{Error: err.Error()})
 }
 
+// maxBodyBytes caps every request body. The largest legitimate bodies are
+// bulk inserts (4,096 rows × 128 dims is about 6 MB of JSON).
+const maxBodyBytes = 64 << 20
+
+// decodeBody reads the request's JSON body into v, answering 413 when the
+// body exceeds maxBodyBytes and 400 when it does not parse; false means the
+// response has been written.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, code, err)
+	return false
+}
+
 // requireMethod guards a handler to the given methods: on mismatch it
 // answers 405 with an Allow header and a JSON error body, per RFC 9110.
 func requireMethod(w http.ResponseWriter, r *http.Request, methods ...string) bool {
@@ -242,8 +263,7 @@ func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.db.ListCollections())
 	case http.MethodPost:
 		var req CreateCollectionRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		var schema core.Schema
@@ -335,8 +355,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, col *core.
 		return
 	}
 	var req InsertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	rows := make([]core.Entity, len(req.Entities))
@@ -355,8 +374,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, col *core.
 		return
 	}
 	var req DeleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := col.Delete(req.IDs); err != nil {
@@ -385,8 +403,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, col *core.
 		return
 	}
 	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	// The query context descends from the request context (client disconnect
@@ -435,8 +452,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request, col *core.C
 		return
 	}
 	var req IndexRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Field == "" {
