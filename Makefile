@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint bench bench-kernels bench-batchform bench-filter bench-ooc bench-plan bench-smoke kernel-guard conformance-filter conformance-ooc ci cover stress experiments examples clean
+.PHONY: all build test race vet fmt lint bench bench-kernels bench-batchform bench-filter bench-ooc bench-plan bench-smoke kernel-guard conformance-filter conformance-ooc ci cover stress experiments examples loc clean
 
 all: build test
 
@@ -132,8 +132,9 @@ bench-kernels:
 	$(GO) run ./cmd/benchkernels -o BENCH_kernels.json
 
 # bench-filter regenerates BENCH_filter.json: the filtered-scan pushdown
-# (dense bitsets beneath the batch kernels) against the legacy per-row
-# callback filter, swept over selectivity for both flat scans and IVF
+# (dense bitsets beneath the batch kernels) against the per-row callback
+# filter it replaced (a private loop in the bench main; the engine has no
+# callback path), swept over selectivity for both flat scans and IVF
 # probes, on clustered and shuffled attribute layouts.
 bench-filter:
 	$(GO) run ./cmd/benchfilter -o BENCH_filter.json
@@ -171,6 +172,14 @@ examples:
 	$(GO) run ./examples/chemsearch
 	$(GO) run ./examples/distributed
 	$(GO) run ./examples/restapi
+
+# loc prints non-test, non-testdata Go lines per package directory (the
+# benchmark module e2ebench/ excluded) and their total: the table every
+# refactor owes its CHANGES.md entry, before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './e2ebench/*' \
+		-exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 clean:
 	$(GO) clean ./...

@@ -1,15 +1,18 @@
 // Command benchfilter measures the filtered-scan pushdown against the
-// legacy per-row callback filter and regenerates BENCH_filter.json (the
-// Sec. 4.1 companion artifact to BENCH_kernels.json).
+// per-row callback filter it replaced and regenerates BENCH_filter.json
+// (the Sec. 4.1 companion artifact to BENCH_kernels.json). The engine has
+// no callback filter any more — a filter is a bitset everywhere below
+// core.execute — so the baseline is callbackScan, a private loop in this
+// file.
 //
 // Two read paths are swept over selectivity:
 //
 //   - flat scan: index.ScanBlocked over n rows with the filter pushed as
 //     a dense bitset (compiled per query, as the query layer does) versus
-//     the same scan with a per-row callback — the pre-pushdown shape that
-//     forced every row through a pairwise distance call;
+//     a scan with a per-row callback — the pre-pushdown shape that forced
+//     every row through a pairwise distance call;
 //   - IVF search: a built IVF_FLAT index probed with SearchParams.Bits
-//     versus SearchParams.Filter on identical queries.
+//     versus the callback scan over the same probed buckets.
 //
 // Each point records which mode the crossover chose (dense run-extraction
 // at or above index.DenseSelectivity, sparse gather below it) and the
@@ -27,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -35,12 +39,32 @@ import (
 
 	"vectordb/internal/bitset"
 	"vectordb/internal/index"
-	_ "vectordb/internal/index/all"
+	"vectordb/internal/index/ivf"
 	"vectordb/internal/topk"
 	"vectordb/internal/vec"
 )
 
 var sink []topk.Result
+
+// callbackScan is the pre-pushdown filtered scan: every row in ids (row IDs
+// are positions in data) goes through the keep callback, survivors through
+// a pairwise distance call gated on the heap's worst distance.
+func callbackScan(h *topk.Heap, q, data []float32, dim int, ids []int64, keep func(int64) bool) {
+	worst := float32(math.Inf(1))
+	for _, id := range ids {
+		if !keep(id) {
+			continue
+		}
+		d := vec.L2Squared(q, data[int(id)*dim:(int(id)+1)*dim])
+		if d >= worst {
+			continue
+		}
+		h.Push(id, d)
+		if h.Full() {
+			worst, _ = h.Worst()
+		}
+	}
+}
 
 type point struct {
 	Selectivity float64 `json:"selectivity"`
@@ -119,10 +143,12 @@ func main() {
 	if err != nil {
 		log.Fatalf("benchfilter: %v", err)
 	}
-	ivf, err := b.Build(data, nil)
+	built, err := b.Build(data, nil)
 	if err != nil {
 		log.Fatalf("benchfilter: %v", err)
 	}
+	ivfIdx := built.(*ivf.IVF)
+	allRows := index.IDsOrDefault(nil, *n)
 
 	var rep report
 	rep.Benchmark = "BenchmarkFilteredScanPushdown"
@@ -178,7 +204,7 @@ func main() {
 			cbNs := bench3(func(bm *testing.B) {
 				for it := 0; it < bm.N; it++ {
 					h := topk.GetHeap(*k)
-					index.ScanBlocked(h, vec.L2, q, data, *dim, nil, index.Selection{Filter: keep})
+					callbackScan(h, q, data, *dim, allRows, keep)
 					sink = h.Results()
 					topk.PutHeap(h)
 				}
@@ -207,14 +233,19 @@ func main() {
 
 			cbIVFNs := bench3(func(bm *testing.B) {
 				for it := 0; it < bm.N; it++ {
-					sink = ivf.Search(q, index.SearchParams{K: *k, Nprobe: *nprobe, Filter: keep})
+					h := topk.GetHeap(*k)
+					for _, b := range ivfIdx.ProbeOrder(q, *nprobe) {
+						callbackScan(h, q, data, *dim, ivfIdx.BucketIDs(b), keep)
+					}
+					sink = h.Results()
+					topk.PutHeap(h)
 				}
 			})
 			bsIVFNs := bench3(func(bm *testing.B) {
 				for it := 0; it < bm.N; it++ {
 					bits := bitset.Get(*n)
 					fill(bits, attrs, cut)
-					sink = ivf.Search(q, index.SearchParams{K: *k, Nprobe: *nprobe, Bits: bits})
+					sink = ivfIdx.Search(q, index.SearchParams{K: *k, Nprobe: *nprobe, Bits: bits})
 					bitset.Put(bits)
 				}
 			})

@@ -13,7 +13,7 @@
 //     time is compared to the best and worst static;
 //   - filter strategy: attribute-filtered search by wall clock — the
 //     engine's own strategy A (attribute-first exact scan) vs its own
-//     pushdown path (strategy B over a PushdownSource), swept over
+//     pushdown path (strategy B over a query.Source), swept over
 //     selectivity × attribute layout. The planner picks per cell via
 //     PickFilterStrategy with the machine's real calibrated profile.
 //

@@ -255,8 +255,9 @@ func TestReaderFilteredAllocs(t *testing.T) {
 			t.Errorf("range [0,%d]: %.0f allocs per filtered search, %.0f unfiltered: the bitset is not pooled", hi, got, base)
 		}
 	}
-	// With tombstones the unfiltered search compiles a bitset too, and it
-	// is pooled the same way.
+	// With tombstones the unfiltered search takes the visibility bits the
+	// manifest version resolved once: nothing is compiled or allocated per
+	// query.
 	f.delete(t, f.ents[3].ID, f.ents[4].ID)
 	if version, err = f.cl.Coord.ManifestVersion("c"); err != nil {
 		t.Fatal(err)
@@ -264,6 +265,45 @@ func TestReaderFilteredAllocs(t *testing.T) {
 	search(nil)()
 	if got := testing.AllocsPerRun(50, search(nil)); got > base+1 {
 		t.Errorf("tombstones: %.0f allocs per unfiltered search, %.0f without them", got, base)
+	}
+}
+
+// TestReaderTombstonedScanStaysOnBatchKernels: a manifest whose only filter
+// is a tombstone reaches an unindexed reader's scan as visibility bits
+// beneath the blocked batch kernels, and the hits are brute force minus the
+// deleted row.
+func TestReaderTombstonedScanStaysOnBatchKernels(t *testing.T) {
+	cl, d := newTestCluster(t, 1) // unindexed readers
+	const victim, k = 17, 10
+	if err := cl.Writer().Delete("c", []int64{victim + 1}); err != nil { // row i has ID i+1
+		t.Fatal(err)
+	}
+	if err := cl.Writer().Flush("c"); err != nil {
+		t.Fatal(err)
+	}
+	q := d.Row(victim)
+	oracle := topk.New(k)
+	for i := 0; i < d.N; i++ {
+		if i != victim {
+			oracle.Push(int64(i+1), vec.L2.Dist()(q, d.Row(i)))
+		}
+	}
+	want := fmt.Sprint(sortedIDs(oracle.Results()))
+	prev := vec.DispatchCounting()
+	vec.SetDispatchCounting(true)
+	defer vec.SetDispatchCounting(prev)
+	for _, pass := range []string{"resolving", "resolved"} {
+		vec.ResetDispatchCounts()
+		got, err := cl.Search("c", q, core.SearchOptions{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vec.BatchDispatchTotal() == 0 {
+			t.Errorf("%s: tombstone-only manifest made no batch-kernel dispatches", pass)
+		}
+		if got := fmt.Sprint(sortedIDs(got)); got != want {
+			t.Errorf("%s: got %s, want %s", pass, got, want)
+		}
 	}
 }
 

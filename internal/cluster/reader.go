@@ -72,6 +72,27 @@ type readerManifest struct {
 	man     *Manifest
 	schema  core.Schema
 	deleted map[int64]int64 // man's tombstones in core.Snapshot.Deleted form
+
+	// visible holds deleted resolved against each segment searched under
+	// this manifest version (segment key → visibility bits, nil when the
+	// segment hides nothing): once per (version, segment), not per query.
+	mu      sync.Mutex
+	visible map[string]*bitset.Bitset
+}
+
+// visibility returns seg's visibility bits under this manifest's tombstones.
+func (rm *readerManifest) visibility(segKey string, seg *core.Segment) *bitset.Bitset {
+	if len(rm.deleted) == 0 {
+		return nil
+	}
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	vis, ok := rm.visible[segKey]
+	if !ok {
+		vis = seg.Visibility(rm.deleted)
+		rm.visible[segKey] = vis
+	}
+	return vis
 }
 
 // NewReader creates a live reader instance.
@@ -189,7 +210,7 @@ func (r *Reader) refreshManifest(collection string, version int64) (*readerManif
 	if err != nil {
 		return nil, err
 	}
-	rm = &readerManifest{version: m.Version, man: m, schema: schema, deleted: m.TombstonesToMap()}
+	rm = &readerManifest{version: m.Version, man: m, schema: schema, deleted: m.TombstonesToMap(), visible: map[string]*bitset.Bitset{}}
 	r.mu.Lock()
 	r.manifests[collection] = rm
 	r.mu.Unlock()
@@ -221,9 +242,10 @@ func (r *Reader) SearchOwned(collection string, version int64, ring *Ring, query
 // SearchOwnedCtx is SearchOwned with cancellation: the shard scan checks
 // ctx before loading each owned segment, so a cancelled or timed-out
 // distributed query stops pulling segments from shared storage. The range
-// filter and the manifest's tombstones reach each segment as one compiled
-// bitset over build positions (core.Segment.CompileFilter), pushed beneath
-// its index or scan like every collection-level filtered search.
+// filter and the manifest's tombstones reach each segment as one bitset over
+// build positions — the segment's visibility bits, with the filter compiled
+// over them (core.Segment.CompileFilter) — pushed beneath its index or scan
+// like every collection-level search.
 func (r *Reader) SearchOwnedCtx(ctx context.Context, collection string, version int64, ring *Ring, query []float32, opts core.SearchOptions, rf ...*RangeFilter) ([]topk.Result, error) {
 	r.mu.RLock()
 	alive := r.alive
@@ -252,9 +274,6 @@ func (r *Reader) SearchOwnedCtx(ctx context.Context, collection string, version 
 	if vf := rm.schema.VectorFields[field]; len(query) != vf.Dim {
 		return nil, fmt.Errorf("cluster: query dim %d, field %q wants %d", len(query), vf.Name, vf.Dim)
 	}
-	// pred stays nil when there is nothing to exclude; with tombstones but
-	// no range filter it is the empty conjunction, which matches every row,
-	// so the compile only clears the hidden positions.
 	var pred colstore.Pred
 	if len(rf) > 0 && rf[0] != nil {
 		attr, err := rm.schema.AttrFieldIndex(rf[0].Attr)
@@ -262,11 +281,8 @@ func (r *Reader) SearchOwnedCtx(ctx context.Context, collection string, version 
 			return nil, err
 		}
 		pred = colstore.RangePred{Attr: attr, Lo: rf[0].Lo, Hi: rf[0].Hi}
-	} else if len(rm.deleted) > 0 {
-		pred = colstore.AndPred{}
 	}
 	sp := opts.Params()
-	sp.Filter = opts.Filter
 	h := topk.New(opts.K)
 	for _, segKey := range rm.man.SegmentKeys {
 		if err := ctx.Err(); err != nil {
@@ -280,15 +296,16 @@ func (r *Reader) SearchOwnedCtx(ctx context.Context, collection string, version 
 			return nil, err
 		}
 		seg := v.(*core.Segment)
-		var bits *bitset.Bitset
+		sp.Bits = rm.visibility(segKey, seg)
+		var compiled *bitset.Bitset // pooled, unlike the manifest's visibility bits
 		if pred != nil {
-			if bits, err = seg.CompileFilter(pred, rm.deleted); err != nil {
+			if compiled, err = seg.CompileFilter(pred, sp.Bits); err != nil {
 				return nil, err
 			}
+			sp.Bits = compiled
 		}
-		sp.Bits = bits
 		seg.SearchInto(h, &rm.schema, field, query, sp)
-		bitset.Put(bits)
+		bitset.Put(compiled)
 	}
 	return h.Results(), nil
 }

@@ -76,8 +76,8 @@ func (v *SourceView) AttrValue(attr int, id int64) (int64, bool) {
 }
 
 // VectorQuery implements query.Source.
-func (v *SourceView) VectorQuery(field int, q []float32, k, nprobe int, filter func(int64) bool) []topk.Result {
-	return v.search(field, q, SearchOptions{K: k, Nprobe: nprobe, Filter: filter})
+func (v *SourceView) VectorQuery(field int, q []float32, k, nprobe int) []topk.Result {
+	return v.search(field, q, SearchOptions{K: k, Nprobe: nprobe})
 }
 
 // search runs one vector sub-query over the view's snapshot. The strategy

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"vectordb/internal/batchform"
+	"vectordb/internal/bitset"
 	"vectordb/internal/bufferpool"
 	"vectordb/internal/index"
 	"vectordb/internal/plan"
@@ -40,11 +41,11 @@ func (c *Collection) batchFormKey(f int, opts *SearchOptions, venue plan.Venue) 
 
 // searchBatched offers a validated, unfiltered query to the batch former.
 // handled false means the caller must run the query on the per-query path —
-// either the query is ineligible (row filter, non-decomposable metric) or
-// the former passed it through because the pool is idle.
+// either the query is ineligible (non-decomposable metric) or the former
+// passed it through because the pool is idle.
 func (c *Collection) searchBatched(ctx context.Context, f int, query []float32, opts SearchOptions, venue plan.Venue) (res []topk.Result, handled bool, err error) {
 	bf := c.former
-	if bf == nil || opts.Filter != nil || !c.schema.VectorFields[f].Metric.BatchEligible() {
+	if bf == nil || !c.schema.VectorFields[f].Metric.BatchEligible() {
 		return nil, false, nil
 	}
 	sp := opts.Trace.StartSpan("batch_form")
@@ -124,7 +125,7 @@ func (c *Collection) runBatch(ctx context.Context, sn *Snapshot, key batchform.K
 			if i >= len(segs) {
 				break
 			}
-			if c.batchSegment(sn, segs[i], key.Field, metric, qs, items, heaps, w, p, *tile) {
+			if c.batchSegment(segs[i], sn.visible[i], key.Field, metric, qs, items, heaps, w, p, *tile) {
 				nIdx.Add(1)
 			}
 		}
@@ -143,14 +144,14 @@ func (c *Collection) runBatch(ctx context.Context, sn *Snapshot, key batchform.K
 
 // batchSegment searches one segment for every live batch member, pushing
 // candidates into each member's (worker, query) heap. It reports whether
-// the segment was served by its index. tile is the worker's scratch
-// distance tile (m × tileChunkRows).
-func (c *Collection) batchSegment(sn *Snapshot, seg *Segment, field int, metric vec.Metric, qs []float32, items []*batchform.Item, heaps *topk.Matrix, w int, p index.SearchParams, tile []float32) bool {
+// the segment was served by its index. visible is the segment's visibility
+// bitset in the batch's snapshot (nil hides nothing); tile is the worker's
+// scratch distance tile (m × tileChunkRows).
+func (c *Collection) batchSegment(seg *Segment, visible *bitset.Bitset, field int, metric vec.Metric, qs []float32, items []*batchform.Item, heaps *topk.Matrix, w int, p index.SearchParams, tile []float32) bool {
 	dim := c.schema.VectorFields[field].Dim
-	filter := sn.FilterFor(seg.ID, nil)
 	if idx := seg.Index(field); idx != nil {
 		sp := p
-		sp.Filter = filter
+		sp.Bits = visible
 		for qj, it := range items {
 			if !it.Live() {
 				continue
@@ -190,11 +191,10 @@ func (c *Collection) batchSegment(sn *Snapshot, seg *Segment, field int, metric 
 			}
 			h := heaps.At(w, qj)
 			for r, d := range t[qj*rows : (qj+1)*rows] {
-				id := seg.IDs[i0+r]
-				if filter != nil && !filter(id) {
+				if visible != nil && !visible.Test(i0+r) {
 					continue
 				}
-				h.Push(id, d)
+				h.Push(seg.IDs[i0+r], d)
 			}
 		}
 	}
@@ -204,8 +204,7 @@ func (c *Collection) batchSegment(sn *Snapshot, seg *Segment, field int, metric 
 // SearchBatchCtx answers len(queries) top-k queries in one batch over a
 // single snapshot — the deterministic entry to the same executor the former
 // routes concurrent SearchCtx traffic through. All queries share opts
-// (field, K, index knobs; a filter is rejected — filtered strategies are
-// per-query plans); per-query result lists come back in input order. The
+// (field, K, index knobs); per-query result lists come back in input order. The
 // batch is planned as one nq-query shape and holds one admission slot, like
 // any other top-level query.
 func (c *Collection) SearchBatchCtx(ctx context.Context, queries [][]float32, opts SearchOptions) ([][]topk.Result, error) {

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"vectordb/internal/exec"
+	"vectordb/internal/index"
 	"vectordb/internal/objstore"
+	"vectordb/internal/topk"
 )
 
 // multiSegCollection builds a collection with several sealed segments so a
@@ -71,8 +74,33 @@ func TestSearchCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestSearchCtxCancelMidFlight cancels a query while its segment scans are
-// running (the filter callback blocks until the cancel has been issued) and
+// parkingIndex is a test index: Search calls hook, then answers from the
+// wrapped index. Installed on a segment it parks a query mid-sweep.
+type parkingIndex struct {
+	index.Index
+	hook func()
+}
+
+func (p parkingIndex) Search(q []float32, sp index.SearchParams) []topk.Result {
+	p.hook()
+	return p.Index.Search(q, sp)
+}
+
+// parkFirstSegment indexes the collection's first segment and wraps the
+// index so every search of that segment calls hook first.
+func parkFirstSegment(t *testing.T, c *Collection, hook func()) {
+	t.Helper()
+	sn := c.AcquireSnapshot()
+	defer c.ReleaseSnapshot(sn)
+	seg := sn.Segments[0]
+	if err := seg.BuildIndex(c.Schema(), 0, "FLAT", nil); err != nil {
+		t.Fatal(err)
+	}
+	seg.SetIndex(0, parkingIndex{Index: seg.Index(0), hook: hook})
+}
+
+// TestSearchCtxCancelMidFlight cancels a query while its segment sweep is
+// running (one segment's index blocks until the cancel has been issued) and
 // verifies the three leak-free properties: the query returns
 // context.Canceled, the snapshot reference is released, and no goroutine
 // sticks around.
@@ -84,18 +112,16 @@ func TestSearchCtxCancelMidFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	release := make(chan struct{})
-	var once bool
-	filter := func(int64) bool {
-		if !once {
-			once = true // first row only; scans are single-threaded per task
+	var once sync.Once
+	parkFirstSegment(t, c, func() {
+		once.Do(func() { // the first search only; later ones pass straight through
 			close(started)
 			<-release
-		}
-		return true
-	}
+		})
+	})
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.SearchCtx(ctx, mkEntities(1, 8, 42)[0].Vectors[0], SearchOptions{K: 5, Filter: filter})
+		_, err := c.SearchCtx(ctx, mkEntities(1, 8, 42)[0].Vectors[0], SearchOptions{K: 5})
 		done <- err
 	}()
 	<-started
@@ -153,17 +179,16 @@ func TestAdmissionRejects(t *testing.T) {
 
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	blocker := func(int64) bool {
+	parkFirstSegment(t, c, func() {
 		select {
 		case started <- struct{}{}:
 		default:
 		}
 		<-release
-		return true
-	}
+	})
 	first := make(chan error, 1)
 	go func() {
-		_, err := c.SearchCtx(context.Background(), q, SearchOptions{K: 5, Filter: blocker})
+		_, err := c.SearchCtx(context.Background(), q, SearchOptions{K: 5})
 		first <- err
 	}()
 	<-started // query 1 holds the admission slot and is scanning

@@ -253,7 +253,7 @@ func NewCollection(name string, schema Schema, store objstore.Store, cfg Config)
 		}
 		c.met.segGC.Inc()
 	})
-	c.snaps.install(&Snapshot{ID: c.allocSnapID(), Deleted: map[int64]int64{}})
+	c.snaps.install(newSnapshot(c.allocSnapID(), nil, nil, nil))
 	c.log = wal.NewLog(c.applyRecord)
 	c.log.Observe(
 		cfg.Obs.Counter("vectordb_wal_appends_total", "collection", name),
@@ -443,21 +443,7 @@ func (c *Collection) flushLocked() error {
 		newSeg = seg
 	}
 
-	// Tombstones: carry forward old ones, add new ones; keep only those
-	// that still hide a physical row.
-	deleted := make(map[int64]int64, len(prev.Deleted)+len(mem.deletes))
-	next := &Snapshot{ID: c.allocSnapID(), Segments: segments, Deleted: deleted}
-	for id, seq := range prev.Deleted {
-		if next.tombstoneLive(id, seq) {
-			deleted[id] = seq
-		}
-	}
-	for _, t := range mem.deletes {
-		if cur, ok := deleted[t.id]; (!ok || t.seq > cur) && next.tombstoneLive(t.id, t.seq) {
-			deleted[t.id] = t.seq
-		}
-	}
-	c.snaps.install(next)
+	c.snaps.install(newSnapshot(c.allocSnapID(), segments, prev.Deleted, mem.deletes))
 	// Schedule only after install: the index builder drops segments that are
 	// no longer live, and the new segment becomes live with the snapshot.
 	if newSeg != nil {
@@ -628,20 +614,19 @@ type SearchOptions struct {
 	Nprobe  int
 	Ef      int
 	SearchL int
-	Filter  func(id int64) bool
 	// Trace, when set, receives the query's span breakdown. Queries that
 	// leave it nil get a trace automatically when the collection has a
 	// query log.
 	Trace *obs.Trace
-	// segBits carries compiled per-segment filter bitsets (segment ID →
-	// bitset over build positions, tombstones already cleared). Set only
-	// by the pushdown paths, which compile against the same pinned
-	// snapshot the search runs on.
+	// segBits carries a compiled predicate: one bitset over build positions
+	// per segment of the pinned snapshot, in segment order, the snapshot's
+	// visibility already ANDed in. Set only by the pushdown paths, which
+	// compile against the same pinned snapshot the search runs on.
 	segBits pushedBits
 }
 
 // Params converts the options to index-level search parameters (without a
-// filter; callers attach the per-segment visibility filter).
+// filter; callers attach the per-segment bitset).
 func (o *SearchOptions) Params() index.SearchParams {
 	return index.SearchParams{K: o.K, Nprobe: o.Nprobe, Ef: o.Ef, SearchL: o.SearchL}
 }
@@ -710,13 +695,9 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 				return
 			}
 			sp := p
-			if bits := opts.segBits[segs[i].ID]; bits != nil {
-				// Compiled on this pinned snapshot with tombstones already
-				// cleared, so the bitset subsumes the visibility filter.
-				sp.Bits = bits
-				sp.Filter = opts.Filter
-			} else {
-				sp.Filter = sn.FilterFor(segs[i].ID, opts.Filter)
+			sp.Bits = sn.visible[i]
+			if opts.segBits != nil {
+				sp.Bits = opts.segBits[i]
 			}
 			stage := "segment_scan"
 			idx := segs[i].Index(f)
@@ -727,7 +708,7 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 			span := segSpan.StartChild(stage)
 			span.AnnotateInt("segment", segs[i].ID)
 			span.AnnotateInt("rows", int64(segs[i].Rows()))
-			if sp.Bits != nil {
+			if opts.segBits != nil {
 				span.Annotate("filter_mode", segFilterMode(idx, sp.Bits, segs[i].Rows()))
 			}
 			segs[i].SearchInto(h, c.schema, f, query, sp)
@@ -808,11 +789,8 @@ func (c *Collection) Get(id int64) (*Entity, bool) {
 	defer c.snaps.release(sn)
 	for i := len(sn.Segments) - 1; i >= 0; i-- {
 		seg := sn.Segments[i]
-		if sn.deletedCovers(id, seg.ID) {
-			continue
-		}
 		p, ok := seg.posOf(id)
-		if !ok {
+		if !ok || (sn.visible[i] != nil && !sn.visible[i].Test(int(p))) {
 			continue
 		}
 		e := &Entity{ID: id}

@@ -133,7 +133,7 @@ func (c *Collection) searchFused(ctx context.Context, sn *Snapshot, fq []float32
 			}
 			seg := segs[i]
 			p := p
-			p.Filter = sn.FilterFor(seg.ID, opts.Filter)
+			p.Bits = sn.visible[i]
 			if idx := seg.FusedIndex(); idx != nil {
 				results[i] = idx.Search(fq, p)
 				continue
@@ -162,8 +162,7 @@ func (c *Collection) searchFused(ctx context.Context, sn *Snapshot, fq []float32
 			dist := m.Dist()
 			h := topk.New(p.K)
 			for r := 0; r < seg.Rows(); r++ {
-				id := seg.IDs[r]
-				if p.Filter != nil && !p.Filter(id) {
+				if p.Bits != nil && !p.Bits.Test(r) {
 					continue
 				}
 				var d float32
@@ -173,7 +172,7 @@ func (c *Collection) searchFused(ctx context.Context, sn *Snapshot, fq []float32
 					d += dist(fq[off:off+fd], rows[f](r))
 					off += fd
 				}
-				h.Push(id, d)
+				h.Push(seg.IDs[r], d)
 			}
 			for _, rel := range rels {
 				rel()

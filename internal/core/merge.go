@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"vectordb/internal/colstore"
 )
@@ -29,8 +30,8 @@ func (c *Collection) mergeLocked() error {
 		}
 		c.met.merges.Inc()
 		groupRows := 0
-		for _, s := range group {
-			groupRows += s.Rows()
+		for _, gi := range group {
+			groupRows += sn.Segments[gi].Rows()
 		}
 		mergedRows := 0
 		if merged != nil {
@@ -38,13 +39,9 @@ func (c *Collection) mergeLocked() error {
 		}
 		c.met.mergeDropped.Add(int64(groupRows - mergedRows))
 
-		inGroup := map[int64]bool{}
-		for _, s := range group {
-			inGroup[s.ID] = true
-		}
 		var segments []*Segment
-		for _, s := range sn.Segments {
-			if !inGroup[s.ID] {
+		for i, s := range sn.Segments {
+			if !slices.Contains(group, i) {
 				segments = append(segments, s)
 			}
 		}
@@ -53,14 +50,8 @@ func (c *Collection) mergeLocked() error {
 		}
 
 		// Tombstones whose rows are now physically gone everywhere are
-		// resolved.
-		deleted := map[int64]int64{}
-		next := &Snapshot{ID: c.allocSnapID(), Segments: segments, Deleted: deleted}
-		for id, seq := range sn.Deleted {
-			if next.tombstoneLive(id, seq) {
-				deleted[id] = seq
-			}
-		}
+		// resolved: newSnapshot drops them.
+		next := newSnapshot(c.allocSnapID(), segments, sn.Deleted, nil)
 		c.snaps.release(sn)
 		c.snaps.install(next)
 		if merged != nil {
@@ -81,15 +72,16 @@ func (c *Collection) tierOf(rows int) int {
 }
 
 // pickMergeGroup returns the first tier with at least MergeFactor segments
-// whose combined size respects MaxSegmentRows, or nil.
-func (c *Collection) pickMergeGroup(sn *Snapshot) []*Segment {
-	tiers := map[int][]*Segment{}
-	for _, s := range sn.Segments {
+// whose combined size respects MaxSegmentRows, as indexes into sn.Segments,
+// or nil.
+func (c *Collection) pickMergeGroup(sn *Snapshot) []int {
+	tiers := map[int][]int{}
+	for i, s := range sn.Segments {
 		if s.Rows() >= c.cfg.MaxSegmentRows {
 			continue // size limit reached; this segment stops merging
 		}
 		t := c.tierOf(s.Rows())
-		tiers[t] = append(tiers[t], s)
+		tiers[t] = append(tiers[t], i)
 	}
 	for t := 0; t <= 64; t++ {
 		group := tiers[t]
@@ -98,8 +90,8 @@ func (c *Collection) pickMergeGroup(sn *Snapshot) []*Segment {
 		}
 		group = group[:c.cfg.MergeFactor]
 		total := 0
-		for _, s := range group {
-			total += s.Rows()
+		for _, gi := range group {
+			total += sn.Segments[gi].Rows()
 		}
 		if total > c.cfg.MaxSegmentRows {
 			continue
@@ -109,12 +101,12 @@ func (c *Collection) pickMergeGroup(sn *Snapshot) []*Segment {
 	return nil
 }
 
-// mergeSegments concatenates the group's live rows into one new segment.
-// Returns nil if every row was tombstoned.
-func (c *Collection) mergeSegments(group []*Segment, sn *Snapshot) (*Segment, error) {
+// mergeSegments concatenates the visible rows of the group (indexes into
+// sn.Segments) into one new segment. Returns nil if every row was tombstoned.
+func (c *Collection) mergeSegments(group []int, sn *Snapshot) (*Segment, error) {
 	var totalRows int
-	for _, s := range group {
-		totalRows += s.Rows()
+	for _, gi := range group {
+		totalRows += sn.Segments[gi].Rows()
 	}
 	c.nextSeg++
 	seg := &Segment{ID: c.nextSeg}
@@ -127,7 +119,8 @@ func (c *Collection) mergeSegments(group []*Segment, sn *Snapshot) (*Segment, er
 	}
 	raw := make([][]int64, len(c.schema.AttrFields))
 	rawCats := make([][]string, len(c.schema.CatFields))
-	for _, s := range group {
+	for _, gi := range group {
+		s, visible := sn.Segments[gi], sn.visible[gi]
 		// Pin the source segment's storage once per field for the whole
 		// copy (tiered members fault their extents in; hot members hand
 		// out resident rows).
@@ -150,11 +143,10 @@ func (c *Collection) mergeSegments(group []*Segment, sn *Snapshot) (*Segment, er
 			return nil, fmt.Errorf("core: merge segment %d: %w", s.ID, rowErr)
 		}
 		for r := 0; r < s.Rows(); r++ {
-			id := s.IDs[r]
-			if sn.deletedCovers(id, s.ID) {
+			if visible != nil && !visible.Test(r) {
 				continue
 			}
-			seg.IDs = append(seg.IDs, id)
+			seg.IDs = append(seg.IDs, s.IDs[r])
 			for f := range data {
 				data[f] = append(data[f], rows[f](r)...)
 			}

@@ -3,12 +3,16 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"vectordb/internal/objstore"
 )
 
 // TestEngineAgainstModel drives random insert/delete/update/flush sequences
 // against a plain map model and checks that visibility (Get, Count, search
-// membership) always matches after a Flush — the end-to-end invariant of
-// the LSM + tombstone + merge machinery.
+// membership, and every row's visibility bit against the tombstones it was
+// resolved from) always matches after a Flush — the end-to-end invariant of
+// the LSM + tombstone + merge machinery — and, every few flushes, in a
+// collection restored from the flushed segments and tombstones.
 func TestEngineAgainstModel(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		trial := trial
@@ -16,7 +20,8 @@ func TestEngineAgainstModel(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(trial) + 100))
 			cfg := testConfig()
 			cfg.FlushRows = 32 // frequent flushes + merges
-			c, err := NewCollection("model", testSchema(4), nil, cfg)
+			store := objstore.NewMemory()
+			c, err := NewCollection("model", testSchema(4), store, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,6 +74,14 @@ func TestEngineAgainstModel(t *testing.T) {
 						t.Fatal(err)
 					}
 					checkModel(t, c, model)
+					if r.Intn(4) == 0 { // the stateless-restart path (Sec. 5.3)
+						restored, err := RestoreCollection("restored", testSchema(4), store, cfg, c.SegmentKeys(), c.Tombstones())
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkModel(t, restored, model)
+						restored.Close()
+					}
 				}
 			}
 			if err := c.Flush(); err != nil {
@@ -81,6 +94,9 @@ func TestEngineAgainstModel(t *testing.T) {
 
 func checkModel(t *testing.T, c *Collection, model map[int64][]float32) {
 	t.Helper()
+	sn := c.AcquireSnapshot()
+	checkVisibility(t, sn)
+	c.ReleaseSnapshot(sn)
 	if got := c.Count(); got != len(model) {
 		t.Fatalf("Count = %d, model has %d", got, len(model))
 	}

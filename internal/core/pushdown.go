@@ -29,31 +29,27 @@ func (s *Segment) CatColumn(cat int) *colstore.CategoricalColumn {
 }
 
 // CompileFilter compiles the segment's visible rows satisfying pred into a
-// pooled bitset over build positions: the predicate's matches with the
-// positions that deleted hides cleared. deleted holds sequence-scoped
-// tombstones as Snapshot.Deleted does. This is the one filter compile
-// under every pushed-down search — the collection's snapshot paths and the
-// cluster readers. The caller releases the result with bitset.Put.
-func (s *Segment) CompileFilter(pred colstore.Pred, deleted map[int64]int64) (*bitset.Bitset, error) {
+// pooled bitset over build positions: the predicate's matches ANDed with
+// visible, the segment's resolved visibility bits (nil hides nothing). This
+// is the one filter compile under every pushed-down search — the
+// collection's snapshot paths and the cluster readers. The caller releases
+// the result with bitset.Put.
+func (s *Segment) CompileFilter(pred colstore.Pred, visible *bitset.Bitset) (*bitset.Bitset, error) {
 	b := bitset.Get(s.Rows())
 	if err := colstore.CompilePred(pred, s, b); err != nil {
 		bitset.Put(b)
 		return nil, err
 	}
-	for id, seq := range deleted {
-		if s.ID <= seq {
-			if p, ok := s.posOf(id); ok {
-				b.Clear(int(p))
-			}
-		}
+	if visible != nil {
+		b.And(visible)
 	}
 	return b, nil
 }
 
 // pushedBits is the compiled filter payload for one pinned snapshot: a
-// pooled bitset per segment, keyed by segment ID, over build positions,
-// with tombstoned rows already cleared.
-type pushedBits map[int64]*bitset.Bitset
+// pooled bitset over build positions per segment, in segment order, with
+// hidden rows already cleared.
+type pushedBits []*bitset.Bitset
 
 func (pb pushedBits) release() {
 	for _, b := range pb {
@@ -66,15 +62,15 @@ func (pb pushedBits) release() {
 // the pushed scan. The filter's handle is a pushedBits; it carries the
 // matched (visible) and total physical row counts.
 func (sn *Snapshot) compilePred(pred colstore.Pred) (*query.PushedFilter, error) {
-	bits := make(pushedBits, len(sn.Segments))
+	bits := make(pushedBits, 0, len(sn.Segments))
 	matched, total := 0, 0
-	for _, seg := range sn.Segments {
-		b, err := seg.CompileFilter(pred, sn.Deleted)
+	for i, seg := range sn.Segments {
+		b, err := seg.CompileFilter(pred, sn.visible[i])
 		if err != nil {
 			bits.release()
 			return nil, err
 		}
-		bits[seg.ID] = b
+		bits = append(bits, b)
 		matched += b.Count()
 		total += seg.Rows()
 	}
@@ -85,9 +81,7 @@ func (sn *Snapshot) compilePred(pred colstore.Pred) (*query.PushedFilter, error)
 	return query.NewPushedFilter(matched, total, index.FilterModeName(sel), bits, bits.release), nil
 }
 
-var _ query.PushdownSource = (*SourceView)(nil)
-
-// CompileRange implements query.PushdownSource: the range constraint
+// CompileRange implements query.Source: the range constraint
 // becomes per-segment bitsets resolved through the sorted columns'
 // zone-map walks; an unknown attribute fails the compile.
 func (v *SourceView) CompileRange(attr int, lo, hi int64) (*query.PushedFilter, bool) {
@@ -95,7 +89,7 @@ func (v *SourceView) CompileRange(attr int, lo, hi int64) (*query.PushedFilter, 
 	return pf, err == nil
 }
 
-// VectorQueryPushed implements query.PushdownSource: normal snapshot search
+// VectorQueryPushed implements query.Source: normal snapshot search
 // with the per-segment bitsets applied beneath each segment's scan or index.
 func (v *SourceView) VectorQueryPushed(field int, q []float32, k, nprobe int, pf *query.PushedFilter) []topk.Result {
 	opts := SearchOptions{K: k, Nprobe: nprobe}

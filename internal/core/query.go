@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"time"
 
 	"vectordb/internal/colstore"
@@ -171,12 +170,8 @@ func (c *Collection) checkVector(field string, query []float32, k int) (int, err
 }
 
 // checkBatch checks an explicit batch: every query against the one field,
-// no row filter (filtered strategies are per-query plans), and a metric the
-// tile kernels decompose per query block.
+// and a metric the tile kernels decompose per query block.
 func (c *Collection) checkBatch(q *Query) (f int, err error) {
-	if q.opts.Filter != nil {
-		return 0, fmt.Errorf("core: batched search does not take a filter; filtered queries are per-query plans")
-	}
 	for _, v := range q.vecs {
 		if f, err = c.checkVector(q.opts.Field, v, q.opts.K); err != nil {
 			return 0, err
@@ -291,12 +286,7 @@ func (c *Collection) plan(sn *Snapshot, f int, q *Query) route {
 		// offered; the venue keys the batch.
 		rt = route{run: runBatch, dec: c.planVenue(sn, f, len(q.vecs), &q.opts, nil)}
 	default:
-		// A caller-supplied row filter is evaluated on the host, so the
-		// device venue (whole-column kernels) is not offered for it.
-		var sched *gpu.Scheduler
-		if q.opts.Filter == nil {
-			sched = c.gpuScheduler()
-		}
+		sched := c.gpuScheduler()
 		rt.dec = c.planVenue(sn, f, 1, &q.opts, sched)
 		if rt.dec.Venue == plan.VenueGPU {
 			placement, rt.run, rt.sched = "gpu", runGPU, sched
@@ -329,9 +319,6 @@ func (c *Collection) prefilterScan(ctx context.Context, sn *Snapshot, f int, que
 	}
 	span.AnnotateInt("rows", int64(len(rows)))
 	span.End()
-	if opts.Filter != nil {
-		rows = slices.DeleteFunc(rows, func(id int64) bool { return !opts.Filter(id) })
-	}
 	if len(rows) == 0 {
 		return nil, nil
 	}
@@ -342,8 +329,8 @@ func (c *Collection) prefilterScan(ctx context.Context, sn *Snapshot, f int, que
 }
 
 // pushdownSearch is strategy B with the compiled filter: the predicate
-// becomes one bitset per segment of the pinned snapshot, tombstones already
-// cleared, tested beneath each segment's scan or index.
+// becomes one bitset per segment of the pinned snapshot, ANDed with the
+// segment's visibility bits, tested beneath each segment's scan or index.
 func (c *Collection) pushdownSearch(ctx context.Context, sn *Snapshot, f int, queryVec []float32, pred colstore.Pred, opts SearchOptions) ([]topk.Result, error) {
 	tr := opts.Trace
 	tr.Annotate("filter_strategy", query.StratB)

@@ -68,14 +68,9 @@ func RestoreCollection(name string, schema Schema, store objstore.Store, cfg Con
 		}
 		segs = append(segs, seg)
 	}
-	del := make(map[int64]int64, len(deleted))
-	for id, seq := range deleted {
-		del[id] = seq
-	}
 	c.mu.Lock()
 	c.nextSeg = maxID
-	sn := &Snapshot{ID: c.allocSnapID(), Segments: segs, Deleted: del}
-	c.snaps.install(sn)
+	c.snaps.install(newSnapshot(c.allocSnapID(), segs, deleted, nil))
 	c.mu.Unlock()
 	for _, seg := range segs {
 		// No lock is held here, so inline builds run directly.

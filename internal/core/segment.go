@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"vectordb/internal/bitset"
 	"vectordb/internal/colstore"
 	"vectordb/internal/index"
 	"vectordb/internal/topk"
@@ -73,6 +74,38 @@ func (s *Segment) posOf(id int64) (int32, bool) {
 	})
 	p, ok := s.idPos[id]
 	return p, ok
+}
+
+// hideRow applies the sequence-scoped tombstone (id, seq) to this segment's
+// visibility bitset: when the tombstone covers the segment and the row is
+// here, its build position is cleared in *vis, which starts all-ones on the
+// first hidden row. It reports whether a row was hidden.
+func (s *Segment) hideRow(vis **bitset.Bitset, id, seq int64) bool {
+	if s.ID > seq {
+		return false
+	}
+	p, ok := s.posOf(id)
+	if !ok {
+		return false
+	}
+	if *vis == nil {
+		*vis = bitset.New(s.Rows())
+		(*vis).SetAll()
+	}
+	(*vis).Clear(int(p))
+	return true
+}
+
+// Visibility resolves tombstones in Snapshot.Deleted form against this one
+// segment, as newSnapshot does for a collection's: a fresh bitset over build
+// positions with the hidden rows' bits clear, nil when none is hidden. The
+// cluster readers resolve a manifest's tombstones with it.
+func (s *Segment) Visibility(deleted map[int64]int64) *bitset.Bitset {
+	var vis *bitset.Bitset
+	for id, seq := range deleted {
+		s.hideRow(&vis, id, seq)
+	}
+	return vis
 }
 
 // VectorByID returns the field vector of an entity, if present. Tiered
@@ -224,7 +257,7 @@ func (s *Segment) SearchInto(h *topk.Heap, schema *Schema, field int, query []fl
 		}
 		return
 	}
-	sel := index.Selection{Bits: p.Bits, Filter: p.Filter}
+	sel := index.Selection{Bits: p.Bits}
 	if s.tier == nil {
 		// Resident path: call the slice kernel directly (no interface
 		// boxing — this path must stay allocation-free).

@@ -1,6 +1,11 @@
 package core
 
-import "sync"
+import (
+	"maps"
+	"sync"
+
+	"vectordb/internal/bitset"
+)
 
 // Snapshot is a consistent, immutable view of a collection (Sec. 5.2): the
 // set of latest segments at some instant plus the tombstones not yet
@@ -17,24 +22,51 @@ type Snapshot struct {
 	// a younger segment and stays visible while the old copy is hidden
 	// until a merge physically removes it.
 	Deleted map[int64]int64
+	// visible[i] is Deleted resolved against Segments[i] when the snapshot
+	// was built: a bitset over build positions with a clear bit for every
+	// row a tombstone hides, nil when the segment hides nothing. It is what
+	// every scan and index search of the snapshot takes as its filter (alone,
+	// or ANDed into a compiled predicate), immutable and owned by the
+	// snapshot, never pooled. hidden counts the clear bits of all of them.
+	visible []*bitset.Bitset
+	hidden  int
 }
 
-// deletedCovers reports whether the row (id) in segment segID is hidden.
+// newSnapshot builds a snapshot of segments under the tombstones carried
+// forward from its predecessor (or a manifest) plus the newly added ones,
+// resolving them in one pass: a tombstone that still hides a physical row
+// clears that row's visibility bit, one that hides nothing any more is
+// dropped.
+func newSnapshot(id int64, segments []*Segment, carried map[int64]int64, added []tombstone) *Snapshot {
+	deleted := make(map[int64]int64, len(carried)+len(added))
+	maps.Copy(deleted, carried)
+	for _, t := range added {
+		if cur, ok := deleted[t.id]; !ok || t.seq > cur {
+			deleted[t.id] = t.seq
+		}
+	}
+	sn := &Snapshot{ID: id, Segments: segments, Deleted: deleted, visible: make([]*bitset.Bitset, len(segments))}
+	for tid, seq := range deleted {
+		live := false
+		for i, s := range segments {
+			if s.hideRow(&sn.visible[i], tid, seq) {
+				sn.hidden++
+				live = true
+			}
+		}
+		if !live {
+			delete(deleted, tid)
+		}
+	}
+	return sn
+}
+
+// deletedCovers reports whether the row (id) in segment segID is hidden. The
+// query.Source adapter's by-ID lookups resolve visibility through it; every
+// loop over a segment's rows takes the visible bits it was resolved into.
 func (sn *Snapshot) deletedCovers(id, segID int64) bool {
 	seq, ok := sn.Deleted[id]
 	return ok && segID <= seq
-}
-
-// FilterFor combines the tombstone check for one segment with an optional
-// user filter.
-func (sn *Snapshot) FilterFor(segID int64, inner func(int64) bool) func(int64) bool {
-	if len(sn.Deleted) == 0 {
-		return inner
-	}
-	if inner == nil {
-		return func(id int64) bool { return !sn.deletedCovers(id, segID) }
-	}
-	return func(id int64) bool { return !sn.deletedCovers(id, segID) && inner(id) }
 }
 
 // TotalRows counts physical rows (tombstoned rows included).
@@ -47,34 +79,7 @@ func (sn *Snapshot) TotalRows() int {
 }
 
 // LiveRows counts visible rows.
-func (sn *Snapshot) LiveRows() int {
-	n := sn.TotalRows()
-	for id, seq := range sn.Deleted {
-		for _, s := range sn.Segments {
-			if s.ID > seq {
-				continue
-			}
-			if _, ok := s.posOf(id); ok {
-				n--
-			}
-		}
-	}
-	return n
-}
-
-// tombstoneLive reports whether a tombstone (id, seq) still hides a
-// physical row in this snapshot; resolved tombstones are dropped.
-func (sn *Snapshot) tombstoneLive(id, seq int64) bool {
-	for _, s := range sn.Segments {
-		if s.ID > seq {
-			continue
-		}
-		if _, ok := s.posOf(id); ok {
-			return true
-		}
-	}
-	return false
-}
+func (sn *Snapshot) LiveRows() int { return sn.TotalRows() - sn.hidden }
 
 // snapTracker manages snapshot lifetimes and segment garbage collection:
 // each snapshot is pinned by readers (Acquire/Release) and by being current;

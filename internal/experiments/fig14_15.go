@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"vectordb/internal/bitset"
 	"vectordb/internal/dataset"
 	"vectordb/internal/query"
 	"vectordb/internal/topk"
@@ -132,7 +133,7 @@ func (w *filteringWorkload) runSystem(name string, rc query.RangeCond, k, nprobe
 				// post-filter with doubling fetch
 				fetch := k
 				for {
-					cands := w.tab.VectorQuery(0, q, fetch, nprobe, nil)
+					cands := w.tab.VectorQuery(0, q, fetch, nprobe)
 					kept := 0
 					for _, c := range cands {
 						if v, ok := w.tab.AttrValue(0, c.ID); ok && v >= rc.Lo && v <= rc.Hi {
@@ -160,18 +161,17 @@ func (w *filteringWorkload) runSystem(name string, rc query.RangeCond, k, nprobe
 			case "System C":
 				query.StrategyC(w.tab, rc, vc)
 			case "Vearch":
-				// bitmap built by linear attribute scan (no sorted column)
-				bitmap := make(map[int64]struct{})
+				// bitmap built by linear attribute scan (no sorted column);
+				// row IDs are positions here, so the ID is the bit index
+				bitmap, matched := bitset.New(total), 0
 				for id := int64(0); id < int64(total); id++ {
 					if v, ok := w.tab.AttrValue(0, id); ok && v >= rc.Lo && v <= rc.Hi {
-						bitmap[id] = struct{}{}
+						bitmap.Set(int(id))
+						matched++
 					}
 				}
-				if len(bitmap) > 0 {
-					w.tab.VectorQuery(0, q, k, nprobe, func(id int64) bool {
-						_, ok := bitmap[id]
-						return ok
-					})
+				if matched > 0 {
+					w.tab.VectorQueryPushed(0, q, k, nprobe, query.NewPushedFilter(matched, total, "", bitmap, nil))
 				}
 			case "Milvus":
 				query.StrategyE(w.parts, rc, vc, m)

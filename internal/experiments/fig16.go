@@ -101,7 +101,7 @@ func ExpFig16(sc Scale, metricName string) (*Table, error) {
 			fq := make([]float32, 0, 128)
 			fq = append(fq, q[0]...)
 			fq = append(fq, q[1]...)
-			return fused.VectorQuery(0, fq, sc.K, 32, nil)
+			return fused.VectorQuery(0, fq, sc.K, 32)
 		})
 	} else {
 		t.Notes = append(t.Notes, "vector fusion omitted: "+metricName+" with general weights is not decomposable (paper Sec. 4.2)")

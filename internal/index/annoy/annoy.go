@@ -234,11 +234,7 @@ func (f *Forest) Search(query []float32, p index.SearchParams) []topk.Result {
 		if p.Bits != nil && !p.Bits.Test(int(c)) {
 			continue
 		}
-		id := f.ids[c]
-		if p.Filter != nil && !p.Filter(id) {
-			continue
-		}
-		h.Push(id, f.dist(query, f.vecAt(c)))
+		h.Push(f.ids[c], f.dist(query, f.vecAt(c)))
 	}
 	return h.Results()
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"vectordb/internal/bitset"
 	"vectordb/internal/core"
 	"vectordb/internal/dataset"
 	"vectordb/internal/index"
@@ -97,11 +98,14 @@ func TestAllIndexesRecallIP(t *testing.T) {
 func TestAllIndexesRespectFilter(t *testing.T) {
 	d := dataset.DeepLike(1500, 5)
 	qs := dataset.Queries(d, 5, 6)
-	// Only even IDs pass.
-	filter := func(id int64) bool { return id%2 == 0 }
+	// Only even IDs pass (nil ids: the ID is the build position).
+	bits := bitset.New(d.N)
+	for i := 0; i < d.N; i += 2 {
+		bits.Set(i)
+	}
 	for name, idx := range buildAll(t, d, nil, vec.L2) {
 		p := searchParams(8)
-		p.Filter = filter
+		p.Bits = bits
 		for qi := 0; qi < 5; qi++ {
 			res := idx.Search(qs[qi*d.Dim:(qi+1)*d.Dim], p)
 			if len(res) == 0 {

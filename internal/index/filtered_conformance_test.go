@@ -152,32 +152,6 @@ func TestFilteredConformance(t *testing.T) {
 	}
 }
 
-// TestFilteredConformanceComposesCallback: Bits and a residual callback
-// filter together — both constraints must hold in every index type.
-func TestFilteredConformanceCompose(t *testing.T) {
-	const k = 8
-	d := dataset.DeepLike(1500, 23)
-	q := dataset.Queries(d, 1, 24)
-	bits := bitset.New(d.N)
-	for i := 0; i < d.N; i++ {
-		if i%2 == 0 {
-			bits.Set(i)
-		}
-	}
-	filter := func(id int64) bool { return id%3 != 0 }
-	for name, idx := range buildFilteredMatrix(t, d, vec.L2) {
-		res := idx.Search(q, index.SearchParams{K: k, Nprobe: 16, Ef: 256, SearchL: 256, Bits: bits, Filter: filter})
-		if len(res) == 0 {
-			t.Errorf("%s: composed filter returned nothing", name)
-		}
-		for _, r := range res {
-			if r.ID%2 != 0 || r.ID%3 == 0 {
-				t.Errorf("%s: composed filter violated, returned id %d", name, r.ID)
-			}
-		}
-	}
-}
-
 // TestFilteredEmptyBitset: an all-clear bitset must return no results from
 // any index — and must not hang graph traversals or L-doubling loops.
 func TestFilteredEmptyBitset(t *testing.T) {

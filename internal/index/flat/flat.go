@@ -77,12 +77,11 @@ func (f *Flat) IDs() []int64 { return f.ids }
 
 // Search implements index.Index by exhaustive scan through the blocked
 // batch kernels. A pushed bitset (p.Bits, positions = row order) stays on
-// the batch kernels via run extraction or gathering; only the legacy
-// callback filter and non-batchable metrics take the pairwise fallback
-// inside ScanBlocked.
+// the batch kernels via run extraction or gathering; only non-batchable
+// metrics take the pairwise fallback inside ScanBlocked.
 func (f *Flat) Search(query []float32, p index.SearchParams) []topk.Result {
 	h := topk.GetHeap(p.K)
-	index.ScanBlocked(h, f.metric, query, f.data, f.dim, f.ids, index.Selection{Bits: p.Bits, Filter: p.Filter})
+	index.ScanBlocked(h, f.metric, query, f.data, f.dim, f.ids, index.Selection{Bits: p.Bits})
 	out := h.Results()
 	topk.PutHeap(h)
 	return out

@@ -334,15 +334,10 @@ func (h *HNSW) Search(query []float32, p index.SearchParams) []topk.Result {
 		ep = h.greedyClosest(query, ep, l)
 	}
 	// Node positions are build order, so a pushed bitset is tested directly
-	// on the node index; the callback filter composes on external IDs.
+	// on the node index.
 	var pass func(int) bool
-	if p.Bits != nil || p.Filter != nil {
-		pass = func(node int) bool {
-			if p.Bits != nil && !p.Bits.Test(node) {
-				return false
-			}
-			return p.Filter == nil || p.Filter(h.ids[node])
-		}
+	if p.Bits != nil {
+		pass = p.Bits.Test
 	}
 	cands := h.searchLayer(query, ep, ef, 0, pass)
 	out := topk.New(p.K)

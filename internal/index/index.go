@@ -23,19 +23,16 @@ type SearchParams struct {
 	Nprobe  int // IVF family: buckets to probe (accuracy/perf trade-off, Sec. 3.1)
 	Ef      int // HNSW: candidate list size
 	SearchL int // NSG: search pool size
-	// Bits, when non-nil, is a pushed-down attribute filter: a dense bitset
-	// over the index's build-order row positions (bit i = i'th vector handed
-	// to Build). Scan-based indexes push it beneath the batch kernels so
+	// Bits, when non-nil, is the query's one filter: a dense bitset over the
+	// index's build-order row positions (bit i = i'th vector handed to
+	// Build) with a bit set for every row the query may return — attribute
+	// predicates and snapshot visibility (tombstones) arrive already folded
+	// into it. Scan-based indexes push it beneath the batch kernels so
 	// excluded rows never reach a distance computation; graph indexes
 	// (HNSW, NSG) switch to filtered traversal — skip-but-expand — so
-	// connectivity survives low selectivity. This is the bitset form of
+	// connectivity survives low selectivity. This is the bitmap of
 	// attribute-filtering strategy B (Sec. 4.1).
 	Bits *bitset.Bitset
-	// Filter, when non-nil, restricts results to IDs it accepts — the legacy
-	// per-row callback form of strategy B, still used for residual filters
-	// (e.g. MVCC tombstones) on top of Bits. When both are set a result must
-	// satisfy both.
-	Filter func(id int64) bool
 }
 
 // Index is a built, immutable vector index over one segment's vectors.

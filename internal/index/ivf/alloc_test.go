@@ -77,8 +77,11 @@ func TestSearchBatchAllocs(t *testing.T) {
 // The setup is made deterministic: nq identical queries with Nprobe 1
 // probe exactly one bucket, so Map takes its inline single-worker path
 // (no per-task closures, worker count independent of GOMAXPROCS) and the
-// scan draws exactly nq heaps before the cancellation — raised by the
-// filter on the first row — is noticed after the bucket completes.
+// scan draws exactly nq heaps before the cancellation is noticed after the
+// bucket completes. The cancellation is raised by the context itself, on
+// its n'th Err() poll; n is swept so that the budget holds wherever the
+// cancel lands — before the task, before the bucket, or after it with every
+// heap drawn.
 func TestSearchBatchCancelAllocs(t *testing.T) {
 	const nq = 32
 	d := dataset.DeepLike(4000, 57)
@@ -94,30 +97,51 @@ func TestSearchBatchCancelAllocs(t *testing.T) {
 	}
 	x := idx.(*IVF)
 
-	// A filtered FLAT scan avoids the tile fast path, so every admitted
-	// row goes through heapFor and all nq heaps are drawn.
-	cancelled := func() (int, error) {
+	p := index.SearchParams{K: 10, Nprobe: 1}
+	cancelled := func(polls int) (int, error) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		p := index.SearchParams{K: 10, Nprobe: 1, Filter: func(int64) bool {
-			cancel()
-			return true
-		}}
-		out, err := x.SearchBatchCtx(ctx, qs, p)
+		out, err := x.SearchBatchCtx(&pollCancelCtx{Context: ctx, cancel: cancel, polls: polls}, qs, p)
 		return len(out), err
 	}
-	if _, err := cancelled(); !errors.Is(err, context.Canceled) { // warm the pools
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if n, err := cancelled(1 << 30); n != nq || err != nil { // warm the pools
+		t.Fatalf("n=%d err=%v, want the full batch", n, err)
 	}
-	avg := testing.AllocsPerRun(20, func() {
-		n, err := cancelled()
-		if n != 0 || !errors.Is(err, context.Canceled) {
-			t.Fatalf("n=%d err=%v, want cancelled empty batch", n, err)
+	sawCancel, sawFull := false, false
+	for polls := 0; !sawFull; polls++ {
+		avg := testing.AllocsPerRun(20, func() {
+			n, err := cancelled(polls)
+			switch {
+			case n == 0 && errors.Is(err, context.Canceled):
+				sawCancel = true
+			case n == nq && err == nil:
+				sawFull = true // the cancel landed after the last poll
+			default:
+				t.Fatalf("polls=%d: n=%d err=%v, want a cancelled empty batch or the full one", polls, n, err)
+			}
+		})
+		// Budget: nq probe lists, the bucket->queries inversion and context
+		// machinery. Leaking the nq pooled heaps adds ~2*nq on top.
+		if !sawFull && avg > 140 {
+			t.Errorf("SearchBatchCtx cancelled at poll %d allocates %.1f objects/op, want <= 140", polls, avg)
 		}
-	})
-	// Budget: nq probe lists, the bucket->queries inversion and context
-	// machinery. Leaking the nq pooled heaps adds ~2*nq on top.
-	if avg > 140 {
-		t.Errorf("cancelled SearchBatchCtx allocates %.1f objects/op, want <= 140", avg)
 	}
+	if !sawCancel {
+		t.Fatal("no poll count cancelled the batch")
+	}
+}
+
+// pollCancelCtx cancels itself on the Err() call after polls earlier ones:
+// a deterministic mid-flight cancellation for single-goroutine runs.
+type pollCancelCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	polls  int
+}
+
+func (c *pollCancelCtx) Err() error {
+	if c.polls--; c.polls < 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
 }

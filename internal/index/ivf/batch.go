@@ -173,17 +173,11 @@ func (x *IVF) scanBucketForQueries(queries []float32, bucket int, qis []int32, p
 	if len(ids) == 0 {
 		return
 	}
-	// skip applies the pushed selection (bitset over build positions plus
-	// the residual callback); the shared-bucket tile/batch fast paths are
-	// reserved for fully unfiltered groups.
+	// skip applies the pushed bitset over build positions; the
+	// shared-bucket tile/batch fast paths are reserved for unfiltered groups.
 	pos := x.pos[bucket]
-	skip := func(i int, id int64) bool {
-		if p.Bits != nil && !p.Bits.Test(int(pos[i])) {
-			return true
-		}
-		return p.Filter != nil && !p.Filter(id)
-	}
-	filtered := p.Bits != nil || p.Filter != nil
+	filtered := p.Bits != nil
+	skip := func(i int) bool { return filtered && !p.Bits.Test(int(pos[i])) }
 	switch x.fine {
 	case FineFlat:
 		if !filtered && x.metric.BatchEligible() {
@@ -193,7 +187,7 @@ func (x *IVF) scanBucketForQueries(queries []float32, bucket int, qis []int32, p
 		dist := x.metric.Dist()
 		vecsB := x.vecs[bucket]
 		for i, id := range ids {
-			if skip(i, id) {
+			if skip(i) {
 				continue
 			}
 			row := vecsB[i*x.dim : (i+1)*x.dim]
@@ -206,7 +200,7 @@ func (x *IVF) scanBucketForQueries(queries []float32, bucket int, qis []int32, p
 		cs := x.sq8.CodeSize()
 		if filtered {
 			for i, id := range ids {
-				if skip(i, id) {
+				if skip(i) {
 					continue
 				}
 				code := codes[i*cs : (i+1)*cs]
@@ -240,7 +234,7 @@ func (x *IVF) scanBucketForQueries(queries []float32, bucket int, qis []int32, p
 		codes := x.codes[bucket]
 		cs := x.pq.CodeSize()
 		for i, id := range ids {
-			if skip(i, id) {
+			if skip(i) {
 				continue
 			}
 			code := codes[i*cs : (i+1)*cs]

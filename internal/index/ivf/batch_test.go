@@ -70,10 +70,10 @@ func TestSearchBatchFilter(t *testing.T) {
 	d := dataset.DeepLike(600, 13)
 	x := buildIVF(t, FineFlat, d, 8)
 	qs := dataset.Queries(d, 4, 14)
-	p := index.SearchParams{K: 5, Nprobe: 8, Filter: func(id int64) bool { return id%3 == 0 }}
+	p := index.SearchParams{K: 5, Nprobe: 8, Bits: evenRows(d.N)}
 	for _, res := range x.SearchBatch(qs, p) {
 		for _, r := range res {
-			if r.ID%3 != 0 {
+			if r.ID%2 != 0 {
 				t.Fatalf("filter violated: %d", r.ID)
 			}
 		}

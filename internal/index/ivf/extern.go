@@ -132,7 +132,7 @@ func (x *IVF) scanBucketSQ8Src(sq *quantizer.SQ8Query, src index.ByteBlockSource
 	if w, ok := h.Worst(); ok && h.Full() {
 		worst = w
 	}
-	if !sel.Empty() {
+	if sel.Bits != nil {
 		pos := x.pos[bucket]
 		for i0 := 0; i0 < len(ids); i0 += index.ScanBlockRows {
 			i1 := i0 + index.ScanBlockRows
@@ -141,10 +141,7 @@ func (x *IVF) scanBucketSQ8Src(sq *quantizer.SQ8Query, src index.ByteBlockSource
 			}
 			var blk []byte
 			for i := i0; i < i1; i++ {
-				if sel.Bits != nil && !sel.Bits.Test(int(pos[i])) {
-					continue
-				}
-				if sel.Filter != nil && !sel.Filter(ids[i]) {
+				if !sel.Bits.Test(int(pos[i])) {
 					continue
 				}
 				if blk == nil {

@@ -301,7 +301,7 @@ func (x *IVF) ProbeOrder(query []float32, nprobe int) []int {
 
 // ScanBucket scans one bucket (step 2 of Sec. 3.1), pushing candidates that
 // survive sel into h. sel's Pos field is overwritten with this bucket's
-// build-order positions, so callers only populate Bits/Filter/Force. FLAT
+// build-order positions, so callers only populate Bits/Force. FLAT
 // buckets go through the shared blocked batch kernels with the selection
 // pushed beneath them; SQ8 and PQ buckets build their per-query ADC tables
 // lazily here — callers scanning many buckets for one query (Search, the
@@ -361,13 +361,10 @@ func (x *IVF) ScanBucketSQ8(sq *quantizer.SQ8Query, bucket int, sel index.Select
 	if w, ok := h.Worst(); ok && h.Full() {
 		worst = w
 	}
-	if !sel.Empty() {
+	if sel.Bits != nil {
 		pos := x.pos[bucket]
 		for i, id := range ids {
-			if sel.Bits != nil && !sel.Bits.Test(int(pos[i])) {
-				continue
-			}
-			if sel.Filter != nil && !sel.Filter(id) {
+			if !sel.Bits.Test(int(pos[i])) {
 				continue
 			}
 			d := sq.Distance(codes[i*cs : (i+1)*cs])
@@ -417,9 +414,6 @@ func (x *IVF) scanBucketPQ(tab *quantizer.ADCTable, bucket int, sel index.Select
 	pos := x.pos[bucket]
 	for i, id := range ids {
 		if sel.Bits != nil && !sel.Bits.Test(int(pos[i])) {
-			continue
-		}
-		if sel.Filter != nil && !sel.Filter(id) {
 			continue
 		}
 		h.Push(id, tab.Distance(codes[i*cs:(i+1)*cs]))
@@ -482,7 +476,7 @@ func (x *IVF) Search(query []float32, p index.SearchParams) []topk.Result {
 // decided once per query from the bitset's global selectivity — counting per
 // bucket would cost a popcount per probe for the same answer in expectation.
 func (x *IVF) selection(p index.SearchParams) index.Selection {
-	sel := index.Selection{Bits: p.Bits, Filter: p.Filter}
+	sel := index.Selection{Bits: p.Bits}
 	if p.Bits != nil && x.size > 0 {
 		sel.Force = index.ChooseFilterMode(p.Bits.Count(), x.size)
 	}

@@ -3,6 +3,7 @@ package ivf
 import (
 	"testing"
 
+	"vectordb/internal/bitset"
 	"vectordb/internal/dataset"
 	"vectordb/internal/index"
 	"vectordb/internal/topk"
@@ -120,12 +121,22 @@ func (b *Builder) mustBuild(t *testing.T, d *dataset.Dataset) *IVF {
 	return idx.(*IVF)
 }
 
+// evenRows is the pushed filter "even build positions" (with nil ids, even
+// IDs) over n rows.
+func evenRows(n int) *bitset.Bitset {
+	b := bitset.New(n)
+	for i := 0; i < n; i += 2 {
+		b.Set(i)
+	}
+	return b
+}
+
 func TestScanBucketFilter(t *testing.T) {
 	d := dataset.DeepLike(300, 7)
 	for _, fine := range []Fine{FineFlat, FineSQ8, FinePQ} {
 		x := buildIVF(t, fine, d, 4)
 		h := topk.New(5)
-		x.ScanBucket(d.Row(0), 0, index.Selection{Filter: func(id int64) bool { return id%2 == 0 }}, h)
+		x.ScanBucket(d.Row(0), 0, index.Selection{Bits: evenRows(d.N)}, h)
 		for _, r := range h.Results() {
 			if r.ID%2 != 0 {
 				t.Fatalf("%s: filter violated", x.Name())

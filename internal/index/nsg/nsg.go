@@ -410,39 +410,27 @@ func (g *NSG) Search(query []float32, p index.SearchParams) []topk.Result {
 	if l < p.K {
 		l = p.K
 	}
-	if p.Bits == nil && p.Filter == nil {
+	if p.Bits == nil {
 		out := topk.New(p.K)
 		for _, c := range g.searchOnGraph(g.links, g.nav, query, l) {
 			out.Push(g.ids[c.ID], c.Distance)
 		}
 		return out.Results()
 	}
-	// Node positions are build order: test the pushed bitset on the node
-	// index, the callback filter on the external ID.
-	pass := func(node int32) bool {
-		if p.Bits != nil && !p.Bits.Test(int(node)) {
-			return false
-		}
-		return p.Filter == nil || p.Filter(g.ids[node])
-	}
+	// Node positions are build order: the pushed bitset is tested on the
+	// node index.
+	pass := func(node int32) bool { return p.Bits.Test(int(node)) }
 	n := len(g.ids)
-	if p.Bits != nil {
-		if matched := p.Bits.Count(); matched <= 4*l {
-			// Tiny survivor sets: an exact scan over the set bits is both
-			// cheaper than graph navigation (whose pool would double until
-			// it blankets the graph anyway) and exact — the low-selectivity
-			// regime where traversal recall degrades.
-			out := topk.New(p.K)
-			for i := p.Bits.NextSet(0); i >= 0; i = p.Bits.NextSet(i + 1) {
-				if i >= n {
-					break
-				}
-				if p.Filter == nil || p.Filter(g.ids[i]) {
-					out.Push(g.ids[i], g.dist(query, g.vecAt(i)))
-				}
-			}
-			return out.Results()
+	if matched := p.Bits.Count(); matched <= 4*l {
+		// Tiny survivor sets: an exact scan over the set bits is both
+		// cheaper than graph navigation (whose pool would double until
+		// it blankets the graph anyway) and exact — the low-selectivity
+		// regime where traversal recall degrades.
+		out := topk.New(p.K)
+		for i := p.Bits.NextSet(0); i >= 0 && i < n; i = p.Bits.NextSet(i + 1) {
+			out.Push(g.ids[i], g.dist(query, g.vecAt(i)))
 		}
+		return out.Results()
 	}
 	for {
 		out := topk.New(p.K)

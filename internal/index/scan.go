@@ -72,9 +72,7 @@ func FilterModeName(selectivity float64) string {
 // Bits is a dense bitset over *positions*; Pos maps scan row -> bit
 // position (nil means row i is position i, the layout of flat scans and
 // whole-segment scans; IVF bucket scans pass their per-bucket build-order
-// positions). A row survives when its bit is set AND Filter (if any)
-// accepts its ID. Filter alone — without Bits — reproduces the legacy
-// per-row callback scan.
+// positions). A row survives when its bit is set.
 type Selection struct {
 	Bits *bitset.Bitset
 	Pos  []int32
@@ -85,18 +83,13 @@ type Selection struct {
 	// is correlated with insertion order. Never set it for unsorted Pos:
 	// the span test would skip blocks that still hold survivors.
 	PosSorted bool
-	Filter    func(id int64) bool
 	// Force pins the scan mode; FilterAuto (zero) decides by selectivity.
 	// Benchmarks and conformance tests use it to compare both paths on
 	// identical inputs.
 	Force FilterMode
 }
 
-// Empty reports whether the selection selects every row.
-func (s Selection) Empty() bool { return s.Bits == nil && s.Filter == nil }
-
-// matched counts surviving rows among the first n scan rows (bit test only;
-// Filter is evaluated during the scan, not here).
+// matched counts surviving rows among the first n scan rows.
 func (s Selection) matched(n int) int {
 	if s.Bits == nil {
 		return n
@@ -129,10 +122,9 @@ func (s Selection) matched(n int) int {
 // divert survivors to the gather kernels — while sparse mode gathers
 // survivors off the word-skipping bit iterator. An excluded row either
 // never reaches a distance computation or has its distance discarded
-// before the heap; it is never returned. Only
-// the legacy callback filter and metrics without a batch kernel (cosine,
-// binary) fall back to the pairwise kernels with the same worst-distance
-// gating.
+// before the heap; it is never returned. Only metrics without a batch
+// kernel (cosine, binary) fall back to the pairwise kernels, with the same
+// worst-distance gating and the bit test ahead of the distance.
 //
 // The heap may arrive non-empty: its retained worst carries pruning across
 // segments exactly as Segment.SearchInto documents.
@@ -152,32 +144,8 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 	if w, ok := h.Worst(); ok && h.Full() {
 		worst = w
 	}
-	if sel.Bits == nil && (sel.Filter != nil || !metric.BatchEligible()) {
-		scanPairwise(h, metric, query, data, dim, n, idOf, sel.Filter, worst)
-		return
-	}
-	if sel.Bits != nil && !metric.BatchEligible() {
-		// No batch kernel to push into: per-row with the bit test first,
-		// which still skips the distance for excluded rows.
-		dist := metric.Dist()
-		pass := sel.passFunc()
-		for i := 0; i < n; i++ {
-			if !pass(i) {
-				continue
-			}
-			id := idOf(i)
-			if sel.Filter != nil && !sel.Filter(id) {
-				continue
-			}
-			d := dist(query, data[i*dim:(i+1)*dim])
-			if d >= worst {
-				continue
-			}
-			h.Push(id, d)
-			if h.Full() {
-				worst, _ = h.Worst()
-			}
-		}
+	if !metric.BatchEligible() {
+		scanPairwise(h, metric, query, data, dim, n, idOf, sel, worst)
 		return
 	}
 
@@ -263,11 +231,7 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 				if d >= worst {
 					continue
 				}
-				id := idOf(i0 + r)
-				if sel.Filter != nil && !sel.Filter(id) {
-					continue
-				}
-				h.Push(id, d)
+				h.Push(idOf(i0+r), d)
 				if h.Full() {
 					worst, _ = h.Worst()
 				}
@@ -297,20 +261,13 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 			if d >= worst || !pass(i0+r) {
 				continue
 			}
-			id := idOf(i0 + r)
-			if sel.Filter != nil && !sel.Filter(id) {
-				continue
-			}
-			h.Push(id, d)
+			h.Push(idOf(i0+r), d)
 			if h.Full() {
 				worst, _ = h.Worst()
 			}
 		}
 	}
 	appendRow := func(r int) {
-		if sel.Filter != nil && !sel.Filter(idOf(r)) {
-			return
-		}
 		gather = append(gather, int32(r))
 		if len(gather) == ScanBlockRows {
 			flush()
@@ -382,28 +339,32 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 	bufferpool.PutFloats(bp)
 }
 
-// passFunc returns the per-scan-row bit test for this selection.
+// passFunc returns the per-scan-row bit test for this selection, nil when
+// it selects every row.
 func (s Selection) passFunc() func(int) bool {
+	if s.Bits == nil {
+		return nil
+	}
 	if s.Pos == nil {
 		return func(r int) bool { return s.Bits.Test(r) }
 	}
 	return func(r int) bool { return s.Bits.Test(int(s.Pos[r])) }
 }
 
-// scanPairwise is the legacy per-row path: callback filters and metrics
-// without batch kernels.
-func scanPairwise(h *topk.Heap, metric vec.Metric, query, data []float32, dim, n int, idOf func(int) int64, filter func(int64) bool, worst float32) {
+// scanPairwise is the per-row path of metrics without batch kernels: the
+// bit test comes first, so excluded rows still skip the distance.
+func scanPairwise(h *topk.Heap, metric vec.Metric, query, data []float32, dim, n int, idOf func(int) int64, sel Selection, worst float32) {
 	dist := metric.Dist()
+	pass := sel.passFunc()
 	for i := 0; i < n; i++ {
-		id := idOf(i)
-		if filter != nil && !filter(id) {
+		if pass != nil && !pass(i) {
 			continue
 		}
 		d := dist(query, data[i*dim:(i+1)*dim])
 		if d >= worst {
 			continue
 		}
-		h.Push(id, d)
+		h.Push(idOf(i), d)
 		if h.Full() {
 			worst, _ = h.Worst()
 		}

@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"vectordb/internal/topk"
@@ -44,8 +45,8 @@ func closeEnough(a, b float32) bool {
 }
 
 // TestScanBlockedMatchesPairwise pins the shared blocked scan against the
-// plain pairwise loop it replaced, across metrics, ID mappings, filters,
-// block-boundary sizes and a pre-seeded heap.
+// plain pairwise loop it replaced, across metrics (cosine takes the pairwise
+// fallback), ID mappings, filters, block-boundary sizes and a pre-seeded heap.
 func TestScanBlockedMatchesPairwise(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	dims := []int{1, 3, 17, 100, 131}
@@ -63,12 +64,15 @@ func TestScanBlockedMatchesPairwise(t *testing.T) {
 					}
 				}
 				var filter func(int64) bool
+				var sel Selection
 				if n%3 == 0 {
+					// Positions and IDs (7·position) have the same parity.
 					filter = func(id int64) bool { return id%2 == 0 }
+					sel.Bits = bitsetFor(n, func(i int) bool { return i%2 == 0 })
 				}
 				k := 10
 				h := topk.New(k)
-				ScanBlocked(h, metric, q, data, dim, ids, Selection{Filter: filter})
+				ScanBlocked(h, metric, q, data, dim, ids, sel)
 				got := h.Results()
 				want := refHeap(metric, q, data, dim, k, ids, filter)
 				if len(got) != len(want) {
@@ -134,12 +138,12 @@ func TestScanBlockedUsesBatchKernels(t *testing.T) {
 			t.Fatalf("%v: ScanBlocked made no batch-kernel dispatches", metric)
 		}
 	}
-	// Filtered scans legitimately fall back to pairwise.
+	// Only metrics without a batch kernel fall back to pairwise.
 	vec.ResetDispatchCounts()
 	h := topk.New(5)
-	ScanBlocked(h, vec.L2, q, data, dim, nil, Selection{Filter: func(int64) bool { return true }})
+	ScanBlocked(h, vec.Cosine, q, data, dim, nil, Selection{})
 	if vec.BatchDispatchTotal() != 0 {
-		t.Fatal("filtered scan unexpectedly used batch kernels")
+		t.Fatal("cosine scan unexpectedly used batch kernels")
 	}
 }
 
@@ -159,5 +163,17 @@ func TestScanBlockedAllocs(t *testing.T) {
 	})
 	if avg > 0.5 {
 		t.Fatalf("ScanBlocked allocates %.1f objects/op, want 0 (pooled buffer regressed?)", avg)
+	}
+}
+
+// TestFilterIsBitsOnly guards the one filter representation: nothing in the
+// index-level search API may carry a per-row callback beside Bits.
+func TestFilterIsBitsOnly(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeOf(SearchParams{}), reflect.TypeOf(Selection{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.Type.Kind() == reflect.Func {
+				t.Errorf("%s.%s is func-typed: filters below core.execute are bitsets", typ.Name(), f.Name)
+			}
+		}
 	}
 }

@@ -35,7 +35,7 @@ func sameResults(t *testing.T, tag string, got, want []topk.Result) {
 }
 
 // TestScanBlockedBitsetMatchesCallback: the pushed-bitset path — in every
-// mode — returns exactly what the legacy callback path returns, for
+// mode — returns exactly what the per-row reference filter returns, for
 // clustered and scattered bits, both metrics, with and without a position
 // mapping, across selectivities from sub-1% to ~100%.
 func TestScanBlockedBitsetMatchesCallback(t *testing.T) {
@@ -120,23 +120,6 @@ func TestScanBlockedBitsetPosSorted(t *testing.T) {
 			ScanBlocked(h, vec.L2, q, data, dim, nil, Selection{Bits: bits, Pos: pos, PosSorted: true, Force: mode})
 			sameResults(t, "sorted-pos/"+name, h.Results(), want)
 		}
-	}
-}
-
-// TestScanBlockedBitsetComposesCallback: Bits and Filter together must both
-// constrain results (the residual-tombstone composition).
-func TestScanBlockedBitsetComposesCallback(t *testing.T) {
-	r := rand.New(rand.NewSource(57))
-	const dim, n, k = 8, 400, 20
-	data := randBlock(r, n*dim)
-	q := randBlock(r, dim)
-	bits := bitsetFor(n, func(i int) bool { return i%2 == 0 })
-	filter := func(id int64) bool { return id%3 != 0 }
-	want := refHeap(vec.L2, q, data, dim, k, nil, func(id int64) bool { return id%2 == 0 && id%3 != 0 })
-	for _, mode := range []FilterMode{FilterDense, FilterSparse} {
-		h := topk.New(k)
-		ScanBlocked(h, vec.L2, q, data, dim, nil, Selection{Bits: bits, Filter: filter, Force: mode})
-		sameResults(t, "compose", h.Results(), want)
 	}
 }
 

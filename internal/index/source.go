@@ -204,43 +204,16 @@ func ScanBlockedSource(h *topk.Heap, metric vec.Metric, query []float32, src Blo
 		return i1
 	}
 
-	if sel.Bits == nil && (sel.Filter != nil || !metric.BatchEligible()) {
-		// Pairwise fallback, one block at a time.
-		dist := metric.Dist()
-		for i0 := 0; i0 < n; i0 += ScanBlockRows {
-			i1 := blockEnd(i0)
-			blk := src.Block(i0, i1)
-			for r := 0; r < i1-i0; r++ {
-				id := idOf(i0 + r)
-				if sel.Filter != nil && !sel.Filter(id) {
-					continue
-				}
-				d := dist(query, blk[r*dim:(r+1)*dim])
-				if d >= worst {
-					continue
-				}
-				h.Push(id, d)
-				if h.Full() {
-					worst, _ = h.Worst()
-				}
-			}
-		}
-		return
-	}
-	if sel.Bits != nil && !metric.BatchEligible() {
-		// Per-row with the bit test first; the block is fetched lazily so
-		// fully excluded blocks never touch the source.
+	if !metric.BatchEligible() {
+		// Pairwise fallback with the bit test first; the block is fetched
+		// lazily so fully excluded blocks never touch the source.
 		dist := metric.Dist()
 		pass := sel.passFunc()
 		for i0 := 0; i0 < n; i0 += ScanBlockRows {
 			i1 := blockEnd(i0)
 			var blk []float32
 			for r := i0; r < i1; r++ {
-				if !pass(r) {
-					continue
-				}
-				id := idOf(r)
-				if sel.Filter != nil && !sel.Filter(id) {
+				if pass != nil && !pass(r) {
 					continue
 				}
 				if blk == nil {
@@ -250,7 +223,7 @@ func ScanBlockedSource(h *topk.Heap, metric vec.Metric, query []float32, src Blo
 				if d >= worst {
 					continue
 				}
-				h.Push(id, d)
+				h.Push(idOf(r), d)
 				if h.Full() {
 					worst, _ = h.Worst()
 				}
@@ -317,14 +290,6 @@ func ScanBlockedSource(h *topk.Heap, metric vec.Metric, query []float32, src Blo
 		}
 		gather = gather[:0]
 	}
-	// appendRow stages scan row r (absolute) for the gather flush of the
-	// block starting at base.
-	appendRow := func(r int, base int) {
-		if sel.Filter != nil && !sel.Filter(idOf(r)) {
-			return
-		}
-		gather = append(gather, int32(r-base))
-	}
 	emitFull := func(blk []float32, i0, i1 int) {
 		if ip {
 			vec.NegDotBatch(query, blk, dim, buf)
@@ -336,11 +301,7 @@ func ScanBlockedSource(h *topk.Heap, metric vec.Metric, query []float32, src Blo
 			if d >= worst {
 				continue
 			}
-			id := idOf(i0 + r)
-			if sel.Filter != nil && !sel.Filter(id) {
-				continue
-			}
-			h.Push(id, d)
+			h.Push(idOf(i0+r), d)
 			if h.Full() {
 				worst, _ = h.Worst()
 			}
@@ -358,11 +319,7 @@ func ScanBlockedSource(h *topk.Heap, metric vec.Metric, query []float32, src Blo
 			if d >= worst || !pass(i0+r) {
 				continue
 			}
-			id := idOf(i0 + r)
-			if sel.Filter != nil && !sel.Filter(id) {
-				continue
-			}
-			h.Push(id, d)
+			h.Push(idOf(i0+r), d)
 			if h.Full() {
 				worst, _ = h.Worst()
 			}
@@ -378,7 +335,7 @@ func ScanBlockedSource(h *topk.Heap, metric vec.Metric, query []float32, src Blo
 			i0 := (p / ScanBlockRows) * ScanBlockRows
 			i1 := blockEnd(i0)
 			for ; p >= 0 && p < i1; p = sel.Bits.NextSet(p + 1) {
-				appendRow(p, i0)
+				gather = append(gather, int32(p-i0))
 			}
 			if len(gather) > 0 {
 				flush(src.Block(i0, i1), i0)
@@ -389,7 +346,7 @@ func ScanBlockedSource(h *topk.Heap, metric vec.Metric, query []float32, src Blo
 			i1 := blockEnd(i0)
 			for r := i0; r < i1; r++ {
 				if sel.Bits.Test(int(sel.Pos[r])) {
-					appendRow(r, i0)
+					gather = append(gather, int32(r-i0))
 				}
 			}
 			if len(gather) > 0 {
@@ -410,7 +367,7 @@ func ScanBlockedSource(h *topk.Heap, metric vec.Metric, query []float32, src Blo
 				emitMasked(src.Block(i0, i1), i0, i1)
 			default:
 				for p := sel.Bits.NextSet(i0); p >= 0 && p < i1; p = sel.Bits.NextSet(p + 1) {
-					appendRow(p, i0)
+					gather = append(gather, int32(p-i0))
 				}
 				if len(gather) > 0 {
 					flush(src.Block(i0, i1), i0)

@@ -83,12 +83,12 @@ func TestScanBlockedSourceConformance(t *testing.T) {
 		}
 		query := randData(rng, 1, dim)
 		for _, metric := range []vec.Metric{vec.L2, vec.IP, vec.Cosine} {
-			for _, selCase := range []string{"none", "dense", "sparse", "mid", "callback", "bits+callback", "pos", "possorted"} {
+			for _, selCase := range []string{"none", "dense", "sparse", "mid", "half", "pos", "possorted"} {
 				sel := Selection{}
 				switch selCase {
 				case "none":
-				case "dense", "sparse", "mid":
-					frac := map[string]float64{"dense": 0.8, "sparse": 0.02, "mid": 0.15}[selCase]
+				case "dense", "sparse", "mid", "half":
+					frac := map[string]float64{"dense": 0.8, "sparse": 0.02, "mid": 0.15, "half": 0.5}[selCase]
 					b := bitset.New(n)
 					for i := 0; i < n; i++ {
 						if rng.Float64() < frac {
@@ -96,17 +96,6 @@ func TestScanBlockedSourceConformance(t *testing.T) {
 						}
 					}
 					sel.Bits = b
-				case "callback":
-					sel.Filter = func(id int64) bool { return id%5 != 0 }
-				case "bits+callback":
-					b := bitset.New(n)
-					for i := 0; i < n; i++ {
-						if rng.Float64() < 0.5 {
-							b.Set(i)
-						}
-					}
-					sel.Bits = b
-					sel.Filter = func(id int64) bool { return id%7 != 0 }
 				case "pos", "possorted":
 					// A position mapping over a larger position space, as
 					// IVF bucket scans pass; sorted variant sets PosSorted.

@@ -144,7 +144,7 @@ func (x *SQ8H) probeAll(queries []float32, p index.SearchParams) (probes [][]int
 func (x *SQ8H) scan(queries []float32, probes [][]int, p index.SearchParams) [][]topk.Result {
 	dim := x.ivf.Dim()
 	out := make([][]topk.Result, len(probes))
-	sel := index.Selection{Bits: p.Bits, Filter: p.Filter}
+	sel := index.Selection{Bits: p.Bits}
 	for qi := range probes {
 		h := topk.GetHeap(p.K)
 		sq := x.ivf.SQ8ScanQuery(queries[qi*dim : (qi+1)*dim])

@@ -50,7 +50,7 @@ func (m *MultiTable) Fields() int { return len(m.tables) }
 
 // FieldQuery implements MultiSource.
 func (m *MultiTable) FieldQuery(field int, q []float32, k int) []topk.Result {
-	return m.tables[field].VectorQuery(0, q, k, 0, nil)
+	return m.tables[field].VectorQuery(0, q, k, 0)
 }
 
 // FieldDistance implements MultiSource.

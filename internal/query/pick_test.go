@@ -40,7 +40,7 @@ type shapedSource struct {
 	shape    plan.FilterShape
 	matched  int
 	ranPlain bool // StrategyA path (RangeRows + DistanceByID)
-	ranPush  bool // StrategyB path (VectorQuery fallback; no pushdown here)
+	ranPush  bool // StrategyB path (CompileRange + VectorQueryPushed)
 }
 
 func (s *shapedSource) PlanFilterShape(int) plan.FilterShape { return s.shape }
@@ -58,7 +58,13 @@ func (s *shapedSource) RangeRows(int, int64, int64) []int64 {
 
 func (s *shapedSource) AttrValue(int, int64) (int64, bool) { return 0, true }
 
-func (s *shapedSource) VectorQuery(_ int, _ []float32, k, _ int, filter func(int64) bool) []topk.Result {
+func (s *shapedSource) VectorQuery(int, []float32, int, int) []topk.Result { return nil }
+
+func (s *shapedSource) CompileRange(int, int64, int64) (*PushedFilter, bool) {
+	return NewPushedFilter(s.matched, s.shape.Rows, "dense", nil, nil), true
+}
+
+func (s *shapedSource) VectorQueryPushed(int, []float32, int, int, *PushedFilter) []topk.Result {
 	s.ranPush = true
 	return nil
 }

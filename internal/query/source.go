@@ -54,9 +54,15 @@ type Source interface {
 	RangeRows(attr int, lo, hi int64) []int64
 	// AttrValue returns an entity's attribute (strategy C verification).
 	AttrValue(attr int, id int64) (int64, bool)
-	// VectorQuery is normal top-k vector query processing, optionally
-	// restricted by a filter evaluated inside the scan (strategy B).
-	VectorQuery(field int, q []float32, k, nprobe int, filter func(int64) bool) []topk.Result
+	// VectorQuery is normal top-k vector query processing.
+	VectorQuery(field int, q []float32, k, nprobe int) []topk.Result
+	// CompileRange compiles lo ≤ attr ≤ hi to a pushed filter (strategy
+	// B's bitmap: bitsets over build positions); ok=false means the
+	// attribute is unknown.
+	CompileRange(attr int, lo, hi int64) (pf *PushedFilter, ok bool)
+	// VectorQueryPushed is VectorQuery with the compiled filter tested
+	// beneath the index scan.
+	VectorQueryPushed(field int, q []float32, k, nprobe int, pf *PushedFilter) []topk.Result
 	// DistanceByID computes the exact query↔entity distance (strategy A's
 	// full scan over the attribute-qualified candidates).
 	DistanceByID(field int, q []float32, id int64) (float32, bool)
@@ -103,21 +109,6 @@ func (pf *PushedFilter) Release() {
 		pf.release()
 		pf.release = nil
 	}
-}
-
-// PushdownSource is a Source that can compile attribute constraints to
-// bitsets and push them beneath its vector scans (the strategy-B upgrade:
-// same plan shape, bitmap replaced by a word-aligned bitset evaluated
-// inside the kernels).
-type PushdownSource interface {
-	Source
-	// CompileRange compiles lo ≤ attr ≤ hi to a pushed filter; ok=false
-	// means pushdown is unavailable (unknown attribute) and the caller
-	// falls back to the bitmap path.
-	CompileRange(attr int, lo, hi int64) (pf *PushedFilter, ok bool)
-	// VectorQueryPushed is VectorQuery with the compiled filter applied
-	// beneath the index scan.
-	VectorQueryPushed(field int, q []float32, k, nprobe int, pf *PushedFilter) []topk.Result
 }
 
 // MultiSource is what multi-vector query processing needs: per-field vector

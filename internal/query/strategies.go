@@ -55,40 +55,26 @@ func ExactScan(s Source, rows []int64, vc VecCond) []topk.Result {
 }
 
 // StrategyB: attribute-first-vector-search. The attribute constraint
-// produces a bitmap of qualifying IDs; normal vector query processing runs
-// with the bitmap tested on every encountered vector. Sources supporting
-// pushdown compile the constraint to per-segment bitsets instead, evaluated
-// beneath the batch kernels; plain sources keep the map-based path.
+// produces a bitmap of qualifying rows — the source compiles it to bitsets
+// over build positions — and normal vector query processing runs with the
+// bitmap tested beneath the batch kernels on every encountered vector. An
+// unknown attribute qualifies no row.
 func StrategyB(s Source, rc RangeCond, vc VecCond) []topk.Result {
 	vc.Trace.Annotate("filter_strategy", StratB)
-	if ps, ok := s.(PushdownSource); ok {
-		if pf, ok := ps.CompileRange(rc.Attr, rc.Lo, rc.Hi); ok {
-			defer pf.Release()
-			filter := vc.Trace.StartSpan("attr_filter")
-			filter.AnnotateInt("rows", int64(pf.Matched))
-			filter.End()
-			AnnotatePushed(vc.Trace, pf)
-			if pf.Matched == 0 {
-				return nil
-			}
-			return ps.VectorQueryPushed(vc.Field, vc.Query, vc.K, vc.Nprobe, pf)
-		}
-	}
 	filter := vc.Trace.StartSpan("attr_filter")
-	rows := s.RangeRows(rc.Attr, rc.Lo, rc.Hi)
-	bitmap := make(map[int64]struct{}, len(rows))
-	for _, id := range rows {
-		bitmap[id] = struct{}{}
-	}
-	filter.AnnotateInt("rows", int64(len(bitmap)))
-	filter.End()
-	if len(bitmap) == 0 {
+	pf, ok := s.CompileRange(rc.Attr, rc.Lo, rc.Hi)
+	if !ok {
+		filter.End()
 		return nil
 	}
-	return s.VectorQuery(vc.Field, vc.Query, vc.K, vc.Nprobe, func(id int64) bool {
-		_, ok := bitmap[id]
-		return ok
-	})
+	defer pf.Release()
+	filter.AnnotateInt("rows", int64(pf.Matched))
+	filter.End()
+	AnnotatePushed(vc.Trace, pf)
+	if pf.Matched == 0 {
+		return nil
+	}
+	return s.VectorQueryPushed(vc.Field, vc.Query, vc.K, vc.Nprobe, pf)
 }
 
 // AnnotatePushed records the pushed filter's selectivity and evaluation
@@ -115,7 +101,7 @@ func StrategyC(s Source, rc RangeCond, vc VecCond) []topk.Result {
 		}
 		vec := vc.Trace.StartSpan("vector_first")
 		vec.AnnotateInt("fetch", int64(fetch))
-		cands := s.VectorQuery(vc.Field, vc.Query, fetch, vc.Nprobe, nil)
+		cands := s.VectorQuery(vc.Field, vc.Query, fetch, vc.Nprobe)
 		vec.End()
 		verify := vc.Trace.StartSpan("verify")
 		h := topk.New(vc.K)
@@ -246,7 +232,7 @@ func StrategyE(parts []Partition, rc RangeCond, vc VecCond, m CostModel) []topk.
 		if lo >= rc.Lo && hi <= rc.Hi {
 			// Fully covered: every vector qualifies, no attribute check.
 			span.Annotate("action", "full_vector")
-			lists = append(lists, p.VectorQuery(pvc.Field, pvc.Query, pvc.K, pvc.Nprobe, nil))
+			lists = append(lists, p.VectorQuery(pvc.Field, pvc.Query, pvc.K, pvc.Nprobe))
 			span.End()
 			continue
 		}

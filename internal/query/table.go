@@ -27,7 +27,6 @@ type Table struct {
 	idx    index.Index
 }
 
-var _ PushdownSource = (*Table)(nil)
 var _ Partition = (*Table)(nil)
 
 // NewTable builds a table over flat row-major vectors. attrs[a][i] is
@@ -94,11 +93,11 @@ func (t *Table) AttrValue(attr int, id int64) (int64, bool) {
 }
 
 // VectorQuery implements Source.
-func (t *Table) VectorQuery(field int, q []float32, k, nprobe int, filter func(int64) bool) []topk.Result {
+func (t *Table) VectorQuery(field int, q []float32, k, nprobe int) []topk.Result {
 	if nprobe <= 0 {
 		nprobe = t.EffectiveNprobe(k)
 	}
-	return t.idx.Search(q, index.SearchParams{K: k, Nprobe: nprobe, Filter: filter})
+	return t.idx.Search(q, index.SearchParams{K: k, Nprobe: nprobe})
 }
 
 // graphIndex reports whether an index applies pushed bitsets by filtered
@@ -119,7 +118,7 @@ func pushedMode(idx index.Index, selectivity float64) string {
 	return index.FilterModeName(selectivity)
 }
 
-// CompileRange implements PushdownSource: the attribute constraint becomes
+// CompileRange implements Source: the attribute constraint becomes
 // one pooled bitset over build positions, filled by the column itself
 // (colstore.AttributeColumn.FillRange — the same compile every segment
 // runs).
@@ -137,11 +136,11 @@ func (t *Table) CompileRange(attr int, lo, hi int64) (*PushedFilter, bool) {
 	return NewPushedFilter(matched, n, pushedMode(t.idx, sel), bits, func() { bitset.Put(bits) }), true
 }
 
-// VectorQueryPushed implements PushdownSource.
+// VectorQueryPushed implements Source.
 func (t *Table) VectorQueryPushed(field int, q []float32, k, nprobe int, pf *PushedFilter) []topk.Result {
 	bits, ok := pf.Handle().(*bitset.Bitset)
 	if !ok {
-		return t.VectorQuery(field, q, k, nprobe, nil)
+		return t.VectorQuery(field, q, k, nprobe)
 	}
 	if nprobe <= 0 {
 		nprobe = t.EffectiveNprobe(k)
