@@ -175,11 +175,16 @@ examples:
 
 # loc prints non-test, non-testdata Go lines per package directory (the
 # benchmark module e2ebench/ excluded) and their total: the table every
-# refactor owes its CHANGES.md entry, before and after.
+# refactor owes its CHANGES.md entry, before and after. The last line,
+# serving, is the same count over only the packages vectordbd links
+# (`go list -deps ./cmd/vectordbd`).
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './e2ebench/*' \
 		-exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+	@$(GO) list -deps -f '{{if not .Standard}}{{.Dir}}{{end}}' ./cmd/vectordbd | grep . | \
+		xargs -I{} find {} -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | \
+		awk '{ printf "%7d serving\n", $$1 }'
 
 clean:
 	$(GO) clean ./...

@@ -7,10 +7,12 @@
 //   - placement: the SQ8H index's three execution plans (pure-CPU,
 //     pure-GPU, hybrid — Fig. 13 / Algorithm 1) priced on the device
 //     model's virtual clocks, swept over batch size × device residency.
-//     The planner places each cell via PlaceQuery with a profile derived
-//     from the device model's advertised rates (exactly how the engine
-//     seeds PCIe rates from gpu.Config), and its chosen plan's modeled
-//     time is compared to the best and worst static;
+//     Each cell is placed on the cheapest estimate: the CPU probe priced by
+//     the planner (plan.CostIVFCPU) with a profile at the host cost model's
+//     rate, the two device plans priced here from the device model's
+//     advertised PCIe and kernel rates (the serving planner has no device
+//     venue). The chosen plan's modeled time is compared to the best and
+//     worst static;
 //   - filter strategy: attribute-filtered search by wall clock — the
 //     engine's own strategy A (attribute-first exact scan) vs its own
 //     pushdown path (strategy B over a query.Source), swept over
@@ -33,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -204,30 +207,17 @@ func placementGrid(rep *report, n, dim, k, nlist, nprobe int, batches []int) {
 	iv := hx.IVF()
 	sp := index.SearchParams{K: k, Nprobe: nprobe}
 
-	// The planner is calibrated against the models pricing the statics:
-	// CPU legs at the host cost model's rate, device legs at the device
-	// config's advertised kernel and PCIe rates — the same seeding the
-	// engine uses for real devices.
+	// Placement is priced against the models pricing the statics: the CPU
+	// leg at the host cost model's rate, the device legs at the device
+	// config's advertised kernel and PCIe rates.
 	cpu := gpu.DefaultCPUModel()
-	cfg := dev.Config()
-	kernel := map[string]float64{}
-	for _, l := range vec.Levels() {
-		kernel[l.String()] = cpu.DistThroughput
-	}
 	pl := plan.New(plan.Config{Profile: &plan.Profile{
 		Fingerprint:      plan.Fingerprint(),
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		KernelDimsPerSec: kernel,
+		KernelDimsPerSec: uniformKernel(cpu.DistThroughput),
 		SQ8DimsPerSec:    cpu.DistThroughput,
-		RowOverheadNs:    30,
-		RowNsPerDim:      0.5,
-		LookupNs:         40,
-		BitsetNsPerRow:   1.2,
-		BitsetNsPerMatch: 20,
-		PCIeBytesPerSec:  cfg.PCIeBandwidth,
-		PCIeLatencyNs:    float64(cfg.PCIeLatency.Nanoseconds()),
-		GPUDimsPerSec:    cfg.KernelThroughput,
 	}})
+	pr := pricer{pl: pl, dev: dev.Config()}
 
 	bucketKey := func(b int) string { return fmt.Sprintf("sq8h/bucket/%d", b) }
 	evictAll := func() {
@@ -249,19 +239,13 @@ func placementGrid(rep *report, n, dim, k, nlist, nprobe int, batches []int) {
 		}
 	}
 
-	venuePlan := map[plan.Venue]string{
-		plan.VenueIVFCPU: "pure-cpu",
-		plan.VenueGPU:    "pure-gpu",
-		plan.VenueSQ8H:   "hybrid",
-	}
 	for _, nq := range batches {
 		queries := dataset.Queries(d, nq, int64(100+nq))
 		for _, res := range []string{"cold", "warm"} {
+			warm := res == "warm"
 			prep := evictAll
-			frac := 0.0
-			if res == "warm" {
+			if warm {
 				prep = warmAll
-				frac = 1.0
 			}
 			run := func(f func([]float32, index.SearchParams) ([][]topk.Result, sq8h.Stats)) int64 {
 				prep()
@@ -276,11 +260,12 @@ func placementGrid(rep *report, n, dim, k, nlist, nprobe int, batches []int) {
 			shape := plan.QueryShape{
 				NQ: nq, K: k, Dim: dim, HotRows: n,
 				Nlist: nlist, Nprobe: nprobe, SQ8: true,
-				DeviceResidentFrac: frac,
 			}
-			dec := pl.PlaceQuery(fmt.Sprintf("bench/%d/%s", nq, res), shape,
-				plan.VenueIVFCPU, plan.VenueGPU, plan.VenueSQ8H)
-			choice := venuePlan[dec.Venue]
+			choice, _ := bestWorst(map[string]int64{
+				"pure-cpu": int64(pl.CostIVFCPU(shape)),
+				"pure-gpu": int64(pr.pureGPU(shape, warm)),
+				"hybrid":   int64(pr.hybrid(shape, warm)),
+			})
 			best, worst := bestWorst(times)
 			cell := placementCell{
 				NQ: nq, Residency: res,
@@ -295,6 +280,78 @@ func placementGrid(rep *report, n, dim, k, nlist, nprobe int, batches []int) {
 				time.Duration(cell.HybridNs), choice, cell.Regret, cell.VsWorst)
 		}
 	}
+}
+
+// uniformKernel gives every SIMD tier the same batch-kernel rate.
+func uniformKernel(dimsPerSec float64) map[string]float64 {
+	kernel := map[string]float64{}
+	for _, l := range vec.Levels() {
+		kernel[l.String()] = dimsPerSec
+	}
+	return kernel
+}
+
+// pricer estimates the device plans of a placement cell from the device
+// model's advertised rates; the CPU legs come from the planner. warm means
+// every byte a plan touches is already resident on the device.
+type pricer struct {
+	pl  *plan.Planner
+	dev gpu.Config
+}
+
+func (p pricer) nsPerDim() float64 { return 1e9 / p.dev.KernelThroughput }
+
+// copyNs prices one PCIe copy of bytes: the launch latency plus the bytes
+// at the link rate; nothing to copy costs nothing.
+func (p pricer) copyNs(bytes float64) float64 {
+	if bytes <= 0 {
+		return 0
+	}
+	return float64(p.dev.PCIeLatency.Nanoseconds()) + bytes/p.dev.PCIeBandwidth*1e9
+}
+
+// pureGPU prices shipping the non-resident scan bytes over PCIe and running
+// the scan on the device kernel. Unindexed data is a flat device scan of
+// every row. With IVF geometry the device runs the coarse ranking and scans
+// only the probed buckets (the pure-GPU plan of Fig. 13), and only the
+// batch's probed buckets cross PCIe — their expected union grows with nq
+// until the whole dataset is covered.
+func (p pricer) pureGPU(s plan.QueryShape, warm bool) float64 {
+	rows, dim := float64(s.Rows()), float64(s.Dim)
+	bytesPerRow := dim * 4
+	if s.SQ8 {
+		bytesPerRow = dim
+	}
+	scanRows, coarse, coverage, centroidBytes := rows, 0.0, 1.0, 0.0
+	if s.Nlist > 0 {
+		frac := float64(s.Nprobe) / float64(s.Nlist)
+		scanRows = rows * frac
+		coarse = float64(s.Nlist) * dim
+		centroidBytes = float64(s.Nlist) * dim * 4
+		coverage = math.Min(float64(s.NQ)*frac, 1)
+	}
+	cost := float64(s.NQ) * (coarse + scanRows*dim) * p.nsPerDim()
+	if !warm {
+		cost += p.copyNs(coverage*rows*bytesPerRow + centroidBytes)
+	}
+	return cost
+}
+
+// hybrid prices Algorithm 1: step 1 compares every query to every bucket
+// centroid on the device (centroids copied once when cold); step 2 is the
+// planner's CPU probe without its coarse step — the SQ8 scan of the probed
+// buckets.
+func (p pricer) hybrid(s plan.QueryShape, warm bool) float64 {
+	centroids := float64(s.Nlist) * float64(s.Dim)
+	step1 := float64(s.NQ) * centroids * p.nsPerDim()
+	if !warm {
+		step1 += p.copyNs(centroids * 4)
+	}
+	// A probe with no rows to scan costs exactly its coarse step.
+	coarseOnly := s
+	coarseOnly.HotRows, coarseOnly.MappedRows, coarseOnly.ColdRows = 0, 0, 0
+	step2 := p.pl.CostIVFCPU(s) - p.pl.CostIVFCPU(coarseOnly)
+	return step1 + step2
 }
 
 // filterGrid sweeps filtered search over selectivity × layout by wall

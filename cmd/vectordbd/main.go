@@ -19,7 +19,8 @@
 // collection (0 = unlimited; the LRU demotes extents past the budget).
 //
 // The query planner calibrates its cost model (kernel throughput per SIMD
-// tier, bitset compile rates, PCIe transfer rates) on first use. With
+// tier, SQ8 scan, single-row distance and bitset compile rates) on first
+// use. With
 // -tier-dir the measured profile persists to plan-calibration.json under
 // the directory, keyed by CPU feature bits and GOMAXPROCS, so restarts on
 // the same hardware skip the measurement pass; a stale or foreign profile

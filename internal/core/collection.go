@@ -92,11 +92,11 @@ type Config struct {
 	// exceeded, the least-recently-used unpinned mapped segments demote to
 	// cold. 0 keeps every tiered segment mapped.
 	TierMappedBytes int64
-	// Planner is the cost-based query planner deciding per-query execution
-	// venue and filter strategy. Nil creates a collection-private planner
-	// (lazy process-wide calibration); DB-created collections share the
-	// database's planner so hysteresis and the calibration profile are
-	// process-wide.
+	// Planner is the cost-based query planner pricing per-query execution
+	// venue and deciding filter strategy. Nil creates a collection-private
+	// planner (lazy process-wide calibration); DB-created collections share
+	// the database's planner so the calibration profile and the
+	// vectordb_plan_* series are process-wide.
 	Planner *plan.Planner
 }
 
@@ -155,11 +155,8 @@ type Collection struct {
 	pool   *exec.Pool
 	former *batchform.Former // nil when dynamic batching is disabled
 
-	// planner decides per-query venue and filter strategy; gpuSched holds
-	// an optional *gpu.Scheduler installed by AttachGPU (atomic so queries
-	// never lock to check for one).
-	planner  *plan.Planner
-	gpuSched atomic.Value
+	// planner prices per-query venue and decides filter strategy.
+	planner *plan.Planner
 
 	tier *collTier // nil when tiering is off
 
@@ -643,9 +640,9 @@ func (c *Collection) Search(query []float32, opts SearchOptions) ([]topk.Result,
 // waits for an in-flight slot on the shared execution pool (fast-failing
 // with exec.ErrRejected under overload) and stops between segments once
 // ctx is cancelled or past its deadline, returning ctx's error. The
-// cost-based planner places each admitted query on a venue (CPU scan /
-// probe vs attached GPU) from the snapshot's shape and the live pool load;
-// the decision rides the trace as plan=.
+// cost-based planner prices each admitted query's venue (flat scan or index
+// probe) from the snapshot's shape and the live pool load; the decision
+// rides the trace as plan=.
 func (c *Collection) SearchCtx(ctx context.Context, query []float32, opts SearchOptions) ([]topk.Result, error) {
 	res, err := c.execute(ctx, &Query{kind: kindVector, vec: query, opts: opts})
 	return res.hits, err

@@ -59,8 +59,8 @@ func NewDBWithExec(store objstore.Store, pcfg exec.Config) *DB {
 	pcfg.Obs = db.reg
 	db.pool = exec.NewPool(pcfg)
 	// One cost-based planner per DB: every collection's queries plan
-	// against the same calibration profile and hysteresis memory, and the
-	// vectordb_plan_* series land in this DB's registry.
+	// against the same calibration profile, and the vectordb_plan_* series
+	// land in this DB's registry.
 	db.planner = plan.New(plan.Config{Obs: db.reg})
 	registerRuntimeMetrics(db.reg)
 	return db

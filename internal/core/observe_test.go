@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"vectordb/internal/gpu"
 	"vectordb/internal/objstore"
 	"vectordb/internal/obs"
 )
@@ -32,7 +31,7 @@ func obsTestCollection(t *testing.T, n int) (*Collection, *obs.Registry, *obs.Qu
 	return c, reg, qlog
 }
 
-// TestSearchTraceCPUPlacement: a plain search stamps placement=cpu and the
+// TestSearchTraceCPUPlacement: a plain search stamps the
 // plan/segments/per-segment/topk_merge stage chain on its trace, and the
 // finished trace lands in the query log.
 func TestSearchTraceCPUPlacement(t *testing.T) {
@@ -43,9 +42,6 @@ func TestSearchTraceCPUPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := tr.Summary()
-	if got, _ := sum.Attr("placement"); got != "cpu" {
-		t.Errorf("placement = %q, want cpu", got)
-	}
 	stages := sum.Stages()
 	if len(stages) < 4 {
 		t.Errorf("only %d distinct stages %v, want >= 4", len(stages), stages)
@@ -86,60 +82,11 @@ func TestSearchFilteredTraceStrategy(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := tr.Summary()
-	if got, _ := sum.Attr("placement"); got != "cpu" {
-		t.Errorf("placement = %q, want cpu", got)
-	}
 	if got, ok := sum.Attr("filter_strategy"); !ok || got == "" {
 		t.Errorf("filter_strategy missing from trace attrs %v", sum.Attrs)
 	}
 	if got := reg.Counter("vectordb_query_total", "collection", "obs", "type", "filtered").Value(); got != 1 {
 		t.Errorf("filtered query counter = %d, want 1", got)
-	}
-}
-
-// TestGPUSearchTrace: the GPU path stamps placement=gpu, per-segment
-// device spans, and the PCIe transfer byte count — on the trace and on the
-// device's registry series.
-func TestGPUSearchTrace(t *testing.T) {
-	c, reg, _ := obsTestCollection(t, 300)
-	sched := gpu.NewScheduler()
-	if err := sched.AddDevice(gpu.NewDevice(0, gpu.Config{Obs: reg})); err != nil {
-		t.Fatal(err)
-	}
-	gs, err := NewGPUSearcher(c, sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.NewTrace("gpu")
-	query := mkEntities(1, 8, 11)[0].Vectors[0]
-	_, stats, err := gs.Search(query, SearchOptions{K: 5, Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.TransferBytes <= 0 {
-		t.Fatalf("no PCIe transfer modeled: %+v", stats)
-	}
-	sum := tr.Summary()
-	if got, _ := sum.Attr("placement"); got != "gpu" {
-		t.Errorf("placement = %q, want gpu", got)
-	}
-	if got, ok := sum.Attr("transfer_bytes"); !ok || got == "0" {
-		t.Errorf("transfer_bytes = %q (present=%v), want > 0", got, ok)
-	}
-	segSpans := 0
-	for _, sp := range sum.Spans {
-		if sp.Name == "gpu_segment_search" {
-			segSpans++
-		}
-	}
-	if segSpans == 0 {
-		t.Error("no gpu_segment_search spans on trace")
-	}
-	if got := reg.Counter("vectordb_query_total", "collection", "obs", "type", "gpu").Value(); got != 1 {
-		t.Errorf("gpu query counter = %d, want 1", got)
-	}
-	if got := reg.Counter("vectordb_gpu_transfer_bytes_total", "device", "0").Value(); got != stats.TransferBytes {
-		t.Errorf("device transfer bytes counter = %d, want %d", got, stats.TransferBytes)
 	}
 }
 

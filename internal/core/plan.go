@@ -1,39 +1,11 @@
 package core
 
 import (
-	"fmt"
-
-	"vectordb/internal/gpu"
 	"vectordb/internal/index"
 	"vectordb/internal/obs"
 	"vectordb/internal/plan"
 	"vectordb/internal/query"
 )
-
-// AttachGPU offers a device scheduler to the planner: SearchCtx queries
-// may be placed on the GPU venue when the transfer-vs-compute cost favors
-// it (results stay host-exact either way — the devices' virtual clocks
-// only price the plan). Passing nil detaches.
-func (c *Collection) AttachGPU(sched *gpu.Scheduler) {
-	// sched is already the concrete pointer type, so a typed nil detaches
-	// without tripping atomic.Value's nil-interface panic.
-	c.gpuSched.Store(sched)
-}
-
-// gpuScheduler returns the attached scheduler, nil when detached or empty.
-func (c *Collection) gpuScheduler() *gpu.Scheduler {
-	s, _ := c.gpuSched.Load().(*gpu.Scheduler)
-	if s == nil || s.Devices() == 0 {
-		return nil
-	}
-	return s
-}
-
-// gpuSegKey is the device-memory key for one segment's vector column —
-// shared by the GPU search path and the planner's residency probe.
-func (c *Collection) gpuSegKey(segID int64, field int) string {
-	return fmt.Sprintf("gpu/%s/seg/%d/f%d", c.Name, segID, field)
-}
 
 // unwrapIndex strips the observability wrapper so the planner sees the
 // real index family.
@@ -44,18 +16,20 @@ func unwrapIndex(idx index.Index) index.Index {
 	return idx
 }
 
-// planShape summarizes the snapshot for the planner: rows split by
-// residency tier, index family/geometry, device residency, and the live
-// pool backlog.
-func (c *Collection) planShape(sn *Snapshot, f, nq, k, nprobe int, sched *gpu.Scheduler) (plan.QueryShape, []plan.Venue) {
+// planShape summarizes the snapshot for the planner — rows split by
+// residency tier, IVF geometry, the live pool backlog — and names the one
+// venue the snapshot executes on: ivf_cpu when an index serves a segment,
+// else flat_cpu. A FLAT index is an exhaustive scan and counts as
+// unindexed; graph and tree indexes keep the ivf_cpu label until venues are
+// named per index.
+func (c *Collection) planShape(sn *Snapshot, f, nq, k, nprobe int) (plan.QueryShape, plan.Venue) {
 	s := plan.QueryShape{
 		NQ: nq, K: k, Dim: c.schema.VectorFields[f].Dim,
 		Nprobe:     nprobe,
 		QueueDepth: c.readLoad(),
 		Workers:    c.pool.Workers(),
 	}
-	indexed, sq8h := 0, false
-	var totalBytes, residentBytes int64
+	venue := plan.VenueFlatCPU
 	for _, seg := range sn.Segments {
 		rows := seg.Rows()
 		mapped, tiered := seg.Mapped()
@@ -67,55 +41,28 @@ func (c *Collection) planShape(sn *Snapshot, f, nq, k, nprobe int, sched *gpu.Sc
 		default:
 			s.ColdRows += rows
 		}
-		if idx := seg.Index(f); idx != nil {
-			indexed++
-			base := unwrapIndex(idx)
-			switch base.Name() {
-			case "SQ8H":
-				sq8h = true
-				s.SQ8 = true
-			case "IVF_SQ8":
-				s.SQ8 = true
-			}
-			if nl, ok := base.(interface{ Nlist() int }); ok && s.Nlist == 0 {
-				s.Nlist = nl.Nlist()
-			}
+		idx := seg.Index(f)
+		if idx == nil {
+			continue
 		}
-		if sched != nil {
-			bytes := int64(rows) * int64(s.Dim) * 4
-			totalBytes += bytes
-			if sched.Resident(c.gpuSegKey(seg.ID, f)) {
-				residentBytes += bytes
-			}
+		base := unwrapIndex(idx)
+		if base.Name() == "FLAT" {
+			continue
+		}
+		venue = plan.VenueIVFCPU
+		s.SQ8 = s.SQ8 || base.Name() == "IVF_SQ8"
+		if nl, ok := base.(interface{ Nlist() int }); ok && s.Nlist == 0 {
+			s.Nlist = nl.Nlist()
 		}
 	}
-	// The CPU venue reflects how the snapshot would actually execute —
-	// unindexed segments scan flat, indexed ones probe — so offering it
-	// never changes results; the GPU venue is host-exact by construction.
-	// The venue label names the dominant shape.
-	cpu := plan.VenueFlatCPU
-	if indexed > 0 {
-		cpu = plan.VenueIVFCPU
-		if sq8h {
-			cpu = plan.VenueSQ8H
-		}
-	}
-	venues := []plan.Venue{cpu}
-	if sched != nil {
-		if totalBytes > 0 {
-			s.DeviceResidentFrac = float64(residentBytes) / float64(totalBytes)
-		}
-		venues = append(venues, plan.VenueGPU)
-	}
-	return s, venues
+	return s, venue
 }
 
-// planVenue decides a vector query's execution venue against the pinned
-// snapshot and annotates the trace with the plan and its estimate. A non-nil
-// sched offers the device venue.
-func (c *Collection) planVenue(sn *Snapshot, f, nq int, opts *SearchOptions, sched *gpu.Scheduler) plan.Decision {
-	shape, venues := c.planShape(sn, f, nq, opts.K, opts.Nprobe, sched)
-	dec := c.planner.PlaceQuery(c.Name+"/f"+fmt.Sprint(f), shape, venues...)
+// planVenue prices a vector query's venue against the pinned snapshot and
+// annotates the trace with the plan and its estimate.
+func (c *Collection) planVenue(sn *Snapshot, f, nq int, opts *SearchOptions) plan.Decision {
+	shape, venue := c.planShape(sn, f, nq, opts.K, opts.Nprobe)
+	dec := c.planner.PlaceQuery("", shape, venue)
 	annotatePlan(opts.Trace, dec)
 	return dec
 }
@@ -125,9 +72,6 @@ func (c *Collection) planVenue(sn *Snapshot, f, nq int, opts *SearchOptions, sch
 func annotatePlan(tr *obs.Trace, dec plan.Decision) {
 	tr.Annotate("plan", dec.Choice())
 	tr.AnnotateInt("plan_est_ns", dec.Est.Nanoseconds())
-	if dec.Sticky {
-		tr.Annotate("plan_sticky", "true")
-	}
 }
 
 // PlanFilterShape implements query.Shaped: the physical shape of the
@@ -157,7 +101,7 @@ func (c *Collection) filterShape(sn *Snapshot, field int) plan.FilterShape {
 		switch base.Name() {
 		case "HNSW", "RNSG":
 			fs.Graph = true
-		case "SQ8H", "IVF_SQ8":
+		case "IVF_SQ8":
 			fs.Indexed = true
 			fs.SQ8 = true
 		default:

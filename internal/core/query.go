@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"vectordb/internal/colstore"
-	"vectordb/internal/gpu"
 	"vectordb/internal/obs"
 	"vectordb/internal/plan"
 	"vectordb/internal/query"
@@ -19,7 +18,6 @@ const (
 	kindVector      = "vector"
 	kindFiltered    = "filtered"
 	kindCategorical = "categorical"
-	kindGPU         = "gpu"
 	kindBatch       = "batch" // vecs holds one query per entry, all against one field
 	kindMulti       = "multi" // vecs holds one query per vector field
 	kindFused       = "fused" // as kindMulti, and the caller requires the fused sweep
@@ -30,21 +28,18 @@ const (
 // else can.
 type Query struct {
 	kind    string
-	vec     []float32      // the query vector of the single-vector kinds
-	vecs    [][]float32    // kindBatch, kindMulti, kindFused
-	weights []float32      // kindMulti, kindFused: per-field weights, nil = all 1
-	pred    colstore.Pred  // optional attribute predicate
-	gpu     *gpu.Scheduler // set when the caller forces the device venue
+	vec     []float32     // the query vector of the single-vector kinds
+	vecs    [][]float32   // kindBatch, kindMulti, kindFused
+	weights []float32     // kindMulti, kindFused: per-field weights, nil = all 1
+	pred    colstore.Pred // optional attribute predicate
 	opts    SearchOptions
 }
 
 // result is what execute hands back: hits for every kind but kindBatch,
-// which fills batch in input order; gpu prices the search when it ran on the
-// device venue.
+// which fills batch in input order.
 type result struct {
 	hits  []topk.Result
 	batch [][]topk.Result
-	gpu   GPUSearchStats
 }
 
 // runner names the ways a planned query runs over a pinned snapshot.
@@ -53,7 +48,6 @@ type runner uint8
 const (
 	runSegments  runner = iota // per-segment sweep, offered to the batch former first
 	runBatch                   // one tile sweep shared by the queries of an explicit batch
-	runGPU                     // per-segment sweep scheduled on the device fleet
 	runFused                   // one sweep of the aggregated query over the concatenated fields
 	runIterative               // iterative merging over per-field sweeps
 	runPrefilter               // the predicate's rows first, exact distances over them
@@ -65,8 +59,7 @@ const (
 type route struct {
 	run   runner
 	dec   plan.Decision
-	sched *gpu.Scheduler // runGPU
-	fused []float32      // runFused: the aggregated query
+	fused []float32 // runFused: the aggregated query
 }
 
 // execute is the collection's one read path (Sec. 2.3, 5.2): validate the
@@ -102,8 +95,6 @@ func (c *Collection) execute(ctx context.Context, q *Query) (result, error) {
 	switch rt.run {
 	case runBatch:
 		res.batch, err = c.searchBatch(ctx, sn, c.batchFormKey(f, &q.opts, rt.dec.Venue), q.vecs)
-	case runGPU:
-		res.hits, res.gpu, err = c.gpuSearchSnapshot(ctx, sn, rt.sched, f, q.vec, q.opts)
 	case runFused:
 		res.hits, err = c.searchFused(ctx, sn, rt.fused, q.opts)
 	case runIterative:
@@ -238,19 +229,16 @@ func (c *Collection) checkPred(p colstore.Pred) error {
 }
 
 // plan picks the runner for q over the pinned snapshot and stamps the choice
-// on the trace. The planner prices the two questions that have alternatives:
-// prefilter vs pushdown for a predicate (from the zone-map / postings
-// estimate — nothing is compiled or enumerated to decide), and CPU vs device
-// venue for an unfiltered vector query. A caller-forced device and the
-// multi-vector algorithm are fixed by the request and the schema; they are
-// stamped plan_forced and not reported back to the planner.
+// on the trace. The planner chooses where there is an alternative — prefilter
+// vs pushdown for a predicate, from the zone-map / postings estimate (nothing
+// is compiled or enumerated to decide) — and prices and labels the one venue
+// an unfiltered vector query runs on. The multi-vector algorithm is fixed by
+// the request and the schema; it is stamped plan_forced and not reported
+// back to the planner.
 func (c *Collection) plan(sn *Snapshot, f int, q *Query) route {
 	tr := q.opts.Trace
-	placement, rt := "cpu", route{}
+	var rt route
 	switch {
-	case q.gpu != nil:
-		placement, rt = "gpu", route{run: runGPU, sched: q.gpu}
-		forcePlan(tr, string(plan.VenueGPU))
 	case q.kind == kindFused || (q.kind == kindMulti && c.fusable(q.weights) == nil):
 		rt = route{run: runFused, fused: c.fuseQuery(q.vecs, q.weights)}
 		tr.Annotate("multi_algorithm", "fused")
@@ -282,17 +270,11 @@ func (c *Collection) plan(sn *Snapshot, f int, q *Query) route {
 		}
 		annotatePlan(tr, rt.dec)
 	case q.kind == kindBatch:
-		// The batch executor is the CPU tile sweep, so only CPU venues are
-		// offered; the venue keys the batch.
-		rt = route{run: runBatch, dec: c.planVenue(sn, f, len(q.vecs), &q.opts, nil)}
+		// The venue keys the batch.
+		rt = route{run: runBatch, dec: c.planVenue(sn, f, len(q.vecs), &q.opts)}
 	default:
-		sched := c.gpuScheduler()
-		rt.dec = c.planVenue(sn, f, 1, &q.opts, sched)
-		if rt.dec.Venue == plan.VenueGPU {
-			placement, rt.run, rt.sched = "gpu", runGPU, sched
-		}
+		rt.dec = c.planVenue(sn, f, 1, &q.opts)
 	}
-	tr.Annotate("placement", placement)
 	return rt
 }
 

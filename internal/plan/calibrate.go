@@ -8,7 +8,6 @@ import (
 
 	"vectordb/internal/bitset"
 	"vectordb/internal/colstore"
-	"vectordb/internal/gpu"
 	"vectordb/internal/quantizer"
 	"vectordb/internal/vec"
 )
@@ -42,11 +41,6 @@ type Profile struct {
 	// pass plus the per-match zone-map/postings walk.
 	BitsetNsPerRow   float64 `json:"bitset_ns_per_row"`
 	BitsetNsPerMatch float64 `json:"bitset_ns_per_match"`
-
-	// Device model rates (virtual clocks from internal/gpu).
-	PCIeBytesPerSec float64 `json:"pcie_bytes_per_sec"`
-	PCIeLatencyNs   float64 `json:"pcie_latency_ns"`
-	GPUDimsPerSec   float64 `json:"gpu_dims_per_sec"`
 }
 
 // kernelNsPerDim is the CPU scan cost per distance-dim at the active SIMD
@@ -65,9 +59,6 @@ func (p *Profile) kernelNsPerDim(sq8 bool) float64 {
 	}
 	return nsPerUnit(rate)
 }
-
-func (p *Profile) pcieNsPerByte() float64 { return nsPerUnit(p.PCIeBytesPerSec) }
-func (p *Profile) gpuNsPerDim() float64   { return nsPerUnit(p.GPUDimsPerSec) }
 
 // nsPerUnit inverts a units-per-second rate into ns-per-unit, guarding
 // against unset/zero rates (fall back to a conservative 1 GB-ish rate so
@@ -101,9 +92,8 @@ const (
 
 // Calibrate measures every profile primitive on this machine: per-tier
 // batch-kernel throughput (the fig12 measurement shape), fused SQ8 ADC
-// throughput, single-row distance and ID-lookup costs, bitset compile
-// cost, and the gpu package's device-model rates (the virtual PCIe and
-// kernel clocks GPU plans are priced with).
+// throughput, single-row distance and ID-lookup costs, and bitset compile
+// cost.
 func Calibrate() *Profile {
 	data, query := calData(calRows, calDim)
 	p := &Profile{
@@ -136,11 +126,6 @@ func Calibrate() *Profile {
 	p.RowOverheadNs, p.RowNsPerDim = calibrateRowDistance(data, query)
 	p.LookupNs = calibrateLookup()
 	p.BitsetNsPerRow, p.BitsetNsPerMatch = calibrateBitset()
-
-	devCfg := gpu.NewDevice(0, gpu.Config{}).Config()
-	p.PCIeBytesPerSec = devCfg.PCIeBandwidth
-	p.PCIeLatencyNs = float64(devCfg.PCIeLatency.Nanoseconds())
-	p.GPUDimsPerSec = devCfg.KernelThroughput
 	return p
 }
 

@@ -29,9 +29,6 @@ func TestCalibratePositiveFinite(t *testing.T) {
 	if p.BitsetNsPerMatch < 0 {
 		t.Errorf("bitset per-match negative: %v", p.BitsetNsPerMatch)
 	}
-	check("pcie_bandwidth", p.PCIeBytesPerSec)
-	check("pcie_latency", p.PCIeLatencyNs)
-	check("gpu_rate", p.GPUDimsPerSec)
 	if p.Fingerprint != Fingerprint() {
 		t.Errorf("fingerprint mismatch: %q vs %q", p.Fingerprint, Fingerprint())
 	}
@@ -52,7 +49,7 @@ func TestSharedProfileSingleton(t *testing.T) {
 // with the shared profile rather than crashing or pricing with zeros.
 func TestPlannerLazyCalibration(t *testing.T) {
 	p := New(Config{})
-	d := p.PlaceQuery("lazy", QueryShape{NQ: 1, K: 10, Dim: 32, HotRows: 4096}, VenueFlatCPU, VenueGPU)
+	d := p.PlaceQuery("", QueryShape{NQ: 1, K: 10, Dim: 32, HotRows: 4096}, VenueFlatCPU, VenueIVFCPU)
 	if d.Est <= 0 {
 		t.Errorf("lazy-calibrated decision has non-positive estimate: %v", d.Est)
 	}

@@ -17,7 +17,7 @@ func newPlanMetrics(reg *obs.Registry) *planMetrics {
 		mispredicts: map[string]*obs.Counter{},
 	}
 	for _, choice := range []string{
-		string(VenueFlatCPU), string(VenueIVFCPU), string(VenueGPU), string(VenueSQ8H),
+		string(VenueFlatCPU), string(VenueIVFCPU),
 		string(StrategyPushdown), string(StrategyPrefilter), string(StrategyGraph),
 	} {
 		m.decisions[choice] = reg.Counter("vectordb_plan_decisions_total", "decision", choice)

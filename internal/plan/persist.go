@@ -12,7 +12,8 @@ import (
 
 // profileVersion bumps whenever the Profile schema or the cost model's
 // interpretation of it changes; persisted profiles from other versions
-// are stale by definition.
+// are stale by definition. Retiring a field does not bump it while every
+// remaining field keeps its meaning: Load ignores the retired keys.
 const profileVersion = 1
 
 // CalibrationFile is the file name a server writes its profile under,

@@ -1,8 +1,10 @@
 package plan
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -19,7 +21,7 @@ func TestProfileRoundTrip(t *testing.T) {
 		t.Fatalf("load: %v", err)
 	}
 	if got.Fingerprint != p.Fingerprint || got.CreatedUnix != 12345 ||
-		got.BitsetNsPerRow != p.BitsetNsPerRow || got.GPUDimsPerSec != p.GPUDimsPerSec {
+		got.BitsetNsPerRow != p.BitsetNsPerRow || got.SQ8DimsPerSec != p.SQ8DimsPerSec {
 		t.Errorf("round trip mismatch: %+v vs %+v", got, p)
 	}
 	if len(got.KernelDimsPerSec) != len(p.KernelDimsPerSec) {
@@ -85,5 +87,44 @@ func TestLoadOrCalibrate(t *testing.T) {
 	}
 	if p5.Stale() {
 		t.Error("re-measured profile still stale")
+	}
+}
+
+// TestLoadsProfileWithRetiredDeviceKeys: a profile written before the
+// device-model rates left the schema (pcie_*, gpu_dims_per_sec) still
+// loads as fresh — the retired keys are ignored and every remaining field
+// means what it meant, so the fingerprint version did not move and the
+// server does not re-measure on upgrade.
+func TestLoadsProfileWithRetiredDeviceKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), CalibrationFile)
+	old := fmt.Sprintf(`{
+  "fingerprint": %q,
+  "created_unix": 1700000000,
+  "gomaxprocs": %d,
+  "kernel_dims_per_sec": {"scalar": 2.5e9, "avx2": 8e9},
+  "sq8_dims_per_sec": 16000000000,
+  "row_overhead_ns": 30,
+  "row_ns_per_dim": 0.5,
+  "lookup_ns": 40,
+  "bitset_ns_per_row": 1.2,
+  "bitset_ns_per_match": 20,
+  "pcie_bytes_per_sec": 1500000000,
+  "pcie_latency_ns": 30000,
+  "gpu_dims_per_sec": 64000000000
+}
+`, Fingerprint(), runtime.GOMAXPROCS(0))
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, loaded, err := LoadOrCalibrate(path, false)
+	if err != nil || !loaded {
+		t.Fatalf("loaded=%v err=%v, want the persisted profile reused", loaded, err)
+	}
+	if p.CreatedUnix != 1700000000 || p.SQ8DimsPerSec != 16e9 || p.BitsetNsPerMatch != 20 ||
+		p.KernelDimsPerSec["avx2"] != 8e9 {
+		t.Errorf("fields lost on load: %+v", p)
+	}
+	if buf, _ := os.ReadFile(path); string(buf) != old {
+		t.Error("a fresh profile was rewritten on load")
 	}
 }

@@ -1,29 +1,30 @@
 // Package plan implements the cost-based query planner: a calibrated
-// per-query choice of execution venue (flat-CPU / IVF-CPU / GPU / SQ8H)
-// and of filter strategy (pushdown vs attribute-first exact scan vs
-// filtered graph traversal).
+// per-query estimate and label for the CPU venue a query runs on (flat scan
+// or IVF probe), and a choice of filter strategy (pushdown vs
+// attribute-first exact scan vs filtered graph traversal).
 //
-// "To GPU or Not to GPU" (PAPERS.md) argues placement must be decided per
-// query from transfer-vs-compute cost, and the paper's Fig. 13 shows the
-// best SQ8 venue flipping with batch size; BENCH_filter.json shows IVF
-// pushdown losing below ~10% selectivity because the O(n) bitset compile
-// outweighs the partial scan. This package prices each candidate with a
-// handful of calibrated machine primitives (per-SIMD-tier kernel
-// throughput, SQ8 ADC throughput, bitset compile ns/row, per-row exact
-// distance cost, PCIe latency and bandwidth from the gpu device model) and
-// picks the cheapest — recording the decision, its estimate, and later the
-// estimate-vs-actual ratio so mispredictions are auditable
-// (vectordb_plan_decisions_total / vectordb_plan_mispredict_total, plus
-// plan= trace annotations written by the callers).
+// BENCH_filter.json shows IVF pushdown losing below ~10% selectivity
+// because the O(n) bitset compile outweighs the partial scan. This package
+// prices each candidate with a handful of calibrated machine primitives
+// (per-SIMD-tier kernel throughput, SQ8 ADC throughput, bitset compile
+// ns/row, per-row exact distance cost) and picks the cheapest — recording
+// the decision, its estimate, and later the estimate-vs-actual ratio so
+// mispredictions are auditable (vectordb_plan_decisions_total /
+// vectordb_plan_mispredict_total, plus plan= trace annotations written by
+// the callers).
+//
+// Only venues the serving engine can execute are priced here. The paper's
+// device placement (Fig. 13's pure-GPU vs hybrid crossover) runs on a
+// simulated device, so its pricing lives with that model: cmd/benchplan
+// prices the device plans from the device's advertised rates, and
+// internal/index/sq8h switches plans on its own batch-size Threshold.
 //
 // The planner changes venue, never results: callers only offer venues that
-// return identical result sets for the query at hand (GPU and SQ8H compute
-// exact host-side results; the device's virtual clock only prices the
-// plan), so conformance gates hold whatever the planner picks.
+// return identical result sets for the query at hand, so conformance gates
+// hold whatever the planner picks.
 package plan
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -39,13 +40,6 @@ const (
 	VenueFlatCPU Venue = "flat_cpu"
 	// VenueIVFCPU probes an inverted-file index on the CPU.
 	VenueIVFCPU Venue = "ivf_cpu"
-	// VenueGPU ships segment data over PCIe and runs the scan kernel on a
-	// device (results still computed exactly on the host; the device's
-	// virtual clock prices the plan).
-	VenueGPU Venue = "gpu"
-	// VenueSQ8H is the hybrid index: coarse quantizer on the GPU, SQ8 ADC
-	// scan of the probed buckets on the CPU (Fig. 13 / Algorithm 1).
-	VenueSQ8H Venue = "sq8h"
 )
 
 // Strategy is how an attribute-filtered query evaluates its predicate.
@@ -80,13 +74,8 @@ type QueryShape struct {
 	// SQ8 marks quantized codes (the scan leg runs the fused ADC kernel).
 	SQ8 bool
 
-	// DeviceResidentFrac is the fraction of the scan bytes already
-	// resident in GPU memory (0 = everything must cross PCIe).
-	DeviceResidentFrac float64
-
 	// QueueDepth is the live exec-pool backlog (Collection.readLoad);
-	// Workers the pool size. CPU venues slow down with the bucketed load,
-	// device venues do not.
+	// Workers the pool size. Costs scale with the bucketed load.
 	QueueDepth int
 	Workers    int
 }
@@ -124,7 +113,6 @@ type Decision struct {
 	Venue    Venue
 	Strategy Strategy
 	Est      time.Duration // estimated cost of the chosen plan
-	Sticky   bool          // held by hysteresis rather than strictly cheapest
 }
 
 // Choice is the decision's label value (venue or strategy name).
@@ -142,56 +130,21 @@ type Config struct {
 	// Profile fixes the calibration profile (deterministic tests, loaded
 	// persistence). Nil calibrates lazily, once per process.
 	Profile *Profile
-
-	// MappedPenalty scales the per-row cost of block-cache-resident rows
-	// vs hot rows (default 1.5); ColdPenalty of spilled rows that must
-	// promote first (default 6).
-	MappedPenalty float64
-	ColdPenalty   float64
-
-	// SwitchMargin is the hysteresis band: a venue already chosen for a
-	// query shape is kept unless a challenger is at least this fraction
-	// cheaper (default 0.2). Prevents placement flapping on cost jitter.
-	SwitchMargin float64
 }
 
-func (c *Config) defaults() {
-	if c.MappedPenalty <= 0 {
-		c.MappedPenalty = 1.5
-	}
-	if c.ColdPenalty <= 0 {
-		c.ColdPenalty = 6
-	}
-	if c.SwitchMargin <= 0 {
-		c.SwitchMargin = 0.2
-	}
-}
-
-// Planner prices query plans against a calibration profile and remembers
-// recent placements for hysteresis. Safe for concurrent use.
+// Planner prices query plans against a calibration profile. Safe for
+// concurrent use.
 type Planner struct {
-	cfg Config
 	met *planMetrics
 
 	mu   sync.Mutex
 	prof *Profile
-	last map[string]Venue // shape key → venue chosen last time
 }
-
-// maxRemembered bounds the hysteresis memory; shapes are coarse buckets,
-// so real workloads use a handful of entries.
-const maxRemembered = 1024
 
 // New creates a planner. With a nil Config.Profile the first decision
 // triggers the process-wide lazy calibration pass.
 func New(cfg Config) *Planner {
-	cfg.defaults()
-	return &Planner{
-		cfg:  cfg,
-		met:  newPlanMetrics(cfg.Obs),
-		prof: cfg.Profile,
-		last: map[string]Venue{},
-	}
+	return &Planner{met: newPlanMetrics(cfg.Obs), prof: cfg.Profile}
 }
 
 // UseProfile replaces the calibration profile (e.g. after loading a
@@ -225,17 +178,22 @@ func fin(x float64) float64 {
 	return x
 }
 
+// Residency penalties: the per-row cost of block-cache-resident rows, and of
+// spilled rows that must promote first, relative to hot rows.
+const (
+	mappedPenalty = 1.5
+	coldPenalty   = 6
+)
+
 // effRows weights the candidate rows by residency: mapped rows pay the
 // block-cache fault path, cold rows the promote-from-spill path.
-func (p *Planner) effRows(s QueryShape) float64 {
-	return float64(s.HotRows) +
-		p.cfg.MappedPenalty*float64(s.MappedRows) +
-		p.cfg.ColdPenalty*float64(s.ColdRows)
+func effRows(s QueryShape) float64 {
+	return float64(s.HotRows) + mappedPenalty*float64(s.MappedRows) + coldPenalty*float64(s.ColdRows)
 }
 
 // queueBucket coarsens the live backlog so load only shifts costs at
-// order-of-magnitude boundaries — the "modulo queue-depth hysteresis" of
-// the placement-flapping invariant.
+// order-of-magnitude boundaries: a shape priced twice under the same
+// bucket gets the same estimate.
 func queueBucket(depth, workers int) int {
 	if workers <= 0 {
 		workers = 1
@@ -298,7 +256,7 @@ const (
 // maintenance, scaled by pool load.
 func (p *Planner) CostFlatCPU(s QueryShape) float64 {
 	prof := p.Profile()
-	rows := p.effRows(s)
+	rows := effRows(s)
 	perQ := rows*float64(s.Dim)*prof.kernelNsPerDim(false) + rows*heapNsPerRow
 	return fin(float64(s.NQ) * perQ * loadFactor(s.QueueDepth, s.Workers))
 }
@@ -310,72 +268,11 @@ func (p *Planner) CostIVFCPU(s QueryShape) float64 {
 	prof := p.Profile()
 	nl, np := ivfGeometry(s.Rows(), s.Nlist, s.Nprobe)
 	frac := float64(np) / float64(nl)
-	rows := p.effRows(s) * frac
+	rows := effRows(s) * frac
 	perQ := float64(nl)*float64(s.Dim)*prof.kernelNsPerDim(false) +
 		rows*float64(s.Dim)*prof.kernelNsPerDim(s.SQ8) +
 		rows*heapNsPerRow
 	return fin(float64(s.NQ) * perQ * loadFactor(s.QueueDepth, s.Workers))
-}
-
-// CostGPU prices shipping the non-resident scan bytes over PCIe and
-// running the scan on the device kernel. Unindexed data is a flat device
-// scan of every row. With IVF geometry the device runs the coarse ranking
-// and scans only the probed buckets (the pure-GPU plan of Fig. 13), and
-// only the batch's probed buckets cross PCIe — their expected union grows
-// with nq until the whole dataset is covered. Residency-driven either way:
-// a warm device amortizes the copy away.
-func (p *Planner) CostGPU(s QueryShape) float64 {
-	prof := p.Profile()
-	rows := float64(s.Rows())
-	bytesPerRow := float64(s.Dim) * 4
-	if s.SQ8 {
-		bytesPerRow = float64(s.Dim)
-	}
-	scanRows, coarse, coverage, centroidBytes := rows, 0.0, 1.0, 0.0
-	if s.Nlist > 0 {
-		nl, np := ivfGeometry(s.Rows(), s.Nlist, s.Nprobe)
-		frac := float64(np) / float64(nl)
-		scanRows = rows * frac
-		coarse = float64(nl) * float64(s.Dim)
-		centroidBytes = float64(nl) * float64(s.Dim) * 4
-		coverage = float64(s.NQ) * frac
-		if coverage > 1 {
-			coverage = 1
-		}
-	}
-	miss := (1 - s.DeviceResidentFrac) * (coverage*rows*bytesPerRow + centroidBytes)
-	if miss < 0 {
-		miss = 0
-	}
-	cost := float64(s.NQ) * (coarse + scanRows*float64(s.Dim)) * prof.gpuNsPerDim()
-	if miss > 0 {
-		// The launch latency is a transfer cost: a fully-resident device
-		// pays only kernel time, exactly as the virtual clock charges.
-		cost += prof.PCIeLatencyNs + miss*prof.pcieNsPerByte()
-	}
-	return fin(cost)
-}
-
-// CostSQ8H prices the hybrid plan (Algorithm 1): step 1 compares every
-// query to every bucket centroid on the GPU (centroids stay resident);
-// step 2 scans the probed buckets' SQ8 codes on the CPU with the fused
-// ADC kernel.
-func (p *Planner) CostSQ8H(s QueryShape) float64 {
-	prof := p.Profile()
-	nl, np := ivfGeometry(s.Rows(), s.Nlist, s.Nprobe)
-	frac := float64(np) / float64(nl)
-	centroidMiss := (1 - s.DeviceResidentFrac) * float64(nl) * float64(s.Dim) * 4
-	if centroidMiss < 0 {
-		centroidMiss = 0
-	}
-	step1 := float64(s.NQ) * float64(nl) * float64(s.Dim) * prof.gpuNsPerDim()
-	if centroidMiss > 0 {
-		step1 += prof.PCIeLatencyNs + centroidMiss*prof.pcieNsPerByte()
-	}
-	rows := p.effRows(s) * frac
-	step2 := float64(s.NQ) * (rows*float64(s.Dim)*prof.kernelNsPerDim(true) + rows*heapNsPerRow) *
-		loadFactor(s.QueueDepth, s.Workers)
-	return fin(step1 + step2)
 }
 
 // CostVenue dispatches to the venue's estimator.
@@ -385,71 +282,27 @@ func (p *Planner) CostVenue(v Venue, s QueryShape) float64 {
 		return p.CostFlatCPU(s)
 	case VenueIVFCPU:
 		return p.CostIVFCPU(s)
-	case VenueGPU:
-		return p.CostGPU(s)
-	case VenueSQ8H:
-		return p.CostSQ8H(s)
 	default:
 		return fin(math.MaxFloat64)
 	}
 }
 
-// shapeKey buckets a query shape coarsely (log2 of nq, k and rows, plus
-// the residency and load buckets) so hysteresis memory matches "the same
-// kind of query" rather than exact parameters.
-func shapeKey(scope string, s QueryShape) string {
-	cold := 0
-	if s.ColdRows > 0 {
-		cold = 1
-	} else if s.MappedRows > 0 {
-		cold = 2
-	}
-	return fmt.Sprintf("%s/nq%d/k%d/n%d/r%d/q%d",
-		scope, log2Bucket(s.NQ), log2Bucket(s.K), log2Bucket(s.Rows()), cold,
-		queueBucket(s.QueueDepth, s.Workers))
-}
-
-func log2Bucket(v int) int {
-	b := 0
-	for v > 1 {
-		v >>= 1
-		b++
-	}
-	return b
-}
-
 // PlaceQuery picks the cheapest execution venue among the candidates the
-// caller can serve result-identically. scope keys the hysteresis memory
-// (collection/field); identical shapes keep their venue unless a
-// challenger beats it by the switch margin.
-func (p *Planner) PlaceQuery(scope string, s QueryShape, venues ...Venue) Decision {
+// caller can serve result-identically; the engine offers exactly one, so
+// the decision is its estimate and label. The unused first parameter (a
+// collection/field scope) stays because the benchmark module calls
+// PlaceQuery with it; it goes when that caller does (ROADMAP slice 5b).
+func (p *Planner) PlaceQuery(_ string, s QueryShape, venues ...Venue) Decision {
 	if len(venues) == 0 {
 		venues = []Venue{VenueFlatCPU}
 	}
 	best, bestCost := venues[0], p.CostVenue(venues[0], s)
-	costs := make(map[Venue]float64, len(venues))
-	costs[best] = bestCost
 	for _, v := range venues[1:] {
-		c := p.CostVenue(v, s)
-		costs[v] = c
-		if c < bestCost {
+		if c := p.CostVenue(v, s); c < bestCost {
 			best, bestCost = v, c
 		}
 	}
 	d := Decision{Venue: best, Est: time.Duration(bestCost)}
-	key := shapeKey(scope, s)
-	p.mu.Lock()
-	if prev, ok := p.last[key]; ok && prev != best {
-		if c, offered := costs[prev]; offered && bestCost >= (1-p.cfg.SwitchMargin)*c {
-			// The incumbent is within the margin: hold it.
-			d = Decision{Venue: prev, Est: time.Duration(c), Sticky: true}
-		}
-	}
-	if len(p.last) >= maxRemembered {
-		p.last = map[string]Venue{}
-	}
-	p.last[key] = d.Venue
-	p.mu.Unlock()
 	p.met.decision(d.Choice())
 	return d
 }
@@ -500,8 +353,7 @@ func (p *Planner) CostPushdown(s FilterShape) float64 {
 // zone-map-estimated selectivity: below the calibrated crossover the
 // attribute-first exact scan (strategy A) wins because the O(n) bitset
 // compile outweighs the partial scan; above it the pushdown path wins.
-// Deterministic in the shape — no hysteresis memory is needed because the
-// inputs are already coarse.
+// Deterministic in the shape.
 func (p *Planner) PickFilterStrategy(s FilterShape) Decision {
 	costA := p.CostPrefilter(s)
 	costPush := p.CostPushdown(s)

@@ -27,9 +27,6 @@ func planTestProfile() *plan.Profile {
 		LookupNs:         40,
 		BitsetNsPerRow:   1.2,
 		BitsetNsPerMatch: 20,
-		PCIeBytesPerSec:  1.5e9,
-		PCIeLatencyNs:    30e3,
-		GPUDimsPerSec:    6.4e10,
 	}
 }
 

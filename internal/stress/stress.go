@@ -66,8 +66,9 @@ type Config struct {
 	// PlanCheck arms the query-planner mode (default off): searchers run
 	// traced searches and verify every one carries a plan= decision, and
 	// after quiesce the same workload is replayed back-to-back twice — on
-	// a drained system the two plan sequences must be identical (placement
-	// may only flap under queue-depth changes, which quiesce rules out).
+	// a drained system the two plan sequences must be identical (the
+	// planner is a function of the snapshot's shape and the queue-depth
+	// bucket, and quiesce holds both still).
 	PlanCheck bool
 
 	// RecallFloor is the minimum average recall@K vs. a brute-force scan
@@ -859,8 +860,9 @@ func (h *harness) filteredQuiesceCheck(rng *rand.Rand, live []int64) {
 // planFlapCheck replays one deterministic query workload twice against the
 // drained collection and compares the planner's decisions position by
 // position. With the system quiesced the planner's queue-depth input is
-// constant, so the two passes see identical shapes — any divergence is
-// placement flapping, exactly what the hysteresis margin exists to prevent.
+// constant, so the two passes see identical shapes — and the planner keeps
+// no memory between decisions, so any divergence means a decision depends
+// on something other than the shape it was given.
 func (h *harness) planFlapCheck(rng *rand.Rand) {
 	const queries = 16
 	vecs := make([][]float32, queries)

@@ -239,8 +239,7 @@ func TestStressSpill(t *testing.T) {
 // collection under them (flushes, merges and index builds all change the
 // shape the planner prices). After quiesce the same 16-query workload is
 // replayed back-to-back twice; on a drained system the plan sequences must
-// be identical — any divergence is placement flapping, which the
-// hysteresis margin exists to prevent.
+// be identical — the planner is deterministic in the shape it prices.
 func TestStressPlan(t *testing.T) {
 	if testing.Short() && *faultsFlag != "plan" {
 		t.Skip("stress run skipped in -short mode (force with -faults=plan)")

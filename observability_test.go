@@ -49,8 +49,8 @@ func TestQueryProducesTrace(t *testing.T) {
 	if len(stages) < 4 {
 		t.Fatalf("trace has %d distinct stages %v, want >= 4", len(stages), stages)
 	}
-	if got, _ := tr.Attr("placement"); got != "cpu" {
-		t.Errorf("placement = %q, want cpu", got)
+	if got, _ := tr.Attr("plan"); got != "flat_cpu" {
+		t.Errorf("plan = %q, want flat_cpu", got)
 	}
 	if tr.Duration <= 0 {
 		t.Errorf("trace duration = %v, want > 0", tr.Duration)
