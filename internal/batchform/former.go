@@ -416,9 +416,9 @@ func (f *Former) enqueue(ctx context.Context, key Key, query []float32, window t
 		g.trip = trip
 	}
 	g.items = append(g.items, it)
-	f.pending.Add(1)
 	f.met.batched.Inc()
 	if len(g.items) >= g.trip {
+		f.pending.Add(1)
 		return it, f.takeLocked(key, g)
 	}
 	gen := g.gen
@@ -431,6 +431,9 @@ func (f *Former) enqueue(ctx context.Context, key Key, query []float32, window t
 		}
 		g.gap = f.clock.AfterFunc(f.clampWindow(ctx, gap), func() { f.fire(key, gen) })
 	}
+	// Counted only once its timers are armed: Pending is read without the
+	// lock, and a query seen parked must already have its close scheduled.
+	f.pending.Add(1)
 	return it, nil
 }
 
