@@ -54,14 +54,19 @@ ci: vet fmt build lint test cover kernel-guard conformance-filter conformance-oo
 	$(GO) test -race ./internal/core -run 'TestSearchCtx|TestAdmission'
 
 # conformance-ooc is the out-of-core ground-truth gate: tiered segments
-# (mmap-backed extents, block-cache scans, spilled cold extents) must
-# return bit-identical results to the in-RAM path across flat, IVF, SQ8
-# and filtered searches, survive demote/promote cycles and restores, and
-# tolerate truncated extent files (internal/colstore recovery tests).
+# (mmap-backed extents, block-cache scans, cold copies in the object
+# store) must return bit-identical results to the in-RAM path across flat,
+# IVF, SQ8 and filtered searches, survive demote/promote cycles and
+# restores, and tolerate truncated extent files (internal/colstore
+# recovery tests). Every sealed segment is one SEGX object: it round-trips
+# through DecodeSegment, is Put exactly once, and a corrupted one fails a
+# restore and a cluster reader's load instead of serving altered vectors.
 conformance-ooc:
 	$(GO) test ./internal/core -run TestTiered
 	$(GO) test ./internal/core -run TestDBTierDefaults
+	$(GO) test ./internal/core -run 'TestSegmentEncodeDecodeRoundTrip|TestDecodeSegmentRejectsMutants|FuzzDecodeSegment|TestCorruptSegmentObject|TestOneStoreObjectPerSegment'
 	$(GO) test ./internal/colstore -run TestExtent
+	$(GO) test ./internal/cluster -run TestReaderCorruptSegmentObject
 	$(GO) test ./internal/blockcache
 
 # conformance-filter is the filtered-ANN ground-truth gate: every index

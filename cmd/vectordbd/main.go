@@ -12,10 +12,10 @@
 // in-memory. -query-timeout bounds each search request (0 = unbounded).
 // -batch-window bounds the server-side dynamic-batching window (0 = engine
 // default, negative disables batching); -batch-size caps a formed batch.
-// With -tier-dir, sealed segments live out of core: vector payloads move
-// into mmap-backed extent files under the directory, cold extents spill to
-// the object store, and scans run through a shared block cache capped at
-// -cache-mb MiB. -tier-mapped-mb bounds the summed mmap'd bytes per
+// With -tier-dir, sealed segments live out of core: each segment's stored
+// object is mapped from an extent file under the directory (cold segments
+// keep only the object), and scans run through a shared block cache capped
+// at -cache-mb MiB. -tier-mapped-mb bounds the summed mmap'd bytes per
 // collection (0 = unlimited; the LRU demotes extents past the budget).
 //
 // The query planner calibrates its cost model (kernel throughput per SIMD

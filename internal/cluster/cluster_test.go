@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"vectordb/internal/colstore"
 	"vectordb/internal/core"
 	"vectordb/internal/dataset"
 	"vectordb/internal/objstore"
@@ -236,6 +237,80 @@ func TestWriterCrashRecovery(t *testing.T) {
 	}
 	if res[0].ID != 9005 {
 		t.Fatalf("recovered entity not found by readers: got %d", res[0].ID)
+	}
+}
+
+// TestWriterRestartReplaysCategoricals: an acknowledged insert into a
+// collection with categorical fields survives a crash before flush — the
+// shipped WAL record carries the categorical values and the replay hands
+// them back to the collection.
+func TestWriterRestartReplaysCategoricals(t *testing.T) {
+	const dim = 4
+	cl, err := NewCluster(objstore.NewMemory(), 1, writerCfg(), ReaderConfig{IndexRows: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := clusterSchema(dim)
+	schema.CatFields = []string{"brand"}
+	if err := cl.Writer().CreateCollection("c", schema); err != nil {
+		t.Fatal(err)
+	}
+	ent := func(id int64, brand string) core.Entity {
+		return core.Entity{ID: id, Vectors: [][]float32{{float32(id), 0, 0, 0}}, Attrs: []int64{id}, Cats: []string{brand}}
+	}
+	if err := cl.Writer().Insert("c", []core.Entity{ent(1, "acme")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Writer().Flush("c"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Writer().Insert("c", []core.Entity{ent(2, "globex")}); err != nil {
+		t.Fatal(err)
+	}
+	cl.Writer().Crash()
+	if err := cl.Writer().Restart(); err != nil {
+		t.Fatal(err)
+	}
+	col, err := cl.Writer().Collection("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, brand := range map[int64]string{1: "acme", 2: "globex"} {
+		e, ok := col.Get(id)
+		if !ok {
+			t.Fatalf("row %d lost across the restart", id)
+		}
+		if len(e.Cats) != 1 || e.Cats[0] != brand {
+			t.Fatalf("row %d categoricals = %q, want [%s]", id, e.Cats, brand)
+		}
+	}
+}
+
+// TestReaderCorruptSegmentObject: one flipped payload byte in a stored
+// segment object makes a reader's first search over it fail, rather than
+// serve altered vectors (the image's checksums are verified at load).
+func TestReaderCorruptSegmentObject(t *testing.T) {
+	cl, d := newTestCluster(t, 2)
+	col, err := cl.Writer().Collection("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range col.SegmentKeys() {
+		blob, err := cl.Store.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sf, err := colstore.DecodeSegmentFile(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob[sf.Find(colstore.ExtentVectors, 0).Off+5] ^= 0x40
+		if err := cl.Store.Put(key, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res, err := cl.Search("c", d.Row(0), core.SearchOptions{K: 5}); err == nil {
+		t.Fatalf("search over corrupted segment objects answered %v", res)
 	}
 }
 

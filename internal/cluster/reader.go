@@ -145,7 +145,7 @@ func (r *Reader) CacheStats() (hits, misses int64) {
 	return pool.Stats()
 }
 
-// loadSegment is the bufferpool loader: fetch + decode a segment blob and
+// loadSegment is the bufferpool loader: fetch + decode a segment object and
 // build its local index if it is large.
 func (r *Reader) loadSegment(key string) (any, int64, error) {
 	// key = "<collection>\x00<segmentKey>"
@@ -166,7 +166,7 @@ func (r *Reader) loadSegment(key string) (any, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	seg, err := core.UnmarshalSegment(blob, len(rm.schema.AttrFields), len(rm.schema.CatFields))
+	seg, err := core.DecodeSegment(blob, &rm.schema)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -104,7 +104,7 @@ func (w *Writer) Insert(collection string, entities []core.Entity) error {
 	}
 	records := make([]*wal.Record, len(entities))
 	for i := range entities {
-		records[i] = &wal.Record{Type: wal.RecordInsert, ID: entities[i].ID, Vectors: entities[i].Vectors, Attrs: entities[i].Attrs}
+		records[i] = &wal.Record{Type: wal.RecordInsert, ID: entities[i].ID, Vectors: entities[i].Vectors, Attrs: entities[i].Attrs, Cats: entities[i].Cats}
 	}
 	if err := w.ship(collection, wc, records); err != nil {
 		return err
@@ -256,7 +256,7 @@ func (w *Writer) Restart() error {
 			for _, r := range records {
 				switch r.Type {
 				case wal.RecordInsert:
-					if err := col.Insert([]core.Entity{{ID: r.ID, Vectors: r.Vectors, Attrs: r.Attrs}}); err != nil {
+					if err := col.Insert([]core.Entity{{ID: r.ID, Vectors: r.Vectors, Attrs: r.Attrs, Cats: r.Cats}}); err != nil {
 						return err
 					}
 				case wal.RecordDelete:

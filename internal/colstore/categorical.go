@@ -115,6 +115,11 @@ func UnmarshalStrings(data []byte) ([]string, error) {
 		return nil, fmt.Errorf("colstore: string column too short")
 	}
 	n := int(binary.LittleEndian.Uint32(data))
+	// Every value carries a 4-byte length: bound n by the bytes present
+	// before allocating for it (the count is untrusted input).
+	if n > (len(data)-4)/4 {
+		return nil, fmt.Errorf("colstore: string column claims %d values in %d bytes", n, len(data))
+	}
 	off := 4
 	out := make([]string, n)
 	for i := 0; i < n; i++ {

@@ -89,4 +89,9 @@ func TestStringsRoundTrip(t *testing.T) {
 	if _, err := UnmarshalStrings(append(b, 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
+	// A count the bytes cannot hold is rejected before anything is
+	// allocated for it.
+	if _, err := UnmarshalStrings([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}); err == nil {
+		t.Error("oversized count accepted")
+	}
 }

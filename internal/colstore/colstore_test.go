@@ -117,10 +117,19 @@ func TestVectorColumnRoundTrip(t *testing.T) {
 	if got := col.Row(1); got[0] != 4 || got[2] != 6 {
 		t.Fatalf("Row(1) = %v", got)
 	}
-	c2, err := UnmarshalVectorColumn(col.Marshal())
+	// A column is stored as a vector extent of a segment image.
+	buf, err := EncodeSegmentFile(1, []Extent{{
+		Kind: ExtentVectors, Rows: uint64(col.Rows()), Dim: uint32(col.Dim),
+		Payload: FloatsToBytes(col.Data),
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sf, err := DecodeSegmentFile(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := NewVectorColumn(col.Dim, sf.Find(ExtentVectors, 0).Floats())
 	for i := range col.Data {
 		if col.Data[i] != c2.Data[i] {
 			t.Fatal("round trip mismatch")
@@ -134,65 +143,35 @@ func TestVectorColumnErrors(t *testing.T) {
 			t.Error("ragged column did not panic")
 		}
 	}()
-	if _, err := UnmarshalVectorColumn([]byte{1, 2}); err == nil {
-		t.Error("short data accepted")
-	}
-	b := NewVectorColumn(2, []float32{1, 2}).Marshal()
-	b[0] ^= 0xFF
-	if _, err := UnmarshalVectorColumn(b); err == nil {
-		t.Error("bad magic accepted")
-	}
 	NewVectorColumn(2, []float32{1, 2, 3})
 }
 
-func TestPackUnpackFields(t *testing.T) {
-	f0 := NewVectorColumn(2, []float32{1, 2, 3, 4})
-	f1 := NewVectorColumn(3, []float32{5, 6, 7, 8, 9, 10})
-	packed, err := PackFields([]*VectorColumn{f0, f1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fields, err := UnpackFields(packed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fields) != 2 || fields[0].Dim != 2 || fields[1].Dim != 3 {
-		t.Fatalf("fields = %+v", fields)
-	}
-	if fields[1].Row(1)[2] != 10 {
-		t.Fatal("field data corrupted")
-	}
-}
-
-func TestPackFieldsErrors(t *testing.T) {
-	if _, err := PackFields(nil); err == nil {
-		t.Error("empty pack accepted")
-	}
-	f0 := NewVectorColumn(2, []float32{1, 2})
-	f1 := NewVectorColumn(2, []float32{1, 2, 3, 4})
-	if _, err := PackFields([]*VectorColumn{f0, f1}); err == nil {
-		t.Error("row mismatch accepted")
-	}
-	if _, err := UnpackFields([]byte{1}); err == nil {
-		t.Error("short unpack accepted")
-	}
-}
-
+// TestIDColumnRoundTrip: row IDs and attribute values are both raw
+// little-endian int64 extents, and a length-prefixed payload of the kind
+// earlier encoders wrote is rejected by the shape check.
 func TestIDColumnRoundTrip(t *testing.T) {
 	ids := []int64{1, -2, 1 << 40}
-	got, err := UnmarshalIDs(MarshalIDs(ids))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ids {
-		if got[i] != ids[i] {
-			t.Fatalf("ids = %v", got)
+	for _, kind := range []uint32{ExtentIDs, ExtentAttr} {
+		buf, err := EncodeSegmentFile(1, []Extent{{Kind: kind, Rows: uint64(len(ids)), Payload: Int64sToBytes(ids)}})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := UnmarshalIDs([]byte{0}); err == nil {
-		t.Error("short ids accepted")
-	}
-	if _, err := UnmarshalIDs(MarshalIDs(ids)[:10]); err == nil {
-		t.Error("truncated ids accepted")
+		sf, err := DecodeSegmentFile(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sf.Find(kind, 0).Int64s()
+		for i := range ids {
+			if got[i] != ids[i] {
+				t.Fatalf("kind %d: ids = %v", kind, got)
+			}
+		}
+		prefixed := append([]byte{3, 0, 0, 0}, Int64sToBytes(ids)...)
+		if _, err := EncodeSegmentFile(1, []Extent{{Kind: kind, Rows: uint64(len(ids)), Payload: prefixed}}); err == nil {
+			t.Errorf("kind %d: length-prefixed payload accepted", kind)
+		}
+		if _, err := EncodeSegmentFile(1, []Extent{{Kind: kind, Rows: uint64(len(ids)), Dim: 1, Payload: Int64sToBytes(ids)}}); err == nil {
+			t.Errorf("kind %d: dim 1 accepted", kind)
+		}
 	}
 }

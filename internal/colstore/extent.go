@@ -10,8 +10,9 @@ import (
 	"unsafe"
 )
 
-// Extent file format ("SEGX"): the on-disk columnar layout for sealed
-// segments. One file per segment holds every column — vectors, SQ8 codes,
+// Extent file format ("SEGX"): the one serialised form of a sealed segment
+// — the same image is its object-store copy and its mmap-backed local
+// file. One image per segment holds every column — vectors, SQ8 codes,
 // row IDs, attributes, categoricals — as separate length-prefixed extents
 // behind a single directory, so a scan faults in only the column (and the
 // 256-row blocks within it) that it touches. Payloads are 64-byte aligned
@@ -43,16 +44,16 @@ const (
 	extentMaxCount  = 1 << 20
 )
 
-// Extent kinds. Vector-shaped kinds (float32 rows×dim) and code-shaped
-// kinds (uint8 rows×dim) have their length arithmetic validated at decode;
-// opaque kinds carry existing Marshal-format blobs verbatim.
+// Extent kinds. Vector-shaped kinds (float32 rows×dim), code-shaped kinds
+// (uint8 rows×dim) and int64 kinds (8 bytes a row, dim 0) have their length
+// arithmetic validated at decode; the categorical kind is opaque.
 const (
 	ExtentIDs       = uint32(1) // raw int64 row IDs, length = 8*rows
 	ExtentVectors   = uint32(2) // float32 vectors in row order, length = 4*rows*dim
 	ExtentSQ8Codes  = uint32(3) // uint8 SQ8 codes in row order, length = rows*dim
 	ExtentSQ8Params = uint32(4) // float32 min/scale pairs, rows = 2, length = 8*dim
-	ExtentAttr      = uint32(5) // opaque attribute column blob (existing Marshal format)
-	ExtentCats      = uint32(6) // opaque categorical column blob
+	ExtentAttr      = uint32(5) // raw int64 attribute values in row order, length = 8*rows
+	ExtentCats      = uint32(6) // row-aligned strings in MarshalStrings format (opaque)
 	ExtentIVFVecs   = uint32(7) // float32 vectors in IVF build order, length = 4*rows*dim
 	ExtentIVFCodes  = uint32(8) // uint8 SQ8 codes in IVF build order, length = rows*dim
 )
@@ -260,13 +261,13 @@ func validateExtentShape(kind uint32, length, rows uint64, dim uint32) error {
 		elem = 4
 	case ExtentSQ8Codes, ExtentIVFCodes:
 		elem = 1
-	case ExtentIDs:
+	case ExtentIDs, ExtentAttr:
 		if dim != 0 || length%8 != 0 || rows != length/8 {
-			return fmt.Errorf("id extent shape inconsistent (rows=%d dim=%d len=%d)", rows, dim, length)
+			return fmt.Errorf("int64 extent kind %d shape inconsistent (rows=%d dim=%d len=%d)", kind, rows, dim, length)
 		}
 		return nil
-	case ExtentAttr, ExtentCats:
-		return nil // opaque blobs in their own Marshal format
+	case ExtentCats:
+		return nil // opaque blob in MarshalStrings format
 	default:
 		return fmt.Errorf("unknown extent kind %d", kind)
 	}
@@ -336,20 +337,9 @@ func DecodeSegmentFile(data []byte) (*SegmentFile, error) {
 	return sf, nil
 }
 
-// WriteSegmentFile encodes and atomically writes a segment's extent file
-// (temp file + fsync + rename, the same discipline as objstore.FS).
-func WriteSegmentFile(path string, segID int64, extents []Extent) error {
-	buf, err := EncodeSegmentFile(segID, extents)
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, buf)
-}
-
-// WriteFileAtomic writes data to path with the temp + fsync + rename
-// discipline. Callers that already hold an encoded extent image (e.g. the
-// promotion path, which just fetched it from the cold tier) use this to
-// avoid re-encoding.
+// WriteFileAtomic writes an encoded extent image to path with the temp +
+// fsync + rename discipline. Sealing writes the image it just stored in the
+// object store, promotion the one it just fetched back: neither re-encodes.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -427,10 +417,6 @@ func OpenSegmentFile(path string) (*MappedFile, error) {
 
 // Size returns the byte length of the underlying file image.
 func (m *MappedFile) Size() int { return len(m.data) }
-
-// Bytes returns the whole file image (used to spill the file to objstore
-// without re-reading it).
-func (m *MappedFile) Bytes() []byte { return m.data }
 
 // Close unmaps the file. All extent views become invalid.
 func (m *MappedFile) Close() error {

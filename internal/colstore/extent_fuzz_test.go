@@ -36,7 +36,7 @@ func FuzzDecodeSegmentFile(f *testing.F) {
 				if len(v) != int(e.Rows)*int(e.Dim) {
 					t.Fatalf("extent %d: float view %d != rows*dim %d", i, len(v), int(e.Rows)*int(e.Dim))
 				}
-			case ExtentIDs:
+			case ExtentIDs, ExtentAttr:
 				v := e.Int64s()
 				if len(v) != int(e.Rows) {
 					t.Fatalf("extent %d: id view %d != rows %d", i, len(v), e.Rows)

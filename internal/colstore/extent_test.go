@@ -8,14 +8,16 @@ import (
 )
 
 // testExtents builds a representative extent set: IDs, a vector column,
-// SQ8 codes + params and an opaque attr blob.
+// SQ8 codes + params and an attribute column.
 func testExtents(rows, dim int) []Extent {
 	ids := make([]int64, rows)
 	vecs := make([]float32, rows*dim)
 	codes := make([]byte, rows*dim)
 	params := make([]float32, 2*dim)
+	attrs := make([]int64, rows)
 	for i := range ids {
 		ids[i] = int64(1000 + i)
+		attrs[i] = int64(-7 * i)
 	}
 	for i := range vecs {
 		vecs[i] = float32(i)*0.25 - 3
@@ -31,7 +33,7 @@ func testExtents(rows, dim int) []Extent {
 		{Kind: ExtentVectors, Field: 0, Rows: uint64(rows), Dim: uint32(dim), Payload: FloatsToBytes(vecs)},
 		{Kind: ExtentSQ8Codes, Field: 0, Rows: uint64(rows), Dim: uint32(dim), Payload: codes},
 		{Kind: ExtentSQ8Params, Field: 0, Rows: 2, Dim: uint32(dim), Payload: FloatsToBytes(params)},
-		{Kind: ExtentAttr, Field: 1, Rows: uint64(rows), Payload: []byte("opaque-attr-blob")},
+		{Kind: ExtentAttr, Field: 1, Rows: uint64(rows), Payload: Int64sToBytes(attrs)},
 	}
 }
 
@@ -74,8 +76,11 @@ func TestExtentRoundTrip(t *testing.T) {
 		t.Fatalf("id view wrong: len=%d first=%d last=%d", len(ids), ids[0], ids[len(ids)-1])
 	}
 	ae := sf.Find(ExtentAttr, 1)
-	if ae == nil || string(ae.Payload) != "opaque-attr-blob" {
-		t.Fatalf("attr extent wrong: %v", ae)
+	if ae == nil {
+		t.Fatal("attr extent missing")
+	}
+	if attrs := ae.Int64s(); len(attrs) != rows || attrs[rows-1] != int64(-7*(rows-1)) {
+		t.Fatalf("attr view wrong: %v", attrs)
 	}
 }
 
@@ -83,8 +88,11 @@ func TestExtentMappedOpen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "seg-7.segx")
 	rows, dim := 300, 16 // crosses a 256-row block boundary
-	exts := testExtents(rows, dim)
-	if err := WriteSegmentFile(path, 7, exts); err != nil {
+	buf, err := EncodeSegmentFile(7, testExtents(rows, dim))
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if err := WriteFileAtomic(path, buf); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	mf, err := OpenSegmentFile(path)

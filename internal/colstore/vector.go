@@ -1,10 +1,6 @@
 package colstore
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // VectorColumn stores one vector field for all rows of a segment,
 // contiguously in row-ID order (single-vector layout of Sec. 2.4: row IDs
@@ -30,126 +26,3 @@ func (v *VectorColumn) Rows() int { return len(v.Data) / v.Dim }
 // Row returns vector i ("given a row ID, Milvus can directly access the
 // corresponding vector since each vector is of the same length").
 func (v *VectorColumn) Row(i int) []float32 { return v.Data[i*v.Dim : (i+1)*v.Dim] }
-
-const vectorColumnMagic = uint32(0x56454343) // "VECC"
-
-// Marshal serializes the column.
-func (v *VectorColumn) Marshal() []byte {
-	buf := make([]byte, 12+4*len(v.Data))
-	binary.LittleEndian.PutUint32(buf[0:], vectorColumnMagic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(v.Dim))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(v.Data)))
-	off := 12
-	for _, x := range v.Data {
-		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(x))
-		off += 4
-	}
-	return buf
-}
-
-// UnmarshalVectorColumn parses a column serialized with Marshal.
-func UnmarshalVectorColumn(data []byte) (*VectorColumn, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("colstore: vector column too short (%d bytes)", len(data))
-	}
-	if binary.LittleEndian.Uint32(data[0:]) != vectorColumnMagic {
-		return nil, fmt.Errorf("colstore: bad vector column magic")
-	}
-	dim := int(binary.LittleEndian.Uint32(data[4:]))
-	n := int(binary.LittleEndian.Uint32(data[8:]))
-	if dim <= 0 || n%dim != 0 || len(data) != 12+4*n {
-		return nil, fmt.Errorf("colstore: vector column header inconsistent (dim=%d n=%d len=%d)", dim, n, len(data))
-	}
-	out := make([]float32, n)
-	off := 12
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-	}
-	return &VectorColumn{Dim: dim, Data: out}, nil
-}
-
-// PackFields lays multiple vector fields out column-grouped as Sec. 2.4
-// describes for multi-vector entities: {A.v1, B.v1, C.v1, A.v2, B.v2, C.v2}.
-// Every field must have the same row count.
-func PackFields(fields []*VectorColumn) ([]byte, error) {
-	if len(fields) == 0 {
-		return nil, fmt.Errorf("colstore: no fields to pack")
-	}
-	rows := fields[0].Rows()
-	for i, f := range fields {
-		if f.Rows() != rows {
-			return nil, fmt.Errorf("colstore: field %d has %d rows, want %d", i, f.Rows(), rows)
-		}
-	}
-	var out []byte
-	header := make([]byte, 8)
-	binary.LittleEndian.PutUint32(header[0:], uint32(len(fields)))
-	binary.LittleEndian.PutUint32(header[4:], uint32(rows))
-	out = append(out, header...)
-	for _, f := range fields {
-		b := f.Marshal()
-		lenBuf := make([]byte, 4)
-		binary.LittleEndian.PutUint32(lenBuf, uint32(len(b)))
-		out = append(out, lenBuf...)
-		out = append(out, b...)
-	}
-	return out, nil
-}
-
-// UnpackFields reverses PackFields.
-func UnpackFields(data []byte) ([]*VectorColumn, error) {
-	if len(data) < 8 {
-		return nil, fmt.Errorf("colstore: packed fields too short")
-	}
-	nf := int(binary.LittleEndian.Uint32(data[0:]))
-	off := 8
-	out := make([]*VectorColumn, 0, nf)
-	for i := 0; i < nf; i++ {
-		if off+4 > len(data) {
-			return nil, fmt.Errorf("colstore: packed fields truncated at field %d", i)
-		}
-		l := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		if off+l > len(data) {
-			return nil, fmt.Errorf("colstore: packed field %d overruns buffer", i)
-		}
-		col, err := UnmarshalVectorColumn(data[off : off+l])
-		if err != nil {
-			return nil, fmt.Errorf("colstore: field %d: %w", i, err)
-		}
-		out = append(out, col)
-		off += l
-	}
-	return out, nil
-}
-
-// IDColumn serializes a row-ID list.
-func MarshalIDs(ids []int64) []byte {
-	buf := make([]byte, 4+8*len(ids))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(ids)))
-	off := 4
-	for _, id := range ids {
-		binary.LittleEndian.PutUint64(buf[off:], uint64(id))
-		off += 8
-	}
-	return buf
-}
-
-// UnmarshalIDs reverses MarshalIDs.
-func UnmarshalIDs(data []byte) ([]int64, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("colstore: id column too short")
-	}
-	n := int(binary.LittleEndian.Uint32(data[0:]))
-	if len(data) != 4+8*n {
-		return nil, fmt.Errorf("colstore: id column length mismatch")
-	}
-	out := make([]int64, n)
-	off := 4
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(data[off:]))
-		off += 8
-	}
-	return out, nil
-}

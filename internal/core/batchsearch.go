@@ -165,7 +165,7 @@ func (c *Collection) batchSegment(seg *Segment, visible *bitset.Bitset, field in
 	}
 	data, rel, err := seg.vectorData(field)
 	if err != nil {
-		// Spill promotion exhausted its retries; the segment contributes
+		// Promotion exhausted its retries; the segment contributes
 		// nothing to this batch rather than torn results.
 		return false
 	}

@@ -75,19 +75,17 @@ type Config struct {
 	// clock. Tests pass batchform.NewFake for deterministic triggers.
 	BatchClock batchform.Clock
 	// TierDir enables out-of-core sealed segments when non-empty: each
-	// sealed segment's columns are written as one mmap-backed extent file
-	// under this directory, vector payloads are dropped from the Go heap,
-	// and scans fault 256-row blocks through the block cache. Empty keeps
-	// the all-RAM behaviour.
+	// sealed segment's stored image is also written as one mmap-backed
+	// extent file under this directory, vector payloads are dropped from
+	// the Go heap, and scans fault 256-row blocks through the block cache.
+	// A demoted segment's cold copy is its object in the collection's
+	// store. Empty keeps the all-RAM behaviour.
 	TierDir string
 	// TierCache is the block cache serving tiered scans; nil with TierDir
 	// set creates a collection-private cache of TierCacheBytes capacity
 	// (0 = unbounded) and registers its vectordb_blockcache_* series.
 	TierCache      *blockcache.Cache
 	TierCacheBytes int64
-	// TierSpill is the cold-tier store extent files demote to; nil means
-	// the collection's own object store.
-	TierSpill objstore.Store
 	// TierMappedBytes bounds the summed size of mmap'd extent files; when
 	// exceeded, the least-recently-used unpinned mapped segments demote to
 	// cold. 0 keeps every tiered segment mapped.
@@ -220,23 +218,19 @@ func NewCollection(name string, schema Schema, store objstore.Store, cfg Config)
 				}
 			}, "collection", name)
 		}
-		spill := cfg.TierSpill
-		if spill == nil {
-			spill = store
-		}
 		c.tier = &collTier{
 			dir:    filepath.Join(cfg.TierDir, name),
 			cache:  cache,
-			spill:  spill,
+			store:  store,
 			budget: cfg.TierMappedBytes,
 			met:    c.met,
 			segs:   map[uint64]*segTier{},
 		}
 	}
 	c.snaps = newSnapTracker(func(seg *Segment) {
-		// Background GC of obsolete segments (Sec. 5.2): drop the data blob,
-		// any persisted per-field indexes, and the tiered extent storage
-		// (local file, cached blocks, spill object).
+		// Background GC of obsolete segments (Sec. 5.2): drop the segment
+		// object, any persisted per-field indexes, and the tiered extent
+		// storage (local files, cached blocks, index-payload objects).
 		key := c.segmentKey(seg.ID)
 		_ = c.store.Delete(key)
 		for f := range schema.VectorFields {
@@ -482,20 +476,39 @@ func (c *Collection) buildSegment(rows []Entity) (*Segment, error) {
 		seg.RawCats = append(seg.RawCats, raw)
 	}
 	seg.buildAttrColumns()
-	blob, err := seg.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	if err := c.store.Put(c.segmentKey(seg.ID), blob); err != nil {
-		return nil, fmt.Errorf("core: persist segment %d: %w", seg.ID, err)
-	}
-	if err := c.tierSegment(seg); err != nil {
+	if err := c.seal(seg); err != nil {
 		// The flush path retries the whole seal on the next flush; nothing
 		// acknowledged is lost.
 		return nil, err
 	}
 	c.met.segBuilt.Inc()
 	return seg, nil
+}
+
+// seal persists a freshly built segment; flush and merge share it. The
+// segment's one serialised form, the SEGX image encodeSegment builds, is
+// Put once under its segment key (a few attempts, so one injected store
+// fault does not bounce the whole flush or merge), and with tiering on the
+// same image becomes its mapped local extent file.
+func (c *Collection) seal(seg *Segment) error {
+	img, err := encodeSegment(seg)
+	if err != nil {
+		return fmt.Errorf("core: encode segment %d: %w", seg.ID, err)
+	}
+	key := c.segmentKey(seg.ID)
+	for attempt := 0; attempt < 3; attempt++ {
+		if err = c.store.Put(key, img); err == nil {
+			break
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("core: persist segment %d: %w", seg.ID, err)
+	}
+	if err := c.tierSegment(seg, img); err != nil {
+		_ = c.store.Delete(key) // the segment never goes live
+		return err
+	}
+	return nil
 }
 
 // scheduleIndex queues index building for segments that cross the size
@@ -794,7 +807,7 @@ func (c *Collection) Get(id int64) (*Entity, bool) {
 		for f := range c.schema.VectorFields {
 			rowAt, rel, err := seg.vectorRows(f)
 			if err != nil {
-				// Spill promotion exhausted its retries; the row is not
+				// Promotion exhausted its retries; the row is not
 				// readable right now. Treat as absent rather than torn.
 				return nil, false
 			}

@@ -353,48 +353,6 @@ func TestPinnedSnapshotDefersGC(t *testing.T) {
 	}
 }
 
-func TestSegmentMarshalRoundTrip(t *testing.T) {
-	c := newTestCollection(t, 4)
-	ents := mkEntities(30, 4, 80)
-	c.Insert(ents)
-	c.Flush()
-	sn := c.AcquireSnapshot()
-	defer c.ReleaseSnapshot(sn)
-	seg := sn.Segments[0]
-	blob, err := seg.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalSegment(blob, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != seg.ID || got.Rows() != seg.Rows() {
-		t.Fatalf("round trip: id=%d rows=%d", got.ID, got.Rows())
-	}
-	for i := range seg.IDs {
-		if got.IDs[i] != seg.IDs[i] || got.RawAttrs[0][i] != seg.RawAttrs[0][i] {
-			t.Fatal("ids/attrs corrupted")
-		}
-	}
-	for i := range seg.Vectors[0].Data {
-		if got.Vectors[0].Data[i] != seg.Vectors[0].Data[i] {
-			t.Fatal("vectors corrupted")
-		}
-	}
-	// Rebuilt attribute column must answer queries identically.
-	v, ok := got.AttrByID(0, seg.IDs[3])
-	if !ok || v != seg.RawAttrs[0][3] {
-		t.Fatalf("AttrByID = %d,%v", v, ok)
-	}
-	if _, err := UnmarshalSegment(blob[:8], 1); err == nil {
-		t.Error("truncated segment accepted")
-	}
-	if _, err := UnmarshalSegment(blob, 3); err == nil {
-		t.Error("wrong attr count accepted")
-	}
-}
-
 func TestAutoIndexOnLargeSegments(t *testing.T) {
 	cfg := testConfig()
 	cfg.FlushRows = 256

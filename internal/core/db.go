@@ -110,11 +110,11 @@ type TierDefaults struct {
 }
 
 // EnableTiering installs database-wide out-of-core defaults. Every
-// collection created afterwards without explicit tier settings seals its
-// segments into mmap-backed extent files under Dir/<collection>, spills
-// cold extents into the database's object store, and serves blocked scans
-// from one shared capacity-bounded block cache, whose series are
-// registered here — once, unlabeled by collection — on the database's
+// collection created afterwards without explicit tier settings maps its
+// sealed segment objects as extent files under Dir/<collection> (a cold
+// segment keeps only its object in the database's store), and serves
+// blocked scans from one shared capacity-bounded block cache, whose series
+// are registered here — once, unlabeled by collection — on the database's
 // registry. A second call, or a call with an empty Dir, is a no-op.
 func (db *DB) EnableTiering(d TierDefaults) {
 	db.mu.Lock()

@@ -170,14 +170,7 @@ func (c *Collection) mergeSegments(group []int, sn *Snapshot) (*Segment, error) 
 	seg.RawAttrs = raw
 	seg.RawCats = rawCats
 	seg.buildAttrColumns()
-	blob, err := seg.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	if err := c.store.Put(c.segmentKey(seg.ID), blob); err != nil {
-		return nil, err
-	}
-	if err := c.tierSegment(seg); err != nil {
+	if err := c.seal(seg); err != nil {
 		return nil, err
 	}
 	return seg, nil

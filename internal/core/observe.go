@@ -32,7 +32,7 @@ type colMetrics struct {
 	tierSealed         *obs.Counter // segments written as extent files at seal
 	tierIdxSealed      *obs.Counter // IVF index payloads externalized to extent files
 	tierPromotes       *obs.Counter // cold→mapped transitions (incl. fresh maps)
-	tierPromoteRetries *obs.Counter // spill fetch attempts beyond the first
+	tierPromoteRetries *obs.Counter // store fetch attempts beyond the first
 	tierPromoteErrs    *obs.Counter // promotions that exhausted their retries
 	tierDemotes        *obs.Counter // mapped→cold transitions
 

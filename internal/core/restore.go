@@ -34,7 +34,7 @@ func (c *Collection) Tombstones() map[int64]int64 {
 	return out
 }
 
-// RestoreCollection reconstructs a collection from segment blobs in store —
+// RestoreCollection reconstructs a collection from segment objects in store —
 // the stateless-restart path of Sec. 5.3. segKeys are object-store keys as
 // published by SegmentKeys; deleted is the tombstone map from the manifest.
 func RestoreCollection(name string, schema Schema, store objstore.Store, cfg Config, segKeys []string, deleted map[int64]int64) (*Collection, error) {
@@ -50,7 +50,7 @@ func RestoreCollection(name string, schema Schema, store objstore.Store, cfg Con
 			c.Close()
 			return nil, fmt.Errorf("core: restore %s: %w", key, err)
 		}
-		seg, err := UnmarshalSegment(blob, len(schema.AttrFields), len(schema.CatFields))
+		seg, err := decodeSegment(blob, &schema, c.tier != nil)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("core: restore %s: %w", key, err)
@@ -58,11 +58,11 @@ func RestoreCollection(name string, schema Schema, store objstore.Store, cfg Con
 		if seg.ID > maxID {
 			maxID = seg.ID
 		}
-		// A tiered restore re-seals the segment out of core immediately:
-		// the unmarshaled columns exist only long enough to write (or
-		// re-adopt) the extent file, so a reader restoring a dataset much
-		// larger than RAM never holds it resident.
-		if err := c.tierSegment(seg); err != nil {
+		// A tiered restore maps the fetched image as the segment's extent
+		// file at once (no re-encode, no re-Put): the decoded vector columns
+		// live only until then, so a reader restoring a dataset much larger
+		// than RAM never holds it resident.
+		if err := c.tierSegment(seg, blob); err != nil {
 			c.Close()
 			return nil, fmt.Errorf("core: restore %s: %w", key, err)
 		}

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"vectordb/internal/bitset"
@@ -38,9 +38,10 @@ type Segment struct {
 	fused   index.Index   // optional index over concatenated vector fields
 
 	// tier, when set, is the out-of-core residency state machine: the
-	// vector payloads live in an mmap-backed extent file (and the spill
-	// store) instead of Vectors[f].Data, and every read goes through the
-	// vectorSource/vectorData/vectorRows accessors. Nil = hot (all-RAM).
+	// vector payloads live in an mmap-backed extent file (and the segment's
+	// object in the store) instead of Vectors[f].Data, and every read goes
+	// through the vectorSource/vectorData/vectorRows accessors. Nil = hot
+	// (all-RAM).
 	tier *segTier
 
 	// tierIdx maps vector field → the externalized IVF payload tier (the
@@ -198,7 +199,7 @@ func (s *Segment) FusedIndex() index.Index {
 }
 
 // FusedData materializes the row-major concatenation of all vector fields.
-// Returns nil if a tiered segment's storage is unreadable (spill promotion
+// Returns nil if a tiered segment's storage is unreadable (promotion
 // exhausted its retries).
 func (s *Segment) FusedData() []float32 {
 	total := 0
@@ -267,7 +268,7 @@ func (s *Segment) SearchInto(h *topk.Heap, schema *Schema, field int, query []fl
 	}
 	src, err := s.vectorSource(field)
 	if err != nil {
-		// Spill promotion exhausted its retries; this segment contributes
+		// Promotion exhausted its retries; this segment contributes
 		// nothing to the query rather than torn results.
 		return
 	}
@@ -296,89 +297,116 @@ func (s *Segment) BuildIndex(schema *Schema, field int, indexType string, params
 	return nil
 }
 
-// Marshal serializes the segment's data (not its indexes) for the object
-// store: IDs, packed vector fields, raw attribute arrays (the sorted
-// columns with skip pointers are rebuilt on load). Only hot segments
-// marshal — sealing writes the blob before tiering drops the payloads; a
-// tiered segment's columnar record is its extent file.
-func (s *Segment) Marshal() ([]byte, error) {
-	if s.tier != nil {
-		return nil, fmt.Errorf("core: segment %d is tiered; marshal before tiering", s.ID)
+// encodeSegment builds a sealed segment's one serialised form: a SEGX image
+// (colstore's extent-file format) with one extent per column — the row IDs,
+// each vector field, each raw attribute array and each categorical array.
+// The sorted attribute and inverted categorical columns are not stored;
+// decoding rebuilds them. The image is the segment's object in the store
+// and, with tiering on, its mapped local extent file.
+func encodeSegment(seg *Segment) ([]byte, error) {
+	rows := uint64(seg.Rows())
+	extents := []colstore.Extent{{
+		Kind: colstore.ExtentIDs, Rows: rows,
+		Payload: colstore.Int64sToBytes(seg.IDs),
+	}}
+	for f, col := range seg.Vectors {
+		extents = append(extents, colstore.Extent{
+			Kind: colstore.ExtentVectors, Field: uint32(f),
+			Rows: rows, Dim: uint32(col.Dim),
+			Payload: colstore.FloatsToBytes(col.Data),
+		})
 	}
-	packed, err := colstore.PackFields(s.Vectors)
+	for a, raw := range seg.RawAttrs {
+		extents = append(extents, colstore.Extent{
+			Kind: colstore.ExtentAttr, Field: uint32(a), Rows: rows,
+			Payload: colstore.Int64sToBytes(raw),
+		})
+	}
+	for cf, raw := range seg.RawCats {
+		extents = append(extents, colstore.Extent{
+			Kind: colstore.ExtentCats, Field: uint32(cf), Rows: rows,
+			Payload: colstore.MarshalStrings(raw),
+		})
+	}
+	return colstore.EncodeSegmentFile(seg.ID, extents)
+}
+
+// DecodeSegment parses a segment object written by encodeSegment under
+// schema. The image is checksum-verified and its shape checked in full: one
+// ID extent, one vector extent per vector field at the field's dimension,
+// one attribute and one categorical extent per field of those kinds, each
+// holding as many rows as there are IDs, and nothing else. Vector, ID and
+// attribute columns alias blob, which must not change afterwards; the
+// sorted attribute and inverted categorical columns are rebuilt.
+func DecodeSegment(blob []byte, schema *Schema) (*Segment, error) {
+	return decodeSegment(blob, schema, false)
+}
+
+// decodeSegment is DecodeSegment; with ownHot set, the ID and attribute
+// columns are copied out of blob rather than aliased. A tiered segment
+// keeps only those columns in RAM, and the copies let blob — vector payload
+// and all — be collected once the image is mapped.
+func decodeSegment(blob []byte, schema *Schema, ownHot bool) (*Segment, error) {
+	sf, err := colstore.DecodeSegmentFile(blob)
 	if err != nil {
 		return nil, err
 	}
-	parts := [][]byte{colstore.MarshalIDs(s.IDs), packed}
-	for _, raw := range s.RawAttrs {
-		parts = append(parts, colstore.MarshalIDs(raw))
-	}
-	for _, raw := range s.RawCats {
-		parts = append(parts, colstore.MarshalStrings(raw))
-	}
-	var out []byte
-	header := make([]byte, 12)
-	binary.LittleEndian.PutUint64(header[0:], uint64(s.ID))
-	binary.LittleEndian.PutUint32(header[8:], uint32(len(parts)))
-	out = append(out, header...)
-	for _, p := range parts {
-		l := make([]byte, 4)
-		binary.LittleEndian.PutUint32(l, uint32(len(p)))
-		out = append(out, l...)
-		out = append(out, p...)
-	}
-	return out, nil
-}
-
-// UnmarshalSegment reverses Segment.Marshal. nattrs and ncats must match
-// the schema the segment was written under.
-func UnmarshalSegment(data []byte, nattrs int, ncats ...int) (*Segment, error) {
-	nc := 0
-	if len(ncats) > 0 {
-		nc = ncats[0]
-	}
-	if len(data) < 12 {
-		return nil, fmt.Errorf("core: segment blob too short")
-	}
-	seg := &Segment{ID: int64(binary.LittleEndian.Uint64(data[0:]))}
-	nparts := int(binary.LittleEndian.Uint32(data[8:]))
-	if nparts != 2+nattrs+nc {
-		return nil, fmt.Errorf("core: segment blob has %d parts, want %d", nparts, 2+nattrs+nc)
-	}
-	off := 12
-	parts := make([][]byte, nparts)
-	for i := 0; i < nparts; i++ {
-		if off+4 > len(data) {
-			return nil, fmt.Errorf("core: segment blob truncated")
-		}
-		l := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		if off+l > len(data) {
-			return nil, fmt.Errorf("core: segment blob part %d overruns", i)
-		}
-		parts[i] = data[off : off+l]
-		off += l
-	}
-	var err error
-	if seg.IDs, err = colstore.UnmarshalIDs(parts[0]); err != nil {
+	if err := sf.VerifyChecksums(); err != nil {
 		return nil, err
 	}
-	if seg.Vectors, err = colstore.UnpackFields(parts[1]); err != nil {
-		return nil, err
+	// Every lookup below finds a distinct (kind, field) entry, so with the
+	// count matching there is exactly one of each and nothing more.
+	want := 1 + len(schema.VectorFields) + len(schema.AttrFields) + len(schema.CatFields)
+	if len(sf.Extents) != want {
+		return nil, fmt.Errorf("core: segment %d has %d extents, schema wants %d", sf.SegID, len(sf.Extents), want)
 	}
-	for i := 0; i < nattrs; i++ {
-		raw, err := colstore.UnmarshalIDs(parts[2+i])
+	ids := sf.Find(colstore.ExtentIDs, 0)
+	if ids == nil {
+		return nil, fmt.Errorf("core: segment %d has no id extent", sf.SegID)
+	}
+	rows := ids.Rows
+	find := func(kind uint32, field int, dim int) (*colstore.Extent, error) {
+		e := sf.Find(kind, uint32(field))
+		if e == nil || e.Rows != rows || e.Dim != uint32(dim) {
+			return nil, fmt.Errorf("core: segment %d lacks a kind %d extent for field %d with %d rows at dim %d",
+				sf.SegID, kind, field, rows, dim)
+		}
+		return e, nil
+	}
+	seg := &Segment{ID: sf.SegID, IDs: ids.Int64s()}
+	for f, vf := range schema.VectorFields {
+		e, err := find(colstore.ExtentVectors, f, vf.Dim)
 		if err != nil {
 			return nil, err
 		}
-		seg.RawAttrs = append(seg.RawAttrs, raw)
+		seg.Vectors = append(seg.Vectors, colstore.NewVectorColumn(vf.Dim, e.Floats()))
 	}
-	for i := 0; i < nc; i++ {
-		raw, err := colstore.UnmarshalStrings(parts[2+nattrs+i])
+	for a := range schema.AttrFields {
+		e, err := find(colstore.ExtentAttr, a, 0)
 		if err != nil {
 			return nil, err
+		}
+		seg.RawAttrs = append(seg.RawAttrs, e.Int64s())
+	}
+	for cf := range schema.CatFields {
+		e, err := find(colstore.ExtentCats, cf, 0)
+		if err != nil {
+			return nil, err
+		}
+		raw, err := colstore.UnmarshalStrings(e.Payload)
+		if err != nil {
+			return nil, fmt.Errorf("core: segment %d categorical field %d: %w", sf.SegID, cf, err)
+		}
+		if uint64(len(raw)) != rows {
+			return nil, fmt.Errorf("core: segment %d categorical field %d has %d rows, want %d", sf.SegID, cf, len(raw), rows)
 		}
 		seg.RawCats = append(seg.RawCats, raw)
+	}
+	if ownHot {
+		seg.IDs = slices.Clone(seg.IDs)
+		for a := range seg.RawAttrs {
+			seg.RawAttrs[a] = slices.Clone(seg.RawAttrs[a])
+		}
 	}
 	seg.buildAttrColumns()
 	return seg, nil

@@ -28,19 +28,21 @@ import (
 //	         sequential prefetch, scans go block-by-block through the
 //	         block cache.
 //	cold   — the mapping is dropped and the local file removed; the
-//	         extents live only in the spill object store. The first touch
-//	         promotes the segment back to mapped (fetch, verify, re-map),
-//	         with retries against injected spill faults. Promotion is
-//	         single-flight per segment: concurrent readers serialize on
-//	         the segment's mutex and all but the first find it mapped.
+//	         extents live only in the segment's object in the store. The
+//	         first touch promotes the segment back to mapped (fetch,
+//	         verify, re-map), with retries against injected store faults.
+//	         Promotion is single-flight per segment: concurrent readers
+//	         serialize on the segment's mutex and all but the first find
+//	         it mapped.
 //
-// Transitions: seal → mapped (the file is written and mapped at flush, and
-// uploaded to the spill store eagerly so demotion never needs a write);
+// Transitions: seal → mapped (seal Puts the segment's SEGX image to the
+// store, then the same image is written locally and mapped, so demotion
+// never needs a write); restore → mapped (the fetched image, likewise);
 // mapped → cold when the collection's mapped-bytes budget forces the
 // least-recently-used unpinned segment out, or on explicit DemoteAll;
 // cold → mapped on first touch. GC destroys all three.
 
-// promoteRetries bounds how many times a promotion re-attempts the spill
+// promoteRetries bounds how many times a promotion re-attempts the store
 // fetch. Injected-fault stores fail a draw per op; the promotion path must
 // ride through bursts without surfacing errors to queries.
 const promoteRetries = 12
@@ -51,12 +53,13 @@ const promoteRetries = 12
 var tierOwnerSeq atomic.Uint64
 
 // collTier is a collection's tiering state: where extent files live, which
-// cache serves blocks, where cold extents spill, and the mapped-bytes
-// budget with its LRU bookkeeping.
+// cache serves blocks, the store holding every tier's cold copy (the
+// collection's own: a data tier's copy is the segment object itself), and
+// the mapped-bytes budget with its LRU bookkeeping.
 type collTier struct {
 	dir    string
 	cache  *blockcache.Cache
-	spill  objstore.Store
+	store  objstore.Store
 	budget int64 // mapped-bytes ceiling; 0 = unlimited
 	met    *colMetrics
 
@@ -65,7 +68,7 @@ type collTier struct {
 	clock  int64
 	// segs is keyed by block-cache owner, not segment ID: a segment owns up
 	// to one data tier plus one index-payload tier per vector field, each
-	// with its own file, spill key and cache namespace.
+	// with its own file, store key and cache namespace.
 	segs map[uint64]*segTier
 }
 
@@ -171,7 +174,7 @@ type segTier struct {
 	segID int64
 	owner uint64 // block-cache namespace
 	path  string // local extent file
-	key   string // spill-store key
+	key   string // cold copy's store key
 	tick  atomic.Int64
 
 	mu   sync.Mutex
@@ -195,7 +198,7 @@ func (t *segTier) mappedFile() *colstore.MappedFile {
 	return t.mf
 }
 
-// acquire pins the segment's mapping, promoting from the spill store when
+// acquire pins the segment's mapping, promoting from the store when
 // cold. Every acquire must be paired with exactly one release call.
 func (t *segTier) acquire() (*colstore.MappedFile, func(), error) {
 	t.mu.Lock()
@@ -225,8 +228,8 @@ func (t *segTier) acquire() (*colstore.MappedFile, func(), error) {
 	return mf, release, nil
 }
 
-// promoteLocked maps the segment's extent file, fetching it from the spill
-// store when the local copy is gone. Caller holds t.mu. The fetched image
+// promoteLocked maps the segment's extent file, fetching it from the store
+// when the local copy is gone. Caller holds t.mu. The fetched image
 // is checksum-verified while its pages are still hot, then written back to
 // local disk so a re-map after restart skips the fetch.
 func (t *segTier) promoteLocked() (*colstore.MappedFile, error) {
@@ -240,7 +243,7 @@ func (t *segTier) promoteLocked() (*colstore.MappedFile, error) {
 			t.ct.met.tierPromoteRetries.Inc()
 			time.Sleep(time.Duration(attempt) * time.Millisecond)
 		}
-		blob, err := t.ct.spill.Get(t.key)
+		blob, err := t.ct.store.Get(t.key)
 		if err != nil {
 			lastErr = err
 			continue
@@ -268,10 +271,10 @@ func (t *segTier) promoteLocked() (*colstore.MappedFile, error) {
 		return mf, nil
 	}
 	t.ct.met.tierPromoteErrs.Inc()
-	return nil, fmt.Errorf("core: promote segment %d from spill: %w", t.segID, lastErr)
+	return nil, fmt.Errorf("core: promote segment %d from store: %w", t.segID, lastErr)
 }
 
-// demote drops the mapping and the local file, leaving the spill copy as
+// demote drops the mapping and the local file, leaving the store copy as
 // the segment's only storage. Cached blocks stay valid — they are copies —
 // so a recently scanned cold segment still answers from cache. Returns the
 // mapped bytes freed, or 0 when the segment is pinned or already cold.
@@ -290,7 +293,7 @@ func (t *segTier) demote() int64 {
 }
 
 // destroy releases everything on segment GC: mapping, local file, cached
-// blocks, spill object. Safe while readers still hold pins — the mapping
+// blocks, store copy. Safe while readers still hold pins — the mapping
 // closes only when unpinned; a pinned mapping is abandoned to its pin
 // holders (their release is the last reference) and the file goes away
 // underneath it, which mmap semantics allow.
@@ -306,7 +309,7 @@ func (t *segTier) destroy() {
 	t.mu.Unlock()
 	_ = os.Remove(t.path)
 	t.ct.cache.Drop(t.owner)
-	_ = t.ct.spill.Delete(t.key)
+	_ = t.ct.store.Delete(t.key)
 	t.ct.unregister(t, freed)
 }
 
@@ -314,67 +317,27 @@ func (t *segTier) destroy() {
 // key's Ext discriminator.
 func tierExtID(kind, field uint32) uint32 { return kind<<16 | (field & 0xffff) }
 
-// tierSegment writes seg's columns as one extent file, uploads it to the
-// spill store, installs the residency state machine, and drops the vector
-// payloads from RAM. Attribute and categorical columns are encoded into
-// the file too (the file is the segment's complete columnar record) but
-// their RAM copies stay hot — they are small and serve pushdown filters
+// tierSegment makes img — seg's stored object, as seal just Put it or
+// restore just fetched it — the segment's local extent file: it writes the
+// image under the tier directory, maps it, installs the residency state
+// machine, and drops the vector payloads from RAM. The object in the store
+// is the cold copy, so nothing is encoded or uploaded here. Attribute and
+// categorical columns stay hot — they are small and serve pushdown filters
 // and point lookups. No-op when tiering is off or the segment is empty.
-func (c *Collection) tierSegment(seg *Segment) error {
+func (c *Collection) tierSegment(seg *Segment, img []byte) error {
 	ct := c.tier
 	if ct == nil || seg.Rows() == 0 || seg.tier != nil {
 		return nil
-	}
-	rows := uint64(seg.Rows())
-	extents := []colstore.Extent{{
-		Kind: colstore.ExtentIDs, Rows: rows,
-		Payload: colstore.Int64sToBytes(seg.IDs),
-	}}
-	for f, col := range seg.Vectors {
-		extents = append(extents, colstore.Extent{
-			Kind: colstore.ExtentVectors, Field: uint32(f),
-			Rows: rows, Dim: uint32(col.Dim),
-			Payload: colstore.FloatsToBytes(col.Data),
-		})
-	}
-	for a, raw := range seg.RawAttrs {
-		extents = append(extents, colstore.Extent{
-			Kind: colstore.ExtentAttr, Field: uint32(a), Rows: rows,
-			Payload: colstore.MarshalIDs(raw),
-		})
-	}
-	for cf, raw := range seg.RawCats {
-		extents = append(extents, colstore.Extent{
-			Kind: colstore.ExtentCats, Field: uint32(cf), Rows: rows,
-			Payload: colstore.MarshalStrings(raw),
-		})
-	}
-	buf, err := colstore.EncodeSegmentFile(seg.ID, extents)
-	if err != nil {
-		return fmt.Errorf("core: tier segment %d: %w", seg.ID, err)
 	}
 	t := &segTier{
 		ct:    ct,
 		segID: seg.ID,
 		owner: tierOwnerSeq.Add(1),
 		path:  filepath.Join(ct.dir, fmt.Sprintf("seg-%d.segx", seg.ID)),
-		key:   fmt.Sprintf("col/%s/ext/%d", c.Name, seg.ID),
+		key:   c.segmentKey(seg.ID),
 	}
-	if err := colstore.WriteFileAtomic(t.path, buf); err != nil {
+	if err := colstore.WriteFileAtomic(t.path, img); err != nil {
 		return fmt.Errorf("core: tier segment %d: %w", seg.ID, err)
-	}
-	// Eager spill upload: demotion then never needs a write, and a crashed
-	// node's segments are already in shared storage. The seal path retries
-	// a few times so one injected fault does not bounce the whole flush.
-	var putErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		if putErr = ct.spill.Put(t.key, buf); putErr == nil {
-			break
-		}
-	}
-	if putErr != nil {
-		_ = os.Remove(t.path)
-		return fmt.Errorf("core: spill segment %d: %w", seg.ID, putErr)
 	}
 	mf, err := colstore.OpenSegmentFile(t.path)
 	if err != nil {
@@ -685,10 +648,10 @@ func (c *Collection) tierIndexPayload(seg *Segment, field int) {
 	if err != nil {
 		return
 	}
-	// The file name and spill key carry the cache owner: a manual rebuild of
+	// The file name and store key carry the cache owner: a manual rebuild of
 	// an already-externalized field creates a fresh tier for the same
 	// (segment, field), and destroying the replaced tier must not take the
-	// replacement's file or spill object with it.
+	// replacement's file or store object with it.
 	owner := tierOwnerSeq.Add(1)
 	t := &segTier{
 		ct:    ct,
@@ -702,7 +665,7 @@ func (c *Collection) tierIndexPayload(seg *Segment, field int) {
 	}
 	var putErr error
 	for attempt := 0; attempt < 3; attempt++ {
-		if putErr = ct.spill.Put(t.key, buf); putErr == nil {
+		if putErr = ct.store.Put(t.key, buf); putErr == nil {
 			break
 		}
 	}
@@ -713,14 +676,14 @@ func (c *Collection) tierIndexPayload(seg *Segment, field int) {
 	mf, err := colstore.OpenSegmentFile(t.path)
 	if err != nil {
 		_ = os.Remove(t.path)
-		_ = ct.spill.Delete(t.key)
+		_ = ct.store.Delete(t.key)
 		return
 	}
 	y, err := iv.Externalize(&tierIVFExt{t: t, field: uint32(field)})
 	if err != nil {
 		_ = mf.Close()
 		_ = os.Remove(t.path)
-		_ = ct.spill.Delete(t.key)
+		_ = ct.store.Delete(t.key)
 		return
 	}
 	size := int64(mf.Size()) // before seg.tierIdx publishes t, as in tierSegment
@@ -738,7 +701,7 @@ func (c *Collection) tierIndexPayload(seg *Segment, field int) {
 		seg.tierIdxMu.Unlock()
 		_ = mf.Close()
 		_ = os.Remove(t.path)
-		_ = ct.spill.Delete(t.key)
+		_ = ct.store.Delete(t.key)
 		return
 	}
 	seg.SetIndex(field, c.met.idx.Instrument(y))

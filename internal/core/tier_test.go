@@ -135,7 +135,7 @@ func TestTieredConformance(t *testing.T) {
 				}
 				if qi == 10 {
 					// Mid-test demotion: the remaining queries promote data
-					// and index-payload extents back from the spill store.
+					// and index-payload extents back from the object store.
 					tiered.DemoteSegments()
 				}
 				q := ents[qi*37%rows].Vectors[0]
@@ -341,18 +341,18 @@ func TestTieredRestore(t *testing.T) {
 
 // TestTieredIndexRebuild: manually rebuilding an already-externalized
 // field replaces its payload tier. The replaced tier's teardown must not
-// take the replacement's extent file or spill object with it (tier files
-// and spill keys are unique per externalization), and the spill store must
-// hold exactly one payload object per live (segment, field) afterwards.
+// take the replacement's extent file or store object with it (tier files
+// and store keys are unique per externalization), and the collection's
+// store must hold exactly one payload object per live (segment, field)
+// afterwards, beside one object per live segment.
 func TestTieredIndexRebuild(t *testing.T) {
 	const dim, rows = 8, 512
-	spill := objstore.NewMemory()
+	store := objstore.NewMemory()
 	cfg := tierTestConfig(t, dim, rows, 4)
-	cfg.TierSpill = spill
 	cfg.IndexType = "IVF_FLAT"
 	cfg.IndexRows = 64
 	cfg.IndexParams = map[string]string{"nlist": "4"}
-	c, err := NewCollection("t", testSchema(dim), objstore.NewMemory(), cfg)
+	c, err := NewCollection("t", testSchema(dim), store, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,8 +377,8 @@ func TestTieredIndexRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Demote everything: the next search promotes the replacement
-		// payload extents from the spill store — a rebuild that clobbered
-		// its successor's spill object would come back empty.
+		// payload extents from the store — a rebuild that clobbered its
+		// successor's store object would come back empty.
 		c.DemoteSegments()
 		got, err := c.Search(q, opts)
 		if err != nil {
@@ -387,24 +387,27 @@ func TestTieredIndexRebuild(t *testing.T) {
 		sameHits(t, fmt.Sprintf("rebuild %d", round), want, got)
 	}
 	segs := c.Stats().Segments
-	keys, err := spill.List("col/t/ivfext/")
+	keys, err := store.List("col/t/ivfext/")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(keys) != segs {
-		t.Fatalf("%d spill payload objects for %d live segments (rebuild leaked or clobbered)", len(keys), segs)
+		t.Fatalf("%d payload objects for %d live segments (rebuild leaked or clobbered)", len(keys), segs)
 	}
+	if n := len(segmentObjects(t, store, "t")); n != segs {
+		t.Fatalf("%d segment objects for %d live segments", n, segs)
+	}
+	assertNoExtKeys(t, store, "t")
 }
 
-// TestTieredGC: merged-away segments release their extent storage — spill
-// objects are deleted and the cache drops their blocks.
+// TestTieredGC: merged-away segments release their storage — their one
+// store object each is deleted and the cache drops their blocks.
 func TestTieredGC(t *testing.T) {
 	const dim = 8
-	spill := objstore.NewMemory()
+	store := objstore.NewMemory()
 	cfg := tierTestConfig(t, dim, 1024, 0)
-	cfg.TierSpill = spill
 	cfg.MergeFactor = 4
-	c, err := NewCollection("t", testSchema(dim), objstore.NewMemory(), cfg)
+	c, err := NewCollection("t", testSchema(dim), store, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,13 +422,10 @@ func TestTieredGC(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	exts, err := spill.List("col/t/ext/")
-	if err != nil {
-		t.Fatal(err)
+	if n := len(segmentObjects(t, store, "t")); n != st.Segments {
+		t.Fatalf("%d segment objects for %d live segments (merge GC leaked)", n, st.Segments)
 	}
-	if len(exts) != st.Segments {
-		t.Fatalf("%d spill extents for %d live segments (merge GC leaked)", len(exts), st.Segments)
-	}
+	assertNoExtKeys(t, store, "t")
 	if ts := c.TierStats(); ts.Tiered != st.Segments {
 		t.Fatalf("%d tiered registrations for %d live segments", ts.Tiered, st.Segments)
 	}

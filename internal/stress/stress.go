@@ -211,8 +211,8 @@ func Run(cfg Config) (*Report, error) {
 		// Out-of-core mode: a run-private extent dir, a cache far smaller
 		// than the dataset the writers will grow, and a mapped-bytes budget
 		// of a few segments so the LRU demotes continuously even before the
-		// spiller piles on. TierSpill is left nil, so cold-tier traffic rides
-		// the same fault-injected store as segment blobs.
+		// spiller piles on. A cold segment's copy is its segment object in
+		// the fault-injected store, so every promotion rides its faults.
 		dir, err := os.MkdirTemp("", "vectordb-stress-tier-")
 		if err != nil {
 			return nil, err
