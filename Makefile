@@ -27,7 +27,7 @@ fmt:
 
 # lint runs vectordblint, the in-tree stdlib-only static-analysis suite
 # (internal/lint): poolfree, blockpin, ctxflow, kerneldispatch,
-# lockdiscipline, atomicmix, metricreg, clockinject, plus the
+# lockdiscipline, atomicmix, metricreg, plus the
 # interprocedural lockorder/lockdisciplinex/goleak call-graph analyzers.
 # Intentional exceptions carry //lint:allow pragmas in the source; see
 # DESIGN.md §9.

@@ -6,10 +6,10 @@
 //
 // For each concurrency level the same query stream runs twice over
 // identical collections: once with the former at its defaults and once
-// with batching disabled (BatchWindow < 0). Reported per level:
-// throughput, p50/p99 latency (batched latencies include the coalesce
-// wait — the honest cost side), the mean formed-batch occupancy and the
-// share of queries that actually rode a batch.
+// with batching disabled (BatchSize 1). Reported per level: throughput,
+// p50/p99 latency (batched latencies include the time parked waiting for
+// a worker — the honest cost side), the mean formed-batch occupancy and
+// the share of queries that actually rode a batch.
 //
 // Usage:
 //
@@ -87,7 +87,7 @@ func cpuModel() string {
 // rows each. IndexRows is unreachable on purpose: scan segments are where
 // the tile kernels (and therefore batching) apply; indexed segments fall
 // back to per-member index probes either way.
-func buildCollection(pool *exec.Pool, reg *obs.Registry, dim, segs, rowsPerSeg int, window time.Duration) (*core.Collection, error) {
+func buildCollection(pool *exec.Pool, reg *obs.Registry, dim, segs, rowsPerSeg, batchSize int) (*core.Collection, error) {
 	schema := core.Schema{VectorFields: []core.VectorField{{Name: "v", Dim: dim, Metric: vec.L2}}}
 	col, err := core.NewCollection("bench", schema, nil, core.Config{
 		FlushRows:      rowsPerSeg,
@@ -97,7 +97,7 @@ func buildCollection(pool *exec.Pool, reg *obs.Registry, dim, segs, rowsPerSeg i
 		IndexRows:      1 << 30,
 		Exec:           pool,
 		Obs:            reg,
-		BatchWindow:    window,
+		BatchSize:      batchSize,
 	})
 	if err != nil {
 		return nil, err
@@ -214,7 +214,7 @@ func main() {
 	// Defaults mirror the offline tile-kernel regime (BENCH_kernels.json:
 	// dim 128, ~100K rows): queries cost ~1ms, so coalescing overhead is
 	// noise and the tile kernels' cache reuse is the signal. Tiny/cheap
-	// queries (tens of µs) would measure timer overhead, not batching.
+	// queries (tens of µs) would measure hand-off overhead, not batching.
 	segs := flag.Int("segs", 32, "scan segments")
 	rows := flag.Int("rows", 2048, "rows per segment")
 	dim := flag.Int("dim", 128, "vector dimensionality")
@@ -239,7 +239,7 @@ func main() {
 		log.Fatalf("benchbatchform: %v", err)
 	}
 	defer on.Close()
-	off, err := buildCollection(poolOff, obs.NewRegistry(), *dim, *segs, *rows, -1)
+	off, err := buildCollection(poolOff, obs.NewRegistry(), *dim, *segs, *rows, 1)
 	if err != nil {
 		log.Fatalf("benchbatchform: %v", err)
 	}

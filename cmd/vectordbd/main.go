@@ -3,15 +3,15 @@
 //
 // Usage:
 //
-//	vectordbd [-addr :19530] [-data DIR] [-query-timeout 0]
-//	          [-batch-window 0] [-batch-size 0]
+//	vectordbd [-addr :19530] [-data DIR] [-query-timeout 0] [-batch-size 0]
 //	          [-tier-dir DIR] [-cache-mb 256] [-tier-mapped-mb 0]
 //	          [-recalibrate]
 //
 // With -data, segments persist to the directory; otherwise storage is
 // in-memory. -query-timeout bounds each search request (0 = unbounded).
-// -batch-window bounds the server-side dynamic-batching window (0 = engine
-// default, negative disables batching); -batch-size caps a formed batch.
+// Searches run alone while an execution worker is free; when every worker
+// is busy, compatible searches wait together and run as one batch of at
+// most -batch-size (0 = engine default, 1 turns batching off).
 // With -tier-dir, sealed segments live out of core: each segment's stored
 // object is mapped from an extent file under the directory (cold segments
 // keep only the object), and scans run through a shared block cache capped
@@ -45,8 +45,7 @@ func main() {
 	addr := flag.String("addr", ":19530", "listen address")
 	data := flag.String("data", "", "data directory (empty = in-memory)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-search deadline (0 = none)")
-	batchWindow := flag.Duration("batch-window", 0, "dynamic-batching window ceiling (0 = engine default, <0 disables)")
-	batchSize := flag.Int("batch-size", 0, "formed-batch size cap (0 = engine default)")
+	batchSize := flag.Int("batch-size", 0, "formed-batch size cap (0 = engine default, 1 disables batching)")
 	tierDir := flag.String("tier-dir", "", "out-of-core extent directory (empty = segments stay in RAM)")
 	cacheMB := flag.Int64("cache-mb", 256, "shared block-cache capacity in MiB (with -tier-dir)")
 	mappedMB := flag.Int64("tier-mapped-mb", 0, "per-collection mmap budget in MiB (0 = unlimited, with -tier-dir)")
@@ -94,7 +93,6 @@ func main() {
 
 	srv := rest.NewServerWithConfig(db, rest.ServerConfig{
 		QueryTimeout: *queryTimeout,
-		BatchWindow:  *batchWindow,
 		BatchSize:    *batchSize,
 	})
 	log.Printf("vectordbd listening on %s (data: %s)", *addr, dataDesc(*data))

@@ -69,7 +69,7 @@ func TestDriverEndToEnd(t *testing.T) {
 	if code := exitCode(err); code != 0 {
 		t.Fatalf("-list: exit %d, want 0\n%s", code, out)
 	}
-	for _, name := range []string{"poolfree", "blockpin", "ctxflow", "kerneldispatch", "lockdiscipline", "atomicmix", "metricreg", "clockinject", "lockorder", "lockdisciplinex", "goleak"} {
+	for _, name := range []string{"poolfree", "blockpin", "ctxflow", "kerneldispatch", "lockdiscipline", "atomicmix", "metricreg", "lockorder", "lockdisciplinex", "goleak"} {
 		if !strings.Contains(string(out), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out)
 		}

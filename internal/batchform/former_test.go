@@ -5,19 +5,23 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
+	"vectordb/internal/obs"
 	"vectordb/internal/topk"
 )
 
-// testRunner delivers a per-slot sentinel result (ID = slot index) to
-// every live item and records each batch it ran.
+// testRunner delivers a per-member result (ID = the member's query value)
+// to every live item and records each batch it ran. A non-nil gate blocks
+// the first batch inside Run until it is closed, after signalling started.
 type testRunner struct {
 	mu      sync.Mutex
 	batches [][]*Item
 	ctxErrs []error // joined-ctx state observed at run time
+
+	gate    chan struct{}
+	started chan struct{}
+	once    sync.Once
 }
 
 func (r *testRunner) run(ctx context.Context, key Key, items []*Item) {
@@ -25,30 +29,63 @@ func (r *testRunner) run(ctx context.Context, key Key, items []*Item) {
 	r.batches = append(r.batches, items)
 	r.ctxErrs = append(r.ctxErrs, ctx.Err())
 	r.mu.Unlock()
-	for i, it := range items {
+	if r.gate != nil {
+		r.once.Do(func() {
+			close(r.started)
+			<-r.gate
+		})
+	}
+	for _, it := range items {
 		if it.Live() {
-			it.Deliver([]topk.Result{{ID: int64(i)}}, nil)
+			it.Deliver([]topk.Result{{ID: int64(it.Query()[0])}}, nil)
 		}
 	}
 }
 
-func (r *testRunner) batchCount() int {
+// sizes returns the occupancy of every batch run so far, in run order.
+func (r *testRunner) sizes() []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.batches)
+	out := make([]int, len(r.batches))
+	for i, b := range r.batches {
+		out[i] = len(b)
+	}
+	return out
 }
 
-// waitPending spins (yielding, never sleeping) until n queries are parked
-// in forming groups.
-func waitPending(t *testing.T, f *Former, n int) {
+// spin yields (never sleeps) until cond holds, failing the test if it
+// never does.
+func spin(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	for i := 0; i < 1<<24; i++ {
-		if f.Pending() == n {
+	for i := 0; i < 1<<22; i++ {
+		if cond() {
 			return
 		}
 		runtime.Gosched()
 	}
-	t.Fatalf("pending never reached %d (now %d)", n, f.Pending())
+	t.Fatalf("%s never happened", what)
+}
+
+// held returns the number of taken run slots.
+func (f *Former) held() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.busy
+}
+
+// newTestFormer builds a Former and checks, once the test is done, that it
+// ends with no slot held and nothing parked — whatever path each query
+// took, every slot must come back.
+func newTestFormer(t *testing.T, cfg Config) *Former {
+	t.Helper()
+	f := New(cfg)
+	t.Cleanup(func() {
+		spin(t, "every slot returned", func() bool { return f.held() == 0 })
+		if n := f.Pending(); n != 0 {
+			t.Errorf("%d queries still parked at the end", n)
+		}
+	})
+	return f
 }
 
 type submitResult struct {
@@ -57,317 +94,165 @@ type submitResult struct {
 	err error
 }
 
-// submitAsync runs one Submit on its own goroutine and returns the
-// channel its outcome lands on.
-func submitAsync(ctx context.Context, f *Former, key Key, q []float32) chan submitResult {
+// soloSentinel is what the per-query path answers in these tests, so a
+// result tells which path a query took.
+const soloSentinel = -1
+
+func solo() ([]topk.Result, error) { return []topk.Result{{ID: soloSentinel}}, nil }
+
+// submitAsync runs one Submit on its own goroutine and returns the channel
+// its outcome lands on.
+func submitAsync(ctx context.Context, f *Former, key Key, q float32) chan submitResult {
 	ch := make(chan submitResult, 1)
 	go func() {
-		res, occ, err := f.Submit(ctx, key, q)
+		res, occ, err := f.Submit(ctx, key, []float32{q}, nil, solo)
 		ch <- submitResult{res, occ, err}
 	}()
 	return ch
 }
 
+// park submits one query and waits until it is parked.
+func park(t *testing.T, ctx context.Context, f *Former, key Key, q float32) chan submitResult {
+	t.Helper()
+	want := f.Pending() + 1
+	ch := submitAsync(ctx, f, key, q)
+	spin(t, "query parked", func() bool { return f.Pending() == want })
+	return ch
+}
+
+// holdSlots takes every slot with solo queries that block until the
+// returned function is called, and waits until all of them are running.
+// It first waits for the slots to come free: a batch whose members have
+// already been answered may still be handing its slot back.
+func holdSlots(t *testing.T, f *Former) (release func()) {
+	t.Helper()
+	spin(t, "slots free", func() bool { return f.held() == 0 })
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < f.cfg.Slots; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, err := f.Submit(context.Background(), testKey(), []float32{0}, nil, func() ([]topk.Result, error) {
+				<-gate
+				return nil, nil
+			})
+			if err != nil {
+				t.Errorf("slot holder: %v", err)
+			}
+		}()
+	}
+	spin(t, "slots held", func() bool { return f.held() == f.cfg.Slots })
+	return func() {
+		close(gate)
+		wg.Wait()
+	}
+}
+
 func testKey() Key { return Key{Collection: "c", Dim: 1, Metric: "L2", K: 1} }
 
-func newTestFormer(r *testRunner, clock Clock, load *atomic.Int64) *Former {
-	return New(Config{
-		MaxBatch:  4,
-		MinWindow: 500 * time.Microsecond,
-		MaxWindow: 2 * time.Millisecond,
-		LoadScale: 16,
-		Clock:     clock,
-		Load:      func() int { return int(load.Load()) },
-		Run:       r.run,
-	})
-}
-
-func TestPassThroughWhenIdle(t *testing.T) {
-	r := &testRunner{}
-	var load atomic.Int64 // 0: idle
-	f := newTestFormer(r, NewFake(), &load)
-	defer f.Close()
-	_, _, err := f.Submit(context.Background(), testKey(), []float32{1})
-	if !errors.Is(err, ErrPassThrough) {
-		t.Fatalf("idle Submit err = %v, want ErrPassThrough", err)
-	}
-	if got := f.Pending(); got != 0 {
-		t.Fatalf("pending after pass-through = %d, want 0", got)
-	}
-	if r.batchCount() != 0 {
-		t.Fatalf("pass-through formed %d batches, want 0", r.batchCount())
-	}
-	if w := f.Window(); w != 0 {
-		t.Fatalf("idle window = %v, want 0", w)
-	}
-}
-
-func TestSizeTrip(t *testing.T) {
-	r := &testRunner{}
-	var load atomic.Int64
-	load.Store(16) // saturated: trip = MaxBatch = 4
-	clock := NewFake()
-	f := newTestFormer(r, clock, &load)
-	defer f.Close()
-	key := testKey()
-	var chs []chan submitResult
-	for i := 0; i < 3; i++ {
-		chs = append(chs, submitAsync(context.Background(), f, key, []float32{1}))
-	}
-	waitPending(t, f, 3)
-	if r.batchCount() != 0 {
-		t.Fatalf("batch ran before the size trip")
-	}
-	// The 4th submitter trips the batch and runs it inline — the fake
-	// clock never advances, proving the trigger was size, not window.
-	res, occ, err := f.Submit(context.Background(), key, []float32{1})
-	if err != nil || occ != 4 || len(res) != 1 {
-		t.Fatalf("tripping Submit = (%v, %d, %v), want (1 result, occupancy 4, nil)", res, occ, err)
-	}
-	for _, ch := range chs {
-		out := <-ch
-		if out.err != nil || out.occ != 4 || len(out.res) != 1 {
-			t.Fatalf("co-batched Submit = (%v, %d, %v), want (1 result, occupancy 4, nil)", out.res, out.occ, out.err)
-		}
-	}
-	if r.batchCount() != 1 {
-		t.Fatalf("ran %d batches, want 1", r.batchCount())
-	}
-}
-
-func TestWindowTrip(t *testing.T) {
-	r := &testRunner{}
-	var load atomic.Int64
-	load.Store(2) // trip = 3, so two members must ride the window
-	clock := NewFake()
-	f := newTestFormer(r, clock, &load)
-	defer f.Close()
-	key := testKey()
-	ch1 := submitAsync(context.Background(), f, key, []float32{1})
-	ch2 := submitAsync(context.Background(), f, key, []float32{2})
-	waitPending(t, f, 2)
-	if r.batchCount() != 0 {
-		t.Fatalf("batch ran before the window elapsed")
-	}
-	clock.Advance(f.cfg.MaxWindow)
-	for _, ch := range []chan submitResult{ch1, ch2} {
-		out := <-ch
-		if out.err != nil || out.occ != 2 || len(out.res) != 1 {
-			t.Fatalf("window-tripped Submit = (%v, %d, %v), want (1 result, occupancy 2, nil)", out.res, out.occ, out.err)
-		}
-	}
-	if r.batchCount() != 1 {
-		t.Fatalf("ran %d batches, want 1", r.batchCount())
-	}
-}
-
-func TestAutoTuneWidensAndNarrows(t *testing.T) {
-	r := &testRunner{}
-	var load atomic.Int64
-	clock := NewFake()
-	f := newTestFormer(r, clock, &load)
-	defer f.Close()
-	key := testKey()
-
-	// Backlog 1 → the window narrows to MinWindow.
-	load.Store(1)
-	ch := submitAsync(context.Background(), f, key, []float32{1})
-	waitPending(t, f, 1)
-	if w := f.Window(); w != f.cfg.MinWindow {
-		t.Fatalf("window at load 1 = %v, want MinWindow %v", w, f.cfg.MinWindow)
-	}
-	clock.Advance(f.cfg.MaxWindow)
-	<-ch
-
-	// Backlog ≥ LoadScale → the window widens to MaxWindow.
-	load.Store(16)
-	ch = submitAsync(context.Background(), f, key, []float32{1})
-	waitPending(t, f, 1)
-	if w := f.Window(); w != f.cfg.MaxWindow {
-		t.Fatalf("window at load 16 = %v, want MaxWindow %v", w, f.cfg.MaxWindow)
-	}
-	clock.Advance(f.cfg.MaxWindow)
-	<-ch
-
-	// The armed timers must match the tuned windows, in order.
-	armed := clock.Armed()
-	if len(armed) != 2 || armed[0] != f.cfg.MinWindow || armed[1] != f.cfg.MaxWindow {
-		t.Fatalf("armed windows = %v, want [%v %v]", armed, f.cfg.MinWindow, f.cfg.MaxWindow)
-	}
-	// Mid-range backlog lands strictly between the bounds.
-	load.Store(8)
-	ch = submitAsync(context.Background(), f, key, []float32{1})
-	waitPending(t, f, 1)
-	if w := f.Window(); w <= f.cfg.MinWindow || w >= f.cfg.MaxWindow {
-		t.Fatalf("window at load 8 = %v, want strictly inside (%v, %v)", w, f.cfg.MinWindow, f.cfg.MaxWindow)
-	}
-	clock.Advance(f.cfg.MaxWindow)
-	<-ch
-}
-
-// deadlineCtx advertises a deadline in fake-clock time without ever
-// expiring on its own.
-type deadlineCtx struct {
-	context.Context
-	dl time.Time
-}
-
-func (d deadlineCtx) Deadline() (time.Time, bool) { return d.dl, true }
-
-func TestWindowClampedByDeadline(t *testing.T) {
-	r := &testRunner{}
-	var load atomic.Int64
-	load.Store(16) // wants MaxWindow = 2ms
-	clock := NewFake()
-	f := newTestFormer(r, clock, &load)
-	defer f.Close()
-	// A fake-time deadline: context.WithDeadline would arm a real-clock
-	// timer (and 1ms past the fake epoch is decades in the past), so the
-	// deadline is declared on a wrapper the clamp reads with clock.Now.
-	ctx := deadlineCtx{Context: context.Background(), dl: clock.Now().Add(1 * time.Millisecond)}
-	ch := submitAsync(ctx, f, testKey(), []float32{1})
-	waitPending(t, f, 1)
-	armed := clock.Armed()
-	// Half the remaining deadline (500µs) beats the tuned 2ms window: the
-	// coalesce wait must never push a live query into its timeout.
-	if len(armed) != 1 || armed[0] != 500*time.Microsecond {
-		t.Fatalf("armed = %v, want [500µs] (half the 1ms deadline)", armed)
-	}
-	clock.Advance(500 * time.Microsecond)
+// want checks one Submit outcome: the member's own result at occupancy occ.
+func want(t *testing.T, ch chan submitResult, q float32, occ int) {
+	t.Helper()
 	out := <-ch
-	if out.err != nil || out.occ != 1 {
-		t.Fatalf("deadline-clamped Submit = (%d, %v), want occupancy 1, nil err", out.occ, out.err)
+	if out.err != nil || out.occ != occ || len(out.res) != 1 || out.res[0].ID != int64(q) {
+		t.Fatalf("Submit(%v) = (%v, occupancy %d, %v), want its own result at occupancy %d", q, out.res, out.occ, out.err, occ)
 	}
 }
 
-func TestCancelledMemberDoesNotAbortPeers(t *testing.T) {
+func TestPassThroughWhileSlotFree(t *testing.T) {
 	r := &testRunner{}
-	var load atomic.Int64
-	load.Store(2) // trip = 3: both members wait on the window
-	clock := NewFake()
-	f := newTestFormer(r, clock, &load)
-	defer f.Close()
-	key := testKey()
-	ctxA, cancelA := context.WithCancel(context.Background())
-	chA := submitAsync(ctxA, f, key, []float32{1})
-	chB := submitAsync(context.Background(), f, key, []float32{2})
-	waitPending(t, f, 2)
-	cancelA()
-	outA := <-chA // A abandons its slot immediately, before the batch runs
-	if !errors.Is(outA.err, context.Canceled) {
-		t.Fatalf("cancelled Submit err = %v, want context.Canceled", outA.err)
+	f := newTestFormer(t, Config{Slots: 2, MaxBatch: 4, Run: r.run})
+	res, occ, err := f.Submit(context.Background(), testKey(), []float32{1}, nil, solo)
+	if err != nil || occ != 0 || len(res) != 1 || res[0].ID != soloSentinel {
+		t.Fatalf("Submit on a free slot = (%v, %d, %v), want the per-query path's result", res, occ, err)
 	}
-	clock.Advance(f.cfg.MaxWindow)
-	outB := <-chB
-	if outB.err != nil || len(outB.res) != 1 {
-		t.Fatalf("peer Submit = (%v, %v), want its result and nil err", outB.res, outB.err)
+	if n := len(r.sizes()); n != 0 {
+		t.Fatalf("pass-through formed %d batches, want 0", n)
 	}
+}
+
+// TestParksOnlyWhenEverySlotIsHeld: with two slots, two concurrent solo
+// queries both run at once; the third parks, and runs as a batch of one on
+// the first slot that frees.
+func TestParksOnlyWhenEverySlotIsHeld(t *testing.T) {
+	r := &testRunner{}
+	f := newTestFormer(t, Config{Slots: 2, MaxBatch: 4, Run: r.run})
+	release := holdSlots(t, f)
+	ch := park(t, context.Background(), f, testKey(), 7)
+	if n := len(r.sizes()); n != 0 {
+		t.Fatalf("a batch ran while every slot was held")
+	}
+	release()
+	want(t, ch, 7, 1)
+}
+
+// TestFreedSlotGoesToOldestGroup: a freed slot runs the group whose first
+// member parked first, with every member of that group that is waiting.
+func TestFreedSlotGoesToOldestGroup(t *testing.T) {
+	r := &testRunner{}
+	f := newTestFormer(t, Config{Slots: 1, MaxBatch: 16, Run: r.run})
+	keyA, keyB := testKey(), testKey()
+	keyB.K = 2
+	release := holdSlots(t, f)
+	a1 := park(t, context.Background(), f, keyA, 1)
+	b1 := park(t, context.Background(), f, keyB, 2)
+	a2 := park(t, context.Background(), f, keyA, 3)
+	release()
+	want(t, a1, 1, 2)
+	want(t, a2, 3, 2)
+	want(t, b1, 2, 1)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.batches) != 1 || len(r.batches[0]) != 2 {
-		t.Fatalf("batches = %d (sizes %v), want one batch of 2", len(r.batches), r.batches)
-	}
-	// The joined batch context stays live while any member is: B was.
-	if r.ctxErrs[0] != nil {
-		t.Fatalf("joined ctx already dead with a live member: %v", r.ctxErrs[0])
+	if len(r.batches) != 2 || r.batches[0][0].Query()[0] != 1 || r.batches[1][0].Query()[0] != 2 {
+		t.Fatalf("batches ran in the wrong order: %v", r.batches)
 	}
 }
 
-func TestJoinedContextDiesWithAllMembers(t *testing.T) {
-	r := &testRunner{}
-	var load atomic.Int64
-	load.Store(2)
-	clock := NewFake()
-	f := newTestFormer(r, clock, &load)
-	defer f.Close()
-	key := testKey()
-	ctxA, cancelA := context.WithCancel(context.Background())
-	ctxB, cancelB := context.WithCancel(context.Background())
-	chA := submitAsync(ctxA, f, key, []float32{1})
-	chB := submitAsync(ctxB, f, key, []float32{2})
-	waitPending(t, f, 2)
-	cancelA()
-	cancelB()
-	<-chA
-	<-chB
-	clock.Advance(f.cfg.MaxWindow)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.ctxErrs) != 1 || r.ctxErrs[0] == nil {
-		t.Fatalf("joined ctx errs = %v, want one cancelled batch", r.ctxErrs)
-	}
-}
-
-func TestCloseFlushesFormingGroups(t *testing.T) {
-	r := &testRunner{}
-	var load atomic.Int64
-	load.Store(2)
-	clock := NewFake()
-	f := newTestFormer(r, clock, &load)
-	key := testKey()
-	ch := submitAsync(context.Background(), f, key, []float32{1})
-	waitPending(t, f, 1)
-	f.Close()
-	out := <-ch
-	if out.err != nil || len(out.res) != 1 {
-		t.Fatalf("flushed Submit = (%v, %v), want its result", out.res, out.err)
-	}
-	// A closed former is a permanent pass-through.
-	if _, _, err := f.Submit(context.Background(), key, []float32{1}); !errors.Is(err, ErrPassThrough) {
-		t.Fatalf("Submit after Close err = %v, want ErrPassThrough", err)
-	}
-}
-
-func TestStaleTimerDoesNotDoubleFire(t *testing.T) {
-	r := &testRunner{}
-	var load atomic.Int64
-	load.Store(3) // trip = 4 = MaxBatch
-	clock := NewFake()
-	f := newTestFormer(r, clock, &load)
-	defer f.Close()
-	key := testKey()
+// TestMaxBatchLeavesRemainderParked: five compatible parked queries under
+// MaxBatch 2 run as 2, 2, 1 in arrival order; while the first batch runs
+// the other three stay parked.
+func TestMaxBatchLeavesRemainderParked(t *testing.T) {
+	r := &testRunner{gate: make(chan struct{}), started: make(chan struct{})}
+	f := newTestFormer(t, Config{Slots: 1, MaxBatch: 2, Run: r.run})
+	release := holdSlots(t, f)
 	var chs []chan submitResult
-	for i := 0; i < 4; i++ {
-		chs = append(chs, submitAsync(context.Background(), f, key, []float32{1}))
-		waitPending(t, f, (i+1)%4) // 4th submit size-trips back to 0 pending
+	for q := float32(1); q <= 5; q++ {
+		chs = append(chs, park(t, context.Background(), f, testKey(), q))
 	}
-	for _, ch := range chs {
-		if out := <-ch; out.err != nil || out.occ != 4 {
-			t.Fatalf("Submit = (%d, %v), want occupancy 4", out.occ, out.err)
+	release()
+	<-r.started
+	if n := f.Pending(); n != 3 {
+		t.Fatalf("pending while the first batch runs = %d, want 3", n)
+	}
+	close(r.gate)
+	for i, ch := range chs {
+		occ := 2
+		if i == 4 {
+			occ = 1
 		}
+		want(t, ch, float32(i+1), occ)
 	}
-	// The group's window timer was armed, then obsoleted by the size trip;
-	// advancing past it must not re-run the (already-taken) group.
-	clock.Advance(10 * f.cfg.MaxWindow)
-	if r.batchCount() != 1 {
-		t.Fatalf("ran %d batches, want 1 (stale timer fired)", r.batchCount())
+	if got := r.sizes(); len(got) != 3 || got[0] != 2 || got[1] != 2 || got[2] != 1 {
+		t.Fatalf("batch sizes = %v, want [2 2 1]", got)
 	}
 }
 
-// TestGroupsAreKeyHomogeneous: items submitted under different keys must
-// never land in the same batch, no matter how interleaved their arrival.
+// TestGroupsAreKeyHomogeneous: queries parked under different keys never
+// share a batch, however their arrivals interleave.
 func TestGroupsAreKeyHomogeneous(t *testing.T) {
 	r := &testRunner{}
-	var load atomic.Int64
-	load.Store(16)
-	clock := NewFake()
-	f := newTestFormer(r, clock, &load) // MaxBatch 4
-	defer f.Close()
-	keyA := Key{Collection: "c", K: 1}
-	keyB := Key{Collection: "c", K: 2} // one knob differs → incompatible
+	f := newTestFormer(t, Config{Slots: 1, MaxBatch: 4, Run: r.run})
+	release := holdSlots(t, f)
 	var chs []chan submitResult
 	for i := 0; i < 8; i++ {
-		key, q := keyA, []float32{1}
-		if i%2 == 1 {
-			key, q = keyB, []float32{2}
-		}
-		chs = append(chs, submitAsync(context.Background(), f, key, q))
+		key := testKey()
+		key.K = 1 + i%2 // one knob differs → incompatible
+		chs = append(chs, park(t, context.Background(), f, key, float32(i)))
 	}
-	// 4 of each key: both groups size-trip at MaxBatch.
-	for _, ch := range chs {
-		if out := <-ch; out.err != nil || out.occ != 4 {
-			t.Fatalf("Submit = (%d, %v), want occupancy 4", out.occ, out.err)
-		}
+	release()
+	for i, ch := range chs {
+		want(t, ch, float32(i), 4)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -376,228 +261,187 @@ func TestGroupsAreKeyHomogeneous(t *testing.T) {
 	}
 	for _, b := range r.batches {
 		for _, it := range b {
-			if it.Query()[0] != b[0].Query()[0] {
+			if int(it.Query()[0])%2 != int(b[0].Query()[0])%2 {
 				t.Fatalf("batch mixes keys: queries %v and %v", b[0].Query(), it.Query())
 			}
 		}
 	}
 }
 
-func TestRunnerMissingSlotIsBackstopped(t *testing.T) {
-	var load atomic.Int64
-	load.Store(16)
-	f := New(Config{
-		MaxBatch: 2,
-		Clock:    NewFake(),
-		Load:     func() int { return int(load.Load()) },
-		Run:      func(ctx context.Context, key Key, items []*Item) {}, // delivers nothing
-	})
-	defer f.Close()
-	ch := submitAsync(context.Background(), f, testKey(), []float32{1})
-	waitPending(t, f, 1)
-	_, _, err := f.Submit(context.Background(), testKey(), []float32{2})
-	if err == nil {
-		t.Fatal("missed slot returned nil error")
-	}
-	if out := <-ch; out.err == nil {
-		t.Fatal("missed slot returned nil error on the co-batched member")
-	}
-}
-
-// probeFormer is a Former at load 0 with a fake clock: the only way it can
-// batch is the bootstrap (dense-arrival probe → occupancy boost).
-func probeFormer(r *testRunner) (*Former, *Fake) {
-	clock := NewFake()
-	var load atomic.Int64 // stays 0: the pool signal never sees anything
-	return newTestFormer(r, clock, &load), clock
-}
-
-// TestBootstrapProbeFormsPair: at pool-load zero, a run of close-spaced
-// arrivals earns one probe — the prober is held in a forming group and a
-// hidden peer trips the pair at size 2, proving scheduler-hidden
-// concurrency that the load signal cannot see. All timing is fake-clock;
-// the submits never advance time, so their spacing reads as dense.
-func TestBootstrapProbeFormsPair(t *testing.T) {
+func TestCancelledParkedMemberDoesNotAbortPeers(t *testing.T) {
 	r := &testRunner{}
-	f, clock := probeFormer(r)
-	defer f.Close()
-	key := testKey()
+	f := newTestFormer(t, Config{Slots: 1, MaxBatch: 4, Run: r.run})
+	release := holdSlots(t, f)
+	ctxA, cancelA := context.WithCancel(context.Background())
+	chA := park(t, ctxA, f, testKey(), 1)
+	chB := park(t, context.Background(), f, testKey(), 2)
+	cancelA()
+	// A returns at once, while every slot is still held.
+	if out := <-chA; !errors.Is(out.err, context.Canceled) {
+		t.Fatalf("cancelled Submit err = %v, want context.Canceled", out.err)
+	}
+	release()
+	want(t, chB, 2, 2)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	// The joined batch context stays live while any member is: B was.
+	if len(r.ctxErrs) != 1 || r.ctxErrs[0] != nil {
+		t.Fatalf("joined ctx errs = %v, want one live batch", r.ctxErrs)
+	}
+}
 
-	// First arrival has no history; the next three build the dense run.
-	// All four pass through untouched — the probe must not fire early.
-	for i := 0; i < 4; i++ {
-		if _, _, err := f.Submit(context.Background(), key, []float32{1}); !errors.Is(err, ErrPassThrough) {
-			t.Fatalf("pre-probe submit %d: err = %v, want ErrPassThrough", i, err)
-		}
-	}
-	// The 5th dense arrival probes: held in a group, window MinWindow and
-	// the arrival-gap close MinWindow/gapDiv armed behind it.
-	probe := submitAsync(context.Background(), f, key, []float32{1})
-	waitPending(t, f, 1)
-	armed := clock.Armed()
-	if len(armed) != 2 || armed[0] != f.cfg.MinWindow || armed[1] != f.cfg.MinWindow/gapDiv {
-		t.Fatalf("armed after probe = %v, want [%v %v]", armed, f.cfg.MinWindow, f.cfg.MinWindow/gapDiv)
-	}
-	// A hidden peer joins and trips the pair at size 2 — no clock advance:
-	// the trigger is size, not any timer.
-	peer := submitAsync(context.Background(), f, key, []float32{2})
-	for _, ch := range []chan submitResult{probe, peer} {
-		if out := <-ch; out.err != nil || out.occ != 2 {
-			t.Fatalf("probe pair Submit = (%d, %v), want occupancy 2", out.occ, out.err)
-		}
-	}
-	if r.batchCount() != 1 {
-		t.Fatalf("ran %d batches, want 1", r.batchCount())
-	}
-
-	// Occupancy 2 turned the boost on: the next submits batch without any
-	// probing, and the arrival-gap close fires a formed pair when the
-	// supply dries up mid-group.
-	a := submitAsync(context.Background(), f, key, []float32{3})
-	waitPending(t, f, 1)
-	b := submitAsync(context.Background(), f, key, []float32{4})
-	waitPending(t, f, 2)
-	clock.Advance(f.cfg.MinWindow / gapDiv)
-	for _, ch := range []chan submitResult{a, b} {
-		if out := <-ch; out.err != nil || out.occ != 2 {
-			t.Fatalf("boosted Submit = (%d, %v), want occupancy 2", out.occ, out.err)
-		}
-	}
-
-	// The trip tracks discovered supply with headroom (2 → trip 3): three
-	// boosted submits size-trip at 3 with no timer involved.
-	var chs []chan submitResult
-	for i := 0; i < 3; i++ {
-		chs = append(chs, submitAsync(context.Background(), f, key, []float32{5}))
-		if i < 2 {
-			waitPending(t, f, i+1)
-		}
-	}
+// TestDeadBatchReleasesSlot: a batch whose members all died while parked
+// still runs — with its joined context already cancelled, so the runner
+// stops at once — and gives its slot back.
+func TestDeadBatchReleasesSlot(t *testing.T) {
+	r := &testRunner{}
+	f := newTestFormer(t, Config{Slots: 1, MaxBatch: 4, Run: r.run})
+	release := holdSlots(t, f)
+	ctx, cancel := context.WithCancel(context.Background())
+	chs := []chan submitResult{park(t, ctx, f, testKey(), 1), park(t, ctx, f, testKey(), 2)}
+	cancel()
 	for _, ch := range chs {
-		if out := <-ch; out.err != nil || out.occ != 3 {
-			t.Fatalf("grown Submit = (%d, %v), want occupancy 3", out.occ, out.err)
+		if out := <-ch; !errors.Is(out.err, context.Canceled) {
+			t.Fatalf("cancelled Submit err = %v, want context.Canceled", out.err)
 		}
 	}
-	if r.batchCount() != 3 {
-		t.Fatalf("ran %d batches, want 3", r.batchCount())
+	release()
+	spin(t, "dead batch run", func() bool { return len(r.sizes()) == 1 })
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.ctxErrs[0] == nil {
+		t.Fatal("joined ctx of an all-dead batch is still live")
 	}
 }
 
-// TestBootstrapProbeBacksOff: a probe that stays alone costs one
-// arrival-gap wait and is followed by ever-longer pass-through spans —
-// cooldown 16 after the first failure, 32 after the second — so a
-// genuinely sequential client pays a vanishing amortized tax.
-func TestBootstrapProbeBacksOff(t *testing.T) {
+func TestCloseFlushesParkedGroups(t *testing.T) {
 	r := &testRunner{}
-	f, clock := probeFormer(r)
-	defer f.Close()
-	key := testKey()
-
-	// probeRound drives wantPT dense pass-through submits, then the probe:
-	// held alone, closed by the arrival gap as a singleton.
-	probeRound := func(wantPT int) {
-		t.Helper()
-		for i := 0; i < wantPT; i++ {
-			if _, _, err := f.Submit(context.Background(), key, []float32{1}); !errors.Is(err, ErrPassThrough) {
-				t.Fatalf("submit %d of %d: err = %v, want ErrPassThrough", i, wantPT, err)
-			}
-		}
-		ch := submitAsync(context.Background(), f, key, []float32{1})
-		waitPending(t, f, 1)
-		clock.Advance(f.cfg.MinWindow / gapDiv)
-		if out := <-ch; out.err != nil || out.occ != 1 {
-			t.Fatalf("failed probe Submit = (%d, %v), want occupancy 1", out.occ, out.err)
-		}
+	f := newTestFormer(t, Config{Slots: 1, MaxBatch: 4, Run: r.run})
+	release := holdSlots(t, f)
+	ch := park(t, context.Background(), f, testKey(), 3)
+	f.Close()
+	want(t, ch, 3, 1)
+	// A closed former is a permanent pass-through: no slot, no parking,
+	// even with the slot still held.
+	res, occ, err := f.Submit(context.Background(), testKey(), []float32{4}, nil, solo)
+	if err != nil || occ != 0 || res[0].ID != soloSentinel {
+		t.Fatalf("Submit after Close = (%v, %d, %v), want the per-query path", res, occ, err)
 	}
+	release()
+	f.Close()
+}
 
-	probeRound(4)  // no history + 3 dense arrivals, probe on the 5th
-	probeRound(18) // dense rebuild (3) + cooldown 16, probe next
-	probeRound(34) // each failure doubled the backoff: cooldown 32
-	probeRound(66) // and again: cooldown 64
-	if got := r.batchCount(); got != 4 {
-		t.Fatalf("ran %d batches, want 4 singleton probes", got)
+func TestRunnerMissingMemberIsBackstopped(t *testing.T) {
+	f := newTestFormer(t, Config{Slots: 1, MaxBatch: 4, Run: func(ctx context.Context, key Key, items []*Item) {}}) // delivers nothing
+	release := holdSlots(t, f)
+	chs := []chan submitResult{park(t, context.Background(), f, testKey(), 1), park(t, context.Background(), f, testKey(), 2)}
+	release()
+	for _, ch := range chs {
+		if out := <-ch; !errors.Is(out.err, errMissedSlot) {
+			t.Fatalf("missed member err = %v, want errMissedSlot", out.err)
+		}
 	}
 }
 
-// TestWindowDeferredWhileRunningChains: a window trip that lands while a
-// batch for the same key is executing must not chop the forming group —
-// it keeps accumulating and runs when the in-flight batch completes
-// (group commit), on its own goroutine.
-func TestWindowDeferredWhileRunningChains(t *testing.T) {
-	r := &testRunner{}
-	gate := make(chan struct{})
-	var gated atomic.Bool
-	blockFirst := func(ctx context.Context, key Key, items []*Item) {
-		if gated.CompareAndSwap(false, true) {
-			r.mu.Lock()
-			r.batches = append(r.batches, items)
-			r.mu.Unlock()
-			<-gate
-			for i, it := range items {
-				if it.Live() {
-					it.Deliver([]topk.Result{{ID: int64(i)}}, nil)
-				}
-			}
-			return
-		}
-		r.run(ctx, key, items)
-	}
-	var load atomic.Int64
-	load.Store(3) // trip = 4 = MaxBatch
-	clock := NewFake()
-	f := New(Config{
-		MaxBatch:  4,
-		MinWindow: 500 * time.Microsecond,
-		MaxWindow: 2 * time.Millisecond,
-		LoadScale: 16,
-		Clock:     clock,
-		Load:      func() int { return int(load.Load()) },
-		Run:       blockFirst,
+// TestPrecancelledQueryTakesNoSlot: a query dead on arrival neither runs
+// nor parks.
+func TestPrecancelledQueryTakesNoSlot(t *testing.T) {
+	f := newTestFormer(t, Config{Slots: 1, Run: (&testRunner{}).run})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ran := false
+	_, _, err := f.Submit(ctx, testKey(), []float32{1}, nil, func() ([]topk.Result, error) {
+		ran = true
+		return nil, nil
 	})
-	defer f.Close()
-	key := testKey()
+	if !errors.Is(err, context.Canceled) || ran {
+		t.Fatalf("dead-on-arrival Submit: err = %v, ran = %v; want context.Canceled without running", err, ran)
+	}
+}
 
-	// Four submits size-trip; the runner parks inside Run holding the
-	// batch (the gate), like a long scan occupying the CPU.
-	var first []chan submitResult
-	for i := 0; i < 4; i++ {
-		first = append(first, submitAsync(context.Background(), f, key, []float32{1}))
-		if i < 3 {
-			waitPending(t, f, i+1)
+// TestPanickingSoloReturnsSlot: a solo query that panics still gives its
+// slot back, so the next query runs at once instead of parking forever.
+func TestPanickingSoloReturnsSlot(t *testing.T) {
+	f := newTestFormer(t, Config{Slots: 1, Run: (&testRunner{}).run})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the solo query's panic was swallowed")
+			}
+		}()
+		_, _, _ = f.Submit(context.Background(), testKey(), []float32{1}, nil, func() ([]topk.Result, error) {
+			panic("search failed")
+		})
+	}()
+	res, occ, err := f.Submit(context.Background(), testKey(), []float32{2}, nil, solo)
+	if err != nil || occ != 0 || res[0].ID != soloSentinel {
+		t.Fatalf("Submit after a panicking solo = (%v, %d, %v), want the per-query path", res, occ, err)
+	}
+}
+
+// TestOnlyParkedWaitIsTraced: the batch_form span records a parked wait
+// and nothing else — a query that runs alone carries none.
+func TestOnlyParkedWaitIsTraced(t *testing.T) {
+	f := newTestFormer(t, Config{Slots: 1, Run: (&testRunner{}).run})
+	soloTr := obs.NewTrace("solo")
+	if _, _, err := f.Submit(context.Background(), testKey(), []float32{1}, soloTr, solo); err != nil {
+		t.Fatal(err)
+	}
+	if stages := soloTr.Stages(); len(stages) != 0 {
+		t.Fatalf("solo query traced stages %v, want none", stages)
+	}
+	release := holdSlots(t, f)
+	parkedTr := obs.NewTrace("parked")
+	ch := make(chan submitResult, 1)
+	go func() {
+		res, occ, err := f.Submit(context.Background(), testKey(), []float32{5}, parkedTr, solo)
+		ch <- submitResult{res, occ, err}
+	}()
+	spin(t, "query parked", func() bool { return f.Pending() == 1 })
+	release()
+	want(t, ch, 5, 1)
+	if stages := parkedTr.Stages(); len(stages) != 1 || stages[0] != "batch_form" {
+		t.Fatalf("parked query traced stages %v, want [batch_form]", stages)
+	}
+}
+
+// TestSeriesCountPathsAndTriggers: each query lands on exactly one path,
+// each batch on exactly one trigger, and wait_seconds observes only
+// parked queries.
+func TestSeriesCountPathsAndTriggers(t *testing.T) {
+	reg := obs.NewRegistry()
+	f := newTestFormer(t, Config{Slots: 1, Obs: reg, Collection: "c", Run: (&testRunner{}).run})
+	if _, _, err := f.Submit(context.Background(), testKey(), []float32{1}, nil, solo); err != nil {
+		t.Fatal(err)
+	}
+	release := holdSlots(t, f)
+	a := park(t, context.Background(), f, testKey(), 2)
+	release()
+	want(t, a, 2, 1)
+	release = holdSlots(t, f)
+	b := park(t, context.Background(), f, testKey(), 3)
+	f.Close()
+	want(t, b, 3, 1)
+	release()
+
+	counter := func(name string, labels ...string) int64 {
+		return reg.Counter(name, append([]string{"collection", "c"}, labels...)...).Value()
+	}
+	for _, c := range []struct {
+		name, label, value string
+		want               int64
+	}{
+		{"vectordb_batchform_queries_total", "path", "passthrough", 3}, // one alone, two slot holders
+		{"vectordb_batchform_queries_total", "path", "batched", 2},
+		{"vectordb_batchform_batches_total", "trigger", "slot", 1},
+		{"vectordb_batchform_batches_total", "trigger", "close", 1},
+		{"vectordb_batchform_occupancy_total", "size", "1", 2},
+	} {
+		if got := counter(c.name, c.label, c.value); got != c.want {
+			t.Errorf("%s{%s=%q} = %d, want %d", c.name, c.label, c.value, got, c.want)
 		}
 	}
-	for i := 0; i < 1<<24 && r.batchCount() == 0; i++ {
-		runtime.Gosched()
-	}
-	if r.batchCount() != 1 {
-		t.Fatal("first batch never started")
-	}
-
-	// Two more queries form the next group; its window fires mid-run and
-	// must defer, not execute.
-	var second []chan submitResult
-	for i := 0; i < 2; i++ {
-		second = append(second, submitAsync(context.Background(), f, key, []float32{2}))
-		waitPending(t, f, i+1)
-	}
-	clock.Advance(f.cfg.MaxWindow)
-	if got := r.batchCount(); got != 1 {
-		t.Fatalf("deferred window ran a batch mid-run: %d batches", got)
-	}
-
-	// Completion of the in-flight batch chains the deferred group.
-	close(gate)
-	for _, ch := range first {
-		if out := <-ch; out.err != nil || out.occ != 4 {
-			t.Fatalf("first batch Submit = (%d, %v), want occupancy 4", out.occ, out.err)
-		}
-	}
-	for _, ch := range second {
-		if out := <-ch; out.err != nil || out.occ != 2 {
-			t.Fatalf("chained Submit = (%d, %v), want occupancy 2", out.occ, out.err)
-		}
-	}
-	if got := r.batchCount(); got != 2 {
-		t.Fatalf("ran %d batches, want 2 (size + chain)", got)
+	if n := reg.Histogram("vectordb_batchform_wait_seconds", nil, "collection", "c").Count(); n != 2 {
+		t.Errorf("wait_seconds observed %d waits, want 2 (the parked queries)", n)
 	}
 }

@@ -5,9 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"vectordb/internal/exec"
 	"vectordb/internal/obs"
 	"vectordb/internal/query"
 	"vectordb/internal/topk"
@@ -217,6 +221,127 @@ func TestFormerConformanceUnderConcurrency(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// oneSegmentCollection builds a one-segment collection of integer vectors
+// on a private two-worker pool, so the former has two run slots.
+func oneSegmentCollection(t *testing.T, reg *obs.Registry) (*Collection, []Entity) {
+	t.Helper()
+	pool := exec.NewPool(exec.Config{Workers: 2})
+	t.Cleanup(pool.Close)
+	cfg := testConfig()
+	cfg.FlushRows = 1 << 20
+	cfg.Exec = pool
+	cfg.Obs = reg
+	c, err := NewCollection("one", testSchema(16), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	ents := intEntities(600, 16, 17)
+	if err := c.Insert(ents); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return c, ents
+}
+
+// TestTwoClientsNeverPark: two clients on a two-worker pool always find a
+// free run slot, so every query runs alone at once — none parks, none
+// waits.
+func TestTwoClientsNeverPark(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, ents := oneSegmentCollection(t, reg)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				if _, err := c.SearchCtx(context.Background(), ents[(g*300+i)%len(ents)].Vectors[0], SearchOptions{K: 5}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := reg.Counter("vectordb_batchform_queries_total", "collection", "one", "path", "batched").Value(); n != 0 {
+		t.Errorf("%d of 600 queries parked with a run slot per client", n)
+	}
+	if n := reg.Histogram("vectordb_batchform_wait_seconds", nil, "collection", "one").Count(); n != 0 {
+		t.Errorf("wait_seconds holds %d observations, want none", n)
+	}
+}
+
+// TestDeepBacklogFormsOneBatch: with both run slots held by queries parked
+// inside the index, ten compatible queries park; the first slot to free
+// runs all ten as one batch, whose results equal the per-query path's.
+func TestDeepBacklogFormsOneBatch(t *testing.T) {
+	reg := obs.NewRegistry()
+	c, ents := oneSegmentCollection(t, reg)
+	var entered atomic.Int32
+	gate := make(chan struct{})
+	parkFirstSegment(t, c, func() {
+		if entered.Add(1) <= 2 {
+			<-gate
+		}
+	})
+	opts := SearchOptions{K: 5}
+	var holders sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		holders.Add(1)
+		go func() {
+			defer holders.Done()
+			if _, err := c.SearchCtx(context.Background(), ents[0].Vectors[0], opts); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); entered.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("slot holders never reached the index")
+		}
+	}
+
+	const parked = 10
+	got := make([][]topk.Result, parked)
+	var wg sync.WaitGroup
+	for i := 0; i < parked; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			if got[i], err = c.SearchCtx(context.Background(), ents[10+i].Vectors[0], opts); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	for deadline := time.Now().Add(5 * time.Second); c.former.Pending() < parked; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d queries parked", c.former.Pending(), parked)
+		}
+	}
+	close(gate)
+	holders.Wait()
+	wg.Wait()
+
+	var batches int64
+	for size := 1; size <= 16; size++ {
+		batches += reg.Counter("vectordb_batchform_occupancy_total", "collection", "one", "size", strconv.Itoa(size)).Value()
+	}
+	if occ10 := reg.Counter("vectordb_batchform_occupancy_total", "collection", "one", "size", "10").Value(); batches != 1 || occ10 != 1 {
+		t.Fatalf("formed %d batches (%d of occupancy 10), want exactly one of 10", batches, occ10)
+	}
+	for i := range got {
+		want, err := c.SearchCtx(context.Background(), ents[10+i].Vectors[0], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, fmt.Sprintf("parked query %d", i), got[i], want)
 	}
 }
 

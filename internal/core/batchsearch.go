@@ -2,14 +2,12 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 
 	"vectordb/internal/batchform"
 	"vectordb/internal/bitset"
 	"vectordb/internal/bufferpool"
 	"vectordb/internal/index"
-	"vectordb/internal/plan"
 	"vectordb/internal/topk"
 	"vectordb/internal/vec"
 )
@@ -22,9 +20,9 @@ const tileChunkRows = 256
 
 // batchFormKey is the former's compatibility key for a plain (unfiltered)
 // vector query against field f: queries may only share a batch when every
-// plan-shaping knob — including the planner's venue — matches, so a formed
-// batch never mixes execution venues.
-func (c *Collection) batchFormKey(f int, opts *SearchOptions, venue plan.Venue) batchform.Key {
+// plan-shaping knob matches. The venue needs no place in it: it is a
+// function of the snapshot, and a formed batch pins its own.
+func (c *Collection) batchFormKey(f int, opts *SearchOptions) batchform.Key {
 	vf := &c.schema.VectorFields[f]
 	return batchform.Key{
 		Collection: c.Name,
@@ -35,27 +33,25 @@ func (c *Collection) batchFormKey(f int, opts *SearchOptions, venue plan.Venue) 
 		Nprobe:     opts.Nprobe,
 		Ef:         opts.Ef,
 		SearchL:    opts.SearchL,
-		Venue:      string(venue),
 	}
 }
 
-// searchBatched offers a validated, unfiltered query to the batch former.
-// handled false means the caller must run the query on the per-query path —
-// either the query is ineligible (non-decomposable metric) or the former
-// passed it through because the pool is idle.
-func (c *Collection) searchBatched(ctx context.Context, f int, query []float32, opts SearchOptions, venue plan.Venue) (res []topk.Result, handled bool, err error) {
+// searchBatched runs a validated, unfiltered query through the batch
+// former: alone over sn while a pool worker is free, else parked until one
+// frees and its compatible group runs as one batch. A query the tile
+// kernels cannot batch (non-decomposable metric), or any query with
+// batching off, runs alone over sn.
+func (c *Collection) searchBatched(ctx context.Context, sn *Snapshot, f int, query []float32, opts SearchOptions) ([]topk.Result, error) {
+	solo := func() ([]topk.Result, error) { return c.searchSnapshot(ctx, sn, f, query, opts) }
 	bf := c.former
 	if bf == nil || !c.schema.VectorFields[f].Metric.BatchEligible() {
-		return nil, false, nil
+		return solo()
 	}
-	sp := opts.Trace.StartSpan("batch_form")
-	res, occ, err := bf.Submit(ctx, c.batchFormKey(f, &opts, venue), query)
-	sp.End()
-	if errors.Is(err, batchform.ErrPassThrough) {
-		return nil, false, nil
+	res, occ, err := bf.Submit(ctx, c.batchFormKey(f, &opts), query, opts.Trace, solo)
+	if occ > 0 {
+		opts.Trace.AnnotateInt("batch_occupancy", int64(occ))
 	}
-	opts.Trace.AnnotateInt("batch_occupancy", int64(occ))
-	return res, true, err
+	return res, err
 }
 
 // runFormedBatch is the former's Runner: a formed batch spans several

@@ -63,17 +63,12 @@ type Config struct {
 	// schedule against fixed threads instead of spawning per query).
 	// Nil means the process-wide exec.Default() pool.
 	Exec *exec.Pool
-	// BatchWindow bounds the batch former's coalescing window (the
-	// paper's Fig. 11 batching applied to live traffic): under load,
-	// concurrent compatible queries wait up to this long to share a
-	// cache-aware tile sweep. Zero means the 2ms default; negative
-	// disables dynamic batching entirely.
-	BatchWindow time.Duration
-	// BatchSize caps a formed batch (the former's size trip; default 16).
+	// BatchSize caps a formed batch (the paper's Fig. 11 batching applied
+	// to live traffic): when every pool worker is busy, concurrent
+	// compatible queries park and share one cache-aware tile sweep of up
+	// to this many (default 16). 1 turns dynamic batching off — a batch of
+	// one is the per-query path.
 	BatchSize int
-	// BatchClock injects the former's time source; nil means the wall
-	// clock. Tests pass batchform.NewFake for deterministic triggers.
-	BatchClock batchform.Clock
 	// TierDir enables out-of-core sealed segments when non-empty: each
 	// sealed segment's stored image is also written as one mmap-backed
 	// extent file under this directory, vector payloads are dropped from
@@ -260,13 +255,11 @@ func NewCollection(name string, schema Schema, store objstore.Store, cfg Config)
 		defer c.snaps.release(sn)
 		return int64(sn.LiveRows())
 	}, "collection", name)
-	if cfg.BatchWindow >= 0 {
+	if cfg.BatchSize != 1 {
 		c.former = batchform.New(batchform.Config{
 			Collection: name,
+			Slots:      c.pool.Workers(),
 			MaxBatch:   cfg.BatchSize,
-			MaxWindow:  cfg.BatchWindow,
-			Clock:      cfg.BatchClock,
-			Load:       c.readLoad,
 			Obs:        cfg.Obs,
 			Run:        c.runFormedBatch,
 		})
@@ -275,19 +268,6 @@ func NewCollection(name string, schema Schema, store objstore.Store, cfg Config)
 	c.indexWG.Add(1)
 	go c.indexBuilder()
 	return c, nil
-}
-
-// readLoad is the former's live backlog signal: segment tasks queued on
-// the shared pool plus queries waiting at admission plus OTHER in-flight
-// queries. The submitting query already holds its own admission slot, so
-// one is subtracted — a lone query on an idle pool must see load 0 and
-// pass through with zero added latency.
-func (c *Collection) readLoad() int {
-	load := c.pool.QueueDepth() + int(c.pool.Waiting()) + c.pool.Inflight() - 1
-	if load < 0 {
-		load = 0
-	}
-	return load
 }
 
 // Schema returns the collection schema.
@@ -866,7 +846,7 @@ func (c *Collection) Close() error {
 	var err error
 	c.closeOnce.Do(func() {
 		if c.former != nil {
-			c.former.Close() // flush forming groups while the pool is still up
+			c.former.Close() // run parked groups while the pool is still up
 		}
 		err = c.Flush()
 		close(c.stopTimer)

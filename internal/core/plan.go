@@ -16,6 +16,18 @@ func unwrapIndex(idx index.Index) index.Index {
 	return idx
 }
 
+// poolBacklog is the planner's load input: segment tasks queued on the
+// shared pool plus queries waiting at admission plus OTHER in-flight
+// queries. The planning query already holds its own admission slot, so one
+// is subtracted — a lone query on an idle pool prices at load 0.
+func (c *Collection) poolBacklog() int {
+	load := c.pool.QueueDepth() + int(c.pool.Waiting()) + c.pool.Inflight() - 1
+	if load < 0 {
+		load = 0
+	}
+	return load
+}
+
 // planShape summarizes the snapshot for the planner — rows split by
 // residency tier, IVF geometry, the live pool backlog — and names the one
 // venue the snapshot executes on: ivf_cpu when an index serves a segment,
@@ -26,7 +38,7 @@ func (c *Collection) planShape(sn *Snapshot, f, nq, k, nprobe int) (plan.QuerySh
 	s := plan.QueryShape{
 		NQ: nq, K: k, Dim: c.schema.VectorFields[f].Dim,
 		Nprobe:     nprobe,
-		QueueDepth: c.readLoad(),
+		QueueDepth: c.poolBacklog(),
 		Workers:    c.pool.Workers(),
 	}
 	venue := plan.VenueFlatCPU
@@ -88,7 +100,7 @@ func (v *SourceView) PlanFilterShape(field int) plan.FilterShape {
 func (c *Collection) filterShape(sn *Snapshot, field int) plan.FilterShape {
 	fs := plan.FilterShape{
 		Dim:        c.schema.VectorFields[field].Dim,
-		QueueDepth: c.readLoad(),
+		QueueDepth: c.poolBacklog(),
 		Workers:    c.pool.Workers(),
 	}
 	for _, seg := range sn.Segments {

@@ -222,8 +222,7 @@ func TestSearchPredPlanned(t *testing.T) {
 }
 
 // TestBatchPlanAnnotation: the explicit batch entry plans the whole batch
-// as one shape and stamps the venue into the trace; the formed-batch key
-// carries the venue so batches never mix venues.
+// as one shape and stamps the venue into the trace.
 func TestBatchPlanAnnotation(t *testing.T) {
 	c, _ := planTestCollection(t, 300, fixedProfile(nil))
 	queries := make([][]float32, 4)
@@ -237,14 +236,6 @@ func TestBatchPlanAnnotation(t *testing.T) {
 	choice, ok := tr.Summary().Attr("plan")
 	if !ok || choice == "" {
 		t.Fatal("batch trace missing plan=")
-	}
-	key := c.batchFormKey(0, &SearchOptions{K: 5}, plan.Venue(choice))
-	if key.Venue != choice {
-		t.Errorf("batch key venue %q, want %q", key.Venue, choice)
-	}
-	keyOther := c.batchFormKey(0, &SearchOptions{K: 5}, plan.VenueIVFCPU)
-	if key == keyOther {
-		t.Error("batch keys with different venues compare equal — batches could mix venues")
 	}
 }
 

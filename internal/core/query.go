@@ -46,7 +46,7 @@ type result struct {
 type runner uint8
 
 const (
-	runSegments  runner = iota // per-segment sweep, offered to the batch former first
+	runSegments  runner = iota // per-segment sweep, through the batch former
 	runBatch                   // one tile sweep shared by the queries of an explicit batch
 	runFused                   // one sweep of the aggregated query over the concatenated fields
 	runIterative               // iterative merging over per-field sweeps
@@ -94,7 +94,7 @@ func (c *Collection) execute(ctx context.Context, q *Query) (result, error) {
 	t0 := time.Now()
 	switch rt.run {
 	case runBatch:
-		res.batch, err = c.searchBatch(ctx, sn, c.batchFormKey(f, &q.opts, rt.dec.Venue), q.vecs)
+		res.batch, err = c.searchBatch(ctx, sn, c.batchFormKey(f, &q.opts), q.vecs)
 	case runFused:
 		res.hits, err = c.searchFused(ctx, sn, rt.fused, q.opts)
 	case runIterative:
@@ -105,12 +105,7 @@ func (c *Collection) execute(ctx context.Context, q *Query) (result, error) {
 	case runPushdown:
 		res.hits, err = c.pushdownSearch(ctx, sn, f, q.vec, q.pred, q.opts)
 	default:
-		// Under concurrent load compatible queries coalesce into one tile
-		// sweep; an idle pool (or an ineligible query) runs alone.
-		var handled bool
-		if res.hits, handled, err = c.searchBatched(ctx, f, q.vec, q.opts, rt.dec.Venue); !handled {
-			res.hits, err = c.searchSnapshot(ctx, sn, f, q.vec, q.opts)
-		}
+		res.hits, err = c.searchBatched(ctx, sn, f, q.vec, q.opts)
 	}
 	if rt.dec.Choice() != "" {
 		c.planner.Observe(rt.dec, time.Since(t0))
@@ -270,7 +265,6 @@ func (c *Collection) plan(sn *Snapshot, f int, q *Query) route {
 		}
 		annotatePlan(tr, rt.dec)
 	case q.kind == kindBatch:
-		// The venue keys the batch.
 		rt = route{run: runBatch, dec: c.planVenue(sn, f, len(q.vecs), &q.opts)}
 	default:
 		rt.dec = c.planVenue(sn, f, 1, &q.opts)

@@ -153,7 +153,7 @@ func (p *Pool) Waiting() int64 { return p.waiting.Load() }
 
 // QueueDepth returns the number of segment tasks waiting in the queue —
 // the instantaneous value behind vectordb_exec_queue_depth, exposed so the
-// batch former can tune its coalescing window off live backlog.
+// planner can price queries against live backlog.
 func (p *Pool) QueueDepth() int { return len(p.tasks) }
 
 func (p *Pool) worker() {

@@ -14,7 +14,6 @@ func Defaults() []*Analyzer {
 		NewLockDiscipline(),
 		NewAtomicMix(),
 		NewMetricReg(),
-		NewClockInject(),
 		NewLockOrder(ip),
 		NewLockDisciplineX(ip),
 		NewGoLeak(ip),

@@ -74,7 +74,7 @@ type QueryShape struct {
 	// SQ8 marks quantized codes (the scan leg runs the fused ADC kernel).
 	SQ8 bool
 
-	// QueueDepth is the live exec-pool backlog (Collection.readLoad);
+	// QueueDepth is the live exec-pool backlog (Collection.poolBacklog);
 	// Workers the pool size. Costs scale with the bucketed load.
 	QueueDepth int
 	Workers    int

@@ -114,9 +114,9 @@ func scrapeBatchformQueries(t *testing.T, url string) (total int64, ok bool) {
 
 // TestBatchingUnderQueryTimeout drives concurrent searches through a
 // server with a per-query deadline and batching at its defaults: the
-// former must never convert a live query into a 504 (its window is
-// clamped inside the deadline), and every eligible query must be
-// accounted to exactly one former path on /metrics.
+// former must never convert a live query into a 504 (a query parks only
+// behind busy workers, never on a timer), and every eligible query must
+// be accounted to exactly one former path on /metrics.
 func TestBatchingUnderQueryTimeout(t *testing.T) {
 	db := core.NewDB(nil)
 	t.Cleanup(func() { _ = db.Close() })
@@ -179,13 +179,13 @@ func TestBatchingUnderQueryTimeout(t *testing.T) {
 	}
 }
 
-// TestBatchWindowDisabled: a negative BatchWindow turns server-side
-// batching off at collection creation — searches still work and the
-// former's series never appear on /metrics.
-func TestBatchWindowDisabled(t *testing.T) {
+// TestBatchingDisabled: BatchSize 1 turns server-side batching off at
+// collection creation — searches still work and the former's series never
+// appear on /metrics.
+func TestBatchingDisabled(t *testing.T) {
 	db := core.NewDB(nil)
 	t.Cleanup(func() { _ = db.Close() })
-	srv := httptest.NewServer(rest.NewServerWithConfig(db, rest.ServerConfig{BatchWindow: -1}))
+	srv := httptest.NewServer(rest.NewServerWithConfig(db, rest.ServerConfig{BatchSize: 1}))
 	t.Cleanup(srv.Close)
 	c := client.New(srv.URL)
 	if err := c.CreateCollection("items", []client.VectorField{{Name: "v", Dim: 2}}, nil); err != nil {

@@ -133,17 +133,14 @@ type ServerConfig struct {
 	// QueryTimeout bounds each search request: the query's context expires
 	// after this duration and the request answers 504. Zero means no
 	// server-imposed deadline (the client disconnect still cancels).
-	// Batching never converts a live query into a timeout: the former
-	// clamps its coalescing window well inside this deadline.
+	// Batching adds no wait of its own: a query parks in the batch former
+	// only while every pool worker is busy, so only an overloaded server
+	// turns a live query into a timeout.
 	QueryTimeout time.Duration
 
-	// BatchWindow bounds the dynamic-batching coalescing window for
-	// collections created through this server: zero keeps the engine
-	// default (2ms ceiling, auto-tuned down to pass-through when idle),
-	// negative disables server-side batching entirely.
-	BatchWindow time.Duration
 	// BatchSize caps how many compatible queries one formed batch may
-	// carry (0 = engine default).
+	// carry for collections created through this server (0 = engine
+	// default; 1 turns server-side batching off).
 	BatchSize int
 }
 
@@ -282,7 +279,7 @@ func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {
 		schema.CatFields = req.CatFields
 		cfg := core.Config{
 			IndexType: req.IndexType, IndexParams: req.IndexParams,
-			BatchWindow: s.cfg.BatchWindow, BatchSize: s.cfg.BatchSize,
+			BatchSize: s.cfg.BatchSize,
 		}
 		if _, err := s.db.CreateCollection(req.Name, schema, cfg); err != nil {
 			writeErr(w, http.StatusBadRequest, err)

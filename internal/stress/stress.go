@@ -181,10 +181,15 @@ type writerState struct {
 func Run(cfg Config) (*Report, error) {
 	cfg.defaults()
 
-	// Warm the shared execution pool before taking the goroutine baseline:
-	// its fixed worker set is process-wide and outlives every run, so it
-	// must not be confused with a leak.
+	// Start the execution pools before taking the goroutine baseline: the
+	// shared pool's fixed worker set is process-wide and outlives every run,
+	// and the run's own pool lives until Run returns, so neither must be
+	// confused with a leak. The run's pool has two workers — two batch-former
+	// run slots, fewer than the searchers — so on any host some queries
+	// park, and with CancelRate some die parked.
 	exec.Default().Workers()
+	pool := exec.NewPool(exec.Config{Workers: 2})
+	defer pool.Close()
 	baseGoroutines := runtime.NumGoroutine()
 
 	faults := NewFaultStore(objstore.NewMemory(), cfg.Seed*7349+11, cfg.Faults)
@@ -197,6 +202,7 @@ func Run(cfg Config) (*Report, error) {
 	// cross-checks the harness's own accounting against the counters.
 	reg := obs.NewRegistry()
 	ccfg := core.Config{
+		Exec:           pool,
 		FlushRows:      64,
 		FlushInterval:  25 * time.Millisecond, // background flusher on: more interleavings
 		MergeFactor:    4,
@@ -740,14 +746,14 @@ func (h *harness) obsInvariants(rep *Report) {
 }
 
 // batchformInvariants checks the batch former's conservation laws from the
-// final exposition. It runs after Close (which flushes forming groups) and
-// after the goroutine check (which has waited out any window timer still
-// executing a batch), so the counters are final: every query that entered
-// a forming group must have ridden exactly one formed batch, every formed
-// batch must carry exactly one trigger, and the two paths together must
-// account for at least every search the run completed — a shortfall means
-// a query was acked without being counted, an excess means double
-// delivery.
+// final exposition. It runs after Close (which runs parked groups) and
+// after the goroutine check (which has waited out any slot holder still
+// executing a batch a cancelled member left behind), so the counters are
+// final: nothing is still parked, every query that parked must have ridden
+// exactly one formed batch, every formed batch must carry exactly one
+// trigger (a freed slot or Close), and the two paths together must account
+// for at least every search the run completed — a shortfall means a query
+// was acked without being counted, an excess means double delivery.
 func (h *harness) batchformInvariants(rep *Report) {
 	var buf bytes.Buffer
 	if err := h.reg.WritePrometheus(&buf); err != nil {
@@ -784,7 +790,15 @@ func (h *harness) batchformInvariants(rep *Report) {
 	}
 	var triggered int64
 	for _, s := range series["vectordb_batchform_batches_total"] {
+		if tr := s.Labels["trigger"]; tr != "slot" && tr != "close" {
+			h.violate("batchform: batch formed by trigger %q, want slot or close", tr)
+		}
 		triggered += int64(s.Value)
+	}
+	for _, s := range series["vectordb_batchform_pending"] {
+		if s.Value != 0 {
+			h.violate("batchform: %v queries still parked at quiesce", s.Value)
+		}
 	}
 	if riders != batched {
 		h.violate("batchform: occupancy series account for %d queries but %d entered forming groups", riders, batched)
@@ -792,7 +806,7 @@ func (h *harness) batchformInvariants(rep *Report) {
 	if triggered != sized {
 		h.violate("batchform: %d batches by trigger vs %d by occupancy", triggered, sized)
 	}
-	// Quiesce's recall queries run sequentially (idle pool → passthrough),
+	// Quiesce's recall queries run sequentially (free slot → passthrough),
 	// so the paths can exceed rep.Searches; falling short of it means a
 	// search completed without being counted on either path.
 	if got := batched + passthrough; got < rep.Searches {
