@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint bench bench-kernels bench-batchform bench-filter bench-ooc bench-plan bench-smoke kernel-guard conformance-filter conformance-ooc ci cover stress experiments examples loc clean
+.PHONY: all build test race vet fmt lint bench bench-kernels bench-batchform bench-filter bench-ooc bench-plan bench-smoke kernel-guard conformance-filter conformance-wire conformance-ooc ci cover stress experiments examples loc clean
 
 all: build test
 
@@ -39,12 +39,13 @@ lint:
 # internal/ — which includes the seeded concurrency stress harness
 # (internal/stress) with fault injection — the cancellation/leak gate,
 # the filtered-search gates (ground-truth conformance plus the concurrent
-# filtered stress mode), the observability coverage floor, the
+# filtered stress mode), the REST wire-codec gate (golden bytes and
+# differential fuzzing against encoding/json), the observability coverage floor, the
 # batch-kernel guard, the benchmark smoke run, and the e2ebench module
 # (its own go.mod, so `go build ./... && go test ./...` at the root never
 # compiles it: a signature change in internal/core that breaks the
 # repository's benchmark shows up here, not when the benchmark next runs).
-ci: vet fmt build lint test cover kernel-guard conformance-filter conformance-ooc bench-smoke
+ci: vet fmt build lint test cover kernel-guard conformance-filter conformance-wire conformance-ooc bench-smoke
 	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race ./internal/...
 	$(GO) test -race ./internal/stress -run TestStressCancel -short -faults=cancel
@@ -85,6 +86,19 @@ conformance-filter:
 	$(GO) test ./internal/core -run TestPushdown
 	$(GO) test ./internal/colstore -run 'TestFillRange|TestCompilePred|FuzzPredCompile'
 	$(GO) test ./internal/cluster -run 'TestClusterEqualsSingleNode|TestReaderFilteredAllocs|TestSearchRejectsBadRequest'
+
+# conformance-wire is the REST wire-codec gate: the append encoders write
+# exactly encoding/json's bytes (float format cutoffs, int64 range ends,
+# empty and null lists, escaped strings; NaN and ±Inf fail), the strict
+# scanners take the SDK's and the handler's bodies and leave everything
+# else to json.Unmarshal, and on any bytes the codec and json.Unmarshal
+# agree on accept or reject, on the decoded value, and on its re-encoding
+# — the checked-in seeds first, then ten seconds of fuzzing per body.
+conformance-wire:
+	$(GO) test ./internal/rest -run 'TestWireEncoderGolden|TestWireFastPathCoverage|FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestTrailingBytesAre400|TestUnencodableResultIs500'
+	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchRequestWire$$' -fuzztime 10s
+	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertRequestWire$$' -fuzztime 10s
+	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchResponseWire$$' -fuzztime 10s
 
 # kernel-guard keeps every hot read path on the blocked batch kernels.
 # The static half — no per-tier kernel calls outside internal/vec — is

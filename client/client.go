@@ -5,8 +5,8 @@ package client
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 
 	"vectordb/internal/rest"
@@ -28,18 +28,17 @@ func NewWithHTTPClient(base string, hc *http.Client) *Client {
 	return &Client{base: base, http: hc}
 }
 
+// do sends in as the JSON body and decodes the whole reply into out, both
+// through rest's codec.
 func (c *Client) do(method, path string, in, out any) error {
-	var body *bytes.Reader
+	var body []byte
 	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
+		var err error
+		if body, err = rest.Marshal(in); err != nil {
 			return err
 		}
-		body = bytes.NewReader(b)
-	} else {
-		body = bytes.NewReader(nil)
 	}
-	req, err := http.NewRequest(method, c.base+path, body)
+	req, err := http.NewRequest(method, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -49,17 +48,18 @@ func (c *Client) do(method, path string, in, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
 	if resp.StatusCode >= 400 {
 		var e rest.ErrorResponse
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
+		if err == nil && rest.Unmarshal(reply, &e) == nil && e.Error != "" {
 			return fmt.Errorf("client: %s %s: %s", method, path, e.Error)
 		}
 		return fmt.Errorf("client: %s %s: HTTP %d", method, path, resp.StatusCode)
 	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
+	if err != nil || out == nil {
+		return err
 	}
-	return nil
+	return rest.Unmarshal(reply, out)
 }
 
 // Healthy reports whether the server answers its health check.

@@ -1,6 +1,7 @@
 package rest_test
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -83,5 +84,76 @@ func TestOversizedBodyIs413(t *testing.T) {
 	}
 	if !c.Healthy() {
 		t.Fatal("server stopped answering /healthz after an oversized body")
+	}
+}
+
+// TestTrailingBytesAre400: every JSON body is read whole, as
+// json.Unmarshal reads it, so anything but whitespace after the value
+// answers 400 and the request has no effect; the same body without the
+// trailer succeeds.
+func TestTrailingBytesAre400(t *testing.T) {
+	srv := httptest.NewServer(rest.NewServer(nil))
+	t.Cleanup(srv.Close)
+	c := client.New(srv.URL)
+	if err := c.CreateCollection("c", []client.VectorField{{Name: "v", Dim: 2}}, []string{"a"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert("c", []client.Entity{{ID: 1, Vectors: [][]float32{{1, 1}}, Attrs: []int64{0}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush("c"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, path, body string
+		ok               int
+	}{
+		{"search", "/collections/c/search", `{"vector":[1,1],"k":1}`, http.StatusOK},
+		{"filtered search", "/collections/c/search", `{"vector":[1,1],"k":1,"filter":{"attr":"a","lo":0,"hi":1}}`, http.StatusOK},
+		{"insert", "/collections/c/entities", `{"entities":[{"id":2,"vectors":[[2,2]],"attrs":[1]}]}`, http.StatusOK},
+		{"delete", "/collections/c/delete", `{"ids":[2]}`, http.StatusOK},
+		{"create", "/collections", `{"name":"d","vector_fields":[{"name":"v","dim":2}]}`, http.StatusCreated},
+		{"index", "/collections/c/index", `{"type":"FLAT"}`, http.StatusOK},
+	} {
+		for _, trailer := range []string{`{"garbage`, ` xyz`, `}`, `{}`} {
+			resp := do(t, http.MethodPost, srv.URL+tc.path, tc.body+trailer)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s with trailer %q: status %d, want 400", tc.name, trailer, resp.StatusCode)
+			}
+		}
+		if resp := do(t, http.MethodPost, srv.URL+tc.path, tc.body+" \n\t\r"); resp.StatusCode != tc.ok {
+			t.Errorf("%s with trailing whitespace: status %d, want %d", tc.name, resp.StatusCode, tc.ok)
+		}
+	}
+}
+
+// TestUnencodableResultIs500: a hit whose distance is not a JSON number
+// (here -Inf: the negated inner product overflows float32) fails the
+// encoding, as
+// encoding/json fails it, and answers 500 with an error body instead of a
+// truncated 200.
+func TestUnencodableResultIs500(t *testing.T) {
+	srv := httptest.NewServer(rest.NewServer(nil))
+	t.Cleanup(srv.Close)
+	c := client.New(srv.URL)
+	if err := c.CreateCollection("c", []client.VectorField{{Name: "v", Dim: 2, Metric: "IP"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert("c", []client.Entity{{ID: 1, Vectors: [][]float32{{3e38, 3e38}}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush("c"); err != nil {
+		t.Fatal(err)
+	}
+	resp := do(t, http.MethodPost, srv.URL+"/collections/c/search", `{"vector":[3e38,3e38],"k":1}`)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", resp.StatusCode)
+	}
+	var e rest.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || !strings.Contains(e.Error, "unsupported value") {
+		t.Fatalf("error body %+v, %v", e, err)
+	}
+	if _, err := c.Search("c", []float32{3e38, 3e38}, 1, nil); err == nil {
+		t.Fatal("SDK search of an unencodable result succeeded")
 	}
 }

@@ -9,7 +9,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -171,10 +173,26 @@ func NewServerWithConfig(db *core.DB, cfg ServerConfig) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
+// writeJSON encodes v whole before answering code, so a value that does
+// not encode answers 500 with an error body instead.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeBody(w, code, b)
+}
+
+// writeBody answers code with the JSON body b plus the newline a
+// json.Encoder ends it with, under an exact Content-Length.
+func writeBody(w http.ResponseWriter, code int, b []byte) {
+	b = append(b, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(b) // a failed write is the client's disconnect
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {
@@ -185,11 +203,15 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 // bulk inserts (4,096 rows × 128 dims is about 6 MB of JSON).
 const maxBodyBytes = 64 << 20
 
-// decodeBody reads the request's JSON body into v, answering 413 when the
-// body exceeds maxBodyBytes and 400 when it does not parse; false means the
-// response has been written.
+// decodeBody reads the whole request body into v with json.Unmarshal's
+// answer (through Unmarshal's fast paths), answering 413 when the body
+// exceeds maxBodyBytes and 400 when it does not parse, bytes after the
+// JSON value included; false means the response has been written.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = Unmarshal(body, v)
+	}
 	if err == nil {
 		return true
 	}
@@ -430,11 +452,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, col *core.
 		writeErr(w, searchStatus(err), err)
 		return
 	}
-	results := make([]ResultJSON, 0, len(rs))
-	for _, x := range rs {
-		results = append(results, ResultJSON{ID: x.ID, Distance: x.Distance})
+	b, err := encodeSearchResponse(rs)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, SearchResponse{Results: results})
+	writeBody(w, http.StatusOK, b)
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request, col *core.Collection) {

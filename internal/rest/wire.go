@@ -1,0 +1,488 @@
+package rest
+
+// The codec of the hot bodies: the single-vector search request, its
+// response and the insert request. Anything else, and any body the strict
+// scanner does not fully cover, goes through encoding/json, so the
+// contract is encoding/json's bytes and json.Unmarshal's answer, faster.
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"reflect"
+	"strconv"
+
+	"vectordb/internal/topk"
+)
+
+// Marshal is json.Marshal. A SearchRequest with one query vector and no
+// categorical filter, and an InsertRequest, are appended directly.
+func Marshal(v any) ([]byte, error) {
+	var e encoder
+	switch v := v.(type) {
+	case SearchRequest:
+		if len(v.Vectors) > 0 || len(v.Weights) > 0 || v.CatFilter != nil {
+			return json.Marshal(v)
+		}
+		e.b = make([]byte, 0, 128+len(v.Field)+floatBytes*len(v.Vector))
+		e.searchRequest(&v)
+	case InsertRequest:
+		n := 16
+		for _, x := range v.Entities {
+			n += 48 + 21*len(x.Attrs)
+			for _, vec := range x.Vectors {
+				n += floatBytes * len(vec)
+			}
+		}
+		e.b = make([]byte, 0, n)
+		e.raw(`{"entities":`)
+		list(&e, v.Entities, (*encoder).entity)
+		e.raw("}")
+	default:
+		return json.Marshal(v)
+	}
+	return e.done()
+}
+
+// Unmarshal is json.Unmarshal for a v that points at a zero value. A
+// *SearchRequest, *InsertRequest or *SearchResponse is first read by the
+// strict scanner; a body it does not fully cover goes to json.Unmarshal,
+// which then decides.
+func Unmarshal(data []byte, v any) error {
+	var scanned bool
+	switch v := v.(type) {
+	case *SearchRequest:
+		scanned = scan(data, v, (*scanner).searchRequest)
+	case *InsertRequest:
+		scanned = scan(data, v, (*scanner).insertRequest)
+	case *SearchResponse:
+		scanned = scan(data, v, (*scanner).searchResponse)
+	}
+	if scanned {
+		return nil
+	}
+	return json.Unmarshal(data, v)
+}
+
+// encodeSearchResponse encodes the SearchResponse of rs straight from the
+// engine's results; a nil rs is an empty list, as the handler always sent.
+func encodeSearchResponse(rs []topk.Result) ([]byte, error) {
+	if rs == nil {
+		rs = []topk.Result{}
+	}
+	// `{"id":123456,"distance":12.345678},` is 35 bytes.
+	e := encoder{b: make([]byte, 0, 16+40*len(rs))}
+	e.raw(`{"results":`)
+	list(&e, rs, (*encoder).result)
+	e.raw("}")
+	return e.done()
+}
+
+// floatBytes is what a float32 and its comma usually take ("-1.2345678e-12,");
+// a longer one (up to 22 bytes) only makes append grow the buffer.
+const floatBytes = 16
+
+// encoder appends one body in its type's field order with its omitempty
+// rules; the first value encoding/json cannot encode is its err.
+type encoder struct {
+	b   []byte
+	err error
+}
+
+func (e *encoder) done() ([]byte, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e.b, nil
+}
+
+func (e *encoder) raw(s string) *encoder {
+	e.b = append(e.b, s...)
+	return e
+}
+
+func (e *encoder) int(n int64) { e.b = strconv.AppendInt(e.b, n, 10) }
+
+// nonZero appends an omitempty int member, key and all.
+func (e *encoder) nonZero(key string, n int) {
+	if n != 0 {
+		e.raw(key).int(int64(n))
+	}
+}
+
+// float appends f as encoding/json prints a float32: shortest round-trip
+// digits, exponent form outside [1e-6, 1e21) with a one-digit negative
+// exponent left unpadded. NaN and ±Inf are encoding/json's error.
+func (e *encoder) float(f float32) {
+	f64 := float64(f)
+	if math.IsNaN(f64) || math.IsInf(f64, 0) {
+		if e.err == nil {
+			e.err = &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f64, 'g', -1, 32)}
+		}
+		return
+	}
+	format := byte('f')
+	if abs := float32(math.Abs(f64)); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b := strconv.AppendFloat(e.b, f64, format, -1, 32)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	e.b = b
+}
+
+func (e *encoder) floats(v []float32) { list(e, v, (*encoder).float) }
+
+// str appends s quoted by encoding/json itself: the hot bodies carry at
+// most a field or attribute name, and its escapes are many.
+func (e *encoder) str(s string) {
+	q, _ := json.Marshal(s) // a string always encodes
+	e.b = append(e.b, q...)
+}
+
+// list appends v as a JSON array, or null when v is nil.
+func list[T any](e *encoder, v []T, elem func(*encoder, T)) {
+	if v == nil {
+		e.raw("null")
+		return
+	}
+	e.raw("[")
+	for i, x := range v {
+		if i > 0 {
+			e.raw(",")
+		}
+		elem(e, x)
+	}
+	e.raw("]")
+}
+
+// searchRequest appends r, which has no Vectors, Weights or CatFilter.
+func (e *encoder) searchRequest(r *SearchRequest) {
+	e.raw("{")
+	if r.Field != "" {
+		e.raw(`"field":`).str(r.Field)
+		e.raw(",")
+	}
+	if len(r.Vector) > 0 {
+		e.raw(`"vector":`).floats(r.Vector)
+		e.raw(",")
+	}
+	e.raw(`"k":`).int(int64(r.K))
+	e.nonZero(`,"nprobe":`, r.Nprobe)
+	e.nonZero(`,"ef":`, r.Ef)
+	e.nonZero(`,"search_l":`, r.SearchL)
+	if f := r.Filter; f != nil {
+		e.raw(`,"filter":{"attr":`).str(f.Attr)
+		e.raw(`,"lo":`).int(f.Lo)
+		e.raw(`,"hi":`).int(f.Hi)
+		e.raw("}")
+	}
+	e.raw("}")
+}
+
+func (e *encoder) entity(x EntityJSON) {
+	e.raw(`{"id":`).int(x.ID)
+	list(e.raw(`,"vectors":`), x.Vectors, (*encoder).floats)
+	if len(x.Attrs) > 0 {
+		list(e.raw(`,"attrs":`), x.Attrs, (*encoder).int)
+	}
+	if len(x.Cats) > 0 {
+		list(e.raw(`,"cats":`), x.Cats, (*encoder).str)
+	}
+	e.raw("}")
+}
+
+func (e *encoder) result(r topk.Result) {
+	e.raw(`{"id":`).int(r.ID)
+	e.raw(`,"distance":`).float(r.Distance)
+	e.raw("}")
+}
+
+// scanner reads one body in a single strict pass covering JSON's number
+// grammar, any whitespace and any key order. On anything else — null, an
+// escaped, case-variant, unknown or repeated key, a string with escapes
+// or non-ASCII bytes, a number outside its type, a syntax error, trailing
+// bytes — ok turns false and json.Unmarshal answers.
+type scanner struct {
+	b  []byte
+	i  int
+	ok bool
+}
+
+// scan reads data into the zero value v and reports whether the scanner
+// covered all of it; when it did not, v is zero again.
+func scan[T any](data []byte, v *T, read func(*scanner, *T)) bool {
+	s := scanner{b: data, ok: true}
+	read(&s, v)
+	if s.ok && s.skip() == 0 && s.i == len(s.b) {
+		return true
+	}
+	var zero T
+	*v = zero
+	return false
+}
+
+// skip advances past whitespace and returns the next byte, 0 at the end.
+func (s *scanner) skip() byte {
+	for ; s.i < len(s.b); s.i++ {
+		switch c := s.b[s.i]; c {
+		case ' ', '\t', '\n', '\r':
+		default:
+			return c
+		}
+	}
+	return 0
+}
+
+// eat consumes c as the next byte after whitespace.
+func (s *scanner) eat(c byte) {
+	if s.ok && s.skip() == c {
+		s.i++
+		return
+	}
+	s.ok = false
+}
+
+// open consumes an object's or array's opening byte and reports whether a
+// member follows.
+func (s *scanner) open(open, close byte) bool {
+	s.eat(open)
+	if s.ok && s.skip() == close {
+		s.i++
+		return false
+	}
+	return s.ok
+}
+
+// next consumes what follows a member and reports whether another member
+// follows.
+func (s *scanner) next(close byte) bool {
+	if s.ok {
+		switch s.skip() {
+		case ',':
+			s.i++
+			return true
+		case close:
+			s.i++
+			return false
+		}
+	}
+	s.ok = false
+	return false
+}
+
+// plain reads a string of printable ASCII without escapes, which
+// json.Unmarshal keeps byte for byte.
+func (s *scanner) plain() []byte {
+	s.eat('"')
+	for start := s.i; s.ok && s.i < len(s.b); s.i++ {
+		switch c := s.b[s.i]; {
+		case c == '"':
+			s.i++
+			return s.b[start : s.i-1]
+		case c < 0x20 || c >= 0x80 || c == '\\':
+			s.ok = false
+		}
+	}
+	s.ok = false
+	return nil
+}
+
+func (s *scanner) str() string { return string(s.plain()) }
+
+// object reads an object, calling member for each key after its colon.
+// A key must be one of keys, once: json.Unmarshal also folds case,
+// unescapes, skips unknown keys and merges a repeated one into the first.
+func (s *scanner) object(keys []string, member func(key string)) {
+	var seen uint
+	for more := s.open('{', '}'); more; more = s.next('}') {
+		k := s.plain()
+		s.eat(':')
+		i := 0
+		for i < len(keys) && string(k) != keys[i] {
+			i++
+		}
+		if !s.ok || i == len(keys) || seen&(1<<i) != 0 {
+			s.ok = false
+			return
+		}
+		seen |= 1 << i
+		member(keys[i])
+	}
+}
+
+// number reads one literal of JSON's grammar
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and reports whether it
+// has neither fraction nor exponent. What may follow it is the caller's
+// check, so "01" fails at the "1".
+func (s *scanner) number() (lit []byte, integer bool) {
+	if !s.ok {
+		return nil, false
+	}
+	s.skip()
+	b, start := s.b, s.i
+	i := start
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digits(b, i)
+	default:
+		s.ok = false
+	}
+	integer = true
+	if i < len(b) && b[i] == '.' {
+		integer = false
+		j := digits(b, i+1)
+		s.ok = s.ok && j > i+1
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		integer = false
+		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digits(b, i)
+		s.ok = s.ok && j > i
+		i = j
+	}
+	s.i = i
+	return b[start:i], integer && s.ok
+}
+
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// float32 parses a number as json.Unmarshal does for a float32 field; one
+// out of float32's range is its error.
+func (s *scanner) float32() float32 {
+	lit, _ := s.number()
+	if !s.ok {
+		return 0
+	}
+	f, err := strconv.ParseFloat(string(lit), 32)
+	s.ok = err == nil
+	return float32(f)
+}
+
+// int64 parses an integer literal as json.Unmarshal does for an int64
+// field; a fraction, an exponent or overflow is its error.
+func (s *scanner) int64() int64 {
+	lit, integer := s.number()
+	if !integer {
+		s.ok = false
+		return 0
+	}
+	n, err := strconv.ParseInt(string(lit), 10, 64)
+	s.ok = err == nil
+	return n
+}
+
+func (s *scanner) int() int {
+	n := s.int64()
+	s.ok = s.ok && int64(int(n)) == n
+	return int(n)
+}
+
+// array reads a JSON array with elem reading each element. "[]" is an
+// empty, non-nil slice, as json.Unmarshal makes it.
+func array[T any](s *scanner, capacity int, elem func(*scanner) T) []T {
+	v := make([]T, 0, capacity)
+	for more := s.open('[', ']'); more; more = s.next(']') {
+		v = append(v, elem(s))
+	}
+	return v
+}
+
+// numbers is the capacity of the array of numbers that starts at the next
+// byte: its commas plus one.
+func (s *scanner) numbers() int {
+	rest := s.b[s.i:]
+	if end := bytes.IndexByte(rest, ']'); end >= 0 {
+		return bytes.Count(rest[:end], []byte{','}) + 1
+	}
+	return 0
+}
+
+func (s *scanner) float32s() []float32 { return array(s, s.numbers(), (*scanner).float32) }
+
+func (s *scanner) searchRequest(r *SearchRequest) {
+	s.object([]string{"field", "vector", "k", "nprobe", "ef", "search_l", "filter"}, func(key string) {
+		switch key {
+		case "field":
+			r.Field = s.str()
+		case "vector":
+			r.Vector = s.float32s()
+		case "k":
+			r.K = s.int()
+		case "nprobe":
+			r.Nprobe = s.int()
+		case "ef":
+			r.Ef = s.int()
+		case "search_l":
+			r.SearchL = s.int()
+		case "filter":
+			f := new(FilterJSON)
+			r.Filter = f
+			s.object([]string{"attr", "lo", "hi"}, func(key string) {
+				switch key {
+				case "attr":
+					f.Attr = s.str()
+				case "lo":
+					f.Lo = s.int64()
+				case "hi":
+					f.Hi = s.int64()
+				}
+			})
+		}
+	})
+}
+
+func (s *scanner) insertRequest(r *InsertRequest) {
+	s.object([]string{"entities"}, func(string) { r.Entities = array(s, 0, (*scanner).entity) })
+}
+
+func (s *scanner) entity() (e EntityJSON) {
+	s.object([]string{"id", "vectors", "attrs", "cats"}, func(key string) {
+		switch key {
+		case "id":
+			e.ID = s.int64()
+		case "vectors":
+			e.Vectors = array(s, 1, (*scanner).float32s)
+		case "attrs":
+			e.Attrs = array(s, s.numbers(), (*scanner).int64)
+		case "cats":
+			e.Cats = array(s, 0, (*scanner).str)
+		}
+	})
+	return e
+}
+
+func (s *scanner) searchResponse(r *SearchResponse) {
+	s.object([]string{"results"}, func(string) {
+		// One '{' per hit after the body's own is the capacity the
+		// encoder's output needs.
+		r.Results = array(s, bytes.Count(s.b, []byte{'{'})-1, (*scanner).result)
+	})
+}
+
+func (s *scanner) result() (r ResultJSON) {
+	s.object([]string{"id", "distance"}, func(key string) {
+		switch key {
+		case "id":
+			r.ID = s.int64()
+		case "distance":
+			r.Distance = s.float32()
+		}
+	})
+	return r
+}
