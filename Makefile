@@ -62,6 +62,9 @@ ci: vet fmt build lint test cover kernel-guard conformance-filter conformance-wi
 # recovery tests). Every sealed segment is one SEGX object: it round-trips
 # through DecodeSegment, is Put exactly once, and a corrupted one fails a
 # restore and a cluster reader's load instead of serving altered vectors.
+# The block cache recycles evicted frames, so a scan that read a view after
+# its pin would see another block's rows: the frame-lifecycle unit tests
+# and the concurrent recycle conformance test also run race-enabled here.
 conformance-ooc:
 	$(GO) test ./internal/core -run TestTiered
 	$(GO) test ./internal/core -run TestDBTierDefaults
@@ -69,6 +72,8 @@ conformance-ooc:
 	$(GO) test ./internal/colstore -run TestExtent
 	$(GO) test ./internal/cluster -run TestReaderCorruptSegmentObject
 	$(GO) test ./internal/blockcache
+	$(GO) test -race ./internal/blockcache
+	$(GO) test -race ./internal/core -run TestTieredConcurrentRecycle
 
 # conformance-filter is the filtered-ANN ground-truth gate: every index
 # type × metric × selectivity against the exact filter-then-scan oracle

@@ -1,6 +1,6 @@
 // Package blockcache is the capacity-bounded block cache behind
 // out-of-core sealed-segment scans. Keys name a 256-row block of one
-// extent of one owner (segment); values are immutable byte blocks loaded
+// extent of one owner (segment); values are immutable byte blocks filled
 // once via per-key singleflight and shared by every concurrent scan.
 //
 // Design points, in the order they matter for correctness:
@@ -17,15 +17,22 @@
 //   - Sharding. Keys hash across shards, each with its own lock, map and
 //     intrusive LRU list, so concurrent scans of different segments do
 //     not serialize on one mutex.
+//   - Frames. The cache owns block memory: a miss fills a frame taken from
+//     the shard's free list, and a block's frame goes back to that list
+//     once its entry is both unreachable (evicted, dropped, or its fill
+//     failed) and unpinned. A view of a block is therefore valid only
+//     while its Pin is held — after Release the same bytes may already
+//     hold another block.
 //
-// The cache holds bytes, not typed slices: loaders that want in-place
-// float32 views allocate float-backed blocks (colstore.FloatsToBytes) so
-// alignment is guaranteed by construction.
+// The cache holds bytes, not typed slices: frames are float-backed, so
+// loaders that want in-place float32 views get 4-byte alignment by
+// construction.
 package blockcache
 
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Key names one cached block. Owner is a caller-scoped namespace (segment
@@ -59,7 +66,8 @@ type Pin struct {
 	s *shard
 }
 
-// Bytes returns the pinned block. Callers must not mutate it.
+// Bytes returns the pinned block. Callers must not mutate it, nor read
+// it after Release.
 func (p Pin) Bytes() []byte {
 	if p.e == nil {
 		return nil
@@ -77,7 +85,7 @@ func (p Pin) Release() {
 	if p.e.dead && p.e.refs == 0 {
 		// Dropped while pinned: reclaim now that the last pin is gone.
 		p.s.unlink(p.e)
-		p.s.bytes -= int64(len(p.e.data))
+		p.s.reclaim(p.e)
 	}
 	p.s.mu.Unlock()
 }
@@ -88,6 +96,11 @@ type shard struct {
 	// LRU list: head.next is most-recent, head.prev is least-recent.
 	head  entry
 	bytes int64
+	// free holds recycled frames; freeBytes sums their capacities, which
+	// recycle keeps within budget-minus-resident before adding one frame.
+	free      [][]byte
+	freeBytes int64
+	budget    int64 // capacity / shards; 0 = unbounded
 }
 
 func (s *shard) init() {
@@ -109,30 +122,83 @@ func (s *shard) pushFront(e *entry) {
 	e.linked = true
 }
 
+// reclaim takes an unreachable, unpinned entry's bytes off the books and
+// recycles its frame.
+func (s *shard) reclaim(e *entry) {
+	s.bytes -= int64(len(e.data))
+	s.recycle(e.data)
+	e.data = nil
+}
+
+// recycle returns a frame no entry can reach any more to the free list,
+// dropping the oldest free frames first so resident plus free bytes stay
+// within the budget plus this one frame. Unbounded caches never evict, so
+// they keep no free list.
+func (s *shard) recycle(f []byte) {
+	if s.budget == 0 {
+		return
+	}
+	for len(s.free) > 0 && s.bytes+s.freeBytes > s.budget {
+		s.freeBytes -= int64(cap(s.free[0]))
+		s.free[0] = nil
+		s.free = s.free[1:]
+	}
+	if s.bytes+s.freeBytes <= s.budget {
+		s.free = append(s.free, f)
+		s.freeBytes += int64(cap(f))
+	}
+}
+
+// takeFrame pops the newest free frame that can hold size bytes, or
+// returns nil. Free frames too small for it are released to the GC, so a
+// miss that must allocate never stacks a new frame on top of stale ones.
+func (s *shard) takeFrame(size int) []byte {
+	for i := len(s.free) - 1; i >= 0; i-- {
+		if f := s.free[i]; cap(f) >= size {
+			last := len(s.free) - 1
+			s.free[i], s.free[last] = s.free[last], nil
+			s.free = s.free[:last]
+			s.freeBytes -= int64(cap(f))
+			return f[:size]
+		}
+	}
+	clear(s.free)
+	s.free, s.freeBytes = s.free[:0], 0
+	return nil
+}
+
+// newFrame allocates a float-backed, hence 4-byte-aligned, frame.
+func newFrame(size int) []byte {
+	f := make([]float32, (size+3)/4)
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 4*len(f))[:size]
+}
+
 // Stats is a point-in-time snapshot of cache counters. Hits count
 // arrivals that found the block present or already loading (a
 // singleflight wait still avoids a duplicate fetch); misses count
-// arrivals that had to start a load.
+// arrivals that had to start a load. FrameAllocs counts misses that
+// found no free frame to recycle and allocated a new one.
 type Stats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	LoadFails int64
-	Bytes     int64
-	Entries   int64
+	Hits        int64
+	Misses      int64
+	Evictions   int64
+	LoadFails   int64
+	FrameAllocs int64
+	Bytes       int64
+	Entries     int64
 }
 
 // Cache is a sharded LRU block cache. Capacity is a global byte budget
 // divided evenly across shards.
 type Cache struct {
 	shards   []shard
-	perShard int64
 	capacity int64
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	loadFails atomic.Int64
+	hits        atomic.Int64
+	misses      atomic.Int64
+	evictions   atomic.Int64
+	loadFails   atomic.Int64
+	frameAllocs atomic.Int64
 }
 
 // New creates a cache with the given capacity in bytes and shard count.
@@ -143,15 +209,14 @@ func New(capacity int64, shards int) *Cache {
 		shards = 8
 	}
 	c := &Cache{shards: make([]shard, shards)}
-	for i := range c.shards {
-		c.shards[i].init()
-	}
+	var perShard int64
 	if capacity > 0 {
 		c.capacity = capacity
-		c.perShard = capacity / int64(shards)
-		if c.perShard == 0 {
-			c.perShard = 1
-		}
+		perShard = max(capacity/int64(shards), 1)
+	}
+	for i := range c.shards {
+		c.shards[i].init()
+		c.shards[i].budget = perShard
 	}
 	return c
 }
@@ -170,12 +235,15 @@ func (c *Cache) shardFor(k Key) *shard {
 	return &c.shards[h%uint64(len(c.shards))]
 }
 
-// GetOrLoad returns a pinned view of the block for k, invoking load at
-// most once per residency to produce it. The returned Pin must be
-// released on every path (the blockpin analyzer enforces this). On load
-// failure the error is returned, nothing is cached, and waiting getters
-// retry (one of them becomes the next loader).
-func (c *Cache) GetOrLoad(k Key, load func() ([]byte, error)) (Pin, error) {
+// GetOrLoad returns a pinned view of the size-byte block for k, invoking
+// fill at most once per residency to write it into a cache-owned frame
+// (recycled when the shard has one, else freshly allocated). fill must
+// write all of dst — a recycled frame holds an older block's bytes — and
+// must not retain it. The returned Pin must be released on every path
+// (the blockpin analyzer enforces this). On fill failure the error is
+// returned, nothing is cached, and waiting getters retry (one of them
+// becomes the next loader).
+func (c *Cache) GetOrLoad(k Key, size int, fill func(dst []byte) error) (Pin, error) {
 	s := c.shardFor(k)
 	for {
 		s.mu.Lock()
@@ -196,31 +264,40 @@ func (c *Cache) GetOrLoad(k Key, load func() ([]byte, error)) (Pin, error) {
 			<-ready
 			continue
 		}
-		// Miss: install a loading placeholder and release the lock for
-		// the load itself.
+		// Miss: install a loading placeholder, make room for the block —
+		// the least-recent victims' frames go to the free list, and one
+		// of them becomes this block's frame — and release the lock for
+		// the fill itself.
 		e := &entry{key: k, ready: make(chan struct{})}
 		s.entries[k] = e
+		c.evictLocked(s, int64(size))
+		frame := s.takeFrame(size)
 		s.mu.Unlock()
 		c.misses.Add(1)
+		if frame == nil {
+			frame = newFrame(size)
+			c.frameAllocs.Add(1)
+		}
 
-		data, err := load()
+		err := fill(frame)
 		s.mu.Lock()
 		if err != nil {
 			if s.entries[k] == e {
 				delete(s.entries, k)
 			}
+			s.recycle(frame)
 			s.mu.Unlock()
 			close(e.ready)
 			c.loadFails.Add(1)
 			return Pin{}, err
 		}
-		e.data = data
+		e.data = frame
 		e.loaded = true
 		e.refs = 1
-		s.bytes += int64(len(data)) // Release reclaims this for dead entries
+		s.bytes += int64(size) // Release reclaims this for dead entries
 		if s.entries[k] == e {
 			s.pushFront(e)
-			c.evictLocked(s)
+			c.evictLocked(s, 0) // concurrent fills may have overshot
 		} else {
 			// Dropped while loading: serve this pin, cache nothing.
 			e.dead = true
@@ -232,10 +309,11 @@ func (c *Cache) GetOrLoad(k Key, load func() ([]byte, error)) (Pin, error) {
 }
 
 // evictLocked walks the LRU from least-recent, dropping unpinned resident
-// entries until the shard is within budget. Pinned entries are skipped —
-// capacity is a target, not a hard guarantee, while scans hold pins.
-func (c *Cache) evictLocked(s *shard) {
-	for c.perShard > 0 && s.bytes > c.perShard {
+// entries until room more bytes fit the shard's budget. Pinned entries are
+// skipped — capacity is a target, not a hard guarantee, while scans hold
+// pins.
+func (c *Cache) evictLocked(s *shard, room int64) {
+	for s.budget > 0 && s.bytes+room > s.budget {
 		e := s.head.prev
 		for e != &s.head && e.refs > 0 {
 			e = e.prev
@@ -247,7 +325,7 @@ func (c *Cache) evictLocked(s *shard) {
 		if s.entries[e.key] == e {
 			delete(s.entries, e.key)
 		}
-		s.bytes -= int64(len(e.data))
+		s.reclaim(e)
 		c.evictions.Add(1)
 	}
 }
@@ -255,20 +333,25 @@ func (c *Cache) evictLocked(s *shard) {
 // Drop removes every block belonging to owner (segment GC or demotion
 // invalidation): unpinned blocks are reclaimed immediately, pinned ones
 // are detached from the map (new gets reload fresh) and reclaimed when
-// their last pin releases.
+// their last pin releases. A block still loading is detached too: its
+// loader serves its one pin, caches nothing, and the frame is recycled at
+// that pin's Release.
 func (c *Cache) Drop(owner uint64) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for k, e := range s.entries {
-			if k.Owner != owner || !e.loaded {
+			if k.Owner != owner {
 				continue
 			}
 			delete(s.entries, k)
-			if e.refs == 0 {
+			switch {
+			case !e.loaded:
+				// Loading: its loader finds itself detached.
+			case e.refs == 0:
 				s.unlink(e)
-				s.bytes -= int64(len(e.data))
-			} else {
+				s.reclaim(e)
+			default:
 				e.dead = true
 			}
 		}
@@ -279,10 +362,11 @@ func (c *Cache) Drop(owner uint64) {
 // Stats returns current counters.
 func (c *Cache) Stats() Stats {
 	st := Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		LoadFails: c.loadFails.Load(),
+		Hits:        c.hits.Load(),
+		Misses:      c.misses.Load(),
+		Evictions:   c.evictions.Load(),
+		LoadFails:   c.loadFails.Load(),
+		FrameAllocs: c.frameAllocs.Load(),
 	}
 	for i := range c.shards {
 		s := &c.shards[i]

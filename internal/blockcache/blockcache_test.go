@@ -8,20 +8,22 @@ import (
 	"testing"
 )
 
-func blockBytes(n int, fill byte) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = fill
+// fillWith returns a fill that sets every byte of the block to v.
+func fillWith(v byte) func(dst []byte) error {
+	return func(dst []byte) error {
+		for i := range dst {
+			dst[i] = v
+		}
+		return nil
 	}
-	return b
 }
 
 func TestGetOrLoadBasics(t *testing.T) {
 	c := New(1<<20, 4)
 	loads := 0
-	load := func() ([]byte, error) { loads++; return blockBytes(64, 7), nil }
+	load := func(dst []byte) error { loads++; return fillWith(7)(dst) }
 
-	p, err := c.GetOrLoad(Key{Owner: 1, Block: 0}, load)
+	p, err := c.GetOrLoad(Key{Owner: 1, Block: 0}, 64, load)
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
@@ -30,7 +32,7 @@ func TestGetOrLoadBasics(t *testing.T) {
 	}
 	p.Release()
 
-	p2, err := c.GetOrLoad(Key{Owner: 1, Block: 0}, load)
+	p2, err := c.GetOrLoad(Key{Owner: 1, Block: 0}, 64, load)
 	if err != nil {
 		t.Fatalf("second get: %v", err)
 	}
@@ -49,10 +51,10 @@ func TestSingleflight(t *testing.T) {
 	c := New(1<<20, 1)
 	var loads atomic.Int64
 	gate := make(chan struct{})
-	load := func() ([]byte, error) {
+	load := func(dst []byte) error {
 		loads.Add(1)
 		<-gate
-		return blockBytes(32, 1), nil
+		return fillWith(1)(dst)
 	}
 	const workers = 16
 	var wg sync.WaitGroup
@@ -61,7 +63,7 @@ func TestSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := c.GetOrLoad(Key{Owner: 3, Block: 9}, load)
+			p, err := c.GetOrLoad(Key{Owner: 3, Block: 9}, 32, load)
 			errs[i] = err
 			if err == nil {
 				if len(p.Bytes()) != 32 {
@@ -86,9 +88,7 @@ func TestSingleflight(t *testing.T) {
 func TestEvictionRespectsCapacityAndPins(t *testing.T) {
 	c := New(256, 1) // room for 4 × 64-byte blocks
 	mk := func(i int) (Pin, error) {
-		return c.GetOrLoad(Key{Owner: 1, Block: uint32(i)}, func() ([]byte, error) {
-			return blockBytes(64, byte(i)), nil
-		})
+		return c.GetOrLoad(Key{Owner: 1, Block: uint32(i)}, 64, fillWith(byte(i)))
 	}
 	// Hold a pin on block 0 while overflowing the budget.
 	p0, err := mk(0)
@@ -129,7 +129,7 @@ func TestLoadFailureNotCached(t *testing.T) {
 	c := New(1<<20, 2)
 	boom := errors.New("injected")
 	k := Key{Owner: 5, Block: 5}
-	if _, err := c.GetOrLoad(k, func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := c.GetOrLoad(k, 16, func([]byte) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("want injected error, got %v", err)
 	}
 	st := c.Stats()
@@ -137,7 +137,7 @@ func TestLoadFailureNotCached(t *testing.T) {
 		t.Fatalf("stats after failure: %+v", st)
 	}
 	// Next get retries and succeeds.
-	p, err := c.GetOrLoad(k, func() ([]byte, error) { return blockBytes(16, 2), nil })
+	p, err := c.GetOrLoad(k, 16, fillWith(2))
 	if err != nil {
 		t.Fatalf("retry: %v", err)
 	}
@@ -150,10 +150,10 @@ func TestFailureWakesWaiters(t *testing.T) {
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	go func() {
-		_, _ = c.GetOrLoad(k, func() ([]byte, error) {
+		_, _ = c.GetOrLoad(k, 8, func([]byte) error {
 			close(started)
 			<-gate
-			return nil, errors.New("first load fails")
+			return errors.New("first load fails")
 		})
 	}()
 	<-started
@@ -161,7 +161,7 @@ func TestFailureWakesWaiters(t *testing.T) {
 	go func() {
 		// This waiter arrives mid-flight; after the failure it must retry
 		// with its own loader and succeed, not hang.
-		p, err := c.GetOrLoad(k, func() ([]byte, error) { return blockBytes(8, 9), nil })
+		p, err := c.GetOrLoad(k, 8, fillWith(9))
 		if err == nil {
 			p.Release()
 		}
@@ -177,9 +177,7 @@ func TestDropReclaims(t *testing.T) {
 	c := New(1<<20, 2)
 	var pinned Pin
 	for i := 0; i < 8; i++ {
-		p, err := c.GetOrLoad(Key{Owner: 7, Block: uint32(i)}, func() ([]byte, error) {
-			return blockBytes(128, 1), nil
-		})
+		p, err := c.GetOrLoad(Key{Owner: 7, Block: uint32(i)}, 128, fillWith(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,9 +187,7 @@ func TestDropReclaims(t *testing.T) {
 			p.Release()
 		}
 	}
-	other, err := c.GetOrLoad(Key{Owner: 8, Block: 0}, func() ([]byte, error) {
-		return blockBytes(128, 2), nil
-	})
+	other, err := c.GetOrLoad(Key{Owner: 8, Block: 0}, 128, fillWith(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +217,11 @@ func TestConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
 				k := Key{Owner: uint64(i % 3), Ext: uint32(w % 2), Block: uint32(i % 17)}
-				p, err := c.GetOrLoad(k, func() ([]byte, error) {
+				p, err := c.GetOrLoad(k, 96, func(dst []byte) error {
 					if i%31 == 7 && w == 0 {
-						return nil, fmt.Errorf("churn fault %d", i)
+						return fmt.Errorf("churn fault %d", i)
 					}
-					return blockBytes(96, byte(i)), nil
+					return fillWith(byte(i))(dst)
 				})
 				if err != nil {
 					continue
@@ -242,5 +238,210 @@ func TestConcurrentChurn(t *testing.T) {
 	st := c.Stats()
 	if st.Bytes < 0 || st.Entries < 0 {
 		t.Fatalf("negative accounting after churn: %+v", st)
+	}
+}
+
+func TestDropDuringLoadCachesNothing(t *testing.T) {
+	c := New(1<<20, 1)
+	k := Key{Owner: 9, Block: 0}
+	started, gate := make(chan struct{}), make(chan struct{})
+	served := make(chan Pin, 1)
+	go func() {
+		p, err := c.GetOrLoad(k, 64, func(dst []byte) error {
+			close(started)
+			<-gate
+			return fillWith(3)(dst)
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		served <- p
+	}()
+	<-started
+	c.Drop(9)
+	close(gate)
+	p := <-served
+	if b := p.Bytes(); len(b) != 64 || b[0] != 3 {
+		t.Fatalf("loader not served its block: %v", b)
+	}
+	if st := c.Stats(); st.Entries != 0 {
+		t.Fatalf("block of a dropped owner is reachable: %+v", st)
+	}
+	p.Release()
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("block of a dropped owner still cached after release: %+v", st)
+	}
+	// Its frame was recycled: the next miss allocates nothing.
+	q, err := c.GetOrLoad(Key{Owner: 10}, 64, fillWith(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Release()
+	if st := c.Stats(); st.FrameAllocs != 1 {
+		t.Fatalf("frame of the dropped load not recycled: %+v", st)
+	}
+}
+
+func TestPinnedBlockSurvivesChurn(t *testing.T) {
+	c := New(4*256, 1)
+	pinned, err := c.GetOrLoad(Key{Owner: 1, Block: 0}, 256, func(dst []byte) error {
+		for i := range dst {
+			dst[i] = byte(i)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 1000; i++ {
+		p, err := c.GetOrLoad(Key{Owner: 2, Block: uint32(i)}, 256, fillWith(0xff))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release()
+	}
+	for i, b := range pinned.Bytes() {
+		if b != byte(i) {
+			t.Fatalf("pinned byte %d = %#x after 1000 misses, want %#x", i, b, byte(i))
+		}
+	}
+	pinned.Release()
+	if st := c.Stats(); st.Misses != 1001 || st.FrameAllocs > 5 {
+		t.Fatalf("frames not recycled across misses: %+v", st)
+	}
+}
+
+func TestDroppedPinnedFrameNotReusedBeforeRelease(t *testing.T) {
+	c := New(2*64, 1)
+	p, err := c.GetOrLoad(Key{Owner: 1, Block: 0}, 64, fillWith(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := &p.Bytes()[0]
+	c.Drop(1)
+	mk := func(i int) {
+		q, err := c.GetOrLoad(Key{Owner: 2, Block: uint32(i)}, 64, func(dst []byte) error {
+			if &dst[0] == frame {
+				t.Fatalf("miss %d handed out the frame of a dropped, still pinned block", i)
+			}
+			return fillWith(2)(dst)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Release()
+	}
+	for i := 0; i < 100; i++ {
+		mk(i)
+	}
+	if p.Bytes()[0] != 1 {
+		t.Fatal("dropped pinned block's bytes changed before its release")
+	}
+	p.Release()
+	reused := false
+	for i := 100; i < 104 && !reused; i++ {
+		q, err := c.GetOrLoad(Key{Owner: 2, Block: uint32(i)}, 64, func(dst []byte) error {
+			reused = &dst[0] == frame
+			return fillWith(2)(dst)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Release()
+	}
+	if !reused {
+		t.Fatal("frame of a released dropped block never recycled")
+	}
+}
+
+func TestFailedFillReturnsFrame(t *testing.T) {
+	c := New(1<<20, 1)
+	var failed *byte
+	_, err := c.GetOrLoad(Key{Owner: 1}, 64, func(dst []byte) error {
+		failed = &dst[0]
+		return errors.New("injected")
+	})
+	if err == nil {
+		t.Fatal("failed fill returned no error")
+	}
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("failed fill cached something: %+v", st)
+	}
+	p, err := c.GetOrLoad(Key{Owner: 1}, 64, fillWith(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release()
+	if &p.Bytes()[0] != failed || p.Bytes()[63] != 5 {
+		t.Fatal("failed fill's frame was not recycled into the retry")
+	}
+	if st := c.Stats(); st.FrameAllocs != 1 {
+		t.Fatalf("retry allocated a second frame: %+v", st)
+	}
+}
+
+// checkFrameBound asserts every shard's resident plus free bytes stay
+// within its budget plus one frame of at most maxFrame bytes.
+func checkFrameBound(t *testing.T, c *Cache, maxFrame int64, when string) {
+	t.Helper()
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		held := s.bytes + s.freeBytes
+		s.mu.Unlock()
+		if held > s.budget+maxFrame {
+			t.Fatalf("%s: shard %d holds %d resident+free bytes, bound %d", when, i, held, s.budget+maxFrame)
+		}
+	}
+}
+
+func TestFrameMemoryBound(t *testing.T) {
+	c := New(4096, 4)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				k := Key{Owner: uint64(i % 5), Ext: uint32(w % 2), Block: uint32(i % 23)}
+				p, err := c.GetOrLoad(k, 64+32*(i%4), fillWith(byte(i)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				p.Release()
+				if i%97 == 0 {
+					c.Drop(uint64(i % 5))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	checkFrameBound(t, c, 160, "after churn")
+	for o := uint64(0); o < 5; o++ {
+		c.Drop(o)
+	}
+	checkFrameBound(t, c, 160, "after drop")
+	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 {
+		t.Fatalf("drop of every owner left blocks: %+v", st)
+	}
+}
+
+// BenchmarkMissEvict measures one miss that evicts: every get names a new
+// key of a full 64 KiB-block cache, so each op fills a block and evicts
+// the least-recent one.
+func BenchmarkMissEvict(b *testing.B) {
+	const size = 64 << 10
+	src := make([]byte, size)
+	c := New(4*size, 1)
+	fill := func(dst []byte) error { copy(dst, src); return nil }
+	b.ReportAllocs()
+	b.SetBytes(size)
+	for i := 0; i < b.N; i++ {
+		p, err := c.GetOrLoad(Key{Owner: 1, Block: uint32(i)}, size, fill)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Release()
 	}
 }

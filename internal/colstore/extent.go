@@ -438,20 +438,3 @@ func (m *MappedFile) AdviseSequential() {
 		adviseSequential(m.data)
 	}
 }
-
-// AdviseWillNeed hints the kernel to asynchronously fault in [off, off+n)
-// — the sequential-prefetch hook: the block loader advises the next block
-// while the current one is being scanned. Offsets are clamped and
-// page-aligned internally.
-func (m *MappedFile) AdviseWillNeed(off, n int) {
-	if !m.mapped || n <= 0 || off >= len(m.data) {
-		return
-	}
-	page := os.Getpagesize()
-	start := off &^ (page - 1)
-	end := off + n
-	if end > len(m.data) {
-		end = len(m.data)
-	}
-	adviseWillNeed(m.data[start:end])
-}

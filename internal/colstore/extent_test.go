@@ -113,7 +113,6 @@ func TestExtentMappedOpen(t *testing.T) {
 			t.Fatalf("mapped vector[%d] = %g, want %g", i, vv[i], want)
 		}
 	}
-	mf.AdviseWillNeed(0, mf.Size()) // exercise the prefetch hint path
 	if err := mf.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}

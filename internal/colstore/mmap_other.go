@@ -23,5 +23,3 @@ func mmapFile(f *os.File, size int) ([]byte, bool, error) {
 func munmapFile(data []byte) error { return nil }
 
 func adviseSequential(b []byte) {}
-
-func adviseWillNeed(b []byte) {}

@@ -28,9 +28,3 @@ func adviseSequential(b []byte) {
 		_ = syscall.Madvise(b, syscall.MADV_SEQUENTIAL)
 	}
 }
-
-func adviseWillNeed(b []byte) {
-	if len(b) > 0 {
-		_ = syscall.Madvise(b, syscall.MADV_WILLNEED)
-	}
-}

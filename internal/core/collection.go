@@ -199,13 +199,7 @@ func NewCollection(name string, schema Schema, store objstore.Store, cfg Config)
 			cache = blockcache.New(cfg.TierCacheBytes, 0)
 			// A private cache's series carry the collection label; a shared
 			// cache is registered once by whoever created it.
-			cfg.Obs.RegisterCacheMetrics("vectordb_blockcache", func() obs.CacheStats {
-				st := cache.Stats()
-				return obs.CacheStats{
-					Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
-					Bytes: st.Bytes, Entries: st.Entries, Detail: true,
-				}
-			}, "collection", name)
+			registerBlockCacheMetrics(cfg.Obs, cache, "collection", name)
 		}
 		c.tier = &collTier{
 			dir:    filepath.Join(cfg.TierDir, name),

@@ -123,13 +123,7 @@ func (db *DB) EnableTiering(d TierDefaults) {
 		return
 	}
 	cache := blockcache.New(d.CacheBytes, 0)
-	db.reg.RegisterCacheMetrics("vectordb_blockcache", func() obs.CacheStats {
-		st := cache.Stats()
-		return obs.CacheStats{
-			Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
-			Bytes: st.Bytes, Entries: st.Entries, Detail: true,
-		}
-	}, "scope", "db")
+	registerBlockCacheMetrics(db.reg, cache, "scope", "db")
 	db.tier = d
 	db.tierCache = cache
 }

@@ -14,6 +14,7 @@ import (
 	"vectordb/internal/index"
 	"vectordb/internal/index/ivf"
 	"vectordb/internal/objstore"
+	"vectordb/internal/obs"
 )
 
 // Tiered segment storage: sealed segments move their vector (and column)
@@ -24,8 +25,8 @@ import (
 //
 //	hot    — plain RAM columns (growing segments, or tiering disabled).
 //	         Everything behaves exactly as before.
-//	mapped — the extent file is mmap'd; reads fault pages in lazily with
-//	         sequential prefetch, scans go block-by-block through the
+//	mapped — the extent file is mmap'd; reads fault pages in lazily
+//	         (kernel readahead), scans go block-by-block through the
 //	         block cache.
 //	cold   — the mapping is dropped and the local file removed; the
 //	         extents live only in the segment's object in the store. The
@@ -70,6 +71,22 @@ type collTier struct {
 	// to one data tier plus one index-payload tier per vector field, each
 	// with its own file, store key and cache namespace.
 	segs map[uint64]*segTier
+}
+
+// registerBlockCacheMetrics registers a block cache's vectordb_blockcache_*
+// series: the shared cache shape plus the count of frames the cache had to
+// allocate, which stays far below the miss count while evicted frames are
+// being recycled.
+func registerBlockCacheMetrics(reg *obs.Registry, cache *blockcache.Cache, labels ...string) {
+	reg.RegisterCacheMetrics("vectordb_blockcache", func() obs.CacheStats {
+		st := cache.Stats()
+		return obs.CacheStats{
+			Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
+			Bytes: st.Bytes, Entries: st.Entries, Detail: true,
+		}
+	}, labels...)
+	reg.CounterFunc("vectordb_blockcache_frame_allocs_total",
+		func() int64 { return cache.Stats().FrameAllocs }, labels...)
 }
 
 // register adds a freshly sealed (mapped) extent file to the tier's books
@@ -187,15 +204,6 @@ func (t *segTier) isMapped() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.mf != nil
-}
-
-// mappedFile returns the live mapping, or nil when cold. Used for advise
-// hints only — readers that need the mapping to stay valid go through
-// acquire.
-func (t *segTier) mappedFile() *colstore.MappedFile {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.mf
 }
 
 // acquire pins the segment's mapping, promoting from the store when
@@ -360,20 +368,18 @@ func (c *Collection) tierSegment(seg *Segment, img []byte) error {
 	return nil
 }
 
-// tierBlockBytes is one cached block's byte size for a given row width.
-func tierBlockBytes(dim int) int { return index.ScanBlockRows * dim * 4 }
-
 // tierVecSource serves one vector field of a mapped segment as an
 // index.BlockSource: each 256-row block is faulted once into the block
-// cache (copied out of the mapping into a float-backed block, so the view
+// cache (copied out of the mapping into a cache-owned frame, so the view
 // is stable after the mapping unpins) and pinned only while the scan is
-// inside it. The source holds the segment's mapping pinned for its whole
-// lifetime — demotion cannot invalidate a running scan.
+// inside it: the view dies at the next Block or Release, after which the
+// frame may hold another block. The source holds the segment's mapping
+// pinned for its whole lifetime — demotion cannot invalidate a running
+// scan.
 type tierVecSource struct {
 	t       *segTier
 	relMap  func()
 	ext     *colstore.Extent
-	data    []float32 // whole-extent view aliasing the mapping
 	dim     int
 	extID   uint32
 	pin     blockcache.Pin
@@ -387,17 +393,10 @@ func (s *tierVecSource) Block(i0, i1 int) []float32 {
 	s.pin.Release() // previous view is invalidated by contract
 	s.pin = blockcache.Pin{}
 	k := blockcache.Key{Owner: s.t.owner, Ext: s.extID, Block: uint32(i0 / index.ScanBlockRows)}
-	pin, err := s.t.ct.cache.GetOrLoad(k, func() ([]byte, error) {
-		blk := make([]float32, (i1-i0)*s.dim)
-		copy(blk, s.data[i0*s.dim:i1*s.dim])
-		// Sequential prefetch: fault the next block's pages in while this
-		// one is being scanned.
-		if next := i1 * s.dim * 4; next < len(s.ext.Payload) {
-			if mf := s.t.mappedFile(); mf != nil {
-				mf.AdviseWillNeed(int(s.ext.Off)+next, tierBlockBytes(s.dim))
-			}
-		}
-		return colstore.FloatsToBytes(blk), nil
+	rb := s.dim * 4
+	pin, err := s.t.ct.cache.GetOrLoad(k, (i1-i0)*rb, func(dst []byte) error {
+		copy(dst, s.ext.Payload[i0*rb:i1*rb])
+		return nil
 	})
 	if err != nil {
 		// Unreachable: the loader copies from a pinned mapping and cannot
@@ -459,7 +458,6 @@ func (s *Segment) vectorSource(f int) (index.BlockSource, error) {
 		t:      s.tier,
 		relMap: rel,
 		ext:    ext,
-		data:   ext.Floats(),
 		dim:    s.Vectors[f].Dim,
 		extID:  tierExtID(colstore.ExtentVectors, uint32(f)),
 	}, nil
@@ -504,8 +502,9 @@ func (s *Segment) vectorRows(f int) (func(r int) []float32, func(), error) {
 
 // tierByteSource is the code-shaped sibling of tierVecSource: one
 // externalized IVF_SQ8 code extent served as an index.ByteBlockSource, a
-// cached 256-row block at a time. Cached blocks are byte copies, so the
-// returned views stay stable after the mapping unpins.
+// cached 256-row block at a time. Cached blocks are byte copies in
+// cache-owned frames, so a returned view stays stable after the mapping
+// unpins — until the next Block or Release.
 type tierByteSource struct {
 	t      *segTier
 	relMap func()
@@ -522,15 +521,9 @@ func (s *tierByteSource) Block(i0, i1 int) []byte {
 	s.pin.Release() // previous view is invalidated by contract
 	s.pin = blockcache.Pin{}
 	k := blockcache.Key{Owner: s.t.owner, Ext: s.extID, Block: uint32(i0 / index.ScanBlockRows)}
-	pin, err := s.t.ct.cache.GetOrLoad(k, func() ([]byte, error) {
-		blk := make([]byte, (i1-i0)*s.rb)
-		copy(blk, s.ext.Payload[i0*s.rb:i1*s.rb])
-		if next := i1 * s.rb; next < len(s.ext.Payload) {
-			if mf := s.t.mappedFile(); mf != nil {
-				mf.AdviseWillNeed(int(s.ext.Off)+next, index.ScanBlockRows*s.rb)
-			}
-		}
-		return blk, nil
+	pin, err := s.t.ct.cache.GetOrLoad(k, (i1-i0)*s.rb, func(dst []byte) error {
+		copy(dst, s.ext.Payload[i0*s.rb:i1*s.rb])
+		return nil
 	})
 	if err != nil {
 		// Unreachable: the loader copies from a pinned mapping and cannot
@@ -569,7 +562,6 @@ func (p *tierIVFExt) OpenFloats() (index.BlockSource, error) {
 		t:      p.t,
 		relMap: rel,
 		ext:    ext,
-		data:   ext.Floats(),
 		dim:    int(ext.Dim),
 		extID:  tierExtID(colstore.ExtentIVFVecs, p.field),
 	}, nil

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
+	"vectordb/internal/blockcache"
 	"vectordb/internal/colstore"
+	"vectordb/internal/index"
 	"vectordb/internal/objstore"
 	"vectordb/internal/topk"
 )
@@ -187,6 +190,96 @@ func TestTieredConformance(t *testing.T) {
 						t.Fatalf("Get(%d): vector differs at %d", id, j)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestTieredConcurrentRecycle pins the view contract the block cache's
+// frame recycling rests on: a block's bytes are reused for another block
+// as soon as its entry is evicted and unpinned, so a scan reading a view
+// after the next Block or Release would return another block's rows. With
+// a budget of one block, four goroutines searching FLAT,
+// IVF_FLAT (buckets straddle blocks through RangeSource) and IVF_SQ8 (byte
+// frames) segments — unfiltered and behind a 50 % pushdown filter, across
+// a mid-run demotion — must get exactly the all-RAM results while the
+// cache serves most misses from recycled frames.
+func TestTieredConcurrentRecycle(t *testing.T) {
+	const dim, rows, workers, queries = 16, 2048, 4, 400
+	ents := mkEntities(rows, dim, 31)
+	half := colstore.RangePred{Attr: 0, Lo: 0, Hi: 4999}
+	for _, idxType := range []string{"FLAT", "IVF_FLAT", "IVF_SQ8"} {
+		t.Run(idxType, func(t *testing.T) {
+			mkCfg := func(tiered bool) Config {
+				cfg := testConfig()
+				if tiered {
+					// One shard holding one block (4-byte floats, or SQ8's
+					// 1-byte codes), so the workers' misses evict and refill
+					// each other's just-released blocks.
+					block := index.ScanBlockRows * dim * 4
+					if idxType == "IVF_SQ8" {
+						block = index.ScanBlockRows * dim
+					}
+					cfg = tierTestConfig(t, dim, rows, 0)
+					cfg.TierCache = blockcache.New(int64(block), 1)
+				}
+				cfg.IndexType = idxType
+				if idxType != "FLAT" {
+					cfg.IndexRows = 64
+					cfg.IndexParams = map[string]string{"nlist": "8"}
+				}
+				return cfg
+			}
+			plain, err := NewCollection("plain", testSchema(dim), objstore.NewMemory(), mkCfg(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer plain.Close()
+			tcfg := mkCfg(true)
+			tiered, err := NewCollection("tiered", testSchema(dim), objstore.NewMemory(), tcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tiered.Close()
+			fillBoth(t, plain, tiered, ents)
+
+			search := func(c *Collection, qi int) ([]topk.Result, error) {
+				q, opts := ents[qi*97%rows].Vectors[0], SearchOptions{K: 10, Nprobe: 4}
+				if qi%2 == 1 {
+					return c.SearchPred(q, half, opts)
+				}
+				return c.Search(q, opts)
+			}
+			want := make([][]topk.Result, queries)
+			for qi := range want {
+				if want[qi], err = search(plain, qi); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for qi := w; qi < queries; qi += workers {
+						if w == 0 && qi == queries/2 {
+							tiered.DemoteSegments()
+						}
+						got, err := search(tiered, qi)
+						if err != nil {
+							t.Errorf("q%d: %v", qi, err)
+							return
+						}
+						if fmt.Sprint(got) != fmt.Sprint(want[qi]) {
+							t.Errorf("q%d: tiered hits %v, all-RAM hits %v", qi, got, want[qi])
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			st := tcfg.TierCache.Stats()
+			if st.Misses == 0 || st.FrameAllocs >= st.Misses {
+				t.Fatalf("frames not recycled: %d allocated for %d misses", st.FrameAllocs, st.Misses)
 			}
 		})
 	}
@@ -475,5 +568,8 @@ func TestDBTierDefaults(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `vectordb_blockcache_hits_total{scope="db"}`) {
 		t.Fatal("shared cache series missing the db scope label")
+	}
+	if !strings.Contains(buf.String(), `vectordb_blockcache_frame_allocs_total{scope="db"}`) {
+		t.Fatal("shared cache exports no frame-allocation counter")
 	}
 }

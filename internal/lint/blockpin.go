@@ -68,7 +68,7 @@ func isPinAcquire(info *types.Info, call *ast.CallExpr) bool {
 
 func checkPinScope(pass *Pass, body *ast.BlockStmt) {
 	// Find acquisitions directly in this scope (not in nested FuncLits —
-	// including GetOrLoad's own load callback, which is a separate scope).
+	// including GetOrLoad's own fill callback, which is a separate scope).
 	var acqs []poolAcq
 	inspectScope(body, func(n ast.Node) {
 		switch n := n.(type) {

@@ -27,11 +27,12 @@ type Cache struct{}
 // New returns a cache with the given capacity.
 func New(capacity int64, shards int) *Cache { return &Cache{} }
 
-// GetOrLoad returns a pinned view of the block for k, invoking load on a
-// miss. The returned Pin must be released on every path.
-func (c *Cache) GetOrLoad(k Key, load func() ([]byte, error)) (Pin, error) {
-	b, err := load()
-	if err != nil {
+// GetOrLoad returns a pinned view of the size-byte block for k, invoking
+// fill on a miss to write it into a cache-owned frame. The returned Pin
+// must be released on every path.
+func (c *Cache) GetOrLoad(k Key, size int, fill func(dst []byte) error) (Pin, error) {
+	b := make([]byte, size)
+	if err := fill(b); err != nil {
 		return Pin{}, err
 	}
 	return Pin{b: b}, nil

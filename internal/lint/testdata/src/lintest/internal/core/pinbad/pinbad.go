@@ -7,12 +7,12 @@ import (
 	"lintest.example/internal/blockcache"
 )
 
-func loadBlock() ([]byte, error) { return make([]byte, 64), nil }
+func fillBlock(dst []byte) error { return nil }
 
 // LeakToEnd falls off the end of the function with the pin live, so the
 // cache entry's refcount never drops and eviction skips it forever.
 func LeakToEnd(c *blockcache.Cache, k blockcache.Key) {
-	pin, err := c.GetOrLoad(k, loadBlock) // want blockpin "not released before the function returns"
+	pin, err := c.GetOrLoad(k, 64, fillBlock) // want blockpin "not released before the function returns"
 	if err != nil {
 		return
 	}
@@ -25,15 +25,15 @@ func LeakToEnd(c *blockcache.Cache, k blockcache.Key) {
 
 // Discarded never binds the pin at all; nothing can ever release it.
 func Discarded(c *blockcache.Cache, k blockcache.Key) {
-	c.GetOrLoad(k, loadBlock)           // want blockpin "is discarded"
-	_, err := c.GetOrLoad(k, loadBlock) // want blockpin "is discarded"
+	c.GetOrLoad(k, 64, fillBlock)           // want blockpin "is discarded"
+	_, err := c.GetOrLoad(k, 64, fillBlock) // want blockpin "is discarded"
 	_ = err
 }
 
 // BranchyLeak releases on one branch only, so the merged fall-through
 // state is unreleased.
 func BranchyLeak(c *blockcache.Cache, k blockcache.Key, flag bool) {
-	pin, err := c.GetOrLoad(k, loadBlock) // want blockpin "not released before the function returns"
+	pin, err := c.GetOrLoad(k, 64, fillBlock) // want blockpin "not released before the function returns"
 	if err != nil {
 		return
 	}
@@ -45,7 +45,7 @@ func BranchyLeak(c *blockcache.Cache, k blockcache.Key, flag bool) {
 // EarlyReturnLeak releases at the end but leaks on the mid-function
 // return, which runs with the pin held.
 func EarlyReturnLeak(c *blockcache.Cache, k blockcache.Key, n int) int {
-	pin, err := c.GetOrLoad(k, loadBlock)
+	pin, err := c.GetOrLoad(k, 64, fillBlock)
 	if err != nil {
 		return 0
 	}
@@ -60,7 +60,7 @@ func EarlyReturnLeak(c *blockcache.Cache, k blockcache.Key, n int) int {
 // zero pin (Release is a no-op, nothing is held), every later path runs
 // the defer.
 func Deferred(c *blockcache.Cache, k blockcache.Key) (byte, error) {
-	pin, err := c.GetOrLoad(k, loadBlock)
+	pin, err := c.GetOrLoad(k, 64, fillBlock)
 	if err != nil {
 		return 0, err
 	}
@@ -70,7 +70,7 @@ func Deferred(c *blockcache.Cache, k blockcache.Key) (byte, error) {
 
 // ReleaseBothPaths releases explicitly before each return.
 func ReleaseBothPaths(c *blockcache.Cache, k blockcache.Key, flag bool) int {
-	pin, err := c.GetOrLoad(k, loadBlock)
+	pin, err := c.GetOrLoad(k, 64, fillBlock)
 	if err != nil {
 		return 0
 	}
@@ -93,7 +93,7 @@ type source struct {
 // transfers and tracking stops.
 func (s *source) EscapeToField(c *blockcache.Cache, k blockcache.Key) []byte {
 	s.pin.Release()
-	pin, err := c.GetOrLoad(k, loadBlock)
+	pin, err := c.GetOrLoad(k, 64, fillBlock)
 	if err != nil {
 		return nil
 	}
@@ -103,6 +103,6 @@ func (s *source) EscapeToField(c *blockcache.Cache, k blockcache.Key) []byte {
 
 // Transfer returns the pin: the caller owns it.
 func Transfer(c *blockcache.Cache, k blockcache.Key) (blockcache.Pin, error) {
-	pin, err := c.GetOrLoad(k, loadBlock)
+	pin, err := c.GetOrLoad(k, 64, fillBlock)
 	return pin, err
 }

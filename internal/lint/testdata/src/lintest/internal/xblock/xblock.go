@@ -47,7 +47,7 @@ func (d *D) BadDeep() {
 func (d *D) BadLoad(c *blockcache.Cache, k blockcache.Key) []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	pin, err := c.GetOrLoad(k, func() ([]byte, error) { return nil, nil }) // want lockdisciplinex "D.mu held across blockcache GetOrLoad"
+	pin, err := c.GetOrLoad(k, 64, func([]byte) error { return nil }) // want lockdisciplinex "D.mu held across blockcache GetOrLoad"
 	if err != nil {
 		return nil
 	}
