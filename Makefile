@@ -65,7 +65,13 @@ ci: vet fmt build lint test cover kernel-guard conformance-filter conformance-wi
 # The block cache recycles evicted frames, so a scan that read a view after
 # its pin would see another block's rows: the frame-lifecycle unit tests
 # and the concurrent recycle conformance test also run race-enabled here.
+# Below the collection, the block-by-block source scan (over ranged and
+# straddling sources) must equal the resident ScanBlocked, and an
+# externalized IVF_FLAT/IVF_SQ8 index its resident original, on every
+# bucket-scan entry point.
 conformance-ooc:
+	$(GO) test ./internal/index -run 'TestScanBlockedSource|TestRangeSource|TestByteRangeSource'
+	$(GO) test ./internal/index/ivf -run TestExternalizedMatchesResident
 	$(GO) test ./internal/core -run TestTiered
 	$(GO) test ./internal/core -run TestDBTierDefaults
 	$(GO) test ./internal/core -run 'TestSegmentEncodeDecodeRoundTrip|TestDecodeSegmentRejectsMutants|FuzzDecodeSegment|TestCorruptSegmentObject|TestOneStoreObjectPerSegment'

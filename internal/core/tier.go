@@ -368,143 +368,13 @@ func (c *Collection) tierSegment(seg *Segment, img []byte) error {
 	return nil
 }
 
-// tierVecSource serves one vector field of a mapped segment as an
-// index.BlockSource: each 256-row block is faulted once into the block
-// cache (copied out of the mapping into a cache-owned frame, so the view
-// is stable after the mapping unpins) and pinned only while the scan is
-// inside it: the view dies at the next Block or Release, after which the
-// frame may hold another block. The source holds the segment's mapping
-// pinned for its whole lifetime — demotion cannot invalidate a running
-// scan.
-type tierVecSource struct {
-	t       *segTier
-	relMap  func()
-	ext     *colstore.Extent
-	dim     int
-	extID   uint32
-	pin     blockcache.Pin
-	scratch *[]float32 // decode fallback when cached bytes cannot alias
-}
-
-func (s *tierVecSource) Rows() int { return int(s.ext.Rows) }
-func (s *tierVecSource) Dim() int  { return s.dim }
-
-func (s *tierVecSource) Block(i0, i1 int) []float32 {
-	s.pin.Release() // previous view is invalidated by contract
-	s.pin = blockcache.Pin{}
-	k := blockcache.Key{Owner: s.t.owner, Ext: s.extID, Block: uint32(i0 / index.ScanBlockRows)}
-	rb := s.dim * 4
-	pin, err := s.t.ct.cache.GetOrLoad(k, (i1-i0)*rb, func(dst []byte) error {
-		copy(dst, s.ext.Payload[i0*rb:i1*rb])
-		return nil
-	})
-	if err != nil {
-		// Unreachable: the loader copies from a pinned mapping and cannot
-		// fail. Return an empty view rather than a torn one.
-		return nil
-	}
-	s.pin = pin
-	if v, ok := colstore.ViewFloats(pin.Bytes()); ok {
-		return v
-	}
-	if s.scratch == nil {
-		sp := bufferpool.GetFloats(index.ScanBlockRows * s.dim)
-		s.scratch = sp // escapes to the source; Release returns it
-	}
-	out := (*s.scratch)[:(i1-i0)*s.dim]
-	colstore.DecodeFloats(out, pin.Bytes())
-	return out
-}
-
-func (s *tierVecSource) Release() {
-	s.pin.Release()
-	s.pin = blockcache.Pin{}
-	if s.scratch != nil {
-		bufferpool.PutFloats(s.scratch)
-		s.scratch = nil
-	}
-	s.relMap()
-}
-
-// findVectorExtent locates field f's vector extent in a mapped file.
-func findVectorExtent(mf *colstore.MappedFile, segID int64, f int) (*colstore.Extent, error) {
-	ext := mf.Find(colstore.ExtentVectors, uint32(f))
-	if ext == nil {
-		return nil, fmt.Errorf("core: segment %d extent file lacks vector field %d", segID, f)
-	}
-	return ext, nil
-}
-
-// vectorSource returns the BlockSource backing field f's blocked scan. Hot
-// segments return the resident slice (ScanBlockedSource detects it and
-// delegates to the zero-overhead contiguous path); tiered segments return
-// a cache-backed source over the mapping, promoting cold segments on first
-// touch. The caller owns the source and must Release it on all paths.
-func (s *Segment) vectorSource(f int) (index.BlockSource, error) {
-	if s.tier == nil {
-		col := s.Vectors[f]
-		return index.SliceSource{Data: col.Data, D: col.Dim}, nil
-	}
-	mf, rel, err := s.tier.acquire()
-	if err != nil {
-		return nil, err
-	}
-	ext, err := findVectorExtent(mf, s.ID, f)
-	if err != nil {
-		rel()
-		return nil, err
-	}
-	return &tierVecSource{
-		t:      s.tier,
-		relMap: rel,
-		ext:    ext,
-		dim:    s.Vectors[f].Dim,
-		extID:  tierExtID(colstore.ExtentVectors, uint32(f)),
-	}, nil
-}
-
-// vectorData returns field f's full contiguous column and a release that
-// must be called when done. Hot segments hand out the resident slice;
-// tiered segments pin the mapping and return the extent view (the mapping
-// demand-pages, so only the bytes actually read are faulted in). Used by
-// index builds and the batched tile sweep, which want long contiguous
-// runs rather than cache-block granularity.
-func (s *Segment) vectorData(f int) ([]float32, func(), error) {
-	if s.tier == nil {
-		return s.Vectors[f].Data, func() {}, nil
-	}
-	mf, rel, err := s.tier.acquire()
-	if err != nil {
-		return nil, nil, err
-	}
-	ext, err := findVectorExtent(mf, s.ID, f)
-	if err != nil {
-		rel()
-		return nil, nil, err
-	}
-	return ext.Floats(), rel, nil
-}
-
-// vectorRows returns a row accessor for field f plus its release. The
-// returned views are valid until release.
-func (s *Segment) vectorRows(f int) (func(r int) []float32, func(), error) {
-	if s.tier == nil {
-		col := s.Vectors[f]
-		return col.Row, func() {}, nil
-	}
-	data, rel, err := s.vectorData(f)
-	if err != nil {
-		return nil, nil, err
-	}
-	dim := s.Vectors[f].Dim
-	return func(r int) []float32 { return data[r*dim : (r+1)*dim] }, rel, nil
-}
-
-// tierByteSource is the code-shaped sibling of tierVecSource: one
-// externalized IVF_SQ8 code extent served as an index.ByteBlockSource, a
-// cached 256-row block at a time. Cached blocks are byte copies in
-// cache-owned frames, so a returned view stays stable after the mapping
-// unpins — until the next Block or Release.
+// tierByteSource serves one extent of a mapped segment as an
+// index.ByteBlockSource: each 256-row block is faulted once into the block
+// cache (copied out of the mapping into a cache-owned frame, so the view is
+// stable after the mapping unpins) and pinned only while the scan is inside
+// it: the view dies at the next Block or Release, after which the frame may
+// hold another block. The source holds the segment's mapping pinned for its
+// whole lifetime — demotion cannot invalidate a running scan.
 type tierByteSource struct {
 	t      *segTier
 	relMap func()
@@ -540,6 +410,111 @@ func (s *tierByteSource) Release() {
 	s.relMap()
 }
 
+// tierVecSource is a tierByteSource over float rows, served as an
+// index.BlockSource: a cached block is viewed as floats in place, or
+// decoded into pooled scratch when its bytes cannot alias floats.
+type tierVecSource struct {
+	tierByteSource
+	scratch *[]float32
+}
+
+func (s *tierVecSource) Dim() int { return s.rb / 4 }
+
+func (s *tierVecSource) Block(i0, i1 int) []float32 {
+	b := s.tierByteSource.Block(i0, i1)
+	if v, ok := colstore.ViewFloats(b); ok {
+		return v
+	}
+	if s.scratch == nil {
+		sp := bufferpool.GetFloats(index.ScanBlockRows * s.Dim())
+		s.scratch = sp // escapes to the source; Release returns it
+	}
+	out := (*s.scratch)[:len(b)/4]
+	colstore.DecodeFloats(out, b)
+	return out
+}
+
+func (s *tierVecSource) Release() {
+	if s.scratch != nil {
+		bufferpool.PutFloats(s.scratch)
+		s.scratch = nil
+	}
+	s.tierByteSource.Release()
+}
+
+// extent pins t's mapping and finds extent (kind, field) in it. The caller
+// calls release when done with the extent; on error nothing stays pinned.
+func (t *segTier) extent(kind, field uint32) (ext *colstore.Extent, release func(), err error) {
+	mf, rel, err := t.acquire()
+	if err != nil {
+		return nil, nil, err
+	}
+	if ext = mf.Find(kind, field); ext == nil {
+		rel()
+		return nil, nil, fmt.Errorf("core: segment %d extent file lacks extent kind %d for field %d", t.segID, kind, field)
+	}
+	return ext, rel, nil
+}
+
+// open serves extent (kind, field) as cached blocks of width×Dim bytes per
+// row: width 4 for float rows, 1 for SQ8 code bytes.
+func (t *segTier) open(kind, field uint32, width int) (tierByteSource, error) {
+	ext, rel, err := t.extent(kind, field)
+	if err != nil {
+		return tierByteSource{}, err
+	}
+	return tierByteSource{t: t, relMap: rel, ext: ext, rb: width * int(ext.Dim), extID: tierExtID(kind, field)}, nil
+}
+
+// vectorSource returns the BlockSource backing field f's blocked scan. Hot
+// segments return the resident slice (ScanBlockedSource detects it and
+// delegates to the zero-overhead contiguous path); tiered segments return
+// a cache-backed source over the mapping, promoting cold segments on first
+// touch. The caller owns the source and must Release it on all paths.
+func (s *Segment) vectorSource(f int) (index.BlockSource, error) {
+	if s.tier == nil {
+		col := s.Vectors[f]
+		return index.SliceSource{Data: col.Data, D: col.Dim}, nil
+	}
+	src, err := s.tier.open(colstore.ExtentVectors, uint32(f), 4)
+	if err != nil {
+		return nil, err
+	}
+	return &tierVecSource{tierByteSource: src}, nil
+}
+
+// vectorData returns field f's full contiguous column and a release that
+// must be called when done. Hot segments hand out the resident slice;
+// tiered segments pin the mapping and return the extent view (the mapping
+// demand-pages, so only the bytes actually read are faulted in). Used by
+// index builds and the batched tile sweep, which want long contiguous
+// runs rather than cache-block granularity.
+func (s *Segment) vectorData(f int) ([]float32, func(), error) {
+	if s.tier == nil {
+		return s.Vectors[f].Data, func() {}, nil
+	}
+	ext, rel, err := s.tier.extent(colstore.ExtentVectors, uint32(f))
+	if err != nil {
+		return nil, nil, err
+	}
+	return ext.Floats(), rel, nil
+}
+
+// vectorRows returns a row accessor for field f plus its release. The
+// returned views are valid until release.
+func (s *Segment) vectorRows(f int) (func(r int) []float32, func(), error) {
+	if s.tier == nil {
+		col := s.Vectors[f]
+		return col.Row, func() {}, nil
+	}
+	data, rel, err := s.vectorData(f)
+	if err != nil {
+		return nil, nil, err
+	}
+	dim := s.Vectors[f].Dim
+	return func(r int) []float32 { return data[r*dim : (r+1)*dim] }, rel, nil
+}
+
 // tierIVFExt serves an externalized IVF index's build-order fine payload
 // from its own extent file behind the tier: ivf.PayloadExt backed by the
 // same residency state machine (and cache) as segment data.
@@ -549,41 +524,19 @@ type tierIVFExt struct {
 }
 
 func (p *tierIVFExt) OpenFloats() (index.BlockSource, error) {
-	mf, rel, err := p.t.acquire()
+	src, err := p.t.open(colstore.ExtentIVFVecs, p.field, 4)
 	if err != nil {
 		return nil, err
 	}
-	ext := mf.Find(colstore.ExtentIVFVecs, p.field)
-	if ext == nil {
-		rel()
-		return nil, fmt.Errorf("core: segment %d ivf extent file lacks vectors for field %d", p.t.segID, p.field)
-	}
-	return &tierVecSource{
-		t:      p.t,
-		relMap: rel,
-		ext:    ext,
-		dim:    int(ext.Dim),
-		extID:  tierExtID(colstore.ExtentIVFVecs, p.field),
-	}, nil
+	return &tierVecSource{tierByteSource: src}, nil
 }
 
 func (p *tierIVFExt) OpenBytes() (index.ByteBlockSource, error) {
-	mf, rel, err := p.t.acquire()
+	src, err := p.t.open(colstore.ExtentIVFCodes, p.field, 1)
 	if err != nil {
 		return nil, err
 	}
-	ext := mf.Find(colstore.ExtentIVFCodes, p.field)
-	if ext == nil {
-		rel()
-		return nil, fmt.Errorf("core: segment %d ivf extent file lacks codes for field %d", p.t.segID, p.field)
-	}
-	return &tierByteSource{
-		t:      p.t,
-		relMap: rel,
-		ext:    ext,
-		rb:     int(ext.Dim),
-		extID:  tierExtID(colstore.ExtentIVFCodes, p.field),
-	}, nil
+	return &src, nil
 }
 
 // idxTiers snapshots the segment's index-payload tiers (GC destroy loop).

@@ -185,7 +185,7 @@ func (x *IVF) scanBucketForQueries(queries []float32, bucket int, qis []int32, p
 			return
 		}
 		dist := x.metric.Dist()
-		vecsB := x.vecs[bucket]
+		vecsB := x.vecs[bucket].Data
 		for i, id := range ids {
 			if skip(i) {
 				continue
@@ -196,7 +196,7 @@ func (x *IVF) scanBucketForQueries(queries []float32, bucket int, qis []int32, p
 			}
 		}
 	case FineSQ8:
-		codes := x.codes[bucket]
+		codes := x.codes[bucket].codes
 		cs := x.sq8.CodeSize()
 		if filtered {
 			for i, id := range ids {
@@ -231,7 +231,7 @@ func (x *IVF) scanBucketForQueries(queries []float32, bucket int, qis []int32, p
 		}
 		bufferpool.PutFloats(bp)
 	case FinePQ:
-		codes := x.codes[bucket]
+		codes := x.codes[bucket].codes
 		cs := x.pq.CodeSize()
 		for i, id := range ids {
 			if skip(i) {
@@ -252,7 +252,7 @@ func (x *IVF) scanBucketForQueries(queries []float32, bucket int, qis []int32, p
 // pushes.
 func (x *IVF) tileBucketFlat(queries []float32, bucket int, qis []int32, heapFor func(int32) *topk.Heap) {
 	ids := x.ids[bucket]
-	vecsB := x.vecs[bucket]
+	vecsB := x.vecs[bucket].Data
 	dim := x.dim
 	nq := len(qis)
 	qp := bufferpool.GetFloats(nq * dim)

@@ -2,12 +2,8 @@ package ivf
 
 import (
 	"fmt"
-	"math"
 
-	"vectordb/internal/bufferpool"
 	"vectordb/internal/index"
-	"vectordb/internal/quantizer"
-	"vectordb/internal/topk"
 )
 
 // Payload externalization: a built IVF index's dominant memory is its fine
@@ -52,14 +48,14 @@ func (x *IVF) ResidentPayload() (floats []float32, codes []byte, ok bool) {
 	switch x.fine {
 	case FineFlat:
 		out := make([]float32, 0, x.size*x.dim)
-		for b := range x.vecs {
-			out = append(out, x.vecs[b]...)
+		for _, v := range x.vecs {
+			out = append(out, v.Data...)
 		}
 		return out, nil, true
 	case FineSQ8:
 		out := make([]byte, 0, x.size*x.sq8.CodeSize())
-		for b := range x.codes {
-			out = append(out, x.codes[b]...)
+		for _, c := range x.codes {
+			out = append(out, c.codes...)
 		}
 		return nil, out, true
 	}
@@ -93,9 +89,73 @@ func (x *IVF) Externalize(ext PayloadExt) (*IVF, error) {
 	return &y, nil
 }
 
-// keepOpen wraps a scan-shared BlockSource so per-bucket RangeSources can
-// Release (returning their stitch scratch) without closing the parent; the
-// caller releases the parent once after the last bucket.
+// Bucket rows. A bucket scan takes its rows from one helper per fine kind:
+// openFlat / openSQ8 open the payload for a sweep of bucket scans, and the
+// sweep's bucket method serves bucket b either in place — a resident
+// bucket is stored as its own block source, so handing it to a scan
+// allocates nothing — or as b's row range of the payload source the
+// provider opened for the sweep. A scan releases its bucket's source when
+// done (a no-op in place; a range returns its stitch scratch), and the
+// sweep's close releases the payload.
+
+// flatRows is an IVF_FLAT payload opened for a sweep of bucket scans.
+type flatRows struct {
+	x       *IVF
+	payload index.BlockSource // nil when resident
+}
+
+// openFlat opens the FLAT bucket rows for one sweep; close them after it.
+func (x *IVF) openFlat() (flatRows, error) {
+	if x.ext == nil {
+		return flatRows{x: x}, nil
+	}
+	src, err := x.ext.OpenFloats()
+	return flatRows{x: x, payload: src}, err
+}
+
+func (r flatRows) bucket(b int) index.BlockSource {
+	if r.payload == nil {
+		return &r.x.vecs[b]
+	}
+	return &index.RangeSource{Src: keepOpen{r.payload}, Start: int(r.x.starts[b]), N: len(r.x.ids[b])}
+}
+
+func (r flatRows) close() {
+	if r.payload != nil {
+		r.payload.Release()
+	}
+}
+
+// sq8Rows is an IVF_SQ8 payload opened for a sweep of bucket scans.
+type sq8Rows struct {
+	x       *IVF
+	payload index.ByteBlockSource // nil when resident
+}
+
+// openSQ8 opens the SQ8 bucket codes for one sweep; close them after it.
+func (x *IVF) openSQ8() (sq8Rows, error) {
+	if x.ext == nil {
+		return sq8Rows{x: x}, nil
+	}
+	src, err := x.ext.OpenBytes()
+	return sq8Rows{x: x, payload: src}, err
+}
+
+func (r sq8Rows) bucket(b int) index.ByteBlockSource {
+	if r.payload == nil {
+		return &r.x.codes[b]
+	}
+	return &index.ByteRangeSource{Src: keepOpenBytes{r.payload}, Start: int(r.x.starts[b]), N: len(r.x.ids[b])}
+}
+
+func (r sq8Rows) close() {
+	if r.payload != nil {
+		r.payload.Release()
+	}
+}
+
+// keepOpen wraps a sweep's payload source so per-bucket RangeSources can
+// Release (returning their stitch scratch) without closing the payload.
 type keepOpen struct{ index.BlockSource }
 
 func (keepOpen) Release() {}
@@ -104,82 +164,31 @@ type keepOpenBytes struct{ index.ByteBlockSource }
 
 func (keepOpenBytes) Release() {}
 
-// scanBucketFlatSrc scans one FLAT bucket out of core: the bucket's row
-// range of the shared build-order payload goes through the same blocked
-// kernels as the resident path (ScanBlockedSource produces the identical
-// result heap by the one-sided early-abandon contract).
-func (x *IVF) scanBucketFlatSrc(src index.BlockSource, query []float32, bucket int, sel index.Selection, h *topk.Heap) {
-	if len(x.ids[bucket]) == 0 {
-		return
-	}
-	rs := index.RangeSource{Src: keepOpen{src}, Start: int(x.starts[bucket]), N: len(x.ids[bucket])}
-	index.ScanBlockedSource(h, x.metric, query, &rs, x.ids[bucket], sel)
-	rs.Release()
+// codeRows is one resident bucket's code rows (SQ8 or PQ), served in place
+// as an index.ByteBlockSource.
+type codeRows struct {
+	codes []byte
+	rb    int // bytes per row
 }
 
-// scanBucketSQ8Src is ScanBucketSQ8 over an out-of-core code extent: the
-// same per-row selection order, fused-table distances and worst-distance
-// gating as the resident path, one aligned code block at a time. Filtered
-// blocks whose rows are all excluded are never fetched.
-func (x *IVF) scanBucketSQ8Src(sq *quantizer.SQ8Query, src index.ByteBlockSource, bucket int, sel index.Selection, h *topk.Heap) {
-	ids := x.ids[bucket]
-	if len(ids) == 0 {
-		return
+func (c *codeRows) Rows() int               { return len(c.codes) / c.rb }
+func (c *codeRows) RowBytes() int           { return c.rb }
+func (c *codeRows) Block(i0, i1 int) []byte { return c.codes[i0*c.rb : i1*c.rb] }
+func (c *codeRows) Release()                {}
+
+// flatBuckets and codeBuckets make an index's empty resident buckets.
+func flatBuckets(nlist, dim int) []index.SliceSource {
+	out := make([]index.SliceSource, nlist)
+	for b := range out {
+		out[b].D = dim
 	}
-	rs := index.ByteRangeSource{Src: keepOpenBytes{src}, Start: int(x.starts[bucket]), N: len(ids)}
-	cs := x.sq8.CodeSize()
-	worst := float32(math.Inf(1))
-	if w, ok := h.Worst(); ok && h.Full() {
-		worst = w
+	return out
+}
+
+func codeBuckets(nlist, rb int) []codeRows {
+	out := make([]codeRows, nlist)
+	for b := range out {
+		out[b].rb = rb
 	}
-	if sel.Bits != nil {
-		pos := x.pos[bucket]
-		for i0 := 0; i0 < len(ids); i0 += index.ScanBlockRows {
-			i1 := i0 + index.ScanBlockRows
-			if i1 > len(ids) {
-				i1 = len(ids)
-			}
-			var blk []byte
-			for i := i0; i < i1; i++ {
-				if !sel.Bits.Test(int(pos[i])) {
-					continue
-				}
-				if blk == nil {
-					blk = rs.Block(i0, i1)
-				}
-				d := sq.Distance(blk[(i-i0)*cs : (i-i0+1)*cs])
-				if d >= worst {
-					continue
-				}
-				h.Push(ids[i], d)
-				if h.Full() {
-					worst, _ = h.Worst()
-				}
-			}
-		}
-		rs.Release()
-		return
-	}
-	bp := bufferpool.GetFloats(index.ScanBlockRows)
-	buf := *bp
-	for i0 := 0; i0 < len(ids); i0 += index.ScanBlockRows {
-		i1 := i0 + index.ScanBlockRows
-		if i1 > len(ids) {
-			i1 = len(ids)
-		}
-		blk := rs.Block(i0, i1)
-		sq.DistanceBatch(blk, buf)
-		for r := 0; r < i1-i0; r++ {
-			d := buf[r]
-			if d >= worst {
-				continue
-			}
-			h.Push(ids[i0+r], d)
-			if h.Full() {
-				worst, _ = h.Worst()
-			}
-		}
-	}
-	bufferpool.PutFloats(bp)
-	rs.Release()
+	return out
 }

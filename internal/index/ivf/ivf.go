@@ -166,13 +166,13 @@ func (b *Builder) Build(data []float32, ids []int64) (index.Index, error) {
 
 	switch b.Fine {
 	case FineFlat:
-		idx.vecs = make([][]float32, nlist)
+		idx.vecs = flatBuckets(nlist, b.Dim)
 	case FineSQ8:
 		idx.sq8, err = quantizer.TrainSQ8(data, b.Dim)
 		if err != nil {
 			return nil, fmt.Errorf("ivf: sq8: %w", err)
 		}
-		idx.codes = make([][]uint8, nlist)
+		idx.codes = codeBuckets(nlist, idx.sq8.CodeSize())
 	case FinePQ:
 		m := b.PQM
 		if m <= 0 {
@@ -189,7 +189,7 @@ func (b *Builder) Build(data []float32, ids []int64) (index.Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ivf: pq: %w", err)
 		}
-		idx.codes = make([][]uint8, nlist)
+		idx.codes = codeBuckets(nlist, idx.pq.CodeSize())
 	}
 
 	for i := 0; i < n; i++ {
@@ -199,11 +199,11 @@ func (b *Builder) Build(data []float32, ids []int64) (index.Index, error) {
 		idx.pos[c] = append(idx.pos[c], int32(i))
 		switch b.Fine {
 		case FineFlat:
-			idx.vecs[c] = append(idx.vecs[c], row...)
+			idx.vecs[c].Data = append(idx.vecs[c].Data, row...)
 		case FineSQ8:
-			idx.codes[c] = append(idx.codes[c], idx.sq8.Encode(row, nil)...)
+			idx.codes[c].codes = append(idx.codes[c].codes, idx.sq8.Encode(row, nil)...)
 		case FinePQ:
-			idx.codes[c] = append(idx.codes[c], idx.pq.Encode(row, nil)...)
+			idx.codes[c].codes = append(idx.codes[c].codes, idx.pq.Encode(row, nil)...)
 		}
 	}
 	return idx, nil
@@ -217,9 +217,9 @@ type IVF struct {
 	nlist     int
 	coarse    *kmeans.Result
 	ids       [][]int64
-	pos       [][]int32   // build-order row position of each bucket entry (bitset pushdown)
-	vecs      [][]float32 // FineFlat
-	codes     [][]uint8   // FineSQ8 / FinePQ
+	pos       [][]int32           // build-order row position of each bucket entry (bitset pushdown)
+	vecs      []index.SliceSource // FineFlat: each bucket's rows
+	codes     []codeRows          // FineSQ8 / FinePQ: each bucket's codes
 	sq8       *quantizer.SQ8
 	pq        *quantizer.PQ
 	nprobeDef int
@@ -255,10 +255,10 @@ func (x *IVF) MemoryBytes() int64 {
 		b += int64(len(l)) * 8
 	}
 	for _, v := range x.vecs {
-		b += int64(len(v)) * 4
+		b += int64(len(v.Data)) * 4
 	}
 	for _, c := range x.codes {
-		b += int64(len(c))
+		b += int64(len(c.codes))
 	}
 	return b
 }
@@ -310,26 +310,14 @@ func (x *IVF) ProbeOrder(query []float32, nprobe int) []int {
 func (x *IVF) ScanBucket(query []float32, bucket int, sel index.Selection, h *topk.Heap) {
 	switch x.fine {
 	case FineFlat:
-		if sel.Bits != nil {
-			// Bucket positions are appended in build order, so the scan
-			// may use the sorted-span block skip.
-			sel.Pos, sel.PosSorted = x.pos[bucket], true
+		if rows, err := x.openFlat(); err == nil {
+			x.scanFlat(rows, query, bucket, sel, h)
+			rows.close()
 		}
-		if x.ext != nil {
-			src, err := x.ext.OpenFloats()
-			if err != nil {
-				return
-			}
-			x.scanBucketFlatSrc(src, query, bucket, sel, h)
-			src.Release()
-			return
-		}
-		index.ScanBlocked(h, x.metric, query, x.vecs[bucket], x.dim, x.ids[bucket], sel)
 	case FineSQ8:
 		x.ScanBucketSQ8(x.SQ8ScanQuery(query), bucket, sel, h)
 	case FinePQ:
-		tab := x.pqTable(query)
-		x.scanBucketPQ(tab, bucket, sel, h)
+		x.scanBucketPQ(x.pqTable(query), bucket, sel, h)
 	}
 }
 
@@ -341,63 +329,74 @@ func (x *IVF) SQ8ScanQuery(query []float32) *quantizer.SQ8Query {
 }
 
 // ScanBucketSQ8 scans one SQ8 bucket with a prebuilt fused table: distances
-// are computed directly over the code bytes (two FMAs per dimension, no
-// dequantized floats), a block at a time into a pooled buffer, gated on the
-// heap's worst distance like every other scan path.
+// come straight off the code bytes, resident or served out of core, gated
+// on the heap's worst distance like every other scan path.
 func (x *IVF) ScanBucketSQ8(sq *quantizer.SQ8Query, bucket int, sel index.Selection, h *topk.Heap) {
-	if x.ext != nil {
-		src, err := x.ext.OpenBytes()
-		if err != nil {
-			return
-		}
-		x.scanBucketSQ8Src(sq, src, bucket, sel, h)
-		src.Release()
-		return
+	if rows, err := x.openSQ8(); err == nil {
+		x.scanSQ8(rows, sq, bucket, sel, h)
+		rows.close()
 	}
-	ids := x.ids[bucket]
-	codes := x.codes[bucket]
+}
+
+// scanFlat is the one IVF_FLAT bucket scan: the bucket's rows run through
+// the shared blocked scan with the selection pushed beneath it.
+func (x *IVF) scanFlat(rows flatRows, query []float32, bucket int, sel index.Selection, h *topk.Heap) {
+	if sel.Bits != nil {
+		// Bucket positions are appended in build order, so the scan
+		// may use the sorted-span block skip.
+		sel.Pos, sel.PosSorted = x.pos[bucket], true
+	}
+	src := rows.bucket(bucket)
+	index.ScanBlockedSource(h, x.metric, query, src, x.ids[bucket], sel)
+	src.Release()
+}
+
+// scanSQ8 is the one IVF_SQ8 bucket scan: distances are computed directly
+// over the code bytes through the fused table (two FMAs per dimension, no
+// dequantized floats), one aligned block of the bucket at a time, gated on
+// the heap's worst distance like every other scan path. Unfiltered blocks
+// go through DistanceBatch into a pooled buffer; filtered ones score their
+// survivors one by one, and a block with none is never fetched.
+func (x *IVF) scanSQ8(rows sq8Rows, sq *quantizer.SQ8Query, bucket int, sel index.Selection, h *topk.Heap) {
+	ids, pos := x.ids[bucket], x.pos[bucket]
+	src := rows.bucket(bucket)
 	cs := x.sq8.CodeSize()
 	worst := float32(math.Inf(1))
 	if w, ok := h.Worst(); ok && h.Full() {
 		worst = w
 	}
-	if sel.Bits != nil {
-		pos := x.pos[bucket]
-		for i, id := range ids {
-			if !sel.Bits.Test(int(pos[i])) {
-				continue
-			}
-			d := sq.Distance(codes[i*cs : (i+1)*cs])
-			if d >= worst {
-				continue
-			}
-			h.Push(id, d)
-			if h.Full() {
-				worst, _ = h.Worst()
-			}
-		}
-		return
-	}
 	bp := bufferpool.GetFloats(index.ScanBlockRows)
 	buf := *bp
 	for i0 := 0; i0 < len(ids); i0 += index.ScanBlockRows {
-		i1 := i0 + index.ScanBlockRows
-		if i1 > len(ids) {
-			i1 = len(ids)
+		i1 := min(i0+index.ScanBlockRows, len(ids))
+		var blk []byte
+		if sel.Bits == nil {
+			sq.DistanceBatch(src.Block(i0, i1), buf)
 		}
-		sq.DistanceBatch(codes[i0*cs:i1*cs], buf)
-		for r := 0; r < i1-i0; r++ {
-			d := buf[r]
+		for i := i0; i < i1; i++ {
+			var d float32
+			if sel.Bits == nil {
+				d = buf[i-i0]
+			} else {
+				if !sel.Bits.Test(int(pos[i])) {
+					continue
+				}
+				if blk == nil {
+					blk = src.Block(i0, i1)
+				}
+				d = sq.Distance(blk[(i-i0)*cs : (i-i0+1)*cs])
+			}
 			if d >= worst {
 				continue
 			}
-			h.Push(ids[i0+r], d)
+			h.Push(ids[i], d)
 			if h.Full() {
 				worst, _ = h.Worst()
 			}
 		}
 	}
 	bufferpool.PutFloats(bp)
+	src.Release()
 }
 
 func (x *IVF) pqTable(query []float32) *quantizer.ADCTable {
@@ -409,7 +408,7 @@ func (x *IVF) pqTable(query []float32) *quantizer.ADCTable {
 
 func (x *IVF) scanBucketPQ(tab *quantizer.ADCTable, bucket int, sel index.Selection, h *topk.Heap) {
 	ids := x.ids[bucket]
-	codes := x.codes[bucket]
+	codes := x.codes[bucket].codes
 	cs := x.pq.CodeSize()
 	pos := x.pos[bucket]
 	for i, id := range ids {
@@ -436,35 +435,19 @@ func (x *IVF) Search(query []float32, p index.SearchParams) []topk.Result {
 			x.scanBucketPQ(tab, b, sel, h)
 		}
 	case FineSQ8:
-		sq := x.SQ8ScanQuery(query)
-		if x.ext != nil {
-			if src, err := x.ext.OpenBytes(); err == nil {
-				for _, b := range probes {
-					x.scanBucketSQ8Src(sq, src, b, sel, h)
-				}
-				src.Release()
-			}
-		} else {
+		if rows, err := x.openSQ8(); err == nil {
+			sq := x.SQ8ScanQuery(query)
 			for _, b := range probes {
-				x.ScanBucketSQ8(sq, b, sel, h)
+				x.scanSQ8(rows, sq, b, sel, h)
 			}
+			rows.close()
 		}
 	default:
-		if x.ext != nil {
-			if src, err := x.ext.OpenFloats(); err == nil {
-				for _, b := range probes {
-					bsel := sel
-					if bsel.Bits != nil {
-						bsel.Pos, bsel.PosSorted = x.pos[b], true
-					}
-					x.scanBucketFlatSrc(src, query, b, bsel, h)
-				}
-				src.Release()
-			}
-		} else {
+		if rows, err := x.openFlat(); err == nil {
 			for _, b := range probes {
-				x.ScanBucket(query, b, sel, h)
+				x.scanFlat(rows, query, b, sel, h)
 			}
+			rows.close()
 		}
 	}
 	out := h.Results()

@@ -177,9 +177,9 @@ func (x *IVF) MarshalIndex() ([]byte, error) {
 		w.ids(x.ids[b])
 		switch x.fine {
 		case FineFlat:
-			w.floats(x.vecs[b])
+			w.floats(x.vecs[b].Data)
 		default:
-			w.bytes(x.codes[b])
+			w.bytes(x.codes[b].codes)
 		}
 		w.pos32s(x.pos[b])
 	}
@@ -246,9 +246,9 @@ func unmarshalIVF(fine Fine, metric vec.Metric, dim int, data []byte) (index.Ind
 	x.ids = make([][]int64, x.nlist)
 	x.pos = make([][]int32, x.nlist)
 	if fine == FineFlat {
-		x.vecs = make([][]float32, x.nlist)
+		x.vecs = flatBuckets(x.nlist, dim)
 	} else {
-		x.codes = make([][]uint8, x.nlist)
+		x.codes = codeBuckets(x.nlist, cs)
 	}
 	total := 0
 	for b := 0; b < x.nlist; b++ {
@@ -258,15 +258,17 @@ func unmarshalIVF(fine Fine, metric vec.Metric, dim int, data []byte) (index.Ind
 		// a shorter vector/code array would read out of bounds at scan time.
 		switch fine {
 		case FineFlat:
-			x.vecs[b] = r.floats()
-			if r.err == nil && len(x.vecs[b]) != len(x.ids[b])*dim {
-				return nil, fmt.Errorf("ivf: bucket %d has %d floats for %d ids", b, len(x.vecs[b]), len(x.ids[b]))
+			v := r.floats()
+			if r.err == nil && len(v) != len(x.ids[b])*dim {
+				return nil, fmt.Errorf("ivf: bucket %d has %d floats for %d ids", b, len(v), len(x.ids[b]))
 			}
+			x.vecs[b].Data = v
 		default:
-			x.codes[b] = r.bytes()
-			if r.err == nil && len(x.codes[b]) != len(x.ids[b])*cs {
-				return nil, fmt.Errorf("ivf: bucket %d has %d code bytes for %d ids (code size %d)", b, len(x.codes[b]), len(x.ids[b]), cs)
+			c := r.bytes()
+			if r.err == nil && len(c) != len(x.ids[b])*cs {
+				return nil, fmt.Errorf("ivf: bucket %d has %d code bytes for %d ids (code size %d)", b, len(c), len(x.ids[b]), cs)
 			}
+			x.codes[b].codes = c
 		}
 		x.pos[b] = r.pos32s()
 		if r.err == nil && len(x.pos[b]) != len(x.ids[b]) {
@@ -295,7 +297,7 @@ func unmarshalIVF(fine Fine, metric vec.Metric, dim int, data []byte) (index.Ind
 		// Every PQ code byte indexes a Ks-entry distance table at scan
 		// time; a corrupted byte ≥ Ks would read out of bounds.
 		for b := range x.codes {
-			for i, code := range x.codes[b] {
+			for i, code := range x.codes[b].codes {
 				if int(code) >= x.pq.Ks {
 					return nil, fmt.Errorf("ivf: bucket %d code %d is %d, ks=%d", b, i, code, x.pq.Ks)
 				}

@@ -89,21 +89,22 @@ type Selection struct {
 	Force FilterMode
 }
 
-// matched counts surviving rows among the first n scan rows.
-func (s Selection) matched(n int) int {
-	if s.Bits == nil {
-		return n
+// mode is the filter mode a scan of the first n rows runs in: Force when
+// pinned, else the choice for the fraction of those rows that survive.
+func (s Selection) mode(n int) FilterMode {
+	if s.Force != FilterAuto || s.Bits == nil {
+		return s.Force
 	}
 	if s.Pos == nil {
-		return s.Bits.CountRange(0, n)
+		return ChooseFilterMode(s.Bits.CountRange(0, n), n)
 	}
-	c := 0
-	for r := 0; r < n; r++ {
-		if s.Bits.Test(int(s.Pos[r])) {
-			c++
+	matched := 0
+	for _, p := range s.Pos[:n] {
+		if s.Bits.Test(int(p)) {
+			matched++
 		}
 	}
-	return c
+	return ChooseFilterMode(matched, n)
 }
 
 // ScanBlocked is the shared brute-force scan of every read path (flat
@@ -129,6 +130,17 @@ func (s Selection) matched(n int) int {
 // The heap may arrive non-empty: its retained worst carries pruning across
 // segments exactly as Segment.SearchInto documents.
 func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int, ids []int64, sel Selection) {
+	scanRows(h, metric, query, data, dim, ids, sel, 0)
+}
+
+// scanRows is the body of every blocked scan: ScanBlocked runs it over a
+// whole resident slice, ScanBlockedSource over each fetched block. data
+// holds scan rows [base, base+n): with ids == nil row r is named base+r,
+// and with sel.Pos == nil it tests bit base+r (ids and Pos, when set, are
+// aligned with data). A caller scanning one source block by block pins
+// sel.Force first, so every block runs in the mode chosen for the whole
+// source.
+func scanRows(h *topk.Heap, metric vec.Metric, query, data []float32, dim int, ids []int64, sel Selection, base int) {
 	n := len(data) / dim
 	if ids != nil {
 		n = len(ids)
@@ -136,7 +148,7 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 	if n == 0 {
 		return
 	}
-	idOf := func(i int) int64 { return int64(i) }
+	idOf := func(i int) int64 { return int64(base + i) }
 	if ids != nil {
 		idOf = func(i int) int64 { return ids[i] }
 	}
@@ -144,8 +156,9 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 	if w, ok := h.Worst(); ok && h.Full() {
 		worst = w
 	}
+	pass := sel.passFunc(base)
 	if !metric.BatchEligible() {
-		scanPairwise(h, metric, query, data, dim, n, idOf, sel, worst)
+		scanPairwise(h, metric, query, data, dim, n, idOf, pass, worst)
 		return
 	}
 
@@ -180,10 +193,7 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 		return
 	}
 
-	mode := sel.Force
-	if mode == FilterAuto {
-		mode = ChooseFilterMode(sel.matched(n), n)
-	}
+	mode := sel.mode(n)
 
 	// Pooled survivor list shared by both modes: sparse mode fills it from
 	// the bit iterator, dense mode diverts sub-threshold runs into it so
@@ -248,7 +258,6 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 	// copying 512 bytes per survivor into the gather buffer (random
 	// half-full bitsets fragment into ~2-row runs, so run extraction
 	// alone cannot help).
-	pass := sel.passFunc()
 	emitMasked := func(i0, i1 int) {
 		chunk := data[i0*dim : i1*dim]
 		if ip {
@@ -277,8 +286,8 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 	switch {
 	case mode == FilterSparse && sel.Pos == nil:
 		// Word-skipping sparse iteration: empty words cost one load.
-		for p := sel.Bits.NextSet(0); p >= 0 && p < n; p = sel.Bits.NextSet(p + 1) {
-			appendRow(p)
+		for p := sel.Bits.NextSet(base); p >= 0 && p < base+n; p = sel.Bits.NextSet(p + 1) {
+			appendRow(p - base)
 		}
 	case mode == FilterSparse:
 		for r := 0; r < n; r++ {
@@ -296,7 +305,7 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 			if i1 > n {
 				i1 = n
 			}
-			m := sel.Bits.CountRange(i0, i1)
+			m := sel.Bits.CountRange(base+i0, base+i1)
 			switch {
 			case m == 0:
 			case m == i1-i0:
@@ -306,8 +315,8 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 				flush()
 				emitMasked(i0, i1)
 			default:
-				for p := sel.Bits.NextSet(i0); p >= 0 && p < i1; p = sel.Bits.NextSet(p + 1) {
-					appendRow(p)
+				for p := sel.Bits.NextSet(base + i0); p >= 0 && p < base+i1; p = sel.Bits.NextSet(p + 1) {
+					appendRow(p - base)
 				}
 			}
 		}
@@ -322,16 +331,10 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 		// bitset stays dense within buckets; where it does not, the
 		// worst-distance gate still bounds the testing to candidates.
 		for i0 := 0; i0 < n; i0 += ScanBlockRows {
-			i1 := i0 + ScanBlockRows
-			if i1 > n {
-				i1 = n
+			i1 := min(i0+ScanBlockRows, n)
+			if !sel.PosSorted || sel.Bits.CountRange(int(sel.Pos[i0]), int(sel.Pos[i1-1])+1) > 0 {
+				emitMasked(i0, i1)
 			}
-			if sel.PosSorted {
-				if lo, hi := int(sel.Pos[i0]), int(sel.Pos[i1-1]); sel.Bits.CountRange(lo, hi+1) == 0 {
-					continue
-				}
-			}
-			emitMasked(i0, i1)
 		}
 	}
 	flush()
@@ -339,23 +342,42 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 	bufferpool.PutFloats(bp)
 }
 
-// passFunc returns the per-scan-row bit test for this selection, nil when
-// it selects every row.
-func (s Selection) passFunc() func(int) bool {
+// passFunc returns the bit test of scan rows named from base (see
+// scanRows), nil when the selection keeps every row.
+func (s Selection) passFunc(base int) func(int) bool {
 	if s.Bits == nil {
 		return nil
 	}
 	if s.Pos == nil {
-		return func(r int) bool { return s.Bits.Test(r) }
+		return func(r int) bool { return s.Bits.Test(base + r) }
 	}
 	return func(r int) bool { return s.Bits.Test(int(s.Pos[r])) }
 }
 
+// anyIn reports whether scan rows [i0, i1) hold a survivor, so a blocked
+// source scan can skip a block without fetching it. A sorted Pos is
+// answered by one ranged popcount over the block's position span first.
+func (s Selection) anyIn(i0, i1 int) bool {
+	switch {
+	case s.Bits == nil:
+		return true
+	case s.Pos == nil:
+		return s.Bits.CountRange(i0, i1) > 0
+	case s.PosSorted && s.Bits.CountRange(int(s.Pos[i0]), int(s.Pos[i1-1])+1) == 0:
+		return false
+	}
+	for _, p := range s.Pos[i0:i1] {
+		if s.Bits.Test(int(p)) {
+			return true
+		}
+	}
+	return false
+}
+
 // scanPairwise is the per-row path of metrics without batch kernels: the
 // bit test comes first, so excluded rows still skip the distance.
-func scanPairwise(h *topk.Heap, metric vec.Metric, query, data []float32, dim, n int, idOf func(int) int64, sel Selection, worst float32) {
+func scanPairwise(h *topk.Heap, metric vec.Metric, query, data []float32, dim, n int, idOf func(int) int64, pass func(int) bool, worst float32) {
 	dist := metric.Dist()
-	pass := sel.passFunc()
 	for i := 0; i < n; i++ {
 		if pass != nil && !pass(i) {
 			continue

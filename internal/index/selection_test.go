@@ -171,16 +171,23 @@ func TestScanBlockedBitsetAllocs(t *testing.T) {
 	q := randBlock(r, dim)
 	bits := bitsetFor(n, func(i int) bool { return i%7 != 0 })
 	h := topk.New(10)
+	src := &chunkSource{t: t, data: data, dim: dim}
 	for _, mode := range []FilterMode{FilterDense, FilterSparse} {
-		// Warm the pools.
-		h.Reset()
-		ScanBlocked(h, vec.L2, q, data, dim, nil, Selection{Bits: bits, Force: mode})
-		avg := testing.AllocsPerRun(100, func() {
+		sel := Selection{Bits: bits, Force: mode}
+		for name, scan := range map[string]func(){
+			"ScanBlocked":       func() { ScanBlocked(h, vec.L2, q, data, dim, nil, sel) },
+			"ScanBlockedSource": func() { ScanBlockedSource(h, vec.L2, q, src, nil, sel) },
+		} {
+			// Warm the pools.
 			h.Reset()
-			ScanBlocked(h, vec.L2, q, data, dim, nil, Selection{Bits: bits, Force: mode})
-		})
-		if avg > 0.5 {
-			t.Fatalf("mode %d: %v allocs/op, want 0", mode, avg)
+			scan()
+			avg := testing.AllocsPerRun(100, func() {
+				h.Reset()
+				scan()
+			})
+			if avg > 0.5 {
+				t.Fatalf("%s mode %d: %v allocs/op, want 0", name, mode, avg)
+			}
 		}
 	}
 }

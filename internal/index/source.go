@@ -1,8 +1,6 @@
 package index
 
 import (
-	"math"
-
 	"vectordb/internal/bufferpool"
 	"vectordb/internal/topk"
 	"vectordb/internal/vec"
@@ -159,14 +157,14 @@ func (r *ByteRangeSource) Release() {
 	r.Src.Release()
 }
 
-// ScanBlockedSource is ScanBlocked over a BlockSource: the same triage,
-// kernels, worst-distance gating and selection semantics, but the data
-// arrives one aligned 256-row block at a time, so it works when the
-// vectors live out of core. It produces the identical result heap to
-// ScanBlocked on the same logical data — the only structural difference
-// is that gather lists flush per block instead of accumulating across
-// blocks (views don't outlive the block), which by the one-sided
-// early-abandon contract cannot change which rows survive.
+// ScanBlockedSource is ScanBlocked over a BlockSource: the data arrives one
+// aligned 256-row block at a time, so it works when the vectors live out of
+// core. It picks the filter mode once for the whole source and runs every
+// fetched block through ScanBlocked's own body, so it produces the
+// identical result heap to ScanBlocked on the same logical data — the only
+// structural difference is that gather lists flush per block instead of
+// accumulating across blocks (views don't outlive the block), which by the
+// one-sided early-abandon contract cannot change which rows survive.
 //
 // Blocks with no surviving rows are skipped without touching the source
 // at all: a filtered out-of-core scan faults in only the blocks it needs.
@@ -181,213 +179,23 @@ func ScanBlockedSource(h *topk.Heap, metric vec.Metric, query []float32, src Blo
 		}
 	}
 	n := src.Rows()
-	dim := src.Dim()
 	if ids != nil && len(ids) < n {
 		n = len(ids)
 	}
-	if n == 0 {
-		return
+	sel.Force = sel.mode(n)
+	pos := sel.Pos
+	for i0 := 0; i0 < n; i0 += ScanBlockRows {
+		i1 := min(i0+ScanBlockRows, n)
+		if !sel.anyIn(i0, i1) {
+			continue
+		}
+		bsel, bids := sel, ids
+		if pos != nil {
+			bsel.Pos = pos[i0:i1]
+		}
+		if ids != nil {
+			bids = ids[i0:i1]
+		}
+		scanRows(h, metric, query, src.Block(i0, i1), src.Dim(), bids, bsel, i0)
 	}
-	idOf := func(i int) int64 { return int64(i) }
-	if ids != nil {
-		idOf = func(i int) int64 { return ids[i] }
-	}
-	worst := float32(math.Inf(1))
-	if w, ok := h.Worst(); ok && h.Full() {
-		worst = w
-	}
-	blockEnd := func(i0 int) int {
-		i1 := i0 + ScanBlockRows
-		if i1 > n {
-			i1 = n
-		}
-		return i1
-	}
-
-	if !metric.BatchEligible() {
-		// Pairwise fallback with the bit test first; the block is fetched
-		// lazily so fully excluded blocks never touch the source.
-		dist := metric.Dist()
-		pass := sel.passFunc()
-		for i0 := 0; i0 < n; i0 += ScanBlockRows {
-			i1 := blockEnd(i0)
-			var blk []float32
-			for r := i0; r < i1; r++ {
-				if pass != nil && !pass(r) {
-					continue
-				}
-				if blk == nil {
-					blk = src.Block(i0, i1)
-				}
-				d := dist(query, blk[(r-i0)*dim:(r-i0+1)*dim])
-				if d >= worst {
-					continue
-				}
-				h.Push(idOf(r), d)
-				if h.Full() {
-					worst, _ = h.Worst()
-				}
-			}
-		}
-		return
-	}
-
-	bp := bufferpool.GetFloats(ScanBlockRows)
-	buf := *bp
-	ip := metric == vec.IP
-	if sel.Bits == nil {
-		// Unfiltered blocked scan.
-		for i0 := 0; i0 < n; i0 += ScanBlockRows {
-			i1 := blockEnd(i0)
-			blk := src.Block(i0, i1)
-			if ip {
-				vec.NegDotBatch(query, blk, dim, buf)
-			} else {
-				vec.L2SquaredBatchBound(query, blk, dim, worst, buf)
-			}
-			for r := 0; r < i1-i0; r++ {
-				d := buf[r]
-				if d >= worst {
-					continue
-				}
-				h.Push(idOf(i0+r), d)
-				if h.Full() {
-					worst, _ = h.Worst()
-				}
-			}
-		}
-		bufferpool.PutFloats(bp)
-		return
-	}
-
-	mode := sel.Force
-	if mode == FilterAuto {
-		mode = ChooseFilterMode(sel.matched(n), n)
-	}
-
-	// Survivor list in block-local row indices; flushed before the view
-	// is invalidated by the next block.
-	gp := bufferpool.GetInt32s(ScanBlockRows)
-	gather := (*gp)[:0]
-	flush := func(blk []float32, base int) {
-		if len(gather) == 0 {
-			return
-		}
-		if ip {
-			vec.NegDotGather(query, blk, dim, gather, buf)
-		} else {
-			vec.L2SquaredGatherBound(query, blk, dim, gather, worst, buf)
-		}
-		for i, r := range gather {
-			d := buf[i]
-			if d >= worst {
-				continue
-			}
-			h.Push(idOf(base+int(r)), d)
-			if h.Full() {
-				worst, _ = h.Worst()
-			}
-		}
-		gather = gather[:0]
-	}
-	emitFull := func(blk []float32, i0, i1 int) {
-		if ip {
-			vec.NegDotBatch(query, blk, dim, buf)
-		} else {
-			vec.L2SquaredBatchBound(query, blk, dim, worst, buf)
-		}
-		for r := 0; r < i1-i0; r++ {
-			d := buf[r]
-			if d >= worst {
-				continue
-			}
-			h.Push(idOf(i0+r), d)
-			if h.Full() {
-				worst, _ = h.Worst()
-			}
-		}
-	}
-	pass := sel.passFunc()
-	emitMasked := func(blk []float32, i0, i1 int) {
-		if ip {
-			vec.NegDotBatch(query, blk, dim, buf)
-		} else {
-			vec.L2SquaredBatchBound(query, blk, dim, worst, buf)
-		}
-		for r := 0; r < i1-i0; r++ {
-			d := buf[r]
-			if d >= worst || !pass(i0+r) {
-				continue
-			}
-			h.Push(idOf(i0+r), d)
-			if h.Full() {
-				worst, _ = h.Worst()
-			}
-		}
-	}
-
-	switch {
-	case mode == FilterSparse && sel.Pos == nil:
-		// Word-skipping sparse iteration, driven block to block by
-		// NextSet: blocks with no survivors are never fetched.
-		p := sel.Bits.NextSet(0)
-		for p >= 0 && p < n {
-			i0 := (p / ScanBlockRows) * ScanBlockRows
-			i1 := blockEnd(i0)
-			for ; p >= 0 && p < i1; p = sel.Bits.NextSet(p + 1) {
-				gather = append(gather, int32(p-i0))
-			}
-			if len(gather) > 0 {
-				flush(src.Block(i0, i1), i0)
-			}
-		}
-	case mode == FilterSparse:
-		for i0 := 0; i0 < n; i0 += ScanBlockRows {
-			i1 := blockEnd(i0)
-			for r := i0; r < i1; r++ {
-				if sel.Bits.Test(int(sel.Pos[r])) {
-					gather = append(gather, int32(r-i0))
-				}
-			}
-			if len(gather) > 0 {
-				flush(src.Block(i0, i1), i0)
-			}
-		}
-	case sel.Pos == nil:
-		// Dense triage per block, as in ScanBlocked; empty blocks are
-		// skipped without a fetch.
-		for i0 := 0; i0 < n; i0 += ScanBlockRows {
-			i1 := blockEnd(i0)
-			m := sel.Bits.CountRange(i0, i1)
-			switch {
-			case m == 0:
-			case m == i1-i0:
-				emitFull(src.Block(i0, i1), i0, i1)
-			case m*denseBlockDiv >= i1-i0:
-				emitMasked(src.Block(i0, i1), i0, i1)
-			default:
-				for p := sel.Bits.NextSet(i0); p >= 0 && p < i1; p = sel.Bits.NextSet(p + 1) {
-					gather = append(gather, int32(p-i0))
-				}
-				if len(gather) > 0 {
-					flush(src.Block(i0, i1), i0)
-				}
-			}
-		}
-	default:
-		// Dense with a position mapping (IVF buckets): masked blocks,
-		// with the PosSorted span skip avoiding both the kernel and the
-		// fetch for all-excluded blocks.
-		for i0 := 0; i0 < n; i0 += ScanBlockRows {
-			i1 := blockEnd(i0)
-			if sel.PosSorted {
-				if lo, hi := int(sel.Pos[i0]), int(sel.Pos[i1-1]); sel.Bits.CountRange(lo, hi+1) == 0 {
-					continue
-				}
-			}
-			emitMasked(src.Block(i0, i1), i0, i1)
-		}
-	}
-	bufferpool.PutInt32s(gp)
-	bufferpool.PutFloats(bp)
 }
