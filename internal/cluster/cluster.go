@@ -147,8 +147,9 @@ func (cl *Cluster) SearchFiltered(collection string, query []float32, opts core.
 
 // SearchFilteredCtx is SearchFiltered with cancellation. The per-reader
 // fan-out runs as tasks on the shared execution pool: the router goroutine
-// participates when the pool is saturated, so a cluster query can never
-// deadlock against collection-level queries sharing the pool.
+// runs them itself, with idle workers helping, and waits only for tasks a
+// worker has started, so a cluster query can never deadlock against
+// collection-level queries sharing the pool.
 func (cl *Cluster) SearchFilteredCtx(ctx context.Context, collection string, query []float32, opts core.SearchOptions, rf *RangeFilter) ([]topk.Result, error) {
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {

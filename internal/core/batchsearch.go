@@ -265,10 +265,7 @@ func (c *Collection) batchSegment(seg *Segment, visible *bitset.Bitset, field in
 			if !it.live() {
 				continue
 			}
-			h := heaps.At(w, qj)
-			for _, r := range idx.Search(qs[qj*dim:(qj+1)*dim], sp) {
-				h.Push(r.ID, r.Distance)
-			}
+			index.SearchInto(idx, heaps.At(w, qj), qs[qj*dim:(qj+1)*dim], sp)
 		}
 		return true
 	}

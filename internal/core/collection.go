@@ -636,8 +636,9 @@ func (c *Collection) SearchSnapshotCtx(ctx context.Context, sn *Snapshot, query 
 }
 
 // searchSnapshot is the per-segment sweep: every segment of the pinned
-// snapshot is searched (index or scan) into per-task heaps, and the heaps
-// are merged. The query is already validated; f is its vector field.
+// snapshot is searched (index probe or scan) straight into per-task heaps,
+// and the heaps fold into one whose Results is the query's only sort. The
+// query is already validated; f is its vector field.
 func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, query []float32, opts SearchOptions) ([]topk.Result, error) {
 	tr := opts.Trace
 	p := opts.Params()
@@ -695,23 +696,14 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 	if err != nil {
 		return nil, err
 	}
+	// Map returned no error, so every task ran and drew its heap.
 	mergeSpan := tr.StartSpan("topk_merge")
-	var res []topk.Result
-	if workers == 1 && heaps[0] != nil {
-		res = heaps[0].Results()
-	} else {
-		lists := make([][]topk.Result, 0, workers)
-		for _, h := range heaps {
-			if h != nil {
-				lists = append(lists, h.Snapshot())
-			}
-		}
-		res = topk.Merge(opts.K, lists...)
+	for _, h := range heaps[1:] {
+		heaps[0].Fold(h)
 	}
+	res := heaps[0].Results()
 	for _, h := range heaps {
-		if h != nil {
-			topk.PutHeap(h)
-		}
+		topk.PutHeap(h)
 	}
 	mergeSpan.End()
 	return res, nil

@@ -247,15 +247,14 @@ func (s *Segment) Search(schema *Schema, field int, query []float32, p index.Sea
 // SearchInto is Search accumulating into a caller-owned heap: one heap can
 // serve many segments, skipping the per-segment result allocation, sort and
 // merge, and letting the worst retained distance prune pushes across
-// segment boundaries. The unindexed scan goes through the shared blocked
+// segment boundaries. An index probe pushes into h through
+// index.SearchInto; the unindexed scan goes through the shared blocked
 // kernels (index.ScanBlocked), which feed the heap's worst distance into
 // the early-abandon kernel so a row that cannot enter the top-k costs at
 // most a prefix of its dimensions.
 func (s *Segment) SearchInto(h *topk.Heap, schema *Schema, field int, query []float32, p index.SearchParams) {
 	if idx := s.Index(field); idx != nil {
-		for _, r := range idx.Search(query, p) {
-			h.Push(r.ID, r.Distance)
-		}
+		index.SearchInto(idx, h, query, p)
 		return
 	}
 	sel := index.Selection{Bits: p.Bits}

@@ -6,6 +6,12 @@
 // hardware runs a fixed number of tasks while queries queue — the
 // scheduling shape of Milvus's cache-aware engine and Faiss's OpenMP pool.
 //
+// A fan-out is caller-runs: the goroutine that calls Map works through
+// its own tasks, and the workers only help. Map queues a few helper
+// closures that claim tasks from the same counter, so an idle worker
+// speeds a query up while a busy one never delays it — a query whose
+// helpers are stuck behind other work finishes on its own goroutine.
+//
 // The pool is also the read path's one queue. A query runs only while it
 // holds one of Workers run slots; with every slot taken it waits in one
 // FIFO queue, bounded with fast-fail rejection (ErrRejected) so overload
@@ -41,16 +47,11 @@ var (
 
 // Config tunes a Pool. Zero values mean defaults.
 type Config struct {
-	// Workers is the fixed worker count (default GOMAXPROCS): the only
-	// goroutines that ever run submitted tasks, beyond submitters running
-	// tasks inline when the queue is full. It is also the number of run
-	// slots: how many queries execute at once.
+	// Workers is the fixed worker count (default GOMAXPROCS): the
+	// goroutines that help a Map's caller with its tasks, at most Workers
+	// helpers per Map. It is also the number of run slots: how many
+	// queries execute at once.
 	Workers int
-	// QueueDepth bounds the task queue (default 4×Workers). A full queue
-	// never blocks or fails a submit: the submitting goroutine runs the
-	// task itself, which both applies backpressure and makes nested
-	// fan-outs deadlock-free.
-	QueueDepth int
 	// AdmitQueue bounds queries waiting for a run slot (default
 	// 64×Workers); one more waiter is rejected with ErrRejected.
 	AdmitQueue int
@@ -69,20 +70,12 @@ func (c *Config) defaults() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.Workers
-	}
 	if c.AdmitQueue <= 0 {
 		c.AdmitQueue = 64 * c.Workers
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
 	}
-}
-
-type task struct {
-	fn       func()
-	enqueued time.Time
 }
 
 // waiter is one query queued for a run slot. Its outcome (slot or err) is
@@ -121,8 +114,8 @@ func (s Slot) Release() {
 // to a fixed set of run slots. The zero value is unusable; call NewPool or
 // Default.
 type Pool struct {
-	cfg   Config
-	tasks chan task
+	cfg     Config
+	helpers chan func() // queued Map helpers, each claiming tasks until none are left
 
 	mu      sync.Mutex
 	running int       // run slots held
@@ -143,8 +136,10 @@ type Pool struct {
 func NewPool(cfg Config) *Pool {
 	cfg.defaults()
 	p := &Pool{
-		cfg:   cfg,
-		tasks: make(chan task, cfg.QueueDepth),
+		cfg: cfg,
+		// Helpers only ever add parallelism, so a full queue just means
+		// fewer of them: its depth is not a knob.
+		helpers: make(chan func(), 4*cfg.Workers),
 		// A nil-registry histogram works but is scraped nowhere.
 		taskWait: cfg.Obs.Histogram("vectordb_exec_task_wait_seconds", nil),
 	}
@@ -152,15 +147,15 @@ func NewPool(cfg Config) *Pool {
 	if reg := cfg.Obs; reg != nil {
 		reg.Help("vectordb_exec_inflight", "Queries holding a run slot in the shared execution pool.")
 		reg.GaugeFunc("vectordb_exec_inflight", func() int64 { return int64(p.Inflight()) })
-		reg.Help("vectordb_exec_queue_depth", "Segment tasks waiting in the shared execution pool queue.")
-		reg.GaugeFunc("vectordb_exec_queue_depth", func() int64 { return int64(len(p.tasks)) })
+		reg.Help("vectordb_exec_queue_depth", "Helper closures waiting in the shared execution pool queue.")
+		reg.GaugeFunc("vectordb_exec_queue_depth", func() int64 { return int64(len(p.helpers)) })
 		reg.Help("vectordb_exec_rejected_total", "Queries fast-failed by admission control.")
 		reg.CounterFunc("vectordb_exec_rejected_total", func() int64 { return p.rejected.Load() })
-		reg.Help("vectordb_exec_tasks_total", "Segment tasks executed by the shared pool (queued + inline).")
+		reg.Help("vectordb_exec_tasks_total", "Segment tasks run by Map, on the calling goroutine or a worker.")
 		reg.CounterFunc("vectordb_exec_tasks_total", func() int64 { return p.ran.Load() })
 		reg.Help("vectordb_exec_workers", "Resident workers in the shared execution pool.")
 		reg.GaugeFunc("vectordb_exec_workers", func() int64 { return int64(cfg.Workers) })
-		reg.Help("vectordb_exec_task_wait_seconds", "Queue wait of segment tasks before a worker picks them up.")
+		reg.Help("vectordb_exec_task_wait_seconds", "Queue wait of helpers that claimed a segment task, before a worker picked them up.")
 	}
 	p.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
@@ -205,25 +200,23 @@ func (p *Pool) Waiting() int {
 	return len(p.queue)
 }
 
-// Backlog is the planner's load input: segment tasks queued, queries
-// queued for a slot, and queries holding one.
+// Backlog is the planner's load input: helpers queued, queries queued for
+// a slot, and queries holding one.
 func (p *Pool) Backlog() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.tasks) + len(p.queue) + p.running
+	return len(p.helpers) + len(p.queue) + p.running
 }
 
 func (p *Pool) worker() {
 	defer p.wg.Done()
-	for t := range p.tasks {
-		p.taskWait.Observe(time.Since(t.enqueued))
-		p.ran.Add(1)
-		t.fn()
+	for help := range p.helpers {
+		help()
 	}
 }
 
 // Close stops admission, fails every queued query with ErrClosed, waits
-// until no run slot is held, and then stops the workers once the task
+// until no run slot is held, and then stops the workers once the helper
 // queue drains. Callers that Map without holding a slot must have stopped
 // first; the Default pool is never closed.
 func (p *Pool) Close() {
@@ -239,60 +232,87 @@ func (p *Pool) Close() {
 			p.idle.Wait()
 		}
 		p.mu.Unlock()
-		close(p.tasks)
+		close(p.helpers)
 		p.wg.Wait()
 	})
 }
 
-// Map runs fn(0)..fn(n-1) on the shared workers and returns when all
-// submitted tasks have finished. The submitting goroutine participates:
-// when the bounded queue is full it runs the task inline, so a saturated
-// pool degrades to caller-runs execution instead of deadlocking — nested
-// fan-outs (a cluster query fanning into per-reader segment fan-outs) are
-// therefore always safe. With a single worker, or a single task, Map runs
-// everything inline: there is no parallelism to be had and the queue
-// round-trip would be pure overhead.
+// Map runs fn(0)..fn(n-1), each exactly once, and returns when all have
+// finished. The calling goroutine does the work: it claims tasks off one
+// counter until none are left, while up to min(n−1, Workers) helpers
+// queued for the workers claim from the same counter. Map then waits only
+// for tasks a worker has already started. A helper that a worker dequeues
+// late finds nothing to claim and returns without touching anything, and a
+// full queue only means fewer helpers. So a query never waits behind other
+// queries' tasks, and nested fan-outs (a cluster query fanning into
+// per-reader segment fan-outs) cannot deadlock. With a run slot spare the
+// caller first yields its core to a helper, so both start at once; with
+// one task, or a nil pool, no helper is queued and everything runs inline.
 //
-// Cancellation is checked between tasks: once ctx is done, tasks that have
-// not started are skipped (queued ones drain as no-ops) and Map returns
-// ctx.Err(). Tasks already running complete — results arrays indexed by
-// task therefore stay consistent — but no new per-segment work begins.
+// Cancellation is checked before each task: once ctx is done, tasks that
+// have not started are skipped and Map returns ctx.Err(). Tasks already
+// running complete — results arrays indexed by task therefore stay
+// consistent — but no new per-segment work begins.
 func (p *Pool) Map(ctx context.Context, n int, fn func(int)) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	if p == nil || p.cfg.Workers <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if p != nil {
-				p.ran.Add(1)
-			}
+	if p == nil {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
 			fn(i)
 		}
 		return ctx.Err()
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		i := i
-		wg.Add(1)
-		run := func() {
-			defer wg.Done()
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	wg.Add(n)
+	// claim runs tasks until the counter passes n; only a claimed task
+	// touches fn, the pool's counters or wg.
+	claim := func() (claimed bool) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return claimed
+			}
+			claimed = true
 			if ctx.Err() == nil {
+				p.ran.Add(1)
 				fn(i)
 			}
-		}
-		select {
-		case p.tasks <- task{fn: run, enqueued: time.Now()}:
-		default:
-			p.ran.Add(1)
-			run()
+			wg.Done()
 		}
 	}
+	if helpers := min(n-1, p.cfg.Workers); helpers > 0 {
+		enqueued := time.Now()
+		help := func() {
+			wait := time.Since(enqueued)
+			if claim() {
+				p.taskWait.Observe(wait)
+			}
+		}
+	enqueue:
+		for h := 0; h < helpers; h++ {
+			select {
+			case p.helpers <- help:
+			default:
+				break enqueue
+			}
+		}
+		// A worker woken from here waits in this core's run-next slot,
+		// where an idle core takes it only after a delay longer than a
+		// small task. With a run slot spare, a core is likely idle: yield,
+		// so the helper starts here at once and the caller resumes on the
+		// idle core. With every slot taken, keep the core and run.
+		p.mu.Lock()
+		spare := p.running < p.cfg.Workers
+		p.mu.Unlock()
+		if spare {
+			runtime.Gosched()
+		}
+	}
+	claim()
 	wg.Wait()
 	return ctx.Err()
 }

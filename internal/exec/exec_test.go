@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -43,7 +44,7 @@ func TestMapNilPoolInline(t *testing.T) {
 }
 
 func TestMapCancelSkipsRemaining(t *testing.T) {
-	p := NewPool(Config{Workers: 2, QueueDepth: 1})
+	p := NewPool(Config{Workers: 2})
 	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
@@ -60,10 +61,10 @@ func TestMapCancelSkipsRemaining(t *testing.T) {
 	}
 }
 
-// TestMapNestedNoDeadlock submits fan-outs from inside pool tasks with a
-// tiny queue: the inline-run-on-full fallback must prevent deadlock.
+// TestMapNestedNoDeadlock submits fan-outs from inside pool tasks: each
+// Map's caller runs its own tasks, so none waits on a queued one.
 func TestMapNestedNoDeadlock(t *testing.T) {
-	p := NewPool(Config{Workers: 2, QueueDepth: 1})
+	p := NewPool(Config{Workers: 2})
 	defer p.Close()
 	done := make(chan struct{})
 	go func() {
@@ -80,6 +81,63 @@ func TestMapNestedNoDeadlock(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("nested Map deadlocked")
+	}
+}
+
+// TestMapFinishesOnCallerWhenWorkersWedged: with every worker stuck in
+// another query's task, a Map still finishes on its own goroutine, and its
+// helpers, dequeued once the workers are free, run nothing.
+func TestMapFinishesOnCallerWhenWorkersWedged(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := NewPool(Config{Workers: 2, Obs: reg})
+	w := p.Workers()
+	release := make(chan struct{})
+	var started atomic.Int32
+	wedged := make(chan struct{})
+	go func() {
+		defer close(wedged)
+		_ = p.Map(context.Background(), w+1, func(int) {
+			started.Add(1)
+			<-release
+		})
+	}()
+	// The caller and every worker each hold one of the w+1 tasks.
+	for deadline := time.Now().Add(time.Second); started.Load() < int32(w+1) && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	var hits [2]atomic.Int32
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = p.Map(context.Background(), len(hits), func(i int) { hits[i].Add(1) })
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		close(release)
+		t.Fatal("Map waited behind wedged workers instead of running its tasks")
+	}
+	close(release)
+	<-wedged
+	p.Close() // drains the late helpers
+	for i := range hits {
+		if n := hits[i].Load(); n != 1 {
+			t.Fatalf("task %d ran %d times, want 1", i, n)
+		}
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	for _, want := range []string{
+		fmt.Sprintf("vectordb_exec_tasks_total %d\n", w+1+len(hits)),
+		// Only the first Map's helpers claimed a task.
+		fmt.Sprintf("vectordb_exec_task_wait_seconds_count %d\n", w),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition lacks %q:\n%s", want, text)
+		}
 	}
 }
 

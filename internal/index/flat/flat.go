@@ -81,8 +81,14 @@ func (f *Flat) IDs() []int64 { return f.ids }
 // metrics take the pairwise fallback inside ScanBlocked.
 func (f *Flat) Search(query []float32, p index.SearchParams) []topk.Result {
 	h := topk.GetHeap(p.K)
-	index.ScanBlocked(h, f.metric, query, f.data, f.dim, f.ids, index.Selection{Bits: p.Bits})
+	f.SearchInto(h, query, p)
 	out := h.Results()
 	topk.PutHeap(h)
 	return out
+}
+
+// SearchInto is Search pushing into a caller-owned heap, whose worst
+// distance gates the scan from its first row.
+func (f *Flat) SearchInto(h *topk.Heap, query []float32, p index.SearchParams) {
+	index.ScanBlocked(h, f.metric, query, f.data, f.dim, f.ids, index.Selection{Bits: p.Bits})
 }

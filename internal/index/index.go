@@ -185,6 +185,24 @@ func IDsOrDefault(ids []int64, n int) []int64 {
 	return out
 }
 
+// SearchInto runs idx's search for query and pushes its results into h,
+// a heap the caller owns and may already hold candidates from other
+// segments. Indexes with a SearchInto of their own (the scan-based ones:
+// FLAT, the IVF family) push straight into h, so h's worst distance
+// prunes their scan and no per-probe result list is allocated or sorted;
+// the rest (graph indexes) push what Search returns.
+func SearchInto(idx Index, h *topk.Heap, query []float32, p SearchParams) {
+	if s, ok := idx.(interface {
+		SearchInto(*topk.Heap, []float32, SearchParams)
+	}); ok {
+		s.SearchInto(h, query, p)
+		return
+	}
+	for _, r := range idx.Search(query, p) {
+		h.Push(r.ID, r.Distance)
+	}
+}
+
 // SearchBatch runs Search for each of the nq queries packed in queries.
 // Indexes with a native batch path may shadow this helper.
 func SearchBatch(idx Index, queries []float32, p SearchParams) [][]topk.Result {

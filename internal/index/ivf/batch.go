@@ -135,18 +135,26 @@ func (x *IVF) SearchBatchCtx(ctx context.Context, queries []float32, p index.Sea
 		return nil, err
 	}
 
-	// Merge the per-worker heaps of each query (the deferred recycle
-	// returns them to the pool once the snapshots are merged).
+	// Fold each query's per-worker heaps into its first one, whose Results
+	// is the query's only sort (the deferred recycle returns them all). A
+	// query whose probed buckets were all empty drew no heap.
 	out := make([][]topk.Result, nq)
-	lists := make([][]topk.Result, 0, workers)
 	for qi := 0; qi < nq; qi++ {
-		lists = lists[:0]
+		var into *topk.Heap
 		for w := 0; w < workers; w++ {
-			if h := perWorker[w][qi]; h != nil {
-				lists = append(lists, h.Snapshot())
+			switch h := perWorker[w][qi]; {
+			case h == nil:
+			case into == nil:
+				into = h
+			default:
+				into.Fold(h)
 			}
 		}
-		out[qi] = topk.Merge(p.K, lists...)
+		if into == nil {
+			out[qi] = []topk.Result{}
+			continue
+		}
+		out[qi] = into.Results()
 	}
 	return out, nil
 }

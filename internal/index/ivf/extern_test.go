@@ -156,10 +156,25 @@ func sameResults(t *testing.T, label string, want, got []topk.Result) {
 	}
 }
 
+// prefillBetween returns candidates that interleave rs: one between each
+// pair of neighbours, with IDs no index row has. A heap holding them is
+// full after one more push, so its bound prunes a scan at once.
+func prefillBetween(rs []topk.Result) []topk.Result {
+	var out []topk.Result
+	for i := 0; i+1 < len(rs); i++ {
+		d := rs[i].Distance + (rs[i+1].Distance-rs[i].Distance)/2
+		if d != rs[i].Distance && d != rs[i+1].Distance {
+			out = append(out, topk.Result{ID: -int64(i) - 1, Distance: d})
+		}
+	}
+	return out
+}
+
 // TestExternalizedMatchesResident: an externalized IVF_FLAT or IVF_SQ8
 // index answers bit-identically to the resident index it was made from,
-// through every bucket-scan entry point, across metrics, filter
-// selectivities (none, 2 %, 50 %) and probe widths — including buckets
+// through every bucket-scan entry point and through SearchInto a
+// pre-filled heap, across metrics, filter selectivities (none, 2 %, 50 %)
+// and probe widths — including buckets
 // longer than a scan block, whose row ranges straddle the payload's block
 // boundaries.
 func TestExternalizedMatchesResident(t *testing.T) {
@@ -199,7 +214,22 @@ func TestExternalizedMatchesResident(t *testing.T) {
 					p := index.SearchParams{K: 20, Nprobe: nprobe, Bits: bits}
 					for qi := 0; qi < nq; qi++ {
 						q := qs[qi*d.Dim : (qi+1)*d.Dim]
-						sameResults(t, label+"/Search", x.Search(q, p), y.Search(q, p))
+						want := x.Search(q, p)
+						sameResults(t, label+"/Search", want, y.Search(q, p))
+
+						// SearchInto a heap another segment already
+						// filled: the prefill's bound prunes the probe,
+						// and the heap ends as a merge of the two.
+						prefill := prefillBetween(want)
+						merged := topk.Merge(p.K, prefill, want)
+						for _, z := range []*IVF{x, y} {
+							h := topk.New(p.K)
+							for _, r := range prefill {
+								h.Push(r.ID, r.Distance)
+							}
+							z.SearchInto(h, q, p)
+							sameResults(t, label+"/SearchInto", merged, h.Results())
+						}
 
 						// One heap across the probed buckets, so the
 						// worst bound carries from bucket to bucket.

@@ -419,14 +419,24 @@ func (x *IVF) scanBucketPQ(tab *quantizer.ADCTable, bucket int, sel index.Select
 	}
 }
 
-// Search implements index.Index. Per-query ADC tables (SQ8 fused, PQ) are
-// built once and reused across all probed buckets; the scratch heap is
-// pooled. Externalized indexes open one payload source for the whole probe
-// sweep so the mapping is pinned (and the segment promoted) once per query
-// rather than once per bucket.
+// Search implements index.Index through SearchInto on a pooled heap.
 func (x *IVF) Search(query []float32, p index.SearchParams) []topk.Result {
-	probes := x.ProbeOrder(query, p.Nprobe)
 	h := topk.GetHeap(p.K)
+	x.SearchInto(h, query, p)
+	out := h.Results()
+	topk.PutHeap(h)
+	return out
+}
+
+// SearchInto probes the query's nearest buckets, pushing every candidate
+// into h, a caller-owned heap that may already hold other segments'
+// results: its worst distance prunes the bucket scans from the first row.
+// Per-query ADC tables (SQ8 fused, PQ) are built once and reused across
+// all probed buckets. Externalized indexes open one payload source for the
+// whole probe sweep so the mapping is pinned (and the segment promoted)
+// once per query rather than once per bucket.
+func (x *IVF) SearchInto(h *topk.Heap, query []float32, p index.SearchParams) {
+	probes := x.ProbeOrder(query, p.Nprobe)
 	sel := x.selection(p)
 	switch x.fine {
 	case FinePQ:
@@ -450,9 +460,6 @@ func (x *IVF) Search(query []float32, p index.SearchParams) []topk.Result {
 			rows.close()
 		}
 	}
-	out := h.Results()
-	topk.PutHeap(h)
-	return out
 }
 
 // selection builds the per-query pushed selection. The dense/sparse mode is

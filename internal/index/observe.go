@@ -28,11 +28,11 @@ func (m *Metrics) ObserveBuild(indexType string, d time.Duration, err error) {
 	m.reg.Histogram("vectordb_index_build_seconds", nil, "index", indexType).Observe(d)
 }
 
-// Instrument wraps idx so every Search increments the per-type search
-// counter and records a latency histogram sample. The wrapper preserves
-// the Marshaler capability of the underlying index (segment persistence
-// type-asserts it), and re-instrumenting an already-wrapped index is a
-// no-op.
+// Instrument wraps idx so every Search or SearchInto increments the
+// per-type search counter and records a latency histogram sample. The
+// wrapper preserves the Marshaler capability of the underlying index
+// (segment persistence type-asserts it), and re-instrumenting an
+// already-wrapped index is a no-op.
 func (m *Metrics) Instrument(idx Index) Index {
 	if m == nil || idx == nil {
 		return idx
@@ -64,6 +64,15 @@ func (w *instrumentedIndex) Search(query []float32, p SearchParams) []topk.Resul
 	w.searches.Inc()
 	w.latency.Observe(time.Since(start))
 	return res
+}
+
+// SearchInto forwards to the wrapped index's heap-through search, counted
+// and timed once per probe like Search.
+func (w *instrumentedIndex) SearchInto(h *topk.Heap, query []float32, p SearchParams) {
+	start := time.Now()
+	SearchInto(w.Index, h, query, p)
+	w.searches.Inc()
+	w.latency.Observe(time.Since(start))
 }
 
 // Unwrap exposes the underlying index, e.g. for capability probes.

@@ -71,8 +71,9 @@ func FuzzHeapPush(f *testing.F) {
 }
 
 // FuzzMerge checks that merging arbitrary partitions of a result stream
-// never produces more than k results, keeps them sorted, and equals the
-// heap built over the whole stream when distances are unique.
+// never produces more than k results, keeps them sorted, and, like folding
+// the partitions' heaps into one, equals the heap built over the whole
+// stream when distances are unique.
 func FuzzMerge(f *testing.F) {
 	f.Add([]byte{4, 2, 1, 10, 2, 20, 3, 30, 4, 40, 5, 50})
 	f.Add([]byte{1, 1, 9, 200})
@@ -106,13 +107,24 @@ func FuzzMerge(f *testing.F) {
 				t.Fatalf("merged results unsorted at %d", i)
 			}
 		}
-		want := whole.Results()
-		if len(merged) != len(want) {
-			t.Fatalf("merge kept %d results, single heap kept %d", len(merged), len(want))
+		// Folding the parts' heaps into one is the other way to merge.
+		folded := New(k)
+		for _, l := range lists {
+			p := New(k)
+			for _, r := range l {
+				p.Push(r.ID, r.Distance)
+			}
+			folded.Fold(p)
 		}
-		for i := range merged {
-			if merged[i].Distance != want[i].Distance {
-				t.Fatalf("rank %d: merged distance %v, single-heap %v", i, merged[i].Distance, want[i].Distance)
+		want := whole.Results()
+		for name, got := range map[string][]Result{"merged": merged, "folded": folded.Results()} {
+			if len(got) != len(want) {
+				t.Fatalf("%s kept %d results, single heap kept %d", name, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Distance != want[i].Distance {
+					t.Fatalf("rank %d: %s distance %v, single-heap %v", i, name, got[i].Distance, want[i].Distance)
+				}
 			}
 		}
 	})

@@ -127,6 +127,15 @@ func (h *Heap) down(i int) {
 	}
 }
 
+// Fold pushes every result o retains into h, unsorted, leaving o as it
+// was. Folding per-task heaps into one and taking its Results is the
+// single sort of a merge; o's bound may differ from h's.
+func (h *Heap) Fold(o *Heap) {
+	for _, r := range o.data {
+		h.Push(r.ID, r.Distance)
+	}
+}
+
 // Results returns the retained results sorted ascending by distance, ties
 // broken by ID for determinism. The heap is left empty.
 func (h *Heap) Results() []Result {
@@ -227,9 +236,11 @@ func (m *Matrix) Reset() {
 
 // MergeQuery merges all per-thread heaps of one query into its final top-k.
 func (m *Matrix) MergeQuery(query, k int) []Result {
-	lists := make([][]Result, m.threads)
+	h := GetHeap(k)
 	for t := 0; t < m.threads; t++ {
-		lists[t] = m.At(t, query).Snapshot()
+		h.Fold(m.At(t, query))
 	}
-	return Merge(k, lists...)
+	out := h.Results()
+	PutHeap(h)
+	return out
 }
