@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint bench bench-kernels bench-batchform bench-filter bench-ooc bench-plan bench-smoke kernel-guard conformance-filter conformance-wire conformance-ooc ci cover stress experiments examples loc clean
+.PHONY: all build test race vet fmt lint bench bench-smoke kernel-guard conformance-filter conformance-wire conformance-ooc ci cover stress experiments examples loc clean
 
 all: build test
 
@@ -41,7 +41,8 @@ lint:
 # the filtered-search gates (ground-truth conformance plus the concurrent
 # filtered stress mode), the REST wire-codec gate (golden bytes and
 # differential fuzzing against encoding/json), the observability coverage floor, the
-# batch-kernel guard, the benchmark smoke run, and the e2ebench module
+# batch-kernel guard, the benchmark smoke run (every `go test` benchmark
+# once, the per-layer cells included), and the e2ebench module
 # (its own go.mod, so `go build ./... && go test ./...` at the root never
 # compiles it: a signature change in internal/core that breaks the
 # repository's benchmark shows up here, not when the benchmark next runs).
@@ -124,15 +125,12 @@ kernel-guard:
 
 # bench-smoke compiles and runs every benchmark in the repo exactly once
 # (-benchtime=1x): no timing signal, but a benchmark that panics, asserts,
-# or rots against an API change fails CI instead of rotting silently. The
-# dynamic-batching bench rides along at its -quick sizing for the same
-# reason (it fails hard on any search error).
+# or rots against an API change fails CI instead of rotting silently. That
+# includes the per-layer cells beside the code they measure (blocked scan,
+# filtered scan, batched vs per-query search, tiered cache pressure), which
+# fail hard on a search error or a wrong answer.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-	$(GO) run ./cmd/benchbatchform -quick -o /dev/null
-	$(GO) run ./cmd/benchfilter -quick -o /dev/null
-	$(GO) run ./cmd/benchooc -quick -o /dev/null
-	$(GO) run ./cmd/benchplan -quick -o /dev/null
 
 # cover enforces a coverage floor on the observability layer: the metrics
 # registry, exposition writer, tracer and query log are the eyes of every
@@ -154,42 +152,6 @@ stress:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# bench-kernels regenerates BENCH_kernels.json, the Fig. 8 companion
-# artifact: blocked batch kernels vs the pre-blocking scan loop, plus the
-# CacheAware-vs-ThreadPerQuery multi-query tile gap.
-bench-kernels:
-	$(GO) run ./cmd/benchkernels -o BENCH_kernels.json
-
-# bench-filter regenerates BENCH_filter.json: the filtered-scan pushdown
-# (dense bitsets beneath the batch kernels) against the per-row callback
-# filter it replaced (a private loop in the bench main; the engine has no
-# callback path), swept over selectivity for both flat scans and IVF
-# probes, on clustered and shuffled attribute layouts.
-bench-filter:
-	$(GO) run ./cmd/benchfilter -o BENCH_filter.json
-
-# bench-ooc regenerates BENCH_ooc.json: out-of-core search under cache
-# pressure — hit rate and latency swept over dataset/cache ratios 1x, 2x,
-# 4x, 10x with sealed segments in mmap-backed extent files and IVF
-# payloads externalized (the tiered-storage companion artifact).
-bench-ooc:
-	$(GO) run ./cmd/benchooc -o BENCH_ooc.json
-
-# bench-plan regenerates BENCH_plan.json: the cost-based planner against
-# every static policy it replaces — placement (pure-CPU / pure-GPU /
-# always-hybrid on the virtual device clocks) swept over nq × residency,
-# and filter strategy (always-A / always-pushdown, wall-clock) swept over
-# selectivity × layout — reporting per-cell regret vs the best static.
-bench-plan:
-	$(GO) run ./cmd/benchplan -o BENCH_plan.json
-
-# bench-batchform regenerates BENCH_batchform.json: freed run slots taking
-# queued concurrent searches along as tile batches vs the per-query path,
-# at c = 8 / 64 / 256 (the online companion to bench-kernels' offline tile
-# numbers).
-bench-batchform:
-	$(GO) run ./cmd/benchbatchform -o BENCH_batchform.json
 
 # Regenerate every table and figure of the paper (Sec. 7).
 experiments:

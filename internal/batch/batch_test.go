@@ -136,16 +136,27 @@ func TestDegenerateBlockSize(t *testing.T) {
 	}
 }
 
+// BenchmarkEngines runs both engines over two inputs: 256 queries at k=50
+// through the pairwise distance, and the tile cell — 16 queries at k=10
+// over 100k rows through the batch kernels, where CacheAware's query tiles
+// reuse each cache-resident block that ThreadPerQuery streams once per
+// query.
 func BenchmarkEngines(b *testing.B) {
-	d := dataset.SIFTLike(20000, 4)
-	qs := dataset.Queries(d, 256, 5)
-	req := &Request{Queries: qs, Data: d.Data, Dim: d.Dim, K: 50, Dist: vec.L2Squared}
-	for _, e := range []Engine{&ThreadPerQuery{}, &CacheAware{}} {
-		b.Run(e.Name(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e.MultiQuery(req)
-			}
-		})
+	small, big := dataset.SIFTLike(20000, 4), dataset.SIFTLike(100000, 4)
+	for _, in := range []struct {
+		name string
+		req  *Request
+	}{
+		{"n20k_nq256_k50", &Request{Queries: dataset.Queries(small, 256, 5), Data: small.Data, Dim: small.Dim, K: 50, Dist: vec.L2Squared}},
+		{"n100k_nq16_k10", &Request{Queries: dataset.Queries(big, 16, 5), Data: big.Data, Dim: big.Dim, K: 10, Metric: vec.L2}},
+	} {
+		for _, e := range []Engine{&ThreadPerQuery{}, &CacheAware{}} {
+			b.Run(in.name+"/"+e.Name(), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					e.MultiQuery(in.req)
+				}
+			})
+		}
 	}
 }
 

@@ -2,17 +2,21 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"vectordb/internal/exec"
+	"vectordb/internal/obs"
 	"vectordb/internal/vec"
 )
 
 // benchCollection builds a collection with many small segments — the shape
 // the paper's segment-based scheduling targets — so per-query scheduling
-// overhead is visible next to the per-segment scan work.
-func benchCollection(b *testing.B, segs, rowsPerSeg, dim int) *Collection {
+// overhead is visible next to the per-segment scan work. It runs on pool
+// and records its series in reg.
+func benchCollection(b *testing.B, segs, rowsPerSeg, dim int, pool *exec.Pool, reg *obs.Registry) *Collection {
 	b.Helper()
 	c, err := NewCollection("bench", Schema{
 		VectorFields: []VectorField{{Name: "v", Dim: dim, Metric: vec.L2}},
@@ -22,6 +26,8 @@ func benchCollection(b *testing.B, segs, rowsPerSeg, dim int) *Collection {
 		MergeFactor:    1 << 30, // no merging: keep the segment count fixed
 		MaxSegmentRows: rowsPerSeg,
 		IndexRows:      1 << 30, // no indexes: exact scan per segment
+		Exec:           pool,
+		Obs:            reg,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -56,34 +62,72 @@ func benchVec(seed int64, dim int) []float32 {
 	return v
 }
 
-// BenchmarkConcurrentSearch measures aggregate search throughput at 1, 8
-// and 64 concurrent searchers over 64 small segments. Before the shared
-// execution engine, every query spawned its own GOMAXPROCS-sized worker
-// pool, so concurrent load multiplied goroutine and channel churn; after,
-// all queries share one fixed pool with admission control.
+// occupancy sums the formed batches of collection "bench" in reg and their
+// members (MaxBatch defaults to 16).
+func occupancy(reg *obs.Registry) (batches, members int64) {
+	for size := 1; size <= 16; size++ {
+		n := reg.Counter("vectordb_batchform_occupancy_total", "collection", "bench", "size", strconv.Itoa(size)).Value()
+		batches += n
+		members += n * int64(size)
+	}
+	return batches, members
+}
+
+// BenchmarkConcurrentSearch measures aggregate search throughput of
+// concurrent searchers over scan-only segments, on two pools of the
+// machine's worker count: batched, where a freed run slot takes queued
+// peers of its query along as one tile batch, and perquery (MaxBatch 1),
+// where each queued query runs alone. The first shape is 64 small segments,
+// where scheduling overhead shows beside the scans; the second, 32 × 2,048
+// rows at dim 128 and c=64, costs about a millisecond a query, so the tile
+// kernels' cache reuse is the signal. occupancy is the mean member count
+// of the batches formed during the run; any search error fails it.
 func BenchmarkConcurrentSearch(b *testing.B) {
-	const segs, rows, dim = 64, 512, 16
-	c := benchCollection(b, segs, rows, dim)
-	for _, conc := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("c%d", conc), func(b *testing.B) {
-			b.ReportAllocs()
-			var next atomic.Int64
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for g := 0; g < conc; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					q := benchVec(int64(g)*7919+3, dim)
-					for next.Add(1) <= int64(b.N) {
-						if _, err := c.Search(q, SearchOptions{K: 10}); err != nil {
-							b.Error(err)
-							return
-						}
+	shapes := []struct {
+		segs, rows, dim int
+		conc            []int
+	}{
+		{64, 512, 16, []int{1, 8, 64}},
+		{32, 2048, 128, []int{64}},
+	}
+	for _, s := range shapes {
+		for _, mode := range []struct {
+			name     string
+			maxBatch int
+		}{{"batched", 0}, {"perquery", 1}} {
+			// A deep admission queue, so high concurrency measures
+			// batching, not rejection.
+			pool := exec.NewPool(exec.Config{AdmitQueue: 1 << 14, MaxBatch: mode.maxBatch})
+			b.Cleanup(pool.Close)
+			reg := obs.NewRegistry()
+			c := benchCollection(b, s.segs, s.rows, s.dim, pool, reg)
+			for _, conc := range s.conc {
+				b.Run(fmt.Sprintf("%dx%d_d%d/%s/c%d", s.segs, s.rows, s.dim, mode.name, conc), func(b *testing.B) {
+					b.ReportAllocs()
+					batches0, members0 := occupancy(reg)
+					var next atomic.Int64
+					b.ResetTimer()
+					var wg sync.WaitGroup
+					for g := 0; g < conc; g++ {
+						wg.Add(1)
+						go func(g int) {
+							defer wg.Done()
+							q := benchVec(int64(g)*7919+3, s.dim)
+							for next.Add(1) <= int64(b.N) {
+								if _, err := c.Search(q, SearchOptions{K: 10}); err != nil {
+									b.Error(err)
+									return
+								}
+							}
+						}(g)
 					}
-				}(g)
+					wg.Wait()
+					b.StopTimer()
+					if batches, members := occupancy(reg); batches > batches0 {
+						b.ReportMetric(float64(members-members0)/float64(batches-batches0), "occupancy")
+					}
+				})
 			}
-			wg.Wait()
-		})
+		}
 	}
 }

@@ -31,8 +31,8 @@ const (
 
 // DenseSelectivity is the dense/sparse crossover: scans whose fraction of
 // surviving rows is at or above this run in dense (run-extraction) mode,
-// below it in sparse (gather) mode. Calibrated with cmd/benchfilter (see
-// BENCH_filter.json): above the threshold survivors cluster into runs long
+// below it in sparse (gather) mode. Calibrated on the filtered-scan grid
+// (EXPERIMENTS.md): above the threshold survivors cluster into runs long
 // enough that in-place kernel calls beat copying, below it the word-skipping
 // sparse iterator wins because whole empty words cost one load.
 const DenseSelectivity = 0.10
@@ -42,7 +42,7 @@ const DenseSelectivity = 0.10
 // the batch kernel over the whole block in place, masking excluded rows at
 // push time; emptier blocks gather their survivors. Computing a few extra
 // distances beats copying 512 bytes per survivor once roughly a quarter of
-// the block survives (calibrated with cmd/benchfilter; random 50% bits
+// the block survives (calibrated with BenchmarkFilteredScan; random 50% bits
 // fragment into ~2-row runs, so run extraction alone degenerates to an
 // all-gather scan).
 const denseBlockDiv = 4

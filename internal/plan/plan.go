@@ -3,8 +3,8 @@
 // or IVF probe), and a choice of filter strategy (pushdown vs
 // attribute-first exact scan vs filtered graph traversal).
 //
-// BENCH_filter.json shows IVF pushdown losing below ~10% selectivity
-// because the O(n) bitset compile outweighs the partial scan. This package
+// The filtered-scan grid (EXPERIMENTS.md) shows IVF pushdown losing below
+// ~10% selectivity: the O(n) bitset compile outweighs the scan. This package
 // prices each candidate with a handful of calibrated machine primitives
 // (per-SIMD-tier kernel throughput, SQ8 ADC throughput, bitset compile
 // ns/row, per-row exact distance cost) and picks the cheapest — recording
@@ -15,8 +15,8 @@
 //
 // Only venues the serving engine can execute are priced here. The paper's
 // device placement (Fig. 13's pure-GPU vs hybrid crossover) runs on a
-// simulated device, so its pricing lives with that model: cmd/benchplan
-// prices the device plans from the device's advertised rates, and
+// simulated device, so its pricing lives with that model: the sq8h tests
+// price the device plans from the device's advertised rates, and
 // internal/index/sq8h switches plans on its own batch-size Threshold.
 //
 // The planner changes venue, never results: callers only offer venues that

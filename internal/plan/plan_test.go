@@ -37,7 +37,7 @@ func testPlanner() *Planner {
 // TestVenueGolden pins the placement decision table: each row is a query
 // shape whose cheapest CPU venue is structurally forced by the cost model.
 // (The device rows — pure-GPU and hybrid against the CPU — are priced and
-// pinned in cmd/benchplan, beside the device model they price.)
+// pinned in internal/index/sq8h, beside the index whose plans they price.)
 func TestVenueGolden(t *testing.T) {
 	p := testPlanner()
 	cases := []struct {
@@ -76,7 +76,7 @@ func TestVenueGolden(t *testing.T) {
 
 // TestFilterStrategyGolden pins the filter-strategy crossover: the O(n)
 // bitset compile makes pushdown lose at very low selectivity and win at
-// high selectivity — the BENCH_filter regression this planner fixes.
+// high selectivity — the filtered-scan regression this planner fixes.
 func TestFilterStrategyGolden(t *testing.T) {
 	p := testPlanner()
 	base := FilterShape{Rows: 100000, Dim: 128, K: 10, Indexed: true, Nlist: 64, Nprobe: 32}

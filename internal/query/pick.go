@@ -21,7 +21,7 @@ type Shaped interface {
 // filtered graph traversal) or the attribute-first exact scan (strategy
 // A). This replaces the static dense/sparse crossover for strategy
 // choice: below the calibrated crossover the O(n) bitset compile
-// outweighs the partial scan and A wins — the BENCH_filter.json
+// outweighs the partial scan and A wins — the filtered-scan grid's
 // low-selectivity regression. The decision and its estimate are recorded
 // on the trace as a filter_plan span.
 func PickStrategy(p *plan.Planner, s Source, rc RangeCond, vc VecCond) (string, plan.Decision) {

@@ -1,8 +1,6 @@
 package query
 
 import (
-	"encoding/json"
-	"os"
 	"testing"
 
 	"vectordb/internal/plan"
@@ -91,44 +89,31 @@ func TestPickStrategyCrossover(t *testing.T) {
 	}
 }
 
-// benchFilterReport mirrors the cells of BENCH_filter.json this planner
-// must fix: the measured IVF pushdown speedups by selectivity.
-type benchFilterReport struct {
-	Environment struct {
-		Workload string `json:"workload"`
-	} `json:"environment"`
-	IVFSearch []struct {
-		Selectivity float64 `json:"selectivity"`
-		Layout      string  `json:"layout"`
-		Speedup     float64 `json:"speedup"`
-	} `json:"ivf_search"`
-}
-
 // TestBenchFilterLosingCells is the regression gate for the static
-// crossover this planner replaces: in the measured BENCH_filter.json grid
-// (n=100k dim=128 k=10, IVF nlist=64 nprobe=32), pushdown LOSES at
-// selectivity 0.01 (speedup 0.73x clustered) because the O(n) bitset
-// compile outweighs the probe savings. The planner must route those cells
-// to strategy A, and must keep pushdown for every cell where it wins by
-// 2x+. The sel-0.1 shuffled cell also dips below 1.0x, but only from row
-// layout — which the physical shape cannot see — so the gate covers the
-// selectivity-driven cells: every cell at or below 0.01, and every cell
-// at or above 0.5.
+// crossover this planner replaces: in the measured filtered-scan grid
+// (n=100k dim=128 k=10, IVF_FLAT nlist=64 nprobe=32, bitset compile charged
+// to the pushed side), pushdown LOSES at selectivity 0.01 (speedup 0.73x
+// clustered) because the O(n) bitset compile outweighs the probe savings.
+// The planner must route those cells to strategy A, and must keep pushdown
+// for every cell where it wins by 2x+. The sel-0.1 shuffled cell also dips
+// below 1.0x, but only from row layout — which the physical shape cannot
+// see — so the gate covers the selectivity-driven cells: every cell at or
+// below 0.01, and every cell at or above 0.5.
 func TestBenchFilterLosingCells(t *testing.T) {
-	buf, err := os.ReadFile("../../BENCH_filter.json")
-	if err != nil {
-		t.Skipf("BENCH_filter.json not present: %v", err)
-	}
-	var rep benchFilterReport
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		t.Fatalf("parse BENCH_filter.json: %v", err)
-	}
-	if len(rep.IVFSearch) == 0 {
-		t.Fatal("BENCH_filter.json has no ivf_search cells")
+	// The IVF cells of that grid (measured at commit f42752e, GOMAXPROCS=1):
+	// pushed-bitset speedup over the per-row callback, by selectivity and
+	// attribute layout.
+	cells := []struct {
+		Selectivity float64
+		Layout      string
+		Speedup     float64
+	}{
+		{0.01, "clustered", 0.73}, {0.1, "clustered", 2.42}, {0.5, "clustered", 2.79}, {0.9, "clustered", 2.91},
+		{0.01, "shuffled", 1.05}, {0.1, "shuffled", 0.76}, {0.5, "shuffled", 2.40}, {0.9, "shuffled", 2.55},
 	}
 	p := plan.New(plan.Config{Profile: planTestProfile()})
 	const rows = 100000
-	for _, cell := range rep.IVFSearch {
+	for _, cell := range cells {
 		s := plan.FilterShape{
 			Rows: rows, Dim: 128, K: 10,
 			Indexed: true, Nlist: 64, Nprobe: 32,

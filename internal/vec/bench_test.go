@@ -8,8 +8,8 @@ import (
 
 // Kernel microbenchmarks at the Fig. 8 operating point (dim 128). The
 // pairwise loop is the pre-blocking baseline every batch kernel is
-// measured against; cmd/benchkernels drives the same shapes to produce
-// BENCH_kernels.json.
+// measured against; internal/index's BenchmarkScanBlocked times the same
+// shape as a whole n=100k scan.
 
 func benchData(n, dim int) (q, data []float32) {
 	r := rand.New(rand.NewSource(71))
