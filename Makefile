@@ -118,7 +118,8 @@ conformance-wire:
 # gate with a type-aware check). What remains here is the dynamic half:
 # conformance tests asserting the batch-dispatch counters actually tick
 # during scans — symbols being referenced is not enough, the scan must
-# route through them.
+# route through them — and that IVF build, search and batch search and
+# k-means training leave the per-row dispatch counter at zero.
 kernel-guard:
 	$(GO) test ./internal/index -run 'TestIndexScansUseBatchKernels|TestScanBlockedUsesBatchKernels'
 	$(GO) test ./internal/core -run TestSegmentScanUsesBatchKernels

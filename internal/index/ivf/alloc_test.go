@@ -32,7 +32,7 @@ func TestSearchAllocs(t *testing.T) {
 				t.Fatal("no results")
 			}
 		})
-		// Budget: probe-order heap + probe list + (SQ8Query tables) +
+		// Budget: ranked centroids + probe list + (SQ8Query tables) +
 		// sorted results. Anything O(rows) would be hundreds.
 		if avg > 15 {
 			t.Errorf("%s: Search allocates %.1f objects/op, want <= 15", x.Name(), avg)

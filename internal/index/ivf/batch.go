@@ -110,6 +110,7 @@ func (x *IVF) SearchBatchCtx(ctx context.Context, queries []float32, p index.Sea
 	// Buckets are claimed dynamically off an atomic cursor by the pool
 	// tasks, preserving the channel fanout's load balancing without
 	// per-batch goroutines.
+	sel := x.selection(p)
 	var cursor atomic.Int64
 	err := pool.Map(ctx, workers, func(w int) {
 		heaps := make([]*topk.Heap, nq)
@@ -128,7 +129,7 @@ func (x *IVF) SearchBatchCtx(ctx context.Context, queries []float32, p index.Sea
 				return
 			}
 			b := buckets[bi]
-			x.scanBucketForQueries(queries, b, byBucket[b], p, heapFor, tabs, sqqs)
+			x.scanBucketForQueries(queries, b, byBucket[b], sel, heapFor, tabs, sqqs)
 		}
 	})
 	if err != nil {
@@ -175,8 +176,10 @@ func tileChunkRows(nq int) int {
 // scanBucketForQueries streams one bucket once, comparing every vector
 // against every query that probes the bucket. Unfiltered FLAT buckets go
 // through the query-tile kernels (the q×v register tile of Sec. 3.2.1);
-// SQ8 buckets use the per-query fused tables over contiguous code blocks.
-func (x *IVF) scanBucketForQueries(queries []float32, bucket int, qis []int32, p index.SearchParams, heapFor func(int32) *topk.Heap, tabs []*quantizer.ADCTable, sqqs []*quantizer.SQ8Query) {
+// filtered (or cosine) FLAT groups run each member query through the one
+// bucket scan with the selection pushed beneath it; SQ8 buckets use the
+// per-query fused tables over contiguous code blocks.
+func (x *IVF) scanBucketForQueries(queries []float32, bucket int, qis []int32, sel index.Selection, heapFor func(int32) *topk.Heap, tabs []*quantizer.ADCTable, sqqs []*quantizer.SQ8Query) {
 	ids := x.ids[bucket]
 	if len(ids) == 0 {
 		return
@@ -184,24 +187,17 @@ func (x *IVF) scanBucketForQueries(queries []float32, bucket int, qis []int32, p
 	// skip applies the pushed bitset over build positions; the
 	// shared-bucket tile/batch fast paths are reserved for unfiltered groups.
 	pos := x.pos[bucket]
-	filtered := p.Bits != nil
-	skip := func(i int) bool { return filtered && !p.Bits.Test(int(pos[i])) }
+	filtered := sel.Bits != nil
+	skip := func(i int) bool { return filtered && !sel.Bits.Test(int(pos[i])) }
 	switch x.fine {
 	case FineFlat:
 		if !filtered && x.metric.BatchEligible() {
 			x.tileBucketFlat(queries, bucket, qis, heapFor)
 			return
 		}
-		dist := x.metric.Dist()
-		vecsB := x.vecs[bucket].Data
-		for i, id := range ids {
-			if skip(i) {
-				continue
-			}
-			row := vecsB[i*x.dim : (i+1)*x.dim]
-			for _, qi := range qis {
-				heapFor(qi).Push(id, dist(queries[int(qi)*x.dim:(int(qi)+1)*x.dim], row))
-			}
+		for _, qi := range qis {
+			// The batch path only runs over a resident payload.
+			x.scanFlat(flatRows{x: x}, queries[int(qi)*x.dim:(int(qi)+1)*x.dim], bucket, sel, heapFor(qi))
 		}
 	case FineSQ8:
 		codes := x.codes[bucket].codes

@@ -1,0 +1,55 @@
+package ivf
+
+import (
+	"fmt"
+	"testing"
+
+	"vectordb/internal/dataset"
+	"vectordb/internal/vec"
+)
+
+// BenchmarkProbeOrder times step 1 of an IVF query alone: ranking the
+// coarse centroids against one query and keeping the nprobe closest.
+func BenchmarkProbeOrder(b *testing.B) {
+	for _, c := range []struct{ nlist, dim, nprobe int }{
+		{128, 32, 4},
+		{256, 64, 16},
+	} {
+		b.Run(fmt.Sprintf("nlist%d/dim%d/nprobe%d", c.nlist, c.dim, c.nprobe), func(b *testing.B) {
+			d := dataset.Uniform(c.nlist*8, c.dim, 71)
+			bld := &Builder{Fine: FineFlat, Metric: vec.L2, Dim: c.dim, Nlist: c.nlist, MaxIter: 2}
+			idx, err := bld.Build(d.Data, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			x := idx.(*IVF)
+			qs := dataset.Queries(d, 16, 72)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := qs[(i%16)*c.dim : (i%16+1)*c.dim]
+				if len(x.ProbeOrder(q, c.nprobe)) != c.nprobe {
+					b.Fatal("short probe order")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBuild times an IVF_FLAT build of 16,384 × 32 rows into 128
+// buckets: k-means training of the coarse quantizer plus bucket assignment.
+func BenchmarkBuild(b *testing.B) {
+	d := dataset.Uniform(16384, 32, 73)
+	bld := &Builder{Fine: FineFlat, Metric: vec.L2, Dim: d.Dim, Nlist: 128}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx, err := bld.Build(d.Data, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if idx.Size() != d.N {
+			b.Fatalf("built %d rows, want %d", idx.Size(), d.N)
+		}
+	}
+}

@@ -192,9 +192,10 @@ func (b *Builder) Build(data []float32, ids []int64) (index.Index, error) {
 		idx.codes = codeBuckets(nlist, idx.pq.CodeSize())
 	}
 
-	for i := 0; i < n; i++ {
+	assign := make([]int, n)
+	coarse.AssignAll(data, assign)
+	for i, c := range assign {
 		row := data[i*b.Dim : (i+1)*b.Dim]
-		c, _ := coarse.Assign(row)
 		idx.ids[c] = append(idx.ids[c], ids[i])
 		idx.pos[c] = append(idx.pos[c], int32(i))
 		switch b.Fine {
@@ -278,7 +279,9 @@ func (x *IVF) CodeBytesPerVector() int {
 }
 
 // ProbeOrder ranks bucket indices by centroid distance to query (step 1 of
-// Sec. 3.1) and returns the nprobe closest.
+// Sec. 3.1) and returns the nprobe closest. The centroid table is one
+// contiguous matrix, so the ranking is the shared blocked scan into a
+// pooled nprobe heap.
 func (x *IVF) ProbeOrder(query []float32, nprobe int) []int {
 	if nprobe <= 0 {
 		nprobe = x.nprobeDef
@@ -286,12 +289,10 @@ func (x *IVF) ProbeOrder(query []float32, nprobe int) []int {
 	if nprobe > x.nlist {
 		nprobe = x.nlist
 	}
-	dist := x.metric.Dist()
-	h := topk.New(nprobe)
-	for c := 0; c < x.nlist; c++ {
-		h.Push(int64(c), dist(query, x.coarse.Centroid(c)))
-	}
+	h := topk.GetHeap(nprobe)
+	index.ScanBlocked(h, x.metric, query, x.coarse.Centroids, x.dim, nil, index.Selection{})
 	rs := h.Results()
+	topk.PutHeap(h)
 	out := make([]int, len(rs))
 	for i, r := range rs {
 		out[i] = int(r.ID)

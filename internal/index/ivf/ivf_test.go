@@ -1,6 +1,8 @@
 package ivf
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"vectordb/internal/bitset"
@@ -66,6 +68,76 @@ func TestProbeOrderIsNearestCentroids(t *testing.T) {
 	if got := x.ProbeOrder(q, 100); len(got) != 8 {
 		t.Fatalf("nprobe clamp failed: %d", len(got))
 	}
+}
+
+// TestProbeOrderMatchesExactRanking: on every kernel tier, the blocked
+// probe ranking returns the float64 top-nprobe centroids for each metric,
+// with a swap allowed only between centroids within the documented 1e-5
+// relative tolerance of the cut (DESIGN.md §8). nlist 300 spans two
+// 256-row blocks, so the L2 early-abandon bound carries across a block
+// boundary; nprobe covers the default, the clamp and the full sweep.
+func TestProbeOrderMatchesExactRanking(t *testing.T) {
+	defer vec.SetLevel(vec.CurrentLevel())
+	for _, metric := range []vec.Metric{vec.L2, vec.IP, vec.Cosine} {
+		for _, nlist := range []int{1, 7, 128, 300} {
+			d := dataset.Uniform(nlist*4, 20, int64(nlist))
+			x := (&Builder{Fine: FineFlat, Metric: metric, Dim: d.Dim, Nlist: nlist, MaxIter: 2}).mustBuild(t, d)
+			qs := dataset.Queries(d, 3, 5)
+			for _, lvl := range vec.Levels() {
+				vec.SetLevel(lvl)
+				for qi := 0; qi < 3; qi++ {
+					q := qs[qi*d.Dim : (qi+1)*d.Dim]
+					ref := make([]float64, nlist)
+					order := make([]int, nlist)
+					for c := range ref {
+						ref[c], order[c] = exactDist(metric, q, x.Centroid(c)), c
+					}
+					sort.SliceStable(order, func(i, j int) bool { return ref[order[i]] < ref[order[j]] })
+					for _, nprobe := range []int{0, 1, 4, nlist, nlist + 5} {
+						want := nprobe
+						if want <= 0 {
+							want = x.nprobeDef
+						}
+						want = min(want, nlist)
+						got := x.ProbeOrder(q, nprobe)
+						if len(got) != want {
+							t.Fatalf("%v nlist %d %v nprobe %d: %d probes, want %d", metric, nlist, lvl, nprobe, len(got), want)
+						}
+						cut := ref[order[want-1]]
+						tol := 1e-5 * math.Max(1, math.Abs(cut))
+						in := make(map[int]bool, want)
+						for _, c := range got {
+							if in[c] || ref[c] > cut+tol {
+								t.Fatalf("%v nlist %d %v nprobe %d: probe %d (d=%g) repeated or outside the top %d (cut %g)", metric, nlist, lvl, nprobe, c, ref[c], want, cut)
+							}
+							in[c] = true
+						}
+						for _, c := range order[:want] {
+							if !in[c] && ref[c] < cut-tol {
+								t.Fatalf("%v nlist %d %v nprobe %d: missed centroid %d (d=%g, cut %g)", metric, nlist, lvl, nprobe, c, ref[c], cut)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// exactDist is the float64 reference of the float metrics' distances.
+func exactDist(metric vec.Metric, a, b []float32) float64 {
+	var dot, na, nb, l2 float64
+	for i := range a {
+		x, y := float64(a[i]), float64(b[i])
+		dot, na, nb, l2 = dot+x*y, na+x*x, nb+y*y, l2+(x-y)*(x-y)
+	}
+	switch metric {
+	case vec.IP:
+		return -dot
+	case vec.Cosine:
+		return 1 - dot/math.Sqrt(na*nb)
+	}
+	return l2
 }
 
 func TestFullProbeEqualsExact(t *testing.T) {

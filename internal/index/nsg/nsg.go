@@ -225,19 +225,16 @@ func (g *NSG) buildKNNGraph(n, k int, seed int64) [][]int32 {
 	}
 	buckets := make([][]int32, coarse.K)
 	assign := make([]int, n)
-	for i := 0; i < n; i++ {
-		c, _ := coarse.Assign(g.vecAt(i))
-		assign[i] = c
+	coarse.AssignAll(g.data, assign)
+	for i, c := range assign {
 		buckets[c] = append(buckets[c], int32(i))
 	}
 	const probe = 3
 	graph := make([][]int32, n)
+	h := topk.New(probe)
 	for i := 0; i < n; i++ {
 		v := g.vecAt(i)
-		h := topk.New(probe)
-		for c := 0; c < coarse.K; c++ {
-			h.Push(int64(c), vec.L2Squared(v, coarse.Centroid(c)))
-		}
+		index.ScanBlocked(h, vec.L2, v, coarse.Centroids, g.dim, nil, index.Selection{})
 		nbh := topk.New(k)
 		for _, cr := range h.Results() {
 			for _, j := range buckets[int(cr.ID)] {

@@ -6,20 +6,21 @@ package kmeans
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
+	"vectordb/internal/bufferpool"
 	"vectordb/internal/vec"
 )
 
 // Config controls a clustering run.
 type Config struct {
-	K        int   // number of centroids; required
-	MaxIter  int   // Lloyd iterations; default 16
-	Seed     int64 // RNG seed for k-means++ init; default 1
-	MinPoint int   // informational: training warns below MinPoint*K points
-	Threads  int   // worker goroutines; default GOMAXPROCS
+	K       int   // number of centroids; required
+	MaxIter int   // Lloyd iterations; default 16
+	Seed    int64 // RNG seed for k-means++ init; default 1
 }
 
 func (c *Config) defaults() {
@@ -28,9 +29,6 @@ func (c *Config) defaults() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Threads <= 0 {
-		c.Threads = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -46,15 +44,75 @@ func (r *Result) Centroid(i int) []float32 { return r.Centroids[i*r.Dim : (i+1)*
 
 // Assign returns the index of the centroid closest to v (the quantizer z(v)
 // of Sec. 3.1) and the squared distance to it.
-func (r *Result) Assign(v []float32) (int, float32) {
-	best, bestD := 0, float32(0)
-	for i := 0; i < r.K; i++ {
-		d := vec.L2Squared(v, r.Centroid(i))
-		if i == 0 || d < bestD {
-			best, bestD = i, d
+func (r *Result) Assign(v []float32) (int, float32) { return Nearest(v, r.Centroids, r.Dim) }
+
+// Nearest returns the row of the flat row-major codebook (rows of dim
+// floats) closest to v in squared L2, and that distance. The whole codebook
+// is scored in one batch-kernel dispatch; ties go to the lowest row.
+func Nearest(v, codebook []float32, dim int) (int, float32) {
+	bp := bufferpool.GetFloats(len(codebook) / dim)
+	d := *bp
+	vec.L2SquaredBatch(v, codebook, dim, d)
+	best := argmin(d)
+	bestD := d[best]
+	bufferpool.PutFloats(bp)
+	return best, bestD
+}
+
+// argmin returns the index of the first minimum of d (len(d) > 0).
+func argmin(d []float32) int {
+	best := 0
+	for i, x := range d {
+		if x < d[best] {
+			best = i
 		}
 	}
-	return best, bestD
+	return best
+}
+
+// assignTile caps the rows×K distance tile of AssignAll (floats), keeping
+// it cache-resident whatever the codebook size; a tile also holds at most
+// 64 rows.
+const assignTile = 16384
+
+// AssignAll writes the nearest centroid of every row of data (flat
+// row-major, n = len(assign) rows) into assign, and reports whether any
+// entry changed. Rows are split across GOMAXPROCS goroutines, and each
+// scores a block of its rows against the whole codebook in one tile-kernel
+// dispatch; ties go to the lowest centroid, as in Assign.
+func (r *Result) AssignAll(data []float32, assign []int) bool {
+	n, dim := len(assign), r.Dim
+	threads := max(min(runtime.GOMAXPROCS(0), n), 1)
+	rows := min(max(assignTile/r.K, 1), 64)
+	var changed atomic.Bool
+	var wg sync.WaitGroup
+	chunk := (n + threads - 1) / threads
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bp := bufferpool.GetFloats(rows * r.K)
+			tile := *bp
+			local := false
+			for i0 := lo; i0 < hi; i0 += rows {
+				i1 := min(i0+rows, hi)
+				vec.L2SquaredTile(data[i0*dim:i1*dim], r.Centroids, dim, tile)
+				for i := i0; i < i1; i++ {
+					if c := argmin(tile[(i-i0)*r.K : (i-i0+1)*r.K]); assign[i] != c {
+						assign[i] = c
+						local = true
+					}
+				}
+			}
+			bufferpool.PutFloats(bp)
+			if local {
+				changed.Store(true)
+			}
+		}()
+	}
+	wg.Wait()
+	return changed.Load()
 }
 
 // Train clusters n vectors (flat row-major, n = len(data)/dim) into cfg.K
@@ -90,7 +148,7 @@ func Train(data []float32, dim int, cfg Config) (*Result, error) {
 
 	assign := make([]int, n)
 	for iter := 0; iter < cfg.MaxIter; iter++ {
-		changed := assignAll(data, dim, n, res, assign, cfg.Threads)
+		changed := res.AssignAll(data, assign)
 		recompute(data, dim, n, res, assign, r)
 		if !changed {
 			break
@@ -99,80 +157,42 @@ func Train(data []float32, dim int, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// initPlusPlus seeds centroids with the k-means++ D² sampling scheme.
+// initPlusPlus seeds centroids with the k-means++ D² sampling scheme: each
+// new centroid is scored against every row in one batch-kernel dispatch.
 func initPlusPlus(data []float32, dim, n, k int, r *rand.Rand) []float32 {
 	cents := make([]float32, k*dim)
-	first := r.Intn(n)
-	copy(cents[:dim], data[first*dim:(first+1)*dim])
-
 	d2 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d2[i] = float64(vec.L2Squared(data[i*dim:(i+1)*dim], cents[:dim]))
+	for i := range d2 {
+		d2[i] = math.Inf(1)
 	}
-	for c := 1; c < k; c++ {
-		var sum float64
-		for _, d := range d2 {
-			sum += d
-		}
-		var pick int
-		if sum <= 0 {
-			pick = r.Intn(n)
-		} else {
-			target := r.Float64() * sum
-			for i, d := range d2 {
-				target -= d
-				if target <= 0 {
-					pick = i
-					break
-				}
-			}
-		}
+	dist := make([]float32, n)
+	pick := r.Intn(n)
+	for c := 0; ; c++ {
 		cent := cents[c*dim : (c+1)*dim]
 		copy(cent, data[pick*dim:(pick+1)*dim])
-		for i := 0; i < n; i++ {
-			d := float64(vec.L2Squared(data[i*dim:(i+1)*dim], cent))
-			if d < d2[i] {
-				d2[i] = d
+		if c == k-1 {
+			return cents
+		}
+		vec.L2SquaredBatch(cent, data, dim, dist)
+		var sum float64
+		for i, d := range dist {
+			d2[i] = min(d2[i], float64(d))
+			sum += d2[i]
+		}
+		if sum <= 0 {
+			pick = r.Intn(n)
+			continue
+		}
+		target := r.Float64() * sum
+		pick = 0
+		for i, d := range d2 {
+			target -= d
+			if target <= 0 {
+				pick = i
+				break
 			}
 		}
 	}
-	return cents
-}
-
-func assignAll(data []float32, dim, n int, res *Result, assign []int, threads int) bool {
-	if threads > n {
-		threads = n
-	}
-	var changed sync.Once
-	var anyChanged bool
-	var wg sync.WaitGroup
-	chunk := (n + threads - 1) / threads
-	for w := 0; w < threads; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			local := false
-			for i := lo; i < hi; i++ {
-				a, _ := res.Assign(data[i*dim : (i+1)*dim])
-				if assign[i] != a {
-					assign[i] = a
-					local = true
-				}
-			}
-			if local {
-				changed.Do(func() { anyChanged = true })
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return anyChanged
 }
 
 func recompute(data []float32, dim, n int, res *Result, assign []int, r *rand.Rand) {

@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -58,6 +59,56 @@ func TestAssignConsistency(t *testing.T) {
 		for c := 0; c < res.K; c++ {
 			if d := vec.L2Squared(v, res.Centroid(c)); d < gotD {
 				t.Fatalf("Assign picked %d (d=%v) but %d has d=%v", got, gotD, c, d)
+			}
+		}
+	}
+}
+
+// TestAssignMatchesExactArgmin: on every kernel tier, Assign and the tiled
+// AssignAll pick a float64-nearest centroid, up to the documented 1e-5
+// relative tolerance (DESIGN.md §8), for codebooks from one centroid to
+// more than one 256-row block and a row count that leaves a ragged tile.
+func TestAssignMatchesExactArgmin(t *testing.T) {
+	defer vec.SetLevel(vec.CurrentLevel())
+	r := rand.New(rand.NewSource(5))
+	const dim, n = 20, 1000
+	data := make([]float32, n*dim)
+	for i := range data {
+		data[i] = float32(r.NormFloat64())
+	}
+	for _, k := range []int{1, 7, 300} {
+		res := &Result{K: k, Dim: dim, Centroids: make([]float32, k*dim)}
+		for i := range res.Centroids {
+			res.Centroids[i] = float32(r.NormFloat64())
+		}
+		for _, lvl := range vec.Levels() {
+			vec.SetLevel(lvl)
+			assign := make([]int, n)
+			res.AssignAll(data, assign)
+			for i := 0; i < n; i++ {
+				v := data[i*dim : (i+1)*dim]
+				ref := make([]float64, k)
+				best := 0
+				for c := range ref {
+					for j, x := range v {
+						e := float64(x) - float64(res.Centroid(c)[j])
+						ref[c] += e * e
+					}
+					if ref[c] < ref[best] {
+						best = c
+					}
+				}
+				tol := 1e-5 * math.Max(1, ref[best])
+				got, gotD := res.Assign(v)
+				if ref[got] > ref[best]+tol || math.Abs(float64(gotD)-ref[got]) > tol {
+					t.Fatalf("K %d %v row %d: Assign = %d (d=%v, exact %g), nearest %d (d=%g)", k, lvl, i, got, gotD, ref[got], best, ref[best])
+				}
+				if ref[assign[i]] > ref[best]+tol {
+					t.Fatalf("K %d %v row %d: AssignAll = %d (d=%g), nearest %d (d=%g)", k, lvl, i, assign[i], ref[assign[i]], best, ref[best])
+				}
+			}
+			if res.AssignAll(data, assign) {
+				t.Fatalf("K %d %v: reassigning the same rows reported a change", k, lvl)
 			}
 		}
 	}

@@ -66,15 +66,7 @@ func (p *PQ) Encode(v []float32, code []uint8) []uint8 {
 		code = make([]uint8, p.M)
 	}
 	for m := 0; m < p.M; m++ {
-		subv := v[m*p.SubDim : (m+1)*p.SubDim]
-		cb := p.Codebooks[m]
-		best, bestD := 0, float32(0)
-		for c := 0; c < p.Ks; c++ {
-			d := vec.L2Squared(subv, cb[c*p.SubDim:(c+1)*p.SubDim])
-			if c == 0 || d < bestD {
-				best, bestD = c, d
-			}
-		}
+		best, _ := kmeans.Nearest(v[m*p.SubDim:(m+1)*p.SubDim], p.Codebooks[m], p.SubDim)
 		code[m] = uint8(best)
 	}
 	return code
@@ -100,29 +92,18 @@ type ADCTable struct {
 	tab   []float32 // m*ks
 }
 
-// L2Table precomputes the asymmetric squared-L2 table for query.
-func (p *PQ) L2Table(query []float32) *ADCTable {
-	t := &ADCTable{m: p.M, ks: p.Ks, tab: make([]float32, p.M*p.Ks)}
-	for m := 0; m < p.M; m++ {
-		subq := query[m*p.SubDim : (m+1)*p.SubDim]
-		cb := p.Codebooks[m]
-		for c := 0; c < p.Ks; c++ {
-			t.tab[m*p.Ks+c] = vec.L2Squared(subq, cb[c*p.SubDim:(c+1)*p.SubDim])
-		}
-	}
-	return t
-}
+// L2Table precomputes the asymmetric squared-L2 table for query: one
+// batch-kernel dispatch per sub-space codebook.
+func (p *PQ) L2Table(query []float32) *ADCTable { return p.table(query, vec.L2SquaredBatch) }
 
 // IPTable precomputes the inner-product table (stored negated so Distance
 // stays smaller-is-better).
-func (p *PQ) IPTable(query []float32) *ADCTable {
+func (p *PQ) IPTable(query []float32) *ADCTable { return p.table(query, vec.NegDotBatch) }
+
+func (p *PQ) table(query []float32, batch func(q, data []float32, dim int, out []float32)) *ADCTable {
 	t := &ADCTable{m: p.M, ks: p.Ks, tab: make([]float32, p.M*p.Ks)}
 	for m := 0; m < p.M; m++ {
-		subq := query[m*p.SubDim : (m+1)*p.SubDim]
-		cb := p.Codebooks[m]
-		for c := 0; c < p.Ks; c++ {
-			t.tab[m*p.Ks+c] = -vec.Dot(subq, cb[c*p.SubDim:(c+1)*p.SubDim])
-		}
+		batch(query[m*p.SubDim:(m+1)*p.SubDim], p.Codebooks[m], p.SubDim, t.tab[m*p.Ks:(m+1)*p.Ks])
 	}
 	return t
 }

@@ -131,6 +131,45 @@ func TestPQEncodeDecodeReducesError(t *testing.T) {
 	}
 }
 
+// TestPQEncodeMatchesExactArgmin: on every kernel tier, each sub-space
+// code names a float64-nearest codebook entry, up to the documented 1e-5
+// relative tolerance (DESIGN.md §8).
+func TestPQEncodeMatchesExactArgmin(t *testing.T) {
+	defer vec.SetLevel(vec.CurrentLevel())
+	r := rand.New(rand.NewSource(6))
+	const dim, n = 20, 600
+	data := randData(r, n, dim)
+	pq, err := TrainPQ(data, dim, PQConfig{M: 4, Ks: 256, MaxIter: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := randData(r, 50, dim)
+	for _, lvl := range vec.Levels() {
+		vec.SetLevel(lvl)
+		for i := 0; i < 50; i++ {
+			v := qs[i*dim : (i+1)*dim]
+			code := pq.Encode(v, nil)
+			for m := 0; m < pq.M; m++ {
+				sub := v[m*pq.SubDim : (m+1)*pq.SubDim]
+				ref := make([]float64, pq.Ks)
+				best := 0
+				for c := range ref {
+					for j, x := range sub {
+						e := float64(x) - float64(pq.Codebooks[m][c*pq.SubDim+j])
+						ref[c] += e * e
+					}
+					if ref[c] < ref[best] {
+						best = c
+					}
+				}
+				if got := int(code[m]); ref[got] > ref[best]+1e-5*math.Max(1, ref[best]) {
+					t.Fatalf("%v row %d sub-space %d: code %d (d=%g), nearest %d (d=%g)", lvl, i, m, got, ref[got], best, ref[best])
+				}
+			}
+		}
+	}
+}
+
 func TestPQADCTableMatchesDecodedDistance(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	dim := 8
