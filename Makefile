@@ -105,12 +105,19 @@ conformance-filter:
 # scanners take the SDK's and the handler's bodies and leave everything
 # else to json.Unmarshal, and on any bytes the codec and json.Unmarshal
 # agree on accept or reject, on the decoded value, and on its re-encoding
-# — the checked-in seeds first, then ten seconds of fuzzing per body.
+# — the checked-in seeds first, then ten seconds of fuzzing per body. The
+# codec's own number kernels are held to strconv: the float32 printer on
+# every subnormal, every exponent's edge significands and random bit
+# patterns, the scanner's float32 and int64 on edge and random literals,
+# then ten seconds of fuzzing each. (All 2^32 float32s: go test
+# ./internal/rest -run Exhaustive -exhaustive, about six minutes on two cores.)
 conformance-wire:
-	$(GO) test ./internal/rest -run 'TestWireEncoderGolden|TestWireFastPathCoverage|FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestTrailingBytesAre400|TestUnencodableResultIs500'
+	$(GO) test ./internal/rest -run 'TestWireEncoderGolden|TestWireFastPathCoverage|FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestTrailingBytesAre400|TestReadBody|TestDeclaredOversizedBodyIs413|TestDeclaredLengthAllocatesAsBodyArrives|TestUnencodableResultIs500|TestFloat32PrintSweep|TestG1Table|TestNumberScan|FuzzFloat32Print|FuzzNumberScan'
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchRequestWire$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertRequestWire$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchResponseWire$$' -fuzztime 10s
+	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzFloat32Print$$' -fuzztime 10s
+	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzNumberScan$$' -fuzztime 10s
 
 # kernel-guard keeps every hot read path on the blocked batch kernels.
 # The static half — no per-tier kernel calls outside internal/vec — is

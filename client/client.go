@@ -6,7 +6,6 @@ package client
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"net/http"
 
 	"vectordb/internal/rest"
@@ -48,7 +47,7 @@ func (c *Client) do(method, path string, in, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	reply, err := io.ReadAll(resp.Body)
+	reply, err := rest.ReadBody(resp.Body, resp.ContentLength)
 	if resp.StatusCode >= 400 {
 		var e rest.ErrorResponse
 		if err == nil && rest.Unmarshal(reply, &e) == nil && e.Error != "" {

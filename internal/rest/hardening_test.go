@@ -5,8 +5,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"vectordb/client"
 	"vectordb/internal/rest"
@@ -84,6 +86,68 @@ func TestOversizedBodyIs413(t *testing.T) {
 	}
 	if !c.Healthy() {
 		t.Fatal("server stopped answering /healthz after an oversized body")
+	}
+}
+
+// TestDeclaredOversizedBodyIs413: a Content-Length past the cap answers
+// 413 before any of the body is read, so no buffer of that size is made.
+func TestDeclaredOversizedBodyIs413(t *testing.T) {
+	body := &unreadBody{}
+	r := httptest.NewRequest(http.MethodPost, "/collections", body)
+	r.ContentLength = 64<<20 + 1
+	w := httptest.NewRecorder()
+	rest.NewServer(nil).ServeHTTP(w, r)
+	if w.Code != http.StatusRequestEntityTooLarge || body.read {
+		t.Fatalf("status %d, body read %v; want 413 and unread", w.Code, body.read)
+	}
+}
+
+type unreadBody struct{ read bool }
+
+func (u *unreadBody) Read([]byte) (int, error) {
+	u.read = true
+	return 0, io.EOF
+}
+
+// TestReadBody: a declared length is read exactly and to EOF; a short or
+// a long body against it is an error; an unknown length is read whole.
+// The 3 MiB bodies are read through the buffer's growth from 1 MiB.
+func TestReadBody(t *testing.T) {
+	big := strings.Repeat("7", 3<<20+5)
+	for _, c := range []struct {
+		body string
+		n    int64
+		ok   bool
+	}{
+		{`{"k":1}`, 7, true}, {``, 0, true}, {`{"k":1}`, -1, true},
+		{`{"k":1}`, 8, false}, {`{"k":1}`, 6, false},
+		{big, int64(len(big)), true}, {big, int64(len(big)) + 1, false},
+		{big, int64(len(big)) - 1, false},
+	} {
+		got, err := rest.ReadBody(strings.NewReader(c.body), c.n)
+		if (err == nil) != c.ok || c.ok && string(got) != c.body {
+			t.Errorf("ReadBody(%d bytes, %d) = %d bytes, %v", len(c.body), c.n, len(got), err)
+		}
+	}
+}
+
+// TestDeclaredLengthAllocatesAsBodyArrives: a Content-Length of 64 MiB
+// with a few bytes behind it and then a failed read answers 400 having
+// allocated about the first read's buffer, not the declared 64 MiB.
+func TestDeclaredLengthAllocatesAsBodyArrives(t *testing.T) {
+	body := io.MultiReader(strings.NewReader(`{"name":"a`), iotest.ErrReader(io.ErrUnexpectedEOF))
+	r := httptest.NewRequest(http.MethodPost, "/collections", body)
+	r.ContentLength = 64 << 20
+	w := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rest.NewServer(nil).ServeHTTP(w, r)
+	runtime.ReadMemStats(&after)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", w.Code)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Fatalf("allocated %d bytes for a 10-byte body declared as 64 MiB", got)
 	}
 }
 

@@ -205,10 +205,15 @@ const maxBodyBytes = 64 << 20
 
 // decodeBody reads the whole request body into v with json.Unmarshal's
 // answer (through Unmarshal's fast paths), answering 413 when the body
-// exceeds maxBodyBytes and 400 when it does not parse, bytes after the
-// JSON value included; false means the response has been written.
+// exceeds maxBodyBytes — at once when its Content-Length says so — and 400
+// when it does not parse, bytes after the JSON value included; false means
+// the response has been written.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var body []byte
+	var err error = &http.MaxBytesError{Limit: maxBodyBytes}
+	if r.ContentLength <= maxBodyBytes {
+		body, err = ReadBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+	}
 	if err == nil {
 		err = Unmarshal(body, v)
 	}
@@ -222,6 +227,40 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	}
 	writeErr(w, code, err)
 	return false
+}
+
+// firstRead bounds the buffer ReadBody makes before a body has arrived.
+const firstRead = 1 << 20
+
+// ReadBody reads all of an HTTP body whose declared length is n: into a
+// buffer of n bytes when n is at most firstRead, and otherwise into one
+// that starts at firstRead and doubles toward n as the body arrives, so a
+// Content-Length with nothing behind it holds at most firstRead. It then
+// reads to the body's EOF, which is also what lets a client reuse the
+// connection. A body of unknown length (n is -1, as when chunked), or of
+// one past maxBodyBytes, is read as it comes.
+func ReadBody(body io.Reader, n int64) ([]byte, error) {
+	if n < 0 || n > maxBodyBytes {
+		return io.ReadAll(body)
+	}
+	b := make([]byte, min(n, firstRead))
+	for off := 0; ; {
+		m, err := io.ReadFull(body, b[off:])
+		if err != nil {
+			return nil, err
+		}
+		if off += m; int64(off) == n {
+			break
+		}
+		b = append(b, make([]byte, min(int64(off), n-int64(off)))...)
+	}
+	if _, err := io.ReadFull(body, make([]byte, 1)); err != io.EOF {
+		if err == nil {
+			err = errors.New("rest: body longer than its Content-Length")
+		}
+		return nil, err
+	}
+	return b, nil
 }
 
 // requireMethod guards a handler to the given methods: on mismatch it

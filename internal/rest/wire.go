@@ -110,27 +110,16 @@ func (e *encoder) nonZero(key string, n int) {
 	}
 }
 
-// float appends f as encoding/json prints a float32: shortest round-trip
-// digits, exponent form outside [1e-6, 1e21) with a one-digit negative
-// exponent left unpadded. NaN and ±Inf are encoding/json's error.
+// float appends f as encoding/json prints a float32. NaN and ±Inf are
+// encoding/json's error.
 func (e *encoder) float(f float32) {
-	f64 := float64(f)
-	if math.IsNaN(f64) || math.IsInf(f64, 0) {
+	if f64 := float64(f); math.IsNaN(f64) || math.IsInf(f64, 0) {
 		if e.err == nil {
 			e.err = &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f64, 'g', -1, 32)}
 		}
 		return
 	}
-	format := byte('f')
-	if abs := float32(math.Abs(f64)); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b := strconv.AppendFloat(e.b, f64, format, -1, 32)
-	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	e.b = b
+	e.b = appendFloat32(e.b, f)
 }
 
 func (e *encoder) floats(v []float32) { list(e, v, (*encoder).float) }
@@ -311,80 +300,6 @@ func (s *scanner) object(keys []string, member func(key string)) {
 		seen |= 1 << i
 		member(keys[i])
 	}
-}
-
-// number reads one literal of JSON's grammar
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and reports whether it
-// has neither fraction nor exponent. What may follow it is the caller's
-// check, so "01" fails at the "1".
-func (s *scanner) number() (lit []byte, integer bool) {
-	if !s.ok {
-		return nil, false
-	}
-	s.skip()
-	b, start := s.b, s.i
-	i := start
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i)
-	default:
-		s.ok = false
-	}
-	integer = true
-	if i < len(b) && b[i] == '.' {
-		integer = false
-		j := digits(b, i+1)
-		s.ok = s.ok && j > i+1
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		integer = false
-		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := digits(b, i)
-		s.ok = s.ok && j > i
-		i = j
-	}
-	s.i = i
-	return b[start:i], integer && s.ok
-}
-
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-// float32 parses a number as json.Unmarshal does for a float32 field; one
-// out of float32's range is its error.
-func (s *scanner) float32() float32 {
-	lit, _ := s.number()
-	if !s.ok {
-		return 0
-	}
-	f, err := strconv.ParseFloat(string(lit), 32)
-	s.ok = err == nil
-	return float32(f)
-}
-
-// int64 parses an integer literal as json.Unmarshal does for an int64
-// field; a fraction, an exponent or overflow is its error.
-func (s *scanner) int64() int64 {
-	lit, integer := s.number()
-	if !integer {
-		s.ok = false
-		return 0
-	}
-	n, err := strconv.ParseInt(string(lit), 10, 64)
-	s.ok = err == nil
-	return n
 }
 
 func (s *scanner) int() int {

@@ -111,6 +111,13 @@ var wireNumbers = []struct {
 	{"1e39", false, false}, {"01", false, false}, {"+1", false, false}, {".5", false, false},
 	{"1.", false, false}, {"1e", false, false}, {"-", false, false}, {"0x10", false, false},
 	{"NaN", false, false},
+	// The exact path's edges: a float32 midpoint (rounds to even), a
+	// 20-digit mantissa, powers of ten just outside 10^±22, float32's
+	// overflow and underflow, zeros, and int64 one past either end.
+	{"16777217", true, true}, {"12345678901234567890", true, false}, {"1e23", true, false},
+	{"1e-23", true, false}, {"3.4028236e38", false, false}, {"3.5e38", false, false},
+	{"1e-46", true, false}, {"-0.0e5", true, false}, {"0e400", true, false},
+	{"-9223372036854775809", true, false},
 }
 
 // wireSeeds maps each seed body to whether the scanner takes it: bodies
