@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint bench bench-smoke kernel-guard conformance-filter conformance-wire conformance-ooc ci cover stress experiments examples loc clean
+.PHONY: all build test race vet fmt lint bench bench-smoke kernel-guard repro-check conformance-filter conformance-wire conformance-ooc ci cover stress experiments examples loc clean
 
 all: build test
 
@@ -41,12 +41,12 @@ lint:
 # the filtered-search gates (ground-truth conformance plus the concurrent
 # filtered stress mode), the REST wire-codec gate (golden bytes and
 # differential fuzzing against encoding/json), the observability coverage floor, the
-# batch-kernel guard, the benchmark smoke run (every `go test` benchmark
+# batch-kernel guard, the figure shape assertions, the benchmark smoke run (every `go test` benchmark
 # once, the per-layer cells included), and the e2ebench module
 # (its own go.mod, so `go build ./... && go test ./...` at the root never
 # compiles it: a signature change in internal/core that breaks the
 # repository's benchmark shows up here, not when the benchmark next runs).
-ci: vet fmt build lint test cover kernel-guard conformance-filter conformance-wire conformance-ooc bench-smoke
+ci: vet fmt build lint test cover kernel-guard repro-check conformance-filter conformance-wire conformance-ooc bench-smoke
 	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race ./internal/...
 	$(GO) test -race ./internal/stress -run TestStressCancel -short -faults=cancel
@@ -125,11 +125,22 @@ conformance-wire:
 # gate with a type-aware check). What remains here is the dynamic half:
 # conformance tests asserting the batch-dispatch counters actually tick
 # during scans — symbols being referenced is not enough, the scan must
-# route through them — and that IVF build, search and batch search and
-# k-means training leave the per-row dispatch counter at zero.
+# route through them — and that IVF build and search, k-means training
+# and core's multi-query engine over unindexed segments (one query-tile
+# dispatch per chunk for the whole batch) leave the per-row dispatch
+# counter at zero.
 kernel-guard:
 	$(GO) test ./internal/index -run 'TestIndexScansUseBatchKernels|TestScanBlockedUsesBatchKernels'
-	$(GO) test ./internal/core -run TestSegmentScanUsesBatchKernels
+	$(GO) test ./internal/core -run 'TestSegmentScanUsesBatchKernels|TestSearchBatchUsesTileKernels'
+
+# repro-check asserts the paper's shapes on the figures that measure the
+# served engine: each experiments *ShapeHolds test regenerates its figure
+# at a small scale and checks who wins (Fig. 8: Milvus IVF_FLAT ≥ 2×
+# Vearch-like at equal recall; Fig. 11: core's batch beats one SearchCtx
+# per query; Fig. 13: SQ8H never the slowest plan), three times over so a
+# shape that holds only on a lucky run fails.
+repro-check:
+	$(GO) test ./internal/experiments -run 'ShapeHolds$$' -count=3
 
 # bench-smoke compiles and runs every benchmark in the repo exactly once
 # (-benchtime=1x): no timing signal, but a benchmark that panics, asserts,

@@ -8,14 +8,13 @@ import (
 
 // reproOnly are packages that exist to reproduce the paper's figures — the
 // simulated GPU, the SQ8H hybrid that runs on it, the experiment drivers,
-// the baseline systems, the offline batch engines and the synthetic
-// datasets. The server must not link any of them.
+// the baseline systems and the synthetic datasets. The server must not
+// link any of them.
 var reproOnly = []string{
 	"vectordb/internal/gpu",
 	"vectordb/internal/index/sq8h",
 	"vectordb/internal/experiments",
 	"vectordb/internal/baseline",
-	"vectordb/internal/batch",
 	"vectordb/internal/dataset",
 }
 

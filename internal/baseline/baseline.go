@@ -18,10 +18,11 @@
 package baseline
 
 import (
-	"runtime"
+	"context"
 	"sync"
 
 	"vectordb/internal/dataset"
+	"vectordb/internal/exec"
 	"vectordb/internal/index"
 	_ "vectordb/internal/index/all"
 	"vectordb/internal/topk"
@@ -98,23 +99,14 @@ func (m *Milvus) Build(d *dataset.Dataset, metric vec.Metric) error {
 // Index exposes the built index (the SQ8H wrapper reuses it).
 func (m *Milvus) Index() index.Index { return m.idx }
 
-// batchSearcher is implemented by indexes with a native multi-query path
-// (the IVF family's bucket-inverted batch scan, Sec. 3.2.1).
-type batchSearcher interface {
-	SearchBatch(queries []float32, p index.SearchParams) [][]topk.Result
-}
-
-// SearchBatch implements System: the index's native batch path when it has
-// one, otherwise queries spread across a worker pool.
+// SearchBatch implements System: one index search per query, spread over
+// the process's execution pool — what core's batch engine runs for each
+// member of a batch over an indexed segment.
 func (m *Milvus) SearchBatch(queries []float32, k, accuracy int) [][]topk.Result {
-	p := index.SearchParams{K: k, Nprobe: accuracy, Ef: accuracy, SearchL: accuracy}
-	if bs, ok := m.idx.(batchSearcher); ok {
-		return bs.SearchBatch(queries, p)
-	}
 	dim := m.idx.Dim()
-	nq := len(queries) / dim
-	out := make([][]topk.Result, nq)
-	parallelFor(nq, func(qi int) {
+	out := make([][]topk.Result, len(queries)/dim)
+	p := searchParamsFor(k, accuracy)
+	parallelFor(len(out), func(qi int) {
 		out[qi] = m.idx.Search(queries[qi*dim:(qi+1)*dim], p)
 	})
 	return out
@@ -123,33 +115,11 @@ func (m *Milvus) SearchBatch(queries []float32, k, accuracy int) [][]topk.Result
 // MemoryBytes implements System.
 func (m *Milvus) MemoryBytes() int64 { return m.idx.MemoryBytes() }
 
+// parallelFor runs fn(0)..fn(n-1) on the process's execution pool: the
+// caller and up to Workers pool helpers claim indexes off one counter.
+// Map's error is its context's, and Background is never cancelled.
 func parallelFor(n int, fn func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	_ = exec.Default().Map(context.Background(), n, fn)
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"reflect"
 	"testing"
 
 	"vectordb/internal/dataset"
@@ -121,36 +122,80 @@ func TestCapabilityMatrixShape(t *testing.T) {
 	}
 }
 
-func TestMilvusUsesNativeBatchPath(t *testing.T) {
+// TestMilvusSearchesPerQuery: Milvus answers a batch with one index search
+// per query, so its results are the index's own, bit for bit.
+func TestMilvusSearchesPerQuery(t *testing.T) {
 	d := dataset.DeepLike(600, 8)
 	m := &Milvus{IndexType: "IVF_FLAT", Params: map[string]string{"nlist": "8", "iter": "4"}}
 	if err := m.Build(d, vec.L2); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.Index().(batchSearcher); !ok {
-		t.Fatal("IVF index does not expose the native batch path")
-	}
 	qs := dataset.Queries(d, 3, 9)
 	batch := m.SearchBatch(qs, 5, 8)
 	for qi := 0; qi < 3; qi++ {
 		single := m.Index().Search(qs[qi*d.Dim:(qi+1)*d.Dim], searchParamsFor(5, 8))
-		for i := range single {
-			// The batch path runs the query-tile kernels, the per-query
-			// path the early-abandon blocked kernels; summation orders
-			// differ, so compare distances within the documented 1e-5
-			// relative tolerance rather than bit-exactly.
-			da, db := single[i].Distance, batch[qi][i].Distance
-			diff := da - db
-			if diff < 0 {
-				diff = -diff
-			}
-			scale := float32(1)
-			if da > scale {
-				scale = da
-			}
-			if diff > 1e-5*scale {
-				t.Fatalf("batch path diverges at query %d rank %d: %v vs %v", qi, i, batch[qi][i], single[i])
-			}
+		if !reflect.DeepEqual(single, batch[qi]) {
+			t.Fatalf("query %d: batch %v, per-query search %v", qi, batch[qi], single)
+		}
+	}
+}
+
+// TestThreadPerQueryIsExact: the Faiss model scans every row for every
+// query, so it finds the exact neighbours, with rows named by position.
+func TestThreadPerQueryIsExact(t *testing.T) {
+	d := dataset.DeepLike(1500, 10)
+	qs := dataset.Queries(d, 9, 11)
+	for _, m := range []vec.Metric{vec.L2, vec.IP, vec.Cosine} {
+		got := ThreadPerQuery(qs, d.Data, d.Dim, 10, m)
+		if len(got) != 9 {
+			t.Fatalf("%v: %d result sets", m, len(got))
+		}
+		if r := metric.MeanRecall(dataset.GroundTruth(d, qs, 10, m), got); r != 1 {
+			t.Errorf("%v: recall %.3f, want 1", m, r)
+		}
+	}
+}
+
+// TestThreadPerQuerySingleQuerySingleVector: one query over one row finds
+// that row, at position 0 and distance 0, for all k.
+func TestThreadPerQuerySingleQuerySingleVector(t *testing.T) {
+	got := ThreadPerQuery([]float32{1, 2}, []float32{1, 2}, 2, 5, vec.L2)
+	if len(got) != 1 || len(got[0]) != 1 || got[0][0].ID != 0 || got[0][0].Distance != 0 {
+		t.Fatalf("got %v, want one hit on row 0 at distance 0", got)
+	}
+}
+
+// TestThreadPerQueryMoreWorkersThanQueries: a batch with fewer queries
+// than the pool has workers, over fewer rows than k, answers every query
+// with every row.
+func TestThreadPerQueryMoreWorkersThanQueries(t *testing.T) {
+	d := dataset.DeepLike(3, 12)
+	qs := dataset.Queries(d, 2, 13)
+	got := ThreadPerQuery(qs, d.Data, d.Dim, 10, vec.L2)
+	if len(got) != 2 || len(got[0]) != 3 || len(got[1]) != 3 {
+		t.Fatalf("got %v, want 2 result sets of 3 rows", got)
+	}
+	if r := metric.MeanRecall(dataset.GroundTruth(d, qs, 10, vec.L2), got); r != 1 {
+		t.Errorf("recall %.3f, want 1", r)
+	}
+}
+
+// TestThreadPerQueryUsesBatchKernels: the Faiss model streams the data
+// through the blocked kernels, not one per-row distance call at a time.
+func TestThreadPerQueryUsesBatchKernels(t *testing.T) {
+	prev := vec.DispatchCounting()
+	vec.SetDispatchCounting(true)
+	defer vec.SetDispatchCounting(prev)
+	d := dataset.DeepLike(500, 14)
+	qs := dataset.Queries(d, 8, 15)
+	for _, m := range []vec.Metric{vec.L2, vec.IP} {
+		vec.ResetDispatchCounts()
+		ThreadPerQuery(qs, d.Data, d.Dim, 5, m)
+		if vec.BatchDispatchTotal() == 0 {
+			t.Errorf("%v: no batch-kernel dispatches", m)
+		}
+		if n := vec.DispatchCount(vec.CurrentLevel()); n != 0 {
+			t.Errorf("%v: %d per-row kernel dispatches, want 0", m, n)
 		}
 	}
 }

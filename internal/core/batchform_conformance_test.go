@@ -123,7 +123,7 @@ func conformanceCollection(t *testing.T, metric vec.Metric, indexType string) (*
 // across index types and both decomposable metrics.
 func TestBatchConformance(t *testing.T) {
 	for _, metric := range []vec.Metric{vec.L2, vec.IP} {
-		for _, indexType := range []string{"", "FLAT", "IVF_FLAT", "IVF_SQ8"} {
+		for _, indexType := range []string{"", "FLAT", "IVF_FLAT", "IVF_SQ8", "IVF_PQ", "HNSW"} {
 			name := fmt.Sprintf("%s/%s", metric, indexType)
 			if indexType == "" {
 				name = fmt.Sprintf("%s/scan", metric)

@@ -18,9 +18,8 @@ import (
 )
 
 // tileChunkRows is how many data rows each tile-kernel call covers on the
-// formed-batch scan path: big enough to amortize the dispatch, small
-// enough that the queries×rows distance tile stays cache-resident
-// (mirrors the offline engine's batch.tileRows sizing).
+// batch scan path: big enough to amortize the dispatch, small enough that
+// the queries×rows distance tile stays cache-resident.
 const tileChunkRows = 256
 
 // batchKey is a plain vector query's compatibility class in the exec

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -42,6 +43,60 @@ func TestSegmentScanUsesBatchKernels(t *testing.T) {
 	}
 	if vec.BatchDispatchTotal() == 0 {
 		t.Fatal("Segment.SearchInto made no batch-kernel dispatches")
+	}
+}
+
+// TestSearchBatchUsesTileKernels: an explicit batch over unindexed
+// segments runs core's multi-query engine on the query-tile kernels — one
+// dispatch per 256-row chunk of each segment for the whole batch, not one
+// per query — and makes no per-row dispatch.
+func TestSearchBatchUsesTileKernels(t *testing.T) {
+	cfg := testConfig()
+	cfg.FlushRows = 256
+	cfg.MergeFactor = 1 << 30
+	c, err := NewCollection("tile", testSchema(16), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ents := mkEntities(900, 16, 63)
+	if err := c.Insert(ents); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	segs := c.Stats().Segments
+	if segs != 4 {
+		t.Fatalf("%d segments, want 4 of at most 256 rows", segs)
+	}
+	queries := make([][]float32, 5)
+	for i := range queries {
+		queries[i] = ents[i*100].Vectors[0]
+	}
+	// The process's first query calibrates the planner's profile, which
+	// times the per-row kernels on purpose; take it before counting.
+	if _, err := c.SearchBatchCtx(context.Background(), queries, SearchOptions{K: 5}); err != nil {
+		t.Fatal(err)
+	}
+	prev := vec.DispatchCounting()
+	vec.SetDispatchCounting(true)
+	defer vec.SetDispatchCounting(prev)
+	vec.ResetDispatchCounts()
+	res, err := c.SearchBatchCtx(context.Background(), queries, SearchOptions{K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if len(r) == 0 || r[0].ID != ents[i*100].ID {
+			t.Fatalf("query %d: %v, want self-match %d first", i, r, ents[i*100].ID)
+		}
+	}
+	if n := vec.BatchDispatchTotal(); n != int64(segs) {
+		t.Errorf("batch made %d batch-kernel dispatches, want %d (one tile per segment chunk)", n, segs)
+	}
+	if n := vec.DispatchCount(vec.CurrentLevel()); n != 0 {
+		t.Errorf("batch made %d per-row kernel dispatches, want 0", n)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"vectordb/internal/batch"
 	"vectordb/internal/core"
 	"vectordb/internal/dataset"
 	"vectordb/internal/gpu"
@@ -14,34 +13,6 @@ import (
 
 // Ablations for the design choices DESIGN.md calls out beyond the paper's
 // figures.
-
-// ExpAblationHeaps isolates the per-(thread,query) heap matrix of
-// Sec. 3.2.1 against a mutex-shared heap per query, holding the blocking
-// and data partitioning constant.
-func ExpAblationHeaps(sc Scale) (*Table, error) {
-	sc = sc.defaults()
-	d := dataset.SIFTLike(sc.N, 21)
-	nq := sc.NQ
-	if nq < 128 {
-		nq = 128
-	}
-	queries := dataset.Queries(d, nq, 22)
-	req := &batch.Request{Queries: queries, Data: d.Data, Dim: d.Dim, K: sc.K, Metric: vec.L2}
-	t := &Table{
-		Name:   "ablation-heaps",
-		Title:  "Per-(thread,query) heaps vs shared locked heap (Sec. 3.2.1 ablation)",
-		Header: []string{"engine", "time", "speedup-vs-shared"},
-	}
-	shared := &batch.SharedHeap{}
-	matrix := &batch.CacheAware{}
-	shared.MultiQuery(req)
-	tShared := timeIt(func() { shared.MultiQuery(req) })
-	matrix.MultiQuery(req)
-	tMatrix := timeIt(func() { matrix.MultiQuery(req) })
-	t.Add("shared-heap", tShared, 1.0)
-	t.Add("heap-matrix", tMatrix, float64(tShared)/float64(tMatrix))
-	return t, nil
-}
 
 // ExpAblationMultiBucketCopy isolates the grouped PCIe copy of Sec. 3.4
 // against Faiss's bucket-at-a-time behaviour on the device cost model.

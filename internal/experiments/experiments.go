@@ -126,6 +126,21 @@ func timeIt(fn func()) time.Duration {
 	return time.Since(start)
 }
 
+// bestOf returns fn's fastest wall time over n runs, stopping at the
+// first run that fails.
+func bestOf(n int, fn func() error) (best time.Duration, err error) {
+	for i := 0; i < n; i++ {
+		el := timeIt(func() { err = fn() })
+		if err != nil {
+			return 0, err
+		}
+		if i == 0 || el < best {
+			best = el
+		}
+	}
+	return best, nil
+}
+
 // qps converts a batch duration to queries/second.
 func qps(nq int, d time.Duration) float64 {
 	if d <= 0 {

@@ -26,7 +26,6 @@ var Registry = map[string]Runner{
 	"fig15-k500":        func(sc Scale) (*Table, error) { return ExpFig15(sc, 500) },
 	"fig16":             func(sc Scale) (*Table, error) { return ExpFig16(sc, "L2") },
 	"fig16-ip":          func(sc Scale) (*Table, error) { return ExpFig16(sc, "IP") },
-	"ablation-heaps":    ExpAblationHeaps,
 	"ablation-pcie":     ExpAblationMultiBucketCopy,
 	"ablation-rho":      ExpAblationRho,
 	"ablation-merge":    ExpAblationMerge,

@@ -7,7 +7,6 @@ import (
 	"vectordb/internal/index"
 	_ "vectordb/internal/index/all"
 	"vectordb/internal/kmeans"
-	"vectordb/internal/topk"
 	"vectordb/internal/vec"
 )
 
@@ -17,8 +16,8 @@ import (
 // points: a zero count means a scan path silently regressed to a per-pair
 // loop over its contiguous block. The IVF family (coarse ranking, k-means
 // training, bucket assignment, PQ tables) must moreover make no per-row
-// dispatch at all, in Build, Search and its native SearchBatch, for L2 and
-// IP; neither may kmeans.Train.
+// dispatch at all, in Build or Search, for L2 and IP; neither may
+// kmeans.Train.
 func TestIndexScansUseBatchKernels(t *testing.T) {
 	d := dataset.DeepLike(1200, 41)
 	qs := dataset.Queries(d, 2, 42)
@@ -64,19 +63,6 @@ func TestIndexScansUseBatchKernels(t *testing.T) {
 				t.Errorf("%s: Search made no batch-kernel dispatches", step)
 			}
 			noPerRow(step + " Search")
-			bs, ok := idx.(interface {
-				SearchBatch([]float32, index.SearchParams) [][]topk.Result
-			})
-			if !ok {
-				continue
-			}
-			if batch := bs.SearchBatch(qs, p); len(batch) != 2 {
-				t.Fatalf("%s: SearchBatch returned %d result sets", step, len(batch))
-			}
-			if vec.BatchDispatchTotal() == 0 {
-				t.Errorf("%s: SearchBatch made no batch-kernel dispatches", step)
-			}
-			noPerRow(step + " SearchBatch")
 		}
 	}
 }

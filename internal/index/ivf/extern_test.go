@@ -1,7 +1,6 @@
 package ivf
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -250,17 +249,6 @@ func TestExternalizedMatchesResident(t *testing.T) {
 							}
 							sameResults(t, label+"/ScanBucketSQ8", hx.Results(), hy.Results())
 						}
-					}
-					// The resident batch path runs the query-tile kernels,
-					// whose summation order differs from the per-query
-					// scans; the externalized batch answers per query, so
-					// it must match resident Search bit for bit.
-					got, err := y.SearchBatchCtx(context.Background(), qs, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for qi := 0; qi < nq; qi++ {
-						sameResults(t, label+"/SearchBatchCtx", x.Search(qs[qi*d.Dim:(qi+1)*d.Dim], p), got[qi])
 					}
 					if ext.open != 0 {
 						t.Fatalf("%s: %d payload sources left open", label, ext.open)

@@ -305,9 +305,8 @@ func (x *IVF) ProbeOrder(query []float32, nprobe int) []int {
 // build-order positions, so callers only populate Bits/Force. FLAT
 // buckets go through the shared blocked batch kernels with the selection
 // pushed beneath them; SQ8 and PQ buckets build their per-query ADC tables
-// lazily here — callers scanning many buckets for one query (Search, the
-// batch scheduler, SQ8H) should build the table once via
-// SQ8ScanQuery/ScanBucketSQ8 instead.
+// lazily here — callers scanning many buckets for one query (Search,
+// SQ8H) should build the table once via SQ8ScanQuery/ScanBucketSQ8 instead.
 func (x *IVF) ScanBucket(query []float32, bucket int, sel index.Selection, h *topk.Heap) {
 	switch x.fine {
 	case FineFlat:

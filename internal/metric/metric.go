@@ -1,12 +1,8 @@
-// Package metric implements the evaluation metrics of Sec. 7.1: recall
-// (|S∩S′|/|S| against brute-force ground truth) and query throughput.
+// Package metric implements the recall metric of Sec. 7.1: |S∩S′|/|S|
+// against brute-force ground truth.
 package metric
 
-import (
-	"time"
-
-	"vectordb/internal/topk"
-)
+import "vectordb/internal/topk"
 
 // Recall returns |truth ∩ got| / |truth| for one query.
 func Recall(truth, got []topk.Result) float64 {
@@ -36,22 +32,4 @@ func MeanRecall(truth, got [][]topk.Result) float64 {
 		s += Recall(truth[i], got[i])
 	}
 	return s / float64(len(truth))
-}
-
-// Throughput runs fn once and reports queries/second for nq queries.
-func Throughput(nq int, fn func()) float64 {
-	start := time.Now()
-	fn()
-	el := time.Since(start)
-	if el <= 0 {
-		el = time.Nanosecond
-	}
-	return float64(nq) / el.Seconds()
-}
-
-// Timer measures wall-clock duration of fn.
-func Timer(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	return time.Since(start)
 }

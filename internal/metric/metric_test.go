@@ -30,14 +30,3 @@ func TestMeanRecall(t *testing.T) {
 		t.Fatalf("MeanRecall(empty) = %v, want 1", r)
 	}
 }
-
-func TestThroughputPositive(t *testing.T) {
-	qps := Throughput(100, func() {})
-	if qps <= 0 {
-		t.Fatalf("Throughput = %v", qps)
-	}
-	d := Timer(func() {})
-	if d < 0 {
-		t.Fatalf("Timer = %v", d)
-	}
-}

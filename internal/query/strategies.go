@@ -246,30 +246,3 @@ func StrategyE(parts []Partition, rc RangeCond, vc VecCond, m CostModel) []topk.
 	defer merge.End()
 	return topk.Merge(vc.K, lists...)
 }
-
-// FreqTracker maintains the per-attribute query frequencies strategy E uses
-// to decide which attribute to partition on ("we maintain the frequency of
-// each searched attribute in a hash table").
-type FreqTracker struct {
-	counts map[int]int64
-}
-
-// NewFreqTracker creates an empty tracker.
-func NewFreqTracker() *FreqTracker { return &FreqTracker{counts: map[int]int64{}} }
-
-// Touch records that a query referenced attr.
-func (t *FreqTracker) Touch(attr int) { t.counts[attr]++ }
-
-// Hottest returns the most-queried attribute (ok=false when none recorded).
-func (t *FreqTracker) Hottest() (attr int, ok bool) {
-	var best int64 = -1
-	for a, c := range t.counts {
-		if c > best || (c == best && a < attr) {
-			attr, best = a, c
-		}
-	}
-	return attr, best >= 0
-}
-
-// Count reports the recorded frequency of attr.
-func (t *FreqTracker) Count(attr int) int64 { return t.counts[attr] }

@@ -196,22 +196,6 @@ func TestPartitionByAttrErrors(t *testing.T) {
 	}
 }
 
-func TestFreqTracker(t *testing.T) {
-	ft := NewFreqTracker()
-	if _, ok := ft.Hottest(); ok {
-		t.Fatal("empty tracker reported a hottest attr")
-	}
-	ft.Touch(2)
-	ft.Touch(2)
-	ft.Touch(5)
-	if a, ok := ft.Hottest(); !ok || a != 2 {
-		t.Fatalf("Hottest = %d,%v", a, ok)
-	}
-	if ft.Count(2) != 2 || ft.Count(5) != 1 || ft.Count(9) != 0 {
-		t.Fatal("counts wrong")
-	}
-}
-
 func TestTableErrors(t *testing.T) {
 	if _, err := NewTable(vec.L2, 4, []float32{1, 2, 3}, nil, nil); err == nil {
 		t.Error("ragged data accepted")

@@ -93,6 +93,18 @@ func installASMKernels() {
 	}
 }
 
+// Vectorized reports whether tier l runs the assembly batch kernels on
+// this host (installASMKernels); every other tier runs the pure-Go ones.
+func Vectorized(l Level) bool {
+	switch l {
+	case LevelAVX512:
+		return haveAVX512 || haveAVX2FMA
+	case LevelAVX2:
+		return haveAVX2FMA
+	}
+	return false
+}
+
 // bestLevelForHost maps the detected features to a dispatch tier.
 func bestLevelForHost() Level {
 	switch {

@@ -11,6 +11,9 @@ const haveAVX512 = false
 
 func installASMKernels() {}
 
+// Vectorized reports whether tier l runs assembly batch kernels: never here.
+func Vectorized(Level) bool { return false }
+
 func bestLevelForHost() Level {
 	if runtime.GOARCH == "arm64" {
 		// Wide NEON-class cores: the 16-wide unrolled Go tier wins.
