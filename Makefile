@@ -66,12 +66,16 @@ ci: vet fmt build lint test cover kernel-guard repro-check conformance-filter co
 # The block cache recycles evicted frames, so a scan that read a view after
 # its pin would see another block's rows: the frame-lifecycle unit tests
 # and the concurrent recycle conformance test also run race-enabled here.
-# Below the collection, the block-by-block source scan (over ranged and
-# straddling sources) must equal the resident ScanBlocked, and an
-# externalized IVF_FLAT/IVF_SQ8 index its resident original, on every
-# bucket-scan entry point.
+# A cache block is the run a scan reads: one tiered probe on a cold cache
+# misses exactly ⌈len(b)/256⌉ blocks per probed bucket and fills exactly
+# those buckets' bytes (TestTieredProbeFillsBucketBlocks, selected by
+# -run TestTiered). Below the collection, the block-by-block source scan
+# must equal the resident ScanBlocked, and an externalized IVF_FLAT/IVF_SQ8
+# index — its provider serving each bucket's rows as blocks from the
+# bucket's first row — its resident original, on every bucket-scan entry
+# point.
 conformance-ooc:
-	$(GO) test ./internal/index -run 'TestScanBlockedSource|TestRangeSource|TestByteRangeSource'
+	$(GO) test ./internal/index -run TestScanBlockedSource
 	$(GO) test ./internal/index/ivf -run TestExternalizedMatchesResident
 	$(GO) test ./internal/core -run TestTiered
 	$(GO) test ./internal/core -run TestDBTierDefaults

@@ -1,7 +1,8 @@
 // Package blockcache is the capacity-bounded block cache behind
-// out-of-core sealed-segment scans. Keys name a 256-row block of one
-// extent of one owner (segment); values are immutable byte blocks filled
-// once via per-key singleflight and shared by every concurrent scan.
+// out-of-core sealed-segment scans. Keys name the run of at most 256 rows
+// of one extent of one owner (segment) that a scan reads; values are
+// immutable byte blocks filled once via per-key singleflight and shared by
+// every concurrent scan.
 //
 // Design points, in the order they matter for correctness:
 //
@@ -16,13 +17,16 @@
 //     cold block no matter how many queries arrive at once).
 //   - Sharding. Keys hash across shards, each with its own lock, map and
 //     intrusive LRU list, so concurrent scans of different segments do
-//     not serialize on one mutex.
+//     not serialize on one mutex. Hashing the extent stripe a block starts
+//     in spreads blocks of unequal size evenly over the shard budgets.
 //   - Frames. The cache owns block memory: a miss fills a frame taken from
-//     the shard's free list, and a block's frame goes back to that list
-//     once its entry is both unreachable (evicted, dropped, or its fill
-//     failed) and unpinned. A view of a block is therefore valid only
-//     while its Pin is held — after Release the same bytes may already
-//     hold another block.
+//     the shard's free list (best fit) or allocates one of the block's
+//     exact size, and a block's frame goes back to that list once its
+//     entry is both unreachable (evicted, dropped, or its fill failed) and
+//     unpinned. A view of a block is therefore valid only while its Pin is
+//     held — after Release the same bytes may already hold another block.
+//     The budget charges frame capacity, so resident plus free frames stay
+//     within it plus one frame.
 //
 // The cache holds bytes, not typed slices: frames are float-backed, so
 // loaders that want in-place float32 views get 4-byte alignment by
@@ -37,12 +41,18 @@ import (
 
 // Key names one cached block. Owner is a caller-scoped namespace (segment
 // ID), Ext distinguishes extents within the owner (kind/field packed by
-// the caller), Block is the block index within the extent.
+// the caller), Row and Rows are the block's first row within the extent
+// and its row count, so blocks of two alignments never alias.
 type Key struct {
 	Owner uint64
 	Ext   uint32
-	Block uint32
+	Row   uint32
+	Rows  uint32
 }
+
+// stripeRows (index.ScanBlockRows) is the height of the extent stripes
+// shardFor hashes: the blocks starting in one stripe hold 0–2 stripes' rows.
+const stripeRows = 256
 
 // entry is one cached block. All fields except ready's close are guarded
 // by the shard mutex; data and err are written once before ready closes
@@ -122,10 +132,10 @@ func (s *shard) pushFront(e *entry) {
 	e.linked = true
 }
 
-// reclaim takes an unreachable, unpinned entry's bytes off the books and
-// recycles its frame.
+// reclaim takes an unreachable, unpinned entry's frame off the books and
+// recycles it.
 func (s *shard) reclaim(e *entry) {
-	s.bytes -= int64(len(e.data))
+	s.bytes -= int64(cap(e.data))
 	s.recycle(e.data)
 	e.data = nil
 }
@@ -149,27 +159,36 @@ func (s *shard) recycle(f []byte) {
 	}
 }
 
-// takeFrame pops the newest free frame that can hold size bytes, or
-// returns nil. Free frames too small for it are released to the GC, so a
-// miss that must allocate never stacks a new frame on top of stale ones.
+// takeFrame pops the smallest free frame that can hold size bytes, or
+// returns nil after releasing the oldest free frames to the GC until a new
+// frame of that size fits the budget beside the rest.
 func (s *shard) takeFrame(size int) []byte {
-	for i := len(s.free) - 1; i >= 0; i-- {
-		if f := s.free[i]; cap(f) >= size {
-			last := len(s.free) - 1
-			s.free[i], s.free[last] = s.free[last], nil
-			s.free = s.free[:last]
-			s.freeBytes -= int64(cap(f))
-			return f[:size]
+	best := -1
+	for i, f := range s.free {
+		if cap(f) >= size && (best < 0 || cap(f) <= cap(s.free[best])) {
+			best = i
 		}
 	}
-	clear(s.free)
-	s.free, s.freeBytes = s.free[:0], 0
-	return nil
+	if best < 0 {
+		for len(s.free) > 0 && s.bytes+s.freeBytes+int64(frameBytes(size)) > s.budget {
+			s.freeBytes -= int64(cap(s.free[0]))
+			s.free[0], s.free = nil, s.free[1:]
+		}
+		return nil
+	}
+	f, last := s.free[best], len(s.free)-1
+	s.free[best], s.free[last] = s.free[last], nil
+	s.free = s.free[:last]
+	s.freeBytes -= int64(cap(f))
+	return f[:size]
 }
+
+// frameBytes is the capacity of a new frame for size bytes: whole floats.
+func frameBytes(size int) int { return (size + 3) &^ 3 }
 
 // newFrame allocates a float-backed, hence 4-byte-aligned, frame.
 func newFrame(size int) []byte {
-	f := make([]float32, (size+3)/4)
+	f := make([]float32, frameBytes(size)/4)
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 4*len(f))[:size]
 }
 
@@ -177,13 +196,15 @@ func newFrame(size int) []byte {
 // arrivals that found the block present or already loading (a
 // singleflight wait still avoids a duplicate fetch); misses count
 // arrivals that had to start a load. FrameAllocs counts misses that
-// found no free frame to recycle and allocated a new one.
+// found no free frame to recycle and allocated a new one; FillBytes sums
+// the bytes successful fills wrote. Bytes is resident frame capacity.
 type Stats struct {
 	Hits        int64
 	Misses      int64
 	Evictions   int64
 	LoadFails   int64
 	FrameAllocs int64
+	FillBytes   int64
 	Bytes       int64
 	Entries     int64
 }
@@ -199,6 +220,7 @@ type Cache struct {
 	evictions   atomic.Int64
 	loadFails   atomic.Int64
 	frameAllocs atomic.Int64
+	fillBytes   atomic.Int64
 }
 
 // New creates a cache with the given capacity in bytes and shard count.
@@ -225,10 +247,10 @@ func New(capacity int64, shards int) *Cache {
 func (c *Cache) Capacity() int64 { return c.capacity }
 
 func (c *Cache) shardFor(k Key) *shard {
-	// FNV-1a over the key fields; cheap and well-spread for dense block
-	// indices.
+	// FNV-1a over the owner, extent and stripe; cheap and well-spread for
+	// dense stripe indices.
 	h := uint64(14695981039346656037)
-	for _, v := range [...]uint64{k.Owner, uint64(k.Ext), uint64(k.Block)} {
+	for _, v := range [...]uint64{k.Owner, uint64(k.Ext), uint64(k.Row / stripeRows)} {
 		h ^= v
 		h *= 1099511628211
 	}
@@ -237,7 +259,7 @@ func (c *Cache) shardFor(k Key) *shard {
 
 // GetOrLoad returns a pinned view of the size-byte block for k, invoking
 // fill at most once per residency to write it into a cache-owned frame
-// (recycled when the shard has one, else freshly allocated). fill must
+// (the best-fitting free frame, else a new one). fill must
 // write all of dst — a recycled frame holds an older block's bytes — and
 // must not retain it. The returned Pin must be released on every path
 // (the blockpin analyzer enforces this). On fill failure the error is
@@ -270,7 +292,7 @@ func (c *Cache) GetOrLoad(k Key, size int, fill func(dst []byte) error) (Pin, er
 		// the fill itself.
 		e := &entry{key: k, ready: make(chan struct{})}
 		s.entries[k] = e
-		c.evictLocked(s, int64(size))
+		c.evictLocked(s, int64(frameBytes(size)))
 		frame := s.takeFrame(size)
 		s.mu.Unlock()
 		c.misses.Add(1)
@@ -294,7 +316,7 @@ func (c *Cache) GetOrLoad(k Key, size int, fill func(dst []byte) error) (Pin, er
 		e.data = frame
 		e.loaded = true
 		e.refs = 1
-		s.bytes += int64(size) // Release reclaims this for dead entries
+		s.bytes += int64(cap(frame)) // Release reclaims this for dead entries
 		if s.entries[k] == e {
 			s.pushFront(e)
 			c.evictLocked(s, 0) // concurrent fills may have overshot
@@ -304,12 +326,13 @@ func (c *Cache) GetOrLoad(k Key, size int, fill func(dst []byte) error) (Pin, er
 		}
 		s.mu.Unlock()
 		close(e.ready)
+		c.fillBytes.Add(int64(size))
 		return Pin{e: e, s: s}, nil
 	}
 }
 
 // evictLocked walks the LRU from least-recent, dropping unpinned resident
-// entries until room more bytes fit the shard's budget. Pinned entries are
+// entries until a room-byte frame fits the shard's budget. Pinned entries are
 // skipped — capacity is a target, not a hard guarantee, while scans hold
 // pins.
 func (c *Cache) evictLocked(s *shard, room int64) {
@@ -367,6 +390,7 @@ func (c *Cache) Stats() Stats {
 		Evictions:   c.evictions.Load(),
 		LoadFails:   c.loadFails.Load(),
 		FrameAllocs: c.frameAllocs.Load(),
+		FillBytes:   c.fillBytes.Load(),
 	}
 	for i := range c.shards {
 		s := &c.shards[i]

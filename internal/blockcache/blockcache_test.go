@@ -3,6 +3,7 @@ package blockcache
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,7 +24,7 @@ func TestGetOrLoadBasics(t *testing.T) {
 	loads := 0
 	load := func(dst []byte) error { loads++; return fillWith(7)(dst) }
 
-	p, err := c.GetOrLoad(Key{Owner: 1, Block: 0}, 64, load)
+	p, err := c.GetOrLoad(Key{Owner: 1, Row: 0}, 64, load)
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
@@ -32,7 +33,7 @@ func TestGetOrLoadBasics(t *testing.T) {
 	}
 	p.Release()
 
-	p2, err := c.GetOrLoad(Key{Owner: 1, Block: 0}, 64, load)
+	p2, err := c.GetOrLoad(Key{Owner: 1, Row: 0}, 64, load)
 	if err != nil {
 		t.Fatalf("second get: %v", err)
 	}
@@ -63,7 +64,7 @@ func TestSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := c.GetOrLoad(Key{Owner: 3, Block: 9}, 32, load)
+			p, err := c.GetOrLoad(Key{Owner: 3, Row: 9 * stripeRows}, 32, load)
 			errs[i] = err
 			if err == nil {
 				if len(p.Bytes()) != 32 {
@@ -88,7 +89,7 @@ func TestSingleflight(t *testing.T) {
 func TestEvictionRespectsCapacityAndPins(t *testing.T) {
 	c := New(256, 1) // room for 4 × 64-byte blocks
 	mk := func(i int) (Pin, error) {
-		return c.GetOrLoad(Key{Owner: 1, Block: uint32(i)}, 64, fillWith(byte(i)))
+		return c.GetOrLoad(Key{Owner: 1, Row: uint32(i) * stripeRows}, 64, fillWith(byte(i)))
 	}
 	// Hold a pin on block 0 while overflowing the budget.
 	p0, err := mk(0)
@@ -128,7 +129,7 @@ func TestEvictionRespectsCapacityAndPins(t *testing.T) {
 func TestLoadFailureNotCached(t *testing.T) {
 	c := New(1<<20, 2)
 	boom := errors.New("injected")
-	k := Key{Owner: 5, Block: 5}
+	k := Key{Owner: 5, Row: 5 * stripeRows}
 	if _, err := c.GetOrLoad(k, 16, func([]byte) error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("want injected error, got %v", err)
 	}
@@ -146,7 +147,7 @@ func TestLoadFailureNotCached(t *testing.T) {
 
 func TestFailureWakesWaiters(t *testing.T) {
 	c := New(1<<20, 1)
-	k := Key{Owner: 6, Block: 1}
+	k := Key{Owner: 6, Row: stripeRows}
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	go func() {
@@ -177,7 +178,7 @@ func TestDropReclaims(t *testing.T) {
 	c := New(1<<20, 2)
 	var pinned Pin
 	for i := 0; i < 8; i++ {
-		p, err := c.GetOrLoad(Key{Owner: 7, Block: uint32(i)}, 128, fillWith(1))
+		p, err := c.GetOrLoad(Key{Owner: 7, Row: uint32(i) * stripeRows}, 128, fillWith(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +188,7 @@ func TestDropReclaims(t *testing.T) {
 			p.Release()
 		}
 	}
-	other, err := c.GetOrLoad(Key{Owner: 8, Block: 0}, 128, fillWith(2))
+	other, err := c.GetOrLoad(Key{Owner: 8, Row: 0}, 128, fillWith(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestConcurrentChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
-				k := Key{Owner: uint64(i % 3), Ext: uint32(w % 2), Block: uint32(i % 17)}
+				k := Key{Owner: uint64(i % 3), Ext: uint32(w % 2), Row: uint32(i%17) * stripeRows}
 				p, err := c.GetOrLoad(k, 96, func(dst []byte) error {
 					if i%31 == 7 && w == 0 {
 						return fmt.Errorf("churn fault %d", i)
@@ -243,7 +244,7 @@ func TestConcurrentChurn(t *testing.T) {
 
 func TestDropDuringLoadCachesNothing(t *testing.T) {
 	c := New(1<<20, 1)
-	k := Key{Owner: 9, Block: 0}
+	k := Key{Owner: 9, Row: 0}
 	started, gate := make(chan struct{}), make(chan struct{})
 	served := make(chan Pin, 1)
 	go func() {
@@ -284,7 +285,7 @@ func TestDropDuringLoadCachesNothing(t *testing.T) {
 
 func TestPinnedBlockSurvivesChurn(t *testing.T) {
 	c := New(4*256, 1)
-	pinned, err := c.GetOrLoad(Key{Owner: 1, Block: 0}, 256, func(dst []byte) error {
+	pinned, err := c.GetOrLoad(Key{Owner: 1, Row: 0}, 256, func(dst []byte) error {
 		for i := range dst {
 			dst[i] = byte(i)
 		}
@@ -294,7 +295,7 @@ func TestPinnedBlockSurvivesChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 1000; i++ {
-		p, err := c.GetOrLoad(Key{Owner: 2, Block: uint32(i)}, 256, fillWith(0xff))
+		p, err := c.GetOrLoad(Key{Owner: 2, Row: uint32(i) * stripeRows}, 256, fillWith(0xff))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,14 +314,14 @@ func TestPinnedBlockSurvivesChurn(t *testing.T) {
 
 func TestDroppedPinnedFrameNotReusedBeforeRelease(t *testing.T) {
 	c := New(2*64, 1)
-	p, err := c.GetOrLoad(Key{Owner: 1, Block: 0}, 64, fillWith(1))
+	p, err := c.GetOrLoad(Key{Owner: 1, Row: 0}, 64, fillWith(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	frame := &p.Bytes()[0]
 	c.Drop(1)
 	mk := func(i int) {
-		q, err := c.GetOrLoad(Key{Owner: 2, Block: uint32(i)}, 64, func(dst []byte) error {
+		q, err := c.GetOrLoad(Key{Owner: 2, Row: uint32(i) * stripeRows}, 64, func(dst []byte) error {
 			if &dst[0] == frame {
 				t.Fatalf("miss %d handed out the frame of a dropped, still pinned block", i)
 			}
@@ -340,7 +341,7 @@ func TestDroppedPinnedFrameNotReusedBeforeRelease(t *testing.T) {
 	p.Release()
 	reused := false
 	for i := 100; i < 104 && !reused; i++ {
-		q, err := c.GetOrLoad(Key{Owner: 2, Block: uint32(i)}, 64, func(dst []byte) error {
+		q, err := c.GetOrLoad(Key{Owner: 2, Row: uint32(i) * stripeRows}, 64, func(dst []byte) error {
 			reused = &dst[0] == frame
 			return fillWith(2)(dst)
 		})
@@ -380,17 +381,30 @@ func TestFailedFillReturnsFrame(t *testing.T) {
 	}
 }
 
-// checkFrameBound asserts every shard's resident plus free bytes stay
-// within its budget plus one frame of at most maxFrame bytes.
+// checkFrameBound asserts every shard's resident plus free frames stay
+// within its budget plus one frame of at most maxFrame bytes. It measures
+// frame capacity — what the shard really holds — by walking the resident
+// entries and the free list, and checks the shard's own books agree.
 func checkFrameBound(t *testing.T, c *Cache, maxFrame int64, when string) {
 	t.Helper()
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		held := s.bytes + s.freeBytes
+		var resident, free int64
+		for _, e := range s.entries {
+			resident += int64(cap(e.data))
+		}
+		for _, f := range s.free {
+			free += int64(cap(f))
+		}
+		books := s.bytes == resident && s.freeBytes == free
 		s.mu.Unlock()
-		if held > s.budget+maxFrame {
-			t.Fatalf("%s: shard %d holds %d resident+free bytes, bound %d", when, i, held, s.budget+maxFrame)
+		if !books {
+			t.Fatalf("%s: shard %d books %d resident + %d free bytes, frames hold %d + %d",
+				when, i, s.bytes, s.freeBytes, resident, free)
+		}
+		if resident+free > s.budget+maxFrame {
+			t.Fatalf("%s: shard %d holds %d resident+free frame bytes, bound %d", when, i, resident+free, s.budget+maxFrame)
 		}
 	}
 }
@@ -403,7 +417,7 @@ func TestFrameMemoryBound(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				k := Key{Owner: uint64(i % 5), Ext: uint32(w % 2), Block: uint32(i % 23)}
+				k := Key{Owner: uint64(i % 5), Ext: uint32(w % 2), Row: uint32(i%23) * stripeRows}
 				p, err := c.GetOrLoad(k, 64+32*(i%4), fillWith(byte(i)))
 				if err != nil {
 					t.Error(err)
@@ -427,6 +441,103 @@ func TestFrameMemoryBound(t *testing.T) {
 	}
 }
 
+// TestRowCountIsPartOfKey: two blocks that start at the same row of the
+// same extent but differ in row count — a 0-aligned block and a shorter
+// bucket block over the same rows — are distinct entries with their own
+// bytes.
+func TestRowCountIsPartOfKey(t *testing.T) {
+	c := New(1<<20, 2)
+	long := Key{Owner: 1, Ext: 2, Row: stripeRows, Rows: stripeRows}
+	short := Key{Owner: 1, Ext: 2, Row: stripeRows, Rows: 100}
+	p, err := c.GetOrLoad(long, 4*stripeRows, fillWith(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := c.GetOrLoad(short, 4*100, fillWith(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Bytes()) != 4*stripeRows || p.Bytes()[0] != 1 || len(q.Bytes()) != 4*100 || q.Bytes()[0] != 2 {
+		t.Fatalf("blocks alias: long %d bytes of %d, short %d bytes of %d",
+			len(p.Bytes()), p.Bytes()[0], len(q.Bytes()), q.Bytes()[0])
+	}
+	p.Release()
+	q.Release()
+	if st := c.Stats(); st.Misses != 2 || st.Entries != 2 || st.FillBytes != 4*(stripeRows+100) {
+		t.Fatalf("stats %+v, want two misses, two entries, both blocks' bytes filled", st)
+	}
+}
+
+// TestMissWithNoFittingFrame: when every free frame is too small for a
+// block, the miss evicts, drops stale small frames and allocates one of
+// the block's size without the shard ever holding more than its budget
+// plus one frame; the next miss of that size recycles it.
+func TestMissWithNoFittingFrame(t *testing.T) {
+	const small, big = 64, 512
+	c := New(1024, 1)
+	for i := 0; i < 32; i++ { // fill and churn: the free list holds small frames
+		p, err := c.GetOrLoad(Key{Owner: 1, Row: uint32(i) * stripeRows}, small, fillWith(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release()
+	}
+	checkFrameBound(t, c, small, "small blocks")
+	before := c.Stats()
+	p, err := c.GetOrLoad(Key{Owner: 2}, big, fillWith(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := p.Bytes(); len(b) != big || cap(b) != big || b[big-1] != 2 {
+		t.Fatalf("big block: len %d cap %d, want an exact %d-byte frame", len(b), cap(b), big)
+	}
+	p.Release()
+	checkFrameBound(t, c, big, "big miss")
+	st := c.Stats()
+	if st.FrameAllocs != before.FrameAllocs+1 || st.Evictions-before.Evictions < (big/small)/2 {
+		t.Fatalf("big miss: %d frame allocs, %d evictions (before %+v, after %+v)",
+			st.FrameAllocs-before.FrameAllocs, st.Evictions-before.Evictions, before, st)
+	}
+	for i := 3; i < 8; i++ { // more big misses evict and recycle big frames
+		p, err := c.GetOrLoad(Key{Owner: 2, Row: uint32(i) * stripeRows}, big, fillWith(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release()
+		checkFrameBound(t, c, big, fmt.Sprintf("big miss %d", i))
+	}
+	if st := c.Stats(); st.FrameAllocs > before.FrameAllocs+2 {
+		t.Fatalf("big frames not recycled: %d allocated over six misses", st.FrameAllocs-before.FrameAllocs)
+	}
+}
+
+// TestUnequalBlocksSpreadAcrossShards: bucket-aligned blocks of unequal
+// size over one owner's extent spread their bytes across the shards: no
+// shard holds more than 1.25× or less than 0.75× the mean.
+func TestUnequalBlocksSpreadAcrossShards(t *testing.T) {
+	const rows, rowBytes, shards = 1 << 16, 64, 8
+	c := New(0, shards)
+	rng := rand.New(rand.NewSource(1))
+	for start := 0; start < rows; {
+		n := min(1+rng.Intn(3*stripeRows), rows-start) // one bucket
+		for r := start; r < start+n; r += stripeRows {
+			k := Key{Owner: 5, Ext: 1, Row: uint32(r), Rows: uint32(min(stripeRows, start+n-r))}
+			p, err := c.GetOrLoad(k, int(k.Rows)*rowBytes, fillWith(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Release()
+		}
+		start += n
+	}
+	mean := float64(rows*rowBytes) / shards
+	for i := range c.shards {
+		if got := float64(c.shards[i].bytes); got > 1.25*mean || got < 0.75*mean {
+			t.Errorf("shard %d holds %.0f bytes, mean %.0f", i, got, mean)
+		}
+	}
+}
+
 // BenchmarkMissEvict measures one miss that evicts: every get names a new
 // key of a full 64 KiB-block cache, so each op fills a block and evicts
 // the least-recent one.
@@ -438,7 +549,7 @@ func BenchmarkMissEvict(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(size)
 	for i := 0; i < b.N; i++ {
-		p, err := c.GetOrLoad(Key{Owner: 1, Block: uint32(i)}, size, fill)
+		p, err := c.GetOrLoad(Key{Owner: 1, Row: uint32(i)}, size, fill)
 		if err != nil {
 			b.Fatal(err)
 		}

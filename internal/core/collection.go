@@ -66,7 +66,7 @@ type Config struct {
 	// TierDir enables out-of-core sealed segments when non-empty: each
 	// sealed segment's stored image is also written as one mmap-backed
 	// extent file under this directory, vector payloads are dropped from
-	// the Go heap, and scans fault 256-row blocks through the block cache.
+	// the Go heap, and scans fault blocks of ≤ 256 rows through the cache.
 	// A demoted segment's cold copy is its object in the collection's
 	// store. Empty keeps the all-RAM behaviour.
 	TierDir string

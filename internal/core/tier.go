@@ -19,9 +19,11 @@ import (
 
 // Tiered segment storage: sealed segments move their vector (and column)
 // payloads out of the Go heap into one mmap-backed extent file per segment,
-// and scans pull 256-row blocks through the shared block cache instead of
-// walking a resident slice. A segment's vectors occupy one of three
-// residency states:
+// and scans pull blocks of at most 256 rows through the shared block cache
+// instead of walking a resident slice — 0-aligned blocks of the segment's
+// data extent, and for an externalized IVF payload blocks that start at
+// each bucket's first row, so a miss copies only the bucket's bytes. A
+// segment's vectors occupy one of three residency states:
 //
 //	hot    — plain RAM columns (growing segments, or tiering disabled).
 //	         Everything behaves exactly as before.
@@ -74,9 +76,9 @@ type collTier struct {
 }
 
 // registerBlockCacheMetrics registers a block cache's vectordb_blockcache_*
-// series: the shared cache shape plus the count of frames the cache had to
+// series: the shared cache shape, the count of frames the cache had to
 // allocate, which stays far below the miss count while evicted frames are
-// being recycled.
+// being recycled, and the block bytes its misses copied in.
 func registerBlockCacheMetrics(reg *obs.Registry, cache *blockcache.Cache, labels ...string) {
 	reg.RegisterCacheMetrics("vectordb_blockcache", func() obs.CacheStats {
 		st := cache.Stats()
@@ -87,6 +89,8 @@ func registerBlockCacheMetrics(reg *obs.Registry, cache *blockcache.Cache, label
 	}, labels...)
 	reg.CounterFunc("vectordb_blockcache_frame_allocs_total",
 		func() int64 { return cache.Stats().FrameAllocs }, labels...)
+	reg.CounterFunc("vectordb_blockcache_fill_bytes_total",
+		func() int64 { return cache.Stats().FillBytes }, labels...)
 }
 
 // register adds a freshly sealed (mapped) extent file to the tier's books
@@ -368,31 +372,44 @@ func (c *Collection) tierSegment(seg *Segment, img []byte) error {
 	return nil
 }
 
-// tierByteSource serves one extent of a mapped segment as an
-// index.ByteBlockSource: each 256-row block is faulted once into the block
-// cache (copied out of the mapping into a cache-owned frame, so the view is
+// tierByteSource serves rows [base, base+n) of one extent of a mapped
+// segment as an index.ByteBlockSource: block [i0, i1) is extent rows
+// [base+i0, base+i1), faulted once into the block cache under exactly that
+// run (copied out of the mapping into a cache-owned frame, so the view is
 // stable after the mapping unpins) and pinned only while the scan is inside
-// it: the view dies at the next Block or Release, after which the frame may
-// hold another block. The source holds the segment's mapping pinned for its
-// whole lifetime — demotion cannot invalidate a running scan.
+// it: the view dies at the next Block, Bucket or Release, after which the
+// frame may hold another block. A data extent's source covers the whole
+// extent, so its blocks are 0-aligned; an IVF payload's source moves from
+// bucket to bucket (Bucket), so its blocks start at each bucket's first
+// row. The source holds the segment's mapping pinned for its whole
+// lifetime — demotion cannot invalidate a running scan.
 type tierByteSource struct {
-	t      *segTier
-	relMap func()
-	ext    *colstore.Extent
-	rb     int // bytes per row
-	extID  uint32
-	pin    blockcache.Pin
+	t       *segTier
+	relMap  func()
+	ext     *colstore.Extent
+	rb      int // bytes per row
+	extID   uint32
+	base, n int // the extent rows served
+	pin     blockcache.Pin
 }
 
-func (s *tierByteSource) Rows() int     { return int(s.ext.Rows) }
+func (s *tierByteSource) Rows() int     { return s.n }
 func (s *tierByteSource) RowBytes() int { return s.rb }
+
+// Bucket points the source at extent rows [start, start+n) (ivf.ByteRows).
+func (s *tierByteSource) Bucket(start, n int) {
+	s.pin.Release()
+	s.pin = blockcache.Pin{}
+	s.base, s.n = start, n
+}
 
 func (s *tierByteSource) Block(i0, i1 int) []byte {
 	s.pin.Release() // previous view is invalidated by contract
 	s.pin = blockcache.Pin{}
-	k := blockcache.Key{Owner: s.t.owner, Ext: s.extID, Block: uint32(i0 / index.ScanBlockRows)}
-	pin, err := s.t.ct.cache.GetOrLoad(k, (i1-i0)*s.rb, func(dst []byte) error {
-		copy(dst, s.ext.Payload[i0*s.rb:i1*s.rb])
+	r0, r1 := s.base+i0, s.base+i1
+	k := blockcache.Key{Owner: s.t.owner, Ext: s.extID, Row: uint32(r0), Rows: uint32(r1 - r0)}
+	pin, err := s.t.ct.cache.GetOrLoad(k, (r1-r0)*s.rb, func(dst []byte) error {
+		copy(dst, s.ext.Payload[r0*s.rb:r1*s.rb])
 		return nil
 	})
 	if err != nil {
@@ -456,14 +473,15 @@ func (t *segTier) extent(kind, field uint32) (ext *colstore.Extent, release func
 	return ext, rel, nil
 }
 
-// open serves extent (kind, field) as cached blocks of width×Dim bytes per
-// row: width 4 for float rows, 1 for SQ8 code bytes.
+// open serves extent (kind, field) — all of its rows until a Bucket call —
+// as cached blocks of width×Dim bytes per row: width 4 for float rows, 1
+// for SQ8 code bytes.
 func (t *segTier) open(kind, field uint32, width int) (tierByteSource, error) {
 	ext, rel, err := t.extent(kind, field)
 	if err != nil {
 		return tierByteSource{}, err
 	}
-	return tierByteSource{t: t, relMap: rel, ext: ext, rb: width * int(ext.Dim), extID: tierExtID(kind, field)}, nil
+	return tierByteSource{t: t, relMap: rel, ext: ext, rb: width * int(ext.Dim), extID: tierExtID(kind, field), n: int(ext.Rows)}, nil
 }
 
 // vectorSource returns the BlockSource backing field f's blocked scan. Hot
@@ -517,13 +535,15 @@ func (s *Segment) vectorRows(f int) (func(r int) []float32, func(), error) {
 
 // tierIVFExt serves an externalized IVF index's build-order fine payload
 // from its own extent file behind the tier: ivf.PayloadExt backed by the
-// same residency state machine (and cache) as segment data.
+// same residency state machine (and cache) as segment data. One opened
+// source serves a probe sweep, bucket by bucket, from one pin of the
+// mapping.
 type tierIVFExt struct {
 	t     *segTier
 	field uint32
 }
 
-func (p *tierIVFExt) OpenFloats() (index.BlockSource, error) {
+func (p *tierIVFExt) OpenFloats() (ivf.FloatRows, error) {
 	src, err := p.t.open(colstore.ExtentIVFVecs, p.field, 4)
 	if err != nil {
 		return nil, err
@@ -531,7 +551,7 @@ func (p *tierIVFExt) OpenFloats() (index.BlockSource, error) {
 	return &tierVecSource{tierByteSource: src}, nil
 }
 
-func (p *tierIVFExt) OpenBytes() (index.ByteBlockSource, error) {
+func (p *tierIVFExt) OpenBytes() (ivf.ByteRows, error) {
 	src, err := p.t.open(colstore.ExtentIVFCodes, p.field, 1)
 	if err != nil {
 		return nil, err

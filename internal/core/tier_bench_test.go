@@ -15,9 +15,10 @@ import (
 // vectors and IVF payloads live in extent files, behind a block cache that
 // holds the whole dataset (1x) or a quarter of it (4x). Queries are
 // perturbed dataset rows, so block reuse across queries tracks the cache
-// share: hit_rate and evictions/op report the block cache over the timed
-// queries. A query whose source row is missing from its top-k fails the
-// benchmark, so a broken out-of-core read path cannot pass as a fast one.
+// share: hit_rate, evictions/op and fill_KiB/op (the block bytes misses
+// copied in) report the block cache over the timed queries. A query whose
+// source row is missing from its top-k fails the benchmark, so a broken
+// out-of-core read path cannot pass as a fast one.
 func BenchmarkTieredCachePressure(b *testing.B) {
 	const n, dim, k, segRows, nqueries = 120000, 64, 10, 16384, 256
 	r := rand.New(rand.NewSource(7))
@@ -94,6 +95,7 @@ func BenchmarkTieredCachePressure(b *testing.B) {
 				b.ReportMetric(float64(st.Hits-base.Hits)/float64(acc), "hit_rate")
 			}
 			b.ReportMetric(float64(st.Evictions-base.Evictions)/float64(b.N), "evictions/op")
+			b.ReportMetric(float64(st.FillBytes-base.FillBytes)/1024/float64(b.N), "fill_KiB/op")
 		})
 		c.Close()
 	}

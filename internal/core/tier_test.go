@@ -10,6 +10,7 @@ import (
 	"vectordb/internal/blockcache"
 	"vectordb/internal/colstore"
 	"vectordb/internal/index"
+	"vectordb/internal/index/ivf"
 	"vectordb/internal/objstore"
 	"vectordb/internal/topk"
 )
@@ -200,8 +201,8 @@ func TestTieredConformance(t *testing.T) {
 // as soon as its entry is evicted and unpinned, so a scan reading a view
 // after the next Block or Release would return another block's rows. With
 // a budget of one block, four goroutines searching FLAT,
-// IVF_FLAT (buckets straddle blocks through RangeSource) and IVF_SQ8 (byte
-// frames) segments — unfiltered and behind a 50 % pushdown filter, across
+// IVF_FLAT (float frames of bucket blocks) and IVF_SQ8 (byte frames of
+// bucket blocks) segments — unfiltered and behind a 50 % pushdown filter, across
 // a mid-run demotion — must get exactly the all-RAM results while the
 // cache serves most misses from recycled frames.
 func TestTieredConcurrentRecycle(t *testing.T) {
@@ -280,6 +281,95 @@ func TestTieredConcurrentRecycle(t *testing.T) {
 			st := tcfg.TierCache.Stats()
 			if st.Misses == 0 || st.FrameAllocs >= st.Misses {
 				t.Fatalf("frames not recycled: %d allocated for %d misses", st.FrameAllocs, st.Misses)
+			}
+		})
+	}
+}
+
+// TestTieredProbeFillsBucketBlocks: an externalized IVF payload's cache
+// blocks are the bucket runs a probe reads. On a cold cache one probe
+// misses exactly ⌈len(b)/256⌉ blocks for each probed bucket b of every
+// segment and fills exactly those buckets' bytes — no block straddles two
+// buckets or reads past one — and the same probe again is all hits.
+func TestTieredProbeFillsBucketBlocks(t *testing.T) {
+	const dim, rows, segRows, nprobe = 16, 4096, 2048, 3
+	ents := mkEntities(rows, dim, 37)
+	for _, idxType := range []string{"IVF_FLAT", "IVF_SQ8"} {
+		t.Run(idxType, func(t *testing.T) {
+			cfg := tierTestConfig(t, dim, rows, 0)
+			cfg.TierCache = blockcache.New(1<<30, 0) // nothing evicts
+			cfg.FlushRows, cfg.MergeFactor = segRows, 1<<20
+			cfg.IndexType, cfg.IndexRows = idxType, segRows
+			cfg.IndexParams = map[string]string{"nlist": "4"}
+			c, err := NewCollection("t", testSchema(dim), objstore.NewMemory(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			for i := 0; i < rows; i += segRows {
+				if err := c.Insert(ents[i : i+segRows]); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cache := cfg.TierCache
+			for qi, e := range []Entity{ents[5], ents[rows-9]} {
+				q := e.Vectors[0]
+				var blocks, bytes int64
+				long := false // a probed bucket spans blocks and ends in a short one
+				sn := c.AcquireSnapshot()
+				for _, seg := range sn.Segments {
+					idx := seg.Index(0)
+					if u, ok := idx.(interface{ Unwrap() index.Index }); ok {
+						idx = u.Unwrap()
+					}
+					iv, ok := idx.(*ivf.IVF)
+					if !ok || !iv.Externalized() {
+						t.Fatalf("segment %d: index %T not an externalized IVF", seg.ID, idx)
+					}
+					for _, b := range iv.ProbeOrder(q, nprobe) {
+						n := int64(iv.BucketLen(b))
+						long = long || (n > index.ScanBlockRows && n%index.ScanBlockRows != 0)
+						blocks += (n + index.ScanBlockRows - 1) / index.ScanBlockRows
+						bytes += n * int64(iv.CodeBytesPerVector())
+					}
+				}
+				for _, seg := range sn.Segments { // a cold cache for every query
+					cache.Drop(seg.tier.owner)
+					for _, it := range seg.idxTiers() {
+						cache.Drop(it.owner)
+					}
+				}
+				segs := len(sn.Segments)
+				c.ReleaseSnapshot(sn)
+				if segs != rows/segRows || !long {
+					t.Fatalf("%d segments (want %d), a multi-block bucket probed: %v", segs, rows/segRows, long)
+				}
+				before := cache.Stats()
+				if before.Entries != 0 {
+					t.Fatalf("q%d: cache not cold before the probe: %+v", qi, before)
+				}
+				opts := SearchOptions{K: 10, Nprobe: nprobe}
+				if _, err := c.Search(q, opts); err != nil {
+					t.Fatal(err)
+				}
+				mid := cache.Stats()
+				if got := mid.Misses - before.Misses; got != blocks {
+					t.Errorf("q%d: probe missed %d blocks, want Σ⌈len(b)/256⌉ = %d", qi, got, blocks)
+				}
+				if got := mid.FillBytes - before.FillBytes; got != bytes {
+					t.Errorf("q%d: probe filled %d bytes, want the probed buckets' %d", qi, got, bytes)
+				}
+				if _, err := c.Search(q, opts); err != nil {
+					t.Fatal(err)
+				}
+				after := cache.Stats()
+				if after.Misses != mid.Misses || after.Hits-mid.Hits != blocks {
+					t.Errorf("q%d: repeated probe: %d misses, %d hits, want 0 and %d",
+						qi, after.Misses-mid.Misses, after.Hits-mid.Hits, blocks)
+				}
 			}
 		})
 	}
@@ -571,5 +661,8 @@ func TestDBTierDefaults(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `vectordb_blockcache_frame_allocs_total{scope="db"}`) {
 		t.Fatal("shared cache exports no frame-allocation counter")
+	}
+	if !strings.Contains(buf.String(), `vectordb_blockcache_fill_bytes_total{scope="db"}`) {
+		t.Fatal("shared cache exports no fill-bytes counter")
 	}
 }

@@ -9,21 +9,38 @@ import (
 // Payload externalization: a built IVF index's dominant memory is its fine
 // payload — the bucket-ordered vectors (IVF_FLAT) or SQ8 codes (IVF_SQ8).
 // On out-of-core segments that payload moves into a build-order extent file
-// and bucket scans pull 256-row blocks through a PayloadExt provider
-// instead of walking resident slices; the coarse centroids, bucket ID
-// lists and build positions stay hot (they are a small fraction of the
-// payload and drive probe ranking and filter pushdown). Each bucket
-// occupies the contiguous row range [starts[b], starts[b]+len(ids[b])) of
-// the payload, so a bucket scan is a RangeSource over the shared extent.
+// and bucket scans pull blocks through a PayloadExt provider instead of
+// walking resident slices; the coarse centroids, bucket ID lists and build
+// positions stay hot (they are a small fraction of the payload and drive
+// probe ranking and filter pushdown). Each bucket occupies the contiguous
+// row range [starts[b], starts[b]+len(ids[b])) of the payload, and the
+// provider serves that range as a source of its own: its blocks start at
+// the bucket's first row, so a cached block is exactly the run a bucket
+// scan reads.
 
 // PayloadExt provides out-of-core access to an index's build-order fine
-// payload. Implementations open a fresh source per scan; every returned
-// source must be Released by the caller on all paths.
+// payload. Implementations open a fresh source per sweep of bucket scans;
+// every returned source must be Released by the caller on all paths.
 type PayloadExt interface {
-	// OpenFloats returns the FineFlat vectors, size rows × dim.
-	OpenFloats() (index.BlockSource, error)
-	// OpenBytes returns the FineSQ8 codes, size rows × CodeSize bytes.
-	OpenBytes() (index.ByteBlockSource, error)
+	// OpenFloats opens the FineFlat vectors, size rows × dim.
+	OpenFloats() (FloatRows, error)
+	// OpenBytes opens the FineSQ8 codes, size rows × CodeSize bytes.
+	OpenBytes() (ByteRows, error)
+}
+
+// FloatRows is an opened FLAT payload that serves one bucket at a time:
+// after Bucket(start, n) it is the block source of payload rows
+// [start, start+n) — Rows is n, and Block(i0, i1) returns payload rows
+// [start+i0, start+i1). A view taken before a Bucket call is dead after it.
+type FloatRows interface {
+	index.BlockSource
+	Bucket(start, n int)
+}
+
+// ByteRows is FloatRows over SQ8 code rows.
+type ByteRows interface {
+	index.ByteBlockSource
+	Bucket(start, n int)
 }
 
 // Externalizable reports whether this index's fine payload can move out of
@@ -93,15 +110,13 @@ func (x *IVF) Externalize(ext PayloadExt) (*IVF, error) {
 // openFlat / openSQ8 open the payload for a sweep of bucket scans, and the
 // sweep's bucket method serves bucket b either in place — a resident
 // bucket is stored as its own block source, so handing it to a scan
-// allocates nothing — or as b's row range of the payload source the
-// provider opened for the sweep. A scan releases its bucket's source when
-// done (a no-op in place; a range returns its stitch scratch), and the
-// sweep's close releases the payload.
+// allocates nothing — or as the payload source the provider opened for
+// the sweep, pointed at b's rows. The sweep's close releases the payload.
 
 // flatRows is an IVF_FLAT payload opened for a sweep of bucket scans.
 type flatRows struct {
 	x       *IVF
-	payload index.BlockSource // nil when resident
+	payload FloatRows // nil when resident
 }
 
 // openFlat opens the FLAT bucket rows for one sweep; close them after it.
@@ -117,7 +132,8 @@ func (r flatRows) bucket(b int) index.BlockSource {
 	if r.payload == nil {
 		return &r.x.vecs[b]
 	}
-	return &index.RangeSource{Src: keepOpen{r.payload}, Start: int(r.x.starts[b]), N: len(r.x.ids[b])}
+	r.payload.Bucket(int(r.x.starts[b]), len(r.x.ids[b]))
+	return r.payload
 }
 
 func (r flatRows) close() {
@@ -129,7 +145,7 @@ func (r flatRows) close() {
 // sq8Rows is an IVF_SQ8 payload opened for a sweep of bucket scans.
 type sq8Rows struct {
 	x       *IVF
-	payload index.ByteBlockSource // nil when resident
+	payload ByteRows // nil when resident
 }
 
 // openSQ8 opens the SQ8 bucket codes for one sweep; close them after it.
@@ -145,7 +161,8 @@ func (r sq8Rows) bucket(b int) index.ByteBlockSource {
 	if r.payload == nil {
 		return &r.x.codes[b]
 	}
-	return &index.ByteRangeSource{Src: keepOpenBytes{r.payload}, Start: int(r.x.starts[b]), N: len(r.x.ids[b])}
+	r.payload.Bucket(int(r.x.starts[b]), len(r.x.ids[b]))
+	return r.payload
 }
 
 func (r sq8Rows) close() {
@@ -153,16 +170,6 @@ func (r sq8Rows) close() {
 		r.payload.Release()
 	}
 }
-
-// keepOpen wraps a sweep's payload source so per-bucket RangeSources can
-// Release (returning their stitch scratch) without closing the payload.
-type keepOpen struct{ index.BlockSource }
-
-func (keepOpen) Release() {}
-
-type keepOpenBytes struct{ index.ByteBlockSource }
-
-func (keepOpenBytes) Release() {}
 
 // codeRows is one resident bucket's code rows (SQ8 or PQ), served in place
 // as an index.ByteBlockSource.

@@ -13,11 +13,12 @@ import (
 )
 
 // fakeExt is a PayloadExt over a resident index's build-order payload that
-// behaves like an out-of-core provider: every Block is a copy into one of
-// two alternating buffers, and the buffer handed out before is poisoned,
-// so a scan that reads a view after the next Block (or after Release) sees
-// huge values instead of rows and its results stop matching. It also
-// checks the block-access contract and counts sources left open.
+// behaves like an out-of-core provider: it serves one bucket's row range at
+// a time, every Block is a copy into one of two alternating buffers, and
+// the buffer handed out before is poisoned, so a scan that reads a view
+// after the next Block (or after Bucket or Release) sees huge values
+// instead of rows and its results stop matching. It also checks the
+// block-access contract within the bucket and counts sources left open.
 type fakeExt struct {
 	t      *testing.T
 	floats []float32
@@ -27,14 +28,23 @@ type fakeExt struct {
 	open   int
 }
 
-func (f *fakeExt) OpenFloats() (index.BlockSource, error) {
+func (f *fakeExt) OpenFloats() (FloatRows, error) {
 	f.open++
-	return &fakeFloats{f: f}, nil
+	return &fakeFloats{f: f, n: len(f.floats) / f.dim}, nil
 }
 
-func (f *fakeExt) OpenBytes() (index.ByteBlockSource, error) {
+func (f *fakeExt) OpenBytes() (ByteRows, error) {
 	f.open++
-	return &fakeBytes{f: f}, nil
+	return &fakeBytes{f: f, n: len(f.codes) / f.rb}, nil
+}
+
+func (f *fakeExt) checkBucket(start, n, rows int, released bool) {
+	if released {
+		f.t.Fatal("Bucket after Release")
+	}
+	if start < 0 || n < 0 || start+n > rows {
+		f.t.Fatalf("Bucket(%d, %d) outside the %d-row payload", start, n, rows)
+	}
 }
 
 func (f *fakeExt) checkSpan(i0, i1, rows int, released bool) {
@@ -48,22 +58,30 @@ func (f *fakeExt) checkSpan(i0, i1, rows int, released bool) {
 
 type fakeFloats struct {
 	f        *fakeExt
+	start, n int // the current bucket's payload rows
 	bufs     [2][]float32
 	cur      int
 	released bool
 }
 
-func (s *fakeFloats) Rows() int { return len(s.f.floats) / s.f.dim }
+func (s *fakeFloats) Rows() int { return s.n }
 func (s *fakeFloats) Dim() int  { return s.f.dim }
 
+func (s *fakeFloats) Bucket(start, n int) {
+	s.f.checkBucket(start, n, len(s.f.floats)/s.f.dim, s.released)
+	poisonFloats(s.bufs[0])
+	poisonFloats(s.bufs[1])
+	s.start, s.n = start, n
+}
+
 func (s *fakeFloats) Block(i0, i1 int) []float32 {
-	s.f.checkSpan(i0, i1, s.Rows(), s.released)
+	s.f.checkSpan(i0, i1, s.n, s.released)
 	poisonFloats(s.bufs[s.cur])
 	s.cur ^= 1
 	if s.bufs[s.cur] == nil {
 		s.bufs[s.cur] = make([]float32, index.ScanBlockRows*s.f.dim)
 	}
-	n := copy(s.bufs[s.cur], s.f.floats[i0*s.f.dim:i1*s.f.dim])
+	n := copy(s.bufs[s.cur], s.f.floats[(s.start+i0)*s.f.dim:(s.start+i1)*s.f.dim])
 	return s.bufs[s.cur][:n]
 }
 
@@ -79,22 +97,30 @@ func (s *fakeFloats) Release() {
 
 type fakeBytes struct {
 	f        *fakeExt
+	start, n int // the current bucket's payload rows
 	bufs     [2][]byte
 	cur      int
 	released bool
 }
 
-func (s *fakeBytes) Rows() int     { return len(s.f.codes) / s.f.rb }
+func (s *fakeBytes) Rows() int     { return s.n }
 func (s *fakeBytes) RowBytes() int { return s.f.rb }
 
+func (s *fakeBytes) Bucket(start, n int) {
+	s.f.checkBucket(start, n, len(s.f.codes)/s.f.rb, s.released)
+	poisonBytes(s.bufs[0])
+	poisonBytes(s.bufs[1])
+	s.start, s.n = start, n
+}
+
 func (s *fakeBytes) Block(i0, i1 int) []byte {
-	s.f.checkSpan(i0, i1, s.Rows(), s.released)
+	s.f.checkSpan(i0, i1, s.n, s.released)
 	poisonBytes(s.bufs[s.cur])
 	s.cur ^= 1
 	if s.bufs[s.cur] == nil {
 		s.bufs[s.cur] = make([]byte, index.ScanBlockRows*s.f.rb)
 	}
-	n := copy(s.bufs[s.cur], s.f.codes[i0*s.f.rb:i1*s.f.rb])
+	n := copy(s.bufs[s.cur], s.f.codes[(s.start+i0)*s.f.rb:(s.start+i1)*s.f.rb])
 	return s.bufs[s.cur][:n]
 }
 
@@ -174,8 +200,8 @@ func prefillBetween(rs []topk.Result) []topk.Result {
 // through every bucket-scan entry point and through SearchInto a
 // pre-filled heap, across metrics, filter selectivities (none, 2 %, 50 %)
 // and probe widths — including buckets
-// longer than a scan block, whose row ranges straddle the payload's block
-// boundaries.
+// longer than a scan block, served as several blocks from the bucket's
+// first row.
 func TestExternalizedMatchesResident(t *testing.T) {
 	d := dataset.DeepLike(4000, 71)
 	const nq, nlist = 4, 16

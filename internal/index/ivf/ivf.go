@@ -346,9 +346,7 @@ func (x *IVF) scanFlat(rows flatRows, query []float32, bucket int, sel index.Sel
 		// may use the sorted-span block skip.
 		sel.Pos, sel.PosSorted = x.pos[bucket], true
 	}
-	src := rows.bucket(bucket)
-	index.ScanBlockedSource(h, x.metric, query, src, x.ids[bucket], sel)
-	src.Release()
+	index.ScanBlockedSource(h, x.metric, query, rows.bucket(bucket), x.ids[bucket], sel)
 }
 
 // scanSQ8 is the one IVF_SQ8 bucket scan: distances are computed directly
@@ -396,7 +394,6 @@ func (x *IVF) scanSQ8(rows sq8Rows, sq *quantizer.SQ8Query, bucket int, sel inde
 		}
 	}
 	bufferpool.PutFloats(bp)
-	src.Release()
 }
 
 func (x *IVF) pqTable(query []float32) *quantizer.ADCTable {

@@ -1,16 +1,15 @@
 package index
 
 import (
-	"vectordb/internal/bufferpool"
 	"vectordb/internal/topk"
 	"vectordb/internal/vec"
 )
 
 // BlockSource abstracts where a blocked scan's vectors live: a live RAM
-// slice (growing segments), an mmap'd extent, or a cache of 256-row
-// blocks faulted in from local disk or objstore (sealed segments). The
-// scan driver only ever asks for one aligned block at a time, which is
-// what makes bounded-memory out-of-core scans possible.
+// slice (growing segments), or a cache of blocks of at most 256 rows
+// copied out of an mmap'd extent (sealed segments and externalized IVF
+// buckets). The scan driver only ever asks for one aligned block at a
+// time, which is what makes bounded-memory out-of-core scans possible.
 type BlockSource interface {
 	Rows() int
 	Dim() int
@@ -43,118 +42,14 @@ func (s SliceSource) Block(i0, i1 int) []float32    { return s.Data[i0*s.D : i1*
 func (s SliceSource) Release()                      {}
 func (s SliceSource) Contiguous() ([]float32, bool) { return s.Data, true }
 
-// RangeSource exposes rows [Start, Start+N) of a parent source as a
-// source of its own. Its blocks are aligned in *local* coordinates while
-// the parent's are aligned in parent coordinates, so a local block can
-// straddle two parent blocks; the straddling case stitches the halves
-// into pooled scratch (the parent view is invalidated by the second
-// Block call, so the first half must be copied out). IVF bucket scans
-// use this to run build-order bucket ranges against one shared
-// build-order extent.
-type RangeSource struct {
-	Src     BlockSource
-	Start   int
-	N       int
-	scratch *[]float32
-}
-
-func (r *RangeSource) Rows() int { return r.N }
-func (r *RangeSource) Dim() int  { return r.Src.Dim() }
-
-func (r *RangeSource) Block(i0, i1 int) []float32 {
-	dim := r.Src.Dim()
-	a0, a1 := r.Start+i0, r.Start+i1
-	b0 := (a0 / ScanBlockRows) * ScanBlockRows
-	b1 := b0 + ScanBlockRows
-	if pr := r.Src.Rows(); b1 > pr {
-		b1 = pr
-	}
-	if a1 <= b1 {
-		v := r.Src.Block(b0, b1)
-		return v[(a0-b0)*dim : (a1-b0)*dim]
-	}
-	// Straddles two parent blocks.
-	if r.scratch == nil {
-		sp := bufferpool.GetFloats(ScanBlockRows * dim)
-		r.scratch = sp // escapes to the source; Release returns it
-	}
-	out := (*r.scratch)[:(a1-a0)*dim]
-	v := r.Src.Block(b0, b1)
-	k := copy(out, v[(a0-b0)*dim:(b1-b0)*dim])
-	b2 := b1 + ScanBlockRows
-	if pr := r.Src.Rows(); b2 > pr {
-		b2 = pr
-	}
-	v = r.Src.Block(b1, b2)
-	copy(out[k:], v[:(a1-b1)*dim])
-	return out
-}
-
-func (r *RangeSource) Release() {
-	if r.scratch != nil {
-		bufferpool.PutFloats(r.scratch)
-		r.scratch = nil
-	}
-	r.Src.Release()
-}
-
 // ByteBlockSource is the code-shaped sibling of BlockSource: row-major
-// uint8 rows (SQ8 codes) served one aligned block at a time. Used by the
-// externalized IVF_SQ8 bucket scans.
+// uint8 rows (SQ8 codes) served one aligned block at a time, under the
+// same contract. Used by the IVF_SQ8 bucket scans.
 type ByteBlockSource interface {
 	Rows() int
 	RowBytes() int
 	Block(i0, i1 int) []byte
 	Release()
-}
-
-// ByteRangeSource exposes rows [Start, Start+N) of a parent
-// ByteBlockSource, stitching straddling blocks through pooled scratch
-// exactly like RangeSource.
-type ByteRangeSource struct {
-	Src     ByteBlockSource
-	Start   int
-	N       int
-	scratch *[]byte
-}
-
-func (r *ByteRangeSource) Rows() int     { return r.N }
-func (r *ByteRangeSource) RowBytes() int { return r.Src.RowBytes() }
-
-func (r *ByteRangeSource) Block(i0, i1 int) []byte {
-	rb := r.Src.RowBytes()
-	a0, a1 := r.Start+i0, r.Start+i1
-	b0 := (a0 / ScanBlockRows) * ScanBlockRows
-	b1 := b0 + ScanBlockRows
-	if pr := r.Src.Rows(); b1 > pr {
-		b1 = pr
-	}
-	if a1 <= b1 {
-		v := r.Src.Block(b0, b1)
-		return v[(a0-b0)*rb : (a1-b0)*rb]
-	}
-	if r.scratch == nil {
-		sp := bufferpool.GetBytes(ScanBlockRows * rb)
-		r.scratch = sp // escapes to the source; Release returns it
-	}
-	out := (*r.scratch)[:(a1-a0)*rb]
-	v := r.Src.Block(b0, b1)
-	k := copy(out, v[(a0-b0)*rb:(b1-b0)*rb])
-	b2 := b1 + ScanBlockRows
-	if pr := r.Src.Rows(); b2 > pr {
-		b2 = pr
-	}
-	v = r.Src.Block(b1, b2)
-	copy(out[k:], v[:(a1-b1)*rb])
-	return out
-}
-
-func (r *ByteRangeSource) Release() {
-	if r.scratch != nil {
-		bufferpool.PutBytes(r.scratch)
-		r.scratch = nil
-	}
-	r.Src.Release()
 }
 
 // ScanBlockedSource is ScanBlocked over a BlockSource: the data arrives one

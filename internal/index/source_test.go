@@ -178,74 +178,3 @@ func TestScanBlockedSourceContiguousFastPath(t *testing.T) {
 	ScanBlocked(h2, vec.L2, query, data, dim, nil, Selection{})
 	exactResults(t, drain(h2), drain(h), "contiguous")
 }
-
-// TestRangeSourceConformance: a ranged view over a shared source must
-// behave exactly like a slice of the underlying rows, including ranges
-// that straddle parent block boundaries.
-func TestRangeSourceConformance(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const dim = 16
-	parentRows := 2000
-	data := randData(rng, parentRows, dim)
-	query := randData(rng, 1, dim)
-	for _, r := range []struct{ start, n int }{
-		{0, 100}, {256, 256}, {100, 700}, {137, 519}, {1999, 1}, {300, 0},
-	} {
-		sub := data[r.start*dim : (r.start+r.n)*dim]
-		hRAM := topk.New(7)
-		ScanBlocked(hRAM, vec.L2, query, sub, dim, nil, Selection{})
-
-		rs := &RangeSource{Src: &chunkSource{t: t, data: data, dim: dim}, Start: r.start, N: r.n}
-		hSrc := topk.New(7)
-		ScanBlockedSource(hSrc, vec.L2, query, rs, nil, Selection{})
-		rs.Release()
-		exactResults(t, drain(hRAM), drain(hSrc), "range")
-	}
-}
-
-// TestByteRangeSource: the code-shaped range source serves exactly the
-// underlying rows for aligned and straddling spans.
-func TestByteRangeSource(t *testing.T) {
-	const rb = 12
-	parentRows := 1000
-	data := make([]byte, parentRows*rb)
-	for i := range data {
-		data[i] = byte(i * 31)
-	}
-	parent := &byteChunkSource{data: data, rb: rb}
-	rs := &ByteRangeSource{Src: parent, Start: 200, N: 600}
-	defer rs.Release()
-	for i0 := 0; i0 < 600; i0 += ScanBlockRows {
-		i1 := i0 + ScanBlockRows
-		if i1 > 600 {
-			i1 = 600
-		}
-		got := rs.Block(i0, i1)
-		want := data[(200+i0)*rb : (200+i1)*rb]
-		if len(got) != len(want) {
-			t.Fatalf("block [%d,%d): len %d want %d", i0, i1, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("block [%d,%d): byte %d differs", i0, i1, j)
-			}
-		}
-	}
-}
-
-type byteChunkSource struct {
-	data []byte
-	rb   int
-	buf  []byte
-}
-
-func (b *byteChunkSource) Rows() int     { return len(b.data) / b.rb }
-func (b *byteChunkSource) RowBytes() int { return b.rb }
-func (b *byteChunkSource) Block(i0, i1 int) []byte {
-	if b.buf == nil {
-		b.buf = make([]byte, ScanBlockRows*b.rb)
-	}
-	n := copy(b.buf, b.data[i0*b.rb:i1*b.rb])
-	return b.buf[:n]
-}
-func (b *byteChunkSource) Release() {}

@@ -20,7 +20,6 @@ type poolPair struct {
 var poolPairs = []poolPair{
 	{pkgSuffix: "internal/bufferpool", get: "GetFloats", put: "PutFloats", noun: "pooled buffer"},
 	{pkgSuffix: "internal/bufferpool", get: "GetInt32s", put: "PutInt32s", noun: "pooled row list"},
-	{pkgSuffix: "internal/bufferpool", get: "GetBytes", put: "PutBytes", noun: "pooled byte buffer"},
 	{pkgSuffix: "internal/bitset", get: "Get", put: "Put", noun: "pooled bitset"},
 	{pkgSuffix: "internal/topk", get: "GetHeap", put: "PutHeap", noun: "pooled heap"},
 }

@@ -94,19 +94,51 @@ func NewFS(root string) (*FS, error) {
 
 func (f *FS) path(key string) string { return filepath.Join(f.root, filepath.FromSlash(key)) }
 
-// Put implements Store with an atomic rename so readers never observe
-// partial objects.
+// tmpSuffix ends every temp file Put writes; List skips such names.
+const tmpSuffix = ".tmp"
+
+// Put implements Store durably. The data goes to a temp file of its own in
+// the key's directory, which is fsynced, renamed over the key, and then the
+// directory is fsynced: a reader sees the old object or the whole new one,
+// concurrent Puts of one key never write the same file, and a Put that
+// returned survives a crash.
 func (f *FS) Put(key string, data []byte) error {
 	p := f.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+	dir := filepath.Dir(p)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("objstore: mkdir: %w", err)
 	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(p)+".*"+tmpSuffix)
+	if err != nil {
+		return fmt.Errorf("objstore: create: %w", err)
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644) // CreateTemp's 0600 would narrow the old mode
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), p)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
 		return fmt.Errorf("objstore: write: %w", err)
 	}
-	if err := os.Rename(tmp, p); err != nil {
-		return fmt.Errorf("objstore: rename: %w", err)
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("objstore: sync dir: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("objstore: sync dir: %w", err)
 	}
 	return nil
 }
@@ -132,11 +164,11 @@ func (f *FS) Delete(key string) error {
 	return nil
 }
 
-// List implements Store.
+// List implements Store. Put's temp files are not keys.
 func (f *FS) List(prefix string) ([]string, error) {
 	var out []string
 	err := filepath.Walk(f.root, func(p string, info os.FileInfo, err error) error {
-		if err != nil || info.IsDir() || strings.HasSuffix(p, ".tmp") {
+		if err != nil || info.IsDir() || strings.HasSuffix(p, tmpSuffix) {
 			return err
 		}
 		rel, err := filepath.Rel(f.root, p)

@@ -1,7 +1,10 @@
 package objstore
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"sync"
 	"testing"
 )
 
@@ -103,8 +106,69 @@ func TestFSListSkipsTempFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.Put("a/b", []byte("1"))
+	// A writer's temp file in flight, and one an older Put left behind.
+	for _, name := range []string{"a/.b.123.tmp", "a/b.tmp"} {
+		if err := os.WriteFile(dir+"/"+name, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	keys, err := fs.List("")
 	if err != nil || len(keys) != 1 || keys[0] != "a/b" {
+		t.Fatalf("List = %v, %v", keys, err)
+	}
+}
+
+// TestFSConcurrentPutsOfOneKey: writers racing on one key never share a
+// temp file. Every Get during and after the race returns one writer's
+// whole payload, and no temp file survives.
+func TestFSConcurrentPutsOfOneKey(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, rounds = 8, 20
+	payload := func(w int) []byte { // distinct length and content per writer
+		return bytes.Repeat([]byte{byte('a' + w)}, 4096+1000*w)
+	}
+	whole := func(got []byte) bool {
+		return len(got) > 0 && bytes.Equal(got, payload(int(got[0]-'a')))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if err := fs.Put("seg/k", payload(w)); err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := fs.Get("seg/k")
+				if err != nil || !whole(got) {
+					t.Errorf("Get during the race: %d bytes, %v", len(got), err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	got, err := fs.Get("seg/k")
+	if err != nil || !whole(got) {
+		t.Fatalf("Get after the race: %d bytes, %v", len(got), err)
+	}
+	ents, err := os.ReadDir(dir + "/seg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "k" {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v, want only the object", names)
+	}
+	if keys, err := fs.List(""); err != nil || len(keys) != 1 || keys[0] != "seg/k" {
 		t.Fatalf("List = %v, %v", keys, err)
 	}
 }
