@@ -56,34 +56,28 @@ ci: vet fmt build lint test cover kernel-guard repro-check conformance-filter co
 	$(GO) test -race ./internal/core -run 'TestSearchCtx|TestAdmission'
 
 # conformance-ooc is the out-of-core ground-truth gate: tiered segments
-# (mmap-backed extents, block-cache scans, cold copies in the object
-# store) must return bit-identical results to the in-RAM path across flat,
-# IVF, SQ8 and filtered searches, survive demote/promote cycles and
-# restores, and tolerate truncated extent files (internal/colstore
-# recovery tests). Every sealed segment is one SEGX object: it round-trips
-# through DecodeSegment, is Put exactly once, and a corrupted one fails a
-# restore and a cluster reader's load instead of serving altered vectors.
-# The block cache recycles evicted frames, so a scan that read a view after
-# its pin would see another block's rows: the frame-lifecycle unit tests
-# and the concurrent recycle conformance test also run race-enabled here.
-# A cache block is the run a scan reads: one tiered probe on a cold cache
-# misses exactly ⌈len(b)/256⌉ blocks per probed bucket and fills exactly
-# those buckets' bytes (TestTieredProbeFillsBucketBlocks, selected by
-# -run TestTiered). Below the collection, the block-by-block source scan
-# must equal the resident ScanBlocked, and an externalized IVF_FLAT/IVF_SQ8
-# index — its provider serving each bucket's rows as blocks from the
-# bucket's first row — its resident original, on every bucket-scan entry
-# point.
+# (mmap-backed extents read in place, cold copies in the object store) must
+# return bit-identical results to the in-RAM path across flat, IVF, SQ8 and
+# filtered searches, survive demote/promote cycles and restores, and
+# tolerate truncated extent files (internal/colstore recovery tests). Every
+# sealed segment is one SEGX object: it round-trips through DecodeSegment,
+# is Put exactly once, and a corrupted one fails a restore and a cluster
+# reader's load instead of serving altered vectors. A scan reads the
+# mapping only while it holds the pin it took: an externalized
+# IVF_FLAT/IVF_SQ8 index — its provider handing each probe sweep a payload
+# copy that is poisoned at release — must equal its resident original on
+# every bucket-scan entry point, and the concurrent conformance test runs
+# race-enabled with demotes and segment GC destroying tiers under the
+# scans, ending with no pin held. The last release of a
+# destroyed tier unmaps it, and budget enforcement passes over pinned
+# tiers (both selected by -run TestTiered).
 conformance-ooc:
-	$(GO) test ./internal/index -run TestScanBlockedSource
 	$(GO) test ./internal/index/ivf -run TestExternalizedMatchesResident
 	$(GO) test ./internal/core -run TestTiered
 	$(GO) test ./internal/core -run TestDBTierDefaults
 	$(GO) test ./internal/core -run 'TestSegmentEncodeDecodeRoundTrip|TestDecodeSegmentRejectsMutants|FuzzDecodeSegment|TestCorruptSegmentObject|TestOneStoreObjectPerSegment'
 	$(GO) test ./internal/colstore -run TestExtent
 	$(GO) test ./internal/cluster -run TestReaderCorruptSegmentObject
-	$(GO) test ./internal/blockcache
-	$(GO) test -race ./internal/blockcache
 	$(GO) test -race ./internal/core -run TestTieredConcurrentRecycle
 
 # conformance-filter is the filtered-ANN ground-truth gate: every index

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	vectordbd [-addr :19530] [-data DIR] [-query-timeout 0] [-batch-size 0]
-//	          [-tier-dir DIR] [-cache-mb 256] [-tier-mapped-mb 0]
+//	          [-tier-dir DIR] [-tier-mapped-mb 0]
 //	          [-recalibrate]
 //
 // With -data, segments persist to the directory; otherwise storage is
@@ -15,9 +15,10 @@
 // (0 = engine default, 1 turns batching off).
 // With -tier-dir, sealed segments live out of core: each segment's stored
 // object is mapped from an extent file under the directory (cold segments
-// keep only the object), and scans run through a shared block cache capped
-// at -cache-mb MiB. -tier-mapped-mb bounds the summed mmap'd bytes per
-// collection (0 = unlimited; the LRU demotes extents past the budget).
+// keep only the object), and scans read the mapped bytes in place.
+// -tier-mapped-mb bounds the summed mmap'd bytes per collection, the
+// tier's one residency bound (0 = unlimited; the LRU demotes extents past
+// the budget).
 //
 // The query planner calibrates its cost model (kernel throughput per SIMD
 // tier, SQ8 scan, single-row distance and bitset compile rates) on first
@@ -49,7 +50,6 @@ func main() {
 	queryTimeout := flag.Duration("query-timeout", 0, "per-search deadline (0 = none)")
 	batchSize := flag.Int("batch-size", 0, "formed-batch size cap (0 = engine default, 1 disables batching)")
 	tierDir := flag.String("tier-dir", "", "out-of-core extent directory (empty = segments stay in RAM)")
-	cacheMB := flag.Int64("cache-mb", 256, "shared block-cache capacity in MiB (with -tier-dir)")
 	mappedMB := flag.Int64("tier-mapped-mb", 0, "per-collection mmap budget in MiB (0 = unlimited, with -tier-dir)")
 	recalibrate := flag.Bool("recalibrate", false, "force a fresh planner calibration pass, ignoring any persisted profile")
 	flag.Parse()
@@ -67,10 +67,9 @@ func main() {
 	if *tierDir != "" {
 		db.EnableTiering(core.TierDefaults{
 			Dir:         *tierDir,
-			CacheBytes:  *cacheMB << 20,
 			MappedBytes: *mappedMB << 20,
 		})
-		log.Printf("vectordbd tiering: extents under %s, cache %d MiB", *tierDir, *cacheMB)
+		log.Printf("vectordbd tiering: extents under %s, mapped budget %d MiB per collection (0 = unlimited)", *tierDir, *mappedMB)
 	}
 
 	// Planner calibration: persisted beside the tier dir when there is one

@@ -151,7 +151,7 @@ func (e *Extent) Int64s() []int64 {
 
 // FloatsToBytes views a []float32 as its little-endian byte image without
 // copying (the inverse of Floats on this architecture). Used to build
-// extent payloads from live columns and float-aligned cache blocks.
+// extent payloads from live columns.
 func FloatsToBytes(f []float32) []byte {
 	if len(f) == 0 {
 		return nil
@@ -164,33 +164,6 @@ func FloatsToBytes(f []float32) []byte {
 		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(x))
 	}
 	return out
-}
-
-// ViewFloats aliases a little-endian float32 byte image in place when the
-// host's endianness and the slice's alignment allow it, reporting ok=false
-// otherwise (the caller then decodes with a copy). Cached blocks are
-// float-backed by construction, so the view succeeds on every little-endian
-// host.
-func ViewFloats(b []byte) ([]float32, bool) {
-	if len(b)%4 != 0 {
-		return nil, false
-	}
-	if len(b) == 0 {
-		return nil, true
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4), true
-	}
-	return nil, false
-}
-
-// DecodeFloats decodes a little-endian float32 byte image into dst
-// (len(b)/4 values). The copying fallback for hosts where ViewFloats
-// cannot alias.
-func DecodeFloats(dst []float32, b []byte) {
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
 }
 
 // Int64sToBytes views a []int64 as its little-endian byte image without

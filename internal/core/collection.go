@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"vectordb/internal/bitset"
-	"vectordb/internal/blockcache"
 	"vectordb/internal/colstore"
 	"vectordb/internal/exec"
 	"vectordb/internal/index"
@@ -66,18 +65,14 @@ type Config struct {
 	// TierDir enables out-of-core sealed segments when non-empty: each
 	// sealed segment's stored image is also written as one mmap-backed
 	// extent file under this directory, vector payloads are dropped from
-	// the Go heap, and scans fault blocks of ≤ 256 rows through the cache.
+	// the Go heap, and scans read the mapped bytes in place.
 	// A demoted segment's cold copy is its object in the collection's
 	// store. Empty keeps the all-RAM behaviour.
 	TierDir string
-	// TierCache is the block cache serving tiered scans; nil with TierDir
-	// set creates a collection-private cache of TierCacheBytes capacity
-	// (0 = unbounded) and registers its vectordb_blockcache_* series.
-	TierCache      *blockcache.Cache
-	TierCacheBytes int64
-	// TierMappedBytes bounds the summed size of mmap'd extent files; when
-	// exceeded, the least-recently-used unpinned mapped segments demote to
-	// cold. 0 keeps every tiered segment mapped.
+	// TierMappedBytes bounds the summed size of mmap'd extent files, the
+	// tier's one residency bound; when exceeded, the least-recently-used
+	// unpinned mapped segments demote to cold. 0 keeps every tiered segment
+	// mapped.
 	TierMappedBytes int64
 	// Planner is the cost-based query planner pricing per-query execution
 	// venue and deciding filter strategy. Nil creates a collection-private
@@ -194,16 +189,8 @@ func NewCollection(name string, schema Schema, store objstore.Store, cfg Config)
 		stopTimer: make(chan struct{}),
 	}
 	if cfg.TierDir != "" {
-		cache := cfg.TierCache
-		if cache == nil {
-			cache = blockcache.New(cfg.TierCacheBytes, 0)
-			// A private cache's series carry the collection label; a shared
-			// cache is registered once by whoever created it.
-			registerBlockCacheMetrics(cfg.Obs, cache, "collection", name)
-		}
 		c.tier = &collTier{
 			dir:    filepath.Join(cfg.TierDir, name),
-			cache:  cache,
 			store:  store,
 			budget: cfg.TierMappedBytes,
 			met:    c.met,
@@ -213,7 +200,7 @@ func NewCollection(name string, schema Schema, store objstore.Store, cfg Config)
 	c.snaps = newSnapTracker(func(seg *Segment) {
 		// Background GC of obsolete segments (Sec. 5.2): drop the segment
 		// object, any persisted per-field indexes, and the tiered extent
-		// storage (local files, cached blocks, index-payload objects).
+		// storage (mappings, local files, index-payload objects).
 		key := c.segmentKey(seg.ID)
 		_ = c.store.Delete(key)
 		for f := range schema.VectorFields {

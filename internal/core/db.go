@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"vectordb/internal/blockcache"
 	"vectordb/internal/exec"
 	"vectordb/internal/objstore"
 	"vectordb/internal/obs"
@@ -28,11 +27,10 @@ type DB struct {
 	mu          sync.RWMutex
 	collections map[string]*Collection
 
-	// tier/tierCache are the database-wide out-of-core defaults installed
-	// by EnableTiering; collections created without their own tier settings
-	// inherit them, sharing one block cache.
-	tier      TierDefaults
-	tierCache *blockcache.Cache
+	// tier holds the database-wide out-of-core defaults installed by
+	// EnableTiering; collections created without their own tier settings
+	// inherit them.
+	tier TierDefaults
 }
 
 // NewDB creates a database over store (in-memory store when nil).
@@ -101,31 +99,28 @@ func registerRuntimeMetrics(reg *obs.Registry) {
 func (db *DB) Store() objstore.Store { return db.store }
 
 // TierDefaults is the database-wide out-of-core configuration: collections
-// created without their own tier settings inherit it, so one block-cache
-// capacity bound holds across the whole process.
+// created without their own tier settings inherit it.
 type TierDefaults struct {
-	Dir         string // extent-file root; one subdirectory per collection
-	CacheBytes  int64  // shared block-cache capacity (0 = cache default)
-	MappedBytes int64  // per-collection mapped-bytes budget (0 = unlimited)
+	Dir string // extent-file root; one subdirectory per collection
+	// Deprecated: ignored. Tiered scans read the mapping in place, so there
+	// is no block cache to size; the field stays only until its one
+	// setter, the benchmark server in e2ebench/server.go, stops setting it.
+	CacheBytes  int64
+	MappedBytes int64 // per-collection mapped-bytes budget (0 = unlimited)
 }
 
 // EnableTiering installs database-wide out-of-core defaults. Every
 // collection created afterwards without explicit tier settings maps its
 // sealed segment objects as extent files under Dir/<collection> (a cold
-// segment keeps only its object in the database's store), and serves
-// blocked scans from one shared capacity-bounded block cache, whose series
-// are registered here — once, unlabeled by collection — on the database's
-// registry. A second call, or a call with an empty Dir, is a no-op.
+// segment keeps only its object in the database's store) and scans them
+// in place. A second call, or a call with an empty Dir, is a no-op.
 func (db *DB) EnableTiering(d TierDefaults) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.tierCache != nil || d.Dir == "" {
+	if db.tier.Dir != "" || d.Dir == "" {
 		return
 	}
-	cache := blockcache.New(d.CacheBytes, 0)
-	registerBlockCacheMetrics(db.reg, cache, "scope", "db")
 	db.tier = d
-	db.tierCache = cache
 }
 
 // CreateCollection creates and registers a collection.
@@ -147,9 +142,8 @@ func (db *DB) CreateCollection(name string, schema Schema, cfg Config) (*Collect
 	if cfg.Planner == nil {
 		cfg.Planner = db.planner
 	}
-	if db.tierCache != nil && cfg.TierDir == "" {
+	if db.tier.Dir != "" && cfg.TierDir == "" {
 		cfg.TierDir = db.tier.Dir
-		cfg.TierCache = db.tierCache
 		if cfg.TierMappedBytes == 0 {
 			cfg.TierMappedBytes = db.tier.MappedBytes
 		}

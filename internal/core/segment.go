@@ -40,7 +40,7 @@ type Segment struct {
 	// tier, when set, is the out-of-core residency state machine: the
 	// vector payloads live in an mmap-backed extent file (and the segment's
 	// object in the store) instead of Vectors[f].Data, and every read goes
-	// through the vectorSource/vectorData/vectorRows accessors. Nil = hot
+	// through the vectorData/vectorRows accessors. Nil = hot
 	// (all-RAM).
 	tier *segTier
 
@@ -257,22 +257,14 @@ func (s *Segment) SearchInto(h *topk.Heap, schema *Schema, field int, query []fl
 		index.SearchInto(idx, h, query, p)
 		return
 	}
-	sel := index.Selection{Bits: p.Bits}
-	if s.tier == nil {
-		// Resident path: call the slice kernel directly (no interface
-		// boxing — this path must stay allocation-free).
-		col := s.Vectors[field]
-		index.ScanBlocked(h, schema.VectorFields[field].Metric, query, col.Data, col.Dim, s.IDs, sel)
-		return
-	}
-	src, err := s.vectorSource(field)
+	data, rel, err := s.vectorData(field)
 	if err != nil {
 		// Promotion exhausted its retries; this segment contributes
 		// nothing to the query rather than torn results.
 		return
 	}
-	index.ScanBlockedSource(h, schema.VectorFields[field].Metric, query, src, s.IDs, sel)
-	src.Release()
+	index.ScanBlocked(h, schema.VectorFields[field].Metric, query, data, s.Vectors[field].Dim, s.IDs, index.Selection{Bits: p.Bits})
+	rel()
 }
 
 // BuildIndex builds (synchronously) an index of the named type over one

@@ -296,7 +296,7 @@ func TestCorruptSegmentObject(t *testing.T) {
 			store := objstore.NewMemory()
 			cfg := testConfig()
 			if tiered {
-				cfg = tierTestConfig(t, dim, rows, 0)
+				cfg = tierTestConfig(t)
 			}
 			c, err := NewCollection("t", testSchema(dim), store, cfg)
 			if err != nil {
@@ -367,7 +367,7 @@ func TestOneStoreObjectPerSegment(t *testing.T) {
 			store := &putCounter{Store: objstore.NewMemory(), puts: map[string]int{}}
 			cfg := testConfig()
 			if tiered {
-				cfg = tierTestConfig(t, dim, 1024, 0)
+				cfg = tierTestConfig(t)
 			}
 			c, err := NewCollection("t", testSchema(dim), store, cfg)
 			if err != nil {

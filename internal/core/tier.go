@@ -1,35 +1,35 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"vectordb/internal/blockcache"
-	"vectordb/internal/bufferpool"
 	"vectordb/internal/colstore"
 	"vectordb/internal/index"
 	"vectordb/internal/index/ivf"
 	"vectordb/internal/objstore"
-	"vectordb/internal/obs"
 )
 
 // Tiered segment storage: sealed segments move their vector (and column)
 // payloads out of the Go heap into one mmap-backed extent file per segment,
-// and scans pull blocks of at most 256 rows through the shared block cache
-// instead of walking a resident slice — 0-aligned blocks of the segment's
-// data extent, and for an externalized IVF payload blocks that start at
-// each bucket's first row, so a miss copies only the bucket's bytes. A
-// segment's vectors occupy one of three residency states:
+// and scans read the mapped bytes in place: a scan pins the mapping, runs
+// the resident scan body over the extent's slice (a whole data extent, or
+// one probed bucket's rows of an externalized IVF payload), and unpins it.
+// Nothing is copied, and no view outlives its pin — a demoted mapping is
+// gone, so a read after the release would fault. A segment's vectors
+// occupy one of three residency states:
 //
 //	hot    — plain RAM columns (growing segments, or tiering disabled).
 //	         Everything behaves exactly as before.
 //	mapped — the extent file is mmap'd; reads fault pages in lazily
-//	         (kernel readahead), scans go block-by-block through the
-//	         block cache.
+//	         (kernel readahead) and stay in the page cache, which the
+//	         mapped-bytes budget bounds segment by segment.
 //	cold   — the mapping is dropped and the local file removed; the
 //	         extents live only in the segment's object in the store. The
 //	         first touch promotes the segment back to mapped (fetch,
@@ -50,18 +50,17 @@ import (
 // ride through bursts without surfacing errors to queries.
 const promoteRetries = 12
 
-// tierOwnerSeq allocates process-unique block-cache owner IDs, so segments
-// of different collections sharing one cache can never collide even when
-// their segment IDs do.
-var tierOwnerSeq atomic.Uint64
+// tierSeq allocates process-unique tier IDs: a segment's index-payload
+// tiers are named by them, so a rebuilt payload never shares a file or a
+// store key with the one it replaces.
+var tierSeq atomic.Uint64
 
-// collTier is a collection's tiering state: where extent files live, which
-// cache serves blocks, the store holding every tier's cold copy (the
-// collection's own: a data tier's copy is the segment object itself), and
-// the mapped-bytes budget with its LRU bookkeeping.
+// collTier is a collection's tiering state: where extent files live, the
+// store holding every tier's cold copy (the collection's own: a data tier's
+// copy is the segment object itself), and the mapped-bytes budget with its
+// LRU bookkeeping — the one bound on how much of the tier is resident.
 type collTier struct {
 	dir    string
-	cache  *blockcache.Cache
 	store  objstore.Store
 	budget int64 // mapped-bytes ceiling; 0 = unlimited
 	met    *colMetrics
@@ -69,35 +68,17 @@ type collTier struct {
 	mu     sync.Mutex
 	mapped int64
 	clock  int64
-	// segs is keyed by block-cache owner, not segment ID: a segment owns up
-	// to one data tier plus one index-payload tier per vector field, each
-	// with its own file, store key and cache namespace.
+	// segs is keyed by tier ID, not segment ID: a segment owns up to one
+	// data tier plus one index-payload tier per vector field, each with its
+	// own file and store key.
 	segs map[uint64]*segTier
-}
-
-// registerBlockCacheMetrics registers a block cache's vectordb_blockcache_*
-// series: the shared cache shape, the count of frames the cache had to
-// allocate, which stays far below the miss count while evicted frames are
-// being recycled, and the block bytes its misses copied in.
-func registerBlockCacheMetrics(reg *obs.Registry, cache *blockcache.Cache, labels ...string) {
-	reg.RegisterCacheMetrics("vectordb_blockcache", func() obs.CacheStats {
-		st := cache.Stats()
-		return obs.CacheStats{
-			Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
-			Bytes: st.Bytes, Entries: st.Entries, Detail: true,
-		}
-	}, labels...)
-	reg.CounterFunc("vectordb_blockcache_frame_allocs_total",
-		func() int64 { return cache.Stats().FrameAllocs }, labels...)
-	reg.CounterFunc("vectordb_blockcache_fill_bytes_total",
-		func() int64 { return cache.Stats().FillBytes }, labels...)
 }
 
 // register adds a freshly sealed (mapped) extent file to the tier's books
 // and enforces the mapped budget.
 func (ct *collTier) register(t *segTier, mappedBytes int64) {
 	ct.mu.Lock()
-	ct.segs[t.owner] = t
+	ct.segs[t.id] = t
 	ct.clock++
 	t.tick.Store(ct.clock)
 	ct.mapped += mappedBytes
@@ -118,50 +99,65 @@ func (ct *collTier) touch(t *segTier, promotedBytes int64) {
 	}
 }
 
-// unregister removes a destroyed segment, returning bytes freed by its
-// mapping (already subtracted by the caller via demote accounting).
+// unregister removes a destroyed segment from the books, taking off the
+// bytes its mapping freed (0 while pinned: the last release unmaps it and
+// takes them off then).
 func (ct *collTier) unregister(t *segTier, freed int64) {
 	ct.mu.Lock()
-	delete(ct.segs, t.owner)
+	delete(ct.segs, t.id)
 	ct.mapped -= freed
 	ct.mu.Unlock()
 }
 
-// enforceBudget demotes least-recently-used unpinned mapped segments until
-// the mapped total fits the budget. Candidates are snapshotted under ct.mu
-// but demoted outside it (segment mutexes order after nothing).
+// unmapped takes bytes a closed mapping freed off the mapped total.
+func (ct *collTier) unmapped(freed int64) {
+	ct.mu.Lock()
+	ct.mapped -= freed
+	ct.mu.Unlock()
+}
+
+// evict demotes t, reporting whether it went cold (false when pinned or
+// already cold).
+func (ct *collTier) evict(t *segTier) bool {
+	freed := t.demote()
+	if freed > 0 {
+		ct.unmapped(freed)
+	}
+	return freed > 0
+}
+
+// enforceBudget demotes mapped segments in least-recently-used order until
+// the mapped total fits the budget, passing over pinned ones: a pinned
+// segment cannot demote, and the next one in LRU order goes in its place.
+// The LRU order is snapshotted under ct.mu but demoted outside it
+// (segment mutexes order after nothing).
 func (ct *collTier) enforceBudget() {
 	if ct.budget <= 0 {
 		return
 	}
-	for {
+	type lruEntry struct {
+		t    *segTier
+		tick int64
+	}
+	ct.mu.Lock()
+	if ct.mapped <= ct.budget {
+		ct.mu.Unlock()
+		return
+	}
+	lru := make([]lruEntry, 0, len(ct.segs))
+	for _, t := range ct.segs {
+		lru = append(lru, lruEntry{t, t.tick.Load()})
+	}
+	ct.mu.Unlock()
+	slices.SortFunc(lru, func(a, b lruEntry) int { return cmp.Compare(a.tick, b.tick) })
+	for _, e := range lru {
 		ct.mu.Lock()
-		if ct.mapped <= ct.budget {
-			ct.mu.Unlock()
+		over := ct.mapped > ct.budget
+		ct.mu.Unlock()
+		if !over {
 			return
 		}
-		var victim *segTier
-		var victimTick int64
-		for _, t := range ct.segs {
-			if !t.isMapped() {
-				continue
-			}
-			if tk := t.tick.Load(); victim == nil || tk < victimTick {
-				victim, victimTick = t, tk
-			}
-		}
-		ct.mu.Unlock()
-		if victim == nil {
-			return // nothing mapped (or everything pinned)
-		}
-		freed := victim.demote()
-		if freed == 0 {
-			// Pinned or raced to cold; try again later rather than spinning.
-			return
-		}
-		ct.mu.Lock()
-		ct.mapped -= freed
-		ct.mu.Unlock()
+		ct.evict(e.t)
 	}
 }
 
@@ -176,11 +172,8 @@ func (ct *collTier) demoteAll() int {
 	ct.mu.Unlock()
 	n := 0
 	for _, t := range candidates {
-		if freed := t.demote(); freed > 0 {
+		if ct.evict(t) {
 			n++
-			ct.mu.Lock()
-			ct.mapped -= freed
-			ct.mu.Unlock()
 		}
 	}
 	return n
@@ -188,12 +181,12 @@ func (ct *collTier) demoteAll() int {
 
 // segTier is one sealed segment's residency state machine. mf == nil means
 // cold; mf != nil means mapped. pins counts live readers of the mapping —
-// a pinned segment never demotes, so extent views handed to scans stay
-// valid for exactly as long as the scan holds its pin.
+// a pinned segment never demotes or unmaps, so extent views handed to scans
+// stay valid for exactly as long as the scan holds its pin.
 type segTier struct {
 	ct    *collTier
 	segID int64
-	owner uint64 // block-cache namespace
+	id    uint64 // process-unique tier ID
 	path  string // local extent file
 	key   string // cold copy's store key
 	tick  atomic.Int64
@@ -201,7 +194,7 @@ type segTier struct {
 	mu   sync.Mutex
 	mf   *colstore.MappedFile
 	pins int
-	gone bool // destroyed by GC; acquire must fail
+	gone bool // destroyed by GC; acquire must fail, the last release unmaps
 }
 
 func (t *segTier) isMapped() bool {
@@ -211,7 +204,8 @@ func (t *segTier) isMapped() bool {
 }
 
 // acquire pins the segment's mapping, promoting from the store when
-// cold. Every acquire must be paired with exactly one release call.
+// cold. Every acquire must be paired with exactly one call of the returned
+// release, after the caller's last read of the mapping.
 func (t *segTier) acquire() (*colstore.MappedFile, func(), error) {
 	t.mu.Lock()
 	if t.gone {
@@ -232,12 +226,38 @@ func (t *segTier) acquire() (*colstore.MappedFile, func(), error) {
 	mf := t.mf
 	t.mu.Unlock()
 	t.ct.touch(t, promoted)
-	release := func() {
-		t.mu.Lock()
-		t.pins--
-		t.mu.Unlock()
+	return mf, t.release, nil
+}
+
+// release drops one pin. The last pin of a destroyed tier closes the
+// mapping destroy had to leave open and takes its bytes off the mapped
+// total. The last pin of a live tier re-enforces the budget: enforcement
+// passes over pinned tiers, so concurrent scans can hold the collection
+// over its budget until they let go.
+func (t *segTier) release() {
+	t.mu.Lock()
+	t.pins--
+	last := t.pins == 0
+	freed := int64(0)
+	if last && t.gone && t.mf != nil {
+		freed = t.unmapLocked()
 	}
-	return mf, release, nil
+	t.mu.Unlock()
+	if freed > 0 {
+		t.ct.unmapped(freed)
+	}
+	if last {
+		t.ct.enforceBudget()
+	}
+}
+
+// unmapLocked closes the mapping and returns its size. Caller holds t.mu
+// and has checked mf != nil and pins == 0.
+func (t *segTier) unmapLocked() int64 {
+	freed := int64(t.mf.Size())
+	_ = t.mf.Close()
+	t.mf = nil
+	return freed
 }
 
 // promoteLocked maps the segment's extent file, fetching it from the store
@@ -287,47 +307,37 @@ func (t *segTier) promoteLocked() (*colstore.MappedFile, error) {
 }
 
 // demote drops the mapping and the local file, leaving the store copy as
-// the segment's only storage. Cached blocks stay valid — they are copies —
-// so a recently scanned cold segment still answers from cache. Returns the
-// mapped bytes freed, or 0 when the segment is pinned or already cold.
+// the segment's only storage. Returns the mapped bytes freed, or 0 when
+// the segment is pinned or already cold.
 func (t *segTier) demote() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.mf == nil || t.pins > 0 || t.gone {
 		return 0
 	}
-	freed := int64(t.mf.Size())
-	_ = t.mf.Close()
-	t.mf = nil
+	freed := t.unmapLocked()
 	_ = os.Remove(t.path)
 	t.ct.met.tierDemotes.Inc()
 	return freed
 }
 
-// destroy releases everything on segment GC: mapping, local file, cached
-// blocks, store copy. Safe while readers still hold pins — the mapping
-// closes only when unpinned; a pinned mapping is abandoned to its pin
-// holders (their release is the last reference) and the file goes away
-// underneath it, which mmap semantics allow.
+// destroy releases everything on segment GC: mapping, local file, store
+// copy. Safe while readers still hold pins — the mapping closes only when
+// unpinned; a pinned mapping is left to its pin holders, the last release
+// closes it, and the file goes away underneath it, which mmap semantics
+// allow.
 func (t *segTier) destroy() {
 	t.mu.Lock()
 	t.gone = true
 	freed := int64(0)
 	if t.mf != nil && t.pins == 0 {
-		freed = int64(t.mf.Size())
-		_ = t.mf.Close()
-		t.mf = nil
+		freed = t.unmapLocked()
 	}
 	t.mu.Unlock()
 	_ = os.Remove(t.path)
-	t.ct.cache.Drop(t.owner)
 	_ = t.ct.store.Delete(t.key)
 	t.ct.unregister(t, freed)
 }
-
-// tierExtID packs an extent identity (kind, field) into the block-cache
-// key's Ext discriminator.
-func tierExtID(kind, field uint32) uint32 { return kind<<16 | (field & 0xffff) }
 
 // tierSegment makes img — seg's stored object, as seal just Put it or
 // restore just fetched it — the segment's local extent file: it writes the
@@ -344,7 +354,7 @@ func (c *Collection) tierSegment(seg *Segment, img []byte) error {
 	t := &segTier{
 		ct:    ct,
 		segID: seg.ID,
-		owner: tierOwnerSeq.Add(1),
+		id:    tierSeq.Add(1),
 		path:  filepath.Join(ct.dir, fmt.Sprintf("seg-%d.segx", seg.ID)),
 		key:   c.segmentKey(seg.ID),
 	}
@@ -372,93 +382,6 @@ func (c *Collection) tierSegment(seg *Segment, img []byte) error {
 	return nil
 }
 
-// tierByteSource serves rows [base, base+n) of one extent of a mapped
-// segment as an index.ByteBlockSource: block [i0, i1) is extent rows
-// [base+i0, base+i1), faulted once into the block cache under exactly that
-// run (copied out of the mapping into a cache-owned frame, so the view is
-// stable after the mapping unpins) and pinned only while the scan is inside
-// it: the view dies at the next Block, Bucket or Release, after which the
-// frame may hold another block. A data extent's source covers the whole
-// extent, so its blocks are 0-aligned; an IVF payload's source moves from
-// bucket to bucket (Bucket), so its blocks start at each bucket's first
-// row. The source holds the segment's mapping pinned for its whole
-// lifetime — demotion cannot invalidate a running scan.
-type tierByteSource struct {
-	t       *segTier
-	relMap  func()
-	ext     *colstore.Extent
-	rb      int // bytes per row
-	extID   uint32
-	base, n int // the extent rows served
-	pin     blockcache.Pin
-}
-
-func (s *tierByteSource) Rows() int     { return s.n }
-func (s *tierByteSource) RowBytes() int { return s.rb }
-
-// Bucket points the source at extent rows [start, start+n) (ivf.ByteRows).
-func (s *tierByteSource) Bucket(start, n int) {
-	s.pin.Release()
-	s.pin = blockcache.Pin{}
-	s.base, s.n = start, n
-}
-
-func (s *tierByteSource) Block(i0, i1 int) []byte {
-	s.pin.Release() // previous view is invalidated by contract
-	s.pin = blockcache.Pin{}
-	r0, r1 := s.base+i0, s.base+i1
-	k := blockcache.Key{Owner: s.t.owner, Ext: s.extID, Row: uint32(r0), Rows: uint32(r1 - r0)}
-	pin, err := s.t.ct.cache.GetOrLoad(k, (r1-r0)*s.rb, func(dst []byte) error {
-		copy(dst, s.ext.Payload[r0*s.rb:r1*s.rb])
-		return nil
-	})
-	if err != nil {
-		// Unreachable: the loader copies from a pinned mapping and cannot
-		// fail. Return an empty view rather than a torn one.
-		return nil
-	}
-	s.pin = pin
-	return pin.Bytes()
-}
-
-func (s *tierByteSource) Release() {
-	s.pin.Release()
-	s.pin = blockcache.Pin{}
-	s.relMap()
-}
-
-// tierVecSource is a tierByteSource over float rows, served as an
-// index.BlockSource: a cached block is viewed as floats in place, or
-// decoded into pooled scratch when its bytes cannot alias floats.
-type tierVecSource struct {
-	tierByteSource
-	scratch *[]float32
-}
-
-func (s *tierVecSource) Dim() int { return s.rb / 4 }
-
-func (s *tierVecSource) Block(i0, i1 int) []float32 {
-	b := s.tierByteSource.Block(i0, i1)
-	if v, ok := colstore.ViewFloats(b); ok {
-		return v
-	}
-	if s.scratch == nil {
-		sp := bufferpool.GetFloats(index.ScanBlockRows * s.Dim())
-		s.scratch = sp // escapes to the source; Release returns it
-	}
-	out := (*s.scratch)[:len(b)/4]
-	colstore.DecodeFloats(out, b)
-	return out
-}
-
-func (s *tierVecSource) Release() {
-	if s.scratch != nil {
-		bufferpool.PutFloats(s.scratch)
-		s.scratch = nil
-	}
-	s.tierByteSource.Release()
-}
-
 // extent pins t's mapping and finds extent (kind, field) in it. The caller
 // calls release when done with the extent; on error nothing stays pinned.
 func (t *segTier) extent(kind, field uint32) (ext *colstore.Extent, release func(), err error) {
@@ -473,40 +396,13 @@ func (t *segTier) extent(kind, field uint32) (ext *colstore.Extent, release func
 	return ext, rel, nil
 }
 
-// open serves extent (kind, field) — all of its rows until a Bucket call —
-// as cached blocks of width×Dim bytes per row: width 4 for float rows, 1
-// for SQ8 code bytes.
-func (t *segTier) open(kind, field uint32, width int) (tierByteSource, error) {
-	ext, rel, err := t.extent(kind, field)
-	if err != nil {
-		return tierByteSource{}, err
-	}
-	return tierByteSource{t: t, relMap: rel, ext: ext, rb: width * int(ext.Dim), extID: tierExtID(kind, field), n: int(ext.Rows)}, nil
-}
-
-// vectorSource returns the BlockSource backing field f's blocked scan. Hot
-// segments return the resident slice (ScanBlockedSource detects it and
-// delegates to the zero-overhead contiguous path); tiered segments return
-// a cache-backed source over the mapping, promoting cold segments on first
-// touch. The caller owns the source and must Release it on all paths.
-func (s *Segment) vectorSource(f int) (index.BlockSource, error) {
-	if s.tier == nil {
-		col := s.Vectors[f]
-		return index.SliceSource{Data: col.Data, D: col.Dim}, nil
-	}
-	src, err := s.tier.open(colstore.ExtentVectors, uint32(f), 4)
-	if err != nil {
-		return nil, err
-	}
-	return &tierVecSource{tierByteSource: src}, nil
-}
-
 // vectorData returns field f's full contiguous column and a release that
-// must be called when done. Hot segments hand out the resident slice;
-// tiered segments pin the mapping and return the extent view (the mapping
-// demand-pages, so only the bytes actually read are faulted in). Used by
-// index builds and the batched tile sweep, which want long contiguous
-// runs rather than cache-block granularity.
+// must be called after the last read of it. Hot segments hand out the
+// resident slice; tiered segments pin the mapping (promoting a cold
+// segment on first touch) and return the extent view in place — the
+// mapping demand-pages, so only the bytes a read touches are faulted in.
+// Every read of a segment's vectors goes through here: scans, index
+// builds, the batched tile sweep and, via vectorRows, point reads.
 func (s *Segment) vectorData(f int) ([]float32, func(), error) {
 	if s.tier == nil {
 		return s.Vectors[f].Data, func() {}, nil
@@ -535,28 +431,27 @@ func (s *Segment) vectorRows(f int) (func(r int) []float32, func(), error) {
 
 // tierIVFExt serves an externalized IVF index's build-order fine payload
 // from its own extent file behind the tier: ivf.PayloadExt backed by the
-// same residency state machine (and cache) as segment data. One opened
-// source serves a probe sweep, bucket by bucket, from one pin of the
-// mapping.
+// same residency state machine as segment data. Each open pins the
+// mapping for one probe sweep and hands out the extent's bytes in place.
 type tierIVFExt struct {
 	t     *segTier
 	field uint32
 }
 
-func (p *tierIVFExt) OpenFloats() (ivf.FloatRows, error) {
-	src, err := p.t.open(colstore.ExtentIVFVecs, p.field, 4)
+func (p *tierIVFExt) OpenFloats() ([]float32, func(), error) {
+	ext, rel, err := p.t.extent(colstore.ExtentIVFVecs, p.field)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &tierVecSource{tierByteSource: src}, nil
+	return ext.Floats(), rel, nil
 }
 
-func (p *tierIVFExt) OpenBytes() (ivf.ByteRows, error) {
-	src, err := p.t.open(colstore.ExtentIVFCodes, p.field, 1)
+func (p *tierIVFExt) OpenBytes() ([]byte, func(), error) {
+	ext, rel, err := p.t.extent(colstore.ExtentIVFCodes, p.field)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &src, nil
+	return ext.Payload, rel, nil
 }
 
 // idxTiers snapshots the segment's index-payload tiers (GC destroy loop).
@@ -573,8 +468,8 @@ func (s *Segment) idxTiers() []*segTier {
 // tierIndexPayload moves a freshly built and persisted IVF index's fine
 // payload (FLAT vectors or SQ8 codes, the dominant index memory) into its
 // own build-order extent file behind the tier, then swaps in an
-// externalized copy of the index so bucket scans pull cache blocks instead
-// of resident slices. In-flight queries keep the resident index they
+// externalized copy of the index so bucket scans read the mapped payload
+// instead of resident slices. In-flight queries keep the resident index they
 // already hold. Failures are non-fatal: the resident index keeps serving.
 func (c *Collection) tierIndexPayload(seg *Segment, field int) {
 	ct := c.tier
@@ -613,17 +508,17 @@ func (c *Collection) tierIndexPayload(seg *Segment, field int) {
 	if err != nil {
 		return
 	}
-	// The file name and store key carry the cache owner: a manual rebuild of
-	// an already-externalized field creates a fresh tier for the same
+	// The file name and store key carry the tier ID: a manual rebuild of an
+	// already-externalized field creates a fresh tier for the same
 	// (segment, field), and destroying the replaced tier must not take the
 	// replacement's file or store object with it.
-	owner := tierOwnerSeq.Add(1)
+	id := tierSeq.Add(1)
 	t := &segTier{
 		ct:    ct,
 		segID: seg.ID,
-		owner: owner,
-		path:  filepath.Join(ct.dir, fmt.Sprintf("seg-%d-f%d-o%d.ivfx", seg.ID, field, owner)),
-		key:   fmt.Sprintf("col/%s/ivfext/%d/%d/%d", c.Name, seg.ID, field, owner),
+		id:    id,
+		path:  filepath.Join(ct.dir, fmt.Sprintf("seg-%d-f%d-o%d.ivfx", seg.ID, field, id)),
+		key:   fmt.Sprintf("col/%s/ivfext/%d/%d/%d", c.Name, seg.ID, field, id),
 	}
 	if err := colstore.WriteFileAtomic(t.path, buf); err != nil {
 		return

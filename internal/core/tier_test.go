@@ -3,11 +3,11 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 
-	"vectordb/internal/blockcache"
 	"vectordb/internal/colstore"
 	"vectordb/internal/index"
 	"vectordb/internal/index/ivf"
@@ -15,14 +15,11 @@ import (
 	"vectordb/internal/topk"
 )
 
-// tierTestConfig builds a tiered config whose block cache holds roughly
-// 1/ratio of the dataset, forcing real eviction traffic during scans.
-func tierTestConfig(t *testing.T, dim, rows, ratio int) Config {
+// tierTestConfig builds a tiered config: every sealed segment's vectors
+// move out of the heap into a mapped extent file.
+func tierTestConfig(t *testing.T) Config {
 	cfg := testConfig()
 	cfg.TierDir = t.TempDir()
-	if ratio > 0 {
-		cfg.TierCacheBytes = int64(rows*dim*4) / int64(ratio)
-	}
 	return cfg
 }
 
@@ -60,9 +57,8 @@ func sameHits(t *testing.T, label string, want, got []topk.Result) {
 }
 
 // TestTieredConformance is the out-of-core correctness gate: a collection
-// whose sealed segments live in mmap-backed extent files behind a block
-// cache sized to a fraction of the dataset must return bit-identical
-// results to the all-RAM collection — across unindexed scans, IVF_FLAT and
+// whose sealed segments live in mmap-backed extent files, scanned in place,
+// must return bit-identical results to the all-RAM collection — across unindexed scans, IVF_FLAT and
 // IVF_SQ8 indexes, tombstone visibility bits and compiled pushdown filters.
 func TestTieredConformance(t *testing.T) {
 	const dim, rows = 16, 1000
@@ -84,7 +80,7 @@ func TestTieredConformance(t *testing.T) {
 			mkCfg := func(tiered bool) Config {
 				var cfg Config
 				if tiered {
-					cfg = tierTestConfig(t, dim, rows, 10)
+					cfg = tierTestConfig(t)
 				} else {
 					cfg = testConfig()
 				}
@@ -196,38 +192,35 @@ func TestTieredConformance(t *testing.T) {
 	}
 }
 
-// TestTieredConcurrentRecycle pins the view contract the block cache's
-// frame recycling rests on: a block's bytes are reused for another block
-// as soon as its entry is evicted and unpinned, so a scan reading a view
-// after the next Block or Release would return another block's rows. With
-// a budget of one block, four goroutines searching FLAT,
-// IVF_FLAT (float frames of bucket blocks) and IVF_SQ8 (byte frames of
-// bucket blocks) segments — unfiltered and behind a 50 % pushdown filter, across
-// a mid-run demotion — must get exactly the all-RAM results while the
-// cache serves most misses from recycled frames.
+// TestTieredConcurrentRecycle pins the view contract of in-place mapped
+// reads: a scan reads the mapping only while it holds the pin it took, so
+// demotes and destroys running beside it can never unmap bytes it is still
+// reading. Four goroutines search FLAT, IVF_FLAT and IVF_SQ8 segments —
+// unfiltered and behind a 50 % pushdown filter — while another demotes
+// every unpinned segment and flushes far-away rows whose segments (data
+// and IVF payload tiers) merge and are garbage-collected. Every result
+// must equal the all-RAM one, and at quiesce no tier holds a pin and the
+// mapped total is exactly the live mapped files' size.
 func TestTieredConcurrentRecycle(t *testing.T) {
 	const dim, rows, workers, queries = 16, 2048, 4, 400
 	ents := mkEntities(rows, dim, 31)
 	half := colstore.RangePred{Attr: 0, Lo: 0, Hi: 4999}
 	for _, idxType := range []string{"FLAT", "IVF_FLAT", "IVF_SQ8"} {
 		t.Run(idxType, func(t *testing.T) {
+			params := map[string]string{"nlist": "8"}
 			mkCfg := func(tiered bool) Config {
 				cfg := testConfig()
 				if tiered {
-					// One shard holding one block (4-byte floats, or SQ8's
-					// 1-byte codes), so the workers' misses evict and refill
-					// each other's just-released blocks.
-					block := index.ScanBlockRows * dim * 4
-					if idxType == "IVF_SQ8" {
-						block = index.ScanBlockRows * dim
-					}
-					cfg = tierTestConfig(t, dim, rows, 0)
-					cfg.TierCache = blockcache.New(int64(block), 1)
+					cfg = tierTestConfig(t)
 				}
+				// 256-row segments never merge again, so the queried rows
+				// keep the all-RAM side's segmentation while the far rows'
+				// 64-row segments merge and are collected under the scans.
+				cfg.MaxSegmentRows = 256
 				cfg.IndexType = idxType
 				if idxType != "FLAT" {
 					cfg.IndexRows = 64
-					cfg.IndexParams = map[string]string{"nlist": "8"}
+					cfg.IndexParams = params
 				}
 				return cfg
 			}
@@ -236,8 +229,7 @@ func TestTieredConcurrentRecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer plain.Close()
-			tcfg := mkCfg(true)
-			tiered, err := NewCollection("tiered", testSchema(dim), objstore.NewMemory(), tcfg)
+			tiered, err := NewCollection("tiered", testSchema(dim), objstore.NewMemory(), mkCfg(true))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,15 +249,51 @@ func TestTieredConcurrentRecycle(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+
+			// Far rows: no query ranks them, and the filter excludes them.
+			far := mkEntities(64, dim, 32)
+			for i := range far {
+				for j := range far[i].Vectors[0] {
+					far[i].Vectors[0][j] += 1000
+				}
+				far[i].Attrs[0] = 99999
+			}
+			stop := make(chan struct{})
+			churned := make(chan error, 1)
+			go func() {
+				// At least four rounds: four far segments merge, so one
+				// segment GC runs whenever the scans finish first.
+				for round := 0; ; round++ {
+					if round >= 4 {
+						select {
+						case <-stop:
+							churned <- nil
+							return
+						default:
+						}
+					}
+					tiered.DemoteSegments()
+					batch := make([]Entity, len(far))
+					for i, e := range far {
+						e.ID = int64(rows + 1 + round*len(far) + i)
+						batch[i] = e
+					}
+					if err := tiered.Insert(batch); err != nil {
+						churned <- err
+						return
+					}
+					if err := tiered.Flush(); err != nil {
+						churned <- err
+						return
+					}
+				}
+			}()
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
 					for qi := w; qi < queries; qi += workers {
-						if w == 0 && qi == queries/2 {
-							tiered.DemoteSegments()
-						}
 						got, err := search(tiered, qi)
 						if err != nil {
 							t.Errorf("q%d: %v", qi, err)
@@ -278,99 +306,514 @@ func TestTieredConcurrentRecycle(t *testing.T) {
 				}(w)
 			}
 			wg.Wait()
-			st := tcfg.TierCache.Stats()
-			if st.Misses == 0 || st.FrameAllocs >= st.Misses {
-				t.Fatalf("frames not recycled: %d allocated for %d misses", st.FrameAllocs, st.Misses)
+			close(stop)
+			if err := <-churned; err != nil {
+				t.Fatal(err)
 			}
+			checkTierQuiesced(t, tiered)
 		})
 	}
 }
 
-// TestTieredProbeFillsBucketBlocks: an externalized IVF payload's cache
-// blocks are the bucket runs a probe reads. On a cold cache one probe
-// misses exactly ⌈len(b)/256⌉ blocks for each probed bucket b of every
-// segment and fills exactly those buckets' bytes — no block straddles two
-// buckets or reads past one — and the same probe again is all hits.
-func TestTieredProbeFillsBucketBlocks(t *testing.T) {
-	const dim, rows, segRows, nprobe = 16, 4096, 2048, 3
+// checkTierQuiesced asserts that no tier of c holds a pin and that the
+// mapped total is exactly the summed size of the mapped files.
+func checkTierQuiesced(t *testing.T, c *Collection) {
+	t.Helper()
+	ct := c.tier
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	var mapped int64
+	for _, st := range ct.segs {
+		st.mu.Lock()
+		pins := st.pins
+		if st.mf != nil {
+			mapped += int64(st.mf.Size())
+		}
+		st.mu.Unlock()
+		if pins != 0 {
+			t.Errorf("segment %d tier %d: %d pins at quiesce", st.segID, st.id, pins)
+		}
+	}
+	if mapped != ct.mapped {
+		t.Errorf("mapped total %d, live mapped files %d", ct.mapped, mapped)
+	}
+}
+
+// tierFixture returns a tiered collection of four 64-row FLAT segments,
+// each one mapped data tier, and those tiers.
+func tierFixture(t *testing.T) (*Collection, []*segTier) {
+	t.Helper()
+	const dim = 8
+	cfg := tierTestConfig(t)
+	cfg.MergeFactor = 1 << 20
+	c, err := NewCollection("t", testSchema(dim), objstore.NewMemory(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	ents := mkEntities(4*64, dim, 41)
+	for i := 0; i < len(ents); i += 64 {
+		if err := c.Insert(ents[i : i+64]); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sn := c.AcquireSnapshot()
+	defer c.ReleaseSnapshot(sn)
+	var tiers []*segTier
+	for _, seg := range sn.Segments {
+		tiers = append(tiers, seg.tier)
+	}
+	if st := c.TierStats(); len(tiers) != 4 || st.Tiered != 4 || st.MappedSegs != 4 {
+		t.Fatalf("fixture: %d segments, %+v; want 4 mapped tiers", len(tiers), st)
+	}
+	return c, tiers
+}
+
+// TestTieredDestroyWhilePinnedUnmaps: a tier destroyed while a reader pins
+// it keeps its mapping for that reader, and the reader's release — the
+// last one — closes the mapping and takes its bytes off the mapped total.
+func TestTieredDestroyWhilePinnedUnmaps(t *testing.T) {
+	c, tiers := tierFixture(t)
+	before := c.TierStats().MappedBytes
+	victim := tiers[1]
+	mf, release, err := victim.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(mf.Size())
+	victim.destroy()
+	if !victim.isMapped() {
+		t.Fatal("destroy unmapped a pinned tier")
+	}
+	release()
+	if victim.isMapped() {
+		t.Fatal("the last release of a destroyed tier left its mapping open")
+	}
+	st := c.TierStats()
+	if st.Tiered != 3 || st.MappedBytes != before-size {
+		t.Fatalf("after destroy and release: %+v, want 3 tiers and %d mapped bytes", st, before-size)
+	}
+}
+
+// TestTieredBudgetSkipsPinnedVictim: when the least-recently-used mapped
+// tier is pinned, budget enforcement demotes the unpinned tiers behind it
+// in LRU order instead of giving up.
+func TestTieredBudgetSkipsPinnedVictim(t *testing.T) {
+	c, tiers := tierFixture(t)
+	// Pin one tier first and touch the rest after it: the pinned tier is
+	// the least recently used.
+	_, release, err := tiers[2].acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	for i, st := range tiers {
+		if i == 2 {
+			continue
+		}
+		_, rel, err := st.acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel()
+	}
+	c.tier.budget = 1
+	c.tier.enforceBudget()
+	for i, st := range tiers {
+		if mapped := st.isMapped(); mapped != (i == 2) {
+			t.Errorf("tier %d mapped=%v; want only the pinned tier mapped", i, mapped)
+		}
+	}
+	if st := c.TierStats(); st.MappedSegs != 1 {
+		t.Fatalf("after enforcing a 1-byte budget: %+v, want the pinned tier alone mapped", st)
+	}
+}
+
+// tierPins reports t's pin count.
+func tierPins(t *segTier) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.pins
+}
+
+// mappedExtent finds extent (kind, field 0) in t's current mapping; the
+// caller holds a pin, so the mapping is open.
+func mappedExtent(t *segTier, kind uint32) *colstore.Extent {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.mf.Find(kind, 0)
+}
+
+// TestTieredVectorDataInPlace: a tiered segment's vectorData is its data
+// extent's floats read in place — the rows the segment holds, aliasing
+// the mapping rather than a copy — and it holds exactly one pin, which
+// its release drops. vectorRows serves the same rows from the same pin.
+func TestTieredVectorDataInPlace(t *testing.T) {
+	c, _ := tierFixture(t)
+	ents := mkEntities(4*64, 8, 41)
+	sn := c.AcquireSnapshot()
+	defer c.ReleaseSnapshot(sn)
+	for _, seg := range sn.Segments {
+		data, release, err := seg.vectorData(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := tierPins(seg.tier); p != 1 {
+			t.Fatalf("segment %d: %d pins while vectorData is held, want 1", seg.ID, p)
+		}
+		mapped := mappedExtent(seg.tier, colstore.ExtentVectors).Floats()
+		if &data[0] != &mapped[0] || len(data) != len(mapped) {
+			t.Fatalf("segment %d: vectorData is not the mapped extent", seg.ID)
+		}
+		row, relRows, err := seg.vectorRows(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dim := seg.Vectors[0].Dim
+		for r, id := range seg.IDs {
+			want := ents[id-1].Vectors[0]
+			for j := range want {
+				if data[r*dim+j] != want[j] || row(r)[j] != want[j] {
+					t.Fatalf("segment %d row %d (id %d) differs from the inserted vector", seg.ID, r, id)
+				}
+			}
+		}
+		relRows()
+		release()
+		if p := tierPins(seg.tier); p != 0 {
+			t.Fatalf("segment %d: %d pins after release", seg.ID, p)
+		}
+	}
+}
+
+// TestTieredVectorRowsPromotesCold: reading a cold segment's rows maps it
+// back in, and the rows read through the new mapping are the inserted ones.
+func TestTieredVectorRowsPromotesCold(t *testing.T) {
+	c, _ := tierFixture(t)
+	ents := mkEntities(4*64, 8, 41)
+	if n := c.DemoteSegments(); n != 4 {
+		t.Fatalf("demoted %d of 4 segments", n)
+	}
+	sn := c.AcquireSnapshot()
+	defer c.ReleaseSnapshot(sn)
+	seg := sn.Segments[2]
+	row, release, err := seg.vectorRows(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, id := range seg.IDs {
+		for j, x := range ents[id-1].Vectors[0] {
+			if row(r)[j] != x {
+				t.Fatalf("row %d (id %d) differs after promotion", r, id)
+			}
+		}
+	}
+	release()
+	if !seg.tier.isMapped() {
+		t.Fatal("reading a cold segment's rows did not map it")
+	}
+	if st := c.TierStats(); st.MappedSegs != 1 {
+		t.Fatalf("after one cold read: %+v, want one mapped segment", st)
+	}
+	checkTierQuiesced(t, c)
+}
+
+// TestTieredDemoteRefusedWhilePinned: a pinned tier keeps its mapping and
+// its local file through a demote; once the pin is released the same
+// demote frees the mapping's bytes and removes the file.
+func TestTieredDemoteRefusedWhilePinned(t *testing.T) {
+	c, tiers := tierFixture(t)
+	st := tiers[0]
+	mf, release, err := st.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(mf.Size())
+	before := c.TierStats().MappedBytes
+	if c.tier.evict(st) {
+		t.Fatal("a pinned tier was demoted")
+	}
+	if _, err := os.Stat(st.path); err != nil || !st.isMapped() {
+		t.Fatalf("pinned tier lost its mapping or file: mapped=%v, %v", st.isMapped(), err)
+	}
+	release()
+	if !c.tier.evict(st) {
+		t.Fatal("an unpinned mapped tier was not demoted")
+	}
+	if after := c.TierStats().MappedBytes; after != before-size {
+		t.Fatalf("mapped total %d after demoting %d of %d bytes", after, size, before)
+	}
+	if _, err := os.Stat(st.path); !os.IsNotExist(err) {
+		t.Fatalf("demoted tier's local file is still there: %v", err)
+	}
+	checkTierQuiesced(t, c)
+}
+
+// TestTieredAcquirePromotesCold: acquiring a cold tier fetches its extent
+// file back, maps it and adds its size to the mapped total.
+func TestTieredAcquirePromotesCold(t *testing.T) {
+	c, tiers := tierFixture(t)
+	c.DemoteSegments()
+	if st := c.TierStats(); st.MappedSegs != 0 || st.MappedBytes != 0 {
+		t.Fatalf("after demoting everything: %+v", st)
+	}
+	st := tiers[3]
+	mf, release, err := st.acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(mf.Size())
+	if mf.Find(colstore.ExtentVectors, 0) == nil {
+		t.Fatal("promoted mapping lacks the vector extent")
+	}
+	release()
+	if _, err := os.Stat(st.path); err != nil {
+		t.Fatalf("promotion did not write the local extent file: %v", err)
+	}
+	if ts := c.TierStats(); ts.MappedSegs != 1 || ts.MappedBytes != size {
+		t.Fatalf("after one promotion: %+v, want 1 mapped segment of %d bytes", ts, size)
+	}
+	checkTierQuiesced(t, c)
+}
+
+// TestTieredAcquireAfterDestroyFails: an unpinned tier destroyed by GC
+// drops its mapping, its local file and its store copy at once, and a
+// later acquire fails instead of promoting it back.
+func TestTieredAcquireAfterDestroyFails(t *testing.T) {
+	c, tiers := tierFixture(t)
+	st := tiers[0]
+	st.destroy()
+	if st.isMapped() {
+		t.Fatal("destroy left an unpinned mapping open")
+	}
+	if _, err := os.Stat(st.path); !os.IsNotExist(err) {
+		t.Fatalf("destroyed tier's local file is still there: %v", err)
+	}
+	if _, err := c.tier.store.Get(st.key); err == nil {
+		t.Fatal("destroyed tier's store copy is still there")
+	}
+	if _, release, err := st.acquire(); err == nil {
+		release()
+		t.Fatal("acquire of a destroyed tier succeeded")
+	}
+	if ts := c.TierStats(); ts.Tiered != 3 || ts.MappedSegs != 3 {
+		t.Fatalf("after destroying one of 4 tiers: %+v", ts)
+	}
+	checkTierQuiesced(t, c)
+}
+
+// TestTieredReleaseEnforcesBudget: pins may hold a collection over its
+// mapped budget, and each last release re-enforces it, so the released
+// tiers demote until the still-pinned one alone fits.
+func TestTieredReleaseEnforcesBudget(t *testing.T) {
+	c, tiers := tierFixture(t)
+	releases := make([]func(), len(tiers))
+	var last int64
+	for i, st := range tiers {
+		mf, release, err := st.acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		releases[i] = release
+		last = int64(mf.Size())
+	}
+	c.tier.budget = last
+	c.tier.enforceBudget()
+	if ts := c.TierStats(); ts.MappedSegs != 4 {
+		t.Fatalf("enforcement demoted a pinned tier: %+v", ts)
+	}
+	for i := 0; i < 3; i++ {
+		releases[i]()
+		if tiers[i].isMapped() {
+			t.Fatalf("tier %d still mapped after its last release over budget", i)
+		}
+	}
+	releases[3]()
+	if !tiers[3].isMapped() {
+		t.Fatal("the tier that fits the budget was demoted")
+	}
+	if ts := c.TierStats(); ts.MappedSegs != 1 || ts.MappedBytes > c.tier.budget {
+		t.Fatalf("after every release: %+v, budget %d", ts, c.tier.budget)
+	}
+	checkTierQuiesced(t, c)
+}
+
+// TestTieredBudgetDemotesInLRUOrder: enforcing a budget demotes the least
+// recently used tiers first and stops as soon as the rest fit.
+func TestTieredBudgetDemotesInLRUOrder(t *testing.T) {
+	c, tiers := tierFixture(t)
+	sizes := make([]int64, len(tiers))
+	for _, i := range []int{3, 1, 0, 2} { // least recently used first
+		mf, release, err := tiers[i].acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = int64(mf.Size())
+		release()
+	}
+	c.tier.budget = sizes[0] + sizes[2]
+	c.tier.enforceBudget()
+	for i, st := range tiers {
+		if want := i == 0 || i == 2; st.isMapped() != want {
+			t.Errorf("tier %d mapped=%v, want %v", i, st.isMapped(), want)
+		}
+	}
+	checkTierQuiesced(t, c)
+}
+
+// TestTieredDemoteAllSkipsPinned: DemoteSegments demotes every unpinned
+// tier, leaves a pinned one mapped, and demotes that one once released.
+func TestTieredDemoteAllSkipsPinned(t *testing.T) {
+	c, tiers := tierFixture(t)
+	_, release, err := tiers[1].acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.DemoteSegments(); n != 3 {
+		t.Fatalf("demoted %d tiers with one of 4 pinned, want 3", n)
+	}
+	if !tiers[1].isMapped() {
+		t.Fatal("the pinned tier was demoted")
+	}
+	release()
+	if n := c.DemoteSegments(); n != 1 {
+		t.Fatalf("demoted %d tiers after the release, want 1", n)
+	}
+	if ts := c.TierStats(); ts.MappedSegs != 0 || ts.MappedBytes != 0 {
+		t.Fatalf("after demoting everything: %+v", ts)
+	}
+}
+
+// TestTieredMissingExtentLeavesNoPin: asking a data tier for an extent it
+// does not hold (an IVF payload) fails without leaving the mapping pinned,
+// so the tier can still demote.
+func TestTieredMissingExtentLeavesNoPin(t *testing.T) {
+	c, tiers := tierFixture(t)
+	p := &tierIVFExt{t: tiers[0], field: 0}
+	if _, _, err := p.OpenFloats(); err == nil {
+		t.Fatal("a data tier served an IVF_FLAT payload")
+	}
+	if _, _, err := p.OpenBytes(); err == nil {
+		t.Fatal("a data tier served an IVF_SQ8 payload")
+	}
+	if pins := tierPins(tiers[0]); pins != 0 {
+		t.Fatalf("%d pins left by failed opens", pins)
+	}
+	if n := c.DemoteSegments(); n != 4 {
+		t.Fatalf("demoted %d of 4 tiers after failed opens", n)
+	}
+}
+
+// TestTieredProbeReadsMappedPayload: an externalized IVF payload is served
+// from its own mapped extent file, in place — the slice a sweep gets is
+// the build-order payload the resident index would hold, pinned for the
+// sweep — and a probe of a cold collection maps the payload tiers back in
+// and leaves no pin behind.
+func TestTieredProbeReadsMappedPayload(t *testing.T) {
+	const dim, rows, segRows = 16, 2048, 1024
 	ents := mkEntities(rows, dim, 37)
 	for _, idxType := range []string{"IVF_FLAT", "IVF_SQ8"} {
 		t.Run(idxType, func(t *testing.T) {
-			cfg := tierTestConfig(t, dim, rows, 0)
-			cfg.TierCache = blockcache.New(1<<30, 0) // nothing evicts
-			cfg.FlushRows, cfg.MergeFactor = segRows, 1<<20
-			cfg.IndexType, cfg.IndexRows = idxType, segRows
-			cfg.IndexParams = map[string]string{"nlist": "4"}
-			c, err := NewCollection("t", testSchema(dim), objstore.NewMemory(), cfg)
-			if err != nil {
-				t.Fatal(err)
+			mk := func(cfg Config) *Collection {
+				cfg.FlushRows, cfg.MergeFactor = segRows, 1<<20
+				cfg.IndexType, cfg.IndexRows = idxType, segRows
+				cfg.IndexParams = map[string]string{"nlist": "4"}
+				c, err := NewCollection("t", testSchema(dim), objstore.NewMemory(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { c.Close() })
+				return c
 			}
-			defer c.Close()
-			for i := 0; i < rows; i += segRows {
-				if err := c.Insert(ents[i : i+segRows]); err != nil {
+			plain, tiered := mk(testConfig()), mk(tierTestConfig(t))
+			fillBoth(t, plain, tiered, ents)
+			unwrap := func(idx index.Index) *ivf.IVF {
+				if u, ok := idx.(interface{ Unwrap() index.Index }); ok {
+					idx = u.Unwrap()
+				}
+				iv, ok := idx.(*ivf.IVF)
+				if !ok {
+					t.Fatalf("index %T is not an IVF", idx)
+				}
+				return iv
+			}
+			psn, tsn := plain.AcquireSnapshot(), tiered.AcquireSnapshot()
+			defer plain.ReleaseSnapshot(psn)
+			defer tiered.ReleaseSnapshot(tsn)
+			if len(psn.Segments) != rows/segRows || len(tsn.Segments) != len(psn.Segments) {
+				t.Fatalf("%d plain and %d tiered segments, want %d each", len(psn.Segments), len(tsn.Segments), rows/segRows)
+			}
+			for i, seg := range tsn.Segments {
+				if !unwrap(seg.Index(0)).Externalized() {
+					t.Fatalf("segment %d: IVF payload not externalized", seg.ID)
+				}
+				wantF, wantC, _ := unwrap(psn.Segments[i].Index(0)).ResidentPayload()
+				its := seg.idxTiers()
+				if len(its) != 1 {
+					t.Fatalf("segment %d: %d payload tiers, want 1", seg.ID, len(its))
+				}
+				it := its[0]
+				p := &tierIVFExt{t: it, field: 0}
+				var release func()
+				if idxType == "IVF_FLAT" {
+					got, rel, err := p.OpenFloats()
+					if err != nil {
+						t.Fatal(err)
+					}
+					release = rel
+					if len(got) != len(wantF) || len(got) == 0 {
+						t.Fatalf("segment %d: payload of %d floats, resident has %d", seg.ID, len(got), len(wantF))
+					}
+					for j := range got {
+						if got[j] != wantF[j] {
+							t.Fatalf("segment %d: payload float %d differs from the resident index", seg.ID, j)
+						}
+					}
+					if &got[0] != &mappedExtent(it, colstore.ExtentIVFVecs).Floats()[0] {
+						t.Fatalf("segment %d: the payload is a copy, not the mapped extent", seg.ID)
+					}
+				} else {
+					got, rel, err := p.OpenBytes()
+					if err != nil {
+						t.Fatal(err)
+					}
+					release = rel
+					if !bytes.Equal(got, wantC) || len(got) == 0 {
+						t.Fatalf("segment %d: payload codes differ from the resident index", seg.ID)
+					}
+					if &got[0] != &mappedExtent(it, colstore.ExtentIVFCodes).Payload[0] {
+						t.Fatalf("segment %d: the payload is a copy, not the mapped extent", seg.ID)
+					}
+				}
+				if freed := it.demote(); freed != 0 {
+					t.Fatalf("segment %d: a payload pinned for a sweep demoted", seg.ID)
+				}
+				release()
+			}
+			if n := tiered.DemoteSegments(); n != 2*len(tsn.Segments) {
+				t.Fatalf("demoted %d tiers, want a data and a payload tier per segment", n)
+			}
+			opts := SearchOptions{K: 10, Nprobe: 4}
+			for _, e := range []Entity{ents[5], ents[rows-9]} {
+				want, err := plain.Search(e.Vectors[0], opts)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if err := c.Flush(); err != nil {
+				got, err := tiered.Search(e.Vectors[0], opts)
+				if err != nil {
 					t.Fatal(err)
+				}
+				sameHits(t, idxType, want, got)
+			}
+			for _, seg := range tsn.Segments {
+				if !seg.idxTiers()[0].isMapped() {
+					t.Fatalf("segment %d: a probe did not map its payload tier back in", seg.ID)
 				}
 			}
-			cache := cfg.TierCache
-			for qi, e := range []Entity{ents[5], ents[rows-9]} {
-				q := e.Vectors[0]
-				var blocks, bytes int64
-				long := false // a probed bucket spans blocks and ends in a short one
-				sn := c.AcquireSnapshot()
-				for _, seg := range sn.Segments {
-					idx := seg.Index(0)
-					if u, ok := idx.(interface{ Unwrap() index.Index }); ok {
-						idx = u.Unwrap()
-					}
-					iv, ok := idx.(*ivf.IVF)
-					if !ok || !iv.Externalized() {
-						t.Fatalf("segment %d: index %T not an externalized IVF", seg.ID, idx)
-					}
-					for _, b := range iv.ProbeOrder(q, nprobe) {
-						n := int64(iv.BucketLen(b))
-						long = long || (n > index.ScanBlockRows && n%index.ScanBlockRows != 0)
-						blocks += (n + index.ScanBlockRows - 1) / index.ScanBlockRows
-						bytes += n * int64(iv.CodeBytesPerVector())
-					}
-				}
-				for _, seg := range sn.Segments { // a cold cache for every query
-					cache.Drop(seg.tier.owner)
-					for _, it := range seg.idxTiers() {
-						cache.Drop(it.owner)
-					}
-				}
-				segs := len(sn.Segments)
-				c.ReleaseSnapshot(sn)
-				if segs != rows/segRows || !long {
-					t.Fatalf("%d segments (want %d), a multi-block bucket probed: %v", segs, rows/segRows, long)
-				}
-				before := cache.Stats()
-				if before.Entries != 0 {
-					t.Fatalf("q%d: cache not cold before the probe: %+v", qi, before)
-				}
-				opts := SearchOptions{K: 10, Nprobe: nprobe}
-				if _, err := c.Search(q, opts); err != nil {
-					t.Fatal(err)
-				}
-				mid := cache.Stats()
-				if got := mid.Misses - before.Misses; got != blocks {
-					t.Errorf("q%d: probe missed %d blocks, want Σ⌈len(b)/256⌉ = %d", qi, got, blocks)
-				}
-				if got := mid.FillBytes - before.FillBytes; got != bytes {
-					t.Errorf("q%d: probe filled %d bytes, want the probed buckets' %d", qi, got, bytes)
-				}
-				if _, err := c.Search(q, opts); err != nil {
-					t.Fatal(err)
-				}
-				after := cache.Stats()
-				if after.Misses != mid.Misses || after.Hits-mid.Hits != blocks {
-					t.Errorf("q%d: repeated probe: %d misses, %d hits, want 0 and %d",
-						qi, after.Misses-mid.Misses, after.Hits-mid.Hits, blocks)
-				}
-			}
+			checkTierQuiesced(t, tiered)
 		})
 	}
 }
@@ -380,7 +823,7 @@ func TestTieredProbeFillsBucketBlocks(t *testing.T) {
 // identical before and after.
 func TestTieredDemotePromote(t *testing.T) {
 	const dim, rows = 8, 512
-	cfg := tierTestConfig(t, dim, rows, 0)
+	cfg := tierTestConfig(t)
 	c, err := NewCollection("t", testSchema(dim), objstore.NewMemory(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +877,7 @@ func TestTieredDemotePromote(t *testing.T) {
 // recently used segments mapped, demoting the rest automatically.
 func TestTieredMappedBudget(t *testing.T) {
 	const dim = 8
-	cfg := tierTestConfig(t, dim, 1024, 0)
+	cfg := tierTestConfig(t)
 	// Each 64-row segment's extent file is a bit over 64*8*4 = 2 KiB;
 	// budget three files' worth so most of the 16 segments must stay cold.
 	// Merging is off so the segment population stays put.
@@ -482,7 +925,7 @@ func TestTieredMappedBudget(t *testing.T) {
 func TestTieredRestore(t *testing.T) {
 	const dim, rows = 8, 300
 	store := objstore.NewMemory()
-	cfg := tierTestConfig(t, dim, rows, 4)
+	cfg := tierTestConfig(t)
 	c, err := NewCollection("t", testSchema(dim), store, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -531,7 +974,7 @@ func TestTieredRestore(t *testing.T) {
 func TestTieredIndexRebuild(t *testing.T) {
 	const dim, rows = 8, 512
 	store := objstore.NewMemory()
-	cfg := tierTestConfig(t, dim, rows, 4)
+	cfg := tierTestConfig(t)
 	cfg.IndexType = "IVF_FLAT"
 	cfg.IndexRows = 64
 	cfg.IndexParams = map[string]string{"nlist": "4"}
@@ -584,11 +1027,11 @@ func TestTieredIndexRebuild(t *testing.T) {
 }
 
 // TestTieredGC: merged-away segments release their storage — their one
-// store object each is deleted and the cache drops their blocks.
+// store object each is deleted and their mappings close.
 func TestTieredGC(t *testing.T) {
 	const dim = 8
 	store := objstore.NewMemory()
-	cfg := tierTestConfig(t, dim, 1024, 0)
+	cfg := tierTestConfig(t)
 	cfg.MergeFactor = 4
 	c, err := NewCollection("t", testSchema(dim), store, cfg)
 	if err != nil {
@@ -615,13 +1058,13 @@ func TestTieredGC(t *testing.T) {
 }
 
 // TestDBTierDefaults: EnableTiering makes every collection created
-// afterwards out-of-core by default, all of them sharing one block cache
-// whose series are registered once at the database scope.
+// afterwards out-of-core by default, and no block-cache series exist: the
+// mapped bytes are read in place.
 func TestDBTierDefaults(t *testing.T) {
 	const dim = 8
 	db := NewDB(nil)
 	defer db.Close()
-	db.EnableTiering(TierDefaults{Dir: t.TempDir(), CacheBytes: 1 << 20})
+	db.EnableTiering(TierDefaults{Dir: t.TempDir()})
 
 	ents := mkEntities(256, dim, 23)
 	for _, name := range []string{"a", "b"} {
@@ -643,26 +1086,15 @@ func TestDBTierDefaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(res) != 1 || res[0].ID != ents[9].ID || res[0].Distance != 0 {
-			t.Fatalf("collection %q self-search through the shared cache = %v", name, res)
+			t.Fatalf("collection %q self-search through the mapping = %v", name, res)
 		}
 	}
 
-	// Exactly one shared cache series family: scoped to the DB, never
-	// re-registered per collection.
 	var buf bytes.Buffer
 	if err := db.Obs().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(buf.String(), "vectordb_blockcache_hits_total{"); n != 1 {
-		t.Fatalf("%d blockcache hit series, want 1 shared (scope=db)", n)
-	}
-	if !strings.Contains(buf.String(), `vectordb_blockcache_hits_total{scope="db"}`) {
-		t.Fatal("shared cache series missing the db scope label")
-	}
-	if !strings.Contains(buf.String(), `vectordb_blockcache_frame_allocs_total{scope="db"}`) {
-		t.Fatal("shared cache exports no frame-allocation counter")
-	}
-	if !strings.Contains(buf.String(), `vectordb_blockcache_fill_bytes_total{scope="db"}`) {
-		t.Fatal("shared cache exports no fill-bytes counter")
+	if strings.Contains(buf.String(), "vectordb_blockcache_") {
+		t.Fatal("a block-cache series is still exported")
 	}
 }

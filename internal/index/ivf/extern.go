@@ -2,45 +2,27 @@ package ivf
 
 import (
 	"fmt"
-
-	"vectordb/internal/index"
 )
 
 // Payload externalization: a built IVF index's dominant memory is its fine
 // payload — the bucket-ordered vectors (IVF_FLAT) or SQ8 codes (IVF_SQ8).
 // On out-of-core segments that payload moves into a build-order extent file
-// and bucket scans pull blocks through a PayloadExt provider instead of
-// walking resident slices; the coarse centroids, bucket ID lists and build
+// and bucket scans read it through a PayloadExt provider instead of
+// resident slices; the coarse centroids, bucket ID lists and build
 // positions stay hot (they are a small fraction of the payload and drive
 // probe ranking and filter pushdown). Each bucket occupies the contiguous
-// row range [starts[b], starts[b]+len(ids[b])) of the payload, and the
-// provider serves that range as a source of its own: its blocks start at
-// the bucket's first row, so a cached block is exactly the run a bucket
-// scan reads.
+// row range [starts[b], starts[b]+len(ids[b])) of the payload, so a bucket
+// scan is the resident scan over a subslice of it.
 
 // PayloadExt provides out-of-core access to an index's build-order fine
-// payload. Implementations open a fresh source per sweep of bucket scans;
-// every returned source must be Released by the caller on all paths.
+// payload. Each Open call pins the payload for one sweep of bucket scans
+// and returns it whole with its release: the slice is valid until the
+// release runs, and the caller must run it on all paths.
 type PayloadExt interface {
-	// OpenFloats opens the FineFlat vectors, size rows × dim.
-	OpenFloats() (FloatRows, error)
-	// OpenBytes opens the FineSQ8 codes, size rows × CodeSize bytes.
-	OpenBytes() (ByteRows, error)
-}
-
-// FloatRows is an opened FLAT payload that serves one bucket at a time:
-// after Bucket(start, n) it is the block source of payload rows
-// [start, start+n) — Rows is n, and Block(i0, i1) returns payload rows
-// [start+i0, start+i1). A view taken before a Bucket call is dead after it.
-type FloatRows interface {
-	index.BlockSource
-	Bucket(start, n int)
-}
-
-// ByteRows is FloatRows over SQ8 code rows.
-type ByteRows interface {
-	index.ByteBlockSource
-	Bucket(start, n int)
+	// OpenFloats pins the FineFlat vectors, size × dim floats.
+	OpenFloats() ([]float32, func(), error)
+	// OpenBytes pins the FineSQ8 codes, size × CodeSize bytes.
+	OpenBytes() ([]byte, func(), error)
 }
 
 // Externalizable reports whether this index's fine payload can move out of
@@ -66,13 +48,13 @@ func (x *IVF) ResidentPayload() (floats []float32, codes []byte, ok bool) {
 	case FineFlat:
 		out := make([]float32, 0, x.size*x.dim)
 		for _, v := range x.vecs {
-			out = append(out, v.Data...)
+			out = append(out, v...)
 		}
 		return out, nil, true
 	case FineSQ8:
 		out := make([]byte, 0, x.size*x.sq8.CodeSize())
 		for _, c := range x.codes {
-			out = append(out, c.codes...)
+			out = append(out, c...)
 		}
 		return nil, out, true
 	}
@@ -108,15 +90,15 @@ func (x *IVF) Externalize(ext PayloadExt) (*IVF, error) {
 
 // Bucket rows. A bucket scan takes its rows from one helper per fine kind:
 // openFlat / openSQ8 open the payload for a sweep of bucket scans, and the
-// sweep's bucket method serves bucket b either in place — a resident
-// bucket is stored as its own block source, so handing it to a scan
-// allocates nothing — or as the payload source the provider opened for
-// the sweep, pointed at b's rows. The sweep's close releases the payload.
+// sweep's bucket method slices bucket b out of it — the resident bucket
+// itself, or b's rows of the payload the provider pinned for the sweep.
+// The sweep's close releases the payload; no bucket view outlives it.
 
 // flatRows is an IVF_FLAT payload opened for a sweep of bucket scans.
 type flatRows struct {
 	x       *IVF
-	payload FloatRows // nil when resident
+	payload []float32 // the pinned build-order payload; unused when resident
+	release func()
 }
 
 // openFlat opens the FLAT bucket rows for one sweep; close them after it.
@@ -124,28 +106,29 @@ func (x *IVF) openFlat() (flatRows, error) {
 	if x.ext == nil {
 		return flatRows{x: x}, nil
 	}
-	src, err := x.ext.OpenFloats()
-	return flatRows{x: x, payload: src}, err
+	payload, release, err := x.ext.OpenFloats()
+	return flatRows{x: x, payload: payload, release: release}, err
 }
 
-func (r flatRows) bucket(b int) index.BlockSource {
-	if r.payload == nil {
-		return &r.x.vecs[b]
+func (r flatRows) bucket(b int) []float32 {
+	if r.x.ext == nil {
+		return r.x.vecs[b]
 	}
-	r.payload.Bucket(int(r.x.starts[b]), len(r.x.ids[b]))
-	return r.payload
+	s := int(r.x.starts[b]) * r.x.dim
+	return r.payload[s : s+len(r.x.ids[b])*r.x.dim]
 }
 
 func (r flatRows) close() {
-	if r.payload != nil {
-		r.payload.Release()
+	if r.release != nil {
+		r.release()
 	}
 }
 
 // sq8Rows is an IVF_SQ8 payload opened for a sweep of bucket scans.
 type sq8Rows struct {
 	x       *IVF
-	payload ByteRows // nil when resident
+	payload []byte // the pinned build-order codes; unused when resident
+	release func()
 }
 
 // openSQ8 opens the SQ8 bucket codes for one sweep; close them after it.
@@ -153,49 +136,21 @@ func (x *IVF) openSQ8() (sq8Rows, error) {
 	if x.ext == nil {
 		return sq8Rows{x: x}, nil
 	}
-	src, err := x.ext.OpenBytes()
-	return sq8Rows{x: x, payload: src}, err
+	payload, release, err := x.ext.OpenBytes()
+	return sq8Rows{x: x, payload: payload, release: release}, err
 }
 
-func (r sq8Rows) bucket(b int) index.ByteBlockSource {
-	if r.payload == nil {
-		return &r.x.codes[b]
+func (r sq8Rows) bucket(b int) []byte {
+	if r.x.ext == nil {
+		return r.x.codes[b]
 	}
-	r.payload.Bucket(int(r.x.starts[b]), len(r.x.ids[b]))
-	return r.payload
+	cs := r.x.sq8.CodeSize()
+	s := int(r.x.starts[b]) * cs
+	return r.payload[s : s+len(r.x.ids[b])*cs]
 }
 
 func (r sq8Rows) close() {
-	if r.payload != nil {
-		r.payload.Release()
+	if r.release != nil {
+		r.release()
 	}
-}
-
-// codeRows is one resident bucket's code rows (SQ8 or PQ), served in place
-// as an index.ByteBlockSource.
-type codeRows struct {
-	codes []byte
-	rb    int // bytes per row
-}
-
-func (c *codeRows) Rows() int               { return len(c.codes) / c.rb }
-func (c *codeRows) RowBytes() int           { return c.rb }
-func (c *codeRows) Block(i0, i1 int) []byte { return c.codes[i0*c.rb : i1*c.rb] }
-func (c *codeRows) Release()                {}
-
-// flatBuckets and codeBuckets make an index's empty resident buckets.
-func flatBuckets(nlist, dim int) []index.SliceSource {
-	out := make([]index.SliceSource, nlist)
-	for b := range out {
-		out[b].D = dim
-	}
-	return out
-}
-
-func codeBuckets(nlist, rb int) []codeRows {
-	out := make([]codeRows, nlist)
-	for b := range out {
-		out[b].rb = rb
-	}
-	return out
 }

@@ -13,125 +13,43 @@ import (
 )
 
 // fakeExt is a PayloadExt over a resident index's build-order payload that
-// behaves like an out-of-core provider: it serves one bucket's row range at
-// a time, every Block is a copy into one of two alternating buffers, and
-// the buffer handed out before is poisoned, so a scan that reads a view
-// after the next Block (or after Bucket or Release) sees huge values
-// instead of rows and its results stop matching. It also checks the
-// block-access contract within the bucket and counts sources left open.
+// behaves like an out-of-core provider: every Open hands out a fresh copy
+// of the payload, and its release poisons that copy, so a scan that reads a
+// bucket view after the sweep's release sees huge values instead of rows
+// and its results stop matching. It counts the payloads opened and those
+// left open, and fails on a second release of one.
 type fakeExt struct {
 	t      *testing.T
 	floats []float32
 	codes  []byte
-	dim    int // floats per row (FLAT)
-	rb     int // bytes per row (SQ8)
 	open   int
+	opens  int
 }
 
-func (f *fakeExt) OpenFloats() (FloatRows, error) {
+// pin counts one open payload and returns its release, which runs poison
+// once.
+func (f *fakeExt) pin(poison func()) func() {
 	f.open++
-	return &fakeFloats{f: f, n: len(f.floats) / f.dim}, nil
-}
-
-func (f *fakeExt) OpenBytes() (ByteRows, error) {
-	f.open++
-	return &fakeBytes{f: f, n: len(f.codes) / f.rb}, nil
-}
-
-func (f *fakeExt) checkBucket(start, n, rows int, released bool) {
-	if released {
-		f.t.Fatal("Bucket after Release")
-	}
-	if start < 0 || n < 0 || start+n > rows {
-		f.t.Fatalf("Bucket(%d, %d) outside the %d-row payload", start, n, rows)
+	f.opens++
+	released := false
+	return func() {
+		if released {
+			f.t.Fatal("payload released twice")
+		}
+		released = true
+		poison()
+		f.open--
 	}
 }
 
-func (f *fakeExt) checkSpan(i0, i1, rows int, released bool) {
-	if released {
-		f.t.Fatal("Block after Release")
-	}
-	if i0%index.ScanBlockRows != 0 || i1 <= i0 || i1-i0 > index.ScanBlockRows || i1 > rows {
-		f.t.Fatalf("contract violation: Block(%d, %d) rows=%d", i0, i1, rows)
-	}
+func (f *fakeExt) OpenFloats() ([]float32, func(), error) {
+	c := append([]float32(nil), f.floats...)
+	return c, f.pin(func() { poisonFloats(c) }), nil
 }
 
-type fakeFloats struct {
-	f        *fakeExt
-	start, n int // the current bucket's payload rows
-	bufs     [2][]float32
-	cur      int
-	released bool
-}
-
-func (s *fakeFloats) Rows() int { return s.n }
-func (s *fakeFloats) Dim() int  { return s.f.dim }
-
-func (s *fakeFloats) Bucket(start, n int) {
-	s.f.checkBucket(start, n, len(s.f.floats)/s.f.dim, s.released)
-	poisonFloats(s.bufs[0])
-	poisonFloats(s.bufs[1])
-	s.start, s.n = start, n
-}
-
-func (s *fakeFloats) Block(i0, i1 int) []float32 {
-	s.f.checkSpan(i0, i1, s.n, s.released)
-	poisonFloats(s.bufs[s.cur])
-	s.cur ^= 1
-	if s.bufs[s.cur] == nil {
-		s.bufs[s.cur] = make([]float32, index.ScanBlockRows*s.f.dim)
-	}
-	n := copy(s.bufs[s.cur], s.f.floats[(s.start+i0)*s.f.dim:(s.start+i1)*s.f.dim])
-	return s.bufs[s.cur][:n]
-}
-
-func (s *fakeFloats) Release() {
-	if s.released {
-		s.f.t.Fatal("double Release")
-	}
-	s.released = true
-	poisonFloats(s.bufs[0])
-	poisonFloats(s.bufs[1])
-	s.f.open--
-}
-
-type fakeBytes struct {
-	f        *fakeExt
-	start, n int // the current bucket's payload rows
-	bufs     [2][]byte
-	cur      int
-	released bool
-}
-
-func (s *fakeBytes) Rows() int     { return s.n }
-func (s *fakeBytes) RowBytes() int { return s.f.rb }
-
-func (s *fakeBytes) Bucket(start, n int) {
-	s.f.checkBucket(start, n, len(s.f.codes)/s.f.rb, s.released)
-	poisonBytes(s.bufs[0])
-	poisonBytes(s.bufs[1])
-	s.start, s.n = start, n
-}
-
-func (s *fakeBytes) Block(i0, i1 int) []byte {
-	s.f.checkSpan(i0, i1, s.n, s.released)
-	poisonBytes(s.bufs[s.cur])
-	s.cur ^= 1
-	if s.bufs[s.cur] == nil {
-		s.bufs[s.cur] = make([]byte, index.ScanBlockRows*s.f.rb)
-	}
-	n := copy(s.bufs[s.cur], s.f.codes[(s.start+i0)*s.f.rb:(s.start+i1)*s.f.rb])
-	return s.bufs[s.cur][:n]
-}
-
-func (s *fakeBytes) Release() {
-	if s.released {
-		s.f.t.Fatal("double Release")
-	}
-	s.released = true
-	poisonBytes(s.bufs[0])
-	poisonBytes(s.bufs[1])
-	s.f.open--
+func (f *fakeExt) OpenBytes() ([]byte, func(), error) {
+	c := append([]byte(nil), f.codes...)
+	return c, f.pin(func() { poisonBytes(c) }), nil
 }
 
 func poisonFloats(b []float32) {
@@ -155,10 +73,7 @@ func externalized(t *testing.T, x *IVF) (*IVF, *fakeExt) {
 	if !ok {
 		t.Fatalf("%s: no resident payload", x.Name())
 	}
-	ext := &fakeExt{t: t, floats: floats, codes: codes, dim: x.dim}
-	if x.fine == FineSQ8 {
-		ext.rb = x.sq8.CodeSize()
-	}
+	ext := &fakeExt{t: t, floats: floats, codes: codes}
 	y, err := x.Externalize(ext)
 	if err != nil {
 		t.Fatal(err)
@@ -199,9 +114,8 @@ func prefillBetween(rs []topk.Result) []topk.Result {
 // index answers bit-identically to the resident index it was made from,
 // through every bucket-scan entry point and through SearchInto a
 // pre-filled heap, across metrics, filter selectivities (none, 2 %, 50 %)
-// and probe widths — including buckets
-// longer than a scan block, served as several blocks from the bucket's
-// first row.
+// and probe widths — including buckets longer than a scan block, sliced
+// from the pinned payload at the bucket's first row.
 func TestExternalizedMatchesResident(t *testing.T) {
 	d := dataset.DeepLike(4000, 71)
 	const nq, nlist = 4, 16
@@ -277,10 +191,182 @@ func TestExternalizedMatchesResident(t *testing.T) {
 						}
 					}
 					if ext.open != 0 {
-						t.Fatalf("%s: %d payload sources left open", label, ext.open)
+						t.Fatalf("%s: %d payloads left open", label, ext.open)
 					}
 				}
 			}
 		}
+	}
+}
+
+// smallIVF builds a small index of the given fine kind over a DeepLike
+// dataset, with buckets long enough to span several scan blocks.
+func smallIVF(t *testing.T, fine Fine, metric vec.Metric) (*IVF, *dataset.Dataset) {
+	t.Helper()
+	d := dataset.DeepLike(2000, 81)
+	bld := &Builder{Fine: fine, Metric: metric, Dim: d.Dim, Nlist: 4, MaxIter: 4}
+	idx, err := bld.Build(d.Data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx.(*IVF), d
+}
+
+// TestExternalizedBucketSlicesPayload: a sweep's bucket b is the run of
+// the pinned payload that starts at starts[b] — a subslice of it, not a
+// copy — and holds exactly the resident bucket's rows. The buckets tile
+// the payload in order, and closing the sweep releases the payload once.
+func TestExternalizedBucketSlicesPayload(t *testing.T) {
+	for _, fine := range []Fine{FineFlat, FineSQ8} {
+		x, _ := smallIVF(t, fine, vec.L2)
+		t.Run(x.Name(), func(t *testing.T) {
+			y, ext := externalized(t, x)
+			covered := 0
+			switch fine {
+			case FineFlat:
+				rows, err := y.openFlat()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for b := 0; b < x.nlist; b++ {
+					got, want := rows.bucket(b), x.vecs[b]
+					if len(got) != len(want) {
+						t.Fatalf("bucket %d: %d floats, resident has %d", b, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("bucket %d float %d: %g, resident has %g", b, i, got[i], want[i])
+						}
+					}
+					if s := int(y.starts[b]) * x.dim; len(got) > 0 && &got[0] != &rows.payload[s] {
+						t.Fatalf("bucket %d is not the payload's run at row %d", b, y.starts[b])
+					}
+					covered += len(got)
+				}
+				if covered != len(rows.payload) {
+					t.Fatalf("buckets cover %d of %d payload floats", covered, len(rows.payload))
+				}
+				rows.close()
+			case FineSQ8:
+				rows, err := y.openSQ8()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cs := x.sq8.CodeSize()
+				for b := 0; b < x.nlist; b++ {
+					got, want := rows.bucket(b), x.codes[b]
+					if string(got) != string(want) {
+						t.Fatalf("bucket %d: codes differ from the resident bucket", b)
+					}
+					if s := int(y.starts[b]) * cs; len(got) > 0 && &got[0] != &rows.payload[s] {
+						t.Fatalf("bucket %d is not the payload's run at row %d", b, y.starts[b])
+					}
+					covered += len(got)
+				}
+				if covered != len(rows.payload) {
+					t.Fatalf("buckets cover %d of %d payload bytes", covered, len(rows.payload))
+				}
+				rows.close()
+			}
+			if ext.open != 0 || ext.opens != 1 {
+				t.Fatalf("%d payloads opened, %d left open; want 1 and 0", ext.opens, ext.open)
+			}
+		})
+	}
+}
+
+// TestExternalizedSweepOpensOnce: a search pins the payload once for its
+// whole probe sweep, however many buckets it probes; a single-bucket scan
+// pins it once per call. Every pin is released.
+func TestExternalizedSweepOpensOnce(t *testing.T) {
+	for _, fine := range []Fine{FineFlat, FineSQ8} {
+		x, d := smallIVF(t, fine, vec.L2)
+		t.Run(x.Name(), func(t *testing.T) {
+			y, ext := externalized(t, x)
+			q := dataset.Queries(d, 1, 82)
+			p := index.SearchParams{K: 10, Nprobe: x.nlist}
+			y.Search(q, p)
+			if ext.opens != 1 {
+				t.Fatalf("a %d-bucket search opened the payload %d times, want once", x.nlist, ext.opens)
+			}
+			h := topk.New(p.K)
+			sel := y.selection(p)
+			for _, b := range y.ProbeOrder(q, x.nlist) {
+				y.ScanBucket(q, b, sel, h)
+			}
+			if want := 1 + x.nlist; ext.opens != want {
+				t.Fatalf("after %d bucket scans: %d opens, want %d", x.nlist, ext.opens, want)
+			}
+			if ext.open != 0 {
+				t.Fatalf("%d payloads left open", ext.open)
+			}
+		})
+	}
+}
+
+// failingExt is a PayloadExt whose payload cannot be pinned.
+type failingExt struct{}
+
+var errNoPayload = fmt.Errorf("payload unavailable")
+
+func (failingExt) OpenFloats() ([]float32, func(), error) { return nil, nil, errNoPayload }
+func (failingExt) OpenBytes() ([]byte, func(), error)     { return nil, nil, errNoPayload }
+
+// TestExternalizedOpenFailureScansNothing: when the payload cannot be
+// pinned, a probe scans no bucket of the index — it neither panics on the
+// missing slice nor disturbs what the heap already holds.
+func TestExternalizedOpenFailureScansNothing(t *testing.T) {
+	for _, fine := range []Fine{FineFlat, FineSQ8} {
+		x, d := smallIVF(t, fine, vec.L2)
+		t.Run(x.Name(), func(t *testing.T) {
+			y, err := x.Externalize(failingExt{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := dataset.Queries(d, 1, 83)
+			p := index.SearchParams{K: 10, Nprobe: x.nlist}
+			if got := y.Search(q, p); len(got) != 0 {
+				t.Fatalf("search without a payload returned %d results", len(got))
+			}
+			prefill := []topk.Result{{ID: -1, Distance: 1}, {ID: -2, Distance: 2}}
+			h := topk.New(p.K)
+			for _, r := range prefill {
+				h.Push(r.ID, r.Distance)
+			}
+			y.SearchInto(h, q, p)
+			sel := y.selection(p)
+			for b := 0; b < x.nlist; b++ {
+				y.ScanBucket(q, b, sel, h)
+			}
+			sameResults(t, "prefilled heap", prefill, h.Results())
+		})
+	}
+}
+
+// TestExternalizeRejects: Externalize refuses a nil provider, an index
+// already externalized and a fine kind whose payload cannot move out of
+// core, and leaves the receiver as it was.
+func TestExternalizeRejects(t *testing.T) {
+	flat, _ := smallIVF(t, FineFlat, vec.L2)
+	pq, _ := smallIVF(t, FinePQ, vec.L2)
+	ext, _ := externalized(t, flat)
+	for _, tc := range []struct {
+		name string
+		x    *IVF
+		ext  PayloadExt
+	}{
+		{"nil_provider", flat, nil},
+		{"already_externalized", ext, failingExt{}},
+		{"pq_payload", pq, failingExt{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			was := tc.x.Externalized()
+			if y, err := tc.x.Externalize(tc.ext); err == nil || y != nil {
+				t.Fatalf("Externalize = (%v, %v), want an error", y, err)
+			}
+			if tc.x.Externalized() != was {
+				t.Fatal("a refused Externalize changed the receiver")
+			}
+		})
 	}
 }

@@ -166,13 +166,13 @@ func (b *Builder) Build(data []float32, ids []int64) (index.Index, error) {
 
 	switch b.Fine {
 	case FineFlat:
-		idx.vecs = flatBuckets(nlist, b.Dim)
+		idx.vecs = make([][]float32, nlist)
 	case FineSQ8:
 		idx.sq8, err = quantizer.TrainSQ8(data, b.Dim)
 		if err != nil {
 			return nil, fmt.Errorf("ivf: sq8: %w", err)
 		}
-		idx.codes = codeBuckets(nlist, idx.sq8.CodeSize())
+		idx.codes = make([][]byte, nlist)
 	case FinePQ:
 		m := b.PQM
 		if m <= 0 {
@@ -189,7 +189,7 @@ func (b *Builder) Build(data []float32, ids []int64) (index.Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ivf: pq: %w", err)
 		}
-		idx.codes = codeBuckets(nlist, idx.pq.CodeSize())
+		idx.codes = make([][]byte, nlist)
 	}
 
 	assign := make([]int, n)
@@ -200,11 +200,11 @@ func (b *Builder) Build(data []float32, ids []int64) (index.Index, error) {
 		idx.pos[c] = append(idx.pos[c], int32(i))
 		switch b.Fine {
 		case FineFlat:
-			idx.vecs[c].Data = append(idx.vecs[c].Data, row...)
+			idx.vecs[c] = append(idx.vecs[c], row...)
 		case FineSQ8:
-			idx.codes[c].codes = append(idx.codes[c].codes, idx.sq8.Encode(row, nil)...)
+			idx.codes[c] = append(idx.codes[c], idx.sq8.Encode(row, nil)...)
 		case FinePQ:
-			idx.codes[c].codes = append(idx.codes[c].codes, idx.pq.Encode(row, nil)...)
+			idx.codes[c] = append(idx.codes[c], idx.pq.Encode(row, nil)...)
 		}
 	}
 	return idx, nil
@@ -218,16 +218,16 @@ type IVF struct {
 	nlist     int
 	coarse    *kmeans.Result
 	ids       [][]int64
-	pos       [][]int32           // build-order row position of each bucket entry (bitset pushdown)
-	vecs      []index.SliceSource // FineFlat: each bucket's rows
-	codes     []codeRows          // FineSQ8 / FinePQ: each bucket's codes
+	pos       [][]int32   // build-order row position of each bucket entry (bitset pushdown)
+	vecs      [][]float32 // FineFlat: each bucket's rows
+	codes     [][]byte    // FineSQ8 / FinePQ: each bucket's codes
 	sq8       *quantizer.SQ8
 	pq        *quantizer.PQ
 	nprobeDef int
 	size      int
 
 	// ext, when non-nil, serves the fine payload out of core: vecs/codes
-	// are nil and bucket scans pull blocks through the provider. starts[b]
+	// are nil and bucket scans read the payload the provider pins. starts[b]
 	// is bucket b's first row within the build-order payload extent.
 	ext    PayloadExt
 	starts []int32
@@ -256,10 +256,10 @@ func (x *IVF) MemoryBytes() int64 {
 		b += int64(len(l)) * 8
 	}
 	for _, v := range x.vecs {
-		b += int64(len(v.Data)) * 4
+		b += int64(len(v)) * 4
 	}
 	for _, c := range x.codes {
-		b += int64(len(c.codes))
+		b += int64(len(c))
 	}
 	return b
 }
@@ -346,18 +346,18 @@ func (x *IVF) scanFlat(rows flatRows, query []float32, bucket int, sel index.Sel
 		// may use the sorted-span block skip.
 		sel.Pos, sel.PosSorted = x.pos[bucket], true
 	}
-	index.ScanBlockedSource(h, x.metric, query, rows.bucket(bucket), x.ids[bucket], sel)
+	index.ScanBlocked(h, x.metric, query, rows.bucket(bucket), x.dim, x.ids[bucket], sel)
 }
 
 // scanSQ8 is the one IVF_SQ8 bucket scan: distances are computed directly
 // over the code bytes through the fused table (two FMAs per dimension, no
-// dequantized floats), one aligned block of the bucket at a time, gated on
+// dequantized floats), one 256-row block of the bucket at a time, gated on
 // the heap's worst distance like every other scan path. Unfiltered blocks
 // go through DistanceBatch into a pooled buffer; filtered ones score their
-// survivors one by one, and a block with none is never fetched.
+// survivors one by one.
 func (x *IVF) scanSQ8(rows sq8Rows, sq *quantizer.SQ8Query, bucket int, sel index.Selection, h *topk.Heap) {
 	ids, pos := x.ids[bucket], x.pos[bucket]
-	src := rows.bucket(bucket)
+	codes := rows.bucket(bucket)
 	cs := x.sq8.CodeSize()
 	worst := float32(math.Inf(1))
 	if w, ok := h.Worst(); ok && h.Full() {
@@ -367,9 +367,8 @@ func (x *IVF) scanSQ8(rows sq8Rows, sq *quantizer.SQ8Query, bucket int, sel inde
 	buf := *bp
 	for i0 := 0; i0 < len(ids); i0 += index.ScanBlockRows {
 		i1 := min(i0+index.ScanBlockRows, len(ids))
-		var blk []byte
 		if sel.Bits == nil {
-			sq.DistanceBatch(src.Block(i0, i1), buf)
+			sq.DistanceBatch(codes[i0*cs:i1*cs], buf)
 		}
 		for i := i0; i < i1; i++ {
 			var d float32
@@ -379,10 +378,7 @@ func (x *IVF) scanSQ8(rows sq8Rows, sq *quantizer.SQ8Query, bucket int, sel inde
 				if !sel.Bits.Test(int(pos[i])) {
 					continue
 				}
-				if blk == nil {
-					blk = src.Block(i0, i1)
-				}
-				d = sq.Distance(blk[(i-i0)*cs : (i-i0+1)*cs])
+				d = sq.Distance(codes[i*cs : (i+1)*cs])
 			}
 			if d >= worst {
 				continue
@@ -405,7 +401,7 @@ func (x *IVF) pqTable(query []float32) *quantizer.ADCTable {
 
 func (x *IVF) scanBucketPQ(tab *quantizer.ADCTable, bucket int, sel index.Selection, h *topk.Heap) {
 	ids := x.ids[bucket]
-	codes := x.codes[bucket].codes
+	codes := x.codes[bucket]
 	cs := x.pq.CodeSize()
 	pos := x.pos[bucket]
 	for i, id := range ids {
@@ -429,7 +425,7 @@ func (x *IVF) Search(query []float32, p index.SearchParams) []topk.Result {
 // into h, a caller-owned heap that may already hold other segments'
 // results: its worst distance prunes the bucket scans from the first row.
 // Per-query ADC tables (SQ8 fused, PQ) are built once and reused across
-// all probed buckets. Externalized indexes open one payload source for the
+// all probed buckets. Externalized indexes open the payload once for the
 // whole probe sweep so the mapping is pinned (and the segment promoted)
 // once per query rather than once per bucket.
 func (x *IVF) SearchInto(h *topk.Heap, query []float32, p index.SearchParams) {

@@ -177,9 +177,9 @@ func (x *IVF) MarshalIndex() ([]byte, error) {
 		w.ids(x.ids[b])
 		switch x.fine {
 		case FineFlat:
-			w.floats(x.vecs[b].Data)
+			w.floats(x.vecs[b])
 		default:
-			w.bytes(x.codes[b].codes)
+			w.bytes(x.codes[b])
 		}
 		w.pos32s(x.pos[b])
 	}
@@ -246,9 +246,9 @@ func unmarshalIVF(fine Fine, metric vec.Metric, dim int, data []byte) (index.Ind
 	x.ids = make([][]int64, x.nlist)
 	x.pos = make([][]int32, x.nlist)
 	if fine == FineFlat {
-		x.vecs = flatBuckets(x.nlist, dim)
+		x.vecs = make([][]float32, x.nlist)
 	} else {
-		x.codes = codeBuckets(x.nlist, cs)
+		x.codes = make([][]byte, x.nlist)
 	}
 	total := 0
 	for b := 0; b < x.nlist; b++ {
@@ -262,13 +262,13 @@ func unmarshalIVF(fine Fine, metric vec.Metric, dim int, data []byte) (index.Ind
 			if r.err == nil && len(v) != len(x.ids[b])*dim {
 				return nil, fmt.Errorf("ivf: bucket %d has %d floats for %d ids", b, len(v), len(x.ids[b]))
 			}
-			x.vecs[b].Data = v
+			x.vecs[b] = v
 		default:
 			c := r.bytes()
 			if r.err == nil && len(c) != len(x.ids[b])*cs {
 				return nil, fmt.Errorf("ivf: bucket %d has %d code bytes for %d ids (code size %d)", b, len(c), len(x.ids[b]), cs)
 			}
-			x.codes[b].codes = c
+			x.codes[b] = c
 		}
 		x.pos[b] = r.pos32s()
 		if r.err == nil && len(x.pos[b]) != len(x.ids[b]) {
@@ -297,7 +297,7 @@ func unmarshalIVF(fine Fine, metric vec.Metric, dim int, data []byte) (index.Ind
 		// Every PQ code byte indexes a Ks-entry distance table at scan
 		// time; a corrupted byte ≥ Ks would read out of bounds.
 		for b := range x.codes {
-			for i, code := range x.codes[b].codes {
+			for i, code := range x.codes[b] {
 				if int(code) >= x.pq.Ks {
 					return nil, fmt.Errorf("ivf: bucket %d code %d is %d, ks=%d", b, i, code, x.pq.Ks)
 				}

@@ -130,17 +130,6 @@ func (s Selection) mode(n int) FilterMode {
 // The heap may arrive non-empty: its retained worst carries pruning across
 // segments exactly as Segment.SearchInto documents.
 func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int, ids []int64, sel Selection) {
-	scanRows(h, metric, query, data, dim, ids, sel, 0)
-}
-
-// scanRows is the body of every blocked scan: ScanBlocked runs it over a
-// whole resident slice, ScanBlockedSource over each fetched block. data
-// holds scan rows [base, base+n): with ids == nil row r is named base+r,
-// and with sel.Pos == nil it tests bit base+r (ids and Pos, when set, are
-// aligned with data). A caller scanning one source block by block pins
-// sel.Force first, so every block runs in the mode chosen for the whole
-// source.
-func scanRows(h *topk.Heap, metric vec.Metric, query, data []float32, dim int, ids []int64, sel Selection, base int) {
 	n := len(data) / dim
 	if ids != nil {
 		n = len(ids)
@@ -148,7 +137,7 @@ func scanRows(h *topk.Heap, metric vec.Metric, query, data []float32, dim int, i
 	if n == 0 {
 		return
 	}
-	idOf := func(i int) int64 { return int64(base + i) }
+	idOf := func(i int) int64 { return int64(i) }
 	if ids != nil {
 		idOf = func(i int) int64 { return ids[i] }
 	}
@@ -156,7 +145,7 @@ func scanRows(h *topk.Heap, metric vec.Metric, query, data []float32, dim int, i
 	if w, ok := h.Worst(); ok && h.Full() {
 		worst = w
 	}
-	pass := sel.passFunc(base)
+	pass := sel.passFunc()
 	if !metric.BatchEligible() {
 		scanPairwise(h, metric, query, data, dim, n, idOf, pass, worst)
 		return
@@ -286,8 +275,8 @@ func scanRows(h *topk.Heap, metric vec.Metric, query, data []float32, dim int, i
 	switch {
 	case mode == FilterSparse && sel.Pos == nil:
 		// Word-skipping sparse iteration: empty words cost one load.
-		for p := sel.Bits.NextSet(base); p >= 0 && p < base+n; p = sel.Bits.NextSet(p + 1) {
-			appendRow(p - base)
+		for p := sel.Bits.NextSet(0); p >= 0 && p < n; p = sel.Bits.NextSet(p + 1) {
+			appendRow(p)
 		}
 	case mode == FilterSparse:
 		for r := 0; r < n; r++ {
@@ -305,7 +294,7 @@ func scanRows(h *topk.Heap, metric vec.Metric, query, data []float32, dim int, i
 			if i1 > n {
 				i1 = n
 			}
-			m := sel.Bits.CountRange(base+i0, base+i1)
+			m := sel.Bits.CountRange(i0, i1)
 			switch {
 			case m == 0:
 			case m == i1-i0:
@@ -315,8 +304,8 @@ func scanRows(h *topk.Heap, metric vec.Metric, query, data []float32, dim int, i
 				flush()
 				emitMasked(i0, i1)
 			default:
-				for p := sel.Bits.NextSet(base + i0); p >= 0 && p < base+i1; p = sel.Bits.NextSet(p + 1) {
-					appendRow(p - base)
+				for p := sel.Bits.NextSet(i0); p >= 0 && p < i1; p = sel.Bits.NextSet(p + 1) {
+					appendRow(p)
 				}
 			}
 		}
@@ -342,36 +331,16 @@ func scanRows(h *topk.Heap, metric vec.Metric, query, data []float32, dim int, i
 	bufferpool.PutFloats(bp)
 }
 
-// passFunc returns the bit test of scan rows named from base (see
-// scanRows), nil when the selection keeps every row.
-func (s Selection) passFunc(base int) func(int) bool {
+// passFunc returns the selection's bit test of scan rows, nil when it
+// keeps every row.
+func (s Selection) passFunc() func(int) bool {
 	if s.Bits == nil {
 		return nil
 	}
 	if s.Pos == nil {
-		return func(r int) bool { return s.Bits.Test(base + r) }
+		return s.Bits.Test
 	}
 	return func(r int) bool { return s.Bits.Test(int(s.Pos[r])) }
-}
-
-// anyIn reports whether scan rows [i0, i1) hold a survivor, so a blocked
-// source scan can skip a block without fetching it. A sorted Pos is
-// answered by one ranged popcount over the block's position span first.
-func (s Selection) anyIn(i0, i1 int) bool {
-	switch {
-	case s.Bits == nil:
-		return true
-	case s.Pos == nil:
-		return s.Bits.CountRange(i0, i1) > 0
-	case s.PosSorted && s.Bits.CountRange(int(s.Pos[i0]), int(s.Pos[i1-1])+1) == 0:
-		return false
-	}
-	for _, p := range s.Pos[i0:i1] {
-		if s.Bits.Test(int(p)) {
-			return true
-		}
-	}
-	return false
 }
 
 // scanPairwise is the per-row path of metrics without batch kernels: the

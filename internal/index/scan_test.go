@@ -148,32 +148,20 @@ func TestScanBlockedUsesBatchKernels(t *testing.T) {
 }
 
 // TestScanBlockedAllocs: with a caller-owned heap and the pooled distance
-// buffer, a steady-state scan performs zero allocations — over a resident
-// slice and block by block over a source.
+// buffer, a steady-state scan performs zero allocations.
 func TestScanBlockedAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
 	dim := 24
 	data := randBlock(r, 500*dim)
 	q := randBlock(r, dim)
 	h := topk.New(10)
-	src := &chunkSource{t: t, data: data, dim: dim}
-	for name, scan := range map[string]func(){
-		"ScanBlocked":       func() { ScanBlocked(h, vec.L2, q, data, dim, nil, Selection{}) },
-		"ScanBlockedSource": func() { ScanBlockedSource(h, vec.L2, q, src, nil, Selection{}) },
-	} {
-		if raceEnabled && name == "ScanBlockedSource" {
-			// One pooled buffer per block, and sync.Pool drops 25% of
-			// Puts under the race detector: see TestScanBlockedBitsetAllocs.
-			continue
-		}
-		scan() // warm the buffer pool
-		avg := testing.AllocsPerRun(100, func() {
-			h.Reset()
-			scan()
-		})
-		if avg > 0.5 {
-			t.Fatalf("%s allocates %.1f objects/op, want 0 (pooled buffer regressed?)", name, avg)
-		}
+	ScanBlocked(h, vec.L2, q, data, dim, nil, Selection{}) // warm the buffer pool
+	avg := testing.AllocsPerRun(100, func() {
+		h.Reset()
+		ScanBlocked(h, vec.L2, q, data, dim, nil, Selection{})
+	})
+	if avg > 0.5 {
+		t.Fatalf("ScanBlocked allocates %.1f objects/op, want 0 (pooled buffer regressed?)", avg)
 	}
 }
 

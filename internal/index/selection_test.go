@@ -171,23 +171,15 @@ func TestScanBlockedBitsetAllocs(t *testing.T) {
 	q := randBlock(r, dim)
 	bits := bitsetFor(n, func(i int) bool { return i%7 != 0 })
 	h := topk.New(10)
-	src := &chunkSource{t: t, data: data, dim: dim}
 	for _, mode := range []FilterMode{FilterDense, FilterSparse} {
 		sel := Selection{Bits: bits, Force: mode}
-		for name, scan := range map[string]func(){
-			"ScanBlocked":       func() { ScanBlocked(h, vec.L2, q, data, dim, nil, sel) },
-			"ScanBlockedSource": func() { ScanBlockedSource(h, vec.L2, q, src, nil, sel) },
-		} {
-			// Warm the pools.
+		scan := func() {
 			h.Reset()
-			scan()
-			avg := testing.AllocsPerRun(100, func() {
-				h.Reset()
-				scan()
-			})
-			if avg > 0.5 {
-				t.Fatalf("%s mode %d: %v allocs/op, want 0", name, mode, avg)
-			}
+			ScanBlocked(h, vec.L2, q, data, dim, nil, sel)
+		}
+		scan() // warm the pools
+		if avg := testing.AllocsPerRun(100, scan); avg > 0.5 {
+			t.Fatalf("mode %d: %v allocs/op, want 0", mode, avg)
 		}
 	}
 }
@@ -209,5 +201,52 @@ func TestChooseFilterMode(t *testing.T) {
 	}
 	if FilterModeName(0.5) != "dense" || FilterModeName(0.001) != "sparse" {
 		t.Fatal("FilterModeName inconsistent with threshold")
+	}
+}
+
+// TestScanBlockedPayloadRuns: an out-of-core bucket scan is ScanBlocked
+// over one run of a build-order payload, its IDs and its sorted positions.
+// Scanning a payload run by run — runs of uneven length that start and end
+// inside scan blocks — into one heap returns what one scan of the whole
+// payload returns, unfiltered and in every filter mode.
+func TestScanBlockedPayloadRuns(t *testing.T) {
+	r := rand.New(rand.NewSource(59))
+	const dim, n, k = 16, 1200, 12
+	data := randBlock(r, n*dim)
+	q := randBlock(r, dim)
+	ids := make([]int64, n)
+	pos := make([]int32, n)
+	for i := range ids {
+		ids[i] = int64(i)*5 + 2
+		pos[i] = int32(i)
+	}
+	bounds := []int{0, 1, 300, 301, 700, 1000, n}
+	bits := bitsetFor(n, func(p int) bool { return p%7 == 0 || (p >= 400 && p < 520) })
+	for _, tc := range []struct {
+		name string
+		sel  Selection
+	}{
+		{"unfiltered", Selection{}},
+		{"auto", Selection{Bits: bits}},
+		{"dense", Selection{Bits: bits, Force: FilterDense}},
+		{"sparse", Selection{Bits: bits, Force: FilterSparse}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var filter func(int64) bool
+			if tc.sel.Bits != nil {
+				filter = func(id int64) bool { return tc.sel.Bits.Test(int((id - 2) / 5)) }
+			}
+			want := refHeap(vec.L2, q, data, dim, k, ids, filter)
+			h := topk.New(k)
+			for i := 0; i+1 < len(bounds); i++ {
+				s, e := bounds[i], bounds[i+1]
+				sel := tc.sel
+				if sel.Bits != nil {
+					sel.Pos, sel.PosSorted = pos[s:e], true
+				}
+				ScanBlocked(h, vec.L2, q, data[s*dim:e*dim], dim, ids[s:e], sel)
+			}
+			sameResults(t, tc.name, h.Results(), want)
+		})
 	}
 }

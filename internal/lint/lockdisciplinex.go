@@ -4,14 +4,12 @@ import "strings"
 
 // lockdisciplinex is the transitive extension of lockdiscipline: it flags
 // a blocking operation — channel op, defaultless select, WaitGroup.Wait,
-// exec pool submission, blockcache GetOrLoad — reached through ANY call
-// chain while a mutex is held, where the intraprocedural fast path only
-// sees the operation when it sits lexically inside the locked region.
-// The fast path stays authoritative for direct violations: this analyzer
-// reports (a) held-across blockcache GetOrLoad, which the fast path does
-// not model, and (b) held-at call sites whose callee may transitively
-// block, skipping direct calls into the exec pool's submit family that
-// the fast path already flags.
+// exec pool submission — reached through ANY call chain while a mutex is
+// held, where the intraprocedural fast path only sees the operation when
+// it sits lexically inside the locked region. The fast path stays
+// authoritative for direct violations: this analyzer reports held-at call
+// sites whose callee may transitively block, skipping direct calls into
+// the exec pool's submit family that the fast path already flags.
 type lockDisciplineX struct {
 	ip *interp
 }
@@ -33,13 +31,6 @@ func (lx *lockDisciplineX) finish(report reportFunc) {
 	ip.finish()
 	for _, key := range ip.order {
 		s := ip.funcs[key]
-		for _, b := range s.blocks {
-			// The fast path flags every other direct blocking op; GetOrLoad
-			// (which parks on the per-key singleflight) is modelled only here.
-			if b.what == "blockcache GetOrLoad" && len(b.held) > 0 {
-				report(b.pos, "%s held across %s: the load fn runs arbitrary I/O and other goroutines wait on the same key", heldNames(b.held), b.what)
-			}
-		}
 		for _, c := range s.calls {
 			if len(c.held) == 0 {
 				continue

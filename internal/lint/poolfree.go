@@ -67,7 +67,7 @@ func functionScopes(f *ast.File) []*ast.BlockStmt {
 // poolSpec abstracts one resource discipline over the shared release-flow
 // interpreter: how the resource reads in messages and what constitutes a
 // release. poolfree instantiates it per get/put pair; blockpin instantiates
-// it for blockcache pins (method acquire, method release).
+// it for mapping pins (method acquire, call of the returned release).
 type poolSpec struct {
 	noun    string // what leaks, for messages
 	getDesc string // how the value was acquired, for messages
@@ -579,6 +579,14 @@ func (fl *poolFlow) classifyUse(stack []ast.Node, id *ast.Ident) useKind {
 	case *ast.BinaryExpr:
 		return usePlain // comparisons (v != nil)
 	case *ast.CallExpr:
+		if ast.Unparen(p.Fun) == ast.Expr(id) {
+			// v(): calling a release-shaped value frees it; calling any
+			// other tracked func is a plain use.
+			if fl.isReleaseCall(p) {
+				return useFreed
+			}
+			return usePlain
+		}
 		for _, arg := range p.Args {
 			if ast.Unparen(arg) == ast.Expr(id) {
 				if fl.isReleaseCall(p) {

@@ -59,8 +59,7 @@ type acquireSite struct {
 
 // blockSite is one operation that can park the goroutine for an unbounded
 // time: channel send/receive, defaultless select, range over a channel,
-// sync.WaitGroup.Wait, submitting to the shared exec pool, or a
-// blockcache GetOrLoad (which waits on the per-key singleflight).
+// sync.WaitGroup.Wait, or submitting to the shared exec pool.
 type blockSite struct {
 	what string
 	pos  token.Position
@@ -509,10 +508,6 @@ func (sm *summarizer) call(call *ast.CallExpr, held map[string]heldLock, deferre
 		}
 	case isExecPoolBlocking(fn):
 		sm.block("exec pool "+fn.Name(), call.Pos(), held)
-	case pathHasSuffix(funcPkgPath(fn), "internal/blockcache") && fn.Name() == "GetOrLoad":
-		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil && typeIs(sig.Recv().Type(), "internal/blockcache", "Cache") {
-			sm.block("blockcache GetOrLoad", call.Pos(), held)
-		}
 	}
 	if fn.Pkg() == nil {
 		return

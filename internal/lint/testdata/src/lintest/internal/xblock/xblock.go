@@ -1,15 +1,10 @@
 // Package xblock seeds lockdisciplinex violations: blocking operations
 // reached through a call chain while a mutex is held — invisible to the
 // intraprocedural fast path, which only sees ops lexically inside the
-// locked region — plus the held-across-GetOrLoad case the fast path does
-// not model at all.
+// locked region.
 package xblock
 
-import (
-	"sync"
-
-	"lintest.example/internal/blockcache"
-)
+import "sync"
 
 // D couples a mutex with a channel, one call away from every mistake.
 type D struct {
@@ -40,20 +35,6 @@ func (d *D) BadDeep() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.relay() // want lockdisciplinex "which may block on channel send via xblock.D.notify"
-}
-
-// BadLoad holds the lock across a blockcache load: other goroutines
-// missing on the same key wait on this one's singleflight.
-func (d *D) BadLoad(c *blockcache.Cache, k blockcache.Key) []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	pin, err := c.GetOrLoad(k, 64, func([]byte) error { return nil }) // want lockdisciplinex "D.mu held across blockcache GetOrLoad"
-	if err != nil {
-		return nil
-	}
-	b := pin.Bytes()
-	pin.Release()
-	return b
 }
 
 // Unlocked releases before notifying: no finding.

@@ -64,8 +64,8 @@ type QueryShape struct {
 	Dim int
 
 	// Residency split of the candidate rows (core/tier.go): hot rows live
-	// on the Go heap, mapped rows fault through the block cache, cold rows
-	// must first promote from spill.
+	// on the Go heap, mapped rows are read in place from an mmap'd extent,
+	// cold rows must first promote from spill.
 	HotRows, MappedRows, ColdRows int
 
 	// IVF geometry when an inverted-file index serves the segments
@@ -179,17 +179,16 @@ func fin(x float64) float64 {
 	return x
 }
 
-// Residency penalties: the per-row cost of block-cache-resident rows, and of
-// spilled rows that must promote first, relative to hot rows.
-const (
-	mappedPenalty = 1.5
-	coldPenalty   = 6
-)
+// coldPenalty is the per-row cost of spilled rows, which must promote
+// before they scan, relative to hot rows.
+const coldPenalty = 6
 
-// effRows weights the candidate rows by residency: mapped rows pay the
-// block-cache fault path, cold rows the promote-from-spill path.
+// effRows weights the candidate rows by residency: cold rows pay the
+// promote-from-spill path. Mapped rows cost what hot rows do — a scan
+// reads the mapping in place with the resident scan body, and core's
+// BenchmarkTieredSearch runs /mapped within noise of /resident.
 func effRows(s QueryShape) float64 {
-	return float64(s.HotRows) + mappedPenalty*float64(s.MappedRows) + coldPenalty*float64(s.ColdRows)
+	return float64(s.HotRows+s.MappedRows) + coldPenalty*float64(s.ColdRows)
 }
 
 // queueBucket coarsens the live backlog so load only shifts costs at

@@ -235,14 +235,14 @@ func TestQueueBucketLoad(t *testing.T) {
 	}
 }
 
-// TestResidencyPenalty: mapped and cold rows raise CPU venue costs in
-// order hot < mapped < cold.
+// TestResidencyPenalty: mapped rows are read in place and cost what hot
+// rows do; cold rows, which promote first, cost more.
 func TestResidencyPenalty(t *testing.T) {
 	p := testPlanner()
 	hot := p.CostFlatCPU(QueryShape{NQ: 1, K: 10, Dim: 128, HotRows: 100000})
 	mapped := p.CostFlatCPU(QueryShape{NQ: 1, K: 10, Dim: 128, MappedRows: 100000})
 	cold := p.CostFlatCPU(QueryShape{NQ: 1, K: 10, Dim: 128, ColdRows: 100000})
-	if !(hot < mapped && mapped < cold) {
+	if !(hot == mapped && mapped < cold) {
 		t.Errorf("residency ordering violated: hot=%.0f mapped=%.0f cold=%.0f", hot, mapped, cold)
 	}
 }

@@ -216,10 +216,9 @@ func Run(cfg Config) (*Report, error) {
 		QueryLog:       obs.NewQueryLog(64, 32, time.Millisecond),
 	}
 	if cfg.Spill {
-		// Out-of-core mode: a run-private extent dir, a cache far smaller
-		// than the dataset the writers will grow, and a mapped-bytes budget
-		// of a few segments so the LRU demotes continuously even before the
-		// spiller piles on. A cold segment's copy is its segment object in
+		// Out-of-core mode: a run-private extent dir and a mapped-bytes
+		// budget of a few segments, so the LRU demotes continuously even
+		// before the spiller piles on. A cold segment's copy is its segment object in
 		// the fault-injected store, so every promotion rides its faults.
 		dir, err := os.MkdirTemp("", "vectordb-stress-tier-")
 		if err != nil {
@@ -227,7 +226,6 @@ func Run(cfg Config) (*Report, error) {
 		}
 		defer os.RemoveAll(dir)
 		ccfg.TierDir = dir
-		ccfg.TierCacheBytes = 256 << 10
 		ccfg.TierMappedBytes = 512 << 10
 	}
 	col, err := core.NewCollection("stress", schema, faults, ccfg)
