@@ -27,10 +27,10 @@ fmt:
 
 # lint runs vectordblint, the in-tree stdlib-only static-analysis suite
 # (internal/lint): poolfree, blockpin, ctxflow, kerneldispatch,
-# lockdiscipline, atomicmix, metricreg, plus the
-# interprocedural lockorder/lockdisciplinex/goleak call-graph analyzers.
-# Intentional exceptions carry //lint:allow pragmas in the source; see
-# DESIGN.md §9.
+# atomicmix, metricreg, plus the interprocedural
+# lockorder/lockdiscipline/goleak call-graph analyzers. Lock copies are
+# go vet's copylocks check (the vet target). Intentional exceptions carry
+# //lint:allow pragmas in the source; see DESIGN.md §9.
 lint:
 	$(GO) run ./cmd/vectordblint ./...
 

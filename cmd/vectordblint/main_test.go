@@ -63,14 +63,19 @@ func TestDriverEndToEnd(t *testing.T) {
 		t.Errorf("unknown-analyzer message missing: %q", out)
 	}
 
-	// -list prints the suite without loading anything, including the
-	// interprocedural trio.
+	// -list prints the suite without loading anything, one analyzer a
+	// line, including the interprocedural trio.
 	out, err = exec.Command(bin, "-list").CombinedOutput()
 	if code := exitCode(err); code != 0 {
 		t.Fatalf("-list: exit %d, want 0\n%s", code, out)
 	}
-	for _, name := range []string{"poolfree", "blockpin", "ctxflow", "kerneldispatch", "lockdiscipline", "atomicmix", "metricreg", "lockorder", "lockdisciplinex", "goleak"} {
-		if !strings.Contains(string(out), name) {
+	names := []string{"poolfree", "blockpin", "ctxflow", "kerneldispatch", "atomicmix", "metricreg", "lockorder", "lockdiscipline", "goleak"}
+	lines = strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) != len(names) {
+		t.Errorf("-list printed %d analyzers, want %d:\n%s", len(lines), len(names), out)
+	}
+	for _, name := range names {
+		if !strings.Contains(string(out), name+" ") {
 			t.Errorf("-list output missing %s:\n%s", name, out)
 		}
 	}
@@ -95,11 +100,11 @@ func TestDriverInterprocedural(t *testing.T) {
 	if code := exitCode(err); code != 0 {
 		t.Fatalf("lockorder on lock-free package: exit %d, want 0\n%s", code, out)
 	}
-	out, err = exec.Command(bin, "-C", golden, "-q", "-run", "lockorder,lockdisciplinex,goleak", "./...").CombinedOutput()
+	out, err = exec.Command(bin, "-C", golden, "-q", "-run", "lockorder,lockdiscipline,goleak", "./...").CombinedOutput()
 	if code := exitCode(err); code != 1 {
 		t.Fatalf("interprocedural run: exit %d, want 1\n%s", code, out)
 	}
-	for _, want := range []string{"[lockorder] potential deadlock: lock-order cycle", "[lockdisciplinex] ", "[goleak] goroutine leak"} {
+	for _, want := range []string{"[lockorder] potential deadlock: lock-order cycle", "[lockdiscipline] ", "[goleak] goroutine leak"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("interprocedural run missing %q:\n%s", want, out)
 		}
@@ -170,7 +175,7 @@ func TestDriverJSONAndStats(t *testing.T) {
 	}
 
 	// Text -stats goes to stderr and keeps stdout parseable as findings.
-	cmd := exec.Command(bin, "-C", golden, "-stats", "-run", "lockdisciplinex", "./internal/xblock")
+	cmd := exec.Command(bin, "-C", golden, "-stats", "-run", "lockdiscipline", "./internal/xblock")
 	var stdout, stderr strings.Builder
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
@@ -178,7 +183,7 @@ func TestDriverJSONAndStats(t *testing.T) {
 	if code := exitCode(err); code != 1 {
 		t.Fatalf("text -stats run: exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
-	if !strings.Contains(stderr.String(), "lockdisciplinex") || !strings.Contains(stderr.String(), "ms") {
+	if !strings.Contains(stderr.String(), "lockdiscipline") || !strings.Contains(stderr.String(), "ms") {
 		t.Errorf("text stats missing from stderr: %q", stderr.String())
 	}
 	if strings.Contains(stdout.String(), "ms\n") {

@@ -138,7 +138,7 @@ func (w *Writer) Flush(collection string) error {
 	if err != nil {
 		return err
 	}
-	//lint:allow lockdisciplinex w.mu must keep Flush and manifest publish atomic: a manifest whose AppliedSeq ran ahead of its segments would make recovery skip WAL replay
+	//lint:allow lockdiscipline w.mu must keep Flush and manifest publish atomic: a manifest whose AppliedSeq ran ahead of its segments would make recovery skip WAL replay
 	if err := wc.col.Flush(); err != nil {
 		return err
 	}
@@ -221,7 +221,7 @@ func (w *Writer) Restart() error {
 		if err != nil {
 			return err
 		}
-		//lint:allow lockdisciplinex recovery runs before the writer serves; holding w.mu until state is rebuilt is the point
+		//lint:allow lockdiscipline recovery runs before the writer serves; holding w.mu until state is rebuilt is the point
 		col, err := core.RestoreCollection(name, schema, w.store, w.cfg, m.SegmentKeys, m.TombstonesToMap())
 		if err != nil {
 			return err
@@ -274,7 +274,7 @@ func (w *Writer) Restart() error {
 	w.alive = true
 	// Make replayed writes visible and republish.
 	for name := range w.cols {
-		//lint:allow lockdisciplinex recovery runs before the writer serves; holding w.mu until replayed state is published is the point
+		//lint:allow lockdiscipline recovery runs before the writer serves; holding w.mu until replayed state is published is the point
 		if err := w.cols[name].col.Flush(); err != nil {
 			return err
 		}

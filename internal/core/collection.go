@@ -545,6 +545,16 @@ func (c *Collection) BuildIndex(fieldName, indexType string, params map[string]s
 	}
 	sn := c.snaps.acquire()
 	defer c.snaps.release(sn)
+	// An index build makes a new segment version (Sec. 5.2): a fresh
+	// snapshot of the current segments lets the old one go, and with it
+	// the payload tiers the build retired.
+	defer func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		cur := c.snaps.acquire()
+		c.snaps.install(newSnapshot(c.allocSnapID(), cur.Segments, cur.Deleted, nil))
+		c.snaps.release(cur)
+	}()
 	for _, seg := range sn.Segments {
 		t0 := time.Now()
 		err := seg.BuildIndex(c.schema, f, indexType, params)

@@ -151,15 +151,6 @@ func (s *Segment) buildAttrColumns() {
 	}
 }
 
-// CatByID returns the categorical value of an entity, if present.
-func (s *Segment) CatByID(cat int, id int64) (string, bool) {
-	p, ok := s.posOf(id)
-	if !ok {
-		return "", false
-	}
-	return s.RawCats[cat][p], true
-}
-
 // SetIndex installs a built index for a vector field, bumping the version
 // (a new segment version is generated "upon ... building index", Sec. 5.2).
 func (s *Segment) SetIndex(field int, idx index.Index) {

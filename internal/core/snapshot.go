@@ -2,6 +2,7 @@ package core
 
 import (
 	"maps"
+	"math"
 	"sync"
 
 	"vectordb/internal/bitset"
@@ -86,20 +87,21 @@ func (sn *Snapshot) LiveRows() int { return sn.TotalRows() - sn.hidden }
 // a segment is garbage once no live snapshot references it.
 type snapTracker struct {
 	mu      sync.Mutex
-	refs    map[int64]int       // snapshot ID → reference count
-	snaps   map[int64]*Snapshot // live snapshots
-	segRefs map[int64]int       // segment ID → number of live snapshots
-	onSegGC func(*Segment)      // invoked (outside locks) for each dead segment
-	segByID map[int64]*Segment
+	refs    map[int64]int  // live snapshot ID → reference count
+	segRefs map[int64]int  // segment ID → number of live snapshots
+	onSegGC func(*Segment) // invoked (outside locks) for each dead segment
 	current *Snapshot
+	// retired[id] frees storage an index rebuild replaced while snapshot
+	// id was current; it runs (outside locks) once no snapshot ≤ id is
+	// live. Installs take IDs in order under the collection's mu.
+	retired map[int64][]func()
 }
 
 func newSnapTracker(onSegGC func(*Segment)) *snapTracker {
 	return &snapTracker{
 		refs:    map[int64]int{},
-		snaps:   map[int64]*Snapshot{},
 		segRefs: map[int64]int{},
-		segByID: map[int64]*Segment{},
+		retired: map[int64][]func(){},
 		onSegGC: onSegGC,
 	}
 }
@@ -107,20 +109,14 @@ func newSnapTracker(onSegGC func(*Segment)) *snapTracker {
 // install makes sn current, releasing the previous current snapshot.
 func (t *snapTracker) install(sn *Snapshot) {
 	t.mu.Lock()
-	var dead []*Segment
-	t.snaps[sn.ID] = sn
 	t.refs[sn.ID]++ // the "current" pin
 	for _, seg := range sn.Segments {
 		t.segRefs[seg.ID]++
-		t.segByID[seg.ID] = seg
 	}
 	prev := t.current
 	t.current = sn
-	if prev != nil {
-		dead = t.releaseLocked(prev)
-	}
 	t.mu.Unlock()
-	t.gc(dead)
+	t.release(prev)
 }
 
 // acquire pins and returns the current snapshot.
@@ -135,43 +131,57 @@ func (t *snapTracker) acquire() *Snapshot {
 }
 
 // release unpins a snapshot, garbage-collecting it (and any segments that
-// became unreferenced) when the last pin drops.
+// became unreferenced, and any retired storage) when the last pin drops.
 func (t *snapTracker) release(sn *Snapshot) {
 	if sn == nil {
 		return
 	}
 	t.mu.Lock()
-	dead := t.releaseLocked(sn)
+	dead, freed := t.releaseLocked(sn)
 	t.mu.Unlock()
-	t.gc(dead)
+	for _, seg := range dead {
+		t.onSegGC(seg)
+	}
+	for _, free := range freed {
+		free()
+	}
 }
 
-func (t *snapTracker) releaseLocked(sn *Snapshot) []*Segment {
+// releaseLocked drops one pin of sn. When it was the last, it returns the
+// segments and the retired storage no live snapshot can reach any more.
+func (t *snapTracker) releaseLocked(sn *Snapshot) (dead []*Segment, freed []func()) {
 	t.refs[sn.ID]--
 	if t.refs[sn.ID] > 0 {
-		return nil
+		return nil, nil
 	}
 	delete(t.refs, sn.ID)
-	delete(t.snaps, sn.ID)
-	var dead []*Segment
 	for _, seg := range sn.Segments {
 		t.segRefs[seg.ID]--
 		if t.segRefs[seg.ID] == 0 {
 			delete(t.segRefs, seg.ID)
-			delete(t.segByID, seg.ID)
 			dead = append(dead, seg)
 		}
 	}
-	return dead
+	oldest := int64(math.MaxInt64)
+	for id := range t.refs {
+		oldest = min(oldest, id)
+	}
+	for id, fs := range t.retired {
+		if id < oldest {
+			freed = append(freed, fs...)
+			delete(t.retired, id)
+		}
+	}
+	return dead, freed
 }
 
-func (t *snapTracker) gc(dead []*Segment) {
-	if t.onSegGC == nil {
-		return
-	}
-	for _, seg := range dead {
-		t.onSegGC(seg)
-	}
+// retire runs free once every snapshot live now has been released: a
+// query pins its snapshot before it loads a segment's index, so only a
+// query of one of them can still hold an index reading the old storage.
+func (t *snapTracker) retire(free func()) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.retired[t.current.ID] = append(t.retired[t.current.ID], free)
 }
 
 // segmentLive reports whether a segment is still referenced by any live
@@ -188,7 +198,7 @@ func (t *snapTracker) segmentLive(id int64) bool {
 func (t *snapTracker) liveSnapshots() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.snaps)
+	return len(t.refs)
 }
 
 // liveSegments reports how many distinct segments are referenced.

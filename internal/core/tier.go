@@ -572,7 +572,9 @@ func (c *Collection) tierIndexPayload(seg *Segment, field int) {
 	seg.tierIdx[field] = t
 	seg.tierIdxMu.Unlock()
 	if old != nil {
-		old.destroy()
+		// A query may have loaded the replaced index and not yet opened
+		// its payload: destroying old now would silently drop its hits.
+		c.snaps.retire(old.destroy)
 	}
 	ct.register(t, size)
 	c.met.tierIdxSealed.Inc()

@@ -286,6 +286,14 @@ func TestTieredConcurrentRecycle(t *testing.T) {
 						churned <- err
 						return
 					}
+					// A manual rebuild swaps every segment's IVF index and
+					// replaces its payload tier under the running scans.
+					if idxType != "FLAT" {
+						if err := tiered.BuildIndex("v", idxType, params); err != nil {
+							churned <- err
+							return
+						}
+					}
 				}
 			}()
 			var wg sync.WaitGroup
@@ -1024,6 +1032,36 @@ func TestTieredIndexRebuild(t *testing.T) {
 		t.Fatalf("%d segment objects for %d live segments", n, segs)
 	}
 	assertNoExtKeys(t, store, "t")
+}
+
+// TestRetireWaitsForSwapTimeSnapshots: a payload tier a rebuild replaced
+// is destroyed only after every snapshot live at the swap is released. A
+// query of such a snapshot may have loaded the old index and not yet
+// opened its payload; a query that pins a later snapshot cannot hold it.
+func TestRetireWaitsForSwapTimeSnapshots(t *testing.T) {
+	tr := newSnapTracker(func(*Segment) {})
+	tr.install(&Snapshot{ID: 1})
+	inflight := tr.acquire()
+	freed := 0
+	tr.retire(func() { freed++ })
+	tr.install(&Snapshot{ID: 2}) // the rebuild's fresh snapshot
+	later := tr.acquire()
+	if freed != 0 {
+		t.Fatal("retired storage freed while a query of the swap-time snapshot runs")
+	}
+	tr.release(inflight)
+	if freed != 1 {
+		t.Fatalf("retired storage freed %d times after the last swap-time snapshot went, want 1", freed)
+	}
+	tr.release(later)
+	tr.retire(func() { freed++ }) // snapshot 2 is current: it must go first
+	if freed != 1 {
+		t.Fatal("retired storage freed while the current snapshot is live")
+	}
+	tr.install(&Snapshot{ID: 3})
+	if freed != 2 {
+		t.Fatalf("retired storage freed %d times after its snapshots went, want 2", freed)
+	}
 }
 
 // TestTieredGC: merged-away segments release their storage — their one

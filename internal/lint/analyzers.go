@@ -2,7 +2,7 @@ package lint
 
 // Defaults returns a fresh instance of every shipped analyzer. Instances
 // carry per-run state (metricreg aggregates registration sites across
-// packages; the interprocedural trio share one call graph), so callers
+// packages; lockorder, lockdiscipline and goleak share one call graph), so callers
 // must not share a set between concurrent runs.
 func Defaults() []*Analyzer {
 	ip := newInterp()
@@ -11,11 +11,10 @@ func Defaults() []*Analyzer {
 		NewBlockPin(),
 		NewCtxFlow(),
 		NewKernelDispatch(),
-		NewLockDiscipline(),
 		NewAtomicMix(),
 		NewMetricReg(),
 		NewLockOrder(ip),
-		NewLockDisciplineX(ip),
+		NewLockDiscipline(ip),
 		NewGoLeak(ip),
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // interp is the shared interprocedural state behind lockorder,
-// lockdisciplinex and goleak: per-function summaries collected during the
+// lockdiscipline and goleak: per-function summaries collected during the
 // Run phase (summary.go) and a module-wide call graph condensed into
 // strongly connected components, over which the transitive closures
 // (locks acquired, blocking effects, unbounded loops, termination-signal
@@ -68,8 +68,13 @@ func (ip *interp) visit(pass *Pass) {
 			if !ok {
 				continue
 			}
-			s := ip.summarize(pass, funcKey(fn), funcDisp(fn), fd.Name.Pos(), fd.Body)
-			s.fastPathBlock = isExecPoolBlocking(fn)
+			key := funcKey(fn)
+			if fn.Name() == "init" {
+				// A package may declare several; none is callable, so
+				// each is keyed by where it stands.
+				key += "@" + pass.Fset.Position(fd.Pos()).String()
+			}
+			ip.summarize(pass, key, funcDisp(fn), fd.Name.Pos(), fd.Body)
 		}
 		// Literals in top-level var initializers (and any other literal a
 		// walker did not reach) become independent roots.
@@ -83,8 +88,8 @@ func (ip *interp) visit(pass *Pass) {
 	}
 }
 
-// isExecPoolBlocking matches the exec pool's submit family — the calls
-// lockdiscipline's intraprocedural fast path already flags directly.
+// isExecPoolBlocking matches the exec pool's submit family: Map, Admit and
+// Close wait on the pool's workers or its bounded queue.
 func isExecPoolBlocking(fn *types.Func) bool {
 	if !pathHasSuffix(funcPkgPath(fn), "internal/exec") {
 		return false

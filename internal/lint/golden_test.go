@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,6 +22,8 @@ import (
 // want-below marks declarations whose finding lands on the code line
 // under a doc comment; want-above marks pragma findings, which are
 // reported at the pragma comment itself (where no second comment fits).
+// The analyzer name "vet" marks a finding of go vet's copylocks check,
+// which owns the lock-copy rule (TestGoldenVetCopylocks).
 var wantRE = regexp.MustCompile(`// want(-below|-above)? ([a-z]+) "([^"]+)"`)
 
 type expectation struct {
@@ -30,7 +34,9 @@ type expectation struct {
 	matched  bool
 }
 
-func collectWants(t *testing.T, root string) []*expectation {
+// collectWants gathers the expectations under root: go vet's when vet is
+// set, the suite's otherwise.
+func collectWants(t *testing.T, root string, vet bool) []*expectation {
 	t.Helper()
 	var wants []*expectation
 	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
@@ -45,6 +51,9 @@ func collectWants(t *testing.T, root string) []*expectation {
 		sc := bufio.NewScanner(f)
 		for ln := 1; sc.Scan(); ln++ {
 			for _, m := range wantRE.FindAllStringSubmatch(sc.Text(), -1) {
+				if (m[2] == "vet") != vet {
+					continue
+				}
 				line := ln
 				switch m[1] {
 				case "-below":
@@ -81,8 +90,55 @@ func TestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wants := collectWants(t, root)
+	byAnalyzer := checkWants(t, findings, collectWants(t, root, false))
 
+	// Every shipped analyzer (and the pragma validator) must be exercised
+	// by at least one golden finding, so a silently-broken analyzer cannot
+	// pass as "clean".
+	for _, a := range Defaults() {
+		if byAnalyzer[a.Name] == 0 {
+			t.Errorf("analyzer %s produced no golden findings", a.Name)
+		}
+	}
+	if byAnalyzer["pragma"] == 0 {
+		t.Error("malformed-pragma validation produced no golden findings")
+	}
+}
+
+// TestGoldenVetCopylocks keeps the lock-copy fixtures covered by the
+// check that owns them: go vet's copylocks over the golden module must
+// report exactly the "want vet" lines.
+func TestGoldenVetCopylocks(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("testdata", "src", "lintest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command("go", "vet", "-copylocks", "./...")
+	cmd.Dir = root
+	out, err := cmd.CombinedOutput() // exit status 1: vet found something
+	if cmd.ProcessState == nil {
+		t.Fatalf("go vet did not start: %v", err)
+	}
+	var findings []Finding
+	lineRE := regexp.MustCompile(`(?m)^(\S+\.go):(\d+):(\d+): (.+)$`)
+	for _, m := range lineRE.FindAllStringSubmatch(string(out), -1) {
+		f := Finding{Analyzer: "vet", Message: m[4]}
+		f.Pos.Filename = filepath.Join(root, m[1])
+		f.Pos.Line, _ = strconv.Atoi(m[2])
+		f.Pos.Column, _ = strconv.Atoi(m[3])
+		findings = append(findings, f)
+	}
+	wants := collectWants(t, root, true)
+	if byAnalyzer := checkWants(t, findings, wants); byAnalyzer["vet"] != 3 || len(wants) != 3 {
+		t.Errorf("go vet -copylocks: %d findings for %d wants, want 3 lock copies\n%s", byAnalyzer["vet"], len(wants), out)
+	}
+}
+
+// checkWants requires an exact match between findings and expectations —
+// every expectation met on its line, no finding left over — and returns
+// the findings counted per analyzer.
+func checkWants(t *testing.T, findings []Finding, wants []*expectation) map[string]int {
+	t.Helper()
 	byAnalyzer := map[string]int{}
 	for _, f := range findings {
 		byAnalyzer[f.Analyzer]++
@@ -104,18 +160,7 @@ func TestGolden(t *testing.T) {
 			t.Errorf("missing finding: want [%s] %q at %s:%d", w.analyzer, w.substr, w.file, w.line)
 		}
 	}
-
-	// Every shipped analyzer (and the pragma validator) must be exercised
-	// by at least one golden finding, so a silently-broken analyzer cannot
-	// pass as "clean".
-	for _, a := range Defaults() {
-		if byAnalyzer[a.Name] == 0 {
-			t.Errorf("analyzer %s produced no golden findings", a.Name)
-		}
-	}
-	if byAnalyzer["pragma"] == 0 {
-		t.Error("malformed-pragma validation produced no golden findings")
-	}
+	return byAnalyzer
 }
 
 // TestGoldenSelect runs a single analyzer over the whole golden module

@@ -6,13 +6,16 @@
 //
 // The shipped analyzers machine-check the hot-path conventions PRs 1–4
 // established by hand: pooled scratch must be released on every path
-// (poolfree), the read path must thread context.Context instead of minting
-// background contexts (ctxflow), distance kernels are only reached through
-// the internal/vec dispatch table (kerneldispatch), locks are not held
-// across blocking operations and lock-bearing structs are not copied
-// (lockdiscipline), fields touched with sync/atomic are never accessed
-// plainly (atomicmix), and obs metric names are namespaced and uniquely
-// registered (metricreg).
+// (poolfree), as must a tiered segment's mapping pin (blockpin), the read
+// path must thread context.Context instead of minting background contexts
+// (ctxflow), distance kernels are only reached through the internal/vec
+// dispatch table (kerneldispatch), fields touched with sync/atomic are
+// never accessed plainly (atomicmix), and obs metric names are namespaced
+// and uniquely registered (metricreg). Three more share one module-wide
+// call graph (callgraph.go, summary.go): lock-order cycles (lockorder),
+// blocking under a mutex, directly or through any call chain
+// (lockdiscipline), and goroutines without a termination path (goleak).
+// Copying a lock-bearing value is go vet's copylocks check.
 //
 // Intentional exceptions are annotated in the source with
 //

@@ -1,399 +1,81 @@
 package lint
 
 import (
-	"go/ast"
+	"fmt"
 	"go/token"
-	"go/types"
+	"strings"
 )
 
-// NewLockDiscipline returns the lockdiscipline analyzer, which enforces
-// two lock-hygiene rules from the PR 1/PR 3 concurrency model:
-//
-//  1. No blocking operation while holding a mutex: channel sends and
-//     receives, select statements, ranging over a channel, waiting on a
-//     sync.WaitGroup, and submitting to the shared execution pool
-//     (exec.Pool.Map/Admit/Close) all park the goroutine for an
-//     unbounded time; doing so under a sync.Mutex or sync.RWMutex turns a
-//     slow consumer into a lock convoy — or, against the bounded exec
-//     queue's caller-runs fallback, a self-deadlock.
-//  2. No copying a value whose type transitively contains a sync lock
-//     (Mutex, RWMutex, WaitGroup, Once, Cond, Map, Pool) or a sync/atomic
-//     value type: the copy shares no state with the original, so guarded
-//     invariants silently split.
-//
-// Rule 1 is lexical: it tracks Lock/RLock...Unlock/RUnlock pairs in
-// source order within each function, treating a deferred unlock as
-// holding the lock for the rest of the function.
-func NewLockDiscipline() *Analyzer {
-	a := &Analyzer{
-		Name: "lockdiscipline",
-		Doc:  "no blocking ops (channel, pool submit, WaitGroup.Wait) under a mutex; no copying lock-bearing values",
-	}
-	a.Run = func(pass *Pass) {
-		for _, f := range pass.Files {
-			for _, scope := range functionScopes(f) {
-				lw := &lockWalker{pass: pass}
-				lw.walkList(scope.List, map[string]token.Pos{})
-			}
-			checkLockCopies(pass, f)
-		}
-	}
-	return a
+// lockdiscipline flags every operation that can park the goroutine for an
+// unbounded time while a mutex is held — a channel send or receive, a
+// select without a default, a range over a channel, sync.WaitGroup.Wait,
+// or submitting to the shared exec pool (exec.Pool.Map/Admit/Close) —
+// whether it sits lexically inside the locked region or at the end of a
+// call chain out of it. Under a sync.Mutex or sync.RWMutex a slow consumer
+// becomes a lock convoy, and against the exec pool's bounded queue a
+// self-deadlock. Both kinds of site come from the function summaries
+// (summary.go): a block site with a non-empty held set is reported where
+// it stands, and a call made with a lock held is reported when its callee
+// may block transitively. Copying lock-bearing values is go vet's
+// copylocks check.
+type lockDiscipline struct {
+	ip *interp
 }
 
-// lockWalker tracks held mutexes through one function body.
-type lockWalker struct {
-	pass *Pass
-}
-
-func (lw *lockWalker) walkList(stmts []ast.Stmt, held map[string]token.Pos) {
-	for _, s := range stmts {
-		lw.walkStmt(s, held)
+// NewLockDiscipline returns the lock-discipline analyzer sharing ip's call
+// graph.
+func NewLockDiscipline(ip *interp) *Analyzer {
+	ld := &lockDiscipline{ip: ip}
+	return &Analyzer{
+		Name:   "lockdiscipline",
+		Doc:    "flag blocking operations (channel, defaultless select, WaitGroup.Wait, exec pool submit) under a mutex, directly or through any call chain",
+		Run:    func(pass *Pass) { ld.ip.visit(pass) },
+		Finish: ld.finish,
 	}
 }
 
-func cloneHeld(held map[string]token.Pos) map[string]token.Pos {
-	c := make(map[string]token.Pos, len(held))
-	for k, v := range held {
-		c[k] = v
-	}
-	return c
-}
-
-func (lw *lockWalker) walkStmt(s ast.Stmt, held map[string]token.Pos) {
-	switch s := s.(type) {
-	case nil:
-		return
-	case *ast.ExprStmt:
-		lw.inspectExpr(s.X, held)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						lw.inspectExpr(v, held)
-					}
-				}
+func (ld *lockDiscipline) finish(report reportFunc) {
+	ip := ld.ip
+	ip.finish()
+	for _, key := range ip.order {
+		s := ip.funcs[key]
+		// A call that is itself a block site (the exec pool's submit
+		// family) is reported once, as the site.
+		sites := map[token.Position]bool{}
+		for _, b := range s.blocks {
+			sites[b.pos] = true
+			if len(b.held) == 0 {
+				continue
 			}
-		}
-	case *ast.SendStmt:
-		lw.flagIfHeld(s.Pos(), held, "channel send")
-		lw.inspectExpr(s.Chan, held)
-		lw.inspectExpr(s.Value, held)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			lw.inspectExpr(e, held)
-		}
-		for _, e := range s.Lhs {
-			lw.inspectExpr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			lw.inspectExpr(e, held)
-		}
-	case *ast.IfStmt:
-		lw.walkStmt(s.Init, held)
-		lw.inspectExpr(s.Cond, held)
-		lw.walkList(s.Body.List, cloneHeld(held))
-		if s.Else != nil {
-			lw.walkStmt(s.Else, cloneHeld(held))
-		}
-	case *ast.ForStmt:
-		lw.walkStmt(s.Init, held)
-		if s.Cond != nil {
-			lw.inspectExpr(s.Cond, held)
-		}
-		lw.walkStmt(s.Post, held)
-		lw.walkList(s.Body.List, cloneHeld(held))
-	case *ast.RangeStmt:
-		if t := lw.pass.Info.Types[s.X].Type; t != nil {
-			if _, isChan := types.Unalias(t).Underlying().(*types.Chan); isChan {
-				lw.flagIfHeld(s.Pos(), held, "range over channel")
+			held := make([]string, len(b.held))
+			for i, h := range b.held {
+				held[i] = fmt.Sprintf("%s (locked at line %d)", h.disp, h.pos.Line)
 			}
+			report(b.pos, "%s while holding %s: blocking under a mutex convoys every other locker", b.what, strings.Join(held, ", "))
 		}
-		lw.inspectExpr(s.X, held)
-		lw.walkList(s.Body.List, cloneHeld(held))
-	case *ast.SelectStmt:
-		lw.flagIfHeld(s.Pos(), held, "select")
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			lw.walkStmt(cc.Comm, cloneHeld(held))
-			lw.walkList(cc.Body, cloneHeld(held))
+		for _, c := range s.calls {
+			if len(c.held) == 0 || sites[c.pos] {
+				continue
+			}
+			cs, ok := ip.funcs[c.callee]
+			if !ok || cs.blockW == nil {
+				continue
+			}
+			w := cs.blockW
+			via := ""
+			if len(w.chain) > 0 {
+				via = " via " + strings.Join(w.chain, " → ")
+			}
+			report(c.pos, "%s held across call to %s, which may block on %s%s (%s:%d)", heldNames(c.held), c.disp, w.what, via, w.pos.Filename, w.pos.Line)
 		}
-	case *ast.SwitchStmt:
-		lw.walkStmt(s.Init, held)
-		if s.Tag != nil {
-			lw.inspectExpr(s.Tag, held)
-		}
-		for _, c := range s.Body.List {
-			lw.walkList(c.(*ast.CaseClause).Body, cloneHeld(held))
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range s.Body.List {
-			lw.walkList(c.(*ast.CaseClause).Body, cloneHeld(held))
-		}
-	case *ast.BlockStmt:
-		lw.walkList(s.List, cloneHeld(held))
-	case *ast.LabeledStmt:
-		lw.walkStmt(s.Stmt, held)
-	case *ast.DeferStmt:
-		// A deferred unlock keeps the lock held for the rest of the
-		// function body (which is exactly why it is tracked but not
-		// removed from held); deferred blocking ops run after the body and
-		// are not flagged.
-	case *ast.GoStmt:
-		// Spawning a goroutine under a lock is fine; the goroutine body is
-		// its own scope (functionScopes visits it with an empty held set).
 	}
 }
 
-// inspectExpr scans one expression tree (not descending into function
-// literals) for lock transitions, channel receives and blocking calls.
-func (lw *lockWalker) inspectExpr(e ast.Expr, held map[string]token.Pos) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				lw.flagIfHeld(n.Pos(), held, "channel receive")
-			}
-		case *ast.CallExpr:
-			lw.applyCall(n, held)
-		}
-		return true
-	})
-}
-
-func (lw *lockWalker) applyCall(call *ast.CallExpr, held map[string]token.Pos) {
-	fn := calleeFunc(lw.pass.Info, call)
-	if fn == nil {
-		return
+// heldNames renders the held-lock set for a message.
+func heldNames(held []heldLock) string {
+	names := make([]string, len(held))
+	for i, h := range held {
+		names[i] = h.disp
 	}
-	sel, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	switch {
-	case funcPkgPath(fn) == "sync" && sel != nil:
-		switch fn.Name() {
-		case "Lock", "RLock":
-			if isMutexRecv(lw.pass.Info, sel.X) {
-				held[types.ExprString(sel.X)] = call.Pos()
-			}
-		case "Unlock", "RUnlock":
-			if isMutexRecv(lw.pass.Info, sel.X) {
-				delete(held, types.ExprString(sel.X))
-			}
-		case "Wait":
-			// sync.WaitGroup.Wait blocks; sync.Cond.Wait releases its own
-			// lock by contract and is exempt.
-			if recvT := lw.pass.Info.Types[sel.X].Type; recvT != nil && typeIs(recvT, "sync", "WaitGroup") {
-				lw.flagIfHeld(call.Pos(), held, "sync.WaitGroup.Wait")
-			}
-		}
-	case isExecPoolBlocking(fn):
-		lw.flagIfHeld(call.Pos(), held, "exec pool "+fn.Name())
-	}
-}
-
-func isMutexRecv(info *types.Info, recv ast.Expr) bool {
-	t := info.Types[recv].Type
-	if t == nil {
-		return false
-	}
-	return typeIs(t, "sync", "Mutex") || typeIs(t, "sync", "RWMutex") ||
-		// s.Lock() via an embedded mutex: the receiver is the outer struct.
-		embedsMutex(t)
-}
-
-func embedsMutex(t types.Type) bool {
-	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	st, ok := types.Unalias(t).Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Embedded() && (typeIs(f.Type(), "sync", "Mutex") || typeIs(f.Type(), "sync", "RWMutex")) {
-			return true
-		}
-	}
-	return false
-}
-
-func (lw *lockWalker) flagIfHeld(pos token.Pos, held map[string]token.Pos, what string) {
-	for name, lockPos := range held {
-		lw.pass.Reportf(pos, "%s while holding %s (locked at line %d): blocking under a mutex convoys every other locker",
-			what, name, lw.pass.Fset.Position(lockPos).Line)
-		return // one report per site is enough
-	}
-}
-
-// checkLockCopies flags by-value copies of lock-bearing types: value
-// parameters, results and receivers, plain assignments from an existing
-// value, and range clauses that copy elements.
-func checkLockCopies(pass *Pass, f *ast.File) {
-	for _, d := range f.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		if fd.Recv != nil {
-			for _, field := range fd.Recv.List {
-				reportLockField(pass, field, "receiver")
-			}
-		}
-		if fd.Type.Params != nil {
-			for _, field := range fd.Type.Params.List {
-				reportLockField(pass, field, "parameter")
-			}
-		}
-		if fd.Type.Results != nil {
-			for _, field := range fd.Type.Results.List {
-				reportLockField(pass, field, "result")
-			}
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				checkCopyExpr(pass, rhs)
-			}
-		case *ast.ValueSpec:
-			for _, v := range n.Values {
-				checkCopyExpr(pass, v)
-			}
-		case *ast.RangeStmt:
-			if n.Value == nil {
-				return true
-			}
-			// In a := range the value is a defined ident, recorded in Defs
-			// rather than the expression-type map.
-			t := pass.Info.Types[n.Value].Type
-			if t == nil {
-				if id, ok := n.Value.(*ast.Ident); ok {
-					if obj := pass.Info.Defs[id]; obj != nil {
-						t = obj.Type()
-					}
-				}
-			}
-			if t != nil && lockBearing(pass, t) {
-				pass.Reportf(n.Value.Pos(), "range clause copies a value of type %s, which contains %s: range over indexes or pointers instead",
-					types.TypeString(t, types.RelativeTo(pass.Pkg)), lockBearingWhy(pass, t))
-			}
-		}
-		return true
-	})
-}
-
-func reportLockField(pass *Pass, field *ast.Field, role string) {
-	t := pass.Info.Types[field.Type].Type
-	if t == nil {
-		return
-	}
-	if _, isPtr := types.Unalias(t).(*types.Pointer); isPtr {
-		return
-	}
-	if lockBearing(pass, t) {
-		pass.Reportf(field.Pos(), "%s passes %s by value, copying %s: use a pointer",
-			role, types.TypeString(t, types.RelativeTo(pass.Pkg)), lockBearingWhy(pass, t))
-	}
-}
-
-// checkCopyExpr flags reads that copy an existing lock-bearing value:
-// dereferences, variable reads, field selections and index expressions.
-// Composite literals are construction, not copying, and stay legal.
-func checkCopyExpr(pass *Pass, e ast.Expr) {
-	switch ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return
-	}
-	t := pass.Info.Types[e].Type
-	if t == nil || !lockBearing(pass, t) {
-		return
-	}
-	pass.Reportf(e.Pos(), "assignment copies a value of type %s, which contains %s: share it through a pointer",
-		types.TypeString(t, types.RelativeTo(pass.Pkg)), lockBearingWhy(pass, t))
-}
-
-var syncLockTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true,
-	"Once": true, "Cond": true, "Map": true, "Pool": true,
-}
-
-var atomicValueTypes = map[string]bool{
-	"Bool": true, "Int32": true, "Int64": true, "Uint32": true,
-	"Uint64": true, "Uintptr": true, "Pointer": true, "Value": true,
-}
-
-// lockBearing reports whether t transitively contains (by value) a sync
-// lock type or a sync/atomic value type.
-func lockBearing(pass *Pass, t types.Type) bool {
-	return lockBearingRec(t, map[types.Type]bool{})
-}
-
-func lockBearingRec(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if p, n, ok := namedTypePath(t); ok {
-		if _, isPtr := types.Unalias(t).(*types.Pointer); !isPtr {
-			if p == "sync" && syncLockTypes[n] {
-				return true
-			}
-			if p == "sync/atomic" && atomicValueTypes[n] {
-				return true
-			}
-		}
-	}
-	switch u := types.Unalias(t).Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if lockBearingRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return lockBearingRec(u.Elem(), seen)
-	}
-	if named, ok := types.Unalias(t).(*types.Named); ok {
-		return lockBearingRec(named.Underlying(), seen)
-	}
-	return false
-}
-
-// lockBearingWhy names the first lock-ish component found, for messages.
-func lockBearingWhy(pass *Pass, t types.Type) string {
-	return lockBearingWhyRec(t, map[types.Type]bool{})
-}
-
-func lockBearingWhyRec(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if p, n, ok := namedTypePath(t); ok {
-		if _, isPtr := types.Unalias(t).(*types.Pointer); !isPtr {
-			if p == "sync" && syncLockTypes[n] {
-				return "a sync." + n
-			}
-			if p == "sync/atomic" && atomicValueTypes[n] {
-				return "an atomic." + n
-			}
-		}
-	}
-	switch u := types.Unalias(t).Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if why := lockBearingWhyRec(u.Field(i).Type(), seen); why != "" {
-				return why
-			}
-		}
-	case *types.Array:
-		return lockBearingWhyRec(u.Elem(), seen)
-	}
-	return ""
+	return strings.Join(names, ", ")
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // This file builds the per-function summaries the interprocedural
-// analyzers (lockorder, lockdisciplinex, goleak) consume. One summary is
+// analyzers (lockorder, lockdiscipline, goleak) consume. One summary is
 // computed per function body — declarations and function literals alike —
 // during the Run phase, while the AST and type info are in hand; the
 // Finish phase (callgraph.go) then works on summaries only, so the
@@ -100,10 +100,6 @@ type funcSummary struct {
 	// "local:<expr>" for locals) the body Done()s or Wait()s on.
 	wgDones []string
 	wgWaits []string
-	// fastPathBlock marks the exec pool's submit family, which the
-	// intraprocedural lockdiscipline analyzer already flags when called
-	// directly under a lock; lockdisciplinex skips those sites.
-	fastPathBlock bool
 
 	// Computed by the Finish-phase closure (callgraph.go):
 	mayAcquire map[string]*acqWitness
@@ -192,9 +188,9 @@ func wgIdentity(pass *Pass, e ast.Expr) string {
 	return "local:" + disp
 }
 
-// summarizer walks one function body, tracking lexically held locks the
-// same way lockdiscipline's fast path does (clone-per-branch, deferred
-// unlocks hold to function end) while recording the interprocedural facts.
+// summarizer walks one function body, tracking lexically held locks
+// (clone-per-branch, deferred unlocks hold to function end) while
+// recording the interprocedural facts.
 type summarizer struct {
 	pass *Pass
 	ip   *interp
@@ -513,6 +509,35 @@ func (sm *summarizer) call(call *ast.CallExpr, held map[string]heldLock, deferre
 		return
 	}
 	sm.addCall(funcKey(fn), funcDisp(fn), call.Pos(), held, deferred)
+}
+
+// isMutexRecv reports whether recv, the receiver of a Lock/Unlock call, is
+// a sync.Mutex or sync.RWMutex, directly or through an embedded field.
+func isMutexRecv(info *types.Info, recv ast.Expr) bool {
+	t := info.Types[recv].Type
+	if t == nil {
+		return false
+	}
+	return typeIs(t, "sync", "Mutex") || typeIs(t, "sync", "RWMutex") || embedsMutex(t)
+}
+
+// embedsMutex reports whether t (or *t) is a struct embedding a sync.Mutex
+// or sync.RWMutex, so that s.Lock() locks s itself.
+func embedsMutex(t types.Type) bool {
+	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	st, ok := types.Unalias(t).Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if f.Embedded() && (typeIs(f.Type(), "sync", "Mutex") || typeIs(f.Type(), "sync", "RWMutex")) {
+			return true
+		}
+	}
+	return false
 }
 
 // ifaceCall records a dynamic interface method call for bounded Finish-

@@ -1,5 +1,5 @@
-// Package lockbad seeds lockdiscipline violations: blocking operations
-// under a held mutex and by-value copies of lock-bearing structs.
+// Package lockbad seeds lockdiscipline violations (blocking under a held
+// mutex) and the lock-bearing copies go vet's copylocks check owns.
 package lockbad
 
 import (
@@ -57,21 +57,21 @@ func (g *Guarded) SendAfter() {
 	g.ch <- 1
 }
 
-// Copies receives the lock-bearing struct by value. // want-below lockdiscipline "by value, copying"
+// Copies receives the lock-bearing struct by value. // want-below vet "passes lock by value"
 func Copies(g Guarded) int {
 	return cap(g.ch)
 }
 
 // Deref copies through a pointer dereference.
 func Deref(g *Guarded) int {
-	cp := *g // want lockdiscipline "assignment copies a value"
+	cp := *g // want vet "assignment copies lock value"
 	return cap(cp.ch)
 }
 
 // RangeCopy copies each element out of a slice of lock-bearing values.
 func RangeCopy(gs []Guarded) int {
 	n := 0
-	for _, g := range gs { // want lockdiscipline "range clause copies a value"
+	for _, g := range gs { // want vet "range var g copies lock"
 		n += cap(g.ch)
 	}
 	return n
@@ -79,3 +79,30 @@ func RangeCopy(gs []Guarded) int {
 
 // PointerParam shares through a pointer: no finding.
 func PointerParam(g *Guarded) {}
+
+// TrySendUnder attempts a send under the lock without waiting: a select
+// with a default never parks, so no finding.
+func (g *Guarded) TrySendUnder() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	select {
+	case g.ch <- 1:
+		return true
+	default:
+		return false
+	}
+}
+
+var (
+	initMu sync.Mutex
+	initCh = make(chan int, 1)
+)
+
+func init() {}
+
+// A package may have several init functions; each is its own body.
+func init() {
+	initMu.Lock()
+	initCh <- 1 // want lockdiscipline "channel send while holding lockbad.initMu"
+	initMu.Unlock()
+}

@@ -1,12 +1,19 @@
-// Package exec stubs the real module's shared execution pool; the
-// lockdiscipline analyzer flags its blocking methods when called under a
-// mutex.
+// Package exec stubs the real module's shared execution pool. The
+// lockdiscipline analyzer flags a call of its blocking methods under a
+// mutex once, as a block site; Close blocks in its own body too, so a
+// second report of the same call as a transitively blocking call edge
+// would show in the golden test.
 package exec
 
-import "context"
+import (
+	"context"
+	"sync"
+)
 
 // Pool is a bounded worker pool.
-type Pool struct{}
+type Pool struct {
+	workers sync.WaitGroup
+}
 
 // Default returns the shared pool.
 func Default() *Pool { return &Pool{} }
@@ -26,4 +33,4 @@ func (p *Pool) Map(ctx context.Context, n int, fn func(int)) error {
 func (p *Pool) Admit() func() { return func() {} }
 
 // Close drains the pool, blocking until every worker exits.
-func (p *Pool) Close() {}
+func (p *Pool) Close() { p.workers.Wait() }

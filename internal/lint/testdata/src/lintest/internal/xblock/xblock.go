@@ -1,7 +1,6 @@
-// Package xblock seeds lockdisciplinex violations: blocking operations
-// reached through a call chain while a mutex is held — invisible to the
-// intraprocedural fast path, which only sees ops lexically inside the
-// locked region.
+// Package xblock seeds transitive lockdiscipline violations: blocking
+// operations reached through a call chain while a mutex is held, not
+// lexically inside the locked region.
 package xblock
 
 import "sync"
@@ -27,14 +26,14 @@ func (d *D) relay() {
 func (d *D) Bad() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.notify() // want lockdisciplinex "D.mu held across call to xblock.D.notify, which may block on channel send"
+	d.notify() // want lockdiscipline "D.mu held across call to xblock.D.notify, which may block on channel send"
 }
 
 // BadDeep reaches it through two calls; the chain is printed.
 func (d *D) BadDeep() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.relay() // want lockdisciplinex "which may block on channel send via xblock.D.notify"
+	d.relay() // want lockdiscipline "which may block on channel send via xblock.D.notify"
 }
 
 // Unlocked releases before notifying: no finding.
@@ -64,6 +63,6 @@ func (d *D) GoodTry() {
 func (d *D) Allowed() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	//lint:allow lockdisciplinex fixture: intentional hold proving pragma coverage for the transitive analyzer
+	//lint:allow lockdiscipline fixture: intentional hold proving pragma coverage for a transitive site
 	d.notify()
 }

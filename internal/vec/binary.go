@@ -63,17 +63,3 @@ func TanimotoDistance(a, b BinaryVector) float32 {
 	}
 	return 1 - float32(inter)/float32(den)
 }
-
-// BinaryDist returns the distance function for a binary metric.
-func (m Metric) BinaryDist() func(a, b BinaryVector) float32 {
-	switch m {
-	case Hamming:
-		return func(a, b BinaryVector) float32 { return float32(HammingDistance(a, b)) }
-	case Jaccard:
-		return JaccardDistance
-	case Tanimoto:
-		return TanimotoDistance
-	default:
-		panic("vec: " + m.String() + " is not a binary metric")
-	}
-}

@@ -216,13 +216,7 @@ func L2SquaredTile(queries, data []float32, dim int, out []float32) {
 	active.Load().l2t(queries, data, dim, len(queries)/dim, out)
 }
 
-// DotTile is L2SquaredTile for inner products (not negated).
-func DotTile(queries, data []float32, dim int, out []float32) {
-	countCurrentBatch()
-	active.Load().ipt(queries, data, dim, len(queries)/dim, out)
-}
-
-// NegDotTile is DotTile negated into distances.
+// NegDotTile is L2SquaredTile for inner products, negated into distances.
 func NegDotTile(queries, data []float32, dim int, out []float32) {
 	countCurrentBatch()
 	nq := len(queries) / dim
