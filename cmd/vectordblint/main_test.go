@@ -45,8 +45,8 @@ func TestDriverEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Clean: exit 0 (kernelbad has no atomicmix findings).
-	out, err = exec.Command(bin, "-C", golden, "-run", "atomicmix", "./internal/index/kernelbad").CombinedOutput()
+	// Clean: exit 0 (kernelbad has no metricreg findings).
+	out, err = exec.Command(bin, "-C", golden, "-run", "metricreg", "./internal/index/kernelbad").CombinedOutput()
 	if code := exitCode(err); code != 0 {
 		t.Fatalf("clean run: exit %d, want 0\n%s", code, out)
 	}
@@ -69,7 +69,7 @@ func TestDriverEndToEnd(t *testing.T) {
 	if code := exitCode(err); code != 0 {
 		t.Fatalf("-list: exit %d, want 0\n%s", code, out)
 	}
-	names := []string{"poolfree", "blockpin", "ctxflow", "kerneldispatch", "atomicmix", "metricreg", "lockorder", "lockdiscipline", "goleak"}
+	names := []string{"poolfree", "blockpin", "ctxflow", "kerneldispatch", "metricreg", "lockorder", "lockdiscipline", "goleak"}
 	lines = strings.Split(strings.TrimSpace(string(out)), "\n")
 	if len(lines) != len(names) {
 		t.Errorf("-list printed %d analyzers, want %d:\n%s", len(lines), len(names), out)

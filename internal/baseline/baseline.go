@@ -163,7 +163,6 @@ func (s *PerQueryLocked) SearchBatch(queries []float32, k, accuracy int) [][]top
 			defer wg.Done()
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			//lint:allow lockdiscipline the coarse lock IS the modeled competitor behavior, and baseline indexes are built in-RAM, never tiered
 			out[qi] = s.idx.Search(queries[qi*dim:(qi+1)*dim], p)
 		}(qi)
 	}
@@ -218,7 +217,6 @@ func (s *SPTAGLike) SearchBatch(queries []float32, k, accuracy int) [][]topk.Res
 			defer wg.Done()
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			//lint:allow lockdiscipline the coarse lock IS the modeled competitor behavior, and baseline indexes are built in-RAM, never tiered
 			out[qi] = s.idx.Search(queries[qi*dim:(qi+1)*dim], p)
 		}(qi)
 	}

@@ -193,3 +193,49 @@ func TestSeriesCountPathsAndTriggers(t *testing.T) {
 		t.Errorf("wait_seconds observed %d waits, want 3 (the batch's members)", n)
 	}
 }
+
+// TestFlatBatchRunsOnTileKernels: a FLAT collection's index-size segments
+// carry no index, so a batch over them runs the m-query tile kernels —
+// no segment is served by an index — and answers what one query at a
+// time does.
+func TestFlatBatchRunsOnTileKernels(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := testConfig()
+	cfg.Obs = reg
+	cfg.IndexType = "FLAT"
+	cfg.IndexRows = 64 // every sealed segment is index-size
+	c, err := NewCollection("flat", testSchema(16), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ents := mkEntities(256, 16, 5)
+	if err := c.Insert(ents); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	c.WaitIndexed()
+	queries := [][]float32{ents[3].Vectors[0], ents[70].Vectors[0], ents[200].Vectors[0]}
+	got, err := c.SearchBatchCtx(context.Background(), queries, SearchOptions{K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexed := reg.Counter("vectordb_query_segments_total", "collection", "flat", "path", "index")
+	scanned := reg.Counter("vectordb_query_segments_total", "collection", "flat", "path", "scan")
+	if indexed.Value() != 0 || scanned.Value() == 0 {
+		t.Fatalf("batch served %d segments by an index and scanned %d; want 0 and every segment", indexed.Value(), scanned.Value())
+	}
+	for qi, q := range queries {
+		want, err := c.Search(q, SearchOptions{K: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range want {
+			if got[qi][r].ID != want[r].ID {
+				t.Fatalf("query %d rank %d: batch %v, single %v", qi, r, got[qi], want)
+			}
+		}
+	}
+}

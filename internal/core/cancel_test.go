@@ -11,6 +11,7 @@ import (
 
 	"vectordb/internal/exec"
 	"vectordb/internal/index"
+	"vectordb/internal/index/flat"
 	"vectordb/internal/objstore"
 	"vectordb/internal/topk"
 )
@@ -87,17 +88,19 @@ func (p parkingIndex) Search(q []float32, sp index.SearchParams) []topk.Result {
 	return p.Index.Search(q, sp)
 }
 
-// parkFirstSegment indexes the collection's first segment and wraps the
-// index so every search of that segment calls hook first.
+// parkFirstSegment installs an exhaustive index over the collection's
+// first segment, wrapped so every search of that segment calls hook first.
 func parkFirstSegment(t *testing.T, c *Collection, hook func()) {
 	t.Helper()
 	sn := c.AcquireSnapshot()
 	defer c.ReleaseSnapshot(sn)
 	seg := sn.Segments[0]
-	if err := seg.BuildIndex(c.Schema(), 0, "FLAT", nil); err != nil {
+	vf := c.Schema().VectorFields[0]
+	idx, err := flat.NewBuilder(vf.Metric, vf.Dim).Build(seg.Vectors[0].Data, seg.IDs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	seg.SetIndex(0, parkingIndex{Index: seg.Index(0), hook: hook})
+	seg.SetIndex(0, parkingIndex{Index: idx, hook: hook})
 }
 
 // TestSearchCtxCancelMidFlight cancels a query while its segment sweep is

@@ -41,7 +41,7 @@ type Config struct {
 	// default 8192. Users can still index any segment via BuildIndex.
 	IndexRows int
 	// IndexType and IndexParams configure auto-built indexes
-	// (default IVF_FLAT).
+	// (default IVF_FLAT; FLAT builds none: every segment is scanned).
 	IndexType   string
 	IndexParams map[string]string
 	// SyncIndex builds indexes synchronously during flush/merge instead of
@@ -461,13 +461,13 @@ func (c *Collection) seal(seg *Segment) error {
 }
 
 // scheduleIndex queues index building for segments that cross the size
-// threshold. It never builds inline: in SyncIndex mode, or when the async
-// queue is full, the segment is returned for the caller to build once
-// c.mu is released — a kmeans training run must not sit inside the
-// collection's critical section, where it would starve every concurrent
-// read and write.
+// threshold (FLAT builds none). It never builds inline: in SyncIndex mode,
+// or when the async queue is full, the segment is returned for the caller
+// to build once c.mu is released — a kmeans training run must not sit
+// inside the collection's critical section, where it would starve every
+// concurrent read and write.
 func (c *Collection) scheduleIndex(seg *Segment) *Segment {
-	if seg.Rows() < c.cfg.IndexRows {
+	if seg.Rows() < c.cfg.IndexRows || c.cfg.IndexType == "FLAT" {
 		return nil
 	}
 	c.pendingIdx.Add(1)
@@ -517,7 +517,7 @@ func (c *Collection) buildSegmentIndexes(seg *Segment) {
 		if seg.Index(f) != nil {
 			continue
 		}
-		if c.schema.VectorFields[f].Metric.Binary() && c.cfg.IndexType != "FLAT" {
+		if c.schema.VectorFields[f].Metric.Binary() {
 			// Quantization/graph indexes do not apply to bit-packed binary
 			// fields; the exact word-wise scan serves them (Sec. 2.1).
 			continue

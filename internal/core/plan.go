@@ -19,9 +19,8 @@ func unwrapIndex(idx index.Index) index.Index {
 // planShape summarizes the snapshot for the planner — rows split by
 // residency tier, IVF geometry, the live pool backlog — and names the one
 // venue the snapshot executes on: ivf_cpu when an index serves a segment,
-// else flat_cpu. A FLAT index is an exhaustive scan and counts as
-// unindexed; graph and tree indexes keep the ivf_cpu label until venues are
-// named per index.
+// else flat_cpu (a FLAT collection installs no index, so it scans); graph
+// and tree indexes keep the ivf_cpu label until venues are named per index.
 func (c *Collection) planShape(sn *Snapshot, f, nq, k, nprobe int) (plan.QueryShape, plan.Venue) {
 	s := plan.QueryShape{
 		NQ: nq, K: k, Dim: c.schema.VectorFields[f].Dim,
@@ -48,9 +47,6 @@ func (c *Collection) planShape(sn *Snapshot, f, nq, k, nprobe int) (plan.QuerySh
 			continue
 		}
 		base := unwrapIndex(idx)
-		if base.Name() == "FLAT" {
-			continue
-		}
 		venue = plan.VenueIVFCPU
 		s.SQ8 = s.SQ8 || base.Name() == "IVF_SQ8"
 		if nl, ok := base.(interface{ Nlist() int }); ok && s.Nlist == 0 {

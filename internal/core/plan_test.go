@@ -70,8 +70,8 @@ func resultIDs(res []topk.Result) []int64 {
 
 // TestSearchTracePlanAnnotation: every planned search trace carries the
 // plan= venue the snapshot executes on and its estimate, and the decision
-// is counted under that venue. A FLAT index is an exhaustive scan, so a
-// FLAT-indexed collection plans flat_cpu like an unindexed one.
+// is counted under that venue. A FLAT build installs no index, so a FLAT
+// collection plans flat_cpu like an unindexed one.
 func TestSearchTracePlanAnnotation(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -300,5 +300,41 @@ func TestCategoricalPlanTrace(t *testing.T) {
 	}[choice]
 	if strat != wantStrat {
 		t.Errorf("plan=%q but filter_strategy=%q", choice, strat)
+	}
+}
+
+// filterPlan runs one range-filtered search and returns the strategy the
+// planner chose and its estimate.
+func filterPlan(t *testing.T, c *Collection) (chosen, est string) {
+	t.Helper()
+	tr := obs.NewTrace("search")
+	query := mkEntities(1, 8, 7)[0].Vectors[0]
+	if _, err := c.SearchFiltered(query, "price", 0, 4999, SearchOptions{K: 5, Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	sum := tr.Summary()
+	chosen, _ = sum.Attr("plan")
+	est, _ = sum.Attr("plan_est_ns")
+	return chosen, est
+}
+
+// TestFlatFilterPricedAsUnindexed: FLAT is the segment's own scan, so a
+// filtered query on a FLAT collection gets exactly the unindexed shape,
+// strategy and estimate — not an index probe's.
+func TestFlatFilterPricedAsUnindexed(t *testing.T) {
+	plain, _ := planTestCollection(t, 300, fixedProfile(nil))
+	flatCol, _ := planTestCollection(t, 300, fixedProfile(nil))
+	if err := flatCol.BuildIndex("v", "FLAT", nil); err != nil {
+		t.Fatal(err)
+	}
+	ps, fs := plain.Source(), flatCol.Source()
+	defer ps.Release()
+	defer fs.Release()
+	if a, b := ps.PlanFilterShape(0), fs.PlanFilterShape(0); a != b {
+		t.Fatalf("FLAT filter shape %+v, unindexed %+v", b, a)
+	}
+	wantChosen, wantEst := filterPlan(t, plain)
+	if chosen, est := filterPlan(t, flatCol); chosen != wantChosen || est != wantEst {
+		t.Fatalf("FLAT priced %s at %s ns, unindexed %s at %s ns", chosen, est, wantChosen, wantEst)
 	}
 }

@@ -259,12 +259,18 @@ func (s *Segment) SearchInto(h *topk.Heap, schema *Schema, field int, query []fl
 }
 
 // BuildIndex builds (synchronously) an index of the named type over one
-// vector field.
+// vector field. FLAT is the exhaustive scan the segment already runs over
+// its own column, so a FLAT build drops the field's index rather than
+// installing a copy of the vectors.
 func (s *Segment) BuildIndex(schema *Schema, field int, indexType string, params map[string]string) error {
 	f := schema.VectorFields[field]
 	b, err := index.NewBuilder(indexType, f.Metric, f.Dim, params)
 	if err != nil {
 		return err
+	}
+	if indexType == "FLAT" {
+		s.SetIndex(field, nil)
+		return nil
 	}
 	data, rel, err := s.vectorData(field)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"vectordb/internal/colstore"
-	"vectordb/internal/index"
 	"vectordb/internal/index/ivf"
 	"vectordb/internal/objstore"
 )
@@ -467,9 +466,9 @@ func (s *Segment) idxTiers() []*segTier {
 
 // tierIndexPayload moves a freshly built and persisted IVF index's fine
 // payload (FLAT vectors or SQ8 codes, the dominant index memory) into its
-// own build-order extent file behind the tier, then swaps in an
-// externalized copy of the index so bucket scans read the mapped payload
-// instead of resident slices. In-flight queries keep the resident index they
+// own extent file behind the tier — the same bucket-ordered array, byte
+// for byte — then swaps in an externalized copy of the index so bucket
+// scans read the mapped payload instead of the resident one. In-flight queries keep the resident index they
 // already hold. Failures are non-fatal: the resident index keeps serving.
 func (c *Collection) tierIndexPayload(seg *Segment, field int) {
 	ct := c.tier
@@ -477,12 +476,8 @@ func (c *Collection) tierIndexPayload(seg *Segment, field int) {
 		return
 	}
 	idx := seg.Index(field)
-	base := idx
-	if u, ok := idx.(interface{ Unwrap() index.Index }); ok {
-		base = u.Unwrap()
-	}
-	iv, ok := base.(*ivf.IVF)
-	if !ok || !iv.Externalizable() || iv.Externalized() {
+	iv, ok := unwrapIndex(idx).(*ivf.IVF)
+	if !ok || !iv.Externalizable() {
 		return
 	}
 	floats, codes, ok := iv.ResidentPayload()

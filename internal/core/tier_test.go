@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -1134,5 +1135,63 @@ func TestDBTierDefaults(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "vectordb_blockcache_") {
 		t.Fatal("a block-cache series is still exported")
+	}
+}
+
+// TestTieredFlatKeepsNoHeapCopy: a tiered FLAT collection's vectors live
+// only in the mapped segment files — no FLAT build copies a mapping onto
+// the heap, so no segment carries an index or a resident column — and its
+// answers match the all-RAM collection's.
+func TestTieredFlatKeepsNoHeapCopy(t *testing.T) {
+	const dim, rows = 16, 512
+	ents := mkEntities(rows, dim, 23)
+	mkCfg := func(tiered bool) Config {
+		cfg := testConfig()
+		if tiered {
+			cfg = tierTestConfig(t)
+		}
+		cfg.IndexType = "FLAT"
+		cfg.IndexRows = 64 // every sealed segment is index-size
+		return cfg
+	}
+	plain, err := NewCollection("plain", testSchema(dim), objstore.NewMemory(), mkCfg(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	tiered, err := NewCollection("tiered", testSchema(dim), objstore.NewMemory(), mkCfg(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tiered.Close()
+	fillBoth(t, plain, tiered, ents)
+	tiered.WaitIndexed()
+
+	sn := tiered.AcquireSnapshot()
+	for _, seg := range sn.Segments {
+		if !seg.Tiered() {
+			t.Fatalf("segment %d is not tiered", seg.ID)
+		}
+		if idx := seg.Index(0); idx != nil {
+			t.Fatalf("segment %d holds a %s index of %d bytes", seg.ID, idx.Name(), idx.MemoryBytes())
+		}
+		if n := len(seg.Vectors[0].Data); n != 0 {
+			t.Fatalf("segment %d keeps %d resident floats", seg.ID, n)
+		}
+	}
+	tiered.ReleaseSnapshot(sn)
+	for qi := 0; qi < 10; qi++ {
+		q := ents[qi*37].Vectors[0]
+		want, err := plain.Search(q, SearchOptions{K: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tiered.Search(q, SearchOptions{K: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("query %d: tiered %v, all-RAM %v", qi, got, want)
+		}
 	}
 }

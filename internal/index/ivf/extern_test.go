@@ -213,65 +213,60 @@ func smallIVF(t *testing.T, fine Fine, metric vec.Metric) (*IVF, *dataset.Datase
 }
 
 // TestExternalizedBucketSlicesPayload: a sweep's bucket b is the run of
-// the pinned payload that starts at starts[b] — a subslice of it, not a
-// copy — and holds exactly the resident bucket's rows. The buckets tile
-// the payload in order, and closing the sweep releases the payload once.
+// the pinned payload between starts[b] and starts[b+1] — a subslice of
+// it, not a copy — and holds exactly the resident bucket's rows. The
+// buckets tile the payload in order, and the sweep pins it once.
 func TestExternalizedBucketSlicesPayload(t *testing.T) {
 	for _, fine := range []Fine{FineFlat, FineSQ8} {
 		x, _ := smallIVF(t, fine, vec.L2)
 		t.Run(x.Name(), func(t *testing.T) {
 			y, ext := externalized(t, x)
-			covered := 0
+			w := x.rowWidth()
 			switch fine {
 			case FineFlat:
-				rows, err := y.openFlat()
+				payload, release, err := y.payload.OpenFloats()
 				if err != nil {
 					t.Fatal(err)
 				}
-				for b := 0; b < x.nlist; b++ {
-					got, want := rows.bucket(b), x.vecs[b]
-					if len(got) != len(want) {
-						t.Fatalf("bucket %d: %d floats, resident has %d", b, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("bucket %d float %d: %g, resident has %g", b, i, got[i], want[i])
-						}
-					}
-					if s := int(y.starts[b]) * x.dim; len(got) > 0 && &got[0] != &rows.payload[s] {
-						t.Fatalf("bucket %d is not the payload's run at row %d", b, y.starts[b])
-					}
-					covered += len(got)
-				}
-				if covered != len(rows.payload) {
-					t.Fatalf("buckets cover %d of %d payload floats", covered, len(rows.payload))
-				}
-				rows.close()
+				want, _, _ := x.ResidentPayload()
+				checkBucketRuns(t, y, payload, want, w)
+				release()
 			case FineSQ8:
-				rows, err := y.openSQ8()
+				payload, release, err := y.payload.OpenBytes()
 				if err != nil {
 					t.Fatal(err)
 				}
-				cs := x.sq8.CodeSize()
-				for b := 0; b < x.nlist; b++ {
-					got, want := rows.bucket(b), x.codes[b]
-					if string(got) != string(want) {
-						t.Fatalf("bucket %d: codes differ from the resident bucket", b)
-					}
-					if s := int(y.starts[b]) * cs; len(got) > 0 && &got[0] != &rows.payload[s] {
-						t.Fatalf("bucket %d is not the payload's run at row %d", b, y.starts[b])
-					}
-					covered += len(got)
-				}
-				if covered != len(rows.payload) {
-					t.Fatalf("buckets cover %d of %d payload bytes", covered, len(rows.payload))
-				}
-				rows.close()
+				_, want, _ := x.ResidentPayload()
+				checkBucketRuns(t, y, payload, want, w)
+				release()
 			}
 			if ext.open != 0 || ext.opens != 1 {
 				t.Fatalf("%d payloads opened, %d left open; want 1 and 0", ext.opens, ext.open)
 			}
 		})
+	}
+}
+
+func checkBucketRuns[T float32 | byte](t *testing.T, y *IVF, payload, resident []T, w int) {
+	t.Helper()
+	covered := 0
+	for b := 0; b < y.nlist; b++ {
+		got, want := bucket(payload, y.starts, b, w), bucket(resident, y.starts, b, w)
+		if len(got) != y.BucketLen(b)*w || len(got) != len(want) {
+			t.Fatalf("bucket %d: %d elements, resident has %d for %d rows", b, len(got), len(want), y.BucketLen(b))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("bucket %d element %d differs from the resident bucket", b, i)
+			}
+		}
+		if s := int(y.starts[b]) * w; len(got) > 0 && &got[0] != &payload[s] {
+			t.Fatalf("bucket %d is not the payload's run at row %d", b, y.starts[b])
+		}
+		covered += len(got)
+	}
+	if covered != len(payload) {
+		t.Fatalf("buckets cover %d of %d payload elements", covered, len(payload))
 	}
 }
 

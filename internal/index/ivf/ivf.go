@@ -119,7 +119,8 @@ func autoPQM(dim int) int {
 }
 
 // Build trains the coarse (and fine) quantizers and assigns every vector to
-// its bucket.
+// its bucket. The inverted lists are laid out in CSR form by a counting
+// sort on the assignment, so each bucket keeps its rows in build order.
 func (b *Builder) Build(data []float32, ids []int64) (index.Index, error) {
 	n, err := index.ValidateBuildInput(data, ids, b.Dim)
 	if err != nil {
@@ -152,8 +153,6 @@ func (b *Builder) Build(data []float32, ids []int64) (index.Index, error) {
 		dim:       b.Dim,
 		nlist:     nlist,
 		coarse:    coarse,
-		ids:       make([][]int64, nlist),
-		pos:       make([][]int32, nlist),
 		nprobeDef: b.Nprobe,
 		size:      n,
 	}
@@ -165,14 +164,11 @@ func (b *Builder) Build(data []float32, ids []int64) (index.Index, error) {
 	}
 
 	switch b.Fine {
-	case FineFlat:
-		idx.vecs = make([][]float32, nlist)
 	case FineSQ8:
 		idx.sq8, err = quantizer.TrainSQ8(data, b.Dim)
 		if err != nil {
 			return nil, fmt.Errorf("ivf: sq8: %w", err)
 		}
-		idx.codes = make([][]byte, nlist)
 	case FinePQ:
 		m := b.PQM
 		if m <= 0 {
@@ -189,48 +185,83 @@ func (b *Builder) Build(data []float32, ids []int64) (index.Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ivf: pq: %w", err)
 		}
-		idx.codes = make([][]byte, nlist)
 	}
 
 	assign := make([]int, n)
 	coarse.AssignAll(data, assign)
+	idx.starts = make([]int32, nlist+1)
+	for _, c := range assign {
+		idx.starts[c+1]++
+	}
+	for c := 0; c < nlist; c++ {
+		idx.starts[c+1] += idx.starts[c]
+	}
+	next := append([]int32(nil), idx.starts[:nlist]...)
+	idx.ids = make([]int64, n)
+	idx.pos = make([]int32, n)
+	var res resident
+	cs := idx.rowWidth()
+	if b.Fine == FineFlat {
+		res.floats = make([]float32, n*cs)
+	} else {
+		res.codes = make([]byte, n*cs)
+	}
 	for i, c := range assign {
+		r := int(next[c])
+		next[c]++
+		idx.ids[r] = ids[i]
+		idx.pos[r] = int32(i)
 		row := data[i*b.Dim : (i+1)*b.Dim]
-		idx.ids[c] = append(idx.ids[c], ids[i])
-		idx.pos[c] = append(idx.pos[c], int32(i))
 		switch b.Fine {
 		case FineFlat:
-			idx.vecs[c] = append(idx.vecs[c], row...)
+			copy(res.floats[r*cs:], row)
 		case FineSQ8:
-			idx.codes[c] = append(idx.codes[c], idx.sq8.Encode(row, nil)...)
+			idx.sq8.Encode(row, res.codes[r*cs:(r+1)*cs])
 		case FinePQ:
-			idx.codes[c] = append(idx.codes[c], idx.pq.Encode(row, nil)...)
+			idx.pq.Encode(row, res.codes[r*cs:(r+1)*cs])
 		}
 	}
+	idx.payload = res
 	return idx, nil
 }
 
-// IVF is a built inverted-file index.
+// IVF is a built inverted-file index. Its inverted lists are one CSR
+// layout: bucket b is rows [starts[b], starts[b+1]) of ids, pos and the
+// fine payload, which concatenates the buckets in bucket order. The
+// payload is the same array whether it is resident or mapped out of core;
+// only its provider differs.
 type IVF struct {
 	fine      Fine
 	metric    vec.Metric
 	dim       int
 	nlist     int
 	coarse    *kmeans.Result
-	ids       [][]int64
-	pos       [][]int32   // build-order row position of each bucket entry (bitset pushdown)
-	vecs      [][]float32 // FineFlat: each bucket's rows
-	codes     [][]byte    // FineSQ8 / FinePQ: each bucket's codes
+	starts    []int32 // nlist+1 row offsets
+	ids       []int64
+	pos       []int32    // build-order row position of each entry (bitset pushdown)
+	payload   PayloadExt // FineFlat vectors, else codes: resident, or pinned per sweep
 	sq8       *quantizer.SQ8
 	pq        *quantizer.PQ
 	nprobeDef int
 	size      int
+}
 
-	// ext, when non-nil, serves the fine payload out of core: vecs/codes
-	// are nil and bucket scans read the payload the provider pins. starts[b]
-	// is bucket b's first row within the build-order payload extent.
-	ext    PayloadExt
-	starts []int32
+// bucket returns bucket b's rows of a CSR array whose rows are width
+// elements wide: ids and pos (width 1), or the payload (width rowWidth).
+func bucket[T any](a []T, starts []int32, b, width int) []T {
+	return a[int(starts[b])*width : int(starts[b+1])*width]
+}
+
+// rowWidth is one payload row's length: dim floats for FineFlat, the code
+// size in bytes otherwise.
+func (x *IVF) rowWidth() int {
+	switch x.fine {
+	case FineSQ8:
+		return x.sq8.CodeSize()
+	case FinePQ:
+		return x.pq.CodeSize()
+	}
+	return x.dim
 }
 
 // Name implements index.Index.
@@ -250,16 +281,9 @@ func (x *IVF) Nlist() int { return x.nlist }
 
 // MemoryBytes implements index.Index.
 func (x *IVF) MemoryBytes() int64 {
-	var b int64
-	b += int64(len(x.coarse.Centroids)) * 4
-	for _, l := range x.ids {
-		b += int64(len(l)) * 8
-	}
-	for _, v := range x.vecs {
-		b += int64(len(v)) * 4
-	}
-	for _, c := range x.codes {
-		b += int64(len(c))
+	b := int64(len(x.coarse.Centroids))*4 + int64(len(x.ids))*8
+	if r, ok := x.payload.(resident); ok {
+		b += int64(len(r.floats))*4 + int64(len(r.codes))
 	}
 	return b
 }
@@ -267,15 +291,10 @@ func (x *IVF) MemoryBytes() int64 {
 // CodeBytesPerVector returns the fine-quantized size of one vector, used by
 // the GPU cost model.
 func (x *IVF) CodeBytesPerVector() int {
-	switch x.fine {
-	case FineFlat:
+	if x.fine == FineFlat {
 		return x.dim * 4
-	case FineSQ8:
-		return x.sq8.CodeSize()
-	case FinePQ:
-		return x.pq.CodeSize()
 	}
-	return 0
+	return x.rowWidth()
 }
 
 // ProbeOrder ranks bucket indices by centroid distance to query (step 1 of
@@ -305,19 +324,22 @@ func (x *IVF) ProbeOrder(query []float32, nprobe int) []int {
 // build-order positions, so callers only populate Bits/Force. FLAT
 // buckets go through the shared blocked batch kernels with the selection
 // pushed beneath them; SQ8 and PQ buckets build their per-query ADC tables
-// lazily here — callers scanning many buckets for one query (Search,
-// SQ8H) should build the table once via SQ8ScanQuery/ScanBucketSQ8 instead.
-func (x *IVF) ScanBucket(query []float32, bucket int, sel index.Selection, h *topk.Heap) {
+// here — callers scanning many buckets for one query (Search, SQ8H)
+// should build the table once via SQ8ScanQuery/ScanBucketSQ8 instead.
+func (x *IVF) ScanBucket(query []float32, b int, sel index.Selection, h *topk.Heap) {
 	switch x.fine {
-	case FineFlat:
-		if rows, err := x.openFlat(); err == nil {
-			x.scanFlat(rows, query, bucket, sel, h)
-			rows.close()
-		}
 	case FineSQ8:
-		x.ScanBucketSQ8(x.SQ8ScanQuery(query), bucket, sel, h)
+		x.ScanBucketSQ8(x.SQ8ScanQuery(query), b, sel, h)
 	case FinePQ:
-		x.scanBucketPQ(x.pqTable(query), bucket, sel, h)
+		if codes, release, err := x.payload.OpenBytes(); err == nil {
+			x.scanPQ(codes, x.pqTable(query), b, sel, h)
+			release()
+		}
+	default:
+		if rows, release, err := x.payload.OpenFloats(); err == nil {
+			x.scanFlat(rows, query, b, sel, h)
+			release()
+		}
 	}
 }
 
@@ -331,34 +353,35 @@ func (x *IVF) SQ8ScanQuery(query []float32) *quantizer.SQ8Query {
 // ScanBucketSQ8 scans one SQ8 bucket with a prebuilt fused table: distances
 // come straight off the code bytes, resident or served out of core, gated
 // on the heap's worst distance like every other scan path.
-func (x *IVF) ScanBucketSQ8(sq *quantizer.SQ8Query, bucket int, sel index.Selection, h *topk.Heap) {
-	if rows, err := x.openSQ8(); err == nil {
-		x.scanSQ8(rows, sq, bucket, sel, h)
-		rows.close()
+func (x *IVF) ScanBucketSQ8(sq *quantizer.SQ8Query, b int, sel index.Selection, h *topk.Heap) {
+	if codes, release, err := x.payload.OpenBytes(); err == nil {
+		x.scanSQ8(codes, sq, b, sel, h)
+		release()
 	}
 }
 
-// scanFlat is the one IVF_FLAT bucket scan: the bucket's rows run through
-// the shared blocked scan with the selection pushed beneath it.
-func (x *IVF) scanFlat(rows flatRows, query []float32, bucket int, sel index.Selection, h *topk.Heap) {
+// scanFlat is the one IVF_FLAT bucket scan: bucket b's rows of the opened
+// payload run through the shared blocked scan with the selection pushed
+// beneath it.
+func (x *IVF) scanFlat(payload []float32, query []float32, b int, sel index.Selection, h *topk.Heap) {
 	if sel.Bits != nil {
 		// Bucket positions are appended in build order, so the scan
 		// may use the sorted-span block skip.
-		sel.Pos, sel.PosSorted = x.pos[bucket], true
+		sel.Pos, sel.PosSorted = bucket(x.pos, x.starts, b, 1), true
 	}
-	index.ScanBlocked(h, x.metric, query, rows.bucket(bucket), x.dim, x.ids[bucket], sel)
+	index.ScanBlocked(h, x.metric, query, bucket(payload, x.starts, b, x.dim), x.dim, bucket(x.ids, x.starts, b, 1), sel)
 }
 
 // scanSQ8 is the one IVF_SQ8 bucket scan: distances are computed directly
-// over the code bytes through the fused table (two FMAs per dimension, no
-// dequantized floats), one 256-row block of the bucket at a time, gated on
-// the heap's worst distance like every other scan path. Unfiltered blocks
-// go through DistanceBatch into a pooled buffer; filtered ones score their
-// survivors one by one.
-func (x *IVF) scanSQ8(rows sq8Rows, sq *quantizer.SQ8Query, bucket int, sel index.Selection, h *topk.Heap) {
-	ids, pos := x.ids[bucket], x.pos[bucket]
-	codes := rows.bucket(bucket)
-	cs := x.sq8.CodeSize()
+// over bucket b's code bytes through the fused table (two FMAs per
+// dimension, no dequantized floats), one 256-row block of the bucket at a
+// time, gated on the heap's worst distance like every other scan path.
+// Unfiltered blocks go through DistanceBatch into a pooled buffer;
+// filtered ones score their survivors one by one.
+func (x *IVF) scanSQ8(payload []byte, sq *quantizer.SQ8Query, b int, sel index.Selection, h *topk.Heap) {
+	ids, pos := bucket(x.ids, x.starts, b, 1), bucket(x.pos, x.starts, b, 1)
+	cs := x.rowWidth()
+	codes := bucket(payload, x.starts, b, cs)
 	worst := float32(math.Inf(1))
 	if w, ok := h.Worst(); ok && h.Full() {
 		worst = w
@@ -399,11 +422,11 @@ func (x *IVF) pqTable(query []float32) *quantizer.ADCTable {
 	return x.pq.L2Table(query)
 }
 
-func (x *IVF) scanBucketPQ(tab *quantizer.ADCTable, bucket int, sel index.Selection, h *topk.Heap) {
-	ids := x.ids[bucket]
-	codes := x.codes[bucket]
-	cs := x.pq.CodeSize()
-	pos := x.pos[bucket]
+// scanPQ scans bucket b's PQ codes through the per-query ADC table.
+func (x *IVF) scanPQ(payload []byte, tab *quantizer.ADCTable, b int, sel index.Selection, h *topk.Heap) {
+	ids, pos := bucket(x.ids, x.starts, b, 1), bucket(x.pos, x.starts, b, 1)
+	cs := x.rowWidth()
+	codes := bucket(payload, x.starts, b, cs)
 	for i, id := range ids {
 		if sel.Bits != nil && !sel.Bits.Test(int(pos[i])) {
 			continue
@@ -425,32 +448,35 @@ func (x *IVF) Search(query []float32, p index.SearchParams) []topk.Result {
 // into h, a caller-owned heap that may already hold other segments'
 // results: its worst distance prunes the bucket scans from the first row.
 // Per-query ADC tables (SQ8 fused, PQ) are built once and reused across
-// all probed buckets. Externalized indexes open the payload once for the
-// whole probe sweep so the mapping is pinned (and the segment promoted)
-// once per query rather than once per bucket.
+// all probed buckets. The payload is opened once for the whole probe
+// sweep, so a mapped payload is pinned (and its segment promoted) once per
+// query rather than once per bucket.
 func (x *IVF) SearchInto(h *topk.Heap, query []float32, p index.SearchParams) {
 	probes := x.ProbeOrder(query, p.Nprobe)
 	sel := x.selection(p)
 	switch x.fine {
 	case FinePQ:
-		tab := x.pqTable(query)
-		for _, b := range probes {
-			x.scanBucketPQ(tab, b, sel, h)
+		if codes, release, err := x.payload.OpenBytes(); err == nil {
+			tab := x.pqTable(query)
+			for _, b := range probes {
+				x.scanPQ(codes, tab, b, sel, h)
+			}
+			release()
 		}
 	case FineSQ8:
-		if rows, err := x.openSQ8(); err == nil {
+		if codes, release, err := x.payload.OpenBytes(); err == nil {
 			sq := x.SQ8ScanQuery(query)
 			for _, b := range probes {
-				x.scanSQ8(rows, sq, b, sel, h)
+				x.scanSQ8(codes, sq, b, sel, h)
 			}
-			rows.close()
+			release()
 		}
 	default:
-		if rows, err := x.openFlat(); err == nil {
+		if rows, release, err := x.payload.OpenFloats(); err == nil {
 			for _, b := range probes {
 				x.scanFlat(rows, query, b, sel, h)
 			}
-			rows.close()
+			release()
 		}
 	}
 }
@@ -467,10 +493,10 @@ func (x *IVF) selection(p index.SearchParams) index.Selection {
 }
 
 // BucketIDs exposes the row IDs of a bucket (GPU scheduling, tests).
-func (x *IVF) BucketIDs(bucket int) []int64 { return x.ids[bucket] }
+func (x *IVF) BucketIDs(b int) []int64 { return bucket(x.ids, x.starts, b, 1) }
 
 // BucketLen returns the population of a bucket.
-func (x *IVF) BucketLen(bucket int) int { return len(x.ids[bucket]) }
+func (x *IVF) BucketLen(b int) int { return int(x.starts[b+1] - x.starts[b]) }
 
 // Centroid exposes coarse centroid c (used by the SQ8H GPU step).
 func (x *IVF) Centroid(c int) []float32 { return x.coarse.Centroid(c) }

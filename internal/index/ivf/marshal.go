@@ -96,55 +96,49 @@ func (r *blobReader) u64() uint64 {
 
 func (r *blobReader) f32() float32 { return math.Float32frombits(r.u32()) }
 
-func (r *blobReader) floats() []float32 {
+// count reads an array's u32 length and checks that many width-byte
+// elements remain; on failure it records the error and returns 0.
+func (r *blobReader) count(width int) int {
 	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+4*n > len(r.buf) {
+	if r.err != nil || n < 0 || r.off+width*n > len(r.buf) {
 		r.fail()
-		return nil
+		return 0
 	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = r.f32()
-	}
-	return out
+	return n
 }
 
-func (r *blobReader) bytes() []byte {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+n > len(r.buf) {
-		r.fail()
-		return nil
+func (r *blobReader) floats() []float32 { return r.appendFloats(nil) }
+
+// appendFloats appends one length-prefixed float array to dst.
+func (r *blobReader) appendFloats(dst []float32) []float32 {
+	for n := r.count(4); n > 0; n-- {
+		dst = append(dst, r.f32())
 	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.off:r.off+n])
+	return dst
+}
+
+// appendBytes appends one length-prefixed byte array to dst.
+func (r *blobReader) appendBytes(dst []byte) []byte {
+	n := r.count(1)
+	dst = append(dst, r.buf[r.off:r.off+n]...)
 	r.off += n
-	return out
+	return dst
 }
 
-func (r *blobReader) pos32s() []int32 {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+4*n > len(r.buf) {
-		r.fail()
-		return nil
+// appendPos appends one length-prefixed int32 array to dst.
+func (r *blobReader) appendPos(dst []int32) []int32 {
+	for n := r.count(4); n > 0; n-- {
+		dst = append(dst, int32(r.u32()))
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(r.u32())
-	}
-	return out
+	return dst
 }
 
-func (r *blobReader) ids() []int64 {
-	n := int(r.u32())
-	if r.err != nil || n < 0 || r.off+8*n > len(r.buf) {
-		r.fail()
-		return nil
+// appendIDs appends one length-prefixed int64 array to dst.
+func (r *blobReader) appendIDs(dst []int64) []int64 {
+	for n := r.count(8); n > 0; n-- {
+		dst = append(dst, int64(r.u64()))
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(r.u64())
-	}
-	return out
+	return dst
 }
 
 // MarshalIndex implements index.Marshaler. Externalized indexes refuse:
@@ -152,7 +146,7 @@ func (r *blobReader) ids() []int64 {
 // the built index is still resident (which is the order the core seal path
 // follows).
 func (x *IVF) MarshalIndex() ([]byte, error) {
-	if x.ext != nil {
+	if x.Externalized() {
 		return nil, fmt.Errorf("ivf: externalized index does not marshal; persist before externalizing")
 	}
 	w := &blobWriter{}
@@ -173,15 +167,17 @@ func (x *IVF) MarshalIndex() ([]byte, error) {
 			w.floats(cb)
 		}
 	}
+	floats, codes, _ := x.ResidentPayload()
+	cs := x.rowWidth()
 	for b := 0; b < x.nlist; b++ {
-		w.ids(x.ids[b])
+		w.ids(bucket(x.ids, x.starts, b, 1))
 		switch x.fine {
 		case FineFlat:
-			w.floats(x.vecs[b])
+			w.floats(bucket(floats, x.starts, b, cs))
 		default:
-			w.bytes(x.codes[b])
+			w.bytes(bucket(codes, x.starts, b, cs))
 		}
-		w.pos32s(x.pos[b])
+		w.pos32s(bucket(x.pos, x.starts, b, 1))
 	}
 	return w.buf, nil
 }
@@ -227,80 +223,63 @@ func unmarshalIVF(fine Fine, metric vec.Metric, dim int, data []byte) (index.Ind
 		}
 		pq := &quantizer.PQ{Dim: dim, M: m, SubDim: dim / m, Ks: ks}
 		for i := 0; i < m; i++ {
-			pq.Codebooks = append(pq.Codebooks, r.floats())
+			cb := r.floats()
+			if r.err == nil && len(cb) != pq.SubDim*ks {
+				return nil, fmt.Errorf("ivf: pq codebook %d has %d floats, want %d", i, len(cb), pq.SubDim*ks)
+			}
+			pq.Codebooks = append(pq.Codebooks, cb)
 		}
 		x.pq = pq
 	}
-	cs := 0
-	switch fine {
-	case FineSQ8:
-		cs = x.sq8.CodeSize()
-	case FinePQ:
-		cs = x.pq.CodeSize()
-		for i, cb := range x.pq.Codebooks {
-			if r.err == nil && len(cb) != x.pq.SubDim*x.pq.Ks {
-				return nil, fmt.Errorf("ivf: pq codebook %d has %d floats, want %d", i, len(cb), x.pq.SubDim*x.pq.Ks)
-			}
-		}
-	}
-	x.ids = make([][]int64, x.nlist)
-	x.pos = make([][]int32, x.nlist)
-	if fine == FineFlat {
-		x.vecs = make([][]float32, x.nlist)
-	} else {
-		x.codes = make([][]byte, x.nlist)
-	}
-	total := 0
-	for b := 0; b < x.nlist; b++ {
-		x.ids[b] = r.ids()
-		total += len(x.ids[b])
+	cs := x.rowWidth()
+	var res resident
+	x.starts = make([]int32, x.nlist+1)
+	for b := 0; b < x.nlist && r.err == nil; b++ {
+		x.ids = r.appendIDs(x.ids)
+		n := len(x.ids) - int(x.starts[b])
 		// Bucket payloads must stay aligned with the bucket's ID list —
 		// a shorter vector/code array would read out of bounds at scan time.
 		switch fine {
 		case FineFlat:
-			v := r.floats()
-			if r.err == nil && len(v) != len(x.ids[b])*dim {
-				return nil, fmt.Errorf("ivf: bucket %d has %d floats for %d ids", b, len(v), len(x.ids[b]))
+			res.floats = r.appendFloats(res.floats)
+			if got := len(res.floats) - int(x.starts[b])*cs; r.err == nil && got != n*cs {
+				return nil, fmt.Errorf("ivf: bucket %d has %d floats for %d ids", b, got, n)
 			}
-			x.vecs[b] = v
 		default:
-			c := r.bytes()
-			if r.err == nil && len(c) != len(x.ids[b])*cs {
-				return nil, fmt.Errorf("ivf: bucket %d has %d code bytes for %d ids (code size %d)", b, len(c), len(x.ids[b]), cs)
+			res.codes = r.appendBytes(res.codes)
+			if got := len(res.codes) - int(x.starts[b])*cs; r.err == nil && got != n*cs {
+				return nil, fmt.Errorf("ivf: bucket %d has %d code bytes for %d ids (code size %d)", b, got, n, cs)
 			}
-			x.codes[b] = c
 		}
-		x.pos[b] = r.pos32s()
-		if r.err == nil && len(x.pos[b]) != len(x.ids[b]) {
-			return nil, fmt.Errorf("ivf: bucket %d has %d positions for %d ids", b, len(x.pos[b]), len(x.ids[b]))
+		x.pos = r.appendPos(x.pos)
+		if got := len(x.pos) - int(x.starts[b]); r.err == nil && got != n {
+			return nil, fmt.Errorf("ivf: bucket %d has %d positions for %d ids", b, got, n)
 		}
+		x.starts[b+1] = int32(len(x.ids))
 	}
+	x.payload = res
 	if r.err != nil {
 		return nil, r.err
 	}
-	if total != x.size {
-		return nil, fmt.Errorf("ivf: buckets hold %d vectors, header claims %d", total, x.size)
+	if len(x.ids) != x.size {
+		return nil, fmt.Errorf("ivf: buckets hold %d vectors, header claims %d", len(x.ids), x.size)
 	}
 	// Positions are a permutation of [0, size): each filtered scan indexes
 	// the query bitset with them, so a corrupt position would silently drop
 	// or admit the wrong rows.
 	seen := make([]bool, x.size)
-	for b := range x.pos {
-		for _, pp := range x.pos[b] {
-			if pp < 0 || int(pp) >= x.size || seen[pp] {
-				return nil, fmt.Errorf("ivf: bucket %d position %d out of range or duplicated", b, pp)
-			}
-			seen[pp] = true
+	for i, pp := range x.pos {
+		if pp < 0 || int(pp) >= x.size || seen[pp] {
+			return nil, fmt.Errorf("ivf: entry %d position %d out of range or duplicated", i, pp)
 		}
+		seen[pp] = true
 	}
 	if fine == FinePQ && x.pq.Ks < 256 {
 		// Every PQ code byte indexes a Ks-entry distance table at scan
 		// time; a corrupted byte ≥ Ks would read out of bounds.
-		for b := range x.codes {
-			for i, code := range x.codes[b] {
-				if int(code) >= x.pq.Ks {
-					return nil, fmt.Errorf("ivf: bucket %d code %d is %d, ks=%d", b, i, code, x.pq.Ks)
-				}
+		for i, code := range res.codes {
+			if int(code) >= x.pq.Ks {
+				return nil, fmt.Errorf("ivf: code byte %d is %d, ks=%d", i, code, x.pq.Ks)
 			}
 		}
 	}

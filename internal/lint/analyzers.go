@@ -11,7 +11,6 @@ func Defaults() []*Analyzer {
 		NewBlockPin(),
 		NewCtxFlow(),
 		NewKernelDispatch(),
-		NewAtomicMix(),
 		NewMetricReg(),
 		NewLockOrder(ip),
 		NewLockDiscipline(ip),

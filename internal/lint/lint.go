@@ -9,8 +9,7 @@
 // (poolfree), as must a tiered segment's mapping pin (blockpin), the read
 // path must thread context.Context instead of minting background contexts
 // (ctxflow), distance kernels are only reached through the internal/vec
-// dispatch table (kerneldispatch), fields touched with sync/atomic are
-// never accessed plainly (atomicmix), and obs metric names are namespaced
+// dispatch table (kerneldispatch), and obs metric names are namespaced
 // and uniquely registered (metricreg). Three more share one module-wide
 // call graph (callgraph.go, summary.go): lock-order cycles (lockorder),
 // blocking under a mutex, directly or through any call chain
@@ -22,7 +21,8 @@
 //	//lint:allow <analyzer> <reason>
 //
 // on the offending line or the line directly above it; the runner drops
-// findings covered by a pragma and reports pragmas that are malformed.
+// findings covered by a pragma and reports pragmas that are malformed or,
+// for an analyzer that ran, suppressed no finding.
 package lint
 
 import (
@@ -92,8 +92,9 @@ type Runner struct {
 
 	findings   []Finding
 	suppressed int
-	// allow maps filename -> line -> analyzer names allowed there.
-	allow map[string]map[int]map[string]bool
+	// allow maps filename -> line -> analyzer name -> the pragma allowing
+	// it there.
+	allow map[string]map[int]map[string]*pragma
 	// nanos accumulates per-analyzer wall time across Run and Finish.
 	nanos map[string]int64
 }
@@ -102,7 +103,7 @@ type Runner struct {
 func NewRunner(analyzers []*Analyzer) *Runner {
 	return &Runner{
 		Analyzers: analyzers,
-		allow:     map[string]map[int]map[string]bool{},
+		allow:     map[string]map[int]map[string]*pragma{},
 		nanos:     map[string]int64{},
 	}
 }
@@ -112,10 +113,11 @@ func NewRunner(analyzers []*Analyzer) *Runner {
 // reporting entry points (Pass.Reportf, Finish's report func) funnel here,
 // so suppression is uniform.
 func (r *Runner) report(pos token.Position, analyzer, msg string) {
-	if lines, ok := r.allow[pos.Filename]; ok {
-		// A pragma suppresses findings on its own line (trailing comment)
-		// and on the line directly below it (preceding-line comment).
-		if lines[pos.Line][analyzer] || lines[pos.Line-1][analyzer] {
+	// A pragma suppresses findings on its own line (trailing comment) and
+	// on the line directly below it (preceding-line comment).
+	for _, line := range []int{pos.Line, pos.Line - 1} {
+		if p := r.allow[pos.Filename][line][analyzer]; p != nil {
+			p.used = true
 			r.suppressed++
 			return
 		}
@@ -178,7 +180,8 @@ func (r *Runner) RunPackage(pkg *LoadedPackage) {
 	}
 }
 
-// Finish runs every analyzer's module-wide phase.
+// Finish runs every analyzer's module-wide phase, then reports the
+// pragmas that suppressed nothing.
 func (r *Runner) Finish() {
 	for _, a := range r.Analyzers {
 		if a.Finish == nil {
@@ -190,6 +193,38 @@ func (r *Runner) Finish() {
 			r.report(pos, name, fmt.Sprintf(format, args...))
 		})
 		r.nanos[name] += time.Since(start).Nanoseconds()
+	}
+	r.reportUnused()
+}
+
+// pragma is one well-formed //lint:allow directive; used records whether
+// it suppressed a finding in this run.
+type pragma struct {
+	pos  token.Position
+	used bool
+}
+
+// reportUnused reports every pragma for an analyzer of this run that
+// suppressed no finding: a waiver whose violation is gone is stale, and
+// left in place it would silently excuse the next violation on its line.
+// Like malformed pragmas these findings cannot be suppressed.
+func (r *Runner) reportUnused() {
+	ran := map[string]bool{}
+	for _, a := range r.Analyzers {
+		ran[a.Name] = true
+	}
+	for _, lines := range r.allow {
+		for _, set := range lines {
+			for name, p := range set {
+				if ran[name] && !p.used {
+					r.findings = append(r.findings, Finding{
+						Pos:      p.pos,
+						Analyzer: "pragma",
+						Message:  fmt.Sprintf("//lint:allow %s suppressed no finding: delete the stale waiver", name),
+					})
+				}
+			}
+		}
 	}
 }
 
@@ -223,15 +258,17 @@ func (r *Runner) collectPragmas(fset *token.FileSet, f *ast.File, known map[stri
 			}
 			lines := r.allow[pos.Filename]
 			if lines == nil {
-				lines = map[int]map[string]bool{}
+				lines = map[int]map[string]*pragma{}
 				r.allow[pos.Filename] = lines
 			}
 			set := lines[pos.Line]
 			if set == nil {
-				set = map[string]bool{}
+				set = map[string]*pragma{}
 				lines[pos.Line] = set
 			}
-			set[fields[0]] = true
+			if set[fields[0]] == nil {
+				set[fields[0]] = &pragma{pos: pos}
+			}
 		}
 	}
 }

@@ -1,5 +1,6 @@
 // Package allowok exercises the //lint:allow pragma: correctly-waived
-// violations stay silent, malformed pragmas are findings themselves.
+// violations stay silent, malformed or unused pragmas are findings
+// themselves.
 package allowok
 
 import "context"
@@ -14,6 +15,14 @@ func Detached() context.Context {
 // Inline carries the pragma as a trailing comment on the offending line.
 func Inline() context.Context {
 	return context.Background() //lint:allow ctxflow trailing pragma on the offending line
+}
+
+// Stale waives a violation that is not there: the pragma suppressed no
+// finding, so it is reported itself.
+func Stale() context.Context {
+	//lint:allow ctxflow fixture: waives nothing, the context is threaded
+	// want-above pragma "suppressed no finding"
+	return nil
 }
 
 // Unknown analyzer name: the pragma itself is reported and cannot be

@@ -195,21 +195,24 @@ func ReplayBatch(blob []byte) ([]*Record, error) {
 	return out, nil
 }
 
-// Log is an asynchronous write-ahead log: Append materializes the record
-// and returns immediately; a background goroutine applies records in order;
-// Flush blocks until everything appended so far has been applied.
+// Log is the in-memory apply queue in front of a collection: Append queues
+// the record and returns immediately; a background goroutine applies
+// records in order; Flush blocks until everything appended so far has been
+// applied. The log keeps no record once it is applied — the queue slot is
+// cleared as it is popped — so durability is the caller's: the distributed
+// writer ships each batch with MarshalBatch before it appends, and
+// ReplayBatch is the recovery path (Sec. 5.3).
 type Log struct {
 	apply func(*Record)
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	queue   []*Record
-	records []*Record // durable tail for Replay
 	applied int64
 	enq     int64
 	closed  bool
 
-	appendC  *obs.Counter // incremented per durable append
+	appendC  *obs.Counter // incremented per append
 	appliedC *obs.Counter // incremented per record applied
 }
 
@@ -231,14 +234,13 @@ func NewLog(apply func(*Record)) *Log {
 	return l
 }
 
-// Append durably records r and queues it for asynchronous application.
+// Append queues r for asynchronous application.
 func (l *Log) Append(r *Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("wal: log closed")
 	}
-	l.records = append(l.records, r)
 	l.queue = append(l.queue, r)
 	l.enq++
 	l.appendC.Inc()
@@ -257,6 +259,9 @@ func (l *Log) run() {
 			return
 		}
 		r := l.queue[0]
+		// Clear the slot: the backing array outlives the pop until the
+		// next append reallocates, and must not keep r alive.
+		l.queue[0] = nil
 		l.queue = l.queue[1:]
 		l.mu.Unlock()
 		l.apply(r)
@@ -283,14 +288,6 @@ func (l *Log) Pending() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.queue)
-}
-
-// Records returns a copy of all appended records (the durable log tail that
-// a restarted writer replays for atomicity, Sec. 5.3).
-func (l *Log) Records() []*Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]*Record(nil), l.records...)
 }
 
 // Close stops the background applier after draining the queue.

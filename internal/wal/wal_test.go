@@ -2,10 +2,12 @@ package wal
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -127,14 +129,29 @@ func TestLogAsyncApplyAndFlush(t *testing.T) {
 	}
 }
 
-func TestLogRecordsForReplay(t *testing.T) {
+// TestLogDropsAppliedRecords: the log is an apply queue, not a store —
+// once Flush returns, no applied record is reachable from it, so an
+// applied row's vectors are garbage as soon as the consumer drops them.
+// A closed log refuses appends.
+func TestLogDropsAppliedRecords(t *testing.T) {
 	l := NewLog(func(*Record) {})
-	l.Append(&Record{Type: RecordInsert, ID: 1})
+	const n = 4
+	var freed atomic.Int32
+	for i := 0; i < n; i++ {
+		r := &Record{Type: RecordInsert, ID: int64(i), Vectors: [][]float32{make([]float32, 64)}}
+		runtime.SetFinalizer(r, func(*Record) { freed.Add(1) })
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
 	l.Append(&Record{Type: RecordDelete, ID: 1})
 	l.Flush()
-	recs := l.Records()
-	if len(recs) != 2 || recs[0].Type != RecordInsert || recs[1].Type != RecordDelete {
-		t.Fatalf("Records = %+v", recs)
+	for deadline := time.Now().Add(5 * time.Second); freed.Load() < n && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := freed.Load(); got != n {
+		t.Fatalf("%d of %d applied records still reachable after Flush", n-got, n)
 	}
 	l.Close()
 	if err := l.Append(&Record{Type: RecordInsert, ID: 2}); err == nil {
