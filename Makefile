@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint bench bench-smoke kernel-guard repro-check conformance-filter conformance-wire conformance-ooc ci cover stress experiments examples loc clean
+.PHONY: all build test race vet fmt lint bench bench-smoke kernel-guard purego repro-check conformance-filter conformance-wire conformance-ooc ci cover stress experiments examples loc clean
 
 all: build test
 
@@ -42,12 +42,13 @@ lint:
 # the filtered-search gates (ground-truth conformance plus the concurrent
 # filtered stress mode), the REST wire-codec gate (golden bytes and
 # differential fuzzing against encoding/json), the observability coverage floor, the
-# batch-kernel guard, the figure shape assertions, the benchmark smoke run (every `go test` benchmark
+# batch-kernel guard, the pure-Go kernel build (purego), the figure shape
+# assertions, the benchmark smoke run (every `go test` benchmark
 # once, the per-layer cells included), and the e2ebench module
 # (its own go.mod, so `go build ./... && go test ./...` at the root never
 # compiles it: a signature change in internal/core that breaks the
 # repository's benchmark shows up here, not when the benchmark next runs).
-ci: vet fmt build lint test cover kernel-guard repro-check conformance-filter conformance-wire conformance-ooc bench-smoke
+ci: vet fmt build lint test cover kernel-guard purego repro-check conformance-filter conformance-wire conformance-ooc bench-smoke
 	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race ./internal/...
 	$(GO) test -race ./internal/stress -run TestStressCancel -short -faults=cancel
@@ -127,10 +128,23 @@ conformance-wire:
 # route through them — and that IVF build and search, k-means training
 # and core's multi-query engine over unindexed segments (one query-tile
 # dispatch per chunk for the whole batch) leave the per-row dispatch
-# counter at zero.
+# counter at zero. TestRowDistanceInvariance holds the asm tiers and the
+# scalar reference to row-pure distances: a row scores bit-identically
+# whatever the block length, its offset, or the entry point (batch, bound,
+# tile, gather), which the bit-identity conformance tests rely on.
 kernel-guard:
+	$(GO) test ./internal/vec -run TestRowDistanceInvariance
 	$(GO) test ./internal/index -run 'TestIndexScansUseBatchKernels|TestScanBlockedUsesBatchKernels'
 	$(GO) test ./internal/core -run 'TestSegmentScanUsesBatchKernels|TestSearchBatchUsesTileKernels'
+
+# purego builds the kernel packages with the assembly left out (the
+# purego tag: every tier runs the pure-Go kernels, as on a non-amd64
+# host) and runs their tests, so the portable fallback cannot rot on the
+# amd64 hosts CI runs on. The rest of the module waits: some of its tests
+# compare pairwise and batch distances bit for bit, and the pure-Go tiers
+# sum a block's tail rows in a different order (ROADMAP 7e).
+purego:
+	$(GO) test -tags purego ./internal/vec ./internal/index/...
 
 # repro-check asserts the paper's shapes on the figures that measure the
 # served engine: each experiments *ShapeHolds test regenerates its figure

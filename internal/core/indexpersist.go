@@ -41,18 +41,21 @@ func DecodeIndexBlob(data []byte) (name string, blob []byte, err error) {
 }
 
 // persistIndex writes a freshly built index if its type supports
-// persistence. Failures are non-fatal: the reader will rebuild locally.
+// persistence. A type without a blob (FLAT, RNSG, ANNOY) deletes the blob
+// of the index it replaced, so a reader does not load a stale one.
+// Failures are non-fatal: the reader will rebuild locally.
 func (c *Collection) persistIndex(seg *Segment, field int) {
 	idx := seg.Index(field)
+	key := IndexKey(c.segmentKey(seg.ID), field)
 	m, ok := idx.(index.Marshaler)
 	if !ok {
+		_ = c.store.Delete(key)
 		return
 	}
 	blob, err := m.MarshalIndex()
 	if err != nil {
 		return
 	}
-	key := IndexKey(c.segmentKey(seg.ID), field)
 	_ = c.store.Put(key, EncodeIndexBlob(idx.Name(), blob))
 	// The async builder races with segment GC: if the segment died while we
 	// were persisting, the GC's delete of this key may already have run, and

@@ -478,6 +478,17 @@ func (c *Collection) tierIndexPayload(seg *Segment, field int) {
 	idx := seg.Index(field)
 	iv, ok := unwrapIndex(idx).(*ivf.IVF)
 	if !ok || !iv.Externalizable() {
+		// The new index has no payload to tier: retire the one it
+		// replaced, as the swap below does for an IVF rebuild.
+		seg.tierIdxMu.Lock()
+		old := seg.tierIdx[field]
+		if old == nil || seg.Index(field) != idx {
+			seg.tierIdxMu.Unlock()
+			return
+		}
+		delete(seg.tierIdx, field)
+		seg.tierIdxMu.Unlock()
+		c.snaps.retire(old.destroy)
 		return
 	}
 	floats, codes, ok := iv.ResidentPayload()

@@ -1035,6 +1035,67 @@ func TestTieredIndexRebuild(t *testing.T) {
 	assertNoExtKeys(t, store, "t")
 }
 
+// TestTieredRebuildToBloblessIndex: rebuilding a field to an index type
+// with no blob (FLAT) deletes the replaced IVF's persisted blob, so a
+// cluster reader cannot load the stale index, and retires its payload
+// tier once the swap-time snapshots are gone, leaving each segment its
+// one data tier.
+func TestTieredRebuildToBloblessIndex(t *testing.T) {
+	const dim, rows = 8, 256
+	store := objstore.NewMemory()
+	c, err := NewCollection("t", testSchema(dim), store, tierTestConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ents := mkEntities(rows, dim, 23)
+	for i := 0; i < rows; i += 64 {
+		if err := c.Insert(ents[i : i+64]); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs := c.Stats().Segments
+	blobs := func() int {
+		keys, err := store.List("col/t/seg/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, k := range keys {
+			if strings.Contains(k, "/idx/") {
+				n++
+			}
+		}
+		return n
+	}
+	if err := c.BuildIndex("v", "IVF_FLAT", map[string]string{"nlist": "4"}); err != nil {
+		t.Fatal(err)
+	}
+	if n, tiers := blobs(), c.TierStats().Tiered; n != segs || tiers != 2*segs {
+		t.Fatalf("after IVF_FLAT: %d blobs, %d tiers for %d segments; want %d and %d", n, tiers, segs, segs, 2*segs)
+	}
+	if err := c.BuildIndex("v", "FLAT", nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := blobs(); n != 0 {
+		t.Fatalf("after FLAT: %d stale index blobs left", n)
+	}
+	if tiers := c.TierStats().Tiered; tiers != segs {
+		t.Fatalf("after FLAT: %d tiers for %d segments; the IVF payload tiers were not retired", tiers, segs)
+	}
+	q := ents[5].Vectors[0]
+	got, err := c.Search(q, SearchOptions{K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].ID != ents[5].ID {
+		t.Fatalf("FLAT search after the rebuild: %v, want row %d", got, ents[5].ID)
+	}
+}
+
 // TestRetireWaitsForSwapTimeSnapshots: a payload tier a rebuild replaced
 // is destroyed only after every snapshot live at the swap is released. A
 // query of such a snapshot may have loaded the old index and not yet

@@ -1,3 +1,5 @@
+//go:build !purego
+
 package vec
 
 // Real SIMD on amd64. The paper's Sec. 3.2.2 compiles every similarity
@@ -13,6 +15,9 @@ package vec
 // The pairwise (single-distance) kernels intentionally stay in Go: a call
 // per row cannot amortize the vector setup/reduction anyway, which is the
 // whole argument for blocked scans.
+//
+// The purego build tag leaves all of this out (asm_other.go instead), so
+// every tier runs the pure-Go kernels on amd64 too.
 
 //go:noescape
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -169,8 +174,8 @@ func l2BoundAVX512(q, data []float32, dim int, _ float32, out []float32) {
 
 // The tile entry points run the one-query batch kernel per query of the
 // group: the cache reuse the tile exists for happens at the caller's block
-// granularity (the block stays resident across the query loop), and per
-// query the asm kernel already saturates the FMA ports.
+// granularity (the block stays resident across the query loop). A
+// register tile over several queries is not written.
 func l2TileAVX2(qs, data []float32, dim, nq int, out []float32) {
 	n := len(data) / dim
 	if n == 0 {

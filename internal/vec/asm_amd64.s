@@ -1,7 +1,11 @@
+//go:build !purego
+
 // AVX2/FMA and AVX-512 batch distance kernels (amd64). These are the real
 // SIMD implementations behind the LevelAVX2/LevelAVX512 batch entry points;
 // the pure-Go register-blocked kernels remain the portable fallback and the
-// reference semantics. Layout of every kernel:
+// reference semantics. The AVX-512 kernels, at the end of the file, score
+// 8 rows per pass; their layout is described there. Layout of each AVX2
+// kernel:
 //
 //   - outer loop over n rows of the row-major block;
 //   - inner loop over dim in 4 vector-register chunks with independent
@@ -208,178 +212,176 @@ ipf_done:
 	VZEROUPPER
 	RET
 
+// AVX-512 kernels: rows are scored in groups of 8, one accumulator per row
+// (Z0–Z7, row pointers AX DI R8–R13), each row read front to back. The
+// query sits in Z16–Z23 in panels of up to 8 chunks of 16 floats: one fully
+// unrolled body per chunk count (8, 4, 2, 1) loads a panel (from L1, once
+// per group) and streams the 8 rows against it, and a dim above 128 runs several bodies per group,
+// the accumulators carrying across them. A body's last chunk is loaded
+// under the mask K1 — all 16 lanes, or the dim%16 lanes of the row's last
+// partial chunk, zero-masked, so nothing past a row is read. The 8
+// accumulators are then reduced together and stored with one masked
+// store. Leftover rows (n%8) run the same body on a group whose missing
+// rows repeat the last real one, under a store mask. Rows shorter than one
+// chunk are summed one dim at a time, front to back: the order of the
+// pure-Go pairwise kernels at those dims, so the two agree bit for bit
+// there. Either way a row's distance is a pure function of (query, row),
+// whatever n, the row's place in the block, or the entry point
+// (TestRowDistanceInvariance).
+
+// One row against one query chunk q at byte offset off: p is the row
+// pointer, t a scratch register, acc the row's accumulator. The M forms
+// load under K1.
+#define L2ROW(off, p, q, t, acc) VSUBPS off(p), q, t; VFMADD231PS t, t, acc
+#define L2ROWM(off, p, q, t, acc) VSUBPS.Z off(p), q, K1, t; VFMADD231PS t, t, acc
+#define IPROW(off, p, q, t, acc) VFMADD231PS off(p), q, acc
+#define IPROWM(off, p, q, t, acc) VFMADD231PS off(p), q, K1, acc
+
+#define ROWS8(ROW, off, q) \
+	ROW(off, AX, q, Z8, Z0); ROW(off, DI, q, Z9, Z1); \
+	ROW(off, R8, q, Z10, Z2); ROW(off, R9, q, Z11, Z3); \
+	ROW(off, R10, q, Z12, Z4); ROW(off, R11, q, Z13, Z5); \
+	ROW(off, R12, q, Z14, Z6); ROW(off, R13, q, Z15, Z7)
+
+// ADVANCE moves the query cursor and the 8 row pointers n bytes on.
+#define ADVANCE(n) \
+	ADDQ $n, SI; ADDQ $n, AX; ADDQ $n, DI; ADDQ $n, R8; ADDQ $n, R9; \
+	ADDQ $n, R10; ADDQ $n, R11; ADDQ $n, R12; ADDQ $n, R13
+
+#define BODY1(ROW, ROWM) \
+	VMOVUPS.Z (SI), K1, Z16; \
+	ROWS8(ROWM, 0, Z16); \
+	ADVANCE(64)
+
+#define BODY2(ROW, ROWM) \
+	VMOVUPS (SI), Z16; VMOVUPS.Z 64(SI), K1, Z17; \
+	ROWS8(ROW, 0, Z16); ROWS8(ROWM, 64, Z17); \
+	ADVANCE(128)
+
+#define BODY4(ROW, ROWM) \
+	VMOVUPS (SI), Z16; VMOVUPS 64(SI), Z17; \
+	VMOVUPS 128(SI), Z18; VMOVUPS.Z 192(SI), K1, Z19; \
+	ROWS8(ROW, 0, Z16); ROWS8(ROW, 64, Z17); \
+	ROWS8(ROW, 128, Z18); ROWS8(ROWM, 192, Z19); \
+	ADVANCE(256)
+
+#define BODY8(ROW, ROWM) \
+	VMOVUPS (SI), Z16; VMOVUPS 64(SI), Z17; \
+	VMOVUPS 128(SI), Z18; VMOVUPS 192(SI), Z19; \
+	VMOVUPS 256(SI), Z20; VMOVUPS 320(SI), Z21; \
+	VMOVUPS 384(SI), Z22; VMOVUPS.Z 448(SI), K1, Z23; \
+	ROWS8(ROW, 0, Z16); ROWS8(ROW, 64, Z17); \
+	ROWS8(ROW, 128, Z18); ROWS8(ROW, 192, Z19); \
+	ROWS8(ROW, 256, Z20); ROWS8(ROW, 320, Z21); \
+	ROWS8(ROW, 384, Z22); ROWS8(ROWM, 448, Z23); \
+	ADVANCE(512)
+
+// REDUCE8 folds each accumulator to a ymm, then a VHADDPS tree leaves rows
+// 0–3 (Y0) and 4–7 (Y4) as low/high lane halves, and one cross-lane swap
+// and add finishes all 8 in row order in Y0.
+#define FOLD(z, y, t) VEXTRACTF64X4 $1, z, t; VADDPS t, y, y
+#define REDUCE8 \
+	FOLD(Z0, Y0, Y8); FOLD(Z1, Y1, Y9); FOLD(Z2, Y2, Y10); FOLD(Z3, Y3, Y11); \
+	FOLD(Z4, Y4, Y12); FOLD(Z5, Y5, Y13); FOLD(Z6, Y6, Y14); FOLD(Z7, Y7, Y15); \
+	VHADDPS Y1, Y0, Y0; VHADDPS Y3, Y2, Y2; \
+	VHADDPS Y5, Y4, Y4; VHADDPS Y7, Y6, Y6; \
+	VHADDPS Y2, Y0, Y0; VHADDPS Y6, Y4, Y4; \
+	VPERM2F128 $0x21, Y4, Y0, Y1; \
+	VBLENDPS $0xf0, Y4, Y0, Y0; \
+	VADDPS Y1, Y0, Y0
+
+// CLAMP sets row pointer cur one row past prev while more than k rows are
+// left, else to prev (CX is the row length, zeroed for good once BX <= k;
+// SI is 0).
+#define CLAMP(k, prev, cur) CMPQ BX, $k; CMOVQLE SI, CX; LEAQ (prev)(CX*4), cur
+
+// BATCHZ is the kernel body: ROW/ROWM score a row against a chunk, SCALAR
+// folds one dim of a short row (X1 query, X2 row) into X0. Registers: SI
+// query cursor, CX dims left in the group, DX out, BX rows left; K3 all 16
+// lanes, K4 the dim%16 lanes of a partial last chunk, K2 the store mask.
+#define BATCHZ(ROW, ROWM, SCALAR) \
+	MOVQ data+8(FP), AX; \
+	MOVQ out+16(FP), DX; \
+	MOVQ dim+24(FP), CX; \
+	MOVQ n+32(FP), BX; \
+	CMPQ CX, $16; \
+	JLT short; \
+	MOVL $0xffff, SI; KMOVW SI, K3; \
+	MOVL $0xff, SI; KMOVW SI, K2; \
+	ANDL $15, CX; MOVL $1, SI; SHLL CX, SI; DECL SI; KMOVW SI, K4; \
+group: \
+	MOVQ dim+24(FP), CX; \
+	CMPQ BX, $8; \
+	JLT tail; \
+	LEAQ (AX)(CX*4), DI; LEAQ (DI)(CX*4), R8; LEAQ (R8)(CX*4), R9; \
+	LEAQ (R9)(CX*4), R10; LEAQ (R10)(CX*4), R11; LEAQ (R11)(CX*4), R12; \
+	LEAQ (R12)(CX*4), R13; \
+rows: \
+	VXORPS Z0, Z0, Z0; VXORPS Z1, Z1, Z1; VXORPS Z2, Z2, Z2; VXORPS Z3, Z3, Z3; \
+	VXORPS Z4, Z4, Z4; VXORPS Z5, Z5, Z5; VXORPS Z6, Z6, Z6; VXORPS Z7, Z7, Z7; \
+	MOVQ q+0(FP), SI; \
+dims: \
+	KMOVW K3, K1; \
+	CMPQ CX, $112; JLE lt8; CMPQ CX, $128; JGE b8; KMOVW K4, K1; JMP b8; \
+lt8: \
+	CMPQ CX, $48; JLE lt4; CMPQ CX, $64; JGE b4; KMOVW K4, K1; JMP b4; \
+lt4: \
+	CMPQ CX, $16; JLE lt2; CMPQ CX, $32; JGE b2; KMOVW K4, K1; JMP b2; \
+lt2: \
+	CMPQ CX, $16; JGE b1; KMOVW K4, K1; \
+b1: \
+	BODY1(ROW, ROWM); SUBQ $16, CX; JGT dims; JMP reduce; \
+b2: \
+	BODY2(ROW, ROWM); SUBQ $32, CX; JGT dims; JMP reduce; \
+b4: \
+	BODY4(ROW, ROWM); SUBQ $64, CX; JGT dims; JMP reduce; \
+b8: \
+	BODY8(ROW, ROWM); SUBQ $128, CX; JGT dims; \
+reduce: \
+	REDUCE8; \
+	VMOVUPS Z0, K2, (DX); \
+	ADDQ $32, DX; \
+	LEAQ (R13)(CX*4), AX; \
+	SUBQ $8, BX; \
+	JGT group; \
+	VZEROUPPER; \
+	RET; \
+tail: \
+	MOVQ BX, CX; MOVL $1, SI; SHLL CX, SI; DECL SI; KMOVW SI, K2; \
+	XORL SI, SI; \
+	MOVQ dim+24(FP), CX; \
+	CLAMP(1, AX, DI); CLAMP(2, DI, R8); CLAMP(3, R8, R9); CLAMP(4, R9, R10); \
+	CLAMP(5, R10, R11); CLAMP(6, R11, R12); CLAMP(7, R12, R13); \
+	MOVQ dim+24(FP), CX; \
+	JMP rows; \
+short: \
+	MOVQ q+0(FP), SI; \
+srow: \
+	VXORPS X0, X0, X0; \
+	MOVQ SI, R10; \
+	MOVQ CX, R8; \
+sdim: \
+	VMOVSS (R10), X1; \
+	VMOVSS (AX), X2; \
+	SCALAR; \
+	VADDSS X1, X0, X0; \
+	ADDQ $4, R10; \
+	ADDQ $4, AX; \
+	DECQ R8; \
+	JNE sdim; \
+	VMOVSS X0, (DX); \
+	ADDQ $4, DX; \
+	DECQ BX; \
+	JNE srow; \
+	RET
+
+#define L2SCALAR VSUBSS X2, X1, X1; VMULSS X1, X1, X1
+#define IPSCALAR VMULSS X2, X1, X1
+
 // func l2BatchZ(q, data, out *float32, dim, n int)
 TEXT ·l2BatchZ(SB), NOSPLIT, $0-40
-	MOVQ q+0(FP), SI
-	MOVQ data+8(FP), DI
-	MOVQ out+16(FP), DX
-	MOVQ dim+24(FP), CX
-	MOVQ n+32(FP), BX
-
-l2z_row:
-	TESTQ BX, BX
-	JE   l2z_done
-	VXORPS Z4, Z4, Z4
-	VXORPS Z5, Z5, Z5
-	VXORPS Z6, Z6, Z6
-	VXORPS Z7, Z7, Z7
-	MOVQ SI, R10
-	MOVQ DI, R11
-	MOVQ CX, R8
-
-l2z_chunk64:
-	CMPQ R8, $64
-	JLT  l2z_chunk16
-	VMOVUPS (R10), Z0
-	VMOVUPS (R11), Z1
-	VSUBPS  Z1, Z0, Z0
-	VFMADD231PS Z0, Z0, Z4
-	VMOVUPS 64(R10), Z1
-	VMOVUPS 64(R11), Z2
-	VSUBPS  Z2, Z1, Z1
-	VFMADD231PS Z1, Z1, Z5
-	VMOVUPS 128(R10), Z2
-	VMOVUPS 128(R11), Z3
-	VSUBPS  Z3, Z2, Z2
-	VFMADD231PS Z2, Z2, Z6
-	VMOVUPS 192(R10), Z3
-	VMOVUPS 192(R11), Z0
-	VSUBPS  Z0, Z3, Z3
-	VFMADD231PS Z3, Z3, Z7
-	ADDQ $256, R10
-	ADDQ $256, R11
-	SUBQ $64, R8
-	JMP  l2z_chunk64
-
-l2z_chunk16:
-	CMPQ R8, $16
-	JLT  l2z_reduce
-	VMOVUPS (R10), Z0
-	VMOVUPS (R11), Z1
-	VSUBPS  Z1, Z0, Z0
-	VFMADD231PS Z0, Z0, Z4
-	ADDQ $64, R10
-	ADDQ $64, R11
-	SUBQ $16, R8
-	JMP  l2z_chunk16
-
-l2z_reduce:
-	VADDPS Z5, Z4, Z4
-	VADDPS Z7, Z6, Z6
-	VADDPS Z6, Z4, Z4
-	VEXTRACTF64X4 $1, Z4, Y1
-	VADDPS Y1, Y4, Y4
-	VEXTRACTF128 $1, Y4, X1
-	VADDPS X1, X4, X4
-	VHADDPS X4, X4, X4
-	VHADDPS X4, X4, X4
-
-	TESTQ R8, R8
-	JE   l2z_store
-
-l2z_scalar:
-	VMOVSS (R10), X1
-	VMOVSS (R11), X2
-	VSUBSS X2, X1, X1
-	VMULSS X1, X1, X1
-	VADDSS X1, X4, X4
-	ADDQ $4, R10
-	ADDQ $4, R11
-	DECQ R8
-	JNE  l2z_scalar
-
-l2z_store:
-	VMOVSS X4, (DX)
-	ADDQ $4, DX
-	MOVQ R11, DI
-	DECQ BX
-	JMP  l2z_row
-
-l2z_done:
-	VZEROUPPER
-	RET
+	BATCHZ(L2ROW, L2ROWM, L2SCALAR)
 
 // func ipBatchZ(q, data, out *float32, dim, n int)
 TEXT ·ipBatchZ(SB), NOSPLIT, $0-40
-	MOVQ q+0(FP), SI
-	MOVQ data+8(FP), DI
-	MOVQ out+16(FP), DX
-	MOVQ dim+24(FP), CX
-	MOVQ n+32(FP), BX
-
-ipz_row:
-	TESTQ BX, BX
-	JE   ipz_done
-	VXORPS Z4, Z4, Z4
-	VXORPS Z5, Z5, Z5
-	VXORPS Z6, Z6, Z6
-	VXORPS Z7, Z7, Z7
-	MOVQ SI, R10
-	MOVQ DI, R11
-	MOVQ CX, R8
-
-ipz_chunk64:
-	CMPQ R8, $64
-	JLT  ipz_chunk16
-	VMOVUPS (R10), Z0
-	VMOVUPS (R11), Z1
-	VFMADD231PS Z1, Z0, Z4
-	VMOVUPS 64(R10), Z2
-	VMOVUPS 64(R11), Z3
-	VFMADD231PS Z3, Z2, Z5
-	VMOVUPS 128(R10), Z0
-	VMOVUPS 128(R11), Z1
-	VFMADD231PS Z1, Z0, Z6
-	VMOVUPS 192(R10), Z2
-	VMOVUPS 192(R11), Z3
-	VFMADD231PS Z3, Z2, Z7
-	ADDQ $256, R10
-	ADDQ $256, R11
-	SUBQ $64, R8
-	JMP  ipz_chunk64
-
-ipz_chunk16:
-	CMPQ R8, $16
-	JLT  ipz_reduce
-	VMOVUPS (R10), Z0
-	VMOVUPS (R11), Z1
-	VFMADD231PS Z1, Z0, Z4
-	ADDQ $64, R10
-	ADDQ $64, R11
-	SUBQ $16, R8
-	JMP  ipz_chunk16
-
-ipz_reduce:
-	VADDPS Z5, Z4, Z4
-	VADDPS Z7, Z6, Z6
-	VADDPS Z6, Z4, Z4
-	VEXTRACTF64X4 $1, Z4, Y1
-	VADDPS Y1, Y4, Y4
-	VEXTRACTF128 $1, Y4, X1
-	VADDPS X1, X4, X4
-	VHADDPS X4, X4, X4
-	VHADDPS X4, X4, X4
-
-	TESTQ R8, R8
-	JE   ipz_store
-
-ipz_scalar:
-	VMOVSS (R10), X1
-	VMOVSS (R11), X2
-	VMULSS X2, X1, X1
-	VADDSS X1, X4, X4
-	ADDQ $4, R10
-	ADDQ $4, R11
-	DECQ R8
-	JNE  ipz_scalar
-
-ipz_store:
-	VMOVSS X4, (DX)
-	ADDQ $4, DX
-	MOVQ R11, DI
-	DECQ BX
-	JMP  ipz_row
-
-ipz_done:
-	VZEROUPPER
-	RET
+	BATCHZ(IPROW, IPROWM, IPSCALAR)

@@ -1,10 +1,11 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package vec
 
 import "runtime"
 
-// Non-amd64 hosts run the pure-Go register-blocked kernels on every tier.
+// Non-amd64 hosts, and any host built with the purego tag, run the pure-Go
+// register-blocked kernels on every tier.
 
 const haveAVX2FMA = false
 const haveAVX512 = false

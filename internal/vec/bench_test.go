@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,15 +40,29 @@ func BenchmarkL2Pairwise(b *testing.B) {
 	}
 }
 
-func BenchmarkL2Batch(b *testing.B) {
-	q, data := benchData(benchRowsN, benchDim)
-	out := make([]float32, benchRowsN)
-	b.SetBytes(int64(benchRowsN * benchDim * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		L2SquaredBatch(q, data, benchDim, out)
+// batchShapes are the layer cells of the one-query batch kernels: one
+// 256-row IVF bucket, cache-resident, and scan.flat's 65,536×128 segment
+// (32 MiB, past the caches), each at dims 32, 64 and 128.
+var batchShapes = []struct{ dim, rows int }{
+	{32, 256}, {64, 256}, {128, 256},
+	{32, 65536}, {64, 65536}, {128, 65536},
+}
+
+func benchBatch(b *testing.B, kernel func(q, data []float32, dim int, out []float32)) {
+	for _, s := range batchShapes {
+		b.Run(fmt.Sprintf("dim=%d/rows=%d", s.dim, s.rows), func(b *testing.B) {
+			q, data := benchData(s.rows, s.dim)
+			out := make([]float32, s.rows)
+			b.SetBytes(int64(s.rows * s.dim * 4))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				kernel(q, data, s.dim, out)
+			}
+		})
 	}
 }
+
+func BenchmarkL2Batch(b *testing.B) { benchBatch(b, L2SquaredBatch) }
 
 func BenchmarkL2BatchBound(b *testing.B) {
 	q, data := benchData(benchRowsN, benchDim)
@@ -84,15 +99,7 @@ func BenchmarkL2BatchBoundTight(b *testing.B) {
 	}
 }
 
-func BenchmarkDotBatch(b *testing.B) {
-	q, data := benchData(benchRowsN, benchDim)
-	out := make([]float32, benchRowsN)
-	b.SetBytes(int64(benchRowsN * benchDim * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DotBatch(q, data, benchDim, out)
-	}
-}
+func BenchmarkDotBatch(b *testing.B) { benchBatch(b, DotBatch) }
 
 func BenchmarkL2Tile4Queries(b *testing.B) {
 	_, data := benchData(benchRowsN, benchDim)

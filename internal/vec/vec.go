@@ -20,8 +20,9 @@
 // hand-written AVX2+FMA / AVX-512 assembly (asm_amd64.s), installed at
 // startup only when CPUID and XCR0 confirm host support — the Go kernels
 // remain the reference semantics the asm is fuzz-tested against, and the
-// fallback everywhere else. Wider tiers are measurably faster, preserving
-// the shape of the paper's Fig. 12.
+// fallback everywhere else, including amd64 builds with the purego tag.
+// Wider tiers are measurably faster, preserving the shape of the paper's
+// Fig. 12.
 package vec
 
 import (
