@@ -91,13 +91,16 @@ conformance-ooc:
 # by raw value" (internal/colstore), and the cluster ≡ single-node gate:
 # the same rows behind two readers and one collection, with and without
 # tombstones, both equal to the oracle, the readers' bitsets pooled
-# (internal/cluster).
+# (internal/cluster). A filter resolved only at an IVF probe's positions
+# must return, hit for hit, what the full compile returns, through the
+# collection's pushdown (TestPushdownProbeResolvedEqualsFullCompile) and a
+# cluster reader (TestReaderProbeResolvedEqualsFullCompile).
 conformance-filter:
 	$(GO) test ./internal/index -run TestFiltered
 	$(GO) test ./internal/query -run 'TestStrategyFilteredConformance|TestSelectivitySweep|TestStrategyBPushedAllocs'
 	$(GO) test ./internal/core -run TestPushdown
 	$(GO) test ./internal/colstore -run 'TestFillRange|TestCompilePred|FuzzPredCompile'
-	$(GO) test ./internal/cluster -run 'TestClusterEqualsSingleNode|TestReaderFilteredAllocs|TestSearchRejectsBadRequest'
+	$(GO) test ./internal/cluster -run 'TestClusterEqualsSingleNode|TestReaderFilteredAllocs|TestReaderProbeResolvedEqualsFullCompile|TestSearchRejectsBadRequest'
 
 # conformance-wire is the REST wire-codec gate: the append encoders write
 # exactly encoding/json's bytes (float format cutoffs, int64 range ends,

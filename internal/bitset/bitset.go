@@ -10,6 +10,7 @@ package bitset
 
 import (
 	"math/bits"
+	"slices"
 
 	"vectordb/internal/bufferpool"
 )
@@ -119,6 +120,30 @@ func (b *Bitset) CountRange(lo, hi int) int {
 		c += bits.OnesCount64(b.words[i])
 	}
 	return c + bits.OnesCount64(b.words[hw]&hiMask)
+}
+
+// CountAt returns how many of the positions in at are set — the match count
+// of a filter resolved only where a scan will read it. Positions must lie
+// in [0, Len()).
+func (b *Bitset) CountAt(at []int32) int {
+	c := 0
+	for _, p := range at {
+		c += int(b.words[uint32(p)/wordBits] >> (uint32(p) % wordBits) & 1)
+	}
+	return c
+}
+
+// AppendSet appends base+i to dst for every i whose position at[i] is set,
+// without a branch per position: the survivor list of a scan whose rows
+// map to positions at. Positions must lie in [0, Len()).
+func (b *Bitset) AppendSet(dst []int32, at []int32, base int32) []int32 {
+	n := len(dst)
+	dst = slices.Grow(dst, len(at))[:n+len(at)]
+	for i, p := range at {
+		dst[n] = base + int32(i)
+		n += int(b.words[uint32(p)/wordBits] >> (uint32(p) % wordBits) & 1)
+	}
+	return dst[:n]
 }
 
 // And intersects b with o in place. Lengths must match.

@@ -8,8 +8,8 @@ import (
 // model: the fuzzer drives an op tape (set/clear/and/or/andnot/complement/
 // setword)
 // over two sets whose length is fuzz-chosen to land on and around word
-// boundaries, then compares every bit, Count, CountRange, NextSet and the
-// extracted run list.
+// boundaries, then compares every bit, Count, CountRange, CountAt,
+// AppendSet, NextSet and the extracted run list.
 func FuzzOps(f *testing.F) {
 	f.Add(uint16(64), []byte{0, 1, 2, 3, 4, 5})
 	f.Add(uint16(65), []byte{0, 10, 0, 64, 3, 5, 1, 10})
@@ -116,6 +116,24 @@ func FuzzOps(f *testing.F) {
 			if got := a.CountRange(win[0], win[1]); got != want {
 				t.Fatalf("CountRange(%d,%d)=%d want %d", win[0], win[1], got, want)
 			}
+		}
+		// CountAt and AppendSet at every third position, in descending
+		// order (positions need not be sorted), after a non-empty prefix.
+		var at []int32
+		for p := n - 1; p >= 0; p -= 3 {
+			at = append(at, int32(p))
+		}
+		wantAt, list := 0, a.AppendSet([]int32{-1}, at, 7)
+		for i, p := range at {
+			if ma[int(p)] {
+				if wantAt+1 >= len(list) || list[wantAt+1] != int32(7+i) {
+					t.Fatalf("AppendSet=%v: entry %d is not %d", list, wantAt+1, 7+i)
+				}
+				wantAt++
+			}
+		}
+		if got := a.CountAt(at); got != wantAt || len(list) != wantAt+1 || list[0] != -1 {
+			t.Fatalf("CountAt=%d, AppendSet=%v, want %d set positions", got, list, wantAt)
 		}
 		// NextSet walk must enumerate exactly the model's set positions
 		// in order.

@@ -8,7 +8,10 @@ import (
 	"sort"
 	"testing"
 
+	"vectordb/internal/bitset"
+	"vectordb/internal/colstore"
 	"vectordb/internal/core"
+	"vectordb/internal/index"
 	"vectordb/internal/objstore"
 	"vectordb/internal/topk"
 	"vectordb/internal/vec"
@@ -341,5 +344,119 @@ func TestSearchRejectsBadRequest(t *testing.T) {
 	}
 	if _, err := f.cl.Search("c", good, gateOpts(5)); err != nil {
 		t.Fatalf("good request after bad ones: %v", err)
+	}
+}
+
+// readerFullCompile is the reference for a reader's filtered search: the
+// range compiled at every position of each owned segment (the manifest's
+// visibility ANDed in), then the same index search with that bitset, in the
+// reader's segment order.
+func readerFullCompile(t *testing.T, rd *Reader, ring *Ring, q []float32, pred colstore.Pred, p index.SearchParams, typ string) []topk.Result {
+	t.Helper()
+	rd.mu.RLock()
+	rm, pool := rd.manifests["c"], rd.pool
+	rd.mu.RUnlock()
+	h := topk.New(p.K)
+	for _, key := range rm.man.SegmentKeys {
+		if ring.Lookup(key) != rd.ID {
+			continue
+		}
+		v, err := pool.Get("c\x00" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg := v.(*core.Segment)
+		if idx := seg.Index(0); idx == nil || idx.Name() != typ {
+			t.Fatalf("segment %s: index %v, want %s", key, idx, typ)
+		}
+		b, err := seg.CompileFilter(pred, rm.visibility(key, seg), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := p
+		sp.Bits = b
+		seg.SearchInto(h, &rm.schema, 0, q, sp)
+		bitset.Put(b)
+	}
+	return h.Results()
+}
+
+// TestReaderProbeResolvedEqualsFullCompile: a reader resolves a range only
+// at the probed buckets' positions of its IVF segments and must return, hit
+// for hit, what the same probes return under the range compiled at every
+// position — IVF_FLAT, IVF_SQ8 and IVF_PQ readers, widths 0, 1, 10, 50 and
+// 100 %, with no tombstones and with 10 %.
+func TestReaderProbeResolvedEqualsFullCompile(t *testing.T) {
+	const n, k, nprobe = 3000, 10, 3
+	r := rand.New(rand.NewSource(44))
+	ents := make([]core.Entity, n)
+	for i := range ents {
+		v := make([]float32, gateDim)
+		for j := range v {
+			v[j] = float32(r.NormFloat64())
+		}
+		ents[i] = core.Entity{ID: 1000 + 3*int64(i), Vectors: [][]float32{v}, Attrs: []int64{int64(r.Intn(gateAttrHi))}}
+	}
+	queries := make([][]float32, 4)
+	for i := range queries {
+		queries[i] = ents[r.Intn(n)].Vectors[0]
+	}
+	for _, typ := range []string{"IVF_FLAT", "IVF_SQ8", "IVF_PQ"} {
+		t.Run(typ, func(t *testing.T) {
+			cl, err := NewCluster(objstore.NewMemory(), 2,
+				core.Config{FlushRows: n / 6, FlushInterval: -1, MergeFactor: 1 << 20, IndexRows: 1 << 20, SyncIndex: true},
+				ReaderConfig{IndexRows: 64, IndexType: typ, IndexParams: map[string]string{"nlist": "16", "iter": "4"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := cl.Writer()
+			if err := w.CreateCollection("c", clusterSchema(gateDim)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Insert("c", ents); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush("c"); err != nil {
+				t.Fatal(err)
+			}
+			ring, _ := cl.Coord.Ring()
+			for _, tomb := range []string{"none", "10%"} {
+				if tomb == "10%" {
+					var dead []int64
+					for i := 0; i < n; i += 10 {
+						dead = append(dead, ents[i].ID)
+					}
+					if err := w.Delete("c", dead); err != nil {
+						t.Fatal(err)
+					}
+					if err := w.Flush("c"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				version, err := cl.Coord.ManifestVersion("c")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, width := range []int64{0, gateAttrHi / 100, gateAttrHi / 10, gateAttrHi / 2, gateAttrHi} {
+					lo := int64(r.Intn(int(gateAttrHi-width) + 1))
+					rf := &RangeFilter{Attr: "price", Lo: lo, Hi: lo + width - 1}
+					pred := colstore.RangePred{Attr: 0, Lo: rf.Lo, Hi: rf.Hi}
+					for qi, q := range queries {
+						for _, id := range ring.Members() {
+							rd, _ := cl.Reader(id)
+							got, err := rd.SearchOwnedCtx(context.Background(), "c", version, ring, q, core.SearchOptions{K: k, Nprobe: nprobe}, rf)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want := readerFullCompile(t, rd, ring, q, pred, index.SearchParams{K: k, Nprobe: nprobe}, typ)
+							label := fmt.Sprintf("%s/tombstones=%s/width=%d/q%d/reader %s", typ, tomb, width, qi, id)
+							if g, w := fmt.Sprint(got), fmt.Sprint(want); g != w {
+								t.Fatalf("%s: probe-resolved %s, full compile %s", label, g, w)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

@@ -244,8 +244,8 @@ func (r *Reader) SearchOwned(collection string, version int64, ring *Ring, query
 // distributed query stops pulling segments from shared storage. The range
 // filter and the manifest's tombstones reach each segment as one bitset over
 // build positions — the segment's visibility bits, with the filter compiled
-// over them (core.Segment.CompileFilter) — pushed beneath its index or scan
-// like every collection-level search.
+// over them by core.Segment.SearchFiltered, the collection's own
+// per-segment filtered search — pushed beneath its index or scan.
 func (r *Reader) SearchOwnedCtx(ctx context.Context, collection string, version int64, ring *Ring, query []float32, opts core.SearchOptions, rf ...*RangeFilter) ([]topk.Result, error) {
 	r.mu.RLock()
 	alive := r.alive
@@ -283,7 +283,8 @@ func (r *Reader) SearchOwnedCtx(ctx context.Context, collection string, version 
 		pred = colstore.RangePred{Attr: attr, Lo: rf[0].Lo, Hi: rf[0].Hi}
 	}
 	sp := opts.Params()
-	h := topk.New(opts.K)
+	h := topk.GetHeap(opts.K)
+	defer topk.PutHeap(h)
 	for _, segKey := range rm.man.SegmentKeys {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -297,15 +298,11 @@ func (r *Reader) SearchOwnedCtx(ctx context.Context, collection string, version 
 		}
 		seg := v.(*core.Segment)
 		sp.Bits = rm.visibility(segKey, seg)
-		var compiled *bitset.Bitset // pooled, unlike the manifest's visibility bits
-		if pred != nil {
-			if compiled, err = seg.CompileFilter(pred, sp.Bits); err != nil {
-				return nil, err
-			}
-			sp.Bits = compiled
+		if pred == nil {
+			seg.SearchInto(h, &rm.schema, field, query, sp)
+		} else if _, _, err := seg.SearchFiltered(h, &rm.schema, field, query, pred, sp, false); err != nil {
+			return nil, err
 		}
-		seg.SearchInto(h, &rm.schema, field, query, sp)
-		bitset.Put(compiled)
 	}
 	return h.Results(), nil
 }

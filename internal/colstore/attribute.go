@@ -154,19 +154,34 @@ func (c *AttributeColumn) CountRange(lo, hi int64) int {
 // matches, so the two meet between 0.45 and 0.55 of the column.
 const wideFillDiv = 2
 
+// atFillDiv bounds the positional fill: it compares the raw value at each
+// given position, a random read, and pays only while the positions number
+// under 1/atFillDiv of the column — past that the word fill over every row
+// costs less (BenchmarkFillRange's at/N paths against wide).
+const atFillDiv = 3
+
 // FillRange sets, in out, the build position of every entry with
 // lo ≤ key ≤ hi and returns how many there are; out must span Len()
 // positions, and bits already set stay set. This is the one RangePred
-// compile in the tree: a narrow range sets bits straight from the sorted
-// run's positions, a wide one assembles each 64-position word from the raw
-// values with branchless comparison bits — about half the rows miss, so a
-// per-row `if` would pay a mispredict per miss.
-func (c *AttributeColumn) FillRange(lo, hi int64, out *bitset.Bitset) int {
+// compile in the tree, and it picks the cheapest of three fills. A narrow
+// range sets bits straight from the sorted run's positions. A wide one
+// assembles each 64-position word from the raw values with branchless
+// comparison bits — about half the rows miss, so a per-row `if` would pay
+// a mispredict per miss. With at set (the positions an IVF probe will
+// read; nil means every position) a range holding more entries than at,
+// where at is under 1/atFillDiv of the column, is compared at those
+// positions alone and sets no other bit; the bits are then exact only
+// there.
+func (c *AttributeColumn) FillRange(lo, hi int64, out *bitset.Bitset, at []int32) int {
 	first, last := c.run(lo, hi)
-	if (last-first)*wideFillDiv < len(c.raw) {
+	ulo, span := uint64(lo), uint64(hi)-uint64(lo)
+	switch n := last - first; {
+	case at != nil && n > len(at) && len(at)*atFillDiv < len(c.raw):
+		c.fillAt(ulo, span, at, out)
+	case n*wideFillDiv < len(c.raw):
 		c.fillRun(first, last, out)
-	} else {
-		c.fillWords(lo, hi, out)
+	default:
+		c.fillWords(ulo, span, out)
 	}
 	return last - first
 }
@@ -177,16 +192,22 @@ func (c *AttributeColumn) fillRun(first, last int, out *bitset.Bitset) {
 	}
 }
 
-func (c *AttributeColumn) fillWords(lo, hi int64, out *bitset.Bitset) {
-	// lo ≤ v ≤ hi ⇔ v-lo ≤ hi-lo in wrapping unsigned arithmetic: one
-	// compare per row and no overflow for any bounds.
-	ulo, span := uint64(lo), uint64(hi)-uint64(lo)
-	in := func(v int64) uint64 {
-		if uint64(v)-ulo <= span {
-			return 1 // compiles to a flagless SETcc
-		}
-		return 0
+// in is 1 when lo ≤ v ≤ hi (ulo = lo, span = hi-lo): v-lo ≤ hi-lo in wrapping
+// unsigned arithmetic is one compare per row and exact for any bounds.
+func in(v int64, ulo, span uint64) uint64 {
+	if uint64(v)-ulo <= span {
+		return 1 // compiles to a flagless SETcc
 	}
+	return 0
+}
+
+func (c *AttributeColumn) fillAt(ulo, span uint64, at []int32, out *bitset.Bitset) {
+	for _, p := range at {
+		out.SetWord(int(p)/64, in(c.raw[p], ulo, span)<<(uint(p)%64))
+	}
+}
+
+func (c *AttributeColumn) fillWords(ulo, span uint64, out *bitset.Bitset) {
 	full := len(c.raw) / 64
 	for w := 0; w < full; w++ {
 		vals := (*[64]int64)(c.raw[w*64:])
@@ -194,14 +215,14 @@ func (c *AttributeColumn) fillWords(lo, hi int64, out *bitset.Bitset) {
 		// Four comparison bits are combined before they join the word, so
 		// the chain of ORs through word is 16 long, not 64.
 		for j := 0; j < 64; j += 4 {
-			word |= (in(vals[j]) | in(vals[j+1])<<1 | in(vals[j+2])<<2 | in(vals[j+3])<<3) << uint(j)
+			word |= (in(vals[j], ulo, span) | in(vals[j+1], ulo, span)<<1 | in(vals[j+2], ulo, span)<<2 | in(vals[j+3], ulo, span)<<3) << uint(j)
 		}
 		out.SetWord(w, word)
 	}
 	if tail := c.raw[full*64:]; len(tail) > 0 {
 		var word uint64
 		for j, v := range tail {
-			word |= in(v) << uint(j)
+			word |= in(v, ulo, span) << uint(j)
 		}
 		out.SetWord(full, word)
 	}

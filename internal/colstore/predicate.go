@@ -57,14 +57,17 @@ type PredColumns interface {
 // CompilePred evaluates p against cols into out, resized to cols.Rows().
 // Leaves set bits from the columns' own positions (FillRange, the
 // dictionary postings); interior nodes combine children with the
-// word-parallel bitset ops, using pooled scratch for siblings.
-func CompilePred(p Pred, cols PredColumns, out *bitset.Bitset) error {
+// word-parallel bitset ops, using pooled scratch for siblings. With at
+// nil every bit of out is exact; with at set only the bits at those
+// positions are — the rest are whatever the leaves and a Not left there,
+// so the caller must read no other bit.
+func CompilePred(p Pred, cols PredColumns, out *bitset.Bitset, at []int32) error {
 	out.Reset(cols.Rows())
-	return compilePred(p, cols, out)
+	return compilePred(p, cols, out, at)
 }
 
 // compilePred fills out (already sized and zeroed) with p's matches.
-func compilePred(p Pred, cols PredColumns, out *bitset.Bitset) error {
+func compilePred(p Pred, cols PredColumns, out *bitset.Bitset, at []int32) error {
 	switch p := p.(type) {
 	case RangePred:
 		col := cols.AttrColumn(p.Attr)
@@ -74,7 +77,7 @@ func compilePred(p Pred, cols PredColumns, out *bitset.Bitset) error {
 		if col.Len() != out.Len() {
 			return fmt.Errorf("colstore: attribute %d has %d entries for %d rows", p.Attr, col.Len(), out.Len())
 		}
-		col.FillRange(p.Lo, p.Hi, out)
+		col.FillRange(p.Lo, p.Hi, out, at)
 		return nil
 	case InPred:
 		col := cols.CatColumn(p.Cat)
@@ -95,14 +98,14 @@ func compilePred(p Pred, cols PredColumns, out *bitset.Bitset) error {
 			out.SetAll() // empty conjunction is true
 			return nil
 		}
-		if err := compilePred(p.Preds[0], cols, out); err != nil {
+		if err := compilePred(p.Preds[0], cols, out, at); err != nil {
 			return err
 		}
 		scratch := bitset.Get(out.Len())
 		defer bitset.Put(scratch)
 		for _, child := range p.Preds[1:] {
 			scratch.Reset(out.Len())
-			if err := compilePred(child, cols, scratch); err != nil {
+			if err := compilePred(child, cols, scratch, at); err != nil {
 				return err
 			}
 			out.And(scratch)
@@ -112,21 +115,21 @@ func compilePred(p Pred, cols PredColumns, out *bitset.Bitset) error {
 		if len(p.Preds) == 0 {
 			return nil // empty disjunction is false
 		}
-		if err := compilePred(p.Preds[0], cols, out); err != nil {
+		if err := compilePred(p.Preds[0], cols, out, at); err != nil {
 			return err
 		}
 		scratch := bitset.Get(out.Len())
 		defer bitset.Put(scratch)
 		for _, child := range p.Preds[1:] {
 			scratch.Reset(out.Len())
-			if err := compilePred(child, cols, scratch); err != nil {
+			if err := compilePred(child, cols, scratch, at); err != nil {
 				return err
 			}
 			out.Or(scratch)
 		}
 		return nil
 	case NotPred:
-		if err := compilePred(p.Pred, cols, out); err != nil {
+		if err := compilePred(p.Pred, cols, out, at); err != nil {
 			return err
 		}
 		out.Complement()

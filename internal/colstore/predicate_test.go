@@ -93,7 +93,7 @@ func (c *predCols) evalNaive(p Pred, i int) bool {
 func (c *predCols) check(t *testing.T, tag string, p Pred) {
 	t.Helper()
 	out := bitset.New(c.rows)
-	if err := CompilePred(p, c, out); err != nil {
+	if err := CompilePred(p, c, out, nil); err != nil {
 		t.Fatalf("%s: CompilePred: %v", tag, err)
 	}
 	if out.Len() != c.rows {
@@ -178,7 +178,7 @@ func TestCompilePredErrors(t *testing.T) {
 		nil,
 	}
 	for i, p := range bad {
-		if err := CompilePred(p, c, out); err == nil {
+		if err := CompilePred(p, c, out, nil); err == nil {
 			t.Fatalf("case %d: no error for invalid predicate %#v", i, p)
 		}
 	}
@@ -194,7 +194,7 @@ func TestCompilePredRowMismatch(t *testing.T) {
 	}
 	out := bitset.New(2)
 	for _, p := range []Pred{RangePred{Attr: 0, Lo: 0, Hi: 2}, InPred{Cat: 0, Values: []string{"x"}}} {
-		if err := CompilePred(p, c, out); err == nil {
+		if err := CompilePred(p, c, out, nil); err == nil {
 			t.Fatalf("%#v compiled against a column of the wrong length", p)
 		}
 	}
@@ -274,7 +274,7 @@ func TestFillRangeKeepsBits(t *testing.T) {
 	for _, hi := range []int64{3, 150} { // narrow, wide
 		out := bitset.New(len(values))
 		out.Set(199)
-		if got := col.FillRange(0, hi, out); got != int(hi)+1 {
+		if got := col.FillRange(0, hi, out, nil); got != int(hi)+1 {
 			t.Fatalf("FillRange(0,%d) = %d", hi, got)
 		}
 		if !out.Test(199) || out.Count() != int(hi)+2 {

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"vectordb/internal/bitset"
 	"vectordb/internal/colstore"
 	"vectordb/internal/exec"
 	"vectordb/internal/index"
@@ -587,11 +587,9 @@ type SearchOptions struct {
 	// leave it nil get a trace automatically when the collection has a
 	// query log.
 	Trace *obs.Trace
-	// segBits carries a compiled predicate: one bitset over build positions
-	// per segment of the pinned snapshot, in segment order, the snapshot's
-	// visibility already ANDed in. Set only by the pushdown paths, which
-	// compile against the same pinned snapshot the search runs on.
-	segBits pushedBits
+	// pred is a pushed predicate (execute's pushdown, SourceView's pushed
+	// search), compiled in each segment's task.
+	pred colstore.Pred
 }
 
 // Params converts the options to index-level search parameters (without a
@@ -651,6 +649,12 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 	// most `workers` short lists.
 	heaps := make([]*topk.Heap, workers)
 	var nIdx atomic.Int64 // segments served by an index
+	// A pushed predicate's first compile error and, traced only, the rows
+	// the segments resolved it at (probed) and the rows that passed it.
+	var pushed struct {
+		err             atomic.Pointer[error]
+		matched, probed atomic.Int64
+	}
 	// Segments are claimed dynamically off an atomic cursor by however
 	// many shared-pool tasks this query gets, so slow segments do not
 	// stall the rest (same balancing the per-query channel fanout had,
@@ -666,9 +670,6 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 			}
 			sp := p
 			sp.Bits = sn.visible[i]
-			if opts.segBits != nil {
-				sp.Bits = opts.segBits[i]
-			}
 			stage := "segment_scan"
 			idx := segs[i].Index(f)
 			if idx != nil {
@@ -678,10 +679,16 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 			span := segSpan.StartChild(stage)
 			span.AnnotateInt("segment", segs[i].ID)
 			span.AnnotateInt("rows", int64(segs[i].Rows()))
-			if opts.segBits != nil {
-				span.Annotate("filter_mode", segFilterMode(idx, sp.Bits, segs[i].Rows()))
+			if opts.pred == nil {
+				segs[i].searchWith(idx, h, c.schema, f, query, sp)
+			} else if m, n, err := segs[i].searchFiltered(idx, h, c.schema, f, query, opts.pred, sp, span != nil); err != nil {
+				first := err // escapes only on the error path
+				pushed.err.CompareAndSwap(nil, &first)
+			} else if span != nil {
+				span.Annotate("filter_mode", segFilterMode(idx, m, n))
+				pushed.matched.Add(int64(m))
+				pushed.probed.Add(int64(n))
 			}
-			segs[i].SearchInto(h, c.schema, f, query, sp)
 			span.End()
 		}
 	})
@@ -690,8 +697,16 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 	segSpan.AnnotateInt("indexed", nIdx.Load())
 	segSpan.AnnotateInt("scanned", int64(len(segs))-nIdx.Load())
 	segSpan.End()
+	if e := pushed.err.Load(); e != nil && err == nil {
+		err = *e
+	}
 	if err != nil {
 		return nil, err
+	}
+	if opts.pred != nil && tr != nil {
+		sel := float64(pushed.matched.Load()) / float64(max(pushed.probed.Load(), 1))
+		tr.Annotate("filter_mode", index.FilterModeName(sel))
+		tr.Annotate("filter_selectivity", strconv.FormatFloat(sel, 'f', 4, 64))
 	}
 	// Map returned no error, so every task ran and drew its heap.
 	mergeSpan := tr.StartSpan("topk_merge")
@@ -708,8 +723,9 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 
 // segFilterMode names how one segment evaluates a pushed bitset: graph
 // indexes run filtered traversal; scans (and bucket probes) pick dense run
-// extraction or the sparse gather path from the segment's selectivity.
-func segFilterMode(idx index.Index, bits *bitset.Bitset, rows int) string {
+// extraction or the sparse gather path from the share of the rows the
+// filter was resolved at (every row, or an IVF probe's) that passed it.
+func segFilterMode(idx index.Index, matched, probed int) string {
 	if idx != nil {
 		switch idx.Name() {
 		case "HNSW", "RNSG":
@@ -717,8 +733,8 @@ func segFilterMode(idx index.Index, bits *bitset.Bitset, rows int) string {
 		}
 	}
 	sel := 0.0
-	if rows > 0 {
-		sel = float64(bits.Count()) / float64(rows)
+	if probed > 0 {
+		sel = float64(matched) / float64(probed)
 	}
 	return index.FilterModeName(sel)
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 
 	"vectordb/internal/bitset"
+	"vectordb/internal/bufferpool"
 	"vectordb/internal/colstore"
 	"vectordb/internal/index"
+	"vectordb/internal/index/ivf"
 	"vectordb/internal/query"
 	"vectordb/internal/topk"
 )
@@ -30,13 +32,13 @@ func (s *Segment) CatColumn(cat int) *colstore.CategoricalColumn {
 
 // CompileFilter compiles the segment's visible rows satisfying pred into a
 // pooled bitset over build positions: the predicate's matches ANDed with
-// visible, the segment's resolved visibility bits (nil hides nothing). This
-// is the one filter compile under every pushed-down search — the
-// collection's snapshot paths and the cluster readers. The caller releases
-// the result with bitset.Put.
-func (s *Segment) CompileFilter(pred colstore.Pred, visible *bitset.Bitset) (*bitset.Bitset, error) {
+// visible, the segment's resolved visibility bits (nil hides nothing).
+// With at nil every position is exact; with at set only those positions
+// are (colstore.CompilePred). The caller releases the result with
+// bitset.Put.
+func (s *Segment) CompileFilter(pred colstore.Pred, visible *bitset.Bitset, at []int32) (*bitset.Bitset, error) {
 	b := bitset.Get(s.Rows())
-	if err := colstore.CompilePred(pred, s, b); err != nil {
+	if err := colstore.CompilePred(pred, s, b, at); err != nil {
 		bitset.Put(b)
 		return nil, err
 	}
@@ -46,54 +48,82 @@ func (s *Segment) CompileFilter(pred colstore.Pred, visible *bitset.Bitset) (*bi
 	return b, nil
 }
 
-// pushedBits is the compiled filter payload for one pinned snapshot: a
-// pooled bitset over build positions per segment, in segment order, with
-// hidden rows already cleared.
-type pushedBits []*bitset.Bitset
-
-func (pb pushedBits) release() {
-	for _, b := range pb {
-		bitset.Put(b)
-	}
+// SearchFiltered is a segment's one filtered search, for execute's
+// pushdown and the cluster readers: pred is compiled with p.Bits (the
+// segment's visibility, nil hides nothing) ANDed in and pushed beneath the
+// index or scan. An IVF-family index ranks its buckets first, and pred is
+// resolved only at the probed buckets' positions, the only bits the probe
+// reads; other segments compile every position. With count set it returns
+// how many resolved positions passed (matched) of how many were (probed).
+func (s *Segment) SearchFiltered(h *topk.Heap, schema *Schema, field int, query []float32, pred colstore.Pred, p index.SearchParams, count bool) (matched, probed int, err error) {
+	return s.searchFiltered(s.Index(field), h, schema, field, query, pred, p, count)
 }
 
-// compilePred compiles pred against every segment of the pinned snapshot
-// (Segment.CompileFilter), so no hidden or filtered-out row can surface from
-// the pushed scan. The filter's handle is a pushedBits; it carries the
-// matched (visible) and total physical row counts.
+// searchFiltered is SearchFiltered through idx, read once by the caller:
+// the positions resolved and the buckets probed come from the same index,
+// whatever a concurrent rebuild installs.
+func (s *Segment) searchFiltered(idx index.Index, h *topk.Heap, schema *Schema, field int, query []float32, pred colstore.Pred, p index.SearchParams, count bool) (matched, probed int, err error) {
+	var at []int32
+	if iv, ok := unwrapIndex(idx).(*ivf.IVF); ok {
+		p.Probes = iv.ProbeOrder(query, p.Nprobe)
+		ap := bufferpool.GetInt32s(0)
+		defer bufferpool.PutInt32s(ap)
+		at = iv.ProbedPositions(*ap, p.Probes)
+		*ap = at // a grown list goes back to the pool
+	}
+	b, err := s.CompileFilter(pred, p.Bits, at)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer bitset.Put(b)
+	p.Bits = b
+	s.searchWith(idx, h, schema, field, query, p)
+	switch {
+	case !count:
+		return 0, 0, nil
+	case at == nil:
+		return b.Count(), s.Rows(), nil
+	}
+	return b.CountAt(at), len(at), nil
+}
+
+// compilePred resolves pred at every position of every segment of the
+// pinned snapshot for query.Source's strategy B, which needs the matched
+// (visible) and total row counts before its search. The filter's handle is
+// pred itself: the pushed search compiles it again in each segment's task,
+// at the positions that search reads (Segment.SearchFiltered).
 func (sn *Snapshot) compilePred(pred colstore.Pred) (*query.PushedFilter, error) {
-	bits := make(pushedBits, 0, len(sn.Segments))
 	matched, total := 0, 0
 	for i, seg := range sn.Segments {
-		b, err := seg.CompileFilter(pred, sn.visible[i])
+		b, err := seg.CompileFilter(pred, sn.visible[i], nil)
 		if err != nil {
-			bits.release()
 			return nil, err
 		}
-		bits = append(bits, b)
 		matched += b.Count()
 		total += seg.Rows()
+		bitset.Put(b)
 	}
 	sel := 0.0
 	if total > 0 {
 		sel = float64(matched) / float64(total)
 	}
-	return query.NewPushedFilter(matched, total, index.FilterModeName(sel), bits, bits.release), nil
+	return query.NewPushedFilter(matched, total, index.FilterModeName(sel), pred, nil), nil
 }
 
-// CompileRange implements query.Source: the range constraint
-// becomes per-segment bitsets resolved through the sorted columns'
-// zone-map walks; an unknown attribute fails the compile.
+// CompileRange implements query.Source: the range constraint is counted
+// through per-segment bitsets resolved by the sorted columns' zone-map
+// walks; an unknown attribute fails the compile.
 func (v *SourceView) CompileRange(attr int, lo, hi int64) (*query.PushedFilter, bool) {
 	pf, err := v.sn.compilePred(colstore.RangePred{Attr: attr, Lo: lo, Hi: hi})
 	return pf, err == nil
 }
 
-// VectorQueryPushed implements query.Source: normal snapshot search
-// with the per-segment bitsets applied beneath each segment's scan or index.
+// VectorQueryPushed implements query.Source: the snapshot search execute's
+// pushdown runs, each segment's filtered search compiling the predicate
+// beneath its scan or index.
 func (v *SourceView) VectorQueryPushed(field int, q []float32, k, nprobe int, pf *query.PushedFilter) []topk.Result {
 	opts := SearchOptions{K: k, Nprobe: nprobe}
-	opts.segBits, _ = pf.Handle().(pushedBits)
+	opts.pred, _ = pf.Handle().(colstore.Pred)
 	return v.search(field, q, opts)
 }
 

@@ -111,7 +111,11 @@ func (c *Collection) execute(ctx context.Context, q *Query) (result, error) {
 	case runPrefilter:
 		res.hits, err = c.prefilterScan(ctx, sn, f, q.vec, q.pred, q.opts)
 	case runPushdown:
-		res.hits, err = c.pushdownSearch(ctx, sn, f, q.vec, q.pred, q.opts)
+		// Strategy B: each segment's task compiles the predicate at the
+		// positions its search reads (Segment.SearchFiltered).
+		tr.Annotate("filter_strategy", query.StratB)
+		q.opts.pred = q.pred
+		res.hits, err = c.searchSnapshot(ctx, sn, f, q.vec, q.opts)
 	default:
 		res.hits, err = c.searchSnapshot(ctx, sn, f, q.vec, q.opts)
 	}
@@ -310,27 +314,4 @@ func (c *Collection) prefilterScan(ctx context.Context, sn *Snapshot, f int, que
 	// them for ctx's error.
 	vc := query.VecCond{Field: f, Query: queryVec, K: opts.K, Trace: tr, Ctx: ctx}
 	return query.ExactScan(&src, rows, vc), nil
-}
-
-// pushdownSearch is strategy B with the compiled filter: the predicate
-// becomes one bitset per segment of the pinned snapshot, ANDed with the
-// segment's visibility bits, tested beneath each segment's scan or index.
-func (c *Collection) pushdownSearch(ctx context.Context, sn *Snapshot, f int, queryVec []float32, pred colstore.Pred, opts SearchOptions) ([]topk.Result, error) {
-	tr := opts.Trace
-	tr.Annotate("filter_strategy", query.StratB)
-	span := tr.StartSpan("attr_filter")
-	pf, err := sn.compilePred(pred)
-	if err != nil {
-		span.End()
-		return nil, err
-	}
-	defer pf.Release()
-	span.AnnotateInt("rows", int64(pf.Matched))
-	span.End()
-	query.AnnotatePushed(tr, pf)
-	if pf.Matched == 0 {
-		return nil, nil
-	}
-	opts.segBits = pf.Handle().(pushedBits)
-	return c.searchSnapshot(ctx, sn, f, queryVec, opts)
 }

@@ -244,7 +244,14 @@ func (s *Segment) Search(schema *Schema, field int, query []float32, p index.Sea
 // the early-abandon kernel so a row that cannot enter the top-k costs at
 // most a prefix of its dimensions.
 func (s *Segment) SearchInto(h *topk.Heap, schema *Schema, field int, query []float32, p index.SearchParams) {
-	if idx := s.Index(field); idx != nil {
+	s.searchWith(s.Index(field), h, schema, field, query, p)
+}
+
+// searchWith is SearchInto through idx, the field's index as its caller
+// read it once (nil scans the column): a rebuild that installs another
+// index meanwhile does not change what this search reads.
+func (s *Segment) searchWith(idx index.Index, h *topk.Heap, schema *Schema, field int, query []float32, p index.SearchParams) {
+	if idx != nil {
 		index.SearchInto(idx, h, query, p)
 		return
 	}

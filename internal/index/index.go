@@ -27,12 +27,19 @@ type SearchParams struct {
 	// index's build-order row positions (bit i = i'th vector handed to
 	// Build) with a bit set for every row the query may return — attribute
 	// predicates and snapshot visibility (tombstones) arrive already folded
-	// into it. Scan-based indexes push it beneath the batch kernels so
-	// excluded rows never reach a distance computation; graph indexes
-	// (HNSW, NSG) switch to filtered traversal — skip-but-expand — so
-	// connectivity survives low selectivity. This is the bitmap of
-	// attribute-filtering strategy B (Sec. 4.1).
+	// into it. It is valid at every position the search reads, and only
+	// there: a filter resolved for an IVF probe (Probes set) is exact at
+	// the probed buckets' positions alone. Scan-based indexes push it
+	// beneath the batch kernels so excluded rows never reach a distance
+	// computation; graph indexes (HNSW, NSG) switch to filtered traversal —
+	// skip-but-expand — so connectivity survives low selectivity. This is
+	// the bitmap of attribute-filtering strategy B (Sec. 4.1).
 	Bits *bitset.Bitset
+	// Probes, when non-nil, is the IVF family's probe order already taken
+	// for this query (the caller ran ProbeOrder to resolve Bits at those
+	// buckets); the index probes exactly these buckets instead of ranking
+	// its centroids again.
+	Probes []int
 }
 
 // Index is a built, immutable vector index over one segment's vectors.

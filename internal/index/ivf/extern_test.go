@@ -155,6 +155,9 @@ func TestExternalizedMatchesResident(t *testing.T) {
 						q := qs[qi*d.Dim : (qi+1)*d.Dim]
 						want := x.Search(q, p)
 						sameResults(t, label+"/Search", want, y.Search(q, p))
+						taken := p
+						taken.Probes = x.ProbeOrder(q, nprobe)
+						sameResults(t, label+"/Probes", want, y.Search(q, taken))
 
 						// SearchInto a heap another segment already
 						// filled: the prefill's bound prunes the probe,
@@ -172,7 +175,7 @@ func TestExternalizedMatchesResident(t *testing.T) {
 
 						// One heap across the probed buckets, so the
 						// worst bound carries from bucket to bucket.
-						sel := x.selection(p)
+						sel := index.Selection{Bits: p.Bits}
 						hx, hy := topk.New(p.K), topk.New(p.K)
 						for _, b := range x.ProbeOrder(q, nprobe) {
 							x.ScanBucket(q, b, sel, hx)
@@ -285,7 +288,7 @@ func TestExternalizedSweepOpensOnce(t *testing.T) {
 				t.Fatalf("a %d-bucket search opened the payload %d times, want once", x.nlist, ext.opens)
 			}
 			h := topk.New(p.K)
-			sel := y.selection(p)
+			sel := index.Selection{Bits: p.Bits}
 			for _, b := range y.ProbeOrder(q, x.nlist) {
 				y.ScanBucket(q, b, sel, h)
 			}
@@ -329,7 +332,7 @@ func TestExternalizedOpenFailureScansNothing(t *testing.T) {
 				h.Push(r.ID, r.Distance)
 			}
 			y.SearchInto(h, q, p)
-			sel := y.selection(p)
+			sel := index.Selection{Bits: p.Bits}
 			for b := 0; b < x.nlist; b++ {
 				y.ScanBucket(q, b, sel, h)
 			}

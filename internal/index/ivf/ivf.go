@@ -365,9 +365,7 @@ func (x *IVF) ScanBucketSQ8(sq *quantizer.SQ8Query, b int, sel index.Selection, 
 // beneath it.
 func (x *IVF) scanFlat(payload []float32, query []float32, b int, sel index.Selection, h *topk.Heap) {
 	if sel.Bits != nil {
-		// Bucket positions are appended in build order, so the scan
-		// may use the sorted-span block skip.
-		sel.Pos, sel.PosSorted = bucket(x.pos, x.starts, b, 1), true
+		sel.Pos = bucket(x.pos, x.starts, b, 1)
 	}
 	index.ScanBlocked(h, x.metric, query, bucket(payload, x.starts, b, x.dim), x.dim, bucket(x.ids, x.starts, b, 1), sel)
 }
@@ -444,16 +442,22 @@ func (x *IVF) Search(query []float32, p index.SearchParams) []topk.Result {
 	return out
 }
 
-// SearchInto probes the query's nearest buckets, pushing every candidate
-// into h, a caller-owned heap that may already hold other segments'
-// results: its worst distance prunes the bucket scans from the first row.
-// Per-query ADC tables (SQ8 fused, PQ) are built once and reused across
-// all probed buckets. The payload is opened once for the whole probe
-// sweep, so a mapped payload is pinned (and its segment promoted) once per
-// query rather than once per bucket.
+// SearchInto probes the query's nearest buckets (p.Probes when the caller
+// already ranked them), pushing every candidate into h, a caller-owned
+// heap that may already hold other segments' results: its worst distance
+// prunes the bucket scans from the first row. Per-query ADC tables (SQ8
+// fused, PQ) are built once and reused across all probed buckets. The
+// payload is opened once for the whole probe sweep, so a mapped payload is
+// pinned (and its segment promoted) once per query rather than once per
+// bucket. A pushed bitset is read only at the probed buckets' positions;
+// each IVF_FLAT block of a bucket runs masked or gathered by the share of
+// its own rows that pass.
 func (x *IVF) SearchInto(h *topk.Heap, query []float32, p index.SearchParams) {
-	probes := x.ProbeOrder(query, p.Nprobe)
-	sel := x.selection(p)
+	probes := p.Probes
+	if probes == nil {
+		probes = x.ProbeOrder(query, p.Nprobe)
+	}
+	sel := index.Selection{Bits: p.Bits}
 	switch x.fine {
 	case FinePQ:
 		if codes, release, err := x.payload.OpenBytes(); err == nil {
@@ -481,15 +485,13 @@ func (x *IVF) SearchInto(h *topk.Heap, query []float32, p index.SearchParams) {
 	}
 }
 
-// selection builds the per-query pushed selection. The dense/sparse mode is
-// decided once per query from the bitset's global selectivity — counting per
-// bucket would cost a popcount per probe for the same answer in expectation.
-func (x *IVF) selection(p index.SearchParams) index.Selection {
-	sel := index.Selection{Bits: p.Bits}
-	if p.Bits != nil && x.size > 0 {
-		sel.Force = index.ChooseFilterMode(p.Bits.Count(), x.size)
+// ProbedPositions appends the build positions of the probed buckets' rows
+// to dst: the only bits of SearchParams.Bits a search over probes reads.
+func (x *IVF) ProbedPositions(dst []int32, probes []int) []int32 {
+	for _, b := range probes {
+		dst = append(dst, bucket(x.pos, x.starts, b, 1)...)
 	}
-	return sel
+	return dst
 }
 
 // BucketIDs exposes the row IDs of a bucket (GPU scheduling, tests).

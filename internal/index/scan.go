@@ -72,20 +72,15 @@ func FilterModeName(selectivity float64) string {
 // Bits is a dense bitset over *positions*; Pos maps scan row -> bit
 // position (nil means row i is position i, the layout of flat scans and
 // whole-segment scans; IVF bucket scans pass their per-bucket build-order
-// positions). A row survives when its bit is set.
+// positions). A row survives when its bit is set. With Pos set the scan
+// reads the bits at Pos and no others.
 type Selection struct {
 	Bits *bitset.Bitset
 	Pos  []int32
-	// PosSorted declares Pos non-decreasing (build-order bucket positions
-	// are). It lets the dense scan skip a whole block when the bitset has
-	// no set bit inside the block's position span — one ranged popcount
-	// instead of a kernel dispatch, which halves the work when the filter
-	// is correlated with insertion order. Never set it for unsorted Pos:
-	// the span test would skip blocks that still hold survivors.
-	PosSorted bool
 	// Force pins the scan mode; FilterAuto (zero) decides by selectivity.
 	// Benchmarks and conformance tests use it to compare both paths on
-	// identical inputs.
+	// identical inputs. A position-mapped scan has one path and ignores it:
+	// each block decides from the survivors among its own rows.
 	Force FilterMode
 }
 
@@ -95,16 +90,7 @@ func (s Selection) mode(n int) FilterMode {
 	if s.Force != FilterAuto || s.Bits == nil {
 		return s.Force
 	}
-	if s.Pos == nil {
-		return ChooseFilterMode(s.Bits.CountRange(0, n), n)
-	}
-	matched := 0
-	for _, p := range s.Pos[:n] {
-		if s.Bits.Test(int(p)) {
-			matched++
-		}
-	}
-	return ChooseFilterMode(matched, n)
+	return ChooseFilterMode(s.Bits.CountRange(0, n), n)
 }
 
 // ScanBlocked is the shared brute-force scan of every read path (flat
@@ -181,8 +167,6 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 		bufferpool.PutFloats(bp)
 		return
 	}
-
-	mode := sel.mode(n)
 
 	// Pooled survivor list shared by both modes: sparse mode fills it from
 	// the bit iterator, dense mode diverts sub-threshold runs into it so
@@ -273,18 +257,26 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 	}
 
 	switch {
-	case mode == FilterSparse && sel.Pos == nil:
+	case sel.Pos != nil:
+		// A position mapping (IVF buckets): the bits are read only at the
+		// block's positions, in one branchless pass that lists and counts
+		// its survivors. A block at least 1/denseBlockDiv full drops the
+		// list and runs masked in place; an emptier one gathers.
+		for i0 := 0; i0 < n; i0 += ScanBlockRows {
+			i1 := min(i0+ScanBlockRows, n)
+			flush()
+			gather = sel.Bits.AppendSet(gather, sel.Pos[i0:i1], int32(i0))
+			if len(gather)*denseBlockDiv >= i1-i0 {
+				gather = gather[:0]
+				emitMasked(i0, i1)
+			}
+		}
+	case sel.mode(n) == FilterSparse:
 		// Word-skipping sparse iteration: empty words cost one load.
 		for p := sel.Bits.NextSet(0); p >= 0 && p < n; p = sel.Bits.NextSet(p + 1) {
 			appendRow(p)
 		}
-	case mode == FilterSparse:
-		for r := 0; r < n; r++ {
-			if sel.Bits.Test(int(sel.Pos[r])) {
-				appendRow(r)
-			}
-		}
-	case sel.Pos == nil:
+	default:
 		// Dense: decide block by block from the word-level popcount. Full
 		// blocks hit the kernels in place with no per-row tests,
 		// mostly-full blocks (>= 1/denseBlockDiv occupied) run masked,
@@ -307,22 +299,6 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 				for p := sel.Bits.NextSet(i0); p >= 0 && p < i1; p = sel.Bits.NextSet(p + 1) {
 					appendRow(p)
 				}
-			}
-		}
-	default:
-		// Dense with a position mapping (IVF buckets): triaging a block by
-		// testing every row's bit would cost more than the kernel itself,
-		// so blocks run masked, with one shortcut — when Pos is declared
-		// sorted, a ranged popcount over the block's position span detects
-		// all-excluded blocks (filters correlated with insertion order
-		// leave many) and skips them without a dispatch. Bucket membership
-		// is uncorrelated with the filter in expectation, so a dense
-		// bitset stays dense within buckets; where it does not, the
-		// worst-distance gate still bounds the testing to candidates.
-		for i0 := 0; i0 < n; i0 += ScanBlockRows {
-			i1 := min(i0+ScanBlockRows, n)
-			if !sel.PosSorted || sel.Bits.CountRange(int(sel.Pos[i0]), int(sel.Pos[i1-1])+1) > 0 {
-				emitMasked(i0, i1)
 			}
 		}
 	}

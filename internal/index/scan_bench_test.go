@@ -1,6 +1,7 @@
 package index_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -72,14 +73,18 @@ func callbackScan(h *topk.Heap, q, data []float32, dim int, ids []int64, keep fu
 	}
 }
 
-// BenchmarkFilteredScan times a top-10 search that keeps half the rows
-// (attr < 5000 over a uniform, shuffled attribute in [0, 10000)), on a flat
-// scan and on IVF_FLAT (nlist 64, nprobe 32). callback tests every row with
-// a per-row closure; bitset compiles the predicate per op with the
-// column's FillRange, so the compile is charged to the pushed side, and
-// pushes it beneath the batch kernels.
+// BenchmarkFilteredScan times a top-10 search under a range filter over a
+// uniform, shuffled attribute in [0, 10000), on a flat scan and on
+// IVF_FLAT (nlist 64). The flat and callback cells keep half the rows (attr
+// < 5000; IVF at nprobe 32): callback tests every row with a per-row
+// closure, flat/bitset compiles the predicate per op with the column's
+// FillRange, so the compile is charged to the pushed side, and pushes it
+// beneath the batch kernels. ivf/bitset runs the served order per op at
+// nprobe 4 (the default, nlist/16) and 32 and at 1, 10 and 50 % widths:
+// rank the buckets, resolve the range at the probed buckets' positions
+// only, probe those buckets.
 func BenchmarkFilteredScan(b *testing.B) {
-	const n, dim, k, nprobe, cut = 100000, 128, 10, 32, 5000
+	const n, dim, k, cut = 100000, 128, 10, 5000
 	r := rand.New(rand.NewSource(4096))
 	data, q := normals(r, n*dim), normals(r, dim)
 	attrs := make([]int64, n)
@@ -111,7 +116,7 @@ func BenchmarkFilteredScan(b *testing.B) {
 	b.Run("flat/bitset", func(b *testing.B) {
 		for it := 0; it < b.N; it++ {
 			bits := bitset.Get(n)
-			col.FillRange(0, cut-1, bits)
+			col.FillRange(0, cut-1, bits, nil)
 			h := topk.GetHeap(k)
 			index.ScanBlocked(h, vec.L2, q, data, dim, nil, index.Selection{Bits: bits})
 			benchSink = h.Results()
@@ -122,19 +127,26 @@ func BenchmarkFilteredScan(b *testing.B) {
 	b.Run("ivf/callback", func(b *testing.B) {
 		for it := 0; it < b.N; it++ {
 			h := topk.GetHeap(k)
-			for _, bucket := range iv.ProbeOrder(q, nprobe) {
+			for _, bucket := range iv.ProbeOrder(q, 32) {
 				callbackScan(h, q, data, dim, iv.BucketIDs(bucket), keep)
 			}
 			benchSink = h.Results()
 			topk.PutHeap(h)
 		}
 	})
-	b.Run("ivf/bitset", func(b *testing.B) {
-		for it := 0; it < b.N; it++ {
-			bits := bitset.Get(n)
-			col.FillRange(0, cut-1, bits)
-			benchSink = iv.Search(q, index.SearchParams{K: k, Nprobe: nprobe, Bits: bits})
-			bitset.Put(bits)
+	var at []int32
+	for _, nprobe := range []int{4, 32} {
+		for _, pct := range []int{1, 10, 50} {
+			b.Run(fmt.Sprintf("ivf/bitset/nprobe=%d/w=%d%%", nprobe, pct), func(b *testing.B) {
+				for it := 0; it < b.N; it++ {
+					p := index.SearchParams{K: k, Nprobe: nprobe, Bits: bitset.Get(n)}
+					p.Probes = iv.ProbeOrder(q, nprobe)
+					at = iv.ProbedPositions(at[:0], p.Probes)
+					col.FillRange(0, int64(pct)*100-1, p.Bits, at)
+					benchSink = iv.Search(q, p)
+					bitset.Put(p.Bits)
+				}
+			})
 		}
-	})
+	}
 }

@@ -91,10 +91,10 @@ func TestScanBlockedBitsetWithPos(t *testing.T) {
 	}
 }
 
-// TestScanBlockedBitsetPosSorted: with build-order (sorted) positions the
-// dense scan may skip whole blocks whose position span holds no set bit —
-// results must still match the per-position reference exactly, including
-// when the filter is correlated with position (the case the skip targets).
+// TestScanBlockedBitsetPosSorted: with build-order (sorted) positions, as
+// IVF buckets carry, every mode must match the per-position reference
+// exactly, including when the filter is correlated with position and
+// whole blocks hold no survivor.
 func TestScanBlockedBitsetPosSorted(t *testing.T) {
 	r := rand.New(rand.NewSource(58))
 	const dim, n, k, build = 16, 500, 10, 2000
@@ -117,7 +117,7 @@ func TestScanBlockedBitsetPosSorted(t *testing.T) {
 		want := refHeap(vec.L2, q, data, dim, k, nil, func(id int64) bool { return keep(int(pos[id])) })
 		for _, mode := range []FilterMode{FilterAuto, FilterDense, FilterSparse} {
 			h := topk.New(k)
-			ScanBlocked(h, vec.L2, q, data, dim, nil, Selection{Bits: bits, Pos: pos, PosSorted: true, Force: mode})
+			ScanBlocked(h, vec.L2, q, data, dim, nil, Selection{Bits: bits, Pos: pos, Force: mode})
 			sameResults(t, "sorted-pos/"+name, h.Results(), want)
 		}
 	}
@@ -242,7 +242,7 @@ func TestScanBlockedPayloadRuns(t *testing.T) {
 				s, e := bounds[i], bounds[i+1]
 				sel := tc.sel
 				if sel.Bits != nil {
-					sel.Pos, sel.PosSorted = pos[s:e], true
+					sel.Pos = pos[s:e]
 				}
 				ScanBlocked(h, vec.L2, q, data[s*dim:e*dim], dim, ids[s:e], sel)
 			}

@@ -236,7 +236,7 @@ func calibrateBitset() (perRowNs, perMatchNs float64) {
 	run := func(hi int64) float64 {
 		return measure(func() {
 			bs.Reset(n)
-			col.FillRange(0, hi, bs)
+			col.FillRange(0, hi, bs, nil)
 		})
 	}
 	// Both points sit on FillRange's per-match side of its crossover: the

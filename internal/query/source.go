@@ -68,11 +68,13 @@ type Source interface {
 	DistanceByID(field int, q []float32, id int64) (float32, bool)
 }
 
-// PushedFilter is a compiled attribute constraint: the source resolved the
-// predicate to dense per-segment bitsets over build positions, so vector
-// query processing tests membership with word loads under the batch kernels
-// instead of a map probe per encountered ID. Release returns the pooled
-// bitsets; the filter must not be used afterwards.
+// PushedFilter is a compiled attribute constraint: the source resolves the
+// predicate to dense bitsets over build positions, so vector query
+// processing tests membership with word loads under the batch kernels
+// instead of a map probe per encountered ID. Its handle is the source's
+// own (a Table keeps the bitset; a collection view keeps the predicate and
+// compiles it per segment at the positions each search reads). Release
+// returns pooled storage; the filter must not be used afterwards.
 type PushedFilter struct {
 	// Matched/Total give the constraint's selectivity (tombstones already
 	// cleared from Matched).

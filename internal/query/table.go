@@ -128,7 +128,7 @@ func (t *Table) CompileRange(attr int, lo, hi int64) (*PushedFilter, bool) {
 	}
 	n := len(t.ids)
 	bits := bitset.Get(n)
-	matched := t.cols[attr].FillRange(lo, hi, bits)
+	matched := t.cols[attr].FillRange(lo, hi, bits, nil)
 	sel := 0.0
 	if n > 0 {
 		sel = float64(matched) / float64(n)

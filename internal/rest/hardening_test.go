@@ -54,6 +54,47 @@ func TestFilteredSearchWrongDimensionIs400(t *testing.T) {
 	}
 }
 
+// TestFilterMatchingNothingIsEmptyList: a filtered search whose filter
+// matches no row answers 200 with an empty list, not null, whichever path
+// the planner takes — an IVF collection under an empty range and an empty
+// IN-list.
+func TestFilterMatchingNothingIsEmptyList(t *testing.T) {
+	srv := httptest.NewServer(rest.NewServer(nil))
+	t.Cleanup(srv.Close)
+	c := client.New(srv.URL)
+	if err := c.CreateCollectionFull("c", []client.VectorField{{Name: "v", Dim: 8}}, []string{"price"}, []string{"brand"}); err != nil {
+		t.Fatal(err)
+	}
+	ents := make([]client.Entity, 2000)
+	for i := range ents {
+		v := make([]float32, 8)
+		v[i%8] = float32(i)
+		ents[i] = client.Entity{ID: int64(i + 1), Vectors: [][]float32{v}, Attrs: []int64{int64(i)}, Cats: []string{"acme"}}
+	}
+	if err := c.Insert("c", ents); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush("c"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BuildIndex("c", "v", "IVF_FLAT", map[string]string{"nlist": "16"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"vector":[1,0,0,0,0,0,0,0],"k":5,"nprobe":4,"filter":{"attr":"price","lo":5000,"hi":9000}}`,
+		`{"vector":[1,0,0,0,0,0,0,0],"k":5,"nprobe":4,"cat_filter":{"attr":"brand","values":["globex"]}}`,
+	} {
+		resp := do(t, http.MethodPost, srv.URL+"/collections/c/search", body)
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(got)) != `{"results":[]}` {
+			t.Errorf("%s: %d %s, want 200 {\"results\":[]}", body, resp.StatusCode, got)
+		}
+	}
+}
+
 // repeat is an endless stream of one byte.
 type repeat byte
 
