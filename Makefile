@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint bench bench-smoke kernel-guard purego repro-check conformance-filter conformance-wire conformance-ooc ci cover stress experiments examples loc clean
+.PHONY: all build test race vet fmt lint bench bench-smoke kernel-guard purego repro-check conformance-filter conformance-wire conformance-ooc conformance-versions ci cover stress experiments examples loc clean
 
 all: build test
 
@@ -41,14 +41,15 @@ lint:
 # (internal/stress) with fault injection — the cancellation/leak gate,
 # the filtered-search gates (ground-truth conformance plus the concurrent
 # filtered stress mode), the REST wire-codec gate (golden bytes and
-# differential fuzzing against encoding/json), the observability coverage floor, the
+# differential fuzzing against encoding/json), the segment-version gate
+# (index rebuilds under -race), the observability coverage floor, the
 # batch-kernel guard, the pure-Go kernel build (purego), the figure shape
 # assertions, the benchmark smoke run (every `go test` benchmark
 # once, the per-layer cells included), and the e2ebench module
 # (its own go.mod, so `go build ./... && go test ./...` at the root never
 # compiles it: a signature change in internal/core that breaks the
 # repository's benchmark shows up here, not when the benchmark next runs).
-ci: vet fmt build lint test cover kernel-guard purego repro-check conformance-filter conformance-wire conformance-ooc bench-smoke
+ci: vet fmt build lint test cover kernel-guard purego repro-check conformance-filter conformance-wire conformance-ooc conformance-versions bench-smoke
 	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race ./internal/...
 	$(GO) test -race ./internal/stress -run TestStressCancel -short -faults=cancel
@@ -81,6 +82,18 @@ conformance-ooc:
 	$(GO) test ./internal/colstore -run TestExtent
 	$(GO) test ./internal/cluster -run TestReaderCorruptSegmentObject
 	$(GO) test -race ./internal/core -run TestTieredConcurrentRecycle
+
+# conformance-versions is the segment-version gate: an index build installs
+# a new version of its segment and never mutates a published one. Five
+# race-enabled runs of: a manual build landing while an automatic one is
+# parked keeps its index; a payload tier lives exactly as long as the
+# snapshots holding a version that serves it; a filtered search of a
+# pinned snapshot equals the full compile through rebuilds to a smaller
+# nlist and to FLAT; tiered rebuilds (one payload object per live segment,
+# a rebuild to FLAT deleting the blob and freeing the tier); and the tiered
+# churn rebuilding the IVF field every round under running scans.
+conformance-versions:
+	$(GO) test -race -count=5 ./internal/core -run 'TestManualBuildSurvivesAsyncBuild|TestTrackerFreesPayloadTierOnce|TestPushdownPinnedSnapshotSurvivesRebuild|TestTieredIndexRebuild|TestTieredRebuildToBloblessIndex|TestTieredConcurrentRecycle'
 
 # conformance-filter is the filtered-ANN ground-truth gate: every index
 # type × metric × selectivity against the exact filter-then-scan oracle

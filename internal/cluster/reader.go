@@ -171,23 +171,20 @@ func (r *Reader) loadSegment(key string) (any, int64, error) {
 		return nil, 0, err
 	}
 	r.segLoads.Inc()
+	// The segment's indexes are assembled into the version the pool
+	// publishes; no search sees it without them.
 	for f, vf := range rm.schema.VectorFields {
 		// Prefer the index the writer persisted with the segment
 		// (Sec. 2.3: index and data live together); build locally only for
 		// large segments without one. Scan remains the fallback.
-		if idx, ok := core.LoadSegmentIndex(r.store, segKey, f, vf.Metric, vf.Dim); ok {
-			seg.SetIndex(f, r.idxMet.Instrument(idx))
-			continue
-		}
-		if seg.Rows() >= r.cfg.IndexRows {
+		idx, ok := core.LoadSegmentIndex(r.store, segKey, f, vf.Metric, vf.Dim)
+		if !ok && seg.Rows() >= r.cfg.IndexRows {
 			t0 := time.Now()
-			err := seg.BuildIndex(&rm.schema, f, r.cfg.IndexType, r.cfg.IndexParams)
+			idx, err = seg.BuildIndex(&rm.schema, f, r.cfg.IndexType, r.cfg.IndexParams)
 			r.idxMet.ObserveBuild(r.cfg.IndexType, time.Since(t0), err)
-			if err == nil {
-				if idx := seg.Index(f); idx != nil {
-					seg.SetIndex(f, r.idxMet.Instrument(idx))
-				}
-			}
+		}
+		if idx != nil {
+			seg = seg.WithIndex(f, r.idxMet.Instrument(idx))
 		}
 	}
 	return seg, seg.SizeBytes(), nil

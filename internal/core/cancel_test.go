@@ -100,7 +100,7 @@ func parkFirstSegment(t *testing.T, c *Collection, hook func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg.SetIndex(0, parkingIndex{Index: idx, hook: hook})
+	c.install([]builtIndex{{seg: seg.ID, idx: parkingIndex{Index: idx, hook: hook}}}, false)
 }
 
 // TestSearchCtxCancelMidFlight cancels a query while its segment sweep is

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -200,7 +201,8 @@ func NewCollection(name string, schema Schema, store objstore.Store, cfg Config)
 	c.snaps = newSnapTracker(func(seg *Segment) {
 		// Background GC of obsolete segments (Sec. 5.2): drop the segment
 		// object, any persisted per-field indexes, and the tiered extent
-		// storage (mappings, local files, index-payload objects).
+		// storage (mapping, local file). Payload tiers go with the last
+		// version serving them.
 		key := c.segmentKey(seg.ID)
 		_ = c.store.Delete(key)
 		for f := range schema.VectorFields {
@@ -209,11 +211,8 @@ func NewCollection(name string, schema Schema, store objstore.Store, cfg Config)
 		if seg.tier != nil {
 			seg.tier.destroy()
 		}
-		for _, t := range seg.idxTiers() {
-			t.destroy()
-		}
 		c.met.segGC.Inc()
-	})
+	}, (*segTier).destroy)
 	c.snaps.install(newSnapshot(c.allocSnapID(), nil, nil, nil))
 	c.log = wal.NewLog(c.applyRecord)
 	c.log.Observe(
@@ -398,7 +397,7 @@ func (c *Collection) flushLocked() error {
 // buildSegment materializes rows into an immutable segment and persists it.
 func (c *Collection) buildSegment(rows []Entity) (*Segment, error) {
 	c.nextSeg++
-	seg := &Segment{ID: c.nextSeg}
+	seg := newSegment(c.nextSeg)
 	seg.IDs = make([]int64, len(rows))
 	for i := range rows {
 		seg.IDs[i] = rows[i].ID
@@ -508,36 +507,35 @@ func (c *Collection) indexBuilder() {
 }
 
 func (c *Collection) buildSegmentIndexes(seg *Segment) {
-	// The segment may have been merged away (and GC'd) between scheduling
-	// and this build — skip dead segments rather than indexing garbage.
-	if !c.snaps.segmentLive(seg.ID) {
-		return
-	}
-	for f := range c.schema.VectorFields {
-		if seg.Index(f) != nil {
-			continue
+	var builds []builtIndex
+	for f, vf := range c.schema.VectorFields {
+		// The segment may have been merged away (and GC'd) between
+		// scheduling and this build — skip dead segments rather than
+		// indexing garbage.
+		if !c.snaps.segmentLive(seg.ID) {
+			break
 		}
-		if c.schema.VectorFields[f].Metric.Binary() {
+		if vf.Metric.Binary() {
 			// Quantization/graph indexes do not apply to bit-packed binary
 			// fields; the exact word-wise scan serves them (Sec. 2.1).
 			continue
 		}
-		t0 := time.Now()
-		err := seg.BuildIndex(c.schema, f, c.cfg.IndexType, c.cfg.IndexParams)
-		c.observeIndexBuild(seg, f, c.cfg.IndexType, time.Since(t0), err)
+		b, err := c.buildIndex(seg, f, c.cfg.IndexType, c.cfg.IndexParams)
 		if err != nil {
 			// An index failure leaves the segment searchable by scan; the
 			// error is not fatal to the collection.
 			continue
 		}
-		c.persistIndex(seg, f)
-		c.tierIndexPayload(seg, f)
+		builds = append(builds, b)
 	}
+	c.install(builds, true)
 }
 
 // BuildIndex synchronously builds the named index type on every current
 // segment of a vector field, regardless of segment size ("users are allowed
-// to manually build indexes for segments of any size", Sec. 2.3).
+// to manually build indexes for segments of any size", Sec. 2.3). Each
+// segment's build installs a new version of it over whatever version is
+// current by then.
 func (c *Collection) BuildIndex(fieldName, indexType string, params map[string]string) error {
 	f, err := c.schema.VectorFieldIndex(fieldName)
 	if err != nil {
@@ -545,27 +543,77 @@ func (c *Collection) BuildIndex(fieldName, indexType string, params map[string]s
 	}
 	sn := c.snaps.acquire()
 	defer c.snaps.release(sn)
-	// An index build makes a new segment version (Sec. 5.2): a fresh
-	// snapshot of the current segments lets the old one go, and with it
-	// the payload tiers the build retired.
-	defer func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		cur := c.snaps.acquire()
-		c.snaps.install(newSnapshot(c.allocSnapID(), cur.Segments, cur.Deleted, nil))
-		c.snaps.release(cur)
-	}()
 	for _, seg := range sn.Segments {
-		t0 := time.Now()
-		err := seg.BuildIndex(c.schema, f, indexType, params)
-		c.observeIndexBuild(seg, f, indexType, time.Since(t0), err)
+		b, err := c.buildIndex(seg, f, indexType, params)
 		if err != nil {
 			return err
 		}
-		c.persistIndex(seg, f)
-		c.tierIndexPayload(seg, f)
+		c.install([]builtIndex{b}, false)
 	}
 	return nil
+}
+
+// builtIndex is one index build's result: a value until install applies it
+// to the current version of its segment.
+type builtIndex struct {
+	seg     int64       // segment ID
+	field   int         // vector field, or fusedField
+	idx     index.Index // nil: the field scans its column
+	payload *segTier    // the externalized payload idx reads, or nil
+	blob    []byte      // the persisted form; nil when the type has none
+}
+
+// buildIndex builds seg's index of the field as a value: built, encoded for
+// the store, externalized on a tiered segment and instrumented. Nothing is
+// installed or persisted.
+func (c *Collection) buildIndex(seg *Segment, field int, indexType string, params map[string]string) (builtIndex, error) {
+	t0 := time.Now()
+	idx, err := seg.BuildIndex(c.schema, field, indexType, params)
+	c.met.idx.ObserveBuild(indexType, time.Since(t0), err)
+	b := builtIndex{seg: seg.ID, field: field}
+	if err != nil || idx == nil {
+		return b, err
+	}
+	b.blob = encodeIndex(idx)
+	idx, b.payload = c.externalize(seg, field, idx)
+	b.idx = c.met.idx.Instrument(idx)
+	return b, nil
+}
+
+// install applies builds, each to the current version of its segment, and
+// installs the new versions in one snapshot (Sec. 5.2). Row positions do
+// not change, so the snapshot shares its predecessor's tombstones and
+// visibility bits. A build whose segment was merged away is dropped, and so
+// is an automatic one (auto) whose field another build indexed meanwhile; a
+// manual build replaces whatever index is current. A dropped build's payload
+// tier is destroyed. An installed field's blob is written, or deleted when
+// the index has none, in install order, so the store holds the blob of the
+// index the segment serves.
+func (c *Collection) install(builds []builtIndex, auto bool) {
+	if len(builds) == 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	cur := c.snaps.acquire()
+	defer c.snaps.release(cur)
+	segs := slices.Clone(cur.Segments)
+	installed := false
+	for _, b := range builds {
+		i := slices.IndexFunc(segs, func(s *Segment) bool { return s.ID == b.seg })
+		if i < 0 || auto && segs[i].Index(b.field) != nil {
+			if b.payload != nil {
+				b.payload.destroy()
+			}
+			continue
+		}
+		segs[i] = segs[i].withIndex(b.field, b.idx, b.payload)
+		c.persistIndex(b)
+		installed = true
+	}
+	if installed {
+		c.snaps.install(&Snapshot{ID: c.allocSnapID(), Segments: segs, Deleted: cur.Deleted, visible: cur.visible, hidden: cur.hidden})
+	}
 }
 
 // WaitIndexed blocks until the async index builder has drained (tests and
@@ -671,8 +719,7 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 			sp := p
 			sp.Bits = sn.visible[i]
 			stage := "segment_scan"
-			idx := segs[i].Index(f)
-			if idx != nil {
+			if idx := segs[i].Index(f); idx != nil {
 				stage = "index_search"
 				nIdx.Add(1)
 			}
@@ -680,12 +727,12 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 			span.AnnotateInt("segment", segs[i].ID)
 			span.AnnotateInt("rows", int64(segs[i].Rows()))
 			if opts.pred == nil {
-				segs[i].searchWith(idx, h, c.schema, f, query, sp)
-			} else if m, n, err := segs[i].searchFiltered(idx, h, c.schema, f, query, opts.pred, sp, span != nil); err != nil {
+				segs[i].SearchInto(h, c.schema, f, query, sp)
+			} else if m, n, err := segs[i].SearchFiltered(h, c.schema, f, query, opts.pred, sp, span != nil); err != nil {
 				first := err // escapes only on the error path
 				pushed.err.CompareAndSwap(nil, &first)
 			} else if span != nil {
-				span.Annotate("filter_mode", segFilterMode(idx, m, n))
+				span.Annotate("filter_mode", segFilterMode(segs[i].Index(f), m, n))
 				pushed.matched.Add(int64(m))
 				pushed.probed.Add(int64(n))
 			}

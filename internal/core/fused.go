@@ -75,8 +75,13 @@ func (c *Collection) fuseQuery(queries [][]float32, weights []float32) []float32
 	return out
 }
 
+// fusedField is the field a fused index build names: the concatenation of
+// every vector field.
+const fusedField = -1
+
 // BuildFusedIndex builds, on every current segment, an index over the
-// concatenated vector fields.
+// concatenated vector fields, and installs each as a new version of its
+// segment.
 func (c *Collection) BuildFusedIndex(indexType string, params map[string]string) error {
 	m, err := c.fusedMetric()
 	if err != nil {
@@ -94,7 +99,7 @@ func (c *Collection) BuildFusedIndex(indexType string, params map[string]string)
 		if err != nil {
 			return fmt.Errorf("core: fused index on segment %d: %w", seg.ID, err)
 		}
-		seg.SetFusedIndex(idx)
+		c.install([]builtIndex{{seg: seg.ID, field: fusedField, idx: idx}}, false)
 	}
 	return nil
 }

@@ -40,29 +40,34 @@ func DecodeIndexBlob(data []byte) (name string, blob []byte, err error) {
 	return string(data[4 : 4+n]), data[4+n:], nil
 }
 
-// persistIndex writes a freshly built index if its type supports
-// persistence. A type without a blob (FLAT, RNSG, ANNOY) deletes the blob
-// of the index it replaced, so a reader does not load a stale one.
-// Failures are non-fatal: the reader will rebuild locally.
-func (c *Collection) persistIndex(seg *Segment, field int) {
-	idx := seg.Index(field)
-	key := IndexKey(c.segmentKey(seg.ID), field)
+// encodeIndex returns idx's persisted form, nil when its type has none
+// (FLAT, RNSG, ANNOY) or it fails to marshal.
+func encodeIndex(idx index.Index) []byte {
 	m, ok := idx.(index.Marshaler)
 	if !ok {
-		_ = c.store.Delete(key)
-		return
+		return nil
 	}
 	blob, err := m.MarshalIndex()
 	if err != nil {
+		return nil
+	}
+	return EncodeIndexBlob(idx.Name(), blob)
+}
+
+// persistIndex writes an installed build's blob. A build without one
+// deletes the blob of the index it replaced, so a reader does not load a
+// stale one. The fused index is not persisted. Failures are non-fatal: the
+// reader will rebuild locally.
+func (c *Collection) persistIndex(b builtIndex) {
+	if b.field == fusedField {
 		return
 	}
-	_ = c.store.Put(key, EncodeIndexBlob(idx.Name(), blob))
-	// The async builder races with segment GC: if the segment died while we
-	// were persisting, the GC's delete of this key may already have run, and
-	// our Put would resurrect an orphan blob. Re-check and clean up.
-	if !c.snaps.segmentLive(seg.ID) {
+	key := IndexKey(c.segmentKey(b.seg), b.field)
+	if b.blob == nil {
 		_ = c.store.Delete(key)
+		return
 	}
+	_ = c.store.Put(key, b.blob)
 }
 
 // LoadSegmentIndex fetches and reconstructs a persisted per-field index

@@ -109,7 +109,7 @@ func (c *Collection) mergeSegments(group []int, sn *Snapshot) (*Segment, error) 
 		totalRows += sn.Segments[gi].Rows()
 	}
 	c.nextSeg++
-	seg := &Segment{ID: c.nextSeg}
+	seg := newSegment(c.nextSeg)
 	seg.IDs = make([]int64, 0, totalRows)
 	dims := make([]int, len(c.schema.VectorFields))
 	data := make([][]float32, len(c.schema.VectorFields))

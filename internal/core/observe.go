@@ -123,17 +123,3 @@ func (c *Collection) admit(ctx context.Context, tr *obs.Trace, it *batchItem, ke
 	}
 	return slot, err
 }
-
-// observeIndexBuild records a segment index build and, on success, wraps
-// the installed index so its searches are counted per type. The wrapper
-// preserves index.Marshaler, so persistIndex keeps working on wrapped
-// indexes.
-func (c *Collection) observeIndexBuild(seg *Segment, field int, indexType string, d time.Duration, err error) {
-	c.met.idx.ObserveBuild(indexType, d, err)
-	if err != nil {
-		return
-	}
-	if idx := seg.Index(field); idx != nil {
-		seg.SetIndex(field, c.met.idx.Instrument(idx))
-	}
-}

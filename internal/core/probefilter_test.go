@@ -155,13 +155,14 @@ func checkWideFillStaysAtProbes(t *testing.T, sn *Snapshot, q []float32, nprobe 
 	}
 }
 
-// TestPushdownReadsIndexOnce: a filtered search resolves and probes
-// through the one index it read, even when a rebuild installs another in
-// between — an IVF with fewer buckets (whose bucket ids the old ranking
-// overruns) or none (a column scan that would read unresolved bits, and
-// under a Not the complemented ones). The stale search must equal the full
-// compile through the index it read, hit for hit.
-func TestPushdownReadsIndexOnce(t *testing.T) {
+// TestPushdownPinnedSnapshotSurvivesRebuild: a filtered search of a pinned
+// snapshot resolves and probes through the segment version that snapshot
+// holds, whatever rebuilds install meanwhile — an IVF with fewer buckets
+// (whose bucket ids the old ranking would overrun), then FLAT (a column
+// scan that would read unresolved bits, and under a Not the complemented
+// ones). The stale search must equal the full compile through the pinned
+// version's index, hit for hit.
+func TestPushdownPinnedSnapshotSurvivesRebuild(t *testing.T) {
 	const n, dim, k, nprobe = 2000, 16, 10, 4
 	c, err := NewCollection("once", catSchema(dim), objstore.NewMemory(),
 		Config{FlushRows: n, FlushInterval: -1, MergeFactor: 1 << 20, IndexRows: 1 << 20, SyncIndex: true})
@@ -181,7 +182,6 @@ func TestPushdownReadsIndexOnce(t *testing.T) {
 	sn := c.AcquireSnapshot()
 	defer c.ReleaseSnapshot(sn)
 	seg := sn.Segments[0]
-	read := seg.Index(0)
 	q := mkCatEntities(1, dim, 92)[0].Vectors[0]
 	pred := colstore.NotPred{Pred: colstore.RangePred{Attr: 0, Lo: 0, Hi: 799}}
 	p := index.SearchParams{K: k, Nprobe: nprobe}
@@ -191,23 +191,36 @@ func TestPushdownReadsIndexOnce(t *testing.T) {
 	}
 	want := topk.New(k)
 	p.Bits = b
-	seg.searchWith(read, want, c.schema, 0, q, p)
+	seg.SearchInto(want, c.schema, 0, q, p)
 	bitset.Put(b)
 	wantHits := want.Results()
 	if len(wantHits) == 0 {
 		t.Fatal("fixture: the full compile found no hits")
 	}
-	for _, swap := range []string{"IVF_FLAT nlist 4", "none"} {
-		if swap == "none" {
-			seg.SetIndex(0, nil)
-		} else if err := seg.BuildIndex(c.schema, 0, "IVF_FLAT", map[string]string{"nlist": "4", "iter": "2"}); err != nil {
+	for _, rebuild := range []struct {
+		typ    string
+		params map[string]string
+		nlist  int
+	}{
+		{"IVF_FLAT", map[string]string{"nlist": "4", "iter": "2"}, 4},
+		{"FLAT", nil, 0},
+	} {
+		if err := c.BuildIndex("v", rebuild.typ, rebuild.params); err != nil {
 			t.Fatal(err)
 		}
-		h := topk.New(k)
-		p.Bits = sn.visible[0]
-		if _, _, err := seg.searchFiltered(read, h, c.schema, 0, q, pred, p, true); err != nil {
+		cur := c.AcquireSnapshot()
+		nlist := 0
+		if iv, ok := unwrapIndex(cur.Segments[0].Index(0)).(*ivf.IVF); ok {
+			nlist = iv.Nlist()
+		}
+		c.ReleaseSnapshot(cur)
+		if nlist != rebuild.nlist {
+			t.Fatalf("%s rebuild: the current version has %d buckets, want %d", rebuild.typ, nlist, rebuild.nlist)
+		}
+		got, err := c.searchSnapshot(context.Background(), sn, 0, q, SearchOptions{K: k, Nprobe: nprobe, pred: pred})
+		if err != nil {
 			t.Fatal(err)
 		}
-		sameHits(t, "installed "+swap, wantHits, h.Results())
+		sameHits(t, "pinned snapshot after "+rebuild.typ, wantHits, got)
 	}
 }

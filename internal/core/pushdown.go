@@ -56,15 +56,8 @@ func (s *Segment) CompileFilter(pred colstore.Pred, visible *bitset.Bitset, at [
 // reads; other segments compile every position. With count set it returns
 // how many resolved positions passed (matched) of how many were (probed).
 func (s *Segment) SearchFiltered(h *topk.Heap, schema *Schema, field int, query []float32, pred colstore.Pred, p index.SearchParams, count bool) (matched, probed int, err error) {
-	return s.searchFiltered(s.Index(field), h, schema, field, query, pred, p, count)
-}
-
-// searchFiltered is SearchFiltered through idx, read once by the caller:
-// the positions resolved and the buckets probed come from the same index,
-// whatever a concurrent rebuild installs.
-func (s *Segment) searchFiltered(idx index.Index, h *topk.Heap, schema *Schema, field int, query []float32, pred colstore.Pred, p index.SearchParams, count bool) (matched, probed int, err error) {
 	var at []int32
-	if iv, ok := unwrapIndex(idx).(*ivf.IVF); ok {
+	if iv, ok := unwrapIndex(s.Index(field)).(*ivf.IVF); ok {
 		p.Probes = iv.ProbeOrder(query, p.Nprobe)
 		ap := bufferpool.GetInt32s(0)
 		defer bufferpool.PutInt32s(ap)
@@ -77,7 +70,7 @@ func (s *Segment) searchFiltered(idx index.Index, h *topk.Heap, schema *Schema, 
 	}
 	defer bitset.Put(b)
 	p.Bits = b
-	s.searchWith(idx, h, schema, field, query, p)
+	s.SearchInto(h, schema, field, query, p)
 	switch {
 	case !count:
 		return 0, 0, nil

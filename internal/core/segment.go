@@ -11,13 +11,27 @@ import (
 	"vectordb/internal/topk"
 )
 
-// Segment is an immutable on-disk/in-memory unit of data — "the basic unit
-// of searching, scheduling, and buffering" (Sec. 2.3). Both data and any
-// built index live in the segment. Data never changes after creation;
-// building an index produces a new Version of the same segment (Sec. 5.2).
+// Segment is one version of a segment — "the basic unit of searching,
+// scheduling, and buffering" (Sec. 2.3). Its data (segData) is shared by
+// every version and never changes after creation; building an index
+// generates a new version of the same segment (Sec. 5.2), which the
+// collection installs in a new snapshot. A version reachable from an
+// installed snapshot is never mutated, so a query reads the indexes of the
+// version its snapshot holds, once or many times, and always gets the same.
 type Segment struct {
+	*segData
+	indexes []index.Index // per vector field; nil = unindexed (brute scan)
+	// payloads[f] is the externalized IVF payload tier indexes[f] reads (its
+	// build-order fine payload in its own extent file), nil when resident.
+	// The snapshot tracker counts references to it across versions.
+	payloads []*segTier
+	fused    index.Index // optional index over concatenated vector fields
+}
+
+// segData is what every version of a segment shares: its rows, columns and
+// tier residency.
+type segData struct {
 	ID      int64
-	Version int
 	IDs     []int64
 	Vectors []*colstore.VectorColumn // one per schema vector field
 	// RawAttrs[i][r] is attribute field i of row r (aligned with IDs);
@@ -33,23 +47,17 @@ type Segment struct {
 	idPosOnce sync.Once
 	idPos     map[int64]int32
 
-	indexMu sync.RWMutex
-	indexes []index.Index // per vector field; nil = unindexed (brute scan)
-	fused   index.Index   // optional index over concatenated vector fields
-
 	// tier, when set, is the out-of-core residency state machine: the
 	// vector payloads live in an mmap-backed extent file (and the segment's
 	// object in the store) instead of Vectors[f].Data, and every read goes
 	// through the vectorData/vectorRows accessors. Nil = hot
-	// (all-RAM).
+	// (all-RAM). Residency changes where the bytes live, not what a version
+	// serves, so it is the one state that moves after publish.
 	tier *segTier
-
-	// tierIdx maps vector field → the externalized IVF payload tier (the
-	// index's build-order fine payload in its own extent file). Destroyed
-	// with the segment.
-	tierIdxMu sync.Mutex
-	tierIdx   map[int]*segTier
 }
+
+// newSegment returns the first version of a segment with no data yet.
+func newSegment(id int64) *Segment { return &Segment{segData: &segData{ID: id}} }
 
 // Rows returns the segment's row count.
 func (s *Segment) Rows() int { return len(s.IDs) }
@@ -151,42 +159,38 @@ func (s *Segment) buildAttrColumns() {
 	}
 }
 
-// SetIndex installs a built index for a vector field, bumping the version
-// (a new segment version is generated "upon ... building index", Sec. 5.2).
-func (s *Segment) SetIndex(field int, idx index.Index) {
-	s.indexMu.Lock()
-	if s.indexes == nil {
-		s.indexes = make([]index.Index, len(s.Vectors))
-	}
-	s.indexes[field] = idx
-	s.Version++
-	s.indexMu.Unlock()
-}
-
 // Index returns the field's index, if built.
 func (s *Segment) Index(field int) index.Index {
-	s.indexMu.RLock()
-	defer s.indexMu.RUnlock()
-	if s.indexes == nil {
+	if field >= len(s.indexes) {
 		return nil
 	}
 	return s.indexes[field]
 }
 
-// SetFusedIndex installs an index over the concatenation of all vector
-// fields (vector fusion, Sec. 4.2).
-func (s *Segment) SetFusedIndex(idx index.Index) {
-	s.indexMu.Lock()
-	s.fused = idx
-	s.Version++
-	s.indexMu.Unlock()
+// FusedIndex returns the fused index, if built.
+func (s *Segment) FusedIndex() index.Index { return s.fused }
+
+// WithIndex returns a new version of s that serves idx for the vector
+// field (nil scans the column). s itself is not changed.
+func (s *Segment) WithIndex(field int, idx index.Index) *Segment {
+	return s.withIndex(field, idx, nil)
 }
 
-// FusedIndex returns the fused index, if built.
-func (s *Segment) FusedIndex() index.Index {
-	s.indexMu.RLock()
-	defer s.indexMu.RUnlock()
-	return s.fused
+// withIndex is WithIndex with the payload tier idx reads (nil when
+// resident); field fusedField sets the fused index instead.
+func (s *Segment) withIndex(field int, idx index.Index, payload *segTier) *Segment {
+	v := *s
+	if field == fusedField {
+		v.fused = idx
+		return &v
+	}
+	v.indexes = make([]index.Index, len(s.Vectors))
+	copy(v.indexes, s.indexes)
+	v.indexes[field] = idx
+	v.payloads = make([]*segTier, len(s.Vectors))
+	copy(v.payloads, s.payloads)
+	v.payloads[field] = payload
+	return &v
 }
 
 // FusedData materializes the row-major concatenation of all vector fields.
@@ -244,14 +248,7 @@ func (s *Segment) Search(schema *Schema, field int, query []float32, p index.Sea
 // the early-abandon kernel so a row that cannot enter the top-k costs at
 // most a prefix of its dimensions.
 func (s *Segment) SearchInto(h *topk.Heap, schema *Schema, field int, query []float32, p index.SearchParams) {
-	s.searchWith(s.Index(field), h, schema, field, query, p)
-}
-
-// searchWith is SearchInto through idx, the field's index as its caller
-// read it once (nil scans the column): a rebuild that installs another
-// index meanwhile does not change what this search reads.
-func (s *Segment) searchWith(idx index.Index, h *topk.Heap, schema *Schema, field int, query []float32, p index.SearchParams) {
-	if idx != nil {
+	if idx := s.Index(field); idx != nil {
 		index.SearchInto(idx, h, query, p)
 		return
 	}
@@ -266,30 +263,25 @@ func (s *Segment) searchWith(idx index.Index, h *topk.Heap, schema *Schema, fiel
 }
 
 // BuildIndex builds (synchronously) an index of the named type over one
-// vector field. FLAT is the exhaustive scan the segment already runs over
-// its own column, so a FLAT build drops the field's index rather than
-// installing a copy of the vectors.
-func (s *Segment) BuildIndex(schema *Schema, field int, indexType string, params map[string]string) error {
+// vector field and returns it; the segment is not changed. FLAT is the
+// exhaustive scan the segment already runs over its own column, so a FLAT
+// build returns no index rather than a copy of the vectors.
+func (s *Segment) BuildIndex(schema *Schema, field int, indexType string, params map[string]string) (index.Index, error) {
 	f := schema.VectorFields[field]
 	b, err := index.NewBuilder(indexType, f.Metric, f.Dim, params)
-	if err != nil {
-		return err
-	}
-	if indexType == "FLAT" {
-		s.SetIndex(field, nil)
-		return nil
+	if err != nil || indexType == "FLAT" {
+		return nil, err
 	}
 	data, rel, err := s.vectorData(field)
 	if err != nil {
-		return fmt.Errorf("core: segment %d field %q: %w", s.ID, f.Name, err)
+		return nil, fmt.Errorf("core: segment %d field %q: %w", s.ID, f.Name, err)
 	}
 	idx, err := b.Build(data, s.IDs)
 	rel()
 	if err != nil {
-		return fmt.Errorf("core: segment %d field %q: %w", s.ID, f.Name, err)
+		return nil, fmt.Errorf("core: segment %d field %q: %w", s.ID, f.Name, err)
 	}
-	s.SetIndex(field, idx)
-	return nil
+	return idx, nil
 }
 
 // encodeSegment builds a sealed segment's one serialised form: a SEGX image
@@ -368,7 +360,8 @@ func decodeSegment(blob []byte, schema *Schema, ownHot bool) (*Segment, error) {
 		}
 		return e, nil
 	}
-	seg := &Segment{ID: sf.SegID, IDs: ids.Int64s()}
+	seg := newSegment(sf.SegID)
+	seg.IDs = ids.Int64s()
 	for f, vf := range schema.VectorFields {
 		e, err := find(colstore.ExtentVectors, f, vf.Dim)
 		if err != nil {

@@ -168,7 +168,7 @@ func TestSegmentEncodeDecodeRoundTrip(t *testing.T) {
 func codecImage(t testing.TB, rows int) []byte {
 	schema := codecSchema()
 	ents := codecEntities(rows, 5)
-	seg := &Segment{ID: 7}
+	seg := newSegment(7)
 	for i := range ents {
 		seg.IDs = append(seg.IDs, ents[i].ID)
 	}

@@ -24,7 +24,7 @@ func scanTestSegment(n, dim int, seed int64) (*Segment, *Schema) {
 		ids[i] = int64(i + 1)
 	}
 	schema := &Schema{VectorFields: []VectorField{{Name: "v", Dim: dim, Metric: vec.L2}}}
-	return &Segment{ID: 1, IDs: ids, Vectors: []*colstore.VectorColumn{colstore.NewVectorColumn(dim, data)}}, schema
+	return &Segment{segData: &segData{ID: 1, IDs: ids, Vectors: []*colstore.VectorColumn{colstore.NewVectorColumn(dim, data)}}}, schema
 }
 
 // TestSegmentScanUsesBatchKernels: the unindexed segment scan is required
@@ -118,9 +118,11 @@ func TestSegmentSearchIntoAllocs(t *testing.T) {
 		}
 		seg, schema := scanTestSegment(900, 16, 62)
 		if tc.index != "" {
-			if err := seg.BuildIndex(schema, 0, tc.index, map[string]string{"nlist": "8"}); err != nil {
+			idx, err := seg.BuildIndex(schema, 0, tc.index, map[string]string{"nlist": "8"})
+			if err != nil {
 				t.Fatal(err)
 			}
+			seg = seg.WithIndex(0, idx)
 		}
 		q := make([]float32, 16)
 		h := topk.New(10)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"maps"
-	"math"
 	"sync"
 
 	"vectordb/internal/bitset"
@@ -12,7 +11,9 @@ import (
 // set of latest segments at some instant plus the tombstones not yet
 // compacted away. Every query works on the snapshot current when it starts;
 // later flushes, merges and index builds produce new snapshots and never
-// interfere with ongoing queries.
+// interfere with ongoing queries. An index build replaces its segment with
+// a new version and shares everything else, tombstones and visibility bits
+// included: row positions do not change.
 type Snapshot struct {
 	ID       int64
 	Segments []*Segment
@@ -82,27 +83,29 @@ func (sn *Snapshot) TotalRows() int {
 // LiveRows counts visible rows.
 func (sn *Snapshot) LiveRows() int { return sn.TotalRows() - sn.hidden }
 
-// snapTracker manages snapshot lifetimes and segment garbage collection:
-// each snapshot is pinned by readers (Acquire/Release) and by being current;
-// a segment is garbage once no live snapshot references it.
+// snapTracker manages snapshot lifetimes and garbage collection: each
+// snapshot is pinned by readers (Acquire/Release) and by being current; a
+// segment is garbage once no live snapshot references it, and so is an
+// externalized IVF payload tier once no live snapshot holds a version that
+// serves it. A version in an installed snapshot never changes, so the
+// counts a snapshot took at install are the ones its last release drops.
 type snapTracker struct {
-	mu      sync.Mutex
-	refs    map[int64]int  // live snapshot ID → reference count
-	segRefs map[int64]int  // segment ID → number of live snapshots
-	onSegGC func(*Segment) // invoked (outside locks) for each dead segment
-	current *Snapshot
-	// retired[id] frees storage an index rebuild replaced while snapshot
-	// id was current; it runs (outside locks) once no snapshot ≤ id is
-	// live. Installs take IDs in order under the collection's mu.
-	retired map[int64][]func()
+	mu       sync.Mutex
+	refs     map[int64]int    // live snapshot ID → reference count
+	segRefs  map[int64]int    // segment ID → number of live snapshots
+	tierRefs map[*segTier]int // payload tier → number of live snapshots
+	onSegGC  func(*Segment)   // invoked (outside locks) for each dead segment
+	onTierGC func(*segTier)   // invoked (outside locks) for each dead payload tier
+	current  *Snapshot
 }
 
-func newSnapTracker(onSegGC func(*Segment)) *snapTracker {
+func newSnapTracker(onSegGC func(*Segment), onTierGC func(*segTier)) *snapTracker {
 	return &snapTracker{
-		refs:    map[int64]int{},
-		segRefs: map[int64]int{},
-		retired: map[int64][]func(){},
-		onSegGC: onSegGC,
+		refs:     map[int64]int{},
+		segRefs:  map[int64]int{},
+		tierRefs: map[*segTier]int{},
+		onSegGC:  onSegGC,
+		onTierGC: onTierGC,
 	}
 }
 
@@ -112,6 +115,11 @@ func (t *snapTracker) install(sn *Snapshot) {
 	t.refs[sn.ID]++ // the "current" pin
 	for _, seg := range sn.Segments {
 		t.segRefs[seg.ID]++
+		for _, pt := range seg.payloads {
+			if pt != nil {
+				t.tierRefs[pt]++
+			}
+		}
 	}
 	prev := t.current
 	t.current = sn
@@ -130,26 +138,26 @@ func (t *snapTracker) acquire() *Snapshot {
 	return t.current
 }
 
-// release unpins a snapshot, garbage-collecting it (and any segments that
-// became unreferenced, and any retired storage) when the last pin drops.
+// release unpins a snapshot, garbage-collecting it (and any segments and
+// payload tiers that became unreferenced) when the last pin drops.
 func (t *snapTracker) release(sn *Snapshot) {
 	if sn == nil {
 		return
 	}
 	t.mu.Lock()
-	dead, freed := t.releaseLocked(sn)
+	dead, deadTiers := t.releaseLocked(sn)
 	t.mu.Unlock()
 	for _, seg := range dead {
 		t.onSegGC(seg)
 	}
-	for _, free := range freed {
-		free()
+	for _, pt := range deadTiers {
+		t.onTierGC(pt)
 	}
 }
 
 // releaseLocked drops one pin of sn. When it was the last, it returns the
-// segments and the retired storage no live snapshot can reach any more.
-func (t *snapTracker) releaseLocked(sn *Snapshot) (dead []*Segment, freed []func()) {
+// segments and the payload tiers no live snapshot can reach any more.
+func (t *snapTracker) releaseLocked(sn *Snapshot) (dead []*Segment, deadTiers []*segTier) {
 	t.refs[sn.ID]--
 	if t.refs[sn.ID] > 0 {
 		return nil, nil
@@ -161,33 +169,23 @@ func (t *snapTracker) releaseLocked(sn *Snapshot) (dead []*Segment, freed []func
 			delete(t.segRefs, seg.ID)
 			dead = append(dead, seg)
 		}
-	}
-	oldest := int64(math.MaxInt64)
-	for id := range t.refs {
-		oldest = min(oldest, id)
-	}
-	for id, fs := range t.retired {
-		if id < oldest {
-			freed = append(freed, fs...)
-			delete(t.retired, id)
+		for _, pt := range seg.payloads {
+			if pt == nil {
+				continue
+			}
+			t.tierRefs[pt]--
+			if t.tierRefs[pt] == 0 {
+				delete(t.tierRefs, pt)
+				deadTiers = append(deadTiers, pt)
+			}
 		}
 	}
-	return dead, freed
-}
-
-// retire runs free once every snapshot live now has been released: a
-// query pins its snapshot before it loads a segment's index, so only a
-// query of one of them can still hold an index reading the old storage.
-func (t *snapTracker) retire(free func()) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.retired[t.current.ID] = append(t.retired[t.current.ID], free)
+	return dead, deadTiers
 }
 
 // segmentLive reports whether a segment is still referenced by any live
-// snapshot. The async index builder consults it so it neither burns CPU
-// building indexes for merged-away segments nor re-persists index blobs
-// that the GC already deleted.
+// snapshot. The async index builder consults it so it does not burn CPU
+// building indexes for merged-away segments.
 func (t *snapTracker) segmentLive(id int64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()

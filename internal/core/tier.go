@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"vectordb/internal/colstore"
+	"vectordb/internal/index"
 	"vectordb/internal/index/ivf"
 	"vectordb/internal/objstore"
 )
@@ -67,9 +68,9 @@ type collTier struct {
 	mu     sync.Mutex
 	mapped int64
 	clock  int64
-	// segs is keyed by tier ID, not segment ID: a segment owns up to one
-	// data tier plus one index-payload tier per vector field, each with its
-	// own file and store key.
+	// segs is keyed by tier ID, not segment ID: a segment owns one data
+	// tier plus, per vector field, the index-payload tier of each live
+	// version, each with its own file and store key.
 	segs map[uint64]*segTier
 }
 
@@ -350,35 +351,39 @@ func (c *Collection) tierSegment(seg *Segment, img []byte) error {
 	if ct == nil || seg.Rows() == 0 || seg.tier != nil {
 		return nil
 	}
-	t := &segTier{
-		ct:    ct,
-		segID: seg.ID,
-		id:    tierSeq.Add(1),
-		path:  filepath.Join(ct.dir, fmt.Sprintf("seg-%d.segx", seg.ID)),
-		key:   c.segmentKey(seg.ID),
-	}
-	if err := colstore.WriteFileAtomic(t.path, img); err != nil {
-		return fmt.Errorf("core: tier segment %d: %w", seg.ID, err)
-	}
-	mf, err := colstore.OpenSegmentFile(t.path)
+	t, err := ct.mapImage(tierSeq.Add(1), seg.ID, filepath.Join(ct.dir, fmt.Sprintf("seg-%d.segx", seg.ID)), c.segmentKey(seg.ID), img)
 	if err != nil {
-		_ = os.Remove(t.path)
-		return fmt.Errorf("core: map segment %d: %w", seg.ID, err)
+		return err
 	}
-	// The size is read, and the mapping installed under t.mu, before seg.tier
-	// publishes t: from then on a concurrent demote or destroy may close mf.
-	size := int64(mf.Size())
-	t.mu.Lock()
-	t.mf = mf
-	t.mu.Unlock()
 	seg.tier = t
 	// Drop the RAM payloads: every later read goes through the accessors.
 	for f := range seg.Vectors {
 		seg.Vectors[f] = &colstore.VectorColumn{Dim: seg.Vectors[f].Dim}
 	}
-	ct.register(t, size)
 	c.met.tierSealed.Inc()
 	return nil
+}
+
+// mapImage makes img, whose cold copy is already under key in the store,
+// the local extent file at path, maps it, and registers the mapped tier.
+func (ct *collTier) mapImage(id uint64, segID int64, path, key string, img []byte) (*segTier, error) {
+	t := &segTier{ct: ct, segID: segID, id: id, path: path, key: key}
+	if err := colstore.WriteFileAtomic(t.path, img); err != nil {
+		return nil, fmt.Errorf("core: tier segment %d: %w", segID, err)
+	}
+	mf, err := colstore.OpenSegmentFile(t.path)
+	if err != nil {
+		_ = os.Remove(t.path)
+		return nil, fmt.Errorf("core: map segment %d: %w", segID, err)
+	}
+	// The size is read, and the mapping installed under t.mu, before
+	// register publishes t: from then on a demote or destroy may close mf.
+	size := int64(mf.Size())
+	t.mu.Lock()
+	t.mf = mf
+	t.mu.Unlock()
+	ct.register(t, size)
+	return t, nil
 }
 
 // extent pins t's mapping and finds extent (kind, field) in it. The caller
@@ -453,47 +458,21 @@ func (p *tierIVFExt) OpenBytes() ([]byte, func(), error) {
 	return ext.Payload, rel, nil
 }
 
-// idxTiers snapshots the segment's index-payload tiers (GC destroy loop).
-func (s *Segment) idxTiers() []*segTier {
-	s.tierIdxMu.Lock()
-	defer s.tierIdxMu.Unlock()
-	out := make([]*segTier, 0, len(s.tierIdx))
-	for _, t := range s.tierIdx {
-		out = append(out, t)
-	}
-	return out
-}
-
-// tierIndexPayload moves a freshly built and persisted IVF index's fine
-// payload (FLAT vectors or SQ8 codes, the dominant index memory) into its
-// own extent file behind the tier — the same bucket-ordered array, byte
-// for byte — then swaps in an externalized copy of the index so bucket
-// scans read the mapped payload instead of the resident one. In-flight queries keep the resident index they
-// already hold. Failures are non-fatal: the resident index keeps serving.
-func (c *Collection) tierIndexPayload(seg *Segment, field int) {
+// externalize moves a freshly built IVF index's fine payload (FLAT vectors
+// or SQ8 codes, the dominant index memory) of a tiered segment into its own
+// extent file behind the tier — the same bucket-ordered array, byte for
+// byte — and returns an externalized copy of the index that reads the
+// mapped payload, with the payload's tier. Any other index, and any
+// failure, returns idx itself: the resident index serves.
+func (c *Collection) externalize(seg *Segment, field int, idx index.Index) (index.Index, *segTier) {
 	ct := c.tier
-	if ct == nil || seg.tier == nil {
-		return
-	}
-	idx := seg.Index(field)
-	iv, ok := unwrapIndex(idx).(*ivf.IVF)
-	if !ok || !iv.Externalizable() {
-		// The new index has no payload to tier: retire the one it
-		// replaced, as the swap below does for an IVF rebuild.
-		seg.tierIdxMu.Lock()
-		old := seg.tierIdx[field]
-		if old == nil || seg.Index(field) != idx {
-			seg.tierIdxMu.Unlock()
-			return
-		}
-		delete(seg.tierIdx, field)
-		seg.tierIdxMu.Unlock()
-		c.snaps.retire(old.destroy)
-		return
+	iv, ok := idx.(*ivf.IVF)
+	if ct == nil || seg.tier == nil || !ok || !iv.Externalizable() {
+		return idx, nil
 	}
 	floats, codes, ok := iv.ResidentPayload()
 	if !ok {
-		return
+		return idx, nil
 	}
 	rows := uint64(iv.Size())
 	var ext colstore.Extent
@@ -512,85 +491,35 @@ func (c *Collection) tierIndexPayload(seg *Segment, field int) {
 	}
 	buf, err := colstore.EncodeSegmentFile(seg.ID, []colstore.Extent{ext})
 	if err != nil {
-		return
+		return idx, nil
 	}
-	// The file name and store key carry the tier ID: a manual rebuild of an
+	// The file name and store key carry the tier ID: a rebuild of an
 	// already-externalized field creates a fresh tier for the same
 	// (segment, field), and destroying the replaced tier must not take the
 	// replacement's file or store object with it.
 	id := tierSeq.Add(1)
-	t := &segTier{
-		ct:    ct,
-		segID: seg.ID,
-		id:    id,
-		path:  filepath.Join(ct.dir, fmt.Sprintf("seg-%d-f%d-o%d.ivfx", seg.ID, field, id)),
-		key:   fmt.Sprintf("col/%s/ivfext/%d/%d/%d", c.Name, seg.ID, field, id),
-	}
-	if err := colstore.WriteFileAtomic(t.path, buf); err != nil {
-		return
-	}
-	var putErr error
+	path := filepath.Join(ct.dir, fmt.Sprintf("seg-%d-f%d-o%d.ivfx", seg.ID, field, id))
+	key := fmt.Sprintf("col/%s/ivfext/%d/%d/%d", c.Name, seg.ID, field, id)
 	for attempt := 0; attempt < 3; attempt++ {
-		if putErr = ct.store.Put(t.key, buf); putErr == nil {
+		if err = ct.store.Put(key, buf); err == nil {
 			break
 		}
 	}
-	if putErr != nil {
-		_ = os.Remove(t.path)
-		return
-	}
-	mf, err := colstore.OpenSegmentFile(t.path)
 	if err != nil {
-		_ = os.Remove(t.path)
-		_ = ct.store.Delete(t.key)
-		return
+		return idx, nil
+	}
+	t, err := ct.mapImage(id, seg.ID, path, key, buf)
+	if err != nil {
+		_ = ct.store.Delete(key)
+		return idx, nil
 	}
 	y, err := iv.Externalize(&tierIVFExt{t: t, field: uint32(field)})
 	if err != nil {
-		_ = mf.Close()
-		_ = os.Remove(t.path)
-		_ = ct.store.Delete(t.key)
-		return
-	}
-	size := int64(mf.Size()) // before seg.tierIdx publishes t, as in tierSegment
-	t.mu.Lock()
-	t.mf = mf
-	t.mu.Unlock()
-	// Couple the index swap with the tier bookkeeping: concurrent rebuilds
-	// of the same field (manual BuildIndex racing the async builder, or two
-	// manual builds) must never leave the live index pointing at a destroyed
-	// payload tier. Under tierIdxMu the swap lands only if the index we
-	// externalized is still the installed one; a stale externalization
-	// abandons its storage and leaves the winner's intact.
-	seg.tierIdxMu.Lock()
-	if seg.Index(field) != idx {
-		seg.tierIdxMu.Unlock()
-		_ = mf.Close()
-		_ = os.Remove(t.path)
-		_ = ct.store.Delete(t.key)
-		return
-	}
-	seg.SetIndex(field, c.met.idx.Instrument(y))
-	if seg.tierIdx == nil {
-		seg.tierIdx = make(map[int]*segTier)
-	}
-	old := seg.tierIdx[field]
-	seg.tierIdx[field] = t
-	seg.tierIdxMu.Unlock()
-	if old != nil {
-		// A query may have loaded the replaced index and not yet opened
-		// its payload: destroying old now would silently drop its hits.
-		c.snaps.retire(old.destroy)
-	}
-	ct.register(t, size)
-	c.met.tierIdxSealed.Inc()
-	// The async builder races segment GC exactly like persistIndex: if the
-	// segment died while we were externalizing, the GC destroy loop may have
-	// run before our setIdxTier — release the storage ourselves (destroy is
-	// idempotent, so both running is harmless).
-	if !c.snaps.segmentLive(seg.ID) {
 		t.destroy()
+		return idx, nil
 	}
+	c.met.tierIdxSealed.Inc()
+	return y, t
 }
 
 // Tiered reports whether this segment's vectors live out of core.

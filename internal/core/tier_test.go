@@ -760,11 +760,10 @@ func TestTieredProbeReadsMappedPayload(t *testing.T) {
 					t.Fatalf("segment %d: IVF payload not externalized", seg.ID)
 				}
 				wantF, wantC, _ := unwrap(psn.Segments[i].Index(0)).ResidentPayload()
-				its := seg.idxTiers()
-				if len(its) != 1 {
-					t.Fatalf("segment %d: %d payload tiers, want 1", seg.ID, len(its))
+				it := seg.payloads[0]
+				if it == nil {
+					t.Fatalf("segment %d: no payload tier", seg.ID)
 				}
-				it := its[0]
 				p := &tierIVFExt{t: it, field: 0}
 				var release func()
 				if idxType == "IVF_FLAT" {
@@ -818,7 +817,7 @@ func TestTieredProbeReadsMappedPayload(t *testing.T) {
 				sameHits(t, idxType, want, got)
 			}
 			for _, seg := range tsn.Segments {
-				if !seg.idxTiers()[0].isMapped() {
+				if !seg.payloads[0].isMapped() {
 					t.Fatalf("segment %d: a probe did not map its payload tier back in", seg.ID)
 				}
 			}
@@ -1037,9 +1036,9 @@ func TestTieredIndexRebuild(t *testing.T) {
 
 // TestTieredRebuildToBloblessIndex: rebuilding a field to an index type
 // with no blob (FLAT) deletes the replaced IVF's persisted blob, so a
-// cluster reader cannot load the stale index, and retires its payload
-// tier once the swap-time snapshots are gone, leaving each segment its
-// one data tier.
+// cluster reader cannot load the stale index, and frees its payload tier
+// once no snapshot holds the IVF version, leaving each segment its one
+// data tier.
 func TestTieredRebuildToBloblessIndex(t *testing.T) {
 	const dim, rows = 8, 256
 	store := objstore.NewMemory()
@@ -1084,7 +1083,7 @@ func TestTieredRebuildToBloblessIndex(t *testing.T) {
 		t.Fatalf("after FLAT: %d stale index blobs left", n)
 	}
 	if tiers := c.TierStats().Tiered; tiers != segs {
-		t.Fatalf("after FLAT: %d tiers for %d segments; the IVF payload tiers were not retired", tiers, segs)
+		t.Fatalf("after FLAT: %d tiers for %d segments; the IVF payload tiers were not freed", tiers, segs)
 	}
 	q := ents[5].Vectors[0]
 	got, err := c.Search(q, SearchOptions{K: 1})
@@ -1096,33 +1095,36 @@ func TestTieredRebuildToBloblessIndex(t *testing.T) {
 	}
 }
 
-// TestRetireWaitsForSwapTimeSnapshots: a payload tier a rebuild replaced
-// is destroyed only after every snapshot live at the swap is released. A
-// query of such a snapshot may have loaded the old index and not yet
-// opened its payload; a query that pins a later snapshot cannot hold it.
-func TestRetireWaitsForSwapTimeSnapshots(t *testing.T) {
-	tr := newSnapTracker(func(*Segment) {})
-	tr.install(&Snapshot{ID: 1})
+// TestTrackerFreesPayloadTierOnce: a payload tier held only by a version
+// that an in-flight snapshot pins survives until that snapshot is
+// released, and is then freed exactly once. A tier the newer version still
+// serves lives until the segment leaves every snapshot.
+func TestTrackerFreesPayloadTierOnce(t *testing.T) {
+	freed := map[*segTier]int{}
+	tr := newSnapTracker(func(*Segment) {}, func(pt *segTier) { freed[pt]++ })
+	replaced, kept := &segTier{}, &segTier{}
+	v1 := newSegment(1)
+	v1.Vectors = make([]*colstore.VectorColumn, 2)
+	v1.payloads = []*segTier{replaced, kept}
+	v2 := v1.withIndex(0, nil, nil) // field 0 rebuilt to FLAT
+	tr.install(&Snapshot{ID: 1, Segments: []*Segment{v1}})
 	inflight := tr.acquire()
-	freed := 0
-	tr.retire(func() { freed++ })
-	tr.install(&Snapshot{ID: 2}) // the rebuild's fresh snapshot
+	tr.install(&Snapshot{ID: 2, Segments: []*Segment{v2}}) // the rebuild's install
 	later := tr.acquire()
-	if freed != 0 {
-		t.Fatal("retired storage freed while a query of the swap-time snapshot runs")
+	if freed[replaced] != 0 {
+		t.Fatal("replaced payload tier freed while a query of the pinned snapshot runs")
 	}
 	tr.release(inflight)
-	if freed != 1 {
-		t.Fatalf("retired storage freed %d times after the last swap-time snapshot went, want 1", freed)
+	if freed[replaced] != 1 || freed[kept] != 0 {
+		t.Fatalf("after the pinned snapshot went: replaced freed %d times (want 1), kept %d (want 0)", freed[replaced], freed[kept])
+	}
+	tr.install(&Snapshot{ID: 3}) // the segment merged away
+	if freed[kept] != 0 {
+		t.Fatal("payload tier freed while a query of a snapshot serving it runs")
 	}
 	tr.release(later)
-	tr.retire(func() { freed++ }) // snapshot 2 is current: it must go first
-	if freed != 1 {
-		t.Fatal("retired storage freed while the current snapshot is live")
-	}
-	tr.install(&Snapshot{ID: 3})
-	if freed != 2 {
-		t.Fatalf("retired storage freed %d times after its snapshots went, want 2", freed)
+	if freed[replaced] != 1 || freed[kept] != 1 {
+		t.Fatalf("after every snapshot went: replaced freed %d times, kept %d, want 1 each", freed[replaced], freed[kept])
 	}
 }
 

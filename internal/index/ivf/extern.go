@@ -60,7 +60,7 @@ func (x *IVF) ResidentPayload() (floats []float32, codes []byte, ok bool) {
 
 // Externalize returns a copy of x whose fine payload is served by ext; the
 // receiver is left untouched so in-flight scans of the resident payload
-// stay valid (callers swap the copy in atomically, e.g. via SetIndex). The
+// stay valid (the caller serves the copy from a new segment version). The
 // copy shares the coarse quantizer and the CSR offsets, IDs and positions
 // with x: ext serves the same payload, row for row.
 func (x *IVF) Externalize(ext PayloadExt) (*IVF, error) {
