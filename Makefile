@@ -125,15 +125,23 @@ conformance-filter:
 # codec's own number kernels are held to strconv: the float32 printer on
 # every subnormal, every exponent's edge significands and random bit
 # patterns, the scanner's float32 and int64 on edge and random literals,
-# then ten seconds of fuzzing each. (All 2^32 float32s: go test
-# ./internal/rest -run Exhaustive -exhaustive, about six minutes on two cores.)
+# then ten seconds of fuzzing each. A large insert body is encoded and
+# scanned in shards: at 2–4 shards the sharded encode writes the serial
+# bytes and fails on the first NaN in entity order, the sharded scan gives
+# the serial scan's value or leaves the body to it (categories holding a
+# guessed cut, whitespace, any key order, repeated keys, truncations), and
+# the handler runs the shards on the exec pool while a small body stays
+# serial — the seeds, then ten seconds of fuzzing. (All 2^32 float32s: go
+# test ./internal/rest -run Exhaustive -exhaustive, about six minutes on
+# two cores.)
 conformance-wire:
-	$(GO) test ./internal/rest -run 'TestWireEncoderGolden|TestWireFastPathCoverage|FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestTrailingBytesAre400|TestReadBody|TestDeclaredOversizedBodyIs413|TestDeclaredLengthAllocatesAsBodyArrives|TestUnencodableResultIs500|TestFloat32PrintSweep|TestG1Table|TestNumberScan|FuzzFloat32Print|FuzzNumberScan'
+	$(GO) test ./internal/rest -run 'TestWireEncoderGolden|TestWireFastPathCoverage|FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestTrailingBytesAre400|TestReadBody|TestDeclaredOversizedBodyIs413|TestDeclaredLengthAllocatesAsBodyArrives|TestUnencodableResultIs500|TestFloat32PrintSweep|TestG1Table|TestNumberScan|FuzzFloat32Print|FuzzNumberScan|TestInsertShardsMatchSerial|TestInsertShardsFailOnFirstNaN|FuzzInsertShards|TestLargeInsertDecodesOnThePool'
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchRequestWire$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertRequestWire$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchResponseWire$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzFloat32Print$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzNumberScan$$' -fuzztime 10s
+	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertShards$$' -fuzztime 10s
 
 # kernel-guard keeps every hot read path on the blocked batch kernels.
 # The static half — no per-tier kernel calls outside internal/vec — is

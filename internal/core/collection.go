@@ -153,9 +153,13 @@ type Collection struct {
 	// so acknowledged writes are never silently dropped.
 	flushErr error
 
-	indexWG    sync.WaitGroup
-	indexCh    chan *Segment
-	pendingIdx atomic.Int64
+	indexWG sync.WaitGroup
+	indexCh chan *Segment
+	// pendingIdx counts scheduled index builds not yet finished;
+	// WaitIndexed waits on idxDrained until it is 0.
+	pendingMu  sync.Mutex
+	pendingIdx int
+	idxDrained sync.Cond
 	// deferredBuilds holds segments whose index build must run on the
 	// current goroutine (SyncIndex, or async queue full) but outside the
 	// critical section; guarded by mu, drained via takeDeferredLocked.
@@ -189,6 +193,7 @@ func NewCollection(name string, schema Schema, store objstore.Store, cfg Config)
 		indexCh:   make(chan *Segment, 64),
 		stopTimer: make(chan struct{}),
 	}
+	c.idxDrained.L = &c.pendingMu
 	if cfg.TierDir != "" {
 		c.tier = &collTier{
 			dir:    filepath.Join(cfg.TierDir, name),
@@ -469,7 +474,7 @@ func (c *Collection) scheduleIndex(seg *Segment) *Segment {
 	if seg.Rows() < c.cfg.IndexRows || c.cfg.IndexType == "FLAT" {
 		return nil
 	}
-	c.pendingIdx.Add(1)
+	c.indexPending(1)
 	if !c.cfg.SyncIndex {
 		select {
 		case c.indexCh <- seg:
@@ -494,7 +499,7 @@ func (c *Collection) takeDeferredLocked() []*Segment {
 func (c *Collection) buildDeferred(segs []*Segment) {
 	for _, seg := range segs {
 		c.buildSegmentIndexes(seg)
-		c.pendingIdx.Add(-1)
+		c.indexPending(-1)
 	}
 }
 
@@ -502,7 +507,7 @@ func (c *Collection) indexBuilder() {
 	defer c.indexWG.Done()
 	for seg := range c.indexCh {
 		c.buildSegmentIndexes(seg)
-		c.pendingIdx.Add(-1)
+		c.indexPending(-1)
 	}
 }
 
@@ -616,11 +621,23 @@ func (c *Collection) install(builds []builtIndex, auto bool) {
 	}
 }
 
+// indexPending adds d to the scheduled index builds, waking WaitIndexed
+// when none is left.
+func (c *Collection) indexPending(d int) {
+	c.pendingMu.Lock()
+	defer c.pendingMu.Unlock()
+	if c.pendingIdx += d; c.pendingIdx == 0 {
+		c.idxDrained.Broadcast()
+	}
+}
+
 // WaitIndexed blocks until the async index builder has drained (tests and
 // benchmarks that need built indexes deterministically).
 func (c *Collection) WaitIndexed() {
-	for c.pendingIdx.Load() > 0 {
-		time.Sleep(time.Millisecond)
+	c.pendingMu.Lock()
+	defer c.pendingMu.Unlock()
+	for c.pendingIdx > 0 {
+		c.idxDrained.Wait()
 	}
 }
 

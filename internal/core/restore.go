@@ -76,7 +76,7 @@ func RestoreCollection(name string, schema Schema, store objstore.Store, cfg Con
 		// No lock is held here, so inline builds run directly.
 		if s := c.scheduleIndex(seg); s != nil {
 			c.buildSegmentIndexes(s)
-			c.pendingIdx.Add(-1)
+			c.indexPending(-1)
 		}
 	}
 	return c, nil

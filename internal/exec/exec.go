@@ -253,6 +253,11 @@ func (p *Pool) Close() {
 // have not started are skipped and Map returns ctx.Err(). Tasks already
 // running complete — results arrays indexed by task therefore stay
 // consistent — but no new per-segment work begins.
+//
+// A task that panics is recovered wherever it ran, so a worker survives
+// it. Tasks not yet started are then skipped, Map waits for those already
+// running, the caller's own included, and re-panics on the caller with the
+// first value recovered.
 func (p *Pool) Map(ctx context.Context, n int, fn func(int)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -264,10 +269,19 @@ func (p *Pool) Map(ctx context.Context, n int, fn func(int)) error {
 		return ctx.Err()
 	}
 	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
+		next  atomic.Int64
+		wg    sync.WaitGroup
+		fault atomic.Pointer[any] // the first panic value recovered
 	)
 	wg.Add(n)
+	run := func(i int) {
+		defer func() {
+			if v := recover(); v != nil {
+				fault.CompareAndSwap(nil, &v)
+			}
+		}()
+		fn(i)
+	}
 	// claim runs tasks until the counter passes n; only a claimed task
 	// touches fn, the pool's counters or wg.
 	claim := func() (claimed bool) {
@@ -277,9 +291,9 @@ func (p *Pool) Map(ctx context.Context, n int, fn func(int)) error {
 				return claimed
 			}
 			claimed = true
-			if ctx.Err() == nil {
+			if ctx.Err() == nil && fault.Load() == nil {
 				p.ran.Add(1)
-				fn(i)
+				run(i)
 			}
 			wg.Done()
 		}
@@ -314,6 +328,9 @@ func (p *Pool) Map(ctx context.Context, n int, fn func(int)) error {
 	}
 	claim()
 	wg.Wait()
+	if v := fault.Load(); v != nil {
+		panic(*v)
+	}
 	return ctx.Err()
 }
 

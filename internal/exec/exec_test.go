@@ -591,3 +591,103 @@ func TestCloseFailsQueuedAndWaitsForHolders(t *testing.T) {
 	<-closed
 	p.Close()
 }
+
+// onWorker reports whether the calling goroutine is one of a pool's
+// resident workers rather than a Map's caller.
+func onWorker() bool {
+	buf := make([]byte, 8<<10)
+	return bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("(*Pool).worker"))
+}
+
+// meet returns a task prologue that holds each of two tasks until both are
+// running, so one runs on the caller and one on a worker; it reports false
+// if the other never arrived.
+func meet() func() bool {
+	var in atomic.Int32
+	return func() bool {
+		in.Add(1)
+		for deadline := time.Now().Add(5 * time.Second); in.Load() < 2; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// mapPanic runs p.Map(n, fn) and returns the value it panicked with.
+func mapPanic(p *Pool, n int, fn func(int)) (v any) {
+	defer func() { v = recover() }()
+	_ = p.Map(context.Background(), n, fn)
+	return nil
+}
+
+// TestMapPanicReachesCaller: a task that panics on a worker is recovered
+// there and re-panicked on Map's caller with its value; a task that panics
+// on the caller still waits for the worker's running task; and the worker
+// then serves a new Map.
+func TestMapPanicReachesCaller(t *testing.T) {
+	p := NewPool(Config{Workers: 1})
+	defer p.Close()
+	for round := 0; round < 3; round++ {
+		both := meet()
+		v := mapPanic(p, 2, func(int) {
+			if both() && onWorker() {
+				panic("worker task")
+			}
+		})
+		if v != "worker task" {
+			t.Fatalf("round %d: Map's caller saw %v, want the worker's panic", round, v)
+		}
+
+		both = meet()
+		var finished atomic.Bool
+		v = mapPanic(p, 2, func(int) {
+			if !both() {
+				return
+			}
+			if !onWorker() {
+				panic("caller task")
+			}
+			time.Sleep(20 * time.Millisecond)
+			finished.Store(true)
+		})
+		if v != "caller task" {
+			t.Fatalf("round %d: Map's caller saw %v, want its own panic", round, v)
+		}
+		if !finished.Load() {
+			t.Fatalf("round %d: Map re-panicked before the worker's running task finished", round)
+		}
+	}
+	// All of the worker's help is still there: both tasks meet.
+	both := meet()
+	var met atomic.Int32
+	if err := p.Map(context.Background(), 2, func(int) {
+		if both() {
+			met.Add(1)
+		}
+	}); err != nil || met.Load() != 2 {
+		t.Fatalf("Map after panics: err %v, %d of 2 tasks met a worker", err, met.Load())
+	}
+}
+
+// TestMapPanicSkipsUnstartedTasks: once a task has panicked, tasks not
+// yet claimed do not run.
+func TestMapPanicSkipsUnstartedTasks(t *testing.T) {
+	p := NewPool(Config{Workers: 1})
+	defer p.Close()
+	var ran atomic.Int32
+	v := mapPanic(p, 1000, func(i int) {
+		ran.Add(1)
+		if i == 0 {
+			panic(fmt.Errorf("task %d", i))
+		}
+		time.Sleep(10 * time.Microsecond)
+	})
+	if err, ok := v.(error); !ok || err.Error() != "task 0" {
+		t.Fatalf("Map's caller saw %v, want task 0's error", v)
+	}
+	if n := ran.Load(); n >= 1000 {
+		t.Fatalf("all %d tasks ran after task 0 panicked", n)
+	}
+}

@@ -204,18 +204,19 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 const maxBodyBytes = 64 << 20
 
 // decodeBody reads the whole request body into v with json.Unmarshal's
-// answer (through Unmarshal's fast paths), answering 413 when the body
+// answer (through Unmarshal's fast paths, a large insert body's shards
+// scanned on the database's exec pool), answering 413 when the body
 // exceeds maxBodyBytes — at once when its Content-Length says so — and 400
 // when it does not parse, bytes after the JSON value included; false means
 // the response has been written.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	var body []byte
 	var err error = &http.MaxBytesError{Limit: maxBodyBytes}
 	if r.ContentLength <= maxBodyBytes {
 		body, err = ReadBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	}
 	if err == nil {
-		err = Unmarshal(body, v)
+		err = unmarshal(body, v, s.fanout)
 	}
 	if err == nil {
 		return true
@@ -228,6 +229,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	writeErr(w, code, err)
 	return false
 }
+
+// fanout runs a large insert body's decode shards on the database's exec
+// pool: the handler's goroutine works through them and idle workers help.
+func (s *Server) fanout(n int, fn func(int)) { _ = s.db.Exec().Map(context.Background(), n, fn) }
 
 // firstRead bounds the buffer ReadBody makes before a body has arrived.
 const firstRead = 1 << 20
@@ -316,7 +321,7 @@ func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.db.ListCollections())
 	case http.MethodPost:
 		var req CreateCollectionRequest
-		if !decodeBody(w, r, &req) {
+		if !s.decodeBody(w, r, &req) {
 			return
 		}
 		var schema core.Schema
@@ -405,7 +410,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, col *core.
 		return
 	}
 	var req InsertRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	rows := make([]core.Entity, len(req.Entities))
@@ -424,7 +429,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, col *core.
 		return
 	}
 	var req DeleteRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if err := col.Delete(req.IDs); err != nil {
@@ -454,7 +459,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, col *core.
 		return
 	}
 	var req SearchRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	// The query context descends from the request context (client disconnect
@@ -504,7 +509,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request, col *core.C
 		return
 	}
 	var req IndexRequest
-	if !decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Field == "" {
