@@ -135,7 +135,7 @@ conformance-filter:
 # test ./internal/rest -run Exhaustive -exhaustive, about six minutes on
 # two cores.)
 conformance-wire:
-	$(GO) test ./internal/rest -run 'TestWireEncoderGolden|TestWireFastPathCoverage|FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestTrailingBytesAre400|TestReadBody|TestDeclaredOversizedBodyIs413|TestDeclaredLengthAllocatesAsBodyArrives|TestUnencodableResultIs500|TestFloat32PrintSweep|TestG1Table|TestNumberScan|FuzzFloat32Print|FuzzNumberScan|TestInsertShardsMatchSerial|TestInsertShardsFailOnFirstNaN|FuzzInsertShards|TestLargeInsertDecodesOnThePool'
+	$(GO) test ./internal/rest -run 'TestWireEncoderGolden|TestWireFastPathCoverage|FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestTrailingBytesAre400|TestReadBody|TestDeclaredOversizedBodyIs413|TestDeclaredLengthAllocatesAsBodyArrives|TestUnencodableResultIs500|TestFloat32PrintSweep|TestG1Table|TestNumberScan|FuzzFloat32Print|FuzzNumberScan|TestInsertShardsMatchSerial|TestInsertShardsFailOnFirstNaN|FuzzInsertShards|TestLargeInsertDecodesOnThePool|TestLargeInsertsBesideSearches'
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchRequestWire$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertRequestWire$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchResponseWire$$' -fuzztime 10s

@@ -26,7 +26,9 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -151,11 +153,11 @@ func NewPool(cfg Config) *Pool {
 		reg.GaugeFunc("vectordb_exec_queue_depth", func() int64 { return int64(len(p.helpers)) })
 		reg.Help("vectordb_exec_rejected_total", "Queries fast-failed by admission control.")
 		reg.CounterFunc("vectordb_exec_rejected_total", func() int64 { return p.rejected.Load() })
-		reg.Help("vectordb_exec_tasks_total", "Segment tasks run by Map, on the calling goroutine or a worker.")
+		reg.Help("vectordb_exec_tasks_total", "Tasks run by Map (segment searches, insert-body decode shards), on the calling goroutine or a worker.")
 		reg.CounterFunc("vectordb_exec_tasks_total", func() int64 { return p.ran.Load() })
 		reg.Help("vectordb_exec_workers", "Resident workers in the shared execution pool.")
 		reg.GaugeFunc("vectordb_exec_workers", func() int64 { return int64(cfg.Workers) })
-		reg.Help("vectordb_exec_task_wait_seconds", "Queue wait of helpers that claimed a segment task, before a worker picked them up.")
+		reg.Help("vectordb_exec_task_wait_seconds", "Queue wait of helpers that claimed a task (segment search or insert-body decode shard), before a worker picked them up.")
 	}
 	p.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
@@ -256,8 +258,8 @@ func (p *Pool) Close() {
 //
 // A task that panics is recovered wherever it ran, so a worker survives
 // it. Tasks not yet started are then skipped, Map waits for those already
-// running, the caller's own included, and re-panics on the caller with the
-// first value recovered.
+// running, the caller's own included, and re-panics on the caller with a
+// *TaskPanic that carries the first value recovered and its stack.
 func (p *Pool) Map(ctx context.Context, n int, fn func(int)) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -271,13 +273,14 @@ func (p *Pool) Map(ctx context.Context, n int, fn func(int)) error {
 	var (
 		next  atomic.Int64
 		wg    sync.WaitGroup
-		fault atomic.Pointer[any] // the first panic value recovered
+		fault atomic.Pointer[TaskPanic] // the first panic recovered
 	)
 	wg.Add(n)
 	run := func(i int) {
 		defer func() {
 			if v := recover(); v != nil {
-				fault.CompareAndSwap(nil, &v)
+				// The stack still holds the panicking frames here.
+				fault.CompareAndSwap(nil, &TaskPanic{Value: v, Stack: debug.Stack()})
 			}
 		}()
 		fn(i)
@@ -329,9 +332,22 @@ func (p *Pool) Map(ctx context.Context, n int, fn func(int)) error {
 	claim()
 	wg.Wait()
 	if v := fault.Load(); v != nil {
-		panic(*v)
+		panic(v)
 	}
 	return ctx.Err()
+}
+
+// A TaskPanic is what Map re-panics with when a task panicked: the task's
+// value, and the stack where it panicked, which the re-panic on Map's
+// caller would otherwise lose. Its Error holds both, so a crash or
+// net/http's recovery log shows the fault site.
+type TaskPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *TaskPanic) Error() string {
+	return fmt.Sprintf("%v\n\ntask goroutine stack:\n%s", p.Value, p.Stack)
 }
 
 // Admit grants one of the pool's run slots, queueing the query while every

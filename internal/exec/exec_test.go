@@ -615,11 +615,27 @@ func meet() func() bool {
 	}
 }
 
-// mapPanic runs p.Map(n, fn) and returns the value it panicked with.
-func mapPanic(p *Pool, n int, fn func(int)) (v any) {
-	defer func() { v = recover() }()
-	_ = p.Map(context.Background(), n, fn)
-	return nil
+// mapPanic runs p.Map(n, fn) and returns the task's value it panicked
+// with, failing t unless the panic carries the stack where the task
+// panicked: a frame of the test that runs mapPanic.
+func mapPanic(t *testing.T, p *Pool, n int, fn func(int)) any {
+	t.Helper()
+	var tp *TaskPanic
+	func() {
+		defer func() {
+			if v := recover(); v != nil {
+				tp = v.(*TaskPanic)
+			}
+		}()
+		_ = p.Map(context.Background(), n, fn)
+	}()
+	if tp == nil {
+		return nil
+	}
+	if site := t.Name() + ".func"; !strings.Contains(string(tp.Stack), site) || !strings.Contains(tp.Error(), site) {
+		t.Errorf("the panic of %v carries no frame of %s:\n%s", tp.Value, site, tp.Error())
+	}
+	return tp.Value
 }
 
 // TestMapPanicReachesCaller: a task that panics on a worker is recovered
@@ -631,7 +647,7 @@ func TestMapPanicReachesCaller(t *testing.T) {
 	defer p.Close()
 	for round := 0; round < 3; round++ {
 		both := meet()
-		v := mapPanic(p, 2, func(int) {
+		v := mapPanic(t, p, 2, func(int) {
 			if both() && onWorker() {
 				panic("worker task")
 			}
@@ -642,7 +658,7 @@ func TestMapPanicReachesCaller(t *testing.T) {
 
 		both = meet()
 		var finished atomic.Bool
-		v = mapPanic(p, 2, func(int) {
+		v = mapPanic(t, p, 2, func(int) {
 			if !both() {
 				return
 			}
@@ -677,7 +693,7 @@ func TestMapPanicSkipsUnstartedTasks(t *testing.T) {
 	p := NewPool(Config{Workers: 1})
 	defer p.Close()
 	var ran atomic.Int32
-	v := mapPanic(p, 1000, func(i int) {
+	v := mapPanic(t, p, 1000, func(i int) {
 		ran.Add(1)
 		if i == 0 {
 			panic(fmt.Errorf("task %d", i))

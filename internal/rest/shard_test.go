@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vectordb/internal/core"
@@ -119,6 +122,9 @@ func shardSeeds(t testing.TB) wireSeeds {
 		`{"entities":[{"id":1,"attrs":[1,2,3,4,5,6,7,8,9,10,11,12,13,14]} x {"id":2}]}`,
 		`{"entities":[{"id":1,"attrs":[1,2,3,4,5,6,7,8,9,10,11,12,13,14]}{"id":2}]}`,
 		`{"entities":[{"id":1},{"id":2},]}`,
+		// A NUL byte after an entity, where a piece's scan must not stop.
+		`{"entities":[{"id":1}`+"\x00"+`},{"id":2}]}`,
+		`{"entities":[{"id":1}`+"\x00"+`,{"id":3},{"id":2}]}`,
 		`{"entities":[[{"id":1},{"id":2}]]}`,
 		`{"Entities":[{"id":1},{"id":2}]}`,
 		`{"entities":[]}`,
@@ -182,31 +188,60 @@ func FuzzInsertShards(f *testing.F) {
 	})
 }
 
+// postWire posts v, encoded by Marshal, to url and returns the response
+// body, failing t unless the status is 2xx.
+func postWire(t *testing.T, url string, v any) []byte {
+	t.Helper()
+	body, err := Marshal(v)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode/100 != 2 {
+		t.Errorf("POST %s: HTTP %d %s %v", url, resp.StatusCode, out, err)
+	}
+	return out
+}
+
+// wireServer serves a new database holding collection c, 64-dim vectors
+// and attribute a.
+func wireServer(t *testing.T) (*core.DB, *httptest.Server) {
+	db := core.NewDB(nil)
+	srv := httptest.NewServer(NewServer(db))
+	t.Cleanup(srv.Close)
+	postWire(t, srv.URL+"/collections", CreateCollectionRequest{Name: "c", VectorFields: []VectorFieldJSON{{Name: "v", Dim: 64}}, AttrFields: []string{"a"}})
+	return db, srv
+}
+
+// wireRows is an insert of rows entities with IDs from first on, each
+// vector distinct from every other ID's.
+func wireRows(first, rows int) InsertRequest {
+	r := InsertRequest{Entities: make([]EntityJSON, rows)}
+	for i := range r.Entities {
+		id := first + i
+		v := make([]float32, 64)
+		for j := range v {
+			v[j] = float32(id*64+j) / 8191
+		}
+		r.Entities[i] = EntityJSON{ID: int64(id), Vectors: [][]float32{v}, Attrs: []int64{int64(id)}}
+	}
+	return r
+}
+
 // TestLargeInsertDecodesOnThePool: the handler scans an insert body of
 // several shardFloors in shards on the database's exec pool, and a body
 // under two floors — mixed.rw's 128-row writer tick — on its own
 // goroutine, serially.
 func TestLargeInsertDecodesOnThePool(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	db := core.NewDB(nil)
-	srv := httptest.NewServer(NewServer(db))
-	defer srv.Close()
-	post := func(path string, v any) {
-		t.Helper()
-		body, err := Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			t.Fatalf("POST %s: HTTP %d", path, resp.StatusCode)
-		}
-	}
-	post("/collections", CreateCollectionRequest{Name: "c", VectorFields: []VectorFieldJSON{{Name: "v", Dim: 64}}, AttrFields: []string{"a"}})
+	db, srv := wireServer(t)
 	tasks := func() int {
 		var buf bytes.Buffer
 		if err := db.Obs().WritePrometheus(&buf); err != nil {
@@ -220,17 +255,10 @@ func TestLargeInsertDecodesOnThePool(t *testing.T) {
 		return n
 	}
 	insert := func(rows int) (body, ran int) {
-		r := InsertRequest{Entities: make([]EntityJSON, rows)}
-		for i := range r.Entities {
-			v := make([]float32, 64)
-			for j := range v {
-				v[j] = float32(i*64+j) / 8191
-			}
-			r.Entities[i] = EntityJSON{ID: int64(i), Vectors: [][]float32{v}, Attrs: []int64{int64(i)}}
-		}
+		r := wireRows(0, rows)
 		b, _ := Marshal(r)
 		before := tasks()
-		post("/collections/c/entities", r)
+		postWire(t, srv.URL+"/collections/c/entities", r)
 		return len(b), tasks() - before
 	}
 	if body, ran := insert(128); ran != 0 {
@@ -238,6 +266,55 @@ func TestLargeInsertDecodesOnThePool(t *testing.T) {
 	}
 	if body, ran := insert(2048); ran != shardCount(body) || ran < 2 {
 		t.Errorf("a %d-byte insert ran %d exec tasks, want %d shards", body, ran, shardCount(body))
+	}
+}
+
+// TestLargeInsertsBesideSearches: searches keep answering, and answering
+// right, while large insert bodies decode in shards on the exec pool that
+// runs the searches' tasks.
+func TestLargeInsertsBesideSearches(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	_, srv := wireServer(t)
+	postWire(t, srv.URL+"/collections/c/entities", wireRows(0, 128))
+	postWire(t, srv.URL+"/collections/c/flush", struct{}{})
+	query := SearchRequest{Field: "v", Vector: wireRows(5, 1).Entities[0].Vectors[0], K: 3}
+	var inserting, searching sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		inserting.Add(1)
+		go func() {
+			defer inserting.Done()
+			for i := 0; i < 3; i++ {
+				postWire(t, srv.URL+"/collections/c/entities", wireRows(1000+(w*3+i)*2048, 2048))
+			}
+		}()
+	}
+	done := make(chan struct{})
+	var searches atomic.Int64
+	for w := 0; w < 2; w++ {
+		searching.Add(1)
+		go func() {
+			defer searching.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var resp SearchResponse
+				if err := Unmarshal(postWire(t, srv.URL+"/collections/c/search", query), &resp); err != nil ||
+					len(resp.Results) == 0 || resp.Results[0].ID != 5 || resp.Results[0].Distance != 0 {
+					t.Errorf("search beside inserts: %+v, %v; want id 5 first at distance 0", resp, err)
+					return
+				}
+				searches.Add(1)
+			}
+		}()
+	}
+	inserting.Wait()
+	close(done)
+	searching.Wait()
+	if searches.Load() == 0 {
+		t.Error("no search finished while the inserts ran")
 	}
 }
 

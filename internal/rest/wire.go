@@ -495,7 +495,9 @@ func scanInsertShards(data []byte, shards int, run fanout) ([]EntityJSON, bool) 
 				p.eat(',')
 			}
 		}
-		if p.ok {
+		// skip also answers 0 at a NUL byte, so the piece counts only if
+		// the scanner stands at its bound.
+		if p.ok && p.i == len(p.b) {
 			pieces[j] = es
 		}
 	})
