@@ -115,33 +115,38 @@ conformance-filter:
 	$(GO) test ./internal/colstore -run 'TestFillRange|TestCompilePred|FuzzPredCompile'
 	$(GO) test ./internal/cluster -run 'TestClusterEqualsSingleNode|TestReaderFilteredAllocs|TestReaderProbeResolvedEqualsFullCompile|TestSearchRejectsBadRequest'
 
-# conformance-wire is the REST wire-codec gate: the append encoders write
-# exactly encoding/json's bytes (float format cutoffs, int64 range ends,
-# empty and null lists, escaped strings; NaN and ±Inf fail), the strict
-# scanners take the SDK's and the handler's bodies and leave everything
-# else to json.Unmarshal, and on any bytes the codec and json.Unmarshal
-# agree on accept or reject, on the decoded value, and on its re-encoding
-# — the checked-in seeds first, then ten seconds of fuzzing per body. The
+# conformance-wire is the REST wire-codec gate: the append encoders
+# write exactly encoding/json's bytes (float format cutoffs, int64 range
+# ends, empty lists, escaped strings; NaN and ±Inf fail), the
+# strict scanners take the JSON bodies the SDK and the handler send, and
+# other clients' insert bodies, and leave everything else to
+# json.Unmarshal, and on any bytes the codec and json.Unmarshal agree on
+# accept or reject, on the decoded value, and on its re-encoding — the
+# checked-in seeds first, then ten seconds of fuzzing per body. The
 # codec's own number kernels are held to strconv: the float32 printer on
 # every subnormal, every exponent's edge significands and random bit
 # patterns, the scanner's float32 and int64 on edge and random literals,
-# then ten seconds of fuzzing each. A large insert body is encoded and
-# scanned in shards: at 2–4 shards the sharded encode writes the serial
-# bytes and fails on the first NaN in entity order, the sharded scan gives
-# the serial scan's value or leaves the body to it (categories holding a
-# guessed cut, whitespace, any key order, repeated keys, truncations), and
-# the handler runs the shards on the exec pool while a small body stays
-# serial — the seeds, then ten seconds of fuzzing. (All 2^32 float32s: go
-# test ./internal/rest -run Exhaustive -exhaustive, about six minutes on
-# two cores.)
+# then ten seconds of fuzzing each. The SDK's inserts are columnar
+# bodies: a batch stores the same entities and answers the same searches
+# whether it arrives as JSON or as columns (two vector fields,
+# attributes, categories with empty strings and invalid UTF-8, −0,
+# subnormals, int64 ends, zero rows), a NaN or a ragged batch goes as
+# JSON, and the handler answers 400 to a bad magic or version, every
+# truncation, a trailing byte, overflowing counts and any NaN/±Inf, a
+# header claiming 2^32−1 rows allocating under 1 MiB; the decoder never
+# panics and every body it takes re-encodes to the same bytes — the
+# seeds, then ten seconds of fuzzing. Large columnar inserts run beside
+# searches that keep answering right. (All 2^32 float32s: go test
+# ./internal/rest -run Exhaustive -exhaustive, about six minutes on two
+# cores.)
 conformance-wire:
-	$(GO) test ./internal/rest -run 'TestWireEncoderGolden|TestWireFastPathCoverage|FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestTrailingBytesAre400|TestReadBody|TestDeclaredOversizedBodyIs413|TestDeclaredLengthAllocatesAsBodyArrives|TestUnencodableResultIs500|TestFloat32PrintSweep|TestG1Table|TestNumberScan|FuzzFloat32Print|FuzzNumberScan|TestInsertShardsMatchSerial|TestInsertShardsFailOnFirstNaN|FuzzInsertShards|TestLargeInsertDecodesOnThePool|TestLargeInsertsBesideSearches'
+	$(GO) test ./internal/rest -run 'TestWireEncoderGolden|TestWireFastPathCoverage|FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestTrailingBytesAre400|TestReadBody|TestDeclaredOversizedBodyIs413|TestDeclaredLengthAllocatesAsBodyArrives|TestUnencodableResultIs500|TestFloat32PrintSweep|TestG1Table|TestNumberScan|FuzzFloat32Print|FuzzNumberScan|TestInsertColumnsMatchJSON|TestInsertColumnsFailOnFirstNaN|TestInsertColumnsOnlyForUniformRows|TestInsertColumnsRejected|TestInsertColumnsHeaderAllocates|FuzzInsertColumns|TestLargeInsertsBesideSearches'
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchRequestWire$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertRequestWire$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchResponseWire$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzFloat32Print$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzNumberScan$$' -fuzztime 10s
-	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertShards$$' -fuzztime 10s
+	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertColumns$$' -fuzztime 10s
 
 # kernel-guard keeps every hot read path on the blocked batch kernels.
 # The static half — no per-tier kernel calls outside internal/vec — is

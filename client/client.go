@@ -1,6 +1,7 @@
 // Package client is the Go SDK for a vectordb server (Sec. 2.1 application
 // interfaces): a thin typed wrapper over the RESTful API served by
-// cmd/vectordbd.
+// cmd/vectordbd. Bodies are JSON, but for inserts: a batch whose rows agree
+// in shape goes as packed columns, Content-Type application/x-vectordb-columns.
 package client
 
 import (
@@ -27,13 +28,14 @@ func NewWithHTTPClient(base string, hc *http.Client) *Client {
 	return &Client{base: base, http: hc}
 }
 
-// do sends in as the JSON body and decodes the whole reply into out, both
-// through rest's codec.
+// do sends in as the body rest.Encode makes and decodes the whole JSON
+// reply into out through rest's codec.
 func (c *Client) do(method, path string, in, out any) error {
 	var body []byte
+	contentType := "application/json"
 	if in != nil {
 		var err error
-		if body, err = rest.Marshal(in); err != nil {
+		if body, contentType, err = rest.Encode(in); err != nil {
 			return err
 		}
 	}
@@ -41,7 +43,7 @@ func (c *Client) do(method, path string, in, out any) error {
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return err

@@ -153,11 +153,11 @@ func NewPool(cfg Config) *Pool {
 		reg.GaugeFunc("vectordb_exec_queue_depth", func() int64 { return int64(len(p.helpers)) })
 		reg.Help("vectordb_exec_rejected_total", "Queries fast-failed by admission control.")
 		reg.CounterFunc("vectordb_exec_rejected_total", func() int64 { return p.rejected.Load() })
-		reg.Help("vectordb_exec_tasks_total", "Tasks run by Map (segment searches, insert-body decode shards), on the calling goroutine or a worker.")
+		reg.Help("vectordb_exec_tasks_total", "Segment tasks run by Map, on the calling goroutine or a worker.")
 		reg.CounterFunc("vectordb_exec_tasks_total", func() int64 { return p.ran.Load() })
 		reg.Help("vectordb_exec_workers", "Resident workers in the shared execution pool.")
 		reg.GaugeFunc("vectordb_exec_workers", func() int64 { return int64(cfg.Workers) })
-		reg.Help("vectordb_exec_task_wait_seconds", "Queue wait of helpers that claimed a task (segment search or insert-body decode shard), before a worker picked them up.")
+		reg.Help("vectordb_exec_task_wait_seconds", "Queue wait of helpers that claimed a segment task, before a worker picked them up.")
 	}
 	p.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {

@@ -21,6 +21,8 @@ var ErrNotFound = errors.New("objstore: key not found")
 
 // Store is a flat key → bytes object store.
 type Store interface {
+	// Put stores data under key. A store may keep data itself rather
+	// than a copy, so the caller must not write data after Put returns.
 	Put(key string, data []byte) error
 	Get(key string) ([]byte, error)
 	Delete(key string) error
@@ -36,16 +38,15 @@ type Memory struct {
 // NewMemory creates an empty in-memory store.
 func NewMemory() *Memory { return &Memory{data: map[string][]byte{}} }
 
-// Put implements Store.
+// Put implements Store. It keeps data, not a copy.
 func (m *Memory) Put(key string, data []byte) error {
-	cp := append([]byte(nil), data...)
 	m.mu.Lock()
-	m.data[key] = cp
+	m.data[key] = data
 	m.mu.Unlock()
 	return nil
 }
 
-// Get implements Store.
+// Get implements Store with a copy, which the caller owns.
 func (m *Memory) Get(key string) ([]byte, error) {
 	m.mu.RLock()
 	d, ok := m.data[key]

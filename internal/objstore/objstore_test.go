@@ -65,19 +65,34 @@ func TestStoreContract(t *testing.T) {
 	}
 }
 
+// TestMemoryIsolation: a reader's writes to what Get returned never reach
+// the stored object. (A Put's caller does not write data afterwards: the
+// Store contract.)
 func TestMemoryIsolation(t *testing.T) {
 	m := NewMemory()
-	data := []byte{1, 2, 3}
-	m.Put("k", data)
-	data[0] = 99 // caller mutation must not leak in
+	m.Put("k", []byte{1, 2, 3})
 	got, _ := m.Get("k")
-	if got[0] != 1 {
-		t.Fatal("Put did not copy")
-	}
 	got[1] = 99 // reader mutation must not leak back
 	got2, _ := m.Get("k")
 	if got2[1] != 2 {
 		t.Fatal("Get did not copy")
+	}
+}
+
+// TestMemoryPutKeepsData: Put of a 1 MiB blob stores the caller's slice
+// and allocates nothing.
+func TestMemoryPutKeepsData(t *testing.T) {
+	m := NewMemory()
+	blob := make([]byte, 1<<20)
+	m.Put("k", blob)
+	if allocs := testing.AllocsPerRun(20, func() { m.Put("k", blob) }); allocs != 0 {
+		t.Fatalf("Put of a 1 MiB blob made %v allocations, want 0", allocs)
+	}
+	m.mu.RLock()
+	kept := m.data["k"]
+	m.mu.RUnlock()
+	if &kept[0] != &blob[0] {
+		t.Fatal("Put stored a copy of the blob")
 	}
 }
 

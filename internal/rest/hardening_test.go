@@ -1,11 +1,13 @@
 package rest_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -169,6 +171,31 @@ func TestReadBody(t *testing.T) {
 		if (err == nil) != c.ok || c.ok && string(got) != c.body {
 			t.Errorf("ReadBody(%d bytes, %d) = %d bytes, %v", len(c.body), c.n, len(got), err)
 		}
+	}
+}
+
+// chunked delivers its reader's bytes at most 64 KiB per Read, as a
+// socket does.
+type chunked struct{ r io.Reader }
+
+func (c chunked) Read(p []byte) (int, error) { return c.r.Read(p[:min(len(p), 64<<10)]) }
+
+// BenchmarkReadBody: a 2 MiB and a 5 MiB body under their Content-Length,
+// arriving in 64 KiB reads; B/op is what the buffer's growth from
+// firstRead costs.
+func BenchmarkReadBody(b *testing.B) {
+	for _, size := range []int{2 << 20, 5 << 20} {
+		body := []byte(strings.Repeat("7", size))
+		b.Run(strconv.Itoa(size>>20)+"MiB", func(b *testing.B) {
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				got, err := rest.ReadBody(chunked{bytes.NewReader(body)}, int64(size))
+				if err != nil || len(got) != size {
+					b.Fatalf("%d bytes, %v", len(got), err)
+				}
+			}
+		})
 	}
 }
 

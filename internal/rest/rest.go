@@ -204,19 +204,21 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 const maxBodyBytes = 64 << 20
 
 // decodeBody reads the whole request body into v with json.Unmarshal's
-// answer (through Unmarshal's fast paths, a large insert body's shards
-// scanned on the database's exec pool), answering 413 when the body
+// answer (through Unmarshal's fast paths), answering 413 when the body
 // exceeds maxBodyBytes — at once when its Content-Length says so — and 400
 // when it does not parse, bytes after the JSON value included; false means
-// the response has been written.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// the response has been written. A *[]core.Entity takes an insert body,
+// columnar or JSON by its Content-Type.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	var body []byte
 	var err error = &http.MaxBytesError{Limit: maxBodyBytes}
 	if r.ContentLength <= maxBodyBytes {
 		body, err = ReadBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	}
-	if err == nil {
-		err = unmarshal(body, v, s.fanout)
+	if rows, ok := v.(*[]core.Entity); ok && err == nil {
+		*rows, err = decodeInsert(body, r.Header.Get("Content-Type"))
+	} else if err == nil {
+		err = Unmarshal(body, v)
 	}
 	if err == nil {
 		return true
@@ -230,20 +232,16 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 	return false
 }
 
-// fanout runs a large insert body's decode shards on the database's exec
-// pool: the handler's goroutine works through them and idle workers help.
-func (s *Server) fanout(n int, fn func(int)) { _ = s.db.Exec().Map(context.Background(), n, fn) }
-
 // firstRead bounds the buffer ReadBody makes before a body has arrived.
 const firstRead = 1 << 20
 
 // ReadBody reads all of an HTTP body whose declared length is n: into a
 // buffer of n bytes when n is at most firstRead, and otherwise into one
-// that starts at firstRead and doubles toward n as the body arrives, so a
-// Content-Length with nothing behind it holds at most firstRead. It then
-// reads to the body's EOF, which is also what lets a client reuse the
-// connection. A body of unknown length (n is -1, as when chunked), or of
-// one past maxBodyBytes, is read as it comes.
+// that starts at firstRead and, each time it fills, is remade at twice the
+// bytes arrived (n at most), so a Content-Length with nothing behind it
+// holds at most firstRead. It then reads to the body's EOF, which is also
+// what lets a client reuse the connection. A body of unknown length (n is
+// -1, as when chunked), or of one past maxBodyBytes, is read as it comes.
 func ReadBody(body io.Reader, n int64) ([]byte, error) {
 	if n < 0 || n > maxBodyBytes {
 		return io.ReadAll(body)
@@ -257,7 +255,9 @@ func ReadBody(body io.Reader, n int64) ([]byte, error) {
 		if off += m; int64(off) == n {
 			break
 		}
-		b = append(b, make([]byte, min(int64(off), n-int64(off)))...)
+		grown := make([]byte, min(2*int64(off), n))
+		copy(grown, b)
+		b = grown
 	}
 	if _, err := io.ReadFull(body, make([]byte, 1)); err != io.EOF {
 		if err == nil {
@@ -321,7 +321,7 @@ func (s *Server) handleCollections(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.db.ListCollections())
 	case http.MethodPost:
 		var req CreateCollectionRequest
-		if !s.decodeBody(w, r, &req) {
+		if !decodeBody(w, r, &req) {
 			return
 		}
 		var schema core.Schema
@@ -409,13 +409,9 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, col *core.
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var req InsertRequest
-	if !s.decodeBody(w, r, &req) {
+	var rows []core.Entity
+	if !decodeBody(w, r, &rows) {
 		return
-	}
-	rows := make([]core.Entity, len(req.Entities))
-	for i, e := range req.Entities {
-		rows[i] = core.Entity{ID: e.ID, Vectors: e.Vectors, Attrs: e.Attrs, Cats: e.Cats}
 	}
 	if err := col.Insert(rows); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -429,7 +425,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, col *core.
 		return
 	}
 	var req DeleteRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := col.Delete(req.IDs); err != nil {
@@ -459,7 +455,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, col *core.
 		return
 	}
 	var req SearchRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	// The query context descends from the request context (client disconnect
@@ -509,7 +505,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request, col *core.C
 		return
 	}
 	var req IndexRequest
-	if !s.decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Field == "" {

@@ -1,7 +1,8 @@
 package rest
 
-// The codec of the hot bodies: the single-vector search request, its
-// response and the insert request. Anything else, and any body the strict
+// The JSON codec of the hot bodies: the single-vector search request, its
+// response, and the insert request other clients send (the SDK sends its
+// inserts as columns, columns.go). Anything else, and any body the strict
 // scanner does not fully cover, goes through encoding/json, so the
 // contract is encoding/json's bytes and json.Unmarshal's answer, faster.
 
@@ -10,29 +11,18 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
-	"runtime"
-	"slices"
 	"strconv"
-	"sync"
 
 	"vectordb/internal/topk"
 )
 
 // Marshal is json.Marshal. A SearchRequest with one query vector and no
-// categorical filter, and an InsertRequest, are appended directly; a large
-// InsertRequest is encoded in shards on up to GOMAXPROCS goroutines.
+// categorical filter is appended directly.
 func Marshal(v any) ([]byte, error) {
-	switch v := v.(type) {
-	case SearchRequest:
-		if len(v.Vectors) > 0 || len(v.Weights) > 0 || v.CatFilter != nil {
-			return json.Marshal(v)
-		}
+	if v, ok := v.(SearchRequest); ok && len(v.Vectors) == 0 && len(v.Weights) == 0 && v.CatFilter == nil {
 		e := encoder{b: make([]byte, 0, 128+len(v.Field)+floatBytes*len(v.Vector))}
 		e.searchRequest(&v)
 		return e.done()
-	case InsertRequest:
-		n := insertBytes(v.Entities)
-		return encodeInsert(v, n, shardCount(n), goFanout)
 	}
 	return json.Marshal(v)
 }
@@ -40,18 +30,14 @@ func Marshal(v any) ([]byte, error) {
 // Unmarshal is json.Unmarshal for a v that points at a zero value. A
 // *SearchRequest, *InsertRequest or *SearchResponse is first read by the
 // strict scanner; a body it does not fully cover goes to json.Unmarshal,
-// which then decides. A large insert body is scanned in shards on up to
-// GOMAXPROCS goroutines.
-func Unmarshal(data []byte, v any) error { return unmarshal(data, v, goFanout) }
-
-// unmarshal is Unmarshal with a large insert body's shards run by run.
-func unmarshal(data []byte, v any, run fanout) error {
+// which then decides.
+func Unmarshal(data []byte, v any) error {
 	var scanned bool
 	switch v := v.(type) {
 	case *SearchRequest:
 		scanned = scan(data, v, (*scanner).searchRequest)
 	case *InsertRequest:
-		scanned = scanInsert(data, v, shardCount(len(data)), run)
+		scanned = scan(data, v, (*scanner).insertRequest)
 	case *SearchResponse:
 		scanned = scan(data, v, (*scanner).searchResponse)
 	}
@@ -73,34 +59,6 @@ func encodeSearchResponse(rs []topk.Result) ([]byte, error) {
 	list(&e, rs, (*encoder).result)
 	e.raw("}")
 	return e.done()
-}
-
-// shardFloor is the least body a codec shard is given, in bytes: about a
-// millisecond of encoding or scanning floats (BenchmarkInsertWire), so a
-// shard's work outweighs starting it, and every search body and small
-// insert stays serial.
-const shardFloor = 192 << 10
-
-// shardCount is how many shards an insert body of n bytes is cut into:
-// one per shardFloor bytes, at most one per core.
-func shardCount(n int) int { return max(1, min(runtime.GOMAXPROCS(0), n/shardFloor)) }
-
-// fanout runs fn(0)..fn(n-1) and returns when all have finished.
-type fanout func(n int, fn func(int))
-
-// goFanout is the SDK's fanout: fn(0) on the caller and the rest on a
-// goroutine each.
-func goFanout(n int, fn func(int)) {
-	var wg sync.WaitGroup
-	wg.Add(n - 1)
-	for j := 1; j < n; j++ {
-		go func() {
-			defer wg.Done()
-			fn(j)
-		}()
-	}
-	fn(0)
-	wg.Wait()
 }
 
 // floatBytes is what a float32 and its comma usually take ("-1.2345678e-12,");
@@ -156,12 +114,8 @@ func (e *encoder) str(s string) {
 	e.b = append(e.b, q...)
 }
 
-// list appends v as a JSON array, or null when v is nil.
+// list appends v, which is not nil, as a JSON array.
 func list[T any](e *encoder, v []T, elem func(*encoder, T)) {
-	if v == nil {
-		e.raw("null")
-		return
-	}
 	e.raw("[")
 	for i, x := range v {
 		if i > 0 {
@@ -192,67 +146,6 @@ func (e *encoder) searchRequest(r *SearchRequest) {
 		e.raw(`,"lo":`).int(f.Lo)
 		e.raw(`,"hi":`).int(f.Hi)
 		e.raw("}")
-	}
-	e.raw("}")
-}
-
-// insertBytes is the capacity an insert body of es is encoded into.
-func insertBytes(es []EntityJSON) int {
-	n := 16
-	for _, x := range es {
-		n += 48 + 21*len(x.Attrs)
-		for _, vec := range x.Vectors {
-			n += floatBytes * len(vec)
-		}
-	}
-	return n
-}
-
-// encodeInsert appends r into a buffer of capacity n, its entities cut
-// into up to shards contiguous ranges that run encodes side by side and
-// that are then joined: the bytes are the serial encoding's, and the
-// error is the first one in entity order, as the serial encoding meets it.
-func encodeInsert(r InsertRequest, n, shards int, run fanout) ([]byte, error) {
-	es := r.Entities
-	e := encoder{b: make([]byte, 0, n)}
-	if es == nil {
-		return e.raw(`{"entities":null}`).done()
-	}
-	e.raw(`{"entities":[`)
-	shards = max(1, min(shards, len(es)))
-	parts := make([]encoder, shards)
-	parts[0] = e
-	run(shards, func(j int) {
-		part := es[j*len(es)/shards : (j+1)*len(es)/shards]
-		p := &parts[j]
-		if j > 0 {
-			p.b = make([]byte, 0, insertBytes(part))
-		}
-		for i, x := range part {
-			if i > 0 {
-				p.raw(",")
-			}
-			p.entity(x)
-		}
-	})
-	e = parts[0]
-	for _, p := range parts[1:] {
-		e.b = append(append(e.b, ','), p.b...)
-		if e.err == nil {
-			e.err = p.err
-		}
-	}
-	return e.raw("]}").done()
-}
-
-func (e *encoder) entity(x EntityJSON) {
-	e.raw(`{"id":`).int(x.ID)
-	list(e.raw(`,"vectors":`), x.Vectors, (*encoder).floats)
-	if len(x.Attrs) > 0 {
-		list(e.raw(`,"attrs":`), x.Attrs, (*encoder).int)
-	}
-	if len(x.Cats) > 0 {
-		list(e.raw(`,"cats":`), x.Cats, (*encoder).str)
 	}
 	e.raw("}")
 }
@@ -434,99 +327,6 @@ func (s *scanner) searchRequest(r *SearchRequest) {
 			})
 		}
 	})
-}
-
-// scanInsert reads data into the zero r as scan with insertRequest does,
-// taking the sharded scan's entities when it covers the body.
-func scanInsert(data []byte, r *InsertRequest, shards int, run fanout) bool {
-	if shards > 1 {
-		if es, ok := scanInsertShards(data, shards, run); ok {
-			r.Entities = es
-			return true
-		}
-	}
-	return scan(data, r, (*scanner).insertRequest)
-}
-
-// scanInsertShards cuts the entities array of the insert body data at up
-// to shards−1 guessed element boundaries — a '}' then a ',' then a '{',
-// whitespace around the comma — and has run scan each piece with the
-// strict scanner, bounded at its piece's end. It reports whether the
-// pieces cover the body: each is one or more entities separated by commas
-// and ends exactly where the next one's separating comma is, the first
-// begins right after `{"entities":[` and the last ends at the body's
-// closing `]}`. Then the serial scan reads the same entities, since each
-// piece starts where the serial scan would start its next entity, and a
-// guess inside a string fails the piece whose scan the cut truncates.
-func scanInsertShards(data []byte, shards int, run fanout) ([]EntityJSON, bool) {
-	s := scanner{b: data, ok: true}
-	s.eat('{')
-	key := s.plain()
-	s.eat(':')
-	s.eat('[')
-	end := len(bytes.TrimRight(data, " \t\n\r")) - 1
-	if !s.ok || string(key) != "entities" || data[end] != '}' {
-		return nil, false
-	}
-	if end = len(bytes.TrimRight(data[:end], " \t\n\r")) - 1; data[end] != ']' {
-		return nil, false
-	}
-	// Piece j lies between bounds[j] and bounds[j+1]: the '[', the commas
-	// cut at and the closing ']'.
-	bounds := []int{s.i - 1}
-	for j := 1; j < shards; j++ {
-		c := cutAfter(data[:end], max(s.i+j*(end-s.i)/shards, bounds[j-1]+1))
-		if c < 0 {
-			break
-		}
-		bounds = append(bounds, c)
-	}
-	if bounds = append(bounds, end); len(bounds) < 3 {
-		return nil, false
-	}
-	// A piece that does not cover its bytes is left nil.
-	pieces := make([][]EntityJSON, len(bounds)-1)
-	run(len(pieces), func(j int) {
-		p := scanner{b: data[:bounds[j+1]], i: bounds[j] + 1, ok: true}
-		var es []EntityJSON
-		for more := true; more && p.ok; {
-			es = append(es, p.entity())
-			if more = p.skip() != 0; more {
-				p.eat(',')
-			}
-		}
-		// skip also answers 0 at a NUL byte, so the piece counts only if
-		// the scanner stands at its bound.
-		if p.ok && p.i == len(p.b) {
-			pieces[j] = es
-		}
-	})
-	for _, piece := range pieces {
-		if piece == nil {
-			return nil, false
-		}
-	}
-	return slices.Concat(pieces...), true
-}
-
-// cutAfter returns the position of the first comma at or after from in b
-// that has a '}' before it and a '{' after it, whitespace aside, or -1.
-func cutAfter(b []byte, from int) int {
-	for {
-		i := bytes.IndexByte(b[from:], '}')
-		if i < 0 {
-			return -1
-		}
-		s := scanner{b: b, i: from + i + 1}
-		if s.skip() == ',' {
-			c := s.i
-			s.i++
-			if s.skip() == '{' {
-				return c
-			}
-		}
-		from = s.i
-	}
 }
 
 func (s *scanner) insertRequest(r *InsertRequest) {
