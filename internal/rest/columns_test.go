@@ -351,6 +351,70 @@ func FuzzInsertColumns(f *testing.F) {
 	})
 }
 
+// shardSeeds are JSON insert bodies of several entities: the SDK's
+// encoding of a 12-row batch and every prefix of it, one with whitespace
+// and keys in any order, rows of mixed shapes, and edge values.
+func shardSeeds(t testing.TB) wireSeeds {
+	var es []EntityJSON
+	for i := 0; i < 12; i++ {
+		es = append(es, EntityJSON{ID: int64(i), Vectors: [][]float32{{float32(i) / 3, -1e-7}},
+			Attrs: []int64{int64(i)}, Cats: []string{"red", "a b"}})
+	}
+	sdk := mustMarshal(t, InsertRequest{Entities: es})
+	s := wireSeeds{}
+	s.add(true,
+		sdk,
+		" {\n\"entities\" :\t[ {\"id\":1,\"vectors\":[[1]]} ,\n {\"vectors\":[[2,3]],\"id\":2} ,{ \"cats\":[\"c\"],\"attrs\":[4],\"id\":3 }\r\n,\n\t{\"attrs\":[],\"id\":4} ] \n}\t",
+		`{"entities":[{"id":1},{"id":2},{"id":3},{"id":4}]}`,
+		`{"entities":[{"id":1,"vectors":[[1,2]]},{"id":2,"vectors":[[3]]},{"id":3,"vectors":[[4]],"attrs":[5]},{"id":4,"vectors":[[]]}]}`,
+		`{"entities":[{"id":-9223372036854775808,"vectors":[[-0,1e-45]],"cats":[""]},{"id":9223372036854775807,"vectors":[[3.4028235e38,0]],"cats":["\u00e9"]}]}`,
+	)
+	s.truncations(sdk)
+	return s
+}
+
+// FuzzInsertShards: a JSON insert body the server takes, cut into 2–4
+// shards and each shard encoded as the SDK sends it — columns when its
+// rows agree in shape, JSON otherwise — decodes to the whole body's
+// entities, bit for bit.
+func FuzzInsertShards(f *testing.F) {
+	for _, seeds := range []wireSeeds{insertRequestSeeds(f), shardSeeds(f)} {
+		for body := range seeds {
+			f.Add([]byte(body), uint8(len(body)))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, k uint8) {
+		want, err := decodeInsert(data, "application/json")
+		if err != nil {
+			return
+		}
+		var got []core.Entity
+		for j, shards := 0, 2+int(k%3); j < shards; j++ {
+			var es []EntityJSON
+			for _, e := range want[j*len(want)/shards : (j+1)*len(want)/shards] {
+				es = append(es, EntityJSON(e))
+			}
+			body, ctype, err := Encode(InsertRequest{Entities: es})
+			if err != nil {
+				t.Fatalf("%q: shard %d of %d does not encode: %v", data, j, shards, err)
+			}
+			rows, err := decodeInsert(body, ctype)
+			if err != nil {
+				t.Fatalf("%q: shard %d of %d, sent as %s, does not decode: %v", data, j, shards, ctype, err)
+			}
+			got = append(got, rows...)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%q: %d entities in shards, %d in the body", data, len(got), len(want))
+		}
+		for i := range want {
+			if !sameEntity(&got[i], &want[i]) {
+				t.Fatalf("%q: entity %d is %+v in shards, %+v in the body", data, i, got[i], want[i])
+			}
+		}
+	})
+}
+
 // postWire posts v, encoded by Marshal, to url and returns the response
 // body, failing t unless the status is 2xx.
 func postWire(t *testing.T, url string, v any) []byte {
