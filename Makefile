@@ -162,20 +162,26 @@ conformance-wire:
 # counter at zero. TestRowDistanceInvariance holds the asm tiers and the
 # scalar reference to row-pure distances: a row scores bit-identically
 # whatever the block length, its offset, or the entry point (batch, bound,
-# tile, gather), which the bit-identity conformance tests rely on.
+# tile, gather), which the bit-identity conformance tests rely on. k-means'
+# assignment step must score each block of rows in one panel-kernel
+# dispatch (TestAssignAllUsesPanelKernel), so a fall-back to the tile
+# kernel plus a scalar argmin fails here.
 kernel-guard:
 	$(GO) test ./internal/vec -run TestRowDistanceInvariance
+	$(GO) test ./internal/kmeans -run TestAssignAllUsesPanelKernel
 	$(GO) test ./internal/index -run 'TestIndexScansUseBatchKernels|TestScanBlockedUsesBatchKernels'
 	$(GO) test ./internal/core -run 'TestSegmentScanUsesBatchKernels|TestSearchBatchUsesTileKernels'
 
 # purego builds the kernel packages with the assembly left out (the
 # purego tag: every tier runs the pure-Go kernels, as on a non-amd64
 # host) and runs their tests, so the portable fallback cannot rot on the
-# amd64 hosts CI runs on. The rest of the module waits: some of its tests
-# compare pairwise and batch distances bit for bit, and the pure-Go tiers
-# sum a block's tail rows in a different order (ROADMAP 7e).
+# amd64 hosts CI runs on; k-means (the pure-Go panel kernel with its exact
+# re-check) and PQ training run here too. The rest of the module waits:
+# some of its tests compare pairwise and batch distances bit for bit, and
+# the pure-Go tiers sum a block's tail rows in a different order
+# (ROADMAP 7e).
 purego:
-	$(GO) test -tags purego ./internal/vec ./internal/index/...
+	$(GO) test -tags purego ./internal/vec ./internal/kmeans ./internal/quantizer ./internal/index/...
 
 # repro-check asserts the paper's shapes on the figures that measure the
 # served engine: each experiments *ShapeHolds test regenerates its figure

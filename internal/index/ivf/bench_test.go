@@ -53,3 +53,36 @@ func BenchmarkBuild(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBlob times the IVF_FLAT blob codec at the dim-64 IVF build's
+// shape (16,384 × 64 rows, 256 buckets): MarshalIndex, which a sealed
+// segment's index build waits on, and unmarshalIVF, which a reader's first
+// search of the segment waits on.
+func BenchmarkBlob(b *testing.B) {
+	d := dataset.Uniform(16384, 64, 74)
+	idx, err := (&Builder{Fine: FineFlat, Metric: vec.L2, Dim: d.Dim, Nlist: 256, MaxIter: 2}).Build(d.Data, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := idx.(*IVF)
+	blob, err := x.MarshalIndex()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("marshal", func(b *testing.B) {
+		b.SetBytes(int64(len(blob)))
+		for i := 0; i < b.N; i++ {
+			if _, err := x.MarshalIndex(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("unmarshal", func(b *testing.B) {
+		b.SetBytes(int64(len(blob)))
+		for i := 0; i < b.N; i++ {
+			if _, err := unmarshalIVF(FineFlat, vec.L2, d.Dim, blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"unsafe"
 
 	"vectordb/internal/index"
 	"vectordb/internal/kmeans"
@@ -34,31 +36,42 @@ const (
 	ivfMagicV1 = uint32(0x49564631) // "IVF1"
 )
 
+// hostLE reports whether this host lays numbers out little-endian, as the
+// blob does: arrays then move between memory and the blob in one copy.
+// Big-endian hosts take the per-element path.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// asBytes views an array's elements as their in-memory bytes.
+func asBytes[T float32 | int32 | int64](xs []T) []byte {
+	if len(xs) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&xs[0])), len(xs)*int(unsafe.Sizeof(xs[0])))
+}
+
 type blobWriter struct{ buf []byte }
 
-func (w *blobWriter) u32(v uint32)  { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *blobWriter) u64(v uint64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *blobWriter) f32(v float32) { w.u32(math.Float32bits(v)) }
-func (w *blobWriter) floats(xs []float32) {
-	w.u32(uint32(len(xs)))
-	for _, x := range xs {
-		w.f32(x)
-	}
-}
+func (w *blobWriter) u32(v uint32)        { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+func (w *blobWriter) u64(v uint64)        { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *blobWriter) f32(v float32)       { w.u32(math.Float32bits(v)) }
+func (w *blobWriter) floats(xs []float32) { writeArray(w, xs, w.f32) }
 func (w *blobWriter) bytes(bs []byte) {
 	w.u32(uint32(len(bs)))
 	w.buf = append(w.buf, bs...)
 }
-func (w *blobWriter) ids(xs []int64) {
+func (w *blobWriter) ids(xs []int64)    { writeArray(w, xs, func(x int64) { w.u64(uint64(x)) }) }
+func (w *blobWriter) pos32s(xs []int32) { writeArray(w, xs, func(x int32) { w.u32(uint32(x)) }) }
+
+// writeArray appends one length-prefixed array: one copy on a
+// little-endian host, else one put per element.
+func writeArray[T float32 | int32 | int64](w *blobWriter, xs []T, put func(T)) {
 	w.u32(uint32(len(xs)))
-	for _, x := range xs {
-		w.u64(uint64(x))
+	if hostLE {
+		w.buf = append(w.buf, asBytes(xs)...)
+		return
 	}
-}
-func (w *blobWriter) pos32s(xs []int32) {
-	w.u32(uint32(len(xs)))
 	for _, x := range xs {
-		w.u32(uint32(x))
+		put(x)
 	}
 }
 
@@ -109,12 +122,25 @@ func (r *blobReader) count(width int) int {
 
 func (r *blobReader) floats() []float32 { return r.appendFloats(nil) }
 
+// appendArray appends one length-prefixed array of width-byte elements
+// to dst: one copy on a little-endian host, else one get per element.
+func appendArray[T float32 | int32 | int64](r *blobReader, dst []T, width int, get func() T) []T {
+	n := r.count(width)
+	if !hostLE {
+		for ; n > 0; n-- {
+			dst = append(dst, get())
+		}
+		return dst
+	}
+	m := len(dst)
+	dst = slices.Grow(dst, n)[:m+n]
+	r.off += copy(asBytes(dst[m:]), r.buf[r.off:r.off+width*n])
+	return dst
+}
+
 // appendFloats appends one length-prefixed float array to dst.
 func (r *blobReader) appendFloats(dst []float32) []float32 {
-	for n := r.count(4); n > 0; n-- {
-		dst = append(dst, r.f32())
-	}
-	return dst
+	return appendArray(r, dst, 4, r.f32)
 }
 
 // appendBytes appends one length-prefixed byte array to dst.
@@ -127,18 +153,12 @@ func (r *blobReader) appendBytes(dst []byte) []byte {
 
 // appendPos appends one length-prefixed int32 array to dst.
 func (r *blobReader) appendPos(dst []int32) []int32 {
-	for n := r.count(4); n > 0; n-- {
-		dst = append(dst, int32(r.u32()))
-	}
-	return dst
+	return appendArray(r, dst, 4, func() int32 { return int32(r.u32()) })
 }
 
 // appendIDs appends one length-prefixed int64 array to dst.
 func (r *blobReader) appendIDs(dst []int64) []int64 {
-	for n := r.count(8); n > 0; n-- {
-		dst = append(dst, int64(r.u64()))
-	}
-	return dst
+	return appendArray(r, dst, 8, func() int64 { return int64(r.u64()) })
 }
 
 // MarshalIndex implements index.Marshaler. Externalized indexes refuse:
@@ -149,7 +169,18 @@ func (x *IVF) MarshalIndex() ([]byte, error) {
 	if x.Externalized() {
 		return nil, fmt.Errorf("ivf: externalized index does not marshal; persist before externalizing")
 	}
-	w := &blobWriter{}
+	floats, codes, _ := x.ResidentPayload()
+	size := 6*4 + 4*len(x.coarse.Centroids) + 12*x.nlist + 12*len(x.ids) + 4*len(floats) + len(codes)
+	switch x.fine {
+	case FineSQ8:
+		size += 8 + 4*(len(x.sq8.Min)+len(x.sq8.Step))
+	case FinePQ:
+		size += 8 + 4*len(x.pq.Codebooks)
+		for _, cb := range x.pq.Codebooks {
+			size += 4 * len(cb)
+		}
+	}
+	w := &blobWriter{buf: make([]byte, 0, size)}
 	w.u32(ivfMagic)
 	w.u32(uint32(x.fine))
 	w.u32(uint32(x.nlist))
@@ -167,7 +198,6 @@ func (x *IVF) MarshalIndex() ([]byte, error) {
 			w.floats(cb)
 		}
 	}
-	floats, codes, _ := x.ResidentPayload()
 	cs := x.rowWidth()
 	for b := 0; b < x.nlist; b++ {
 		w.ids(bucket(x.ids, x.starts, b, 1))
@@ -233,6 +263,16 @@ func unmarshalIVF(fine Fine, metric vec.Metric, dim int, data []byte) (index.Ind
 	}
 	cs := x.rowWidth()
 	var res resident
+	// Size the arrays once from the header, capped by what the rest of the
+	// blob can hold (12 bytes of id and position a row), so a corrupt
+	// header cannot make the decoder allocate past its input.
+	rows := min(x.size, (len(data)-r.off)/12)
+	x.ids, x.pos = make([]int64, 0, rows), make([]int32, 0, rows)
+	if fine == FineFlat {
+		res.floats = make([]float32, 0, min(rows*cs, (len(data)-r.off)/4))
+	} else {
+		res.codes = make([]byte, 0, min(rows*cs, len(data)-r.off))
+	}
 	x.starts = make([]int32, x.nlist+1)
 	for b := 0; b < x.nlist && r.err == nil; b++ {
 		x.ids = r.appendIDs(x.ids)

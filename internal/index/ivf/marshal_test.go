@@ -1,6 +1,7 @@
 package ivf
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -97,5 +98,56 @@ func TestUnmarshalWrongFineRejected(t *testing.T) {
 	// And via the public registry path with a wrong dim.
 	if _, err := index.Unmarshal(fmt.Sprintf("%s", FineFlat.name()), vec.L2, d.Dim+1, blob); err == nil {
 		t.Error("wrong dim accepted through registry unmarshal")
+	}
+}
+
+// TestBlobByteOrderPathsAgree: the whole-array copies of a little-endian
+// host and the per-element path of a big-endian one write the same bytes
+// and decode them to the same index, both reject truncated blobs, and
+// MarshalIndex sizes its buffer exactly once.
+func TestBlobByteOrderPathsAgree(t *testing.T) {
+	if !hostLE {
+		t.Skip("the whole-array path runs only on little-endian hosts")
+	}
+	defer func() { hostLE = true }()
+	d := dataset.DeepLike(300, 46)
+	for _, fine := range []Fine{FineFlat, FineSQ8, FinePQ} {
+		x := buildIVF(t, fine, d, 8)
+		hostLE = true
+		fast, err := x.MarshalIndex()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fast) != cap(fast) {
+			t.Errorf("%s: blob of %d bytes in a buffer of %d", fine.name(), len(fast), cap(fast))
+		}
+		hostLE = false
+		slow, err := x.MarshalIndex()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fast, slow) {
+			t.Fatalf("%s: per-element blob differs from the whole-array one", fine.name())
+		}
+		for _, le := range []bool{true, false} {
+			hostLE = le
+			y, err := unmarshalIVF(fine, vec.L2, d.Dim, fast)
+			if err != nil {
+				t.Fatalf("%s little-endian=%v: %v", fine.name(), le, err)
+			}
+			for _, cut := range []int{len(fast) - 1, len(fast) / 2, 40} {
+				if _, err := unmarshalIVF(fine, vec.L2, d.Dim, fast[:cut]); err == nil {
+					t.Fatalf("%s little-endian=%v: blob cut to %d bytes accepted", fine.name(), le, cut)
+				}
+			}
+			hostLE = true
+			again, err := y.(*IVF).MarshalIndex()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, fast) {
+				t.Fatalf("%s little-endian=%v: decoded index re-marshals differently", fine.name(), le)
+			}
+		}
 	}
 }

@@ -2,6 +2,8 @@
 
 package vec
 
+import "vectordb/internal/bufferpool"
+
 // Real SIMD on amd64. The paper's Sec. 3.2.2 compiles every similarity
 // function four times (SSE/AVX/AVX2/AVX512) and hooks the variant matching
 // the host's CPUID flags at startup. This file is that mechanism for the
@@ -36,6 +38,12 @@ func l2BatchZ(q, data, out *float32, dim, n int)
 
 //go:noescape
 func ipBatchZ(q, data, out *float32, dim, n int)
+
+//go:noescape
+func l2PanelFMA(x, cols, norms *float32, out *PanelMin, dim, rows, panels, first int)
+
+//go:noescape
+func l2PanelZ(x, cols, norms *float32, out *PanelMin, dim, rows, panels, first int)
 
 // haveAVX2FMA / haveAVX512 report actual host support (instruction sets
 // present and the OS saving the extended register state).
@@ -80,6 +88,7 @@ func installASMKernels() {
 		kernels[LevelAVX2].l2bb = l2BoundAVX2
 		kernels[LevelAVX2].l2t = l2TileAVX2
 		kernels[LevelAVX2].ipt = ipTileAVX2
+		kernels[LevelAVX2].l2p = l2PanelAVX2
 	}
 	switch {
 	case haveAVX512:
@@ -88,6 +97,7 @@ func installASMKernels() {
 		kernels[LevelAVX512].l2bb = l2BoundAVX512
 		kernels[LevelAVX512].l2t = l2TileAVX512
 		kernels[LevelAVX512].ipt = ipTileAVX512
+		kernels[LevelAVX512].l2p = l2PanelAVX512
 	case haveAVX2FMA:
 		// Widest-tier requests on an AVX2-only host still get vector code.
 		kernels[LevelAVX512].l2b = l2BatchAVX2
@@ -95,6 +105,7 @@ func installASMKernels() {
 		kernels[LevelAVX512].l2bb = l2BoundAVX2
 		kernels[LevelAVX512].l2t = l2TileAVX2
 		kernels[LevelAVX512].ipt = ipTileAVX2
+		kernels[LevelAVX512].l2p = l2PanelAVX2
 	}
 }
 
@@ -215,3 +226,47 @@ func ipTileAVX512(qs, data []float32, dim, nq int, out []float32) {
 		ipBatchAVX512(qs[qi*dim:(qi+1)*dim], data, dim, out[qi*n:(qi+1)*n])
 	}
 }
+
+// panelChunk is the codebook bytes one panel-kernel call sweeps: small
+// enough that the chunk stays in L1 while every row group of the block
+// passes over it, instead of each group streaming the whole codebook from
+// L2. The rows' PanelMin carry over from chunk to chunk in out.
+const panelChunk = 16 << 10
+
+// panelSweep runs an assembly panel kernel over the block in codebook
+// chunks of an even number of panels (l2PanelZ sweeps panels in pairs).
+// The kernels take rows four at a time; the last one to three rows run as
+// a zero-padded group of four in scratch, their results copied back.
+func panelSweep(kernel func(x, cols, norms *float32, out *PanelMin, dim, rows, panels, first int), x []float32, p *Panels, out []PanelMin) {
+	dim := p.Dim
+	panelFloats := dim * PanelWidth
+	per := max(panelChunk/(4*panelFloats), 2) &^ 1
+	n4 := len(out) &^ 3
+	var pad []float32
+	var st [4]PanelMin
+	tail := len(out) - n4
+	if tail > 0 {
+		buf := bufferpool.GetFloats(4 * dim)
+		defer bufferpool.PutFloats(buf)
+		pad = (*buf)[:4*dim]
+		clear(pad[copy(pad, x[n4*dim:]):])
+		copy(st[:], out[n4:])
+	}
+	np := len(p.norms) / PanelWidth
+	for q := 0; q < np; q += per {
+		m := min(per, np-q)
+		cols, norms := &p.cols[q*panelFloats], &p.norms[q*PanelWidth]
+		if n4 > 0 {
+			_ = x[n4*dim-1] // the assembly trusts these lengths
+			kernel(&x[0], cols, norms, &out[0], dim, n4, m, q*PanelWidth)
+		}
+		if tail > 0 {
+			kernel(&pad[0], cols, norms, &st[0], dim, 4, m, q*PanelWidth)
+		}
+	}
+	copy(out[n4:], st[:tail])
+}
+
+func l2PanelAVX512(x []float32, p *Panels, out []PanelMin) { panelSweep(l2PanelZ, x, p, out) }
+
+func l2PanelAVX2(x []float32, p *Panels, out []PanelMin) { panelSweep(l2PanelFMA, x, p, out) }

@@ -385,3 +385,242 @@ TEXT ·l2BatchZ(SB), NOSPLIT, $0-40
 // func ipBatchZ(q, data, out *float32, dim, n int)
 TEXT ·ipBatchZ(SB), NOSPLIT, $0-40
 	BATCHZ(IPROW, IPROWM, IPSCALAR)
+
+// Panel kernels (panel.go): rows × 16-centroid panels, one broadcast-FMA
+// per (row, dim) into a lane per centroid. Registers common to both: AX
+// DI R8 R9 the four rows of a group, CX dim, BX rows left, DX the group's
+// four PanelMin (192 bytes each: Best at 0, Second at 64, Arg at 128), SI
+// the panel cursor, R10 the norms cursor, R11 panels left, R12 the
+// dimension index. The caller passes a multiple of four rows, and first,
+// the index of the first centroid in cols, to number the lanes from. A score is
+// VFMADD213PS(acc, −2, norm) = ‖c‖² − 2·x·c rounded once; it folds into a
+// lane as PanelMin.fold does: Second = min(Second, max(Best, s)), then
+// Best = min(Best, s), and Arg takes the centroid index where s < Best.
+
+DATA panelIota<>+0(SB)/4, $0
+DATA panelIota<>+4(SB)/4, $1
+DATA panelIota<>+8(SB)/4, $2
+DATA panelIota<>+12(SB)/4, $3
+DATA panelIota<>+16(SB)/4, $4
+DATA panelIota<>+20(SB)/4, $5
+DATA panelIota<>+24(SB)/4, $6
+DATA panelIota<>+28(SB)/4, $7
+DATA panelIota<>+32(SB)/4, $8
+DATA panelIota<>+36(SB)/4, $9
+DATA panelIota<>+40(SB)/4, $10
+DATA panelIota<>+44(SB)/4, $11
+DATA panelIota<>+48(SB)/4, $12
+DATA panelIota<>+52(SB)/4, $13
+DATA panelIota<>+56(SB)/4, $14
+DATA panelIota<>+60(SB)/4, $15
+GLOBL panelIota<>(SB), RODATA|NOPTR, $64
+
+DATA panelEight<>+0(SB)/4, $8
+DATA panelEight<>+4(SB)/4, $8
+DATA panelEight<>+8(SB)/4, $8
+DATA panelEight<>+12(SB)/4, $8
+DATA panelEight<>+16(SB)/4, $8
+DATA panelEight<>+20(SB)/4, $8
+DATA panelEight<>+24(SB)/4, $8
+DATA panelEight<>+28(SB)/4, $8
+GLOBL panelEight<>(SB), RODATA|NOPTR, $32
+
+// PANELROWS points DI R8 R9 at the three rows after AX.
+#define PANELROWS \
+	LEAQ (AX)(CX*4), DI; LEAQ (DI)(CX*4), R8; LEAQ (R8)(CX*4), R9
+
+// AVX-512: two panels (A, B) per sweep over the dimensions (an odd last
+// panel sweeps alone), so 8 accumulators are in flight: Z0/Z1 row 0's lanes of A/B, Z2/Z3 row 1's,
+// Z4/Z5 row 2's, Z6/Z7 row 3's. The four rows' PanelMin stay in registers
+// across the whole codebook: Best Z8–Z11, Second Z12–Z15, Arg Z16–Z19.
+// Z20 holds the centroid indices of the panel being folded, Z21 sixteen,
+// Z22/Z23 a dimension of panels A/B, Z24–Z27 the rows' broadcast values,
+// Z28 the panel's norms, Z29 scratch, Z30 −2.
+#define ZFOLD(acc, best, second, arg) \
+	VFMADD213PS Z28, Z30, acc; \
+	VCMPPS $0x11, best, acc, K1; \
+	VMAXPS best, acc, Z29; \
+	VMINPS Z29, second, second; \
+	VMINPS acc, best, best; \
+	VMOVDQA32 Z20, K1, arg
+
+#define ZSTORE(off, best, second, arg) \
+	VMOVUPS best, off(DX); VMOVUPS second, off+64(DX); VMOVDQU32 arg, off+128(DX)
+
+// func l2PanelZ(x, cols, norms *float32, out *PanelMin, dim, rows, panels, first int)
+TEXT ·l2PanelZ(SB), NOSPLIT, $0-64
+	MOVQ x+0(FP), AX
+	MOVQ out+24(FP), DX
+	MOVQ dim+32(FP), CX
+	MOVQ rows+40(FP), BX
+	MOVQ CX, R13
+	SHLQ $6, R13 // bytes in one panel
+	MOVL $16, R14
+	VPBROADCASTD R14, Z21
+	MOVL $0xc0000000, R14 // -2.0
+	VPBROADCASTD R14, Z30
+
+zpgroup:
+	PANELROWS
+	VMOVUPS 0(DX), Z8; VMOVUPS 64(DX), Z12; VMOVDQU32 128(DX), Z16
+	VMOVUPS 192(DX), Z9; VMOVUPS 256(DX), Z13; VMOVDQU32 320(DX), Z17
+	VMOVUPS 384(DX), Z10; VMOVUPS 448(DX), Z14; VMOVDQU32 512(DX), Z18
+	VMOVUPS 576(DX), Z11; VMOVUPS 640(DX), Z15; VMOVDQU32 704(DX), Z19
+	VPBROADCASTD first+56(FP), Z20
+	VPADDD panelIota<>(SB), Z20, Z20
+	MOVQ cols+8(FP), SI
+	MOVQ norms+16(FP), R10
+	MOVQ panels+48(FP), R11
+
+zppair:
+	CMPQ R11, $2
+	JLT  zpsingle
+	VXORPS Z0, Z0, Z0; VXORPS Z1, Z1, Z1; VXORPS Z2, Z2, Z2; VXORPS Z3, Z3, Z3
+	VXORPS Z4, Z4, Z4; VXORPS Z5, Z5, Z5; VXORPS Z6, Z6, Z6; VXORPS Z7, Z7, Z7
+	XORQ R12, R12
+
+zpdim:
+	VMOVUPS (SI), Z22
+	VMOVUPS (SI)(R13*1), Z23
+	VBROADCASTSS (AX)(R12*4), Z24
+	VBROADCASTSS (DI)(R12*4), Z25
+	VBROADCASTSS (R8)(R12*4), Z26
+	VBROADCASTSS (R9)(R12*4), Z27
+	VFMADD231PS Z22, Z24, Z0
+	VFMADD231PS Z23, Z24, Z1
+	VFMADD231PS Z22, Z25, Z2
+	VFMADD231PS Z23, Z25, Z3
+	VFMADD231PS Z22, Z26, Z4
+	VFMADD231PS Z23, Z26, Z5
+	VFMADD231PS Z22, Z27, Z6
+	VFMADD231PS Z23, Z27, Z7
+	ADDQ $64, SI
+	INCQ R12
+	CMPQ R12, CX
+	JLT  zpdim
+
+	VMOVUPS (R10), Z28
+	ZFOLD(Z0, Z8, Z12, Z16); ZFOLD(Z2, Z9, Z13, Z17)
+	ZFOLD(Z4, Z10, Z14, Z18); ZFOLD(Z6, Z11, Z15, Z19)
+	VPADDD Z21, Z20, Z20
+	VMOVUPS 64(R10), Z28
+	ZFOLD(Z1, Z8, Z12, Z16); ZFOLD(Z3, Z9, Z13, Z17)
+	ZFOLD(Z5, Z10, Z14, Z18); ZFOLD(Z7, Z11, Z15, Z19)
+	VPADDD Z21, Z20, Z20
+	ADDQ $128, R10
+	ADDQ R13, SI // past panel B
+	SUBQ $2, R11
+	JMP  zppair
+
+zpsingle: // an odd last panel, as panel A alone
+	TESTQ R11, R11
+	JZ    zpstore
+	VXORPS Z0, Z0, Z0; VXORPS Z2, Z2, Z2; VXORPS Z4, Z4, Z4; VXORPS Z6, Z6, Z6
+	XORQ R12, R12
+
+zpsdim:
+	VMOVUPS (SI), Z22
+	VFMADD231PS.BCST (AX)(R12*4), Z22, Z0
+	VFMADD231PS.BCST (DI)(R12*4), Z22, Z2
+	VFMADD231PS.BCST (R8)(R12*4), Z22, Z4
+	VFMADD231PS.BCST (R9)(R12*4), Z22, Z6
+	ADDQ $64, SI
+	INCQ R12
+	CMPQ R12, CX
+	JLT  zpsdim
+
+	VMOVUPS (R10), Z28
+	ZFOLD(Z0, Z8, Z12, Z16); ZFOLD(Z2, Z9, Z13, Z17)
+	ZFOLD(Z4, Z10, Z14, Z18); ZFOLD(Z6, Z11, Z15, Z19)
+
+zpstore:
+	ZSTORE(0, Z8, Z12, Z16); ZSTORE(192, Z9, Z13, Z17)
+	ZSTORE(384, Z10, Z14, Z18); ZSTORE(576, Z11, Z15, Z19)
+	ADDQ $768, DX
+	LEAQ (R9)(CX*4), AX
+	SUBQ $4, BX
+	JGT  zpgroup
+	VZEROUPPER
+	RET
+
+// AVX2: one panel per sweep, each as two 8-lane halves: Y0/Y1 row 0's
+// low/high lanes, Y2/Y3 row 1's, Y4/Y5 row 2's, Y6/Y7 row 3's; Y8/Y9 a
+// dimension of the panel, Y10 the broadcast value, Y11 the norms, then
+// scratch, Y12 −2, Y13 the centroid indices of the half being folded,
+// Y14/Y15 scratch. There are too few registers to hold the rows'
+// PanelMin, so each fold reads and writes its row's half in out.
+#define YFOLD(s, off) \
+	VMOVUPS off(DX), Y14; \
+	VCMPPS $0x11, Y14, s, Y15; \
+	VMAXPS Y14, s, Y11; \
+	VMINPS s, Y14, Y14; \
+	VMOVUPS Y14, off(DX); \
+	VMINPS off+64(DX), Y11, Y11; \
+	VMOVUPS Y11, off+64(DX); \
+	VMOVUPS off+128(DX), Y14; \
+	VBLENDVPS Y15, Y13, Y14, Y14; \
+	VMOVUPS Y14, off+128(DX)
+
+// func l2PanelFMA(x, cols, norms *float32, out *PanelMin, dim, rows, panels, first int)
+TEXT ·l2PanelFMA(SB), NOSPLIT, $0-64
+	MOVQ x+0(FP), AX
+	MOVQ out+24(FP), DX
+	MOVQ dim+32(FP), CX
+	MOVQ rows+40(FP), BX
+	MOVL $0xc0000000, R14 // -2.0
+	MOVQ R14, X12
+	VBROADCASTSS X12, Y12
+
+fpgroup:
+	PANELROWS
+	VPBROADCASTD first+56(FP), Y13
+	VPADDD panelIota<>(SB), Y13, Y13
+	MOVQ cols+8(FP), SI
+	MOVQ norms+16(FP), R10
+	MOVQ panels+48(FP), R11
+
+fppanel:
+	VXORPS Y0, Y0, Y0; VXORPS Y1, Y1, Y1; VXORPS Y2, Y2, Y2; VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4; VXORPS Y5, Y5, Y5; VXORPS Y6, Y6, Y6; VXORPS Y7, Y7, Y7
+	XORQ R12, R12
+
+fpdim:
+	VMOVUPS (SI), Y8
+	VMOVUPS 32(SI), Y9
+	VBROADCASTSS (AX)(R12*4), Y10
+	VFMADD231PS Y8, Y10, Y0
+	VFMADD231PS Y9, Y10, Y1
+	VBROADCASTSS (DI)(R12*4), Y10
+	VFMADD231PS Y8, Y10, Y2
+	VFMADD231PS Y9, Y10, Y3
+	VBROADCASTSS (R8)(R12*4), Y10
+	VFMADD231PS Y8, Y10, Y4
+	VFMADD231PS Y9, Y10, Y5
+	VBROADCASTSS (R9)(R12*4), Y10
+	VFMADD231PS Y8, Y10, Y6
+	VFMADD231PS Y9, Y10, Y7
+	ADDQ $64, SI
+	INCQ R12
+	CMPQ R12, CX
+	JLT  fpdim
+
+	VMOVUPS (R10), Y11
+	VFMADD213PS Y11, Y12, Y0; VFMADD213PS Y11, Y12, Y2
+	VFMADD213PS Y11, Y12, Y4; VFMADD213PS Y11, Y12, Y6
+	VMOVUPS 32(R10), Y11
+	VFMADD213PS Y11, Y12, Y1; VFMADD213PS Y11, Y12, Y3
+	VFMADD213PS Y11, Y12, Y5; VFMADD213PS Y11, Y12, Y7
+	YFOLD(Y0, 0); YFOLD(Y2, 192); YFOLD(Y4, 384); YFOLD(Y6, 576)
+	VPADDD panelEight<>(SB), Y13, Y13
+	YFOLD(Y1, 32); YFOLD(Y3, 224); YFOLD(Y5, 416); YFOLD(Y7, 608)
+	VPADDD panelEight<>(SB), Y13, Y13
+	ADDQ $64, R10
+	DECQ R11
+	JNZ  fppanel
+
+	ADDQ $768, DX
+	LEAQ (R9)(CX*4), AX
+	SUBQ $4, BX
+	JGT  fpgroup
+	VZEROUPPER
+	RET

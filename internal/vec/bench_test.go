@@ -140,3 +140,28 @@ func medianOf(v []float32) float32 {
 	}
 	return (lo + hi) / 2
 }
+
+// BenchmarkPanelMin times the panel kernel of each tier on one 64-row block
+// against a 256-centroid codebook at dim 64 (k-means' assignment step at
+// the dim-64 IVF build's shape), beside the hooked tile kernel on the same
+// block: the distance tile the panel kernel replaces, before its argmin.
+func BenchmarkPanelMin(b *testing.B) {
+	const rows, k, dim = 64, 256, 64
+	_, x := benchData(rows, dim)
+	_, codebook := benchData(k, dim)
+	p := NewPanels(codebook, dim)
+	out := make([]PanelMin, rows)
+	for _, l := range Levels() {
+		b.Run(l.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				L2PanelMinAt(l, x, p, out)
+			}
+		})
+	}
+	b.Run("tile", func(b *testing.B) {
+		tile := make([]float32, rows*k)
+		for i := 0; i < b.N; i++ {
+			L2SquaredTile(x, codebook, dim, tile)
+		}
+	})
+}

@@ -79,14 +79,15 @@ type kernelSet struct {
 	l2bb func(q []float32, data []float32, dim int, bound float32, out []float32)
 	l2t  func(qs []float32, data []float32, dim, nq int, out []float32)
 	ipt  func(qs []float32, data []float32, dim, nq int, out []float32)
+	l2p  func(x []float32, p *Panels, out []PanelMin)
 }
 
 var kernels = [...]kernelSet{
-	LevelScalar: {l2Scalar, ipScalar, l2BatchScalar, ipBatchScalar, l2BoundScalar, l2TileScalar, ipTileScalar},
-	LevelSSE:    {l2Unroll4, ipUnroll4, l2Batch4x4, ipBatch4x4, l2Bound4, l2Tile4, ipTile4},
-	LevelAVX:    {l2Unroll8, ipUnroll8, l2Batch4x8, ipBatch4x8, l2Bound8, l2Tile4, ipTile4},
-	LevelAVX2:   {l2Unroll8, ipUnroll8, l2Batch4x8, ipBatch4x8, l2Bound8, l2Tile4, ipTile4},
-	LevelAVX512: {l2Unroll16, ipUnroll16, l2Batch4x16, ipBatch4x16, l2Bound16, l2Tile4, ipTile4},
+	LevelScalar: {l2Scalar, ipScalar, l2BatchScalar, ipBatchScalar, l2BoundScalar, l2TileScalar, ipTileScalar, l2PanelGo},
+	LevelSSE:    {l2Unroll4, ipUnroll4, l2Batch4x4, ipBatch4x4, l2Bound4, l2Tile4, ipTile4, l2PanelGo},
+	LevelAVX:    {l2Unroll8, ipUnroll8, l2Batch4x8, ipBatch4x8, l2Bound8, l2Tile4, ipTile4, l2PanelGo},
+	LevelAVX2:   {l2Unroll8, ipUnroll8, l2Batch4x8, ipBatch4x8, l2Bound8, l2Tile4, ipTile4, l2PanelGo},
+	LevelAVX512: {l2Unroll16, ipUnroll16, l2Batch4x16, ipBatch4x16, l2Bound16, l2Tile4, ipTile4, l2PanelGo},
 }
 
 var currentLevel atomic.Int32
@@ -209,9 +210,12 @@ func L2SquaredBatchBound(q, data []float32, dim int, bound float32, out []float3
 // L2SquaredTile computes the full query×data distance tile: nq =
 // len(queries)/dim contiguous queries against n = len(data)/dim rows, out
 // laid out query-major (out[qi*n+i] = distance of query qi to row i, len >=
-// nq*n). The kernel register-blocks four queries per data row, so a data
-// block loaded into cache is reused across the query block instead of being
-// re-streamed per query — the blocking mechanism behind the paper's Eq. (1).
+// nq*n). A data block loaded into cache is reused across the query block
+// instead of being re-streamed per query — the blocking mechanism behind the
+// paper's Eq. (1). The pure-Go tiers also register-block four queries per
+// data row; the assembly tiers run their one-query batch kernel once per
+// query over the cached block, so each distance is exactly the one
+// L2SquaredBatch gives for that (query, row).
 func L2SquaredTile(queries, data []float32, dim int, out []float32) {
 	countCurrentBatch()
 	active.Load().l2t(queries, data, dim, len(queries)/dim, out)
