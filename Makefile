@@ -159,10 +159,10 @@ conformance-wire:
 # route through them — and that IVF build and search, k-means training
 # and core's multi-query engine over unindexed segments (one query-tile
 # dispatch per chunk for the whole batch) leave the per-row dispatch
-# counter at zero. TestRowDistanceInvariance holds the asm tiers and the
-# scalar reference to row-pure distances: a row scores bit-identically
-# whatever the block length, its offset, or the entry point (batch, bound,
-# tile, gather), which the bit-identity conformance tests rely on. k-means'
+# counter at zero. TestRowDistanceInvariance holds every tier to row-pure
+# distances: a row scores bit-identically whatever the block length, its
+# offset, or the entry point (batch, bound, tile, gather), which the
+# bit-identity conformance tests rely on. k-means'
 # assignment step must score each block of rows in one panel-kernel
 # dispatch (TestAssignAllUsesPanelKernel), so a fall-back to the tile
 # kernel plus a scalar argmin fails here.
@@ -176,12 +176,12 @@ kernel-guard:
 # purego tag: every tier runs the pure-Go kernels, as on a non-amd64
 # host) and runs their tests, so the portable fallback cannot rot on the
 # amd64 hosts CI runs on; k-means (the pure-Go panel kernel with its exact
-# re-check) and PQ training run here too. The rest of the module waits:
-# some of its tests compare pairwise and batch distances bit for bit, and
-# the pure-Go tiers sum a block's tail rows in a different order
-# (ROADMAP 7e).
+# re-check) and PQ training run here too, and so does core, whose
+# bit-identity tests (tiered ≡ in-RAM, tombstoned ≡ plain scans) hold
+# because every pure-Go tier scores a row in one order whatever the entry
+# point (TestRowDistanceInvariance).
 purego:
-	$(GO) test -tags purego ./internal/vec ./internal/kmeans ./internal/quantizer ./internal/index/...
+	$(GO) test -tags purego ./internal/vec ./internal/kmeans ./internal/quantizer ./internal/index/... ./internal/core
 
 # repro-check asserts the paper's shapes on the figures that measure the
 # served engine: each experiments *ShapeHolds test regenerates its figure

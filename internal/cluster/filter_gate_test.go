@@ -133,7 +133,7 @@ func (f *gateFixture) check(t *testing.T, label string, q []float32, k int, lo, 
 	if err != nil {
 		t.Fatalf("%s: cluster: %v", label, err)
 	}
-	fromNode, err := f.col.SearchFiltered(q, "price", lo, hi, gateOpts(k))
+	fromNode, err := f.col.SearchFilteredCtx(context.Background(), q, "price", lo, hi, gateOpts(k))
 	if err != nil {
 		t.Fatalf("%s: single node: %v", label, err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 
-	"vectordb/internal/colstore"
 	"vectordb/internal/query"
 	"vectordb/internal/topk"
 )
@@ -77,19 +76,21 @@ func (v *SourceView) AttrValue(attr int, id int64) (int64, bool) {
 
 // VectorQuery implements query.Source.
 func (v *SourceView) VectorQuery(field int, q []float32, k, nprobe int) []topk.Result {
-	return v.search(field, q, SearchOptions{K: k, Nprobe: nprobe})
+	res, _ := v.search(q, SearchOptions{Field: v.c.schema.VectorFields[field].Name, K: k, Nprobe: nprobe})
+	return res
 }
 
-// search runs one vector sub-query over the view's snapshot. The strategy
-// interfaces have no error result, so a rejected or cancelled sub-query
-// yields no rows; callers that care inspect their ctx.
-func (v *SourceView) search(field int, q []float32, opts SearchOptions) []topk.Result {
-	opts.Field = v.c.schema.VectorFields[field].Name
-	res, err := v.c.SearchSnapshotCtx(v.ctx(), v.sn, q, opts)
+// search runs one vector sub-query over the view's snapshot. It checks the
+// query as any request's vector is checked, but is not counted, planned or
+// admitted: the view's callers run inside an already-admitted query. The
+// strategy interfaces have no error result, so there a rejected or
+// cancelled sub-query yields no rows; callers that care inspect their ctx.
+func (v *SourceView) search(q []float32, opts SearchOptions) ([]topk.Result, error) {
+	f, err := v.c.checkVector(opts.Field, q, opts.K)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return res
+	return v.c.searchSnapshot(v.ctx(), v.sn, f, q, opts)
 }
 
 func (v *SourceView) ctx() context.Context {
@@ -114,16 +115,13 @@ func (v *SourceView) DistanceByID(field int, q []float32, id int64) (float32, bo
 	return 0, false
 }
 
-// MultiSource pins the current snapshot and returns its view, named for the
-// query.MultiSource side of it.
-func (c *Collection) MultiSource() *SourceView { return c.Source() }
-
 // Fields implements query.MultiSource.
 func (v *SourceView) Fields() int { return len(v.c.schema.VectorFields) }
 
 // FieldQuery implements query.MultiSource.
 func (v *SourceView) FieldQuery(field int, q []float32, k int) []topk.Result {
-	return v.search(field, q, SearchOptions{K: k})
+	res, _ := v.search(q, SearchOptions{Field: v.c.schema.VectorFields[field].Name, K: k})
+	return res
 }
 
 // FieldDistance implements query.MultiSource.
@@ -131,39 +129,14 @@ func (v *SourceView) FieldDistance(field int, q []float32, id int64) (float32, b
 	return v.DistanceByID(field, q, id)
 }
 
-// SearchFiltered runs an attribute-filtered vector query using the
-// cost-based planner over the current snapshot — the default filtering
-// path of the public API and the REST server.
-func (c *Collection) SearchFiltered(queryVec []float32, attrName string, lo, hi int64, opts SearchOptions) ([]topk.Result, error) {
-	//lint:allow ctxflow ctx-less compat wrapper: public API without a context anchors at Background
-	return c.SearchFilteredCtx(context.Background(), queryVec, attrName, lo, hi, opts)
-}
-
-// SearchFilteredCtx is SearchFiltered with admission control and
-// cancellation: lo ≤ attr ≤ hi as a RangePred on the predicate path, where
-// the planner picks pushdown (strategy B) or the attribute-first exact scan
-// (strategy A) per query from the zone-map-estimated selectivity.
+// SearchFilteredCtx is Query of one vector with lo ≤ attrName ≤ hi.
 func (c *Collection) SearchFilteredCtx(ctx context.Context, queryVec []float32, attrName string, lo, hi int64, opts SearchOptions) ([]topk.Result, error) {
-	attr, err := c.schema.AttrFieldIndex(attrName)
+	pred, err := c.schema.RangePred(attrName, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	return c.SearchPredCtx(ctx, queryVec, colstore.RangePred{Attr: attr, Lo: lo, Hi: hi}, opts)
-}
-
-// SearchMultiVector runs a multi-vector query over the current snapshot:
-// vector fusion when the schema's metric and the weights are decomposable,
-// iterative merging otherwise (Sec. 4.2's guidance).
-func (c *Collection) SearchMultiVector(queries [][]float32, weights []float32, k int) ([]topk.Result, error) {
-	//lint:allow ctxflow ctx-less compat wrapper: public API without a context anchors at Background
-	return c.SearchMultiVectorCtx(context.Background(), queries, weights, k)
-}
-
-// SearchMultiVectorCtx is SearchMultiVector with admission control and
-// cancellation; the whole query runs under one in-flight slot.
-func (c *Collection) SearchMultiVectorCtx(ctx context.Context, queries [][]float32, weights []float32, k int) ([]topk.Result, error) {
-	res, err := c.execute(ctx, &Query{kind: kindMulti, vecs: queries, weights: weights, opts: SearchOptions{K: k}})
-	return res.hits, err
+	res, err := c.Query(ctx, Request{Vector: queryVec, Pred: pred, SearchOptions: opts})
+	return res.Hits, err
 }
 
 // CatRows returns the IDs whose categorical field matches any of values,
@@ -181,23 +154,4 @@ func (v *SourceView) CatRows(cat int, values ...string) []int64 {
 		}
 	}
 	return out
-}
-
-// SearchCategorical runs a vector query restricted to entities whose
-// categorical field matches ANY of values — the inverted-list filtering of
-// the Sec. 2.1 extension.
-func (c *Collection) SearchCategorical(queryVec []float32, catName string, values []string, opts SearchOptions) ([]topk.Result, error) {
-	//lint:allow ctxflow ctx-less compat wrapper: public API without a context anchors at Background
-	return c.SearchCategoricalCtx(context.Background(), queryVec, catName, values, opts)
-}
-
-// SearchCategoricalCtx is SearchCategorical with admission control and
-// cancellation: the IN-list as an InPred on the predicate path.
-func (c *Collection) SearchCategoricalCtx(ctx context.Context, queryVec []float32, catName string, values []string, opts SearchOptions) ([]topk.Result, error) {
-	cat, err := c.schema.CatFieldIndex(catName)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.execute(ctx, &Query{kind: kindCategorical, vec: queryVec, pred: colstore.InPred{Cat: cat, Values: values}, opts: opts})
-	return res.hits, err
 }

@@ -101,7 +101,7 @@ func TestMultiSourceOverLSM(t *testing.T) {
 	}
 	c.Insert(ents)
 	c.Flush()
-	mv := c.MultiSource()
+	mv := c.Source()
 	defer mv.Release()
 	if mv.Fields() != 2 {
 		t.Fatalf("Fields = %d", mv.Fields())

@@ -100,7 +100,7 @@ func TestSearchBatchMatchesBruteForce(t *testing.T) {
 				t.Fatalf("%d segments, want 4", segs)
 			}
 			queries := intQueries(37, 16, 2)
-			got, err := c.SearchBatchCtx(context.Background(), queries, SearchOptions{K: 7})
+			got, err := batchOf(context.Background(), c, queries, SearchOptions{K: 7})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestSearchBatchAgreesWithPerQuery(t *testing.T) {
 			c, ents := scanCollection(t, metric, n, dim, 64, int64(trial))
 			queries := intQueries(m, dim, int64(100+trial))
 			opts := SearchOptions{K: k}
-			got, err := c.SearchBatchCtx(context.Background(), queries, opts)
+			got, err := batchOf(context.Background(), c, queries, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func TestSearchBatchAgreesWithPerQuery(t *testing.T) {
 // collection finds the one row at distance zero.
 func TestSearchBatchSingleQuerySingleRow(t *testing.T) {
 	c, ents := scanCollection(t, vec.L2, 1, 2, 64, 4)
-	got, err := c.SearchBatchCtx(context.Background(), [][]float32{ents[0].Vectors[0]}, SearchOptions{K: 5})
+	got, err := batchOf(context.Background(), c, [][]float32{ents[0].Vectors[0]}, SearchOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSearchBatchSingleQuerySingleRow(t *testing.T) {
 func TestSearchBatchKExceedsRows(t *testing.T) {
 	c, ents := scanCollection(t, vec.L2, 3, 4, 64, 5)
 	queries := intQueries(2, 4, 6)
-	got, err := c.SearchBatchCtx(context.Background(), queries, SearchOptions{K: 10})
+	got, err := batchOf(context.Background(), c, queries, SearchOptions{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +179,11 @@ func TestSearchBatchKExceedsRows(t *testing.T) {
 	}
 }
 
-// TestSearchBatchEmpty: a batch of no queries is answered with no result
-// sets and no error.
+// TestSearchBatchEmpty: a batch of no queries (an empty, non-nil Batch) is
+// answered with no result sets and no error.
 func TestSearchBatchEmpty(t *testing.T) {
 	c, _ := scanCollection(t, vec.L2, 100, 8, 64, 7)
-	got, err := c.SearchBatchCtx(context.Background(), nil, SearchOptions{K: 3})
+	got, err := batchOf(context.Background(), c, [][]float32{}, SearchOptions{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSearchBatchEmpty(t *testing.T) {
 func TestSearchBatchRejectsNonDecomposableMetric(t *testing.T) {
 	c, ents := scanCollection(t, vec.Cosine, 200, 8, 64, 8)
 	q := ents[10].Vectors[0]
-	if got, err := c.SearchBatchCtx(context.Background(), [][]float32{q}, SearchOptions{K: 5}); err == nil {
+	if got, err := batchOf(context.Background(), c, [][]float32{q}, SearchOptions{K: 5}); err == nil {
 		t.Fatalf("cosine batch answered %v, want a request error", got)
 	} else if errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want a request error", err)

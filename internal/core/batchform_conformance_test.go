@@ -146,7 +146,7 @@ func TestBatchConformance(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				got, err := c.SearchBatchCtx(context.Background(), queries, opts)
+				got, err := batchOf(context.Background(), c, queries, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

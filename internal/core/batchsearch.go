@@ -81,22 +81,22 @@ var errMissedMember = errors.New("core: batch delivered no result for a member")
 
 // formable returns the item and key under which a plain vector query
 // queues for a run slot, so that a freed slot can take it along with its
-// compatible peers; nils for every other query kind, with batching off
+// compatible peers; nils for every other request shape, with batching off
 // (exec MaxBatch 1), or for a metric the tile kernels cannot batch.
-func (c *Collection) formable(ctx context.Context, f int, q *Query) (*batchItem, any) {
-	if c.form == nil || q.kind != kindVector || !c.schema.VectorFields[f].Metric.BatchEligible() {
+func (c *Collection) formable(ctx context.Context, f int, q *Request) (*batchItem, any) {
+	if c.form == nil || q.Vector == nil || q.Pred != nil || !c.schema.VectorFields[f].Metric.BatchEligible() {
 		return nil, nil
 	}
-	return newBatchItem(ctx, q.vec), c.batchFormKey(f, &q.opts)
+	return newBatchItem(ctx, q.Vector), c.batchFormKey(f, &q.SearchOptions)
 }
 
 // batchItems lists the members of the batch q runs as, or nil when it runs
 // alone: an explicit batch's queries, or a slot holder's own query followed
 // by the peers its hand-off brought.
-func batchItems(ctx context.Context, q *Query, it *batchItem, peers []any) []*batchItem {
-	if q.kind == kindBatch {
-		items := make([]*batchItem, len(q.vecs))
-		for i, v := range q.vecs {
+func batchItems(ctx context.Context, q *Request, it *batchItem, peers []any) []*batchItem {
+	if q.Batch != nil {
+		items := make([]*batchItem, len(q.Batch))
+		for i, v := range q.Batch {
 			items[i] = newBatchItem(ctx, v)
 		}
 		return items
@@ -114,16 +114,16 @@ func batchItems(ctx context.Context, q *Query, it *batchItem, peers []any) []*ba
 // awaitBatch is a peer's side of a formed batch: it holds no slot and
 // waits for the holder that took it along to answer, or for its own
 // context; only that wait is traced, as the batch_form span.
-func awaitBatch(ctx context.Context, it *batchItem, tr *obs.Trace) (result, error) {
+func awaitBatch(ctx context.Context, it *batchItem, tr *obs.Trace) (Response, error) {
 	sp := tr.StartSpan("batch_form")
 	defer sp.End()
 	select {
 	case <-it.done:
 		annotatePlan(tr, it.dec)
 		tr.AnnotateInt("batch_occupancy", int64(it.occ))
-		return result{hits: it.hits}, it.err
+		return Response{Hits: it.hits}, it.err
 	case <-ctx.Done():
-		return result{}, ctx.Err()
+		return Response{}, ctx.Err()
 	}
 }
 
@@ -149,18 +149,18 @@ func (c *Collection) searchBatch(sn *Snapshot, key batchKey, dec plan.Decision, 
 
 // batchResult reads q's answer off its answered batch: every member's hits
 // for an explicit batch, which fails as a whole, else the holder's own.
-func batchResult(q *Query, items []*batchItem) (result, error) {
-	if q.kind != kindBatch {
-		return result{hits: items[0].hits}, items[0].err
+func batchResult(q *Request, items []*batchItem) (Response, error) {
+	if q.Batch == nil {
+		return Response{Hits: items[0].hits}, items[0].err
 	}
 	out := make([][]topk.Result, len(items))
 	for i, it := range items {
 		if it.err != nil {
-			return result{}, it.err
+			return Response{}, it.err
 		}
 		out[i] = it.hits
 	}
-	return result{batch: out}, nil
+	return Response{Batch: out}, nil
 }
 
 // joinedContext derives a batch's execution context: detached from every
@@ -304,17 +304,6 @@ func (c *Collection) batchSegment(seg *Segment, visible *bitset.Bitset, field in
 		}
 	}
 	return false
-}
-
-// SearchBatchCtx answers len(queries) top-k queries in one batch over a
-// single snapshot — the deterministic entry to the same executor a formed
-// batch runs through. All queries share opts (field, K, index knobs);
-// per-query result lists come back in input order. The batch is planned as
-// one nq-query shape and holds one run slot, like any other top-level
-// query.
-func (c *Collection) SearchBatchCtx(ctx context.Context, queries [][]float32, opts SearchOptions) ([][]topk.Result, error) {
-	res, err := c.execute(ctx, &Query{kind: kindBatch, vecs: queries, opts: opts})
-	return res.batch, err
 }
 
 // formMetrics is a collection's vectordb_batchform_* handles, resolved

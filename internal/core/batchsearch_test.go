@@ -218,7 +218,7 @@ func TestFlatBatchRunsOnTileKernels(t *testing.T) {
 	}
 	c.WaitIndexed()
 	queries := [][]float32{ents[3].Vectors[0], ents[70].Vectors[0], ents[200].Vectors[0]}
-	got, err := c.SearchBatchCtx(context.Background(), queries, SearchOptions{K: 5})
+	got, err := batchOf(context.Background(), c, queries, SearchOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestFlatBatchRunsOnTileKernels(t *testing.T) {
 		t.Fatalf("batch served %d segments by an index and scanned %d; want 0 and every segment", indexed.Value(), scanned.Value())
 	}
 	for qi, q := range queries {
-		want, err := c.Search(q, SearchOptions{K: 5})
+		want, err := hitsOf(c, Request{Vector: q, SearchOptions: SearchOptions{K: 5}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -141,7 +141,7 @@ func TestSearchCtxCancelMidFlight(t *testing.T) {
 	waitGoroutines(t, base)
 
 	// The collection must remain fully usable after the cancellation.
-	res, err := c.Search(mkEntities(1, 8, 42)[0].Vectors[0], SearchOptions{K: 5})
+	res, err := hitsOf(c, Request{Vector: mkEntities(1, 8, 42)[0].Vectors[0], SearchOptions: SearchOptions{K: 5}})
 	if err != nil || len(res) != 5 {
 		t.Fatalf("post-cancel Search = %d results, %v", len(res), err)
 	}

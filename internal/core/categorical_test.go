@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vectordb/internal/objstore"
+	"vectordb/internal/topk"
 	"vectordb/internal/vec"
 )
 
@@ -84,7 +85,7 @@ func TestSearchCategorical(t *testing.T) {
 	c.Flush()
 
 	q := ents[17].Vectors[0]
-	res, err := c.SearchCategorical(q, "brand", []string{"acme"}, SearchOptions{K: 10})
+	res, err := catHits(c, q, "brand", []string{"acme"}, SearchOptions{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestSearchCategorical(t *testing.T) {
 		}
 	}
 	// IN over two values.
-	res, err = c.SearchCategorical(q, "brand", []string{"acme", "globex"}, SearchOptions{K: 20})
+	res, err = catHits(c, q, "brand", []string{"acme", "globex"}, SearchOptions{K: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,18 +110,18 @@ func TestSearchCategorical(t *testing.T) {
 		}
 	}
 	// Unknown value → empty, not error.
-	res, err = c.SearchCategorical(q, "brand", []string{"nonexistent"}, SearchOptions{K: 5})
+	res, err = catHits(c, q, "brand", []string{"nonexistent"}, SearchOptions{K: 5})
 	if err != nil || res != nil {
 		t.Fatalf("unknown value: %v, %v", res, err)
 	}
 	// Errors.
-	if _, err := c.SearchCategorical(q, "nope", []string{"x"}, SearchOptions{K: 5}); err == nil {
+	if _, err := catHits(c, q, "nope", []string{"x"}, SearchOptions{K: 5}); err == nil {
 		t.Error("unknown field accepted")
 	}
-	if _, err := c.SearchCategorical(q, "brand", nil, SearchOptions{K: 5}); err == nil {
+	if _, err := catHits(c, q, "brand", nil, SearchOptions{K: 5}); err == nil {
 		t.Error("empty values accepted")
 	}
-	if _, err := c.SearchCategorical(q, "brand", []string{"acme"}, SearchOptions{K: 0}); err == nil {
+	if _, err := catHits(c, q, "brand", []string{"acme"}, SearchOptions{K: 0}); err == nil {
 		t.Error("K=0 accepted")
 	}
 }
@@ -138,11 +139,11 @@ func TestCategoricalExactMatchesBitmapPath(t *testing.T) {
 	c.Flush()
 	q := ents[50].Vectors[0]
 	// K*8 ≥ matches → exact path; tiny K → bitmap path. Compare overlap.
-	exact, err := c.SearchCategorical(q, "brand", []string{"umbrella"}, SearchOptions{K: 50})
+	exact, err := catHits(c, q, "brand", []string{"umbrella"}, SearchOptions{K: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bitmap, err := c.SearchCategorical(q, "brand", []string{"umbrella"}, SearchOptions{K: 5})
+	bitmap, err := catHits(c, q, "brand", []string{"umbrella"}, SearchOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestCategoricalSurvivesMergeAndPersistence(t *testing.T) {
 	if !ok || e2.Cats[0] != e.Cats[0] {
 		t.Fatalf("categorical lost in restore: %+v vs %+v", e2, e)
 	}
-	res, err := restored.SearchCategorical(e.Vectors[0], "brand", []string{e.Cats[0]}, SearchOptions{K: 3})
+	res, err := catHits(restored, e.Vectors[0], "brand", []string{e.Cats[0]}, SearchOptions{K: 3})
 	if err != nil || len(res) == 0 || res[0].ID != 130 {
 		t.Fatalf("restored categorical search: %v, %v", res, err)
 	}
@@ -216,7 +217,7 @@ func TestCategoricalWithDeletes(t *testing.T) {
 	}
 	c.Delete(acme[:len(acme)/2])
 	c.Flush()
-	res, err := c.SearchCategorical(ents[0].Vectors[0], "brand", []string{"acme"}, SearchOptions{K: 100})
+	res, err := catHits(c, ents[0].Vectors[0], "brand", []string{"acme"}, SearchOptions{K: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,4 +230,13 @@ func TestCategoricalWithDeletes(t *testing.T) {
 			t.Fatalf("deleted id %d returned", r.ID)
 		}
 	}
+}
+
+// catHits is Query of q with an IN-list on the categorical field named cat.
+func catHits(c *Collection, q []float32, cat string, values []string, opts SearchOptions) ([]topk.Result, error) {
+	pred, err := c.Schema().InPred(cat, values)
+	if err != nil {
+		return nil, err
+	}
+	return hitsOf(c, Request{Vector: q, Pred: pred, SearchOptions: opts})
 }

@@ -652,7 +652,7 @@ type SearchOptions struct {
 	// leave it nil get a trace automatically when the collection has a
 	// query log.
 	Trace *obs.Trace
-	// pred is a pushed predicate (execute's pushdown, SourceView's pushed
+	// pred is a pushed predicate (Query's pushdown, SourceView's pushed
 	// search), compiled in each segment's task.
 	pred colstore.Pred
 }
@@ -663,36 +663,10 @@ func (o *SearchOptions) Params() index.SearchParams {
 	return index.SearchParams{K: o.K, Nprobe: o.Nprobe, Ef: o.Ef, SearchL: o.SearchL}
 }
 
-// Search runs a top-k vector query over the current snapshot: each segment
-// is searched (index or scan) and per-segment results are merged — the
-// segment is the unit of searching (Sec. 2.3).
-func (c *Collection) Search(query []float32, opts SearchOptions) ([]topk.Result, error) {
-	//lint:allow ctxflow ctx-less compat wrapper: public API without a context anchors at Background
-	return c.SearchCtx(context.Background(), query, opts)
-}
-
-// SearchCtx is Search with cancellation and admission control: the query
-// waits for an in-flight slot on the shared execution pool (fast-failing
-// with exec.ErrRejected under overload) and stops between segments once
-// ctx is cancelled or past its deadline, returning ctx's error. The
-// cost-based planner prices each admitted query's venue (flat scan or index
-// probe) from the snapshot's shape and the live pool load; the decision
-// rides the trace as plan=.
+// SearchCtx is Query of one vector with opts.
 func (c *Collection) SearchCtx(ctx context.Context, query []float32, opts SearchOptions) ([]topk.Result, error) {
-	res, err := c.execute(ctx, &Query{kind: kindVector, vec: query, opts: opts})
-	return res.hits, err
-}
-
-// SearchSnapshotCtx is SearchCtx against an explicitly pinned snapshot. It is
-// not counted, planned or admitted — callers holding a pinned snapshot are
-// either inside an already-admitted query (filter strategies, multi-vector
-// rounds) or managing admission themselves.
-func (c *Collection) SearchSnapshotCtx(ctx context.Context, sn *Snapshot, query []float32, opts SearchOptions) ([]topk.Result, error) {
-	f, err := c.checkVector(opts.Field, query, opts.K)
-	if err != nil {
-		return nil, err
-	}
-	return c.searchSnapshot(ctx, sn, f, query, opts)
+	res, err := c.Query(ctx, Request{Vector: query, SearchOptions: opts})
+	return res.Hits, err
 }
 
 // searchSnapshot is the per-segment sweep: every segment of the pinned

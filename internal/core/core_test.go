@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"vectordb/internal/objstore"
+	"vectordb/internal/obs"
 	"vectordb/internal/vec"
 )
 
@@ -90,7 +92,7 @@ func TestInsertFlushSearch(t *testing.T) {
 		t.Fatalf("Count = %d, want 100", got)
 	}
 	// Self-query must find the entity itself first.
-	res, err := c.Search(ents[7].Vectors[0], SearchOptions{K: 3})
+	res, err := hitsOf(c, Request{Vector: ents[7].Vectors[0], SearchOptions: SearchOptions{K: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestDeleteTombstonesAndGet(t *testing.T) {
 		t.Fatal("deleted entity still visible via Get")
 	}
 	// Deleted entities never appear in search results.
-	res, err := c.Search(ents[3].Vectors[0], SearchOptions{K: 5})
+	res, err := hitsOf(c, Request{Vector: ents[3].Vectors[0], SearchOptions: SearchOptions{K: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,13 +402,13 @@ func TestSearchErrors(t *testing.T) {
 	c := newTestCollection(t, 4)
 	c.Insert(mkEntities(10, 4, 92))
 	c.Flush()
-	if _, err := c.Search([]float32{1, 2}, SearchOptions{K: 1}); err == nil {
+	if _, err := hitsOf(c, Request{Vector: []float32{1, 2}, SearchOptions: SearchOptions{K: 1}}); err == nil {
 		t.Error("wrong dim accepted")
 	}
-	if _, err := c.Search([]float32{1, 2, 3, 4}, SearchOptions{K: 0}); err == nil {
+	if _, err := hitsOf(c, Request{Vector: []float32{1, 2, 3, 4}, SearchOptions: SearchOptions{K: 0}}); err == nil {
 		t.Error("K=0 accepted")
 	}
-	if _, err := c.Search([]float32{1, 2, 3, 4}, SearchOptions{K: 1, Field: "zzz"}); err == nil {
+	if _, err := hitsOf(c, Request{Vector: []float32{1, 2, 3, 4}, SearchOptions: SearchOptions{K: 1, Field: "zzz"}}); err == nil {
 		t.Error("unknown field accepted")
 	}
 }
@@ -488,9 +490,13 @@ func TestFusedSearchMatchesExhaustive(t *testing.T) {
 	q1 := []float32{1, 0, -1, 0.5}
 	q2 := []float32{0.2, -0.3, 1, 0, 0, 0.7}
 	w := []float32{2, 0.5}
-	res, err := c.SearchFused([][]float32{q1, q2}, w, SearchOptions{K: 5})
+	tr := obs.NewTrace("multi")
+	res, err := hitsOf(c, Request{Fields: [][]float32{q1, q2}, Weights: w, SearchOptions: SearchOptions{K: 5, Trace: tr}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if alg, _ := tr.Summary().Attr("multi_algorithm"); alg != "fused" {
+		t.Fatalf("multi_algorithm = %q, want fused", alg)
 	}
 	// Exhaustive check of the aggregation g = 2·IP(q1,v1) + 0.5·IP(q2,v2),
 	// as a distance: -(2·ip1 + 0.5·ip2).
@@ -514,7 +520,7 @@ func TestFusedSearchMatchesExhaustive(t *testing.T) {
 	if err := c.BuildFusedIndex("FLAT", nil); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := c.SearchFused([][]float32{q1, q2}, w, SearchOptions{K: 5})
+	res2, err := hitsOf(c, Request{Fields: [][]float32{q1, q2}, Weights: w, SearchOptions: SearchOptions{K: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,9 +539,12 @@ func dot(a, b []float32) float32 {
 	return s
 }
 
+// TestFusedErrors: vector fusion needs two or more fields under one
+// decomposable metric, and for L2 unit weights. A multi-vector request runs
+// fused where it applies and iterative merging where it does not.
 func TestFusedErrors(t *testing.T) {
 	c := newTestCollection(t, 4) // single field
-	if _, err := c.SearchFused([][]float32{{1, 2, 3, 4}}, nil, SearchOptions{K: 1}); err == nil {
+	if err := c.fusable(nil); err == nil {
 		t.Error("fusion with one field accepted")
 	}
 	schema := Schema{VectorFields: []VectorField{
@@ -550,12 +559,25 @@ func TestFusedErrors(t *testing.T) {
 	c2.Insert([]Entity{{ID: 1, Vectors: [][]float32{{1, 2}, {3, 4}}}})
 	c2.Flush()
 	// L2 with unit weights is decomposable…
-	if _, err := c2.SearchFused([][]float32{{1, 2}, {3, 4}}, nil, SearchOptions{K: 1}); err != nil {
+	if err := c2.fusable(nil); err != nil {
 		t.Errorf("unit-weight L2 fusion rejected: %v", err)
 	}
 	// …but weighted L2 is not.
-	if _, err := c2.SearchFused([][]float32{{1, 2}, {3, 4}}, []float32{2, 1}, SearchOptions{K: 1}); err == nil {
+	if err := c2.fusable([]float32{2, 1}); err == nil {
 		t.Error("weighted L2 fusion accepted")
+	}
+	for _, tc := range []struct {
+		weights []float32
+		alg     string
+	}{{nil, "fused"}, {[]float32{2, 1}, "iterative_merging"}} {
+		tr := obs.NewTrace("multi")
+		res, err := hitsOf(c2, Request{Fields: [][]float32{{1, 2}, {3, 4}}, Weights: tc.weights, SearchOptions: SearchOptions{K: 1, Trace: tr}})
+		if err != nil || len(res) != 1 || res[0].ID != 1 {
+			t.Fatalf("weights %v: %v, %v; want entity 1", tc.weights, res, err)
+		}
+		if alg, _ := tr.Summary().Attr("multi_algorithm"); alg != tc.alg {
+			t.Errorf("weights %v: multi_algorithm = %q, want %q", tc.weights, alg, tc.alg)
+		}
 	}
 }
 
@@ -579,20 +601,20 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	for {
 		select {
 		case <-done:
-			res, err := c.Search(q, SearchOptions{K: 10})
+			res, err := hitsOf(c, Request{Vector: q, SearchOptions: SearchOptions{K: 10}})
 			if err != nil || len(res) != 10 {
 				t.Fatalf("final search: %v, %v", res, err)
 			}
 			return
 		default:
-			if _, err := c.Search(q, SearchOptions{K: 10}); err != nil {
+			if _, err := hitsOf(c, Request{Vector: q, SearchOptions: SearchOptions{K: 10}}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 }
 
-func ExampleCollection_Search() {
+func ExampleCollection_Query() {
 	c, _ := NewCollection("ex", Schema{
 		VectorFields: []VectorField{{Name: "v", Dim: 2, Metric: vec.L2}},
 	}, nil, Config{FlushInterval: -1, SyncIndex: true})
@@ -603,7 +625,7 @@ func ExampleCollection_Search() {
 		{ID: 3, Vectors: [][]float32{{5, 5}}},
 	})
 	c.Flush()
-	res, _ := c.Search([]float32{0.9, 0.9}, SearchOptions{K: 2})
-	fmt.Println(res[0].ID, res[1].ID)
+	res, _ := c.Query(context.Background(), Request{Vector: []float32{0.9, 0.9}, SearchOptions: SearchOptions{K: 2}})
+	fmt.Println(res.Hits[0].ID, res.Hits[1].ID)
 	// Output: 2 1
 }

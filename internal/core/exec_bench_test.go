@@ -114,7 +114,7 @@ func BenchmarkConcurrentSearch(b *testing.B) {
 							defer wg.Done()
 							q := benchVec(int64(g)*7919+3, s.dim)
 							for next.Add(1) <= int64(b.N) {
-								if _, err := c.Search(q, SearchOptions{K: 10}); err != nil {
+								if _, err := hitsOf(c, Request{Vector: q, SearchOptions: SearchOptions{K: 10}}); err != nil {
 									b.Error(err)
 									return
 								}

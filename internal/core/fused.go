@@ -104,19 +104,6 @@ func (c *Collection) BuildFusedIndex(indexType string, params map[string]string)
 	return nil
 }
 
-// SearchFused runs the vector-fusion multi-vector query: one top-k search
-// of the aggregated query against the concatenated vectors.
-func (c *Collection) SearchFused(queries [][]float32, weights []float32, opts SearchOptions) ([]topk.Result, error) {
-	//lint:allow ctxflow ctx-less compat wrapper: public API without a context anchors at Background
-	return c.SearchFusedCtx(context.Background(), queries, weights, opts)
-}
-
-// SearchFusedCtx is SearchFused with admission control and cancellation.
-func (c *Collection) SearchFusedCtx(ctx context.Context, queries [][]float32, weights []float32, opts SearchOptions) ([]topk.Result, error) {
-	res, err := c.execute(ctx, &Query{kind: kindFused, vecs: queries, weights: weights, opts: opts})
-	return res.hits, err
-}
-
 // searchFused is the fused sweep: segments of the pinned snapshot are
 // claimed dynamically by shared-pool tasks, exactly like searchSnapshot,
 // each searched with the aggregated query fq.

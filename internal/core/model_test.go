@@ -118,7 +118,7 @@ func checkModel(t *testing.T, c *Collection, model map[int64][]float32) {
 	// deleted ID.
 	checked := 0
 	for id, v := range model {
-		res, err := c.Search(v, SearchOptions{K: 3})
+		res, err := hitsOf(c, Request{Vector: v, SearchOptions: SearchOptions{K: 3}})
 		if err != nil {
 			t.Fatal(err)
 		}

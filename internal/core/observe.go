@@ -104,7 +104,7 @@ func (c *Collection) beginQuery(kind string, trp **obs.Trace) func() {
 // batchable query (it non-nil) queues under its batch key, so a freed slot
 // may take it along as a peer instead (Slot.Joined); once granted a slot it
 // is counted on its vectordb_batchform_* path. Admission is taken once per
-// query, in execute; everything the query does downstream runs under that
+// query, in Query; everything the query does downstream runs under that
 // single slot.
 func (c *Collection) admit(ctx context.Context, tr *obs.Trace, it *batchItem, key any) (exec.Slot, error) {
 	var val any

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ func TestSearchTraceCPUPlacement(t *testing.T) {
 	c, reg, qlog := obsTestCollection(t, 300)
 	tr := obs.NewTrace("search")
 	query := mkEntities(1, 8, 7)[0].Vectors[0]
-	if _, err := c.Search(query, SearchOptions{K: 5, Trace: tr}); err != nil {
+	if _, err := hitsOf(c, Request{Vector: query, SearchOptions: SearchOptions{K: 5, Trace: tr}}); err != nil {
 		t.Fatal(err)
 	}
 	sum := tr.Summary()
@@ -78,7 +79,7 @@ func TestSearchFilteredTraceStrategy(t *testing.T) {
 	c, reg, _ := obsTestCollection(t, 300)
 	tr := obs.NewTrace("filtered")
 	query := mkEntities(1, 8, 9)[0].Vectors[0]
-	if _, err := c.SearchFiltered(query, "price", 1000, 9000, SearchOptions{K: 5, Trace: tr}); err != nil {
+	if _, err := c.SearchFilteredCtx(context.Background(), query, "price", 1000, 9000, SearchOptions{K: 5, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	sum := tr.Summary()

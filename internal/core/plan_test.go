@@ -94,7 +94,7 @@ func TestSearchTracePlanAnnotation(t *testing.T) {
 			}
 			tr := obs.NewTrace("search")
 			query := mkEntities(1, 8, 7)[0].Vectors[0]
-			if _, err := c.Search(query, SearchOptions{K: 5, Trace: tr}); err != nil {
+			if _, err := hitsOf(c, Request{Vector: query, SearchOptions: SearchOptions{K: 5, Trace: tr}}); err != nil {
 				t.Fatal(err)
 			}
 			sum := tr.Summary()
@@ -119,7 +119,7 @@ func TestFilteredPlanTrace(t *testing.T) {
 	c, _ := planTestCollection(t, 300, expensiveCompile)
 	query := mkEntities(1, 8, 7)[0].Vectors[0]
 	tr := obs.NewTrace("filtered")
-	if _, err := c.SearchFiltered(query, "price", 0, 500, SearchOptions{K: 5, Trace: tr}); err != nil {
+	if _, err := c.SearchFilteredCtx(context.Background(), query, "price", 0, 500, SearchOptions{K: 5, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	sum := tr.Summary()
@@ -133,7 +133,7 @@ func TestFilteredPlanTrace(t *testing.T) {
 	expensiveScan := fixedProfile(func(p *plan.Profile) { p.RowOverheadNs = 1e6 })
 	c2, _ := planTestCollection(t, 300, expensiveScan)
 	tr2 := obs.NewTrace("filtered")
-	if _, err := c2.SearchFiltered(query, "price", 0, 500, SearchOptions{K: 5, Trace: tr2}); err != nil {
+	if _, err := c2.SearchFilteredCtx(context.Background(), query, "price", 0, 500, SearchOptions{K: 5, Trace: tr2}); err != nil {
 		t.Fatal(err)
 	}
 	sum2 := tr2.Summary()
@@ -150,7 +150,7 @@ func TestFilteredPlanResultParity(t *testing.T) {
 	query := mkEntities(1, 8, 7)[0].Vectors[0]
 	run := func(prof *plan.Profile) []int64 {
 		c, _ := planTestCollection(t, 400, prof)
-		res, err := c.SearchFiltered(query, "price", 1000, 6000, SearchOptions{K: 10})
+		res, err := c.SearchFilteredCtx(context.Background(), query, "price", 1000, 6000, SearchOptions{K: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +177,7 @@ func TestSearchPredPlanned(t *testing.T) {
 
 	cA, _ := planTestCollection(t, 400, fixedProfile(func(p *plan.Profile) { p.BitsetNsPerRow = 1e6 }))
 	trA := obs.NewTrace("pred")
-	resA, err := cA.SearchPred(query, pred, SearchOptions{K: 10, Trace: trA})
+	resA, err := hitsOf(cA, Request{Vector: query, Pred: pred, SearchOptions: SearchOptions{K: 10, Trace: trA}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestSearchPredPlanned(t *testing.T) {
 
 	cB, _ := planTestCollection(t, 400, fixedProfile(func(p *plan.Profile) { p.RowOverheadNs = 1e6 }))
 	trB := obs.NewTrace("pred")
-	resB, err := cB.SearchPred(query, pred, SearchOptions{K: 10, Trace: trB})
+	resB, err := hitsOf(cB, Request{Vector: query, Pred: pred, SearchOptions: SearchOptions{K: 10, Trace: trB}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestSearchPredPlanned(t *testing.T) {
 	// absurdly, the planner records pushdown and the pushdown runs.
 	trTree := obs.NewTrace("pred")
 	tree := colstore.AndPred{Preds: []colstore.Pred{pred}}
-	if _, err := cA.SearchPred(query, tree, SearchOptions{K: 10, Trace: trTree}); err != nil {
+	if _, err := hitsOf(cA, Request{Vector: query, Pred: tree, SearchOptions: SearchOptions{K: 10, Trace: trTree}}); err != nil {
 		t.Fatal(err)
 	}
 	sum := trTree.Summary()
@@ -230,7 +230,7 @@ func TestBatchPlanAnnotation(t *testing.T) {
 		queries[i] = mkEntities(1, 8, int64(i+9))[0].Vectors[0]
 	}
 	tr := obs.NewTrace("batch")
-	if _, err := c.SearchBatchCtx(context.Background(), queries, SearchOptions{K: 5, Trace: tr}); err != nil {
+	if _, err := batchOf(context.Background(), c, queries, SearchOptions{K: 5, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	choice, ok := tr.Summary().Attr("plan")
@@ -285,7 +285,7 @@ func TestCategoricalPlanTrace(t *testing.T) {
 	}
 	tr := obs.NewTrace("categorical")
 	query := mkEntities(1, 8, 7)[0].Vectors[0]
-	if _, err := c.SearchCategorical(query, "color", []string{"red"}, SearchOptions{K: 5, Trace: tr}); err != nil {
+	if _, err := catHits(c, query, "color", []string{"red"}, SearchOptions{K: 5, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	sum := tr.Summary()
@@ -309,7 +309,7 @@ func filterPlan(t *testing.T, c *Collection) (chosen, est string) {
 	t.Helper()
 	tr := obs.NewTrace("search")
 	query := mkEntities(1, 8, 7)[0].Vectors[0]
-	if _, err := c.SearchFiltered(query, "price", 0, 4999, SearchOptions{K: 5, Trace: tr}); err != nil {
+	if _, err := c.SearchFilteredCtx(context.Background(), query, "price", 0, 4999, SearchOptions{K: 5, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	sum := tr.Summary()

@@ -33,7 +33,7 @@ func fullCompileSearch(t *testing.T, schema *Schema, sn *Snapshot, q []float32, 
 	return h.Results()
 }
 
-// TestPushdownProbeResolvedEqualsFullCompile: execute's pushdown resolves a
+// TestPushdownProbeResolvedEqualsFullCompile: Query's pushdown resolves a
 // predicate only at the probed buckets' positions of each IVF segment, and
 // must return, hit for hit, what the same probe returns under the predicate
 // compiled at every position — IVF_FLAT, IVF_SQ8 and IVF_PQ; range widths
@@ -104,7 +104,7 @@ func TestPushdownProbeResolvedEqualsFullCompile(t *testing.T) {
 					for qi, q := range queries {
 						label := fmt.Sprintf("%s/tombstones=%s/%s/q%d", typ, tomb, name, qi)
 						tr := obs.NewTrace("probe")
-						got, err := c.SearchPredCtx(context.Background(), q, pred, SearchOptions{K: k, Nprobe: nprobe, Trace: tr})
+						got, err := hitsOf(c, Request{Vector: q, Pred: pred, SearchOptions: SearchOptions{K: k, Nprobe: nprobe, Trace: tr}})
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"vectordb/internal/bitset"
 	"vectordb/internal/bufferpool"
 	"vectordb/internal/colstore"
@@ -48,7 +46,7 @@ func (s *Segment) CompileFilter(pred colstore.Pred, visible *bitset.Bitset, at [
 	return b, nil
 }
 
-// SearchFiltered is a segment's one filtered search, for execute's
+// SearchFiltered is a segment's one filtered search, for Query's
 // pushdown and the cluster readers: pred is compiled with p.Bits (the
 // segment's visibility, nil hides nothing) ANDed in and pushed beneath the
 // index or scan. An IVF-family index ranks its buckets first, and pred is
@@ -111,31 +109,12 @@ func (v *SourceView) CompileRange(attr int, lo, hi int64) (*query.PushedFilter, 
 	return pf, err == nil
 }
 
-// VectorQueryPushed implements query.Source: the snapshot search execute's
+// VectorQueryPushed implements query.Source: the snapshot search Query's
 // pushdown runs, each segment's filtered search compiling the predicate
 // beneath its scan or index.
 func (v *SourceView) VectorQueryPushed(field int, q []float32, k, nprobe int, pf *query.PushedFilter) []topk.Result {
-	opts := SearchOptions{K: k, Nprobe: nprobe}
+	opts := SearchOptions{Field: v.c.schema.VectorFields[field].Name, K: k, Nprobe: nprobe}
 	opts.pred, _ = pf.Handle().(colstore.Pred)
-	return v.search(field, q, opts)
-}
-
-// SearchPred runs a vector query restricted to entities satisfying an
-// arbitrary predicate tree — numeric ranges, categorical IN-lists, and
-// and/or/not combinations — compiled to per-segment bitsets and pushed
-// beneath the index scans (strategy B with the compiled filter).
-func (c *Collection) SearchPred(queryVec []float32, pred colstore.Pred, opts SearchOptions) ([]topk.Result, error) {
-	//lint:allow ctxflow ctx-less compat wrapper: public API without a context anchors at Background
-	return c.SearchPredCtx(context.Background(), queryVec, pred, opts)
-}
-
-// SearchPredCtx is SearchPred with admission control and cancellation.
-// Before compiling anything, the planner prices the pushdown against the
-// attribute-first exact scan from the zone-map/postings estimate of the
-// predicate's match count; highly selective enumerable predicates (plain
-// ranges and IN-lists) take the prefilter path instead of paying the O(n)
-// bitset compile.
-func (c *Collection) SearchPredCtx(ctx context.Context, queryVec []float32, pred colstore.Pred, opts SearchOptions) ([]topk.Result, error) {
-	res, err := c.execute(ctx, &Query{kind: kindFiltered, vec: queryVec, pred: pred, opts: opts})
-	return res.hits, err
+	res, _ := v.search(q, opts)
+	return res
 }

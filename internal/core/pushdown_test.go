@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -118,14 +119,14 @@ func TestPushdownMultiSegmentConformance(t *testing.T) {
 	}
 	const k = 12
 
-	got, err := f.c.SearchFiltered(q, "price", 100, 600, SearchOptions{K: k})
+	got, err := f.c.SearchFilteredCtx(context.Background(), q, "price", 100, 600, SearchOptions{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
 	keep := func(e Entity) bool { return e.Attrs[0] >= 100 && e.Attrs[0] <= 600 }
 	f.checkExact(t, "range", got, f.oracle(q, k, keep), keep)
 
-	got, err = f.c.SearchCategorical(q, "brand", []string{"acme", "umbrella"}, SearchOptions{K: k})
+	got, err = catHits(f.c, q, "brand", []string{"acme", "umbrella"}, SearchOptions{K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestPushdownMultiSegmentConformance(t *testing.T) {
 		colstore.NotPred{Pred: colstore.InPred{Cat: 0, Values: []string{"globex"}}},
 	}}
 	tr := obs.NewTrace("pred")
-	got, err = f.c.SearchPred(q, pred, SearchOptions{K: k, Trace: tr})
+	got, err = hitsOf(f.c, Request{Vector: q, Pred: pred, SearchOptions: SearchOptions{K: k, Trace: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestPushdownMultiSegmentConformance(t *testing.T) {
 			colstore.InPred{Cat: 0, Values: []string{"acme"}},
 		}},
 	}}
-	got, err = f.c.SearchPred(q, pred2, SearchOptions{K: k})
+	got, err = hitsOf(f.c, Request{Vector: q, Pred: pred2, SearchOptions: SearchOptions{K: k}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestPushdownMultiSegmentConformance(t *testing.T) {
 	f.checkExact(t, "pred2", got, f.oracle(q, k, keepPred2), keepPred2)
 
 	// Empty predicate → no results, no error.
-	got, err = f.c.SearchPred(q, colstore.RangePred{Attr: 0, Lo: 5000, Hi: 6000}, SearchOptions{K: k})
+	got, err = hitsOf(f.c, Request{Vector: q, Pred: colstore.RangePred{Attr: 0, Lo: 5000, Hi: 6000}, SearchOptions: SearchOptions{K: k}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestPushdownWithIndexNoViolations(t *testing.T) {
 	for j := range q {
 		q[j] = float32(r.NormFloat64())
 	}
-	got, err := f.c.SearchFiltered(q, "price", 200, 800, SearchOptions{K: 10, Nprobe: 8})
+	got, err := f.c.SearchFilteredCtx(context.Background(), q, "price", 200, 800, SearchOptions{K: 10, Nprobe: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

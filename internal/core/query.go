@@ -12,34 +12,42 @@ import (
 	"vectordb/internal/topk"
 )
 
-// Query kinds: the vectordb_query_total type label. The multi-vector kinds
-// also say how vecs is read.
-const (
-	kindVector      = "vector"
-	kindFiltered    = "filtered"
-	kindCategorical = "categorical"
-	kindBatch       = "batch" // vecs holds one query per entry, all against one field
-	kindMulti       = "multi" // vecs holds one query per vector field
-	kindFused       = "fused" // as kindMulti, and the caller requires the fused sweep
-)
-
-// Query is one read request in the form execute takes. Every public Search*
-// variant builds one and calls execute; the fields are unexported so nothing
-// else can.
-type Query struct {
-	kind    string
-	vec     []float32     // the query vector of the single-vector kinds
-	vecs    [][]float32   // kindBatch, kindMulti, kindFused
-	weights []float32     // kindMulti, kindFused: per-field weights, nil = all 1
-	pred    colstore.Pred // optional attribute predicate
-	opts    SearchOptions
+// Request is one read: exactly one of Vector (a top-k query against one
+// field), Batch (len(Batch) queries against one field, answered in input
+// order) or Fields (one query per vector field, aggregated by the weighted
+// sum of Sec. 4.2 with Weights, nil meaning all 1), an optional attribute
+// predicate on a Vector request (range, IN-list or a tree of them, Sec. 4.1),
+// and the options every shape shares. Query answers it.
+type Request struct {
+	Vector  []float32
+	Batch   [][]float32
+	Fields  [][]float32
+	Weights []float32
+	Pred    colstore.Pred
+	SearchOptions
 }
 
-// result is what execute hands back: hits for every kind but kindBatch,
-// which fills batch in input order.
-type result struct {
-	hits  []topk.Result
-	batch [][]topk.Result
+// Response is a request's answer: Hits for every shape but Batch, whose
+// per-query hits fill Batch in input order.
+type Response struct {
+	Hits  []topk.Result
+	Batch [][]topk.Result
+}
+
+// kind is q's vectordb_query_total type label, read off its shape.
+func (q *Request) kind() string {
+	switch {
+	case q.Fields != nil:
+		return "multi"
+	case q.Batch != nil:
+		return "batch"
+	case q.Pred == nil:
+		return "vector"
+	}
+	if _, ok := q.Pred.(colstore.InPred); ok {
+		return "categorical"
+	}
+	return "filtered"
 }
 
 // runner names the ways a planned query runs over a pinned snapshot.
@@ -62,62 +70,63 @@ type route struct {
 	fused []float32 // runFused: the aggregated query
 }
 
-// execute is the collection's one read path (Sec. 2.3, 5.2): validate the
-// request against the schema, count and trace it, take a run slot, pin the
-// current snapshot, plan, run the planned runner over that snapshot, and
-// report the elapsed time back to the planner. A plain vector query may
-// instead be taken along as a peer by another query's slot, and then only
-// waits for that holder's answer. Validation comes first so a malformed
-// request is never counted, never holds a slot and never reaches a heap or
-// a kernel. A cancelled query returns ctx's error, not partial results.
-func (c *Collection) execute(ctx context.Context, q *Query) (result, error) {
-	f, err := c.validate(q)
+// Query is the collection's one read path (Sec. 2.3, 5.2): validate the
+// request against its shape and the schema, count and trace it, take a run
+// slot, pin the current snapshot, plan, run the planned runner over that
+// snapshot, and report the elapsed time back to the planner. A plain vector
+// query may instead be taken along as a peer by another query's slot, and
+// then only waits for that holder's answer. Validation comes first so a
+// malformed request is never counted, never holds a slot and never reaches
+// a heap or a kernel. A cancelled query returns ctx's error, not partial
+// results.
+func (c *Collection) Query(ctx context.Context, q Request) (Response, error) {
+	f, err := c.validate(&q)
 	if err != nil {
-		return result{}, err
+		return Response{}, err
 	}
-	done := c.beginQuery(q.kind, &q.opts.Trace)
+	done := c.beginQuery(q.kind(), &q.Trace)
 	defer done()
-	tr := q.opts.Trace
-	it, key := c.formable(ctx, f, q)
+	tr := q.Trace
+	it, key := c.formable(ctx, f, &q)
 	slot, err := c.admit(ctx, tr, it, key)
 	if err != nil {
-		return result{}, err
+		return Response{}, err
 	}
 	defer slot.Release()
 	if slot.Joined {
 		return awaitBatch(ctx, it, tr)
 	}
-	items := batchItems(ctx, q, it, slot.Peers)
+	items := batchItems(ctx, &q, it, slot.Peers)
 	sn := c.snaps.acquire()
 	defer c.snaps.release(sn)
 
 	planSpan := tr.StartSpan("plan")
-	rt := c.plan(sn, f, q, items)
+	rt := c.plan(sn, f, &q, items)
 	planSpan.AnnotateInt("segments", int64(len(sn.Segments)))
 	planSpan.End()
 
-	var res result
+	var res Response
 	t0 := time.Now()
 	switch rt.run {
 	case runBatch:
 		tr.AnnotateInt("batch_occupancy", int64(len(items)))
-		c.searchBatch(sn, c.batchFormKey(f, &q.opts), rt.dec, items)
-		res, err = batchResult(q, items)
+		c.searchBatch(sn, c.batchFormKey(f, &q.SearchOptions), rt.dec, items)
+		res, err = batchResult(&q, items)
 	case runFused:
-		res.hits, err = c.searchFused(ctx, sn, rt.fused, q.opts)
+		res.Hits, err = c.searchFused(ctx, sn, rt.fused, q.SearchOptions)
 	case runIterative:
 		src := &SourceView{c: c, sn: sn, Ctx: ctx}
-		res.hits = query.IterativeMergingCtx(ctx, src, q.vecs, q.weights, q.opts.K, 16384)
+		res.Hits = query.IterativeMergingCtx(ctx, src, q.Fields, q.Weights, q.K, 16384)
 	case runPrefilter:
-		res.hits, err = c.prefilterScan(ctx, sn, f, q.vec, q.pred, q.opts)
+		res.Hits, err = c.prefilterScan(ctx, sn, f, q.Vector, q.Pred, q.SearchOptions)
 	case runPushdown:
 		// Strategy B: each segment's task compiles the predicate at the
 		// positions its search reads (Segment.SearchFiltered).
 		tr.Annotate("filter_strategy", query.StratB)
-		q.opts.pred = q.pred
-		res.hits, err = c.searchSnapshot(ctx, sn, f, q.vec, q.opts)
+		q.pred = q.Pred
+		res.Hits, err = c.searchSnapshot(ctx, sn, f, q.Vector, q.SearchOptions)
 	default:
-		res.hits, err = c.searchSnapshot(ctx, sn, f, q.vec, q.opts)
+		res.Hits, err = c.searchSnapshot(ctx, sn, f, q.Vector, q.SearchOptions)
 	}
 	if rt.dec.Choice() != "" {
 		c.planner.Observe(rt.dec, time.Since(t0))
@@ -126,23 +135,35 @@ func (c *Collection) execute(ctx context.Context, q *Query) (result, error) {
 		err = ctx.Err()
 	}
 	if err != nil {
-		return result{}, err
+		return Response{}, err
 	}
 	return res, nil
 }
 
-// validate checks q against the schema alone and resolves its vector field
-// (0 for the multi-vector kinds, which use every field).
-func (c *Collection) validate(q *Query) (int, error) {
-	switch q.kind {
-	case kindMulti, kindFused:
+// validate checks q's shape, then q against the schema alone, and resolves
+// its vector field (0 for a Fields request, which uses every field).
+func (c *Collection) validate(q *Request) (int, error) {
+	shapes := 0
+	for _, set := range []bool{q.Vector != nil, q.Batch != nil, q.Fields != nil} {
+		if set {
+			shapes++
+		}
+	}
+	switch {
+	case shapes != 1:
+		return 0, fmt.Errorf("core: a request sets exactly one of Vector, Batch and Fields, not %d", shapes)
+	case q.Weights != nil && q.Fields == nil:
+		return 0, fmt.Errorf("core: Weights apply to a Fields request only")
+	case q.Pred != nil && q.Vector == nil:
+		return 0, fmt.Errorf("core: a predicate applies to a Vector request only")
+	case q.Fields != nil:
 		return 0, c.checkFieldVectors(q)
-	case kindBatch:
+	case q.Batch != nil:
 		return c.checkBatch(q)
 	}
-	f, err := c.checkVector(q.opts.Field, q.vec, q.opts.K)
-	if err == nil && (q.pred != nil || q.kind == kindFiltered) {
-		err = c.checkPred(q.pred)
+	f, err := c.checkVector(q.Field, q.Vector, q.K)
+	if err == nil && q.Pred != nil {
+		err = c.checkPred(q.Pred)
 	}
 	return f, err
 }
@@ -169,9 +190,9 @@ func (c *Collection) checkVector(field string, query []float32, k int) (int, err
 
 // checkBatch checks an explicit batch: every query against the one field,
 // and a metric the tile kernels decompose per query block.
-func (c *Collection) checkBatch(q *Query) (f int, err error) {
-	for _, v := range q.vecs {
-		if f, err = c.checkVector(q.opts.Field, v, q.opts.K); err != nil {
+func (c *Collection) checkBatch(q *Request) (f int, err error) {
+	for _, v := range q.Batch {
+		if f, err = c.checkVector(q.Field, v, q.K); err != nil {
 			return 0, err
 		}
 	}
@@ -182,23 +203,19 @@ func (c *Collection) checkBatch(q *Query) (f int, err error) {
 }
 
 // checkFieldVectors checks a one-vector-per-field request: counts, per-field
-// dimensions, k, and for kindFused that the schema's metric and the weights
-// are decomposable (Sec. 4.2).
-func (c *Collection) checkFieldVectors(q *Query) error {
+// dimensions and k.
+func (c *Collection) checkFieldVectors(q *Request) error {
 	fields := c.schema.VectorFields
-	if len(q.vecs) != len(fields) {
-		return fmt.Errorf("core: %d query vectors for %d fields", len(q.vecs), len(fields))
+	if len(q.Fields) != len(fields) {
+		return fmt.Errorf("core: %d query vectors for %d fields", len(q.Fields), len(fields))
 	}
-	if q.weights != nil && len(q.weights) != len(fields) {
-		return fmt.Errorf("core: %d weights for %d fields", len(q.weights), len(fields))
+	if q.Weights != nil && len(q.Weights) != len(fields) {
+		return fmt.Errorf("core: %d weights for %d fields", len(q.Weights), len(fields))
 	}
-	for i, v := range q.vecs {
-		if _, err := c.checkVector(fields[i].Name, v, q.opts.K); err != nil {
+	for i, v := range q.Fields {
+		if _, err := c.checkVector(fields[i].Name, v, q.K); err != nil {
 			return err
 		}
-	}
-	if q.kind == kindFused {
-		return c.fusable(q.weights)
 	}
 	return nil
 }
@@ -240,32 +257,33 @@ func (c *Collection) checkPred(p colstore.Pred) error {
 // vs pushdown for a predicate, from the zone-map / postings estimate (nothing
 // is compiled or enumerated to decide) — and prices and labels the one venue
 // an unfiltered vector query runs on. The multi-vector algorithm is fixed by
-// the request and the schema; it is stamped plan_forced and not reported
-// back to the planner. items is the batch q runs as, nil when it runs alone.
-func (c *Collection) plan(sn *Snapshot, f int, q *Query, items []*batchItem) route {
-	tr := q.opts.Trace
+// the schema and the weights (fusion when they decompose); it is stamped
+// plan_forced and not reported back to the planner. items is the batch q
+// runs as, nil when it runs alone.
+func (c *Collection) plan(sn *Snapshot, f int, q *Request, items []*batchItem) route {
+	tr := q.Trace
 	var rt route
 	switch {
-	case q.kind == kindFused || (q.kind == kindMulti && c.fusable(q.weights) == nil):
-		rt = route{run: runFused, fused: c.fuseQuery(q.vecs, q.weights)}
+	case q.Fields != nil && c.fusable(q.Weights) == nil:
+		rt = route{run: runFused, fused: c.fuseQuery(q.Fields, q.Weights)}
 		tr.Annotate("multi_algorithm", "fused")
 		forcePlan(tr, "fused")
-	case q.kind == kindMulti:
+	case q.Fields != nil:
 		rt.run = runIterative
 		tr.Annotate("multi_algorithm", "iterative_merging")
 		forcePlan(tr, "iterative_merging")
-	case q.pred != nil:
+	case q.Pred != nil:
 		fs := c.filterShape(sn, f)
-		fs.K = q.opts.K
-		if q.opts.Nprobe > 0 {
-			fs.Nprobe = q.opts.Nprobe
+		fs.K = q.K
+		if q.Nprobe > 0 {
+			fs.Nprobe = q.Nprobe
 		}
 		for _, seg := range sn.Segments {
-			fs.Matched += colstore.EstimatePred(q.pred, seg)
+			fs.Matched += colstore.EstimatePred(q.Pred, seg)
 		}
 		// Plain ranges and IN-lists resolve to a row enumeration, so both
 		// strategies are offered for them; arbitrary trees can only push down.
-		switch q.pred.(type) {
+		switch q.Pred.(type) {
 		case colstore.RangePred, colstore.InPred:
 			rt.dec = c.planner.PickFilterStrategy(fs)
 		default:
@@ -277,9 +295,9 @@ func (c *Collection) plan(sn *Snapshot, f int, q *Query, items []*batchItem) rou
 		}
 		annotatePlan(tr, rt.dec)
 	case items != nil:
-		rt = route{run: runBatch, dec: c.planVenue(sn, f, len(items), &q.opts)}
+		rt = route{run: runBatch, dec: c.planVenue(sn, f, len(items), &q.SearchOptions)}
 	default:
-		rt.dec = c.planVenue(sn, f, 1, &q.opts)
+		rt.dec = c.planVenue(sn, f, 1, &q.SearchOptions)
 	}
 	return rt
 }
@@ -310,7 +328,7 @@ func (c *Collection) prefilterScan(ctx context.Context, sn *Snapshot, f int, que
 	if len(rows) == 0 {
 		return nil, nil
 	}
-	// A cancelled scan stops early with partial results; execute discards
+	// A cancelled scan stops early with partial results; Query discards
 	// them for ctx's error.
 	vc := query.VecCond{Field: f, Query: queryVec, K: opts.K, Trace: tr, Ctx: ctx}
 	return query.ExactScan(&src, rows, vc), nil

@@ -17,7 +17,7 @@ import (
 	"vectordb/internal/vec"
 )
 
-// readPathFixture is a flushed collection every public search variant can
+// readPathFixture is a flushed collection every request shape can
 // run against: two inner-product vector fields (so fusion applies), one
 // numeric and one categorical attribute, its own registry, query log and
 // admission pool.
@@ -91,65 +91,98 @@ func goodReq() readReq {
 	}
 }
 
-// readVariant is one public entry to the read path.
+// readVariant is one shape of read request, under a stable subtest name.
 type readVariant struct {
 	name string
 	kind string // its vectordb_query_total type
 	// takes says which request parts the variant reads beyond vec and k.
 	takesField, takesAttr, takesCat bool
-	run                             func(ctx context.Context, fx *readPathFixture, r readReq) (int, error)
+	// req builds the request; a name that does not resolve fails here.
+	req func(fx *readPathFixture, r readReq) (Request, error)
+}
+
+// run sends v's request and counts its hits (the first query's, for a
+// batch of two).
+func (v readVariant) run(ctx context.Context, fx *readPathFixture, r readReq) (int, error) {
+	q, err := v.req(fx, r)
+	if err != nil {
+		return 0, err
+	}
+	res, err := fx.c.Query(ctx, q)
+	if q.Batch == nil || err != nil {
+		return len(res.Hits), err
+	}
+	if len(res.Batch) != 2 {
+		return 0, fmt.Errorf("batch of 2 answered %d lists", len(res.Batch))
+	}
+	return len(res.Batch[0]), nil
 }
 
 func hits(res []topk.Result, err error) (int, error) { return len(res), err }
 
-// readVariants lists every public Search*Ctx entry: the seven variants that
-// go through execute, with both predicate shapes SearchPredCtx takes.
+// hitsOf is Query under a background context, for the requests whose
+// answer is Hits.
+func hitsOf(c *Collection, q Request) ([]topk.Result, error) {
+	res, err := c.Query(context.Background(), q)
+	return res.Hits, err
+}
+
+// batchOf is Query of a Batch request.
+func batchOf(ctx context.Context, c *Collection, queries [][]float32, opts SearchOptions) ([][]topk.Result, error) {
+	res, err := c.Query(ctx, Request{Batch: queries, SearchOptions: opts})
+	return res.Batch, err
+}
+
+// readVariants lists the request shapes: one vector, a predicate given by
+// name or by position (range and IN-list), one vector per field with and
+// without weights, and a batch.
 var readVariants = []readVariant{
 	{name: "SearchCtx", kind: "vector", takesField: true,
-		run: func(ctx context.Context, fx *readPathFixture, r readReq) (int, error) {
-			return hits(fx.c.SearchCtx(ctx, r.vec, r.opts()))
+		req: func(fx *readPathFixture, r readReq) (Request, error) {
+			return Request{Vector: r.vec, SearchOptions: r.opts()}, nil
 		}},
 	{name: "SearchFilteredCtx", kind: "filtered", takesField: true, takesAttr: true,
-		run: func(ctx context.Context, fx *readPathFixture, r readReq) (int, error) {
-			return hits(fx.c.SearchFilteredCtx(ctx, r.vec, r.attr, r.lo, r.hi, r.opts()))
+		req: func(fx *readPathFixture, r readReq) (Request, error) {
+			pred, err := fx.c.Schema().RangePred(r.attr, r.lo, r.hi)
+			return Request{Vector: r.vec, Pred: pred, SearchOptions: r.opts()}, err
 		}},
 	{name: "SearchPredCtx/range", kind: "filtered", takesField: true, takesAttr: true,
-		run: func(ctx context.Context, fx *readPathFixture, r readReq) (int, error) {
+		req: func(fx *readPathFixture, r readReq) (Request, error) {
 			attr := 0
 			if r.attr != "price" {
 				attr = 7
 			}
-			return hits(fx.c.SearchPredCtx(ctx, r.vec, colstore.RangePred{Attr: attr, Lo: r.lo, Hi: r.hi}, r.opts()))
+			return Request{Vector: r.vec, Pred: colstore.RangePred{Attr: attr, Lo: r.lo, Hi: r.hi}, SearchOptions: r.opts()}, nil
 		}},
-	{name: "SearchPredCtx/in", kind: "filtered", takesField: true, takesCat: true,
-		run: func(ctx context.Context, fx *readPathFixture, r readReq) (int, error) {
+	{name: "SearchPredCtx/in", kind: "categorical", takesField: true, takesCat: true,
+		req: func(fx *readPathFixture, r readReq) (Request, error) {
 			cat := 0
 			if r.cat != "brand" {
 				cat = 7
 			}
-			return hits(fx.c.SearchPredCtx(ctx, r.vec, colstore.InPred{Cat: cat, Values: r.values}, r.opts()))
+			return Request{Vector: r.vec, Pred: colstore.InPred{Cat: cat, Values: r.values}, SearchOptions: r.opts()}, nil
 		}},
 	{name: "SearchCategoricalCtx", kind: "categorical", takesField: true, takesCat: true,
-		run: func(ctx context.Context, fx *readPathFixture, r readReq) (int, error) {
-			return hits(fx.c.SearchCategoricalCtx(ctx, r.vec, r.cat, r.values, r.opts()))
+		req: func(fx *readPathFixture, r readReq) (Request, error) {
+			pred, err := fx.c.Schema().InPred(r.cat, r.values)
+			return Request{Vector: r.vec, Pred: pred, SearchOptions: r.opts()}, err
 		}},
 	{name: "SearchMultiVectorCtx", kind: "multi",
-		run: func(ctx context.Context, fx *readPathFixture, r readReq) (int, error) {
-			return hits(fx.c.SearchMultiVectorCtx(ctx, [][]float32{r.vec, fx.w}, []float32{2, 0.5}, r.k))
+		req: func(fx *readPathFixture, r readReq) (Request, error) {
+			return Request{Fields: [][]float32{r.vec, fx.w}, Weights: []float32{2, 0.5}, SearchOptions: SearchOptions{K: r.k}}, nil
 		}},
-	{name: "SearchFusedCtx", kind: "fused",
-		run: func(ctx context.Context, fx *readPathFixture, r readReq) (int, error) {
-			return hits(fx.c.SearchFusedCtx(ctx, [][]float32{r.vec, fx.w}, nil, r.opts()))
+	{name: "SearchFusedCtx", kind: "multi",
+		req: func(fx *readPathFixture, r readReq) (Request, error) {
+			return Request{Fields: [][]float32{r.vec, fx.w}, SearchOptions: r.opts()}, nil
 		}},
 	{name: "SearchBatchCtx", kind: "batch", takesField: true,
-		run: func(ctx context.Context, fx *readPathFixture, r readReq) (int, error) {
-			out, err := fx.c.SearchBatchCtx(ctx, [][]float32{r.vec, r.vec}, r.opts())
-			if err != nil || len(out) != 2 {
-				return 0, err
-			}
-			return len(out[0]), nil
+		req: func(fx *readPathFixture, r readReq) (Request, error) {
+			return Request{Batch: [][]float32{r.vec, r.vec}, SearchOptions: r.opts()}, nil
 		}},
 }
+
+// queryKinds are every vectordb_query_total type a request can count under.
+var queryKinds = []string{"vector", "filtered", "categorical", "multi", "batch"}
 
 func (fx *readPathFixture) queryCount(kind string) int64 {
 	return fx.reg.Counter("vectordb_query_total", "collection", "rp", "type", kind).Value()
@@ -162,8 +195,10 @@ func (fx *readPathFixture) latencyCount() int64 {
 // TestMalformedRequestIsARequestError: a wrong-dimension vector, K ≤ 0, an
 // unknown field or attribute and an empty IN-list are request errors on
 // every variant, on both sides of the planner's prefilter/pushdown
-// crossover, for a narrow and a wide range: no panic, no empty success,
-// nothing counted, logged or left admitted.
+// crossover, for a narrow and a wide range; so is a request that sets none
+// or several of Vector, Batch and Fields, Weights without Fields, or a
+// predicate on a Batch or Fields request: no panic, no empty success,
+// nothing counted under any type, logged or left admitted.
 func TestMalformedRequestIsARequestError(t *testing.T) {
 	malformed := []struct {
 		name    string
@@ -185,8 +220,51 @@ func TestMalformedRequestIsARequestError(t *testing.T) {
 		"pushdown":  fixedProfile(func(p *plan.Profile) { p.RowOverheadNs = 1e6 }),
 	}
 	ranges := map[string][2]int64{"narrow": {100, 120}, "wide": {0, 2990}}
+	good := goodReq()
+	opts := good.opts()
+	in := colstore.InPred{Cat: 0, Values: good.values}
+	shapes := []struct {
+		name string
+		req  Request
+	}{
+		{"no shape", Request{SearchOptions: opts}},
+		{"Vector and Batch", Request{Vector: good.vec, Batch: [][]float32{good.vec}, SearchOptions: opts}},
+		{"Vector and Fields", Request{Vector: good.vec, Fields: [][]float32{good.vec, {1, 0, -1, 0.5}}, SearchOptions: opts}},
+		{"Batch and Fields", Request{Batch: [][]float32{good.vec}, Fields: [][]float32{good.vec, {1, 0, -1, 0.5}}, SearchOptions: opts}},
+		{"Weights on Vector", Request{Vector: good.vec, Weights: []float32{1, 1}, SearchOptions: opts}},
+		{"Weights on Batch", Request{Batch: [][]float32{good.vec}, Weights: []float32{1, 1}, SearchOptions: opts}},
+		{"Pred on Batch", Request{Batch: [][]float32{good.vec}, Pred: in, SearchOptions: opts}},
+		{"Pred on Fields", Request{Fields: [][]float32{good.vec, {1, 0, -1, 0.5}}, Pred: in, SearchOptions: opts}},
+	}
 	for side, prof := range sides {
 		fx := newReadPathFixture(t, prof)
+		for _, sh := range shapes {
+			t.Run(side+"/shape/"+sh.name, func(t *testing.T) {
+				counted := make([]int64, len(queryKinds))
+				for i, kind := range queryKinds {
+					counted[i] = fx.queryCount(kind)
+				}
+				sampled, logged := fx.latencyCount(), fx.qlog.Total()
+				res, err := fx.c.Query(context.Background(), sh.req)
+				if err == nil {
+					t.Fatalf("answered %+v, want a request error", res)
+				}
+				if errors.Is(err, context.Canceled) || errors.Is(err, exec.ErrRejected) {
+					t.Fatalf("err = %v, want a request error", err)
+				}
+				if fx.pool.Inflight() != 0 {
+					t.Errorf("%d queries left in flight", fx.pool.Inflight())
+				}
+				for i, kind := range queryKinds {
+					if got := fx.queryCount(kind); got != counted[i] {
+						t.Errorf("rejected request counted as %q: %d -> %d", kind, counted[i], got)
+					}
+				}
+				if fx.latencyCount() != sampled || fx.qlog.Total() != logged {
+					t.Error("rejected request sampled or logged")
+				}
+			})
+		}
 		for _, v := range readVariants {
 			for _, m := range malformed {
 				if m.applies != nil && !m.applies(v) {
@@ -226,9 +304,9 @@ func TestMalformedRequestIsARequestError(t *testing.T) {
 	}
 }
 
-// TestEveryVariantRunsTheSameStages walks every public variant through the
-// one read path and checks what execute promises for each: counted once
-// under its kind, sampled once, logged with a sched_wait stage and a plan=
+// TestEveryVariantRunsTheSameStages walks every request shape through the
+// one read path and checks what Query promises for each: counted once
+// under its type, sampled once, logged with a sched_wait stage and a plan=
 // annotation, a dead context answered with its own error, and admission
 // rejection surfaced unchanged.
 func TestEveryVariantRunsTheSameStages(t *testing.T) {
@@ -299,17 +377,18 @@ func TestEveryVariantRunsTheSameStages(t *testing.T) {
 	}
 }
 
-// TestSearchSnapshotCtxOutsideExecute: the pinned-snapshot entry runs only
-// stage 1's single-vector check before the sweep. Malformed requests are
-// the same request errors as on SearchCtx; a valid one answers without
-// being counted, sampled or logged, and without taking an admission slot —
-// its callers are already inside an admitted query.
+// TestSearchSnapshotCtxOutsideExecute: a SourceView's search over its
+// pinned snapshot runs only the single-vector check before the sweep.
+// Malformed requests are the same request errors as on a Vector request; a
+// valid one answers without being counted, sampled or logged, and without
+// taking an admission slot — its callers are already inside an admitted
+// query.
 func TestSearchSnapshotCtxOutsideExecute(t *testing.T) {
 	fx := newReadPathFixture(t, fixedProfile(nil))
 	src := fx.c.Source()
 	defer src.Release()
 	run := func(r readReq) (int, error) {
-		return hits(fx.c.SearchSnapshotCtx(context.Background(), src.sn, r.vec, r.opts()))
+		return hits(src.search(r.vec, r.opts()))
 	}
 	unobserved := func(t *testing.T, counted, sampled, logged int64) {
 		t.Helper()
@@ -352,7 +431,7 @@ func TestSearchSnapshotCtxOutsideExecute(t *testing.T) {
 		unobserved(t, counted, sampled, logged)
 	})
 
-	// The one slot held and the one-deep queue full: every execute variant
+	// The one slot held and the one-deep queue full: every request
 	// fast-fails here, the pinned-snapshot search still answers.
 	t.Run("full admission queue", func(t *testing.T) {
 		slot, err := fx.pool.Admit(context.Background(), nil, nil)
@@ -375,8 +454,8 @@ func TestSearchSnapshotCtxOutsideExecute(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		if _, err := fx.c.SearchCtx(context.Background(), goodReq().vec, goodReq().opts()); !errors.Is(err, exec.ErrRejected) {
-			t.Fatalf("SearchCtx under a full queue: err = %v, want exec.ErrRejected", err)
+		if _, err := hitsOf(fx.c, Request{Vector: goodReq().vec, SearchOptions: goodReq().opts()}); !errors.Is(err, exec.ErrRejected) {
+			t.Fatalf("Query under a full queue: err = %v, want exec.ErrRejected", err)
 		}
 		if n, err := run(goodReq()); err != nil || n != 5 {
 			t.Fatalf("%d hits, %v; want 5 hits without admission", n, err)
@@ -390,7 +469,7 @@ func TestFusedTraceStages(t *testing.T) {
 	fx := newReadPathFixture(t, fixedProfile(nil))
 	tr := obs.NewTrace("fused")
 	r := goodReq()
-	if _, err := fx.c.SearchFusedCtx(context.Background(), [][]float32{r.vec, fx.w}, nil, SearchOptions{K: 5, Trace: tr}); err != nil {
+	if _, err := hitsOf(fx.c, Request{Fields: [][]float32{r.vec, fx.w}, SearchOptions: SearchOptions{K: 5, Trace: tr}}); err != nil {
 		t.Fatal(err)
 	}
 	sum := tr.Summary()

@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 
+	"vectordb/internal/colstore"
 	"vectordb/internal/vec"
 )
 
@@ -97,6 +98,26 @@ func (s *Schema) AttrFieldIndex(name string) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("core: unknown attribute field %q", name)
+}
+
+// RangePred is lo ≤ attr ≤ hi on the numeric attribute named attr, as a
+// Request's Pred.
+func (s *Schema) RangePred(attr string, lo, hi int64) (colstore.Pred, error) {
+	i, err := s.AttrFieldIndex(attr)
+	if err != nil {
+		return nil, err
+	}
+	return colstore.RangePred{Attr: i, Lo: lo, Hi: hi}, nil
+}
+
+// InPred is cat IN values on the categorical field named cat, as a
+// Request's Pred.
+func (s *Schema) InPred(cat string, values []string) (colstore.Pred, error) {
+	i, err := s.CatFieldIndex(cat)
+	if err != nil {
+		return nil, err
+	}
+	return colstore.InPred{Cat: i, Values: values}, nil
 }
 
 // Entity is one row: an ID, one vector per schema vector field, and one

@@ -76,14 +76,14 @@ func TestSearchBatchUsesTileKernels(t *testing.T) {
 	}
 	// The process's first query calibrates the planner's profile, which
 	// times the per-row kernels on purpose; take it before counting.
-	if _, err := c.SearchBatchCtx(context.Background(), queries, SearchOptions{K: 5}); err != nil {
+	if _, err := batchOf(context.Background(), c, queries, SearchOptions{K: 5}); err != nil {
 		t.Fatal(err)
 	}
 	prev := vec.DispatchCounting()
 	vec.SetDispatchCounting(true)
 	defer vec.SetDispatchCounting(prev)
 	vec.ResetDispatchCounts()
-	res, err := c.SearchBatchCtx(context.Background(), queries, SearchOptions{K: 5})
+	res, err := batchOf(context.Background(), c, queries, SearchOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestBatchDispatchCountersOnMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	vec.ResetDispatchCounts()
-	if _, err := c.Search(mkEntities(1, 8, 78)[0].Vectors[0], SearchOptions{K: 5}); err != nil {
+	if _, err := hitsOf(c, Request{Vector: mkEntities(1, 8, 78)[0].Vectors[0], SearchOptions: SearchOptions{K: 5}}); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder

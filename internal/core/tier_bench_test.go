@@ -39,7 +39,7 @@ func BenchmarkTieredSearch(b *testing.B) {
 	}
 	search := func(b *testing.B, c *Collection, opts SearchOptions, i int) {
 		i %= nqueries
-		res, err := c.Search(queries[i], opts)
+		res, err := hitsOf(c, Request{Vector: queries[i], SearchOptions: opts})
 		if err != nil {
 			b.Fatal(err)
 		}

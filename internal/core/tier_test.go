@@ -142,11 +142,11 @@ func TestTieredConformance(t *testing.T) {
 				q := ents[qi*37%rows].Vectors[0]
 				opts := SearchOptions{K: 10, Nprobe: 4}
 
-				want, err := plain.Search(q, opts)
+				want, err := hitsOf(plain, Request{Vector: q, SearchOptions: opts})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := tiered.Search(q, opts)
+				got, err := hitsOf(tiered, Request{Vector: q, SearchOptions: opts})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,11 +162,11 @@ func TestTieredConformance(t *testing.T) {
 					colstore.RangePred{Attr: 0, Lo: 0, Hi: 6000},
 					colstore.InPred{Cat: 0, Values: []string{"acme", "globex"}},
 				}}
-				want, err = plain.SearchPred(q, pred, opts)
+				want, err = hitsOf(plain, Request{Vector: q, Pred: pred, SearchOptions: opts})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err = tiered.SearchPred(q, pred, opts)
+				got, err = hitsOf(tiered, Request{Vector: q, Pred: pred, SearchOptions: opts})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -240,9 +240,9 @@ func TestTieredConcurrentRecycle(t *testing.T) {
 			search := func(c *Collection, qi int) ([]topk.Result, error) {
 				q, opts := ents[qi*97%rows].Vectors[0], SearchOptions{K: 10, Nprobe: 4}
 				if qi%2 == 1 {
-					return c.SearchPred(q, half, opts)
+					return hitsOf(c, Request{Vector: q, Pred: half, SearchOptions: opts})
 				}
-				return c.Search(q, opts)
+				return hitsOf(c, Request{Vector: q, SearchOptions: opts})
 			}
 			want := make([][]topk.Result, queries)
 			for qi := range want {
@@ -806,11 +806,11 @@ func TestTieredProbeReadsMappedPayload(t *testing.T) {
 			}
 			opts := SearchOptions{K: 10, Nprobe: 4}
 			for _, e := range []Entity{ents[5], ents[rows-9]} {
-				want, err := plain.Search(e.Vectors[0], opts)
+				want, err := hitsOf(plain, Request{Vector: e.Vectors[0], SearchOptions: opts})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := tiered.Search(e.Vectors[0], opts)
+				got, err := hitsOf(tiered, Request{Vector: e.Vectors[0], SearchOptions: opts})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -845,7 +845,7 @@ func TestTieredDemotePromote(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ents[100].Vectors[0]
-	before, err := c.Search(q, SearchOptions{K: 5})
+	before, err := hitsOf(c, Request{Vector: q, SearchOptions: SearchOptions{K: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -859,7 +859,7 @@ func TestTieredDemotePromote(t *testing.T) {
 		t.Fatalf("after demote: %+v", st)
 	}
 
-	after, err := c.Search(q, SearchOptions{K: 5})
+	after, err := hitsOf(c, Request{Vector: q, SearchOptions: SearchOptions{K: 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -916,7 +916,7 @@ func TestTieredMappedBudget(t *testing.T) {
 		t.Fatalf("budget demoted nothing: %+v", st)
 	}
 	// Queries promote on demand and still see every row.
-	res, err := c.Search(ents[1000].Vectors[0], SearchOptions{K: 1})
+	res, err := hitsOf(c, Request{Vector: ents[1000].Vectors[0], SearchOptions: SearchOptions{K: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -948,7 +948,7 @@ func TestTieredRestore(t *testing.T) {
 	keys := c.SegmentKeys()
 	tombs := c.Tombstones()
 	q := ents[42].Vectors[0]
-	want, err := c.Search(q, SearchOptions{K: 7})
+	want, err := hitsOf(c, Request{Vector: q, SearchOptions: SearchOptions{K: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -966,7 +966,7 @@ func TestTieredRestore(t *testing.T) {
 	if st := restored.TierStats(); st.Tiered == 0 {
 		t.Fatal("restore did not tier segments")
 	}
-	got, err := restored.Search(q, SearchOptions{K: 7})
+	got, err := hitsOf(restored, Request{Vector: q, SearchOptions: SearchOptions{K: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1002,7 +1002,7 @@ func TestTieredIndexRebuild(t *testing.T) {
 	}
 	q := ents[77].Vectors[0]
 	opts := SearchOptions{K: 10, Nprobe: 4} // nprobe = nlist: exact
-	want, err := c.Search(q, opts)
+	want, err := hitsOf(c, Request{Vector: q, SearchOptions: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1014,7 +1014,7 @@ func TestTieredIndexRebuild(t *testing.T) {
 		// payload extents from the store — a rebuild that clobbered its
 		// successor's store object would come back empty.
 		c.DemoteSegments()
-		got, err := c.Search(q, opts)
+		got, err := hitsOf(c, Request{Vector: q, SearchOptions: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1086,7 +1086,7 @@ func TestTieredRebuildToBloblessIndex(t *testing.T) {
 		t.Fatalf("after FLAT: %d tiers for %d segments; the IVF payload tiers were not freed", tiers, segs)
 	}
 	q := ents[5].Vectors[0]
-	got, err := c.Search(q, SearchOptions{K: 1})
+	got, err := hitsOf(c, Request{Vector: q, SearchOptions: SearchOptions{K: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1183,7 +1183,7 @@ func TestDBTierDefaults(t *testing.T) {
 		if ts := c.TierStats(); ts.Tiered == 0 {
 			t.Fatalf("collection %q did not inherit the DB tier defaults", name)
 		}
-		res, err := c.Search(ents[9].Vectors[0], SearchOptions{K: 1})
+		res, err := hitsOf(c, Request{Vector: ents[9].Vectors[0], SearchOptions: SearchOptions{K: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1245,11 +1245,11 @@ func TestTieredFlatKeepsNoHeapCopy(t *testing.T) {
 	tiered.ReleaseSnapshot(sn)
 	for qi := 0; qi < 10; qi++ {
 		q := ents[qi*37].Vectors[0]
-		want, err := plain.Search(q, SearchOptions{K: 10})
+		want, err := hitsOf(plain, Request{Vector: q, SearchOptions: SearchOptions{K: 10}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tiered.Search(q, SearchOptions{K: 10})
+		got, err := hitsOf(tiered, Request{Vector: q, SearchOptions: SearchOptions{K: 10}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"testing"
 
 	"vectordb/internal/objstore"
@@ -16,12 +15,10 @@ import (
 // a clear visibility bit beneath the blocked batch kernels — it used to ride
 // as a per-row callback, which sent the whole scan down the pairwise path —
 // and the hits are brute force minus that row, single query and batch alike.
-// The brute force scores each row alone through the batch entry point:
-// on the amd64 assembly tiers and the scalar tier a row's distance is a pure
-// function of (query, row), so the hits must match bit for bit; the pure-Go
-// vector tiers sum a block's tail rows in another order (ROADMAP 7e), so
-// there the distances agree within DESIGN.md §8's 1e-5 relative tolerance.
-// Dim 8 is shorter than one 16-float chunk, dim 32 spans two.
+// The brute force scores each row alone through the batch entry point: on
+// every kernel tier a row's distance is a pure function of (query, row), so
+// the hits must match bit for bit. Dim 8 is shorter than one 16-float
+// chunk, dim 32 spans two.
 func TestTombstonedScanStaysOnBatchKernels(t *testing.T) {
 	for _, dim := range []int{8, 32} {
 		t.Run(fmt.Sprintf("dim=%d", dim), func(t *testing.T) { tombstonedScanStaysOnBatchKernels(t, dim) })
@@ -64,7 +61,6 @@ func tombstonedScanStaysOnBatchKernels(t *testing.T, dim int) {
 		}
 	}
 	want := oracle.Results()
-	rowPure := vec.Vectorized(vec.CurrentLevel()) || vec.CurrentLevel() == vec.LevelScalar
 
 	prev := vec.DispatchCounting()
 	vec.SetDispatchCounting(true)
@@ -73,7 +69,7 @@ func tombstonedScanStaysOnBatchKernels(t *testing.T, dim int) {
 	for name, search := range map[string]func() ([]topk.Result, error){
 		"SearchCtx": func() ([]topk.Result, error) { return c.SearchCtx(ctx, q, SearchOptions{K: k}) },
 		"SearchBatchCtx": func() ([]topk.Result, error) {
-			res, err := c.SearchBatchCtx(ctx, [][]float32{q}, SearchOptions{K: k})
+			res, err := batchOf(ctx, c, [][]float32{q}, SearchOptions{K: k})
 			if err != nil {
 				return nil, err
 			}
@@ -88,18 +84,7 @@ func tombstonedScanStaysOnBatchKernels(t *testing.T, dim int) {
 		if vec.BatchDispatchTotal() == 0 {
 			t.Errorf("%s: a tombstoned snapshot made no batch-kernel dispatches", name)
 		}
-		if rowPure {
-			sameHits(t, name, want, got)
-			continue
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d hits, want %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].ID != want[i].ID || math.Abs(float64(got[i].Distance-want[i].Distance)) > 1e-5*math.Max(1, math.Abs(float64(want[i].Distance))) {
-				t.Fatalf("%s: hit %d is (%d, %g), want (%d, %g) within 1e-5", name, i, got[i].ID, got[i].Distance, want[i].ID, want[i].Distance)
-			}
-		}
+		sameHits(t, name, want, got)
 	}
 }
 

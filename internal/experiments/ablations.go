@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -123,7 +124,7 @@ func ExpAblationMerge(sc Scale) (*Table, error) {
 		queries := dataset.Queries(d, 32, 27)
 		el := timeIt(func() {
 			for qi := 0; qi < 32; qi++ {
-				_, _ = col.Search(queries[qi*d.Dim:(qi+1)*d.Dim], core.SearchOptions{K: sc.K})
+				_, _ = col.Query(context.Background(), core.Request{Vector: queries[qi*d.Dim : (qi+1)*d.Dim], SearchOptions: core.SearchOptions{K: sc.K}})
 			}
 		})
 		t.Add(mf.label, col.Stats().Segments, el)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"vectordb/internal/dataset"
-	"vectordb/internal/topk"
 	"vectordb/internal/vec"
 )
 
@@ -95,28 +94,6 @@ func loadDataset(name string, n int, seed int64) (*dataset.Dataset, vec.Metric, 
 	default:
 		return nil, 0, fmt.Errorf("experiments: unknown dataset %q (sift|deep)", name)
 	}
-}
-
-// recallOf computes mean recall against ground truth.
-func recallOf(truth, got [][]topk.Result) float64 {
-	if len(truth) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range truth {
-		set := make(map[int64]struct{}, len(truth[i]))
-		for _, r := range truth[i] {
-			set[r.ID] = struct{}{}
-		}
-		hit := 0
-		for _, r := range got[i] {
-			if _, ok := set[r.ID]; ok {
-				hit++
-			}
-		}
-		s += float64(hit) / float64(len(truth[i]))
-	}
-	return s / float64(len(truth))
 }
 
 // timeIt measures fn's wall time.

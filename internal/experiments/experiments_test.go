@@ -127,8 +127,8 @@ func TestFig8ShapeHolds(t *testing.T) {
 
 // TestFig11ShapeHolds: at the largest data size, on the assembly kernel
 // tiers, core's batch engine answers a 256-query batch faster than one
-// SearchCtx per query (ExpFig11 itself fails, on every tier, unless the
-// batch returns the per-query results up to the FP tolerance between
+// Vector request per query (ExpFig11 itself fails, on every tier, unless
+// the batch returns the per-query results up to the FP tolerance between
 // kernels).
 func TestFig11ShapeHolds(t *testing.T) {
 	tab, err := Run("fig11", Scale{N: 4000, NQ: 32, K: 20})

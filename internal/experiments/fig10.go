@@ -8,6 +8,7 @@ import (
 	"vectordb/internal/cluster"
 	"vectordb/internal/core"
 	"vectordb/internal/dataset"
+	"vectordb/internal/metric"
 	"vectordb/internal/objstore"
 	"vectordb/internal/vec"
 )
@@ -42,7 +43,7 @@ func ExpFig10a(sc Scale) (*Table, error) {
 		nprobe := 8
 		res := sys.SearchBatch(queries, sc.K, nprobe) // warm
 		el := timeIt(func() { res = sys.SearchBatch(queries, sc.K, nprobe) })
-		t.Add(n, recallOf(truth, res), qps(sc.NQ, el))
+		t.Add(n, metric.MeanRecall(truth, res), qps(sc.NQ, el))
 	}
 	return t, nil
 }

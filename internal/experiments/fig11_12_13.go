@@ -16,10 +16,10 @@ import (
 	"vectordb/internal/vec"
 )
 
-// ExpFig11 reproduces Fig. 11 on the served engine: one
-// SearchBatchCtx of a 256+-query batch against one SearchCtx per query, on
-// the same unindexed (FLAT) collection, across data sizes, with the
-// original Faiss thread-per-query engine over the raw matrix beside them.
+// ExpFig11 reproduces Fig. 11 on the served engine: one Batch request of
+// 256+ queries against one Vector request per query, on the same
+// unindexed (FLAT) collection, across data sizes, with the original Faiss
+// thread-per-query engine over the raw matrix beside them.
 // The paper compares two physical CPUs (12 MB and 35.75 MB L3); physical
 // cache cannot be varied here, so the table reports the speedup on this
 // host's cache. FLAT is exact, so before timing the batch must return the
@@ -36,7 +36,7 @@ func ExpFig11(sc Scale) (*Table, error) {
 		Title:  fmt.Sprintf("Cache-aware batching, batch=%d queries (Fig. 11)", nq),
 		Header: []string{"dataSize", "original", "perQuery", "batched", "speedup"},
 		Notes: []string{
-			"original: Faiss thread-per-query model over the raw matrix; perQuery: one SearchCtx per query; batched: one SearchBatchCtx; speedup = perQuery / batched",
+			"original: Faiss thread-per-query model over the raw matrix; perQuery: one Vector request per query; batched: one Batch request; speedup = perQuery / batched",
 			"physical L3 cannot be varied on this host; the paper's two-machine comparison is replaced by the speedup column (see EXPERIMENTS.md)",
 		},
 	}
@@ -84,24 +84,26 @@ func fig11Row(d *dataset.Dataset, queries []float32, k int) ([]any, error) {
 	ctx := context.Background()
 	opts := core.SearchOptions{K: k}
 	want := make([][]topk.Result, len(qs))
-	perQuery := func() (err error) {
+	perQuery := func() error {
 		for i, q := range qs {
-			if want[i], err = col.SearchCtx(ctx, q, opts); err != nil {
+			res, err := col.Query(ctx, core.Request{Vector: q, SearchOptions: opts})
+			if err != nil {
 				return err
 			}
+			want[i] = res.Hits
 		}
 		return nil
 	}
 	if err := perQuery(); err != nil {
 		return nil, err
 	}
-	got, err := col.SearchBatchCtx(ctx, qs, opts)
+	got, err := col.Query(ctx, core.Request{Batch: qs, SearchOptions: opts})
 	if err != nil {
 		return nil, err
 	}
 	for i := range qs {
-		if err := sameNeighbours(got[i], want[i]); err != nil {
-			return nil, fmt.Errorf("batched query %d differs from its SearchCtx: %w", i, err)
+		if err := sameNeighbours(got.Batch[i], want[i]); err != nil {
+			return nil, fmt.Errorf("batched query %d differs from its Vector request: %w", i, err)
 		}
 	}
 	tOrig, _ := bestOf(3, func() error {
@@ -113,7 +115,7 @@ func fig11Row(d *dataset.Dataset, queries []float32, k int) ([]any, error) {
 		return nil, err
 	}
 	tBatch, err := bestOf(3, func() error {
-		_, err := col.SearchBatchCtx(ctx, qs, opts)
+		_, err := col.Query(ctx, core.Request{Batch: qs, SearchOptions: opts})
 		return err
 	})
 	if err != nil {
@@ -123,13 +125,14 @@ func fig11Row(d *dataset.Dataset, queries []float32, k int) ([]any, error) {
 }
 
 // sameNeighbours reports whether got and want are the same top-k list up
-// to the FP tolerance between kernels that sum in different orders (1e-5
-// relative, DESIGN.md §8): the batch runs the query-tile kernels and each
-// SearchCtx the early-abandon bound kernels, and outside the amd64
-// AVX2/AVX-512 assembly the two add their terms in different orders. At
-// every rank the distances agree within the tolerance; a row may change
-// rank only among rows whose distances are within it, and a row only one
-// list holds must sit within it of the k-th distance, where the cut falls.
+// to DESIGN.md §8's FP tolerance between kernels (1e-5 relative): the
+// batch runs the query-tile kernels and each Vector request the
+// early-abandon bound kernels. Every kernel tier scores a row in one order
+// from both, so the lists agree bit for bit today; the tolerance keeps the
+// check to what §8 promises across kernels. At every rank the distances
+// agree within the tolerance; a row may change rank only among rows whose
+// distances are within it, and a row only one list holds must sit within it
+// of the k-th distance, where the cut falls.
 func sameNeighbours(got, want []topk.Result) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d results, want %d", len(got), len(want))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"vectordb/internal/dataset"
+	"vectordb/internal/metric"
 	"vectordb/internal/query"
 	"vectordb/internal/topk"
 	"vectordb/internal/vec"
@@ -81,7 +82,7 @@ func ExpFig16(sc Scale, metricName string) (*Table, error) {
 				got[i] = fn(queries[i].q)
 			}
 		})
-		t.Add(label, recallOf(truth, got), qps(nq, el))
+		t.Add(label, metric.MeanRecall(truth, got), qps(nq, el))
 	}
 
 	run("NRA-50", func(q [][]float32) []topk.Result {

@@ -10,6 +10,7 @@ import (
 	"vectordb/internal/index"
 	"vectordb/internal/index/ivf"
 	"vectordb/internal/index/sq8h"
+	"vectordb/internal/metric"
 )
 
 // parallelSystem is a baseline.System that reports how many of the paper's
@@ -38,12 +39,12 @@ func modeledSpeedup(sys parallelSystem) float64 {
 // dataset. Accuracy sweeps nprobe.
 func ExpFig8(datasetName string, sc Scale) (*Table, error) {
 	sc = sc.defaults()
-	d, metric, err := loadDataset(datasetName, sc.N, 1)
+	d, m, err := loadDataset(datasetName, sc.N, 1)
 	if err != nil {
 		return nil, err
 	}
 	queries := dataset.Queries(d, sc.NQ, 2)
-	truth := dataset.GroundTruth(d, queries, sc.K, metric)
+	truth := dataset.GroundTruth(d, queries, sc.K, m)
 
 	t := &Table{
 		Name:   "fig8-" + datasetName,
@@ -67,7 +68,7 @@ func ExpFig8(datasetName string, sc Scale) (*Table, error) {
 		{&baseline.SystemC{}, []int{1, 4, 16}},
 	}
 	for _, s := range systems {
-		if err := s.sys.Build(d, metric); err != nil {
+		if err := s.sys.Build(d, m); err != nil {
 			return nil, fmt.Errorf("%s: %w", s.sys.Name(), err)
 		}
 		for _, knob := range s.knobs {
@@ -75,14 +76,14 @@ func ExpFig8(datasetName string, sc Scale) (*Table, error) {
 			// Best of three: at smoke scale one batch takes well under a
 			// millisecond, so a single preemption would decide its qps.
 			el, _ := bestOf(3, func() error { res = s.sys.SearchBatch(queries, sc.K, knob); return nil })
-			t.Add(s.sys.Name(), knob, recallOf(truth, res), qps(sc.NQ, el)*modeledSpeedup(s.sys), float64(s.sys.MemoryBytes())/float64(1<<20))
+			t.Add(s.sys.Name(), knob, metric.MeanRecall(truth, res), qps(sc.NQ, el)*modeledSpeedup(s.sys), float64(s.sys.MemoryBytes())/float64(1<<20))
 		}
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("host exposes %d core(s); each system's architectural concurrency on the paper's 16-vCPU node is modeled on top of measured per-query work", runtime.GOMAXPROCS(0)))
 
 	// GPU_SQ8H: modeled time over the device cost model (DESIGN.md §1).
 	dev := gpu.NewDevice(0, gpu.Config{})
-	sb, err := sq8h.NewBuilder(metric, d.Dim, ivf.Builder{Nlist: 256, MaxIter: 6}, sq8h.Config{Device: dev, Threshold: 64})
+	sb, err := sq8h.NewBuilder(m, d.Dim, ivf.Builder{Nlist: 256, MaxIter: 6}, sq8h.Config{Device: dev, Threshold: 64})
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +96,7 @@ func ExpFig8(datasetName string, sc Scale) (*Table, error) {
 		p := index.SearchParams{K: sc.K, Nprobe: knob}
 		hx.SearchBatch(queries, p) // warm: at 10M scale the data fits in GPU memory (Sec. 7.2)
 		res, stats := hx.SearchBatch(queries, p)
-		t.Add("Milvus_GPU_SQ8H", knob, recallOf(truth, res), qps(sc.NQ, stats.Total()), float64(hx.MemoryBytes())/float64(1<<20))
+		t.Add("Milvus_GPU_SQ8H", knob, metric.MeanRecall(truth, res), qps(sc.NQ, stats.Total()), float64(hx.MemoryBytes())/float64(1<<20))
 	}
 	t.Notes = append(t.Notes, "GPU_SQ8H throughput uses the device cost model's virtual clock (no GPU hardware available)")
 	return t, nil
@@ -107,12 +108,12 @@ func ExpFig8(datasetName string, sc Scale) (*Table, error) {
 // sweeps ef.
 func ExpFig9(datasetName string, sc Scale) (*Table, error) {
 	sc = sc.defaults()
-	d, metric, err := loadDataset(datasetName, sc.N, 3)
+	d, m, err := loadDataset(datasetName, sc.N, 3)
 	if err != nil {
 		return nil, err
 	}
 	queries := dataset.Queries(d, sc.NQ, 4)
-	truth := dataset.GroundTruth(d, queries, sc.K, metric)
+	truth := dataset.GroundTruth(d, queries, sc.K, m)
 
 	t := &Table{
 		Name:   "fig9-" + datasetName,
@@ -129,13 +130,13 @@ func ExpFig9(datasetName string, sc Scale) (*Table, error) {
 		&baseline.LimitedPool{Label: "System C", IndexType: "HNSW", Params: hnswParams, Workers: 1},
 	}
 	for _, sys := range systems {
-		if err := sys.Build(d, metric); err != nil {
+		if err := sys.Build(d, m); err != nil {
 			return nil, fmt.Errorf("%s: %w", sys.Name(), err)
 		}
 		for _, ef := range sweep {
 			res := sys.SearchBatch(queries, sc.K, ef) // warm
 			el := timeIt(func() { res = sys.SearchBatch(queries, sc.K, ef) })
-			t.Add(sys.Name(), ef, recallOf(truth, res), qps(sc.NQ, el)*modeledSpeedup(sys))
+			t.Add(sys.Name(), ef, metric.MeanRecall(truth, res), qps(sc.NQ, el)*modeledSpeedup(sys))
 		}
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("host exposes %d core(s); architectural concurrency modeled as in fig8", runtime.GOMAXPROCS(0)))

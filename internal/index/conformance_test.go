@@ -1,6 +1,7 @@
 package index_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -332,11 +333,12 @@ func TestConcurrentInsertSearch(t *testing.T) {
 							return
 						default:
 						}
-						res, err := col.Search(qs[(i+s)%8*d.Dim:((i+s)%8+1)*d.Dim], core.SearchOptions{K: k, Nprobe: 8, Ef: 64, SearchL: 64})
+						got, err := col.Query(context.Background(), core.Request{Vector: qs[(i+s)%8*d.Dim : ((i+s)%8+1)*d.Dim], SearchOptions: core.SearchOptions{K: k, Nprobe: 8, Ef: 64, SearchL: 64}})
 						if err != nil {
 							t.Errorf("%s: concurrent search: %v", name, err)
 							return
 						}
+						res := got.Hits
 						for j := 1; j < len(res); j++ {
 							if res[j].Distance < res[j-1].Distance {
 								t.Errorf("%s: unsorted results from collection", name)

@@ -171,7 +171,7 @@ func TestFilterIsBitsOnly(t *testing.T) {
 	for _, typ := range []reflect.Type{reflect.TypeOf(SearchParams{}), reflect.TypeOf(Selection{})} {
 		for i := 0; i < typ.NumField(); i++ {
 			if f := typ.Field(i); f.Type.Kind() == reflect.Func {
-				t.Errorf("%s.%s is func-typed: filters below core.execute are bitsets", typ.Name(), f.Name)
+				t.Errorf("%s.%s is func-typed: filters below core.Collection.Query are bitsets", typ.Name(), f.Name)
 			}
 		}
 	}

@@ -182,24 +182,13 @@ func TestNoEmptyClustersOnDuplicateData(t *testing.T) {
 
 // tileArgmin is the assignment AssignAll made before the panel kernel, the
 // reference it must reproduce: every row scored against the whole
-// codebook by the tile kernel, then the scalar first minimum. On the
-// pure-Go SSE/AVX tiers, whose tile distances depend on a row's place in
-// the tile (see vec.TestRowDistanceInvariance), the reference is the
-// tier's one-row batch kernel instead, centroid by centroid.
+// codebook by the tile kernel, then the scalar first minimum.
 func tileArgmin(res *Result, data []float32) []int {
 	dim, n := res.Dim, len(data)/res.Dim
-	rowPure := vec.CurrentLevel() == vec.LevelScalar || vec.Vectorized(vec.CurrentLevel())
 	d := make([]float32, res.K)
 	want := make([]int, n)
 	for i := range want {
-		x := data[i*dim : (i+1)*dim]
-		if rowPure {
-			vec.L2SquaredTile(x, res.Centroids, dim, d)
-		} else {
-			for c := range d {
-				vec.L2SquaredBatch(x, res.Centroid(c), dim, d[c:c+1])
-			}
-		}
+		vec.L2SquaredTile(data[i*dim:(i+1)*dim], res.Centroids, dim, d)
 		want[i] = argmin(d)
 	}
 	return want

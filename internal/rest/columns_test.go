@@ -157,7 +157,12 @@ func TestInsertColumnsMatchJSON(t *testing.T) {
 			return c.SearchFilteredCtx(ctx, q, "b", 1, 1, core.SearchOptions{Field: "v", K: 10})
 		},
 		"categorical": func(c *core.Collection, q []float32) ([]topk.Result, error) {
-			return c.SearchCategoricalCtx(ctx, q, "c", []string{"", "a�b", "���"}, core.SearchOptions{Field: "v", K: 10})
+			pred, err := c.Schema().InPred("c", []string{"", "a�b", "���"})
+			if err != nil {
+				return nil, err
+			}
+			res, err := c.Query(ctx, core.Request{Vector: q, Pred: pred, SearchOptions: core.SearchOptions{Field: "v", K: 10}})
+			return res.Hits, err
 		},
 	}
 	for name, run := range search {

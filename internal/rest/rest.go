@@ -18,7 +18,6 @@ import (
 	"vectordb/internal/core"
 	"vectordb/internal/exec"
 	"vectordb/internal/obs"
-	"vectordb/internal/topk"
 	"vectordb/internal/vec"
 )
 
@@ -466,18 +465,19 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, col *core.
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
 		defer cancel()
 	}
-	opts := core.SearchOptions{Field: req.Field, K: req.K, Nprobe: req.Nprobe, Ef: req.Ef, SearchL: req.SearchL}
-	var rs []topk.Result
+	q := core.Request{Vector: req.Vector, SearchOptions: core.SearchOptions{Field: req.Field, K: req.K, Nprobe: req.Nprobe, Ef: req.Ef, SearchL: req.SearchL}}
 	var err error
-	switch {
+	switch sch := col.Schema(); {
 	case len(req.Vectors) > 0: // multi-vector query (Sec. 4.2)
-		rs, err = col.SearchMultiVectorCtx(ctx, req.Vectors, req.Weights, req.K)
+		q.Vector, q.Fields, q.Weights = nil, req.Vectors, req.Weights
 	case req.CatFilter != nil: // categorical filtering (inverted lists)
-		rs, err = col.SearchCategoricalCtx(ctx, req.Vector, req.CatFilter.Attr, req.CatFilter.Values, opts)
+		q.Pred, err = sch.InPred(req.CatFilter.Attr, req.CatFilter.Values)
 	case req.Filter != nil: // attribute filtering (Sec. 4.1)
-		rs, err = col.SearchFilteredCtx(ctx, req.Vector, req.Filter.Attr, req.Filter.Lo, req.Filter.Hi, opts)
-	default:
-		rs, err = col.SearchCtx(ctx, req.Vector, opts)
+		q.Pred, err = sch.RangePred(req.Filter.Attr, req.Filter.Lo, req.Filter.Hi)
+	}
+	var res core.Response
+	if err == nil {
+		res, err = col.Query(ctx, q)
 	}
 	if err != nil {
 		if errors.Is(err, exec.ErrRejected) {
@@ -492,7 +492,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, col *core.
 		writeErr(w, searchStatus(err), err)
 		return
 	}
-	b, err := encodeSearchResponse(rs)
+	b, err := encodeSearchResponse(res.Hits)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"vectordb/internal/colstore"
 	"vectordb/internal/core"
 	"vectordb/internal/exec"
 	"vectordb/internal/objstore"
@@ -450,10 +451,22 @@ func (h *harness) spiller() {
 	}
 }
 
+// query runs one read request and returns its hits.
+func (h *harness) query(ctx context.Context, q core.Request) ([]topk.Result, error) {
+	res, err := h.col.Query(ctx, q)
+	return res.Hits, err
+}
+
+// rangeRequest is query filtered to lo ≤ a ≤ hi, the harness's one
+// attribute.
+func (h *harness) rangeRequest(query []float32, lo, hi int64) core.Request {
+	return core.Request{Vector: query, Pred: colstore.RangePred{Attr: 0, Lo: lo, Hi: hi}, SearchOptions: core.SearchOptions{K: h.cfg.K, Nprobe: 8}}
+}
+
 // search runs one query and checks result shape invariants.
 func (h *harness) search(who string, qseed int64) {
 	query := VectorForID(qseed|1, h.cfg.Dim)
-	res, err := h.col.Search(query, core.SearchOptions{K: h.cfg.K, Nprobe: 8})
+	res, err := h.query(context.Background(), core.Request{Vector: query, SearchOptions: core.SearchOptions{K: h.cfg.K, Nprobe: 8}})
 	if err != nil {
 		h.violate("%s: search error: %v", who, err)
 		return
@@ -475,7 +488,7 @@ func (h *harness) searchFiltered(who string, rng *rand.Rand) {
 		hi = 1023
 	}
 	query := VectorForID(rng.Int63()|1, h.cfg.Dim)
-	res, err := h.col.SearchFiltered(query, "a", lo, hi, core.SearchOptions{K: h.cfg.K, Nprobe: 8})
+	res, err := h.query(context.Background(), h.rangeRequest(query, lo, hi))
 	if err != nil {
 		h.violate("%s: filtered search error: %v", who, err)
 		return
@@ -496,7 +509,7 @@ func (h *harness) searchFiltered(who string, rng *rand.Rand) {
 func (h *harness) searchPlanned(who string, rng *rand.Rand) {
 	query := VectorForID(rng.Int63()|1, h.cfg.Dim)
 	tr := obs.NewTrace("stress-plan")
-	res, err := h.col.Search(query, core.SearchOptions{K: h.cfg.K, Nprobe: 8, Trace: tr})
+	res, err := h.query(context.Background(), core.Request{Vector: query, SearchOptions: core.SearchOptions{K: h.cfg.K, Nprobe: 8, Trace: tr}})
 	if err != nil {
 		h.violate("%s: planned search error: %v", who, err)
 		return
@@ -528,7 +541,7 @@ func (h *harness) searchCancel(who string, rng *rand.Rand) {
 		timer := time.AfterFunc(fuse, cancel)
 		defer timer.Stop()
 	}
-	res, err := h.col.SearchCtx(ctx, query, core.SearchOptions{K: h.cfg.K, Nprobe: 8})
+	res, err := h.query(ctx, core.Request{Vector: query, SearchOptions: core.SearchOptions{K: h.cfg.K, Nprobe: 8}})
 	switch {
 	case err == nil:
 		h.searches.add(1)
@@ -859,7 +872,7 @@ func (h *harness) filteredQuiesceCheck(rng *rand.Rand, live []int64) {
 			}
 		}
 		want := gt.Results()
-		res, err := h.col.SearchFiltered(query, "a", lo, hi, core.SearchOptions{K: h.cfg.K, Nprobe: 8})
+		res, err := h.query(context.Background(), h.rangeRequest(query, lo, hi))
 		if err != nil {
 			h.violate("quiesce: filtered search error: %v", err)
 			return
@@ -915,7 +928,7 @@ func (h *harness) planFlapCheck(rng *rand.Rand) {
 		plans := make([]string, 0, queries)
 		for i := range vecs {
 			tr := obs.NewTrace("stress-flap")
-			if _, err := h.col.Search(vecs[i], core.SearchOptions{K: ks[i], Nprobe: 8, Trace: tr}); err != nil {
+			if _, err := h.query(context.Background(), core.Request{Vector: vecs[i], SearchOptions: core.SearchOptions{K: ks[i], Nprobe: 8, Trace: tr}}); err != nil {
 				h.violate("quiesce: flap-check search error: %v", err)
 				return nil
 			}
@@ -955,7 +968,7 @@ func (h *harness) recallCheck(rng *rand.Rand, live []int64) float64 {
 		for _, r := range gt.Results() {
 			want[r.ID] = true
 		}
-		res, err := h.col.Search(query, core.SearchOptions{K: k, Nprobe: 8})
+		res, err := h.query(context.Background(), core.Request{Vector: query, SearchOptions: core.SearchOptions{K: k, Nprobe: 8}})
 		if err != nil {
 			h.violate("quiesce: recall search error: %v", err)
 			return 0

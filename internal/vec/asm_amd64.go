@@ -86,8 +86,8 @@ func installASMKernels() {
 		kernels[LevelAVX2].l2b = l2BatchAVX2
 		kernels[LevelAVX2].ipb = ipBatchAVX2
 		kernels[LevelAVX2].l2bb = l2BoundAVX2
-		kernels[LevelAVX2].l2t = l2TileAVX2
-		kernels[LevelAVX2].ipt = ipTileAVX2
+		kernels[LevelAVX2].l2t = tileOf(l2BatchAVX2)
+		kernels[LevelAVX2].ipt = tileOf(ipBatchAVX2)
 		kernels[LevelAVX2].l2p = l2PanelAVX2
 	}
 	switch {
@@ -95,16 +95,16 @@ func installASMKernels() {
 		kernels[LevelAVX512].l2b = l2BatchAVX512
 		kernels[LevelAVX512].ipb = ipBatchAVX512
 		kernels[LevelAVX512].l2bb = l2BoundAVX512
-		kernels[LevelAVX512].l2t = l2TileAVX512
-		kernels[LevelAVX512].ipt = ipTileAVX512
+		kernels[LevelAVX512].l2t = tileOf(l2BatchAVX512)
+		kernels[LevelAVX512].ipt = tileOf(ipBatchAVX512)
 		kernels[LevelAVX512].l2p = l2PanelAVX512
 	case haveAVX2FMA:
 		// Widest-tier requests on an AVX2-only host still get vector code.
 		kernels[LevelAVX512].l2b = l2BatchAVX2
 		kernels[LevelAVX512].ipb = ipBatchAVX2
 		kernels[LevelAVX512].l2bb = l2BoundAVX2
-		kernels[LevelAVX512].l2t = l2TileAVX2
-		kernels[LevelAVX512].ipt = ipTileAVX2
+		kernels[LevelAVX512].l2t = tileOf(l2BatchAVX2)
+		kernels[LevelAVX512].ipt = tileOf(ipBatchAVX2)
 		kernels[LevelAVX512].l2p = l2PanelAVX2
 	}
 }
@@ -181,50 +181,6 @@ func l2BoundAVX2(q, data []float32, dim int, _ float32, out []float32) {
 
 func l2BoundAVX512(q, data []float32, dim int, _ float32, out []float32) {
 	l2BatchAVX512(q, data, dim, out)
-}
-
-// The tile entry points run the one-query batch kernel per query of the
-// group: the cache reuse the tile exists for happens at the caller's block
-// granularity (the block stays resident across the query loop). A
-// register tile over several queries is not written.
-func l2TileAVX2(qs, data []float32, dim, nq int, out []float32) {
-	n := len(data) / dim
-	if n == 0 {
-		return
-	}
-	for qi := 0; qi < nq; qi++ {
-		l2BatchAVX2(qs[qi*dim:(qi+1)*dim], data, dim, out[qi*n:(qi+1)*n])
-	}
-}
-
-func ipTileAVX2(qs, data []float32, dim, nq int, out []float32) {
-	n := len(data) / dim
-	if n == 0 {
-		return
-	}
-	for qi := 0; qi < nq; qi++ {
-		ipBatchAVX2(qs[qi*dim:(qi+1)*dim], data, dim, out[qi*n:(qi+1)*n])
-	}
-}
-
-func l2TileAVX512(qs, data []float32, dim, nq int, out []float32) {
-	n := len(data) / dim
-	if n == 0 {
-		return
-	}
-	for qi := 0; qi < nq; qi++ {
-		l2BatchAVX512(qs[qi*dim:(qi+1)*dim], data, dim, out[qi*n:(qi+1)*n])
-	}
-}
-
-func ipTileAVX512(qs, data []float32, dim, nq int, out []float32) {
-	n := len(data) / dim
-	if n == 0 {
-		return
-	}
-	for qi := 0; qi < nq; qi++ {
-		ipBatchAVX512(qs[qi*dim:(qi+1)*dim], data, dim, out[qi*n:(qi+1)*n])
-	}
 }
 
 // panelChunk is the codebook bytes one panel-kernel call sweeps: small

@@ -20,9 +20,17 @@ import "math"
 //   - bound batch: same, but with early abandonment — L2 partial sums are
 //     monotone, so a row whose partial already exceeds the caller's bound
 //     (the current top-k worst) is abandoned mid-row and reported as +Inf;
-//   - query tile: a q×v register tile (4 queries × a data block) for the
-//     cache-aware multi-query engine, streaming each data row once per four
-//     queries instead of once per query (the blocking behind Eq. (1)).
+//   - query tile: every query of a group against one data block for the
+//     cache-aware multi-query engine, the block staying cache-resident
+//     across the queries (the blocking behind Eq. (1)); each tier's tile
+//     runs its one-query batch kernel per query (tileOf).
+//
+// Every entry point of a tier scores a row in the same order as that
+// tier's batch kernel, so a row's distance is a pure function of (query,
+// row): the same whatever the block length, the row's offset in the block
+// or the entry point (batch, bound, tile, gather). The bit-identity tests
+// elsewhere (resident ≡ externalized IVF, tombstoned ≡ plain scans, tiered
+// ≡ in-RAM) rely on it.
 
 // batchRows is the register row-block of the one-query batch kernels.
 const batchRows = 4
@@ -57,6 +65,41 @@ func ipc4(x, y *[4]float32) float32 {
 func ipc8(x, y *[8]float32) float32 {
 	return (x[0]*y[0] + x[1]*y[1] + x[2]*y[2] + x[3]*y[3]) +
 		(x[4]*y[4] + x[5]*y[5] + x[6]*y[6] + x[7]*y[7])
+}
+
+// blockRows returns rows i..i+3 of the n-row block data. Past the last row
+// it repeats that row, so a short final block runs the same arithmetic on
+// each row as a full block: a row's distance is a pure function of (query,
+// row), whatever the block's length or the row's place in it.
+func blockRows(data []float32, dim, n, i int) (r0, r1, r2, r3 []float32) {
+	last := n - 1
+	r0 = data[i*dim:][:dim]
+	r1 = data[min(i+1, last)*dim:][:dim]
+	r2 = data[min(i+2, last)*dim:][:dim]
+	r3 = data[min(i+3, last)*dim:][:dim]
+	return r0, r1, r2, r3
+}
+
+// putRows stores a block's four sums at out[i:], dropping those past row n.
+func putRows(out []float32, n, i int, s0, s1, s2, s3 float32) {
+	s := [batchRows]float32{s0, s1, s2, s3}
+	copy(out[i:n], s[:])
+}
+
+// tileOf is a tier's query tile: its one-query batch kernel per query, so
+// every (query, row) distance is the batch kernel's. The cache reuse the
+// tile exists for happens at the caller's block granularity (the block
+// stays resident across the query loop).
+func tileOf(batch func(q, data []float32, dim int, out []float32)) func(qs, data []float32, dim, nq int, out []float32) {
+	return func(qs, data []float32, dim, nq int, out []float32) {
+		n := len(data) / dim
+		if n == 0 {
+			return
+		}
+		for qi := 0; qi < nq; qi++ {
+			batch(qs[qi*dim:(qi+1)*dim], data, dim, out[qi*n:(qi+1)*n])
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -104,39 +147,13 @@ func l2BoundScalar(q, data []float32, dim int, bound float32, out []float32) {
 	}
 }
 
-func l2TileScalar(qs, data []float32, dim, nq int, out []float32) {
-	n := len(data) / dim
-	for qi := 0; qi < nq; qi++ {
-		q := qs[qi*dim : (qi+1)*dim]
-		o := out[qi*n : (qi+1)*n]
-		for i := 0; i < n; i++ {
-			o[i] = l2Scalar(q, data[i*dim:(i+1)*dim])
-		}
-	}
-}
-
-func ipTileScalar(qs, data []float32, dim, nq int, out []float32) {
-	n := len(data) / dim
-	for qi := 0; qi < nq; qi++ {
-		q := qs[qi*dim : (qi+1)*dim]
-		o := out[qi*n : (qi+1)*n]
-		for i := 0; i < n; i++ {
-			o[i] = ipScalar(q, data[i*dim:(i+1)*dim])
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // 4-wide tier (SSE): 4 rows × 4-dim chunks.
 
 func l2Batch4x4(q, data []float32, dim int, out []float32) {
 	n := len(data) / dim
-	i := 0
-	for ; i+batchRows <= n; i += batchRows {
-		r0 := data[(i+0)*dim : (i+0)*dim+dim]
-		r1 := data[(i+1)*dim : (i+1)*dim+dim]
-		r2 := data[(i+2)*dim : (i+2)*dim+dim]
-		r3 := data[(i+3)*dim : (i+3)*dim+dim]
+	for i := 0; i < n; i += batchRows {
+		r0, r1, r2, r3 := blockRows(data, dim, n, i)
 		var s0, s1, s2, s3 float32
 		d := 0
 		for ; d+4 <= dim; d += 4 {
@@ -157,21 +174,14 @@ func l2Batch4x4(q, data []float32, dim int, out []float32) {
 			s2 += t2 * t2
 			s3 += t3 * t3
 		}
-		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
-	}
-	for ; i < n; i++ {
-		out[i] = l2Unroll4(q, data[i*dim:(i+1)*dim])
+		putRows(out, n, i, s0, s1, s2, s3)
 	}
 }
 
 func ipBatch4x4(q, data []float32, dim int, out []float32) {
 	n := len(data) / dim
-	i := 0
-	for ; i+batchRows <= n; i += batchRows {
-		r0 := data[(i+0)*dim : (i+0)*dim+dim]
-		r1 := data[(i+1)*dim : (i+1)*dim+dim]
-		r2 := data[(i+2)*dim : (i+2)*dim+dim]
-		r3 := data[(i+3)*dim : (i+3)*dim+dim]
+	for i := 0; i < n; i += batchRows {
+		r0, r1, r2, r3 := blockRows(data, dim, n, i)
 		var s0, s1, s2, s3 float32
 		d := 0
 		for ; d+4 <= dim; d += 4 {
@@ -188,10 +198,7 @@ func ipBatch4x4(q, data []float32, dim int, out []float32) {
 			s2 += xk * r2[d]
 			s3 += xk * r3[d]
 		}
-		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
-	}
-	for ; i < n; i++ {
-		out[i] = ipUnroll4(q, data[i*dim:(i+1)*dim])
+		putRows(out, n, i, s0, s1, s2, s3)
 	}
 }
 
@@ -200,12 +207,8 @@ func ipBatch4x4(q, data []float32, dim int, out []float32) {
 
 func l2Batch4x8(q, data []float32, dim int, out []float32) {
 	n := len(data) / dim
-	i := 0
-	for ; i+batchRows <= n; i += batchRows {
-		r0 := data[(i+0)*dim : (i+0)*dim+dim]
-		r1 := data[(i+1)*dim : (i+1)*dim+dim]
-		r2 := data[(i+2)*dim : (i+2)*dim+dim]
-		r3 := data[(i+3)*dim : (i+3)*dim+dim]
+	for i := 0; i < n; i += batchRows {
+		r0, r1, r2, r3 := blockRows(data, dim, n, i)
 		var s0, s1, s2, s3 float32
 		d := 0
 		for ; d+8 <= dim; d += 8 {
@@ -227,21 +230,14 @@ func l2Batch4x8(q, data []float32, dim int, out []float32) {
 			s2 += t2 * t2
 			s3 += t3 * t3
 		}
-		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
-	}
-	for ; i < n; i++ {
-		out[i] = l2Unroll8(q, data[i*dim:(i+1)*dim])
+		putRows(out, n, i, s0, s1, s2, s3)
 	}
 }
 
 func ipBatch4x8(q, data []float32, dim int, out []float32) {
 	n := len(data) / dim
-	i := 0
-	for ; i+batchRows <= n; i += batchRows {
-		r0 := data[(i+0)*dim : (i+0)*dim+dim]
-		r1 := data[(i+1)*dim : (i+1)*dim+dim]
-		r2 := data[(i+2)*dim : (i+2)*dim+dim]
-		r3 := data[(i+3)*dim : (i+3)*dim+dim]
+	for i := 0; i < n; i += batchRows {
+		r0, r1, r2, r3 := blockRows(data, dim, n, i)
 		var s0, s1, s2, s3 float32
 		d := 0
 		for ; d+8 <= dim; d += 8 {
@@ -258,10 +254,7 @@ func ipBatch4x8(q, data []float32, dim int, out []float32) {
 			s2 += xk * r2[d]
 			s3 += xk * r3[d]
 		}
-		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
-	}
-	for ; i < n; i++ {
-		out[i] = ipUnroll8(q, data[i*dim:(i+1)*dim])
+		putRows(out, n, i, s0, s1, s2, s3)
 	}
 }
 
@@ -271,12 +264,8 @@ func ipBatch4x8(q, data []float32, dim int, out []float32) {
 
 func l2Batch4x16(q, data []float32, dim int, out []float32) {
 	n := len(data) / dim
-	i := 0
-	for ; i+batchRows <= n; i += batchRows {
-		r0 := data[(i+0)*dim : (i+0)*dim+dim]
-		r1 := data[(i+1)*dim : (i+1)*dim+dim]
-		r2 := data[(i+2)*dim : (i+2)*dim+dim]
-		r3 := data[(i+3)*dim : (i+3)*dim+dim]
+	for i := 0; i < n; i += batchRows {
+		r0, r1, r2, r3 := blockRows(data, dim, n, i)
 		var s0a, s1a, s2a, s3a float32
 		var s0b, s1b, s2b, s3b float32
 		d := 0
@@ -374,21 +363,14 @@ func l2Batch4x16(q, data []float32, dim int, out []float32) {
 			s2 += t2 * t2
 			s3 += t3 * t3
 		}
-		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
-	}
-	for ; i < n; i++ {
-		out[i] = l2Unroll16(q, data[i*dim:(i+1)*dim])
+		putRows(out, n, i, s0, s1, s2, s3)
 	}
 }
 
 func ipBatch4x16(q, data []float32, dim int, out []float32) {
 	n := len(data) / dim
-	i := 0
-	for ; i+batchRows <= n; i += batchRows {
-		r0 := data[(i+0)*dim : (i+0)*dim+dim]
-		r1 := data[(i+1)*dim : (i+1)*dim+dim]
-		r2 := data[(i+2)*dim : (i+2)*dim+dim]
-		r3 := data[(i+3)*dim : (i+3)*dim+dim]
+	for i := 0; i < n; i += batchRows {
+		r0, r1, r2, r3 := blockRows(data, dim, n, i)
 		var s0a, s1a, s2a, s3a float32
 		var s0b, s1b, s2b, s3b float32
 		d := 0
@@ -415,128 +397,99 @@ func ipBatch4x16(q, data []float32, dim int, out []float32) {
 			s2 += xk * r2[d]
 			s3 += xk * r3[d]
 		}
-		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
-	}
-	for ; i < n; i++ {
-		out[i] = ipUnroll16(q, data[i*dim:(i+1)*dim])
+		putRows(out, n, i, s0, s1, s2, s3)
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Bound (early-abandon) kernels. The blocked variant accumulates each row in
-// abandonChunk-dim chunks through the tier's pairwise kernel; between chunks
-// the partial sum is compared against the bound. All L2 terms are
-// non-negative, so partial >= bound proves the full distance is too.
+// Bound (early-abandon) kernels. Each adds a row's terms in exactly its
+// tier's batch-kernel order, and before every abandonChunk-dim checkpoint
+// compares the partial sum against the bound: all L2 terms are
+// non-negative, so partial >= bound proves the full distance is too, and
+// the row reports +Inf. A row that is not abandoned therefore gets its
+// batch-kernel distance bit for bit. NaN partial sums never satisfy
+// s >= bound, so NaN rows complete and report NaN like the batch kernels.
 
-func l2BoundChunked(l2 func(a, b []float32) float32) func(q, data []float32, dim int, bound float32, out []float32) {
-	return func(q, data []float32, dim int, bound float32, out []float32) {
-		n := len(data) / dim
-		for i := 0; i < n; i++ {
-			row := data[i*dim : (i+1)*dim]
-			var s float32
-			d := 0
-			for d+abandonChunk <= dim {
-				s += l2(q[d:d+abandonChunk], row[d:d+abandonChunk])
-				d += abandonChunk
-				if d < dim && s >= bound {
-					s = inf32()
-					break
-				}
-			}
-			if s < inf32() && d < dim {
-				s += l2(q[d:dim], row[d:dim])
-			}
-			out[i] = s
-		}
-	}
-}
-
-var l2Bound4 = l2BoundChunked(l2Unroll4)
-
-// l2Bound8 is the fully unrolled early-abandon kernel of the 8-wide
-// tier: straight-line 8-dim chunks with a bound check every
-// abandonChunk dims, and a direct pairwise call only for the sub-chunk
-// tail. Same control flow (and NaN semantics) as l2BoundChunked, minus
-// the indirect call per chunk.
-func l2Bound8(q, data []float32, dim int, bound float32, out []float32) {
+func l2Bound4(q, data []float32, dim int, bound float32, out []float32) {
 	n := len(data) / dim
+rows:
 	for i := 0; i < n; i++ {
 		row := data[i*dim : (i+1)*dim]
 		var s float32
 		d := 0
-		for d+abandonChunk <= dim {
-			x := (*[8]float32)(q[d+0 : d+8])
-			y := (*[8]float32)(row[d+0 : d+8])
-			e0 := x[0] - y[0]
-			e1 := x[1] - y[1]
-			e2 := x[2] - y[2]
-			e3 := x[3] - y[3]
-			e4 := x[4] - y[4]
-			e5 := x[5] - y[5]
-			e6 := x[6] - y[6]
-			e7 := x[7] - y[7]
-			p0 := (e0*e0 + e1*e1 + e2*e2 + e3*e3) + (e4*e4 + e5*e5 + e6*e6 + e7*e7)
-			x = (*[8]float32)(q[d+8 : d+16])
-			y = (*[8]float32)(row[d+8 : d+16])
-			e0 = x[0] - y[0]
-			e1 = x[1] - y[1]
-			e2 = x[2] - y[2]
-			e3 = x[3] - y[3]
-			e4 = x[4] - y[4]
-			e5 = x[5] - y[5]
-			e6 = x[6] - y[6]
-			e7 = x[7] - y[7]
-			p1 := (e0*e0 + e1*e1 + e2*e2 + e3*e3) + (e4*e4 + e5*e5 + e6*e6 + e7*e7)
-			x = (*[8]float32)(q[d+16 : d+24])
-			y = (*[8]float32)(row[d+16 : d+24])
-			e0 = x[0] - y[0]
-			e1 = x[1] - y[1]
-			e2 = x[2] - y[2]
-			e3 = x[3] - y[3]
-			e4 = x[4] - y[4]
-			e5 = x[5] - y[5]
-			e6 = x[6] - y[6]
-			e7 = x[7] - y[7]
-			p2 := (e0*e0 + e1*e1 + e2*e2 + e3*e3) + (e4*e4 + e5*e5 + e6*e6 + e7*e7)
-			x = (*[8]float32)(q[d+24 : d+32])
-			y = (*[8]float32)(row[d+24 : d+32])
-			e0 = x[0] - y[0]
-			e1 = x[1] - y[1]
-			e2 = x[2] - y[2]
-			e3 = x[3] - y[3]
-			e4 = x[4] - y[4]
-			e5 = x[5] - y[5]
-			e6 = x[6] - y[6]
-			e7 = x[7] - y[7]
-			p3 := (e0*e0 + e1*e1 + e2*e2 + e3*e3) + (e4*e4 + e5*e5 + e6*e6 + e7*e7)
-			s += (p0 + p1) + (p2 + p3)
-			d += abandonChunk
-			if d < dim && s >= bound {
-				s = inf32()
-				break
+		for ; d+abandonChunk <= dim; d += abandonChunk {
+			x := (*[abandonChunk]float32)(q[d : d+abandonChunk])
+			y := (*[abandonChunk]float32)(row[d : d+abandonChunk])
+			s += l2c4((*[4]float32)(x[0:4]), (*[4]float32)(y[0:4]))
+			s += l2c4((*[4]float32)(x[4:8]), (*[4]float32)(y[4:8]))
+			s += l2c4((*[4]float32)(x[8:12]), (*[4]float32)(y[8:12]))
+			s += l2c4((*[4]float32)(x[12:16]), (*[4]float32)(y[12:16]))
+			s += l2c4((*[4]float32)(x[16:20]), (*[4]float32)(y[16:20]))
+			s += l2c4((*[4]float32)(x[20:24]), (*[4]float32)(y[20:24]))
+			s += l2c4((*[4]float32)(x[24:28]), (*[4]float32)(y[24:28]))
+			s += l2c4((*[4]float32)(x[28:32]), (*[4]float32)(y[28:32]))
+			if d+abandonChunk < dim && s >= bound {
+				out[i] = inf32()
+				continue rows
 			}
 		}
-		if s < inf32() && d < dim {
-			s += l2Unroll8(q[d:dim], row[d:dim])
+		for ; d+4 <= dim; d += 4 {
+			s += l2c4((*[4]float32)(q[d:d+4]), (*[4]float32)(row[d:d+4]))
+		}
+		for ; d < dim; d++ {
+			t := q[d] - row[d]
+			s += t * t
 		}
 		out[i] = s
 	}
 }
 
-// l2Bound16 is the fully unrolled early-abandon kernel of the 16-wide
-// tier: straight-line 16-dim chunks with a bound check every
-// abandonChunk dims, and a direct pairwise call only for the sub-chunk
-// tail. Same control flow (and NaN semantics) as l2BoundChunked, minus
-// the indirect call per chunk.
-func l2Bound16(q, data []float32, dim int, bound float32, out []float32) {
+func l2Bound8(q, data []float32, dim int, bound float32, out []float32) {
 	n := len(data) / dim
+rows:
 	for i := 0; i < n; i++ {
 		row := data[i*dim : (i+1)*dim]
 		var s float32
 		d := 0
-		for d+abandonChunk <= dim {
-			x := (*[16]float32)(q[d+0 : d+16])
-			y := (*[16]float32)(row[d+0 : d+16])
+		for ; d+abandonChunk <= dim; d += abandonChunk {
+			x := (*[abandonChunk]float32)(q[d : d+abandonChunk])
+			y := (*[abandonChunk]float32)(row[d : d+abandonChunk])
+			s += l2c4((*[4]float32)(x[0:4]), (*[4]float32)(y[0:4])) + l2c4((*[4]float32)(x[4:8]), (*[4]float32)(y[4:8]))
+			s += l2c4((*[4]float32)(x[8:12]), (*[4]float32)(y[8:12])) + l2c4((*[4]float32)(x[12:16]), (*[4]float32)(y[12:16]))
+			s += l2c4((*[4]float32)(x[16:20]), (*[4]float32)(y[16:20])) + l2c4((*[4]float32)(x[20:24]), (*[4]float32)(y[20:24]))
+			s += l2c4((*[4]float32)(x[24:28]), (*[4]float32)(y[24:28])) + l2c4((*[4]float32)(x[28:32]), (*[4]float32)(y[28:32]))
+			if d+abandonChunk < dim && s >= bound {
+				out[i] = inf32()
+				continue rows
+			}
+		}
+		for ; d+8 <= dim; d += 8 {
+			s += l2c4((*[4]float32)(q[d:d+4]), (*[4]float32)(row[d:d+4])) + l2c4((*[4]float32)(q[d+4:d+8]), (*[4]float32)(row[d+4:d+8]))
+		}
+		for ; d < dim; d++ {
+			t := q[d] - row[d]
+			s += t * t
+		}
+		out[i] = s
+	}
+}
+
+// l2Bound16 keeps l2Batch4x16's two accumulator banks per row; the
+// checkpoint compares their sum.
+func l2Bound16(q, data []float32, dim int, bound float32, out []float32) {
+	n := len(data) / dim
+rows:
+	for i := 0; i < n; i++ {
+		row := data[i*dim : (i+1)*dim]
+		var sa, sb float32
+		d := 0
+		for ; d+16 <= dim; d += 16 {
+			if d > 0 && d%abandonChunk == 0 && sa+sb >= bound {
+				out[i] = inf32()
+				continue rows
+			}
+			x := (*[16]float32)(q[d : d+16])
+			y := (*[16]float32)(row[d : d+16])
 			e0 := x[0] - y[0]
 			e1 := x[1] - y[1]
 			e2 := x[2] - y[2]
@@ -553,145 +506,14 @@ func l2Bound16(q, data []float32, dim int, bound float32, out []float32) {
 			e13 := x[13] - y[13]
 			e14 := x[14] - y[14]
 			e15 := x[15] - y[15]
-			p0 := (e0*e0 + e1*e1 + e2*e2 + e3*e3 + e4*e4 + e5*e5 + e6*e6 + e7*e7) + (e8*e8 + e9*e9 + e10*e10 + e11*e11 + e12*e12 + e13*e13 + e14*e14 + e15*e15)
-			x = (*[16]float32)(q[d+16 : d+32])
-			y = (*[16]float32)(row[d+16 : d+32])
-			e0 = x[0] - y[0]
-			e1 = x[1] - y[1]
-			e2 = x[2] - y[2]
-			e3 = x[3] - y[3]
-			e4 = x[4] - y[4]
-			e5 = x[5] - y[5]
-			e6 = x[6] - y[6]
-			e7 = x[7] - y[7]
-			e8 = x[8] - y[8]
-			e9 = x[9] - y[9]
-			e10 = x[10] - y[10]
-			e11 = x[11] - y[11]
-			e12 = x[12] - y[12]
-			e13 = x[13] - y[13]
-			e14 = x[14] - y[14]
-			e15 = x[15] - y[15]
-			p1 := (e0*e0 + e1*e1 + e2*e2 + e3*e3 + e4*e4 + e5*e5 + e6*e6 + e7*e7) + (e8*e8 + e9*e9 + e10*e10 + e11*e11 + e12*e12 + e13*e13 + e14*e14 + e15*e15)
-			s += (p0 + p1)
-			d += abandonChunk
-			if d < dim && s >= bound {
-				s = inf32()
-				break
-			}
+			sa += (e0*e0 + e1*e1 + e2*e2 + e3*e3) + (e4*e4 + e5*e5 + e6*e6 + e7*e7)
+			sb += (e8*e8 + e9*e9 + e10*e10 + e11*e11) + (e12*e12 + e13*e13 + e14*e14 + e15*e15)
 		}
-		if s < inf32() && d < dim {
-			s += l2Unroll16(q[d:dim], row[d:dim])
+		s := sa + sb
+		for ; d < dim; d++ {
+			t := q[d] - row[d]
+			s += t * t
 		}
 		out[i] = s
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Query-tile kernels: 4 queries held in registers per data row, so a row
-// loaded into cache serves four queries before being re-streamed. Shared by
-// all unrolled tiers (the register tile, not the chunk width, is the win);
-// the scalar tier keeps a straight reference.
-
-func l2Tile4(qs, data []float32, dim, nq int, out []float32) {
-	n := len(data) / dim
-	if n == 0 {
-		return
-	}
-	qg := 0
-	for ; qg+4 <= nq; qg += 4 {
-		q0 := qs[(qg+0)*dim : (qg+0)*dim+dim]
-		q1 := qs[(qg+1)*dim : (qg+1)*dim+dim]
-		q2 := qs[(qg+2)*dim : (qg+2)*dim+dim]
-		q3 := qs[(qg+3)*dim : (qg+3)*dim+dim]
-		o0 := out[(qg+0)*n : (qg+0)*n+n]
-		o1 := out[(qg+1)*n : (qg+1)*n+n]
-		o2 := out[(qg+2)*n : (qg+2)*n+n]
-		o3 := out[(qg+3)*n : (qg+3)*n+n]
-		for i := 0; i < n; i++ {
-			row := data[i*dim : i*dim+dim]
-			var s0, s1, s2, s3 float32
-			d := 0
-			for ; d+8 <= dim; d += 8 {
-				xa := (*[4]float32)(row[d : d+4])
-				xb := (*[4]float32)(row[d+4 : d+8])
-				s0 += l2c4((*[4]float32)(q0[d:d+4]), xa) + l2c4((*[4]float32)(q0[d+4:d+8]), xb)
-				s1 += l2c4((*[4]float32)(q1[d:d+4]), xa) + l2c4((*[4]float32)(q1[d+4:d+8]), xb)
-				s2 += l2c4((*[4]float32)(q2[d:d+4]), xa) + l2c4((*[4]float32)(q2[d+4:d+8]), xb)
-				s3 += l2c4((*[4]float32)(q3[d:d+4]), xa) + l2c4((*[4]float32)(q3[d+4:d+8]), xb)
-			}
-			if d+4 <= dim {
-				x := (*[4]float32)(row[d : d+4])
-				s0 += l2c4((*[4]float32)(q0[d:d+4]), x)
-				s1 += l2c4((*[4]float32)(q1[d:d+4]), x)
-				s2 += l2c4((*[4]float32)(q2[d:d+4]), x)
-				s3 += l2c4((*[4]float32)(q3[d:d+4]), x)
-				d += 4
-			}
-			for ; d < dim; d++ {
-				xk := row[d]
-				t0 := q0[d] - xk
-				t1 := q1[d] - xk
-				t2 := q2[d] - xk
-				t3 := q3[d] - xk
-				s0 += t0 * t0
-				s1 += t1 * t1
-				s2 += t2 * t2
-				s3 += t3 * t3
-			}
-			o0[i], o1[i], o2[i], o3[i] = s0, s1, s2, s3
-		}
-	}
-	for ; qg < nq; qg++ {
-		l2Batch4x8(qs[qg*dim:(qg+1)*dim], data, dim, out[qg*n:(qg+1)*n])
-	}
-}
-
-func ipTile4(qs, data []float32, dim, nq int, out []float32) {
-	n := len(data) / dim
-	if n == 0 {
-		return
-	}
-	qg := 0
-	for ; qg+4 <= nq; qg += 4 {
-		q0 := qs[(qg+0)*dim : (qg+0)*dim+dim]
-		q1 := qs[(qg+1)*dim : (qg+1)*dim+dim]
-		q2 := qs[(qg+2)*dim : (qg+2)*dim+dim]
-		q3 := qs[(qg+3)*dim : (qg+3)*dim+dim]
-		o0 := out[(qg+0)*n : (qg+0)*n+n]
-		o1 := out[(qg+1)*n : (qg+1)*n+n]
-		o2 := out[(qg+2)*n : (qg+2)*n+n]
-		o3 := out[(qg+3)*n : (qg+3)*n+n]
-		for i := 0; i < n; i++ {
-			row := data[i*dim : i*dim+dim]
-			var s0, s1, s2, s3 float32
-			d := 0
-			for ; d+8 <= dim; d += 8 {
-				x := (*[8]float32)(row[d : d+8])
-				s0 += ipc8((*[8]float32)(q0[d:d+8]), x)
-				s1 += ipc8((*[8]float32)(q1[d:d+8]), x)
-				s2 += ipc8((*[8]float32)(q2[d:d+8]), x)
-				s3 += ipc8((*[8]float32)(q3[d:d+8]), x)
-			}
-			if d+4 <= dim {
-				x := (*[4]float32)(row[d : d+4])
-				s0 += ipc4((*[4]float32)(q0[d:d+4]), x)
-				s1 += ipc4((*[4]float32)(q1[d:d+4]), x)
-				s2 += ipc4((*[4]float32)(q2[d:d+4]), x)
-				s3 += ipc4((*[4]float32)(q3[d:d+4]), x)
-				d += 4
-			}
-			for ; d < dim; d++ {
-				xk := row[d]
-				s0 += q0[d] * xk
-				s1 += q1[d] * xk
-				s2 += q2[d] * xk
-				s3 += q3[d] * xk
-			}
-			o0[i], o1[i], o2[i], o3[i] = s0, s1, s2, s3
-		}
-	}
-	for ; qg < nq; qg++ {
-		ipBatch4x8(qs[qg*dim:(qg+1)*dim], data, dim, out[qg*n:(qg+1)*n])
 	}
 }

@@ -8,21 +8,14 @@ import (
 
 // TestRowDistanceInvariance pins what the bit-identity tests elsewhere
 // (resident ≡ externalized IVF, tombstoned ≡ plain scans, tiered ≡ in-RAM)
-// rely on: on every tier that runs the assembly batch kernels, and on the
-// scalar reference, a row's L2 and NegDot distance is a pure function of
-// (query, row). It must come out bit-identical whatever the block length,
-// the row's offset in the block, or the entry point — batch, bound (for
-// rows below the bound), tile or gather. The pure-Go SSE/AVX tiers finish
-// a block's last rows with a different summation order and are not held
-// to this.
+// rely on: on every tier, assembly or pure Go, a row's L2 and NegDot
+// distance is a pure function of (query, row), with the row scored alone
+// as the reference. It must come out bit-identical whatever the block
+// length, the row's offset in the block, or the entry point — batch, bound
+// (for rows below the bound), tile or gather.
 func TestRowDistanceInvariance(t *testing.T) {
 	const rows, nq = 300, 3
-	levels := []Level{LevelScalar}
-	for _, l := range Levels() {
-		if Vectorized(l) {
-			levels = append(levels, l)
-		}
-	}
+	levels := Levels()
 	var ns []int
 	for n := 1; n <= 17; n++ {
 		ns = append(ns, n)

@@ -83,11 +83,11 @@ type kernelSet struct {
 }
 
 var kernels = [...]kernelSet{
-	LevelScalar: {l2Scalar, ipScalar, l2BatchScalar, ipBatchScalar, l2BoundScalar, l2TileScalar, ipTileScalar, l2PanelGo},
-	LevelSSE:    {l2Unroll4, ipUnroll4, l2Batch4x4, ipBatch4x4, l2Bound4, l2Tile4, ipTile4, l2PanelGo},
-	LevelAVX:    {l2Unroll8, ipUnroll8, l2Batch4x8, ipBatch4x8, l2Bound8, l2Tile4, ipTile4, l2PanelGo},
-	LevelAVX2:   {l2Unroll8, ipUnroll8, l2Batch4x8, ipBatch4x8, l2Bound8, l2Tile4, ipTile4, l2PanelGo},
-	LevelAVX512: {l2Unroll16, ipUnroll16, l2Batch4x16, ipBatch4x16, l2Bound16, l2Tile4, ipTile4, l2PanelGo},
+	LevelScalar: {l2Scalar, ipScalar, l2BatchScalar, ipBatchScalar, l2BoundScalar, tileOf(l2BatchScalar), tileOf(ipBatchScalar), l2PanelGo},
+	LevelSSE:    {l2Unroll4, ipUnroll4, l2Batch4x4, ipBatch4x4, l2Bound4, tileOf(l2Batch4x4), tileOf(ipBatch4x4), l2PanelGo},
+	LevelAVX:    {l2Unroll8, ipUnroll8, l2Batch4x8, ipBatch4x8, l2Bound8, tileOf(l2Batch4x8), tileOf(ipBatch4x8), l2PanelGo},
+	LevelAVX2:   {l2Unroll8, ipUnroll8, l2Batch4x8, ipBatch4x8, l2Bound8, tileOf(l2Batch4x8), tileOf(ipBatch4x8), l2PanelGo},
+	LevelAVX512: {l2Unroll16, ipUnroll16, l2Batch4x16, ipBatch4x16, l2Bound16, tileOf(l2Batch4x16), tileOf(ipBatch4x16), l2PanelGo},
 }
 
 var currentLevel atomic.Int32

@@ -25,6 +25,7 @@
 package vectordb
 
 import (
+	"context"
 	"time"
 
 	"vectordb/internal/core"
@@ -276,40 +277,37 @@ func (c *Collection) Delete(ids []int64) error { return c.inner.Delete(ids) }
 // Flush blocks until all pending writes are applied and visible.
 func (c *Collection) Flush() error { return c.inner.Flush() }
 
-// Search answers a top-k vector query; with req.Filter set it runs the
-// cost-based attribute-filtering pipeline (Sec. 4.1).
+// Search answers a top-k vector query; with req.Filter or req.Cat set it
+// runs the cost-based attribute-filtering pipeline (Sec. 4.1).
 func (c *Collection) Search(query []float32, req SearchRequest) ([]Result, error) {
-	opts := core.SearchOptions{Field: req.Field, K: req.K, Nprobe: req.Nprobe, Ef: req.Ef, SearchL: req.SearchL}
-	if req.Cat != nil {
-		rs, err := c.inner.SearchCategorical(query, req.Cat.Attr, req.Cat.Values, opts)
-		if err != nil {
-			return nil, err
-		}
-		return fromTopk(rs), nil
+	q := core.Request{Vector: query, SearchOptions: core.SearchOptions{Field: req.Field, K: req.K, Nprobe: req.Nprobe, Ef: req.Ef, SearchL: req.SearchL}}
+	var err error
+	switch s := c.inner.Schema(); {
+	case req.Cat != nil:
+		q.Pred, err = s.InPred(req.Cat.Attr, req.Cat.Values)
+	case req.Filter != nil:
+		q.Pred, err = s.RangePred(req.Filter.Attr, req.Filter.Lo, req.Filter.Hi)
 	}
-	if req.Filter != nil {
-		rs, err := c.inner.SearchFiltered(query, req.Filter.Attr, req.Filter.Lo, req.Filter.Hi, opts)
-		if err != nil {
-			return nil, err
-		}
-		return fromTopk(rs), nil
-	}
-	rs, err := c.inner.Search(query, opts)
 	if err != nil {
 		return nil, err
 	}
-	return fromTopk(rs), nil
+	return c.query(q)
 }
 
 // SearchMulti answers a multi-vector query: top-k entities by the weighted
 // sum aggregation over per-field similarities (Sec. 4.2). It uses vector
 // fusion when the metric is decomposable and iterative merging otherwise.
 func (c *Collection) SearchMulti(queries [][]float32, weights []float32, k int) ([]Result, error) {
-	rs, err := c.inner.SearchMultiVector(queries, weights, k)
+	return c.query(core.Request{Fields: queries, Weights: weights, SearchOptions: core.SearchOptions{K: k}})
+}
+
+// query runs q under a background context: the embedded API takes none.
+func (c *Collection) query(q core.Request) ([]Result, error) {
+	res, err := c.inner.Query(context.Background(), q)
 	if err != nil {
 		return nil, err
 	}
-	return fromTopk(rs), nil
+	return fromTopk(res.Hits), nil
 }
 
 // BuildIndex builds an index of the named type ("FLAT", "IVF_FLAT",
