@@ -138,17 +138,28 @@ conformance-filter:
 # seeds, then ten seconds of fuzzing. A JSON insert body cut into 2–4
 # shards, each sent as the SDK sends it, decodes to the whole body's
 # entities — on the seeds. Large columnar inserts run beside
-# searches that keep answering right. (All 2^32 float32s: go test
-# ./internal/rest -run Exhaustive -exhaustive, about six minutes on two
-# cores.)
+# searches that keep answering right. The SDK's searches are columnar
+# too, and so are their hits when Accept asks for them: each search shape
+# (plain, named field, range, IN, range + IN, weighted multi-vector) and
+# each refused one answers the same hits, or the same status and error
+# text, as JSON and as columns; an Accept without the columnar type gets
+# the JSON reply byte for byte; the handler answers 400 to a bad magic,
+# version or flag, every truncation, a trailing byte, overrunning counts,
+# any NaN/±Inf and invalid UTF-8, and a header claiming 2^32−1 vectors,
+# values or hits allocates under 1 MiB; neither decoder panics and every
+# body each takes re-encodes to the same bytes — the seeds, then ten
+# seconds of fuzzing each. (All 2^32 float32s: go test ./internal/rest
+# -run Exhaustive -exhaustive, about six minutes on two cores.)
 conformance-wire:
-	$(GO) test ./internal/rest -run 'TestWireEncoderGolden|TestWireFastPathCoverage|FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestTrailingBytesAre400|TestReadBody|TestDeclaredOversizedBodyIs413|TestDeclaredLengthAllocatesAsBodyArrives|TestUnencodableResultIs500|TestFloat32PrintSweep|TestG1Table|TestNumberScan|FuzzFloat32Print|FuzzNumberScan|TestInsertColumnsMatchJSON|TestInsertColumnsFailOnFirstNaN|TestInsertColumnsOnlyForUniformRows|TestInsertColumnsRejected|TestInsertColumnsHeaderAllocates|FuzzInsertColumns|FuzzInsertShards|TestLargeInsertsBesideSearches'
+	$(GO) test ./internal/rest -run 'TestWireEncoderGolden|TestWireFastPathCoverage|FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestTrailingBytesAre400|TestReadBody|TestDeclaredOversizedBodyIs413|TestDeclaredLengthAllocatesAsBodyArrives|TestUnencodableResultIs500|TestFloat32PrintSweep|TestG1Table|TestNumberScan|FuzzFloat32Print|FuzzNumberScan|TestInsertColumnsMatchJSON|TestInsertColumnsFailOnFirstNaN|TestInsertColumnsOnlyForUniformRows|TestInsertColumnsRejected|TestInsertColumnsHeaderAllocates|FuzzInsertColumns|FuzzInsertShards|TestLargeInsertsBesideSearches|TestSearchColumnsMatchJSON|TestSearchAccept|TestSearchColumnsRejected|TestSearchColumnsHeaderAllocates|TestSearchColumnsNonFinite|FuzzSearchColumns|FuzzHitsColumns'
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchRequestWire$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertRequestWire$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchResponseWire$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzFloat32Print$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzNumberScan$$' -fuzztime 10s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertColumns$$' -fuzztime 10s
+	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchColumns$$' -fuzztime 10s
+	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzHitsColumns$$' -fuzztime 10s
 
 # kernel-guard keeps every hot read path on the blocked batch kernels.
 # The static half — no per-tier kernel calls outside internal/vec — is

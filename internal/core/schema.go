@@ -120,6 +120,46 @@ func (s *Schema) InPred(cat string, values []string) (colstore.Pred, error) {
 	return colstore.InPred{Cat: i, Values: values}, nil
 }
 
+// RangeFilter is lo ≤ attr ≤ hi on the numeric attribute named Attr.
+type RangeFilter struct {
+	Attr   string
+	Lo, Hi int64
+}
+
+// InFilter is attr IN Values on the categorical field named Attr.
+type InFilter struct {
+	Attr   string
+	Values []string
+}
+
+// Filter resolves a search's optional range and IN terms into its Request's
+// Pred: nil when neither is set, the one leaf when one is, and their
+// AndPred when both are.
+func (s *Schema) Filter(rng *RangeFilter, in *InFilter) (colstore.Pred, error) {
+	var preds []colstore.Pred
+	if rng != nil {
+		p, err := s.RangePred(rng.Attr, rng.Lo, rng.Hi)
+		if err != nil {
+			return nil, err
+		}
+		preds = append(preds, p)
+	}
+	if in != nil {
+		p, err := s.InPred(in.Attr, in.Values)
+		if err != nil {
+			return nil, err
+		}
+		preds = append(preds, p)
+	}
+	switch len(preds) {
+	case 0:
+		return nil, nil
+	case 1:
+		return preds[0], nil
+	}
+	return colstore.AndPred{Preds: preds}, nil
+}
+
 // Entity is one row: an ID, one vector per schema vector field, and one
 // value per schema attribute field.
 type Entity struct {

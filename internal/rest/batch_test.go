@@ -81,6 +81,12 @@ func TestRejectedSearchReportsPressure(t *testing.T) {
 	if rej.QueueDepth != 1 || rej.Inflight != 1 {
 		t.Fatalf("rejected body = %+v, want queue_depth=1 inflight=1", rej)
 	}
+	// The SDK's columnar search is shed the same way, and surfaces the
+	// JSON error body's text.
+	want := "client: POST /collections/items/search: " + rej.Error
+	if _, err := c.Search("items", []float32{1, 2}, 1, nil); err == nil || err.Error() != want {
+		t.Fatalf("SDK search error %v, want %q", err, want)
+	}
 }
 
 // scrapeBatchformQueries parses /metrics and sums the

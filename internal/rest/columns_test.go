@@ -420,11 +420,11 @@ func FuzzInsertShards(f *testing.F) {
 	})
 }
 
-// postWire posts v, encoded by Marshal, to url and returns the response
-// body, failing t unless the status is 2xx.
+// postWire posts v as JSON to url and returns the response body, failing t
+// unless the status is 2xx.
 func postWire(t *testing.T, url string, v any) []byte {
 	t.Helper()
-	body, err := Marshal(v)
+	body, err := json.Marshal(v)
 	if err != nil {
 		t.Error(err)
 		return nil

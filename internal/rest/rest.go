@@ -1,7 +1,8 @@
 // Package rest implements the RESTful application interface of Sec. 2.1: a
 // JSON/HTTP server over the core engine, mirrored by the Go SDK in the
 // public client package (the paper also ships Python/Java/C++ SDKs over the
-// same surface).
+// same surface). The SDK's inserts and searches go as binary columns
+// (ColumnsType); every other body, and every error reply, is JSON.
 package rest
 
 import (
@@ -172,6 +173,8 @@ func NewServerWithConfig(db *core.DB, cfg ServerConfig) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
+const jsonType = "application/json"
+
 // writeJSON encodes v whole before answering code, so a value that does
 // not encode answers 500 with an error body instead.
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -180,15 +183,17 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeBody(w, code, b)
+	writeBody(w, code, jsonType, b)
 }
 
-// writeBody answers code with the JSON body b plus the newline a
-// json.Encoder ends it with, under an exact Content-Length.
-func writeBody(w http.ResponseWriter, code int, b []byte) {
-	b = append(b, '\n')
+// writeBody answers code with the body b of type ctype under an exact
+// Content-Length; a JSON body ends in the newline a json.Encoder writes.
+func writeBody(w http.ResponseWriter, code int, ctype string, b []byte) {
+	if ctype == jsonType {
+		b = append(b, '\n')
+	}
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
+	h.Set("Content-Type", ctype)
 	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(code)
 	_, _ = w.Write(b) // a failed write is the client's disconnect
@@ -206,18 +211,23 @@ const maxBodyBytes = 64 << 20
 // answer (through Unmarshal's fast paths), answering 413 when the body
 // exceeds maxBodyBytes — at once when its Content-Length says so — and 400
 // when it does not parse, bytes after the JSON value included; false means
-// the response has been written. A *[]core.Entity takes an insert body,
-// columnar or JSON by its Content-Type.
+// the response has been written. A *[]core.Entity takes an insert body and
+// a *query a search body, each columnar or JSON by its Content-Type.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	var body []byte
 	var err error = &http.MaxBytesError{Limit: maxBodyBytes}
 	if r.ContentLength <= maxBodyBytes {
 		body, err = ReadBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	}
-	if rows, ok := v.(*[]core.Entity); ok && err == nil {
-		*rows, err = decodeInsert(body, r.Header.Get("Content-Type"))
-	} else if err == nil {
-		err = Unmarshal(body, v)
+	if err == nil {
+		switch v := v.(type) {
+		case *[]core.Entity:
+			*v, err = decodeInsert(body, r.Header.Get("Content-Type"))
+		case *query:
+			*v, err = decodeQuery(body, r.Header.Get("Content-Type"))
+		default:
+			err = Unmarshal(body, v)
+		}
 	}
 	if err == nil {
 		return true
@@ -449,12 +459,29 @@ func searchStatus(err error) int {
 	}
 }
 
+// accepts reports whether r's Accept header lists the media type t.
+func accepts(r *http.Request, t string) bool {
+	for _, v := range r.Header.Values("Accept") {
+		for v != "" {
+			var item string
+			item, v, _ = strings.Cut(v, ",")
+			if mt, _, _ := strings.Cut(item, ";"); strings.EqualFold(strings.TrimSpace(mt), t) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// handleSearch answers a search body, columnar or JSON, with its hits: as
+// columns when the request's Accept names ColumnsType, else as JSON. Its
+// range and IN terms resolve through the schema, ANDed when both are set.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, col *core.Collection) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var req SearchRequest
-	if !decodeBody(w, r, &req) {
+	var q query
+	if !decodeBody(w, r, &q) {
 		return
 	}
 	// The query context descends from the request context (client disconnect
@@ -465,19 +492,10 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, col *core.
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
 		defer cancel()
 	}
-	q := core.Request{Vector: req.Vector, SearchOptions: core.SearchOptions{Field: req.Field, K: req.K, Nprobe: req.Nprobe, Ef: req.Ef, SearchL: req.SearchL}}
-	var err error
-	switch sch := col.Schema(); {
-	case len(req.Vectors) > 0: // multi-vector query (Sec. 4.2)
-		q.Vector, q.Fields, q.Weights = nil, req.Vectors, req.Weights
-	case req.CatFilter != nil: // categorical filtering (inverted lists)
-		q.Pred, err = sch.InPred(req.CatFilter.Attr, req.CatFilter.Values)
-	case req.Filter != nil: // attribute filtering (Sec. 4.1)
-		q.Pred, err = sch.RangePred(req.Filter.Attr, req.Filter.Lo, req.Filter.Hi)
-	}
 	var res core.Response
-	if err == nil {
-		res, err = col.Query(ctx, q)
+	var err error
+	if q.Pred, err = col.Schema().Filter(q.rng, q.in); err == nil {
+		res, err = col.Query(ctx, q.Request)
 	}
 	if err != nil {
 		if errors.Is(err, exec.ErrRejected) {
@@ -492,12 +510,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, col *core.
 		writeErr(w, searchStatus(err), err)
 		return
 	}
-	b, err := encodeSearchResponse(res.Hits)
+	encode, ctype := encodeSearchResponse, jsonType
+	if accepts(r, ColumnsType) {
+		encode, ctype = encodeHits, ColumnsType
+	}
+	b, err := encode(res.Hits)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeBody(w, http.StatusOK, b)
+	writeBody(w, http.StatusOK, ctype, b)
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request, col *core.Collection) {

@@ -1,7 +1,11 @@
 package rest_test
 
 import (
+	"math"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"vectordb/client"
@@ -217,5 +221,69 @@ func TestCategoricalFilterEndpoint(t *testing.T) {
 		CatFilter: &rest.CatFilterJSON{Attr: "nope", Values: []string{"x"}},
 	}); err == nil {
 		t.Fatal("unknown categorical field accepted")
+	}
+}
+
+// TestSDKSearchANDsFilters: through the SDK, a range filter and a
+// categorical filter given together both apply (ids 5–9 of ten rows with
+// price = id, every brand "acme").
+func TestSDKSearchANDsFilters(t *testing.T) {
+	c := newServer(t)
+	if err := c.CreateCollectionFull("shop", []client.VectorField{{Name: "v", Dim: 2}}, []string{"price"}, []string{"brand"}); err != nil {
+		t.Fatal(err)
+	}
+	var ents []client.Entity
+	for i := 0; i < 10; i++ {
+		ents = append(ents, client.Entity{ID: int64(i), Vectors: [][]float32{{float32(i), 0}}, Attrs: []int64{int64(i)}, Cats: []string{"acme"}})
+	}
+	if err := c.Insert("shop", ents); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush("shop"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Search("shop", []float32{0, 0}, 10, &client.SearchOptions{
+		Filter:    &client.Filter{Attr: "price", Lo: 5, Hi: 9},
+		CatFilter: &rest.CatFilterJSON{Attr: "brand", Values: []string{"acme"}},
+	})
+	var ids []int64
+	for _, r := range res {
+		ids = append(ids, r.ID)
+	}
+	if err != nil || len(ids) != 5 || ids[0] != 5 || ids[4] != 9 {
+		t.Fatalf("price 5..9 AND brand IN acme = %v, %v; want ids 5–9", ids, err)
+	}
+}
+
+// TestSDKNonFiniteQueryFailsInClient: a NaN or ±Inf in a query vector or a
+// weight is the SDK's error; no search reaches the server.
+func TestSDKNonFiniteQueryFailsInClient(t *testing.T) {
+	var searches atomic.Int64
+	h := rest.NewServer(nil)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/search") {
+			searches.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	c := client.New(srv.URL)
+	fields := []client.VectorField{{Name: "a", Dim: 2}, {Name: "b", Dim: 2}}
+	if err := c.CreateCollection("c", fields, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		if _, err := c.Search("c", []float32{1, bad}, 1, nil); err == nil {
+			t.Errorf("Search with %v succeeded", bad)
+		}
+		if _, err := c.SearchMulti("c", [][]float32{{1, 2}, {bad, 0}}, nil, 1); err == nil {
+			t.Errorf("SearchMulti with %v succeeded", bad)
+		}
+		if _, err := c.SearchMulti("c", [][]float32{{1, 2}, {3, 4}}, []float32{1, bad}, 1); err == nil {
+			t.Errorf("SearchMulti with weight %v succeeded", bad)
+		}
+	}
+	if n := searches.Load(); n != 0 {
+		t.Fatalf("%d searches reached the server", n)
 	}
 }

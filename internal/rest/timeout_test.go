@@ -40,6 +40,12 @@ func TestSearchQueryTimeout(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
 		t.Fatalf("error body missing (%v, %+v)", err, e)
 	}
+	// The SDK's columnar search times out the same way, and surfaces the
+	// JSON error body's text.
+	want := "client: POST /collections/t/search: " + e.Error
+	if _, err := c.Search("t", []float32{0, 0}, 1, nil); err == nil || err.Error() != want {
+		t.Fatalf("SDK search error %v, want %q", err, want)
+	}
 }
 
 // TestSearchNoTimeoutStillWorks: the zero-value config imposes no deadline

@@ -1,10 +1,11 @@
 package rest
 
-// The JSON codec of the hot bodies: the single-vector search request, its
-// response, and the insert request other clients send (the SDK sends its
-// inserts as columns, columns.go). Anything else, and any body the strict
-// scanner does not fully cover, goes through encoding/json, so the
-// contract is encoding/json's bytes and json.Unmarshal's answer, faster.
+// The JSON codec of the hot bodies JSON clients send and receive: the
+// single-vector search request and the insert request on the way in, the
+// search response on the way out. The SDK sends and receives these as
+// columns (columns.go). Anything else, and any body the strict scanner does
+// not fully cover, goes through encoding/json, so the contract is
+// encoding/json's bytes and json.Unmarshal's answer, faster.
 
 import (
 	"bytes"
@@ -16,21 +17,9 @@ import (
 	"vectordb/internal/topk"
 )
 
-// Marshal is json.Marshal. A SearchRequest with one query vector and no
-// categorical filter is appended directly.
-func Marshal(v any) ([]byte, error) {
-	if v, ok := v.(SearchRequest); ok && len(v.Vectors) == 0 && len(v.Weights) == 0 && v.CatFilter == nil {
-		e := encoder{b: make([]byte, 0, 128+len(v.Field)+floatBytes*len(v.Vector))}
-		e.searchRequest(&v)
-		return e.done()
-	}
-	return json.Marshal(v)
-}
-
 // Unmarshal is json.Unmarshal for a v that points at a zero value. A
-// *SearchRequest, *InsertRequest or *SearchResponse is first read by the
-// strict scanner; a body it does not fully cover goes to json.Unmarshal,
-// which then decides.
+// *SearchRequest or *InsertRequest is first read by the strict scanner; a
+// body it does not fully cover goes to json.Unmarshal, which then decides.
 func Unmarshal(data []byte, v any) error {
 	var scanned bool
 	switch v := v.(type) {
@@ -38,8 +27,6 @@ func Unmarshal(data []byte, v any) error {
 		scanned = scan(data, v, (*scanner).searchRequest)
 	case *InsertRequest:
 		scanned = scan(data, v, (*scanner).insertRequest)
-	case *SearchResponse:
-		scanned = scan(data, v, (*scanner).searchResponse)
 	}
 	if scanned {
 		return nil
@@ -60,10 +47,6 @@ func encodeSearchResponse(rs []topk.Result) ([]byte, error) {
 	e.raw("}")
 	return e.done()
 }
-
-// floatBytes is what a float32 and its comma usually take ("-1.2345678e-12,");
-// a longer one (up to 22 bytes) only makes append grow the buffer.
-const floatBytes = 16
 
 // encoder appends one body in its type's field order with its omitempty
 // rules; the first value encoding/json cannot encode is its err.
@@ -86,13 +69,6 @@ func (e *encoder) raw(s string) *encoder {
 
 func (e *encoder) int(n int64) { e.b = strconv.AppendInt(e.b, n, 10) }
 
-// nonZero appends an omitempty int member, key and all.
-func (e *encoder) nonZero(key string, n int) {
-	if n != 0 {
-		e.raw(key).int(int64(n))
-	}
-}
-
 // float appends f as encoding/json prints a float32. NaN and ±Inf are
 // encoding/json's error.
 func (e *encoder) float(f float32) {
@@ -105,15 +81,6 @@ func (e *encoder) float(f float32) {
 	e.b = appendFloat32(e.b, f)
 }
 
-func (e *encoder) floats(v []float32) { list(e, v, (*encoder).float) }
-
-// str appends s quoted by encoding/json itself: the hot bodies carry at
-// most a field or attribute name, and its escapes are many.
-func (e *encoder) str(s string) {
-	q, _ := json.Marshal(s) // a string always encodes
-	e.b = append(e.b, q...)
-}
-
 // list appends v, which is not nil, as a JSON array.
 func list[T any](e *encoder, v []T, elem func(*encoder, T)) {
 	e.raw("[")
@@ -124,30 +91,6 @@ func list[T any](e *encoder, v []T, elem func(*encoder, T)) {
 		elem(e, x)
 	}
 	e.raw("]")
-}
-
-// searchRequest appends r, which has no Vectors, Weights or CatFilter.
-func (e *encoder) searchRequest(r *SearchRequest) {
-	e.raw("{")
-	if r.Field != "" {
-		e.raw(`"field":`).str(r.Field)
-		e.raw(",")
-	}
-	if len(r.Vector) > 0 {
-		e.raw(`"vector":`).floats(r.Vector)
-		e.raw(",")
-	}
-	e.raw(`"k":`).int(int64(r.K))
-	e.nonZero(`,"nprobe":`, r.Nprobe)
-	e.nonZero(`,"ef":`, r.Ef)
-	e.nonZero(`,"search_l":`, r.SearchL)
-	if f := r.Filter; f != nil {
-		e.raw(`,"filter":{"attr":`).str(f.Attr)
-		e.raw(`,"lo":`).int(f.Lo)
-		e.raw(`,"hi":`).int(f.Hi)
-		e.raw("}")
-	}
-	e.raw("}")
 }
 
 func (e *encoder) result(r topk.Result) {
@@ -347,24 +290,4 @@ func (s *scanner) entity() (e EntityJSON) {
 		}
 	})
 	return e
-}
-
-func (s *scanner) searchResponse(r *SearchResponse) {
-	s.object([]string{"results"}, func(string) {
-		// One '{' per hit after the body's own is the capacity the
-		// encoder's output needs.
-		r.Results = array(s, bytes.Count(s.b, []byte{'{'})-1, (*scanner).result)
-	})
-}
-
-func (s *scanner) result() (r ResultJSON) {
-	s.object([]string{"id", "distance"}, func(key string) {
-		switch key {
-		case "id":
-			r.ID = s.int64()
-		case "distance":
-			r.Distance = s.float32()
-		}
-	})
-	return r
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // wireBody is one of the three codec bodies, seen by the differential
-// check: its scanner, and its encoder next to the bytes encoding/json
-// writes for the same value.
+// check: the request bodies' scanners, and the response's encoder next to
+// the bytes encoding/json writes for the same value.
 type wireBody[T any] struct {
 	scan     func([]byte, *T) bool
 	reencode func(T) (codec, std []byte, err error)
@@ -23,20 +23,13 @@ type wireBody[T any] struct {
 var (
 	searchRequestWire = wireBody[SearchRequest]{
 		scan: func(b []byte, r *SearchRequest) bool { return scan(b, r, (*scanner).searchRequest) },
-		reencode: func(r SearchRequest) ([]byte, []byte, error) {
-			return marshalBoth(r)
-		},
 	}
 	insertRequestWire = wireBody[InsertRequest]{
 		scan: func(b []byte, r *InsertRequest) bool { return scan(b, r, (*scanner).insertRequest) },
-		reencode: func(r InsertRequest) ([]byte, []byte, error) {
-			return marshalBoth(r)
-		},
 	}
 	// The handler encodes straight from the engine's results and always
 	// sends a list, so a decoded null list re-encodes as [].
 	searchResponseWire = wireBody[SearchResponse]{
-		scan: func(b []byte, r *SearchResponse) bool { return scan(b, r, (*scanner).searchResponse) },
 		reencode: func(r SearchResponse) ([]byte, []byte, error) {
 			rs := make([]topk.Result, len(r.Results))
 			for i, x := range r.Results {
@@ -55,17 +48,9 @@ var (
 	}
 )
 
-func marshalBoth(v any) (codec, std []byte, err error) {
-	if codec, err = Marshal(v); err != nil {
-		return nil, nil, err
-	}
-	std, err = json.Marshal(v)
-	return codec, std, err
-}
-
 // check runs one body through json.Unmarshal, Unmarshal and the scanner
 // alone, failing t unless all agree, and reports whether the scanner took
-// the body.
+// the body; a body with an encoder re-encodes as encoding/json does.
 func (w wireBody[T]) check(t *testing.T, data []byte) (scanned bool) {
 	t.Helper()
 	var want, got, fast T
@@ -74,7 +59,7 @@ func (w wireBody[T]) check(t *testing.T, data []byte) (scanned bool) {
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("%q: Unmarshal error %v, json.Unmarshal error %v", data, gotErr, wantErr)
 	}
-	scanned = w.scan(data, &fast)
+	scanned = w.scan != nil && w.scan(data, &fast)
 	if scanned && wantErr != nil {
 		t.Fatalf("%q: scanner accepted what json.Unmarshal rejects: %v", data, wantErr)
 	}
@@ -86,6 +71,9 @@ func (w wireBody[T]) check(t *testing.T, data []byte) (scanned bool) {
 	}
 	if scanned && !reflect.DeepEqual(fast, want) {
 		t.Fatalf("%q: scanner = %+v, json.Unmarshal = %+v", data, fast, want)
+	}
+	if w.reencode == nil {
+		return scanned
 	}
 	codec, std, err := w.reencode(got)
 	if err != nil {
@@ -149,7 +137,7 @@ func (s wireSeeds) truncations(body string) {
 }
 
 func mustMarshal(t testing.TB, v any) string {
-	b, err := Marshal(v)
+	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,20 +240,20 @@ func insertRequestSeeds(t testing.TB) wireSeeds {
 	return s
 }
 
+// searchResponseSeeds are reply bodies for the handler's encoder, which
+// re-encodes each one json.Unmarshal takes. No scanner reads a reply (the
+// SDK takes its hits as columns), so each maps to false.
 func searchResponseSeeds(t testing.TB) wireSeeds {
 	reply, err := encodeSearchResponse([]topk.Result{{ID: 42, Distance: 0}, {ID: -1, Distance: 1.5e-7}, {ID: 7, Distance: 12.75}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdk := string(reply) + "\n"
 	s := wireSeeds{}
-	s.add(true,
-		sdk,
+	s.add(false,
+		string(reply)+"\n",
 		`{"results":[]}`+"\n",
 		` { "results" : [ { "distance" : 1 , "id" : 2 } ] } `,
 		`{}`,
-	)
-	s.add(false,
 		`{"Results":[]}`,
 		`{"results":[{"ID":1,"distance":2}]}`,
 		`{"results":null}`, `{"results":[null]}`, `{"results":[{"id":null}]}`,
@@ -277,6 +265,9 @@ func searchResponseSeeds(t testing.TB) wireSeeds {
 	s.numbers(`{"results":[{"id":%s,"distance":1}]}`, true)
 	s.numbers(`{"results":[{"id":1,"distance":%s}]}`, false)
 	s.truncations(string(reply))
+	for body := range s {
+		s[body] = false
+	}
 	return s
 }
 
@@ -324,10 +315,9 @@ var goldenFloats = []float32{
 	math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32, 0.1, 1.5, -2.25e-9,
 }
 
-// TestWireEncoderGolden: the append encoders write exactly encoding/json's
-// bytes at the float format cutoffs, the int64 range ends, empty and null
-// lists and strings that need escaping, and fail on NaN and ±Inf as it
-// does.
+// TestWireEncoderGolden: the response encoder writes exactly
+// encoding/json's bytes at the float format cutoffs, the int64 range ends
+// and empty and null lists, and fails on NaN and ±Inf as it does.
 func TestWireEncoderGolden(t *testing.T) {
 	var rs []topk.Result
 	var hits []ResultJSON
@@ -353,30 +343,10 @@ func TestWireEncoderGolden(t *testing.T) {
 		}
 	}
 
-	for _, v := range []any{
-		SearchRequest{Vector: goldenFloats, K: 100},
-		SearchRequest{Field: "v", Vector: goldenFloats[:1], K: -1, Nprobe: 4, Ef: 8, SearchL: 16,
-			Filter: &FilterJSON{Attr: "price", Lo: math.MinInt64, Hi: math.MaxInt64}},
-		SearchRequest{Field: `a"b\c<d>&é` + "\x7f\n ", K: 1, Filter: &FilterJSON{Attr: "<x>"}},
-		SearchRequest{Vector: []float32{}, Vectors: [][]float32{}, Weights: []float32{}, K: 1},
-		SearchRequest{},
-	} {
-		got, err := Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want, _ := json.Marshal(v); !bytes.Equal(got, want) {
-			t.Errorf("%T\n got %s\nwant %s", v, got, want)
-		}
-	}
-
 	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
 		_, wantErr := json.Marshal(SearchResponse{Results: []ResultJSON{{Distance: bad}}})
 		if _, err := encodeSearchResponse([]topk.Result{{ID: 1, Distance: bad}}); err == nil || err.Error() != wantErr.Error() {
 			t.Errorf("response with %v: error %v, want %v", bad, err, wantErr)
-		}
-		if _, err := Marshal(SearchRequest{Vector: []float32{1, bad}, K: 1}); err == nil || err.Error() != wantErr.Error() {
-			t.Errorf("request with %v: error %v, want %v", bad, err, wantErr)
 		}
 	}
 }
@@ -402,55 +372,75 @@ func wireVector(r *rand.Rand, dim int) []float32 {
 
 var wireSink any
 
-// benchWire times encoding v (or, for a response, what encode builds) and
-// decoding body into a fresh T, each through the codec and encoding/json.
-func benchWire[T any](b *testing.B, encode, encodeJSON func() ([]byte, error)) {
-	body, err := encode()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		run  func() error
-	}{
-		{"encode/codec", func() error { out, err := encode(); wireSink = out; return err }},
-		{"encode/json", func() error { out, err := encodeJSON(); wireSink = out; return err }},
-		{"decode/codec", func() error { var v T; err := Unmarshal(body, &v); wireSink = v; return err }},
-		{"decode/json", func() error { var v T; err := json.Unmarshal(body, &v); wireSink = v; return err }},
-	} {
-		b.Run(c.name, func(b *testing.B) {
+// wireStep is one bench step: an encode or a decode of one body.
+type wireStep struct {
+	name string
+	run  func() (any, error)
+}
+
+// benchWire times each step, with body's length as its bytes.
+func benchWire(b *testing.B, body []byte, steps ...wireStep) {
+	for _, step := range steps {
+		b.Run(step.name, func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := c.run(); err != nil {
+				out, err := step.run()
+				if err != nil {
 					b.Fatal(err)
 				}
+				wireSink = out
 			}
 		})
 	}
 }
 
-// BenchmarkWireSearchResponse100: the 100-hit reply of a k=100 search; the
-// encoding/json side copies into []ResultJSON first, as the handler had to.
+// bytesOf adapts an encoder to a bench step.
+func bytesOf(encode func() ([]byte, error)) func() (any, error) {
+	return func() (any, error) { return encode() }
+}
+
+// BenchmarkWireSearchResponse100: the 100-hit reply of a k=100 search, as
+// the handler's JSON (codec), through encoding/json (which copies into
+// []ResultJSON first, as the handler had to) and as the SDK's columns.
 func BenchmarkWireSearchResponse100(b *testing.B) {
 	rs := wireResults(100)
-	benchWire[SearchResponse](b,
-		func() ([]byte, error) { return encodeSearchResponse(rs) },
-		func() ([]byte, error) {
+	body, err := encodeSearchResponse(rs)
+	cols, errCols := encodeHits(rs)
+	if err != nil || errCols != nil {
+		b.Fatal(err, errCols)
+	}
+	benchWire(b, body,
+		wireStep{"encode/codec", bytesOf(func() ([]byte, error) { return encodeSearchResponse(rs) })},
+		wireStep{"encode/json", bytesOf(func() ([]byte, error) {
 			hits := make([]ResultJSON, len(rs))
 			for i, r := range rs {
 				hits[i] = ResultJSON(r)
 			}
 			return json.Marshal(SearchResponse{Results: hits})
-		})
+		})},
+		wireStep{"decode/json", func() (any, error) { var v SearchResponse; err := json.Unmarshal(body, &v); return v, err }})
+	benchWire(b, cols,
+		wireStep{"encode/columns", bytesOf(func() ([]byte, error) { return encodeHits(rs) })},
+		wireStep{"decode/columns", func() (any, error) { return DecodeHits(cols) }})
 }
 
-// BenchmarkWireSearchRequest32: a 32-dim IVF search request.
+// BenchmarkWireSearchRequest32: a 32-dim IVF search request, as JSON read
+// by the scanner (codec) and by encoding/json, and as the SDK's columns.
 func BenchmarkWireSearchRequest32(b *testing.B) {
 	req := SearchRequest{Vector: wireVector(rand.New(rand.NewSource(1)), 32), K: 100, Nprobe: 4}
-	benchWire[SearchRequest](b,
-		func() ([]byte, error) { return Marshal(req) },
-		func() ([]byte, error) { return json.Marshal(req) })
+	body, err := json.Marshal(req)
+	cols, errCols := EncodeSearch(req)
+	if err != nil || errCols != nil {
+		b.Fatal(err, errCols)
+	}
+	benchWire(b, body,
+		wireStep{"encode/json", bytesOf(func() ([]byte, error) { return json.Marshal(req) })},
+		wireStep{"decode/codec", func() (any, error) { var v SearchRequest; err := Unmarshal(body, &v); return v, err }},
+		wireStep{"decode/json", func() (any, error) { var v SearchRequest; err := json.Unmarshal(body, &v); return v, err }})
+	benchWire(b, cols,
+		wireStep{"encode/columns", bytesOf(func() ([]byte, error) { return EncodeSearch(req) })},
+		wireStep{"decode/columns", func() (any, error) { return decodeSearch(cols) }})
 }
 
 // BenchmarkWireInsert4096x128: one bulk-load insert body of 4,096 rows of
@@ -462,7 +452,12 @@ func BenchmarkWireInsert4096x128(b *testing.B) {
 	for i := range req.Entities {
 		req.Entities[i] = EntityJSON{ID: int64(i), Vectors: [][]float32{wireVector(r, 128)}}
 	}
-	benchWire[InsertRequest](b,
-		func() ([]byte, error) { return Marshal(req) },
-		func() ([]byte, error) { return json.Marshal(req) })
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchWire(b, body,
+		wireStep{"encode/json", bytesOf(func() ([]byte, error) { return json.Marshal(req) })},
+		wireStep{"decode/codec", func() (any, error) { var v InsertRequest; err := Unmarshal(body, &v); return v, err }},
+		wireStep{"decode/json", func() (any, error) { var v InsertRequest; err := json.Unmarshal(body, &v); return v, err }})
 }

@@ -278,20 +278,14 @@ func (c *Collection) Delete(ids []int64) error { return c.inner.Delete(ids) }
 func (c *Collection) Flush() error { return c.inner.Flush() }
 
 // Search answers a top-k vector query; with req.Filter or req.Cat set it
-// runs the cost-based attribute-filtering pipeline (Sec. 4.1).
+// runs the cost-based attribute-filtering pipeline (Sec. 4.1), and with
+// both set a row must match both.
 func (c *Collection) Search(query []float32, req SearchRequest) ([]Result, error) {
-	q := core.Request{Vector: query, SearchOptions: core.SearchOptions{Field: req.Field, K: req.K, Nprobe: req.Nprobe, Ef: req.Ef, SearchL: req.SearchL}}
-	var err error
-	switch s := c.inner.Schema(); {
-	case req.Cat != nil:
-		q.Pred, err = s.InPred(req.Cat.Attr, req.Cat.Values)
-	case req.Filter != nil:
-		q.Pred, err = s.RangePred(req.Filter.Attr, req.Filter.Lo, req.Filter.Hi)
-	}
+	pred, err := c.inner.Schema().Filter((*core.RangeFilter)(req.Filter), (*core.InFilter)(req.Cat))
 	if err != nil {
 		return nil, err
 	}
-	return c.query(q)
+	return c.query(core.Request{Vector: query, Pred: pred, SearchOptions: core.SearchOptions{Field: req.Field, K: req.K, Nprobe: req.Nprobe, Ef: req.Ef, SearchL: req.SearchL}})
 }
 
 // SearchMulti answers a multi-vector query: top-k entities by the weighted

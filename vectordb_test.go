@@ -113,6 +113,40 @@ func TestPublicMultiVector(t *testing.T) {
 	}
 }
 
+// TestPublicSearchANDsFilters: a range filter and a categorical filter given
+// together both apply: ten rows with price = id, every brand "acme", price
+// 5..9 AND brand IN acme answer ids 5–9 only.
+func TestPublicSearchANDsFilters(t *testing.T) {
+	db := testDB(t)
+	col, err := db.CreateCollection("shop", vectordb.Schema{
+		VectorFields: []vectordb.VectorField{{Name: "v", Dim: 2}},
+		AttrFields:   []string{"price"},
+		CatFields:    []string{"brand"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []vectordb.Entity
+	for i := 0; i < 10; i++ {
+		rows = append(rows, vectordb.Entity{ID: int64(i), Vectors: [][]float32{{float32(i), 0}}, Attrs: []int64{int64(i)}, Cats: []string{"acme"}})
+	}
+	if err := col.Insert(rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	hits, err := col.Search([]float32{0, 0}, vectordb.SearchRequest{K: 10,
+		Filter: &vectordb.AttrRange{Attr: "price", Lo: 5, Hi: 9}, Cat: &vectordb.CatFilter{Attr: "brand", Values: []string{"acme"}}})
+	var ids []int64
+	for _, h := range hits {
+		ids = append(ids, h.ID)
+	}
+	if err != nil || fmt.Sprint(ids) != "[5 6 7 8 9]" {
+		t.Fatalf("price 5..9 AND brand IN acme = %v, %v; want ids 5–9", ids, err)
+	}
+}
+
 func TestOpenPathPersistsSegments(t *testing.T) {
 	dir := t.TempDir()
 	db, err := vectordb.OpenPath(dir)
