@@ -40,8 +40,8 @@ lint:
 # internal/ — which includes the seeded concurrency stress harness
 # (internal/stress) with fault injection — the cancellation/leak gate,
 # the filtered-search gates (ground-truth conformance plus the concurrent
-# filtered stress mode), the REST wire-codec gate (golden bytes and
-# differential fuzzing against encoding/json), the segment-version gate
+# filtered stress mode), the REST wire gate (the columnar bodies' seeds
+# and fuzzing, and the JSON handler fuzzed), the segment-version gate
 # (index rebuilds under -race), the observability coverage floor, the
 # batch-kernel guard, the pure-Go kernel build (purego), the figure shape
 # assertions, the benchmark smoke run (every `go test` benchmark
@@ -115,29 +115,30 @@ conformance-filter:
 	$(GO) test ./internal/colstore -run 'TestFillRange|TestCompilePred|FuzzPredCompile'
 	$(GO) test ./internal/cluster -run 'TestClusterEqualsSingleNode|TestReaderFilteredAllocs|TestReaderProbeResolvedEqualsFullCompile|TestSearchRejectsBadRequest'
 
-# conformance-wire is the REST wire-codec gate: the append encoders
-# write exactly encoding/json's bytes (float format cutoffs, int64 range
-# ends, empty lists, escaped strings; NaN and ±Inf fail), the
-# strict scanners take the JSON bodies the SDK and the handler send, and
-# other clients' insert bodies, and leave everything else to
-# json.Unmarshal, and on any bytes the codec and json.Unmarshal agree on
-# accept or reject, on the decoded value, and on its re-encoding — the
-# checked-in seeds first, then ten seconds of fuzzing per body. The
-# codec's own number kernels are held to strconv: the float32 printer on
-# every subnormal, every exponent's edge significands and random bit
-# patterns, the scanner's float32 and int64 on edge and random literals,
-# then ten seconds of fuzzing each. The SDK's inserts are columnar
-# bodies: a batch stores the same entities and answers the same searches
-# whether it arrives as JSON or as columns (two vector fields,
-# attributes, categories with empty strings and invalid UTF-8, −0,
-# subnormals, int64 ends, zero rows), a NaN or a ragged batch goes as
-# JSON, and the handler answers 400 to a bad magic or version, every
-# truncation, a trailing byte, overflowing counts and any NaN/±Inf, a
-# header claiming 2^32−1 rows allocating under 1 MiB; the decoder never
-# panics and every body it takes re-encodes to the same bytes — the
-# seeds, then ten seconds of fuzzing. A JSON insert body cut into 2–4
-# shards, each sent as the SDK sends it, decodes to the whole body's
-# entities — on the seeds. Large columnar inserts run beside
+# conformance-wire is the REST wire gate. Every JSON body is read by
+# json.Unmarshal and written by json.Marshal: trailing bytes answer 400 on
+# every endpoint, a hit JSON cannot carry (±Inf) answers 500, a declared
+# 64 MiB body with nothing behind it allocates under 1 MiB, and any bytes
+# posted as a JSON search and as a JSON insert answer 200, 400 or 404 —
+# never a panic or a 5xx — the search and the insert seeds, then ten
+# seconds of fuzzing from each. The JSON search reply writes golden bytes
+# at the float format cutoffs and range ends, [] for no hits, and carries
+# every hit back bit for bit (each exponent's edge significands, random
+# bit patterns, any reply json.Unmarshal takes); a number literal in a
+# search body is read exactly as strconv reads it — on the seeds. A
+# search's k, ef or search_l sizes no allocation: a bound of 2^62 answers
+# every row, as JSON and as columns, and a k of 2^28 allocates under
+# 1 MiB. The SDK's inserts are columnar bodies: a batch stores the same
+# entities and answers the same searches whether it arrives as JSON or as
+# columns (two vector fields, attributes, categories with empty strings and
+# invalid UTF-8, −0, subnormals, int64 ends, zero rows), a NaN or a ragged
+# batch goes as JSON, and the handler answers 400 to a bad magic or
+# version, every truncation, a trailing byte, overflowing counts and any
+# NaN/±Inf, a header claiming 2^32−1 rows allocating under 1 MiB; the
+# decoder never panics and every body it takes re-encodes to the same
+# bytes — the seeds, then ten seconds of fuzzing. A JSON insert body cut
+# into 2–4 shards, each sent as the SDK sends it, decodes to the whole
+# body's entities — on the seeds. Large columnar inserts run beside
 # searches that keep answering right. The SDK's searches are columnar
 # too, and so are their hits when Accept asks for them: each search shape
 # (plain, named field, range, IN, range + IN, weighted multi-vector) and
@@ -148,18 +149,16 @@ conformance-filter:
 # any NaN/±Inf and invalid UTF-8, and a header claiming 2^32−1 vectors,
 # values or hits allocates under 1 MiB; neither decoder panics and every
 # body each takes re-encodes to the same bytes — the seeds, then ten
-# seconds of fuzzing each. (All 2^32 float32s: go test ./internal/rest
-# -run Exhaustive -exhaustive, about six minutes on two cores.)
+# seconds of fuzzing each. A fuzz step minimizes a failing input for at
+# most a second (go test's default is a minute, which a step spends on
+# any new input instead of fuzzing).
 conformance-wire:
-	$(GO) test ./internal/rest -run 'TestWireEncoderGolden|TestWireFastPathCoverage|FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestTrailingBytesAre400|TestReadBody|TestDeclaredOversizedBodyIs413|TestDeclaredLengthAllocatesAsBodyArrives|TestUnencodableResultIs500|TestFloat32PrintSweep|TestG1Table|TestNumberScan|FuzzFloat32Print|FuzzNumberScan|TestInsertColumnsMatchJSON|TestInsertColumnsFailOnFirstNaN|TestInsertColumnsOnlyForUniformRows|TestInsertColumnsRejected|TestInsertColumnsHeaderAllocates|FuzzInsertColumns|FuzzInsertShards|TestLargeInsertsBesideSearches|TestSearchColumnsMatchJSON|TestSearchAccept|TestSearchColumnsRejected|TestSearchColumnsHeaderAllocates|TestSearchColumnsNonFinite|FuzzSearchColumns|FuzzHitsColumns'
-	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchRequestWire$$' -fuzztime 10s
-	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertRequestWire$$' -fuzztime 10s
-	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchResponseWire$$' -fuzztime 10s
-	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzFloat32Print$$' -fuzztime 10s
-	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzNumberScan$$' -fuzztime 10s
-	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertColumns$$' -fuzztime 10s
-	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchColumns$$' -fuzztime 10s
-	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzHitsColumns$$' -fuzztime 10s
+	$(GO) test ./internal/rest -run 'FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestWireEncoderGolden|TestFloat32PrintSweep|TestNumberScan|FuzzFloat32Print|FuzzNumberScan|TestHugeBoundsAnswerEveryRow|TestHugeKAllocates|TestTrailingBytesAre400|TestReadBody|TestDeclaredOversizedBodyIs413|TestDeclaredLengthAllocatesAsBodyArrives|TestUnencodableResultIs500|TestInsertColumnsMatchJSON|TestInsertColumnsFailOnFirstNaN|TestInsertColumnsOnlyForUniformRows|TestInsertColumnsRejected|TestInsertColumnsHeaderAllocates|FuzzInsertColumns|FuzzInsertShards|TestLargeInsertsBesideSearches|TestSearchColumnsMatchJSON|TestSearchAccept|TestSearchColumnsRejected|TestSearchColumnsHeaderAllocates|TestSearchColumnsNonFinite|FuzzSearchColumns|FuzzHitsColumns'
+	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchRequestWire$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertRequestWire$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertColumns$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchColumns$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzHitsColumns$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # kernel-guard keeps every hot read path on the blocked batch kernels.
 # The static half — no per-tier kernel calls outside internal/vec — is

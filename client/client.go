@@ -1,13 +1,13 @@
 // Package client is the Go SDK for a vectordb server (Sec. 2.1 application
-// interfaces): a thin typed wrapper over the RESTful API served by
-// cmd/vectordbd. Searches, and insert batches whose rows agree in shape, go
-// as packed little-endian columns under Content-Type
-// application/x-vectordb-columns, and a search's hits come back in the same
-// type. Every other body, and every error reply, is JSON.
+// interfaces), a thin typed wrapper over the RESTful API of cmd/vectordbd.
+// Searches and their hits, and insert batches whose rows agree in shape, go
+// as packed little-endian columns (rest.ColumnsType); every other body, and
+// every error reply, is JSON through encoding/json.
 package client
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -48,7 +48,7 @@ func (c *Client) do(method, path, contentType string, body []byte, decode func([
 	reply, err := rest.ReadBody(resp.Body, resp.ContentLength)
 	if resp.StatusCode >= 400 {
 		var e rest.ErrorResponse
-		if err == nil && rest.Unmarshal(reply, &e) == nil && e.Error != "" {
+		if err == nil && json.Unmarshal(reply, &e) == nil && e.Error != "" {
 			return fmt.Errorf("client: %s %s: %s", method, path, e.Error)
 		}
 		return fmt.Errorf("client: %s %s: HTTP %d", method, path, resp.StatusCode)
@@ -72,7 +72,7 @@ func (c *Client) call(method, path string, in, out any) error {
 	}
 	var decode func([]byte) error
 	if out != nil {
-		decode = func(reply []byte) error { return rest.Unmarshal(reply, out) }
+		decode = func(reply []byte) error { return json.Unmarshal(reply, out) }
 	}
 	return c.do(method, path, contentType, body, decode)
 }

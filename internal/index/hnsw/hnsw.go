@@ -237,7 +237,7 @@ func (h *HNSW) greedyClosest(q []float32, ep, level int) int {
 // connectivity survives low selectivity instead of the beam stalling on a
 // neighborhood where nothing matches (strategy B, Sec. 4.1).
 func (h *HNSW) searchLayer(q []float32, ep, ef, level int, pass func(int) bool) []topk.Result {
-	visited := make(map[int32]struct{}, ef*4)
+	visited := make(map[int32]struct{}, 4*topk.Reserve(ef))
 	visited[int32(ep)] = struct{}{}
 	epD := h.dist(q, h.vecAt(ep))
 

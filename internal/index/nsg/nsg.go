@@ -146,7 +146,7 @@ func (g *NSG) searchOnGraph(graph [][]int32, start int, query []float32, l int) 
 		dist    float32
 		checked bool
 	}
-	pool := make([]cand, 0, l+1)
+	pool := make([]cand, 0, topk.Reserve(l)+1)
 	visited := map[int32]struct{}{int32(start): {}}
 	insert := func(node int32, d float32) {
 		pos := len(pool)
@@ -453,7 +453,7 @@ func (g *NSG) searchFiltered(query []float32, l int, pass func(int32) bool, out 
 		checked bool
 	}
 	start := int32(g.nav)
-	pool := make([]cand, 0, l+1)
+	pool := make([]cand, 0, topk.Reserve(l)+1)
 	visited := map[int32]struct{}{start: {}}
 	insert := func(node int32, d float32) {
 		pos := len(pool)

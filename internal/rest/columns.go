@@ -134,7 +134,7 @@ func decodeInsert(body []byte, contentType string) ([]core.Entity, error) {
 		return decodeColumns(body)
 	}
 	var req InsertRequest
-	err := Unmarshal(body, &req)
+	err := json.Unmarshal(body, &req)
 	rows := make([]core.Entity, len(req.Entities))
 	for i, e := range req.Entities {
 		rows[i] = core.Entity(e)
@@ -261,7 +261,7 @@ func decodeQuery(body []byte, contentType string) (query, error) {
 		return decodeSearch(body)
 	}
 	var r SearchRequest
-	err := Unmarshal(body, &r)
+	err := json.Unmarshal(body, &r)
 	return r.query(), err
 }
 

@@ -366,14 +366,13 @@ func shardSeeds(t testing.TB) wireSeeds {
 			Attrs: []int64{int64(i)}, Cats: []string{"red", "a b"}})
 	}
 	sdk := mustMarshal(t, InsertRequest{Entities: es})
-	s := wireSeeds{}
-	s.add(true,
+	s := wireSeeds{
 		sdk,
 		" {\n\"entities\" :\t[ {\"id\":1,\"vectors\":[[1]]} ,\n {\"vectors\":[[2,3]],\"id\":2} ,{ \"cats\":[\"c\"],\"attrs\":[4],\"id\":3 }\r\n,\n\t{\"attrs\":[],\"id\":4} ] \n}\t",
 		`{"entities":[{"id":1},{"id":2},{"id":3},{"id":4}]}`,
 		`{"entities":[{"id":1,"vectors":[[1,2]]},{"id":2,"vectors":[[3]]},{"id":3,"vectors":[[4]],"attrs":[5]},{"id":4,"vectors":[[]]}]}`,
 		`{"entities":[{"id":-9223372036854775808,"vectors":[[-0,1e-45]],"cats":[""]},{"id":9223372036854775807,"vectors":[[3.4028235e38,0]],"cats":["\u00e9"]}]}`,
-	)
+	}
 	s.truncations(sdk)
 	return s
 }
@@ -384,7 +383,7 @@ func shardSeeds(t testing.TB) wireSeeds {
 // entities, bit for bit.
 func FuzzInsertShards(f *testing.F) {
 	for _, seeds := range []wireSeeds{insertRequestSeeds(f), shardSeeds(f)} {
-		for body := range seeds {
+		for _, body := range seeds {
 			f.Add([]byte(body), uint8(len(body)))
 		}
 	}
@@ -506,7 +505,7 @@ func TestLargeInsertsBesideSearches(t *testing.T) {
 				default:
 				}
 				var resp SearchResponse
-				if err := Unmarshal(postWire(t, srv.URL+"/collections/c/search", query), &resp); err != nil ||
+				if err := json.Unmarshal(postWire(t, srv.URL+"/collections/c/search", query), &resp); err != nil ||
 					len(resp.Results) == 0 || resp.Results[0].ID != 5 || resp.Results[0].Distance != 0 {
 					t.Errorf("search beside inserts: %+v, %v; want id 5 first at distance 0", resp, err)
 					return

@@ -2,7 +2,8 @@
 // JSON/HTTP server over the core engine, mirrored by the Go SDK in the
 // public client package (the paper also ships Python/Java/C++ SDKs over the
 // same surface). The SDK's inserts and searches go as binary columns
-// (ColumnsType); every other body, and every error reply, is JSON.
+// (ColumnsType); every other body, and every error reply, is JSON, read by
+// json.Unmarshal and written by json.Marshal.
 package rest
 
 import (
@@ -19,6 +20,7 @@ import (
 	"vectordb/internal/core"
 	"vectordb/internal/exec"
 	"vectordb/internal/obs"
+	"vectordb/internal/topk"
 	"vectordb/internal/vec"
 )
 
@@ -207,12 +209,12 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 // bulk inserts (4,096 rows × 128 dims is about 6 MB of JSON).
 const maxBodyBytes = 64 << 20
 
-// decodeBody reads the whole request body into v with json.Unmarshal's
-// answer (through Unmarshal's fast paths), answering 413 when the body
-// exceeds maxBodyBytes — at once when its Content-Length says so — and 400
-// when it does not parse, bytes after the JSON value included; false means
-// the response has been written. A *[]core.Entity takes an insert body and
-// a *query a search body, each columnar or JSON by its Content-Type.
+// decodeBody reads the whole request body into v with json.Unmarshal,
+// answering 413 when the body exceeds maxBodyBytes — at once when its
+// Content-Length says so — and 400 when it does not parse, bytes after the
+// JSON value included; false means the response has been written. A
+// *[]core.Entity takes an insert body and a *query a search body, each
+// columnar or JSON by its Content-Type.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	var body []byte
 	var err error = &http.MaxBytesError{Limit: maxBodyBytes}
@@ -226,7 +228,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		case *query:
 			*v, err = decodeQuery(body, r.Header.Get("Content-Type"))
 		default:
-			err = Unmarshal(body, v)
+			err = json.Unmarshal(body, v)
 		}
 	}
 	if err == nil {
@@ -510,16 +512,26 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, col *core.
 		writeErr(w, searchStatus(err), err)
 		return
 	}
-	encode, ctype := encodeSearchResponse, jsonType
 	if accepts(r, ColumnsType) {
-		encode, ctype = encodeHits, ColumnsType
-	}
-	b, err := encode(res.Hits)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
+		b, err := encodeHits(res.Hits)
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
+		writeBody(w, http.StatusOK, ColumnsType, b)
 		return
 	}
-	writeBody(w, http.StatusOK, ctype, b)
+	writeJSON(w, http.StatusOK, searchResponse(res.Hits))
+}
+
+// searchResponse is the JSON reply to a search: a made list, never nil, so
+// no hits encode as [].
+func searchResponse(hits []topk.Result) SearchResponse {
+	rs := make([]ResultJSON, len(hits))
+	for i, h := range hits {
+		rs[i] = ResultJSON(h)
+	}
+	return SearchResponse{Results: rs}
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request, col *core.Collection) {

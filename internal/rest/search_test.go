@@ -461,3 +461,66 @@ func FuzzHitsColumns(f *testing.F) {
 		}
 	})
 }
+
+// TestHugeBoundsAnswerEveryRow: a search's k, ef or search_l sizes no
+// allocation, so a bound of 2^62 answers 200 with every row: k as JSON and
+// as columns on FLAT, HNSW and RNSG collections, and HNSW's ef and RNSG's
+// search_l beside a k of every row.
+func TestHugeBoundsAnswerEveryRow(t *testing.T) {
+	const huge, rows = 1 << 62, 16
+	srv := httptest.NewServer(NewServer(nil))
+	t.Cleanup(srv.Close)
+	es := make([]EntityJSON, rows)
+	for i := range es {
+		es[i] = EntityJSON{ID: int64(i), Vectors: [][]float32{{float32(i), float32(i % 4)}}}
+	}
+	for _, typ := range []string{"FLAT", "HNSW", "RNSG"} {
+		url := srv.URL + "/collections/" + typ
+		postWire(t, srv.URL+"/collections", CreateCollectionRequest{Name: typ, VectorFields: []VectorFieldJSON{{Name: "v", Dim: 2}}})
+		postInsert(t, url+"/entities", es)
+		postWire(t, url+"/flush", struct{}{})
+		postWire(t, url+"/index", IndexRequest{Field: "v", Type: typ})
+		for _, req := range []SearchRequest{
+			{Vector: []float32{0, 0}, K: huge},
+			{Vector: []float32{0, 0}, K: rows, Ef: huge},
+			{Vector: []float32{0, 0}, K: rows, SearchL: huge},
+		} {
+			jsonBody, _ := json.Marshal(req)
+			colsBody, err := EncodeSearch(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sent := range []struct {
+				contentType string
+				body        []byte
+			}{{jsonType, jsonBody}, {ColumnsType, colsBody}} {
+				var resp SearchResponse
+				if err := json.Unmarshal(postBody(t, url+"/search", sent.contentType, sent.body), &resp); err != nil {
+					t.Errorf("%s, k %d ef %d search_l %d as %s: %v", typ, req.K, req.Ef, req.SearchL, sent.contentType, err)
+				} else if len(resp.Results) != rows {
+					t.Errorf("%s, k %d ef %d search_l %d as %s: %d hits, want %d", typ, req.K, req.Ef, req.SearchL, sent.contentType, len(resp.Results), rows)
+				}
+			}
+		}
+	}
+}
+
+// TestHugeKAllocates: a k of 2^28 over a few rows allocates under 1 MiB,
+// not a 4 GiB heap per task.
+func TestHugeKAllocates(t *testing.T) {
+	h := NewServer(nil)
+	post(h, "/collections", jsonType, []byte(mustMarshal(t, CreateCollectionRequest{Name: "c", VectorFields: []VectorFieldJSON{{Name: "v", Dim: 2}}})))
+	post(h, "/collections/c/entities", ColumnsType, mustColumns(t, []EntityJSON{{ID: 1, Vectors: [][]float32{{1, 0}}}, {ID: 2, Vectors: [][]float32{{0, 1}}}}))
+	post(h, "/collections/c/flush", jsonType, nil)
+	body := []byte(`{"vector":[0,0],"k":268435456}`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code := post(h, "/collections/c/search", jsonType, body)
+	runtime.ReadMemStats(&after)
+	if code != http.StatusOK {
+		t.Fatalf("status %d, want 200", code)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("allocated %d bytes", got)
+	}
+}

@@ -3,136 +3,51 @@ package rest
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"vectordb/internal/topk"
 )
 
-// wireBody is one of the three codec bodies, seen by the differential
-// check: the request bodies' scanners, and the response's encoder next to
-// the bytes encoding/json writes for the same value.
-type wireBody[T any] struct {
-	scan     func([]byte, *T) bool
-	reencode func(T) (codec, std []byte, err error)
-}
-
-var (
-	searchRequestWire = wireBody[SearchRequest]{
-		scan: func(b []byte, r *SearchRequest) bool { return scan(b, r, (*scanner).searchRequest) },
-	}
-	insertRequestWire = wireBody[InsertRequest]{
-		scan: func(b []byte, r *InsertRequest) bool { return scan(b, r, (*scanner).insertRequest) },
-	}
-	// The handler encodes straight from the engine's results and always
-	// sends a list, so a decoded null list re-encodes as [].
-	searchResponseWire = wireBody[SearchResponse]{
-		reencode: func(r SearchResponse) ([]byte, []byte, error) {
-			rs := make([]topk.Result, len(r.Results))
-			for i, x := range r.Results {
-				rs[i] = topk.Result(x)
-			}
-			codec, err := encodeSearchResponse(rs)
-			if err != nil {
-				return nil, nil, err
-			}
-			if r.Results == nil {
-				r.Results = []ResultJSON{}
-			}
-			std, err := json.Marshal(r)
-			return codec, std, err
-		},
-	}
-)
-
-// check runs one body through json.Unmarshal, Unmarshal and the scanner
-// alone, failing t unless all agree, and reports whether the scanner took
-// the body; a body with an encoder re-encodes as encoding/json does.
-func (w wireBody[T]) check(t *testing.T, data []byte) (scanned bool) {
-	t.Helper()
-	var want, got, fast T
-	wantErr := json.Unmarshal(data, &want)
-	gotErr := Unmarshal(data, &got)
-	if (wantErr == nil) != (gotErr == nil) {
-		t.Fatalf("%q: Unmarshal error %v, json.Unmarshal error %v", data, gotErr, wantErr)
-	}
-	scanned = w.scan != nil && w.scan(data, &fast)
-	if scanned && wantErr != nil {
-		t.Fatalf("%q: scanner accepted what json.Unmarshal rejects: %v", data, wantErr)
-	}
-	if wantErr != nil {
-		return false
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%q: Unmarshal = %+v, json.Unmarshal = %+v", data, got, want)
-	}
-	if scanned && !reflect.DeepEqual(fast, want) {
-		t.Fatalf("%q: scanner = %+v, json.Unmarshal = %+v", data, fast, want)
-	}
-	if w.reencode == nil {
-		return scanned
-	}
-	codec, std, err := w.reencode(got)
-	if err != nil {
-		t.Fatalf("%q: re-encoding %+v: %v", data, got, err)
-	}
-	if !bytes.Equal(codec, std) {
-		t.Fatalf("%q: re-encoded as\n%s\nencoding/json writes\n%s", data, codec, std)
-	}
-	return scanned
-}
-
 // wireNumbers are number literals on both sides of JSON's grammar and of
-// the target types' ranges, with whether json.Unmarshal takes each into a
-// float32 and into an int64.
-var wireNumbers = []struct {
-	lit        string
-	float, int bool
-}{
-	{"0", true, true}, {"-0", true, true}, {"1e-7", true, false}, {"1E+2", true, false},
-	{"-1.5e-3", true, false}, {"3.4028235e38", true, false}, {"1e-50", true, false},
-	{"1.0", true, false}, {"9223372036854775807", true, true},
-	{"-9223372036854775808", true, true}, {"9223372036854775808", true, false},
-	{"1e39", false, false}, {"01", false, false}, {"+1", false, false}, {".5", false, false},
-	{"1.", false, false}, {"1e", false, false}, {"-", false, false}, {"0x10", false, false},
-	{"NaN", false, false},
-	// The exact path's edges: a float32 midpoint (rounds to even), a
-	// 20-digit mantissa, powers of ten just outside 10^±22, float32's
-	// overflow and underflow, zeros, and int64 one past either end.
-	{"16777217", true, true}, {"12345678901234567890", true, false}, {"1e23", true, false},
-	{"1e-23", true, false}, {"3.4028236e38", false, false}, {"3.5e38", false, false},
-	{"1e-46", true, false}, {"-0.0e5", true, false}, {"0e400", true, false},
-	{"-9223372036854775809", true, false},
+// float32's and int64's ranges: a float32 midpoint, a 20-digit mantissa,
+// powers of ten just outside 10^±22, float32's overflow and underflow,
+// zeros, and int64 at and one past either end.
+var wireNumbers = []string{
+	"0", "-0", "1e-7", "1E+2", "-1.5e-3", "3.4028235e38", "1e-50", "1.0",
+	"9223372036854775807", "-9223372036854775808", "9223372036854775808",
+	"1e39", "01", "+1", ".5", "1.", "1e", "-", "0x10", "NaN",
+	"16777217", "12345678901234567890", "1e23", "1e-23", "3.4028236e38",
+	"3.5e38", "1e-46", "-0.0e5", "0e400", "-9223372036854775809",
 }
 
-// wireSeeds maps each seed body to whether the scanner takes it: bodies
-// the SDK and the handler send, with any whitespace and key order, are its;
-// case-variant and escaped keys, null, unknown and repeated keys, number
-// literals outside the grammar or the target type, truncations and
-// trailing bytes are json.Unmarshal's.
-type wireSeeds map[string]bool
+// wireSeeds are JSON bodies: those the SDK and other clients send, with
+// any whitespace and key order, and those json.Unmarshal refuses or reads
+// its own way — case-variant and escaped keys, null, unknown and repeated
+// keys, number literals outside the grammar or the target type,
+// truncations and trailing bytes.
+type wireSeeds []string
 
-func (s wireSeeds) add(scanned bool, bodies ...string) {
-	for _, b := range bodies {
-		s[b] = scanned
-	}
-}
-
-// numbers adds body with each wire number in place of its %s; intField says
-// which of the number's verdicts applies.
-func (s wireSeeds) numbers(body string, intField bool) {
+// numbers adds body with each wire number in place of its %s.
+func (s *wireSeeds) numbers(body string) {
 	for _, n := range wireNumbers {
-		s[strings.Replace(body, "%s", n.lit, 1)] = n.float && !intField || n.int && intField
+		*s = append(*s, strings.Replace(body, "%s", n, 1))
 	}
 }
 
 // truncations adds every proper prefix of body.
-func (s wireSeeds) truncations(body string) {
+func (s *wireSeeds) truncations(body string) {
 	for n := 0; n < len(body); n++ {
-		s[body[:n]] = false
+		*s = append(*s, body[:n])
 	}
 }
 
@@ -146,8 +61,7 @@ func mustMarshal(t testing.TB, v any) string {
 
 func searchRequestSeeds(t testing.TB) wireSeeds {
 	sdk := mustMarshal(t, SearchRequest{Vector: []float32{0.25, -1, 3e-7}, K: 10, Nprobe: 4})
-	s := wireSeeds{}
-	s.add(true,
+	s := wireSeeds{
 		sdk,
 		mustMarshal(t, SearchRequest{Field: "v", Vector: []float32{1, 2}, K: 5, Ef: 64, SearchL: 32,
 			Filter: &FilterJSON{Attr: "price", Lo: -5, Hi: 1 << 40}}),
@@ -155,8 +69,6 @@ func searchRequestSeeds(t testing.TB) wireSeeds {
 		" {\n\t\"k\" : 5 ,\r\n \"vector\" : [ 1 , 2.5E-3 ] , \"filter\" : { } } \n",
 		`{"filter":{"hi":9,"lo":1,"attr":"price"},"search_l":2,"k":3,"vector":[0.5],"field":"v"}`,
 		`{"vector":[],"k":0}`,
-	)
-	s.add(false,
 		`{"Vector":[1],"K":1}`,
 		`{"vector":[1],"k":1,"FILTER":{"attr":"a","lo":1,"hi":2}}`,
 		`{"\u0076ector":[1],"k":1}`,
@@ -172,10 +84,12 @@ func searchRequestSeeds(t testing.TB) wireSeeds {
 		`{"vector":[1,1],"k":1} x`,
 		`{"vector":[1,1],"k":"1"}`,
 		`[]`, ``, ` `,
-	)
-	s.numbers(`{"vector":[%s],"k":1}`, false)
-	s.numbers(`{"vector":[1],"k":%s}`, true)
-	s.numbers(`{"k":1,"filter":{"attr":"a","lo":%s,"hi":1}}`, true)
+		// A bound far past any collection's rows.
+		`{"vector":[0,0],"k":4611686018427387904}`,
+	}
+	s.numbers(`{"vector":[%s],"k":1}`)
+	s.numbers(`{"vector":[1],"k":%s}`)
+	s.numbers(`{"k":1,"filter":{"attr":"a","lo":%s,"hi":1}}`)
 	s.truncations(sdk)
 	return s
 }
@@ -185,15 +99,12 @@ func insertRequestSeeds(t testing.TB) wireSeeds {
 		{ID: 1, Vectors: [][]float32{{0.5, -2}}, Attrs: []int64{7}},
 		{ID: -9, Vectors: [][]float32{{1e-7, 1e21}, {}}, Cats: []string{"red", "a b"}},
 	}})
-	s := wireSeeds{}
-	s.add(true,
+	s := wireSeeds{
 		sdk,
 		mustMarshal(t, InsertRequest{Entities: []EntityJSON{}}),
 		"\t{ \"entities\" : [ { \"cats\" : [ \"x\" ] , \"attrs\" : [ 1 , -2 ] , \"vectors\" : [ [ 1 ] ] , \"id\" : 3 } ] }\r\n",
 		`{"entities":[{"vectors":[[]],"attrs":[]},{}]}`,
 		`{}`,
-	)
-	s.add(false,
 		mustMarshal(t, InsertRequest{}),
 		`{"Entities":[]}`,
 		`{"entities":[{"ID":1,"vectors":[[1]]}]}`,
@@ -225,33 +136,72 @@ func insertRequestSeeds(t testing.TB) wireSeeds {
 		`{"entities":[{"id":1},{"id":2},]}`,
 		`{"entities":[[{"id":1},{"id":2}]]}`,
 		`{"Entities":[{"id":1},{"id":2}]}`,
-		// A NUL byte after an entity, where the scan must not stop.
-		`{"entities":[{"id":1}`+"\x00"+`},{"id":2}]}`,
-		`{"entities":[{"id":1}`+"\x00"+`,{"id":3},{"id":2}]}`,
-	)
-	s.add(true,
-		`{"entities":[{"id":1,"cats":["`+strings.Repeat("a", 64)+`},{`+strings.Repeat("b", 64)+`"]},{"id":2}]}`,
+		// A NUL byte after an entity.
+		`{"entities":[{"id":1}` + "\x00" + `},{"id":2}]}`,
+		`{"entities":[{"id":1}` + "\x00" + `,{"id":3},{"id":2}]}`,
+		`{"entities":[{"id":1,"cats":["` + strings.Repeat("a", 64) + `},{` + strings.Repeat("b", 64) + `"]},{"id":2}]}`,
 		`{"entities":[{"id":1},{"id":2},{"id":3},{"id":4}]}`,
-	)
-	s.numbers(`{"entities":[{"id":%s,"vectors":[[1]]}]}`, true)
-	s.numbers(`{"entities":[{"id":1,"vectors":[[%s]]}]}`, false)
-	s.numbers(`{"entities":[{"id":1,"vectors":[[1]],"attrs":[%s]}]}`, true)
+	}
+	s.numbers(`{"entities":[{"id":%s,"vectors":[[1]]}]}`)
+	s.numbers(`{"entities":[{"id":1,"vectors":[[%s]]}]}`)
+	s.numbers(`{"entities":[{"id":1,"vectors":[[1]],"attrs":[%s]}]}`)
 	s.truncations(sdk)
 	return s
 }
 
-// searchResponseSeeds are reply bodies for the handler's encoder, which
-// re-encodes each one json.Unmarshal takes. No scanner reads a reply (the
-// SDK takes its hits as columns), so each maps to false.
-func searchResponseSeeds(t testing.TB) wireSeeds {
-	reply, err := encodeSearchResponse([]topk.Result{{ID: 42, Distance: 0}, {ID: -1, Distance: 1.5e-7}, {ID: 7, Distance: 12.75}})
-	if err != nil {
-		t.Fatal(err)
+// fuzzHandlerJSON fuzzes the JSON bodies from seeds: any bytes, posted as
+// a JSON search and as a JSON insert, answer 200, 400 or 404 — never a
+// panic, never a 5xx. A search hit JSON cannot carry answers 500
+// (TestUnencodableResultIs500), so the searched rows are zero vectors under
+// IP, whose distance to any finite query, weighted or not, is 0; inserts go
+// to a second collection.
+func fuzzHandlerJSON(f *testing.F, seeds wireSeeds) {
+	h := NewServer(nil)
+	schema := CreateCollectionRequest{VectorFields: []VectorFieldJSON{{Name: "v", Dim: 2, Metric: "IP"}},
+		AttrFields: []string{"price"}, CatFields: []string{"c", "d"}}
+	rows := []EntityJSON{
+		{ID: 1, Vectors: [][]float32{{0, 0}}, Attrs: []int64{7}, Cats: []string{"red", "x"}},
+		{ID: 2, Vectors: [][]float32{{0, 0}}, Attrs: []int64{-5}, Cats: []string{"a b", ""}},
 	}
-	s := wireSeeds{}
-	s.add(false,
-		string(reply)+"\n",
-		`{"results":[]}`+"\n",
+	for _, name := range []string{"s", "i"} {
+		schema.Name = name
+		if code := post(h, "/collections", jsonType, []byte(mustMarshal(f, schema))); code != http.StatusCreated {
+			f.Fatalf("create %s: HTTP %d", name, code)
+		}
+	}
+	if code := post(h, "/collections/s/entities", ColumnsType, mustColumns(f, rows)); code != http.StatusOK {
+		f.Fatalf("insert: HTTP %d", code)
+	}
+	if code := post(h, "/collections/s/flush", jsonType, nil); code != http.StatusOK {
+		f.Fatalf("flush: HTTP %d", code)
+	}
+	for _, body := range seeds {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, path := range []string{"/collections/s/search", "/collections/i/entities"} {
+			switch code := post(h, path, jsonType, data); code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusNotFound:
+			default:
+				t.Fatalf("%s %q: HTTP %d", path, data, code)
+			}
+		}
+	})
+}
+
+// FuzzSearchRequestWire: fuzzHandlerJSON from the search bodies.
+func FuzzSearchRequestWire(f *testing.F) { fuzzHandlerJSON(f, searchRequestSeeds(f)) }
+
+// FuzzInsertRequestWire: fuzzHandlerJSON from the insert bodies.
+func FuzzInsertRequestWire(f *testing.F) { fuzzHandlerJSON(f, insertRequestSeeds(f)) }
+
+// searchResponseSeeds are JSON search replies: the handler's own, and
+// bodies json.Unmarshal refuses or reads its own way.
+func searchResponseSeeds(t testing.TB) wireSeeds {
+	reply := mustMarshal(t, searchResponse([]topk.Result{{ID: 42, Distance: 0}, {ID: -1, Distance: 1.5e-7}, {ID: 7, Distance: 12.75}}))
+	s := wireSeeds{
+		reply + "\n",
+		`{"results":[]}` + "\n",
 		` { "results" : [ { "distance" : 1 , "id" : 2 } ] } `,
 		`{}`,
 		`{"Results":[]}`,
@@ -261,51 +211,69 @@ func searchResponseSeeds(t testing.TB) wireSeeds {
 		`{"results":[{"id":1,"distance":2,"rank":1}]}`,
 		`{"results":[{"id":1,"id":2}]}`,
 		`{"results":[]}{}`,
-	)
-	s.numbers(`{"results":[{"id":%s,"distance":1}]}`, true)
-	s.numbers(`{"results":[{"id":1,"distance":%s}]}`, false)
-	s.truncations(string(reply))
-	for body := range s {
-		s[body] = false
 	}
+	s.numbers(`{"results":[{"id":%s,"distance":1}]}`)
+	s.numbers(`{"results":[{"id":1,"distance":%s}]}`)
+	s.truncations(reply)
 	return s
 }
 
-// TestWireFastPathCoverage: on every seed, json.Unmarshal, Unmarshal and
-// the scanner agree, and the scanner takes exactly the bodies it covers.
-func TestWireFastPathCoverage(t *testing.T) {
-	run := func(name string, seeds wireSeeds, check func(*testing.T, []byte) bool) {
-		for body, want := range seeds {
-			if got := check(t, []byte(body)); got != want {
-				t.Errorf("%s %q: scanner took it = %v, want %v", name, body, got, want)
+// replyJSON is the handler's JSON answer to a search that found hits.
+func replyJSON(hits []topk.Result) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	writeJSON(w, http.StatusOK, searchResponse(hits))
+	return w
+}
+
+// replyMismatch reports how the JSON reply to hits departs from 200 with a
+// list (never null) that json.Unmarshal reads back as hits, bit for bit —
+// or, when a distance is NaN or ±Inf, from 500; "" when it does not.
+func replyMismatch(hits []topk.Result) string {
+	w := replyJSON(hits)
+	for _, h := range hits {
+		if math.IsNaN(float64(h.Distance)) || math.IsInf(float64(h.Distance), 0) {
+			if w.Code != http.StatusInternalServerError {
+				return fmt.Sprintf("distance %v: HTTP %d, want 500", h.Distance, w.Code)
 			}
+			return ""
 		}
 	}
-	run("search request", searchRequestSeeds(t), searchRequestWire.check)
-	run("insert request", insertRequestSeeds(t), insertRequestWire.check)
-	run("search response", searchResponseSeeds(t), searchResponseWire.check)
+	body := w.Body.Bytes()
+	var got SearchResponse
+	if w.Code != http.StatusOK || w.Header().Get("Content-Type") != jsonType || !bytes.HasPrefix(body, []byte(`{"results":[`)) {
+		return fmt.Sprintf("%d hits: HTTP %d, %s %q", len(hits), w.Code, w.Header().Get("Content-Type"), body)
+	}
+	if err := json.Unmarshal(body, &got); err != nil || len(got.Results) != len(hits) {
+		return fmt.Sprintf("%d hits: %q reads back as %d hits, %v", len(hits), body, len(got.Results), err)
+	}
+	for i, h := range hits {
+		if g := got.Results[i]; g.ID != h.ID || math.Float32bits(g.Distance) != math.Float32bits(h.Distance) {
+			return fmt.Sprintf("hit %d: sent %d at %#x, read back %d at %#x from %q",
+				i, h.ID, math.Float32bits(h.Distance), g.ID, math.Float32bits(g.Distance), body)
+		}
+	}
+	return ""
 }
 
-// addSeeds gives f every seed body.
-func addSeeds(f *testing.F, seeds wireSeeds) {
-	for body := range seeds {
+// FuzzSearchResponseWire: whatever hits a reply json.Unmarshal takes
+// carries, the handler's JSON reply to them reads back as the same hits.
+func FuzzSearchResponseWire(f *testing.F) {
+	for _, body := range searchResponseSeeds(f) {
 		f.Add([]byte(body))
 	}
-}
-
-func FuzzSearchRequestWire(f *testing.F) {
-	addSeeds(f, searchRequestSeeds(f))
-	f.Fuzz(func(t *testing.T, data []byte) { searchRequestWire.check(t, data) })
-}
-
-func FuzzInsertRequestWire(f *testing.F) {
-	addSeeds(f, insertRequestSeeds(f))
-	f.Fuzz(func(t *testing.T, data []byte) { insertRequestWire.check(t, data) })
-}
-
-func FuzzSearchResponseWire(f *testing.F) {
-	addSeeds(f, searchResponseSeeds(f))
-	f.Fuzz(func(t *testing.T, data []byte) { searchResponseWire.check(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r SearchResponse
+		if json.Unmarshal(data, &r) != nil {
+			return
+		}
+		hits := make([]topk.Result, len(r.Results))
+		for i, x := range r.Results {
+			hits[i] = topk.Result(x)
+		}
+		if msg := replyMismatch(hits); msg != "" {
+			t.Fatal(msg)
+		}
+	})
 }
 
 // goldenFloats are the float32 values at encoding/json's format cutoffs
@@ -315,43 +283,180 @@ var goldenFloats = []float32{
 	math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32, 0.1, 1.5, -2.25e-9,
 }
 
-// TestWireEncoderGolden: the response encoder writes exactly
-// encoding/json's bytes at the float format cutoffs, the int64 range ends
-// and empty and null lists, and fails on NaN and ±Inf as it does.
+// TestWireEncoderGolden: the JSON reply to a search is exactly these bytes
+// at the float format cutoffs and the float32 and int64 range ends, and
+// {"results":[]} for no hits; NaN and ±Inf answer 500 with json.Marshal's
+// error.
 func TestWireEncoderGolden(t *testing.T) {
 	var rs []topk.Result
-	var hits []ResultJSON
 	for i, f := range goldenFloats {
-		id := []int64{math.MinInt64, math.MaxInt64, 0, -1}[i%4]
-		rs = append(rs, topk.Result{ID: id, Distance: f})
-		hits = append(hits, ResultJSON{ID: id, Distance: f})
+		rs = append(rs, topk.Result{ID: []int64{math.MinInt64, math.MaxInt64, 0, -1}[i%4], Distance: f})
 	}
 	for _, c := range []struct {
 		rs   []topk.Result
-		want SearchResponse
+		want string
 	}{
-		{rs, SearchResponse{Results: hits}},
-		{nil, SearchResponse{Results: []ResultJSON{}}},
-		{[]topk.Result{}, SearchResponse{Results: []ResultJSON{}}},
+		{rs, `{"results":[{"id":-9223372036854775808,"distance":0},{"id":9223372036854775807,"distance":-0},` +
+			`{"id":0,"distance":1e-7},{"id":-1,"distance":0.000001},{"id":-9223372036854775808,"distance":100000000000000000000},` +
+			`{"id":9223372036854775807,"distance":1e+21},{"id":0,"distance":3.4028235e+38},{"id":-1,"distance":-3.4028235e+38},` +
+			`{"id":-9223372036854775808,"distance":1e-45},{"id":9223372036854775807,"distance":0.1},{"id":0,"distance":1.5},` +
+			`{"id":-1,"distance":-2.25e-9}]}`},
+		{nil, `{"results":[]}`},
+		{[]topk.Result{}, `{"results":[]}`},
 	} {
-		got, err := encodeSearchResponse(c.rs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want, _ := json.Marshal(c.want); !bytes.Equal(got, want) {
-			t.Errorf("response\n got %s\nwant %s", got, want)
+		w := replyJSON(c.rs)
+		if got := w.Body.String(); w.Code != http.StatusOK || got != c.want+"\n" {
+			t.Errorf("reply: HTTP %d\n got %s\nwant %s", w.Code, got, c.want)
 		}
 	}
-
 	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
 		_, wantErr := json.Marshal(SearchResponse{Results: []ResultJSON{{Distance: bad}}})
-		if _, err := encodeSearchResponse([]topk.Result{{ID: 1, Distance: bad}}); err == nil || err.Error() != wantErr.Error() {
-			t.Errorf("response with %v: error %v, want %v", bad, err, wantErr)
+		w := replyJSON([]topk.Result{{ID: 1, Distance: bad}})
+		var e ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &e); w.Code != http.StatusInternalServerError || err != nil || e.Error != wantErr.Error() {
+			t.Errorf("reply with %v: HTTP %d, error %q (%v), want 500 with %q", bad, w.Code, e.Error, err, wantErr)
 		}
 	}
 }
 
-// Layer bench cells: each body through the codec and through encoding/json.
+// replySweep sends the finite float32s among at(0) … at(n-1) as distances,
+// 4,096 hits to a reply, split across GOMAXPROCS goroutines, and reports
+// the first replies that do not read back bit for bit.
+func replySweep(t *testing.T, n uint64, at func(uint64) uint32) {
+	t.Helper()
+	workers := uint64(runtime.GOMAXPROCS(0))
+	var (
+		mu  sync.Mutex
+		bad []string
+		wg  sync.WaitGroup
+	)
+	for w := uint64(0); w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi uint64) {
+			defer wg.Done()
+			hits := make([]topk.Result, 0, 4096)
+			for i := lo; i < hi; i++ {
+				if f := math.Float32frombits(at(i)); !math.IsNaN(float64(f)) && !math.IsInf(float64(f), 0) {
+					hits = append(hits, topk.Result{ID: int64(i), Distance: f})
+				}
+				if len(hits) == cap(hits) || i == hi-1 && len(hits) > 0 {
+					if msg := replyMismatch(hits); msg != "" {
+						mu.Lock()
+						bad = append(bad, msg)
+						mu.Unlock()
+						return
+					}
+					hits = hits[:0]
+				}
+			}
+		}(n*w/workers, n*(w+1)/workers)
+	}
+	wg.Wait()
+	if len(bad) > 0 {
+		t.Fatalf("mismatches (the first of each goroutine that had one):\n%s", strings.Join(bad, "\n"))
+	}
+}
+
+// TestFloat32PrintSweep: the JSON reply carries distances back bit for
+// bit: the first and last 4,096 significands of every exponent, the
+// subnormals' included, where the rounding interval is widest relative to
+// the value; and 1 M random bit patterns of either sign.
+func TestFloat32PrintSweep(t *testing.T) {
+	replySweep(t, 255<<13, func(i uint64) uint32 {
+		e, m := uint32(i>>13), uint32(i&(1<<12-1))
+		if i&(1<<12) != 0 {
+			m = 1<<23 - 1 - m
+		}
+		return e<<23 | m
+	})
+	replySweep(t, 1<<20, func(i uint64) uint32 {
+		i = (i + 1) * 0x9e3779b97f4a7c15 // a bijective mix of i
+		return uint32(i>>32 ^ i)
+	})
+}
+
+// FuzzFloat32Print: any bit pattern as a hit's distance reads back from
+// the JSON reply with its bits, or answers 500 when it is NaN or ±Inf.
+func FuzzFloat32Print(f *testing.F) {
+	for _, v := range goldenFloats {
+		f.Add(math.Float32bits(v))
+	}
+	for _, x := range []uint32{1, 0x15, 0x1d, 0x47, 1<<23 - 1, 0x4b800001} {
+		f.Add(x)
+	}
+	f.Fuzz(func(t *testing.T, x uint32) {
+		if msg := replyMismatch([]topk.Result{{ID: int64(x), Distance: math.Float32frombits(x)}}); msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}
+
+// jsonNumber is JSON's number grammar between JSON whitespace.
+var jsonNumber = regexp.MustCompile(`^[ \t\n\r]*-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?[ \t\n\r]*$`)
+
+// checkNumberScan fails t unless a JSON search body takes lit as its
+// vector's one float32 and as its int k exactly when JSON's grammar and
+// strconv do, with strconv's bits. A lit that changes the body around it —
+// a structural character or a quote, only whitespace, or null, which
+// leaves the target as it was — is not a number and is skipped.
+func checkNumberScan(t *testing.T, lit string) {
+	t.Helper()
+	trimmed := strings.Trim(lit, " \t\n\r")
+	if strings.ContainsAny(lit, `,:[]{}"`) || trimmed == "" || trimmed == "null" {
+		return
+	}
+	grammar := jsonNumber.MatchString(lit)
+	q, err := decodeQuery([]byte(`{"vector":[`+lit+`],"k":1}`), jsonType)
+	wf, perr := strconv.ParseFloat(trimmed, 32)
+	if ok, want, wantOK := err == nil, float32(wf), grammar && perr == nil; ok != wantOK || ok && (len(q.Vector) != 1 || math.Float32bits(q.Vector[0]) != math.Float32bits(want)) {
+		t.Fatalf("float32 %q: got %v (error %v), strconv %v (ok %v)", lit, q.Vector, err, want, wantOK)
+	}
+	q, err = decodeQuery([]byte(`{"vector":[1],"k":`+lit+`}`), jsonType)
+	wi, perr := strconv.ParseInt(trimmed, 10, 64)
+	if ok, wantOK := err == nil, grammar && perr == nil; ok != wantOK || ok && int64(q.K) != wi {
+		t.Fatalf("k %q: got %d (error %v), strconv %d (ok %v)", lit, q.K, err, wi, wantOK)
+	}
+}
+
+// TestNumberScan: on the wire numbers and on random literals — float32s in
+// 'e' form at every precision and in 'f' form, float32 midpoints written as
+// float64s, mantissas of up to 20 digits under exponents around the exact
+// range, and integers of every width — a JSON search body's float32 and k
+// are strconv's accept, reject and bits.
+func TestNumberScan(t *testing.T) {
+	for _, lit := range wireNumbers {
+		checkNumberScan(t, lit)
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 1<<16; i++ {
+		f := math.Float32frombits(r.Uint32())
+		if math.IsNaN(float64(f)) || math.IsInf(float64(f), 0) {
+			continue
+		}
+		mid := (float64(f) + float64(math.Nextafter32(f, float32(math.Inf(1))))) / 2
+		for _, lit := range []string{
+			strconv.FormatFloat(float64(f), 'e', r.Intn(12), 32),
+			strconv.FormatFloat(float64(f), 'f', -1, 32),
+			strconv.FormatFloat(mid, 'g', -1, 64),
+			strconv.FormatUint(r.Uint64()>>r.Intn(64), 10) + "e" + strconv.Itoa(r.Intn(60)-30),
+			strconv.FormatInt(r.Int63()>>r.Intn(63)-r.Int63(), 10),
+		} {
+			checkNumberScan(t, lit)
+		}
+	}
+}
+
+// FuzzNumberScan: on any literal, a JSON search body's float32 and k are
+// strconv's accept, reject and bits.
+func FuzzNumberScan(f *testing.F) {
+	for _, lit := range wireNumbers {
+		f.Add(lit)
+	}
+	f.Fuzz(checkNumberScan)
+}
+
+// Layer bench cells: each body as JSON through encoding/json, the path
+// every client but the SDK takes, and as the SDK's columns.
 
 func wireResults(n int) []topk.Result {
 	r := rand.New(rand.NewSource(1))
@@ -401,32 +506,32 @@ func bytesOf(encode func() ([]byte, error)) func() (any, error) {
 }
 
 // BenchmarkWireSearchResponse100: the 100-hit reply of a k=100 search, as
-// the handler's JSON (codec), through encoding/json (which copies into
-// []ResultJSON first, as the handler had to) and as the SDK's columns.
+// the handler's JSON (copied into []ResultJSON and through json.Marshal)
+// and as the SDK's columns.
 func BenchmarkWireSearchResponse100(b *testing.B) {
 	rs := wireResults(100)
-	body, err := encodeSearchResponse(rs)
+	encodeJSON := func() ([]byte, error) {
+		hits := make([]ResultJSON, len(rs))
+		for i, r := range rs {
+			hits[i] = ResultJSON(r)
+		}
+		return json.Marshal(SearchResponse{Results: hits})
+	}
+	body, err := encodeJSON()
 	cols, errCols := encodeHits(rs)
 	if err != nil || errCols != nil {
 		b.Fatal(err, errCols)
 	}
 	benchWire(b, body,
-		wireStep{"encode/codec", bytesOf(func() ([]byte, error) { return encodeSearchResponse(rs) })},
-		wireStep{"encode/json", bytesOf(func() ([]byte, error) {
-			hits := make([]ResultJSON, len(rs))
-			for i, r := range rs {
-				hits[i] = ResultJSON(r)
-			}
-			return json.Marshal(SearchResponse{Results: hits})
-		})},
+		wireStep{"encode/json", bytesOf(encodeJSON)},
 		wireStep{"decode/json", func() (any, error) { var v SearchResponse; err := json.Unmarshal(body, &v); return v, err }})
 	benchWire(b, cols,
 		wireStep{"encode/columns", bytesOf(func() ([]byte, error) { return encodeHits(rs) })},
 		wireStep{"decode/columns", func() (any, error) { return DecodeHits(cols) }})
 }
 
-// BenchmarkWireSearchRequest32: a 32-dim IVF search request, as JSON read
-// by the scanner (codec) and by encoding/json, and as the SDK's columns.
+// BenchmarkWireSearchRequest32: a 32-dim IVF search request, as JSON and
+// as the SDK's columns.
 func BenchmarkWireSearchRequest32(b *testing.B) {
 	req := SearchRequest{Vector: wireVector(rand.New(rand.NewSource(1)), 32), K: 100, Nprobe: 4}
 	body, err := json.Marshal(req)
@@ -436,7 +541,6 @@ func BenchmarkWireSearchRequest32(b *testing.B) {
 	}
 	benchWire(b, body,
 		wireStep{"encode/json", bytesOf(func() ([]byte, error) { return json.Marshal(req) })},
-		wireStep{"decode/codec", func() (any, error) { var v SearchRequest; err := Unmarshal(body, &v); return v, err }},
 		wireStep{"decode/json", func() (any, error) { var v SearchRequest; err := json.Unmarshal(body, &v); return v, err }})
 	benchWire(b, cols,
 		wireStep{"encode/columns", bytesOf(func() ([]byte, error) { return EncodeSearch(req) })},
@@ -458,6 +562,5 @@ func BenchmarkWireInsert4096x128(b *testing.B) {
 	}
 	benchWire(b, body,
 		wireStep{"encode/json", bytesOf(func() ([]byte, error) { return json.Marshal(req) })},
-		wireStep{"decode/codec", func() (any, error) { var v InsertRequest; err := Unmarshal(body, &v); return v, err }},
 		wireStep{"decode/json", func() (any, error) { var v InsertRequest; err := json.Unmarshal(body, &v); return v, err }})
 }

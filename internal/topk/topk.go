@@ -28,24 +28,34 @@ type Heap struct {
 	data []Result
 }
 
+// reserve is the most results a heap sets aside before any arrive; past
+// it, a heap grows with what it keeps. So a request's k sizes no
+// allocation: a k of 2^62 over a few rows holds a few rows.
+const reserve = 1024
+
+// Reserve is the room to set aside for at most n results: n, but no more
+// than reserve. Searches that size their own candidate lists by a
+// request's bound (HNSW's visited set, NSG's pool) take it too.
+func Reserve(n int) int { return min(n, reserve) }
+
 // New returns a heap retaining the k best results. k must be positive.
 func New(k int) *Heap {
 	if k <= 0 {
 		panic("topk: k must be positive")
 	}
-	return &Heap{k: k, data: make([]Result, 0, k)}
+	return &Heap{k: k, data: make([]Result, 0, Reserve(k))}
 }
 
 // Init re-arms a heap (possibly the zero value, possibly recycled from a
-// free list) for a new bound k, reusing the backing array when it is large
-// enough. k must be positive.
+// free list) for a new bound k, reusing the backing array when it holds
+// Reserve(k). k must be positive.
 func (h *Heap) Init(k int) {
 	if k <= 0 {
 		panic("topk: k must be positive")
 	}
 	h.k = k
-	if cap(h.data) < k {
-		h.data = make([]Result, 0, k)
+	if n := Reserve(k); cap(h.data) < n {
+		h.data = make([]Result, 0, n)
 	} else {
 		h.data = h.data[:0]
 	}

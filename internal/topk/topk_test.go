@@ -199,3 +199,26 @@ func BenchmarkHeapPush(b *testing.B) {
 		h.Push(int64(i), ds[i%len(ds)])
 	}
 }
+
+// TestHugeKGrowsWithWhatItKeeps: a bound past reserve sets aside only
+// reserve results, keeps every result pushed below it, and grows past
+// reserve as results arrive.
+func TestHugeKGrowsWithWhatItKeeps(t *testing.T) {
+	for _, h := range []*Heap{New(1 << 62), GetHeap(1 << 62), NewMatrix(1, 1, 1<<62).At(0, 0)} {
+		if cap(h.data) > reserve {
+			t.Fatalf("k 2^62: %d results set aside, want at most %d", cap(h.data), reserve)
+		}
+		n := 3 * reserve
+		for i := n - 1; i >= 0; i-- {
+			h.Push(int64(i), float32(i))
+		}
+		if h.Full() || h.Len() != n {
+			t.Fatalf("k 2^62 after %d pushes: len %d, full %v", n, h.Len(), h.Full())
+		}
+		for i, r := range h.Results() {
+			if r.ID != int64(i) {
+				t.Fatalf("result %d is id %d", i, r.ID)
+			}
+		}
+	}
+}
