@@ -149,9 +149,14 @@ conformance-filter:
 # any NaN/±Inf and invalid UTF-8, and a header claiming 2^32−1 vectors,
 # values or hits allocates under 1 MiB; neither decoder panics and every
 # body each takes re-encodes to the same bytes — the seeds, then ten
-# seconds of fuzzing each. A fuzz step minimizes a failing input for at
-# most a second (go test's default is a minute, which a step spends on
-# any new input instead of fuzzing).
+# seconds of fuzzing each. The insert body is the WAL's too (internal/wal
+# owns its codec): every body the decoder takes re-encodes to the same
+# bytes, a WAL object of insert and delete frames replays as the frames'
+# batches, every cut and every flipped byte replays the whole frames
+# before it and reports the tail torn, and replay allocates in proportion
+# to the object — the seeds, then ten seconds of fuzzing each. A fuzz
+# step minimizes a failing input for at most a second (go test's default
+# is a minute, which a step spends on any new input instead of fuzzing).
 conformance-wire:
 	$(GO) test ./internal/rest -run 'FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestWireEncoderGolden|TestFloat32PrintSweep|TestNumberScan|FuzzFloat32Print|FuzzNumberScan|TestHugeBoundsAnswerEveryRow|TestHugeKAllocates|TestTrailingBytesAre400|TestReadBody|TestDeclaredOversizedBodyIs413|TestDeclaredLengthAllocatesAsBodyArrives|TestUnencodableResultIs500|TestInsertColumnsMatchJSON|TestInsertColumnsFailOnFirstNaN|TestInsertColumnsOnlyForUniformRows|TestInsertColumnsRejected|TestInsertColumnsHeaderAllocates|FuzzInsertColumns|FuzzInsertShards|TestLargeInsertsBesideSearches|TestSearchColumnsMatchJSON|TestSearchAccept|TestSearchColumnsRejected|TestSearchColumnsHeaderAllocates|TestSearchColumnsNonFinite|FuzzSearchColumns|FuzzHitsColumns'
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchRequestWire$$' -fuzztime 10s -fuzzminimizetime 1s
@@ -159,6 +164,9 @@ conformance-wire:
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertColumns$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchColumns$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzHitsColumns$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/wal -run 'TestRecord|TestBatch|TestAppendBodyRefuses|FuzzBody|FuzzReplay'
+	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzBody$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # kernel-guard keeps every hot read path on the blocked batch kernels.
 # The static half — no per-tier kernel calls outside internal/vec — is

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"vectordb/internal/colstore"
@@ -492,10 +493,11 @@ func TestDistributedAttributeFiltering(t *testing.T) {
 	}
 }
 
-// TestWriterRecoveryTornWALTail crashes the writer while its last WAL batch
+// TestWriterRecoveryTornWALTail crashes the writer while its last WAL object
 // is torn in shared storage — the shipping Put died mid-write, as S3 would
-// leave a partial multipart upload. Restart must replay the clean prefix of
-// the torn batch, report nothing fatal, and never panic on the garbage tail.
+// leave a partial multipart upload. The object is one frame, the batch of
+// one Insert: a batch is atomic, so Restart must bring back none of its
+// rows, report nothing fatal, and never panic on the garbage tail.
 func TestWriterRecoveryTornWALTail(t *testing.T) {
 	cl, d := newTestCluster(t, 2)
 	extra := make([]core.Entity, 10)
@@ -516,8 +518,8 @@ func TestWriterRecoveryTornWALTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tear the tail: drop the final 3 bytes, corrupting only the last
-	// record's CRC trailer. Records 9000..9008 stay intact.
+	// Tear the tail: drop the final 3 bytes, corrupting only the frame's
+	// CRC. Every row's bytes stay intact, and none may come back.
 	if err := cl.Store.Put(last, blob[:len(blob)-3]); err != nil {
 		t.Fatal(err)
 	}
@@ -529,14 +531,13 @@ func TestWriterRecoveryTornWALTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := col.Count(); got != 609 {
-		t.Fatalf("Count after torn-tail recovery = %d, want 609 (600 base + 9 clean-prefix records)", got)
+	if got := col.Count(); got != 600 {
+		t.Fatalf("Count after torn-tail recovery = %d, want the 600 base rows", got)
 	}
-	if _, ok := col.Get(9008); !ok {
-		t.Fatal("last clean-prefix record missing after recovery")
-	}
-	if _, ok := col.Get(9009); ok {
-		t.Fatal("torn record resurrected: it was never durably shipped")
+	for _, e := range extra {
+		if _, ok := col.Get(e.ID); ok {
+			t.Fatalf("row %d of the torn batch resurrected: the batch was never durably shipped", e.ID)
+		}
 	}
 
 	// A WAL blob truncated inside a frame header (fewer than 4 bytes) is
@@ -557,5 +558,38 @@ func TestWriterRecoveryTornWALTail(t *testing.T) {
 	col, _ = cl.Writer().Collection("c")
 	if _, ok := col.Get(9100); ok {
 		t.Fatal("record from header-torn batch resurrected")
+	}
+}
+
+// TestWriterRestartAfterRejectedInsert: an insert the schema refuses — a
+// vector of the wrong dimension, or a NaN the WAL cannot carry — fails
+// before it ships, so it leaves no WAL object behind for Restart to
+// refuse, and recovery brings back every row that was accepted.
+func TestWriterRestartAfterRejectedInsert(t *testing.T) {
+	cl, d := newTestCluster(t, 1)
+	ok := core.Entity{ID: 7000, Vectors: [][]float32{make([]float32, d.Dim)}, Attrs: []int64{1}}
+	if err := cl.Writer().Insert("c", []core.Entity{ok}); err != nil {
+		t.Fatal(err)
+	}
+	nan := make([]float32, d.Dim)
+	nan[3] = float32(math.NaN())
+	for name, e := range map[string]core.Entity{
+		"wrong dim": {ID: 7777, Vectors: [][]float32{make([]float32, d.Dim+1)}, Attrs: []int64{1}},
+		"NaN":       {ID: 7778, Vectors: [][]float32{nan}, Attrs: []int64{1}},
+	} {
+		if err := cl.Writer().Insert("c", []core.Entity{e}); err == nil {
+			t.Fatalf("%s: insert accepted", name)
+		}
+	}
+	cl.Writer().Crash()
+	if err := cl.Writer().Restart(); err != nil {
+		t.Fatalf("restart after a rejected insert: %v", err)
+	}
+	col, err := cl.Writer().Collection("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, found := col.Get(7000); !found || col.Count() != d.N+1 {
+		t.Fatalf("after restart: %d rows, id 7000 present %v; want %d and true", col.Count(), found, d.N+1)
 	}
 }

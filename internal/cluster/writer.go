@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -38,9 +39,8 @@ type Writer struct {
 }
 
 type writerCollection struct {
-	col    *core.Collection
-	schema core.Schema
-	seq    int64 // last WAL sequence shipped
+	col *core.Collection
+	seq int64 // last WAL sequence shipped
 }
 
 // NewWriter creates a live writer over shared storage.
@@ -78,56 +78,59 @@ func (w *Writer) CreateCollection(name string, schema core.Schema) error {
 	if err != nil {
 		return err
 	}
-	w.cols[name] = &writerCollection{col: col, schema: schema}
+	w.cols[name] = &writerCollection{col: col}
 	return w.publishLocked(name)
 }
 
-// ship durably writes a WAL batch to shared storage and returns its seq.
-func (w *Writer) ship(collection string, wc *writerCollection, records []*wal.Record) error {
-	wc.seq++
-	if err := w.store.Put(walKey(collection, wc.seq), wal.MarshalBatch(records)); err != nil {
-		wc.seq--
+// Insert checks entities against the collection's schema, ships them as
+// one WAL frame and applies that batch locally.
+func (w *Writer) Insert(collection string, entities []core.Entity) error {
+	b, err := core.Columns(entities)
+	if err != nil {
+		return err
+	}
+	return w.write(collection, b)
+}
+
+// Delete ships the IDs as one WAL frame and applies it locally.
+func (w *Writer) Delete(collection string, ids []int64) error {
+	return w.write(collection, &wal.Batch{Kind: wal.Delete, IDs: slices.Clone(ids)})
+}
+
+// write ships b to shared storage as the next WAL object, one frame, and
+// applies the same batch locally. An insert is checked against the schema
+// before it ships, so the WAL holds no batch that replay would refuse.
+func (w *Writer) write(collection string, b *wal.Batch) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	wc, err := w.get(collection)
+	if err != nil {
+		return err
+	}
+	if b.Kind == wal.Insert {
+		if err := wc.col.Schema().CheckBatch(b); err != nil {
+			return err
+		}
+	}
+	frame, err := wal.AppendFrame(nil, b)
+	if err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	if err := w.store.Put(walKey(collection, wc.seq+1), frame); err != nil {
 		return fmt.Errorf("cluster: ship wal: %w", err)
 	}
+	wc.seq++
 	w.shipped.Inc()
-	w.shippedRecords.Add(int64(len(records)))
-	return nil
+	w.shippedRecords.Add(int64(b.Rows()))
+	return apply(wc.col, b)
 }
 
-// Insert ships the log and applies locally.
-func (w *Writer) Insert(collection string, entities []core.Entity) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	wc, err := w.get(collection)
-	if err != nil {
-		return err
+// apply hands a batch to the collection's log.
+func apply(col *core.Collection, b *wal.Batch) error {
+	if b.Kind == wal.Delete {
+		return col.Delete(b.IDs)
 	}
-	records := make([]*wal.Record, len(entities))
-	for i := range entities {
-		records[i] = &wal.Record{Type: wal.RecordInsert, ID: entities[i].ID, Vectors: entities[i].Vectors, Attrs: entities[i].Attrs, Cats: entities[i].Cats}
-	}
-	if err := w.ship(collection, wc, records); err != nil {
-		return err
-	}
-	return wc.col.Insert(entities)
-}
-
-// Delete ships the log and applies locally.
-func (w *Writer) Delete(collection string, ids []int64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	wc, err := w.get(collection)
-	if err != nil {
-		return err
-	}
-	records := make([]*wal.Record, len(ids))
-	for i, id := range ids {
-		records[i] = &wal.Record{Type: wal.RecordDelete, ID: id}
-	}
-	if err := w.ship(collection, wc, records); err != nil {
-		return err
-	}
-	return wc.col.Delete(ids)
+	return col.InsertBatch(b)
 }
 
 // Flush makes all shipped writes visible and publishes the manifest.
@@ -226,7 +229,7 @@ func (w *Writer) Restart() error {
 		if err != nil {
 			return err
 		}
-		wc := &writerCollection{col: col, schema: schema, seq: m.AppliedSeq}
+		wc := &writerCollection{col: col, seq: m.AppliedSeq}
 		// Replay the WAL tail.
 		walKeys, err := w.store.List(fmt.Sprintf("wal/%s/", name))
 		if err != nil {
@@ -242,27 +245,20 @@ func (w *Writer) Restart() error {
 			if err != nil {
 				return err
 			}
-			records, err := wal.ReplayBatch(blob)
+			batches, err := wal.Replay(blob)
 			if err != nil {
 				if !errors.Is(err, wal.ErrTorn) {
 					return err
 				}
-				// A torn tail means the shipping Put died mid-write, so the
-				// batch was never acknowledged; replay the clean prefix
-				// (at-least-once for durably written records) and move on.
+				// A torn frame means the shipping Put died mid-write, so
+				// its batch was never acknowledged; replay the whole
+				// frames before it and move on.
 				w.tornBatches.Inc()
 			}
-			w.replayedRecs.Add(int64(len(records)))
-			for _, r := range records {
-				switch r.Type {
-				case wal.RecordInsert:
-					if err := col.Insert([]core.Entity{{ID: r.ID, Vectors: r.Vectors, Attrs: r.Attrs, Cats: r.Cats}}); err != nil {
-						return err
-					}
-				case wal.RecordDelete:
-					if err := col.Delete([]int64{r.ID}); err != nil {
-						return err
-					}
+			for _, b := range batches {
+				w.replayedRecs.Add(int64(b.Rows()))
+				if err := apply(col, b); err != nil {
+					return err
 				}
 			}
 			if seq > wc.seq {

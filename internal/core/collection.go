@@ -117,13 +117,86 @@ type tombstone struct {
 	seq int64
 }
 
-// memTable buffers writes before they become an immutable segment.
+// memTable buffers writes before they become an immutable segment: the
+// inserted rows, as the columns the segment takes, and the tombstones.
 type memTable struct {
-	entities []Entity
-	deletes  []tombstone
+	rows    wal.Batch
+	deletes []tombstone
 }
 
-func (m *memTable) empty() bool { return len(m.entities) == 0 && len(m.deletes) == 0 }
+func (m *memTable) empty() bool { return m.rows.Rows() == 0 && len(m.deletes) == 0 }
+
+// appendRows appends rows [lo, hi) of src to dst, column by column. A nil
+// column of dst takes src's rows themselves rather than a copy (see grow),
+// so a fresh MemTable holds an insert batch's own columns.
+func appendRows(dst, src *wal.Batch, lo, hi int) {
+	n := src.Rows()
+	if dst.Vectors == nil {
+		dst.Vectors, dst.Attrs, dst.Cats = make([][]float32, len(src.Vectors)), make([][]int64, len(src.Attrs)), make([][]string, len(src.Cats))
+	}
+	dst.IDs = grow(dst.IDs, src.IDs[lo:hi])
+	for f, v := range src.Vectors {
+		d := len(v) / n
+		dst.Vectors[f] = grow(dst.Vectors[f], v[lo*d:hi*d])
+	}
+	for a, col := range src.Attrs {
+		dst.Attrs[a] = grow(dst.Attrs[a], col[lo:hi])
+	}
+	for c, col := range src.Cats {
+		dst.Cats[c] = grow(dst.Cats[c], col[lo:hi])
+	}
+}
+
+// grow appends src to dst. A nil dst becomes src, its capacity capped so
+// that a later append copies instead of writing past src.
+func grow[T any](dst, src []T) []T {
+	if dst == nil {
+		return src[:len(src):len(src)]
+	}
+	return append(dst, src...)
+}
+
+// remove drops the rows whose ID is in ids, compacting every column in
+// one pass.
+func (m *memTable) remove(ids []int64) {
+	drop := make(map[int64]bool, len(ids))
+	for _, id := range ids {
+		drop[id] = true
+	}
+	r, n, j := &m.rows, m.rows.Rows(), 0
+	for i, id := range r.IDs {
+		if drop[id] {
+			continue
+		}
+		if i != j {
+			r.IDs[j] = id
+			for _, v := range r.Vectors {
+				d := len(v) / n
+				copy(v[j*d:(j+1)*d], v[i*d:(i+1)*d])
+			}
+			for _, col := range r.Attrs {
+				col[j] = col[i]
+			}
+			for _, col := range r.Cats {
+				col[j] = col[i]
+			}
+		}
+		j++
+	}
+	if j == n {
+		return
+	}
+	r.IDs = r.IDs[:j]
+	for f, v := range r.Vectors {
+		r.Vectors[f] = v[:j*(len(v)/n)]
+	}
+	for a, col := range r.Attrs {
+		r.Attrs[a] = col[:j]
+	}
+	for c, col := range r.Cats {
+		r.Cats[c] = col[:j]
+	}
+}
 
 // Collection is a named set of entities under one schema, managed LSM-style.
 type Collection struct {
@@ -219,8 +292,7 @@ func NewCollection(name string, schema Schema, store objstore.Store, cfg Config)
 		c.met.segGC.Inc()
 	}, (*segTier).destroy)
 	c.snaps.install(newSnapshot(c.allocSnapID(), nil, nil, nil))
-	c.log = wal.NewLog(c.applyRecord)
-	c.log.Observe(
+	c.log = wal.NewLog(c.applyBatch,
 		cfg.Obs.Counter("vectordb_wal_appends_total", "collection", name),
 		cfg.Obs.Counter("vectordb_wal_applied_total", "collection", name),
 	)
@@ -255,65 +327,78 @@ func (c *Collection) allocSnapID() int64 {
 	return c.nextSnap
 }
 
-// Insert appends entities asynchronously: the operations are materialized
-// to the log and acknowledged; a background thread applies them (Sec. 5.1).
-// Call Flush to make them visible to queries.
+// Insert inserts a copy of entities, which must agree in shape (Columns),
+// as one batch: the caller may change its slices once Insert returns.
 func (c *Collection) Insert(entities []Entity) error {
-	for i := range entities {
-		if err := c.schema.validateEntity(&entities[i]); err != nil {
-			return err
-		}
+	b, err := Columns(entities)
+	if err != nil {
+		return err
 	}
-	for i := range entities {
-		e := &entities[i]
-		if err := c.log.Append(&wal.Record{Type: wal.RecordInsert, ID: e.ID, Vectors: e.Vectors, Attrs: e.Attrs, Cats: e.Cats}); err != nil {
-			return err
-		}
-		c.met.insertRows.Inc() // acknowledged: the record is durable in the log
-	}
-	return nil
+	return c.InsertBatch(b)
 }
 
-// Delete tombstones entities by ID, asynchronously (out-of-place deletion,
-// Sec. 2.3; the vectors are physically removed at the next merge).
+// InsertBatch checks an insert batch against the schema and appends it to
+// the log as one entry, which acknowledges it; a background thread applies
+// it (Sec. 5.1). Call Flush to make the rows visible to queries. The
+// collection takes b: the caller must not change it afterwards.
+func (c *Collection) InsertBatch(b *wal.Batch) error {
+	if b.Kind != wal.Insert {
+		return fmt.Errorf("core: InsertBatch of a kind %d batch", b.Kind)
+	}
+	if err := c.schema.CheckBatch(b); err != nil {
+		return err
+	}
+	return c.appendLog(b, c.met.insertRows)
+}
+
+// Delete tombstones entities by ID, asynchronously, as one log entry
+// (out-of-place deletion, Sec. 2.3; the vectors are physically removed at
+// the next merge).
 func (c *Collection) Delete(ids []int64) error {
-	for _, id := range ids {
-		if err := c.log.Append(&wal.Record{Type: wal.RecordDelete, ID: id}); err != nil {
-			return err
-		}
-		c.met.deleteRows.Inc()
+	return c.appendLog(&wal.Batch{Kind: wal.Delete, IDs: slices.Clone(ids)}, c.met.deleteRows)
+}
+
+// appendLog appends a batch with rows to the log and counts its rows as
+// acknowledged.
+func (c *Collection) appendLog(b *wal.Batch, acked *obs.Counter) error {
+	if b.Rows() == 0 {
+		return nil
 	}
+	if err := c.log.Append(b); err != nil {
+		return err
+	}
+	acked.Add(int64(b.Rows()))
 	return nil
 }
 
-// applyRecord is the WAL consumer: it fills the MemTable and seals it when
-// the size threshold is reached.
-func (c *Collection) applyRecord(r *wal.Record) {
+// applyBatch is the WAL consumer. An insert fills the MemTable, which
+// seals at exactly FlushRows rows, so a batch splits at that boundary. A
+// delete removes its IDs from the MemTable (they were inserted before it)
+// and gives flushed copies a tombstone scoped to the segments existing
+// now, so a later re-insert of the same ID stays visible.
+func (c *Collection) applyBatch(b *wal.Batch) {
 	c.mu.Lock()
 	defer func() {
 		builds := c.takeDeferredLocked()
 		c.mu.Unlock()
 		c.buildDeferred(builds)
 	}()
-	switch r.Type {
-	case wal.RecordInsert:
-		c.mem.entities = append(c.mem.entities, Entity{ID: r.ID, Vectors: r.Vectors, Attrs: r.Attrs, Cats: r.Cats})
-		if len(c.mem.entities) >= c.cfg.FlushRows {
+	if b.Kind == wal.Delete {
+		c.mem.remove(b.IDs)
+		for _, id := range b.IDs {
+			c.mem.deletes = append(c.mem.deletes, tombstone{id: id, seq: c.nextSeg})
+		}
+		return
+	}
+	for lo := 0; lo < b.Rows(); {
+		// A MemTable a failed seal left at FlushRows or more takes one
+		// row per retry.
+		hi := min(b.Rows(), lo+max(c.cfg.FlushRows-c.mem.rows.Rows(), 1))
+		appendRows(&c.mem.rows, b, lo, hi)
+		if c.mem.rows.Rows() >= c.cfg.FlushRows {
 			c.flushLocked()
 		}
-	case wal.RecordDelete:
-		// Rows still in the MemTable are removed directly (they were
-		// inserted before this delete); flushed copies get a tombstone
-		// scoped to the segments existing now, so a later re-insert of the
-		// same ID stays visible.
-		kept := c.mem.entities[:0]
-		for i := range c.mem.entities {
-			if c.mem.entities[i].ID != r.ID {
-				kept = append(kept, c.mem.entities[i])
-			}
-		}
-		c.mem.entities = kept
-		c.mem.deletes = append(c.mem.deletes, tombstone{id: r.ID, seq: c.nextSeg})
+		lo = hi
 	}
 }
 
@@ -371,18 +456,17 @@ func (c *Collection) flushLocked() error {
 
 	segments := append([]*Segment(nil), prev.Segments...)
 	var newSeg *Segment
-	if len(mem.entities) > 0 {
-		seg, err := c.buildSegment(mem.entities)
+	if mem.rows.Rows() > 0 {
+		seg, err := c.buildSegment(&mem.rows)
 		if err != nil {
-			// Put the sealed rows back in front of anything applied since
-			// (nothing can be: we hold c.mu) and retry at the next flush.
-			mem.entities = append(mem.entities, c.mem.entities...)
-			mem.deletes = append(mem.deletes, c.mem.deletes...)
+			// Put the sealed rows back (nothing was applied since: we
+			// hold c.mu) and retry at the next flush.
 			c.mem = mem
 			c.flushErr = err
 			c.met.flushErrs.Inc()
 			return err
 		}
+		c.met.segBuilt.Inc()
 		segments = append(segments, seg)
 		newSeg = seg
 	}
@@ -399,34 +483,21 @@ func (c *Collection) flushLocked() error {
 	return c.mergeLocked()
 }
 
-// buildSegment materializes rows into an immutable segment and persists it.
-func (c *Collection) buildSegment(rows []Entity) (*Segment, error) {
+// buildSegment seals rows into a new immutable segment and persists it;
+// flush (the MemTable's rows) and merge share it. The segment takes the
+// columns, each in an array of its own length.
+func (c *Collection) buildSegment(rows *wal.Batch) (*Segment, error) {
 	c.nextSeg++
 	seg := newSegment(c.nextSeg)
-	seg.IDs = make([]int64, len(rows))
-	for i := range rows {
-		seg.IDs[i] = rows[i].ID
-	}
+	seg.IDs = exact(rows.IDs)
 	for f, vf := range c.schema.VectorFields {
-		data := make([]float32, 0, len(rows)*vf.Dim)
-		for i := range rows {
-			data = append(data, rows[i].Vectors[f]...)
-		}
-		seg.Vectors = append(seg.Vectors, colstore.NewVectorColumn(vf.Dim, data))
+		seg.Vectors = append(seg.Vectors, colstore.NewVectorColumn(vf.Dim, exact(rows.Vectors[f])))
 	}
-	for a := range c.schema.AttrFields {
-		raw := make([]int64, len(rows))
-		for i := range rows {
-			raw[i] = rows[i].Attrs[a]
-		}
-		seg.RawAttrs = append(seg.RawAttrs, raw)
+	for _, col := range rows.Attrs {
+		seg.RawAttrs = append(seg.RawAttrs, exact(col))
 	}
-	for cf := range c.schema.CatFields {
-		raw := make([]string, len(rows))
-		for i := range rows {
-			raw[i] = rows[i].Cats[cf]
-		}
-		seg.RawCats = append(seg.RawCats, raw)
+	for _, col := range rows.Cats {
+		seg.RawCats = append(seg.RawCats, exact(col))
 	}
 	seg.buildAttrColumns()
 	if err := c.seal(seg); err != nil {
@@ -434,8 +505,16 @@ func (c *Collection) buildSegment(rows []Entity) (*Segment, error) {
 		// acknowledged is lost.
 		return nil, err
 	}
-	c.met.segBuilt.Inc()
 	return seg, nil
+}
+
+// exact is s in an array of its own length: a sealed column keeps none of
+// the MemTable's append slack.
+func exact[T any](s []T) []T {
+	if len(s) == cap(s) {
+		return s
+	}
+	return slices.Clone(s)
 }
 
 // seal persists a freshly built segment; flush and merge share it. The

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -628,4 +629,26 @@ func ExampleCollection_Query() {
 	res, _ := c.Query(context.Background(), Request{Vector: []float32{0.9, 0.9}, SearchOptions: SearchOptions{K: 2}})
 	fmt.Println(res.Hits[0].ID, res.Hits[1].ID)
 	// Output: 2 1
+}
+
+// TestInsertCopiesCallerVectors: Insert copies what it takes, so a caller
+// that changes its slices after Insert returns changes nothing stored.
+func TestInsertCopiesCallerVectors(t *testing.T) {
+	c, err := NewCollection("copy", testSchema(4), nil, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	v, attrs := []float32{1, 2, 3, 4}, []int64{5}
+	if err := c.Insert([]Entity{{ID: 1, Vectors: [][]float32{v}, Attrs: attrs}}); err != nil {
+		t.Fatal(err)
+	}
+	v[0], attrs[0] = 99, 99
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := c.Get(1)
+	if !ok || !slices.Equal(e.Vectors[0], []float32{1, 2, 3, 4}) || e.Attrs[0] != 5 {
+		t.Fatalf("Get(1) = %+v, %v; want the vector [1 2 3 4] and attr 5 as inserted", e, ok)
+	}
 }

@@ -5,7 +5,8 @@ import (
 	"math/bits"
 	"slices"
 
-	"vectordb/internal/colstore"
+	"vectordb/internal/bitset"
+	"vectordb/internal/wal"
 )
 
 // mergeLocked applies the tiered merge policy of Sec. 2.3 (as in Apache
@@ -104,74 +105,56 @@ func (c *Collection) pickMergeGroup(sn *Snapshot) []int {
 // mergeSegments concatenates the visible rows of the group (indexes into
 // sn.Segments) into one new segment. Returns nil if every row was tombstoned.
 func (c *Collection) mergeSegments(group []int, sn *Snapshot) (*Segment, error) {
-	var totalRows int
+	total := 0
 	for _, gi := range group {
-		totalRows += sn.Segments[gi].Rows()
-	}
-	c.nextSeg++
-	seg := newSegment(c.nextSeg)
-	seg.IDs = make([]int64, 0, totalRows)
-	dims := make([]int, len(c.schema.VectorFields))
-	data := make([][]float32, len(c.schema.VectorFields))
-	for f, vf := range c.schema.VectorFields {
-		dims[f] = vf.Dim
-		data[f] = make([]float32, 0, totalRows*vf.Dim)
-	}
-	raw := make([][]int64, len(c.schema.AttrFields))
-	rawCats := make([][]string, len(c.schema.CatFields))
-	for _, gi := range group {
-		s, visible := sn.Segments[gi], sn.visible[gi]
-		// Pin the source segment's storage once per field for the whole
-		// copy (tiered members fault their extents in; hot members hand
-		// out resident rows).
-		rows := make([]func(int) []float32, len(data))
-		rels := make([]func(), 0, len(data))
-		var rowErr error
-		for f := range data {
-			rowAt, rel, err := s.vectorRows(f)
-			if err != nil {
-				rowErr = err
-				break
-			}
-			rows[f] = rowAt
-			rels = append(rels, rel)
-		}
-		if rowErr != nil {
-			for _, rel := range rels {
-				rel()
-			}
-			return nil, fmt.Errorf("core: merge segment %d: %w", s.ID, rowErr)
-		}
-		for r := 0; r < s.Rows(); r++ {
-			if visible != nil && !visible.Test(r) {
-				continue
-			}
-			seg.IDs = append(seg.IDs, s.IDs[r])
-			for f := range data {
-				data[f] = append(data[f], rows[f](r)...)
-			}
-			for a := range raw {
-				raw[a] = append(raw[a], s.RawAttrs[a][r])
-			}
-			for cf := range rawCats {
-				rawCats[cf] = append(rawCats[cf], s.RawCats[cf][r])
-			}
-		}
-		for _, rel := range rels {
-			rel()
+		if vis := sn.visible[gi]; vis != nil {
+			total += vis.Count()
+		} else {
+			total += sn.Segments[gi].Rows()
 		}
 	}
-	if len(seg.IDs) == 0 {
+	if total == 0 {
 		return nil, nil
 	}
-	for f := range data {
-		seg.Vectors = append(seg.Vectors, colstore.NewVectorColumn(dims[f], data[f]))
+	rows := &wal.Batch{Kind: wal.Insert, IDs: make([]int64, 0, total)}
+	for _, vf := range c.schema.VectorFields {
+		rows.Vectors = append(rows.Vectors, make([]float32, 0, total*vf.Dim))
 	}
-	seg.RawAttrs = raw
-	seg.RawCats = rawCats
-	seg.buildAttrColumns()
-	if err := c.seal(seg); err != nil {
-		return nil, err
+	rows.Attrs, rows.Cats = make([][]int64, len(c.schema.AttrFields)), make([][]string, len(c.schema.CatFields))
+	for a := range rows.Attrs {
+		rows.Attrs[a] = make([]int64, 0, total)
 	}
-	return seg, nil
+	for cf := range rows.Cats {
+		rows.Cats[cf] = make([]string, 0, total)
+	}
+	for _, gi := range group {
+		if err := appendVisible(rows, sn.Segments[gi], sn.visible[gi]); err != nil {
+			return nil, err
+		}
+	}
+	return c.buildSegment(rows)
+}
+
+// appendVisible appends s's rows that visible marks (all when nil) to rows,
+// a run of visible rows at a time. It pins s's vectors once per field for
+// the whole copy: a tiered segment faults its extents in, a hot one hands
+// out its resident columns.
+func appendVisible(rows *wal.Batch, s *Segment, visible *bitset.Bitset) error {
+	src := &wal.Batch{IDs: s.IDs, Attrs: s.RawAttrs, Cats: s.RawCats}
+	for f := range s.Vectors {
+		data, rel, err := s.vectorData(f)
+		if err != nil {
+			return fmt.Errorf("core: merge segment %d: %w", s.ID, err)
+		}
+		defer rel()
+		src.Vectors = append(src.Vectors, data)
+	}
+	if visible == nil {
+		appendRows(rows, src, 0, s.Rows())
+		return nil
+	}
+	for lo, hi, ok := visible.NextRun(0); ok; lo, hi, ok = visible.NextRun(hi) {
+		appendRows(rows, src, lo, hi)
+	}
+	return nil
 }

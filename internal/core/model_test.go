@@ -8,7 +8,9 @@ import (
 )
 
 // TestEngineAgainstModel drives random insert/delete/update/flush sequences
-// against a plain map model and checks that visibility (Get, Count, search
+// — inserts and deletes in batches of random size: one row, a few, one
+// over the MemTable bound and one that splits across two seals — against
+// a plain map model and checks that visibility (Get, Count, search
 // membership, and every row's visibility bit against the tombstones it was
 // resolved from) always matches after a Flush — the end-to-end invariant of
 // the LSM + tombstone + merge machinery — and, every few flushes, in a
@@ -39,24 +41,27 @@ func TestEngineAgainstModel(t *testing.T) {
 
 			for step := 0; step < 400; step++ {
 				switch op := r.Intn(10); {
-				case op < 5: // insert new
-					v := []float32{r.Float32(), r.Float32(), r.Float32(), r.Float32()}
-					id := nextID
-					nextID++
-					if err := c.Insert([]Entity{{ID: id, Vectors: [][]float32{v}, Attrs: []int64{id}}}); err != nil {
+				case op < 5: // insert a batch of new rows
+					batch := make([]Entity, []int{1, 1 + r.Intn(8), cfg.FlushRows + 1, 2*cfg.FlushRows + 6}[r.Intn(4)])
+					for i := range batch {
+						v := []float32{r.Float32(), r.Float32(), r.Float32(), r.Float32()}
+						batch[i] = Entity{ID: nextID, Vectors: [][]float32{v}, Attrs: []int64{nextID}}
+						model[nextID] = v
+						nextID++
+					}
+					if err := c.Insert(batch); err != nil {
 						t.Fatal(err)
 					}
-					model[id] = v
-				case op < 7: // delete existing
+				case op < 7: // delete a batch of existing rows
 					ids := existing()
-					if len(ids) == 0 {
-						continue
-					}
-					id := ids[r.Intn(len(ids))]
-					if err := c.Delete([]int64{id}); err != nil {
+					r.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+					ids = ids[:min(len(ids), 1+r.Intn(6))]
+					if err := c.Delete(ids); err != nil {
 						t.Fatal(err)
 					}
-					delete(model, id)
+					for _, id := range ids {
+						delete(model, id)
+					}
 				case op < 9: // update = delete + reinsert
 					ids := existing()
 					if len(ids) == 0 {

@@ -12,6 +12,7 @@ import (
 
 	"vectordb/internal/colstore"
 	"vectordb/internal/vec"
+	"vectordb/internal/wal"
 )
 
 // VectorField declares one vector field of an entity (entities may carry
@@ -169,21 +170,75 @@ type Entity struct {
 	Cats    []string
 }
 
-// validateEntity checks e against the schema.
-func (s *Schema) validateEntity(e *Entity) error {
-	if len(e.Vectors) != len(s.VectorFields) {
-		return fmt.Errorf("core: entity %d has %d vectors, schema wants %d", e.ID, len(e.Vectors), len(s.VectorFields))
+// Columns copies rows into a fresh insert batch, one column per field.
+// Every row must have the first row's shape: as many vectors, each of the
+// same dimension, attributes and categorical values.
+func Columns(rows []Entity) (*wal.Batch, error) {
+	b := &wal.Batch{Kind: wal.Insert, IDs: make([]int64, len(rows))}
+	if len(rows) == 0 {
+		return b, nil
 	}
-	for i, v := range e.Vectors {
-		if len(v) != s.VectorFields[i].Dim {
-			return fmt.Errorf("core: entity %d field %q: dim %d, want %d", e.ID, s.VectorFields[i].Name, len(v), s.VectorFields[i].Dim)
+	first := &rows[0]
+	for _, v := range first.Vectors {
+		b.Vectors = append(b.Vectors, make([]float32, 0, len(rows)*len(v)))
+	}
+	b.Attrs, b.Cats = make([][]int64, len(first.Attrs)), make([][]string, len(first.Cats))
+	for i := range rows {
+		e := &rows[i]
+		if len(e.Vectors) != len(b.Vectors) || len(e.Attrs) != len(b.Attrs) || len(e.Cats) != len(b.Cats) {
+			return nil, fmt.Errorf("core: entity %d has %d vectors, %d attrs and %d categorical values; entity %d has %d, %d and %d",
+				e.ID, len(e.Vectors), len(e.Attrs), len(e.Cats), first.ID, len(b.Vectors), len(b.Attrs), len(b.Cats))
+		}
+		b.IDs[i] = e.ID
+		for f, v := range e.Vectors {
+			if len(v) != len(first.Vectors[f]) {
+				return nil, fmt.Errorf("core: entity %d vector %d: dim %d; entity %d's is %d", e.ID, f, len(v), first.ID, len(first.Vectors[f]))
+			}
+			b.Vectors[f] = append(b.Vectors[f], v...)
+		}
+		for a, x := range e.Attrs {
+			b.Attrs[a] = append(b.Attrs[a], x)
+		}
+		for c, x := range e.Cats {
+			b.Cats[c] = append(b.Cats[c], x)
 		}
 	}
-	if len(e.Attrs) != len(s.AttrFields) {
-		return fmt.Errorf("core: entity %d has %d attrs, schema wants %d", e.ID, len(e.Attrs), len(s.AttrFields))
+	return b, nil
+}
+
+// CheckBatch checks an insert batch against the schema: one column per
+// field, each one value (or one vector of the field's dimension) per row.
+// An empty batch holds no column and always passes. An error names the
+// batch's first entity.
+func (s *Schema) CheckBatch(b *wal.Batch) error {
+	n := b.Rows()
+	if n == 0 {
+		return nil
 	}
-	if len(e.Cats) != len(s.CatFields) {
-		return fmt.Errorf("core: entity %d has %d categorical values, schema wants %d", e.ID, len(e.Cats), len(s.CatFields))
+	id := b.IDs[0]
+	if len(b.Vectors) != len(s.VectorFields) {
+		return fmt.Errorf("core: entity %d has %d vectors, schema wants %d", id, len(b.Vectors), len(s.VectorFields))
+	}
+	for f, vf := range s.VectorFields {
+		if len(b.Vectors[f]) != n*vf.Dim {
+			return fmt.Errorf("core: entity %d field %q: dim %d, want %d", id, vf.Name, len(b.Vectors[f])/n, vf.Dim)
+		}
+	}
+	if len(b.Attrs) != len(s.AttrFields) {
+		return fmt.Errorf("core: entity %d has %d attrs, schema wants %d", id, len(b.Attrs), len(s.AttrFields))
+	}
+	if len(b.Cats) != len(s.CatFields) {
+		return fmt.Errorf("core: entity %d has %d categorical values, schema wants %d", id, len(b.Cats), len(s.CatFields))
+	}
+	for _, col := range b.Attrs {
+		if len(col) != n {
+			return fmt.Errorf("core: an attribute column holds %d values for %d rows", len(col), n)
+		}
+	}
+	for _, col := range b.Cats {
+		if len(col) != n {
+			return fmt.Errorf("core: a categorical column holds %d values for %d rows", len(col), n)
+		}
 	}
 	return nil
 }

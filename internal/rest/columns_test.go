@@ -19,6 +19,7 @@ import (
 	"vectordb/internal/core"
 	"vectordb/internal/dataset"
 	"vectordb/internal/topk"
+	"vectordb/internal/wal"
 )
 
 // columnsBatch is an insert of n rows over two vector fields, two
@@ -242,7 +243,7 @@ func TestInsertColumnsOnlyForUniformRows(t *testing.T) {
 func columnsMutants(t testing.TB) map[string][]byte {
 	good := mustColumns(t, columnsBatch(5))
 	header := func(rows, nv, na, nc uint32, dims ...uint32) []byte {
-		b := []byte(columnsMagic)
+		b := []byte(wal.Magic)
 		for _, n := range append([]uint32{rows, nv, na, nc}, dims...) {
 			b = le.AppendUint32(b, n)
 		}
@@ -272,7 +273,7 @@ func columnsMutants(t testing.TB) map[string][]byte {
 	}
 	// Every float of both vector fields, as a NaN and as ±Inf.
 	const floats = 5 * (3 + 2)
-	start := columnsHeader + 8 + 5*8
+	start := len(wal.Magic) + 16 + 8 + 5*8 // the header, both dims, the ids
 	for j := 0; j < floats; j++ {
 		for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
 			ms[fmt.Sprintf("%v at float %d", bad, j)] = edit(start+4*j, le.AppendUint32(nil, math.Float32bits(bad))...)
@@ -315,7 +316,7 @@ func TestInsertColumnsHeaderAllocates(t *testing.T) {
 	h := NewServer(nil)
 	b, _ := json.Marshal(CreateCollectionRequest{Name: "c", VectorFields: []VectorFieldJSON{{Name: "v", Dim: 2}}})
 	post(h, "/collections", "application/json", b)
-	body := le.AppendUint32([]byte(columnsMagic), math.MaxUint32)
+	body := le.AppendUint32([]byte(wal.Magic), math.MaxUint32)
 	body = append(body, make([]byte, 12)...)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -329,8 +330,8 @@ func TestInsertColumnsHeaderAllocates(t *testing.T) {
 	}
 }
 
-// FuzzInsertColumns: the decoder never panics, and every body it takes
-// is exactly what the encoder writes for the rows it yields.
+// FuzzInsertColumns: the server's decoder never panics, and every body it
+// takes is exactly what the SDK's encoder writes for the rows it yields.
 func FuzzInsertColumns(f *testing.F) {
 	for _, n := range []int{0, 1, 6} {
 		f.Add(mustColumns(f, columnsBatch(n)))
@@ -341,17 +342,14 @@ func FuzzInsertColumns(f *testing.F) {
 		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rows, err := decodeColumns(data)
+		b, err := decodeInsert(data, ColumnsType)
 		if err != nil {
 			return
 		}
-		es := make([]EntityJSON, len(rows))
-		for i, r := range rows {
-			es[i] = EntityJSON(r)
-		}
+		es := rowsOf(b)
 		again, ok := encodeColumns(es)
 		if !ok || !bytes.Equal(again, data) {
-			t.Fatalf("%x decodes to %+v, which encodes as %x (%v)", data, rows, again, ok)
+			t.Fatalf("%x decodes to %+v, which encodes as %x (%v)", data, es, again, ok)
 		}
 	})
 }
@@ -377,9 +375,28 @@ func shardSeeds(t testing.TB) wireSeeds {
 	return s
 }
 
+// rowsOf is b's rows as the SDK holds them.
+func rowsOf(b *wal.Batch) []EntityJSON {
+	es := make([]EntityJSON, b.Rows())
+	for i := range es {
+		es[i].ID = b.IDs[i]
+		for _, v := range b.Vectors {
+			d := len(v) / b.Rows()
+			es[i].Vectors = append(es[i].Vectors, v[i*d:(i+1)*d])
+		}
+		for _, col := range b.Attrs {
+			es[i].Attrs = append(es[i].Attrs, col[i])
+		}
+		for _, col := range b.Cats {
+			es[i].Cats = append(es[i].Cats, col[i])
+		}
+	}
+	return es
+}
+
 // FuzzInsertShards: a JSON insert body the server takes, cut into 2–4
 // shards and each shard encoded as the SDK sends it — columns when its
-// rows agree in shape, JSON otherwise — decodes to the whole body's
+// rows can go as columns, JSON otherwise — decodes to the whole body's
 // entities, bit for bit.
 func FuzzInsertShards(f *testing.F) {
 	for _, seeds := range []wireSeeds{insertRequestSeeds(f), shardSeeds(f)} {
@@ -388,31 +405,28 @@ func FuzzInsertShards(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, k uint8) {
-		want, err := decodeInsert(data, "application/json")
+		b, err := decodeInsert(data, "application/json")
 		if err != nil {
 			return
 		}
-		var got []core.Entity
+		want := rowsOf(b)
+		var got []EntityJSON
 		for j, shards := 0, 2+int(k%3); j < shards; j++ {
-			var es []EntityJSON
-			for _, e := range want[j*len(want)/shards : (j+1)*len(want)/shards] {
-				es = append(es, EntityJSON(e))
-			}
-			body, ctype, err := Encode(InsertRequest{Entities: es})
+			body, ctype, err := Encode(InsertRequest{Entities: want[j*len(want)/shards : (j+1)*len(want)/shards]})
 			if err != nil {
 				t.Fatalf("%q: shard %d of %d does not encode: %v", data, j, shards, err)
 			}
-			rows, err := decodeInsert(body, ctype)
+			b, err := decodeInsert(body, ctype)
 			if err != nil {
 				t.Fatalf("%q: shard %d of %d, sent as %s, does not decode: %v", data, j, shards, ctype, err)
 			}
-			got = append(got, rows...)
+			got = append(got, rowsOf(b)...)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("%q: %d entities in shards, %d in the body", data, len(got), len(want))
 		}
 		for i := range want {
-			if !sameEntity(&got[i], &want[i]) {
+			if !sameEntity((*core.Entity)(&got[i]), (*core.Entity)(&want[i])) {
 				t.Fatalf("%q: entity %d is %+v in shards, %+v in the body", data, i, got[i], want[i])
 			}
 		}
@@ -547,9 +561,9 @@ func BenchmarkInsertWire(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			rows, err := decodeColumns(body)
-			if err != nil || len(rows) != d.N {
-				b.Fatalf("decoded %d of %d rows, %v", len(rows), d.N, err)
+			rows, err := wal.DecodeBody(body)
+			if err != nil || rows.Rows() != d.N {
+				b.Fatalf("decoding %d rows: %v", d.N, err)
 			}
 			wireSink = rows
 		}

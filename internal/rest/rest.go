@@ -22,6 +22,7 @@ import (
 	"vectordb/internal/obs"
 	"vectordb/internal/topk"
 	"vectordb/internal/vec"
+	"vectordb/internal/wal"
 )
 
 // Wire types -------------------------------------------------------------
@@ -213,7 +214,7 @@ const maxBodyBytes = 64 << 20
 // answering 413 when the body exceeds maxBodyBytes — at once when its
 // Content-Length says so — and 400 when it does not parse, bytes after the
 // JSON value included; false means the response has been written. A
-// *[]core.Entity takes an insert body and a *query a search body, each
+// *(*wal.Batch) takes an insert body and a *query a search body, each
 // columnar or JSON by its Content-Type.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	var body []byte
@@ -223,7 +224,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	}
 	if err == nil {
 		switch v := v.(type) {
-		case *[]core.Entity:
+		case **wal.Batch:
 			*v, err = decodeInsert(body, r.Header.Get("Content-Type"))
 		case *query:
 			*v, err = decodeQuery(body, r.Header.Get("Content-Type"))
@@ -420,15 +421,16 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, col *core.
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var rows []core.Entity
-	if !decodeBody(w, r, &rows) {
+	var b *wal.Batch
+	if !decodeBody(w, r, &b) {
 		return
 	}
-	if err := col.Insert(rows); err != nil {
+	rows := b.Rows()
+	if err := col.InsertBatch(b); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"inserted": len(rows)})
+	writeJSON(w, http.StatusOK, map[string]int{"inserted": rows})
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, col *core.Collection) {

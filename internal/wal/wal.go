@@ -1,9 +1,13 @@
 // Package wal implements the write-ahead log of Sec. 5.1/5.3: heavy write
-// requests are first materialized as log records and acknowledged, then a
+// requests are first materialized as log entries and acknowledged, then a
 // background thread consumes them ("users may not immediately see the
 // inserted data"), and Flush blocks until all pending operations are
 // applied. In the distributed deployment the writer ships these logs —
 // rather than data — to shared storage, Aurora-style.
+//
+// A log entry is one Batch, the write a client made: its rows as columns.
+// The same columns are the SDK's insert body (VDBC), the frame the writer
+// ships and the rows the MemTable seals into a segment.
 package wal
 
 import (
@@ -12,238 +16,322 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sync"
+	"unicode/utf8"
 
 	"vectordb/internal/obs"
 )
 
-// RecordType tags a log record.
-type RecordType uint8
+// Kind tags a batch with what applying it does.
+type Kind uint8
 
 const (
-	// RecordInsert carries one entity (ID, vectors per field, attrs).
-	RecordInsert RecordType = 1
-	// RecordDelete carries one entity ID.
-	RecordDelete RecordType = 2
+	// Insert adds the batch's rows.
+	Insert Kind = 1
+	// Delete tombstones the batch's IDs; it holds no other column.
+	Delete Kind = 2
 )
 
-// Record is one logical operation.
-type Record struct {
-	Type    RecordType
-	ID      int64
-	Vectors [][]float32 // per vector field; nil for deletes
-	Attrs   []int64     // per attribute field; nil for deletes
-	Cats    []string    // per categorical field; nil for deletes
+// Batch is one write as columns: Rows() rows, each an ID and, in an
+// insert, one vector per vector field, one value per attribute field and
+// one per categorical field. It is appended, shipped and applied whole.
+type Batch struct {
+	Kind    Kind
+	IDs     []int64
+	Vectors [][]float32 // per vector field: rows × dim, row after row
+	Attrs   [][]int64   // per attribute field: one value per row
+	Cats    [][]string  // per categorical field: one value per row
 }
 
-// Marshal encodes the record with a CRC32 trailer.
-func (r *Record) Marshal() []byte {
-	size := 1 + 8 + 2
-	for _, v := range r.Vectors {
-		size += 4 + 4*len(v)
+// Rows is the batch's row count.
+func (b *Batch) Rows() int { return len(b.IDs) }
+
+// Magic opens a VDBC body, the columnar encoding of a batch's rows that
+// the SDK sends as an insert body and a WAL frame carries:
+//
+//	"VDBC", u32 version 1
+//	u32 rows, vector fields, attrs, cats; then u32 dim per vector field
+//	ids: rows × i64; vectors: per field, rows × dim f32
+//	attrs: per attr, rows × i64; cats: per cat, per row u32 length + bytes
+//
+// A body carries what JSON can, finite floats and UTF-8, and is canonical:
+// a body DecodeBody takes is exactly what AppendBody writes for what it
+// decoded, so zero rows have no fields and a vector field has a dimension.
+const Magic = "VDBC\x01\x00\x00\x00"
+
+const (
+	header    = 24         // a body's magic, version and four counts
+	nonFinite = 0x7f800000 // a float32's exponent bits: set in NaN and ±Inf
+)
+
+var le = binary.LittleEndian
+
+// AppendBody appends b's rows to dst as a VDBC body. It fails, leaving dst
+// as it was, when the body cannot carry them: fields without rows, a
+// vector column that is not rows × a positive dimension, an attribute or
+// category column not one value per row, a NaN, ±Inf or invalid UTF-8.
+func AppendBody(dst []byte, b *Batch) ([]byte, error) {
+	size, err := bodySize(b)
+	if err != nil {
+		return dst, err
 	}
-	size += 2 + 8*len(r.Attrs)
-	size += 2
-	for _, c := range r.Cats {
-		size += 4 + len(c)
+	n, out := b.Rows(), append(slices.Grow(dst, size), Magic...)
+	for _, c := range [...]int{n, len(b.Vectors), len(b.Attrs), len(b.Cats)} {
+		out = le.AppendUint32(out, uint32(c))
 	}
-	buf := make([]byte, 0, size+4)
-	buf = append(buf, byte(r.Type))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.ID))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Vectors)))
-	for _, v := range r.Vectors {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
+	for _, v := range b.Vectors {
+		out = le.AppendUint32(out, uint32(len(v)/n))
+	}
+	for _, id := range b.IDs {
+		out = le.AppendUint64(out, uint64(id))
+	}
+	for f, v := range b.Vectors {
 		for _, x := range v {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
+			if math.Float32bits(x)&nonFinite == nonFinite {
+				return dst, fmt.Errorf("wal: NaN or ±Inf in vector field %d", f)
+			}
+			out = le.AppendUint32(out, math.Float32bits(x))
 		}
 	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Attrs)))
-	for _, a := range r.Attrs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(a))
+	for _, col := range b.Attrs {
+		for _, x := range col {
+			out = le.AppendUint64(out, uint64(x))
+		}
 	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Cats)))
-	for _, c := range r.Cats {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c)))
-		buf = append(buf, c...)
+	for _, col := range b.Cats {
+		for _, s := range col {
+			out = append(le.AppendUint32(out, uint32(len(s))), s...)
+		}
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return out, nil
 }
 
-// Unmarshal decodes a record, verifying the CRC.
-func Unmarshal(data []byte) (*Record, error) {
-	if len(data) < 15 {
-		return nil, fmt.Errorf("wal: record too short (%d bytes)", len(data))
+// bodySize is the length of b's VDBC body, or why the body cannot carry b
+// (all but a NaN or ±Inf, which AppendBody finds as it writes).
+func bodySize(b *Batch) (int, error) {
+	n := b.Rows()
+	if n == 0 && len(b.Vectors)+len(b.Attrs)+len(b.Cats) > 0 {
+		return 0, errors.New("wal: fields without rows")
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("wal: CRC mismatch")
-	}
-	r := &Record{Type: RecordType(body[0])}
-	if r.Type != RecordInsert && r.Type != RecordDelete {
-		return nil, fmt.Errorf("wal: unknown record type %d", body[0])
-	}
-	r.ID = int64(binary.LittleEndian.Uint64(body[1:]))
-	off := 9
-	nv := int(binary.LittleEndian.Uint16(body[off:]))
-	off += 2
-	r.Vectors = make([][]float32, nv)
-	for i := 0; i < nv; i++ {
-		if off+4 > len(body) {
-			return nil, fmt.Errorf("wal: truncated vector header")
+	size := header + 4*len(b.Vectors) + 8*n*(1+len(b.Attrs)) + 4*n*len(b.Cats)
+	for f, v := range b.Vectors {
+		if len(v) == 0 || len(v)%n != 0 {
+			return 0, fmt.Errorf("wal: vector field %d holds %d floats for %d rows", f, len(v), n)
 		}
-		l := int(binary.LittleEndian.Uint32(body[off:]))
-		off += 4
-		if off+4*l > len(body) {
-			return nil, fmt.Errorf("wal: truncated vector body")
+		size += 4 * len(v)
+	}
+	for a, col := range b.Attrs {
+		if len(col) != n {
+			return 0, fmt.Errorf("wal: attribute %d holds %d values for %d rows", a, len(col), n)
 		}
-		v := make([]float32, l)
-		for j := range v {
-			v[j] = math.Float32frombits(binary.LittleEndian.Uint32(body[off:]))
-			off += 4
+	}
+	for c, col := range b.Cats {
+		if len(col) != n {
+			return 0, fmt.Errorf("wal: category %d holds %d values for %d rows", c, len(col), n)
 		}
-		r.Vectors[i] = v
-	}
-	if off+2 > len(body) {
-		return nil, fmt.Errorf("wal: truncated attr header")
-	}
-	na := int(binary.LittleEndian.Uint16(body[off:]))
-	off += 2
-	if off+8*na > len(body) {
-		return nil, fmt.Errorf("wal: attr section overruns")
-	}
-	r.Attrs = make([]int64, na)
-	for i := range r.Attrs {
-		r.Attrs[i] = int64(binary.LittleEndian.Uint64(body[off:]))
-		off += 8
-	}
-	if off+2 > len(body) {
-		return nil, fmt.Errorf("wal: truncated cat header")
-	}
-	nc := int(binary.LittleEndian.Uint16(body[off:]))
-	off += 2
-	r.Cats = make([]string, nc)
-	for i := 0; i < nc; i++ {
-		if off+4 > len(body) {
-			return nil, fmt.Errorf("wal: truncated cat length")
+		for _, s := range col {
+			if !utf8.ValidString(s) {
+				return 0, fmt.Errorf("wal: invalid UTF-8 in category %d", c)
+			}
+			size += len(s)
 		}
-		l := int(binary.LittleEndian.Uint32(body[off:]))
-		off += 4
-		if off+l > len(body) {
-			return nil, fmt.Errorf("wal: cat value overruns")
-		}
-		r.Cats[i] = string(body[off : off+l])
-		off += l
 	}
-	if off != len(body) {
-		return nil, fmt.Errorf("wal: %d trailing bytes", len(body)-off)
-	}
-	if len(r.Vectors) == 0 {
-		r.Vectors = nil
-	}
-	if len(r.Attrs) == 0 {
-		r.Attrs = nil
-	}
-	if len(r.Cats) == 0 {
-		r.Cats = nil
-	}
-	return r, nil
+	return size, nil
 }
 
-// ErrTorn marks a batch blob whose tail is torn or corrupted — a write that
-// died partway (truncated frame) or bit rot (CRC mismatch). ReplayBatch
-// wraps it so callers can distinguish "recovered a prefix" from "the blob is
-// garbage from the first byte".
-var ErrTorn = errors.New("wal: torn batch tail")
-
-// MarshalBatch encodes a batch of records as the durable blob the writer
-// ships to shared storage (Sec. 5.3): each record is length-prefixed, and
-// each record carries its own CRC32 trailer.
-func MarshalBatch(records []*Record) []byte {
-	var out []byte
-	for _, r := range records {
-		b := r.Marshal()
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(b)))
-		out = append(out, b...)
+// DecodeBody decodes a VDBC body into a fresh insert batch. The header's
+// counts are checked against the body's length before anything sized by
+// them is allocated; a body that is short, long or carries a NaN, ±Inf or
+// invalid UTF-8 is an error.
+func DecodeBody(b []byte) (*Batch, error) {
+	if len(b) < header || string(b[:8]) != Magic {
+		return nil, fmt.Errorf("wal: body: bad magic or version")
 	}
-	return out
+	rows, nv, na, nc := uint64(le.Uint32(b[8:])), uint64(le.Uint32(b[12:])), uint64(le.Uint32(b[16:])), uint64(le.Uint32(b[20:]))
+	if rows == 0 && nv+na+nc != 0 {
+		return nil, fmt.Errorf("wal: body: fields without rows")
+	}
+	if 4*nv > uint64(len(b)-header) {
+		return nil, fmt.Errorf("wal: body: %d vector dims overrun %d bytes", nv, len(b))
+	}
+	// need is the body's least length: the header, every fixed-width column
+	// and each category's length word. It never passes len(b), so it never
+	// overflows: each column's rows × width is bounded by division first.
+	need, widths := header+4*nv, []uint64{8, 8 * na, 4 * nc}
+	for f := range nv {
+		dim := uint64(le.Uint32(b[header+4*f:]))
+		if dim == 0 {
+			return nil, fmt.Errorf("wal: body: vector field %d has no dimension", f)
+		}
+		widths = append(widths, 4*dim)
+	}
+	for _, w := range widths {
+		if rows > 0 && w > (uint64(len(b))-need)/rows {
+			return nil, fmt.Errorf("wal: body: %d rows of %d vector fields, %d attrs and %d cats overrun %d bytes", rows, nv, na, nc, len(b))
+		}
+		need += rows * w
+	}
+
+	n, p := int(rows), int(header+4*nv)
+	next := func(size int) []byte { p += size; return b[p-size : p] }
+	out := &Batch{Kind: Insert, IDs: make([]int64, n)}
+	for i := range out.IDs {
+		out.IDs[i] = int64(le.Uint64(next(8)))
+	}
+	for f, w := range widths[3:] {
+		col, src := make([]float32, n*int(w/4)), next(n*int(w))
+		for j := range col {
+			u := le.Uint32(src[4*j:])
+			if u&nonFinite == nonFinite {
+				return nil, fmt.Errorf("wal: body: NaN or ±Inf in vector field %d", f)
+			}
+			col[j] = math.Float32frombits(u)
+		}
+		out.Vectors = append(out.Vectors, col)
+	}
+	for range na {
+		col := make([]int64, n)
+		for i := range col {
+			col[i] = int64(le.Uint64(next(8)))
+		}
+		out.Attrs = append(out.Attrs, col)
+	}
+	for c := range nc {
+		col := make([]string, n)
+		for i := range col {
+			if len(b)-p < 4 || uint64(le.Uint32(b[p:])) > uint64(len(b)-p-4) {
+				return nil, fmt.Errorf("wal: body: cat %d overruns the body", c)
+			}
+			s := next(int(le.Uint32(next(4))))
+			if !utf8.Valid(s) {
+				return nil, fmt.Errorf("wal: body: invalid UTF-8 in cat %d", c)
+			}
+			col[i] = string(s)
+		}
+		out.Cats = append(out.Cats, col)
+	}
+	if p != len(b) {
+		return nil, fmt.Errorf("wal: body: %d bytes after the last column", len(b)-p)
+	}
+	return out, nil
 }
 
-// ReplayBatch decodes a batch blob, recovering the longest clean prefix of
-// records. A truncated or corrupted tail does not fail the whole blob:
-// the intact prefix is returned together with an error wrapping ErrTorn, so
-// crash recovery keeps every record that was durably written before the
-// tear (the replay contract of Sec. 5.3). A fully clean blob returns a nil
-// error. ReplayBatch never panics on hostile input.
-func ReplayBatch(blob []byte) ([]*Record, error) {
-	var out []*Record
-	off := 0
-	for off < len(blob) {
-		if off+4 > len(blob) {
-			return out, fmt.Errorf("%w: truncated frame header at offset %d", ErrTorn, off)
+// frameOverhead is a frame's bytes besides its body: the length, the kind
+// and the CRC.
+const frameOverhead = 4 + 1 + 4
+
+// AppendFrame appends b to dst as one frame of a WAL object: u32 body
+// length, u8 kind, b's VDBC body, and a CRC32 (IEEE) of the kind and the
+// body. It fails, leaving dst as it was, when the body cannot carry b or b
+// is not an insert or a delete of IDs alone.
+func AppendFrame(dst []byte, b *Batch) ([]byte, error) {
+	size, err := bodySize(b)
+	if err == nil {
+		err = b.kindErr()
+	}
+	if err != nil {
+		return dst, err
+	}
+	start := len(dst)
+	out, err := AppendBody(append(slices.Grow(dst, frameOverhead+size), 0, 0, 0, 0, byte(b.Kind)), b)
+	if err != nil {
+		return dst, err
+	}
+	le.PutUint32(out[start:], uint32(size))
+	return le.AppendUint32(out, crc32.ChecksumIEEE(out[start+4:])), nil
+}
+
+// kindErr is why b's kind does not fit its columns, or nil.
+func (b *Batch) kindErr() error {
+	if b.Kind == Insert || b.Kind == Delete && len(b.Vectors)+len(b.Attrs)+len(b.Cats) == 0 {
+		return nil
+	}
+	return fmt.Errorf("wal: kind %d batch with %d vector, %d attribute and %d category columns", b.Kind, len(b.Vectors), len(b.Attrs), len(b.Cats))
+}
+
+// ErrTorn marks a WAL object whose tail is torn or corrupted — a write
+// that died partway (truncated frame) or bit rot (CRC mismatch). Replay
+// wraps it so callers can tell "recovered a prefix" from other failures.
+var ErrTorn = errors.New("wal: torn object tail")
+
+// Replay decodes a WAL object's frames in order and returns the batches of
+// the longest prefix of whole, intact frames. When bytes follow that
+// prefix the error wraps ErrTorn: a batch is atomic, so no row of a torn
+// frame comes back. A clean object returns a nil error. Replay never
+// panics on hostile input, and allocates in proportion to the object's
+// length.
+func Replay(obj []byte) ([]*Batch, error) {
+	var out []*Batch
+	for off := 0; off < len(obj); {
+		rest := obj[off:]
+		if len(rest) < frameOverhead {
+			return out, fmt.Errorf("%w: %d bytes at offset %d are no frame", ErrTorn, len(rest), off)
 		}
-		l := int(binary.LittleEndian.Uint32(blob[off:]))
-		if l < 0 || off+4+l > len(blob) {
-			return out, fmt.Errorf("%w: frame at offset %d claims %d bytes, %d remain", ErrTorn, off, l, len(blob)-off-4)
+		n := uint64(le.Uint32(rest))
+		if n > uint64(len(rest)-frameOverhead) {
+			return out, fmt.Errorf("%w: frame at offset %d claims %d bytes, %d remain", ErrTorn, off, n, len(rest)-frameOverhead)
 		}
-		r, err := Unmarshal(blob[off+4 : off+4+l])
+		frame := rest[4 : 5+n]
+		if crc32.ChecksumIEEE(frame) != le.Uint32(rest[5+n:]) {
+			return out, fmt.Errorf("%w: frame at offset %d: CRC mismatch", ErrTorn, off)
+		}
+		b, err := DecodeBody(frame[1:])
+		if err == nil {
+			b.Kind = Kind(frame[0])
+			err = b.kindErr()
+		}
 		if err != nil {
-			return out, fmt.Errorf("%w: record at offset %d: %v", ErrTorn, off, err)
+			return out, fmt.Errorf("%w: frame at offset %d: %v", ErrTorn, off, err)
 		}
-		out = append(out, r)
-		off += 4 + l
+		out = append(out, b)
+		off += frameOverhead + int(n)
 	}
 	return out, nil
 }
 
 // Log is the in-memory apply queue in front of a collection: Append queues
-// the record and returns immediately; a background goroutine applies
-// records in order; Flush blocks until everything appended so far has been
-// applied. The log keeps no record once it is applied — the queue slot is
+// a batch and returns immediately; a background goroutine applies batches
+// in order; Flush blocks until everything appended so far has been
+// applied. The log keeps no batch once it is applied — the queue slot is
 // cleared as it is popped — so durability is the caller's: the distributed
-// writer ships each batch with MarshalBatch before it appends, and
-// ReplayBatch is the recovery path (Sec. 5.3).
+// writer ships each batch as a frame before it appends, and Replay is the
+// recovery path (Sec. 5.3).
 type Log struct {
-	apply func(*Record)
+	apply func(*Batch)
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []*Record
+	queue   []*Batch
 	applied int64
 	enq     int64
 	closed  bool
 
-	appendC  *obs.Counter // incremented per append
-	appliedC *obs.Counter // incremented per record applied
+	appendC  *obs.Counter // rows appended
+	appliedC *obs.Counter // rows applied
 }
 
-// Observe attaches telemetry counters for appended and applied records.
-// Either may be nil (obs counters are nil-safe); call before concurrent
-// use of the log.
-func (l *Log) Observe(appends, applied *obs.Counter) {
-	l.mu.Lock()
-	l.appendC, l.appliedC = appends, applied
-	l.mu.Unlock()
-}
-
-// NewLog starts a log whose records are consumed by apply.
-func NewLog(apply func(*Record)) *Log {
-	l := &Log{apply: apply}
+// NewLog starts a log whose batches are consumed by apply, counting the
+// rows appended and applied on the two counters (either may be nil).
+func NewLog(apply func(*Batch), appends, applied *obs.Counter) *Log {
+	l := &Log{apply: apply, appendC: appends, appliedC: applied}
 	l.cond = sync.NewCond(&l.mu)
 	//lint:allow goleak run exits when Close sets closed and broadcasts the cond; a cond-based drain loop has no channel for the analyzer to see
 	go l.run()
 	return l
 }
 
-// Append queues r for asynchronous application.
-func (l *Log) Append(r *Record) error {
+// Append queues b for asynchronous application; the log owns b from then
+// on.
+func (l *Log) Append(b *Batch) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("wal: log closed")
 	}
-	l.queue = append(l.queue, r)
+	l.queue = append(l.queue, b)
 	l.enq++
-	l.appendC.Inc()
+	l.appendC.Add(int64(b.Rows()))
 	l.cond.Broadcast()
 	return nil
 }
@@ -258,21 +346,21 @@ func (l *Log) run() {
 			l.mu.Unlock()
 			return
 		}
-		r := l.queue[0]
+		b := l.queue[0]
 		// Clear the slot: the backing array outlives the pop until the
-		// next append reallocates, and must not keep r alive.
+		// next append reallocates, and must not keep b alive.
 		l.queue[0] = nil
 		l.queue = l.queue[1:]
 		l.mu.Unlock()
-		l.apply(r)
+		l.apply(b)
 		l.mu.Lock()
 		l.applied++
-		l.appliedC.Inc()
+		l.appliedC.Add(int64(b.Rows()))
 		l.cond.Broadcast()
 	}
 }
 
-// Flush blocks until every record appended before the call is applied —
+// Flush blocks until every batch appended before the call is applied —
 // the flush() API of Sec. 5.1.
 func (l *Log) Flush() {
 	l.mu.Lock()
@@ -281,13 +369,6 @@ func (l *Log) Flush() {
 		l.cond.Wait()
 	}
 	l.mu.Unlock()
-}
-
-// Pending reports queued-but-unapplied records.
-func (l *Log) Pending() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.queue)
 }
 
 // Close stops the background applier after draining the queue.

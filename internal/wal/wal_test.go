@@ -1,8 +1,13 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,89 +15,173 @@ import (
 	"time"
 )
 
-func TestRecordRoundTrip(t *testing.T) {
-	recs := []*Record{
-		{Type: RecordInsert, ID: 42, Vectors: [][]float32{{1, 2}, {3, 4, 5}}, Attrs: []int64{7, -8}},
-		{Type: RecordDelete, ID: -1},
-		{Type: RecordInsert, ID: 0, Vectors: [][]float32{{}}, Attrs: nil},
+// edgeBatch is an insert of n rows over two vector fields, two attributes
+// and two categories, holding the edge values: ids at both int64 ends, −0,
+// subnormal and extreme floats, empty and multi-byte strings.
+func edgeBatch(n int) *Batch {
+	b := &Batch{Kind: Insert, IDs: make([]int64, n)}
+	if n == 0 {
+		return b
 	}
-	for i, r := range recs {
-		got, err := Unmarshal(r.Marshal())
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
+	sub, negZero := math.Float32frombits(1), float32(math.Copysign(0, -1))
+	cats := []string{"", "red", "é<>", "\U0001F600"}
+	b.Vectors, b.Attrs, b.Cats = make([][]float32, 2), make([][]int64, 2), make([][]string, 2)
+	for i := range n {
+		b.IDs[i] = int64(i*7919) - 3
+		switch i {
+		case 0:
+			b.IDs[i] = math.MinInt64
+		case 1:
+			b.IDs[i] = math.MaxInt64
 		}
-		if got.Type != r.Type || got.ID != r.ID || len(got.Attrs) != len(r.Attrs) {
-			t.Fatalf("record %d: %+v != %+v", i, got, r)
+		b.Vectors[0] = append(b.Vectors[0], float32(i)/3, negZero, sub*float32(i+1))
+		b.Vectors[1] = append(b.Vectors[1], -math.MaxFloat32/float32(i+1), math.SmallestNonzeroFloat32*3)
+		b.Attrs[0] = append(b.Attrs[0], math.MinInt64+int64(i))
+		b.Attrs[1] = append(b.Attrs[1], int64(i%3))
+		b.Cats[0] = append(b.Cats[0], cats[i%len(cats)])
+		b.Cats[1] = append(b.Cats[1], cats[(i+1)%len(cats)])
+	}
+	return b
+}
+
+func mustBody(t testing.TB, b *Batch) []byte {
+	t.Helper()
+	body, err := AppendBody(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+func mustFrame(t testing.TB, dst []byte, b *Batch) []byte {
+	t.Helper()
+	out, err := AppendFrame(dst, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sameBatch compares kinds, lengths and values, floats by their bits so
+// that −0 is not 0.
+func sameBatch(a, b *Batch) bool {
+	if a.Kind != b.Kind || !slices.Equal(a.IDs, b.IDs) || len(a.Vectors) != len(b.Vectors) ||
+		!slices.EqualFunc(a.Attrs, b.Attrs, slices.Equal[[]int64]) || !slices.EqualFunc(a.Cats, b.Cats, slices.Equal[[]string]) {
+		return false
+	}
+	for f := range a.Vectors {
+		if !slices.EqualFunc(a.Vectors[f], b.Vectors[f], func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) }) {
+			return false
 		}
-		for j := range r.Vectors {
-			if len(got.Vectors[j]) != len(r.Vectors[j]) {
-				t.Fatalf("record %d vec %d length mismatch", i, j)
-			}
-			for x := range r.Vectors[j] {
-				if got.Vectors[j][x] != r.Vectors[j][x] {
-					t.Fatalf("record %d vec %d mismatch", i, j)
+	}
+	return true
+}
+
+// object is a WAL object of inserts and deletes, each batch alone as it
+// would be shipped, and the offset at which each frame ends.
+func object(t testing.TB) (batches []*Batch, obj []byte, ends []int) {
+	batches = []*Batch{edgeBatch(3), {Kind: Delete, IDs: []int64{-3, 7916}}, edgeBatch(1), {Kind: Delete}, edgeBatch(6)}
+	for _, b := range batches {
+		obj = mustFrame(t, obj, b)
+		ends = append(ends, len(obj))
+	}
+	return batches, obj, ends
+}
+
+// TestRecordRoundTrip: a WAL record is one frame; every batch shape —
+// edge values, no rows, rows without fields, a delete — replays as
+// itself.
+func TestRecordRoundTrip(t *testing.T) {
+	for i, b := range []*Batch{edgeBatch(0), edgeBatch(1), edgeBatch(7), {Kind: Insert, IDs: []int64{1, 2}},
+		{Kind: Delete, IDs: []int64{-1, 0, math.MaxInt64}}} {
+		got, err := Replay(mustFrame(t, nil, b))
+		if err != nil || len(got) != 1 || !sameBatch(got[0], b) {
+			t.Fatalf("batch %d: replayed %+v, %v; want %+v", i, got, err, b)
+		}
+	}
+}
+
+// TestRecordCRCDetectsCorruption: a flip of any byte of a frame replays
+// nothing and reports the object torn.
+func TestRecordCRCDetectsCorruption(t *testing.T) {
+	frame := mustFrame(t, nil, edgeBatch(2))
+	for i := range frame {
+		bad := slices.Clone(frame)
+		bad[i] ^= 0x01
+		if got, err := Replay(bad); len(got) != 0 || !errors.Is(err, ErrTorn) {
+			t.Fatalf("byte %d flipped: %d batches, %v", i, len(got), err)
+		}
+	}
+}
+
+// TestRecordUnknownType: a frame whose kind is neither insert nor delete,
+// or a delete that holds more than IDs, is refused with a valid CRC too,
+// and AppendFrame writes neither.
+func TestRecordUnknownType(t *testing.T) {
+	for _, kind := range []byte{0, 3, 99, byte(Delete)} {
+		frame := mustFrame(t, nil, edgeBatch(2))
+		frame[4] = kind
+		le.PutUint32(frame[len(frame)-4:], crc32.ChecksumIEEE(frame[4:len(frame)-4]))
+		if got, err := Replay(frame); len(got) != 0 || !errors.Is(err, ErrTorn) {
+			t.Errorf("kind %d: %d batches, %v", kind, len(got), err)
+		}
+		b := edgeBatch(2)
+		b.Kind = Kind(kind)
+		if out, err := AppendFrame([]byte("x"), b); err == nil || string(out) != "x" {
+			t.Errorf("kind %d: AppendFrame wrote %q, %v", kind, out, err)
+		}
+	}
+}
+
+// Property: every insert of finite floats round-trips through a frame.
+func TestRecordRoundTripProperty(t *testing.T) {
+	f := func(ids []int64, dim uint8, vecData []float32, attrs []int64, cat string) bool {
+		b, n, d := &Batch{Kind: Insert, IDs: ids}, len(ids), int(dim%5)+1
+		if n > 0 {
+			v := make([]float32, n*d)
+			for i := range v {
+				if len(vecData) > 0 {
+					v[i] = vecData[i%len(vecData)]
 				}
 			}
-		}
-		for j := range r.Attrs {
-			if got.Attrs[j] != r.Attrs[j] {
-				t.Fatalf("record %d attr %d mismatch", i, j)
+			a, c := make([]int64, n), make([]string, n)
+			for i := range a {
+				if len(attrs) > 0 {
+					a[i] = attrs[i%len(attrs)]
+				}
+				c[i] = cat[:i%(len(cat)+1)]
 			}
+			b.Vectors, b.Attrs, b.Cats = [][]float32{v}, [][]int64{a}, [][]string{c}
 		}
+		if _, err := bodySize(b); err != nil { // a cut of cat is not UTF-8
+			return true
+		}
+		got, err := Replay(mustFrame(t, nil, b))
+		return err == nil && len(got) == 1 && sameBatch(got[0], b)
 	}
-}
-
-func TestRecordCRCDetectsCorruption(t *testing.T) {
-	r := &Record{Type: RecordInsert, ID: 7, Vectors: [][]float32{{1, 2, 3}}}
-	b := r.Marshal()
-	b[5] ^= 0x01
-	if _, err := Unmarshal(b); err == nil {
-		t.Fatal("corrupted record accepted")
-	}
-	if _, err := Unmarshal(b[:3]); err == nil {
-		t.Fatal("short record accepted")
-	}
-}
-
-func TestRecordUnknownType(t *testing.T) {
-	r := &Record{Type: RecordInsert, ID: 1}
-	b := r.Marshal()
-	b[0] = 99
-	// fix CRC so only the type check fires
-	body := b[:len(b)-4]
-	_ = body
-	if _, err := Unmarshal(b); err == nil {
-		t.Fatal("unknown type accepted (or CRC missed it)")
-	}
-}
-
-// Property: Marshal/Unmarshal round-trips arbitrary records.
-func TestRecordRoundTripProperty(t *testing.T) {
-	f := func(id int64, vecData []float32, attrs []int64, del bool) bool {
-		r := &Record{Type: RecordInsert, ID: id}
-		if del {
-			r.Type = RecordDelete
-		}
-		if len(vecData) > 0 {
-			r.Vectors = [][]float32{vecData}
-		}
-		if len(attrs) > 0 {
-			r.Attrs = attrs
-		}
-		got, err := Unmarshal(r.Marshal())
-		if err != nil {
-			return false
-		}
-		if got.Type != r.Type || got.ID != r.ID {
-			return false
-		}
-		if len(got.Vectors) != len(r.Vectors) || len(got.Attrs) != len(r.Attrs) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAppendBodyRefuses: what a body cannot carry fails, leaving dst as it
+// was.
+func TestAppendBodyRefuses(t *testing.T) {
+	for name, bend := range map[string]func(*Batch){
+		"fields without rows": func(b *Batch) { b.IDs = nil },
+		"ragged vectors":      func(b *Batch) { b.Vectors[1] = b.Vectors[1][:3] },
+		"empty vectors":       func(b *Batch) { b.Vectors[1] = nil },
+		"short attrs":         func(b *Batch) { b.Attrs[0] = b.Attrs[0][:1] },
+		"long cats":           func(b *Batch) { b.Cats[1] = append(b.Cats[1], "") },
+		"NaN":                 func(b *Batch) { b.Vectors[0][4] = float32(math.NaN()) },
+		"-Inf":                func(b *Batch) { b.Vectors[1][0] = float32(math.Inf(-1)) },
+		"invalid UTF-8":       func(b *Batch) { b.Cats[0][1] = "a\xffb" },
+	} {
+		b := edgeBatch(2)
+		bend(b)
+		if out, err := AppendBody([]byte("x"), b); err == nil || string(out) != "x" {
+			t.Errorf("%s: wrote %q, %v", name, out, err)
+		}
 	}
 }
 
@@ -100,25 +189,22 @@ func TestLogAsyncApplyAndFlush(t *testing.T) {
 	var applied atomic.Int64
 	var mu sync.Mutex
 	var order []int64
-	l := NewLog(func(r *Record) {
+	l := NewLog(func(b *Batch) {
 		mu.Lock()
-		order = append(order, r.ID)
+		order = append(order, b.IDs[0])
 		mu.Unlock()
 		applied.Add(1)
-	})
+	}, nil, nil)
 	defer l.Close()
 	const n = 500
 	for i := 0; i < n; i++ {
-		if err := l.Append(&Record{Type: RecordInsert, ID: int64(i)}); err != nil {
+		if err := l.Append(&Batch{Kind: Insert, IDs: []int64{int64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	l.Flush()
 	if applied.Load() != n {
 		t.Fatalf("applied %d, want %d", applied.Load(), n)
-	}
-	if l.Pending() != 0 {
-		t.Fatalf("Pending = %d after Flush", l.Pending())
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -130,38 +216,38 @@ func TestLogAsyncApplyAndFlush(t *testing.T) {
 }
 
 // TestLogDropsAppliedRecords: the log is an apply queue, not a store —
-// once Flush returns, no applied record is reachable from it, so an
-// applied row's vectors are garbage as soon as the consumer drops them.
-// A closed log refuses appends.
+// once Flush returns, no applied batch is reachable from it, so an applied
+// batch's vectors are garbage as soon as the consumer drops them. A
+// closed log refuses appends.
 func TestLogDropsAppliedRecords(t *testing.T) {
-	l := NewLog(func(*Record) {})
+	l := NewLog(func(*Batch) {}, nil, nil)
 	const n = 4
 	var freed atomic.Int32
 	for i := 0; i < n; i++ {
-		r := &Record{Type: RecordInsert, ID: int64(i), Vectors: [][]float32{make([]float32, 64)}}
-		runtime.SetFinalizer(r, func(*Record) { freed.Add(1) })
-		if err := l.Append(r); err != nil {
+		b := &Batch{Kind: Insert, IDs: []int64{int64(i)}, Vectors: [][]float32{make([]float32, 64)}}
+		runtime.SetFinalizer(b, func(*Batch) { freed.Add(1) })
+		if err := l.Append(b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l.Append(&Record{Type: RecordDelete, ID: 1})
+	l.Append(&Batch{Kind: Delete, IDs: []int64{1}})
 	l.Flush()
 	for deadline := time.Now().Add(5 * time.Second); freed.Load() < n && time.Now().Before(deadline); {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
 	if got := freed.Load(); got != n {
-		t.Fatalf("%d of %d applied records still reachable after Flush", n-got, n)
+		t.Fatalf("%d of %d applied batches still reachable after Flush", n-got, n)
 	}
 	l.Close()
-	if err := l.Append(&Record{Type: RecordInsert, ID: 2}); err == nil {
+	if err := l.Append(&Batch{Kind: Insert, IDs: []int64{2}}); err == nil {
 		t.Fatal("append after close accepted")
 	}
 }
 
 func TestLogConcurrentAppend(t *testing.T) {
 	var applied atomic.Int64
-	l := NewLog(func(*Record) { applied.Add(1) })
+	l := NewLog(func(b *Batch) { applied.Add(int64(b.Rows())) }, nil, nil)
 	defer l.Close()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -169,116 +255,177 @@ func TestLogConcurrentAppend(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				l.Append(&Record{Type: RecordInsert, ID: int64(w*1000 + i)})
+				l.Append(&Batch{Kind: Insert, IDs: []int64{int64(w*1000 + i), int64(w*1000 + i + 500)}})
 			}
 		}(w)
 	}
 	wg.Wait()
 	l.Flush()
-	if applied.Load() != 800 {
-		t.Fatalf("applied %d, want 800", applied.Load())
+	if applied.Load() != 1600 {
+		t.Fatalf("applied %d rows, want 1600", applied.Load())
 	}
-}
-
-// batchFixture builds a marshaled batch and the byte offset at which each
-// complete record frame ends, so truncation tests know exactly which prefix
-// must survive any cut.
-func batchFixture(n int) (records []*Record, blob []byte, frameEnds []int) {
-	for i := 0; i < n; i++ {
-		records = append(records, &Record{
-			Type:    RecordInsert,
-			ID:      int64(100 + i),
-			Vectors: [][]float32{{float32(i), float32(i) + 0.5}},
-			Attrs:   []int64{int64(i * 7)},
-		})
-	}
-	blob = MarshalBatch(records)
-	off := 0
-	for range records {
-		l := int(uint32(blob[off]) | uint32(blob[off+1])<<8 | uint32(blob[off+2])<<16 | uint32(blob[off+3])<<24)
-		off += 4 + l
-		frameEnds = append(frameEnds, off)
-	}
-	return records, blob, frameEnds
 }
 
 func TestBatchRoundTrip(t *testing.T) {
-	records, blob, _ := batchFixture(5)
-	got, err := ReplayBatch(blob)
-	if err != nil {
-		t.Fatalf("clean batch replay: %v", err)
-	}
-	if len(got) != len(records) {
-		t.Fatalf("replayed %d records, want %d", len(got), len(records))
-	}
-	for i, r := range got {
-		if r.ID != records[i].ID {
-			t.Fatalf("record %d: id %d, want %d", i, r.ID, records[i].ID)
-		}
-	}
-	if out, err := ReplayBatch(nil); err != nil || len(out) != 0 {
-		t.Fatalf("empty blob: %v %v", out, err)
-	}
-}
-
-// TestBatchTornTailRecovery is the crash-recovery contract: truncate the
-// batch blob at EVERY possible offset — as a crash mid-upload would — and
-// replay. The longest prefix of complete records must always come back; a
-// cut that doesn't land exactly on a frame boundary must be reported as a
-// torn tail (wrapping ErrTorn), never as a panic and never silently.
-func TestBatchTornTailRecovery(t *testing.T) {
-	records, blob, frameEnds := batchFixture(5)
-	for cut := 0; cut <= len(blob); cut++ {
-		wantRecords := 0
-		for _, end := range frameEnds {
-			if end <= cut {
-				wantRecords++
-			}
-		}
-		onBoundary := cut == 0 || (wantRecords > 0 && frameEnds[wantRecords-1] == cut)
-		got, err := ReplayBatch(blob[:cut])
-		if len(got) != wantRecords {
-			t.Fatalf("cut=%d: recovered %d records, want %d", cut, len(got), wantRecords)
-		}
-		for i := range got {
-			if got[i].ID != records[i].ID {
-				t.Fatalf("cut=%d: record %d has id %d, want %d", cut, i, got[i].ID, records[i].ID)
-			}
-		}
-		if onBoundary {
-			if err != nil {
-				t.Fatalf("cut=%d on frame boundary: unexpected error %v", cut, err)
-			}
-		} else if !errors.Is(err, ErrTorn) {
-			t.Fatalf("cut=%d mid-frame: error %v does not wrap ErrTorn", cut, err)
-		}
-	}
-}
-
-// TestBatchCorruptTailRecovery flips one byte in the LAST record's payload:
-// the CRC must reject it, the clean prefix must survive, and the error must
-// mark the blob as torn.
-func TestBatchCorruptTailRecovery(t *testing.T) {
-	records, blob, frameEnds := batchFixture(4)
-	corrupt := append([]byte(nil), blob...)
-	corrupt[frameEnds[2]+6] ^= 0x40 // inside record 3's frame
-	got, err := ReplayBatch(corrupt)
-	if !errors.Is(err, ErrTorn) {
-		t.Fatalf("corrupted tail: error %v does not wrap ErrTorn", err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("recovered %d records, want clean prefix of 3", len(got))
+	batches, obj, _ := object(t)
+	got, err := Replay(obj)
+	if err != nil || len(got) != len(batches) {
+		t.Fatalf("clean object: %d batches, %v; want %d", len(got), err, len(batches))
 	}
 	for i := range got {
-		if got[i].ID != records[i].ID {
-			t.Fatalf("record %d: id %d, want %d", i, got[i].ID, records[i].ID)
+		if !sameBatch(got[i], batches[i]) {
+			t.Fatalf("batch %d: %+v, want %+v", i, got[i], batches[i])
 		}
 	}
-	// A frame length pointing far past the blob must not allocate or crash.
-	evil := append([]byte(nil), blob[:frameEnds[0]]...)
-	evil = append(evil, 0xFF, 0xFF, 0xFF, 0x7F)
-	got, err = ReplayBatch(evil)
-	if !errors.Is(err, ErrTorn) || len(got) != 1 {
-		t.Fatalf("overrun frame: got %d records, err %v", len(got), err)
+	if out, err := Replay(nil); err != nil || len(out) != 0 {
+		t.Fatalf("empty object: %v %v", out, err)
 	}
+}
+
+// TestBatchTornTailRecovery is the crash-recovery contract: cut an object
+// of five frames at EVERY offset — as a crash mid-upload would — and
+// replay. The whole frames before the cut come back and no row of the cut
+// frame (cut inside the second, the first batch alone replays); a cut off
+// a frame boundary is reported as a torn tail (wrapping ErrTorn), never as
+// a panic and never silently.
+func TestBatchTornTailRecovery(t *testing.T) {
+	batches, obj, ends := object(t)
+	for cut := 0; cut <= len(obj); cut++ {
+		want := 0
+		for _, end := range ends {
+			if end <= cut {
+				want++
+			}
+		}
+		got, err := Replay(obj[:cut])
+		if len(got) != want {
+			t.Fatalf("cut=%d: recovered %d batches, want %d", cut, len(got), want)
+		}
+		for i := range got {
+			if !sameBatch(got[i], batches[i]) {
+				t.Fatalf("cut=%d: batch %d is %+v, want %+v", cut, i, got[i], batches[i])
+			}
+		}
+		if onBoundary := cut == 0 || want > 0 && ends[want-1] == cut; onBoundary != (err == nil) || err != nil && !errors.Is(err, ErrTorn) {
+			t.Fatalf("cut=%d (on a boundary: %v): error %v", cut, onBoundary, err)
+		}
+	}
+}
+
+// TestBatchCorruptTailRecovery flips one byte in the LAST frame's body: the
+// CRC must reject it, the clean prefix must survive, and the error must
+// mark the object as torn.
+func TestBatchCorruptTailRecovery(t *testing.T) {
+	batches, obj, ends := object(t)
+	corrupt := slices.Clone(obj)
+	corrupt[ends[3]+30] ^= 0x40 // inside the last frame's body
+	got, err := Replay(corrupt)
+	if !errors.Is(err, ErrTorn) || len(got) != 4 {
+		t.Fatalf("corrupted tail: %d batches, %v; want the clean prefix of 4", len(got), err)
+	}
+	for i := range got {
+		if !sameBatch(got[i], batches[i]) {
+			t.Fatalf("batch %d: %+v, want %+v", i, got[i], batches[i])
+		}
+	}
+	// A frame length pointing far past the object must not allocate or crash.
+	evil := append(slices.Clone(obj[:ends[0]]), 0xFF, 0xFF, 0xFF, 0x7F, 1, 0, 0, 0, 0)
+	if got, err = Replay(evil); !errors.Is(err, ErrTorn) || len(got) != 1 {
+		t.Fatalf("overrun frame: got %d batches, err %v", len(got), err)
+	}
+}
+
+// bodyMutants are VDBC bodies the decoder must refuse.
+func bodyMutants(t testing.TB) map[string][]byte {
+	good := mustBody(t, edgeBatch(5))
+	counts := func(rows, nv, na, nc uint32, dims ...uint32) []byte {
+		b := []byte(Magic)
+		for _, n := range append([]uint32{rows, nv, na, nc}, dims...) {
+			b = le.AppendUint32(b, n)
+		}
+		return b
+	}
+	edit := func(at int, bs ...byte) []byte {
+		b := slices.Clone(good)
+		copy(b[at:], bs)
+		return b
+	}
+	ms := map[string][]byte{
+		"bad magic":         edit(0, 'V', 'D', 'B', 'X'),
+		"version 2":         edit(4, 2),
+		"version 0":         edit(4, 0),
+		"one trailing byte": append(slices.Clone(good), 0),
+		// 2³¹ rows whose columns add up to 2⁶⁴ bytes, which wraps to the
+		// 4 bytes of the dims or to none.
+		"floats wrap to zero": counts(1<<31, 1, 0, 0, 1<<31-2),
+		"attrs wrap to zero":  counts(1<<31, 0, 1<<30-1, 0),
+		"cats wrap to zero":   counts(1<<31, 0, 0, 1<<31-2),
+		"ids overrun body":    append(counts(math.MaxUint32, 0, 0, 0), make([]byte, 64)...),
+		"dims overrun body":   counts(1, math.MaxUint32, 0, 0),
+		"zero dim":            append(counts(1, 1, 0, 0, 0), make([]byte, 8)...),
+		"fields without rows": counts(0, 0, 1, 0),
+		"cat overruns body":   append(append(counts(1, 0, 0, 1), make([]byte, 8)...), 5, 0, 0, 0, 'a'),
+		"invalid UTF-8 cat":   append(append(counts(1, 0, 0, 1), make([]byte, 8)...), 1, 0, 0, 0, 0xff),
+	}
+	// Every float of both vector fields, as a NaN and as ±Inf.
+	const floats = 5 * (3 + 2)
+	start := header + 8 + 5*8
+	for j := 0; j < floats; j++ {
+		for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+			ms[fmt.Sprintf("%v at float %d", bad, j)] = edit(start+4*j, le.AppendUint32(nil, math.Float32bits(bad))...)
+		}
+	}
+	for n := 0; n < len(good); n++ {
+		ms[fmt.Sprintf("truncated at %d", n)] = good[:n]
+	}
+	return ms
+}
+
+// FuzzBody: the decoder never panics, and every body it takes is exactly
+// what the encoder writes for the batch it yields.
+func FuzzBody(f *testing.F) {
+	for _, n := range []int{0, 1, 6} {
+		f.Add(mustBody(f, edgeBatch(n)))
+	}
+	f.Add(mustBody(f, &Batch{IDs: []int64{1, 2}}))
+	f.Add(mustBody(f, &Batch{IDs: []int64{1}, Attrs: [][]int64{{7}}}))
+	for _, body := range bodyMutants(f) {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := DecodeBody(data)
+		if err != nil {
+			return
+		}
+		if again, err := AppendBody(nil, b); err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("%x decodes to %+v, which encodes as %x (%v)", data, b, again, err)
+		}
+	})
+}
+
+// FuzzReplay: Replay never panics, allocates at most a constant times the
+// object's length, and returns batches whose frames are a prefix of the
+// object — all of it exactly when the error is nil, and otherwise the
+// error wraps ErrTorn.
+func FuzzReplay(f *testing.F) {
+	_, obj, _ := object(f)
+	for cut := 0; cut <= len(obj); cut++ {
+		f.Add(obj[:cut])
+	}
+	f.Fuzz(func(t *testing.T, obj []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := Replay(obj)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 16*uint64(len(obj))+64<<10 {
+			t.Fatalf("%d bytes allocated replaying %d", n, len(obj))
+		}
+		var again []byte
+		for _, b := range got {
+			again = mustFrame(t, again, b)
+		}
+		if !bytes.HasPrefix(obj, again) || (len(again) == len(obj)) != (err == nil) || err != nil && !errors.Is(err, ErrTorn) {
+			t.Fatalf("%x replays %d batches (%x), %v", obj, len(got), again, err)
+		}
+	})
 }

@@ -172,7 +172,6 @@ type Options struct {
 	IndexRows      int
 	IndexType      string
 	IndexParams    map[string]string
-	SyncIndexBuild bool
 }
 
 func (o Options) internal() core.Config {
@@ -184,7 +183,6 @@ func (o Options) internal() core.Config {
 		IndexRows:      o.IndexRows,
 		IndexType:      o.IndexType,
 		IndexParams:    o.IndexParams,
-		SyncIndex:      o.SyncIndexBuild,
 	}
 }
 
