@@ -183,12 +183,19 @@ conformance-wire:
 # bit-identity conformance tests rely on. k-means'
 # assignment step must score each block of rows in one panel-kernel
 # dispatch (TestAssignAllUsesPanelKernel), so a fall-back to the tile
-# kernel plus a scalar argmin fails here.
+# kernel plus a scalar argmin fails here. The scans' blocks land in the
+# threshold-and-select top-k collector: FuzzCollect holds its Results to
+# a full sort of everything offered (NaN, ±Inf, ties at the k-th
+# distance, k of 1, past the candidates and 2^62, block offers beside
+# single pushes, folds of another bound) on its seeds, then ten seconds
+# of fuzzing.
 kernel-guard:
 	$(GO) test ./internal/vec -run TestRowDistanceInvariance
 	$(GO) test ./internal/kmeans -run TestAssignAllUsesPanelKernel
 	$(GO) test ./internal/index -run 'TestIndexScansUseBatchKernels|TestScanBlockedUsesBatchKernels'
 	$(GO) test ./internal/core -run 'TestSegmentScanUsesBatchKernels|TestSearchBatchUsesTileKernels'
+	$(GO) test ./internal/topk -run 'FuzzCollect|TestHugeKGrowsWithWhatItKeeps'
+	$(GO) test ./internal/topk -run '^$$' -fuzz '^FuzzCollect$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # purego builds the kernel packages with the assembly left out (the
 # purego tag: every tier runs the pure-Go kernels, as on a non-amd64

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -248,6 +249,7 @@ func (c *Collection) runBatch(ctx context.Context, sn *Snapshot, key batchKey, i
 		}
 		it.deliver(heaps.MergeQuery(qj, key.k), nil)
 	}
+	heaps.Release()
 }
 
 // batchSegment searches one segment for every live batch member, pushing
@@ -294,13 +296,15 @@ func (c *Collection) batchSegment(seg *Segment, visible *bitset.Bitset, field in
 			if !it.live() {
 				continue
 			}
-			h := heaps.At(w, qj)
-			for r, d := range t[qj*rows : (qj+1)*rows] {
-				if visible != nil && !visible.Test(i0+r) {
-					continue
+			ds := t[qj*rows : (qj+1)*rows]
+			if visible != nil {
+				for r := range ds {
+					if !visible.Test(i0 + r) {
+						ds[r] = float32(math.NaN()) // no heap keeps a NaN
+					}
 				}
-				h.Push(seg.IDs[i0+r], d)
 			}
+			heaps.At(w, qj).Offer(ds, seg.IDs, i0)
 		}
 	}
 	return false

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -633,6 +634,41 @@ func ExampleCollection_Query() {
 
 // TestInsertCopiesCallerVectors: Insert copies what it takes, so a caller
 // that changes its slices after Insert returns changes nothing stored.
+// TestInsertRefusesWhatTheWALCannotCarry: a single node refuses the
+// vectors and categories a cluster writer's WAL frame cannot carry, so
+// both deployments accept the same inserts, and a refused insert leaves
+// nothing behind.
+func TestInsertRefusesWhatTheWALCannotCarry(t *testing.T) {
+	s := Schema{VectorFields: []VectorField{{Name: "v", Dim: 2, Metric: vec.L2}}, CatFields: []string{"tag"}}
+	c, err := NewCollection("nonfinite", s, nil, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for name, e := range map[string]Entity{
+		"NaN":           {ID: 1, Vectors: [][]float32{{nan, 1}}, Cats: []string{"a"}},
+		"+Inf":          {ID: 2, Vectors: [][]float32{{1, inf}}, Cats: []string{"a"}},
+		"-Inf":          {ID: 3, Vectors: [][]float32{{-inf, 1}}, Cats: []string{"a"}},
+		"invalid UTF-8": {ID: 4, Vectors: [][]float32{{1, 1}}, Cats: []string{"a\xffb"}},
+	} {
+		if err := c.Insert([]Entity{e}); err == nil {
+			t.Errorf("%s: insert accepted", name)
+		}
+	}
+	if err := c.Insert([]Entity{{ID: 5, Vectors: [][]float32{{0, 1}}, Cats: []string{"é"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for id := int64(1); id <= 5; id++ {
+		if _, ok := c.Get(id); ok != (id == 5) {
+			t.Errorf("Get(%d) found %v", id, ok)
+		}
+	}
+}
+
 func TestInsertCopiesCallerVectors(t *testing.T) {
 	c, err := NewCollection("copy", testSchema(4), nil, testConfig())
 	if err != nil {

@@ -9,6 +9,9 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"unicode/utf8"
 
 	"vectordb/internal/colstore"
 	"vectordb/internal/vec"
@@ -207,9 +210,12 @@ func Columns(rows []Entity) (*wal.Batch, error) {
 }
 
 // CheckBatch checks an insert batch against the schema: one column per
-// field, each one value (or one vector of the field's dimension) per row.
-// An empty batch holds no column and always passes. An error names the
-// batch's first entity.
+// field, each one value (or one vector of the field's dimension) per row,
+// and values a WAL frame can carry — finite floats outside binary fields,
+// UTF-8 categories — so a single node refuses what a cluster writer
+// refuses. An empty batch holds no column and always passes. A shape
+// error names the batch's first entity, a value error the entity holding
+// it.
 func (s *Schema) CheckBatch(b *wal.Batch) error {
 	n := b.Rows()
 	if n == 0 {
@@ -238,6 +244,22 @@ func (s *Schema) CheckBatch(b *wal.Batch) error {
 	for _, col := range b.Cats {
 		if len(col) != n {
 			return fmt.Errorf("core: a categorical column holds %d values for %d rows", len(col), n)
+		}
+	}
+	// What a WAL frame cannot carry. A binary field's words are bit
+	// patterns, any of which may read as a NaN, so only the float fields
+	// must be finite.
+	for f, vf := range s.VectorFields {
+		if vf.Metric.Binary() {
+			continue
+		}
+		if i := slices.IndexFunc(b.Vectors[f], func(x float32) bool { return math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) }); i >= 0 {
+			return fmt.Errorf("core: entity %d field %q: NaN or ±Inf", b.IDs[i/vf.Dim], vf.Name)
+		}
+	}
+	for c, col := range b.Cats {
+		if i := slices.IndexFunc(col, func(v string) bool { return !utf8.ValidString(v) }); i >= 0 {
+			return fmt.Errorf("core: entity %d categorical field %q: invalid UTF-8", b.IDs[i], s.CatFields[c])
 		}
 	}
 	return nil

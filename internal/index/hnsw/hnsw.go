@@ -243,28 +243,26 @@ func (h *HNSW) searchLayer(q []float32, ep, ef, level int, pass func(int) bool) 
 
 	cand := &minQueue{}
 	cand.push(topk.Result{ID: int64(ep), Distance: epD})
-	best := topk.New(ef)
+	best := &maxHeap{k: ef, data: make([]topk.Result, 0, topk.Reserve(ef))}
 	if pass == nil || pass(ep) {
-		best.Push(int64(ep), epD)
+		best.push(int64(ep), epD)
 	}
 	// navBound tracks the ef-th best *visited* distance regardless of the
 	// filter, so navigation doesn't stall when few candidates match.
-	nav := topk.New(ef)
-	nav.Push(int64(ep), epD)
+	nav := &maxHeap{k: ef, data: make([]topk.Result, 0, topk.Reserve(ef))}
+	nav.push(int64(ep), epD)
 
 	for cand.len() > 0 {
 		c := cand.pop()
 		if pass == nil {
-			if w, ok := nav.Worst(); ok && nav.Full() && c.Distance > w {
+			if nav.full() && c.Distance > nav.worst() {
 				break
 			}
-		} else if best.Full() {
+		} else if best.full() && c.Distance > best.worst() {
 			// Filtered: the only sound bound is over *passing* nodes; the
 			// nav bound would cut the beam while matches may still lie
 			// beyond a filtered-out neighborhood.
-			if w, ok := best.Worst(); ok && c.Distance > w {
-				break
-			}
+			break
 		}
 		if level >= len(h.links[int(c.ID)]) {
 			continue
@@ -275,23 +273,23 @@ func (h *HNSW) searchLayer(q []float32, ep, ef, level int, pass func(int) bool) 
 			}
 			visited[nb] = struct{}{}
 			d := h.dist(q, h.vecAt(int(nb)))
-			expand := !nav.Full() || nav.Accepts(d)
-			if !expand && pass != nil && !best.Full() {
+			expand := nav.accepts(d)
+			if !expand && pass != nil && !best.full() {
 				// Skip-but-expand: keep walking while results are scarce.
 				expand = true
 			}
 			if expand {
 				cand.push(topk.Result{ID: int64(nb), Distance: d})
-				nav.Push(int64(nb), d)
+				nav.push(int64(nb), d)
 				if pass == nil || pass(int(nb)) {
-					best.Push(int64(nb), d)
+					best.push(int64(nb), d)
 				}
 			}
 		}
 	}
 	// Results carry node *positions* in the ID field; Search translates them
 	// to external row IDs.
-	return best.Results()
+	return topk.Merge(ef, best.data) // ascending by (distance, ID)
 }
 
 // Name implements index.Index.
@@ -349,6 +347,49 @@ func (h *HNSW) Search(query []float32, p index.SearchParams) []topk.Result {
 		out.Push(h.ids[node], c.Distance)
 	}
 	return out.Results()
+}
+
+// maxHeap is the beam's exact bounded max-heap of the k best results: its
+// root is the k-th distance seen so far, which the beam's admission and
+// stopping tests need exactly (a topk.Heap only bounds it).
+type maxHeap struct {
+	k    int
+	data []topk.Result
+}
+
+func (h *maxHeap) full() bool { return len(h.data) == h.k }
+
+// worst is the largest kept distance; the heap must not be empty.
+func (h *maxHeap) worst() float32 { return h.data[0].Distance }
+
+func (h *maxHeap) accepts(d float32) bool { return len(h.data) < h.k || d < h.data[0].Distance }
+
+// push keeps a candidate if it is among the k best so far; NaN never is.
+func (h *maxHeap) push(id int64, d float32) {
+	if d != d || !h.accepts(d) {
+		return
+	}
+	i, r := len(h.data), topk.Result{ID: id, Distance: d}
+	if i < h.k {
+		for h.data = append(h.data, r); i > 0 && h.data[(i-1)/2].Distance < d; i = (i - 1) / 2 {
+			h.data[i], h.data[(i-1)/2] = h.data[(i-1)/2], h.data[i]
+		}
+		return
+	}
+	h.data[0] = r
+	for i = 0; ; {
+		big := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h.data) && h.data[c].Distance > h.data[big].Distance {
+				big = c
+			}
+		}
+		if big == i {
+			return
+		}
+		h.data[i], h.data[big] = h.data[big], h.data[i]
+		i = big
+	}
 }
 
 // minQueue is a simple binary min-heap on Distance (candidate frontier).

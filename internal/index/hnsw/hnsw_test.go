@@ -135,3 +135,31 @@ func TestDeterministicBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestAcceptsAndWorst pins the beam heap's exact semantics: worst is the
+// largest kept distance, and once full a candidate enters only strictly
+// below it.
+func TestAcceptsAndWorst(t *testing.T) {
+	h := &maxHeap{k: 2}
+	if h.full() {
+		t.Fatal("empty heap reported full")
+	}
+	if !h.accepts(100) {
+		t.Fatal("non-full heap must accept anything")
+	}
+	h.push(1, 1)
+	h.push(2, 2)
+	if !h.full() || h.worst() != 2 {
+		t.Fatalf("full %v, worst %v; want true, 2", h.full(), h.worst())
+	}
+	if h.accepts(2) {
+		t.Fatal("equal distance must be rejected when full")
+	}
+	if !h.accepts(1.5) {
+		t.Fatal("better distance must be accepted")
+	}
+	h.push(3, 1.5)
+	if h.worst() != 1.5 {
+		t.Fatalf("worst after eviction = %v, want 1.5", h.worst())
+	}
+}

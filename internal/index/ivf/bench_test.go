@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"vectordb/internal/dataset"
+	"vectordb/internal/index"
+	"vectordb/internal/topk"
 	"vectordb/internal/vec"
 )
 
@@ -85,4 +87,42 @@ func BenchmarkBlob(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkProbe times one query of probe.cN's shape on its own: two
+// IVF_FLAT segments of 16,384 × 32 uniform rows (nlist 128), each probed
+// at k 100 into its own pooled heap as two pool tasks would, then one
+// Fold and the final sort. nprobe 4 is the workload's; 16 and 32 show how
+// the top-k upkeep scales with the candidates a probe offers.
+func BenchmarkProbe(b *testing.B) {
+	const k = 100
+	var segs []*IVF
+	for seed := int64(81); seed <= 82; seed++ {
+		d := dataset.Uniform(16384, 32, seed)
+		idx, err := (&Builder{Fine: FineFlat, Metric: vec.L2, Dim: d.Dim, Nlist: 128}).Build(d.Data, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		segs = append(segs, idx.(*IVF))
+	}
+	qs := dataset.Queries(dataset.Uniform(16384, 32, 81), 64, 83)
+	for _, nprobe := range []int{4, 16, 32} {
+		b.Run(fmt.Sprintf("nprobe=%d", nprobe), func(b *testing.B) {
+			p := index.SearchParams{K: k, Nprobe: nprobe}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := qs[(i%64)*32 : (i%64+1)*32]
+				h0, h1 := topk.GetHeap(k), topk.GetHeap(k)
+				segs[0].SearchInto(h0, q, p)
+				segs[1].SearchInto(h1, q, p)
+				h0.Fold(h1)
+				if len(h0.Results()) != k {
+					b.Fatal("short results")
+				}
+				topk.PutHeap(h0)
+				topk.PutHeap(h1)
+			}
+		})
+	}
 }

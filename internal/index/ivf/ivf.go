@@ -332,7 +332,7 @@ func (x *IVF) ScanBucket(query []float32, b int, sel index.Selection, h *topk.He
 		x.ScanBucketSQ8(x.SQ8ScanQuery(query), b, sel, h)
 	case FinePQ:
 		if codes, release, err := x.payload.OpenBytes(); err == nil {
-			x.scanPQ(codes, x.pqTable(query), b, sel, h)
+			x.scanRows(codes, b, sel, h, x.pqTable(query).Distance)
 			release()
 		}
 	default:
@@ -373,44 +373,22 @@ func (x *IVF) scanFlat(payload []float32, query []float32, b int, sel index.Sele
 // scanSQ8 is the one IVF_SQ8 bucket scan: distances are computed directly
 // over bucket b's code bytes through the fused table (two FMAs per
 // dimension, no dequantized floats), one 256-row block of the bucket at a
-// time, gated on the heap's worst distance like every other scan path.
-// Unfiltered blocks go through DistanceBatch into a pooled buffer;
-// filtered ones score their survivors one by one.
+// time, and each block is offered to the heap whole. Unfiltered blocks go
+// through DistanceBatch; filtered ones score their survivors one by one.
 func (x *IVF) scanSQ8(payload []byte, sq *quantizer.SQ8Query, b int, sel index.Selection, h *topk.Heap) {
-	ids, pos := bucket(x.ids, x.starts, b, 1), bucket(x.pos, x.starts, b, 1)
 	cs := x.rowWidth()
-	codes := bucket(payload, x.starts, b, cs)
-	worst := float32(math.Inf(1))
-	if w, ok := h.Worst(); ok && h.Full() {
-		worst = w
-	}
-	bp := bufferpool.GetFloats(index.ScanBlockRows)
-	buf := *bp
-	for i0 := 0; i0 < len(ids); i0 += index.ScanBlockRows {
-		i1 := min(i0+index.ScanBlockRows, len(ids))
-		if sel.Bits == nil {
-			sq.DistanceBatch(codes[i0*cs:i1*cs], buf)
+	if sel.Bits == nil {
+		ids, codes := bucket(x.ids, x.starts, b, 1), bucket(payload, x.starts, b, cs)
+		bp := bufferpool.GetFloats(index.ScanBlockRows)
+		for i0 := 0; i0 < len(ids); i0 += index.ScanBlockRows {
+			i1 := min(i0+index.ScanBlockRows, len(ids))
+			sq.DistanceBatch(codes[i0*cs:i1*cs], *bp)
+			h.Offer((*bp)[:i1-i0], ids, i0)
 		}
-		for i := i0; i < i1; i++ {
-			var d float32
-			if sel.Bits == nil {
-				d = buf[i-i0]
-			} else {
-				if !sel.Bits.Test(int(pos[i])) {
-					continue
-				}
-				d = sq.Distance(codes[i*cs : (i+1)*cs])
-			}
-			if d >= worst {
-				continue
-			}
-			h.Push(ids[i], d)
-			if h.Full() {
-				worst, _ = h.Worst()
-			}
-		}
+		bufferpool.PutFloats(bp)
+		return
 	}
-	bufferpool.PutFloats(bp)
+	x.scanRows(payload, b, sel, h, sq.Distance)
 }
 
 func (x *IVF) pqTable(query []float32) *quantizer.ADCTable {
@@ -420,17 +398,26 @@ func (x *IVF) pqTable(query []float32) *quantizer.ADCTable {
 	return x.pq.L2Table(query)
 }
 
-// scanPQ scans bucket b's PQ codes through the per-query ADC table.
-func (x *IVF) scanPQ(payload []byte, tab *quantizer.ADCTable, b int, sel index.Selection, h *topk.Heap) {
+// scanRows scores bucket b's code rows one by one with dist (a PQ ADC
+// table's, or a filtered SQ8 bucket's fused table), the rows sel drops as
+// NaN, and offers them to the heap a 256-row block at a time.
+func (x *IVF) scanRows(payload []byte, b int, sel index.Selection, h *topk.Heap, dist func([]byte) float32) {
 	ids, pos := bucket(x.ids, x.starts, b, 1), bucket(x.pos, x.starts, b, 1)
 	cs := x.rowWidth()
 	codes := bucket(payload, x.starts, b, cs)
-	for i, id := range ids {
-		if sel.Bits != nil && !sel.Bits.Test(int(pos[i])) {
-			continue
+	bp := bufferpool.GetFloats(index.ScanBlockRows)
+	for i0 := 0; i0 < len(ids); i0 += index.ScanBlockRows {
+		ds := (*bp)[:min(index.ScanBlockRows, len(ids)-i0)]
+		for r := range ds {
+			if i := i0 + r; sel.Bits == nil || sel.Bits.Test(int(pos[i])) {
+				ds[r] = dist(codes[i*cs : (i+1)*cs])
+			} else {
+				ds[r] = float32(math.NaN())
+			}
 		}
-		h.Push(id, tab.Distance(codes[i*cs:(i+1)*cs]))
+		h.Offer(ds, ids, i0)
 	}
+	bufferpool.PutFloats(bp)
 }
 
 // Search implements index.Index through SearchInto on a pooled heap.
@@ -463,7 +450,7 @@ func (x *IVF) SearchInto(h *topk.Heap, query []float32, p index.SearchParams) {
 		if codes, release, err := x.payload.OpenBytes(); err == nil {
 			tab := x.pqTable(query)
 			for _, b := range probes {
-				x.scanPQ(codes, tab, b, sel, h)
+				x.scanRows(codes, b, sel, h, tab.Distance)
 			}
 			release()
 		}

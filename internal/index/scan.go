@@ -10,9 +10,9 @@ import (
 )
 
 // ScanBlockRows is the row-block size of the blocked scans: distances are
-// computed one block at a time into a pooled buffer, then pushed through the
-// heap. 256 rows keeps the buffer inside L1 while amortizing the kernel
-// dispatch and the worst-bound refresh over a whole block.
+// computed one block at a time into a pooled buffer, then offered to the
+// heap in one call. 256 rows keeps the buffer inside L1 while amortizing
+// the kernel dispatch and the bound refresh over a whole block.
 const ScanBlockRows = 256
 
 // FilterMode names how a blocked scan applies a pushed bitset.
@@ -100,20 +100,21 @@ func (s Selection) mode(n int) FilterMode {
 // selection.
 //
 // For L2 and IP it runs the register-blocked batch kernels one block at a
-// time with a pooled distance buffer, feeding the heap's current worst
-// distance into the L2 early-abandon kernel so top-k pruning reaches inside
-// the block. A pushed bitset keeps the scan on the batch kernels: dense
-// mode decides per block — full blocks run the kernels in place,
-// mostly-full blocks run in place with excluded rows masked out at push
-// time (a few wasted distances beat copying around them), emptier blocks
-// divert survivors to the gather kernels — while sparse mode gathers
-// survivors off the word-skipping bit iterator. An excluded row either
-// never reaches a distance computation or has its distance discarded
-// before the heap; it is never returned. Only metrics without a batch
-// kernel (cosine, binary) fall back to the pairwise kernels, with the same
-// worst-distance gating and the bit test ahead of the distance.
+// time with a pooled distance buffer, feeding the heap's current bound
+// into the L2 early-abandon kernel so top-k pruning reaches inside the
+// block, and offers each block to the heap whole. A pushed bitset keeps
+// the scan on the batch kernels: dense mode decides per block — full
+// blocks run the kernels in place, mostly-full blocks run in place with
+// excluded rows masked out as NaN before the offer (a few wasted
+// distances beat copying around them), emptier blocks divert survivors to
+// the gather kernels — while sparse mode gathers survivors off the
+// word-skipping bit iterator. An excluded row either never reaches a
+// distance computation or has its distance discarded before the heap; it
+// is never returned. Only metrics without a batch kernel (cosine, binary)
+// fall back to the pairwise kernels, block by block, with the bit test
+// ahead of the distance.
 //
-// The heap may arrive non-empty: its retained worst carries pruning across
+// The heap may arrive non-empty: its bound carries pruning across
 // segments exactly as Segment.SearchInto documents.
 func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int, ids []int64, sel Selection) {
 	n := len(data) / dim
@@ -123,48 +124,37 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 	if n == 0 {
 		return
 	}
-	idOf := func(i int) int64 { return int64(i) }
-	if ids != nil {
-		idOf = func(i int) int64 { return ids[i] }
-	}
-	worst := float32(math.Inf(1))
-	if w, ok := h.Worst(); ok && h.Full() {
-		worst = w
-	}
 	pass := sel.passFunc()
+	bp := bufferpool.GetFloats(ScanBlockRows)
+	buf := *bp
+	defer bufferpool.PutFloats(bp)
 	if !metric.BatchEligible() {
-		scanPairwise(h, metric, query, data, dim, n, idOf, pass, worst)
+		scanPairwise(h, metric, query, data, dim, n, ids, pass, buf)
 		return
 	}
 
-	bp := bufferpool.GetFloats(ScanBlockRows)
-	buf := *bp
 	ip := metric == vec.IP
-	if sel.Bits == nil {
-		// Unfiltered: straight blocked scan.
-		for i0 := 0; i0 < n; i0 += ScanBlockRows {
-			i1 := i0 + ScanBlockRows
-			if i1 > n {
-				i1 = n
-			}
-			chunk := data[i0*dim : i1*dim]
-			if ip {
-				vec.NegDotBatch(query, chunk, dim, buf)
-			} else {
-				vec.L2SquaredBatchBound(query, chunk, dim, worst, buf)
-			}
-			for r := 0; r < i1-i0; r++ {
-				d := buf[r]
-				if d >= worst {
-					continue
-				}
-				h.Push(idOf(i0+r), d)
-				if h.Full() {
-					worst, _ = h.Worst()
-				}
-			}
+	// score runs the batch kernel over the contiguous rows [i0, i1) in
+	// place, bounded by the heap's current bound.
+	score := func(i0, i1 int) []float32 {
+		chunk := data[i0*dim : i1*dim]
+		if ip {
+			vec.NegDotBatch(query, chunk, dim, buf)
+		} else {
+			w, _ := h.Worst()
+			vec.L2SquaredBatchBound(query, chunk, dim, w, buf)
 		}
-		bufferpool.PutFloats(bp)
+		return buf[:i1-i0]
+	}
+	// emitRun offers a contiguous surviving run [r0, r1) block by block.
+	emitRun := func(r0, r1 int) {
+		for i0 := r0; i0 < r1; i0 += ScanBlockRows {
+			i1 := min(i0+ScanBlockRows, r1)
+			h.Offer(score(i0, i1), ids, i0)
+		}
+	}
+	if sel.Bits == nil {
+		emitRun(0, n)
 		return
 	}
 
@@ -173,6 +163,7 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 	// fragmented regions still reach the kernels one gather dispatch per
 	// block.
 	gp := bufferpool.GetInt32s(ScanBlockRows)
+	defer bufferpool.PutInt32s(gp)
 	gather := (*gp)[:0]
 	flush := func() {
 		if len(gather) == 0 {
@@ -181,73 +172,31 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 		if ip {
 			vec.NegDotGather(query, data, dim, gather, buf)
 		} else {
-			vec.L2SquaredGatherBound(query, data, dim, gather, worst, buf)
+			w, _ := h.Worst()
+			vec.L2SquaredGatherBound(query, data, dim, gather, w, buf)
 		}
-		for i, r := range gather {
-			d := buf[i]
-			if d >= worst {
-				continue
-			}
-			h.Push(idOf(int(r)), d)
-			if h.Full() {
-				worst, _ = h.Worst()
-			}
-		}
+		h.OfferRows(buf, gather, ids)
 		gather = gather[:0]
 	}
-	// emitRun feeds a contiguous surviving run [r0, r1) to the batch
-	// kernels in place.
-	emitRun := func(r0, r1 int) {
-		for i0 := r0; i0 < r1; i0 += ScanBlockRows {
-			i1 := i0 + ScanBlockRows
-			if i1 > r1 {
-				i1 = r1
-			}
-			chunk := data[i0*dim : i1*dim]
-			if ip {
-				vec.NegDotBatch(query, chunk, dim, buf)
-			} else {
-				vec.L2SquaredBatchBound(query, chunk, dim, worst, buf)
-			}
-			for r := 0; r < i1-i0; r++ {
-				d := buf[r]
-				if d >= worst {
-					continue
-				}
-				h.Push(idOf(i0+r), d)
-				if h.Full() {
-					worst, _ = h.Worst()
-				}
-			}
-		}
-	}
 	// emitMasked runs the batch kernel over the whole block [i0, i1) in
-	// place and applies the bit test only to rows that beat the heap's
-	// worst. On a memory-bound scan the kernel costs less than a
-	// dependent-load bit test (plus a likely mispredict) per row, and
-	// top-k pruning leaves few enough candidates that excluded rows are
-	// almost always rejected by distance alone — so when most of a block
-	// survives, a few wasted distances beat both per-row testing and
-	// copying 512 bytes per survivor into the gather buffer (random
-	// half-full bitsets fragment into ~2-row runs, so run extraction
-	// alone cannot help).
+	// place and applies the bit test only to rows within the heap's
+	// bound, writing NaN over those that fail so the offer drops them. On
+	// a memory-bound scan the kernel costs less than a dependent-load bit
+	// test (plus a likely mispredict) per row, and top-k pruning leaves
+	// few enough candidates that excluded rows are almost always rejected
+	// by distance alone — so when most of a block survives, a few wasted
+	// distances beat both per-row testing and copying 512 bytes per
+	// survivor into the gather buffer (random half-full bitsets fragment
+	// into ~2-row runs, so run extraction alone cannot help).
 	emitMasked := func(i0, i1 int) {
-		chunk := data[i0*dim : i1*dim]
-		if ip {
-			vec.NegDotBatch(query, chunk, dim, buf)
-		} else {
-			vec.L2SquaredBatchBound(query, chunk, dim, worst, buf)
-		}
-		for r := 0; r < i1-i0; r++ {
-			d := buf[r]
-			if d >= worst || !pass(i0+r) {
-				continue
-			}
-			h.Push(idOf(i0+r), d)
-			if h.Full() {
-				worst, _ = h.Worst()
+		ds := score(i0, i1)
+		w, _ := h.Worst()
+		for r, d := range ds {
+			if d <= w && !pass(i0+r) {
+				ds[r] = nan
 			}
 		}
+		h.Offer(ds, ids, i0)
 	}
 	appendRow := func(r int) {
 		gather = append(gather, int32(r))
@@ -282,15 +231,12 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 		// mostly-full blocks (>= 1/denseBlockDiv occupied) run masked,
 		// emptier blocks divert their survivors to the gather list.
 		for i0 := 0; i0 < n; i0 += ScanBlockRows {
-			i1 := i0 + ScanBlockRows
-			if i1 > n {
-				i1 = n
-			}
+			i1 := min(i0+ScanBlockRows, n)
 			m := sel.Bits.CountRange(i0, i1)
 			switch {
 			case m == 0:
 			case m == i1-i0:
-				flush() // keep heap-worst monotone across path switches
+				flush() // keep the heap's bound monotone across path switches
 				emitRun(i0, i1)
 			case m*denseBlockDiv >= i1-i0:
 				flush()
@@ -303,9 +249,10 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 		}
 	}
 	flush()
-	bufferpool.PutInt32s(gp)
-	bufferpool.PutFloats(bp)
 }
+
+// nan is the distance a scan writes over a row it drops: no heap keeps it.
+var nan = float32(math.NaN())
 
 // passFunc returns the selection's bit test of scan rows, nil when it
 // keeps every row.
@@ -320,20 +267,18 @@ func (s Selection) passFunc() func(int) bool {
 }
 
 // scanPairwise is the per-row path of metrics without batch kernels: the
-// bit test comes first, so excluded rows still skip the distance.
-func scanPairwise(h *topk.Heap, metric vec.Metric, query, data []float32, dim, n int, idOf func(int) int64, pass func(int) bool, worst float32) {
+// bit test comes first, so excluded rows skip the distance and offer NaN.
+func scanPairwise(h *topk.Heap, metric vec.Metric, query, data []float32, dim, n int, ids []int64, pass func(int) bool, buf []float32) {
 	dist := metric.Dist()
-	for i := 0; i < n; i++ {
-		if pass != nil && !pass(i) {
-			continue
+	for i0 := 0; i0 < n; i0 += ScanBlockRows {
+		ds := buf[:min(ScanBlockRows, n-i0)]
+		for r := range ds {
+			if i := i0 + r; pass == nil || pass(i) {
+				ds[r] = dist(query, data[i*dim:(i+1)*dim])
+			} else {
+				ds[r] = nan
+			}
 		}
-		d := dist(query, data[i*dim:(i+1)*dim])
-		if d >= worst {
-			continue
-		}
-		h.Push(idOf(i), d)
-		if h.Full() {
-			worst, _ = h.Worst()
-		}
+		h.Offer(ds, ids, i0)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"unicode/utf8"
 
 	"vectordb/internal/core"
@@ -64,24 +65,30 @@ func Encode(v any) (body []byte, contentType string, err error) {
 	return body, "application/json", err
 }
 
-// encodeColumns writes es as a columnar body, or reports false when the
-// body cannot carry them: rows of different shapes, an empty vector, a NaN
-// or ±Inf. A category goes as encoding/json sends it, each invalid UTF-8
-// byte as U+FFFD.
+// encodeColumns writes es as a columnar body straight from the rows, or
+// reports false when the body cannot carry them: rows of different
+// shapes, an empty vector, a NaN or ±Inf.
 func encodeColumns(es []EntityJSON) ([]byte, bool) {
-	b, err := core.Columns(entities(es))
-	if err != nil {
-		return nil, false
-	}
-	for _, col := range b.Cats {
-		for i, s := range col {
-			if !utf8.ValidString(s) {
-				col[i] = string([]rune(s))
+	body, err := wal.AppendRows(nil, len(es), func(i int) wal.Row {
+		e := &es[i]
+		return wal.Row{ID: e.ID, Vectors: e.Vectors, Attrs: e.Attrs, Cats: validCats(e.Cats)}
+	})
+	return body, err == nil
+}
+
+// validCats is cats as encoding/json sends them, each invalid UTF-8 byte
+// as U+FFFD: cats itself unless one is invalid.
+func validCats(cats []string) []string {
+	out := cats
+	for j, s := range cats {
+		if !utf8.ValidString(s) {
+			if &out[0] == &cats[0] {
+				out = slices.Clone(cats)
 			}
+			out[j] = string([]rune(s))
 		}
 	}
-	body, err := wal.AppendBody(nil, b)
-	return body, err == nil
+	return out
 }
 
 // entities is es as core's rows.

@@ -77,6 +77,38 @@ func mustColumns(t testing.TB, es []EntityJSON) []byte {
 	return b
 }
 
+// TestInsertColumnsWriteRows: the SDK's insert encoder, which writes the
+// rows straight into the body, gives the bytes of gathering them into a
+// batch first and encoding that (AppendBody(Columns(rows))), with each
+// invalid UTF-8 byte of a category as U+FFFD, and leaves the rows as they
+// were.
+func TestInsertColumnsWriteRows(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7} {
+		es := columnsBatch(n)
+		want := slices.Clone(es)
+		for i := range want {
+			want[i].Cats = slices.Clone(want[i].Cats)
+			for j, s := range want[i].Cats {
+				want[i].Cats[j] = string([]rune(s))
+			}
+		}
+		b, err := core.Columns(entities(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBody, err := wal.AppendBody(nil, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustColumns(t, es); !bytes.Equal(got, wantBody) {
+			t.Fatalf("%d rows: %x, want %x", n, got, wantBody)
+		}
+		if again := columnsBatch(n); !slices.EqualFunc(es, again, func(a, b EntityJSON) bool { return slices.Equal(a.Cats, b.Cats) }) {
+			t.Fatalf("%d rows: the encoder changed the rows' categories", n)
+		}
+	}
+}
+
 // sameFloats compares bit patterns, so −0 is not 0.
 func sameFloats(a, b []float32) bool {
 	if len(a) != len(b) {

@@ -52,27 +52,6 @@ func TestHeapOrderingAndTies(t *testing.T) {
 	}
 }
 
-func TestAcceptsAndWorst(t *testing.T) {
-	h := New(2)
-	if _, ok := h.Worst(); ok {
-		t.Fatal("Worst on empty heap reported ok")
-	}
-	if !h.Accepts(100) {
-		t.Fatal("non-full heap must accept anything")
-	}
-	h.Push(1, 1)
-	h.Push(2, 2)
-	if w, ok := h.Worst(); !ok || w != 2 {
-		t.Fatalf("Worst = %v,%v want 2,true", w, ok)
-	}
-	if h.Accepts(2) {
-		t.Fatal("equal distance must be rejected when full")
-	}
-	if !h.Accepts(1.5) {
-		t.Fatal("better distance must be accepted")
-	}
-}
-
 func TestSnapshotDoesNotConsume(t *testing.T) {
 	h := New(3)
 	h.Push(1, 1)

@@ -76,10 +76,8 @@ func AppendBody(dst []byte, b *Batch) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	n, out := b.Rows(), append(slices.Grow(dst, size), Magic...)
-	for _, c := range [...]int{n, len(b.Vectors), len(b.Attrs), len(b.Cats)} {
-		out = le.AppendUint32(out, uint32(c))
-	}
+	n := b.Rows()
+	out := appendHeader(slices.Grow(dst, size), n, len(b.Vectors), len(b.Attrs), len(b.Cats))
 	for _, v := range b.Vectors {
 		out = le.AppendUint32(out, uint32(len(v)/n))
 	}
@@ -87,11 +85,8 @@ func AppendBody(dst []byte, b *Batch) ([]byte, error) {
 		out = le.AppendUint64(out, uint64(id))
 	}
 	for f, v := range b.Vectors {
-		for _, x := range v {
-			if math.Float32bits(x)&nonFinite == nonFinite {
-				return dst, fmt.Errorf("wal: NaN or ±Inf in vector field %d", f)
-			}
-			out = le.AppendUint32(out, math.Float32bits(x))
+		if out, err = appendFloats(out, f, v); err != nil {
+			return dst, err
 		}
 	}
 	for _, col := range b.Attrs {
@@ -101,10 +96,104 @@ func AppendBody(dst []byte, b *Batch) ([]byte, error) {
 	}
 	for _, col := range b.Cats {
 		for _, s := range col {
-			out = append(le.AppendUint32(out, uint32(len(s))), s...)
+			out = appendString(out, s)
 		}
 	}
 	return out, nil
+}
+
+// Row is one row of an insert as a client holds it: an ID, one vector per
+// vector field, one value per attribute and one per category.
+type Row struct {
+	ID      int64
+	Vectors [][]float32
+	Attrs   []int64
+	Cats    []string
+}
+
+// AppendRows appends n rows, row i read as row(i), to dst as a VDBC body —
+// the body AppendBody writes for the batch of the same rows — without
+// gathering them into columns first. It fails, leaving dst as it was,
+// where AppendBody would and when a row's shape is not row 0's.
+func AppendRows(dst []byte, n int, row func(int) Row) ([]byte, error) {
+	if n == 0 {
+		return AppendBody(dst, &Batch{})
+	}
+	first := row(0)
+	size := header + 4*len(first.Vectors) + 8*n*(1+len(first.Attrs)) + 4*n*len(first.Cats)
+	for i := range n {
+		r := row(i)
+		if len(r.Vectors) != len(first.Vectors) || len(r.Attrs) != len(first.Attrs) || len(r.Cats) != len(first.Cats) {
+			return dst, fmt.Errorf("wal: row %d has %d vectors, %d attrs and %d cats; row 0 has %d, %d and %d",
+				i, len(r.Vectors), len(r.Attrs), len(r.Cats), len(first.Vectors), len(first.Attrs), len(first.Cats))
+		}
+		for f, v := range r.Vectors {
+			if len(v) == 0 || len(v) != len(first.Vectors[f]) {
+				return dst, fmt.Errorf("wal: row %d vector field %d: dim %d, row 0's is %d", i, f, len(v), len(first.Vectors[f]))
+			}
+			size += 4 * len(v)
+		}
+		for c, s := range r.Cats {
+			if !utf8.ValidString(s) {
+				return dst, fmt.Errorf("wal: invalid UTF-8 in category %d", c)
+			}
+			size += len(s)
+		}
+	}
+	out := appendHeader(slices.Grow(dst, size), n, len(first.Vectors), len(first.Attrs), len(first.Cats))
+	for _, v := range first.Vectors {
+		out = le.AppendUint32(out, uint32(len(v)))
+	}
+	for i := range n {
+		out = le.AppendUint64(out, uint64(row(i).ID))
+	}
+	var err error
+	for f := range first.Vectors {
+		for i := range n {
+			if out, err = appendFloats(out, f, row(i).Vectors[f]); err != nil {
+				return dst, err
+			}
+		}
+	}
+	for a := range first.Attrs {
+		for i := range n {
+			out = le.AppendUint64(out, uint64(row(i).Attrs[a]))
+		}
+	}
+	for c := range first.Cats {
+		for i := range n {
+			out = appendString(out, row(i).Cats[c])
+		}
+	}
+	return out, nil
+}
+
+// appendHeader appends a body's magic and its four counts.
+func appendHeader(dst []byte, rows, vectors, attrs, cats int) []byte {
+	dst = append(dst, Magic...)
+	for _, c := range [...]int{rows, vectors, attrs, cats} {
+		dst = le.AppendUint32(dst, uint32(c))
+	}
+	return dst
+}
+
+// appendFloats appends vector field f's floats, failing on a NaN or ±Inf.
+func appendFloats(dst []byte, f int, v []float32) ([]byte, error) {
+	for _, x := range v {
+		u := math.Float32bits(x)
+		if u&nonFinite == nonFinite {
+			return dst, nonFiniteErr(f)
+		}
+		dst = le.AppendUint32(dst, u)
+	}
+	return dst, nil
+}
+
+func nonFiniteErr(f int) error { return fmt.Errorf("wal: NaN or ±Inf in vector field %d", f) }
+
+// appendString appends a category value: a u32 length and its bytes.
+func appendString(dst []byte, s string) []byte {
+	return append(le.AppendUint32(dst, uint32(len(s))), s...)
 }
 
 // bodySize is the length of b's VDBC body, or why the body cannot carry b

@@ -381,15 +381,86 @@ func bodyMutants(t testing.TB) map[string][]byte {
 	return ms
 }
 
+// bodySeeds is FuzzBody's seed corpus: bodies of edge batches, and their
+// mutants.
+func bodySeeds(t testing.TB) [][]byte {
+	var seeds [][]byte
+	for _, n := range []int{0, 1, 6} {
+		seeds = append(seeds, mustBody(t, edgeBatch(n)))
+	}
+	seeds = append(seeds, mustBody(t, &Batch{IDs: []int64{1, 2}}), mustBody(t, &Batch{IDs: []int64{1}, Attrs: [][]int64{{7}}}))
+	for _, body := range bodyMutants(t) {
+		seeds = append(seeds, body)
+	}
+	return seeds
+}
+
+// rowsOf is b's rows as a client holds them, each vector a view of b's
+// column.
+func rowsOf(b *Batch) []Row {
+	rows := make([]Row, b.Rows())
+	for i := range rows {
+		r := Row{ID: b.IDs[i]}
+		for _, v := range b.Vectors {
+			dim := len(v) / len(rows)
+			r.Vectors = append(r.Vectors, v[i*dim:(i+1)*dim])
+		}
+		for _, col := range b.Attrs {
+			r.Attrs = append(r.Attrs, col[i])
+		}
+		for _, col := range b.Cats {
+			r.Cats = append(r.Cats, col[i])
+		}
+		rows[i] = r
+	}
+	return rows
+}
+
+func appendRows(dst []byte, rows []Row) ([]byte, error) {
+	return AppendRows(dst, len(rows), func(i int) Row { return rows[i] })
+}
+
+// TestAppendRowsMatchesBody: on every FuzzBody seed that decodes, writing
+// the batch's rows straight from the rows gives the bytes AppendBody
+// writes for the batch; rows the body cannot carry fail, leaving dst as it
+// was.
+func TestAppendRowsMatchesBody(t *testing.T) {
+	decoded := 0
+	for _, body := range bodySeeds(t) {
+		b, err := DecodeBody(body)
+		if err != nil {
+			continue
+		}
+		decoded++
+		if got, err := appendRows(nil, rowsOf(b)); err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("%+v: rows write %x (%v), AppendBody %x", b, got, err, body)
+		}
+	}
+	if decoded < 5 {
+		t.Fatalf("only %d seeds decode", decoded)
+	}
+	for name, bend := range map[string]func([]Row){
+		"fewer vectors": func(rs []Row) { rs[1].Vectors = rs[1].Vectors[:1] },
+		"ragged vector": func(rs []Row) { rs[1].Vectors[1] = rs[1].Vectors[1][:1] },
+		"empty vector":  func(rs []Row) { rs[0].Vectors[0], rs[1].Vectors[0] = nil, nil },
+		"more attrs":    func(rs []Row) { rs[0].Attrs = append(rs[0].Attrs, 1) },
+		"fewer cats":    func(rs []Row) { rs[1].Cats = rs[1].Cats[:1] },
+		"NaN":           func(rs []Row) { rs[1].Vectors[0][2] = float32(math.NaN()) },
+		"+Inf":          func(rs []Row) { rs[0].Vectors[1][0] = float32(math.Inf(1)) },
+		"invalid UTF-8": func(rs []Row) { rs[1].Cats[0] = "a\xffb" },
+	} {
+		rows := rowsOf(edgeBatch(2))
+		bend(rows)
+		if out, err := appendRows([]byte("x"), rows); err == nil || string(out) != "x" {
+			t.Errorf("%s: wrote %q, %v", name, out, err)
+		}
+	}
+}
+
 // FuzzBody: the decoder never panics, and every body it takes is exactly
 // what the encoder writes for the batch it yields.
 func FuzzBody(f *testing.F) {
-	for _, n := range []int{0, 1, 6} {
-		f.Add(mustBody(f, edgeBatch(n)))
-	}
-	f.Add(mustBody(f, &Batch{IDs: []int64{1, 2}}))
-	f.Add(mustBody(f, &Batch{IDs: []int64{1}, Attrs: [][]int64{{7}}}))
-	for _, body := range bodyMutants(f) {
+	for _, body := range bodySeeds(f) {
 		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
