@@ -82,7 +82,7 @@ func validCats(cats []string) []string {
 	out := cats
 	for j, s := range cats {
 		if !utf8.ValidString(s) {
-			if &out[0] == &cats[0] {
+			if &out[0] == &cats[0] { // still the caller's: copy before writing
 				out = slices.Clone(cats)
 			}
 			out[j] = string([]rune(s))

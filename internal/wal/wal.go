@@ -182,14 +182,12 @@ func appendFloats(dst []byte, f int, v []float32) ([]byte, error) {
 	for _, x := range v {
 		u := math.Float32bits(x)
 		if u&nonFinite == nonFinite {
-			return dst, nonFiniteErr(f)
+			return dst, fmt.Errorf("wal: NaN or ±Inf in vector field %d", f)
 		}
 		dst = le.AppendUint32(dst, u)
 	}
 	return dst, nil
 }
-
-func nonFiniteErr(f int) error { return fmt.Errorf("wal: NaN or ±Inf in vector field %d", f) }
 
 // appendString appends a category value: a u32 length and its bytes.
 func appendString(dst []byte, s string) []byte {
