@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt lint bench bench-smoke kernel-guard purego repro-check conformance-filter conformance-wire conformance-ooc conformance-versions ci cover stress experiments examples loc clean
+.PHONY: all build test race vet fmt lint bench bench-smoke bench-check kernel-guard purego repro-check conformance-filter conformance-wire conformance-ooc conformance-versions ci cover stress experiments examples loc clean
 
 all: build test
 
@@ -191,9 +191,11 @@ conformance-wire:
 # of fuzzing.
 kernel-guard:
 	$(GO) test ./internal/vec -run TestRowDistanceInvariance
+	$(GO) test ./internal/vec -run 'FuzzCodeDistance|TestEncodeTiersAgree|TestCodeBoundNeverExceedsExact|TestThresholdPrunesNothingUnsafe'
+	$(GO) test ./internal/vec -run '^$$' -fuzz '^FuzzCodeDistance$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/kmeans -run TestAssignAllUsesPanelKernel
-	$(GO) test ./internal/index -run 'TestIndexScansUseBatchKernels|TestScanBlockedUsesBatchKernels'
-	$(GO) test ./internal/core -run 'TestSegmentScanUsesBatchKernels|TestSearchBatchUsesTileKernels'
+	$(GO) test ./internal/index -run 'TestIndexScansUseBatchKernels|TestScanBlockedUsesBatchKernels|TestCodedScan'
+	$(GO) test ./internal/core -run 'TestSegmentScanUsesBatchKernels|TestSegmentScanUsesCodeKernel|TestSearchBatchUsesTileKernels'
 	$(GO) test ./internal/topk -run 'FuzzCollect|TestHugeKGrowsWithWhatItKeeps'
 	$(GO) test ./internal/topk -run '^$$' -fuzz '^FuzzCollect$$' -fuzztime 10s -fuzzminimizetime 1s
 
@@ -225,6 +227,19 @@ repro-check:
 # fail hard on a search error or a wrong answer.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# bench-check runs the end-to-end benchmark at BASE and at this checkout
+# alternately, PAIRS pairs per workload (comma-separated WORKLOADS, default
+# all six; an even PAIRS, so each side runs first in half the pairs), and
+# compares them with e2ebench -compare: it fails when a metric reads worse
+# and warns on unresolved rows (scripts/bench-check.sh).
+# It is CI's pull-request job, not part of ci: a timing comparison needs a
+# base revision and minutes of quiet machine.
+WORKLOADS ?= scan.flat,probe.c1,probe.cN,tiered.over4x,mixed.rw,cluster.filtered
+PAIRS ?= 4
+bench-check:
+	@test -n "$(BASE)" || { echo "usage: make bench-check BASE=<rev> [WORKLOADS=a,b] [PAIRS=n]"; exit 2; }
+	bash scripts/bench-check.sh "$(BASE)" "$(WORKLOADS)" "$(PAIRS)"
 
 # cover enforces a coverage floor on the observability layer: the metrics
 # registry, exposition writer, tracer and query log are the eyes of every
@@ -265,7 +280,7 @@ examples:
 # serving, is the same count over only the packages vectordbd links
 # (`go list -deps ./cmd/vectordbd`).
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './e2ebench/*' \
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './e2ebench/*' ! -path './.bench_build/*' \
 		-exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 	@$(GO) list -deps -f '{{if not .Standard}}{{.Dir}}{{end}}' ./cmd/vectordbd | grep . | \

@@ -296,8 +296,11 @@ func (r *Reader) SearchOwnedCtx(ctx context.Context, collection string, version 
 		seg := v.(*core.Segment)
 		sp.Bits = rm.visibility(segKey, seg)
 		if pred == nil {
-			seg.SearchInto(h, &rm.schema, field, query, sp)
-		} else if _, _, err := seg.SearchFiltered(h, &rm.schema, field, query, pred, sp, false); err != nil {
+			err = seg.SearchInto(h, &rm.schema, field, query, sp)
+		} else {
+			_, _, err = seg.SearchFiltered(h, &rm.schema, field, query, pred, sp, false)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -767,8 +767,10 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 	// most `workers` short lists.
 	heaps := make([]*topk.Heap, workers)
 	var nIdx atomic.Int64 // segments served by an index
-	// A pushed predicate's first compile error and, traced only, the rows
-	// the segments resolved it at (probed) and the rows that passed it.
+	// The first segment error — a pushed predicate's compile, or a scanned
+	// segment whose bytes could not be read — and, traced only, the rows
+	// the segments resolved the predicate at (probed) and the rows that
+	// passed it.
 	var pushed struct {
 		err             atomic.Pointer[error]
 		matched, probed atomic.Int64
@@ -797,9 +799,12 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 			span.AnnotateInt("segment", segs[i].ID)
 			span.AnnotateInt("rows", int64(segs[i].Rows()))
 			if opts.pred == nil {
-				segs[i].SearchInto(h, c.schema, f, query, sp)
+				if err := segs[i].SearchInto(h, c.schema, f, query, sp); err != nil {
+					first := err // escapes only on the error path
+					pushed.err.CompareAndSwap(nil, &first)
+				}
 			} else if m, n, err := segs[i].SearchFiltered(h, c.schema, f, query, opts.pred, sp, span != nil); err != nil {
-				first := err // escapes only on the error path
+				first := err
 				pushed.err.CompareAndSwap(nil, &first)
 			} else if span != nil {
 				span.Annotate("filter_mode", segFilterMode(segs[i].Index(f), m, n))

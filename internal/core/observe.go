@@ -37,13 +37,14 @@ type colMetrics struct {
 	tierPromoteErrs    *obs.Counter // promotions that exhausted their retries
 	tierDemotes        *obs.Counter // mapped→cold transitions
 
-	queryLatency *obs.Histogram // end-to-end query latency, all query types
+	queries      [numQueryKinds]*obs.Counter // vectordb_query_total, by type
+	queryLatency *obs.Histogram              // end-to-end query latency, all query types
 
 	idx *index.Metrics // per-index-type build/search telemetry
 }
 
 func newColMetrics(reg *obs.Registry, name string) *colMetrics {
-	return &colMetrics{
+	m := &colMetrics{
 		reg:          reg,
 		name:         name,
 		insertRows:   reg.Counter("vectordb_insert_rows_total", "collection", name),
@@ -67,11 +68,10 @@ func newColMetrics(reg *obs.Registry, name string) *colMetrics {
 		queryLatency:    reg.Histogram("vectordb_query_latency_seconds", nil, "collection", name),
 		idx:             index.NewMetrics(reg),
 	}
-}
-
-// query returns the per-type query counter (type is one of the Query kinds).
-func (m *colMetrics) query(kind string) *obs.Counter {
-	return m.reg.Counter("vectordb_query_total", "collection", m.name, "type", kind)
+	for k := range m.queries {
+		m.queries[k] = reg.Counter("vectordb_query_total", "collection", name, "type", queryKind(k).String())
+	}
+	return m
 }
 
 // beginQuery records one query of the given kind and starts its trace.
@@ -81,11 +81,11 @@ func (m *colMetrics) query(kind string) *obs.Counter {
 // trace into the query log — caller-supplied traces included (Finish is
 // idempotent, so the caller finishing again is harmless). trp points at
 // the options' Trace field so a created trace flows down the query path.
-func (c *Collection) beginQuery(kind string, trp **obs.Trace) func() {
-	c.met.query(kind).Inc()
+func (c *Collection) beginQuery(kind queryKind, trp **obs.Trace) func() {
+	c.met.queries[kind].Inc()
 	start := time.Now()
 	if *trp == nil && c.qlog != nil {
-		t := obs.NewTrace(kind)
+		t := obs.NewTrace(kind.String())
 		t.Annotate("collection", c.Name)
 		*trp = t
 	}

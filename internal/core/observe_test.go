@@ -119,3 +119,26 @@ func TestWriteCountersAndWAL(t *testing.T) {
 		t.Errorf("wal appends=%d applied=%d, want 203/203", appends, applied)
 	}
 }
+
+// TestQueryCounterAllocs: a query's vectordb_query_total series is
+// resolved when the collection is made, so counting a query of any type
+// renders no labels: beginQuery allocates at most its finish func.
+func TestQueryCounterAllocs(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := testConfig()
+	cfg.Obs = reg
+	c, err := NewCollection("allocs", testSchema(8), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for k := queryKind(0); k < numQueryKinds; k++ {
+		var tr *obs.Trace
+		if avg := testing.AllocsPerRun(100, func() { c.beginQuery(k, &tr)() }); avg > 1 {
+			t.Errorf("counting a %v query allocates %.1f objects, want at most 1", k, avg)
+		}
+		if got := reg.Counter("vectordb_query_total", "collection", "allocs", "type", k.String()).Value(); got != 101 {
+			t.Errorf("%v queries counted %d times, want 101", k, got)
+		}
+	}
+}

@@ -68,7 +68,9 @@ func (s *Segment) SearchFiltered(h *topk.Heap, schema *Schema, field int, query 
 	}
 	defer bitset.Put(b)
 	p.Bits = b
-	s.SearchInto(h, schema, field, query, p)
+	if err := s.SearchInto(h, schema, field, query, p); err != nil {
+		return 0, 0, err
+	}
 	switch {
 	case !count:
 		return 0, 0, nil

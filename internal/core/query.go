@@ -35,20 +35,37 @@ type Response struct {
 }
 
 // kind is q's vectordb_query_total type label, read off its shape.
-func (q *Request) kind() string {
+func (q *Request) kind() queryKind {
 	switch {
 	case q.Fields != nil:
-		return "multi"
+		return kindMulti
 	case q.Batch != nil:
-		return "batch"
+		return kindBatch
 	case q.Pred == nil:
-		return "vector"
+		return kindVector
 	}
 	if _, ok := q.Pred.(colstore.InPred); ok {
-		return "categorical"
+		return kindCategorical
 	}
-	return "filtered"
+	return kindFiltered
 }
+
+// queryKind is a Request's shape: vectordb_query_total's type label and
+// its trace's name.
+type queryKind uint8
+
+const (
+	kindVector queryKind = iota
+	kindBatch
+	kindMulti
+	kindFiltered
+	kindCategorical
+	numQueryKinds
+)
+
+var queryKindNames = [numQueryKinds]string{"vector", "batch", "multi", "filtered", "categorical"}
+
+func (k queryKind) String() string { return queryKindNames[k] }
 
 // runner names the ways a planned query runs over a pinned snapshot.
 type runner uint8

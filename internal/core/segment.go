@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"vectordb/internal/bitset"
 	"vectordb/internal/colstore"
 	"vectordb/internal/index"
 	"vectordb/internal/topk"
+	"vectordb/internal/vec"
 )
 
 // Segment is one version of a segment — "the basic unit of searching,
@@ -47,6 +49,13 @@ type segData struct {
 	idPosOnce sync.Once
 	idPos     map[int64]int32
 
+	// codes[f] is L2 field f's 8-bit code copy, derived from the column at
+	// the segment's second scan of f (scanCodes). It lives on the heap,
+	// tiered or not; a demote drops it (dropCodes), so a cold segment holds
+	// no heap bytes beyond its metadata.
+	codesOnce sync.Once
+	codes     []fieldCodes
+
 	// tier, when set, is the out-of-core residency state machine: the
 	// vector payloads live in an mmap-backed extent file (and the segment's
 	// object in the store) instead of Vectors[f].Data, and every read goes
@@ -72,6 +81,71 @@ func (s *Segment) SizeBytes() int64 {
 		b += int64(a.Len()) * 16
 	}
 	return b
+}
+
+// fieldCodes is one vector field's code copy, built once per residency,
+// and the count of scans that asked for it before it was built.
+type fieldCodes struct {
+	scans atomic.Int64
+	mu    sync.Mutex // serializes the encode
+	codes atomic.Pointer[vec.Codes]
+}
+
+// noGrid marks a field whose values no grid serves, so its scans stop
+// asking for an encode.
+var noGrid = new(vec.Codes)
+
+// scanCodes returns field f's code copy for an exact scan of data, its
+// column: nil at the segment's first scan of f, derived at the second, nil
+// for a field that is not L2 or whose values no grid serves
+// (vec.EncodeCodes). The encode costs about three float scans, so a
+// segment scanned once — a fresh segment merged away before its next
+// query, a one-off probe — never pays it. Once the codes exist, a scan
+// reads one atomic pointer and counts nothing. Every way a segment comes
+// to exist (seal, merge, restore, tier open, a reader's load) gets its
+// codes here.
+func (s *segData) scanCodes(vf *VectorField, f int, data []float32) *vec.Codes {
+	if vf.Metric != vec.L2 {
+		return nil
+	}
+	fc := s.fieldCodes(f)
+	c := fc.codes.Load()
+	if c == nil {
+		if fc.scans.Add(1) == 1 {
+			return nil
+		}
+		fc.mu.Lock()
+		if c = fc.codes.Load(); c == nil {
+			if c = vec.EncodeCodes(data, vf.Dim); c == nil {
+				c = noGrid
+			}
+			fc.codes.Store(c)
+		}
+		fc.mu.Unlock()
+	}
+	if c == noGrid {
+		return nil
+	}
+	return c
+}
+
+func (s *segData) fieldCodes(f int) *fieldCodes {
+	s.codesOnce.Do(func() { s.codes = make([]fieldCodes, len(s.Vectors)) })
+	return &s.codes[f]
+}
+
+// dropCodes releases every field's code copy and restarts its scan count,
+// so the field's next second scan rebuilds it. A demote calls it: the
+// codes are heap bytes outside TierMappedBytes, and a cold segment must
+// not keep them. A scan still holding the old copy finishes on it.
+func (s *segData) dropCodes() {
+	for f := range s.Vectors {
+		fc := s.fieldCodes(f)
+		fc.mu.Lock()
+		fc.codes.Store(nil)
+		fc.scans.Store(0)
+		fc.mu.Unlock()
+	}
 }
 
 func (s *Segment) posOf(id int64) (int32, bool) {
@@ -233,10 +307,11 @@ func (s *Segment) Search(schema *Schema, field int, query []float32, p index.Sea
 		return idx.Search(query, p)
 	}
 	h := topk.GetHeap(p.K)
-	s.SearchInto(h, schema, field, query, p)
-	out := h.Results()
-	topk.PutHeap(h)
-	return out
+	defer topk.PutHeap(h)
+	if err := s.SearchInto(h, schema, field, query, p); err != nil {
+		return nil
+	}
+	return h.Results()
 }
 
 // SearchInto is Search accumulating into a caller-owned heap: one heap can
@@ -244,22 +319,32 @@ func (s *Segment) Search(schema *Schema, field int, query []float32, p index.Sea
 // merge, and letting the worst retained distance prune pushes across
 // segment boundaries. An index probe pushes into h through
 // index.SearchInto; the unindexed scan goes through the shared blocked
-// kernels (index.ScanBlocked), which feed the heap's worst distance into
-// the early-abandon kernel so a row that cannot enter the top-k costs at
-// most a prefix of its dimensions.
-func (s *Segment) SearchInto(h *topk.Heap, schema *Schema, field int, query []float32, p index.SearchParams) {
+// kernels — an L2 field with a code copy through index.ScanCoded, which
+// reads the codes first and scores in float only the rows whose bound can
+// still enter the top-k, any other through index.ScanBlocked, which feeds
+// the heap's worst distance into the early-abandon kernel.
+//
+// A scanned segment whose bytes cannot be read (a tiered segment whose
+// promotion exhausted its retries) is the query's error: answering without
+// the segment would silently drop its rows.
+func (s *Segment) SearchInto(h *topk.Heap, schema *Schema, field int, query []float32, p index.SearchParams) error {
 	if idx := s.Index(field); idx != nil {
 		index.SearchInto(idx, h, query, p)
-		return
+		return nil
 	}
 	data, rel, err := s.vectorData(field)
 	if err != nil {
-		// Promotion exhausted its retries; this segment contributes
-		// nothing to the query rather than torn results.
-		return
+		return fmt.Errorf("core: segment %d: %w", s.ID, err)
 	}
-	index.ScanBlocked(h, schema.VectorFields[field].Metric, query, data, s.Vectors[field].Dim, s.IDs, index.Selection{Bits: p.Bits})
+	vf := &schema.VectorFields[field]
+	sel := index.Selection{Bits: p.Bits}
+	if codes := s.scanCodes(vf, field, data); codes != nil {
+		index.ScanCoded([]*topk.Heap{h}, query, data, codes, s.IDs, sel)
+	} else {
+		index.ScanBlocked(h, vf.Metric, query, data, vf.Dim, s.IDs, sel)
+	}
 	rel()
+	return nil
 }
 
 // BuildIndex builds (synchronously) an index of the named type over one

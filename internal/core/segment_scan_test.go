@@ -46,57 +46,130 @@ func TestSegmentScanUsesBatchKernels(t *testing.T) {
 	}
 }
 
-// TestSearchBatchUsesTileKernels: an explicit batch over unindexed
-// segments runs core's multi-query engine on the query-tile kernels — one
-// dispatch per 256-row chunk of each segment for the whole batch, not one
-// per query — and makes no per-row dispatch.
-func TestSearchBatchUsesTileKernels(t *testing.T) {
-	cfg := testConfig()
-	cfg.FlushRows = 256
-	cfg.MergeFactor = 1 << 30
-	c, err := NewCollection("tile", testSchema(16), nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ents := mkEntities(900, 16, 63)
-	if err := c.Insert(ents); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	segs := c.Stats().Segments
-	if segs != 4 {
-		t.Fatalf("%d segments, want 4 of at most 256 rows", segs)
-	}
-	queries := make([][]float32, 5)
-	for i := range queries {
-		queries[i] = ents[i*100].Vectors[0]
-	}
-	// The process's first query calibrates the planner's profile, which
-	// times the per-row kernels on purpose; take it before counting.
-	if _, err := batchOf(context.Background(), c, queries, SearchOptions{K: 5}); err != nil {
-		t.Fatal(err)
-	}
+// TestSegmentScanUsesCodeKernel: an unindexed L2 segment's first scan
+// runs on the floats; from the second on it reads the code copy first —
+// once the heap holds a bound, each block is one code tile dispatch — and
+// scores only its survivors on the float batch kernels, never per row. An
+// IP scan has no codes and stays on the float batch kernels alone.
+func TestSegmentScanUsesCodeKernel(t *testing.T) {
 	prev := vec.DispatchCounting()
 	vec.SetDispatchCounting(true)
 	defer vec.SetDispatchCounting(prev)
-	vec.ResetDispatchCounts()
-	res, err := batchOf(context.Background(), c, queries, SearchOptions{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		if len(r) == 0 || r[0].ID != ents[i*100].ID {
-			t.Fatalf("query %d: %v, want self-match %d first", i, r, ents[i*100].ID)
+	for _, metric := range []vec.Metric{vec.L2, vec.IP} {
+		seg, schema := scanTestSegment(2048, 32, 64)
+		schema.VectorFields[0].Metric = metric
+		q := seg.Vectors[0].Row(100)
+		h := topk.New(10)
+		vec.ResetDispatchCounts()
+		if err := seg.SearchInto(h, schema, 0, q, index.SearchParams{K: 10}); err != nil {
+			t.Fatal(err)
+		}
+		if code := vec.CodeDispatchTotal(); code != 0 {
+			t.Errorf("%v: the first scan made %d code tile dispatches, want 0", metric, code)
+		}
+		vec.ResetDispatchCounts()
+		h.Reset()
+		if err := seg.SearchInto(h, schema, 0, q, index.SearchParams{K: 10}); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Results(); got[0].ID != seg.IDs[100] && metric == vec.L2 {
+			t.Fatalf("top hit %v, want the query's own row %d", got[0], seg.IDs[100])
+		}
+		code, batch := vec.CodeDispatchTotal(), vec.BatchDispatchTotal()
+		blocks := int64(2048 / index.ScanBlockRows)
+		switch {
+		case vec.DispatchCount(vec.CurrentLevel()) != 0:
+			t.Errorf("%v: per-row kernel dispatches", metric)
+		case metric == vec.L2 && (code == 0 || code > blocks || batch == 0):
+			t.Errorf("L2: %d code tile and %d batch dispatches, want 1..%d code tiles and the survivors' batches", code, batch, blocks)
+		case metric == vec.IP && (code != 0 || batch != blocks):
+			t.Errorf("IP: %d code tile and %d batch dispatches, want 0 and %d", code, batch, blocks)
 		}
 	}
-	if n := vec.BatchDispatchTotal(); n != int64(segs) {
-		t.Errorf("batch made %d batch-kernel dispatches, want %d (one tile per segment chunk)", n, segs)
-	}
-	if n := vec.DispatchCount(vec.CurrentLevel()); n != 0 {
-		t.Errorf("batch made %d per-row kernel dispatches, want 0", n)
+}
+
+// TestSearchBatchUsesTileKernels: an explicit batch over unindexed
+// segments runs core's multi-query engine on the tile kernels, each chunk
+// of each segment dispatched once for the whole batch, not once per
+// query, and no per-row dispatch. An L2 batch with at least
+// codedBatchFloats scanned floats per member runs the code tile (at most
+// one per 256-row block: a block runs it once its heaps hold a bound) and
+// sends the members' survivors to the float batch kernels; one below
+// that, and every IP batch, runs the float tile over every row, one
+// dispatch per 256-row chunk.
+func TestSearchBatchUsesTileKernels(t *testing.T) {
+	for _, tc := range []struct {
+		name                 string
+		metric               vec.Metric
+		dim, rows, flush, nq int
+		coded                bool
+	}{
+		{"L2 small", vec.L2, 16, 900, 256, 5, false},
+		{"IP small", vec.IP, 16, 900, 256, 5, false},
+		{"L2 2 MiB per member", vec.L2, 64, 16384, 4096, 2, true},
+		{"L2 below 2 MiB per member", vec.L2, 64, 16384, 4096, 3, false},
+	} {
+		if got := tc.rows*tc.dim >= tc.nq*codedBatchFloats; got != tc.coded {
+			t.Fatalf("%s: coded %v by codedBatchFloats, the case assumes %v", tc.name, got, tc.coded)
+		}
+		cfg := testConfig()
+		cfg.FlushRows = tc.flush
+		cfg.MergeFactor = 1 << 30
+		schema := testSchema(tc.dim)
+		schema.VectorFields[0].Metric = tc.metric
+		c, err := NewCollection("tile", schema, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		ents := mkEntities(tc.rows, tc.dim, 63)
+		if err := c.Insert(ents); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		chunks := int64(0)
+		for _, n := range c.Stats().SegmentRows {
+			if n > tc.flush {
+				t.Fatalf("%s: a segment of %d rows, want at most %d", tc.name, n, tc.flush)
+			}
+			chunks += int64((n + tileChunkRows - 1) / tileChunkRows)
+		}
+		queries := make([][]float32, tc.nq)
+		for i := range queries {
+			queries[i] = ents[i*100].Vectors[0]
+		}
+		// The process's first query calibrates the planner's profile, which
+		// times the per-row kernels on purpose; take it before counting. It
+		// is also each segment's first scan, which runs on the floats.
+		if _, err := batchOf(context.Background(), c, queries, SearchOptions{K: 5}); err != nil {
+			t.Fatal(err)
+		}
+		prev := vec.DispatchCounting()
+		vec.SetDispatchCounting(true)
+		vec.ResetDispatchCounts()
+		res, err := batchOf(context.Background(), c, queries, SearchOptions{K: 5})
+		vec.SetDispatchCounting(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if tc.metric == vec.L2 && (len(r) == 0 || r[0].ID != ents[i*100].ID) {
+				t.Fatalf("%s: query %d: %v, want self-match %d first", tc.name, i, r, ents[i*100].ID)
+			}
+		}
+		code, batch := vec.CodeDispatchTotal(), vec.BatchDispatchTotal()
+		blocks := int64(tc.rows / index.ScanBlockRows)
+		switch {
+		case tc.coded && (code == 0 || code > blocks || batch == 0):
+			t.Errorf("%s: %d code tile and %d batch dispatches, want 1..%d code tiles and the survivors' batches", tc.name, code, batch, blocks)
+		case !tc.coded && (code != 0 || batch != chunks):
+			t.Errorf("%s: %d code tile and %d batch dispatches, want 0 and %d (one float tile per chunk)", tc.name, code, batch, chunks)
+		}
+		if n := vec.DispatchCount(vec.CurrentLevel()); n != 0 {
+			t.Errorf("%s: %d per-row kernel dispatches, want 0", tc.name, n)
+		}
 	}
 }
 

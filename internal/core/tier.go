@@ -195,6 +195,10 @@ type segTier struct {
 	mf   *colstore.MappedFile
 	pins int
 	gone bool // destroyed by GC; acquire must fail, the last release unmaps
+
+	// demoted, when set, runs after each demote: a segment's vector tier
+	// drops the segment's heap code copies with it.
+	demoted func()
 }
 
 func (t *segTier) isMapped() bool {
@@ -318,6 +322,9 @@ func (t *segTier) demote() int64 {
 	freed := t.unmapLocked()
 	_ = os.Remove(t.path)
 	t.ct.met.tierDemotes.Inc()
+	if t.demoted != nil {
+		t.demoted()
+	}
 	return freed
 }
 
@@ -355,6 +362,9 @@ func (c *Collection) tierSegment(seg *Segment, img []byte) error {
 	if err != nil {
 		return err
 	}
+	t.mu.Lock() // the budget may already demote t
+	t.demoted = seg.dropCodes
+	t.mu.Unlock()
 	seg.tier = t
 	// Drop the RAM payloads: every later read goes through the accessors.
 	for f := range seg.Vectors {

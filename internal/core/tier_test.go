@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"vectordb/internal/index"
 	"vectordb/internal/index/ivf"
 	"vectordb/internal/objstore"
+	"vectordb/internal/obs"
 	"vectordb/internal/topk"
 )
 
@@ -1255,6 +1257,120 @@ func TestTieredFlatKeepsNoHeapCopy(t *testing.T) {
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("query %d: tiered %v, all-RAM %v", qi, got, want)
+		}
+	}
+}
+
+// TestTieredUnreadableSegmentFailsQuery: a scanned segment whose local
+// file and store object are both gone cannot be promoted, and a query —
+// one vector, a filtered one and a batch — answers that error instead of
+// silently leaving the segment's rows out. Each failed promotion counts in
+// vectordb_tier_promote_errors_total.
+func TestTieredUnreadableSegmentFailsQuery(t *testing.T) {
+	const dim, rows = 8, 256
+	reg := obs.NewRegistry()
+	cfg := tierTestConfig(t)
+	cfg.Obs = reg
+	store := objstore.NewMemory()
+	c, err := NewCollection("gone", testSchema(dim), store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ents := mkEntities(rows, dim, 9)
+	if err := c.Insert(ents); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if c.DemoteSegments() == 0 {
+		t.Fatal("nothing demoted")
+	}
+	keys, err := store.List("")
+	if err != nil || len(keys) == 0 {
+		t.Fatalf("store holds %v (%v), want the segment objects", keys, err)
+	}
+	for _, k := range keys {
+		if err := store.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	promoteErrs := reg.Counter("vectordb_tier_promote_errors_total", "collection", "gone")
+	q := ents[5].Vectors[0]
+	for name, req := range map[string]Request{
+		"vector":   {Vector: q, SearchOptions: SearchOptions{K: 5}},
+		"filtered": {Vector: q, Pred: colstore.RangePred{Attr: 0, Lo: 0, Hi: 1 << 40}, SearchOptions: SearchOptions{K: 5}},
+		"batch":    {Batch: [][]float32{q, ents[9].Vectors[0]}, SearchOptions: SearchOptions{K: 5}},
+	} {
+		before := promoteErrs.Value()
+		if _, err := c.Query(context.Background(), req); err == nil {
+			t.Fatalf("%s: a query over an unreadable segment answered without an error", name)
+		}
+		if promoteErrs.Value() <= before {
+			t.Fatalf("%s: vectordb_tier_promote_errors_total did not count the failed promotion", name)
+		}
+	}
+}
+
+// TestTieredDemoteDropsCodes: a tiered segment's code copy is heap memory
+// outside TierMappedBytes, so a demote releases it with the mapping; the
+// segment's next second scan rebuilds it, and the answers do not move.
+func TestTieredDemoteDropsCodes(t *testing.T) {
+	const dim, rows = 8, 256
+	c, err := NewCollection("codes", testSchema(dim), objstore.NewMemory(), tierTestConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ents := mkEntities(rows, dim, 11)
+	if err := c.Insert(ents); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	q := Request{Vector: ents[7].Vectors[0], SearchOptions: SearchOptions{K: 5}}
+	coded := func() int {
+		sn := c.AcquireSnapshot()
+		defer c.ReleaseSnapshot(sn)
+		n := 0
+		for _, seg := range sn.Segments {
+			if !seg.Tiered() {
+				t.Fatalf("segment %d is not tiered", seg.ID)
+			}
+			if seg.fieldCodes(0).codes.Load() != nil {
+				n++
+			}
+		}
+		return n
+	}
+	want, err := hitsOf(c, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := coded(); n != 0 {
+		t.Fatalf("%d segments hold codes after one scan", n)
+	}
+	for round := 0; round < 2; round++ {
+		got, err := hitsOf(c, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: coded scan %v, float scan %v", round, got, want)
+		}
+		if n := coded(); n == 0 {
+			t.Fatalf("round %d: no segment holds codes after its second scan", round)
+		}
+		if c.DemoteSegments() == 0 {
+			t.Fatalf("round %d: nothing demoted", round)
+		}
+		if n := coded(); n != 0 {
+			t.Fatalf("round %d: %d demoted segments still hold codes", round, n)
+		}
+		if _, err := hitsOf(c, q); err != nil { // the first scan after the demote
+			t.Fatal(err)
 		}
 	}
 }

@@ -1,0 +1,214 @@
+package index
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"vectordb/internal/topk"
+	"vectordb/internal/vec"
+)
+
+// codedRows draws n×dim rows of a named shape: "sift" (integers 0..127),
+// "uniform" in [-1, 1), "deep" (unit-norm Gaussian), "constcol" (uniform
+// with one constant dimension) and "huge" (uniform scaled to ±1e30).
+func codedRows(r *rand.Rand, shape string, n, dim int) []float32 {
+	data := make([]float32, n*dim)
+	for i := range data {
+		switch shape {
+		case "sift":
+			data[i] = float32(r.Intn(128))
+		case "deep":
+			data[i] = float32(r.NormFloat64())
+		case "huge":
+			data[i] = float32((r.Float64()*2 - 1) * 1e30)
+		default:
+			data[i] = r.Float32()*2 - 1
+		}
+	}
+	for i := 0; i < n; i++ {
+		row := data[i*dim : (i+1)*dim]
+		switch {
+		case shape == "deep":
+			vec.Normalize(row)
+		case shape == "constcol" && dim > 1:
+			row[dim/2] = 0.25
+		}
+	}
+	return data
+}
+
+// codedQueries draws m queries near rows of data, the last far outside
+// the grid.
+func codedQueries(r *rand.Rand, data []float32, n, dim, m int) []float32 {
+	qs := make([]float32, 0, m*dim)
+	for i := 0; i < m; i++ {
+		row := data[r.Intn(n)*dim:][:dim]
+		for j, x := range row {
+			switch {
+			case i == m-1:
+				qs = append(qs, x*3+float32(j%5)*7)
+			case i%2 == 1:
+				qs = append(qs, x+float32(r.NormFloat64())*x/16)
+			default:
+				qs = append(qs, x)
+			}
+		}
+	}
+	return qs
+}
+
+// TestCodedScanMatchesPlainScan: on every kernel tier, ScanCoded returns
+// what ScanBlocked does — the same IDs, bit-identical distances, the same
+// order — for one query and for a batch, over SIFT-like, uniform,
+// deep-like, constant-dimension and ±1e30 rows, dims 1 to 300, k from 1
+// past n, with and without a heap filled beforehand, and under no
+// selection, tombstones, a dense and a sparse bitset.
+func TestCodedScanMatchesPlainScan(t *testing.T) {
+	prev := vec.CurrentLevel()
+	defer vec.SetLevel(prev)
+	const n, m = 700, 5
+	for _, l := range vec.Levels() {
+		vec.SetLevel(l)
+		r := rand.New(rand.NewSource(int64(l) + 11))
+		for _, shape := range []string{"sift", "uniform", "deep", "constcol", "huge"} {
+			for _, dim := range []int{1, 17, 100, 128, 300} {
+				data := codedRows(r, shape, n, dim)
+				codes := vec.EncodeCodes(data, dim)
+				if codes == nil {
+					t.Fatalf("%v %s dim %d: no grid", l, shape, dim)
+				}
+				ids := make([]int64, n)
+				for i := range ids {
+					ids[i] = int64(n - i) // IDs run against row order
+				}
+				qs := codedQueries(r, data, n, dim, m)
+				prefill := codedRows(r, shape, 40, dim)
+				sels := map[string]Selection{
+					"all":        {},
+					"tombstones": {Bits: bitsetFor(n, func(i int) bool { return i%97 != 3 })},
+					"dense":      {Bits: bitsetFor(n, func(i int) bool { return r.Intn(2) == 0 })},
+					"sparse":     {Bits: bitsetFor(n, func(i int) bool { return r.Intn(40) == 0 })},
+				}
+				for _, k := range []int{1, 10, 100, n + 5} {
+					for name, sel := range sels {
+						for _, filled := range []bool{false, true} {
+							tag := fmt.Sprintf("%v %s dim %d k %d %s filled %v", l, shape, dim, k, name, filled)
+							fresh := func() *topk.Heap {
+								h := topk.New(k)
+								if filled {
+									ScanBlocked(h, vec.L2, qs[:dim], prefill, dim, nil, Selection{})
+								}
+								return h
+							}
+							want := make([][]topk.Result, m)
+							for qi := range want {
+								h := fresh()
+								ScanBlocked(h, vec.L2, qs[qi*dim:(qi+1)*dim], data, dim, ids, sel)
+								want[qi] = h.Results()
+							}
+							hs := make([]*topk.Heap, m)
+							for qi := range hs {
+								hs[qi] = fresh()
+							}
+							ScanCoded(hs, qs, data, codes, ids, sel)
+							for qi := range hs {
+								identicalResults(t, tag+fmt.Sprintf(" batch q%d", qi), hs[qi].Results(), want[qi])
+								h := fresh()
+								ScanCoded([]*topk.Heap{h}, qs[qi*dim:(qi+1)*dim], data, codes, ids, sel)
+								identicalResults(t, tag+fmt.Sprintf(" q%d", qi), h.Results(), want[qi])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// identicalResults fails unless got and want hold the same IDs with
+// bit-identical distances in the same order.
+func identicalResults(t *testing.T, tag string, got, want []topk.Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", tag, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].ID != want[i].ID || math.Float32bits(got[i].Distance) != math.Float32bits(want[i].Distance) {
+			t.Fatalf("%s: rank %d is %v, want %v", tag, i, got[i], want[i])
+		}
+	}
+}
+
+// TestCodedScanSkipsDeadQueries: a nil heap in a batch is skipped, and
+// the other queries still get their answers.
+func TestCodedScanSkipsDeadQueries(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	const n, dim = 600, 32
+	data := codedRows(r, "uniform", n, dim)
+	codes := vec.EncodeCodes(data, dim)
+	qs := codedQueries(r, data, n, dim, 3)
+	hs := []*topk.Heap{topk.New(10), nil, topk.New(10)}
+	ScanCoded(hs, qs, data, codes, nil, Selection{})
+	for _, qi := range []int{0, 2} {
+		want := topk.New(10)
+		ScanBlocked(want, vec.L2, qs[qi*dim:(qi+1)*dim], data, dim, nil, Selection{})
+		identicalResults(t, fmt.Sprintf("q%d", qi), hs[qi].Results(), want.Results())
+	}
+}
+
+// TestScanCodedAllocs: the one-query coded scan runs on pooled scratch.
+func TestScanCodedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("pool Puts are randomly dropped under -race; alloc pin is meaningless")
+	}
+	r := rand.New(rand.NewSource(5))
+	const n, dim = 2000, 64
+	data := codedRows(r, "deep", n, dim)
+	codes := vec.EncodeCodes(data, dim)
+	q := codedQueries(r, data, n, dim, 1)
+	bits := bitsetFor(n, func(i int) bool { return i%11 != 0 })
+	h := topk.New(10)
+	for _, sel := range []Selection{{}, {Bits: bits}} {
+		scan := func() {
+			h.Reset()
+			ScanCoded([]*topk.Heap{h}, q, data, codes, nil, sel)
+		}
+		scan()
+		if avg := testing.AllocsPerRun(100, scan); avg > 0.5 {
+			t.Fatalf("bits %v: %v allocs/op, want 0", sel.Bits != nil, avg)
+		}
+	}
+}
+
+// BenchmarkCodedScan: one exact top-10 scan of 65,536 × 128 SIFT-like rows,
+// the float kernel over every row (plain) against the code pass plus the
+// float kernel over its survivors (coded).
+func BenchmarkCodedScan(b *testing.B) {
+	const n, dim, k = 65536, 128, 10
+	r := rand.New(rand.NewSource(7))
+	data := codedRows(r, "sift", n, dim)
+	codes := vec.EncodeCodes(data, dim)
+	q := codedQueries(r, data, n, dim, 2)[:dim]
+	h := topk.New(k)
+	b.Run("plain", func(b *testing.B) {
+		for it := 0; it < b.N; it++ {
+			h.Reset()
+			ScanBlocked(h, vec.L2, q, data, dim, nil, Selection{})
+		}
+	})
+	b.Run("coded", func(b *testing.B) {
+		hs := []*topk.Heap{h}
+		for it := 0; it < b.N; it++ {
+			h.Reset()
+			ScanCoded(hs, q, data, codes, nil, Selection{})
+		}
+	})
+	want := topk.New(k)
+	ScanBlocked(want, vec.L2, q, data, dim, nil, Selection{})
+	if !slices.Equal(h.Results(), want.Results()) {
+		b.Fatal("coded scan differs from the plain scan")
+	}
+}

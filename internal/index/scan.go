@@ -124,87 +124,17 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 	if n == 0 {
 		return
 	}
-	pass := sel.passFunc()
-	bp := bufferpool.GetFloats(ScanBlockRows)
-	buf := *bp
-	defer bufferpool.PutFloats(bp)
+	var s rowScan
+	s.init(h, metric == vec.IP, query, data, dim, ids, sel)
+	defer s.release()
 	if !metric.BatchEligible() {
-		scanPairwise(h, metric, query, data, dim, n, ids, pass, buf)
+		scanPairwise(h, metric, query, data, dim, n, ids, sel, s.buf)
 		return
-	}
-
-	ip := metric == vec.IP
-	// score runs the batch kernel over the contiguous rows [i0, i1) in
-	// place, bounded by the heap's current bound.
-	score := func(i0, i1 int) []float32 {
-		chunk := data[i0*dim : i1*dim]
-		if ip {
-			vec.NegDotBatch(query, chunk, dim, buf)
-		} else {
-			w, _ := h.Worst()
-			vec.L2SquaredBatchBound(query, chunk, dim, w, buf)
-		}
-		return buf[:i1-i0]
-	}
-	// emitRun offers a contiguous surviving run [r0, r1) block by block.
-	emitRun := func(r0, r1 int) {
-		for i0 := r0; i0 < r1; i0 += ScanBlockRows {
-			i1 := min(i0+ScanBlockRows, r1)
-			h.Offer(score(i0, i1), ids, i0)
-		}
 	}
 	if sel.Bits == nil {
-		emitRun(0, n)
+		s.emitRun(0, n)
 		return
 	}
-
-	// Pooled survivor list shared by both modes: sparse mode fills it from
-	// the bit iterator, dense mode diverts sub-threshold runs into it so
-	// fragmented regions still reach the kernels one gather dispatch per
-	// block.
-	gp := bufferpool.GetInt32s(ScanBlockRows)
-	defer bufferpool.PutInt32s(gp)
-	gather := (*gp)[:0]
-	flush := func() {
-		if len(gather) == 0 {
-			return
-		}
-		if ip {
-			vec.NegDotGather(query, data, dim, gather, buf)
-		} else {
-			w, _ := h.Worst()
-			vec.L2SquaredGatherBound(query, data, dim, gather, w, buf)
-		}
-		h.OfferRows(buf, gather, ids)
-		gather = gather[:0]
-	}
-	// emitMasked runs the batch kernel over the whole block [i0, i1) in
-	// place and applies the bit test only to rows within the heap's
-	// bound, writing NaN over those that fail so the offer drops them. On
-	// a memory-bound scan the kernel costs less than a dependent-load bit
-	// test (plus a likely mispredict) per row, and top-k pruning leaves
-	// few enough candidates that excluded rows are almost always rejected
-	// by distance alone — so when most of a block survives, a few wasted
-	// distances beat both per-row testing and copying 512 bytes per
-	// survivor into the gather buffer (random half-full bitsets fragment
-	// into ~2-row runs, so run extraction alone cannot help).
-	emitMasked := func(i0, i1 int) {
-		ds := score(i0, i1)
-		w, _ := h.Worst()
-		for r, d := range ds {
-			if d <= w && !pass(i0+r) {
-				ds[r] = nan
-			}
-		}
-		h.Offer(ds, ids, i0)
-	}
-	appendRow := func(r int) {
-		gather = append(gather, int32(r))
-		if len(gather) == ScanBlockRows {
-			flush()
-		}
-	}
-
 	switch {
 	case sel.Pos != nil:
 		// A position mapping (IVF buckets): the bits are read only at the
@@ -213,17 +143,17 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 		// list and runs masked in place; an emptier one gathers.
 		for i0 := 0; i0 < n; i0 += ScanBlockRows {
 			i1 := min(i0+ScanBlockRows, n)
-			flush()
-			gather = sel.Bits.AppendSet(gather, sel.Pos[i0:i1], int32(i0))
-			if len(gather)*denseBlockDiv >= i1-i0 {
-				gather = gather[:0]
-				emitMasked(i0, i1)
+			s.flush()
+			s.gather = sel.Bits.AppendSet(s.gather, sel.Pos[i0:i1], int32(i0))
+			if len(s.gather)*denseBlockDiv >= i1-i0 {
+				s.gather = s.gather[:0]
+				s.emitMasked(i0, i1)
 			}
 		}
 	case sel.mode(n) == FilterSparse:
 		// Word-skipping sparse iteration: empty words cost one load.
 		for p := sel.Bits.NextSet(0); p >= 0 && p < n; p = sel.Bits.NextSet(p + 1) {
-			appendRow(p)
+			s.appendRow(p)
 		}
 	default:
 		// Dense: decide block by block from the word-level popcount. Full
@@ -236,44 +166,311 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 			switch {
 			case m == 0:
 			case m == i1-i0:
-				flush() // keep the heap's bound monotone across path switches
-				emitRun(i0, i1)
+				s.flush() // keep the heap's bound monotone across path switches
+				s.emitRun(i0, i1)
 			case m*denseBlockDiv >= i1-i0:
-				flush()
-				emitMasked(i0, i1)
+				s.flush()
+				s.emitMasked(i0, i1)
 			default:
 				for p := sel.Bits.NextSet(i0); p >= 0 && p < i1; p = sel.Bits.NextSet(p + 1) {
-					appendRow(p)
+					s.appendRow(p)
 				}
 			}
 		}
 	}
-	flush()
+	s.flush()
+}
+
+// ScanCoded is ScanBlocked for L2 rows that carry a code copy (codes, on
+// the rows' grid), for one query or a batch: queries holds len(hs) queries
+// of codes.Dim floats, and hs[i] collects query i's top-k (nil skips it).
+// Each block's codes are scored against every query first — the code tile
+// widens each code chunk once for up to four queries — and a query scores
+// in float only the rows whose proven bound can still beat its heap's
+// bound (vec.Codes.Threshold); the rest provably score above it, so the
+// heap would reject them and every reported distance is the one
+// ScanBlocked gives. A block where at least 1/denseBlockDiv of the rows
+// survive runs the float kernel in place; fewer are gathered. A dense
+// selection tests its bits on the survivors only. A sparse selection, or
+// one mapped through positions, runs ScanBlocked per query: it gathers its
+// survivors off the bit iterator without reading the rest.
+func ScanCoded(hs []*topk.Heap, queries, data []float32, codes *vec.Codes, ids []int64, sel Selection) {
+	dim := codes.Dim
+	n := len(data) / dim
+	if ids != nil {
+		n = len(ids)
+	}
+	if n == 0 || len(hs) == 0 {
+		return
+	}
+	if sel.Bits != nil && (sel.Pos != nil || sel.mode(n) == FilterSparse) {
+		for i, h := range hs {
+			if h != nil {
+				ScanBlocked(h, vec.L2, queries[i*dim:(i+1)*dim], data, dim, ids, sel)
+			}
+		}
+		return
+	}
+	m := len(hs)
+	var one [1]rowScan
+	qs := one[:]
+	if m > 1 {
+		qs = make([]rowScan, m)
+	}
+	for i := range qs {
+		qs[i].init(hs[i], false, queries[i*dim:(i+1)*dim], data, dim, ids, sel)
+	}
+	defer func() {
+		for i := range qs {
+			qs[i].release()
+		}
+	}()
+	// The queries' grid points and code distances, laid out for the tile:
+	// a lone query's live in its scratch.
+	var us []int16
+	var sums []int32
+	if m == 1 && dim <= len(qs[0].sc.u) {
+		us, sums = qs[0].sc.u[:dim], qs[0].sc.sums[:]
+	} else {
+		sp := bufferpool.GetInt32s(m * ScanBlockRows)
+		defer bufferpool.PutInt32s(sp)
+		us, sums = make([]int16, m*dim), *sp
+	}
+	for i := range qs {
+		qs[i].slack = codes.Prepare(qs[i].query, us[i*dim:(i+1)*dim])
+	}
+	for i0 := 0; i0 < n; i0 += ScanBlockRows {
+		i1 := min(i0+ScanBlockRows, n)
+		rows := i1 - i0
+		masked := false
+		if sel.Bits != nil {
+			k := sel.Bits.CountRange(i0, i1)
+			if k == 0 {
+				continue
+			}
+			masked = k < rows
+		}
+		coded := false
+		for i := range qs {
+			q := &qs[i]
+			q.ok = false
+			if q.h != nil {
+				w, _ := q.h.Worst()
+				q.t, q.ok = codes.Threshold(q.slack, w)
+				coded = coded || q.ok
+			}
+		}
+		if coded {
+			vec.CodeL2Tile(us, codes.Rows(i0, i1), dim, sums[:m*rows])
+		}
+		for i := range qs {
+			q := &qs[i]
+			switch {
+			case q.h == nil:
+			case q.ok:
+				q.codedBlock(i0, i1, sums[i*rows:(i+1)*rows], masked)
+			default:
+				q.flush()
+				q.emitBlock(i0, i1, masked)
+			}
+		}
+	}
+	for i := range qs {
+		if qs[i].h != nil {
+			qs[i].flush()
+		}
+	}
+}
+
+// rowScan is one query's side of a blocked scan: the rows, the heap they
+// are offered to, a distance buffer, and the list of rows waiting for one
+// gather dispatch, both in its pooled scratch. Every blocked path —
+// ScanBlocked's runs, masked blocks and gathers, and ScanCoded's
+// survivors — offers through these methods.
+type rowScan struct {
+	h      *topk.Heap
+	ip     bool
+	query  []float32
+	data   []float32
+	dim    int
+	ids    []int64
+	sel    Selection // its bits are tested only where a block is masked
+	buf    []float32 // one block's distances
+	gather []int32   // rows waiting for a gather dispatch
+	sc     *scanScratch
+
+	// ScanCoded's per-query state: the slack its thresholds add, and the
+	// current block's threshold when ok.
+	slack float64
+	t     int32
+	ok    bool
+}
+
+// scanScratch is a rowScan's scratch, one pool round trip per scan: the
+// block's distances, the gather list (twice a block: a coded block's
+// survivors are listed before it decides to gather them) and the gathered
+// rows, and a lone coded query's code distances and, up to 1,024 dims, its
+// grid point.
+type scanScratch struct {
+	buf    [ScanBlockRows]float32
+	gather [2 * ScanBlockRows]int32
+	sums   [ScanBlockRows]int32
+	u      [1024]int16
+	rows   []float32 // grown to the largest gather seen
+}
+
+var scratches = bufferpool.NewFree(func() *scanScratch { return new(scanScratch) })
+
+func (s *rowScan) init(h *topk.Heap, ip bool, query, data []float32, dim int, ids []int64, sel Selection) {
+	sc := scratches.Get()
+	*s = rowScan{h: h, ip: ip, query: query, data: data, dim: dim, ids: ids, sel: sel,
+		buf: sc.buf[:], gather: sc.gather[:0], sc: sc}
+}
+
+func (s *rowScan) release() { scratches.Put(s.sc) }
+
+// score runs the batch kernel over the contiguous rows [i0, i1) in place,
+// bounded by the heap's current bound.
+func (s *rowScan) score(i0, i1 int) []float32 {
+	chunk := s.data[i0*s.dim : i1*s.dim]
+	if s.ip {
+		vec.NegDotBatch(s.query, chunk, s.dim, s.buf)
+	} else {
+		w, _ := s.h.Worst()
+		vec.L2SquaredBatchBound(s.query, chunk, s.dim, w, s.buf)
+	}
+	return s.buf[:i1-i0]
+}
+
+// emitRun offers a contiguous surviving run [r0, r1) block by block.
+func (s *rowScan) emitRun(r0, r1 int) {
+	for i0 := r0; i0 < r1; i0 += ScanBlockRows {
+		i1 := min(i0+ScanBlockRows, r1)
+		s.h.Offer(s.score(i0, i1), s.ids, i0)
+	}
+}
+
+// emitMasked runs the batch kernel over the whole block [i0, i1) in place
+// and applies the bit test only to rows within the heap's bound, writing
+// NaN over those that fail so the offer drops them. On a memory-bound scan
+// the kernel costs less than a dependent-load bit test (plus a likely
+// mispredict) per row, and top-k pruning leaves few enough candidates that
+// excluded rows are almost always rejected by distance alone — so when
+// most of a block survives, a few wasted distances beat both per-row
+// testing and copying 512 bytes per survivor into the gather buffer
+// (random half-full bitsets fragment into ~2-row runs, so run extraction
+// alone cannot help).
+func (s *rowScan) emitMasked(i0, i1 int) {
+	ds := s.score(i0, i1)
+	w, _ := s.h.Worst()
+	for r, d := range ds {
+		if d <= w && !s.sel.keeps(i0+r) {
+			ds[r] = nan
+		}
+	}
+	s.h.Offer(ds, s.ids, i0)
+}
+
+// emitBlock scores the block [i0, i1) in place, masked when the selection
+// excludes some of its rows.
+func (s *rowScan) emitBlock(i0, i1 int, masked bool) {
+	if masked {
+		s.emitMasked(i0, i1)
+	} else {
+		s.emitRun(i0, i1)
+	}
+}
+
+// flush scores the gathered rows in one gather dispatch and offers them.
+func (s *rowScan) flush() {
+	if len(s.gather) == 0 {
+		return
+	}
+	if need := len(s.gather) * s.dim; cap(s.sc.rows) < need {
+		s.sc.rows = make([]float32, max(need, 2*cap(s.sc.rows)))
+	}
+	if s.ip {
+		vec.NegDotGather(s.query, s.data, s.dim, s.gather, s.buf, s.sc.rows)
+	} else {
+		w, _ := s.h.Worst()
+		vec.L2SquaredGatherBound(s.query, s.data, s.dim, s.gather, w, s.buf, s.sc.rows)
+	}
+	s.h.OfferRows(s.buf, s.gather, s.ids)
+	s.gather = s.gather[:0]
+}
+
+// appendRow queues row r for the next gather dispatch.
+func (s *rowScan) appendRow(r int) {
+	s.gather = append(s.gather, int32(r))
+	if len(s.gather) == ScanBlockRows {
+		s.flush()
+	}
+}
+
+// codedBlock takes the block [i0, i1) whose code distances are sums: a row
+// with S above the query's threshold is dropped unscored, and so, when
+// masked, is one the selection excludes (tested on the code survivors
+// only). The survivors are gathered, or, when at least 1/denseBlockDiv of
+// the block survives, the block is scored in place. The gather list stays
+// under ScanBlockRows between blocks, so a block's survivors always fit
+// its 2·ScanBlockRows capacity.
+func (s *rowScan) codedBlock(i0, i1 int, sums []int32, masked bool) {
+	mark := len(s.gather)
+	if masked {
+		for r, v := range sums {
+			if v <= s.t && s.sel.keeps(i0+r) {
+				s.gather = append(s.gather, int32(i0+r))
+			}
+		}
+	} else {
+		// Branch-free: every row is written, and the list grows past the
+		// survivors only.
+		g, n := s.gather[:mark+len(sums)], mark
+		for r, v := range sums {
+			g[n] = int32(i0 + r)
+			n += b2i(v <= s.t)
+		}
+		s.gather = g[:n]
+	}
+	switch {
+	case (len(s.gather)-mark)*denseBlockDiv >= i1-i0:
+		s.gather = s.gather[:mark]
+		s.flush()
+		s.emitBlock(i0, i1, masked)
+	case len(s.gather) > ScanBlockRows-ScanBlockRows/denseBlockDiv:
+		s.flush()
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // nan is the distance a scan writes over a row it drops: no heap keeps it.
 var nan = float32(math.NaN())
 
-// passFunc returns the selection's bit test of scan rows, nil when it
-// keeps every row.
-func (s Selection) passFunc() func(int) bool {
-	if s.Bits == nil {
-		return nil
+// keeps reports whether the selection keeps scan row r.
+func (s *Selection) keeps(r int) bool {
+	switch {
+	case s.Bits == nil:
+		return true
+	case s.Pos == nil:
+		return s.Bits.Test(r)
 	}
-	if s.Pos == nil {
-		return s.Bits.Test
-	}
-	return func(r int) bool { return s.Bits.Test(int(s.Pos[r])) }
+	return s.Bits.Test(int(s.Pos[r]))
 }
 
 // scanPairwise is the per-row path of metrics without batch kernels: the
 // bit test comes first, so excluded rows skip the distance and offer NaN.
-func scanPairwise(h *topk.Heap, metric vec.Metric, query, data []float32, dim, n int, ids []int64, pass func(int) bool, buf []float32) {
+func scanPairwise(h *topk.Heap, metric vec.Metric, query, data []float32, dim, n int, ids []int64, sel Selection, buf []float32) {
 	dist := metric.Dist()
 	for i0 := 0; i0 < n; i0 += ScanBlockRows {
 		ds := buf[:min(ScanBlockRows, n-i0)]
 		for r := range ds {
-			if i := i0 + r; pass == nil || pass(i) {
+			if i := i0 + r; sel.keeps(i) {
 				ds[r] = dist(query, data[i*dim:(i+1)*dim])
 			} else {
 				ds[r] = nan

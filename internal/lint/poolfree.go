@@ -126,7 +126,13 @@ func checkPoolScope(pass *Pass, body *ast.BlockStmt) {
 					return
 				}
 				id, ok := n.Lhs[0].(*ast.Ident)
-				if !ok || id.Name == "_" {
+				if !ok {
+					// Stored into an index or field expression
+					// (m.heaps[i] = topk.GetHeap(k)): ownership passes
+					// to what holds it, as for any other store.
+					return
+				}
+				if id.Name == "_" {
 					pass.Reportf(call.Pos(), "result of %s.%s is discarded: the %s can never be released with %s",
 						pair.pkgSuffix, pair.get, pair.noun, pair.put)
 					return

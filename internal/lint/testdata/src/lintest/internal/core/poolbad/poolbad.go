@@ -75,3 +75,18 @@ func HeapRoundTrip(n int) []topk.Result {
 	topk.PutHeap(h)
 	return out
 }
+
+// heapGrid holds pooled heaps in its own fields.
+type heapGrid struct {
+	heaps []*topk.Heap
+	one   *topk.Heap
+}
+
+// StoreIntoElement stores each pooled heap into a slice element and a
+// field: the grid owns them from then on, as with any other store.
+func StoreIntoElement(m *heapGrid) {
+	for i := range m.heaps {
+		m.heaps[i] = topk.GetHeap(4)
+	}
+	m.one = topk.GetHeap(4)
+}

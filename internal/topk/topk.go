@@ -333,8 +333,7 @@ type Matrix struct {
 func NewMatrix(threads, queries, k int) *Matrix {
 	m := &Matrix{threads: threads, queries: queries, heaps: make([]*Heap, threads*queries)}
 	for i := range m.heaps {
-		h := GetHeap(k)
-		m.heaps[i] = h
+		m.heaps[i] = GetHeap(k)
 	}
 	return m
 }

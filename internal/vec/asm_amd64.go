@@ -82,6 +82,7 @@ func detectx86() (avx2fma, avx512 bool) {
 // the first SetLevel, so both the hooked path and the explicit At-variants
 // (and with them every tier-equivalence test) see the asm kernels.
 func installASMKernels() {
+	installCodeKernels()
 	if haveAVX2FMA {
 		kernels[LevelAVX2].l2b = l2BatchAVX2
 		kernels[LevelAVX2].ipb = ipBatchAVX2

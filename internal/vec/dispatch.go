@@ -12,6 +12,7 @@ var (
 	countDispatch       atomic.Bool
 	dispatchCounts      [int(LevelAVX512) + 1]atomic.Int64
 	batchDispatchCounts [int(LevelAVX512) + 1]atomic.Int64
+	codeDispatchCounts  [int(LevelAVX512) + 1]atomic.Int64
 )
 
 // SetDispatchCounting turns per-tier dispatch counting on or off.
@@ -51,12 +52,24 @@ func BatchDispatchTotal() int64 {
 	return t
 }
 
-// ResetDispatchCounts zeroes all per-tier dispatch counters, pairwise and
-// batch.
+// CodeDispatchTotal sums code-tile dispatches (CodeL2Tile) across all
+// tiers: the coded scans' first pass over a block, counted apart from the
+// float batch kernels that score its survivors.
+func CodeDispatchTotal() int64 {
+	var t int64
+	for i := range codeDispatchCounts {
+		t += codeDispatchCounts[i].Load()
+	}
+	return t
+}
+
+// ResetDispatchCounts zeroes all per-tier dispatch counters: pairwise,
+// batch and code.
 func ResetDispatchCounts() {
 	for i := range dispatchCounts {
 		dispatchCounts[i].Store(0)
 		batchDispatchCounts[i].Store(0)
+		codeDispatchCounts[i].Store(0)
 	}
 }
 
@@ -69,6 +82,14 @@ func Levels() []Level {
 func countCurrent() {
 	if countDispatch.Load() {
 		dispatchCounts[currentLevel.Load()].Add(1)
+	}
+}
+
+// countCurrentCode records one code-tile dispatch against the currently
+// hooked tier.
+func countCurrentCode() {
+	if countDispatch.Load() {
+		codeDispatchCounts[currentLevel.Load()].Add(1)
 	}
 }
 

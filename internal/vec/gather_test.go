@@ -25,7 +25,7 @@ func TestGatherKernelsMatchPairwise(t *testing.T) {
 		}
 		out := make([]float32, len(rows))
 
-		L2SquaredGatherBound(q, data, dim, rows, inf32(), out)
+		L2SquaredGatherBound(q, data, dim, rows, inf32(), out, make([]float32, len(rows)*dim))
 		for i, r := range rows {
 			want := L2Squared(q, data[int(r)*dim:(int(r)+1)*dim])
 			if math.Abs(float64(out[i]-want)) > 1e-4*float64(1+want) {
@@ -33,7 +33,7 @@ func TestGatherKernelsMatchPairwise(t *testing.T) {
 			}
 		}
 
-		NegDotGather(q, data, dim, rows, out)
+		NegDotGather(q, data, dim, rows, out, make([]float32, len(rows)*dim))
 		for i, r := range rows {
 			want := -Dot(q, data[int(r)*dim:(int(r)+1)*dim])
 			if math.Abs(float64(out[i]-want)) > 1e-4*(1+math.Abs(float64(want))) {
@@ -59,7 +59,7 @@ func TestGatherBoundAbandons(t *testing.T) {
 	}
 	rows := []int32{0, 5, 10, 63}
 	out := make([]float32, len(rows))
-	L2SquaredGatherBound(q, data, dim, rows, 1.0, out)
+	L2SquaredGatherBound(q, data, dim, rows, 1.0, out, make([]float32, len(rows)*dim))
 	if out[0] != 0 {
 		t.Fatalf("row 0 distance = %v, want 0", out[0])
 	}
@@ -85,8 +85,8 @@ func TestGatherRoutesThroughDispatchTable(t *testing.T) {
 	q := make([]float32, dim)
 	rows := []int32{1, 3, 7}
 	out := make([]float32, len(rows))
-	L2SquaredGatherBound(q, data, dim, rows, inf32(), out)
-	NegDotGather(q, data, dim, rows, out)
+	L2SquaredGatherBound(q, data, dim, rows, inf32(), out, make([]float32, len(rows)*dim))
+	NegDotGather(q, data, dim, rows, out, make([]float32, len(rows)*dim))
 	if got := BatchDispatchTotal(); got < 2 {
 		t.Fatalf("gather kernels dispatched %d batch kernels, want >= 2 (must route through the dispatch table)", got)
 	}
@@ -101,10 +101,9 @@ func TestGatherAllocs(t *testing.T) {
 		rows[i] = int32(i * 3)
 	}
 	out := make([]float32, len(rows))
-	// Warm the float pool.
-	L2SquaredGatherBound(q, data, dim, rows, inf32(), out)
+	scratch := make([]float32, len(rows)*dim)
 	n := testing.AllocsPerRun(100, func() {
-		L2SquaredGatherBound(q, data, dim, rows, inf32(), out)
+		L2SquaredGatherBound(q, data, dim, rows, inf32(), out, scratch)
 	})
 	if n > 0 {
 		t.Fatalf("L2SquaredGatherBound allocs/op = %v, want 0", n)

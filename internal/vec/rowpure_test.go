@@ -83,8 +83,8 @@ func TestRowDistanceInvariance(t *testing.T) {
 				for i, s := range sel {
 					ids[i] = int32(s)
 				}
-				L2SquaredGatherBound(q, data, dim, ids, inf32(), out)
-				NegDotGather(q, data, dim, ids, outIP)
+				L2SquaredGatherBound(q, data, dim, ids, inf32(), out, make([]float32, len(ids)*dim))
+				NegDotGather(q, data, dim, ids, outIP, make([]float32, len(ids)*dim))
 				for i, s := range sel {
 					check("gather", qi, s, out[i:i+1], outIP[i:i+1])
 				}
