@@ -24,16 +24,18 @@ import (
 // the queries×rows distance tile stays cache-resident.
 const tileChunkRows = 256
 
-// codedBatchFloats is the scanned float column per member from which a
-// batch's L2 scan runs the coded scan (index.ScanCoded) in place of the
-// float tile: 2^19 floats, 2 MiB. The float tile streams each chunk once
-// for every member, so a member's share of the float traffic shrinks as
-// the batch grows, while the code pass and each member's survivor gather
-// do not. Measured on a 2-core AVX-512 host, dim 128, 4,096-row segments:
-// one member gains from between 2,000 and 3,000 rows, four from between
-// 10,000 and 65,536, sixteen at 65,536 but not at 10,000; a 256-query
-// Fig. 11 batch loses at every size up to 100,000 rows (1.0–2.1× slower)
-// and stays on the float tile.
+// codedBatchFloats is the scanned float column per member from which an
+// L2 scan runs the coded scan (index.ScanCoded) in place of the float
+// kernels: 2^19 floats, 2 MiB. A batch sums its scanned segments; a single
+// query is a batch of one and counts each segment alone: its scan of a
+// smaller segment reads no codes and counts toward no code build. The
+// float tile streams each chunk once for every member, so a member's share
+// of the float traffic shrinks as the batch grows, while the code pass and
+// each member's survivor gather do not. Measured on a 2-core AVX-512 host,
+// dim 128, 4,096-row segments: one member gains from between 2,000 and
+// 3,000 rows, four from between 10,000 and 65,536, sixteen at 65,536 but
+// not at 10,000; a 256-query Fig. 11 batch loses at every size up to
+// 100,000 rows (1.0–2.1× slower) and stays on the float tile.
 const codedBatchFloats = 1 << 19
 
 // batchKey is a plain vector query's compatibility class in the exec
@@ -127,14 +129,14 @@ func batchItems(ctx context.Context, q *Request, it *batchItem, peers []any) []*
 
 // awaitBatch is a peer's side of a formed batch: it holds no slot and
 // waits for the holder that took it along to answer, or for its own
-// context; only that wait is traced, as the batch_form span.
-func awaitBatch(ctx context.Context, it *batchItem, tr *obs.Trace) (Response, error) {
-	sp := tr.StartSpan("batch_form")
+// context; only that wait is recorded, as the batch_form stage.
+func awaitBatch(ctx context.Context, it *batchItem, tr *obs.QueryRecord) (Response, error) {
+	sp := tr.Start(obs.BatchForm)
 	defer sp.End()
 	select {
 	case <-it.done:
 		annotatePlan(tr, it.dec)
-		tr.AnnotateInt("batch_occupancy", int64(it.occ))
+		tr.SetInt(obs.BatchOccupancy, int64(it.occ))
 		return Response{Hits: it.hits}, it.err
 	case <-ctx.Done():
 		return Response{}, ctx.Err()
@@ -291,10 +293,11 @@ func (c *Collection) runBatch(ctx context.Context, sn *Snapshot, key batchKey, i
 
 // batchSegment searches one segment for every live batch member, pushing
 // candidates into each member's (worker, query) heap. It reports whether
-// the segment was served by its index, and an error when a scanned
-// segment's bytes cannot be read. visible is the segment's visibility
-// bitset in the batch's snapshot (nil hides nothing); tile is the worker's
-// scratch distance tile (m × tileChunkRows), hs its m heap slots.
+// the segment was served by its index, and an error when the segment's
+// bytes or its index's payload cannot be read. visible is the segment's
+// visibility bitset in the batch's snapshot (nil hides nothing); tile is
+// the worker's scratch distance tile (m × tileChunkRows), hs its m heap
+// slots.
 //
 // When coded (an L2 batch with at least codedBatchFloats scanned floats
 // per member), a field with a code copy runs index.ScanCoded for the whole
@@ -312,7 +315,9 @@ func (c *Collection) batchSegment(seg *Segment, visible *bitset.Bitset, field in
 			if !it.live() {
 				continue
 			}
-			index.SearchInto(idx, heaps.At(w, qj), qs[qj*dim:(qj+1)*dim], sp)
+			if err := index.SearchInto(idx, heaps.At(w, qj), qs[qj*dim:(qj+1)*dim], sp); err != nil {
+				return true, fmt.Errorf("core: segment %d: %w", seg.ID, err)
+			}
 		}
 		return true, nil
 	}

@@ -15,7 +15,7 @@ import (
 
 // queuedSearch is one SearchCtx that formBatch queued, and its outcome.
 type queuedSearch struct {
-	tr       *obs.Trace
+	tr       *obs.QueryRecord
 	hits     []topk.Result
 	err      error
 	panicked any
@@ -49,7 +49,7 @@ func formBatch(t *testing.T, reg *obs.Registry, hook func(), ctxs ...context.Con
 	qs := make([]*queuedSearch, len(ctxs))
 	var wg sync.WaitGroup
 	for i, ctx := range ctxs {
-		q := &queuedSearch{tr: obs.NewTrace("vector")}
+		q := &queuedSearch{tr: obs.NewQueryRecord("vector")}
 		qs[i] = q
 		wg.Add(1)
 		go func(ctx context.Context, vec []float32) {
@@ -159,7 +159,7 @@ func TestOnlyParkedWaitIsTraced(t *testing.T) {
 			t.Errorf("member %d: batch_occupancy %q, want 2", i, occ)
 		}
 	}
-	lone := obs.NewTrace("vector")
+	lone := obs.NewQueryRecord("vector")
 	if _, err := c.SearchCtx(bg, ents[0].Vectors[0], SearchOptions{K: 5, Trace: lone}); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,9 +52,9 @@ type Config struct {
 	// collection="<name>"). Nil disables scraping but instrumentation
 	// stays live on unregistered handles.
 	Obs *obs.Registry
-	// QueryLog captures per-query traces (and slow queries) for queries
-	// that did not supply their own SearchOptions.Trace. Nil disables
-	// automatic trace capture.
+	// QueryLog keeps every query's record (and the slow ones), a record
+	// made for each query that did not supply its own SearchOptions.Trace.
+	// Nil disables automatic records.
 	QueryLog *obs.QueryLog
 	// Exec is the shared execution pool that runs this collection's
 	// segment-level search tasks, admits its queries to run slots and
@@ -727,10 +726,10 @@ type SearchOptions struct {
 	Nprobe  int
 	Ef      int
 	SearchL int
-	// Trace, when set, receives the query's span breakdown. Queries that
-	// leave it nil get a trace automatically when the collection has a
-	// query log.
-	Trace *obs.Trace
+	// Trace, when set, receives the query's stage and attribute record.
+	// Queries that leave it nil get one automatically when the collection
+	// has a query log.
+	Trace *obs.QueryRecord
 	// pred is a pushed predicate (Query's pushdown, SourceView's pushed
 	// search), compiled in each segment's task.
 	pred colstore.Pred
@@ -759,7 +758,7 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 	if len(segs) == 0 {
 		return nil, ctx.Err()
 	}
-	segSpan := tr.StartSpan("segments")
+	segSpan := tr.Start(obs.Segments)
 	workers := poolTasks(c.pool, len(segs))
 	// One heap per pool task rather than one result list per segment: a
 	// task's heap carries its worst-distance threshold across the segments
@@ -790,24 +789,21 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 			}
 			sp := p
 			sp.Bits = sn.visible[i]
-			stage := "segment_scan"
+			stage := obs.SegmentScan
 			if idx := segs[i].Index(f); idx != nil {
-				stage = "index_search"
+				stage = obs.IndexSearch
 				nIdx.Add(1)
 			}
-			span := segSpan.StartChild(stage)
-			span.AnnotateInt("segment", segs[i].ID)
-			span.AnnotateInt("rows", int64(segs[i].Rows()))
+			span := tr.Start(stage)
 			if opts.pred == nil {
 				if err := segs[i].SearchInto(h, c.schema, f, query, sp); err != nil {
 					first := err // escapes only on the error path
 					pushed.err.CompareAndSwap(nil, &first)
 				}
-			} else if m, n, err := segs[i].SearchFiltered(h, c.schema, f, query, opts.pred, sp, span != nil); err != nil {
+			} else if m, n, err := segs[i].SearchFiltered(h, c.schema, f, query, opts.pred, sp, tr != nil); err != nil {
 				first := err
 				pushed.err.CompareAndSwap(nil, &first)
-			} else if span != nil {
-				span.Annotate("filter_mode", segFilterMode(segs[i].Index(f), m, n))
+			} else if tr != nil {
 				pushed.matched.Add(int64(m))
 				pushed.probed.Add(int64(n))
 			}
@@ -816,8 +812,8 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 	})
 	c.met.segIndex.Add(nIdx.Load())
 	c.met.segScan.Add(int64(len(segs)) - nIdx.Load())
-	segSpan.AnnotateInt("indexed", nIdx.Load())
-	segSpan.AnnotateInt("scanned", int64(len(segs))-nIdx.Load())
+	tr.SetInt(obs.Indexed, nIdx.Load())
+	tr.SetInt(obs.Scanned, int64(len(segs))-nIdx.Load())
 	segSpan.End()
 	if e := pushed.err.Load(); e != nil && err == nil {
 		err = *e
@@ -827,11 +823,11 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 	}
 	if opts.pred != nil && tr != nil {
 		sel := float64(pushed.matched.Load()) / float64(max(pushed.probed.Load(), 1))
-		tr.Annotate("filter_mode", index.FilterModeName(sel))
-		tr.Annotate("filter_selectivity", strconv.FormatFloat(sel, 'f', 4, 64))
+		tr.SetString(obs.FilterMode, index.FilterModeName(sel))
+		tr.SetFloat(obs.FilterSelectivity, sel)
 	}
 	// Map returned no error, so every task ran and drew its heap.
-	mergeSpan := tr.StartSpan("topk_merge")
+	mergeSpan := tr.Start(obs.TopkMerge)
 	for _, h := range heaps[1:] {
 		heaps[0].Fold(h)
 	}
@@ -841,24 +837,6 @@ func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, qu
 	}
 	mergeSpan.End()
 	return res, nil
-}
-
-// segFilterMode names how one segment evaluates a pushed bitset: graph
-// indexes run filtered traversal; scans (and bucket probes) pick dense run
-// extraction or the sparse gather path from the share of the rows the
-// filter was resolved at (every row, or an IVF probe's) that passed it.
-func segFilterMode(idx index.Index, matched, probed int) string {
-	if idx != nil {
-		switch idx.Name() {
-		case "HNSW", "RNSG":
-			return "graph"
-		}
-	}
-	sel := 0.0
-	if probed > 0 {
-		sel = float64(matched) / float64(probed)
-	}
-	return index.FilterModeName(sel)
 }
 
 // poolTasks sizes a query's fan-out: at most one task per pool worker and

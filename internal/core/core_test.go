@@ -492,7 +492,7 @@ func TestFusedSearchMatchesExhaustive(t *testing.T) {
 	q1 := []float32{1, 0, -1, 0.5}
 	q2 := []float32{0.2, -0.3, 1, 0, 0, 0.7}
 	w := []float32{2, 0.5}
-	tr := obs.NewTrace("multi")
+	tr := obs.NewQueryRecord("multi")
 	res, err := hitsOf(c, Request{Fields: [][]float32{q1, q2}, Weights: w, SearchOptions: SearchOptions{K: 5, Trace: tr}})
 	if err != nil {
 		t.Fatal(err)
@@ -572,7 +572,7 @@ func TestFusedErrors(t *testing.T) {
 		weights []float32
 		alg     string
 	}{{nil, "fused"}, {[]float32{2, 1}, "iterative_merging"}} {
-		tr := obs.NewTrace("multi")
+		tr := obs.NewQueryRecord("multi")
 		res, err := hitsOf(c2, Request{Fields: [][]float32{{1, 2}, {3, 4}}, Weights: tc.weights, SearchOptions: SearchOptions{K: 1, Trace: tr}})
 		if err != nil || len(res) != 1 || res[0].ID != 1 {
 			t.Fatalf("weights %v: %v, %v; want entity 1", tc.weights, res, err)

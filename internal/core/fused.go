@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"vectordb/internal/index"
+	"vectordb/internal/obs"
 	"vectordb/internal/topk"
 	"vectordb/internal/vec"
 )
@@ -116,7 +117,7 @@ func (c *Collection) searchFused(ctx context.Context, sn *Snapshot, fq []float32
 	}
 	results := make([][]topk.Result, len(segs))
 	var cursor atomic.Int64
-	segSpan := opts.Trace.StartSpan("segments")
+	segSpan := opts.Trace.Start(obs.Segments)
 	err := c.pool.Map(ctx, poolTasks(c.pool, len(segs)), func(int) {
 		for ctx.Err() == nil {
 			i := int(cursor.Add(1)) - 1
@@ -176,7 +177,7 @@ func (c *Collection) searchFused(ctx context.Context, sn *Snapshot, fq []float32
 	if err != nil {
 		return nil, err
 	}
-	mergeSpan := opts.Trace.StartSpan("topk_merge")
+	mergeSpan := opts.Trace.Start(obs.TopkMerge)
 	defer mergeSpan.End()
 	return topk.Merge(opts.K, results...), nil
 }

@@ -74,50 +74,45 @@ func newColMetrics(reg *obs.Registry, name string) *colMetrics {
 	return m
 }
 
-// beginQuery records one query of the given kind and starts its trace.
-// When the caller did not supply a trace and the collection has a query
-// log, a trace is created here so the query is still captured. The
-// returned finish func samples the latency histogram and finalizes the
-// trace into the query log — caller-supplied traces included (Finish is
-// idempotent, so the caller finishing again is harmless). trp points at
-// the options' Trace field so a created trace flows down the query path.
-func (c *Collection) beginQuery(kind queryKind, trp **obs.Trace) func() {
+// beginQuery counts one query of the given kind and starts its record.
+// When the caller did not supply a record and the collection has a query
+// log, one is created here so the query is still captured. The returned
+// finish func samples the latency histogram and copies the record into
+// the query log — caller-supplied records included. trp points at the
+// options' Trace field so a created record flows down the query path.
+func (c *Collection) beginQuery(kind queryKind, trp **obs.QueryRecord) func() {
 	c.met.queries[kind].Inc()
 	start := time.Now()
 	if *trp == nil && c.qlog != nil {
-		t := obs.NewTrace(kind.String())
-		t.Annotate("collection", c.Name)
-		*trp = t
+		*trp = obs.NewQueryRecord(kind.String())
+		(*trp).SetString(obs.Collection, c.Name)
 	}
 	tr := *trp
 	return func() {
 		c.met.queryLatency.Observe(time.Since(start))
-		if tr != nil && c.qlog != nil {
-			tr.Finish()
-			c.qlog.Record(tr)
-		}
+		c.qlog.Add(tr)
 	}
 }
 
 // admit takes a run slot on the shared execution pool for one top-level
-// query, recording the wait as a sched_wait span on the query's trace. A
+// query, recording the wait as the sched_wait stage of the query's record. A
 // batchable query (it non-nil) queues under its batch key, so a freed slot
 // may take it along as a peer instead (Slot.Joined); once granted a slot it
 // is counted on its vectordb_batchform_* path. Admission is taken once per
 // query, in Query; everything the query does downstream runs under that
 // single slot.
-func (c *Collection) admit(ctx context.Context, tr *obs.Trace, it *batchItem, key any) (exec.Slot, error) {
+func (c *Collection) admit(ctx context.Context, tr *obs.QueryRecord, it *batchItem, key any) (exec.Slot, error) {
 	var val any
 	if it != nil {
 		val = it
 		c.form.pending.Add(1)
 		defer c.form.pending.Add(-1)
 	}
-	sp := tr.StartSpan("sched_wait")
+	sp := tr.Start(obs.SchedWait)
 	slot, err := c.pool.Admit(ctx, key, val)
 	sp.End()
-	if err != nil {
-		tr.Annotate("admission", err.Error())
+	if err != nil && tr != nil {
+		tr.SetString(obs.Admission, err.Error())
 	} else if it != nil && !slot.Joined {
 		c.form.granted(it, slot.Peers)
 	}

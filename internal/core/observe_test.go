@@ -37,7 +37,7 @@ func obsTestCollection(t *testing.T, n int) (*Collection, *obs.Registry, *obs.Qu
 // finished trace lands in the query log.
 func TestSearchTraceCPUPlacement(t *testing.T) {
 	c, reg, qlog := obsTestCollection(t, 300)
-	tr := obs.NewTrace("search")
+	tr := obs.NewQueryRecord("search")
 	query := mkEntities(1, 8, 7)[0].Vectors[0]
 	if _, err := hitsOf(c, Request{Vector: query, SearchOptions: SearchOptions{K: 5, Trace: tr}}); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestSearchTraceCPUPlacement(t *testing.T) {
 // chosen by the cost-based planner onto the trace.
 func TestSearchFilteredTraceStrategy(t *testing.T) {
 	c, reg, _ := obsTestCollection(t, 300)
-	tr := obs.NewTrace("filtered")
+	tr := obs.NewQueryRecord("filtered")
 	query := mkEntities(1, 8, 9)[0].Vectors[0]
 	if _, err := c.SearchFilteredCtx(context.Background(), query, "price", 1000, 9000, SearchOptions{K: 5, Trace: tr}); err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestQueryCounterAllocs(t *testing.T) {
 	}
 	defer c.Close()
 	for k := queryKind(0); k < numQueryKinds; k++ {
-		var tr *obs.Trace
+		var tr *obs.QueryRecord
 		if avg := testing.AllocsPerRun(100, func() { c.beginQuery(k, &tr)() }); avg > 1 {
 			t.Errorf("counting a %v query allocates %.1f objects, want at most 1", k, avg)
 		}

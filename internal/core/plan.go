@@ -65,11 +65,11 @@ func (c *Collection) planVenue(sn *Snapshot, f, nq int, opts *SearchOptions) pla
 	return dec
 }
 
-// annotatePlan records a planner decision on the query trace: plan= is
+// annotatePlan records a planner decision on the query's record: plan= is
 // the chosen venue/strategy, plan_est_ns the cost estimate it won with.
-func annotatePlan(tr *obs.Trace, dec plan.Decision) {
-	tr.Annotate("plan", dec.Choice())
-	tr.AnnotateInt("plan_est_ns", dec.Est.Nanoseconds())
+func annotatePlan(tr *obs.QueryRecord, dec plan.Decision) {
+	tr.SetString(obs.PlanChoice, dec.Choice())
+	tr.SetInt(obs.PlanEstNs, dec.Est.Nanoseconds())
 }
 
 // PlanFilterShape implements query.Shaped: the physical shape of the

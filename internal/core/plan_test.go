@@ -92,7 +92,7 @@ func TestSearchTracePlanAnnotation(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			tr := obs.NewTrace("search")
+			tr := obs.NewQueryRecord("search")
 			query := mkEntities(1, 8, 7)[0].Vectors[0]
 			if _, err := hitsOf(c, Request{Vector: query, SearchOptions: SearchOptions{K: 5, Trace: tr}}); err != nil {
 				t.Fatal(err)
@@ -118,7 +118,7 @@ func TestFilteredPlanTrace(t *testing.T) {
 	expensiveCompile := fixedProfile(func(p *plan.Profile) { p.BitsetNsPerRow = 1e6 })
 	c, _ := planTestCollection(t, 300, expensiveCompile)
 	query := mkEntities(1, 8, 7)[0].Vectors[0]
-	tr := obs.NewTrace("filtered")
+	tr := obs.NewQueryRecord("filtered")
 	if _, err := c.SearchFilteredCtx(context.Background(), query, "price", 0, 500, SearchOptions{K: 5, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFilteredPlanTrace(t *testing.T) {
 	// And with compile priced normally but the exact scan absurd, pushdown.
 	expensiveScan := fixedProfile(func(p *plan.Profile) { p.RowOverheadNs = 1e6 })
 	c2, _ := planTestCollection(t, 300, expensiveScan)
-	tr2 := obs.NewTrace("filtered")
+	tr2 := obs.NewQueryRecord("filtered")
 	if _, err := c2.SearchFilteredCtx(context.Background(), query, "price", 0, 500, SearchOptions{K: 5, Trace: tr2}); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestSearchPredPlanned(t *testing.T) {
 	pred := colstore.RangePred{Attr: 0, Lo: 1000, Hi: 6000}
 
 	cA, _ := planTestCollection(t, 400, fixedProfile(func(p *plan.Profile) { p.BitsetNsPerRow = 1e6 }))
-	trA := obs.NewTrace("pred")
+	trA := obs.NewQueryRecord("pred")
 	resA, err := hitsOf(cA, Request{Vector: query, Pred: pred, SearchOptions: SearchOptions{K: 10, Trace: trA}})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestSearchPredPlanned(t *testing.T) {
 	}
 
 	cB, _ := planTestCollection(t, 400, fixedProfile(func(p *plan.Profile) { p.RowOverheadNs = 1e6 }))
-	trB := obs.NewTrace("pred")
+	trB := obs.NewQueryRecord("pred")
 	resB, err := hitsOf(cB, Request{Vector: query, Pred: pred, SearchOptions: SearchOptions{K: 10, Trace: trB}})
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestSearchPredPlanned(t *testing.T) {
 
 	// An and-tree cannot be enumerated: even with the compile priced
 	// absurdly, the planner records pushdown and the pushdown runs.
-	trTree := obs.NewTrace("pred")
+	trTree := obs.NewQueryRecord("pred")
 	tree := colstore.AndPred{Preds: []colstore.Pred{pred}}
 	if _, err := hitsOf(cA, Request{Vector: query, Pred: tree, SearchOptions: SearchOptions{K: 10, Trace: trTree}}); err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestBatchPlanAnnotation(t *testing.T) {
 	for i := range queries {
 		queries[i] = mkEntities(1, 8, int64(i+9))[0].Vectors[0]
 	}
-	tr := obs.NewTrace("batch")
+	tr := obs.NewQueryRecord("batch")
 	if _, err := batchOf(context.Background(), c, queries, SearchOptions{K: 5, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestCategoricalPlanTrace(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.NewTrace("categorical")
+	tr := obs.NewQueryRecord("categorical")
 	query := mkEntities(1, 8, 7)[0].Vectors[0]
 	if _, err := catHits(c, query, "color", []string{"red"}, SearchOptions{K: 5, Trace: tr}); err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestCategoricalPlanTrace(t *testing.T) {
 // planner chose and its estimate.
 func filterPlan(t *testing.T, c *Collection) (chosen, est string) {
 	t.Helper()
-	tr := obs.NewTrace("search")
+	tr := obs.NewQueryRecord("search")
 	query := mkEntities(1, 8, 7)[0].Vectors[0]
 	if _, err := c.SearchFilteredCtx(context.Background(), query, "price", 0, 4999, SearchOptions{K: 5, Trace: tr}); err != nil {
 		t.Fatal(err)

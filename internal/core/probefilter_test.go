@@ -103,7 +103,7 @@ func TestPushdownProbeResolvedEqualsFullCompile(t *testing.T) {
 				for name, pred := range preds {
 					for qi, q := range queries {
 						label := fmt.Sprintf("%s/tombstones=%s/%s/q%d", typ, tomb, name, qi)
-						tr := obs.NewTrace("probe")
+						tr := obs.NewQueryRecord("probe")
 						got, err := hitsOf(c, Request{Vector: q, Pred: pred, SearchOptions: SearchOptions{K: k, Nprobe: nprobe, Trace: tr}})
 						if err != nil {
 							t.Fatal(err)

@@ -137,7 +137,7 @@ func TestPushdownMultiSegmentConformance(t *testing.T) {
 		colstore.RangePred{Attr: 0, Lo: 0, Hi: 750},
 		colstore.NotPred{Pred: colstore.InPred{Cat: 0, Values: []string{"globex"}}},
 	}}
-	tr := obs.NewTrace("pred")
+	tr := obs.NewQueryRecord("pred")
 	got, err = hitsOf(f.c, Request{Vector: q, Pred: pred, SearchOptions: SearchOptions{K: k, Trace: tr}})
 	if err != nil {
 		t.Fatal(err)

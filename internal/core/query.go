@@ -117,16 +117,16 @@ func (c *Collection) Query(ctx context.Context, q Request) (Response, error) {
 	sn := c.snaps.acquire()
 	defer c.snaps.release(sn)
 
-	planSpan := tr.StartSpan("plan")
+	planSpan := tr.Start(obs.Plan)
 	rt := c.plan(sn, f, &q, items)
-	planSpan.AnnotateInt("segments", int64(len(sn.Segments)))
+	tr.SetInt(obs.PlanSegments, int64(len(sn.Segments)))
 	planSpan.End()
 
 	var res Response
 	t0 := time.Now()
 	switch rt.run {
 	case runBatch:
-		tr.AnnotateInt("batch_occupancy", int64(len(items)))
+		tr.SetInt(obs.BatchOccupancy, int64(len(items)))
 		c.searchBatch(sn, c.batchFormKey(f, &q.SearchOptions), rt.dec, items)
 		res, err = batchResult(&q, items)
 	case runFused:
@@ -139,7 +139,7 @@ func (c *Collection) Query(ctx context.Context, q Request) (Response, error) {
 	case runPushdown:
 		// Strategy B: each segment's task compiles the predicate at the
 		// positions its search reads (Segment.SearchFiltered).
-		tr.Annotate("filter_strategy", query.StratB)
+		tr.SetString(obs.FilterStrategy, query.StratB)
 		q.pred = q.Pred
 		res.Hits, err = c.searchSnapshot(ctx, sn, f, q.Vector, q.SearchOptions)
 	default:
@@ -283,11 +283,9 @@ func (c *Collection) plan(sn *Snapshot, f int, q *Request, items []*batchItem) r
 	switch {
 	case q.Fields != nil && c.fusable(q.Weights) == nil:
 		rt = route{run: runFused, fused: c.fuseQuery(q.Fields, q.Weights)}
-		tr.Annotate("multi_algorithm", "fused")
 		forcePlan(tr, "fused")
 	case q.Fields != nil:
 		rt.run = runIterative
-		tr.Annotate("multi_algorithm", "iterative_merging")
 		forcePlan(tr, "iterative_merging")
 	case q.Pred != nil:
 		fs := c.filterShape(sn, f)
@@ -319,10 +317,12 @@ func (c *Collection) plan(sn *Snapshot, f int, q *Request, items []*batchItem) r
 	return rt
 }
 
-// forcePlan records a plan the planner did not price.
-func forcePlan(tr *obs.Trace, choice string) {
-	tr.Annotate("plan", choice)
-	tr.Annotate("plan_forced", "true")
+// forcePlan records a multi-vector algorithm as a plan the planner did not
+// price.
+func forcePlan(tr *obs.QueryRecord, alg string) {
+	tr.SetString(obs.MultiAlgorithm, alg)
+	tr.SetString(obs.PlanChoice, alg)
+	tr.SetString(obs.PlanForced, "true")
 }
 
 // prefilterScan is strategy A (Sec. 4.1) over the pinned snapshot: the
@@ -330,9 +330,9 @@ func forcePlan(tr *obs.Trace, choice string) {
 // only those rows are compared against the query. Exact.
 func (c *Collection) prefilterScan(ctx context.Context, sn *Snapshot, f int, queryVec []float32, pred colstore.Pred, opts SearchOptions) ([]topk.Result, error) {
 	tr := opts.Trace
-	tr.Annotate("filter_strategy", query.StratA)
+	tr.SetString(obs.FilterStrategy, query.StratA)
 	src := SourceView{c: c, sn: sn}
-	span := tr.StartSpan("attr_filter")
+	span := tr.Start(obs.AttrFilter)
 	var rows []int64
 	switch p := pred.(type) {
 	case colstore.RangePred:
@@ -340,7 +340,7 @@ func (c *Collection) prefilterScan(ctx context.Context, sn *Snapshot, f int, que
 	case colstore.InPred:
 		rows = src.CatRows(p.Cat, p.Values...)
 	}
-	span.AnnotateInt("rows", int64(len(rows)))
+	tr.SetInt(obs.FilterRows, int64(len(rows)))
 	span.End()
 	if len(rows) == 0 {
 		return nil, nil

@@ -467,7 +467,7 @@ func TestSearchSnapshotCtxOutsideExecute(t *testing.T) {
 // as any other sweep, and its multi-vector algorithm.
 func TestFusedTraceStages(t *testing.T) {
 	fx := newReadPathFixture(t, fixedProfile(nil))
-	tr := obs.NewTrace("fused")
+	tr := obs.NewQueryRecord("fused")
 	r := goodReq()
 	if _, err := hitsOf(fx.c, Request{Fields: [][]float32{r.vec, fx.w}, SearchOptions: SearchOptions{K: 5, Trace: tr}}); err != nil {
 		t.Fatal(err)

@@ -319,17 +319,21 @@ func (s *Segment) Search(schema *Schema, field int, query []float32, p index.Sea
 // merge, and letting the worst retained distance prune pushes across
 // segment boundaries. An index probe pushes into h through
 // index.SearchInto; the unindexed scan goes through the shared blocked
-// kernels — an L2 field with a code copy through index.ScanCoded, which
-// reads the codes first and scores in float only the rows whose bound can
-// still enter the top-k, any other through index.ScanBlocked, which feeds
-// the heap's worst distance into the early-abandon kernel.
+// kernels — an L2 column of at least codedBatchFloats with a code copy
+// through index.ScanCoded, which reads the codes first and scores in float
+// only the rows whose bound can still enter the top-k, any other through
+// index.ScanBlocked, which feeds the heap's worst distance into the
+// early-abandon kernel.
 //
-// A scanned segment whose bytes cannot be read (a tiered segment whose
-// promotion exhausted its retries) is the query's error: answering without
-// the segment would silently drop its rows.
+// A segment whose bytes cannot be read (a tiered segment, or an
+// externalized IVF payload, whose promotion exhausted its retries) is the
+// query's error: answering without the segment would silently drop its
+// rows.
 func (s *Segment) SearchInto(h *topk.Heap, schema *Schema, field int, query []float32, p index.SearchParams) error {
 	if idx := s.Index(field); idx != nil {
-		index.SearchInto(idx, h, query, p)
+		if err := index.SearchInto(idx, h, query, p); err != nil {
+			return fmt.Errorf("core: segment %d: %w", s.ID, err)
+		}
 		return nil
 	}
 	data, rel, err := s.vectorData(field)
@@ -338,7 +342,11 @@ func (s *Segment) SearchInto(h *topk.Heap, schema *Schema, field int, query []fl
 	}
 	vf := &schema.VectorFields[field]
 	sel := index.Selection{Bits: p.Bits}
-	if codes := s.scanCodes(vf, field, data); codes != nil {
+	var codes *vec.Codes
+	if len(data) >= codedBatchFloats { // a batch of one member, per segment
+		codes = s.scanCodes(vf, field, data)
+	}
+	if codes != nil {
 		index.ScanCoded([]*topk.Heap{h}, query, data, codes, s.IDs, sel)
 	} else {
 		index.ScanBlocked(h, vf.Metric, query, data, vf.Dim, s.IDs, sel)

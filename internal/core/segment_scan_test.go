@@ -46,17 +46,30 @@ func TestSegmentScanUsesBatchKernels(t *testing.T) {
 	}
 }
 
-// TestSegmentScanUsesCodeKernel: an unindexed L2 segment's first scan
-// runs on the floats; from the second on it reads the code copy first —
-// once the heap holds a bound, each block is one code tile dispatch — and
-// scores only its survivors on the float batch kernels, never per row. An
-// IP scan has no codes and stays on the float batch kernels alone.
+// TestSegmentScanUsesCodeKernel: an unindexed L2 segment of at least
+// codedBatchFloats runs its first scan on the floats; from the second on
+// it reads the code copy first — once the heap holds a bound, each block
+// is one code tile dispatch — and scores only its survivors on the float
+// batch kernels, never per row. An IP scan has no codes and stays on the
+// float batch kernels alone, and so does every scan of a smaller L2
+// segment, which never builds a copy.
 func TestSegmentScanUsesCodeKernel(t *testing.T) {
 	prev := vec.DispatchCounting()
 	vec.SetDispatchCounting(true)
 	defer vec.SetDispatchCounting(prev)
+	const rows = codedBatchFloats / 32
+	small, schema := scanTestSegment(rows/8, 32, 65)
+	vec.ResetDispatchCounts()
+	for i := 0; i < 3; i++ {
+		if err := small.SearchInto(topk.New(10), schema, 0, small.Vectors[0].Row(7), index.SearchParams{K: 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if code, built := vec.CodeDispatchTotal(), small.fieldCodes(0).codes.Load() != nil; code != 0 || built {
+		t.Errorf("%d × 32, below the floor: %d code tile dispatches in three scans, codes built %v; want none", rows/8, code, built)
+	}
 	for _, metric := range []vec.Metric{vec.L2, vec.IP} {
-		seg, schema := scanTestSegment(2048, 32, 64)
+		seg, schema := scanTestSegment(rows, 32, 64)
 		schema.VectorFields[0].Metric = metric
 		q := seg.Vectors[0].Row(100)
 		h := topk.New(10)
@@ -76,7 +89,7 @@ func TestSegmentScanUsesCodeKernel(t *testing.T) {
 			t.Fatalf("top hit %v, want the query's own row %d", got[0], seg.IDs[100])
 		}
 		code, batch := vec.CodeDispatchTotal(), vec.BatchDispatchTotal()
-		blocks := int64(2048 / index.ScanBlockRows)
+		blocks := int64(rows / index.ScanBlockRows)
 		switch {
 		case vec.DispatchCount(vec.CurrentLevel()) != 0:
 			t.Errorf("%v: per-row kernel dispatches", metric)

@@ -1261,54 +1261,69 @@ func TestTieredFlatKeepsNoHeapCopy(t *testing.T) {
 	}
 }
 
-// TestTieredUnreadableSegmentFailsQuery: a scanned segment whose local
-// file and store object are both gone cannot be promoted, and a query —
-// one vector, a filtered one and a batch — answers that error instead of
-// silently leaving the segment's rows out. Each failed promotion counts in
+// TestTieredUnreadableSegmentFailsQuery: a segment whose local files and
+// store objects are all gone cannot be promoted, and a query — one vector,
+// a filtered one and a batch — answers that error instead of silently
+// leaving the segment's rows out, whether the segment is scanned or probed
+// through an externalized IVF_FLAT payload. Each failed promotion counts in
 // vectordb_tier_promote_errors_total.
 func TestTieredUnreadableSegmentFailsQuery(t *testing.T) {
 	const dim, rows = 8, 256
-	reg := obs.NewRegistry()
-	cfg := tierTestConfig(t)
-	cfg.Obs = reg
-	store := objstore.NewMemory()
-	c, err := NewCollection("gone", testSchema(dim), store, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ents := mkEntities(rows, dim, 9)
-	if err := c.Insert(ents); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if c.DemoteSegments() == 0 {
-		t.Fatal("nothing demoted")
-	}
-	keys, err := store.List("")
-	if err != nil || len(keys) == 0 {
-		t.Fatalf("store holds %v (%v), want the segment objects", keys, err)
-	}
-	for _, k := range keys {
-		if err := store.Delete(k); err != nil {
+	for _, indexType := range []string{"FLAT", "IVF_FLAT"} {
+		reg := obs.NewRegistry()
+		cfg := tierTestConfig(t)
+		cfg.Obs = reg
+		cfg.IndexRows, cfg.IndexType, cfg.IndexParams = 64, indexType, map[string]string{"nlist": "4"}
+		store := objstore.NewMemory()
+		c, err := NewCollection("gone", testSchema(dim), store, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	promoteErrs := reg.Counter("vectordb_tier_promote_errors_total", "collection", "gone")
-	q := ents[5].Vectors[0]
-	for name, req := range map[string]Request{
-		"vector":   {Vector: q, SearchOptions: SearchOptions{K: 5}},
-		"filtered": {Vector: q, Pred: colstore.RangePred{Attr: 0, Lo: 0, Hi: 1 << 40}, SearchOptions: SearchOptions{K: 5}},
-		"batch":    {Batch: [][]float32{q, ents[9].Vectors[0]}, SearchOptions: SearchOptions{K: 5}},
-	} {
-		before := promoteErrs.Value()
-		if _, err := c.Query(context.Background(), req); err == nil {
-			t.Fatalf("%s: a query over an unreadable segment answered without an error", name)
+		defer c.Close()
+		ents := mkEntities(rows, dim, 9)
+		if err := c.Insert(ents); err != nil {
+			t.Fatal(err)
 		}
-		if promoteErrs.Value() <= before {
-			t.Fatalf("%s: vectordb_tier_promote_errors_total did not count the failed promotion", name)
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		sn := c.AcquireSnapshot()
+		external := 0
+		for _, seg := range sn.Segments {
+			if iv, ok := unwrapIndex(seg.Index(0)).(*ivf.IVF); ok && iv.Externalized() {
+				external++
+			}
+		}
+		c.ReleaseSnapshot(sn)
+		if (external > 0) != (indexType == "IVF_FLAT") {
+			t.Fatalf("%s: %d segments probe an externalized payload", indexType, external)
+		}
+		if c.DemoteSegments() == 0 {
+			t.Fatal("nothing demoted")
+		}
+		keys, err := store.List("")
+		if err != nil || len(keys) == 0 {
+			t.Fatalf("store holds %v (%v), want the segment objects", keys, err)
+		}
+		for _, k := range keys {
+			if err := store.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		promoteErrs := reg.Counter("vectordb_tier_promote_errors_total", "collection", "gone")
+		q := ents[5].Vectors[0]
+		for name, req := range map[string]Request{
+			"vector":   {Vector: q, SearchOptions: SearchOptions{K: 5}},
+			"filtered": {Vector: q, Pred: colstore.RangePred{Attr: 0, Lo: 0, Hi: 1 << 40}, SearchOptions: SearchOptions{K: 5}},
+			"batch":    {Batch: [][]float32{q, ents[9].Vectors[0]}, SearchOptions: SearchOptions{K: 5}},
+		} {
+			before := promoteErrs.Value()
+			if _, err := c.Query(context.Background(), req); err == nil {
+				t.Fatalf("%s %s: a query over an unreadable segment answered without an error", indexType, name)
+			}
+			if promoteErrs.Value() <= before {
+				t.Fatalf("%s %s: vectordb_tier_promote_errors_total did not count the failed promotion", indexType, name)
+			}
 		}
 	}
 }
@@ -1317,8 +1332,10 @@ func TestTieredUnreadableSegmentFailsQuery(t *testing.T) {
 // outside TierMappedBytes, so a demote releases it with the mapping; the
 // segment's next second scan rebuilds it, and the answers do not move.
 func TestTieredDemoteDropsCodes(t *testing.T) {
-	const dim, rows = 8, 256
-	c, err := NewCollection("codes", testSchema(dim), objstore.NewMemory(), tierTestConfig(t))
+	const dim, rows = 32, codedBatchFloats / 32 // one segment at the code floor
+	cfg := tierTestConfig(t)
+	cfg.FlushRows = rows
+	c, err := NewCollection("codes", testSchema(dim), objstore.NewMemory(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,8 @@ func (f *Flat) Search(query []float32, p index.SearchParams) []topk.Result {
 }
 
 // SearchInto is Search pushing into a caller-owned heap, whose worst
-// distance gates the scan from its first row.
-func (f *Flat) SearchInto(h *topk.Heap, query []float32, p index.SearchParams) {
+// distance gates the scan from its first row. A resident scan cannot fail.
+func (f *Flat) SearchInto(h *topk.Heap, query []float32, p index.SearchParams) error {
 	index.ScanBlocked(h, f.metric, query, f.data, f.dim, f.ids, index.Selection{Bits: p.Bits})
+	return nil
 }

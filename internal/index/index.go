@@ -197,17 +197,19 @@ func IDsOrDefault(ids []int64, n int) []int64 {
 // segments. Indexes with a SearchInto of their own (the scan-based ones:
 // FLAT, the IVF family) push straight into h, so h's worst distance
 // prunes their scan and no per-probe result list is allocated or sorted;
-// the rest (graph indexes) push what Search returns.
-func SearchInto(idx Index, h *topk.Heap, query []float32, p SearchParams) {
+// the rest (graph indexes) push what Search returns. The error is a scan
+// whose data could not be read (an externalized IVF payload that could not
+// be opened); the search then pushed nothing.
+func SearchInto(idx Index, h *topk.Heap, query []float32, p SearchParams) error {
 	if s, ok := idx.(interface {
-		SearchInto(*topk.Heap, []float32, SearchParams)
+		SearchInto(*topk.Heap, []float32, SearchParams) error
 	}); ok {
-		s.SearchInto(h, query, p)
-		return
+		return s.SearchInto(h, query, p)
 	}
 	for _, r := range idx.Search(query, p) {
 		h.Push(r.ID, r.Distance)
 	}
+	return nil
 }
 
 // SearchBatch runs Search for each of the nq queries packed in queries.

@@ -325,22 +325,29 @@ func (x *IVF) ProbeOrder(query []float32, nprobe int) []int {
 // buckets go through the shared blocked batch kernels with the selection
 // pushed beneath them; SQ8 and PQ buckets build their per-query ADC tables
 // here — callers scanning many buckets for one query (Search, SQ8H)
-// should build the table once via SQ8ScanQuery/ScanBucketSQ8 instead.
-func (x *IVF) ScanBucket(query []float32, b int, sel index.Selection, h *topk.Heap) {
+// should build the table once via SQ8ScanQuery/ScanBucketSQ8 instead. A
+// payload that cannot be opened (an externalized one whose segment could
+// not be promoted) is the scan's error.
+func (x *IVF) ScanBucket(query []float32, b int, sel index.Selection, h *topk.Heap) error {
 	switch x.fine {
 	case FineSQ8:
-		x.ScanBucketSQ8(x.SQ8ScanQuery(query), b, sel, h)
+		return x.ScanBucketSQ8(x.SQ8ScanQuery(query), b, sel, h)
 	case FinePQ:
-		if codes, release, err := x.payload.OpenBytes(); err == nil {
-			x.scanRows(codes, b, sel, h, x.pqTable(query).Distance)
-			release()
+		codes, release, err := x.payload.OpenBytes()
+		if err != nil {
+			return err
 		}
+		x.scanRows(codes, b, sel, h, x.pqTable(query).Distance)
+		release()
 	default:
-		if rows, release, err := x.payload.OpenFloats(); err == nil {
-			x.scanFlat(rows, query, b, sel, h)
-			release()
+		rows, release, err := x.payload.OpenFloats()
+		if err != nil {
+			return err
 		}
+		x.scanFlat(rows, query, b, sel, h)
+		release()
 	}
+	return nil
 }
 
 // SQ8ScanQuery builds the fused per-query ADC table for SQ8 buckets under
@@ -353,11 +360,14 @@ func (x *IVF) SQ8ScanQuery(query []float32) *quantizer.SQ8Query {
 // ScanBucketSQ8 scans one SQ8 bucket with a prebuilt fused table: distances
 // come straight off the code bytes, resident or served out of core, gated
 // on the heap's worst distance like every other scan path.
-func (x *IVF) ScanBucketSQ8(sq *quantizer.SQ8Query, b int, sel index.Selection, h *topk.Heap) {
-	if codes, release, err := x.payload.OpenBytes(); err == nil {
-		x.scanSQ8(codes, sq, b, sel, h)
-		release()
+func (x *IVF) ScanBucketSQ8(sq *quantizer.SQ8Query, b int, sel index.Selection, h *topk.Heap) error {
+	codes, release, err := x.payload.OpenBytes()
+	if err != nil {
+		return err
 	}
+	x.scanSQ8(codes, sq, b, sel, h)
+	release()
+	return nil
 }
 
 // scanFlat is the one IVF_FLAT bucket scan: bucket b's rows of the opened
@@ -420,13 +430,15 @@ func (x *IVF) scanRows(payload []byte, b int, sel index.Selection, h *topk.Heap,
 	bufferpool.PutFloats(bp)
 }
 
-// Search implements index.Index through SearchInto on a pooled heap.
+// Search implements index.Index through SearchInto on a pooled heap; a
+// payload that cannot be opened answers no results (SearchInto reports it).
 func (x *IVF) Search(query []float32, p index.SearchParams) []topk.Result {
 	h := topk.GetHeap(p.K)
-	x.SearchInto(h, query, p)
-	out := h.Results()
-	topk.PutHeap(h)
-	return out
+	defer topk.PutHeap(h)
+	if x.SearchInto(h, query, p) != nil {
+		return nil
+	}
+	return h.Results()
 }
 
 // SearchInto probes the query's nearest buckets (p.Probes when the caller
@@ -438,38 +450,42 @@ func (x *IVF) Search(query []float32, p index.SearchParams) []topk.Result {
 // pinned (and its segment promoted) once per query rather than once per
 // bucket. A pushed bitset is read only at the probed buckets' positions;
 // each IVF_FLAT block of a bucket runs masked or gathered by the share of
-// its own rows that pass.
-func (x *IVF) SearchInto(h *topk.Heap, query []float32, p index.SearchParams) {
+// its own rows that pass. A payload that cannot be opened is the search's
+// error, and nothing is pushed.
+func (x *IVF) SearchInto(h *topk.Heap, query []float32, p index.SearchParams) error {
 	probes := p.Probes
 	if probes == nil {
 		probes = x.ProbeOrder(query, p.Nprobe)
 	}
 	sel := index.Selection{Bits: p.Bits}
-	switch x.fine {
-	case FinePQ:
-		if codes, release, err := x.payload.OpenBytes(); err == nil {
-			tab := x.pqTable(query)
-			for _, b := range probes {
-				x.scanRows(codes, b, sel, h, tab.Distance)
-			}
-			release()
+	if x.fine == FineFlat {
+		rows, release, err := x.payload.OpenFloats()
+		if err != nil {
+			return err
 		}
-	case FineSQ8:
-		if codes, release, err := x.payload.OpenBytes(); err == nil {
-			sq := x.SQ8ScanQuery(query)
-			for _, b := range probes {
-				x.scanSQ8(codes, sq, b, sel, h)
-			}
-			release()
+		for _, b := range probes {
+			x.scanFlat(rows, query, b, sel, h)
 		}
-	default:
-		if rows, release, err := x.payload.OpenFloats(); err == nil {
-			for _, b := range probes {
-				x.scanFlat(rows, query, b, sel, h)
-			}
-			release()
+		release()
+		return nil
+	}
+	codes, release, err := x.payload.OpenBytes()
+	if err != nil {
+		return err
+	}
+	if x.fine == FinePQ {
+		tab := x.pqTable(query)
+		for _, b := range probes {
+			x.scanRows(codes, b, sel, h, tab.Distance)
+		}
+	} else {
+		sq := x.SQ8ScanQuery(query)
+		for _, b := range probes {
+			x.scanSQ8(codes, sq, b, sel, h)
 		}
 	}
+	release()
+	return nil
 }
 
 // ProbedPositions appends the build positions of the probed buckets' rows

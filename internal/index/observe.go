@@ -68,11 +68,12 @@ func (w *instrumentedIndex) Search(query []float32, p SearchParams) []topk.Resul
 
 // SearchInto forwards to the wrapped index's heap-through search, counted
 // and timed once per probe like Search.
-func (w *instrumentedIndex) SearchInto(h *topk.Heap, query []float32, p SearchParams) {
+func (w *instrumentedIndex) SearchInto(h *topk.Heap, query []float32, p SearchParams) error {
 	start := time.Now()
-	SearchInto(w.Index, h, query, p)
+	err := SearchInto(w.Index, h, query, p)
 	w.searches.Inc()
 	w.latency.Observe(time.Since(start))
+	return err
 }
 
 // Unwrap exposes the underlying index, e.g. for capability probes.

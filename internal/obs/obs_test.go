@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"maps"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -139,118 +142,128 @@ func TestNilRegistryReturnsWorkingHandles(t *testing.T) {
 }
 
 func TestTraceSpansAndAttrs(t *testing.T) {
-	tr := NewTrace("vector")
-	if tr.Op() != "vector" {
-		t.Fatalf("op = %q", tr.Op())
-	}
-	tr.Annotate("placement", "cpu")
-	tr.Annotate("placement", "gpu") // last wins
-	tr.AnnotateInt("k", 10)
+	r := NewQueryRecord("vector")
+	r.SetString(PlanChoice, "flat_cpu")
+	r.SetString(PlanChoice, "ivf_cpu") // last wins
+	r.SetInt(PlanEstNs, 10)
+	r.SetFloat(FilterSelectivity, 0.25)
+	r.SetInt(Indexed, 2)
 
-	parent := tr.StartSpan("segments")
-	child := parent.StartChild("index_search")
-	child.AnnotateInt("rows", 100)
-	child.End()
-	child.End() // idempotent
-	parent.End()
-	merge := tr.StartSpan("topk_merge")
+	merge := r.Start(TopkMerge) // started first, listed last: pipeline order
+	segs := r.Start(Segments)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ { // pool workers add to one stage at once
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sp := r.Start(IndexSearch)
+			time.Sleep(time.Microsecond)
+			sp.End()
+		}()
+	}
+	wg.Wait()
+	segs.End()
 	merge.End()
 
-	d1 := tr.Finish()
-	d2 := tr.Finish()
+	d1 := r.Finish()
+	d2 := r.Finish()
 	if d1 != d2 || d1 <= 0 {
 		t.Fatalf("finish must be idempotent and positive: %v vs %v", d1, d2)
 	}
-	if v, ok := tr.Attr("placement"); !ok || v != "gpu" {
-		t.Fatalf("attr placement = %q, %v", v, ok)
+	for key, want := range map[string]string{"plan": "ivf_cpu", "plan_est_ns": "10", "filter_selectivity": "0.2500"} {
+		if v, ok := r.Attr(key); !ok || v != want {
+			t.Fatalf("attr %s = %q, %v; want %q", key, v, ok, want)
+		}
 	}
-	if v, _ := tr.Attr("k"); v != "10" {
-		t.Fatalf("attr k = %q", v)
+	if _, ok := r.Attr("indexed"); ok {
+		t.Fatal("a stage attribute is not a query attribute")
 	}
-	if _, ok := tr.Attr("absent"); ok {
+	if _, ok := r.Attr("absent"); ok {
 		t.Fatal("absent attr must report !ok")
 	}
 
-	s := tr.Summary()
+	s := r.Summary()
 	if s.Op != "vector" || s.Duration != d1 {
 		t.Fatalf("summary op/duration mismatch: %+v", s)
 	}
-	stages := s.Stages()
-	want := []string{"segments", "index_search", "topk_merge"}
-	if len(stages) != len(want) {
-		t.Fatalf("stages = %v, want %v", stages, want)
+	if got, want := s.Stages(), []string{"segments", "index_search", "topk_merge"}; !slices.Equal(got, want) {
+		t.Fatalf("stages = %v, want %v", got, want)
 	}
-	for i := range want {
-		if stages[i] != want[i] {
-			t.Fatalf("stages = %v, want %v", stages, want)
+	seg, idx, top := s.Spans[0], s.Spans[1], s.Spans[2]
+	if idx.Parent != "segments" || idx.Count != 4 || seg.Count != 1 {
+		t.Fatalf("index_search parent %q count %d, segments count %d", idx.Parent, idx.Count, seg.Count)
+	}
+	if top.StartOff > seg.StartOff || seg.StartOff > idx.StartOff {
+		t.Fatalf("first starts: topk_merge %v, segments %v, index_search %v", top.StartOff, seg.StartOff, idx.StartOff)
+	}
+	if !slices.Equal(seg.Attrs, []KV{{"indexed", "2"}}) {
+		t.Fatalf("segments attrs = %v", seg.Attrs)
+	}
+	if bd := s.StageBreakdown(); bd["index_search"] < 4*time.Microsecond {
+		t.Fatalf("breakdown must sum the stage's runs: %v", bd)
+	}
+}
+
+// TestPartitionRendersPerPartition: strategy E's partition stage renders
+// one span per partition, each naming its action.
+func TestPartitionRendersPerPartition(t *testing.T) {
+	r := NewQueryRecord("filtered")
+	for _, a := range []PartAction{PartPruned, PartDelegated, PartPruned, PartFullVector} {
+		sp := r.Start(Partition)
+		r.AddPartition(a)
+		sp.End()
+	}
+	actions := map[string]int{}
+	for _, sp := range r.Summary().Spans {
+		if sp.Name == "partition" && len(sp.Attrs) == 1 && sp.Attrs[0].Key == "action" {
+			actions[sp.Attrs[0].Value]++
 		}
 	}
-	if s.Spans[1].Parent != "segments" {
-		t.Fatalf("child parent = %q", s.Spans[1].Parent)
-	}
-	bd := s.StageBreakdown()
-	if bd["index_search"] <= 0 {
-		t.Fatal("breakdown must include ended child span")
-	}
-	if v, ok := s.Attr("placement"); !ok || v != "gpu" {
-		t.Fatalf("summary attr = %q, %v", v, ok)
+	if want := map[string]int{"pruned": 2, "delegated": 1, "full_vector": 1}; !maps.Equal(actions, want) {
+		t.Fatalf("partition actions %v, want %v", actions, want)
 	}
 }
 
 func TestNilTraceIsSafe(t *testing.T) {
-	var tr *Trace
-	sp := tr.StartSpan("x")
-	if sp != nil {
-		t.Fatal("nil trace must hand out nil spans")
+	var r *QueryRecord
+	r.Start(Plan).End()
+	r.SetString(PlanChoice, "b")
+	r.SetInt(PlanEstNs, 1)
+	r.SetFloat(FilterSelectivity, 1)
+	r.AddPartition(PartPruned)
+	if _, ok := r.Attr("plan"); ok {
+		t.Fatal("nil record has no attrs")
 	}
-	sp.End()
-	sp.Annotate("a", "b")
-	sp.AnnotateInt("c", 1)
-	if sp.StartChild("y") != nil {
-		t.Fatal("nil span child must be nil")
+	if r.Finish() != 0 || len(r.Stages()) != 0 {
+		t.Fatal("nil record must return zero values")
 	}
-	tr.Annotate("a", "b")
-	tr.AnnotateInt("c", 1)
-	if _, ok := tr.Attr("a"); ok {
-		t.Fatal("nil trace has no attrs")
-	}
-	if tr.Finish() != 0 || tr.Duration() != 0 || tr.Op() != "" {
-		t.Fatal("nil trace must return zero values")
-	}
-	if len(tr.Stages()) != 0 {
-		t.Fatal("nil trace has no stages")
-	}
-	var sum TraceSummary = tr.Summary()
-	if sum.Op != "" {
-		t.Fatal("nil trace summary must be zero")
+	if sum := r.Summary(); sum.Op != "" {
+		t.Fatal("nil record summary must be zero")
 	}
 }
 
 func TestTraceLiveDuration(t *testing.T) {
-	tr := NewTrace("op")
+	r := NewQueryRecord("op")
 	time.Sleep(time.Millisecond)
-	if tr.Duration() <= 0 {
-		t.Fatal("open trace must report live duration")
+	if r.Summary().Duration <= 0 {
+		t.Fatal("open record summary must report live duration")
 	}
-	if tr.Summary().Duration <= 0 {
-		t.Fatal("open trace summary must report live duration")
-	}
+}
+
+// timed is a finished record of op that spent d in one segment scan.
+func timed(op string, d time.Duration) *QueryRecord {
+	r := &QueryRecord{op: op, dur: d}
+	r.stages[SegmentScan] = tally{first: 1, dur: int64(d), count: 1}
+	return r
 }
 
 func TestQueryLogRingsAndSlowLog(t *testing.T) {
 	l := NewQueryLog(3, 2, 10*time.Millisecond)
-	mk := func(op string, d time.Duration) TraceSummary {
-		return TraceSummary{
-			Op:       op,
-			Duration: d,
-			Spans:    []SpanSummary{{Name: "scan", Duration: d}},
-		}
-	}
-	l.RecordSummary(mk("q1", time.Millisecond))
-	l.RecordSummary(mk("q2", 20*time.Millisecond))
-	l.RecordSummary(mk("q3", time.Millisecond))
-	l.RecordSummary(mk("q4", 30*time.Millisecond)) // evicts q1 from recent
-	l.RecordSummary(mk("q5", 40*time.Millisecond)) // evicts slow q2
+	l.Add(timed("q1", time.Millisecond))
+	l.Add(timed("q2", 20*time.Millisecond))
+	l.Add(timed("q3", time.Millisecond))
+	l.Add(timed("q4", 30*time.Millisecond)) // evicts q1 from recent
+	l.Add(timed("q5", 40*time.Millisecond)) // evicts slow q2
 
 	recent := l.Recent()
 	if len(recent) != 3 {
@@ -266,7 +279,7 @@ func TestQueryLogRingsAndSlowLog(t *testing.T) {
 	if slow[0].Op != "q5" || slow[1].Op != "q4" {
 		t.Fatalf("slow order: %s %s", slow[0].Op, slow[1].Op)
 	}
-	if slow[0].Breakdown["scan"] != 40*time.Millisecond {
+	if slow[0].Breakdown["segment_scan"] != 40*time.Millisecond {
 		t.Fatalf("slow breakdown = %v", slow[0].Breakdown)
 	}
 	if l.Total() != 5 || l.SlowTotal() != 3 {
@@ -276,22 +289,23 @@ func TestQueryLogRingsAndSlowLog(t *testing.T) {
 
 func TestQueryLogThresholdAndNil(t *testing.T) {
 	l := NewQueryLog(0, 0, 0) // defaults; slow log disabled
-	tr := NewTrace("op")
-	tr.Finish()
-	l.Record(tr)
-	l.Record(nil)
+	r := NewQueryRecord("op")
+	l.Add(r)
+	l.Add(nil)
 	if len(l.Recent()) != 1 || len(l.Slow()) != 0 {
 		t.Fatalf("recent=%d slow=%d", len(l.Recent()), len(l.Slow()))
 	}
+	if r.Summary().Duration <= 0 {
+		t.Fatal("adding a record must finish it")
+	}
 	l.SetSlowThreshold(time.Nanosecond)
-	l.RecordSummary(TraceSummary{Op: "s", Duration: time.Second})
+	l.Add(timed("s", time.Second))
 	if len(l.Slow()) != 1 {
 		t.Fatal("threshold change must enable slow capture")
 	}
 
 	var nilLog *QueryLog
-	nilLog.Record(tr)
-	nilLog.RecordSummary(TraceSummary{})
+	nilLog.Add(r)
 	nilLog.SetSlowThreshold(time.Second)
 	if nilLog.Recent() != nil || nilLog.Slow() != nil || nilLog.Total() != 0 || nilLog.SlowTotal() != 0 {
 		t.Fatal("nil query log must be inert")

@@ -5,28 +5,38 @@ import (
 	"time"
 )
 
-// SlowQuery is a slow-log entry: the full trace summary plus the
-// per-stage duration breakdown precomputed at record time.
+// SlowQuery is a slow-log entry: the rendered record plus its per-stage
+// duration breakdown.
 type SlowQuery struct {
 	TraceSummary
 	Breakdown map[string]time.Duration `json:"breakdown"`
 }
 
-// QueryLog keeps two fixed-size rings of finished query traces: every
-// recent query, and the subset slower than a settable threshold (with
-// per-stage breakdowns). Recording is O(1) and allocation-light; readers
-// get copies and never block recorders for long.
+// QueryLog keeps two fixed-size rings of finished query records: every
+// recent query, and the subset slower than a settable threshold. Adding a
+// record copies it by value over the oldest and allocates nothing; the
+// rendered views are built only when Recent or Slow is read.
 type QueryLog struct {
 	mu      sync.Mutex
-	recent  []TraceSummary
-	rNext   int
-	rFull   bool
-	slow    []SlowQuery
-	sNext   int
-	sFull   bool
+	recent  ring
+	slow    ring
 	slowAt  time.Duration
 	total   int64
 	slowCnt int64
+}
+
+// ring is a fixed-size ring of records, overwriting the oldest.
+type ring struct {
+	buf  []QueryRecord
+	next int
+	full bool
+}
+
+func (g *ring) put(r *QueryRecord) {
+	g.buf[g.next] = *r
+	if g.next++; g.next == len(g.buf) {
+		g.next, g.full = 0, true
+	}
 }
 
 // NewQueryLog sizes the rings and sets the slow threshold. Non-positive
@@ -40,8 +50,8 @@ func NewQueryLog(recentCap, slowCap int, slowThreshold time.Duration) *QueryLog 
 		slowCap = 32
 	}
 	return &QueryLog{
-		recent: make([]TraceSummary, recentCap),
-		slow:   make([]SlowQuery, slowCap),
+		recent: ring{buf: make([]QueryRecord, recentCap)},
+		slow:   ring{buf: make([]QueryRecord, slowCap)},
 		slowAt: slowThreshold,
 	}
 }
@@ -57,77 +67,65 @@ func (l *QueryLog) SetSlowThreshold(d time.Duration) {
 	l.mu.Unlock()
 }
 
-// Record captures a finished trace. Nil-safe on both the log and the
-// trace.
-func (l *QueryLog) Record(t *Trace) {
-	if l == nil || t == nil {
+// Add finishes r and copies it into the rings. Nil-safe on both the log
+// and the record; r may be reused or dropped afterwards.
+func (l *QueryLog) Add(r *QueryRecord) {
+	if l == nil || r == nil {
 		return
 	}
-	l.RecordSummary(t.Summary())
-}
-
-// RecordSummary captures an already-snapshotted trace.
-func (l *QueryLog) RecordSummary(s TraceSummary) {
-	if l == nil {
-		return
-	}
+	r.Finish()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.total++
-	l.recent[l.rNext] = s
-	l.rNext++
-	if l.rNext == len(l.recent) {
-		l.rNext, l.rFull = 0, true
-	}
-	if l.slowAt > 0 && s.Duration >= l.slowAt {
+	l.recent.put(r)
+	if l.slowAt > 0 && r.dur >= l.slowAt {
 		l.slowCnt++
-		l.slow[l.sNext] = SlowQuery{TraceSummary: s, Breakdown: s.StageBreakdown()}
-		l.sNext++
-		if l.sNext == len(l.slow) {
-			l.sNext, l.sFull = 0, true
-		}
+		l.slow.put(r)
 	}
 }
 
-// Recent returns the captured traces, most recent first.
+// Recent renders the recent records, most recent first.
 func (l *QueryLog) Recent() []TraceSummary {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.rNext
-	if l.rFull {
-		n = len(l.recent)
-	}
-	out := make([]TraceSummary, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (l.rNext - 1 - i + len(l.recent)) % len(l.recent)
-		out = append(out, l.recent[idx])
-	}
-	return out
+	return l.render(&l.recent)
 }
 
-// Slow returns the slow-log entries, most recent first.
+// Slow renders the slow-log entries, most recent first, each with its
+// per-stage breakdown.
 func (l *QueryLog) Slow() []SlowQuery {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.sNext
-	if l.sFull {
-		n = len(l.slow)
-	}
-	out := make([]SlowQuery, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (l.sNext - 1 - i + len(l.slow)) % len(l.slow)
-		out = append(out, l.slow[idx])
+	out := []SlowQuery{}
+	for _, s := range l.render(&l.slow) {
+		out = append(out, SlowQuery{TraceSummary: s, Breakdown: s.StageBreakdown()})
 	}
 	return out
 }
 
-// Total returns how many traces were ever recorded (including ones the
+// render copies g's records out under the lock, most recent first, and
+// renders the copies after releasing it.
+func (l *QueryLog) render(g *ring) []TraceSummary {
+	l.mu.Lock()
+	n := g.next
+	if g.full {
+		n = len(g.buf)
+	}
+	recs := make([]QueryRecord, n)
+	for i := range recs {
+		recs[i] = g.buf[(g.next-1-i+len(g.buf))%len(g.buf)]
+	}
+	l.mu.Unlock()
+	out := make([]TraceSummary, n)
+	for i := range recs {
+		out[i] = recs[i].Summary()
+	}
+	return out
+}
+
+// Total returns how many records were ever added (including ones the
 // ring has since overwritten).
 func (l *QueryLog) Total() int64 {
 	if l == nil {
@@ -138,7 +136,7 @@ func (l *QueryLog) Total() int64 {
 	return l.total
 }
 
-// SlowTotal returns how many traces crossed the slow threshold.
+// SlowTotal returns how many records crossed the slow threshold.
 func (l *QueryLog) SlowTotal() int64 {
 	if l == nil {
 		return 0

@@ -1,6 +1,8 @@
 package obs_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"sync"
 	"testing"
@@ -79,12 +81,12 @@ func TestConcurrentWritersAndScrape(t *testing.T) {
 				shared.Inc()
 				h.Observe(time.Duration(i) * time.Microsecond)
 				reg.Gauge("race_depth", "writer", string(rune('a'+w))).Set(int64(i))
-				tr := obs.NewTrace("race")
-				sp := tr.StartSpan("stage")
-				sp.StartChild("sub").End()
+				r := obs.NewQueryRecord("race")
+				sp := r.Start(obs.Segments)
+				r.Start(obs.SegmentScan).End()
 				sp.End()
-				tr.Finish()
-				qlog.Record(tr)
+				r.SetInt(obs.BatchOccupancy, int64(i))
+				qlog.Add(r)
 			}
 		}(w)
 	}
@@ -101,6 +103,53 @@ func TestConcurrentWritersAndScrape(t *testing.T) {
 	}
 	if got := qlog.Total(); got != writers*perWriter {
 		t.Fatalf("qlog total = %d, want %d", got, writers*perWriter)
+	}
+}
+
+// TestReadRecordsAreValues: what Recent and Slow return is the reader's
+// own: recorders overwriting every ring slot more than twice over, from
+// several goroutines, leave entries read earlier unchanged.
+func TestReadRecordsAreValues(t *testing.T) {
+	const capacity = 8
+	qlog := obs.NewQueryLog(capacity, capacity, time.Nanosecond)
+	record := func(op string, n int) {
+		r := obs.NewQueryRecord(op)
+		r.SetString(obs.PlanChoice, op)
+		r.SetInt(obs.PlanSegments, int64(n))
+		p := r.Start(obs.Plan)
+		time.Sleep(time.Microsecond)
+		p.End()
+		qlog.Add(r)
+	}
+	for i := 0; i < capacity; i++ {
+		record("first", i)
+	}
+	recent, slow := qlog.Recent(), qlog.Slow()
+	want, err := json.Marshal([]any{recent, slow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < capacity; i++ { // 4 × capacity queries in all
+				record("second", 100+i)
+				_ = qlog.Recent()
+			}
+		}()
+	}
+	wg.Wait()
+	got, err := json.Marshal([]any{recent, slow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("entries read before the overwrite changed:\n%s\nwas\n%s", got, want)
+	}
+	if now := qlog.Recent(); now[0].Op != "second" || recent[0].Op != "first" {
+		t.Fatalf("newest entry %q, earlier read %q", now[0].Op, recent[0].Op)
 	}
 }
 

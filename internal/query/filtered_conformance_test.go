@@ -160,7 +160,7 @@ func TestSelectivitySweepModes(t *testing.T) {
 			hi = 0
 		}
 		rc := RangeCond{Attr: 0, Lo: 0, Hi: hi}
-		tr := obs.NewTrace("sweep")
+		tr := obs.NewQueryRecord("sweep")
 		vc := VecCond{Field: 0, Query: q, K: k, Trace: tr}
 		got := StrategyB(tab, rc, vc)
 		want := exactFiltered(tab, rc, vc)
@@ -195,7 +195,7 @@ func TestSelectivitySweepModes(t *testing.T) {
 func TestSelectivitySweepGraphMode(t *testing.T) {
 	tab := filterTable(t, 1000, "HNSW")
 	q := dataset.Queries(&dataset.Dataset{Dim: 128, N: 1000, Data: tab.data}, 1, 12)
-	tr := obs.NewTrace("sweep")
+	tr := obs.NewQueryRecord("sweep")
 	rc := RangeCond{Attr: 0, Lo: 0, Hi: 4999}
 	got := StrategyB(tab, rc, vecCondTraced(q, 10, tr))
 	if len(got) == 0 {
@@ -211,7 +211,7 @@ func TestSelectivitySweepGraphMode(t *testing.T) {
 	}
 }
 
-func vecCondTraced(q []float32, k int, tr *obs.Trace) VecCond {
+func vecCondTraced(q []float32, k int, tr *obs.QueryRecord) VecCond {
 	return VecCond{Field: 0, Query: q, K: k, Trace: tr}
 }
 

@@ -1,8 +1,7 @@
 package query
 
 import (
-	"strconv"
-
+	"vectordb/internal/obs"
 	"vectordb/internal/plan"
 )
 
@@ -23,7 +22,7 @@ type Shaped interface {
 // choice: below the calibrated crossover the O(n) bitset compile
 // outweighs the partial scan and A wins — the filtered-scan grid's
 // low-selectivity regression. The decision and its estimate are recorded
-// on the trace as a filter_plan span.
+// on the record as the filter_plan stage.
 func PickStrategy(p *plan.Planner, s Source, rc RangeCond, vc VecCond) (string, plan.Decision) {
 	fs := plan.FilterShape{Dim: len(vc.Query), K: vc.K}
 	if sh, ok := s.(Shaped); ok {
@@ -37,10 +36,10 @@ func PickStrategy(p *plan.Planner, s Source, rc RangeCond, vc VecCond) (string, 
 	}
 	fs.Matched = s.CountRange(rc.Attr, rc.Lo, rc.Hi)
 	dec := p.PickFilterStrategy(fs)
-	sp := vc.Trace.StartSpan("filter_plan")
-	sp.Annotate("chosen", dec.Choice())
-	sp.Annotate("est_selectivity", strconv.FormatFloat(fs.Selectivity(), 'f', 4, 64))
-	sp.AnnotateInt("est_ns", dec.Est.Nanoseconds())
+	sp := vc.Trace.Start(obs.FilterPlan)
+	vc.Trace.SetString(obs.Chosen, dec.Choice())
+	vc.Trace.SetFloat(obs.EstSelectivity, fs.Selectivity())
+	vc.Trace.SetInt(obs.EstNs, dec.Est.Nanoseconds())
 	sp.End()
 	if dec.Strategy == plan.StrategyPrefilter {
 		return StratA, dec

@@ -27,9 +27,9 @@ type VecCond struct {
 	K      int
 	Nprobe int // passed through to the index
 	// Trace, when set, receives the strategy chosen (filter_strategy
-	// attribute) and per-phase spans. Nil disables tracing (obs traces
-	// are nil-safe).
-	Trace *obs.Trace
+	// attribute) and its phases' stages. Nil records nothing (a nil
+	// record is a no-op).
+	Trace *obs.QueryRecord
 	// Ctx, when set, cancels the strategy: scans and per-round loops
 	// check it periodically and stop early, returning whatever partial
 	// results exist. Callers that care inspect Ctx.Err() afterwards and

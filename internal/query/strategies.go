@@ -1,8 +1,6 @@
 package query
 
 import (
-	"strconv"
-
 	"vectordb/internal/obs"
 	"vectordb/internal/topk"
 )
@@ -26,10 +24,10 @@ const Theta = 1.1
 // resolved through the sorted column (binary search + skip pointers), then
 // every qualifying entity is compared against the query vector. Exact.
 func StrategyA(s Source, rc RangeCond, vc VecCond) []topk.Result {
-	vc.Trace.Annotate("filter_strategy", StratA)
-	filter := vc.Trace.StartSpan("attr_filter")
+	vc.Trace.SetString(obs.FilterStrategy, StratA)
+	filter := vc.Trace.Start(obs.AttrFilter)
 	rows := s.RangeRows(rc.Attr, rc.Lo, rc.Hi)
-	filter.AnnotateInt("rows", int64(len(rows)))
+	vc.Trace.SetInt(obs.FilterRows, int64(len(rows)))
 	filter.End()
 	return ExactScan(s, rows, vc)
 }
@@ -38,7 +36,7 @@ func StrategyA(s Source, rc RangeCond, vc VecCond) []topk.Result {
 // runner (which also resolves IN-lists to rows): every row of rows is
 // compared against the query vector.
 func ExactScan(s Source, rows []int64, vc VecCond) []topk.Result {
-	scan := vc.Trace.StartSpan("exact_scan")
+	scan := vc.Trace.Start(obs.ExactScan)
 	defer scan.End()
 	h := topk.New(vc.K)
 	for i, id := range rows {
@@ -60,28 +58,24 @@ func ExactScan(s Source, rows []int64, vc VecCond) []topk.Result {
 // bitmap tested beneath the batch kernels on every encountered vector. An
 // unknown attribute qualifies no row.
 func StrategyB(s Source, rc RangeCond, vc VecCond) []topk.Result {
-	vc.Trace.Annotate("filter_strategy", StratB)
-	filter := vc.Trace.StartSpan("attr_filter")
+	vc.Trace.SetString(obs.FilterStrategy, StratB)
+	filter := vc.Trace.Start(obs.AttrFilter)
 	pf, ok := s.CompileRange(rc.Attr, rc.Lo, rc.Hi)
 	if !ok {
 		filter.End()
 		return nil
 	}
 	defer pf.Release()
-	filter.AnnotateInt("rows", int64(pf.Matched))
+	vc.Trace.SetInt(obs.FilterRows, int64(pf.Matched))
 	filter.End()
-	AnnotatePushed(vc.Trace, pf)
+	// The pushed filter's selectivity and evaluation mode keep the
+	// cost-based decisions auditable afterwards.
+	vc.Trace.SetString(obs.FilterMode, pf.Mode)
+	vc.Trace.SetFloat(obs.FilterSelectivity, pf.Selectivity())
 	if pf.Matched == 0 {
 		return nil
 	}
 	return s.VectorQueryPushed(vc.Field, vc.Query, vc.K, vc.Nprobe, pf)
-}
-
-// AnnotatePushed records the pushed filter's selectivity and evaluation
-// mode on the trace, so cost-based decisions are auditable afterwards.
-func AnnotatePushed(tr *obs.Trace, pf *PushedFilter) {
-	tr.Annotate("filter_mode", pf.Mode)
-	tr.Annotate("filter_selectivity", strconv.FormatFloat(pf.Selectivity(), 'f', 4, 64))
 }
 
 // StrategyC: vector-first-attribute-full-scan. Vector query processing
@@ -89,7 +83,7 @@ func AnnotatePushed(tr *obs.Trace, pf *PushedFilter) {
 // If fewer than k survive, the fetch factor doubles (up to the full data
 // size) — the paper's "to make sure there are k final results".
 func StrategyC(s Source, rc RangeCond, vc VecCond) []topk.Result {
-	vc.Trace.Annotate("filter_strategy", StratC)
+	vc.Trace.SetString(obs.FilterStrategy, StratC)
 	fetch := int(float64(vc.K)*Theta + 0.5)
 	if fetch < vc.K {
 		fetch = vc.K
@@ -99,11 +93,10 @@ func StrategyC(s Source, rc RangeCond, vc VecCond) []topk.Result {
 		if vc.cancelled() {
 			return nil
 		}
-		vec := vc.Trace.StartSpan("vector_first")
-		vec.AnnotateInt("fetch", int64(fetch))
+		vec := vc.Trace.Start(obs.VectorFirst)
 		cands := s.VectorQuery(vc.Field, vc.Query, fetch, vc.Nprobe)
 		vec.End()
-		verify := vc.Trace.StartSpan("verify")
+		verify := vc.Trace.Start(obs.Verify)
 		h := topk.New(vc.K)
 		for _, c := range cands {
 			v, ok := s.AttrValue(rc.Attr, c.ID)
@@ -112,8 +105,6 @@ func StrategyC(s Source, rc RangeCond, vc VecCond) []topk.Result {
 			}
 			h.Push(c.ID, c.Distance)
 		}
-		verify.AnnotateInt("candidates", int64(len(cands)))
-		verify.AnnotateInt("passed", int64(h.Len()))
 		verify.End()
 		if h.Len() >= vc.K || fetch >= total || len(cands) < fetch {
 			return h.Results()
@@ -172,9 +163,9 @@ func (m CostModel) Choose(s Source, rc RangeCond, vc VecCond) string {
 // StrategyD: cost-based selection among A, B and C (AnalyticDB-V's
 // approach). Returns the results and the strategy chosen.
 func StrategyD(s Source, rc RangeCond, vc VecCond, m CostModel) ([]topk.Result, string) {
-	plan := vc.Trace.StartSpan("filter_plan")
+	plan := vc.Trace.Start(obs.FilterPlan)
 	chosen := m.Choose(s, rc, vc)
-	plan.Annotate("chosen", chosen)
+	vc.Trace.SetString(obs.Chosen, chosen)
 	plan.End()
 	switch chosen {
 	case StratA:
@@ -204,45 +195,37 @@ func StrategyE(parts []Partition, rc RangeCond, vc VecCond, m CostModel) []topk.
 	// The caller's probe budget is sized for the whole dataset; partitions
 	// are ~ρ× smaller, so each picks its own budget (0 = index default /
 	// structural minimum) — otherwise every partition over-scans by ρ×.
-	vc.Trace.Annotate("filter_strategy", StratE)
+	vc.Trace.SetString(obs.FilterStrategy, StratE)
 	pvc := vc
 	pvc.Nprobe = 0
 	// Per-partition delegation runs untraced: the inner strategies would
-	// otherwise overwrite filter_strategy=E with their own letter. Each
-	// partition instead gets a span recording what happened to it.
+	// otherwise overwrite filter_strategy=E with their own letter. The
+	// partition stage instead counts what happened to each partition.
 	pvc.Trace = nil
 	lists := make([][]topk.Result, 0, len(parts))
-	for i, p := range parts {
+	for _, p := range parts {
 		if vc.cancelled() {
 			break
 		}
-		span := vc.Trace.StartSpan("partition")
-		span.AnnotateInt("partition", int64(i))
+		span := vc.Trace.Start(obs.Partition)
 		lo, hi, ok := p.AttrBounds(rc.Attr)
-		if !ok {
-			span.Annotate("action", "no_bounds")
-			span.End()
-			continue
-		}
-		if hi < rc.Lo || lo > rc.Hi {
-			span.Annotate("action", "pruned")
-			span.End()
-			continue // no overlap: pruned
-		}
-		if lo >= rc.Lo && hi <= rc.Hi {
+		switch {
+		case !ok:
+			vc.Trace.AddPartition(obs.PartNoBounds)
+		case hi < rc.Lo || lo > rc.Hi:
+			vc.Trace.AddPartition(obs.PartPruned) // no overlap
+		case lo >= rc.Lo && hi <= rc.Hi:
 			// Fully covered: every vector qualifies, no attribute check.
-			span.Annotate("action", "full_vector")
+			vc.Trace.AddPartition(obs.PartFullVector)
 			lists = append(lists, p.VectorQuery(pvc.Field, pvc.Query, pvc.K, pvc.Nprobe))
-			span.End()
-			continue
+		default:
+			vc.Trace.AddPartition(obs.PartDelegated)
+			res, _ := StrategyD(p, rc, pvc, m)
+			lists = append(lists, res)
 		}
-		res, strat := StrategyD(p, rc, pvc, m)
-		span.Annotate("action", "delegated")
-		span.Annotate("strategy", strat)
-		lists = append(lists, res)
 		span.End()
 	}
-	merge := vc.Trace.StartSpan("topk_merge")
+	merge := vc.Trace.Start(obs.TopkMerge)
 	defer merge.End()
 	return topk.Merge(vc.K, lists...)
 }

@@ -49,7 +49,7 @@ func TestStrategiesRecordTrace(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := obs.NewTrace("filtered")
+			tr := obs.NewQueryRecord("filtered")
 			vc := VecCond{Field: 0, Query: q, K: 10, Trace: tr}
 			tc.run(vc)
 			tr.Finish()
@@ -76,7 +76,7 @@ func TestStrategiesRecordTrace(t *testing.T) {
 
 	// D's plan span must carry the chosen strategy, matching what it ran.
 	t.Run("D-chosen", func(t *testing.T) {
-		tr := obs.NewTrace("filtered")
+		tr := obs.NewQueryRecord("filtered")
 		vc := VecCond{Field: 0, Query: q, K: 10, Trace: tr}
 		_, chosen := StrategyD(tab, rc, vc, DefaultCostModel())
 		tr.Finish()
@@ -118,7 +118,7 @@ func TestStrategyETrace(t *testing.T) {
 	_, hi, _ := parts[4].AttrBounds(0)
 	rc := RangeCond{Attr: 0, Lo: lo + 1, Hi: hi - 1}
 
-	tr := obs.NewTrace("filtered")
+	tr := obs.NewQueryRecord("filtered")
 	vc := VecCond{Field: 0, Query: q, K: 10, Trace: tr}
 	StrategyE(Partitions(parts), rc, vc, DefaultCostModel())
 	tr.Finish()

@@ -508,7 +508,7 @@ func (h *harness) searchFiltered(who string, rng *rand.Rand) {
 // index builds change the shape the planner sees between any two calls).
 func (h *harness) searchPlanned(who string, rng *rand.Rand) {
 	query := VectorForID(rng.Int63()|1, h.cfg.Dim)
-	tr := obs.NewTrace("stress-plan")
+	tr := obs.NewQueryRecord("stress-plan")
 	res, err := h.query(context.Background(), core.Request{Vector: query, SearchOptions: core.SearchOptions{K: h.cfg.K, Nprobe: 8, Trace: tr}})
 	if err != nil {
 		h.violate("%s: planned search error: %v", who, err)
@@ -927,7 +927,7 @@ func (h *harness) planFlapCheck(rng *rand.Rand) {
 	pass := func() []string {
 		plans := make([]string, 0, queries)
 		for i := range vecs {
-			tr := obs.NewTrace("stress-flap")
+			tr := obs.NewQueryRecord("stress-flap")
 			if _, err := h.query(context.Background(), core.Request{Vector: vecs[i], SearchOptions: core.SearchOptions{K: ks[i], Nprobe: 8, Trace: tr}}); err != nil {
 				h.violate("quiesce: flap-check search error: %v", err)
 				return nil
