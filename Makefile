@@ -128,43 +128,56 @@ conformance-filter:
 # search body is read exactly as strconv reads it — on the seeds. A
 # search's k, ef or search_l sizes no allocation: a bound of 2^62 answers
 # every row, as JSON and as columns, and a k of 2^28 allocates under
-# 1 MiB. The SDK's inserts are columnar bodies: a batch stores the same
+# 1 MiB. Every columnar body keeps one rule: bodies carry vector words as
+# bits, the schema judges values by field kind, and VDBH distances are
+# finite. The SDK's inserts are columnar bodies: a batch stores the same
 # entities and answers the same searches whether it arrives as JSON or as
 # columns (two vector fields, attributes, categories with empty strings and
-# invalid UTF-8, −0, subnormals, int64 ends, zero rows), a NaN or a ragged
-# batch goes as JSON, and the handler answers 400 to a bad magic or
+# invalid UTF-8, −0, subnormals, int64 ends, zero rows); a ragged batch
+# goes as JSON and the server names its entity; a batch holding a NaN or
+# ±Inf in a float field goes as columns and the schema answers 400 naming
+# the first entity holding one; the handler answers 400 to a bad magic or
 # version, every truncation, a trailing byte, overflowing counts and any
-# NaN/±Inf, a header claiming 2^32−1 rows allocating under 1 MiB; the
-# decoder never panics and every body it takes re-encodes to the same
-# bytes — the seeds, then ten seconds of fuzzing. A JSON insert body cut
-# into 2–4 shards, each sent as the SDK sends it, decodes to the whole
-# body's entities — on the seeds. Large columnar inserts run beside
-# searches that keep answering right. The SDK's searches are columnar
-# too, and so are their hits when Accept asks for them: each search shape
-# (plain, named field, range, IN, range + IN, weighted multi-vector) and
-# each refused one answers the same hits, or the same status and error
-# text, as JSON and as columns; an Accept without the columnar type gets
-# the JSON reply byte for byte; the handler answers 400 to a bad magic,
-# version or flag, every truncation, a trailing byte, overrunning counts,
-# any NaN/±Inf and invalid UTF-8, and a header claiming 2^32−1 vectors,
-# values or hits allocates under 1 MiB; neither decoder panics and every
-# body each takes re-encodes to the same bytes — the seeds, then ten
-# seconds of fuzzing each. The insert body is the WAL's too (internal/wal
-# owns its codec): every body the decoder takes re-encodes to the same
-# bytes, a WAL object of insert and delete frames replays as the frames'
-# batches, every cut and every flipped byte replays the whole frames
-# before it and reports the tail torn, and replay allocates in proportion
-# to the object — the seeds, then ten seconds of fuzzing each. A fuzz
-# step minimizes a failing input for at most a second (go test's default
-# is a minute, which a step spends on any new input instead of fuzzing).
+# NaN/±Inf in a float field, a header claiming 2^32−1 rows allocating
+# under 1 MiB; the decoder never panics and every body it takes
+# re-encodes to the same bytes — the seeds, then ten seconds of fuzzing.
+# A JSON insert body cut into 2–4 shards, each sent as the SDK sends it,
+# decodes to the whole body's entities — on the seeds. Large columnar
+# inserts run beside searches that keep answering right. The SDK's
+# searches are columnar too, and so are their hits when Accept asks for
+# them: each search shape (plain, named field, range, IN, range + IN,
+# weighted multi-vector) and each refused one answers the same hits, or
+# the same status and error text, as JSON and as columns; an Accept
+# without the columnar type gets the JSON reply byte for byte; the
+# handler answers 400 to a bad magic, version or flag, every truncation,
+# a trailing byte, overrunning counts and invalid UTF-8, the decoder takes
+# a NaN/±Inf query word or weight as bits and the schema answers it 400
+# (so does a NaN query the SDK sends), and a header claiming 2^32−1
+# vectors, values or hits allocates under 1 MiB; neither decoder panics
+# and every body each takes re-encodes to the same bytes — the seeds,
+# NaN-patterned words among them, then ten seconds of fuzzing each. A
+# binary fingerprint holding an all-ones and a quiet-NaN word inserts and
+# finds itself at distance 0 through the SDK (Hamming and Tanimoto). The
+# insert body is the WAL's too (internal/wal owns the one columnar codec):
+# every body the decoder takes re-encodes to the same bytes, a batch
+# holding NaN/±Inf or fingerprint words comes back bit for bit from its
+# body and its frame (and, for Hamming and Tanimoto rows, through the
+# cluster writer, Restart's replay and a reader's search), a WAL object of insert and delete frames replays as
+# the frames' batches, every cut and every flipped byte replays the whole
+# frames before it and reports the tail torn, and replay allocates in
+# proportion to the object — the seeds, then ten seconds of fuzzing each.
+# A fuzz step minimizes a failing input for at most a second (go test's
+# default is a minute, which a step spends on any new input instead of
+# fuzzing).
 conformance-wire:
-	$(GO) test ./internal/rest -run 'FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestWireEncoderGolden|TestFloat32PrintSweep|TestNumberScan|FuzzFloat32Print|FuzzNumberScan|TestHugeBoundsAnswerEveryRow|TestHugeKAllocates|TestTrailingBytesAre400|TestReadBody|TestDeclaredOversizedBodyIs413|TestDeclaredLengthAllocatesAsBodyArrives|TestUnencodableResultIs500|TestInsertColumnsMatchJSON|TestInsertColumnsFailOnFirstNaN|TestInsertColumnsOnlyForUniformRows|TestInsertColumnsRejected|TestInsertColumnsHeaderAllocates|FuzzInsertColumns|FuzzInsertShards|TestLargeInsertsBesideSearches|TestSearchColumnsMatchJSON|TestSearchAccept|TestSearchColumnsRejected|TestSearchColumnsHeaderAllocates|TestSearchColumnsNonFinite|FuzzSearchColumns|FuzzHitsColumns'
+	$(GO) test ./internal/rest -run 'FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestWireEncoderGolden|TestFloat32PrintSweep|TestNumberScan|FuzzFloat32Print|FuzzNumberScan|TestHugeBoundsAnswerEveryRow|TestHugeKAllocates|TestTrailingBytesAre400|TestReadBody|TestDeclaredOversizedBodyIs413|TestDeclaredLengthAllocatesAsBodyArrives|TestUnencodableResultIs500|TestInsertColumnsMatchJSON|TestInsertColumnsFailOnFirstNaN|TestInsertColumnsOnlyForUniformRows|TestInsertColumnsRejected|TestInsertColumnsHeaderAllocates|FuzzInsertColumns|FuzzInsertShards|TestLargeInsertsBesideSearches|TestSearchColumnsMatchJSON|TestSearchAccept|TestSearchColumnsRejected|TestSearchColumnsHeaderAllocates|TestSearchColumnsNonFinite|FuzzSearchColumns|FuzzHitsColumns|TestSDKNonFiniteQueryIs400|TestSDKBinaryFingerprintWords'
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchRequestWire$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertRequestWire$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertColumns$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchColumns$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzHitsColumns$$' -fuzztime 10s -fuzzminimizetime 1s
-	$(GO) test ./internal/wal -run 'TestRecord|TestBatch|TestAppendBodyRefuses|FuzzBody|FuzzReplay'
+	$(GO) test ./internal/wal -run 'TestRecord|TestBatch|TestAppendBodyRefuses|TestBodyCarriesWordBits|FuzzBody|FuzzReplay'
+	$(GO) test ./internal/cluster -run TestWriterCarriesBinaryWords
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzBody$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 10s -fuzzminimizetime 1s
 

@@ -2,7 +2,11 @@
 // interfaces), a thin typed wrapper over the RESTful API of cmd/vectordbd.
 // Searches and their hits, and insert batches whose rows agree in shape, go
 // as packed little-endian columns (rest.ColumnsType); every other body, and
-// every error reply, is JSON through encoding/json.
+// every error reply, is JSON through encoding/json. Columns carry vector
+// words as bits, so a binary fingerprint crosses whatever float its words
+// read as; the server's schema judges values by field kind, and a NaN or
+// ±Inf in a float field or a weight comes back as its 400. Hit distances
+// are finite.
 package client
 
 import (

@@ -593,3 +593,53 @@ func TestWriterRestartAfterRejectedInsert(t *testing.T) {
 		t.Fatalf("after restart: %d rows, id 7000 present %v; want %d and true", col.Count(), found, d.N+1)
 	}
 }
+
+// TestWriterCarriesBinaryWords: a binary fingerprint's packed words cross
+// the cluster writer's WAL frames as bits, whatever float they read as.
+// Hamming and Tanimoto rows holding an all-ones word and a quiet NaN's
+// pattern are accepted, Restart replays them bit for bit from the WAL, and
+// after a flush a reader finds each row first at distance 0.
+func TestWriterCarriesBinaryWords(t *testing.T) {
+	cl, err := NewCluster(objstore.NewMemory(), 1, writerCfg(), ReaderConfig{IndexRows: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := [][2]uint32{{0xFFFFFFFF, 0x7FC00000}, {0x7FC00000, 0xFFFFFFFF}, {0x0F0F0F0F, 0xFFFFFFFF}, {0x00000001, 0x80000000}}
+	ents := make([]core.Entity, len(words))
+	for i, w := range words {
+		ents[i] = core.Entity{ID: int64(i + 1), Vectors: [][]float32{{math.Float32frombits(w[0]), math.Float32frombits(w[1])}}}
+	}
+	for _, m := range []vec.Metric{vec.Hamming, vec.Tanimoto} {
+		name := m.String()
+		if err := cl.Writer().CreateCollection(name, core.Schema{VectorFields: []core.VectorField{{Name: "fp", Dim: 2, Metric: m}}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Writer().Insert(name, ents); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cl.Writer().Crash()
+		if err := cl.Writer().Restart(); err != nil {
+			t.Fatalf("%s: restart: %v", name, err)
+		}
+		col, err := cl.Writer().Collection(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range ents {
+			got, ok := col.Get(e.ID)
+			if !ok || len(got.Vectors) != 1 || len(got.Vectors[0]) != 2 ||
+				math.Float32bits(got.Vectors[0][0]) != words[i][0] || math.Float32bits(got.Vectors[0][1]) != words[i][1] {
+				t.Fatalf("%s: id %d replayed as %+v (%v), want words %x", name, e.ID, got, ok, words[i])
+			}
+		}
+		if err := cl.Writer().Flush(name); err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range ents {
+			hits, err := cl.Search(name, e.Vectors[0], core.SearchOptions{K: 2})
+			if err != nil || len(hits) == 0 || hits[0].ID != e.ID || hits[0].Distance != 0 {
+				t.Errorf("%s: search for %x answered %v, %v; want id %d first at distance 0", name, words[i], hits, err, e.ID)
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -310,10 +311,10 @@ func TestReaderTombstonedScanStaysOnBatchKernels(t *testing.T) {
 	}
 }
 
-// TestSearchRejectsBadRequest: a K or query the engine cannot run comes
-// back as a request error from the router — it used to panic inside an
-// exec-pool worker, which no caller can recover — and costs the ring no
-// reader.
+// TestSearchRejectsBadRequest: a K or query the engine cannot run, a NaN
+// in a float field's query among them, comes back as a request error from
+// the router — it used to panic inside an exec-pool worker, which no
+// caller can recover — and costs the ring no reader.
 func TestSearchRejectsBadRequest(t *testing.T) {
 	f := newGateFixture(t, 800)
 	good := f.ents[0].Vectors[0]
@@ -327,6 +328,7 @@ func TestSearchRejectsBadRequest(t *testing.T) {
 		{"short query", 5, good[:gateDim-1]},
 		{"long query", 5, append(append([]float32(nil), good...), 1)},
 		{"nil query", 5, nil},
+		{"NaN in query", 5, append(append([]float32(nil), good[:gateDim-1]...), float32(math.NaN()))},
 	}
 	for _, tc := range cases {
 		for _, rf := range []*RangeFilter{nil, {Attr: "price", Lo: 0, Hi: 500}} {

@@ -268,8 +268,8 @@ func (r *Reader) SearchOwnedCtx(ctx context.Context, collection string, version 
 	if opts.K <= 0 {
 		return nil, fmt.Errorf("cluster: K must be positive, got %d", opts.K)
 	}
-	if vf := rm.schema.VectorFields[field]; len(query) != vf.Dim {
-		return nil, fmt.Errorf("cluster: query dim %d, field %q wants %d", len(query), vf.Name, vf.Dim)
+	if err := rm.schema.CheckVector(field, query); err != nil {
+		return nil, err
 	}
 	var pred colstore.Pred
 	if len(rf) > 0 && rf[0] != nil {

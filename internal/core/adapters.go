@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 
 	"vectordb/internal/query"
 	"vectordb/internal/topk"
@@ -10,13 +11,18 @@ import (
 // SourceView adapts a pinned snapshot of a collection to the query.Source
 // and query.MultiSource interfaces, so the attribute-filtering strategies of
 // Sec. 4.1 and the multi-vector algorithms of Sec. 4.2 run over the LSM
-// engine. Release it when done.
+// engine. The strategy interfaces have no error result, so a sub-query or
+// row read that fails yields no rows there and the view keeps its error
+// for Err. Release it when done.
 type SourceView struct {
 	c  *Collection
 	sn *Snapshot
 	// Ctx, when set, cancels vector sub-queries issued through this view.
 	// Nil means background (never cancelled).
 	Ctx context.Context
+
+	mu  sync.Mutex
+	err error // the first failed sub-query's or row read's
 }
 
 var (
@@ -31,6 +37,25 @@ func (c *Collection) Source() *SourceView {
 
 // Release unpins the underlying snapshot.
 func (v *SourceView) Release() { v.c.snaps.release(v.sn) }
+
+// Err is the first error a sub-query or row read through the view met — a
+// segment whose bytes could not be read, a rejected or cancelled
+// sub-query — or nil. An answer read through a view that has one is
+// missing rows.
+func (v *SourceView) Err() error {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.err
+}
+
+// fail records err as the view's error unless one is recorded.
+func (v *SourceView) fail(err error) {
+	v.mu.Lock()
+	if v.err == nil {
+		v.err = err
+	}
+	v.mu.Unlock()
+}
 
 // TotalRows implements query.Source (visible rows).
 func (v *SourceView) TotalRows() int { return v.sn.LiveRows() }
@@ -76,21 +101,28 @@ func (v *SourceView) AttrValue(attr int, id int64) (int64, bool) {
 
 // VectorQuery implements query.Source.
 func (v *SourceView) VectorQuery(field int, q []float32, k, nprobe int) []topk.Result {
-	res, _ := v.search(q, SearchOptions{Field: v.c.schema.VectorFields[field].Name, K: k, Nprobe: nprobe})
-	return res
+	return v.keep(v.search(q, SearchOptions{Field: v.c.schema.VectorFields[field].Name, K: k, Nprobe: nprobe}))
 }
 
 // search runs one vector sub-query over the view's snapshot. It checks the
 // query as any request's vector is checked, but is not counted, planned or
-// admitted: the view's callers run inside an already-admitted query. The
-// strategy interfaces have no error result, so there a rejected or
-// cancelled sub-query yields no rows; callers that care inspect their ctx.
+// admitted: the view's callers run inside an already-admitted query.
 func (v *SourceView) search(q []float32, opts SearchOptions) ([]topk.Result, error) {
 	f, err := v.c.checkVector(opts.Field, q, opts.K)
 	if err != nil {
 		return nil, err
 	}
 	return v.c.searchSnapshot(v.ctx(), v.sn, f, q, opts)
+}
+
+// keep is a sub-query's rows for a strategy interface, which has no error
+// result: a failed sub-query's error is the view's (Err), and its rows
+// none.
+func (v *SourceView) keep(res []topk.Result, err error) []topk.Result {
+	if err != nil {
+		v.fail(err)
+	}
+	return res
 }
 
 func (v *SourceView) ctx() context.Context {
@@ -108,7 +140,12 @@ func (v *SourceView) DistanceByID(field int, q []float32, id int64) (float32, bo
 		if v.sn.deletedCovers(id, seg.ID) {
 			continue
 		}
-		if vecRow, ok := seg.VectorByID(field, id); ok {
+		vecRow, ok, err := seg.VectorByID(field, id)
+		if err != nil {
+			v.fail(err)
+			return 0, false
+		}
+		if ok {
 			return v.c.schema.VectorFields[field].Metric.Dist()(q, vecRow), true
 		}
 	}
@@ -120,8 +157,7 @@ func (v *SourceView) Fields() int { return len(v.c.schema.VectorFields) }
 
 // FieldQuery implements query.MultiSource.
 func (v *SourceView) FieldQuery(field int, q []float32, k int) []topk.Result {
-	res, _ := v.search(q, SearchOptions{Field: v.c.schema.VectorFields[field].Name, K: k})
-	return res
+	return v.keep(v.search(q, SearchOptions{Field: v.c.schema.VectorFields[field].Name, K: k}))
 }
 
 // FieldDistance implements query.MultiSource.

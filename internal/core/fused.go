@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -107,7 +108,8 @@ func (c *Collection) BuildFusedIndex(indexType string, params map[string]string)
 
 // searchFused is the fused sweep: segments of the pinned snapshot are
 // claimed dynamically by shared-pool tasks, exactly like searchSnapshot,
-// each searched with the aggregated query fq.
+// each searched with the aggregated query fq. A segment whose bytes cannot
+// be read fails the query, as in searchSnapshot.
 func (c *Collection) searchFused(ctx context.Context, sn *Snapshot, fq []float32, opts SearchOptions) ([]topk.Result, error) {
 	m := c.schema.VectorFields[0].Metric
 	p := opts.Params()
@@ -115,7 +117,7 @@ func (c *Collection) searchFused(ctx context.Context, sn *Snapshot, fq []float32
 	if len(segs) == 0 {
 		return nil, ctx.Err()
 	}
-	results := make([][]topk.Result, len(segs))
+	results, errs := make([][]topk.Result, len(segs)), make([]error, len(segs))
 	var cursor atomic.Int64
 	segSpan := opts.Trace.Start(obs.Segments)
 	err := c.pool.Map(ctx, poolTasks(c.pool, len(segs)), func(int) {
@@ -136,17 +138,16 @@ func (c *Collection) searchFused(ctx context.Context, sn *Snapshot, fq []float32
 			// segments pin their mapping per field for the sweep.
 			rows := make([]func(int) []float32, len(c.schema.VectorFields))
 			rels := make([]func(), 0, len(rows))
-			readable := true
 			for f := range rows {
 				rowAt, rel, err := seg.vectorRows(f)
 				if err != nil {
-					readable = false
+					errs[i] = err
 					break
 				}
 				rows[f] = rowAt
 				rels = append(rels, rel)
 			}
-			if !readable {
+			if errs[i] != nil {
 				for _, rel := range rels {
 					rel()
 				}
@@ -174,6 +175,9 @@ func (c *Collection) searchFused(ctx context.Context, sn *Snapshot, fq []float32
 		}
 	})
 	segSpan.End()
+	if err == nil {
+		err = errors.Join(errs...)
+	}
 	if err != nil {
 		return nil, err
 	}

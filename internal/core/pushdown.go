@@ -117,6 +117,5 @@ func (v *SourceView) CompileRange(attr int, lo, hi int64) (*query.PushedFilter, 
 func (v *SourceView) VectorQueryPushed(field int, q []float32, k, nprobe int, pf *query.PushedFilter) []topk.Result {
 	opts := SearchOptions{Field: v.c.schema.VectorFields[field].Name, K: k, Nprobe: nprobe}
 	opts.pred, _ = pf.Handle().(colstore.Pred)
-	res, _ := v.search(q, opts)
-	return res
+	return v.keep(v.search(q, opts))
 }

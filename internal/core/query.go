@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"vectordb/internal/colstore"
@@ -134,6 +135,7 @@ func (c *Collection) Query(ctx context.Context, q Request) (Response, error) {
 	case runIterative:
 		src := &SourceView{c: c, sn: sn, Ctx: ctx}
 		res.Hits = query.IterativeMergingCtx(ctx, src, q.Fields, q.Weights, q.K, 16384)
+		err = src.Err()
 	case runPrefilter:
 		res.Hits, err = c.prefilterScan(ctx, sn, f, q.Vector, q.Pred, q.SearchOptions)
 	case runPushdown:
@@ -186,8 +188,8 @@ func (c *Collection) validate(q *Request) (int, error) {
 }
 
 // checkVector resolves a vector field by name ("" is the first) and checks
-// one query and k against it. These are the canonical request errors of
-// every single-field search.
+// one query (Schema.CheckVector) and k against it. These are the canonical
+// request errors of every single-field search.
 func (c *Collection) checkVector(field string, query []float32, k int) (int, error) {
 	f := 0
 	if field != "" {
@@ -196,8 +198,8 @@ func (c *Collection) checkVector(field string, query []float32, k int) (int, err
 			return 0, err
 		}
 	}
-	if vf := &c.schema.VectorFields[f]; len(query) != vf.Dim {
-		return 0, fmt.Errorf("core: query dim %d, field %q wants %d", len(query), vf.Name, vf.Dim)
+	if err := c.schema.CheckVector(f, query); err != nil {
+		return 0, err
 	}
 	if k <= 0 {
 		return 0, fmt.Errorf("core: K must be positive")
@@ -219,8 +221,8 @@ func (c *Collection) checkBatch(q *Request) (f int, err error) {
 	return f, nil
 }
 
-// checkFieldVectors checks a one-vector-per-field request: counts, per-field
-// dimensions and k.
+// checkFieldVectors checks a one-vector-per-field request: counts, each
+// field's query, finite weights and k.
 func (c *Collection) checkFieldVectors(q *Request) error {
 	fields := c.schema.VectorFields
 	if len(q.Fields) != len(fields) {
@@ -228,6 +230,9 @@ func (c *Collection) checkFieldVectors(q *Request) error {
 	}
 	if q.Weights != nil && len(q.Weights) != len(fields) {
 		return fmt.Errorf("core: %d weights for %d fields", len(q.Weights), len(fields))
+	}
+	if i := slices.IndexFunc(q.Weights, nonFinite); i >= 0 {
+		return fmt.Errorf("core: weight %d is NaN or ±Inf", i)
 	}
 	for i, v := range q.Fields {
 		if _, err := c.checkVector(fields[i].Name, v, q.K); err != nil {
@@ -348,5 +353,6 @@ func (c *Collection) prefilterScan(ctx context.Context, sn *Snapshot, f int, que
 	// A cancelled scan stops early with partial results; Query discards
 	// them for ctx's error.
 	vc := query.VecCond{Field: f, Query: queryVec, K: opts.K, Trace: tr, Ctx: ctx}
-	return query.ExactScan(&src, rows, vc), nil
+	res := query.ExactScan(&src, rows, vc)
+	return res, src.Err()
 }

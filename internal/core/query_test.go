@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -192,8 +193,8 @@ func (fx *readPathFixture) latencyCount() int64 {
 	return int64(fx.reg.Histogram("vectordb_query_latency_seconds", nil, "collection", "rp").Count())
 }
 
-// TestMalformedRequestIsARequestError: a wrong-dimension vector, K ≤ 0, an
-// unknown field or attribute and an empty IN-list are request errors on
+// TestMalformedRequestIsARequestError: a wrong-dimension vector, a NaN or
+// ±Inf in a float field's query, K ≤ 0, an unknown field or attribute and an empty IN-list are request errors on
 // every variant, on both sides of the planner's prefilter/pushdown
 // crossover, for a narrow and a wide range; so is a request that sets none
 // or several of Vector, Batch and Fields, Weights without Fields, or a
@@ -208,6 +209,9 @@ func TestMalformedRequestIsARequestError(t *testing.T) {
 		{"short vector", nil, func(r *readReq) { r.vec = r.vec[:4] }},
 		{"long vector", nil, func(r *readReq) { r.vec = append(r.vec[:8:8], 1) }},
 		{"nil vector", nil, func(r *readReq) { r.vec = nil }},
+		{"NaN in vector", nil, func(r *readReq) { r.vec[3] = float32(math.NaN()) }},
+		{"+Inf in vector", nil, func(r *readReq) { r.vec[0] = float32(math.Inf(1)) }},
+		{"-Inf in vector", nil, func(r *readReq) { r.vec[7] = float32(math.Inf(-1)) }},
 		{"K=0", nil, func(r *readReq) { r.k = 0 }},
 		{"K=-1", nil, func(r *readReq) { r.k = -1 }},
 		{"unknown vector field", func(v readVariant) bool { return v.takesField }, func(r *readReq) { r.field = "zz" }},
@@ -299,6 +303,46 @@ func TestMalformedRequestIsARequestError(t *testing.T) {
 						}
 					})
 				}
+			}
+		}
+	}
+}
+
+// TestQueryJudgesVectorsByFieldKind: the schema judges a query's values
+// by field kind. A NaN or ±Inf weight is a request error, as one in a
+// float field's query vector is (TestMalformedRequestIsARequestError). A
+// binary field's packed words are bit patterns: a Hamming or Tanimoto
+// query holding an all-ones word or a NaN's or ±Inf's pattern answers,
+// its own row first at distance 0.
+func TestQueryJudgesVectorsByFieldKind(t *testing.T) {
+	fx := newReadPathFixture(t, fixedProfile(nil))
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		req := Request{Fields: [][]float32{goodReq().vec, fx.w}, Weights: []float32{1, bad}, SearchOptions: SearchOptions{K: 5}}
+		if res, err := fx.c.Query(context.Background(), req); err == nil {
+			t.Errorf("weight %v answered %v", bad, res.Hits)
+		}
+	}
+	words := [][]uint32{{0xFFFFFFFF, 0x7FC00000}, {0x0000FFFF, 0x7F800000}, {0xFF800000, 0x12345678}, {1, 2}}
+	for _, m := range []vec.Metric{vec.Hamming, vec.Tanimoto} {
+		c, err := NewCollection("bits", Schema{VectorFields: []VectorField{{Name: "fp", Dim: 2, Metric: m}}}, nil, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		ents := make([]Entity, len(words))
+		for i, w := range words {
+			ents[i] = Entity{ID: int64(i + 1), Vectors: [][]float32{{math.Float32frombits(w[0]), math.Float32frombits(w[1])}}}
+		}
+		if err := c.Insert(ents); err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			hits, err := hitsOf(c, Request{Vector: e.Vectors[0], SearchOptions: SearchOptions{K: 2}})
+			if err != nil || len(hits) == 0 || hits[0].ID != e.ID || hits[0].Distance != 0 {
+				t.Errorf("%s: query %x answered %v, %v; want id %d first at distance 0", m, words[e.ID-1], hits, err, e.ID)
 			}
 		}
 	}

@@ -94,6 +94,25 @@ func (s *Schema) VectorFieldIndex(name string) (int, error) {
 	return 0, fmt.Errorf("core: unknown vector field %q", name)
 }
 
+// CheckVector checks a query vector against vector field f: the field's
+// dimension and, in a float field, no NaN or ±Inf. A binary field's words
+// are bit patterns, any of which may read as a NaN, so they are not judged
+// as floats. Every search's query vectors are judged here, as CheckBatch
+// judges an insert's.
+func (s *Schema) CheckVector(f int, v []float32) error {
+	vf := &s.VectorFields[f]
+	if len(v) != vf.Dim {
+		return fmt.Errorf("core: query dim %d, field %q wants %d", len(v), vf.Name, vf.Dim)
+	}
+	if !vf.Metric.Binary() && slices.IndexFunc(v, nonFinite) >= 0 {
+		return fmt.Errorf("core: query for field %q holds a NaN or ±Inf", vf.Name)
+	}
+	return nil
+}
+
+// nonFinite reports whether x is a NaN or ±Inf.
+func nonFinite(x float32) bool { return math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) }
+
 // AttrFieldIndex resolves an attribute field name to its position.
 func (s *Schema) AttrFieldIndex(name string) (int, error) {
 	for i, a := range s.AttrFields {
@@ -211,11 +230,11 @@ func Columns(rows []Entity) (*wal.Batch, error) {
 
 // CheckBatch checks an insert batch against the schema: one column per
 // field, each one value (or one vector of the field's dimension) per row,
-// and values a WAL frame can carry — finite floats outside binary fields,
-// UTF-8 categories — so a single node refuses what a cluster writer
-// refuses. An empty batch holds no column and always passes. A shape
-// error names the batch's first entity, a value error the entity holding
-// it.
+// no NaN or ±Inf in a float field (a binary field's words are bit
+// patterns, carried as they are) and UTF-8 categories. A single node and a
+// cluster writer refuse alike, and the wire carries whatever this accepts.
+// An empty batch holds no column and always passes. A shape error names
+// the batch's first entity, a value error the first entity holding one.
 func (s *Schema) CheckBatch(b *wal.Batch) error {
 	n := b.Rows()
 	if n == 0 {
@@ -246,16 +265,17 @@ func (s *Schema) CheckBatch(b *wal.Batch) error {
 			return fmt.Errorf("core: a categorical column holds %d values for %d rows", len(col), n)
 		}
 	}
-	// What a WAL frame cannot carry. A binary field's words are bit
-	// patterns, any of which may read as a NaN, so only the float fields
-	// must be finite.
+	bad, field := n, "" // the first row holding a NaN or ±Inf, and its field
 	for f, vf := range s.VectorFields {
 		if vf.Metric.Binary() {
 			continue
 		}
-		if i := slices.IndexFunc(b.Vectors[f], func(x float32) bool { return math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) }); i >= 0 {
-			return fmt.Errorf("core: entity %d field %q: NaN or ±Inf", b.IDs[i/vf.Dim], vf.Name)
+		if i := slices.IndexFunc(b.Vectors[f][:bad*vf.Dim], nonFinite); i >= 0 {
+			bad, field = i/vf.Dim, vf.Name
 		}
+	}
+	if bad < n {
+		return fmt.Errorf("core: entity %d field %q: NaN or ±Inf", b.IDs[bad], field)
 	}
 	for c, col := range b.Cats {
 		if i := slices.IndexFunc(col, func(v string) bool { return !utf8.ValidString(v) }); i >= 0 {

@@ -193,22 +193,23 @@ func (s *Segment) Visibility(deleted map[int64]int64) *bitset.Bitset {
 
 // VectorByID returns the field vector of an entity, if present. Tiered
 // segments return a copy (the backing mapping is only pinned for the
-// lookup); hot segments return the resident row view.
-func (s *Segment) VectorByID(field int, id int64) ([]float32, bool) {
+// lookup); hot segments return the resident row view. A tiered segment
+// whose bytes cannot be read is an error, not an absent entity.
+func (s *Segment) VectorByID(field int, id int64) ([]float32, bool, error) {
 	p, ok := s.posOf(id)
 	if !ok {
-		return nil, false
+		return nil, false, nil
 	}
 	if s.tier == nil {
-		return s.Vectors[field].Row(int(p)), true
+		return s.Vectors[field].Row(int(p)), true, nil
 	}
 	rowAt, rel, err := s.vectorRows(field)
 	if err != nil {
-		return nil, false
+		return nil, false, err
 	}
 	v := append([]float32(nil), rowAt(int(p))...)
 	rel()
-	return v, true
+	return v, true, nil
 }
 
 // AttrByID returns the attribute value of an entity, if present.

@@ -15,7 +15,9 @@ import (
 	"vectordb/internal/index/ivf"
 	"vectordb/internal/objstore"
 	"vectordb/internal/obs"
+	"vectordb/internal/plan"
 	"vectordb/internal/topk"
+	"vectordb/internal/vec"
 )
 
 // tierTestConfig builds a tiered config: every sealed segment's vectors
@@ -1263,24 +1265,31 @@ func TestTieredFlatKeepsNoHeapCopy(t *testing.T) {
 
 // TestTieredUnreadableSegmentFailsQuery: a segment whose local files and
 // store objects are all gone cannot be promoted, and a query — one vector,
-// a filtered one and a batch — answers that error instead of silently
-// leaving the segment's rows out, whether the segment is scanned or probed
-// through an externalized IVF_FLAT payload. Each failed promotion counts in
-// vectordb_tier_promote_errors_total.
+// a filtered one, a batch, a fused and a weighted two-field one, and a
+// filtered one the planner runs as a prefilter — answers that error
+// instead of silently leaving the segment's rows out, whether the segment
+// is scanned or probed through an externalized IVF_FLAT payload. Each
+// failed promotion counts in vectordb_tier_promote_errors_total.
 func TestTieredUnreadableSegmentFailsQuery(t *testing.T) {
 	const dim, rows = 8, 256
+	schema := testSchema(dim)
+	schema.VectorFields = append(schema.VectorFields, VectorField{Name: "w", Dim: dim, Metric: vec.L2})
 	for _, indexType := range []string{"FLAT", "IVF_FLAT"} {
 		reg := obs.NewRegistry()
 		cfg := tierTestConfig(t)
 		cfg.Obs = reg
 		cfg.IndexRows, cfg.IndexType, cfg.IndexParams = 64, indexType, map[string]string{"nlist": "4"}
+		cfg.Planner = plan.New(plan.Config{Obs: reg, Profile: fixedProfile(nil)})
 		store := objstore.NewMemory()
-		c, err := NewCollection("gone", testSchema(dim), store, cfg)
+		c, err := NewCollection("gone", schema, store, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
 		ents := mkEntities(rows, dim, 9)
+		for i, e := range mkEntities(rows, dim, 10) {
+			ents[i].Vectors = append(ents[i].Vectors, e.Vectors[0])
+		}
 		if err := c.Insert(ents); err != nil {
 			t.Fatal(err)
 		}
@@ -1311,11 +1320,16 @@ func TestTieredUnreadableSegmentFailsQuery(t *testing.T) {
 			}
 		}
 		promoteErrs := reg.Counter("vectordb_tier_promote_errors_total", "collection", "gone")
-		q := ents[5].Vectors[0]
+		q, price := ents[5].Vectors[0], ents[5].Attrs[0]
+		prefiltered := obs.NewQueryRecord("filtered")
 		for name, req := range map[string]Request{
 			"vector":   {Vector: q, SearchOptions: SearchOptions{K: 5}},
 			"filtered": {Vector: q, Pred: colstore.RangePred{Attr: 0, Lo: 0, Hi: 1 << 40}, SearchOptions: SearchOptions{K: 5}},
 			"batch":    {Batch: [][]float32{q, ents[9].Vectors[0]}, SearchOptions: SearchOptions{K: 5}},
+			"fused":    {Fields: ents[5].Vectors, SearchOptions: SearchOptions{K: 5}},
+			"weighted": {Fields: ents[5].Vectors, Weights: []float32{0.75, 0.25}, SearchOptions: SearchOptions{K: 5}},
+			"prefiltered": {Vector: q, Pred: colstore.RangePred{Attr: 0, Lo: price, Hi: price},
+				SearchOptions: SearchOptions{K: 5, Trace: prefiltered}},
 		} {
 			before := promoteErrs.Value()
 			if _, err := c.Query(context.Background(), req); err == nil {
@@ -1324,6 +1338,9 @@ func TestTieredUnreadableSegmentFailsQuery(t *testing.T) {
 			if promoteErrs.Value() <= before {
 				t.Fatalf("%s %s: vectordb_tier_promote_errors_total did not count the failed promotion", indexType, name)
 			}
+		}
+		if choice, _ := prefiltered.Summary().Attr("plan"); choice != string(plan.StrategyPrefilter) {
+			t.Fatalf("%s prefiltered: plan %q, want %s", indexType, choice, plan.StrategyPrefilter)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package rest
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -22,7 +21,7 @@ import (
 //
 //	"VDBQ", u32 version 1
 //	i64 k, nprobe, ef, search_l; u32 flags (1 per-field vectors, 2 range, 4 IN)
-//	field: u32 length + bytes; u32 vectors, each u32 dim + dim × f32
+//	field: u32 length + bytes; u32 vectors, each u32 dim + dim 32-bit words
 //	u32 weights + weights × f32
 //	range (flag 2): attr, i64 lo, hi; IN (flag 4): attr, u32 values, each string
 //
@@ -30,16 +29,19 @@ import (
 //
 // Without flag 1 a search carries no query vector or one; with it, one per
 // vector field in schema order. Every string is a u32 length plus UTF-8
-// bytes. The bodies carry what JSON can, finite floats and
-// UTF-8, and are canonical: a body a decoder takes is exactly what its
-// encoder writes for what it decoded, so zero insert rows have no fields
-// and an insert's vector field has a dimension. Error replies stay JSON.
+// bytes. Bodies carry vector words and weights as bits, so a binary
+// field's packed words cross whatever float they read as; the collection's
+// schema judges values by field kind, refusing a NaN or ±Inf in a float
+// field or a weight. A VDBH distance is finite, as in the JSON reply. The
+// bodies are canonical: a body a decoder takes is exactly what its encoder
+// writes for what it decoded, so zero insert rows have no fields and an
+// insert's vector field has a dimension. Error replies stay JSON. Both
+// codecs read and write through package wal's.
 const ColumnsType = "application/x-vectordb-columns"
 
 const (
 	searchMagic = "VDBQ\x01\x00\x00\x00" // and version 1
 	hitsMagic   = "VDBH\x01\x00\x00\x00"
-	nonFinite   = 0x7f800000 // a float32's exponent bits: set in NaN and ±Inf
 )
 
 // The flags of a search body.
@@ -53,8 +55,9 @@ var le = binary.LittleEndian
 
 // Encode encodes the request body v and names its Content-Type: an
 // InsertRequest as columns when its rows agree in shape and every vector
-// is non-empty and finite, anything else as JSON — so the server names a
-// ragged batch's entity at fault, and a NaN fails here.
+// is non-empty, anything else as JSON — so the server names a ragged
+// batch's entity at fault. Columns carry vector words as bits; the server
+// answers 400 to a NaN or ±Inf in a float field.
 func Encode(v any) (body []byte, contentType string, err error) {
 	if r, ok := v.(InsertRequest); ok {
 		if body, ok := encodeColumns(r.Entities); ok {
@@ -67,7 +70,7 @@ func Encode(v any) (body []byte, contentType string, err error) {
 
 // encodeColumns writes es as a columnar body straight from the rows, or
 // reports false when the body cannot carry them: rows of different
-// shapes, an empty vector, a NaN or ±Inf.
+// shapes, or an empty vector.
 func encodeColumns(es []EntityJSON) ([]byte, bool) {
 	body, err := wal.AppendRows(nil, len(es), func(i int) wal.Row {
 		e := &es[i]
@@ -76,8 +79,8 @@ func encodeColumns(es []EntityJSON) ([]byte, bool) {
 	return body, err == nil
 }
 
-// validCats is cats as encoding/json sends them, each invalid UTF-8 byte
-// as U+FFFD: cats itself unless one is invalid.
+// validCats is cats as encoding/json sends them: cats itself unless one
+// is invalid UTF-8.
 func validCats(cats []string) []string {
 	out := cats
 	for j, s := range cats {
@@ -85,10 +88,19 @@ func validCats(cats []string) []string {
 			if &out[0] == &cats[0] { // still the caller's: copy before writing
 				out = slices.Clone(cats)
 			}
-			out[j] = string([]rune(s))
+			out[j] = validUTF8(s)
 		}
 	}
 	return out
+}
+
+// validUTF8 is s as encoding/json sends it, each invalid UTF-8 byte as
+// U+FFFD.
+func validUTF8(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	return string([]rune(s))
 }
 
 // entities is es as core's rows.
@@ -98,15 +110,6 @@ func entities(es []EntityJSON) []core.Entity {
 		rows[i] = core.Entity(e)
 	}
 	return rows
-}
-
-// appendString appends s as a u32 length and its bytes, as encoding/json
-// carries it: each invalid UTF-8 byte is U+FFFD.
-func appendString(b []byte, s string) []byte {
-	if !utf8.ValidString(s) {
-		s = string([]rune(s))
-	}
-	return append(le.AppendUint32(b, uint32(len(s))), s...)
 }
 
 // decodeInsert decodes an insert body, columns or an InsertRequest whose
@@ -158,8 +161,9 @@ func decodeQuery(body []byte, contentType string) (query, error) {
 
 // EncodeSearch writes r as a columnar search body carrying what its JSON
 // body carries: an empty Vector, Vectors or Weights is absent, as omitempty
-// drops it. A NaN or ±Inf fails here, as it fails encoding/json, and so
-// does a request with both Vector and Vectors, which the body cannot carry.
+// drops it. A request with both Vector and Vectors fails here, as the body
+// cannot carry it; vector words and weights go as bits, for the server's
+// schema to judge.
 func EncodeSearch(r SearchRequest) ([]byte, error) {
 	if len(r.Vector) == 0 {
 		r.Vector = nil
@@ -170,8 +174,6 @@ func EncodeSearch(r SearchRequest) ([]byte, error) {
 	q := r.query()
 	return encodeSearch(&q)
 }
-
-var errNonFinite = errors.New("NaN or ±Inf")
 
 // encodeSearch writes q as a columnar search body.
 func encodeSearch(q *query) ([]byte, error) {
@@ -194,29 +196,19 @@ func encodeSearch(q *query) ([]byte, error) {
 	for _, n := range [...]int{q.K, q.Nprobe, q.Ef, q.SearchL} {
 		b = le.AppendUint64(b, uint64(n))
 	}
-	b = appendString(le.AppendUint32(b, flags), q.Field)
-	finite := true
-	floats := func(v []float32) {
-		b = le.AppendUint32(b, uint32(len(v)))
-		for _, x := range v {
-			finite = finite && math.Float32bits(x)&nonFinite != nonFinite
-			b = le.AppendUint32(b, math.Float32bits(x))
-		}
-	}
+	b = wal.AppendString(le.AppendUint32(b, flags), validUTF8(q.Field))
 	b = le.AppendUint32(b, uint32(len(vecs)))
 	for _, v := range vecs {
-		floats(v)
+		b = wal.AppendFloats(le.AppendUint32(b, uint32(len(v))), v)
 	}
-	if floats(q.Weights); !finite {
-		return nil, fmt.Errorf("rest: columnar search: %w in a query vector or weight", errNonFinite)
-	}
+	b = wal.AppendFloats(le.AppendUint32(b, uint32(len(q.Weights))), q.Weights)
 	if r := q.rng; r != nil {
-		b = le.AppendUint64(le.AppendUint64(appendString(b, r.Attr), uint64(r.Lo)), uint64(r.Hi))
+		b = le.AppendUint64(le.AppendUint64(wal.AppendString(b, validUTF8(r.Attr)), uint64(r.Lo)), uint64(r.Hi))
 	}
 	if in := q.in; in != nil {
-		b = le.AppendUint32(appendString(b, in.Attr), uint32(len(in.Values)))
+		b = le.AppendUint32(wal.AppendString(b, validUTF8(in.Attr)), uint32(len(in.Values)))
 		for _, v := range in.Values {
-			b = appendString(b, v)
+			b = wal.AppendString(b, validUTF8(v))
 		}
 	}
 	return b, nil
@@ -224,134 +216,50 @@ func encodeSearch(q *query) ([]byte, error) {
 
 // decodeSearch decodes a columnar search body. Every count is checked
 // against the bytes left before anything sized by it is made; a body that
-// is short, long, or carries a NaN, ±Inf, invalid UTF-8, an unknown flag or
-// more than one query vector without the per-field flag is an error.
+// is short, long, or carries invalid UTF-8, an unknown flag or more than
+// one query vector without the per-field flag is an error.
 func decodeSearch(b []byte) (query, error) {
 	var q query
-	if len(b) < len(searchMagic) || string(b[:len(searchMagic)]) != searchMagic {
-		return q, fmt.Errorf("rest: columnar search body: bad magic or version")
-	}
-	r := reader{b: b[len(searchMagic):]}
-	q.K, q.Nprobe, q.Ef, q.SearchL = r.int(), r.int(), r.int(), r.int()
-	flags := r.word(4)
+	r := wal.NewReader(b, searchMagic)
+	q.K, q.Nprobe, q.Ef, q.SearchL = r.Int(), r.Int(), r.Int(), r.Int()
+	flags := r.U32()
 	if flags&^(perField|rangeTerm|inTerm) != 0 {
-		r.fail(fmt.Errorf("unknown flags %#x", flags))
+		r.Fail(fmt.Errorf("unknown flags %#x", flags))
 	}
-	q.Field = r.str()
-	switch n := r.count(4); { // a vector is at least its dim
+	q.Field = r.Str()
+	switch n := r.Count(4); { // a vector is at least its dim
 	case flags&perField != 0:
 		q.Fields = make([][]float32, n)
 		for i := range q.Fields {
-			q.Fields[i] = r.floats(r.count(4))
+			q.Fields[i] = r.Floats(r.Count(4))
 		}
 	case n > 1:
-		r.fail(fmt.Errorf("%d query vectors without the per-field flag", n))
+		r.Fail(fmt.Errorf("%d query vectors without the per-field flag", n))
 	case n == 1:
-		q.Vector = r.floats(r.count(4))
+		q.Vector = r.Floats(r.Count(4))
 	}
-	if w := r.floats(r.count(4)); len(w) > 0 {
+	if w := r.Floats(r.Count(4)); len(w) > 0 {
 		q.Weights = w
 	}
 	if flags&rangeTerm != 0 {
-		q.rng = &core.RangeFilter{Attr: r.str(), Lo: r.i64(), Hi: r.i64()}
+		q.rng = &core.RangeFilter{Attr: r.Str(), Lo: r.I64(), Hi: r.I64()}
 	}
 	if flags&inTerm != 0 {
-		q.in = &core.InFilter{Attr: r.str()}
-		q.in.Values = make([]string, r.count(4)) // a value is at least its length
+		q.in = &core.InFilter{Attr: r.Str()}
+		q.in.Values = make([]string, r.Count(4)) // a value is at least its length
 		for i := range q.in.Values {
-			q.in.Values[i] = r.str()
+			q.in.Values[i] = r.Str()
 		}
 	}
-	if len(r.b) > 0 {
-		r.fail(fmt.Errorf("%d bytes after the last term", len(r.b)))
-	}
-	if r.err != nil {
-		return query{}, fmt.Errorf("rest: columnar search body: %w", r.err)
+	if err := r.End(); err != nil {
+		return query{}, fmt.Errorf("rest: columnar search body: %w", err)
 	}
 	return q, nil
 }
 
-// reader takes a body's values in order. The first value that overruns
-// the body or is not what JSON can carry sets err; every read after it
-// takes nothing and returns a zero value.
-type reader struct {
-	b   []byte
-	err error
-}
-
-func (r *reader) fail(err error) {
-	if r.err == nil {
-		r.err, r.b = err, nil
-	}
-}
-
-func (r *reader) take(n int) []byte {
-	if uint(n) > uint(len(r.b)) {
-		r.fail(errors.New("truncated"))
-	}
-	if r.err != nil {
-		return nil
-	}
-	v := r.b[:n:n]
-	r.b = r.b[n:]
-	return v
-}
-
-// word reads an n-byte little-endian word, n at most 8.
-func (r *reader) word(n int) uint64 {
-	var w [8]byte
-	copy(w[:], r.take(n))
-	return le.Uint64(w[:])
-}
-
-func (r *reader) i64() int64 { return int64(r.word(8)) }
-
-func (r *reader) int() int {
-	n := r.i64()
-	if int64(int(n)) != n {
-		r.fail(fmt.Errorf("%d overflows an int", n))
-	}
-	return int(n)
-}
-
-// count reads a u32 count of items of at least size bytes each, checked
-// against the bytes left.
-func (r *reader) count(size int) int {
-	n := r.word(4)
-	if n > uint64(len(r.b)/size) {
-		r.fail(fmt.Errorf("a count of %d overruns the body", n))
-	}
-	if r.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-func (r *reader) str() string {
-	v := r.take(int(r.word(4)))
-	if !utf8.Valid(v) {
-		r.fail(errors.New("invalid UTF-8"))
-	}
-	return string(v)
-}
-
-// floats reads n float32s, none of them NaN or ±Inf.
-func (r *reader) floats(n int) []float32 {
-	src := r.take(4 * n)
-	if src == nil {
-		return nil
-	}
-	v := make([]float32, n)
-	for i := range v {
-		u := le.Uint32(src[4*i:])
-		if u&nonFinite == nonFinite {
-			r.fail(errNonFinite)
-			return nil
-		}
-		v[i] = math.Float32frombits(u)
-	}
-	return v
-}
+// finite reports whether a distance is neither NaN nor ±Inf (every
+// exponent bit set), which no reply carries.
+func finite(d float32) bool { return math.Float32bits(d)&0x7f800000 != 0x7f800000 }
 
 // encodeHits writes a search's hits as a columnar reply; a NaN or ±Inf
 // distance fails it, as it fails the JSON reply.
@@ -361,8 +269,8 @@ func encodeHits(rs []topk.Result) ([]byte, error) {
 		b = le.AppendUint64(b, uint64(h.ID))
 	}
 	for i, h := range rs {
-		if math.Float32bits(h.Distance)&nonFinite == nonFinite {
-			return nil, fmt.Errorf("rest: hit %d: distance %v: %w", i, h.Distance, errNonFinite)
+		if !finite(h.Distance) {
+			return nil, fmt.Errorf("rest: hit %d: distance %v is not finite", i, h.Distance)
 		}
 		b = le.AppendUint32(b, math.Float32bits(h.Distance))
 	}
@@ -373,22 +281,19 @@ func encodeHits(rs []topk.Result) ([]byte, error) {
 // against the body's length before the hits are made; a body that is short,
 // long or carries a NaN or ±Inf distance is an error.
 func DecodeHits(b []byte) ([]ResultJSON, error) {
-	const header = len(hitsMagic) + 4
-	if len(b) < header || string(b[:len(hitsMagic)]) != hitsMagic {
-		return nil, fmt.Errorf("rest: columnar search reply: bad magic or version")
+	r := wal.NewReader(b, hitsMagic)
+	n := r.Count(12) // an id and a distance
+	ids, dists := r.Take(8*n), r.Take(4*n)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("rest: columnar search reply: %w", err)
 	}
-	n := int64(le.Uint32(b[len(hitsMagic):]))
-	if int64(len(b)-header) != 12*n {
-		return nil, fmt.Errorf("rest: columnar search reply: %d hits in %d bytes", n, len(b))
-	}
-	ids, dists := b[header:], b[header+8*int(n):]
 	hits := make([]ResultJSON, n)
 	for i := range hits {
-		u := le.Uint32(dists[4*i:])
-		if u&nonFinite == nonFinite {
-			return nil, fmt.Errorf("rest: columnar search reply: hit %d: %w", i, errNonFinite)
+		d := math.Float32frombits(le.Uint32(dists[4*i:]))
+		if !finite(d) {
+			return nil, fmt.Errorf("rest: columnar search reply: hit %d: distance %v is not finite", i, d)
 		}
-		hits[i] = ResultJSON{ID: int64(le.Uint64(ids[8*i:])), Distance: math.Float32frombits(u)}
+		hits[i] = ResultJSON{ID: int64(le.Uint64(ids[8*i:])), Distance: d}
 	}
 	return hits, nil
 }

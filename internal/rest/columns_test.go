@@ -61,11 +61,16 @@ var columnsSchema = CreateCollectionRequest{
 
 // post sends body under contentType to h and returns the status.
 func post(h http.Handler, path, contentType string, body []byte) int {
+	return postReply(h, path, contentType, body).Code
+}
+
+// postReply sends body under contentType to h and returns the reply.
+func postReply(h http.Handler, path, contentType string, body []byte) *httptest.ResponseRecorder {
 	r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 	r.Header.Set("Content-Type", contentType)
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, r)
-	return w.Code
+	return w
 }
 
 func mustColumns(t testing.TB, es []EntityJSON) []byte {
@@ -212,19 +217,34 @@ func TestInsertColumnsMatchJSON(t *testing.T) {
 	}
 }
 
-// TestInsertColumnsFailOnFirstNaN: Encode sends a batch holding a
-// NaN or ±Inf as JSON, so it fails with encoding/json's error for the
-// first bad value in entity order, wherever the values sit.
+// TestInsertColumnsFailOnFirstNaN: Encode sends a batch holding a NaN or
+// ±Inf as columns, which carry vector words as bits, and the server
+// answers 400 naming the first entity, in entity order, holding one in a
+// float field, wherever the values sit; nothing is inserted.
 func TestInsertColumnsFailOnFirstNaN(t *testing.T) {
+	db := core.NewDB(nil)
+	h := NewServer(db)
+	req := columnsSchema
+	req.Name = "c"
+	b, _ := json.Marshal(req)
+	post(h, "/collections", "application/json", b)
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	for _, c := range [][2]int{{0, 5}, {5, 0}, {3, 3}, {6, 1}} {
 		es := columnsBatch(7)
 		es[c[0]].Vectors[1][1] = nan
 		es[c[1]].Vectors[0][2] = -inf
-		_, wantErr := json.Marshal(InsertRequest{Entities: es})
-		if _, _, err := Encode(InsertRequest{Entities: es}); wantErr == nil || err == nil || err.Error() != wantErr.Error() {
-			t.Errorf("NaN in row %d, -Inf in row %d: error %v, want %v", c[0], c[1], err, wantErr)
+		body, ctype, err := Encode(InsertRequest{Entities: es})
+		if err != nil || ctype != ColumnsType {
+			t.Fatalf("NaN in row %d, -Inf in row %d: sent as %s, %v", c[0], c[1], ctype, err)
 		}
+		w := postReply(h, "/collections/c/entities", ctype, body)
+		if want := fmt.Sprintf("entity %d ", es[min(c[0], c[1])].ID); w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), want) {
+			t.Errorf("NaN in row %d, -Inf in row %d: %d %s; want 400 naming %q", c[0], c[1], w.Code, w.Body, want)
+		}
+	}
+	col, _ := db.Collection("c")
+	if err := col.Flush(); err != nil || col.Count() != 0 {
+		t.Fatalf("refused batches left %d rows, %v", col.Count(), err)
 	}
 }
 

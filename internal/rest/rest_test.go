@@ -255,9 +255,11 @@ func TestSDKSearchANDsFilters(t *testing.T) {
 	}
 }
 
-// TestSDKNonFiniteQueryFailsInClient: a NaN or ±Inf in a query vector or a
-// weight is the SDK's error; no search reaches the server.
-func TestSDKNonFiniteQueryFailsInClient(t *testing.T) {
+// TestSDKNonFiniteQueryIs400: the SDK sends a NaN or ±Inf query vector,
+// per-field vector or weight as bits, and the server's schema refuses it:
+// every search reaches the server and fails with the server's error naming
+// the NaN or ±Inf, and so does an insert holding one in a float field.
+func TestSDKNonFiniteQueryIs400(t *testing.T) {
 	var searches atomic.Int64
 	h := rest.NewServer(nil)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -272,18 +274,53 @@ func TestSDKNonFiniteQueryFailsInClient(t *testing.T) {
 	if err := c.CreateCollection("c", fields, nil); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
-		if _, err := c.Search("c", []float32{1, bad}, 1, nil); err == nil {
-			t.Errorf("Search with %v succeeded", bad)
-		}
-		if _, err := c.SearchMulti("c", [][]float32{{1, 2}, {bad, 0}}, nil, 1); err == nil {
-			t.Errorf("SearchMulti with %v succeeded", bad)
-		}
-		if _, err := c.SearchMulti("c", [][]float32{{1, 2}, {3, 4}}, []float32{1, bad}, 1); err == nil {
-			t.Errorf("SearchMulti with weight %v succeeded", bad)
+	refused := func(what string, bad float32, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "NaN or ±Inf") {
+			t.Errorf("%s with %v: %v; want the server's NaN or ±Inf error", what, bad, err)
 		}
 	}
-	if n := searches.Load(); n != 0 {
-		t.Fatalf("%d searches reached the server", n)
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		_, err := c.Search("c", []float32{1, bad}, 1, nil)
+		refused("Search", bad, err)
+		_, err = c.SearchMulti("c", [][]float32{{1, 2}, {bad, 0}}, nil, 1)
+		refused("SearchMulti", bad, err)
+		_, err = c.SearchMulti("c", [][]float32{{1, 2}, {3, 4}}, []float32{1, bad}, 1)
+		refused("SearchMulti's weight", bad, err)
+		refused("Insert", bad, c.Insert("c", []client.Entity{{ID: 1, Vectors: [][]float32{{1, 2}, {bad, 0}}}}))
+	}
+	if n := searches.Load(); n != 9 {
+		t.Fatalf("%d searches reached the server, want 9", n)
+	}
+}
+
+// TestSDKBinaryFingerprintWords: a binary fingerprint's packed words cross
+// the SDK wire as bits, whatever float they read as. Hamming and Tanimoto
+// rows holding an all-ones word and a quiet NaN's pattern insert, and a
+// search for each row finds it first at distance 0.
+func TestSDKBinaryFingerprintWords(t *testing.T) {
+	c := newServer(t)
+	words := [][2]uint32{{0xFFFFFFFF, 0x7FC00000}, {0x7FC00000, 0xFFFFFFFF}, {0x0F0F0F0F, 0xFFFFFFFF}, {0x00000001, 0x80000000}}
+	for _, metric := range []string{"HAMMING", "TANIMOTO"} {
+		name := strings.ToLower(metric)
+		if err := c.CreateCollection(name, []client.VectorField{{Name: "fp", Dim: 2, Metric: metric}}, nil); err != nil {
+			t.Fatal(err)
+		}
+		es := make([]client.Entity, len(words))
+		for i, w := range words {
+			es[i] = client.Entity{ID: int64(i + 1), Vectors: [][]float32{{math.Float32frombits(w[0]), math.Float32frombits(w[1])}}}
+		}
+		if err := c.Insert(name, es); err != nil {
+			t.Fatalf("%s insert: %v", metric, err)
+		}
+		if err := c.Flush(name); err != nil {
+			t.Fatal(err)
+		}
+		for i, e := range es {
+			hits, err := c.Search(name, e.Vectors[0], 2, nil)
+			if err != nil || len(hits) == 0 || hits[0].ID != e.ID || hits[0].Distance != 0 {
+				t.Errorf("%s: search for %x answered %v, %v; want id %d first at distance 0", metric, words[i], hits, err, e.ID)
+			}
+		}
 	}
 }

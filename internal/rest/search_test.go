@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"vectordb/internal/core"
@@ -269,7 +270,40 @@ func searchColumnsSeeds(t testing.TB) [][]byte {
 		rng: &core.RangeFilter{Attr: "", Lo: math.MinInt64, Hi: math.MaxInt64}, in: &core.InFilter{Attr: "c", Values: []string{}}})
 	add(query{Request: core.Request{Vector: []float32{math.MaxFloat32, -math.MaxFloat32}, Weights: []float32{1, 2, 3}},
 		in: &core.InFilter{Attr: "brand", Values: []string{"", "a b", "€"}}})
+	// A binary fingerprint's all-ones and quiet-NaN words.
+	add(query{Request: core.Request{Vector: []float32{math.Float32frombits(0xFFFFFFFF), math.Float32frombits(0x7FC00000)}, SearchOptions: core.SearchOptions{K: 1}}})
 	return seeds
+}
+
+// queryWords is every float q carries, in body order.
+func queryWords(q query) []float32 {
+	return slices.Concat(slices.Concat(q.Fields...), q.Vector, q.Weights)
+}
+
+// searchColumnsNonFinite are columnar search bodies the decoder takes and
+// the server's schema refuses: two searches of searchSchema, a weighted
+// multi-vector one and a plain one, with each of their floats in turn a
+// NaN, +Inf and −Inf.
+func searchColumnsNonFinite(t testing.TB) map[string][]byte {
+	ms := map[string][]byte{}
+	for _, q := range []query{
+		{Request: core.Request{Fields: [][]float32{{1.25, 2.5, 0.5}, {3.75, 1}}, Weights: []float32{4.5, 5.25}, SearchOptions: core.SearchOptions{K: 3}}},
+		{Request: core.Request{Vector: []float32{6.5, 7.25, 8.75}, SearchOptions: core.SearchOptions{K: 3}}},
+	} {
+		good, err := encodeSearch(&q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range queryWords(q) {
+			at := bytes.Index(good, le.AppendUint32(nil, math.Float32bits(f)))
+			for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+				body := slices.Clone(good)
+				le.PutUint32(body[at:], math.Float32bits(bad))
+				ms[fmt.Sprintf("%v in place of %v", bad, f)] = body
+			}
+		}
+	}
+	return ms
 }
 
 // searchColumnsMutants are columnar search bodies the decoder must refuse.
@@ -318,12 +352,6 @@ func searchColumnsMutants(t testing.TB) map[string][]byte {
 		"invalid UTF-8 attr":         append(u32s(header(rangeTerm), 0, 0, 0, 1), append([]byte{0xc3}, make([]byte, 16)...)...),
 		"invalid UTF-8 value":        append(u32s(header(inTerm), 0, 0, 0, 0, 1, 1), 0xed),
 	}
-	for _, f := range []float32{1.25, 2.5, 3.75, 4.5, 5.25} {
-		at := bytes.Index(full, le.AppendUint32(nil, math.Float32bits(f)))
-		for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
-			ms[fmt.Sprintf("%v in place of %v", bad, f)] = edit(at, le.AppendUint32(nil, math.Float32bits(bad))...)
-		}
-	}
 	for n := 0; n < len(full); n++ {
 		ms[fmt.Sprintf("truncated at %d", n)] = full[:n]
 	}
@@ -331,7 +359,9 @@ func searchColumnsMutants(t testing.TB) map[string][]byte {
 }
 
 // TestSearchColumnsRejected: the decoder refuses every mutant and the
-// handler answers it 400.
+// handler answers it 400. The decoder takes a NaN or ±Inf query word or
+// weight, which the body carries as bits, and the handler answers that
+// 400 from the schema.
 func TestSearchColumnsRejected(t *testing.T) {
 	h := NewServer(nil)
 	b, _ := json.Marshal(searchSchema)
@@ -342,6 +372,14 @@ func TestSearchColumnsRejected(t *testing.T) {
 		}
 		if code := post(h, "/collections/s/search", ColumnsType, body); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, code)
+		}
+	}
+	for name, body := range searchColumnsNonFinite(t) {
+		if _, err := decodeSearch(body); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if w := postReply(h, "/collections/s/search", ColumnsType, body); w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "NaN or ±Inf") {
+			t.Errorf("%s: %d %s, want 400 naming the NaN or ±Inf", name, w.Code, w.Body)
 		}
 	}
 	for _, body := range searchColumnsSeeds(t) {
@@ -384,17 +422,30 @@ func TestSearchColumnsHeaderAllocates(t *testing.T) {
 	}
 }
 
-// TestSearchColumnsNonFinite: a NaN or ±Inf query vector or weight fails
-// to encode, and a NaN or ±Inf distance fails the columnar reply.
+// TestSearchColumnsNonFinite: a NaN or ±Inf query vector, per-field
+// vector or weight encodes as bits — the body decodes to the request's
+// words — and the server's schema answers it 400; a NaN or ±Inf distance
+// fails the columnar reply, and a request with both a vector and per-field
+// vectors fails to encode.
 func TestSearchColumnsNonFinite(t *testing.T) {
+	srv := searchServer(t)
 	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
 		for _, req := range []SearchRequest{
-			{Vector: []float32{1, bad}, K: 1},
-			{Vectors: [][]float32{{1}, {bad}}, K: 1},
-			{Vectors: [][]float32{{1}, {2}}, Weights: []float32{bad, 1}, K: 1},
+			{Vector: []float32{1, bad, 0}, K: 1},
+			{Vectors: [][]float32{{1, 0, 0}, {bad, 0}}, K: 1},
+			{Vectors: [][]float32{{1, 0, 0}, {2, 0}}, Weights: []float32{bad, 1}, K: 1},
 		} {
-			if _, err := EncodeSearch(req); err == nil {
-				t.Errorf("%+v encoded", req)
+			body, err := EncodeSearch(req)
+			if err != nil {
+				t.Errorf("%+v: %v", req, err)
+				continue
+			}
+			if q, err := decodeSearch(body); err != nil || !sameFloats(queryWords(q), queryWords(req.query())) {
+				t.Errorf("%+v: decoded %+v, %v", req, q, err)
+			}
+			r := postSearch(t, srv.URL, ColumnsType, ColumnsType, body)
+			if _, msg := r.hitsOrError(t); r.code != http.StatusBadRequest || !strings.Contains(msg, "NaN or ±Inf") {
+				t.Errorf("%+v: HTTP %d %q, want 400 naming the NaN or ±Inf", req, r.code, msg)
 			}
 		}
 		if _, err := encodeHits([]topk.Result{{ID: 1, Distance: 1}, {ID: 2, Distance: bad}}); err == nil {
@@ -413,6 +464,9 @@ func FuzzSearchColumns(f *testing.F) {
 		f.Add(body)
 	}
 	for _, body := range searchColumnsMutants(f) {
+		f.Add(body)
+	}
+	for _, body := range searchColumnsNonFinite(f) {
 		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -52,54 +52,60 @@ func (b *Batch) Rows() int { return len(b.IDs) }
 //
 //	"VDBC", u32 version 1
 //	u32 rows, vector fields, attrs, cats; then u32 dim per vector field
-//	ids: rows × i64; vectors: per field, rows × dim f32
+//	ids: rows × i64; vectors: per field, rows × dim 32-bit words
 //	attrs: per attr, rows × i64; cats: per cat, per row u32 length + bytes
 //
-// A body carries what JSON can, finite floats and UTF-8, and is canonical:
-// a body DecodeBody takes is exactly what AppendBody writes for what it
-// decoded, so zero rows have no fields and a vector field has a dimension.
+// A body carries vector words as bits — a float field's float32s and a
+// binary field's packed words alike, NaN and ±Inf patterns included — and
+// categories as UTF-8. The schema, not the body, judges vector values by
+// field kind (core.Schema.CheckBatch). A body is canonical: a body
+// DecodeBody takes is exactly what AppendBody writes for what it decoded,
+// so zero rows have no fields and a vector field has a dimension.
 const Magic = "VDBC\x01\x00\x00\x00"
 
-const (
-	header    = 24         // a body's magic, version and four counts
-	nonFinite = 0x7f800000 // a float32's exponent bits: set in NaN and ±Inf
-)
+const header = 24 // a body's magic, version and four counts
 
 var le = binary.LittleEndian
 
 // AppendBody appends b's rows to dst as a VDBC body. It fails, leaving dst
 // as it was, when the body cannot carry them: fields without rows, a
 // vector column that is not rows × a positive dimension, an attribute or
-// category column not one value per row, a NaN, ±Inf or invalid UTF-8.
+// category column not one value per row, or invalid UTF-8.
 func AppendBody(dst []byte, b *Batch) ([]byte, error) {
-	size, err := bodySize(b)
-	if err != nil {
-		return dst, err
-	}
 	n := b.Rows()
-	out := appendHeader(slices.Grow(dst, size), n, len(b.Vectors), len(b.Attrs), len(b.Cats))
-	for _, v := range b.Vectors {
-		out = le.AppendUint32(out, uint32(len(v)/n))
-	}
-	for _, id := range b.IDs {
-		out = le.AppendUint64(out, uint64(id))
+	if n == 0 && len(b.Vectors)+len(b.Attrs)+len(b.Cats) > 0 {
+		return dst, errors.New("wal: fields without rows")
 	}
 	for f, v := range b.Vectors {
-		if out, err = appendFloats(out, f, v); err != nil {
-			return dst, err
+		if len(v) == 0 || len(v)%n != 0 {
+			return dst, fmt.Errorf("wal: vector field %d holds %d words for %d rows", f, len(v), n)
 		}
 	}
-	for _, col := range b.Attrs {
-		for _, x := range col {
-			out = le.AppendUint64(out, uint64(x))
+	for a, col := range b.Attrs {
+		if len(col) != n {
+			return dst, fmt.Errorf("wal: attribute %d holds %d values for %d rows", a, len(col), n)
 		}
 	}
-	for _, col := range b.Cats {
-		for _, s := range col {
-			out = appendString(out, s)
+	for c, col := range b.Cats {
+		if len(col) != n {
+			return dst, fmt.Errorf("wal: category %d holds %d values for %d rows", c, len(col), n)
 		}
 	}
-	return out, nil
+	r := Row{Vectors: make([][]float32, len(b.Vectors)), Attrs: make([]int64, len(b.Attrs)), Cats: make([]string, len(b.Cats))}
+	return AppendRows(dst, n, func(i int) Row {
+		r.ID = b.IDs[i]
+		for f, v := range b.Vectors {
+			dim := len(v) / n
+			r.Vectors[f] = v[i*dim : (i+1)*dim]
+		}
+		for a, col := range b.Attrs {
+			r.Attrs[a] = col[i]
+		}
+		for c, col := range b.Cats {
+			r.Cats[c] = col[i]
+		}
+		return r
+	})
 }
 
 // Row is one row of an insert as a client holds it: an ID, one vector per
@@ -113,23 +119,30 @@ type Row struct {
 
 // AppendRows appends n rows, row i read as row(i), to dst as a VDBC body —
 // the body AppendBody writes for the batch of the same rows — without
-// gathering them into columns first. It fails, leaving dst as it was,
-// where AppendBody would and when a row's shape is not row 0's.
+// gathering them into columns first. row may reuse the Row it returns:
+// each is read before the next call. It fails, leaving dst as it was, when
+// a row's shape is not row 0's, a vector is empty or a category is not
+// UTF-8.
 func AppendRows(dst []byte, n int, row func(int) Row) ([]byte, error) {
-	if n == 0 {
-		return AppendBody(dst, &Batch{})
+	var dims []int
+	var na, nc int
+	if n > 0 {
+		r := row(0)
+		for _, v := range r.Vectors {
+			dims = append(dims, len(v))
+		}
+		na, nc = len(r.Attrs), len(r.Cats)
 	}
-	first := row(0)
-	size := header + 4*len(first.Vectors) + 8*n*(1+len(first.Attrs)) + 4*n*len(first.Cats)
+	size := header + 4*len(dims) + 8*n*(1+na) + 4*n*nc
 	for i := range n {
 		r := row(i)
-		if len(r.Vectors) != len(first.Vectors) || len(r.Attrs) != len(first.Attrs) || len(r.Cats) != len(first.Cats) {
+		if len(r.Vectors) != len(dims) || len(r.Attrs) != na || len(r.Cats) != nc {
 			return dst, fmt.Errorf("wal: row %d has %d vectors, %d attrs and %d cats; row 0 has %d, %d and %d",
-				i, len(r.Vectors), len(r.Attrs), len(r.Cats), len(first.Vectors), len(first.Attrs), len(first.Cats))
+				i, len(r.Vectors), len(r.Attrs), len(r.Cats), len(dims), na, nc)
 		}
 		for f, v := range r.Vectors {
-			if len(v) == 0 || len(v) != len(first.Vectors[f]) {
-				return dst, fmt.Errorf("wal: row %d vector field %d: dim %d, row 0's is %d", i, f, len(v), len(first.Vectors[f]))
+			if len(v) == 0 || len(v) != dims[f] {
+				return dst, fmt.Errorf("wal: row %d vector field %d: dim %d, row 0's is %d", i, f, len(v), dims[f])
 			}
 			size += 4 * len(v)
 		}
@@ -140,168 +153,206 @@ func AppendRows(dst []byte, n int, row func(int) Row) ([]byte, error) {
 			size += len(s)
 		}
 	}
-	out := appendHeader(slices.Grow(dst, size), n, len(first.Vectors), len(first.Attrs), len(first.Cats))
-	for _, v := range first.Vectors {
-		out = le.AppendUint32(out, uint32(len(v)))
+	// Room for a frame's CRC as well, which AppendFrame writes after the body.
+	out := append(slices.Grow(dst, size+4), Magic...)
+	for _, c := range [...]int{n, len(dims), na, nc} {
+		out = le.AppendUint32(out, uint32(c))
+	}
+	for _, dim := range dims {
+		out = le.AppendUint32(out, uint32(dim))
 	}
 	for i := range n {
 		out = le.AppendUint64(out, uint64(row(i).ID))
 	}
-	var err error
-	for f := range first.Vectors {
+	for f := range dims {
 		for i := range n {
-			if out, err = appendFloats(out, f, row(i).Vectors[f]); err != nil {
-				return dst, err
-			}
+			out = AppendFloats(out, row(i).Vectors[f])
 		}
 	}
-	for a := range first.Attrs {
+	for a := range na {
 		for i := range n {
 			out = le.AppendUint64(out, uint64(row(i).Attrs[a]))
 		}
 	}
-	for c := range first.Cats {
+	for c := range nc {
 		for i := range n {
-			out = appendString(out, row(i).Cats[c])
+			out = AppendString(out, row(i).Cats[c])
 		}
 	}
 	return out, nil
 }
 
-// appendHeader appends a body's magic and its four counts.
-func appendHeader(dst []byte, rows, vectors, attrs, cats int) []byte {
-	dst = append(dst, Magic...)
-	for _, c := range [...]int{rows, vectors, attrs, cats} {
-		dst = le.AppendUint32(dst, uint32(c))
+// AppendFloats appends v's 32-bit words, little-endian, as bits: a NaN or
+// ±Inf pattern is carried like any other word.
+func AppendFloats(dst []byte, v []float32) []byte {
+	for _, x := range v {
+		dst = le.AppendUint32(dst, math.Float32bits(x))
 	}
 	return dst
 }
 
-// appendFloats appends vector field f's floats, failing on a NaN or ±Inf.
-func appendFloats(dst []byte, f int, v []float32) ([]byte, error) {
-	for _, x := range v {
-		u := math.Float32bits(x)
-		if u&nonFinite == nonFinite {
-			return dst, fmt.Errorf("wal: NaN or ±Inf in vector field %d", f)
-		}
-		dst = le.AppendUint32(dst, u)
-	}
-	return dst, nil
-}
-
-// appendString appends a category value: a u32 length and its bytes.
-func appendString(dst []byte, s string) []byte {
+// AppendString appends s as a u32 length and its bytes.
+func AppendString(dst []byte, s string) []byte {
 	return append(le.AppendUint32(dst, uint32(len(s))), s...)
 }
 
-// bodySize is the length of b's VDBC body, or why the body cannot carry b
-// (all but a NaN or ±Inf, which AppendBody finds as it writes).
-func bodySize(b *Batch) (int, error) {
-	n := b.Rows()
-	if n == 0 && len(b.Vectors)+len(b.Attrs)+len(b.Cats) > 0 {
-		return 0, errors.New("wal: fields without rows")
-	}
-	size := header + 4*len(b.Vectors) + 8*n*(1+len(b.Attrs)) + 4*n*len(b.Cats)
-	for f, v := range b.Vectors {
-		if len(v) == 0 || len(v)%n != 0 {
-			return 0, fmt.Errorf("wal: vector field %d holds %d floats for %d rows", f, len(v), n)
-		}
-		size += 4 * len(v)
-	}
-	for a, col := range b.Attrs {
-		if len(col) != n {
-			return 0, fmt.Errorf("wal: attribute %d holds %d values for %d rows", a, len(col), n)
-		}
-	}
-	for c, col := range b.Cats {
-		if len(col) != n {
-			return 0, fmt.Errorf("wal: category %d holds %d values for %d rows", c, len(col), n)
-		}
-		for _, s := range col {
-			if !utf8.ValidString(s) {
-				return 0, fmt.Errorf("wal: invalid UTF-8 in category %d", c)
-			}
-			size += len(s)
-		}
-	}
-	return size, nil
-}
-
-// DecodeBody decodes a VDBC body into a fresh insert batch. The header's
-// counts are checked against the body's length before anything sized by
-// them is allocated; a body that is short, long or carries a NaN, ±Inf or
-// invalid UTF-8 is an error.
+// DecodeBody decodes a VDBC body into a fresh insert batch. A body that is
+// short, long or carries invalid UTF-8 is an error, and nothing sized by a
+// count is made before the count is checked against the body's length.
 func DecodeBody(b []byte) (*Batch, error) {
-	if len(b) < header || string(b[:8]) != Magic {
-		return nil, fmt.Errorf("wal: body: bad magic or version")
+	r := NewReader(b, Magic)
+	rows, nv, na, nc := uint64(r.U32()), uint64(r.U32()), r.U32(), r.U32()
+	dims := r.span(nv, 4)
+	if rows == 0 && nv+uint64(na)+uint64(nc) != 0 {
+		r.Fail(errors.New("fields without rows"))
 	}
-	rows, nv, na, nc := uint64(le.Uint32(b[8:])), uint64(le.Uint32(b[12:])), uint64(le.Uint32(b[16:])), uint64(le.Uint32(b[20:]))
-	if rows == 0 && nv+na+nc != 0 {
-		return nil, fmt.Errorf("wal: body: fields without rows")
-	}
-	if 4*nv > uint64(len(b)-header) {
-		return nil, fmt.Errorf("wal: body: %d vector dims overrun %d bytes", nv, len(b))
-	}
-	// need is the body's least length: the header, every fixed-width column
-	// and each category's length word. It never passes len(b), so it never
-	// overflows: each column's rows × width is bounded by division first.
-	need, widths := header+4*nv, []uint64{8, 8 * na, 4 * nc}
-	for f := range nv {
-		dim := uint64(le.Uint32(b[header+4*f:]))
+	out := &Batch{Kind: Insert, IDs: ints(r.span(rows, 8))}
+	for f := 0; f < len(dims)/4 && r.err == nil; f++ {
+		dim := uint64(le.Uint32(dims[4*f:]))
 		if dim == 0 {
-			return nil, fmt.Errorf("wal: body: vector field %d has no dimension", f)
+			r.Fail(fmt.Errorf("vector field %d has no dimension", f))
 		}
-		widths = append(widths, 4*dim)
+		out.Vectors = append(out.Vectors, floats(r.span(rows, 4*dim)))
 	}
-	for _, w := range widths {
-		if rows > 0 && w > (uint64(len(b))-need)/rows {
-			return nil, fmt.Errorf("wal: body: %d rows of %d vector fields, %d attrs and %d cats overrun %d bytes", rows, nv, na, nc, len(b))
-		}
-		need += rows * w
+	for a := uint32(0); a < na && r.err == nil; a++ {
+		out.Attrs = append(out.Attrs, ints(r.span(rows, 8)))
 	}
-
-	n, p := int(rows), int(header+4*nv)
-	next := func(size int) []byte { p += size; return b[p-size : p] }
-	out := &Batch{Kind: Insert, IDs: make([]int64, n)}
-	for i := range out.IDs {
-		out.IDs[i] = int64(le.Uint64(next(8)))
-	}
-	for f, w := range widths[3:] {
-		col, src := make([]float32, n*int(w/4)), next(n*int(w))
-		for j := range col {
-			u := le.Uint32(src[4*j:])
-			if u&nonFinite == nonFinite {
-				return nil, fmt.Errorf("wal: body: NaN or ±Inf in vector field %d", f)
-			}
-			col[j] = math.Float32frombits(u)
-		}
-		out.Vectors = append(out.Vectors, col)
-	}
-	for range na {
-		col := make([]int64, n)
+	for c := uint32(0); c < nc && r.fits(rows, 4); c++ { // a value is at least its length
+		col := make([]string, rows)
 		for i := range col {
-			col[i] = int64(le.Uint64(next(8)))
-		}
-		out.Attrs = append(out.Attrs, col)
-	}
-	for c := range nc {
-		col := make([]string, n)
-		for i := range col {
-			if len(b)-p < 4 || uint64(le.Uint32(b[p:])) > uint64(len(b)-p-4) {
-				return nil, fmt.Errorf("wal: body: cat %d overruns the body", c)
-			}
-			s := next(int(le.Uint32(next(4))))
-			if !utf8.Valid(s) {
-				return nil, fmt.Errorf("wal: body: invalid UTF-8 in cat %d", c)
-			}
-			col[i] = string(s)
+			col[i] = r.Str()
 		}
 		out.Cats = append(out.Cats, col)
 	}
-	if p != len(b) {
-		return nil, fmt.Errorf("wal: body: %d bytes after the last column", len(b)-p)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("wal: body: %w", err)
 	}
 	return out, nil
+}
+
+// Reader reads a columnar body's values in order: a VDBC body, and package
+// rest's search (VDBQ) and hits (VDBH) bodies. The first read that
+// overruns the body, or that its caller Fails, sets the reader's error;
+// every read after it takes nothing and returns a zero value. A count is
+// checked against the bytes left before anything sized by it is made.
+type Reader struct {
+	b   []byte
+	err error
+}
+
+// NewReader reads the values of b that follow magic, the body's first
+// bytes.
+func NewReader(b []byte, magic string) Reader {
+	if len(b) < len(magic) || string(b[:len(magic)]) != magic {
+		return Reader{err: errors.New("bad magic or version")}
+	}
+	return Reader{b: b[len(magic):]}
+}
+
+// Fail sets the reader's error to err unless it is already set.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err, r.b = err, nil
+	}
+}
+
+// End is the reader's error, or one if bytes follow the last value read.
+func (r *Reader) End() error {
+	if len(r.b) > 0 {
+		r.Fail(fmt.Errorf("%d bytes after the last value", len(r.b)))
+	}
+	return r.err
+}
+
+// fits reports whether n values of size bytes each are left, failing the
+// reader if they are not.
+func (r *Reader) fits(n, size uint64) bool {
+	if r.err == nil && n > uint64(len(r.b))/size {
+		r.Fail(fmt.Errorf("%d values of %d bytes overrun the body", n, size))
+	}
+	return r.err == nil
+}
+
+// span takes the bytes of n values of size bytes each.
+func (r *Reader) span(n, size uint64) []byte {
+	if !r.fits(n, size) {
+		return nil
+	}
+	return r.Take(int(n * size))
+}
+
+// Take takes the next n bytes, failing the reader if fewer are left.
+func (r *Reader) Take(n int) []byte {
+	if uint(n) > uint(len(r.b)) {
+		r.Fail(errors.New("truncated"))
+		return nil
+	}
+	v := r.b[:n:n]
+	r.b = r.b[n:]
+	return v
+}
+
+// U32 reads a u32.
+func (r *Reader) U32() uint32 {
+	if v := r.Take(4); v != nil {
+		return le.Uint32(v)
+	}
+	return 0
+}
+
+// I64 reads an i64.
+func (r *Reader) I64() int64 {
+	if v := r.Take(8); v != nil {
+		return int64(le.Uint64(v))
+	}
+	return 0
+}
+
+// Int reads an i64 that an int holds.
+func (r *Reader) Int() int {
+	n := r.I64()
+	if int64(int(n)) != n {
+		r.Fail(fmt.Errorf("%d overflows an int", n))
+	}
+	return int(n)
+}
+
+// Count reads a u32 count of values of at least size bytes each.
+func (r *Reader) Count(size int) int {
+	if n := uint64(r.U32()); r.fits(n, uint64(size)) {
+		return int(n)
+	}
+	return 0
+}
+
+// Str reads a u32 length and that many bytes of UTF-8.
+func (r *Reader) Str() string {
+	v := r.Take(int(r.U32()))
+	if !utf8.Valid(v) {
+		r.Fail(errors.New("invalid UTF-8"))
+	}
+	return string(v)
+}
+
+// Floats reads n 32-bit words as float32s, bit for bit.
+func (r *Reader) Floats(n int) []float32 { return floats(r.span(uint64(n), 4)) }
+
+// floats is src's little-endian words as float32s.
+func floats(src []byte) []float32 {
+	v := make([]float32, len(src)/4)
+	for i := range v {
+		v[i] = math.Float32frombits(le.Uint32(src[4*i:]))
+	}
+	return v
+}
+
+// ints is src's little-endian words as int64s.
+func ints(src []byte) []int64 {
+	v := make([]int64, len(src)/8)
+	for i := range v {
+		v[i] = int64(le.Uint64(src[8*i:]))
+	}
+	return v
 }
 
 // frameOverhead is a frame's bytes besides its body: the length, the kind
@@ -313,19 +364,15 @@ const frameOverhead = 4 + 1 + 4
 // body. It fails, leaving dst as it was, when the body cannot carry b or b
 // is not an insert or a delete of IDs alone.
 func AppendFrame(dst []byte, b *Batch) ([]byte, error) {
-	size, err := bodySize(b)
-	if err == nil {
-		err = b.kindErr()
-	}
-	if err != nil {
+	if err := b.kindErr(); err != nil {
 		return dst, err
 	}
 	start := len(dst)
-	out, err := AppendBody(append(slices.Grow(dst, frameOverhead+size), 0, 0, 0, 0, byte(b.Kind)), b)
+	out, err := AppendBody(append(dst, 0, 0, 0, 0, byte(b.Kind)), b)
 	if err != nil {
 		return dst, err
 	}
-	le.PutUint32(out[start:], uint32(size))
+	le.PutUint32(out[start:], uint32(len(out)-start-5)) // the body's length
 	return le.AppendUint32(out, crc32.ChecksumIEEE(out[start+4:])), nil
 }
 
