@@ -291,14 +291,11 @@ examples:
 # benchmark module e2ebench/ excluded) and their total: the table every
 # refactor owes its CHANGES.md entry, before and after. The last line,
 # serving, is the same count over only the packages vectordbd links
-# (`go list -deps ./cmd/vectordbd`).
+# (`go list -deps ./cmd/vectordbd`). With BASE=<rev> it counts BASE the
+# same way in a git worktree under .bench_build/ and prints each row at
+# BASE, now and the change (scripts/loc.sh).
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './e2ebench/*' ! -path './.bench_build/*' \
-		-exec wc -l {} + | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
-		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
-	@$(GO) list -deps -f '{{if not .Standard}}{{.Dir}}{{end}}' ./cmd/vectordbd | grep . | \
-		xargs -I{} find {} -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | \
-		awk '{ printf "%7d serving\n", $$1 }'
+	@bash scripts/loc.sh "$(BASE)"
 
 clean:
 	$(GO) clean ./...

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vectordb/internal/bitset"
 	"vectordb/internal/bufferpool"
 	"vectordb/internal/index"
 	"vectordb/internal/obs"
@@ -145,8 +144,11 @@ func awaitBatch(ctx context.Context, it *batchItem, tr *obs.QueryRecord) (Respon
 
 // searchBatch runs items as one batch over the pinned snapshot, under
 // their joined context, and answers every member: one the run missed —
-// even by panicking — gets errMissedMember rather than a hung wait.
-func (c *Collection) searchBatch(sn *Snapshot, key batchKey, dec plan.Decision, items []*batchItem) {
+// even by panicking — gets errMissedMember rather than a hung wait. One
+// sweep serves every member; its per-segment body is batchSegment. A
+// member whose context died gets its own ctx error; live members are never
+// aborted by dead peers.
+func (c *Collection) searchBatch(sn *Snapshot, tr *obs.QueryRecord, key batchKey, dec plan.Decision, items []*batchItem) {
 	defer func() {
 		for _, it := range items {
 			it.deliver(nil, errMissedMember)
@@ -155,12 +157,37 @@ func (c *Collection) searchBatch(sn *Snapshot, key batchKey, dec plan.Decision, 
 	if len(items) == 0 {
 		return
 	}
+	m := len(items)
+	vf := &c.schema.VectorFields[key.field]
+	qs := make([]float32, 0, m*vf.Dim)
 	for _, it := range items {
-		it.occ, it.dec = len(items), dec
+		it.occ, it.dec = m, dec
+		qs = append(qs, it.query...)
 	}
+	coded := false
+	if vf.Metric == vec.L2 {
+		scanned := 0
+		for _, seg := range sn.Segments {
+			if seg.Index(key.field) == nil {
+				scanned += seg.Rows()
+			}
+		}
+		coded = scanned*vf.Dim >= m*codedBatchFloats
+	}
+	p := index.SearchParams{K: key.k, Nprobe: key.nprobe, Ef: key.ef, SearchL: key.searchL}
 	ctx, stop := joinedContext(items)
 	defer stop()
-	c.runBatch(ctx, sn, key, items)
+	out := make([][]topk.Result, m)
+	err := c.sweep(ctx, sn, tr, key.field, p, out, func(seg *Segment, p index.SearchParams, hs []*topk.Heap) error {
+		return c.batchSegment(seg, p, hs, key.field, coded, qs, items)
+	})
+	for j, it := range items {
+		if cerr := it.ctx.Err(); cerr != nil {
+			it.deliver(nil, cerr)
+		} else {
+			it.deliver(out[j], err)
+		}
+	}
 }
 
 // batchResult reads q's answer off its answered batch: every member's hits
@@ -213,91 +240,14 @@ func joinedContext(items []*batchItem) (context.Context, func()) {
 	}
 }
 
-// runBatch executes one compatible batch against one snapshot, sharing one
-// segment sweep across all members.
-// Indexed segments are searched once per live member; scan segments go
-// through the m-query tile kernels, so each cached data block is reused
-// across the whole batch — the paper's Fig. 11 cache-aware batching,
-// applied to coalesced online traffic. A member whose context died gets
-// its own ctx error; live members are never aborted by dead peers (ctx
-// here is the joined batch context).
-func (c *Collection) runBatch(ctx context.Context, sn *Snapshot, key batchKey, items []*batchItem) {
-	m := len(items)
-	vf := &c.schema.VectorFields[key.field]
-	metric := vf.Metric
-	dim := vf.Dim
-	qs := make([]float32, 0, m*dim)
-	for _, it := range items {
-		qs = append(qs, it.query...)
-	}
-	p := index.SearchParams{K: key.k, Nprobe: key.nprobe, Ef: key.ef, SearchL: key.searchL}
-	segs := sn.Segments
-	if len(segs) == 0 {
-		for _, it := range items {
-			it.deliver(nil, it.ctx.Err())
-		}
-		return
-	}
-	coded := false
-	if metric == vec.L2 {
-		scanned := 0
-		for _, seg := range segs {
-			if seg.Index(key.field) == nil {
-				scanned += seg.Rows()
-			}
-		}
-		coded = scanned*dim >= m*codedBatchFloats
-	}
-	workers := poolTasks(c.pool, len(segs))
-	heaps := topk.NewMatrix(workers, m, key.k)
-	var cursor atomic.Int64
-	var nIdx atomic.Int64
-	var segErr atomic.Pointer[error] // the first segment that could not be read
-	_ = c.pool.Map(ctx, workers, func(w int) {
-		tile := bufferpool.GetFloats(m * tileChunkRows)
-		hs := make([]*topk.Heap, m)
-		for ctx.Err() == nil {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(segs) {
-				break
-			}
-			indexed, err := c.batchSegment(segs[i], sn.visible[i], key.field, metric, coded, qs, items, heaps, w, p, *tile, hs)
-			if err != nil {
-				first := err // escapes only on the error path
-				segErr.CompareAndSwap(nil, &first)
-			}
-			if indexed {
-				nIdx.Add(1)
-			}
-		}
-		bufferpool.PutFloats(tile)
-	})
-	c.met.segIndex.Add(nIdx.Load())
-	c.met.segScan.Add(int64(len(segs)) - nIdx.Load())
-	if e := segErr.Load(); e != nil {
-		for _, it := range items {
-			it.deliver(nil, *e)
-		}
-		heaps.Release()
-		return
-	}
-	for qj, it := range items {
-		if cerr := it.ctx.Err(); cerr != nil {
-			it.deliver(nil, cerr)
-			continue
-		}
-		it.deliver(heaps.MergeQuery(qj, key.k), nil)
-	}
-	heaps.Release()
-}
-
 // batchSegment searches one segment for every live batch member, pushing
-// candidates into each member's (worker, query) heap. It reports whether
-// the segment was served by its index, and an error when the segment's
-// bytes or its index's payload cannot be read. visible is the segment's
-// visibility bitset in the batch's snapshot (nil hides nothing); tile is
-// the worker's scratch distance tile (m × tileChunkRows), hs its m heap
-// slots.
+// candidates into each member's heap of hs, and fails when the segment's
+// bytes or its index's payload cannot be read. Indexed segments are
+// searched once per live member; scans go through the m-query tile
+// kernels, so each cached data block is reused across the whole batch —
+// the paper's Fig. 11 cache-aware batching, applied to coalesced online
+// traffic. p.Bits is the segment's visibility bitset in the batch's
+// snapshot (nil hides nothing).
 //
 // When coded (an L2 batch with at least codedBatchFloats scanned floats
 // per member), a field with a code copy runs index.ScanCoded for the whole
@@ -305,25 +255,24 @@ func (c *Collection) runBatch(ctx context.Context, sn *Snapshot, key batchKey, i
 // code chunk once for up to four members, and each member scores in float
 // only the rows its bound keeps. Other scans run the float tile kernels
 // over every row, each chunk staying cache-resident across the members.
-func (c *Collection) batchSegment(seg *Segment, visible *bitset.Bitset, field int, metric vec.Metric, coded bool, qs []float32, items []*batchItem, heaps *topk.Matrix, w int, p index.SearchParams, tile []float32, hs []*topk.Heap) (bool, error) {
+func (c *Collection) batchSegment(seg *Segment, p index.SearchParams, hs []*topk.Heap, field int, coded bool, qs []float32, items []*batchItem) error {
 	vf := &c.schema.VectorFields[field]
 	dim := vf.Dim
+	visible := p.Bits
 	if idx := seg.Index(field); idx != nil {
-		sp := p
-		sp.Bits = visible
 		for qj, it := range items {
 			if !it.live() {
 				continue
 			}
-			if err := index.SearchInto(idx, heaps.At(w, qj), qs[qj*dim:(qj+1)*dim], sp); err != nil {
-				return true, fmt.Errorf("core: segment %d: %w", seg.ID, err)
+			if err := index.SearchInto(idx, hs[qj], qs[qj*dim:(qj+1)*dim], p); err != nil {
+				return fmt.Errorf("core: segment %d: %w", seg.ID, err)
 			}
 		}
-		return true, nil
+		return nil
 	}
 	data, rel, err := seg.vectorData(field)
 	if err != nil {
-		return false, fmt.Errorf("core: segment %d: %w", seg.ID, err)
+		return fmt.Errorf("core: segment %d: %w", seg.ID, err)
 	}
 	defer rel()
 	var codes *vec.Codes
@@ -331,23 +280,25 @@ func (c *Collection) batchSegment(seg *Segment, visible *bitset.Bitset, field in
 		codes = seg.scanCodes(vf, field, data)
 	}
 	if codes != nil {
+		live := make([]*topk.Heap, len(items))
 		for qj, it := range items {
-			hs[qj] = nil
 			if it.live() {
-				hs[qj] = heaps.At(w, qj)
+				live[qj] = hs[qj]
 			}
 		}
-		index.ScanCoded(hs, qs, data, codes, seg.IDs, index.Selection{Bits: visible})
-		return false, nil
+		index.ScanCoded(live, qs, data, codes, seg.IDs, index.Selection{Bits: visible})
+		return nil
 	}
 	m := len(items)
+	tile := bufferpool.GetFloats(m * tileChunkRows)
+	defer bufferpool.PutFloats(tile)
 	n := seg.Rows()
 	for i0 := 0; i0 < n; i0 += tileChunkRows {
 		i1 := min(i0+tileChunkRows, n)
 		rows := i1 - i0
 		chunk := data[i0*dim : i1*dim]
-		t := tile[:m*rows]
-		if metric == vec.IP {
+		t := (*tile)[:m*rows]
+		if vf.Metric == vec.IP {
 			vec.NegDotTile(qs, chunk, dim, t)
 		} else {
 			vec.L2SquaredTile(qs, chunk, dim, t)
@@ -364,10 +315,10 @@ func (c *Collection) batchSegment(seg *Segment, visible *bitset.Bitset, field in
 					}
 				}
 			}
-			heaps.At(w, qj).Offer(ds, seg.IDs, i0)
+			hs[qj].Offer(ds, seg.IDs, i0)
 		}
 	}
-	return false, nil
+	return nil
 }
 
 // formMetrics is a collection's vectordb_batchform_* handles, resolved

@@ -747,96 +747,115 @@ func (c *Collection) SearchCtx(ctx context.Context, query []float32, opts Search
 	return res.Hits, err
 }
 
-// searchSnapshot is the per-segment sweep: every segment of the pinned
-// snapshot is searched (index probe or scan) straight into per-task heaps,
-// and the heaps fold into one whose Results is the query's only sort. The
-// query is already validated; f is its vector field.
+// searchSnapshot sweeps the pinned snapshot for a solo or pushed-down
+// query: each segment's body is Segment.SearchInto, or with a pushed
+// predicate Segment.SearchFiltered, whose matched and probed counts
+// (traced only) name the filter_mode. The query is already validated; f is
+// its vector field.
 func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, query []float32, opts SearchOptions) ([]topk.Result, error) {
 	tr := opts.Trace
-	p := opts.Params()
+	var out [1][]topk.Result
+	if opts.pred == nil {
+		err := c.sweep(ctx, sn, tr, f, opts.Params(), out[:], func(seg *Segment, p index.SearchParams, hs []*topk.Heap) error {
+			return seg.SearchInto(hs[0], c.schema, f, query, p)
+		})
+		return out[0], err
+	}
+	var matched, probed atomic.Int64
+	err := c.sweep(ctx, sn, tr, f, opts.Params(), out[:], func(seg *Segment, p index.SearchParams, hs []*topk.Heap) error {
+		m, n, err := seg.SearchFiltered(hs[0], c.schema, f, query, opts.pred, p, tr != nil)
+		matched.Add(int64(m))
+		probed.Add(int64(n))
+		return err
+	})
+	if err == nil && tr != nil {
+		sel := float64(matched.Load()) / float64(max(probed.Load(), 1))
+		tr.SetString(obs.FilterMode, index.FilterModeName(sel))
+		tr.SetFloat(obs.FilterSelectivity, sel)
+	}
+	return out[0], err
+}
+
+// segmentBody is a runner's search of one segment in a sweep, with p's
+// Bits the segment's visibility bits in the swept snapshot (nil hides
+// nothing), into hs, the claiming task's heaps, one per member. Its error
+// is a segment that could not be searched.
+type segmentBody func(seg *Segment, p index.SearchParams, hs []*topk.Heap) error
+
+// sweep is the one fan-out of a query over a pinned snapshot's segments,
+// the unit of searching and scheduling (Sec. 2.3). Pool tasks (poolTasks)
+// claim segments off one cursor, so a slow segment does not stall the
+// rest. Each task draws one pooled heap per member — len(out) of them: one
+// for a solo, pushed-down or fused query, the batch size for a batch — so
+// a member's worst distance prunes across every segment its task claims,
+// and body searches each claimed segment into them. A segment that field
+// is indexed on (fusedField: the fused index) counts and traces as an
+// index_search, any other as a segment_scan. ctx or the first segment
+// error fails the sweep; otherwise each member's heaps fold into its out
+// slot under topk_merge, the query's only sort.
+func (c *Collection) sweep(ctx context.Context, sn *Snapshot, tr *obs.QueryRecord, field int, p index.SearchParams, out [][]topk.Result, body segmentBody) error {
 	segs := sn.Segments
 	if len(segs) == 0 {
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	segSpan := tr.Start(obs.Segments)
-	workers := poolTasks(c.pool, len(segs))
-	// One heap per pool task rather than one result list per segment: a
-	// task's heap carries its worst-distance threshold across the segments
-	// it claims (cross-segment pruning), and the final merge touches at
-	// most `workers` short lists.
-	heaps := make([]*topk.Heap, workers)
-	var nIdx atomic.Int64 // segments served by an index
-	// The first segment error — a pushed predicate's compile, or a scanned
-	// segment whose bytes could not be read — and, traced only, the rows
-	// the segments resolved the predicate at (probed) and the rows that
-	// passed it.
-	var pushed struct {
-		err             atomic.Pointer[error]
-		matched, probed atomic.Int64
+	m, tasks := len(out), poolTasks(c.pool, len(segs))
+	heaps := make([]*topk.Heap, tasks*m) // task w's row is heaps[w*m : (w+1)*m]
+	var st struct {
+		cursor, indexed atomic.Int64
+		err             atomic.Pointer[error] // the first segment error
 	}
-	// Segments are claimed dynamically off an atomic cursor by however
-	// many shared-pool tasks this query gets, so slow segments do not
-	// stall the rest (same balancing the per-query channel fanout had,
-	// without per-query goroutines).
-	var cursor atomic.Int64
-	err := c.pool.Map(ctx, workers, func(w int) {
-		h := topk.GetHeap(opts.K)
-		heaps[w] = h
+	err := c.pool.Map(ctx, tasks, func(w int) {
+		hs := heaps[w*m : (w+1)*m]
+		for j := range hs {
+			hs[j] = topk.GetHeap(p.K)
+		}
 		for ctx.Err() == nil {
-			i := int(cursor.Add(1)) - 1
+			i := int(st.cursor.Add(1)) - 1
 			if i >= len(segs) {
 				return
 			}
-			sp := p
-			sp.Bits = sn.visible[i]
 			stage := obs.SegmentScan
-			if idx := segs[i].Index(f); idx != nil {
+			if segs[i].Index(field) != nil {
 				stage = obs.IndexSearch
-				nIdx.Add(1)
+				st.indexed.Add(1)
 			}
 			span := tr.Start(stage)
-			if opts.pred == nil {
-				if err := segs[i].SearchInto(h, c.schema, f, query, sp); err != nil {
-					first := err // escapes only on the error path
-					pushed.err.CompareAndSwap(nil, &first)
-				}
-			} else if m, n, err := segs[i].SearchFiltered(h, c.schema, f, query, opts.pred, sp, tr != nil); err != nil {
-				first := err
-				pushed.err.CompareAndSwap(nil, &first)
-			} else if tr != nil {
-				pushed.matched.Add(int64(m))
-				pushed.probed.Add(int64(n))
+			sp := p
+			sp.Bits = sn.visible[i]
+			if err := body(segs[i], sp, hs); err != nil {
+				first := err // escapes only on the error path
+				st.err.CompareAndSwap(nil, &first)
 			}
 			span.End()
 		}
 	})
-	c.met.segIndex.Add(nIdx.Load())
-	c.met.segScan.Add(int64(len(segs)) - nIdx.Load())
-	tr.SetInt(obs.Indexed, nIdx.Load())
-	tr.SetInt(obs.Scanned, int64(len(segs))-nIdx.Load())
+	nIdx := st.indexed.Load()
+	c.met.segIndex.Add(nIdx)
+	c.met.segScan.Add(int64(len(segs)) - nIdx)
+	tr.SetInt(obs.Indexed, nIdx)
+	tr.SetInt(obs.Scanned, int64(len(segs))-nIdx)
 	segSpan.End()
-	if e := pushed.err.Load(); e != nil && err == nil {
+	if e := st.err.Load(); e != nil && err == nil {
 		err = *e
 	}
-	if err != nil {
-		return nil, err
+	if err == nil {
+		// Map returned no error, so every task ran and drew its row.
+		mergeSpan := tr.Start(obs.TopkMerge)
+		for j := range out {
+			for w := 1; w < tasks; w++ {
+				heaps[j].Fold(heaps[w*m+j])
+			}
+			out[j] = heaps[j].Results()
+		}
+		mergeSpan.End()
 	}
-	if opts.pred != nil && tr != nil {
-		sel := float64(pushed.matched.Load()) / float64(max(pushed.probed.Load(), 1))
-		tr.SetString(obs.FilterMode, index.FilterModeName(sel))
-		tr.SetFloat(obs.FilterSelectivity, sel)
-	}
-	// Map returned no error, so every task ran and drew its heap.
-	mergeSpan := tr.Start(obs.TopkMerge)
-	for _, h := range heaps[1:] {
-		heaps[0].Fold(h)
-	}
-	res := heaps[0].Results()
 	for _, h := range heaps {
-		topk.PutHeap(h)
+		if h != nil {
+			topk.PutHeap(h)
+		}
 	}
-	mergeSpan.End()
-	return res, nil
+	return err
 }
 
 // poolTasks sizes a query's fan-out: at most one task per pool worker and

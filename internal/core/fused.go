@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync/atomic"
 
+	"vectordb/internal/bitset"
 	"vectordb/internal/index"
-	"vectordb/internal/obs"
 	"vectordb/internal/topk"
 	"vectordb/internal/vec"
 )
@@ -97,7 +95,11 @@ func (c *Collection) BuildFusedIndex(indexType string, params map[string]string)
 		if err != nil {
 			return err
 		}
-		idx, err := b.Build(seg.FusedData(), seg.IDs)
+		data, err := seg.FusedData()
+		if err != nil {
+			return fmt.Errorf("core: fused index on segment %d: %w", seg.ID, err)
+		}
+		idx, err := b.Build(data, seg.IDs)
 		if err != nil {
 			return fmt.Errorf("core: fused index on segment %d: %w", seg.ID, err)
 		}
@@ -106,82 +108,52 @@ func (c *Collection) BuildFusedIndex(indexType string, params map[string]string)
 	return nil
 }
 
-// searchFused is the fused sweep: segments of the pinned snapshot are
-// claimed dynamically by shared-pool tasks, exactly like searchSnapshot,
-// each searched with the aggregated query fq. A segment whose bytes cannot
-// be read fails the query, as in searchSnapshot.
+// searchFused sweeps the pinned snapshot with the aggregated query fq:
+// each segment's body is its fused index's search, or without one the
+// row-wise aggregated scan (fusedScan). A segment whose bytes cannot be
+// read fails the query.
 func (c *Collection) searchFused(ctx context.Context, sn *Snapshot, fq []float32, opts SearchOptions) ([]topk.Result, error) {
-	m := c.schema.VectorFields[0].Metric
-	p := opts.Params()
-	segs := sn.Segments
-	if len(segs) == 0 {
-		return nil, ctx.Err()
-	}
-	results, errs := make([][]topk.Result, len(segs)), make([]error, len(segs))
-	var cursor atomic.Int64
-	segSpan := opts.Trace.Start(obs.Segments)
-	err := c.pool.Map(ctx, poolTasks(c.pool, len(segs)), func(int) {
-		for ctx.Err() == nil {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(segs) {
-				return
-			}
-			seg := segs[i]
-			p := p
-			p.Bits = sn.visible[i]
-			if idx := seg.FusedIndex(); idx != nil {
-				results[i] = idx.Search(fq, p)
-				continue
-			}
-			// Unindexed fused scan: aggregate per-field distances row by
-			// row (identical to scanning the concatenation). Tiered
-			// segments pin their mapping per field for the sweep.
-			rows := make([]func(int) []float32, len(c.schema.VectorFields))
-			rels := make([]func(), 0, len(rows))
-			for f := range rows {
-				rowAt, rel, err := seg.vectorRows(f)
-				if err != nil {
-					errs[i] = err
-					break
-				}
-				rows[f] = rowAt
-				rels = append(rels, rel)
-			}
-			if errs[i] != nil {
-				for _, rel := range rels {
-					rel()
-				}
-				continue
-			}
-			dist := m.Dist()
-			h := topk.New(p.K)
-			for r := 0; r < seg.Rows(); r++ {
-				if p.Bits != nil && !p.Bits.Test(r) {
-					continue
-				}
-				var d float32
-				off := 0
-				for f := range c.schema.VectorFields {
-					fd := c.schema.VectorFields[f].Dim
-					d += dist(fq[off:off+fd], rows[f](r))
-					off += fd
-				}
-				h.Push(seg.IDs[r], d)
-			}
-			for _, rel := range rels {
-				rel()
-			}
-			results[i] = h.Results()
+	var out [1][]topk.Result
+	err := c.sweep(ctx, sn, opts.Trace, fusedField, opts.Params(), out[:], func(seg *Segment, p index.SearchParams, hs []*topk.Heap) error {
+		idx := seg.Index(fusedField)
+		if idx == nil {
+			return c.fusedScan(hs[0], seg, p.Bits, fq)
 		}
+		if err := index.SearchInto(idx, hs[0], fq, p); err != nil {
+			return fmt.Errorf("core: segment %d: %w", seg.ID, err)
+		}
+		return nil
 	})
-	segSpan.End()
-	if err == nil {
-		err = errors.Join(errs...)
+	return out[0], err
+}
+
+// fusedScan pushes into h every row of an unfused segment that visible
+// keeps (nil hides nothing), at the per-field distances to fq's sub-vectors
+// aggregated row by row (identical to scanning the concatenation). A
+// tiered segment pins its mapping per field for the scan.
+func (c *Collection) fusedScan(h *topk.Heap, seg *Segment, visible *bitset.Bitset, fq []float32) error {
+	fields := c.schema.VectorFields
+	rows := make([]func(int) []float32, len(fields))
+	for f := range rows {
+		rowAt, rel, err := seg.vectorRows(f)
+		if err != nil {
+			return fmt.Errorf("core: segment %d: %w", seg.ID, err)
+		}
+		defer rel()
+		rows[f] = rowAt
 	}
-	if err != nil {
-		return nil, err
+	dist := fields[0].Metric.Dist()
+	for r := 0; r < seg.Rows(); r++ {
+		if visible != nil && !visible.Test(r) {
+			continue
+		}
+		var d float32
+		off := 0
+		for f, vf := range fields {
+			d += dist(fq[off:off+vf.Dim], rows[f](r))
+			off += vf.Dim
+		}
+		h.Push(seg.IDs[r], d)
 	}
-	mergeSpan := opts.Trace.Start(obs.TopkMerge)
-	defer mergeSpan.End()
-	return topk.Merge(opts.K, results...), nil
+	return nil
 }

@@ -68,12 +68,14 @@ var queryKindNames = [numQueryKinds]string{"vector", "batch", "multi", "filtered
 
 func (k queryKind) String() string { return queryKindNames[k] }
 
-// runner names the ways a planned query runs over a pinned snapshot.
+// runner names the ways a planned query runs over a pinned snapshot. Every
+// runner but the prefilter reaches the segments through the one sweep
+// (Collection.sweep) with a per-segment body of its own.
 type runner uint8
 
 const (
 	runSegments  runner = iota // per-segment sweep
-	runBatch                   // one tile sweep shared by an explicit batch, or by a slot holder and its peers
+	runBatch                   // one sweep shared by an explicit batch, or by a slot holder and its peers
 	runFused                   // one sweep of the aggregated query over the concatenated fields
 	runIterative               // iterative merging over per-field sweeps
 	runPrefilter               // the predicate's rows first, exact distances over them
@@ -128,7 +130,7 @@ func (c *Collection) Query(ctx context.Context, q Request) (Response, error) {
 	switch rt.run {
 	case runBatch:
 		tr.SetInt(obs.BatchOccupancy, int64(len(items)))
-		c.searchBatch(sn, c.batchFormKey(f, &q.SearchOptions), rt.dec, items)
+		c.searchBatch(sn, tr, c.batchFormKey(f, &q.SearchOptions), rt.dec, items)
 		res, err = batchResult(&q, items)
 	case runFused:
 		res.Hits, err = c.searchFused(ctx, sn, rt.fused, q.SearchOptions)

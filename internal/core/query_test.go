@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"vectordb/internal/objstore"
 	"vectordb/internal/obs"
 	"vectordb/internal/plan"
+	"vectordb/internal/query"
 	"vectordb/internal/topk"
 	"vectordb/internal/vec"
 )
@@ -505,6 +507,76 @@ func TestSearchSnapshotCtxOutsideExecute(t *testing.T) {
 			t.Fatalf("%d hits, %v; want 5 hits without admission", n, err)
 		}
 	})
+}
+
+// TestEveryRunnerKeepsOneAccount: the solo, pushed-down, batch and fused
+// runners share one sweep, so each query's record holds the segments
+// stage, a per-segment stage and topk_merge, the segments stage counts
+// every segment of the snapshot as indexed or scanned, and
+// vectordb_query_segments_total grows by the segment count once.
+func TestEveryRunnerKeepsOneAccount(t *testing.T) {
+	fx := newReadPathFixture(t, fixedProfile(nil))
+	sn := fx.c.AcquireSnapshot()
+	segs := int64(len(sn.Segments))
+	fx.c.ReleaseSnapshot(sn)
+	if segs < 2 {
+		t.Fatalf("%d segments, want at least 2", segs)
+	}
+	swept := func() int64 {
+		return fx.reg.Counter("vectordb_query_segments_total", "collection", "rp", "path", "index").Value() +
+			fx.reg.Counter("vectordb_query_segments_total", "collection", "rp", "path", "scan").Value()
+	}
+	q, q2 := goodReq().vec, mkEntities(2, 8, 8)[1].Vectors[0]
+	opts := SearchOptions{K: 5}
+	// A predicate tree can only push down.
+	pred := colstore.NotPred{Pred: colstore.RangePred{Attr: 0, Lo: 0, Hi: 100}}
+	for _, v := range []struct {
+		name       string
+		req        Request
+		attr, want string // a query-wide attribute naming the runner
+	}{
+		{"solo", Request{Vector: q, SearchOptions: opts}, "plan_forced", ""},
+		{"pushdown", Request{Vector: q, Pred: pred, SearchOptions: opts}, "filter_strategy", query.StratB},
+		{"batch", Request{Batch: [][]float32{q, q2}, SearchOptions: opts}, "batch_occupancy", "2"},
+		{"fused", Request{Fields: [][]float32{q, fx.w}, SearchOptions: opts}, "multi_algorithm", "fused"},
+	} {
+		tr := obs.NewQueryRecord(v.name)
+		v.req.Trace = tr
+		before := swept()
+		if _, err := fx.c.Query(context.Background(), v.req); err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		if got := swept() - before; got != segs {
+			t.Errorf("%s: vectordb_query_segments_total grew by %d, want %d", v.name, got, segs)
+		}
+		sum := tr.Summary()
+		if got, _ := sum.Attr(v.attr); got != v.want {
+			t.Errorf("%s: %s = %q, want %q", v.name, v.attr, got, v.want)
+		}
+		stages := sum.StageBreakdown()
+		_, probed := stages["index_search"]
+		_, scanned := stages["segment_scan"]
+		if !probed && !scanned {
+			t.Errorf("%s: no per-segment stage in %v", v.name, sum.Stages())
+		}
+		for _, want := range []string{"segments", "topk_merge"} {
+			if _, ok := stages[want]; !ok {
+				t.Errorf("%s: missing stage %q in %v", v.name, want, sum.Stages())
+			}
+		}
+		counted := int64(0)
+		for _, sp := range sum.Spans {
+			for _, kv := range sp.Attrs {
+				if sp.Name == "segments" && (kv.Key == "indexed" || kv.Key == "scanned") {
+					n, _ := strconv.ParseInt(kv.Value, 10, 64)
+					counted += n
+				}
+			}
+		}
+		if counted != segs {
+			t.Errorf("%s: indexed + scanned = %d, want %d", v.name, counted, segs)
+		}
+	}
 }
 
 // TestFusedTraceStages: a fused query's trace carries the same stage chain

@@ -234,16 +234,17 @@ func (s *Segment) buildAttrColumns() {
 	}
 }
 
-// Index returns the field's index, if built.
+// Index returns the field's index, if built; field fusedField names the
+// fused index over the concatenated vector fields.
 func (s *Segment) Index(field int) index.Index {
-	if field >= len(s.indexes) {
+	switch {
+	case field == fusedField:
+		return s.fused
+	case field >= len(s.indexes):
 		return nil
 	}
 	return s.indexes[field]
 }
-
-// FusedIndex returns the fused index, if built.
-func (s *Segment) FusedIndex() index.Index { return s.fused }
 
 // WithIndex returns a new version of s that serves idx for the vector
 // field (nil scans the column). s itself is not changed.
@@ -269,9 +270,9 @@ func (s *Segment) withIndex(field int, idx index.Index, payload *segTier) *Segme
 }
 
 // FusedData materializes the row-major concatenation of all vector fields.
-// Returns nil if a tiered segment's storage is unreadable (promotion
+// Its error is a tiered segment whose storage could not be read (promotion
 // exhausted its retries).
-func (s *Segment) FusedData() []float32 {
+func (s *Segment) FusedData() ([]float32, error) {
 	total := 0
 	for _, v := range s.Vectors {
 		total += v.Dim
@@ -286,7 +287,7 @@ func (s *Segment) FusedData() []float32 {
 	for f := range s.Vectors {
 		rowAt, rel, err := s.vectorRows(f)
 		if err != nil {
-			return nil
+			return nil, err
 		}
 		rows[f] = rowAt
 		rels = append(rels, rel)
@@ -297,28 +298,15 @@ func (s *Segment) FusedData() []float32 {
 			out = append(out, rows[f](r)...)
 		}
 	}
-	return out
+	return out, nil
 }
 
-// Search runs a top-k query on one vector field of this segment, using the
-// built index when present and an exact scan otherwise (small segments are
-// searched without indexes, Sec. 2.3).
-func (s *Segment) Search(schema *Schema, field int, query []float32, p index.SearchParams) []topk.Result {
-	if idx := s.Index(field); idx != nil {
-		return idx.Search(query, p)
-	}
-	h := topk.GetHeap(p.K)
-	defer topk.PutHeap(h)
-	if err := s.SearchInto(h, schema, field, query, p); err != nil {
-		return nil
-	}
-	return h.Results()
-}
-
-// SearchInto is Search accumulating into a caller-owned heap: one heap can
-// serve many segments, skipping the per-segment result allocation, sort and
-// merge, and letting the worst retained distance prune pushes across
-// segment boundaries. An index probe pushes into h through
+// SearchInto runs a top-k query on one vector field of this segment into a
+// caller-owned heap, using the built index when present and an exact scan
+// otherwise (small segments are searched without indexes, Sec. 2.3). One
+// heap serves many segments, so there is no per-segment result list, sort
+// or merge, and the worst retained distance prunes pushes across segment
+// boundaries. An index probe pushes into h through
 // index.SearchInto; the unindexed scan goes through the shared blocked
 // kernels — an L2 column of at least codedBatchFloats with a code copy
 // through index.ScanCoded, which reads the codes first and scores in float

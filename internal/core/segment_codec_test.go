@@ -11,6 +11,7 @@ import (
 	"vectordb/internal/colstore"
 	"vectordb/internal/index"
 	"vectordb/internal/objstore"
+	"vectordb/internal/topk"
 	"vectordb/internal/vec"
 )
 
@@ -280,7 +281,9 @@ func FuzzDecodeSegment(f *testing.F) {
 		}
 		if rows > 0 {
 			for fi, vf := range schema.VectorFields {
-				seg.Search(&schema, fi, make([]float32, vf.Dim), index.SearchParams{K: 3})
+				if err := seg.SearchInto(topk.New(3), &schema, fi, make([]float32, vf.Dim), index.SearchParams{K: 3}); err != nil {
+					t.Fatalf("vector field %d: %v", fi, err)
+				}
 			}
 		}
 	})

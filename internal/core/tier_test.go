@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -1269,7 +1270,8 @@ func TestTieredFlatKeepsNoHeapCopy(t *testing.T) {
 // filtered one the planner runs as a prefilter — answers that error
 // instead of silently leaving the segment's rows out, whether the segment
 // is scanned or probed through an externalized IVF_FLAT payload. Each
-// failed promotion counts in vectordb_tier_promote_errors_total.
+// failed promotion counts in vectordb_tier_promote_errors_total. A fused
+// index build over the segment fails with the promotion's cause.
 func TestTieredUnreadableSegmentFailsQuery(t *testing.T) {
 	const dim, rows = 8, 256
 	schema := testSchema(dim)
@@ -1341,6 +1343,9 @@ func TestTieredUnreadableSegmentFailsQuery(t *testing.T) {
 		}
 		if choice, _ := prefiltered.Summary().Attr("plan"); choice != string(plan.StrategyPrefilter) {
 			t.Fatalf("%s prefiltered: plan %q, want %s", indexType, choice, plan.StrategyPrefilter)
+		}
+		if err := c.BuildFusedIndex("FLAT", nil); !errors.Is(err, objstore.ErrNotFound) {
+			t.Fatalf("%s: a fused index build over an unreadable segment failed with %v, want the store's %v", indexType, err, objstore.ErrNotFound)
 		}
 	}
 }
