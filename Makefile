@@ -170,7 +170,7 @@ conformance-filter:
 # default is a minute, which a step spends on any new input instead of
 # fuzzing).
 conformance-wire:
-	$(GO) test ./internal/rest -run 'FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestWireEncoderGolden|TestFloat32PrintSweep|TestNumberScan|FuzzFloat32Print|FuzzNumberScan|TestHugeBoundsAnswerEveryRow|TestHugeKAllocates|TestTrailingBytesAre400|TestReadBody|TestDeclaredOversizedBodyIs413|TestDeclaredLengthAllocatesAsBodyArrives|TestUnencodableResultIs500|TestInsertColumnsMatchJSON|TestInsertColumnsFailOnFirstNaN|TestInsertColumnsOnlyForUniformRows|TestInsertColumnsRejected|TestInsertColumnsHeaderAllocates|FuzzInsertColumns|FuzzInsertShards|TestLargeInsertsBesideSearches|TestSearchColumnsMatchJSON|TestSearchAccept|TestSearchColumnsRejected|TestSearchColumnsHeaderAllocates|TestSearchColumnsNonFinite|FuzzSearchColumns|FuzzHitsColumns|TestSDKNonFiniteQueryIs400|TestSDKBinaryFingerprintWords'
+	$(GO) test ./internal/rest -run 'FuzzSearchRequestWire|FuzzInsertRequestWire|FuzzSearchResponseWire|TestWireEncoderGolden|TestFloat32PrintSweep|TestNumberScan|FuzzFloat32Print|FuzzNumberScan|TestHugeBoundsAnswerEveryRow|TestHugeKAllocates|TestTrailingBytesAre400|TestReadBody|TestDeclaredOversizedBodyIs413|TestDeclaredLengthAllocatesAsBodyArrives|TestUnencodableResultIs500|TestInsertColumnsMatchJSON|TestInsertColumnsFailOnFirstNaN|TestInsertColumnsOnlyForUniformRows|TestRaggedWordsNameTheRow|TestInsertColumnsRejected|TestInsertColumnsHeaderAllocates|FuzzInsertColumns|FuzzInsertShards|TestLargeInsertsBesideSearches|TestSearchColumnsMatchJSON|TestSearchAccept|TestSearchColumnsRejected|TestSearchColumnsHeaderAllocates|TestSearchColumnsNonFinite|FuzzSearchColumns|FuzzHitsColumns|TestSDKNonFiniteQueryIs400|TestSDKBinaryFingerprintWords'
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzSearchRequestWire$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertRequestWire$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/rest -run '^$$' -fuzz '^FuzzInsertColumns$$' -fuzztime 10s -fuzzminimizetime 1s
@@ -201,13 +201,17 @@ conformance-wire:
 # a full sort of everything offered (NaN, ±Inf, ties at the k-th
 # distance, k of 1, past the candidates and 2^62, block offers beside
 # single pushes, folds of another bound) on its seeds, then ten seconds
-# of fuzzing.
+# of fuzzing. The coded scan's head pass rests on FuzzCodeHead (a head's
+# S never exceeds its row's, and every tier's head tile agrees), fuzzed
+# ten seconds too, and TestHeadScanMatchesPlainScan holds it to the plain
+# scan bit for bit.
 kernel-guard:
 	$(GO) test ./internal/vec -run TestRowDistanceInvariance
-	$(GO) test ./internal/vec -run 'FuzzCodeDistance|TestEncodeTiersAgree|TestCodeBoundNeverExceedsExact|TestThresholdPrunesNothingUnsafe'
+	$(GO) test ./internal/vec -run 'FuzzCodeDistance|FuzzCodeHead|TestEncodeTiersAgree|TestCodeBoundNeverExceedsExact|TestThresholdPrunesNothingUnsafe'
 	$(GO) test ./internal/vec -run '^$$' -fuzz '^FuzzCodeDistance$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/vec -run '^$$' -fuzz '^FuzzCodeHead$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/kmeans -run TestAssignAllUsesPanelKernel
-	$(GO) test ./internal/index -run 'TestIndexScansUseBatchKernels|TestScanBlockedUsesBatchKernels|TestCodedScan'
+	$(GO) test ./internal/index -run 'TestIndexScansUseBatchKernels|TestScanBlockedUsesBatchKernels|TestCodedScan|TestHeadScan|TestScanCodedAllocs'
 	$(GO) test ./internal/core -run 'TestSegmentScanUsesBatchKernels|TestSegmentScanUsesCodeKernel|TestSearchBatchUsesTileKernels'
 	$(GO) test ./internal/topk -run 'FuzzCollect|TestHugeKGrowsWithWhatItKeeps'
 	$(GO) test ./internal/topk -run '^$$' -fuzz '^FuzzCollect$$' -fuzztime 10s -fuzzminimizetime 1s

@@ -46,13 +46,6 @@ func NewCoordinator() *Coordinator {
 	return c
 }
 
-// Leader returns the current leader replica index.
-func (c *Coordinator) Leader() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.leader
-}
-
 // KillLeader crashes the leader replica; a live standby is promoted.
 // Returns an error when no replica remains.
 func (c *Coordinator) KillLeader() error {

@@ -11,14 +11,35 @@ import (
 	"vectordb/internal/vec"
 )
 
-// codedRows draws n×dim rows of a named shape: "sift" (integers 0..127),
-// "uniform" in [-1, 1), "deep" (unit-norm Gaussian), "constcol" (uniform
-// with one constant dimension) and "huge" (uniform scaled to ±1e30).
+// codedRows draws n×dim rows of a named shape: "uniform-int" (integers
+// 0..127, uniform), "clustered" (SIFT-like: σ 8 around 64 centres drawn in
+// [0, 128), clamped to [0, 255]), "head-heavy" (clustered in the first
+// vec.HeadDim dims, within ±1 of 64 after them, so a row's code distance
+// sits almost all in its head), "uniform" in [-1, 1), "deep" (unit-norm
+// Gaussian), "constcol" (uniform with one constant dimension) and "huge"
+// (uniform scaled to ±1e30).
 func codedRows(r *rand.Rand, shape string, n, dim int) []float32 {
 	data := make([]float32, n*dim)
+	if shape == "clustered" || shape == "head-heavy" {
+		centres := make([]float64, 64*dim)
+		for i := range centres {
+			centres[i] = r.Float64() * 128
+		}
+		for i := 0; i < n; i++ {
+			c := centres[r.Intn(64)*dim:][:dim]
+			for j, x := range c {
+				v := min(255, max(0, x+r.NormFloat64()*8))
+				if shape == "head-heavy" && j >= vec.HeadDim {
+					v = 64 + r.Float64()*2 - 1
+				}
+				data[i*dim+j] = float32(v)
+			}
+		}
+		return data
+	}
 	for i := range data {
 		switch shape {
-		case "sift":
+		case "uniform-int":
 			data[i] = float32(r.Intn(128))
 		case "deep":
 			data[i] = float32(r.NormFloat64())
@@ -62,8 +83,8 @@ func codedQueries(r *rand.Rand, data []float32, n, dim, m int) []float32 {
 
 // TestCodedScanMatchesPlainScan: on every kernel tier, ScanCoded returns
 // what ScanBlocked does — the same IDs, bit-identical distances, the same
-// order — for one query and for a batch, over SIFT-like, uniform,
-// deep-like, constant-dimension and ±1e30 rows, dims 1 to 300, k from 1
+// order — for one query and for a batch, over uniform-integer, clustered,
+// uniform, deep-like, constant-dimension and ±1e30 rows, dims 1 to 300, k from 1
 // past n, with and without a heap filled beforehand, and under no
 // selection, tombstones, a dense and a sparse bitset.
 func TestCodedScanMatchesPlainScan(t *testing.T) {
@@ -73,7 +94,7 @@ func TestCodedScanMatchesPlainScan(t *testing.T) {
 	for _, l := range vec.Levels() {
 		vec.SetLevel(l)
 		r := rand.New(rand.NewSource(int64(l) + 11))
-		for _, shape := range []string{"sift", "uniform", "deep", "constcol", "huge"} {
+		for _, shape := range []string{"uniform-int", "clustered", "uniform", "deep", "constcol", "huge"} {
 			for _, dim := range []int{1, 17, 100, 128, 300} {
 				data := codedRows(r, shape, n, dim)
 				codes := vec.EncodeCodes(data, dim)
@@ -128,6 +149,82 @@ func TestCodedScanMatchesPlainScan(t *testing.T) {
 	}
 }
 
+// TestHeadScanMatchesPlainScan: where the codes keep a head (dim ≥
+// vec.HeadMinDim), ScanCoded returns what ScanBlocked does, bit for bit,
+// whether the head prunes most rows (clustered; head-heavy, where a row's
+// head S is almost its S, so a threshold the head reads wrong drops true
+// neighbours) or next to none (uniform at first, where a block's
+// survivors send the next blocks to the full tile and the head is tried
+// again after them): dims 127 (no head), 128, 130 and 200,
+// a row count off every block and kernel width, batches of 1, 2 and 5
+// with a dead query among the five, empty and tight heaps, and no
+// selection, dense bits, and tombstones beside a run of fully excluded
+// blocks.
+func TestHeadScanMatchesPlainScan(t *testing.T) {
+	prev := vec.CurrentLevel()
+	defer vec.SetLevel(prev)
+	const n = 40*ScanBlockRows + 131
+	for _, l := range vec.Levels() {
+		vec.SetLevel(l)
+		r := rand.New(rand.NewSource(int64(l) + 29))
+		for _, shape := range []string{"clustered", "head-heavy", "uniform"} {
+			for _, dim := range []int{127, 128, 130, 200} {
+				data := codedRows(r, shape, n, dim)
+				codes := vec.EncodeCodes(data, dim)
+				if codes == nil || (codes.Head != nil) != (dim >= vec.HeadMinDim) {
+					t.Fatalf("%v %s dim %d: grid %v, head wrong", l, shape, dim, codes != nil)
+				}
+				qs := codedQueries(r, data, n, dim, 6)[:5*dim] // none far off
+				sels := map[string]Selection{
+					"all":   {},
+					"dense": {Bits: bitsetFor(n, func(i int) bool { return r.Intn(2) == 0 })},
+					"masked": {Bits: bitsetFor(n, func(i int) bool {
+						return i%89 != 5 && (i < 3*ScanBlockRows || i >= 6*ScanBlockRows)
+					})},
+				}
+				// A tight heap holds, under IDs of its own, the 11th to 30th
+				// nearest distances, so its bound is the 20th from the first
+				// block on: the collector's bound otherwise lags the k-th
+				// distance seen, and a loose threshold hides a head that
+				// drops rows it should keep.
+				fresh := func(qi int, tight bool) *topk.Heap {
+					h := topk.New(10)
+					if tight {
+						near := topk.New(30)
+						ScanBlocked(near, vec.L2, qs[qi*dim:(qi+1)*dim], data, dim, nil, Selection{})
+						for _, res := range near.Results()[10:] {
+							h.Push(-res.ID, res.Distance)
+						}
+					}
+					return h
+				}
+				for _, m := range []int{1, 2, 5} {
+					for name, sel := range sels {
+						for _, tight := range []bool{false, true} {
+							tag := fmt.Sprintf("%v %s dim %d m %d %s tight %v", l, shape, dim, m, name, tight)
+							hs := make([]*topk.Heap, m)
+							for qi := range hs {
+								if m < 5 || qi != 2 {
+									hs[qi] = fresh(qi, tight)
+								}
+							}
+							ScanCoded(hs, qs[:m*dim], data, codes, nil, sel)
+							for qi, h := range hs {
+								if h == nil {
+									continue
+								}
+								want := fresh(qi, tight)
+								ScanBlocked(want, vec.L2, qs[qi*dim:(qi+1)*dim], data, dim, nil, sel)
+								identicalResults(t, fmt.Sprintf("%s q%d", tag, qi), h.Results(), want.Results())
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // identicalResults fails unless got and want hold the same IDs with
 // bit-identical distances in the same order.
 func identicalResults(t *testing.T, tag string, got, want []topk.Result) {
@@ -159,56 +256,63 @@ func TestCodedScanSkipsDeadQueries(t *testing.T) {
 	}
 }
 
-// TestScanCodedAllocs: the one-query coded scan runs on pooled scratch.
+// TestScanCodedAllocs: the one-query coded scan runs on pooled scratch,
+// with the head pass (dim 128) and without it.
 func TestScanCodedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("pool Puts are randomly dropped under -race; alloc pin is meaningless")
 	}
 	r := rand.New(rand.NewSource(5))
-	const n, dim = 2000, 64
-	data := codedRows(r, "deep", n, dim)
-	codes := vec.EncodeCodes(data, dim)
-	q := codedQueries(r, data, n, dim, 1)
-	bits := bitsetFor(n, func(i int) bool { return i%11 != 0 })
-	h := topk.New(10)
-	for _, sel := range []Selection{{}, {Bits: bits}} {
-		scan := func() {
-			h.Reset()
-			ScanCoded([]*topk.Heap{h}, q, data, codes, nil, sel)
-		}
-		scan()
-		if avg := testing.AllocsPerRun(100, scan); avg > 0.5 {
-			t.Fatalf("bits %v: %v allocs/op, want 0", sel.Bits != nil, avg)
+	const n = 2000
+	for _, dim := range []int{64, 128} {
+		data := codedRows(r, "clustered", n, dim)
+		codes := vec.EncodeCodes(data, dim)
+		q := codedQueries(r, data, n, dim, 1)
+		bits := bitsetFor(n, func(i int) bool { return i%11 != 0 })
+		h := topk.New(10)
+		for _, sel := range []Selection{{}, {Bits: bits}} {
+			scan := func() {
+				h.Reset()
+				ScanCoded([]*topk.Heap{h}, q, data, codes, nil, sel)
+			}
+			scan()
+			if avg := testing.AllocsPerRun(100, scan); avg > 0.5 {
+				t.Fatalf("dim %d bits %v: %v allocs/op, want 0", dim, sel.Bits != nil, avg)
+			}
 		}
 	}
 }
 
-// BenchmarkCodedScan: one exact top-10 scan of 65,536 × 128 SIFT-like rows,
-// the float kernel over every row (plain) against the code pass plus the
-// float kernel over its survivors (coded).
+// BenchmarkCodedScan: one exact top-10 scan of 65,536 × 128 rows, the
+// float kernel over every row (plain) against the code pass plus the float
+// kernel over its survivors (coded), on clustered (SIFT-like) rows and on
+// uniform integers, where few rows are near any query.
 func BenchmarkCodedScan(b *testing.B) {
 	const n, dim, k = 65536, 128, 10
-	r := rand.New(rand.NewSource(7))
-	data := codedRows(r, "sift", n, dim)
-	codes := vec.EncodeCodes(data, dim)
-	q := codedQueries(r, data, n, dim, 2)[:dim]
-	h := topk.New(k)
-	b.Run("plain", func(b *testing.B) {
-		for it := 0; it < b.N; it++ {
-			h.Reset()
-			ScanBlocked(h, vec.L2, q, data, dim, nil, Selection{})
+	for _, shape := range []string{"clustered", "uniform-int"} {
+		r := rand.New(rand.NewSource(7))
+		data := codedRows(r, shape, n, dim)
+		codes := vec.EncodeCodes(data, dim)
+		q := codedQueries(r, data, n, dim, 2)[:dim]
+		h := topk.New(k)
+		b.Run(shape+"/plain", func(b *testing.B) {
+			for it := 0; it < b.N; it++ {
+				h.Reset()
+				ScanBlocked(h, vec.L2, q, data, dim, nil, Selection{})
+			}
+		})
+		b.Run(shape+"/coded", func(b *testing.B) {
+			hs := []*topk.Heap{h}
+			for it := 0; it < b.N; it++ {
+				h.Reset()
+				ScanCoded(hs, q, data, codes, nil, Selection{})
+			}
+		})
+		got, want := topk.New(k), topk.New(k)
+		ScanCoded([]*topk.Heap{got}, q, data, codes, nil, Selection{})
+		ScanBlocked(want, vec.L2, q, data, dim, nil, Selection{})
+		if !slices.Equal(got.Results(), want.Results()) {
+			b.Fatalf("%s: coded scan differs from the plain scan", shape)
 		}
-	})
-	b.Run("coded", func(b *testing.B) {
-		hs := []*topk.Heap{h}
-		for it := 0; it < b.N; it++ {
-			h.Reset()
-			ScanCoded(hs, q, data, codes, nil, Selection{})
-		}
-	})
-	want := topk.New(k)
-	ScanBlocked(want, vec.L2, q, data, dim, nil, Selection{})
-	if !slices.Equal(h.Results(), want.Results()) {
-		b.Fatal("coded scan differs from the plain scan")
 	}
 }

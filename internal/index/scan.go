@@ -189,8 +189,12 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 // in float only the rows whose proven bound can still beat its heap's
 // bound (vec.Codes.Threshold); the rest provably score above it, so the
 // heap would reject them and every reported distance is the one
-// ScanBlocked gives. A block where at least 1/denseBlockDiv of the rows
-// survive runs the float kernel in place; fewer are gathered. A dense
+// ScanBlocked gives. Codes with a head (dim ≥ vec.HeadMinDim) are scored
+// on the head first, and only the rows it cannot prove out read their full
+// codes (headSums); a block where the head keeps at least 1/headLiveDiv of
+// the rows sends the next headRest blocks straight to the full tile. A
+// block where at least 1/denseBlockDiv of the rows survive runs the float
+// kernel in place; fewer are gathered. A dense
 // selection tests its bits on the survivors only. A sparse selection, or
 // one mapped through positions, runs ScanBlocked per query: it gathers its
 // survivors off the bit iterator without reading the rest.
@@ -226,19 +230,30 @@ func ScanCoded(hs []*topk.Heap, queries, data []float32, codes *vec.Codes, ids [
 		}
 	}()
 	// The queries' grid points and code distances, laid out for the tile:
-	// a lone query's live in its scratch.
+	// a lone query's live in its scratch. The second half of sums holds
+	// the head tile's.
 	var us []int16
 	var sums []int32
 	if m == 1 && dim <= len(qs[0].sc.u) {
 		us, sums = qs[0].sc.u[:dim], qs[0].sc.sums[:]
 	} else {
-		sp := bufferpool.GetInt32s(m * ScanBlockRows)
+		sp := bufferpool.GetInt32s(2 * m * ScanBlockRows)
 		defer bufferpool.PutInt32s(sp)
-		us, sums = make([]int16, m*dim), *sp
+		us, sums = make([]int16, m*(dim+vec.HeadDim)), *sp
 	}
 	for i := range qs {
 		qs[i].slack = codes.Prepare(qs[i].query, us[i*dim:(i+1)*dim])
 	}
+	// The heads' grid points: a lone query's is its grid point's prefix.
+	uh := us[:min(dim, vec.HeadDim)]
+	if m > 1 && codes.Head != nil {
+		uh = us[m*dim:]
+		for i := range qs {
+			copy(uh[i*vec.HeadDim:(i+1)*vec.HeadDim], us[i*dim:])
+		}
+	}
+	us = us[:m*dim]
+	rest := 0 // blocks left on the full tile before the head is tried again
 	for i0 := 0; i0 < n; i0 += ScanBlockRows {
 		i1 := min(i0+ScanBlockRows, n)
 		rows := i1 - i0
@@ -253,14 +268,25 @@ func ScanCoded(hs []*topk.Heap, queries, data []float32, codes *vec.Codes, ids [
 		coded := false
 		for i := range qs {
 			q := &qs[i]
-			q.ok = false
+			q.t, q.ok = -1, false // -1: no S is within it
 			if q.h != nil {
 				w, _ := q.h.Worst()
-				q.t, q.ok = codes.Threshold(q.slack, w)
-				coded = coded || q.ok
+				if t, ok := codes.Threshold(q.slack, w); ok {
+					q.t, q.ok, coded = t, true, true
+				}
 			}
 		}
-		if coded {
+		// live lists the rows sums scores, stride apart per query.
+		live, stride := blockRows[:rows], rows
+		switch {
+		case !coded:
+		case codes.Head != nil && rest == 0:
+			var pruned bool
+			if live, stride, pruned = headSums(qs, codes, uh, us, i0, i1, sums); !pruned {
+				rest = headRest
+			}
+		default:
+			rest = max(rest-1, 0)
 			vec.CodeL2Tile(us, codes.Rows(i0, i1), dim, sums[:m*rows])
 		}
 		for i := range qs {
@@ -268,7 +294,7 @@ func ScanCoded(hs []*topk.Heap, queries, data []float32, codes *vec.Codes, ids [
 			switch {
 			case q.h == nil:
 			case q.ok:
-				q.codedBlock(i0, i1, sums[i*rows:(i+1)*rows], masked)
+				q.codedBlock(i0, i1, live, sums[i*stride:i*stride+len(live)], masked)
 			default:
 				q.flush()
 				q.emitBlock(i0, i1, masked)
@@ -280,6 +306,77 @@ func ScanCoded(hs []*topk.Heap, queries, data []float32, codes *vec.Codes, ids [
 			qs[i].flush()
 		}
 	}
+}
+
+// A head pass that leaves at least 1/headLiveDiv of its block's rows alive
+// saves too little to pay for itself: the next headRest blocks run the full
+// code tile, and the head is tried again after them. Where the head prunes
+// nothing, it costs a quarter-width pass once in headRest+1 blocks.
+const (
+	headLiveDiv = 4
+	headRest    = 15
+)
+
+// blockRows lists a whole block's rows, for a block the code tile scored
+// in full.
+var blockRows = func() (r [ScanBlockRows]int32) {
+	for i := range r {
+		r[i] = int32(i)
+	}
+	return r
+}()
+
+// headSums scores the block [i0, i1) on its head first and reads the full
+// codes only of the rows whose head S is within some query's threshold: a
+// head S never exceeds the row's S, so every other row is proven out for
+// every query, just as its S would prove it. It returns the survivors
+// (offsets from i0) and writes their S into sums, query-major, stride
+// apart; the survivors' codes are gathered padded to a multiple of four
+// rows, the assembly tiles' row group. When at least 1/headLiveDiv of the
+// rows survive, it runs the full tile over the block instead and reports
+// false, with every row listed.
+func headSums(qs []rowScan, codes *vec.Codes, uh, us []int16, i0, i1 int, sums []int32) (live []int32, stride int, pruned bool) {
+	m, dim, rows := len(qs), codes.Dim, i1-i0
+	hs := sums[m*ScanBlockRows:][:m*rows]
+	vec.CodeL2Tile(uh, codes.HeadRows(i0, i1), vec.HeadDim, hs)
+	sc := qs[0].sc
+	live, n := sc.live[:rows], 0
+	if m == 1 {
+		// A lone query's own loop: the batch loop's inner pass over the
+		// members costs a solo 65,536 × 128 scan about a fifth more
+		// (BenchmarkCodedScan/clustered).
+		t := qs[0].t
+		for r, v := range hs {
+			live[n] = int32(r)
+			n += b2i(v <= t)
+		}
+	} else {
+		for r := range live {
+			k := 0
+			for i := range qs {
+				k |= b2i(hs[i*rows+r] <= qs[i].t)
+			}
+			live[n] = int32(r)
+			n += k
+		}
+	}
+	if n*headLiveDiv >= rows {
+		vec.CodeL2Tile(us, codes.Rows(i0, i1), dim, sums[:m*rows])
+		return blockRows[:rows], rows, false
+	}
+	if n == 0 {
+		return nil, 0, true
+	}
+	n4 := (n + 3) &^ 3
+	if need := n4 * dim; cap(sc.codes) < need {
+		sc.codes = make([]uint8, max(need, 2*cap(sc.codes)))
+	}
+	rowCodes := sc.codes[:n4*dim]
+	for j, r := range live[:n] {
+		copy(rowCodes[j*dim:(j+1)*dim], codes.Rows(i0+int(r), i0+int(r)+1))
+	}
+	vec.CodeL2Tile(us, rowCodes, dim, sums[:m*n4])
+	return live[:n], n4, true
 }
 
 // rowScan is one query's side of a blocked scan: the rows, the heap they
@@ -300,7 +397,7 @@ type rowScan struct {
 	sc     *scanScratch
 
 	// ScanCoded's per-query state: the slack its thresholds add, and the
-	// current block's threshold when ok.
+	// current block's threshold when ok (-1 when not).
 	slack float64
 	t     int32
 	ok    bool
@@ -309,14 +406,17 @@ type rowScan struct {
 // scanScratch is a rowScan's scratch, one pool round trip per scan: the
 // block's distances, the gather list (twice a block: a coded block's
 // survivors are listed before it decides to gather them) and the gathered
-// rows, and a lone coded query's code distances and, up to 1,024 dims, its
-// grid point.
+// rows, a lone coded query's code distances (its head's in the second
+// half) and, up to 1,024 dims, its grid point, and a coded scan's head
+// survivors and their gathered codes.
 type scanScratch struct {
 	buf    [ScanBlockRows]float32
 	gather [2 * ScanBlockRows]int32
-	sums   [ScanBlockRows]int32
+	sums   [2 * ScanBlockRows]int32
 	u      [1024]int16
+	live   [ScanBlockRows]int32
 	rows   []float32 // grown to the largest gather seen
+	codes  []uint8   // grown to the most head survivors' codes seen
 }
 
 var scratches = bufferpool.NewFree(func() *scanScratch { return new(scanScratch) })
@@ -407,27 +507,29 @@ func (s *rowScan) appendRow(r int) {
 	}
 }
 
-// codedBlock takes the block [i0, i1) whose code distances are sums: a row
-// with S above the query's threshold is dropped unscored, and so, when
-// masked, is one the selection excludes (tested on the code survivors
-// only). The survivors are gathered, or, when at least 1/denseBlockDiv of
-// the block survives, the block is scored in place. The gather list stays
-// under ScanBlockRows between blocks, so a block's survivors always fit
-// its 2·ScanBlockRows capacity.
-func (s *rowScan) codedBlock(i0, i1 int, sums []int32, masked bool) {
-	mark := len(s.gather)
+// codedBlock takes the block [i0, i1) whose listed rows (live, offsets
+// from i0) have the code distances sums; every row not listed is proven
+// out. A row with S above the query's threshold is dropped unscored, and
+// so, when masked, is one the selection excludes (tested on the code
+// survivors only). The survivors are gathered, or, when at least
+// 1/denseBlockDiv of the block survives, the block is scored in place.
+// The gather list stays under ScanBlockRows between blocks, so a block's
+// survivors always fit its 2·ScanBlockRows capacity.
+func (s *rowScan) codedBlock(i0, i1 int, live, sums []int32, masked bool) {
+	mark, base := len(s.gather), int32(i0)
+	live = live[:len(sums)]
 	if masked {
-		for r, v := range sums {
-			if v <= s.t && s.sel.keeps(i0+r) {
-				s.gather = append(s.gather, int32(i0+r))
+		for j, v := range sums {
+			if r := base + live[j]; v <= s.t && s.sel.keeps(int(r)) {
+				s.gather = append(s.gather, r)
 			}
 		}
 	} else {
 		// Branch-free: every row is written, and the list grows past the
 		// survivors only.
 		g, n := s.gather[:mark+len(sums)], mark
-		for r, v := range sums {
-			g[n] = int32(i0 + r)
+		for j, v := range sums {
+			g[n] = base + live[j]
 			n += b2i(v <= s.t)
 		}
 		s.gather = g[:n]

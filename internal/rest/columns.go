@@ -57,26 +57,30 @@ var le = binary.LittleEndian
 // InsertRequest as columns when its rows agree in shape and every vector
 // is non-empty, anything else as JSON — so the server names a ragged
 // batch's entity at fault. Columns carry vector words as bits; the server
-// answers 400 to a NaN or ±Inf in a float field.
+// answers 400 to a NaN or ±Inf in a float field. A ragged batch that JSON
+// cannot spell either (a binary word whose bits are a NaN) fails with the
+// column encoder's error, which names the ragged row.
 func Encode(v any) (body []byte, contentType string, err error) {
+	var colErr error
 	if r, ok := v.(InsertRequest); ok {
-		if body, ok := encodeColumns(r.Entities); ok {
+		if body, colErr = encodeColumns(r.Entities); colErr == nil {
 			return body, ColumnsType, nil
 		}
 	}
-	body, err = json.Marshal(v)
+	if body, err = json.Marshal(v); err != nil && colErr != nil {
+		return nil, "", colErr
+	}
 	return body, "application/json", err
 }
 
 // encodeColumns writes es as a columnar body straight from the rows, or
-// reports false when the body cannot carry them: rows of different
-// shapes, or an empty vector.
-func encodeColumns(es []EntityJSON) ([]byte, bool) {
-	body, err := wal.AppendRows(nil, len(es), func(i int) wal.Row {
+// fails when the body cannot carry them: rows of different shapes, or an
+// empty vector.
+func encodeColumns(es []EntityJSON) ([]byte, error) {
+	return wal.AppendRows(nil, len(es), func(i int) wal.Row {
 		e := &es[i]
 		return wal.Row{ID: e.ID, Vectors: e.Vectors, Attrs: e.Attrs, Cats: validCats(e.Cats)}
 	})
-	return body, err == nil
 }
 
 // validCats is cats as encoding/json sends them: cats itself unless one

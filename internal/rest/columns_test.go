@@ -75,9 +75,9 @@ func postReply(h http.Handler, path, contentType string, body []byte) *httptest.
 
 func mustColumns(t testing.TB, es []EntityJSON) []byte {
 	t.Helper()
-	b, ok := encodeColumns(es)
-	if !ok {
-		t.Fatalf("%d rows do not encode as columns", len(es))
+	b, err := encodeColumns(es)
+	if err != nil {
+		t.Fatalf("%d rows do not encode as columns: %v", len(es), err)
 	}
 	return b
 }
@@ -291,6 +291,21 @@ func TestInsertColumnsOnlyForUniformRows(t *testing.T) {
 	}
 }
 
+// TestRaggedWordsNameTheRow: a ragged insert batch whose binary words
+// JSON cannot spell (0xFFFFFFFF is a NaN's bits) fails in Encode with the
+// column encoder's error naming the ragged row, not with JSON's
+// complaint about the NaN.
+func TestRaggedWordsNameTheRow(t *testing.T) {
+	word := math.Float32frombits(0xFFFFFFFF)
+	_, ctype, err := Encode(InsertRequest{Entities: []EntityJSON{
+		{ID: 1, Vectors: [][]float32{{word, math.Float32frombits(1)}}},
+		{ID: 2, Vectors: [][]float32{{math.Float32frombits(1)}}},
+	}})
+	if err == nil || !strings.Contains(err.Error(), "row 1") || strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("sent as %q, error %v; want the ragged row named", ctype, err)
+	}
+}
+
 // columnsMutants are columnar bodies the decoder must refuse.
 func columnsMutants(t testing.TB) map[string][]byte {
 	good := mustColumns(t, columnsBatch(5))
@@ -399,9 +414,9 @@ func FuzzInsertColumns(f *testing.F) {
 			return
 		}
 		es := rowsOf(b)
-		again, ok := encodeColumns(es)
-		if !ok || !bytes.Equal(again, data) {
-			t.Fatalf("%x decodes to %+v, which encodes as %x (%v)", data, es, again, ok)
+		again, err := encodeColumns(es)
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("%x decodes to %+v, which encodes as %x (%v)", data, es, again, err)
 		}
 	})
 }

@@ -70,9 +70,6 @@ func NewFaultStore(inner objstore.Store, seed int64, cfg FaultConfig) *FaultStor
 // to drain to a consistent state once faults cease).
 func (fs *FaultStore) Disable() { fs.enabled.Store(false) }
 
-// Enable re-arms fault injection.
-func (fs *FaultStore) Enable() { fs.enabled.Store(true) }
-
 // Injected reports how many faults have been injected so far.
 func (fs *FaultStore) Injected() int64 { return fs.injected.Load() }
 

@@ -7,7 +7,7 @@
 // rejection costs one compare, an admission an append, and no candidate is
 // ever sifted. Results sorts the k survivors once. The paper's cache-aware
 // engine (Sec. 3.2.1) dedicates one collector per (query, thread) pair and
-// merges them afterwards; Fold, Merge and Matrix support that design.
+// merges them afterwards; Fold and Merge support that design.
 package topk
 
 import (
@@ -313,55 +313,6 @@ func Merge(k int, lists ...[]Result) []Result {
 		for _, r := range l {
 			h.Push(r.ID, r.Distance)
 		}
-	}
-	out := h.Results()
-	PutHeap(h)
-	return out
-}
-
-// Matrix is the t×s grid of heaps used by the blocked batch engine: one heap
-// per (thread, query-in-block) pair so threads never contend on a lock
-// (Sec. 3.2.1, Fig. 3).
-type Matrix struct {
-	threads int
-	queries int
-	heaps   []*Heap
-}
-
-// NewMatrix draws a threads×queries grid of k-bounded pooled heaps; Release
-// returns them.
-func NewMatrix(threads, queries, k int) *Matrix {
-	m := &Matrix{threads: threads, queries: queries, heaps: make([]*Heap, threads*queries)}
-	for i := range m.heaps {
-		m.heaps[i] = GetHeap(k)
-	}
-	return m
-}
-
-// At returns the heap dedicated to (thread, query).
-func (m *Matrix) At(thread, query int) *Heap { return m.heaps[thread*m.queries+query] }
-
-// Reset empties every heap for block reuse.
-func (m *Matrix) Reset() {
-	for _, h := range m.heaps {
-		h.Reset()
-	}
-}
-
-// Release returns every heap to the pool. The matrix must not be used
-// afterwards.
-func (m *Matrix) Release() {
-	for _, h := range m.heaps {
-		PutHeap(h)
-	}
-	m.heaps = nil
-}
-
-// MergeQuery merges all per-thread heaps of one query into its final top-k.
-func (m *Matrix) MergeQuery(query, k int) []Result {
-	h := GetHeap(k)
-	for t := 0; t < m.threads; t++ {
-		h.Fold(m.At(t, query))
 	}
 	out := h.Results()
 	PutHeap(h)

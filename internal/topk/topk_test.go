@@ -106,28 +106,6 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-func TestMatrixMerge(t *testing.T) {
-	m := NewMatrix(3, 2, 2)
-	// thread t contributes distance t+query*0.1 for id t*10+query
-	for th := 0; th < 3; th++ {
-		for q := 0; q < 2; q++ {
-			m.At(th, q).Push(int64(th*10+q), float32(th)+float32(q)*0.1)
-		}
-	}
-	got := m.MergeQuery(0, 2)
-	if len(got) != 2 || got[0].ID != 0 || got[1].ID != 10 {
-		t.Fatalf("MergeQuery(0) = %v", got)
-	}
-	got = m.MergeQuery(1, 2)
-	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 11 {
-		t.Fatalf("MergeQuery(1) = %v", got)
-	}
-	m.Reset()
-	if m.At(1, 1).Len() != 0 {
-		t.Fatal("Reset did not clear matrix heaps")
-	}
-}
-
 // Property: merging any partition of a stream equals collecting the stream
 // in one heap — the invariant the per-thread heap design depends on.
 func TestMergePartitionInvariance(t *testing.T) {
@@ -183,7 +161,7 @@ func BenchmarkHeapPush(b *testing.B) {
 // reserve results, keeps every result pushed below it, and grows past
 // reserve as results arrive.
 func TestHugeKGrowsWithWhatItKeeps(t *testing.T) {
-	for _, h := range []*Heap{New(1 << 62), GetHeap(1 << 62), NewMatrix(1, 1, 1<<62).At(0, 0)} {
+	for _, h := range []*Heap{New(1 << 62), GetHeap(1 << 62)} {
 		if cap(h.data) > reserve {
 			t.Fatalf("k 2^62: %d results set aside, want at most %d", cap(h.data), reserve)
 		}

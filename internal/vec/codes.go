@@ -15,6 +15,21 @@ import "math"
 // where ε covers the float32 rounding of the encode. A scan reads the
 // codes first and scores in float only the rows whose bound can still beat
 // its top-k bound: one integer threshold per block (Threshold).
+//
+// A column of at least HeadMinDim dims also keeps a head: each row's first
+// HeadDim codes again, contiguous (n × HeadDim bytes, HeadDim/Dim more
+// code bytes). The head's S is a partial sum of the row's S, so it never
+// exceeds it, and a row whose head S is already above a threshold is
+// proven out without reading the rest of its codes — partial-distance
+// elimination, on a quarter of the bytes a 128-dim row streams.
+
+const (
+	// HeadDim is the width of a head row.
+	HeadDim = 32
+	// HeadMinDim is the narrowest column that keeps a head: below it the
+	// head saves too few bytes per row to pay for a second pass.
+	HeadMinDim = 128
+)
 
 // MaxCodeDim is the widest field a code grid serves: S ≤ dim·510² must fit
 // an int32, which the kernels accumulate in.
@@ -39,6 +54,7 @@ const (
 // Dim), on the column's grid.
 type Codes struct {
 	Data  []uint8 // n × Dim codes, row-major like the column
+	Head  []uint8 // n × HeadDim: each row's first codes; nil below HeadMinDim
 	Dim   int
 	lo    float64 // the grid's min, a float32 value
 	step  float64 // (max − min)/255
@@ -56,6 +72,9 @@ func EncodeCodes(data []float32, dim int) *Codes {
 
 // Rows returns the codes of rows [i0, i1).
 func (c *Codes) Rows(i0, i1 int) []uint8 { return c.Data[i0*c.Dim : i1*c.Dim] }
+
+// HeadRows returns the head of rows [i0, i1).
+func (c *Codes) HeadRows(i0, i1 int) []uint8 { return c.Head[i0*HeadDim : i1*HeadDim] }
 
 // Prepare writes q's grid point into u (len Dim) and returns the slack a
 // threshold adds for q: its residual ρ plus the rows' own offset, rounded
@@ -136,6 +155,13 @@ func encodeWith(ks *kernelSet, data []float32, dim int) *Codes {
 		maxS:  float64(dim) * 510 * 510,
 	}
 	ks.enc(data[:len(c.Data)], lo, float32(inv), c.Data)
+	if dim >= HeadMinDim {
+		n := len(c.Data) / dim
+		c.Head = make([]uint8, n*HeadDim)
+		for i := 0; i < n; i++ {
+			copy(c.Head[i*HeadDim:(i+1)*HeadDim], c.Data[i*dim:])
+		}
+	}
 	return c
 }
 

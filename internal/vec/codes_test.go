@@ -99,6 +99,75 @@ func FuzzCodeDistance(f *testing.F) {
 	})
 }
 
+// FuzzCodeHead: a column of at least HeadMinDim dims keeps each row's
+// first HeadDim codes as its head, the same on every tier, and a narrower
+// one keeps none; for any grid points, a row's head S never exceeds its
+// full S, and every tier's and every assembly tile's head S is the Go
+// reference's, one query or a batch.
+func FuzzCodeHead(f *testing.F) {
+	f.Add(uint16(127), uint8(3), uint8(1), int64(1))
+	f.Add(uint16(128), uint8(5), uint8(4), int64(2))
+	f.Add(uint16(130), uint8(9), uint8(5), int64(3))
+	f.Add(uint16(200), uint8(40), uint8(2), int64(4))
+	f.Fuzz(func(t *testing.T, d uint16, rows, q uint8, seed int64) {
+		dim := HeadMinDim - 8 + int(d)%200
+		n, nq := 1+int(rows)%40, 1+int(q)%9
+		r := rand.New(rand.NewSource(seed))
+		shapes := []string{"sift", "uniform", "deep", "huge", "tiny"}
+		data := codeData(r, shapes[r.Intn(len(shapes))], n, dim)
+		ref := encodeWith(&kernelSet{mm: minMaxGo, enc: encodeGo}, data, dim)
+		if ref == nil {
+			t.Skip("no grid")
+		}
+		for _, l := range Levels() {
+			c := EncodeCodesAt(l, data, dim)
+			if c == nil || (c.Head != nil) != (dim >= HeadMinDim) || !slices.Equal(c.Head, ref.Head) {
+				t.Fatalf("%v dim %d: head %d bytes, want the reference's %d", l, dim, len(c.Head), len(ref.Head))
+			}
+		}
+		if ref.Head == nil {
+			return
+		}
+		us := make([]int16, nq*dim)
+		uh := make([]int16, 0, nq*HeadDim)
+		for i := range us {
+			us[i] = int16(r.Intn(766) - 255)
+		}
+		for qi := 0; qi < nq; qi++ {
+			uh = append(uh, us[qi*dim:qi*dim+HeadDim]...)
+		}
+		full, head := make([]int32, nq*n), make([]int32, nq*n)
+		codeTileGo(us, ref.Data, dim, nq, full)
+		codeTileGo(uh, ref.Head, HeadDim, nq, head)
+		for i := 0; i < n; i++ {
+			if !slices.Equal(ref.HeadRows(i, i+1), ref.Rows(i, i+1)[:HeadDim]) {
+				t.Fatalf("dim %d row %d: head is not the row's first codes", dim, i)
+			}
+		}
+		for i := range head {
+			if head[i] > full[i] {
+				t.Fatalf("dim %d: head S %d above full S %d", dim, head[i], full[i])
+			}
+		}
+		tiles := map[string]func(us []int16, codes []uint8, dim, nq int, out []int32){}
+		for name, tile := range codeTileVariants() {
+			tiles[name] = tile
+		}
+		for _, l := range Levels() {
+			tiles[l.String()] = func(us []int16, codes []uint8, dim, _ int, out []int32) {
+				CodeL2TileAt(l, us, codes, dim, out)
+			}
+		}
+		for name, tile := range tiles {
+			got := make([]int32, nq*n)
+			tile(uh, ref.Head, HeadDim, nq, got)
+			if !slices.Equal(got, head) {
+				t.Fatalf("%s dim %d nq %d n %d: head S %v, want %v", name, dim, nq, n, got, head)
+			}
+		}
+	})
+}
+
 // TestEncodeTiersAgree: min/max and the encode give the same grid and
 // codes on every tier, for every shape and for lengths off the assembly's
 // widths; a NaN, an Inf or a constant column gets no grid.
