@@ -99,8 +99,11 @@ conformance-versions:
 # type × metric × selectivity against the exact filter-then-scan oracle
 # (internal/index), every strategy A–E against the oracle over a pushdown
 # Table with the dense/sparse crossover audited from trace annotations
-# (internal/query), the multi-segment + tombstone pushdown paths
-# (internal/core), the positional predicate compile against "filter rows
+# (internal/query), the collection's two filtered runners — the
+# multi-segment + tombstone pushdown paths, strategy A's scan against
+# strategy B hit for hit, an IN-list naming a value twice under both, and
+# A scanning an indexed segment without its index or a code copy
+# (internal/core) — the positional predicate compile against "filter rows
 # by raw value" (internal/colstore), and the cluster ≡ single-node gate:
 # the same rows behind two readers and one collection, with and without
 # tombstones, both equal to the oracle, the readers' bitsets pooled
@@ -111,7 +114,7 @@ conformance-versions:
 conformance-filter:
 	$(GO) test ./internal/index -run TestFiltered
 	$(GO) test ./internal/query -run 'TestStrategyFilteredConformance|TestSelectivitySweep|TestStrategyBPushedAllocs'
-	$(GO) test ./internal/core -run TestPushdown
+	$(GO) test ./internal/core -run 'TestPushdown|TestFilteredPlanResultParity|TestSearchPredPlanned|TestRepeatedInValueAnswersEachRowOnce|TestPrefilterScansIndexedSegmentWithoutCodes'
 	$(GO) test ./internal/colstore -run 'TestFillRange|TestCompilePred|FuzzPredCompile'
 	$(GO) test ./internal/cluster -run 'TestClusterEqualsSingleNode|TestReaderFilteredAllocs|TestReaderProbeResolvedEqualsFullCompile|TestSearchRejectsBadRequest'
 

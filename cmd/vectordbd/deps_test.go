@@ -8,7 +8,8 @@ import (
 
 // reproOnly are packages that exist to reproduce the paper's figures — the
 // simulated GPU, the SQ8H hybrid that runs on it, the experiment drivers,
-// the baseline systems and the synthetic datasets. The server must not
+// the baseline systems, the synthetic datasets and the query strategies the
+// figures compare (the collection serves its own). The server must not
 // link any of them.
 var reproOnly = []string{
 	"vectordb/internal/gpu",
@@ -16,6 +17,7 @@ var reproOnly = []string{
 	"vectordb/internal/experiments",
 	"vectordb/internal/baseline",
 	"vectordb/internal/dataset",
+	"vectordb/internal/query",
 }
 
 // TestServingClosureExcludesReproPackages pins the server's dependency

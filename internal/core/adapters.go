@@ -2,33 +2,24 @@ package core
 
 import (
 	"context"
-	"sync"
 
-	"vectordb/internal/query"
+	"vectordb/internal/bitset"
+	"vectordb/internal/colstore"
 	"vectordb/internal/topk"
 )
 
 // SourceView adapts a pinned snapshot of a collection to the query.Source
-// and query.MultiSource interfaces, so the attribute-filtering strategies of
-// Sec. 4.1 and the multi-vector algorithms of Sec. 4.2 run over the LSM
-// engine. The strategy interfaces have no error result, so a sub-query or
-// row read that fails yields no rows there and the view keeps its error
-// for Err. Release it when done.
+// and query.MultiSource interfaces, so the figures' attribute-filtering
+// strategies (Sec. 4.1) and multi-vector algorithms (Sec. 4.2) and the
+// benchmark's traced replay run over the LSM engine. Served queries do not
+// use it: Query runs strategies A and B and iterative merging on the
+// sweep, with errors. The strategy interfaces have no error result, so a
+// sub-query or row read that fails here yields no rows. Release it when
+// done.
 type SourceView struct {
 	c  *Collection
 	sn *Snapshot
-	// Ctx, when set, cancels vector sub-queries issued through this view.
-	// Nil means background (never cancelled).
-	Ctx context.Context
-
-	mu  sync.Mutex
-	err error // the first failed sub-query's or row read's
 }
-
-var (
-	_ query.Source      = (*SourceView)(nil)
-	_ query.MultiSource = (*SourceView)(nil)
-)
 
 // Source pins the current snapshot and returns its Source adapter.
 func (c *Collection) Source() *SourceView {
@@ -37,25 +28,6 @@ func (c *Collection) Source() *SourceView {
 
 // Release unpins the underlying snapshot.
 func (v *SourceView) Release() { v.c.snaps.release(v.sn) }
-
-// Err is the first error a sub-query or row read through the view met — a
-// segment whose bytes could not be read, a rejected or cancelled
-// sub-query — or nil. An answer read through a view that has one is
-// missing rows.
-func (v *SourceView) Err() error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.err
-}
-
-// fail records err as the view's error unless one is recorded.
-func (v *SourceView) fail(err error) {
-	v.mu.Lock()
-	if v.err == nil {
-		v.err = err
-	}
-	v.mu.Unlock()
-}
 
 // TotalRows implements query.Source (visible rows).
 func (v *SourceView) TotalRows() int { return v.sn.LiveRows() }
@@ -70,86 +42,65 @@ func (v *SourceView) CountRange(attr int, lo, hi int64) int {
 	return n
 }
 
-// RangeRows implements query.Source, resolving through each segment's
-// sorted attribute column and hiding tombstoned rows.
+// RangeRows implements query.Source: each segment's visible rows in the
+// range, compiled as strategy A's scan compiles them, in position order.
 func (v *SourceView) RangeRows(attr int, lo, hi int64) []int64 {
 	var out []int64
-	for _, seg := range v.sn.Segments {
-		for _, id := range seg.Attrs[attr].RangeRows(lo, hi) {
-			if v.sn.deletedCovers(id, seg.ID) {
-				continue
-			}
-			out = append(out, id)
+	for i, seg := range v.sn.Segments {
+		b, err := seg.CompileFilter(colstore.RangePred{Attr: attr, Lo: lo, Hi: hi}, v.sn.visible[i], nil)
+		if err != nil {
+			return nil
 		}
+		for p := b.NextSet(0); p >= 0; p = b.NextSet(p + 1) {
+			out = append(out, seg.IDs[p])
+		}
+		bitset.Put(b)
 	}
 	return out
 }
 
 // AttrValue implements query.Source.
 func (v *SourceView) AttrValue(attr int, id int64) (int64, bool) {
-	for i := len(v.sn.Segments) - 1; i >= 0; i-- {
-		seg := v.sn.Segments[i]
-		if v.sn.deletedCovers(id, seg.ID) {
-			continue
-		}
-		if val, ok := seg.AttrByID(attr, id); ok {
-			return val, true
-		}
+	if seg := v.sn.holder(id); seg != nil {
+		return seg.AttrByID(attr, id)
 	}
 	return 0, false
 }
 
 // VectorQuery implements query.Source.
 func (v *SourceView) VectorQuery(field int, q []float32, k, nprobe int) []topk.Result {
-	return v.keep(v.search(q, SearchOptions{Field: v.c.schema.VectorFields[field].Name, K: k, Nprobe: nprobe}))
+	res, _ := v.search(q, SearchOptions{Field: v.c.schema.VectorFields[field].Name, K: k, Nprobe: nprobe}, nil)
+	return res
 }
 
-// search runs one vector sub-query over the view's snapshot. It checks the
-// query as any request's vector is checked, but is not counted, planned or
-// admitted: the view's callers run inside an already-admitted query.
-func (v *SourceView) search(q []float32, opts SearchOptions) ([]topk.Result, error) {
+// search runs one vector sub-query over the view's snapshot, pushed down
+// beneath pred when it is set. It checks the query as any request's vector
+// is checked, but is not counted, planned or admitted: the view's callers
+// run inside an already-admitted query or outside the read path.
+func (v *SourceView) search(q []float32, opts SearchOptions, pred colstore.Pred) ([]topk.Result, error) {
 	f, err := v.c.checkVector(opts.Field, q, opts.K)
 	if err != nil {
 		return nil, err
 	}
-	return v.c.searchSnapshot(v.ctx(), v.sn, f, q, opts)
-}
-
-// keep is a sub-query's rows for a strategy interface, which has no error
-// result: a failed sub-query's error is the view's (Err), and its rows
-// none.
-func (v *SourceView) keep(res []topk.Result, err error) []topk.Result {
-	if err != nil {
-		v.fail(err)
+	//lint:allow ctxflow query.Source and MultiSource carry no context; the view serves figures, the benchmark's replay and tests
+	ctx := context.TODO()
+	if pred != nil {
+		return v.c.searchPred(ctx, v.sn, f, q, pred, false, opts)
 	}
-	return res
-}
-
-func (v *SourceView) ctx() context.Context {
-	if v.Ctx != nil {
-		return v.Ctx
-	}
-	//lint:allow ctxflow nil-Ctx view means detached-from-request by documented contract
-	return context.Background()
+	return v.c.searchSnapshot(ctx, v.sn, f, q, opts)
 }
 
 // DistanceByID implements query.Source.
 func (v *SourceView) DistanceByID(field int, q []float32, id int64) (float32, bool) {
-	for i := len(v.sn.Segments) - 1; i >= 0; i-- {
-		seg := v.sn.Segments[i]
-		if v.sn.deletedCovers(id, seg.ID) {
-			continue
-		}
-		vecRow, ok, err := seg.VectorByID(field, id)
-		if err != nil {
-			v.fail(err)
-			return 0, false
-		}
-		if ok {
-			return v.c.schema.VectorFields[field].Metric.Dist()(q, vecRow), true
-		}
+	seg := v.sn.holder(id)
+	if seg == nil {
+		return 0, false
 	}
-	return 0, false
+	row, ok, err := seg.VectorByID(field, id)
+	if !ok || err != nil {
+		return 0, false
+	}
+	return v.c.schema.VectorFields[field].Metric.Dist()(q, row), true
 }
 
 // Fields implements query.MultiSource.
@@ -157,7 +108,8 @@ func (v *SourceView) Fields() int { return len(v.c.schema.VectorFields) }
 
 // FieldQuery implements query.MultiSource.
 func (v *SourceView) FieldQuery(field int, q []float32, k int) []topk.Result {
-	return v.keep(v.search(q, SearchOptions{Field: v.c.schema.VectorFields[field].Name, K: k}))
+	res, _ := v.search(q, SearchOptions{Field: v.c.schema.VectorFields[field].Name, K: k}, nil)
+	return res
 }
 
 // FieldDistance implements query.MultiSource.
@@ -173,21 +125,4 @@ func (c *Collection) SearchFilteredCtx(ctx context.Context, queryVec []float32, 
 	}
 	res, err := c.Query(ctx, Request{Vector: queryVec, Pred: pred, SearchOptions: opts})
 	return res.Hits, err
-}
-
-// CatRows returns the IDs whose categorical field matches any of values,
-// resolved through each segment's inverted lists and hiding tombstones.
-func (v *SourceView) CatRows(cat int, values ...string) []int64 {
-	var out []int64
-	for _, seg := range v.sn.Segments {
-		for _, val := range values {
-			for _, id := range seg.Cats[cat].Rows(val) {
-				if v.sn.deletedCovers(id, seg.ID) {
-					continue
-				}
-				out = append(out, id)
-			}
-		}
-	}
-	return out
 }

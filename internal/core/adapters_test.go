@@ -7,6 +7,14 @@ import (
 	"vectordb/internal/topk"
 )
 
+// SourceView is what the figures' strategies and the benchmark's traced
+// replay run over; the served read path does not use it.
+var (
+	_ query.Source      = (*SourceView)(nil)
+	_ query.Shaped      = (*SourceView)(nil)
+	_ query.MultiSource = (*SourceView)(nil)
+)
+
 // The filtering strategies must produce exact answers when run over the
 // live LSM engine through the SourceView adapter — including across
 // multiple segments and tombstones.

@@ -2,9 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vectordb/internal/objstore"
+	"vectordb/internal/obs"
+	"vectordb/internal/plan"
 	"vectordb/internal/topk"
 	"vectordb/internal/vec"
 )
@@ -123,6 +126,53 @@ func TestSearchCategorical(t *testing.T) {
 	}
 	if _, err := catHits(c, q, "brand", []string{"acme"}, SearchOptions{K: 0}); err == nil {
 		t.Error("K=0 accepted")
+	}
+}
+
+// TestRepeatedInValueAnswersEachRowOnce: an IN-list that names a value
+// twice matches each row once, under strategy A and under strategy B, and
+// answers what the list with the value once answers.
+func TestRepeatedInValueAnswersEachRowOnce(t *testing.T) {
+	for _, side := range []struct {
+		strategy string
+		prof     *plan.Profile
+	}{
+		{"A", fixedProfile(func(p *plan.Profile) { p.BitsetNsPerRow = 1e6 })},
+		{"B", fixedProfile(func(p *plan.Profile) { p.RowOverheadNs = 1e6 })},
+	} {
+		cfg := testConfig()
+		cfg.Planner = plan.New(plan.Config{Profile: side.prof})
+		c, err := NewCollection("dupin", catSchema(8), objstore.NewMemory(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		ents := mkCatEntities(300, 8, 1)
+		if err := c.Insert(ents); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		q := ents[17].Vectors[0]
+		query := func(values []string) []topk.Result {
+			t.Helper()
+			tr := obs.NewQueryRecord("categorical")
+			res, err := catHits(c, q, "brand", values, SearchOptions{K: 10, Trace: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := tr.Attr("filter_strategy"); got != side.strategy {
+				t.Fatalf("filter_strategy %q, want %s", got, side.strategy)
+			}
+			return res
+		}
+		once, twice := query([]string{"acme"}), query([]string{"acme", "acme"})
+		ids := resultIDs(twice)
+		if len(ids) != 10 || len(slices.Compact(ids)) != 10 {
+			t.Fatalf("%s: IN [acme, acme] answered ids %v, want 10 distinct", side.strategy, resultIDs(twice))
+		}
+		sameHits(t, side.strategy+": IN [acme, acme] against IN [acme]", once, twice)
 	}
 }
 

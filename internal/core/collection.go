@@ -730,9 +730,6 @@ type SearchOptions struct {
 	// Queries that leave it nil get one automatically when the collection
 	// has a query log.
 	Trace *obs.QueryRecord
-	// pred is a pushed predicate (Query's pushdown, SourceView's pushed
-	// search), compiled in each segment's task.
-	pred colstore.Pred
 }
 
 // Params converts the options to index-level search parameters (without a
@@ -747,33 +744,49 @@ func (c *Collection) SearchCtx(ctx context.Context, query []float32, opts Search
 	return res.Hits, err
 }
 
-// searchSnapshot sweeps the pinned snapshot for a solo or pushed-down
-// query: each segment's body is Segment.SearchInto, or with a pushed
-// predicate Segment.SearchFiltered, whose matched and probed counts
-// (traced only) name the filter_mode. The query is already validated; f is
-// its vector field.
+// searchSnapshot sweeps the pinned snapshot for a solo query: each
+// segment's body is Segment.SearchInto. The query is already validated; f
+// is its vector field.
 func (c *Collection) searchSnapshot(ctx context.Context, sn *Snapshot, f int, query []float32, opts SearchOptions) ([]topk.Result, error) {
-	tr := opts.Trace
 	var out [1][]topk.Result
-	if opts.pred == nil {
-		err := c.sweep(ctx, sn, tr, f, opts.Params(), out[:], func(seg *Segment, p index.SearchParams, hs []*topk.Heap) error {
-			return seg.SearchInto(hs[0], c.schema, f, query, p)
-		})
-		return out[0], err
+	err := c.sweep(ctx, sn, opts.Trace, f, opts.Params(), out[:], func(seg *Segment, p index.SearchParams, hs []*topk.Heap) error {
+		return seg.SearchInto(hs[0], c.schema, f, query, p)
+	})
+	return out[0], err
+}
+
+// searchPred sweeps the pinned snapshot for a filtered query (Sec. 4.1),
+// each segment's task compiling pred with the segment's visibility ANDed
+// in. Strategy B (pushdown) compiles it at the positions the segment's
+// index or scan reads and pushes it beneath them (Segment.SearchFiltered).
+// Strategy A (scan set) compiles it at every position and scores those
+// rows with the segment's scan, never its index (Segment.scanFiltered), so
+// every segment counts as a segment_scan, and a filter that passes no row
+// answers nil. The matched share of the rows read names the filter_mode.
+func (c *Collection) searchPred(ctx context.Context, sn *Snapshot, f int, query []float32, pred colstore.Pred, scan bool, opts SearchOptions) ([]topk.Result, error) {
+	tr := opts.Trace
+	strategy, swept, search := "B", f, (*Segment).SearchFiltered
+	if scan {
+		strategy, swept, search = "A", scanField, (*Segment).scanFiltered
 	}
+	tr.SetString(obs.FilterStrategy, strategy)
+	var out [1][]topk.Result
 	var matched, probed atomic.Int64
-	err := c.sweep(ctx, sn, tr, f, opts.Params(), out[:], func(seg *Segment, p index.SearchParams, hs []*topk.Heap) error {
-		m, n, err := seg.SearchFiltered(hs[0], c.schema, f, query, opts.pred, p, tr != nil)
+	err := c.sweep(ctx, sn, tr, swept, opts.Params(), out[:], func(seg *Segment, p index.SearchParams, hs []*topk.Heap) error {
+		m, n, err := search(seg, hs[0], c.schema, f, query, pred, p, tr != nil)
 		matched.Add(int64(m))
 		probed.Add(int64(n))
 		return err
 	})
-	if err == nil && tr != nil {
+	if err != nil || scan && matched.Load() == 0 {
+		return nil, err
+	}
+	if tr != nil {
 		sel := float64(matched.Load()) / float64(max(probed.Load(), 1))
 		tr.SetString(obs.FilterMode, index.FilterModeName(sel))
 		tr.SetFloat(obs.FilterSelectivity, sel)
 	}
-	return out[0], err
+	return out[0], nil
 }
 
 // segmentBody is a runner's search of one segment in a sweep, with p's
@@ -790,9 +803,9 @@ type segmentBody func(seg *Segment, p index.SearchParams, hs []*topk.Heap) error
 // a member's worst distance prunes across every segment its task claims,
 // and body searches each claimed segment into them. A segment that field
 // is indexed on (fusedField: the fused index) counts and traces as an
-// index_search, any other as a segment_scan. ctx or the first segment
-// error fails the sweep; otherwise each member's heaps fold into its out
-// slot under topk_merge, the query's only sort.
+// index_search, any other (scanField: every segment) as a segment_scan.
+// ctx or the first segment error fails the sweep; otherwise each member's
+// heaps fold into its out slot under topk_merge, the query's only sort.
 func (c *Collection) sweep(ctx context.Context, sn *Snapshot, tr *obs.QueryRecord, field int, p index.SearchParams, out [][]topk.Result, body segmentBody) error {
 	segs := sn.Segments
 	if len(segs) == 0 {

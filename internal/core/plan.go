@@ -4,7 +4,6 @@ import (
 	"vectordb/internal/index"
 	"vectordb/internal/obs"
 	"vectordb/internal/plan"
-	"vectordb/internal/query"
 )
 
 // unwrapIndex strips the observability wrapper so the planner sees the
@@ -111,8 +110,6 @@ func (c *Collection) filterShape(sn *Snapshot, field int) plan.FilterShape {
 	}
 	return fs
 }
-
-var _ query.Shaped = (*SourceView)(nil)
 
 // Planner exposes the collection's query planner (profile swaps,
 // inspection in tests).

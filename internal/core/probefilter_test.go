@@ -217,7 +217,7 @@ func TestPushdownPinnedSnapshotSurvivesRebuild(t *testing.T) {
 		if nlist != rebuild.nlist {
 			t.Fatalf("%s rebuild: the current version has %d buckets, want %d", rebuild.typ, nlist, rebuild.nlist)
 		}
-		got, err := c.searchSnapshot(context.Background(), sn, 0, q, SearchOptions{K: k, Nprobe: nprobe, pred: pred})
+		got, err := c.searchPred(context.Background(), sn, 0, q, pred, false, SearchOptions{K: k, Nprobe: nprobe})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"vectordb/internal/colstore"
 	"vectordb/internal/index"
 	"vectordb/internal/index/ivf"
-	"vectordb/internal/query"
 	"vectordb/internal/topk"
 )
 
@@ -80,12 +79,35 @@ func (s *Segment) SearchFiltered(h *topk.Heap, schema *Schema, field int, query 
 	return b.CountAt(at), len(at), nil
 }
 
+// scanField is the field a strategy A sweep names: it uses no segment's
+// index, so every segment counts as a segment_scan.
+const scanField = -2
+
+// scanFiltered is strategy A's search of one segment (Sec. 4.1), the
+// counterpart of SearchFiltered without the index: pred is compiled at
+// every position with p.Bits ANDed in, and those rows are scored by the
+// segment's scan (scanInto). It always returns how many rows passed
+// (matched) of the segment's (probed): a strategy A query none of whose
+// rows pass answers nil. The unused flag keeps SearchFiltered's signature.
+func (s *Segment) scanFiltered(h *topk.Heap, schema *Schema, field int, query []float32, pred colstore.Pred, p index.SearchParams, _ bool) (matched, probed int, err error) {
+	b, err := s.CompileFilter(pred, p.Bits, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer bitset.Put(b)
+	p.Bits = b
+	if err := s.scanInto(h, schema, field, query, p); err != nil {
+		return 0, 0, err
+	}
+	return b.Count(), s.Rows(), nil
+}
+
 // compilePred resolves pred at every position of every segment of the
-// pinned snapshot for query.Source's strategy B, which needs the matched
+// pinned snapshot for SourceView's strategy B, which needs the matched
 // (visible) and total row counts before its search. The filter's handle is
 // pred itself: the pushed search compiles it again in each segment's task,
 // at the positions that search reads (Segment.SearchFiltered).
-func (sn *Snapshot) compilePred(pred colstore.Pred) (*query.PushedFilter, error) {
+func (sn *Snapshot) compilePred(pred colstore.Pred) (*colstore.PushedFilter, error) {
 	matched, total := 0, 0
 	for i, seg := range sn.Segments {
 		b, err := seg.CompileFilter(pred, sn.visible[i], nil)
@@ -100,13 +122,13 @@ func (sn *Snapshot) compilePred(pred colstore.Pred) (*query.PushedFilter, error)
 	if total > 0 {
 		sel = float64(matched) / float64(total)
 	}
-	return query.NewPushedFilter(matched, total, index.FilterModeName(sel), pred, nil), nil
+	return colstore.NewPushedFilter(matched, total, index.FilterModeName(sel), pred, nil), nil
 }
 
 // CompileRange implements query.Source: the range constraint is counted
 // through per-segment bitsets resolved by the sorted columns' zone-map
 // walks; an unknown attribute fails the compile.
-func (v *SourceView) CompileRange(attr int, lo, hi int64) (*query.PushedFilter, bool) {
+func (v *SourceView) CompileRange(attr int, lo, hi int64) (*colstore.PushedFilter, bool) {
 	pf, err := v.sn.compilePred(colstore.RangePred{Attr: attr, Lo: lo, Hi: hi})
 	return pf, err == nil
 }
@@ -114,8 +136,8 @@ func (v *SourceView) CompileRange(attr int, lo, hi int64) (*query.PushedFilter, 
 // VectorQueryPushed implements query.Source: the snapshot search Query's
 // pushdown runs, each segment's filtered search compiling the predicate
 // beneath its scan or index.
-func (v *SourceView) VectorQueryPushed(field int, q []float32, k, nprobe int, pf *query.PushedFilter) []topk.Result {
-	opts := SearchOptions{Field: v.c.schema.VectorFields[field].Name, K: k, Nprobe: nprobe}
-	opts.pred, _ = pf.Handle().(colstore.Pred)
-	return v.keep(v.search(q, opts))
+func (v *SourceView) VectorQueryPushed(field int, q []float32, k, nprobe int, pf *colstore.PushedFilter) []topk.Result {
+	pred, _ := pf.Handle().(colstore.Pred)
+	res, _ := v.search(q, SearchOptions{Field: v.c.schema.VectorFields[field].Name, K: k, Nprobe: nprobe}, pred)
+	return res
 }

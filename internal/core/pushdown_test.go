@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"vectordb/internal/colstore"
 	"vectordb/internal/objstore"
 	"vectordb/internal/obs"
+	"vectordb/internal/plan"
 	"vectordb/internal/topk"
 	"vectordb/internal/vec"
 )
@@ -209,6 +211,67 @@ func TestPushdownWithIndexNoViolations(t *testing.T) {
 		}
 		if e := byID[res.ID]; e.Attrs[0] < 200 || e.Attrs[0] > 800 {
 			t.Fatalf("filtered-out id %d (price %d) returned from indexed pushdown", res.ID, e.Attrs[0])
+		}
+	}
+}
+
+// TestPrefilterScansIndexedSegmentWithoutCodes: strategy A never uses a
+// segment's index. An IVF-indexed segment at the code floor is counted
+// and traced as a segment_scan, A answers the exact filtered top-k, and no
+// code copy is built for the indexed field however often A scans it.
+func TestPrefilterScansIndexedSegmentWithoutCodes(t *testing.T) {
+	const dim, rows, k = 32, codedBatchFloats / 32, 10
+	reg := obs.NewRegistry()
+	cfg := testConfig()
+	cfg.Obs, cfg.FlushRows = reg, rows
+	cfg.IndexRows, cfg.IndexType, cfg.IndexParams = 64, "IVF_FLAT", map[string]string{"nlist": "16"}
+	cfg.Planner = plan.New(plan.Config{Obs: reg, Profile: fixedProfile(func(p *plan.Profile) { p.BitsetNsPerRow = 1e6 })})
+	c, err := NewCollection("afield", testSchema(dim), objstore.NewMemory(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ents := mkEntities(rows, dim, 12)
+	if err := c.Insert(ents); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	q, lo, hi := ents[3].Vectors[0], int64(0), int64(2000)
+	want := topk.New(k)
+	for _, e := range ents {
+		if e.Attrs[0] >= lo && e.Attrs[0] <= hi {
+			want.Push(e.ID, vec.L2Squared(q, e.Vectors[0]))
+		}
+	}
+	wantIDs := resultIDs(want.Results())
+	sn := c.AcquireSnapshot()
+	defer c.ReleaseSnapshot(sn)
+	if len(sn.Segments) != 1 || sn.Segments[0].Index(0) == nil {
+		t.Fatalf("fixture: %d segments, want one indexed segment", len(sn.Segments))
+	}
+	for round := 0; round < 3; round++ {
+		tr := obs.NewQueryRecord("filtered")
+		got, err := hitsOf(c, Request{Vector: q, Pred: colstore.RangePred{Attr: 0, Lo: lo, Hi: hi}, SearchOptions: SearchOptions{K: k, Trace: tr}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ids := resultIDs(got); !slices.Equal(ids, wantIDs) {
+			t.Fatalf("round %d: A answered %v, want the exact %v", round, ids, wantIDs)
+		}
+		sum := tr.Summary()
+		if strat, _ := sum.Attr("filter_strategy"); strat != "A" {
+			t.Fatalf("round %d: filter_strategy %q, want A", round, strat)
+		}
+		if _, probed := sum.StageBreakdown()["index_search"]; probed {
+			t.Fatalf("round %d: A probed an index: %v", round, sum.Stages())
+		}
+		if n := reg.Counter("vectordb_query_segments_total", "collection", "afield", "path", "scan").Value(); n != int64(round+1) {
+			t.Fatalf("round %d: %d segment scans counted, want %d", round, n, round+1)
+		}
+		if sn.Segments[0].fieldCodes(0).codes.Load() != nil {
+			t.Fatalf("round %d: A built a code copy of the indexed field", round)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"vectordb/internal/colstore"
 	"vectordb/internal/obs"
 	"vectordb/internal/plan"
-	"vectordb/internal/query"
 	"vectordb/internal/topk"
 )
 
@@ -69,8 +68,8 @@ var queryKindNames = [numQueryKinds]string{"vector", "batch", "multi", "filtered
 func (k queryKind) String() string { return queryKindNames[k] }
 
 // runner names the ways a planned query runs over a pinned snapshot. Every
-// runner but the prefilter reaches the segments through the one sweep
-// (Collection.sweep) with a per-segment body of its own.
+// runner reaches the segments through the one sweep (Collection.sweep) with
+// a per-segment body of its own.
 type runner uint8
 
 const (
@@ -78,8 +77,8 @@ const (
 	runBatch                   // one sweep shared by an explicit batch, or by a slot holder and its peers
 	runFused                   // one sweep of the aggregated query over the concatenated fields
 	runIterative               // iterative merging over per-field sweeps
-	runPrefilter               // the predicate's rows first, exact distances over them
-	runPushdown                // the predicate compiled to bitsets beneath the per-segment sweep
+	runPrefilter               // strategy A: the predicate's rows of each segment, scanned without its index
+	runPushdown                // strategy B: the predicate compiled to bitsets beneath each segment's index or scan
 )
 
 // route is the plan step's output. dec is zero when the runner was fixed by
@@ -135,17 +134,9 @@ func (c *Collection) Query(ctx context.Context, q Request) (Response, error) {
 	case runFused:
 		res.Hits, err = c.searchFused(ctx, sn, rt.fused, q.SearchOptions)
 	case runIterative:
-		src := &SourceView{c: c, sn: sn, Ctx: ctx}
-		res.Hits = query.IterativeMergingCtx(ctx, src, q.Fields, q.Weights, q.K, 16384)
-		err = src.Err()
-	case runPrefilter:
-		res.Hits, err = c.prefilterScan(ctx, sn, f, q.Vector, q.Pred, q.SearchOptions)
-	case runPushdown:
-		// Strategy B: each segment's task compiles the predicate at the
-		// positions its search reads (Segment.SearchFiltered).
-		tr.SetString(obs.FilterStrategy, query.StratB)
-		q.pred = q.Pred
-		res.Hits, err = c.searchSnapshot(ctx, sn, f, q.Vector, q.SearchOptions)
+		res.Hits, err = c.searchIterative(ctx, sn, &q)
+	case runPrefilter, runPushdown:
+		res.Hits, err = c.searchPred(ctx, sn, f, q.Vector, q.Pred, rt.run == runPrefilter, q.SearchOptions)
 	default:
 		res.Hits, err = c.searchSnapshot(ctx, sn, f, q.Vector, q.SearchOptions)
 	}
@@ -332,29 +323,35 @@ func forcePlan(tr *obs.QueryRecord, alg string) {
 	tr.SetString(obs.PlanForced, "true")
 }
 
-// prefilterScan is strategy A (Sec. 4.1) over the pinned snapshot: the
-// predicate's visible rows come from the sorted and inverted columns, and
-// only those rows are compared against the query. Exact.
-func (c *Collection) prefilterScan(ctx context.Context, sn *Snapshot, f int, queryVec []float32, pred colstore.Pred, opts SearchOptions) ([]topk.Result, error) {
-	tr := opts.Trace
-	tr.SetString(obs.FilterStrategy, query.StratA)
-	src := SourceView{c: c, sn: sn}
-	span := tr.Start(obs.AttrFilter)
-	var rows []int64
-	switch p := pred.(type) {
-	case colstore.RangePred:
-		rows = src.RangeRows(p.Attr, p.Lo, p.Hi)
-	case colstore.InPred:
-		rows = src.CatRows(p.Cat, p.Values...)
-	}
-	tr.SetInt(obs.FilterRows, int64(len(rows)))
-	span.End()
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	// A cancelled scan stops early with partial results; Query discards
-	// them for ctx's error.
-	vc := query.VecCond{Field: f, Query: queryVec, K: opts.K, Trace: tr, Ctx: ctx}
-	res := query.ExactScan(&src, rows, vc)
-	return res, src.Err()
+// iterativeThreshold is the largest per-field k′ iterative merging fetches
+// before it falls back to rescoring the candidate union.
+const iterativeThreshold = 16384
+
+// searchIterative is iterative merging (Sec. 4.2, Alg. 2) over the pinned
+// snapshot: each field's top-k′ is a sweep of that field with q's options,
+// and the fallback's exact aggregate reads each candidate's vectors from
+// the snapshot. A failed sweep or row read, or ctx, ends it with its error.
+func (c *Collection) searchIterative(ctx context.Context, sn *Snapshot, q *Request) ([]topk.Result, error) {
+	fields := c.schema.VectorFields
+	return topk.IterativeMerging(len(fields), q.Weights, q.K, iterativeThreshold,
+		func(f, kp int) ([]topk.Result, error) {
+			opts := q.SearchOptions
+			opts.K = kp
+			return c.searchSnapshot(ctx, sn, f, q.Fields[f], opts)
+		},
+		func(id int64, w []float32) (float32, bool, error) {
+			seg := sn.holder(id)
+			if seg == nil {
+				return 0, false, ctx.Err()
+			}
+			var s float32
+			for f, vf := range fields {
+				row, _, err := seg.VectorByID(f, id)
+				if err != nil {
+					return 0, false, err
+				}
+				s += w[f] * vf.Metric.Dist()(q.Fields[f], row)
+			}
+			return s, true, ctx.Err()
+		})
 }

@@ -15,7 +15,6 @@ import (
 	"vectordb/internal/objstore"
 	"vectordb/internal/obs"
 	"vectordb/internal/plan"
-	"vectordb/internal/query"
 	"vectordb/internal/topk"
 	"vectordb/internal/vec"
 )
@@ -23,7 +22,7 @@ import (
 // readPathFixture is a flushed collection every request shape can
 // run against: two inner-product vector fields (so fusion applies), one
 // numeric and one categorical attribute, its own registry, query log and
-// admission pool.
+// admission pool. newReadPathFixtureOf gives the fields another metric.
 type readPathFixture struct {
 	c    *Collection
 	reg  *obs.Registry
@@ -33,6 +32,11 @@ type readPathFixture struct {
 }
 
 func newReadPathFixture(t *testing.T, prof *plan.Profile) *readPathFixture {
+	t.Helper()
+	return newReadPathFixtureOf(t, prof, vec.IP)
+}
+
+func newReadPathFixtureOf(t *testing.T, prof *plan.Profile, metric vec.Metric) *readPathFixture {
 	t.Helper()
 	fx := &readPathFixture{
 		reg:  obs.NewRegistry(),
@@ -45,7 +49,7 @@ func newReadPathFixture(t *testing.T, prof *plan.Profile) *readPathFixture {
 	cfg.Obs, cfg.QueryLog, cfg.Exec = fx.reg, fx.qlog, fx.pool
 	cfg.Planner = plan.New(plan.Config{Obs: fx.reg, Profile: prof})
 	schema := Schema{
-		VectorFields: []VectorField{{Name: "v", Dim: 8, Metric: vec.IP}, {Name: "w", Dim: 4, Metric: vec.IP}},
+		VectorFields: []VectorField{{Name: "v", Dim: 8, Metric: metric}, {Name: "w", Dim: 4, Metric: metric}},
 		AttrFields:   []string{"price"},
 		CatFields:    []string{"brand"},
 	}
@@ -434,7 +438,7 @@ func TestSearchSnapshotCtxOutsideExecute(t *testing.T) {
 	src := fx.c.Source()
 	defer src.Release()
 	run := func(r readReq) (int, error) {
-		return hits(src.search(r.vec, r.opts()))
+		return hits(src.search(r.vec, r.opts(), nil))
 	}
 	unobserved := func(t *testing.T, counted, sampled, logged int64) {
 		t.Helper()
@@ -509,45 +513,51 @@ func TestSearchSnapshotCtxOutsideExecute(t *testing.T) {
 	})
 }
 
-// TestEveryRunnerKeepsOneAccount: the solo, pushed-down, batch and fused
-// runners share one sweep, so each query's record holds the segments
-// stage, a per-segment stage and topk_merge, the segments stage counts
-// every segment of the snapshot as indexed or scanned, and
-// vectordb_query_segments_total grows by the segment count once.
+// TestEveryRunnerKeepsOneAccount: every runner — solo, pushed-down,
+// prefiltered, batch, fused and iterative merging — runs on the one sweep,
+// so each query's record holds the segments stage, a per-segment stage and
+// topk_merge, each sweep counts every segment of the snapshot as indexed
+// or scanned, and vectordb_query_segments_total grows by the segment count
+// once per sweep. Every runner sweeps once but iterative merging, which
+// sweeps each field once per round.
 func TestEveryRunnerKeepsOneAccount(t *testing.T) {
 	fx := newReadPathFixture(t, fixedProfile(nil))
+	// Weighted L2 fields do not fuse, so they run iterative merging.
+	l2 := newReadPathFixtureOf(t, fixedProfile(nil), vec.L2)
 	sn := fx.c.AcquireSnapshot()
 	segs := int64(len(sn.Segments))
 	fx.c.ReleaseSnapshot(sn)
 	if segs < 2 {
 		t.Fatalf("%d segments, want at least 2", segs)
 	}
-	swept := func() int64 {
+	swept := func(fx *readPathFixture) int64 {
 		return fx.reg.Counter("vectordb_query_segments_total", "collection", "rp", "path", "index").Value() +
 			fx.reg.Counter("vectordb_query_segments_total", "collection", "rp", "path", "scan").Value()
 	}
 	q, q2 := goodReq().vec, mkEntities(2, 8, 8)[1].Vectors[0]
 	opts := SearchOptions{K: 5}
-	// A predicate tree can only push down.
+	// A predicate tree can only push down; one price is selective enough
+	// for the prefilter.
 	pred := colstore.NotPred{Pred: colstore.RangePred{Attr: 0, Lo: 0, Hi: 100}}
+	onePrice := colstore.RangePred{Attr: 0, Lo: 500, Hi: 500}
 	for _, v := range []struct {
 		name       string
+		fx         *readPathFixture
 		req        Request
 		attr, want string // a query-wide attribute naming the runner
 	}{
-		{"solo", Request{Vector: q, SearchOptions: opts}, "plan_forced", ""},
-		{"pushdown", Request{Vector: q, Pred: pred, SearchOptions: opts}, "filter_strategy", query.StratB},
-		{"batch", Request{Batch: [][]float32{q, q2}, SearchOptions: opts}, "batch_occupancy", "2"},
-		{"fused", Request{Fields: [][]float32{q, fx.w}, SearchOptions: opts}, "multi_algorithm", "fused"},
+		{"solo", fx, Request{Vector: q, SearchOptions: opts}, "plan_forced", ""},
+		{"pushdown", fx, Request{Vector: q, Pred: pred, SearchOptions: opts}, "filter_strategy", "B"},
+		{"prefiltered", fx, Request{Vector: q, Pred: onePrice, SearchOptions: opts}, "filter_strategy", "A"},
+		{"batch", fx, Request{Batch: [][]float32{q, q2}, SearchOptions: opts}, "batch_occupancy", "2"},
+		{"fused", fx, Request{Fields: [][]float32{q, fx.w}, SearchOptions: opts}, "multi_algorithm", "fused"},
+		{"weighted", l2, Request{Fields: [][]float32{q, l2.w}, Weights: []float32{0.75, 0.25}, SearchOptions: opts}, "multi_algorithm", "iterative_merging"},
 	} {
 		tr := obs.NewQueryRecord(v.name)
 		v.req.Trace = tr
-		before := swept()
-		if _, err := fx.c.Query(context.Background(), v.req); err != nil {
+		before := swept(v.fx)
+		if _, err := v.fx.c.Query(context.Background(), v.req); err != nil {
 			t.Fatalf("%s: %v", v.name, err)
-		}
-		if got := swept() - before; got != segs {
-			t.Errorf("%s: vectordb_query_segments_total grew by %d, want %d", v.name, got, segs)
 		}
 		sum := tr.Summary()
 		if got, _ := sum.Attr(v.attr); got != v.want {
@@ -564,14 +574,24 @@ func TestEveryRunnerKeepsOneAccount(t *testing.T) {
 				t.Errorf("%s: missing stage %q in %v", v.name, want, sum.Stages())
 			}
 		}
-		counted := int64(0)
+		sweeps, counted := int64(0), int64(0)
 		for _, sp := range sum.Spans {
+			if sp.Name != "segments" {
+				continue
+			}
+			sweeps = sp.Count
 			for _, kv := range sp.Attrs {
-				if sp.Name == "segments" && (kv.Key == "indexed" || kv.Key == "scanned") {
+				if kv.Key == "indexed" || kv.Key == "scanned" {
 					n, _ := strconv.ParseInt(kv.Value, 10, 64)
 					counted += n
 				}
 			}
+		}
+		if iterative := v.name == "weighted"; iterative && (sweeps == 0 || sweeps%2 != 0) || !iterative && sweeps != 1 {
+			t.Errorf("%s: %d sweeps", v.name, sweeps)
+		}
+		if got := swept(v.fx) - before; got != sweeps*segs {
+			t.Errorf("%s: vectordb_query_segments_total grew by %d over %d sweeps, want %d a sweep", v.name, got, sweeps, segs)
 		}
 		if counted != segs {
 			t.Errorf("%s: indexed + scanned = %d, want %d", v.name, counted, segs)

@@ -235,12 +235,12 @@ func (s *Segment) buildAttrColumns() {
 }
 
 // Index returns the field's index, if built; field fusedField names the
-// fused index over the concatenated vector fields.
+// fused index over the concatenated vector fields, and scanField none.
 func (s *Segment) Index(field int) index.Index {
 	switch {
 	case field == fusedField:
 		return s.fused
-	case field >= len(s.indexes):
+	case field < 0 || field >= len(s.indexes):
 		return nil
 	}
 	return s.indexes[field]
@@ -303,16 +303,11 @@ func (s *Segment) FusedData() ([]float32, error) {
 
 // SearchInto runs a top-k query on one vector field of this segment into a
 // caller-owned heap, using the built index when present and an exact scan
-// otherwise (small segments are searched without indexes, Sec. 2.3). One
-// heap serves many segments, so there is no per-segment result list, sort
-// or merge, and the worst retained distance prunes pushes across segment
-// boundaries. An index probe pushes into h through
-// index.SearchInto; the unindexed scan goes through the shared blocked
-// kernels — an L2 column of at least codedBatchFloats with a code copy
-// through index.ScanCoded, which reads the codes first and scores in float
-// only the rows whose bound can still enter the top-k, any other through
-// index.ScanBlocked, which feeds the heap's worst distance into the
-// early-abandon kernel.
+// (scanInto) otherwise (small segments are searched without indexes, Sec.
+// 2.3). One heap serves many segments, so there is no per-segment result
+// list, sort or merge, and the worst retained distance prunes pushes
+// across segment boundaries. An index probe pushes into h through
+// index.SearchInto.
 //
 // A segment whose bytes cannot be read (a tiered segment, or an
 // externalized IVF payload, whose promotion exhausted its retries) is the
@@ -325,6 +320,17 @@ func (s *Segment) SearchInto(h *topk.Heap, schema *Schema, field int, query []fl
 		}
 		return nil
 	}
+	return s.scanInto(h, schema, field, query, p)
+}
+
+// scanInto is the segment's exact scan of one vector field into h, never
+// its index, through the shared blocked kernels: an unindexed L2 column of
+// at least codedBatchFloats with a code copy through index.ScanCoded, which
+// reads the codes first and scores in float only the rows whose bound can
+// still enter the top-k, any other through index.ScanBlocked, which feeds
+// the heap's worst distance into the early-abandon kernel. A field with an
+// index gets no code copy.
+func (s *Segment) scanInto(h *topk.Heap, schema *Schema, field int, query []float32, p index.SearchParams) error {
 	data, rel, err := s.vectorData(field)
 	if err != nil {
 		return fmt.Errorf("core: segment %d: %w", s.ID, err)
@@ -332,7 +338,7 @@ func (s *Segment) SearchInto(h *topk.Heap, schema *Schema, field int, query []fl
 	vf := &schema.VectorFields[field]
 	sel := index.Selection{Bits: p.Bits}
 	var codes *vec.Codes
-	if len(data) >= codedBatchFloats { // a batch of one member, per segment
+	if len(data) >= codedBatchFloats && s.Index(field) == nil { // a batch of one member, per segment
 		codes = s.scanCodes(vf, field, data)
 	}
 	if codes != nil {

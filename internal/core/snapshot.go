@@ -63,12 +63,16 @@ func newSnapshot(id int64, segments []*Segment, carried map[int64]int64, added [
 	return sn
 }
 
-// deletedCovers reports whether the row (id) in segment segID is hidden. The
-// query.Source adapter's by-ID lookups resolve visibility through it; every
-// loop over a segment's rows takes the visible bits it was resolved into.
-func (sn *Snapshot) deletedCovers(id, segID int64) bool {
-	seq, ok := sn.Deleted[id]
-	return ok && segID <= seq
+// holder returns the segment whose copy of row id the snapshot shows — the
+// newest that holds it and whose visibility bits keep it — or nil.
+func (sn *Snapshot) holder(id int64) *Segment {
+	for i := len(sn.Segments) - 1; i >= 0; i-- {
+		seg := sn.Segments[i]
+		if p, ok := seg.posOf(id); ok && (sn.visible[i] == nil || sn.visible[i].Test(int(p))) {
+			return seg
+		}
+	}
+	return nil
 }
 
 // TotalRows counts physical rows (tombstoned rows included).

@@ -90,7 +90,8 @@ func tombstonedScanStaysOnBatchKernels(t *testing.T, dim int) {
 
 // checkVisibility holds a snapshot's resolved visibility to the reference
 // it was resolved from: for every (segment, row) the bit is clear exactly
-// when deletedCovers hides the row, a segment hiding nothing keeps the nil
+// when a tombstone covers the row (its sequence is at least the segment's
+// ID), a segment hiding nothing keeps the nil
 // (zero-cost) bitset, every tombstone kept hides some row, and LiveRows is
 // the visible count.
 func checkVisibility(t *testing.T, sn *Snapshot) {
@@ -100,9 +101,10 @@ func checkVisibility(t *testing.T, sn *Snapshot) {
 	for i, seg := range sn.Segments {
 		hidden := 0
 		for r, id := range seg.IDs {
-			covered := sn.deletedCovers(id, seg.ID)
+			seq, ok := sn.Deleted[id]
+			covered := ok && seg.ID <= seq
 			if visible := sn.visible[i] == nil || sn.visible[i].Test(r); visible == covered {
-				t.Fatalf("snapshot %d segment %d row %d (id %d): visible=%v, deletedCovers=%v", sn.ID, seg.ID, r, id, visible, covered)
+				t.Fatalf("snapshot %d segment %d row %d (id %d): visible=%v, covered=%v", sn.ID, seg.ID, r, id, visible, covered)
 			}
 			if covered {
 				hidden++

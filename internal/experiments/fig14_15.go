@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vectordb/internal/bitset"
+	"vectordb/internal/colstore"
 	"vectordb/internal/dataset"
 	"vectordb/internal/query"
 	"vectordb/internal/topk"
@@ -171,7 +172,7 @@ func (w *filteringWorkload) runSystem(name string, rc query.RangeCond, k, nprobe
 					}
 				}
 				if matched > 0 {
-					w.tab.VectorQueryPushed(0, q, k, nprobe, query.NewPushedFilter(matched, total, "", bitmap, nil))
+					w.tab.VectorQueryPushed(0, q, k, nprobe, colstore.NewPushedFilter(matched, total, "", bitmap, nil))
 				}
 			case "Milvus":
 				query.StrategyE(w.parts, rc, vc, m)

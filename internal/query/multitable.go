@@ -64,7 +64,7 @@ func (m *MultiTable) Table(field int) *Table { return m.tables[field] }
 // GroundTruth computes the exact aggregated top-k by exhaustive scan — the
 // reference for multi-vector recall in Fig. 16.
 func (m *MultiTable) GroundTruth(queries [][]float32, weights []float32, k int) []topk.Result {
-	weights = unitWeights(weights, m.Fields())
+	weights = topk.UnitWeights(weights, m.Fields())
 	h := topk.New(k)
 	t0 := m.tables[0]
 	for _, id := range t0.ids {

@@ -1,11 +1,6 @@
 package query
 
-import (
-	"context"
-	"sort"
-
-	"vectordb/internal/topk"
-)
+import "vectordb/internal/topk"
 
 // Multi-vector query processing (Sec. 4.2): each entity carries µ vectors;
 // a query finds the top-k entities by a monotone aggregation g over the
@@ -14,273 +9,22 @@ import (
 // distances — monotone non-decreasing in each component, covering weighted
 // sum / average of similarities in the paper's sense.
 
-// aggregate computes Σ w_f · d_f.
-func aggregate(weights, dists []float32) float32 {
-	var s float32
-	for i, d := range dists {
-		s += weights[i] * d
-	}
-	return s
-}
-
-// unitWeights returns [1, 1, ...] when w is nil.
-func unitWeights(w []float32, fields int) []float32 {
-	if w != nil {
-		return w
-	}
-	w = make([]float32, fields)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
-// exactScore computes the exact aggregated distance of an entity via random
-// access to every field, reporting ok=false when the entity is missing.
-func exactScore(ms MultiSource, queries [][]float32, weights []float32, id int64) (float32, bool) {
-	var s float32
-	for f := 0; f < ms.Fields(); f++ {
-		d, ok := ms.FieldDistance(f, queries[f], id)
-		if !ok {
-			return 0, false
-		}
-		s += weights[f] * d
-	}
-	return s, true
-}
-
-// Naive is the widely-used baseline: an independent top-k query per field,
-// then exact re-scoring of the candidate union. It misses entities that are
-// good on aggregate but in no single field's top-k, which is why the paper
-// measures recall as low as 0.1 for it.
-func Naive(ms MultiSource, queries [][]float32, weights []float32, k int) []topk.Result {
-	weights = unitWeights(weights, ms.Fields())
-	seen := map[int64]struct{}{}
-	for f := 0; f < ms.Fields(); f++ {
-		for _, r := range ms.FieldQuery(f, queries[f], k) {
-			seen[r.ID] = struct{}{}
-		}
-	}
-	h := topk.New(k)
-	for id := range seen {
-		if s, ok := exactScore(ms, queries, weights, id); ok {
-			h.Push(id, s)
-		}
-	}
-	return h.Results()
-}
-
-// NRAResult is the outcome of one NRA pass.
-type NRAResult struct {
-	Results []topk.Result
-	// Determined reports whether the top-k was fully determined (NRA's safe
-	// stopping condition held before the lists were exhausted).
-	Determined bool
-	// Accesses counts sorted accesses consumed.
-	Accesses int
-}
-
-// NRA runs Fagin's No-Random-Access algorithm over per-field result lists
-// (each sorted ascending by distance). With distance aggregation the bounds
-// are: an entity's best case uses the current list frontiers for unseen
-// fields (no unseen distance can be smaller than the frontier); its score
-// is exact once seen in every list. The algorithm stops when k exact scores
-// are at most every other entity's best case — including the virtual
-// never-seen entity whose best case is the sum of all frontiers.
-//
-// When the lists are exhausted first, Determined is false and the returned
-// ranking falls back to best-case ordering, which is exactly why bounded
-// NRA-x in Fig. 16 has low recall.
-func NRA(lists [][]topk.Result, weights []float32, k int) NRAResult {
-	nf := len(lists)
-	weights = unitWeights(weights, nf)
-	type state struct {
-		partial float32
-		mask    uint64
-		seen    int
-	}
-	objs := map[int64]*state{}
-	frontier := make([]float32, nf)
-	depth := 0
-	maxDepth := 0
-	for _, l := range lists {
-		if len(l) > maxDepth {
-			maxDepth = len(l)
-		}
-	}
-	accesses := 0
-
-	bestCase := func(st *state) float32 {
-		b := st.partial
-		for f := 0; f < nf; f++ {
-			if st.mask&(1<<uint(f)) == 0 {
-				b += weights[f] * frontier[f]
-			}
-		}
-		return b
-	}
-
-	checkStop := func() ([]topk.Result, bool) {
-		// Gather exact-scored entities.
-		var exact []topk.Result
-		for id, st := range objs {
-			if st.seen == nf {
-				exact = append(exact, topk.Result{ID: id, Distance: st.partial})
-			}
-		}
-		if len(exact) < k {
-			return nil, false
-		}
-		sort.Slice(exact, func(i, j int) bool {
-			if exact[i].Distance != exact[j].Distance {
-				return exact[i].Distance < exact[j].Distance
-			}
-			return exact[i].ID < exact[j].ID
-		})
-		exact = exact[:k]
-		tau := exact[k-1].Distance
-		// Virtual unseen entity.
-		var unseenBest float32
-		for f := 0; f < nf; f++ {
-			unseenBest += weights[f] * frontier[f]
-		}
-		if tau > unseenBest {
-			return nil, false
-		}
-		inTop := map[int64]struct{}{}
-		for _, e := range exact {
-			inTop[e.ID] = struct{}{}
-		}
-		for id, st := range objs {
-			if _, ok := inTop[id]; ok {
-				continue
-			}
-			if bestCase(st) < tau {
-				return nil, false
-			}
-		}
-		return exact, true
-	}
-
-	// The stopping condition is evaluated at geometrically spaced depths
-	// (and at exhaustion) rather than after every access: with distance
-	// aggregation the bounds only tighten with depth, so a deferred check
-	// is still sound, and skipping the O(|candidates|) rescan per access is
-	// exactly the heap-maintenance saving iterative merging claims over
-	// standard NRA (Sec. 4.2; compare StandardNRA).
-	nextCheck := k
-	for depth < maxDepth {
-		for f := 0; f < nf; f++ {
-			if depth >= len(lists[f]) {
-				continue
-			}
-			r := lists[f][depth]
-			accesses++
-			frontier[f] = r.Distance
-			st := objs[r.ID]
-			if st == nil {
-				st = &state{}
-				objs[r.ID] = st
-			}
-			if st.mask&(1<<uint(f)) == 0 {
-				st.mask |= 1 << uint(f)
-				st.seen++
-				st.partial += weights[f] * r.Distance
-			}
-		}
-		depth++
-		if depth >= nextCheck || depth == maxDepth {
-			nextCheck *= 2
-			if res, ok := checkStop(); ok {
-				return NRAResult{Results: res, Determined: true, Accesses: accesses}
-			}
-		}
-	}
-	// Lists exhausted: best-effort ranking by best-case bound.
-	all := make([]topk.Result, 0, len(objs))
-	for id, st := range objs {
-		all = append(all, topk.Result{ID: id, Distance: bestCase(st)})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Distance != all[j].Distance {
-			return all[i].Distance < all[j].Distance
-		}
-		return all[i].ID < all[j].ID
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return NRAResult{Results: all, Determined: false, Accesses: accesses}
-}
-
-// BoundedNRA is the paper's NRA-x baseline: fetch the top-x results per
-// field once and run NRA over those bounded lists.
-func BoundedNRA(ms MultiSource, queries [][]float32, weights []float32, k, x int) NRAResult {
-	lists := make([][]topk.Result, ms.Fields())
-	for f := range lists {
-		lists[f] = ms.FieldQuery(f, queries[f], x)
-	}
-	return NRA(lists, weights, k)
-}
-
-// IterativeMerging is Algorithm 2: issue a top-k′ query per field, run NRA
-// over the lists; if the top-k is fully determined, stop; otherwise double
-// k′ until the threshold. On fallback it returns the top-k of the candidate
-// union ∪Rᵢ, scored exactly.
+// IterativeMerging is Algorithm 2 (topk.IterativeMerging) over a
+// MultiSource: each round's per-field lists are FieldQuery's, and the
+// fallback scores a candidate by FieldDistance on every field.
 func IterativeMerging(ms MultiSource, queries [][]float32, weights []float32, k, threshold int) []topk.Result {
-	//lint:allow ctxflow ctx-less compat wrapper: public API without a context anchors at Background
-	return IterativeMergingCtx(context.Background(), ms, queries, weights, k, threshold)
-}
-
-// IterativeMergingCtx is IterativeMerging with a cancellation point before
-// every doubling round and every per-field query: a cancelled query stops
-// issuing sub-queries and returns nil (the caller inspects ctx.Err()).
-func IterativeMergingCtx(ctx context.Context, ms MultiSource, queries [][]float32, weights []float32, k, threshold int) []topk.Result {
-	weights = unitWeights(weights, ms.Fields())
-	kp := k
-	if threshold < k {
-		threshold = k
-	}
-	fieldQueries := func(kp int) [][]topk.Result {
-		lists := make([][]topk.Result, ms.Fields())
-		for f := range lists {
-			if ctx.Err() != nil {
-				return nil
+	res, _ := topk.IterativeMerging(ms.Fields(), weights, k, threshold,
+		func(f, kp int) ([]topk.Result, error) { return ms.FieldQuery(f, queries[f], kp), nil },
+		func(id int64, w []float32) (float32, bool, error) {
+			var s float32
+			for f := range ms.Fields() {
+				d, ok := ms.FieldDistance(f, queries[f], id)
+				if !ok {
+					return 0, false, nil
+				}
+				s += w[f] * d
 			}
-			lists[f] = ms.FieldQuery(f, queries[f], kp)
-		}
-		return lists
-	}
-	var lists [][]topk.Result
-	for kp < threshold {
-		if lists = fieldQueries(kp); lists == nil {
-			return nil
-		}
-		if res := NRA(lists, weights, k); res.Determined {
-			return res.Results
-		}
-		kp *= 2
-	}
-	// return top-k results from ∪Rᵢ (line 9).
-	if lists == nil {
-		if lists = fieldQueries(kp); lists == nil {
-			return nil
-		}
-	}
-	seen := map[int64]struct{}{}
-	for _, l := range lists {
-		for _, r := range l {
-			seen[r.ID] = struct{}{}
-		}
-	}
-	h := topk.New(k)
-	for id := range seen {
-		if ctx.Err() != nil {
-			return nil
-		}
-		if s, ok := exactScore(ms, queries, weights, id); ok {
-			h.Push(id, s)
-		}
-	}
-	return h.Results()
+			return s, true, nil
+		})
+	return res
 }

@@ -29,13 +29,23 @@ func recipeSource(t testing.TB, n int) (*MultiTable, [][]float32) {
 	return mt, q
 }
 
+// boundedNRA is the NRA-x baseline over the round-based NRA: each field's
+// top-x fetched once, and topk.NRA run over those bounded lists.
+func boundedNRA(ms MultiSource, queries [][]float32, weights []float32, k, x int) topk.NRAResult {
+	lists := make([][]topk.Result, ms.Fields())
+	for f := range lists {
+		lists[f] = ms.FieldQuery(f, queries[f], x)
+	}
+	return topk.NRA(lists, weights, k)
+}
+
 func TestNRAExactOnFullLists(t *testing.T) {
 	// With complete per-field lists (x = n), NRA must determine the exact
 	// top-k: it equals the exhaustive ground truth.
 	mt, q := recipeSource(t, 300)
 	w := []float32{1, 0.5}
 	truth := mt.GroundTruth(q, w, 10)
-	res := BoundedNRA(mt, q, w, 10, 300)
+	res := boundedNRA(mt, q, w, 10, 300)
 	if !res.Determined {
 		t.Fatal("NRA over complete lists not determined")
 	}
@@ -56,7 +66,7 @@ func TestBoundedNRALowRecall(t *testing.T) {
 	mt, q := recipeSource(t, 1000)
 	w := []float32{1, 1}
 	truth := mt.GroundTruth(q, w, 50)
-	nraRes := BoundedNRA(mt, q, w, 50, 50)
+	nraRes := boundedNRA(mt, q, w, 50, 50)
 	img := IterativeMerging(mt, q, w, 50, 4096)
 	rNRA := metric.Recall(truth, nraRes.Results)
 	rIMG := metric.Recall(truth, img)
@@ -80,28 +90,12 @@ func TestIterativeMergingEarlyStop(t *testing.T) {
 	}
 }
 
-func TestNaiveUnionRecall(t *testing.T) {
-	mt, q := recipeSource(t, 800)
-	w := []float32{1, 1}
-	truth := mt.GroundTruth(q, w, 20)
-	naive := Naive(mt, q, w, 20)
-	img := IterativeMerging(mt, q, w, 20, 2048)
-	rNaive := metric.Recall(truth, naive)
-	rIMG := metric.Recall(truth, img)
-	if rNaive > rIMG {
-		t.Fatalf("naive recall %.3f exceeds IMG %.3f", rNaive, rIMG)
-	}
-	if len(naive) != 20 {
-		t.Fatalf("naive returned %d results", len(naive))
-	}
-}
-
 func TestNRAUnitWeightsDefault(t *testing.T) {
 	lists := [][]topk.Result{
 		{{ID: 1, Distance: 0.1}, {ID: 2, Distance: 0.2}},
 		{{ID: 2, Distance: 0.1}, {ID: 1, Distance: 0.3}},
 	}
-	res := NRA(lists, nil, 1)
+	res := topk.NRA(lists, nil, 1)
 	// exact scores: id1 = 0.4, id2 = 0.3 → id2 wins
 	if len(res.Results) != 1 || res.Results[0].ID != 2 {
 		t.Fatalf("NRA = %+v", res)
@@ -116,14 +110,14 @@ func TestNRAAccessesCounted(t *testing.T) {
 		{{ID: 1, Distance: 0.1}},
 		{{ID: 1, Distance: 0.2}},
 	}
-	res := NRA(lists, nil, 1)
+	res := topk.NRA(lists, nil, 1)
 	if res.Accesses != 2 {
 		t.Fatalf("Accesses = %d, want 2", res.Accesses)
 	}
 }
 
 func TestNRAEmptyLists(t *testing.T) {
-	res := NRA([][]topk.Result{{}, {}}, nil, 5)
+	res := topk.NRA([][]topk.Result{{}, {}}, nil, 5)
 	if len(res.Results) != 0 || res.Determined {
 		t.Fatalf("empty lists: %+v", res)
 	}

@@ -7,17 +7,17 @@ import (
 )
 
 // StandardNRA is the textbook No-Random-Access algorithm (Fagin et al.,
-// cited as [19]) used as the Fig. 16 baseline. Unlike the round-based NRA
-// check inside IterativeMerging, the standard algorithm interleaves its
+// cited as [19]) used as the Fig. 16 baseline. Unlike the round-based
+// topk.NRA inside iterative merging, the standard algorithm interleaves its
 // bookkeeping with every sorted access: after each access it refreshes the
 // affected bounds and rescans the candidate set for the stopping condition.
 // That per-access maintenance is precisely the overhead the paper calls out
 // ("it incurs significant overhead to maintain the heap since every access
 // in NRA needs to update the scores of the current objects"), and what
 // iterative merging's batched rounds avoid.
-func StandardNRA(lists [][]topk.Result, weights []float32, k int) NRAResult {
+func StandardNRA(lists [][]topk.Result, weights []float32, k int) topk.NRAResult {
 	nf := len(lists)
-	weights = unitWeights(weights, nf)
+	weights = topk.UnitWeights(weights, nf)
 	type cand struct {
 		id      int64
 		partial float32
@@ -109,7 +109,7 @@ func StandardNRA(lists [][]topk.Result, weights []float32, k int) NRAResult {
 			// Per-access stopping check: the standard algorithm's
 			// characteristic O(|candidates|) bookkeeping.
 			if res := stop(); res != nil {
-				return NRAResult{Results: res, Determined: true, Accesses: accesses}
+				return topk.NRAResult{Results: res, Determined: true, Accesses: accesses}
 			}
 		}
 	}
@@ -127,12 +127,12 @@ func StandardNRA(lists [][]topk.Result, weights []float32, k int) NRAResult {
 	if len(all) > k {
 		all = all[:k]
 	}
-	return NRAResult{Results: all, Determined: false, Accesses: accesses}
+	return topk.NRAResult{Results: all, Determined: false, Accesses: accesses}
 }
 
 // BoundedStandardNRA is the paper's NRA-x baseline: fetch the top-x per
 // field once and run the standard per-access NRA over the bounded lists.
-func BoundedStandardNRA(ms MultiSource, queries [][]float32, weights []float32, k, x int) NRAResult {
+func BoundedStandardNRA(ms MultiSource, queries [][]float32, weights []float32, k, x int) topk.NRAResult {
 	lists := make([][]topk.Result, ms.Fields())
 	for f := range lists {
 		lists[f] = ms.FieldQuery(f, queries[f], x)

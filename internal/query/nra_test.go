@@ -26,7 +26,7 @@ func TestStandardNRAMatchesRoundNRA(t *testing.T) {
 		lists[f] = mt.FieldQuery(f, q[f], 400)
 	}
 	w := []float32{1, 2}
-	a := NRA(lists, w, 10)
+	a := topk.NRA(lists, w, 10)
 	b := StandardNRA(lists, w, 10)
 	if a.Determined != b.Determined {
 		t.Fatalf("Determined: %v vs %v", a.Determined, b.Determined)
@@ -61,7 +61,7 @@ func TestStandardNRAEarlyStopUsesFewerAccesses(t *testing.T) {
 	for f := range lists {
 		lists[f] = mt.FieldQuery(f, q[f], 600)
 	}
-	a := NRA(lists, nil, 5)
+	a := topk.NRA(lists, nil, 5)
 	b := StandardNRA(lists, nil, 5)
 	if !a.Determined || !b.Determined {
 		t.Skip("workload did not determine; nothing to compare")

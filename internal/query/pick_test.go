@@ -3,6 +3,7 @@ package query
 import (
 	"testing"
 
+	"vectordb/internal/colstore"
 	"vectordb/internal/plan"
 	"vectordb/internal/topk"
 	"vectordb/internal/vec"
@@ -56,7 +57,7 @@ func (s *shapedSource) AttrValue(int, int64) (int64, bool) { return 0, true }
 func (s *shapedSource) VectorQuery(int, []float32, int, int) []topk.Result { return nil }
 
 func (s *shapedSource) CompileRange(int, int64, int64) (*PushedFilter, bool) {
-	return NewPushedFilter(s.matched, s.shape.Rows, "dense", nil, nil), true
+	return colstore.NewPushedFilter(s.matched, s.shape.Rows, "dense", nil, nil), true
 }
 
 func (s *shapedSource) VectorQueryPushed(int, []float32, int, int, *PushedFilter) []topk.Result {

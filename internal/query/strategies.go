@@ -29,22 +29,16 @@ func StrategyA(s Source, rc RangeCond, vc VecCond) []topk.Result {
 	rows := s.RangeRows(rc.Attr, rc.Lo, rc.Hi)
 	vc.Trace.SetInt(obs.FilterRows, int64(len(rows)))
 	filter.End()
-	return ExactScan(s, rows, vc)
+	return exactScan(s, rows, vc)
 }
 
-// ExactScan is strategy A's second half, shared with the engine's prefilter
-// runner (which also resolves IN-lists to rows): every row of rows is
-// compared against the query vector.
-func ExactScan(s Source, rows []int64, vc VecCond) []topk.Result {
+// exactScan is strategy A's second half: every row of rows is compared
+// against the query vector.
+func exactScan(s Source, rows []int64, vc VecCond) []topk.Result {
 	scan := vc.Trace.Start(obs.ExactScan)
 	defer scan.End()
 	h := topk.New(vc.K)
-	for i, id := range rows {
-		// Cancellation point: the qualifying set can span the whole
-		// collection, so a dead query must not finish the scan.
-		if i&255 == 0 && vc.cancelled() {
-			break
-		}
+	for _, id := range rows {
 		if d, ok := s.DistanceByID(vc.Field, vc.Query, id); ok {
 			h.Push(id, d)
 		}
@@ -90,9 +84,6 @@ func StrategyC(s Source, rc RangeCond, vc VecCond) []topk.Result {
 	}
 	total := s.TotalRows()
 	for {
-		if vc.cancelled() {
-			return nil
-		}
 		vec := vc.Trace.Start(obs.VectorFirst)
 		cands := s.VectorQuery(vc.Field, vc.Query, fetch, vc.Nprobe)
 		vec.End()
@@ -204,9 +195,6 @@ func StrategyE(parts []Partition, rc RangeCond, vc VecCond, m CostModel) []topk.
 	pvc.Trace = nil
 	lists := make([][]topk.Result, 0, len(parts))
 	for _, p := range parts {
-		if vc.cancelled() {
-			break
-		}
 		span := vc.Trace.Start(obs.Partition)
 		lo, hi, ok := p.AttrBounds(rc.Attr)
 		switch {

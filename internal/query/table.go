@@ -133,7 +133,7 @@ func (t *Table) CompileRange(attr int, lo, hi int64) (*PushedFilter, bool) {
 	if n > 0 {
 		sel = float64(matched) / float64(n)
 	}
-	return NewPushedFilter(matched, n, pushedMode(t.idx, sel), bits, func() { bitset.Put(bits) }), true
+	return colstore.NewPushedFilter(matched, n, pushedMode(t.idx, sel), bits, func() { bitset.Put(bits) }), true
 }
 
 // VectorQueryPushed implements Source.
