@@ -204,15 +204,19 @@ conformance-wire:
 # a full sort of everything offered (NaN, ±Inf, ties at the k-th
 # distance, k of 1, past the candidates and 2^62, block offers beside
 # single pushes, folds of another bound) on its seeds, then ten seconds
-# of fuzzing. The coded scan's head pass rests on FuzzCodeHead (a head's
-# S never exceeds its row's, and every tier's head tile agrees), fuzzed
-# ten seconds too, and TestHeadScanMatchesPlainScan holds it to the plain
-# scan bit for bit.
+# of fuzzing. The coded scan's head pass rests on FuzzCodeHead (the head
+# panels hold each row's first codes, a head's S never exceeds its row's,
+# and every tier's head list keeps every row its full S keeps) and
+# FuzzHeadList (every tier's and assembly kernel's list, padded panels and
+# up to four members included, is a direct sum's), each fuzzed ten
+# seconds too, and TestHeadScanMatchesPlainScan holds the scan to the
+# plain scan bit for bit.
 kernel-guard:
 	$(GO) test ./internal/vec -run TestRowDistanceInvariance
-	$(GO) test ./internal/vec -run 'FuzzCodeDistance|FuzzCodeHead|TestEncodeTiersAgree|TestCodeBoundNeverExceedsExact|TestThresholdPrunesNothingUnsafe'
+	$(GO) test ./internal/vec -run 'FuzzCodeDistance|FuzzCodeHead|FuzzHeadList|TestEncodeTiersAgree|TestCodeBoundNeverExceedsExact|TestThresholdPrunesNothingUnsafe'
 	$(GO) test ./internal/vec -run '^$$' -fuzz '^FuzzCodeDistance$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/vec -run '^$$' -fuzz '^FuzzCodeHead$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/vec -run '^$$' -fuzz '^FuzzHeadList$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/kmeans -run TestAssignAllUsesPanelKernel
 	$(GO) test ./internal/index -run 'TestIndexScansUseBatchKernels|TestScanBlockedUsesBatchKernels|TestCodedScan|TestHeadScan|TestScanCodedAllocs'
 	$(GO) test ./internal/core -run 'TestSegmentScanUsesBatchKernels|TestSegmentScanUsesCodeKernel|TestSearchBatchUsesTileKernels'

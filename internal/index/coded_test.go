@@ -283,36 +283,46 @@ func TestScanCodedAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkCodedScan: one exact top-10 scan of 65,536 × 128 rows, the
-// float kernel over every row (plain) against the code pass plus the float
+// BenchmarkCodedScan: exact top-10 scans of 65,536 × 128 rows, the float
+// kernel over every row (plain) against the code pass plus the float
 // kernel over its survivors (coded), on clustered (SIFT-like) rows and on
-// uniform integers, where few rows are near any query.
+// uniform integers, where few rows are near any query. Each op is one
+// query; the ops cycle over 128 queries drawn as scan.flat draws them: a
+// row with each coordinate moved by about 1 % of its size.
 func BenchmarkCodedScan(b *testing.B) {
-	const n, dim, k = 65536, 128, 10
+	const n, dim, k, nq = 65536, 128, 10, 128
 	for _, shape := range []string{"clustered", "uniform-int"} {
 		r := rand.New(rand.NewSource(7))
 		data := codedRows(r, shape, n, dim)
 		codes := vec.EncodeCodes(data, dim)
-		q := codedQueries(r, data, n, dim, 2)[:dim]
+		qs := make([]float32, 0, nq*dim)
+		for i := 0; i < nq; i++ {
+			for _, x := range data[r.Intn(n)*dim:][:dim] {
+				qs = append(qs, x+float32(r.NormFloat64()*0.01*(math.Abs(float64(x))+1)))
+			}
+		}
+		query := func(it int) []float32 { return qs[it%nq*dim:][:dim] }
 		h := topk.New(k)
 		b.Run(shape+"/plain", func(b *testing.B) {
 			for it := 0; it < b.N; it++ {
 				h.Reset()
-				ScanBlocked(h, vec.L2, q, data, dim, nil, Selection{})
+				ScanBlocked(h, vec.L2, query(it), data, dim, nil, Selection{})
 			}
 		})
 		b.Run(shape+"/coded", func(b *testing.B) {
 			hs := []*topk.Heap{h}
 			for it := 0; it < b.N; it++ {
 				h.Reset()
-				ScanCoded(hs, q, data, codes, nil, Selection{})
+				ScanCoded(hs, query(it), data, codes, nil, Selection{})
 			}
 		})
-		got, want := topk.New(k), topk.New(k)
-		ScanCoded([]*topk.Heap{got}, q, data, codes, nil, Selection{})
-		ScanBlocked(want, vec.L2, q, data, dim, nil, Selection{})
-		if !slices.Equal(got.Results(), want.Results()) {
-			b.Fatalf("%s: coded scan differs from the plain scan", shape)
+		for it := 0; it < nq; it++ {
+			got, want := topk.New(k), topk.New(k)
+			ScanCoded([]*topk.Heap{got}, query(it), data, codes, nil, Selection{})
+			ScanBlocked(want, vec.L2, query(it), data, dim, nil, Selection{})
+			if !slices.Equal(got.Results(), want.Results()) {
+				b.Fatalf("%s query %d: coded scan differs from the plain scan", shape, it)
+			}
 		}
 	}
 }

@@ -190,12 +190,13 @@ func ScanBlocked(h *topk.Heap, metric vec.Metric, query, data []float32, dim int
 // bound (vec.Codes.Threshold); the rest provably score above it, so the
 // heap would reject them and every reported distance is the one
 // ScanBlocked gives. Codes with a head (dim ≥ vec.HeadMinDim) are scored
-// on the head first, and only the rows it cannot prove out read their full
-// codes (headSums); a block where the head keeps at least 1/headLiveDiv of
-// the rows sends the next headRest blocks straight to the full tile. A
-// block where at least 1/denseBlockDiv of the rows survive runs the float
-// kernel in place; fewer are gathered. A dense
-// selection tests its bits on the survivors only. A sparse selection, or
+// on the head first — one kernel scores its 16-row panels and lists the
+// rows no query's threshold proves out — and only those rows read their
+// full codes (headSums); a block where the head keeps at least
+// 1/headLiveDiv of the rows sends the next headRest blocks straight to the
+// full tile. A block where at least 1/denseBlockDiv of the rows survive
+// runs the float kernel in place; fewer are gathered. A dense selection
+// tests its bits on the survivors only. A sparse selection, or
 // one mapped through positions, runs ScanBlocked per query: it gathers its
 // survivors off the bit iterator without reading the rest.
 func ScanCoded(hs []*topk.Heap, queries, data []float32, codes *vec.Codes, ids []int64, sel Selection) {
@@ -229,17 +230,16 @@ func ScanCoded(hs []*topk.Heap, queries, data []float32, codes *vec.Codes, ids [
 			qs[i].release()
 		}
 	}()
-	// The queries' grid points and code distances, laid out for the tile:
-	// a lone query's live in its scratch. The second half of sums holds
-	// the head tile's.
+	// The queries' grid points, code distances and thresholds, laid out
+	// for the kernels: a lone query's live in its scratch.
 	var us []int16
-	var sums []int32
+	var sums, ts []int32
 	if m == 1 && dim <= len(qs[0].sc.u) {
-		us, sums = qs[0].sc.u[:dim], qs[0].sc.sums[:]
+		us, sums, ts = qs[0].sc.u[:dim], qs[0].sc.sums[:], qs[0].sc.ts[:]
 	} else {
-		sp := bufferpool.GetInt32s(2 * m * ScanBlockRows)
+		sp := bufferpool.GetInt32s(m * (ScanBlockRows + 1))
 		defer bufferpool.PutInt32s(sp)
-		us, sums = make([]int16, m*(dim+vec.HeadDim)), *sp
+		us, sums, ts = make([]int16, m*(dim+vec.HeadDim)), *sp, (*sp)[m*ScanBlockRows:]
 	}
 	for i := range qs {
 		qs[i].slack = codes.Prepare(qs[i].query, us[i*dim:(i+1)*dim])
@@ -275,6 +275,7 @@ func ScanCoded(hs []*topk.Heap, queries, data []float32, codes *vec.Codes, ids [
 					q.t, q.ok, coded = t, true, true
 				}
 			}
+			ts[i] = q.t
 		}
 		// live lists the rows sums scores, stride apart per query.
 		live, stride := blockRows[:rows], rows
@@ -282,7 +283,7 @@ func ScanCoded(hs []*topk.Heap, queries, data []float32, codes *vec.Codes, ids [
 		case !coded:
 		case codes.Head != nil && rest == 0:
 			var pruned bool
-			if live, stride, pruned = headSums(qs, codes, uh, us, i0, i1, sums); !pruned {
+			if live, stride, pruned = headSums(qs[0].sc, codes, uh, us, ts, i0, i1, sums); !pruned {
 				rest = headRest
 			}
 		default:
@@ -326,40 +327,20 @@ var blockRows = func() (r [ScanBlockRows]int32) {
 	return r
 }()
 
-// headSums scores the block [i0, i1) on its head first and reads the full
-// codes only of the rows whose head S is within some query's threshold: a
-// head S never exceeds the row's S, so every other row is proven out for
-// every query, just as its S would prove it. It returns the survivors
-// (offsets from i0) and writes their S into sums, query-major, stride
-// apart; the survivors' codes are gathered padded to a multiple of four
-// rows, the assembly tiles' row group. When at least 1/headLiveDiv of the
-// rows survive, it runs the full tile over the block instead and reports
-// false, with every row listed.
-func headSums(qs []rowScan, codes *vec.Codes, uh, us []int16, i0, i1 int, sums []int32) (live []int32, stride int, pruned bool) {
-	m, dim, rows := len(qs), codes.Dim, i1-i0
-	hs := sums[m*ScanBlockRows:][:m*rows]
-	vec.CodeL2Tile(uh, codes.HeadRows(i0, i1), vec.HeadDim, hs)
-	sc := qs[0].sc
-	live, n := sc.live[:rows], 0
-	if m == 1 {
-		// A lone query's own loop: the batch loop's inner pass over the
-		// members costs a solo 65,536 × 128 scan about a fifth more
-		// (BenchmarkCodedScan/clustered).
-		t := qs[0].t
-		for r, v := range hs {
-			live[n] = int32(r)
-			n += b2i(v <= t)
-		}
-	} else {
-		for r := range live {
-			k := 0
-			for i := range qs {
-				k |= b2i(hs[i*rows+r] <= qs[i].t)
-			}
-			live[n] = int32(r)
-			n += k
-		}
-	}
+// headSums lists the rows of the block [i0, i1) whose head S is within
+// some query's threshold (vec.Codes.HeadList: one kernel scores the
+// head's panels and lists them) and reads the full codes of those rows
+// only: a head S never exceeds the row's S, so every other row is proven
+// out for every query, just as its S would prove it. It returns the
+// survivors (offsets from i0) and writes their S into sums, query-major,
+// stride apart; the survivors' codes are gathered padded to a multiple of
+// four rows, the assembly tiles' row group. When at least 1/headLiveDiv
+// of the rows survive, it runs the full tile over the block instead and
+// reports false, with every row listed.
+func headSums(sc *scanScratch, codes *vec.Codes, uh, us []int16, ts []int32, i0, i1 int, sums []int32) (live []int32, stride int, pruned bool) {
+	m, dim, rows := len(ts), codes.Dim, i1-i0
+	n := codes.HeadList(uh, ts, i0, i1, sc.live[:])
+	live = sc.live[:n]
 	if n*headLiveDiv >= rows {
 		vec.CodeL2Tile(us, codes.Rows(i0, i1), dim, sums[:m*rows])
 		return blockRows[:rows], rows, false
@@ -406,13 +387,14 @@ type rowScan struct {
 // scanScratch is a rowScan's scratch, one pool round trip per scan: the
 // block's distances, the gather list (twice a block: a coded block's
 // survivors are listed before it decides to gather them) and the gathered
-// rows, a lone coded query's code distances (its head's in the second
-// half) and, up to 1,024 dims, its grid point, and a coded scan's head
-// survivors and their gathered codes.
+// rows, a lone coded query's code distances, threshold and, up to 1,024
+// dims, grid point, and a coded scan's head survivors and their gathered
+// codes.
 type scanScratch struct {
 	buf    [ScanBlockRows]float32
 	gather [2 * ScanBlockRows]int32
-	sums   [2 * ScanBlockRows]int32
+	sums   [ScanBlockRows]int32
+	ts     [1]int32
 	u      [1024]int16
 	live   [ScanBlockRows]int32
 	rows   []float32 // grown to the largest gather seen

@@ -12,10 +12,8 @@ const haveAVX512 = false
 
 func installASMKernels() {}
 
-// codeTileVariants: no assembly code tiles here.
-func codeTileVariants() map[string]func(us []int16, codes []uint8, dim, nq int, out []int32) {
-	return nil
-}
+// codeVariants: no assembly code tiers here.
+func codeVariants() map[string]kernelSet { return nil }
 
 // Vectorized reports whether tier l runs assembly batch kernels: never here.
 func Vectorized(Level) bool { return false }

@@ -17,11 +17,17 @@ import "math"
 // its top-k bound: one integer threshold per block (Threshold).
 //
 // A column of at least HeadMinDim dims also keeps a head: each row's first
-// HeadDim codes again, contiguous (n × HeadDim bytes, HeadDim/Dim more
-// code bytes). The head's S is a partial sum of the row's S, so it never
-// exceeds it, and a row whose head S is already above a threshold is
-// proven out without reading the rest of its codes — partial-distance
-// elimination, on a quarter of the bytes a 128-dim row streams.
+// HeadDim codes again, in panels of HeadPanelRows rows (n × HeadDim bytes,
+// n rounded up to the panel, zero-padded). A panel is dim-pair-major: for
+// each pair of dims (2j, 2j+1), 32 bytes hold rows 0–15's two codes side
+// by side, so one widened register holds 16 rows' pair and one
+// multiply-add puts each row's two squares in its own int32 lane — 16
+// rows' head S in one register, with no horizontal sum. The head's S is a
+// partial sum of the row's S, so it never exceeds it, and a row whose head
+// S is already above a threshold is proven out without reading the rest
+// of its codes — partial-distance elimination, on a quarter of the bytes
+// a 128-dim row streams. HeadList scores a block's panels and lists the
+// rows that may still beat some query's threshold in one kernel.
 
 const (
 	// HeadDim is the width of a head row.
@@ -29,6 +35,9 @@ const (
 	// HeadMinDim is the narrowest column that keeps a head: below it the
 	// head saves too few bytes per row to pay for a second pass.
 	HeadMinDim = 128
+	// HeadPanelRows is the number of rows in a head panel.
+	HeadPanelRows = 16
+	headPanel     = HeadPanelRows * HeadDim // bytes per panel
 )
 
 // MaxCodeDim is the widest field a code grid serves: S ≤ dim·510² must fit
@@ -54,7 +63,7 @@ const (
 // Dim), on the column's grid.
 type Codes struct {
 	Data  []uint8 // n × Dim codes, row-major like the column
-	Head  []uint8 // n × HeadDim: each row's first codes; nil below HeadMinDim
+	Head  []uint8 // each row's first HeadDim codes in panels; nil below HeadMinDim
 	Dim   int
 	lo    float64 // the grid's min, a float32 value
 	step  float64 // (max − min)/255
@@ -73,8 +82,22 @@ func EncodeCodes(data []float32, dim int) *Codes {
 // Rows returns the codes of rows [i0, i1).
 func (c *Codes) Rows(i0, i1 int) []uint8 { return c.Data[i0*c.Dim : i1*c.Dim] }
 
-// HeadRows returns the head of rows [i0, i1).
-func (c *Codes) HeadRows(i0, i1 int) []uint8 { return c.Head[i0*HeadDim : i1*HeadDim] }
+// HeadList lists the rows of [i0, i1) whose head S is within some
+// member's threshold: uh holds len(ts) members' head grid points (each
+// one's first HeadDim coordinates of u), ts their thresholds (−1 lists
+// nothing for that member). It writes the rows' offsets from i0,
+// ascending, into live (len ≥ i1−i0 rounded up to HeadPanelRows) and
+// returns how many. i0 must be a multiple of HeadPanelRows.
+func (c *Codes) HeadList(uh []int16, ts []int32, i0, i1 int, live []int32) int {
+	countCurrentCode()
+	return active.Load().hl(uh, ts, c.Head[i0*HeadDim:], i1-i0, live)
+}
+
+// HeadListAt runs the head list kernel of an explicit tier over n rows of
+// head panels.
+func HeadListAt(l Level, uh []int16, ts []int32, panels []uint8, n int, live []int32) int {
+	return kernels[l].hl(uh, ts, panels, n, live)
+}
 
 // Prepare writes q's grid point into u (len Dim) and returns the slack a
 // threshold adds for q: its residual ρ plus the rows' own offset, rounded
@@ -157,9 +180,12 @@ func encodeWith(ks *kernelSet, data []float32, dim int) *Codes {
 	ks.enc(data[:len(c.Data)], lo, float32(inv), c.Data)
 	if dim >= HeadMinDim {
 		n := len(c.Data) / dim
-		c.Head = make([]uint8, n*HeadDim)
+		c.Head = make([]uint8, (n+HeadPanelRows-1)/HeadPanelRows*headPanel)
 		for i := 0; i < n; i++ {
-			copy(c.Head[i*HeadDim:(i+1)*HeadDim], c.Data[i*dim:])
+			p := c.Head[i/HeadPanelRows*headPanel+i%HeadPanelRows*2:]
+			for j := 0; j < HeadDim; j += 2 {
+				p[j*HeadPanelRows], p[j*HeadPanelRows+1] = c.Data[i*dim+j], c.Data[i*dim+j+1]
+			}
 		}
 	}
 	return c
@@ -177,6 +203,38 @@ func codeTileGo(us []int16, codes []uint8, dim, nq int, out []int32) {
 			out[qi*n+i] = codeL2Go(us[qi*dim:(qi+1)*dim], row)
 		}
 	}
+}
+
+// headListGo scores each panel's rows against every member, pair by pair
+// into one sum per row, and lists the rows within some member's threshold.
+func headListGo(uh []int16, ts []int32, panels []uint8, n int, live []int32) int {
+	k := 0
+	for p0 := 0; p0 < n; p0 += HeadPanelRows {
+		panel := (*[headPanel]uint8)(panels[p0*HeadDim:])
+		var keep [HeadPanelRows]bool
+		for q, t := range ts {
+			u := (*[HeadDim]int16)(uh[q*HeadDim:])
+			var s [HeadPanelRows]int32
+			for j := 0; j < HeadDim; j += 2 {
+				u0, u1 := int32(u[j]), int32(u[j+1])
+				pair := (*[2 * HeadPanelRows]uint8)(panel[j*HeadPanelRows:])
+				for r := range s {
+					d0, d1 := int32(pair[2*r])-u0, int32(pair[2*r+1])-u1
+					s[r] += d0*d0 + d1*d1
+				}
+			}
+			for r, v := range s {
+				keep[r] = keep[r] || v <= t
+			}
+		}
+		for r, ok := range keep[:min(HeadPanelRows, n-p0)] {
+			if ok {
+				live[k] = int32(p0 + r)
+				k++
+			}
+		}
+	}
+	return k
 }
 
 // codeL2Go is one row's S, four independent accumulators wide.

@@ -26,6 +26,15 @@ func codeRowsY(u *int16, codes *uint8, out *int32, dim, stride, n int)
 func codeQuadY(u *int16, ustride int, codes *uint8, out *int32, ostride, dim, stride, n int)
 
 //go:noescape
+func headListZV(uh *int16, ts *int32, m int, panels *uint8, np int, live *int32) int
+
+//go:noescape
+func headListZM(uh *int16, ts *int32, m int, panels *uint8, np int, live *int32) int
+
+//go:noescape
+func headListY(uh *int16, ts *int32, m int, panels *uint8, np int, live *int32) int
+
+//go:noescape
 func minMaxZ(data *float32, n int) (lo, hi, bad float32)
 
 //go:noescape
@@ -54,11 +63,36 @@ func detectCodeISA() (bw, vnni bool) {
 	return bw, bw && c7&avx512vnniBit != 0
 }
 
-// codeASM is one ISA's pair of code kernels and its dim chunk.
+// codeASM is one ISA's code kernels, its dim chunk, and whether the CPU
+// runs them.
 type codeASM struct {
 	rows  func(u *int16, codes *uint8, out *int32, dim, stride, n int)
 	quad  func(u *int16, ustride int, codes *uint8, out *int32, ostride, dim, stride, n int)
+	list  func(uh *int16, ts *int32, m int, panels *uint8, np int, live *int32) int
 	chunk int
+	ok    bool
+}
+
+// install puts the tier's code tile and head list into ks.
+func (a codeASM) install(ks *kernelSet) {
+	ks.cdt, ks.hl = a.tile(), a.headList()
+}
+
+// headList returns the tier's head list kernel: the assembly over every
+// panel, the last one's rows past n dropped from the list's end.
+func (a codeASM) headList() func(uh []int16, ts []int32, panels []uint8, n int, live []int32) int {
+	return func(uh []int16, ts []int32, panels []uint8, n int, live []int32) int {
+		np := (n + HeadPanelRows - 1) / HeadPanelRows
+		if np == 0 || len(ts) == 0 {
+			return 0
+		}
+		_, _, _ = uh[len(ts)*HeadDim-1], panels[np*headPanel-1], live[np*HeadPanelRows-1]
+		k := a.list(&uh[0], &ts[0], len(ts), &panels[0], np, &live[0])
+		for k > 0 && live[k-1] >= int32(n) {
+			k--
+		}
+		return k
+	}
 }
 
 // tile returns the tier's code tile kernel: queries in fours through the
@@ -135,49 +169,49 @@ func encodeOf(kernel func(data *float32, out *uint8, n int, lo, inv float32), wi
 	}
 }
 
-// codeTileVariants returns every assembly code tile the CPU can run, by
-// name, whichever one the tiers hold: on a VNNI host the AVX-512 tier
-// holds ZV, so tests reach ZM (the tile of AVX-512 hosts without VNNI)
-// only through here. VPDPWSSD's fused square-accumulate makes ZV's
-// four-query tile about 20 % faster than ZM's VPMADDWD + VPADDD
-// (BenchmarkCodeL2Tile's shape, 65,536 × 128).
-func codeTileVariants() map[string]func(us []int16, codes []uint8, dim, nq int, out []int32) {
-	v := map[string]func(us []int16, codes []uint8, dim, nq int, out []int32){}
-	if haveAVX2FMA {
-		v["Y"] = codeASM{codeRowsY, codeQuadY, 16}.tile()
-	}
-	if haveAVX512BW {
-		v["ZM"] = codeASM{codeRowsZM, codeQuadZM, 32}.tile()
-	}
-	if haveVNNI {
-		v["ZV"] = codeASM{codeRowsZV, codeQuadZV, 32}.tile()
+// codeVariants returns every assembly code tier the CPU can run, by name,
+// its code tile and head list in a kernel set, whichever one the tiers
+// hold: on a VNNI host the AVX-512 tier holds ZV, so tests reach ZM (the
+// kernels of AVX-512 hosts without VNNI) only through here. VPDPWSSD's
+// fused square-accumulate makes ZV's four-query tile about 20 % faster
+// than ZM's VPMADDWD + VPADDD (BenchmarkCodeL2Tile's shape, 65,536 × 128).
+func codeVariants() map[string]kernelSet {
+	v := map[string]kernelSet{}
+	for name, a := range map[string]codeASM{"Y": codeY, "ZM": codeZM, "ZV": codeZV} {
+		if a.ok {
+			var ks kernelSet
+			a.install(&ks)
+			v[name] = ks
+		}
 	}
 	return v
 }
 
+var (
+	codeZV = codeASM{codeRowsZV, codeQuadZV, headListZV, 32, haveVNNI}
+	codeZM = codeASM{codeRowsZM, codeQuadZM, headListZM, 32, haveAVX512BW}
+	codeY  = codeASM{codeRowsY, codeQuadY, headListY, 16, haveAVX2FMA}
+)
+
 // installCodeKernels puts the assembly code-grid kernels into the tiers
 // installASMKernels gave vector code.
 func installCodeKernels() {
-	var z codeASM
-	switch {
-	case haveVNNI:
-		z = codeASM{codeRowsZV, codeQuadZV, 32}
-	case haveAVX512BW:
-		z = codeASM{codeRowsZM, codeQuadZM, 32}
+	z := codeZV
+	if !z.ok {
+		z = codeZM
 	}
-	y := codeASM{codeRowsY, codeQuadY, 16}
-	if haveAVX2FMA {
-		kernels[LevelAVX2].cdt = y.tile()
+	if codeY.ok {
+		codeY.install(&kernels[LevelAVX2])
 		kernels[LevelAVX2].mm = minMaxOf(minMaxY, 8)
 		kernels[LevelAVX2].enc = encodeOf(encodeY, 16)
 	}
 	switch {
-	case z.rows != nil:
-		kernels[LevelAVX512].cdt = z.tile()
+	case z.ok:
+		z.install(&kernels[LevelAVX512])
 		kernels[LevelAVX512].mm = minMaxOf(minMaxZ, 64)
 		kernels[LevelAVX512].enc = encodeOf(encodeZ, 64)
-	case haveAVX2FMA:
-		kernels[LevelAVX512].cdt = y.tile()
+	case codeY.ok:
+		codeY.install(&kernels[LevelAVX512])
 		kernels[LevelAVX512].mm = minMaxOf(minMaxY, 8)
 		kernels[LevelAVX512].enc = encodeOf(encodeY, 16)
 	}

@@ -9,7 +9,7 @@
 // for AVX-512, 16 for AVX2) and rows rounded down to four; the Go wrappers
 // add the rest, so the result is the same integer on every tier.
 //
-// Two shapes per ISA:
+// Two tile shapes per ISA (the head list kernels are at the end):
 //
 //   - rows: one query, four rows per pass, the query chunk held in a
 //     register (the one-query scan);
@@ -482,5 +482,272 @@ ency_loop:
 	JMP          ency_loop
 
 ency_done:
+	VZEROUPPER
+	RET
+
+// Head list kernels (vec.Codes.HeadList): each head panel holds 16 rows'
+// first 32 codes dim-pair-major (32 bytes per pair of dims, rows side by
+// side), so one widened pair of dims minus the query's broadcast pair,
+// squared and summed pairwise, adds each row's two squares into its own
+// int32 lane: 16 pair passes leave 16 rows' head S in one register, with
+// no horizontal sum. A row is listed when any member's S is within that
+// member's threshold (signed: −1 lists nothing); the kernels write the
+// listed rows' offsets ascending from live and return how many. The last
+// panel's rows past n are listed like any other; the Go wrapper trims
+// them. The AVX-512 kernels list with one VPCOMPRESSD per panel and
+// store all 16 lanes, so live needs room for every panel's rows.
+
+// Offsets 0..15: the compressed lanes of a panel's first row.
+DATA headIota<>+0(SB)/4, $0
+DATA headIota<>+4(SB)/4, $1
+DATA headIota<>+8(SB)/4, $2
+DATA headIota<>+12(SB)/4, $3
+DATA headIota<>+16(SB)/4, $4
+DATA headIota<>+20(SB)/4, $5
+DATA headIota<>+24(SB)/4, $6
+DATA headIota<>+28(SB)/4, $7
+DATA headIota<>+32(SB)/4, $8
+DATA headIota<>+36(SB)/4, $9
+DATA headIota<>+40(SB)/4, $10
+DATA headIota<>+44(SB)/4, $11
+DATA headIota<>+48(SB)/4, $12
+DATA headIota<>+52(SB)/4, $13
+DATA headIota<>+56(SB)/4, $14
+DATA headIota<>+60(SB)/4, $15
+GLOBL headIota<>(SB), RODATA|NOPTR, $64
+
+// HSOLO: one pair of dims at off(SI) against the query pair held in U,
+// into ACC. HMEM: the pair already widened in C against the member pair
+// at uoff(R10).
+#define HSOLO(SQ, off, U, ACC) \
+	VPMOVZXBW off(SI), Z4; \
+	VPSUBW    U, Z4, Z4; \
+	SQ(Z4, ACC)
+#define HMEM(SQ, uoff, C, ACC) \
+	VPBROADCASTD uoff(R10), Z4; \
+	VPSUBW       Z4, C, Z4; \
+	SQ(Z4, ACC)
+
+// LISTZ stores the offsets (Z15) of the rows set in K at DX, advances DX
+// past them and the offsets to the next panel.
+#define LISTZ(K) \
+	VPCOMPRESSD Z15, K, Z2; \
+	VMOVDQU32   Z2, (DX); \
+	KMOVW       K, AX; \
+	POPCNTL     AX, AX; \
+	LEAQ        (DX)(AX*4), DX; \
+	VPADDD      Z13, Z15, Z15; \
+	ADDQ        $512, SI
+
+// HEADLISTZ: uh = R8 (m members' grid points, 32 int16 each), ts = R9,
+// m = CX, panels = SI, np = BX (> 0) panels, live = DX. A lone query
+// holds its 16 pairs in Z16–Z31 for the whole run; a batch widens each
+// panel's 16 pairs into Z16–Z31 once and ORs its members' masks.
+#define HEADLISTZ(SQ) \
+	MOVQ         uh+0(FP), R8; \
+	MOVQ         ts+8(FP), R9; \
+	MOVQ         m+16(FP), CX; \
+	MOVQ         panels+24(FP), SI; \
+	MOVQ         np+32(FP), BX; \
+	MOVQ         live+40(FP), DX; \
+	VMOVDQU32    headIota<>(SB), Z15; \
+	MOVL         $16, AX; \
+	VPBROADCASTD AX, Z13; \
+	CMPQ         CX, $1; \
+	JNE          multi; \
+	VPBROADCASTD (R9), Z14; \
+	VPBROADCASTD 0(R8), Z16; \
+	VPBROADCASTD 4(R8), Z17; \
+	VPBROADCASTD 8(R8), Z18; \
+	VPBROADCASTD 12(R8), Z19; \
+	VPBROADCASTD 16(R8), Z20; \
+	VPBROADCASTD 20(R8), Z21; \
+	VPBROADCASTD 24(R8), Z22; \
+	VPBROADCASTD 28(R8), Z23; \
+	VPBROADCASTD 32(R8), Z24; \
+	VPBROADCASTD 36(R8), Z25; \
+	VPBROADCASTD 40(R8), Z26; \
+	VPBROADCASTD 44(R8), Z27; \
+	VPBROADCASTD 48(R8), Z28; \
+	VPBROADCASTD 52(R8), Z29; \
+	VPBROADCASTD 56(R8), Z30; \
+	VPBROADCASTD 60(R8), Z31; \
+solo: \
+	VPXORD Z0, Z0, Z0; \
+	VPXORD Z1, Z1, Z1; \
+	HSOLO(SQ, 0, Z16, Z0); \
+	HSOLO(SQ, 32, Z17, Z1); \
+	HSOLO(SQ, 64, Z18, Z0); \
+	HSOLO(SQ, 96, Z19, Z1); \
+	HSOLO(SQ, 128, Z20, Z0); \
+	HSOLO(SQ, 160, Z21, Z1); \
+	HSOLO(SQ, 192, Z22, Z0); \
+	HSOLO(SQ, 224, Z23, Z1); \
+	HSOLO(SQ, 256, Z24, Z0); \
+	HSOLO(SQ, 288, Z25, Z1); \
+	HSOLO(SQ, 320, Z26, Z0); \
+	HSOLO(SQ, 352, Z27, Z1); \
+	HSOLO(SQ, 384, Z28, Z0); \
+	HSOLO(SQ, 416, Z29, Z1); \
+	HSOLO(SQ, 448, Z30, Z0); \
+	HSOLO(SQ, 480, Z31, Z1); \
+	VPADDD  Z1, Z0, Z0; \
+	VPCMPD  $2, Z14, Z0, K1; \
+	LISTZ(K1); \
+	DECQ    BX; \
+	JNZ     solo; \
+	JMP     done; \
+multi: \
+	VPMOVZXBW 0(SI), Z16; \
+	VPMOVZXBW 32(SI), Z17; \
+	VPMOVZXBW 64(SI), Z18; \
+	VPMOVZXBW 96(SI), Z19; \
+	VPMOVZXBW 128(SI), Z20; \
+	VPMOVZXBW 160(SI), Z21; \
+	VPMOVZXBW 192(SI), Z22; \
+	VPMOVZXBW 224(SI), Z23; \
+	VPMOVZXBW 256(SI), Z24; \
+	VPMOVZXBW 288(SI), Z25; \
+	VPMOVZXBW 320(SI), Z26; \
+	VPMOVZXBW 352(SI), Z27; \
+	VPMOVZXBW 384(SI), Z28; \
+	VPMOVZXBW 416(SI), Z29; \
+	VPMOVZXBW 448(SI), Z30; \
+	VPMOVZXBW 480(SI), Z31; \
+	KXORW K2, K2, K2; \
+	MOVQ  R8, R10; \
+	MOVQ  R9, R11; \
+	MOVQ  CX, R12; \
+member: \
+	VPXORD Z0, Z0, Z0; \
+	VPXORD Z1, Z1, Z1; \
+	HMEM(SQ, 0, Z16, Z0); \
+	HMEM(SQ, 4, Z17, Z1); \
+	HMEM(SQ, 8, Z18, Z0); \
+	HMEM(SQ, 12, Z19, Z1); \
+	HMEM(SQ, 16, Z20, Z0); \
+	HMEM(SQ, 20, Z21, Z1); \
+	HMEM(SQ, 24, Z22, Z0); \
+	HMEM(SQ, 28, Z23, Z1); \
+	HMEM(SQ, 32, Z24, Z0); \
+	HMEM(SQ, 36, Z25, Z1); \
+	HMEM(SQ, 40, Z26, Z0); \
+	HMEM(SQ, 44, Z27, Z1); \
+	HMEM(SQ, 48, Z28, Z0); \
+	HMEM(SQ, 52, Z29, Z1); \
+	HMEM(SQ, 56, Z30, Z0); \
+	HMEM(SQ, 60, Z31, Z1); \
+	VPADDD       Z1, Z0, Z0; \
+	VPBROADCASTD (R11), Z14; \
+	VPCMPD       $2, Z14, Z0, K1; \
+	KORW         K1, K2, K2; \
+	ADDQ         $64, R10; \
+	ADDQ         $4, R11; \
+	DECQ         R12; \
+	JNZ          member; \
+	LISTZ(K2); \
+	DECQ         BX; \
+	JNZ          multi; \
+done: \
+	MOVQ live+40(FP), AX; \
+	SUBQ AX, DX; \
+	SHRQ $2, DX; \
+	MOVQ DX, ret+48(FP); \
+	VZEROUPPER; \
+	RET
+
+// func headListZV(uh *int16, ts *int32, m int, panels *uint8, np int, live *int32) int
+TEXT ·headListZV(SB), NOSPLIT, $0-56
+	HEADLISTZ(SQV)
+
+// func headListZM(uh *int16, ts *int32, m int, panels *uint8, np int, live *int32) int
+TEXT ·headListZM(SB), NOSPLIT, $0-56
+	HEADLISTZ(SQM)
+
+// HY: one pair of dims at off(SI) (rows 0–7) and off+16(SI) (rows 8–15)
+// against the member pair at uoff(R10), into Y0 and Y1.
+#define HY(off, hi, uoff) \
+	VPBROADCASTD uoff(R10), Y4; \
+	VPMOVZXBW    off(SI), Y5; \
+	VPMOVZXBW    hi(SI), Y6; \
+	VPSUBW       Y4, Y5, Y5; \
+	VPSUBW       Y4, Y6, Y6; \
+	SQY(Y5, Y0); \
+	SQY(Y6, Y1)
+
+// func headListY(uh *int16, ts *int32, m int, panels *uint8, np int, live *int32) int
+// As HEADLISTZ in two YMM halves per panel, each member's pairs loaded as
+// it goes. A member's mask comes from VMOVMSKPS of the rows whose S is
+// above its threshold, inverted; the panel's listed rows are written one
+// set bit at a time.
+TEXT ·headListY(SB), NOSPLIT, $0-56
+	MOVQ uh+0(FP), R8
+	MOVQ ts+8(FP), R9
+	MOVQ m+16(FP), CX
+	MOVQ panels+24(FP), SI
+	MOVQ np+32(FP), BX
+	MOVQ live+40(FP), DX
+	XORL R13, R13 // the panel's first row
+
+hly_panel:
+	XORL R12, R12 // the panel's listed rows, a bit each
+	MOVQ R8, R10
+	MOVQ R9, R11
+	MOVQ CX, R14
+
+hly_member:
+	VPXOR        Y0, Y0, Y0
+	VPXOR        Y1, Y1, Y1
+	HY(0, 16, 0)
+	HY(32, 48, 4)
+	HY(64, 80, 8)
+	HY(96, 112, 12)
+	HY(128, 144, 16)
+	HY(160, 176, 20)
+	HY(192, 208, 24)
+	HY(224, 240, 28)
+	HY(256, 272, 32)
+	HY(288, 304, 36)
+	HY(320, 336, 40)
+	HY(352, 368, 44)
+	HY(384, 400, 48)
+	HY(416, 432, 52)
+	HY(448, 464, 56)
+	HY(480, 496, 60)
+	VPBROADCASTD (R11), Y7
+	VPCMPGTD     Y7, Y0, Y0
+	VPCMPGTD     Y7, Y1, Y1
+	VMOVMSKPS    Y0, AX
+	VMOVMSKPS    Y1, DI
+	SHLL         $8, DI
+	ORL          DI, AX
+	NOTL         AX
+	ANDL         $0xffff, AX
+	ORL          AX, R12
+	ADDQ         $64, R10
+	ADDQ         $4, R11
+	DECQ         R14
+	JNZ          hly_member
+	TESTL        R12, R12
+	JZ           hly_next
+
+hly_bit:
+	BSFL R12, AX
+	ADDL R13, AX
+	MOVL AX, (DX)
+	ADDQ $4, DX
+	LEAL -1(R12), AX
+	ANDL AX, R12
+	JNZ  hly_bit
+
+hly_next:
+	ADDL $16, R13
+	ADDQ $512, SI
+	DECQ BX
+	JNZ  hly_panel
+	MOVQ live+40(FP), AX
+	SUBQ AX, DX
+	SHRQ $2, DX
+	MOVQ DX, ret+48(FP)
 	VZEROUPPER
 	RET

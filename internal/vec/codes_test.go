@@ -89,9 +89,9 @@ func FuzzCodeDistance(f *testing.F) {
 				t.Fatalf("%v dim %d nq %d n %d: S %v, want %v", l, dim, nq, n, got, want)
 			}
 		}
-		for name, tile := range codeTileVariants() {
+		for name, ks := range codeVariants() {
 			got := make([]int32, nq*n)
-			tile(us, codes, dim, nq, got)
+			ks.cdt(us, codes, dim, nq, got)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s dim %d nq %d n %d: S %v, want %v", name, dim, nq, n, got, want)
 			}
@@ -100,10 +100,12 @@ func FuzzCodeDistance(f *testing.F) {
 }
 
 // FuzzCodeHead: a column of at least HeadMinDim dims keeps each row's
-// first HeadDim codes as its head, the same on every tier, and a narrower
-// one keeps none; for any grid points, a row's head S never exceeds its
-// full S, and every tier's and every assembly tile's head S is the Go
-// reference's, one query or a batch.
+// first HeadDim codes as its head, in zero-padded panels, the same on
+// every tier, and a narrower one keeps none; for any grid points, a row's
+// head S never exceeds its full S, and every tier's and every assembly
+// kernel's head list, one query or a batch, lists exactly the rows whose
+// head S is within some member's threshold — so every row whose full S is
+// within it.
 func FuzzCodeHead(f *testing.F) {
 	f.Add(uint16(127), uint8(3), uint8(1), int64(1))
 	f.Add(uint16(128), uint8(5), uint8(4), int64(2))
@@ -111,7 +113,7 @@ func FuzzCodeHead(f *testing.F) {
 	f.Add(uint16(200), uint8(40), uint8(2), int64(4))
 	f.Fuzz(func(t *testing.T, d uint16, rows, q uint8, seed int64) {
 		dim := HeadMinDim - 8 + int(d)%200
-		n, nq := 1+int(rows)%40, 1+int(q)%9
+		n, nq := 1+int(rows)%40, 1+int(q)%4
 		r := rand.New(rand.NewSource(seed))
 		shapes := []string{"sift", "uniform", "deep", "huge", "tiny"}
 		data := codeData(r, shapes[r.Intn(len(shapes))], n, dim)
@@ -128,41 +130,166 @@ func FuzzCodeHead(f *testing.F) {
 		if ref.Head == nil {
 			return
 		}
+		np := (n + HeadPanelRows - 1) / HeadPanelRows
+		if len(ref.Head) != np*headPanel {
+			t.Fatalf("dim %d n %d: head %d bytes, want %d panels", dim, n, len(ref.Head), np)
+		}
+		for i := 0; i < np*HeadPanelRows; i++ {
+			want := make([]uint8, HeadDim) // a padded row is all zero
+			if i < n {
+				want = ref.Rows(i, i+1)[:HeadDim]
+			}
+			if got := panelRow(ref.Head, i); !slices.Equal(got, want) {
+				t.Fatalf("dim %d row %d: head %v, want the row's first codes %v", dim, i, got, want)
+			}
+		}
 		us := make([]int16, nq*dim)
 		uh := make([]int16, 0, nq*HeadDim)
 		for i := range us {
 			us[i] = int16(r.Intn(766) - 255)
+		}
+		heads := make([]uint8, 0, n*HeadDim)
+		for i := 0; i < n; i++ {
+			heads = append(heads, ref.Rows(i, i+1)[:HeadDim]...)
 		}
 		for qi := 0; qi < nq; qi++ {
 			uh = append(uh, us[qi*dim:qi*dim+HeadDim]...)
 		}
 		full, head := make([]int32, nq*n), make([]int32, nq*n)
 		codeTileGo(us, ref.Data, dim, nq, full)
-		codeTileGo(uh, ref.Head, HeadDim, nq, head)
-		for i := 0; i < n; i++ {
-			if !slices.Equal(ref.HeadRows(i, i+1), ref.Rows(i, i+1)[:HeadDim]) {
-				t.Fatalf("dim %d row %d: head is not the row's first codes", dim, i)
-			}
-		}
+		codeTileGo(uh, heads, HeadDim, nq, head)
 		for i := range head {
 			if head[i] > full[i] {
 				t.Fatalf("dim %d: head S %d above full S %d", dim, head[i], full[i])
 			}
 		}
-		tiles := map[string]func(us []int16, codes []uint8, dim, nq int, out []int32){}
-		for name, tile := range codeTileVariants() {
-			tiles[name] = tile
+		// Each member's threshold is some row's full S, so some rows pass.
+		ts := make([]int32, nq)
+		for qi := range ts {
+			ts[qi] = full[qi*n+r.Intn(n)]
 		}
-		for _, l := range Levels() {
-			tiles[l.String()] = func(us []int16, codes []uint8, dim, _ int, out []int32) {
-				CodeL2TileAt(l, us, codes, dim, out)
+		var want []int32
+		for i := 0; i < n; i++ {
+			kept, needed := false, false
+			for qi, th := range ts {
+				kept = kept || head[qi*n+i] <= th
+				needed = needed || full[qi*n+i] <= th
+			}
+			if needed && !kept {
+				t.Fatalf("dim %d row %d: full S within a threshold, head S not", dim, i)
+			}
+			if kept {
+				want = append(want, int32(i))
 			}
 		}
-		for name, tile := range tiles {
-			got := make([]int32, nq*n)
-			tile(uh, ref.Head, HeadDim, nq, got)
-			if !slices.Equal(got, head) {
-				t.Fatalf("%s dim %d nq %d n %d: head S %v, want %v", name, dim, nq, n, got, head)
+		for name, list := range headLists() {
+			live := make([]int32, np*HeadPanelRows)
+			if got := live[:list(uh, ts, ref.Head, n, live)]; !slices.Equal(got, want) {
+				t.Fatalf("%s dim %d nq %d n %d: listed %v, want %v", name, dim, nq, n, got, want)
+			}
+		}
+	})
+}
+
+// panelRow returns row i's codes out of head panels.
+func panelRow(head []uint8, i int) []uint8 {
+	p := head[i/HeadPanelRows*headPanel+i%HeadPanelRows*2:]
+	row := make([]uint8, 0, HeadDim)
+	for j := 0; j < HeadDim; j += 2 {
+		row = append(row, p[j*HeadPanelRows], p[j*HeadPanelRows+1])
+	}
+	return row
+}
+
+// headLists returns every tier's head list and every assembly one the
+// CPU can run, by name.
+func headLists() map[string]func(uh []int16, ts []int32, panels []uint8, n int, live []int32) int {
+	lists := map[string]func(uh []int16, ts []int32, panels []uint8, n int, live []int32) int{}
+	for name, ks := range codeVariants() {
+		lists[name] = ks.hl
+	}
+	for _, l := range Levels() {
+		lists[l.String()] = func(uh []int16, ts []int32, panels []uint8, n int, live []int32) int {
+			return HeadListAt(l, uh, ts, panels, n, live)
+		}
+	}
+	return lists
+}
+
+// FuzzHeadList: every tier's head list, and every assembly one the CPU
+// can run, lists exactly the rows a direct sum over each row's codes
+// lists, for any panels (padding included: rows past n are never listed,
+// whatever their bytes), 1 to 4 members and thresholds of −1, 0, a row's
+// S, a random value and the largest head S.
+func FuzzHeadList(f *testing.F) {
+	f.Add(uint8(1), uint8(1), int64(1))
+	f.Add(uint8(16), uint8(2), int64(2))
+	f.Add(uint8(17), uint8(3), int64(3))
+	f.Add(uint8(100), uint8(4), int64(4))
+	f.Add(uint8(255), uint8(1), int64(5))
+	f.Add(uint8(31), uint8(0), int64(6))
+	f.Add(uint8(64), uint8(0), int64(7))
+	f.Add(uint8(200), uint8(0), int64(8))
+	f.Fuzz(func(t *testing.T, rows, q uint8, seed int64) {
+		n, m := int(rows), 1+int(q)%4
+		r := rand.New(rand.NewSource(seed))
+		np := (n + HeadPanelRows - 1) / HeadPanelRows
+		panels := make([]uint8, np*headPanel)
+		for i := range panels {
+			panels[i] = uint8(r.Intn(256))
+			if r.Intn(8) == 0 {
+				panels[i] = [2]uint8{0, 255}[r.Intn(2)]
+			}
+		}
+		uh := make([]int16, m*HeadDim)
+		for i := range uh {
+			uh[i] = int16(r.Intn(766) - 255)
+			if r.Intn(8) == 0 { // the extremes, where int32 lanes fill fastest
+				uh[i] = [2]int16{-255, 510}[r.Intn(2)]
+			}
+		}
+		s := make([]int32, m*n)
+		for qi := 0; qi < m; qi++ {
+			for i := 0; i < n; i++ {
+				var v int64
+				for j, c := range panelRow(panels, i) {
+					e := int64(uh[qi*HeadDim+j]) - int64(c)
+					v += e * e
+				}
+				s[qi*n+i] = int32(v)
+			}
+		}
+		ts := make([]int32, m)
+		for qi := range ts {
+			switch r.Intn(5) {
+			case 0:
+				ts[qi] = -1
+			case 1:
+				ts[qi] = 0
+			case 2:
+				if n > 0 {
+					ts[qi] = s[qi*n+r.Intn(n)]
+				}
+			case 3:
+				ts[qi] = int32(r.Intn(HeadDim * 510 * 510))
+			default:
+				ts[qi] = HeadDim * 510 * 510
+			}
+		}
+		var want []int32
+		for i := 0; i < n; i++ {
+			k := false
+			for qi, th := range ts {
+				k = k || s[qi*n+i] <= th
+			}
+			if k {
+				want = append(want, int32(i))
+			}
+		}
+		for name, list := range headLists() {
+			live := make([]int32, np*HeadPanelRows)
+			if got := live[:list(uh, ts, panels, n, live)]; !slices.Equal(got, want) {
+				t.Fatalf("%s n %d m %d ts %v: listed %v, want %v", name, n, m, ts, got, want)
 			}
 		}
 	})
@@ -318,12 +445,11 @@ func BenchmarkCodeL2Tile(b *testing.B) {
 	r := rand.New(rand.NewSource(5))
 	data := codeData(r, "sift", 65536, 128)
 	c := EncodeCodes(data, 128)
-	tiles := codeTileVariants()
-	if tiles == nil {
-		tiles = map[string]func(us []int16, codes []uint8, dim, nq int, out []int32){}
+	tiles := map[string]func(us []int16, codes []uint8, dim, nq int, out []int32){
+		"hooked": func(us []int16, codes []uint8, dim, _ int, out []int32) { CodeL2Tile(us, codes, dim, out) },
 	}
-	tiles["hooked"] = func(us []int16, codes []uint8, dim, _ int, out []int32) {
-		CodeL2Tile(us, codes, dim, out)
+	for name, ks := range codeVariants() {
+		tiles[name] = ks.cdt
 	}
 	for _, nq := range []int{1, 4} {
 		us := make([]int16, nq*128)
@@ -342,6 +468,47 @@ func BenchmarkCodeL2Tile(b *testing.B) {
 				b.SetBytes(int64(len(c.Data)))
 				for i := 0; i < b.N; i++ {
 					tile(us, c.Data, 128, nq, out)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkHeadList: the head pass of one query over one 256-row block
+// (L1-resident) and over a 65,536-row column of SIFT-like rows, on every
+// tier and every assembly kernel the CPU can run. The threshold is the
+// 1,000th smallest head S of the column, so about 1.5 % of rows are
+// listed, as on a coded scan's later blocks.
+func BenchmarkHeadList(b *testing.B) {
+	r := rand.New(rand.NewSource(6))
+	const n, dim = 65536, 128
+	data := codeData(r, "sift", n, dim)
+	c := EncodeCodes(data, dim)
+	u := make([]int16, dim)
+	c.Prepare(data[:dim], u)
+	uh := u[:HeadDim]
+	heads := make([]uint8, 0, n*HeadDim)
+	for i := 0; i < n; i++ {
+		heads = append(heads, c.Rows(i, i+1)[:HeadDim]...)
+	}
+	s := make([]int32, n)
+	codeTileGo(uh, heads, HeadDim, 1, s)
+	slices.Sort(s)
+	ts := []int32{s[1000]}
+	lists := headLists()
+	names := make([]string, 0, len(lists))
+	for name := range lists {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	live := make([]int32, n)
+	for _, rows := range []int{256, n} {
+		for _, name := range names {
+			list := lists[name]
+			b.Run(fmt.Sprintf("%s/%d", name, rows), func(b *testing.B) {
+				b.SetBytes(int64(rows * HeadDim))
+				for i := 0; i < b.N; i++ {
+					list(uh, ts, c.Head, rows, live)
 				}
 			})
 		}

@@ -81,16 +81,17 @@ type kernelSet struct {
 	ipt  func(qs []float32, data []float32, dim, nq int, out []float32)
 	l2p  func(x []float32, p *Panels, out []PanelMin)
 	cdt  func(us []int16, codes []uint8, dim, nq int, out []int32)
+	hl   func(uh []int16, ts []int32, panels []uint8, n int, live []int32) int
 	enc  func(data []float32, lo, inv float32, out []uint8)
 	mm   func(data []float32) (lo, hi float32, ok bool)
 }
 
 var kernels = [...]kernelSet{
-	LevelScalar: {l2Scalar, ipScalar, l2BatchScalar, ipBatchScalar, l2BoundScalar, tileOf(l2BatchScalar), tileOf(ipBatchScalar), l2PanelGo, codeTileGo, encodeGo, minMaxGo},
-	LevelSSE:    {l2Unroll4, ipUnroll4, l2Batch4x4, ipBatch4x4, l2Bound4, tileOf(l2Batch4x4), tileOf(ipBatch4x4), l2PanelGo, codeTileGo, encodeGo, minMaxGo},
-	LevelAVX:    {l2Unroll8, ipUnroll8, l2Batch4x8, ipBatch4x8, l2Bound8, tileOf(l2Batch4x8), tileOf(ipBatch4x8), l2PanelGo, codeTileGo, encodeGo, minMaxGo},
-	LevelAVX2:   {l2Unroll8, ipUnroll8, l2Batch4x8, ipBatch4x8, l2Bound8, tileOf(l2Batch4x8), tileOf(ipBatch4x8), l2PanelGo, codeTileGo, encodeGo, minMaxGo},
-	LevelAVX512: {l2Unroll16, ipUnroll16, l2Batch4x16, ipBatch4x16, l2Bound16, tileOf(l2Batch4x16), tileOf(ipBatch4x16), l2PanelGo, codeTileGo, encodeGo, minMaxGo},
+	LevelScalar: {l2Scalar, ipScalar, l2BatchScalar, ipBatchScalar, l2BoundScalar, tileOf(l2BatchScalar), tileOf(ipBatchScalar), l2PanelGo, codeTileGo, headListGo, encodeGo, minMaxGo},
+	LevelSSE:    {l2Unroll4, ipUnroll4, l2Batch4x4, ipBatch4x4, l2Bound4, tileOf(l2Batch4x4), tileOf(ipBatch4x4), l2PanelGo, codeTileGo, headListGo, encodeGo, minMaxGo},
+	LevelAVX:    {l2Unroll8, ipUnroll8, l2Batch4x8, ipBatch4x8, l2Bound8, tileOf(l2Batch4x8), tileOf(ipBatch4x8), l2PanelGo, codeTileGo, headListGo, encodeGo, minMaxGo},
+	LevelAVX2:   {l2Unroll8, ipUnroll8, l2Batch4x8, ipBatch4x8, l2Bound8, tileOf(l2Batch4x8), tileOf(ipBatch4x8), l2PanelGo, codeTileGo, headListGo, encodeGo, minMaxGo},
+	LevelAVX512: {l2Unroll16, ipUnroll16, l2Batch4x16, ipBatch4x16, l2Bound16, tileOf(l2Batch4x16), tileOf(ipBatch4x16), l2PanelGo, codeTileGo, headListGo, encodeGo, minMaxGo},
 }
 
 var currentLevel atomic.Int32
