@@ -208,7 +208,7 @@ conformance-wire:
 # panels hold each row's first codes, a head's S never exceeds its row's,
 # and every tier's head list keeps every row its full S keeps) and
 # FuzzHeadList (every tier's and assembly kernel's list, padded panels and
-# up to four members included, is a direct sum's), each fuzzed ten
+# up to 32 members included, is a direct sum's), each fuzzed ten
 # seconds too, and TestHeadScanMatchesPlainScan holds the scan to the
 # plain scan bit for bit.
 kernel-guard:

@@ -287,8 +287,9 @@ func TestScanCodedAllocs(t *testing.T) {
 // kernel over every row (plain) against the code pass plus the float
 // kernel over its survivors (coded), on clustered (SIFT-like) rows and on
 // uniform integers, where few rows are near any query. Each op is one
-// query; the ops cycle over 128 queries drawn as scan.flat draws them: a
-// row with each coordinate moved by about 1 % of its size.
+// query, or one batch of 4 or 16 (coded-m4, coded-m16); the ops cycle over
+// 128 queries drawn as scan.flat draws them: a row with each coordinate
+// moved by about 1 % of its size.
 func BenchmarkCodedScan(b *testing.B) {
 	const n, dim, k, nq = 65536, 128, 10, 128
 	for _, shape := range []string{"clustered", "uniform-int"} {
@@ -316,6 +317,20 @@ func BenchmarkCodedScan(b *testing.B) {
 				ScanCoded(hs, query(it), data, codes, nil, Selection{})
 			}
 		})
+		for _, m := range []int{4, 16} {
+			b.Run(fmt.Sprintf("%s/coded-m%d", shape, m), func(b *testing.B) {
+				hs := make([]*topk.Heap, m)
+				for i := range hs {
+					hs[i] = topk.New(k)
+				}
+				for it := 0; it < b.N; it++ {
+					for _, h := range hs {
+						h.Reset()
+					}
+					ScanCoded(hs, qs[it*m%nq*dim:][:m*dim], data, codes, nil, Selection{})
+				}
+			})
+		}
 		for it := 0; it < nq; it++ {
 			got, want := topk.New(k), topk.New(k)
 			ScanCoded([]*topk.Heap{got}, query(it), data, codes, nil, Selection{})

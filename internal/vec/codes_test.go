@@ -113,7 +113,7 @@ func FuzzCodeHead(f *testing.F) {
 	f.Add(uint16(200), uint8(40), uint8(2), int64(4))
 	f.Fuzz(func(t *testing.T, d uint16, rows, q uint8, seed int64) {
 		dim := HeadMinDim - 8 + int(d)%200
-		n, nq := 1+int(rows)%40, 1+int(q)%4
+		n, nq := 1+int(rows)%40, 1+int(q)%17
 		r := rand.New(rand.NewSource(seed))
 		shapes := []string{"sift", "uniform", "deep", "huge", "tiny"}
 		data := codeData(r, shapes[r.Intn(len(shapes))], n, dim)
@@ -219,7 +219,7 @@ func headLists() map[string]func(uh []int16, ts []int32, panels []uint8, n int, 
 // FuzzHeadList: every tier's head list, and every assembly one the CPU
 // can run, lists exactly the rows a direct sum over each row's codes
 // lists, for any panels (padding included: rows past n are never listed,
-// whatever their bytes), 1 to 4 members and thresholds of −1, 0, a row's
+// whatever their bytes), 1 to 32 members and thresholds of −1, 0, a row's
 // S, a random value and the largest head S.
 func FuzzHeadList(f *testing.F) {
 	f.Add(uint8(1), uint8(1), int64(1))
@@ -230,8 +230,10 @@ func FuzzHeadList(f *testing.F) {
 	f.Add(uint8(31), uint8(0), int64(6))
 	f.Add(uint8(64), uint8(0), int64(7))
 	f.Add(uint8(200), uint8(0), int64(8))
+	f.Add(uint8(47), uint8(15), int64(9))
+	f.Add(uint8(250), uint8(31), int64(10))
 	f.Fuzz(func(t *testing.T, rows, q uint8, seed int64) {
-		n, m := int(rows), 1+int(q)%4
+		n, m := int(rows), 1+int(q)%32
 		r := rand.New(rand.NewSource(seed))
 		np := (n + HeadPanelRows - 1) / HeadPanelRows
 		panels := make([]uint8, np*headPanel)
@@ -474,27 +476,32 @@ func BenchmarkCodeL2Tile(b *testing.B) {
 	}
 }
 
-// BenchmarkHeadList: the head pass of one query over one 256-row block
-// (L1-resident) and over a 65,536-row column of SIFT-like rows, on every
-// tier and every assembly kernel the CPU can run. The threshold is the
-// 1,000th smallest head S of the column, so about 1.5 % of rows are
-// listed, as on a coded scan's later blocks.
+// BenchmarkHeadList: the head pass of a batch of 1, 4 or 16 members over
+// one 256-row block (L1-resident) and over a 65,536-row column of
+// SIFT-like rows, on every tier and every assembly kernel the CPU can run.
+// Each member is a row of the column; its threshold is the 1,000th
+// smallest head S of the column against it, so about 1.5 % of rows are
+// listed per member, as on a coded scan's later blocks.
 func BenchmarkHeadList(b *testing.B) {
 	r := rand.New(rand.NewSource(6))
-	const n, dim = 65536, 128
+	const n, dim, maxM = 65536, 128, 16
 	data := codeData(r, "sift", n, dim)
 	c := EncodeCodes(data, dim)
-	u := make([]int16, dim)
-	c.Prepare(data[:dim], u)
-	uh := u[:HeadDim]
 	heads := make([]uint8, 0, n*HeadDim)
 	for i := 0; i < n; i++ {
 		heads = append(heads, c.Rows(i, i+1)[:HeadDim]...)
 	}
+	u := make([]int16, dim)
+	uh := make([]int16, 0, maxM*HeadDim)
+	ts := make([]int32, maxM)
 	s := make([]int32, n)
-	codeTileGo(uh, heads, HeadDim, 1, s)
-	slices.Sort(s)
-	ts := []int32{s[1000]}
+	for qi := range ts {
+		c.Prepare(data[r.Intn(n)*dim:][:dim], u)
+		uh = append(uh, u[:HeadDim]...)
+		codeTileGo(u[:HeadDim], heads, HeadDim, 1, s)
+		slices.Sort(s)
+		ts[qi] = s[1000]
+	}
 	lists := headLists()
 	names := make([]string, 0, len(lists))
 	for name := range lists {
@@ -502,15 +509,17 @@ func BenchmarkHeadList(b *testing.B) {
 	}
 	slices.Sort(names)
 	live := make([]int32, n)
-	for _, rows := range []int{256, n} {
-		for _, name := range names {
-			list := lists[name]
-			b.Run(fmt.Sprintf("%s/%d", name, rows), func(b *testing.B) {
-				b.SetBytes(int64(rows * HeadDim))
-				for i := 0; i < b.N; i++ {
-					list(uh, ts, c.Head, rows, live)
-				}
-			})
+	for _, m := range []int{1, 4, maxM} {
+		for _, rows := range []int{256, n} {
+			for _, name := range names {
+				list := lists[name]
+				b.Run(fmt.Sprintf("%s/m%d/%d", name, m, rows), func(b *testing.B) {
+					b.SetBytes(int64(rows * HeadDim))
+					for i := 0; i < b.N; i++ {
+						list(uh[:m*HeadDim], ts[:m], c.Head, rows, live)
+					}
+				})
+			}
 		}
 	}
 }
