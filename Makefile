@@ -27,11 +27,13 @@ fmt:
 
 # lint runs vectordblint, the in-tree stdlib-only static-analysis suite
 # (internal/lint): poolfree, blockpin, ctxflow, kerneldispatch,
-# metricreg, plus the interprocedural lockorder/lockdiscipline/goleak
-# call-graph analyzers. Lock copies are go vet's copylocks check (the vet
-# target). Intentional exceptions carry //lint:allow pragmas in the
-# source, and a pragma that suppressed nothing is a finding; see
-# DESIGN.md §9.
+# metricreg, the interprocedural lockorder/lockdiscipline/goleak
+# call-graph analyzers, and testonly (exported code under internal/ that
+# only _test.go files refer to; the e2ebench module's references count,
+# found through its replace directive). Lock copies are go vet's
+# copylocks check (the vet target). Intentional exceptions carry
+# //lint:allow pragmas in the source, and a pragma that suppressed
+# nothing is a finding; see DESIGN.md §9.
 lint:
 	$(GO) run ./cmd/vectordblint ./...
 
@@ -73,7 +75,12 @@ ci: vet fmt build lint test cover kernel-guard purego repro-check conformance-fi
 # race-enabled with demotes and segment GC destroying tiers under the
 # scans, ending with no pin held. The last release of a
 # destroyed tier unmaps it, and budget enforcement passes over pinned
-# tiers (both selected by -run TestTiered).
+# tiers (both selected by -run TestTiered). Any bytes read as an HNSW or
+# IVF_FLAT/SQ8/PQ index blob either fail to decode or give an index that
+# answers a search without panicking — the seeds (each type's real
+# MarshalIndex output), then ten seconds of fuzzing, minimizing for at
+# most a second (go test's default minute of minimizing each new
+# interesting input reads as a stalled exec count).
 conformance-ooc:
 	$(GO) test ./internal/index/ivf -run TestExternalizedMatchesResident
 	$(GO) test ./internal/core -run TestTiered
@@ -81,6 +88,8 @@ conformance-ooc:
 	$(GO) test ./internal/core -run 'TestSegmentEncodeDecodeRoundTrip|TestDecodeSegmentRejectsMutants|FuzzDecodeSegment|TestCorruptSegmentObject|TestOneStoreObjectPerSegment'
 	$(GO) test ./internal/colstore -run TestExtent
 	$(GO) test ./internal/cluster -run TestReaderCorruptSegmentObject
+	$(GO) test ./internal/index -run '^FuzzUnmarshalIndex$$'
+	$(GO) test ./internal/index -run '^$$' -fuzz '^FuzzUnmarshalIndex$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test -race ./internal/core -run TestTieredConcurrentRecycle
 
 # conformance-versions is the segment-version gate: an index build installs

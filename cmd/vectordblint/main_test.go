@@ -31,7 +31,7 @@ func TestDriverEndToEnd(t *testing.T) {
 	golden := filepath.Join("..", "..", "internal", "lint", "testdata", "src", "lintest")
 
 	// Findings: exit 1, file:line:col: [analyzer] message lines.
-	out, err := exec.Command(bin, "-C", golden, "-q", "./internal/query/ctxbad").CombinedOutput()
+	out, err := exec.Command(bin, "-C", golden, "-q", "-run", "ctxflow", "./internal/query/ctxbad").CombinedOutput()
 	if code := exitCode(err); code != 1 {
 		t.Fatalf("ctxbad run: exit %d (err %v), want 1\n%s", code, err, out)
 	}
@@ -69,7 +69,7 @@ func TestDriverEndToEnd(t *testing.T) {
 	if code := exitCode(err); code != 0 {
 		t.Fatalf("-list: exit %d, want 0\n%s", code, out)
 	}
-	names := []string{"poolfree", "blockpin", "ctxflow", "kerneldispatch", "metricreg", "lockorder", "lockdiscipline", "goleak"}
+	names := []string{"poolfree", "blockpin", "ctxflow", "kerneldispatch", "metricreg", "lockorder", "lockdiscipline", "goleak", "testonly"}
 	lines = strings.Split(strings.TrimSpace(string(out)), "\n")
 	if len(lines) != len(names) {
 		t.Errorf("-list printed %d analyzers, want %d:\n%s", len(lines), len(names), out)

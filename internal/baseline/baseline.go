@@ -96,9 +96,6 @@ func (m *Milvus) Build(d *dataset.Dataset, metric vec.Metric) error {
 	return err
 }
 
-// Index exposes the built index (the SQ8H wrapper reuses it).
-func (m *Milvus) Index() index.Index { return m.idx }
-
 // SearchBatch implements System: one index search per query, spread over
 // the process's execution pool — what core's batch engine runs for each
 // member of a batch over an indexed segment.

@@ -133,7 +133,7 @@ func TestMilvusSearchesPerQuery(t *testing.T) {
 	qs := dataset.Queries(d, 3, 9)
 	batch := m.SearchBatch(qs, 5, 8)
 	for qi := 0; qi < 3; qi++ {
-		single := m.Index().Search(qs[qi*d.Dim:(qi+1)*d.Dim], searchParamsFor(5, 8))
+		single := m.idx.Search(qs[qi*d.Dim:(qi+1)*d.Dim], searchParamsFor(5, 8))
 		if !reflect.DeepEqual(single, batch[qi]) {
 			t.Fatalf("query %d: batch %v, per-query search %v", qi, batch[qi], single)
 		}

@@ -162,14 +162,6 @@ func (b *Bitset) Or(o *Bitset) {
 	}
 }
 
-// AndNot clears every bit of b that is set in o. Lengths must match.
-func (b *Bitset) AndNot(o *Bitset) {
-	b.check(o)
-	for i, w := range o.words {
-		b.words[i] &^= w
-	}
-}
-
 // Complement flips every bit in place, masking the tail word so bits past
 // Len() stay zero (Count and run extraction rely on that invariant).
 func (b *Bitset) Complement() {
@@ -185,12 +177,6 @@ func (b *Bitset) SetAll() {
 		b.words[i] = ^uint64(0)
 	}
 	b.maskTail()
-}
-
-// CopyFrom makes b an exact copy of o, resizing as needed.
-func (b *Bitset) CopyFrom(o *Bitset) {
-	b.Reset(o.n)
-	copy(b.words, o.words)
 }
 
 func (b *Bitset) maskTail() {

@@ -62,22 +62,15 @@ func FuzzOps(f *testing.F) {
 				for p := range mb {
 					ma[p] = true
 				}
-			case 5: // a = ^a alternating with a &^= b keeps both covered
-				if i%2 == 0 {
-					a.Complement()
-					next := map[int]bool{}
-					for p := 0; p < n; p++ {
-						if !ma[p] {
-							next[p] = true
-						}
-					}
-					ma = next
-				} else {
-					a.AndNot(b)
-					for p := range mb {
-						delete(ma, p)
+			case 5: // a = ^a
+				a.Complement()
+				next := map[int]bool{}
+				for p := 0; p < n; p++ {
+					if !ma[p] {
+						next[p] = true
 					}
 				}
+				ma = next
 			case 6: // SetWord on a, built from the next tape byte
 				if i+1 >= len(tape) || n == 0 {
 					continue

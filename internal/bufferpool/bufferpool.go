@@ -82,61 +82,6 @@ func (p *Pool) Get(key string) (any, error) {
 	return v, nil
 }
 
-// Put inserts (or refreshes) a value directly — used when a freshly flushed
-// segment is already in memory.
-func (p *Pool) Put(key string, value any, size int64) {
-	if size > p.capacity {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.entries[key]; ok {
-		e := el.Value.(*entry)
-		p.used += size - e.size
-		e.value, e.size = value, size
-		p.order.MoveToFront(el)
-	} else {
-		p.entries[key] = p.order.PushFront(&entry{key: key, value: value, size: size})
-		p.used += size
-	}
-	for p.used > p.capacity {
-		back := p.order.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*entry)
-		p.order.Remove(back)
-		delete(p.entries, e.key)
-		p.used -= e.size
-	}
-}
-
-// Evict removes key (e.g. a segment garbage-collected after a merge).
-func (p *Pool) Evict(key string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if el, ok := p.entries[key]; ok {
-		p.used -= el.Value.(*entry).size
-		p.order.Remove(el)
-		delete(p.entries, key)
-	}
-}
-
-// Contains reports whether key is cached (no LRU effect).
-func (p *Pool) Contains(key string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.entries[key]
-	return ok
-}
-
-// Used reports cached bytes.
-func (p *Pool) Used() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.used
-}
-
 // Stats reports hit/miss counters.
 func (p *Pool) Stats() (hits, misses int64) {
 	p.mu.Lock()

@@ -28,37 +28,37 @@ func TestGetLoadsAndCaches(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	p := New(30, func(key string) (any, int64, error) { return key, 10, nil })
+	loads := map[string]int{}
+	p := New(30, func(key string) (any, int64, error) { loads[key]++; return key, 10, nil })
 	p.Get("a")
 	p.Get("b")
 	p.Get("c")
 	p.Get("a") // refresh a; b is now LRU
 	p.Get("d") // evicts b
-	if p.Contains("b") {
-		t.Fatal("b not evicted")
-	}
 	for _, k := range []string{"a", "c", "d"} {
-		if !p.Contains(k) {
+		if p.Get(k); loads[k] != 1 {
 			t.Fatalf("%s wrongly evicted", k)
 		}
 	}
-	if p.Used() != 30 {
-		t.Fatalf("Used = %d", p.Used())
+	if p.Get("b"); loads["b"] != 2 {
+		t.Fatal("b not evicted")
+	}
+	if p.used != 30 {
+		t.Fatalf("used = %d", p.used)
 	}
 }
 
 func TestOversizeServedUncached(t *testing.T) {
-	p := New(5, func(key string) (any, int64, error) { return key, 10, nil })
-	v, err := p.Get("big")
-	if err != nil || v != "big" {
-		t.Fatalf("Get = %v, %v", v, err)
+	loads := 0
+	p := New(5, func(key string) (any, int64, error) { loads++; return key, 10, nil })
+	for i := 0; i < 2; i++ {
+		v, err := p.Get("big")
+		if err != nil || v != "big" {
+			t.Fatalf("Get = %v, %v", v, err)
+		}
 	}
-	if p.Contains("big") || p.Used() != 0 {
-		t.Fatal("oversize value was cached")
-	}
-	p.Put("big", "x", 10)
-	if p.Contains("big") {
-		t.Fatal("oversize Put was cached")
+	if loads != 2 || p.used != 0 {
+		t.Fatalf("oversize value was cached: %d loads, %d bytes used", loads, p.used)
 	}
 }
 
@@ -68,24 +68,6 @@ func TestLoaderErrorPropagates(t *testing.T) {
 	if _, err := p.Get("x"); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-}
-
-func TestPutAndEvict(t *testing.T) {
-	p := New(100, func(key string) (any, int64, error) { return nil, 0, errors.New("no loader") })
-	p.Put("seg1", 42, 20)
-	v, err := p.Get("seg1")
-	if err != nil || v != 42 {
-		t.Fatalf("Get = %v, %v", v, err)
-	}
-	p.Put("seg1", 43, 30) // refresh with new size
-	if p.Used() != 30 {
-		t.Fatalf("Used = %d, want 30", p.Used())
-	}
-	p.Evict("seg1")
-	if p.Contains("seg1") || p.Used() != 0 {
-		t.Fatal("Evict failed")
-	}
-	p.Evict("seg1") // idempotent
 }
 
 func TestNewPanicsOnBadCapacity(t *testing.T) {
@@ -114,7 +96,7 @@ func TestConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if p.Used() > 64 {
-		t.Fatalf("Used = %d exceeds capacity", p.Used())
+	if p.used > 64 {
+		t.Fatalf("used = %d exceeds capacity", p.used)
 	}
 }

@@ -66,18 +66,6 @@ func (cl *Cluster) AddReader() (string, error) {
 	return id, nil
 }
 
-// RemoveReader scales a reader away; its shards redistribute over the ring.
-func (cl *Cluster) RemoveReader(id string) error {
-	cl.mu.Lock()
-	_, ok := cl.readers[id]
-	delete(cl.readers, id)
-	cl.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("cluster: reader %q not found", id)
-	}
-	return cl.Coord.DeregisterReader(id)
-}
-
 // CrashReader simulates a reader crash (the instance stays registered until
 // a query notices, as in a real failure).
 func (cl *Cluster) CrashReader(id string) error {
@@ -89,18 +77,6 @@ func (cl *Cluster) CrashReader(id string) error {
 	}
 	r.Crash()
 	return nil
-}
-
-// RestartReader is the K8s replacement pod: same identity, cold cache.
-func (cl *Cluster) RestartReader(id string) error {
-	cl.mu.Lock()
-	r, ok := cl.readers[id]
-	cl.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("cluster: reader %q not found", id)
-	}
-	r.Restart()
-	return cl.Coord.RegisterReader(id) // idempotent
 }
 
 // Readers returns the live reader count.
@@ -132,24 +108,12 @@ func (cl *Cluster) Search(collection string, query []float32, opts core.SearchOp
 	return cl.SearchFilteredCtx(context.Background(), collection, query, opts, nil)
 }
 
-// SearchCtx is Search with cancellation: the router stops retrying and the
-// per-reader shard scans stop loading segments once ctx ends.
-func (cl *Cluster) SearchCtx(ctx context.Context, collection string, query []float32, opts core.SearchOptions) ([]topk.Result, error) {
-	return cl.SearchFilteredCtx(ctx, collection, query, opts, nil)
-}
-
-// SearchFiltered is Search with an attribute range pushed down to every
-// reader (distributed attribute filtering).
-func (cl *Cluster) SearchFiltered(collection string, query []float32, opts core.SearchOptions, rf *RangeFilter) ([]topk.Result, error) {
-	//lint:allow ctxflow ctx-less compat wrapper: public API without a context anchors at Background
-	return cl.SearchFilteredCtx(context.Background(), collection, query, opts, rf)
-}
-
-// SearchFilteredCtx is SearchFiltered with cancellation. The per-reader
-// fan-out runs as tasks on the shared execution pool: the router goroutine
-// runs them itself, with idle workers helping, and waits only for tasks a
-// worker has started, so a cluster query can never deadlock against
-// collection-level queries sharing the pool.
+// SearchFilteredCtx is Search with cancellation and an attribute range
+// pushed down to every reader (distributed attribute filtering). The
+// per-reader fan-out runs as tasks on the shared execution pool: the
+// router goroutine runs them itself, with idle workers helping, and waits
+// only for tasks a worker has started, so a cluster query can never
+// deadlock against collection-level queries sharing the pool.
 func (cl *Cluster) SearchFilteredCtx(ctx context.Context, collection string, query []float32, opts core.SearchOptions, rf *RangeFilter) ([]topk.Result, error) {
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {

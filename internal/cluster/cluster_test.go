@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -80,8 +81,8 @@ func TestRingDistributionAndStability(t *testing.T) {
 		t.Fatal("removed node still owns keys")
 	}
 	r = r.Remove("b").Add("a") // both idempotent
-	if r.Size() != 2 {
-		t.Fatalf("Size = %d", r.Size())
+	if len(r.Members()) != 2 {
+		t.Fatalf("members = %d", len(r.Members()))
 	}
 	empty := NewRing(0)
 	if empty.Lookup("k") != "" {
@@ -445,7 +446,7 @@ func TestDistributedAttributeFiltering(t *testing.T) {
 	q := dataset.Queries(d, 1, 20)
 	// Reconstruct the ground truth: attrs were generated with seed 2.
 	attrs := dataset.Attributes(d.N, 10000, 2)
-	res, err := cl.SearchFiltered("c", q, core.SearchOptions{K: 10}, &RangeFilter{Attr: "price", Lo: 0, Hi: 3000})
+	res, err := cl.SearchFilteredCtx(context.Background(), "c", q, core.SearchOptions{K: 10}, &RangeFilter{Attr: "price", Lo: 0, Hi: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,11 +460,11 @@ func TestDistributedAttributeFiltering(t *testing.T) {
 		}
 	}
 	// Unknown attribute surfaces as an error (every reader rejects it).
-	if _, err := cl.SearchFiltered("c", q, core.SearchOptions{K: 5}, &RangeFilter{Attr: "nope", Lo: 0, Hi: 1}); err == nil {
+	if _, err := cl.SearchFilteredCtx(context.Background(), "c", q, core.SearchOptions{K: 5}, &RangeFilter{Attr: "nope", Lo: 0, Hi: 1}); err == nil {
 		t.Fatal("unknown attribute accepted")
 	}
 	// Filtered and unfiltered results agree when the range covers everything.
-	all, err := cl.SearchFiltered("c", q, core.SearchOptions{K: 10}, &RangeFilter{Attr: "price", Lo: 0, Hi: 99999})
+	all, err := cl.SearchFilteredCtx(context.Background(), "c", q, core.SearchOptions{K: 10}, &RangeFilter{Attr: "price", Lo: 0, Hi: 99999})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,21 +61,6 @@ func (c *Coordinator) KillLeader() error {
 	return fmt.Errorf("cluster: coordinator lost all replicas")
 }
 
-// ReviveReplica restarts a crashed replica, copying state from the leader.
-func (c *Coordinator) ReviveReplica(i int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if i < 0 || i >= len(c.replicas) {
-		return fmt.Errorf("cluster: no replica %d", i)
-	}
-	if c.alive[i] {
-		return nil
-	}
-	c.replicas[i] = c.replicas[c.leader].clone()
-	c.alive[i] = true
-	return nil
-}
-
 // AliveReplicas counts live replicas.
 func (c *Coordinator) AliveReplicas() int {
 	c.mu.Lock()

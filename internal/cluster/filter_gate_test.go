@@ -130,7 +130,7 @@ func sortedIDs(rs []topk.Result) []int64 {
 func (f *gateFixture) check(t *testing.T, label string, q []float32, k int, lo, hi int64) []topk.Result {
 	t.Helper()
 	want := f.oracle(q, k, lo, hi)
-	fromCluster, err := f.cl.SearchFiltered("c", q, gateOpts(k), &RangeFilter{Attr: "price", Lo: lo, Hi: hi})
+	fromCluster, err := f.cl.SearchFilteredCtx(context.Background(), "c", q, gateOpts(k), &RangeFilter{Attr: "price", Lo: lo, Hi: hi})
 	if err != nil {
 		t.Fatalf("%s: cluster: %v", label, err)
 	}

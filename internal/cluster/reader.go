@@ -129,14 +129,6 @@ func (r *Reader) Crash() {
 	r.pool = bufferpool.New(r.cfg.CacheBytes, r.loadSegment)
 }
 
-// Restart brings a crashed instance back with cold caches (as a K8s
-// replacement pod would come up).
-func (r *Reader) Restart() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.alive = true
-}
-
 // CacheStats reports buffer pool hits and misses.
 func (r *Reader) CacheStats() (hits, misses int64) {
 	r.mu.RLock()

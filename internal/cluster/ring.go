@@ -96,6 +96,3 @@ func (r *Ring) Lookup(key string) string {
 
 // Members returns the member names, sorted (shared: do not modify).
 func (r *Ring) Members() []string { return r.members }
-
-// Size returns the member count.
-func (r *Ring) Size() int { return len(r.members) }

@@ -55,14 +55,14 @@ func TestRingMinimalMovementProperty(t *testing.T) {
 func TestRingImmutable(t *testing.T) {
 	a := NewRing(32).Add("a")
 	ab := a.Add("b")
-	if a.Size() != 1 || ab.Size() != 2 {
-		t.Fatalf("Add changed its receiver: %d/%d", a.Size(), ab.Size())
+	if len(a.Members()) != 1 || len(ab.Members()) != 2 {
+		t.Fatalf("Add changed its receiver: %d/%d", len(a.Members()), len(ab.Members()))
 	}
 	if a.Lookup("k") != "a" {
 		t.Fatal("original ring changed")
 	}
-	if b := ab.Remove("a"); ab.Size() != 2 || b.Size() != 1 || b.Lookup("k") != "b" {
-		t.Fatalf("Remove changed its receiver: %d/%d", ab.Size(), b.Size())
+	if b := ab.Remove("a"); len(ab.Members()) != 2 || len(b.Members()) != 1 || b.Lookup("k") != "b" {
+		t.Fatalf("Remove changed its receiver: %d/%d", len(ab.Members()), len(b.Members()))
 	}
 	if ab.Add("a") != ab || a.Remove("zz") != a {
 		t.Fatal("no-op membership change built a new ring")
@@ -117,8 +117,8 @@ func TestCoordinatorRingSnapshot(t *testing.T) {
 	if err := c.RegisterReader("r4"); err != nil {
 		t.Fatal(err)
 	}
-	if r, _ := c.Ring(); r.Size() != 3 || after.Size() != 2 {
-		t.Fatalf("after failover: ring has %d members, earlier ring %d", r.Size(), after.Size())
+	if r, _ := c.Ring(); len(r.Members()) != 3 || len(after.Members()) != 2 {
+		t.Fatalf("after failover: ring has %d members, earlier ring %d", len(r.Members()), len(after.Members()))
 	}
 }
 
@@ -138,7 +138,7 @@ func TestCoordinatorConcurrentReads(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				ring, err := c.Ring()
 				if err != nil || ring.Lookup("seg/1") == "" {
-					t.Errorf("Ring() = %v members, %v", ring.Size(), err)
+					t.Errorf("Ring() = %v members, %v", len(ring.Members()), err)
 					return
 				}
 				if _, err := c.ManifestVersion("c"); err != nil {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -90,11 +89,6 @@ func (w *Writer) Insert(collection string, entities []core.Entity) error {
 		return err
 	}
 	return w.write(collection, b)
-}
-
-// Delete ships the IDs as one WAL frame and applies it locally.
-func (w *Writer) Delete(collection string, ids []int64) error {
-	return w.write(collection, &wal.Batch{Kind: wal.Delete, IDs: slices.Clone(ids)})
 }
 
 // write ships b to shared storage as the next WAL object, one frame, and

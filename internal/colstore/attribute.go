@@ -89,12 +89,6 @@ func (c *AttributeColumn) buildSkipPointers() {
 // Len returns the number of entries.
 func (c *AttributeColumn) Len() int { return len(c.entries) }
 
-// Pages returns the number of skip-pointer pages.
-func (c *AttributeColumn) Pages() int { return len(c.pageMin) }
-
-// PageBounds returns the skip pointer (min, max) of page p.
-func (c *AttributeColumn) PageBounds(p int) (int64, int64) { return c.pageMin[p], c.pageMax[p] }
-
 // MinMax returns the column's overall key range; ok is false when empty.
 func (c *AttributeColumn) MinMax() (min, max int64, ok bool) {
 	if len(c.entries) == 0 {

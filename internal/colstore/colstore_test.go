@@ -44,15 +44,15 @@ func TestAttributeColumnSkipPointers(t *testing.T) {
 		values[i] = int64(i)
 	}
 	c := BuildAttributeColumn(values, nil)
-	if c.Pages() != 4 {
-		t.Fatalf("Pages = %d, want 4", c.Pages())
+	if len(c.pageMin) != 4 {
+		t.Fatalf("pages = %d, want 4", len(c.pageMin))
 	}
 	// Skip pointers must be exact page min/max of the sorted entries.
-	for p := 0; p < c.Pages(); p++ {
-		lo, hi := c.PageBounds(p)
+	for p := range c.pageMin {
+		lo, hi := c.pageMin[p], c.pageMax[p]
 		wantLo := int64(p * PageSize)
 		wantHi := int64((p+1)*PageSize - 1)
-		if p == c.Pages()-1 {
+		if p == len(c.pageMin)-1 {
 			wantHi = int64(n - 1)
 		}
 		if lo != wantLo || hi != wantHi {
@@ -111,15 +111,12 @@ func TestAttributeColumnRangeProperty(t *testing.T) {
 
 func TestVectorColumnRoundTrip(t *testing.T) {
 	col := NewVectorColumn(3, []float32{1, 2, 3, 4, 5, 6})
-	if col.Rows() != 2 {
-		t.Fatalf("Rows = %d", col.Rows())
-	}
 	if got := col.Row(1); got[0] != 4 || got[2] != 6 {
 		t.Fatalf("Row(1) = %v", got)
 	}
 	// A column is stored as a vector extent of a segment image.
 	buf, err := EncodeSegmentFile(1, []Extent{{
-		Kind: ExtentVectors, Rows: uint64(col.Rows()), Dim: uint32(col.Dim),
+		Kind: ExtentVectors, Rows: 2, Dim: uint32(col.Dim),
 		Payload: FloatsToBytes(col.Data),
 	}})
 	if err != nil {

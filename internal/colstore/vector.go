@@ -20,9 +20,6 @@ func NewVectorColumn(dim int, data []float32) *VectorColumn {
 	return &VectorColumn{Dim: dim, Data: data}
 }
 
-// Rows returns the number of vectors.
-func (v *VectorColumn) Rows() int { return len(v.Data) / v.Dim }
-
 // Row returns vector i ("given a row ID, Milvus can directly access the
 // corresponding vector since each vector is of the same length").
 func (v *VectorColumn) Row(i int) []float32 { return v.Data[i*v.Dim : (i+1)*v.Dim] }

@@ -640,7 +640,7 @@ func (c *Collection) BuildIndex(fieldName, indexType string, params map[string]s
 // to the current version of its segment.
 type builtIndex struct {
 	seg     int64       // segment ID
-	field   int         // vector field, or fusedField
+	field   int         // vector field
 	idx     index.Index // nil: the field scans its column
 	payload *segTier    // the externalized payload idx reads, or nil
 	blob    []byte      // the persisted form; nil when the type has none
@@ -802,8 +802,8 @@ type segmentBody func(seg *Segment, p index.SearchParams, hs []*topk.Heap) error
 // for a solo, pushed-down or fused query, the batch size for a batch — so
 // a member's worst distance prunes across every segment its task claims,
 // and body searches each claimed segment into them. A segment that field
-// is indexed on (fusedField: the fused index) counts and traces as an
-// index_search, any other (scanField: every segment) as a segment_scan.
+// is indexed on counts and traces as an index_search, any other
+// (scanField: every segment) as a segment_scan.
 // ctx or the first segment error fails the sweep; otherwise each member's
 // heaps fold into its out slot under topk_merge, the query's only sort.
 func (c *Collection) sweep(ctx context.Context, sn *Snapshot, tr *obs.QueryRecord, field int, p index.SearchParams, out [][]topk.Result, body segmentBody) error {

@@ -455,7 +455,7 @@ func TestDBLifecycle(t *testing.T) {
 	if err := db.DropCollection("a"); err == nil {
 		t.Error("double drop accepted")
 	}
-	keys, _ := db.Store().List("col/a/")
+	keys, _ := db.store.List("col/a/")
 	if len(keys) != 0 {
 		t.Fatalf("dropped collection left blobs: %v", keys)
 	}
@@ -517,19 +517,6 @@ func TestFusedSearchMatchesExhaustive(t *testing.T) {
 	}
 	if res[0].ID != best.id {
 		t.Fatalf("fused top-1 = %d, want %d", res[0].ID, best.id)
-	}
-	// Fused index path must agree with the scan path.
-	if err := c.BuildFusedIndex("FLAT", nil); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := hitsOf(c, Request{Fields: [][]float32{q1, q2}, Weights: w, SearchOptions: SearchOptions{K: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res {
-		if res[i].ID != res2[i].ID {
-			t.Fatalf("indexed fusion differs at %d: %v vs %v", i, res, res2)
-		}
 	}
 }
 

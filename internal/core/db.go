@@ -94,10 +94,6 @@ func registerRuntimeMetrics(reg *obs.Registry) {
 	}
 }
 
-// Store exposes the underlying object store (shared storage in the
-// distributed deployment).
-func (db *DB) Store() objstore.Store { return db.store }
-
 // TierDefaults is the database-wide out-of-core configuration: collections
 // created without their own tier settings inherit it.
 type TierDefaults struct {

@@ -14,7 +14,8 @@ import (
 // each entity are stored as one concatenated vector; a multi-vector query
 // with a decomposable similarity function becomes a single vector query by
 // applying the aggregation to the query's sub-vectors. This file implements
-// the fused storage view, the fused index, and the fused search.
+// the fused search: a scan that aggregates the per-field distances row by
+// row, which equals scanning the concatenated vectors.
 
 // FusedDim is the concatenated dimensionality of all vector fields.
 func (c *Collection) FusedDim() int {
@@ -75,59 +76,18 @@ func (c *Collection) fuseQuery(queries [][]float32, weights []float32) []float32
 	return out
 }
 
-// fusedField is the field a fused index build names: the concatenation of
-// every vector field.
-const fusedField = -1
-
-// BuildFusedIndex builds, on every current segment, an index over the
-// concatenated vector fields, and installs each as a new version of its
-// segment.
-func (c *Collection) BuildFusedIndex(indexType string, params map[string]string) error {
-	m, err := c.fusedMetric()
-	if err != nil {
-		return err
-	}
-	sn := c.snaps.acquire()
-	defer c.snaps.release(sn)
-	dim := c.FusedDim()
-	for _, seg := range sn.Segments {
-		b, err := index.NewBuilder(indexType, m, dim, params)
-		if err != nil {
-			return err
-		}
-		data, err := seg.FusedData()
-		if err != nil {
-			return fmt.Errorf("core: fused index on segment %d: %w", seg.ID, err)
-		}
-		idx, err := b.Build(data, seg.IDs)
-		if err != nil {
-			return fmt.Errorf("core: fused index on segment %d: %w", seg.ID, err)
-		}
-		c.install([]builtIndex{{seg: seg.ID, field: fusedField, idx: idx}}, false)
-	}
-	return nil
-}
-
 // searchFused sweeps the pinned snapshot with the aggregated query fq:
-// each segment's body is its fused index's search, or without one the
-// row-wise aggregated scan (fusedScan). A segment whose bytes cannot be
-// read fails the query.
+// each segment's body is the row-wise aggregated scan (fusedScan). A
+// segment whose bytes cannot be read fails the query.
 func (c *Collection) searchFused(ctx context.Context, sn *Snapshot, fq []float32, opts SearchOptions) ([]topk.Result, error) {
 	var out [1][]topk.Result
-	err := c.sweep(ctx, sn, opts.Trace, fusedField, opts.Params(), out[:], func(seg *Segment, p index.SearchParams, hs []*topk.Heap) error {
-		idx := seg.Index(fusedField)
-		if idx == nil {
-			return c.fusedScan(hs[0], seg, p.Bits, fq)
-		}
-		if err := index.SearchInto(idx, hs[0], fq, p); err != nil {
-			return fmt.Errorf("core: segment %d: %w", seg.ID, err)
-		}
-		return nil
+	err := c.sweep(ctx, sn, opts.Trace, scanField, opts.Params(), out[:], func(seg *Segment, p index.SearchParams, hs []*topk.Heap) error {
+		return c.fusedScan(hs[0], seg, p.Bits, fq)
 	})
 	return out[0], err
 }
 
-// fusedScan pushes into h every row of an unfused segment that visible
+// fusedScan pushes into h every row of a segment that visible
 // keeps (nil hides nothing), at the per-field distances to fq's sub-vectors
 // aggregated row by row (identical to scanning the concatenation). A
 // tiered segment pins its mapping per field for the scan.

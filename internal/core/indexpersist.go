@@ -56,12 +56,8 @@ func encodeIndex(idx index.Index) []byte {
 
 // persistIndex writes an installed build's blob. A build without one
 // deletes the blob of the index it replaced, so a reader does not load a
-// stale one. The fused index is not persisted. Failures are non-fatal: the
-// reader will rebuild locally.
+// stale one. Failures are non-fatal: the reader will rebuild locally.
 func (c *Collection) persistIndex(b builtIndex) {
-	if b.field == fusedField {
-		return
-	}
 	key := IndexKey(c.segmentKey(b.seg), b.field)
 	if b.blob == nil {
 		_ = c.store.Delete(key)

@@ -110,7 +110,3 @@ func (c *Collection) filterShape(sn *Snapshot, field int) plan.FilterShape {
 	}
 	return fs
 }
-
-// Planner exposes the collection's query planner (profile swaps,
-// inspection in tests).
-func (c *Collection) Planner() *plan.Planner { return c.planner }

@@ -79,8 +79,8 @@ func (s *Segment) SearchFiltered(h *topk.Heap, schema *Schema, field int, query 
 	return b.CountAt(at), len(at), nil
 }
 
-// scanField is the field a strategy A sweep names: it uses no segment's
-// index, so every segment counts as a segment_scan.
+// scanField is the field a sweep that uses no segment's index names
+// (strategy A, the fused scan): every segment counts as a segment_scan.
 const scanField = -2
 
 // scanFiltered is strategy A's search of one segment (Sec. 4.1), the

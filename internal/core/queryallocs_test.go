@@ -16,7 +16,7 @@ import (
 // solo query, a batch of two and a fused query to their counts. The shape
 // is the probe benchmark's: 32,768 × 32 uniform rows in two 16,384-row
 // IVF_FLAT segments (nlist 128), nprobe 4, k 100, plus a second 32-dim
-// field for the fused query, which has no fused index and scans.
+// field for the fused query, which scans.
 func TestQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")

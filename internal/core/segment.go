@@ -27,7 +27,6 @@ type Segment struct {
 	// build-order fine payload in its own extent file), nil when resident.
 	// The snapshot tracker counts references to it across versions.
 	payloads []*segTier
-	fused    index.Index // optional index over concatenated vector fields
 }
 
 // segData is what every version of a segment shares: its rows, columns and
@@ -234,13 +233,9 @@ func (s *Segment) buildAttrColumns() {
 	}
 }
 
-// Index returns the field's index, if built; field fusedField names the
-// fused index over the concatenated vector fields, and scanField none.
+// Index returns the field's index, if built; scanField names none.
 func (s *Segment) Index(field int) index.Index {
-	switch {
-	case field == fusedField:
-		return s.fused
-	case field < 0 || field >= len(s.indexes):
+	if field < 0 || field >= len(s.indexes) {
 		return nil
 	}
 	return s.indexes[field]
@@ -253,13 +248,9 @@ func (s *Segment) WithIndex(field int, idx index.Index) *Segment {
 }
 
 // withIndex is WithIndex with the payload tier idx reads (nil when
-// resident); field fusedField sets the fused index instead.
+// resident).
 func (s *Segment) withIndex(field int, idx index.Index, payload *segTier) *Segment {
 	v := *s
-	if field == fusedField {
-		v.fused = idx
-		return &v
-	}
 	v.indexes = make([]index.Index, len(s.Vectors))
 	copy(v.indexes, s.indexes)
 	v.indexes[field] = idx
@@ -267,38 +258,6 @@ func (s *Segment) withIndex(field int, idx index.Index, payload *segTier) *Segme
 	copy(v.payloads, s.payloads)
 	v.payloads[field] = payload
 	return &v
-}
-
-// FusedData materializes the row-major concatenation of all vector fields.
-// Its error is a tiered segment whose storage could not be read (promotion
-// exhausted its retries).
-func (s *Segment) FusedData() ([]float32, error) {
-	total := 0
-	for _, v := range s.Vectors {
-		total += v.Dim
-	}
-	rows := make([]func(int) []float32, len(s.Vectors))
-	rels := make([]func(), 0, len(s.Vectors))
-	defer func() {
-		for _, rel := range rels {
-			rel()
-		}
-	}()
-	for f := range s.Vectors {
-		rowAt, rel, err := s.vectorRows(f)
-		if err != nil {
-			return nil, err
-		}
-		rows[f] = rowAt
-		rels = append(rels, rel)
-	}
-	out := make([]float32, 0, total*s.Rows())
-	for r := 0; r < s.Rows(); r++ {
-		for f := range s.Vectors {
-			out = append(out, rows[f](r)...)
-		}
-	}
-	return out, nil
 }
 
 // SearchInto runs a top-k query on one vector field of this segment into a

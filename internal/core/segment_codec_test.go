@@ -265,8 +265,8 @@ func FuzzDecodeSegment(f *testing.F) {
 			t.Fatalf("accepted segment has the wrong column count")
 		}
 		for i, col := range seg.Vectors {
-			if col.Dim != schema.VectorFields[i].Dim || col.Rows() != rows {
-				t.Fatalf("vector field %d: %d rows at dim %d, want %d at %d", i, col.Rows(), col.Dim, rows, schema.VectorFields[i].Dim)
+			if col.Dim != schema.VectorFields[i].Dim || len(col.Data) != rows*col.Dim {
+				t.Fatalf("vector field %d: %d floats at dim %d, want %d rows at %d", i, len(col.Data), col.Dim, rows, schema.VectorFields[i].Dim)
 			}
 		}
 		for a := range schema.AttrFields {

@@ -532,9 +532,6 @@ func (c *Collection) externalize(seg *Segment, field int, idx index.Index) (inde
 	return y, t
 }
 
-// Tiered reports whether this segment's vectors live out of core.
-func (s *Segment) Tiered() bool { return s.tier != nil }
-
 // Mapped reports the segment's residency: (true, true) mapped, (false,
 // true) cold, (_, false) hot / untiered.
 func (s *Segment) Mapped() (mapped, tiered bool) {

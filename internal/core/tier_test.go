@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -1237,7 +1236,7 @@ func TestTieredFlatKeepsNoHeapCopy(t *testing.T) {
 
 	sn := tiered.AcquireSnapshot()
 	for _, seg := range sn.Segments {
-		if !seg.Tiered() {
+		if seg.tier == nil {
 			t.Fatalf("segment %d is not tiered", seg.ID)
 		}
 		if idx := seg.Index(0); idx != nil {
@@ -1270,8 +1269,7 @@ func TestTieredFlatKeepsNoHeapCopy(t *testing.T) {
 // filtered one the planner runs as a prefilter — answers that error
 // instead of silently leaving the segment's rows out, whether the segment
 // is scanned or probed through an externalized IVF_FLAT payload. Each
-// failed promotion counts in vectordb_tier_promote_errors_total. A fused
-// index build over the segment fails with the promotion's cause.
+// failed promotion counts in vectordb_tier_promote_errors_total.
 func TestTieredUnreadableSegmentFailsQuery(t *testing.T) {
 	const dim, rows = 8, 256
 	schema := testSchema(dim)
@@ -1344,9 +1342,6 @@ func TestTieredUnreadableSegmentFailsQuery(t *testing.T) {
 		if choice, _ := prefiltered.Summary().Attr("plan"); choice != string(plan.StrategyPrefilter) {
 			t.Fatalf("%s prefiltered: plan %q, want %s", indexType, choice, plan.StrategyPrefilter)
 		}
-		if err := c.BuildFusedIndex("FLAT", nil); !errors.Is(err, objstore.ErrNotFound) {
-			t.Fatalf("%s: a fused index build over an unreadable segment failed with %v, want the store's %v", indexType, err, objstore.ErrNotFound)
-		}
 	}
 }
 
@@ -1375,7 +1370,7 @@ func TestTieredDemoteDropsCodes(t *testing.T) {
 		defer c.ReleaseSnapshot(sn)
 		n := 0
 		for _, seg := range sn.Segments {
-			if !seg.Tiered() {
+			if seg.tier == nil {
 				t.Fatalf("segment %d is not tiered", seg.ID)
 			}
 			if seg.fieldCodes(0).codes.Load() != nil {

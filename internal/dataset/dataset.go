@@ -56,6 +56,8 @@ func DeepLike(n int, seed int64) *Dataset {
 
 // Uniform generates n dim-dimensional vectors uniform in [0,1); useful for
 // worst-case (unclustered) index behaviour in ablations.
+//
+//lint:allow testonly the IVF golden blobs and benchmarks draw their rows from it
 func Uniform(n, dim int, seed int64) *Dataset {
 	r := rand.New(rand.NewSource(seed))
 	d := &Dataset{Name: "uniform", Dim: dim, N: n, Data: make([]float32, n*dim)}
@@ -122,17 +124,12 @@ func (m *MultiVector) Field(f, i int) []float32 {
 	return m.Fields[f][i*dim : (i+1)*dim]
 }
 
-// RecipeLike generates n entities with two vector fields of the given dims,
-// both derived from a shared latent cluster plus independent noise, so the
-// fields agree on coarse similarity but disagree in detail — exactly the
-// regime where naive per-field top-k misses true multi-vector results.
-func RecipeLike(n int, dims []int, seed int64) *MultiVector {
-	return RecipeLikeNoise(n, dims, 0.4, seed)
-}
-
-// RecipeLikeNoise is RecipeLike with an explicit per-field noise level:
-// higher noise weakens the cross-field correlation, approaching Recipe1M's
-// weakly coupled text/image modalities.
+// RecipeLikeNoise generates n entities with vector fields of the given
+// dims, each derived from a shared latent cluster plus independent noise of
+// the given level, so the fields agree on coarse similarity but disagree in
+// detail — the regime where naive per-field top-k misses true multi-vector
+// results. Higher noise weakens the cross-field correlation, approaching
+// Recipe1M's weakly coupled text/image modalities.
 func RecipeLikeNoise(n int, dims []int, noise float64, seed int64) *MultiVector {
 	r := rand.New(rand.NewSource(seed))
 	const k = 32

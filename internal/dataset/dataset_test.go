@@ -99,7 +99,7 @@ func TestGroundTruthExactness(t *testing.T) {
 }
 
 func TestRecipeLikeCorrelation(t *testing.T) {
-	m := RecipeLike(300, []int{16, 24}, 9)
+	m := RecipeLikeNoise(300, []int{16, 24}, 0.4, 9)
 	if m.N != 300 || len(m.Fields) != 2 {
 		t.Fatalf("shape wrong")
 	}

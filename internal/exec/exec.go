@@ -186,6 +186,8 @@ func (p *Pool) Workers() int { return p.cfg.Workers }
 func (p *Pool) MaxBatch() int { return p.cfg.MaxBatch }
 
 // Rejected returns how many queries admission control has fast-failed.
+//
+//lint:allow testonly core's admission tests read the fast-fail count off the pool they share
 func (p *Pool) Rejected() int64 { return p.rejected.Load() }
 
 // Inflight returns the number of queries holding a run slot (≤ Workers).

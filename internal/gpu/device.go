@@ -100,6 +100,8 @@ func NewDevice(id int, cfg Config) *Device {
 func (d *Device) ID() int { return d.id }
 
 // Config returns the device configuration.
+//
+//lint:allow testonly sq8h's placement tests price a device by its filled-in configuration
 func (d *Device) Config() Config { return d.cfg }
 
 // Clock returns the modeled busy time accumulated so far.
@@ -109,34 +111,11 @@ func (d *Device) Clock() time.Duration {
 	return d.clock
 }
 
-// ResetClock zeroes the modeled clock and transfer counters (memory
-// residency is preserved — warm cache across experiment phases).
-func (d *Device) ResetClock() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.clock, d.xfers, d.xferred = 0, 0, 0
-}
-
 // Stats reports transfer counters.
 func (d *Device) Stats() (copies int64, bytes int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.xfers, d.xferred
-}
-
-// ResidentBytes reports current device-memory occupancy.
-func (d *Device) ResidentBytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.used
-}
-
-// Resident reports whether key is in device memory.
-func (d *Device) Resident(key string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	_, ok := d.resident[key]
-	return ok
 }
 
 // EnsureResident makes the keyed byte ranges resident, charging one PCIe

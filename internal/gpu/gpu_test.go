@@ -76,8 +76,8 @@ func TestLRUEviction(t *testing.T) {
 	if !d.Resident("s1") || !d.Resident("s2") {
 		t.Fatal("recent entries evicted")
 	}
-	if d.ResidentBytes() != 800 {
-		t.Fatalf("ResidentBytes = %d, want 800", d.ResidentBytes())
+	if d.used != 800 {
+		t.Fatalf("resident bytes = %d, want 800", d.used)
 	}
 	// Touch s1 then add s3: s2 becomes the victim.
 	if _, err := d.EnsureResident([]string{"s1"}, []int64{400}); err != nil {
@@ -102,16 +102,8 @@ func TestEvictAndReset(t *testing.T) {
 	d := NewDevice(0, testCfg())
 	d.EnsureResident([]string{"x"}, []int64{10})
 	d.Evict("x")
-	if d.Resident("x") || d.ResidentBytes() != 0 {
+	if d.Resident("x") || d.used != 0 {
 		t.Fatal("Evict failed")
-	}
-	d.ResetClock()
-	if d.Clock() != 0 {
-		t.Fatal("ResetClock failed")
-	}
-	c, b := d.Stats()
-	if c != 0 || b != 0 {
-		t.Fatal("ResetClock did not clear stats")
 	}
 }
 
@@ -155,21 +147,6 @@ func TestSchedulerStickyAndLeastLoaded(t *testing.T) {
 	if again.ID() != a.ID() {
 		t.Fatal("sticky assignment failed")
 	}
-	// Remove a's device: segA reassigns elsewhere.
-	if err := s.RemoveDevice(a.ID()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RemoveDevice(a.ID()); err == nil {
-		t.Fatal("double remove accepted")
-	}
-	re, _ := s.Assign("segA")
-	if re.ID() != b.ID() {
-		t.Fatal("segment not reassigned after device removal")
-	}
-	if s.Devices() != 1 {
-		t.Fatalf("Devices = %d, want 1", s.Devices())
-	}
-	re.RunKernel(1e6)
 	if s.MaxClock() <= 0 {
 		t.Fatal("MaxClock not positive after kernels ran")
 	}
@@ -277,15 +254,10 @@ func TestCPUModelCost(t *testing.T) {
 	}
 }
 
-func TestSchedulerDeviceAccessor(t *testing.T) {
-	s := NewScheduler()
-	d := NewDevice(7, testCfg())
-	s.AddDevice(d)
-	got, ok := s.Device(7)
-	if !ok || got != d {
-		t.Fatalf("Device(7) = %v, %v", got, ok)
-	}
-	if _, ok := s.Device(99); ok {
-		t.Fatal("missing device resolved")
-	}
+// Resident reports whether key is in device memory.
+func (d *Device) Resident(key string) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	_, ok := d.resident[key]
+	return ok
 }

@@ -34,40 +34,8 @@ func (s *Scheduler) AddDevice(d *Device) error {
 	return nil
 }
 
-// RemoveDevice deregisters a device (elastic scale-down); its sticky
-// segments are released so other devices can claim them.
-func (s *Scheduler) RemoveDevice(id int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.devices[id]; !ok {
-		return fmt.Errorf("gpu: device %d not registered", id)
-	}
-	delete(s.devices, id)
-	for seg, dev := range s.sticky {
-		if dev == id {
-			delete(s.sticky, seg)
-		}
-	}
-	return nil
-}
-
-// Devices returns the number of registered devices.
-func (s *Scheduler) Devices() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.devices)
-}
-
-// Device returns a registered device by id.
-func (s *Scheduler) Device(id int) (*Device, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	d, ok := s.devices[id]
-	return d, ok
-}
-
 // Assign picks the device to serve a search task on the given segment:
-// the segment's sticky device if still present, otherwise the device with
+// the segment's sticky device if it has one, otherwise the device with
 // the smallest modeled clock (least loaded), which becomes sticky.
 func (s *Scheduler) Assign(segment string) (*Device, error) {
 	s.mu.Lock()
@@ -76,10 +44,7 @@ func (s *Scheduler) Assign(segment string) (*Device, error) {
 		return nil, fmt.Errorf("gpu: no devices available")
 	}
 	if id, ok := s.sticky[segment]; ok {
-		if d, live := s.devices[id]; live {
-			return d, nil
-		}
-		delete(s.sticky, segment)
+		return s.devices[id], nil
 	}
 	var best *Device
 	for _, d := range s.devices {
@@ -89,20 +54,6 @@ func (s *Scheduler) Assign(segment string) (*Device, error) {
 	}
 	s.sticky[segment] = best.ID()
 	return best, nil
-}
-
-// Resident reports whether the segment's sticky device currently holds
-// its data — the planner's residency signal: a warm segment amortizes the
-// PCIe copy away, a cold one must pay it before the kernel runs.
-func (s *Scheduler) Resident(segment string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id, ok := s.sticky[segment]
-	if !ok {
-		return false
-	}
-	d, live := s.devices[id]
-	return live && d.Resident(segment)
 }
 
 // MaxClock returns the largest device clock — the modeled makespan of work

@@ -68,13 +68,6 @@ func (f *Flat) Size() int { return len(f.ids) }
 // MemoryBytes implements index.Index.
 func (f *Flat) MemoryBytes() int64 { return int64(len(f.data))*4 + int64(len(f.ids))*8 }
 
-// Data exposes the raw vectors for engines that scan flat storage directly
-// (the batch engine and the GPU kernels).
-func (f *Flat) Data() []float32 { return f.data }
-
-// IDs exposes the row-ID mapping aligned with Data.
-func (f *Flat) IDs() []int64 { return f.ids }
-
 // Search implements index.Index by exhaustive scan through the blocked
 // batch kernels. A pushed bitset (p.Bits, positions = row order) stays on
 // the batch kernels via run extraction or gathering; only non-batchable

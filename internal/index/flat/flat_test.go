@@ -43,7 +43,7 @@ func TestFlatDataAccessors(t *testing.T) {
 	data := []float32{1, 2, 3, 4}
 	idx, _ := NewBuilder(vec.L2, 2).Build(data, []int64{5, 9})
 	f := idx.(*Flat)
-	if len(f.Data()) != 4 || f.IDs()[1] != 9 {
+	if len(f.data) != 4 || f.ids[1] != 9 {
 		t.Fatal("accessors wrong")
 	}
 	if f.MemoryBytes() != 4*4+2*8 {

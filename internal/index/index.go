@@ -214,6 +214,8 @@ func SearchInto(idx Index, h *topk.Heap, query []float32, p SearchParams) error 
 
 // SearchBatch runs Search for each of the nq queries packed in queries.
 // Indexes with a native batch path may shadow this helper.
+//
+//lint:allow testonly the index packages' recall tests search a query set through it
 func SearchBatch(idx Index, queries []float32, p SearchParams) [][]topk.Result {
 	dim := idx.Dim()
 	nq := len(queries) / dim

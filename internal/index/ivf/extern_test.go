@@ -175,15 +175,8 @@ func TestExternalizedMatchesResident(t *testing.T) {
 
 						// One heap across the probed buckets, so the
 						// worst bound carries from bucket to bucket.
-						sel := index.Selection{Bits: p.Bits}
-						hx, hy := topk.New(p.K), topk.New(p.K)
-						for _, b := range x.ProbeOrder(q, nprobe) {
-							x.ScanBucket(q, b, sel, hx)
-							y.ScanBucket(q, b, sel, hy)
-						}
-						sameResults(t, label+"/ScanBucket", hx.Results(), hy.Results())
-
 						if fine == FineSQ8 {
+							sel := index.Selection{Bits: p.Bits}
 							sqx, sqy := x.SQ8ScanQuery(q), y.SQ8ScanQuery(q)
 							hx, hy := topk.New(p.K), topk.New(p.K)
 							for _, b := range x.ProbeOrder(q, nprobe) {
@@ -274,8 +267,7 @@ func checkBucketRuns[T float32 | byte](t *testing.T, y *IVF, payload, resident [
 }
 
 // TestExternalizedSweepOpensOnce: a search pins the payload once for its
-// whole probe sweep, however many buckets it probes; a single-bucket scan
-// pins it once per call. Every pin is released.
+// whole probe sweep, however many buckets it probes, and releases it.
 func TestExternalizedSweepOpensOnce(t *testing.T) {
 	for _, fine := range []Fine{FineFlat, FineSQ8} {
 		x, d := smallIVF(t, fine, vec.L2)
@@ -286,14 +278,6 @@ func TestExternalizedSweepOpensOnce(t *testing.T) {
 			y.Search(q, p)
 			if ext.opens != 1 {
 				t.Fatalf("a %d-bucket search opened the payload %d times, want once", x.nlist, ext.opens)
-			}
-			h := topk.New(p.K)
-			sel := index.Selection{Bits: p.Bits}
-			for _, b := range y.ProbeOrder(q, x.nlist) {
-				y.ScanBucket(q, b, sel, h)
-			}
-			if want := 1 + x.nlist; ext.opens != want {
-				t.Fatalf("after %d bucket scans: %d opens, want %d", x.nlist, ext.opens, want)
 			}
 			if ext.open != 0 {
 				t.Fatalf("%d payloads left open", ext.open)
@@ -332,10 +316,6 @@ func TestExternalizedOpenFailureScansNothing(t *testing.T) {
 				h.Push(r.ID, r.Distance)
 			}
 			y.SearchInto(h, q, p)
-			sel := index.Selection{Bits: p.Bits}
-			for b := 0; b < x.nlist; b++ {
-				y.ScanBucket(q, b, sel, h)
-			}
 			sameResults(t, "prefilled heap", prefill, h.Results())
 		})
 	}

@@ -319,37 +319,6 @@ func (x *IVF) ProbeOrder(query []float32, nprobe int) []int {
 	return out
 }
 
-// ScanBucket scans one bucket (step 2 of Sec. 3.1), pushing candidates that
-// survive sel into h. sel's Pos field is overwritten with this bucket's
-// build-order positions, so callers only populate Bits/Force. FLAT
-// buckets go through the shared blocked batch kernels with the selection
-// pushed beneath them; SQ8 and PQ buckets build their per-query ADC tables
-// here — callers scanning many buckets for one query (Search, SQ8H)
-// should build the table once via SQ8ScanQuery/ScanBucketSQ8 instead. A
-// payload that cannot be opened (an externalized one whose segment could
-// not be promoted) is the scan's error.
-func (x *IVF) ScanBucket(query []float32, b int, sel index.Selection, h *topk.Heap) error {
-	switch x.fine {
-	case FineSQ8:
-		return x.ScanBucketSQ8(x.SQ8ScanQuery(query), b, sel, h)
-	case FinePQ:
-		codes, release, err := x.payload.OpenBytes()
-		if err != nil {
-			return err
-		}
-		x.scanRows(codes, b, sel, h, x.pqTable(query).Distance)
-		release()
-	default:
-		rows, release, err := x.payload.OpenFloats()
-		if err != nil {
-			return err
-		}
-		x.scanFlat(rows, query, b, sel, h)
-		release()
-	}
-	return nil
-}
-
 // SQ8ScanQuery builds the fused per-query ADC table for SQ8 buckets under
 // the index metric (squared L2 or negated IP). Build it once per query and
 // pass it to ScanBucketSQ8 for every probed bucket.

@@ -67,8 +67,8 @@ func callbackScan(h *topk.Heap, q, data []float32, dim int, ids []int64, keep fu
 			continue
 		}
 		h.Push(id, d)
-		if h.Full() {
-			worst, _ = h.Worst()
+		if w, set := h.Worst(); set {
+			worst = w
 		}
 	}
 }

@@ -98,9 +98,6 @@ func (x *SQ8H) Size() int { return x.ivf.Size() }
 // MemoryBytes implements index.Index (host-side footprint).
 func (x *SQ8H) MemoryBytes() int64 { return x.ivf.MemoryBytes() }
 
-// IVF exposes the wrapped IVF_SQ8 index.
-func (x *SQ8H) IVF() *ivf.IVF { return x.ivf }
-
 // Search implements index.Index (a batch of one, which Algorithm 1 routes
 // to the hybrid plan).
 func (x *SQ8H) Search(query []float32, p index.SearchParams) []topk.Result {

@@ -42,10 +42,6 @@ type Result struct {
 // Centroid returns centroid i as a slice view.
 func (r *Result) Centroid(i int) []float32 { return r.Centroids[i*r.Dim : (i+1)*r.Dim] }
 
-// Assign returns the index of the centroid closest to v (the quantizer z(v)
-// of Sec. 3.1) and the squared distance to it.
-func (r *Result) Assign(v []float32) (int, float32) { return Nearest(v, r.Centroids, r.Dim) }
-
 // Nearest returns the row of the flat row-major codebook (rows of dim
 // floats) closest to v in squared L2, and that distance. The whole codebook
 // is scored in one batch-kernel dispatch; ties go to the lowest row.

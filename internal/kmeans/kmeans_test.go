@@ -350,3 +350,7 @@ func TestAssignAllUsesPanelKernel(t *testing.T) {
 		}
 	}
 }
+
+// Assign returns the index of the centroid closest to v (the quantizer z(v)
+// of Sec. 3.1) and the squared distance to it.
+func (r *Result) Assign(v []float32) (int, float32) { return Nearest(v, r.Centroids, r.Dim) }

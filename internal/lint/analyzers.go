@@ -15,6 +15,7 @@ func Defaults() []*Analyzer {
 		NewLockOrder(ip),
 		NewLockDiscipline(ip),
 		NewGoLeak(ip),
+		NewTestOnly(),
 	}
 }
 

@@ -75,22 +75,38 @@ func collectWants(t *testing.T, root string, vet bool) []*expectation {
 	return wants
 }
 
-// TestGolden runs the full suite over the synthetic module in testdata
+// TestGolden runs the full suite over the synthetic modules in testdata
 // and requires an exact match between findings and // want comments:
 // every seeded violation must be caught on its annotated line, and
 // nothing else may be reported (so the legal control shapes in each
 // fixture double as false-positive tests, and the //lint:allow fixtures
-// prove suppression works end to end).
+// prove suppression works end to end). lintest's fixtures are exported
+// and called by nothing, so testonly runs only over its own module,
+// testonly, which holds a nested module that replaces it.
 func TestGolden(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("testdata", "src", "lintest"))
-	if err != nil {
-		t.Fatal(err)
+	var rest []*Analyzer
+	for _, a := range Defaults() {
+		if a.Name != "testonly" {
+			rest = append(rest, a)
+		}
 	}
-	findings, err := Run(root, []string{"./..."}, Defaults())
-	if err != nil {
-		t.Fatal(err)
+	byAnalyzer := map[string]int{}
+	for _, m := range []struct {
+		module    string
+		analyzers []*Analyzer
+	}{{"lintest", rest}, {"testonly", Defaults()}} {
+		root, err := filepath.Abs(filepath.Join("testdata", "src", m.module))
+		if err != nil {
+			t.Fatal(err)
+		}
+		findings, _, err := RunWithStats(root, []string{"./..."}, m.analyzers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, n := range checkWants(t, findings, collectWants(t, root, false)) {
+			byAnalyzer[name] += n
+		}
 	}
-	byAnalyzer := checkWants(t, findings, collectWants(t, root, false))
 
 	// Every shipped analyzer (and the pragma validator) must be exercised
 	// by at least one golden finding, so a silently-broken analyzer cannot
@@ -177,7 +193,7 @@ func TestGoldenSelect(t *testing.T) {
 	if len(unknown) > 0 || len(analyzers) != 1 {
 		t.Fatalf("Select(kerneldispatch) = %d analyzers, unknown %v", len(analyzers), unknown)
 	}
-	findings, err := Run(root, []string{"./..."}, analyzers)
+	findings, _, err := RunWithStats(root, []string{"./..."}, analyzers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,9 +143,6 @@ func (r *Runner) Findings() []Finding {
 	return r.findings
 }
 
-// Suppressed reports how many findings allow pragmas dropped.
-func (r *Runner) Suppressed() int { return r.suppressed }
-
 // RunPackage collects pragmas from pkg's files, then runs every analyzer
 // on it.
 func (r *Runner) RunPackage(pkg *LoadedPackage) {
@@ -283,15 +280,9 @@ type RunStats struct {
 	Suppressed    int
 }
 
-// Run is the one-call entry point used by cmd/vectordblint and the tests:
-// load patterns relative to dir, run analyzers over every loaded package,
-// then the cross-package Finish phase.
-func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, error) {
-	findings, _, err := RunWithStats(dir, patterns, analyzers)
-	return findings, err
-}
-
-// RunWithStats is Run plus per-analyzer timing and size counters.
+// RunWithStats is the one-call entry point used by cmd/vectordblint and
+// the tests: load patterns relative to dir, run analyzers over every loaded
+// package, then the cross-package Finish phase, timing each analyzer.
 func RunWithStats(dir string, patterns []string, analyzers []*Analyzer) ([]Finding, *RunStats, error) {
 	prog, err := Load(dir, patterns)
 	if err != nil {

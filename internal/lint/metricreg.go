@@ -20,7 +20,6 @@ type regKind string
 var regMethodKind = map[string]regKind{
 	"Counter":     "counter",
 	"CounterFunc": "counter",
-	"Gauge":       "gauge",
 	"GaugeFunc":   "gauge",
 	"Histogram":   "histogram",
 }

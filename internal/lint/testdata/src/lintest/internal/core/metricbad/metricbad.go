@@ -21,6 +21,6 @@ func Register(r *obs.Registry) {
 
 // RegisterAgain collides with Register's families.
 func RegisterAgain(r *obs.Registry) {
-	r.Gauge("vectordb_dup_total")     // want metricreg "the registry panics on the second type"
-	r.Counter("vectordb_split_total") // want metricreg "also registered in"
+	r.GaugeFunc("vectordb_dup_total", nil) // want metricreg "the registry panics on the second type"
+	r.Counter("vectordb_split_total")      // want metricreg "also registered in"
 }

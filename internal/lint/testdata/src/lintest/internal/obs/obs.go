@@ -14,9 +14,6 @@ func (c *Counter) Value() int64 { return 0 }
 // Counter registers or resolves a counter family.
 func (r *Registry) Counter(name string, labels ...string) *Counter { return &Counter{} }
 
-// Gauge registers or resolves a gauge family.
-func (r *Registry) Gauge(name string, labels ...string) *Counter { return &Counter{} }
-
 // Histogram registers or resolves a histogram family.
 func (r *Registry) Histogram(name string, labels ...string) *Counter { return &Counter{} }
 

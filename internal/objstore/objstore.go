@@ -211,6 +211,8 @@ func NewS3Sim(latency time.Duration) *S3Sim {
 }
 
 // FailNext makes the next n operations return an injected error.
+//
+//lint:allow testonly the cluster's tests inject a store fault through it
 func (s *S3Sim) FailNext(n int) {
 	s.mu.Lock()
 	s.failNext = n
@@ -274,6 +276,3 @@ func (s *S3Sim) List(prefix string) ([]string, error) {
 	}
 	return s.inner.List(prefix)
 }
-
-// IsInjected reports whether err came from FailNext.
-func IsInjected(err error) bool { return errors.Is(err, errInjected) }

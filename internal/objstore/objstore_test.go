@@ -187,3 +187,6 @@ func TestFSConcurrentPutsOfOneKey(t *testing.T) {
 		t.Fatalf("List = %v, %v", keys, err)
 	}
 }
+
+// IsInjected reports whether err came from FailNext.
+func IsInjected(err error) bool { return errors.Is(err, errInjected) }

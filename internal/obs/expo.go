@@ -23,7 +23,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	type expoSeries struct {
 		labels string
 		c      *Counter
-		g      *Gauge
 		h      *Histogram
 		fn     func() int64
 	}
@@ -44,7 +43,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		sort.Strings(keys)
 		for _, k := range keys {
 			s := f.series[k]
-			ef.series = append(ef.series, expoSeries{labels: s.labels, c: s.c, g: s.g, h: s.h, fn: s.fn})
+			ef.series = append(ef.series, expoSeries{labels: s.labels, c: s.c, h: s.h, fn: s.fn})
 		}
 		fams = append(fams, ef)
 	}
@@ -63,8 +62,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.fn())
 			case s.c != nil:
 				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.c.Value())
-			case s.g != nil:
-				fmt.Fprintf(bw, "%s%s %d\n", f.name, s.labels, s.g.Value())
 			case s.h != nil:
 				writeHistogram(bw, f.name, s.labels, s.h)
 			}

@@ -17,7 +17,7 @@ func goldenRegistry() *obs.Registry {
 	r.Help("vdb_queries_total", `Total queries; escapes: \ and newline`+"\n"+`end`)
 	r.Counter("vdb_queries_total", "collection", "a").Add(3)
 	r.Counter("vdb_queries_total", "collection", "q\"uo\\te\nnl").Inc()
-	r.Gauge("vdb_up").Set(1)
+	r.GaugeFunc("vdb_up", func() int64 { return 1 })
 	h := r.Histogram("vdb_lat_seconds",
 		[]time.Duration{time.Millisecond, 10 * time.Millisecond, 100 * time.Millisecond},
 		"collection", "a")

@@ -1,9 +1,9 @@
 // Package obs is vectordb's observability substrate: lock-cheap atomic
-// counters, gauges and fixed-bucket latency histograms in a global-free
-// Registry, lightweight span tracing for the query path, and a ring-buffer
-// slow-query log. The package is stdlib-only and imports nothing else from
-// this repo, so every layer (wal, vec, gpu, query, core, cluster, rest) can
-// depend on it without cycles.
+// counters, gauges read at scrape time and fixed-bucket latency histograms
+// in a global-free Registry, lightweight span tracing for the query path,
+// and a ring-buffer slow-query log. The package is stdlib-only and imports
+// nothing else from this repo, so every layer (wal, vec, gpu, query, core,
+// cluster, rest) can depend on it without cycles.
 //
 // All metric handles and the Registry itself are nil-safe: methods on a nil
 // *Registry return working-but-unregistered handles, and methods on nil
@@ -40,33 +40,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // DefLatencyBuckets is the default histogram bucketing: roughly
@@ -125,6 +98,8 @@ func (h *Histogram) Observe(d time.Duration) {
 }
 
 // Count returns the number of observed samples.
+//
+//lint:allow testonly other packages' tests count what their histograms observed
 func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
@@ -138,14 +113,6 @@ func (h *Histogram) Sum() time.Duration {
 		return 0
 	}
 	return time.Duration(h.sum.Load())
-}
-
-// Bounds returns the bucket upper bounds.
-func (h *Histogram) Bounds() []time.Duration {
-	if h == nil {
-		return nil
-	}
-	return h.bounds
 }
 
 // metric families
@@ -169,12 +136,12 @@ func (t metricType) String() string {
 	}
 }
 
-// series is one labeled instance within a family. Exactly one of c/g/h/fn
-// is set, matching the family's type (fn may back a counter or a gauge).
+// series is one labeled instance within a family. Exactly one of c/h/fn
+// is set, matching the family's type (fn may back a counter and backs
+// every gauge).
 type series struct {
 	labels string // canonical rendered label block: "" or `{k="v",...}`
 	c      *Counter
-	g      *Gauge
 	h      *Histogram
 	fn     func() int64
 }
@@ -217,14 +184,6 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 		return &Counter{}
 	}
 	return r.get(name, typeCounter, nil, labels).c
-}
-
-// Gauge returns the gauge for (name, labels), creating it on first use.
-func (r *Registry) Gauge(name string, labels ...string) *Gauge {
-	if r == nil {
-		return &Gauge{}
-	}
-	return r.get(name, typeGauge, nil, labels).g
 }
 
 // Histogram returns the histogram for (name, labels), creating it on first
@@ -280,8 +239,6 @@ func (r *Registry) get(name string, typ metricType, bounds []time.Duration, labe
 		switch typ {
 		case typeCounter:
 			s.c = &Counter{}
-		case typeGauge:
-			s.g = &Gauge{}
 		case typeHistogram:
 			s.h = newHistogram(f.bounds)
 		}

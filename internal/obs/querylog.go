@@ -41,7 +41,7 @@ func (g *ring) put(r *QueryRecord) {
 
 // NewQueryLog sizes the rings and sets the slow threshold. Non-positive
 // capacities fall back to small defaults; a non-positive threshold
-// disables the slow log until SetSlowThreshold.
+// disables the slow log.
 func NewQueryLog(recentCap, slowCap int, slowThreshold time.Duration) *QueryLog {
 	if recentCap <= 0 {
 		recentCap = 64
@@ -54,17 +54,6 @@ func NewQueryLog(recentCap, slowCap int, slowThreshold time.Duration) *QueryLog 
 		slow:   ring{buf: make([]QueryRecord, slowCap)},
 		slowAt: slowThreshold,
 	}
-}
-
-// SetSlowThreshold changes the slow-log latency cutoff. Zero or negative
-// disables slow capture.
-func (l *QueryLog) SetSlowThreshold(d time.Duration) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	l.slowAt = d
-	l.mu.Unlock()
 }
 
 // Add finishes r and copies it into the rings. Nil-safe on both the log

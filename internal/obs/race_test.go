@@ -80,7 +80,6 @@ func TestConcurrentWritersAndScrape(t *testing.T) {
 				c.Inc()
 				shared.Inc()
 				h.Observe(time.Duration(i) * time.Microsecond)
-				reg.Gauge("race_depth", "writer", string(rune('a'+w))).Set(int64(i))
 				r := obs.NewQueryRecord("race")
 				sp := r.Start(obs.Segments)
 				r.Start(obs.SegmentScan).End()

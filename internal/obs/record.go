@@ -202,9 +202,13 @@ func (r *QueryRecord) Finish() time.Duration {
 }
 
 // Stages returns the names of the stages that ran, in pipeline order.
+//
+//lint:allow testonly other packages' tests read the stages a query ran through it
 func (r *QueryRecord) Stages() []string { return r.Summary().Stages() }
 
 // Attr returns the rendered attribute under key.
+//
+//lint:allow testonly other packages' tests read a query's attributes through it
 func (r *QueryRecord) Attr(key string) (string, bool) { return r.Summary().Attr(key) }
 
 // KV is one rendered attribute.

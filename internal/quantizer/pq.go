@@ -72,19 +72,6 @@ func (p *PQ) Encode(v []float32, code []uint8) []uint8 {
 	return code
 }
 
-// Decode reconstructs the approximate vector from an M-byte code.
-func (p *PQ) Decode(code []uint8, out []float32) []float32 {
-	if out == nil {
-		out = make([]float32, p.Dim)
-	}
-	for m := 0; m < p.M; m++ {
-		cb := p.Codebooks[m]
-		c := int(code[m])
-		copy(out[m*p.SubDim:(m+1)*p.SubDim], cb[c*p.SubDim:(c+1)*p.SubDim])
-	}
-	return out
-}
-
 // ADCTable holds precomputed per-sub-space distances from one query to every
 // codebook centroid, enabling O(M) asymmetric distance computation per code.
 type ADCTable struct {

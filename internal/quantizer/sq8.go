@@ -70,36 +70,5 @@ func (q *SQ8) Encode(v []float32, code []uint8) []uint8 {
 	return code
 }
 
-// Decode reconstructs an approximate vector from code into out.
-func (q *SQ8) Decode(code []uint8, out []float32) []float32 {
-	if out == nil {
-		out = make([]float32, q.Dim)
-	}
-	for j := 0; j < q.Dim; j++ {
-		out[j] = q.Min[j] + float32(code[j])*q.Step[j]
-	}
-	return out
-}
-
-// L2Squared computes squared L2 distance between a float query and a code
-// without materializing the decoded vector.
-func (q *SQ8) L2Squared(query []float32, code []uint8) float32 {
-	var s float32
-	for j := 0; j < q.Dim; j++ {
-		d := query[j] - (q.Min[j] + float32(code[j])*q.Step[j])
-		s += d * d
-	}
-	return s
-}
-
-// Dot computes the inner product of a float query with a decoded code.
-func (q *SQ8) Dot(query []float32, code []uint8) float32 {
-	var s float32
-	for j := 0; j < q.Dim; j++ {
-		s += query[j] * (q.Min[j] + float32(code[j])*q.Step[j])
-	}
-	return s
-}
-
 // CodeSize returns the encoded size in bytes per vector.
 func (q *SQ8) CodeSize() int { return q.Dim }

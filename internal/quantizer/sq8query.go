@@ -64,9 +64,6 @@ func (q *SQ8) Query(query []float32, ip bool) *SQ8Query {
 	return q.L2Query(query)
 }
 
-// Dim returns the code length the table expects.
-func (s *SQ8Query) Dim() int { return s.dim }
-
 // Distance computes the fused distance of one code (len Dim).
 func (s *SQ8Query) Distance(code []uint8) float32 {
 	if s.c2 == nil {

@@ -58,9 +58,6 @@ func (m *MultiTable) FieldDistance(field int, q []float32, id int64) (float32, b
 	return m.tables[field].DistanceByID(0, q, id)
 }
 
-// Table exposes one field's table (benchmarks).
-func (m *MultiTable) Table(field int) *Table { return m.tables[field] }
-
 // GroundTruth computes the exact aggregated top-k by exhaustive scan — the
 // reference for multi-vector recall in Fig. 16.
 func (m *MultiTable) GroundTruth(queries [][]float32, weights []float32, k int) []topk.Result {

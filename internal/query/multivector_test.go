@@ -11,7 +11,7 @@ import (
 
 func recipeSource(t testing.TB, n int) (*MultiTable, [][]float32) {
 	t.Helper()
-	mv := dataset.RecipeLike(n, []int{16, 24}, 1)
+	mv := dataset.RecipeLikeNoise(n, []int{16, 24}, 0.4, 1)
 	mt, err := NewMultiTable(vec.L2, mv.Dims, mv.Fields, nil)
 	if err != nil {
 		t.Fatal(err)

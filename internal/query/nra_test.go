@@ -12,7 +12,7 @@ import (
 func TestStandardNRAMatchesRoundNRA(t *testing.T) {
 	// Same inputs → same top-k; the variants differ only in bookkeeping
 	// schedule (per-access vs per-round).
-	mv := dataset.RecipeLike(400, []int{8, 8}, 31)
+	mv := dataset.RecipeLikeNoise(400, []int{8, 8}, 0.4, 31)
 	mt, err := NewMultiTable(vec.L2, mv.Dims, mv.Fields, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestStandardNRAMatchesRoundNRA(t *testing.T) {
 func TestStandardNRAEarlyStopUsesFewerAccesses(t *testing.T) {
 	// Per-access checking must stop no later than the depth the round
 	// variant needs (it checks more often).
-	mv := dataset.RecipeLike(600, []int{8, 8}, 32)
+	mv := dataset.RecipeLikeNoise(600, []int{8, 8}, 0.4, 32)
 	mt, err := NewMultiTable(vec.L2, mv.Dims, mv.Fields, nil)
 	if err != nil {
 		t.Fatal(err)

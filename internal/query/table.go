@@ -71,9 +71,6 @@ func (t *Table) BuildIndex(indexType string, params map[string]string) error {
 	return nil
 }
 
-// Index returns the current vector index.
-func (t *Table) Index() index.Index { return t.idx }
-
 // TotalRows implements Source.
 func (t *Table) TotalRows() int { return len(t.ids) }
 

@@ -12,6 +12,7 @@ import (
 	"vectordb/internal/cluster"
 	"vectordb/internal/core"
 	"vectordb/internal/gpu"
+	"vectordb/internal/objstore"
 	"vectordb/internal/obs/promtext"
 	"vectordb/internal/rest"
 )
@@ -146,7 +147,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Register the cluster-cache and GPU series into the same registry.
-	cluster.NewReader("r0", db.Store(), cluster.ReaderConfig{Obs: db.Obs()})
+	cluster.NewReader("r0", objstore.NewMemory(), cluster.ReaderConfig{Obs: db.Obs()})
 	gpu.NewDevice(0, gpu.Config{Obs: db.Obs()})
 
 	resp := do(t, http.MethodGet, srv.URL+"/metrics", "")

@@ -1,9 +1,6 @@
 package stress
 
-import (
-	"hash/fnv"
-	"math/rand"
-)
+import "math/rand"
 
 // OpKind is one kind of workload operation.
 type OpKind int
@@ -80,27 +77,6 @@ func (s *Stream) Next() Op {
 		op.Kind = OpIndex
 	}
 	return op
-}
-
-// ScheduleHash fingerprints the first n ops of every writer stream for a
-// given seed. Equal seeds must produce equal hashes (reproducible
-// schedules); it is what the determinism test asserts.
-func ScheduleHash(seed int64, writers, n int) uint64 {
-	h := fnv.New64a()
-	buf := make([]byte, 0, 24)
-	for w := 0; w < writers; w++ {
-		s := NewStream(seed, w)
-		for i := 0; i < n; i++ {
-			op := s.Next()
-			buf = buf[:0]
-			buf = append(buf,
-				byte(op.Kind), byte(op.N), byte(op.N>>8),
-				byte(op.Arg), byte(op.Arg>>8), byte(op.Arg>>16), byte(op.Arg>>24),
-				byte(op.Arg>>32), byte(op.Arg>>40), byte(op.Arg>>48), byte(op.Arg>>56))
-			_, _ = h.Write(buf)
-		}
-	}
-	return h.Sum64()
 }
 
 // VectorForID derives entity ID's vector deterministically, so the harness

@@ -179,6 +179,8 @@ type writerState struct {
 // Run executes one seeded stress run and verifies its invariants. It
 // returns a non-nil error when any invariant was violated; the Report is
 // always returned for inspection.
+//
+//lint:allow testonly the harness's entry point: its runs are this package's tests (make stress)
 func Run(cfg Config) (*Report, error) {
 	cfg.defaults()
 

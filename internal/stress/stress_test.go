@@ -2,6 +2,7 @@ package stress
 
 import (
 	"flag"
+	"hash/fnv"
 	"testing"
 	"time"
 )
@@ -292,4 +293,25 @@ func TestStressSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// ScheduleHash fingerprints the first n ops of every writer stream for a
+// given seed. Equal seeds must produce equal hashes (reproducible
+// schedules); it is what the determinism test asserts.
+func ScheduleHash(seed int64, writers, n int) uint64 {
+	h := fnv.New64a()
+	buf := make([]byte, 0, 24)
+	for w := 0; w < writers; w++ {
+		s := NewStream(seed, w)
+		for i := 0; i < n; i++ {
+			op := s.Next()
+			buf = buf[:0]
+			buf = append(buf,
+				byte(op.Kind), byte(op.N), byte(op.N>>8),
+				byte(op.Arg), byte(op.Arg>>8), byte(op.Arg>>16), byte(op.Arg>>24),
+				byte(op.Arg>>32), byte(op.Arg>>40), byte(op.Arg>>48), byte(op.Arg>>56))
+			_, _ = h.Write(buf)
+		}
+	}
+	return h.Sum64()
 }

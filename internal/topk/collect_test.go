@@ -128,10 +128,10 @@ func FuzzCollect(f *testing.F) {
 			slices.SortFunc(offeredA, byDist)
 		}
 		want := offeredA[:min(ka, len(offeredA))]
-		if a.Full() != (len(offeredA) >= ka) || a.Len() != len(want) {
-			t.Fatalf("k %d, %d admissible: Full %v, Len %d", ka, len(offeredA), a.Full(), a.Len())
-		}
 		w, set := a.Worst()
+		if set != (len(offeredA) >= ka) || a.Len() != len(want) {
+			t.Fatalf("k %d, %d admissible: bound set %v, Len %d", ka, len(offeredA), set, a.Len())
+		}
 		snap := a.Snapshot()
 		got := a.Results()
 		if !slices.Equal(snap, got) {
@@ -154,7 +154,7 @@ func FuzzCollect(f *testing.F) {
 		if set && len(got) > 0 && !(got[len(got)-1].Distance <= w) {
 			t.Fatalf("bound %v below the k-th distance %v", w, got[len(got)-1].Distance)
 		}
-		if a.Len() != 0 || a.Full() {
+		if a.Len() != 0 || a.set {
 			t.Fatal("Results did not empty the collector")
 		}
 	})

@@ -51,7 +51,7 @@ func FuzzHeapPush(f *testing.F) {
 		if h.Len() > k {
 			t.Fatalf("heap holds %d > k=%d", h.Len(), k)
 		}
-		if pushed >= k && !h.Full() {
+		if pushed >= k && !h.set {
 			t.Fatalf("heap not full after %d valid pushes with k=%d", pushed, k)
 		}
 		snap := h.Snapshot()

@@ -10,8 +10,8 @@ func TestHeapInitReusesCapacity(t *testing.T) {
 		h.Push(int64(i), float32(i))
 	}
 	h.Init(4)
-	if h.K() != 4 || h.Len() != 0 {
-		t.Fatalf("after Init(4): k=%d len=%d", h.K(), h.Len())
+	if h.k != 4 || h.Len() != 0 {
+		t.Fatalf("after Init(4): k=%d len=%d", h.k, h.Len())
 	}
 	h.Push(1, 1)
 	h.Push(2, 0.5)

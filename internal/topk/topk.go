@@ -74,19 +74,13 @@ func (h *Heap) Reset() {
 	h.next, h.bound, h.set = h.k, float32(math.Inf(1)), false
 }
 
-// K returns the bound.
-func (h *Heap) K() int { return h.k }
-
 // Len returns the number of results Results would return.
 func (h *Heap) Len() int { return min(len(h.data), h.k) }
 
-// Full reports whether a bound on the k-th distance is set, which it is
-// from the k-th candidate on.
-func (h *Heap) Full() bool { return h.set }
-
 // Worst returns the bound on the k-th distance — no candidate at or above
-// it enters — and whether it is set; unset, it is +Inf. It is the k-th
-// distance at the last compaction, looser than the k-th seen since.
+// it enters — and whether it is set, which it is from the k-th candidate
+// on; unset, it is +Inf. It is the k-th distance at the last compaction,
+// looser than the k-th seen since.
 func (h *Heap) Worst() (float32, bool) { return h.bound, h.set }
 
 // admits reports whether a candidate at distance d enters. NaN never

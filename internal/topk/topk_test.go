@@ -169,8 +169,8 @@ func TestHugeKGrowsWithWhatItKeeps(t *testing.T) {
 		for i := n - 1; i >= 0; i-- {
 			h.Push(int64(i), float32(i))
 		}
-		if h.Full() || h.Len() != n {
-			t.Fatalf("k 2^62 after %d pushes: len %d, full %v", n, h.Len(), h.Full())
+		if h.set || h.Len() != n {
+			t.Fatalf("k 2^62 after %d pushes: len %d, bound set %v", n, h.Len(), h.set)
 		}
 		for i, r := range h.Results() {
 			if r.ID != int64(i) {

@@ -93,12 +93,6 @@ func (c *Codes) HeadList(uh []int16, ts []int32, i0, i1 int, live []int32) int {
 	return active.Load().hl(uh, ts, c.Head[i0*HeadDim:], i1-i0, live)
 }
 
-// HeadListAt runs the head list kernel of an explicit tier over n rows of
-// head panels.
-func HeadListAt(l Level, uh []int16, ts []int32, panels []uint8, n int, live []int32) int {
-	return kernels[l].hl(uh, ts, panels, n, live)
-}
-
 // Prepare writes q's grid point into u (len Dim) and returns the slack a
 // threshold adds for q: its residual ρ plus the rows' own offset, rounded
 // up. A NaN or ±Inf coordinate makes it NaN or +Inf, and then Threshold
@@ -144,16 +138,6 @@ func (c *Codes) Threshold(slack float64, worst float32) (t int32, ok bool) {
 func CodeL2Tile(us []int16, codes []uint8, dim int, out []int32) {
 	countCurrentCode()
 	active.Load().cdt(us, codes, dim, len(us)/dim, out)
-}
-
-// CodeL2TileAt runs the code tile kernel of an explicit tier.
-func CodeL2TileAt(l Level, us []int16, codes []uint8, dim int, out []int32) {
-	kernels[l].cdt(us, codes, dim, len(us)/dim, out)
-}
-
-// EncodeCodesAt is EncodeCodes on an explicit tier (tests, benchmarks).
-func EncodeCodesAt(l Level, data []float32, dim int) *Codes {
-	return encodeWith(&kernels[l], data, dim)
 }
 
 // encodeWith is EncodeCodes on the kernel set ks.

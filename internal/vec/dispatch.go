@@ -19,6 +19,8 @@ var (
 func SetDispatchCounting(on bool) { countDispatch.Store(on) }
 
 // DispatchCounting reports whether dispatch counting is enabled.
+//
+//lint:allow testonly other packages' kernel-guard tests save and restore counting around a scan
 func DispatchCounting() bool { return countDispatch.Load() }
 
 // DispatchCount returns the number of hooked-kernel dispatches served by
@@ -44,6 +46,8 @@ func BatchDispatchCount(l Level) int64 {
 }
 
 // BatchDispatchTotal sums batch-kernel dispatches across all tiers.
+//
+//lint:allow testonly other packages' kernel-guard tests prove a scan reached the batch kernels
 func BatchDispatchTotal() int64 {
 	var t int64
 	for i := range batchDispatchCounts {
@@ -55,6 +59,8 @@ func BatchDispatchTotal() int64 {
 // CodeDispatchTotal sums code-tile dispatches (CodeL2Tile) across all
 // tiers: the coded scans' first pass over a block, counted apart from the
 // float batch kernels that score its survivors.
+//
+//lint:allow testonly core's kernel-guard tests prove a coded scan reached the code tile
 func CodeDispatchTotal() int64 {
 	var t int64
 	for i := range codeDispatchCounts {
@@ -65,6 +71,8 @@ func CodeDispatchTotal() int64 {
 
 // ResetDispatchCounts zeroes all per-tier dispatch counters: pairwise,
 // batch and code.
+//
+//lint:allow testonly other packages' kernel-guard tests zero the counters before a scan
 func ResetDispatchCounts() {
 	for i := range dispatchCounts {
 		dispatchCounts[i].Store(0)

@@ -81,12 +81,6 @@ func L2PanelMin(x []float32, p *Panels, out []PanelMin) {
 	panelMin(active.Load().l2p, x, p, out)
 }
 
-// L2PanelMinAt runs the panel kernel of an explicit tier (tests,
-// benchmarks).
-func L2PanelMinAt(l Level, x []float32, p *Panels, out []PanelMin) {
-	panelMin(kernels[l].l2p, x, p, out)
-}
-
 func panelMin(kernel func(x []float32, p *Panels, out []PanelMin), x []float32, p *Panels, out []PanelMin) {
 	if len(x)%p.Dim != 0 {
 		panic("vec: dimension mismatch")

@@ -156,23 +156,6 @@ func Dot(a, b []float32) float32 {
 	return active.Load().ip(a, b)
 }
 
-// L2SquaredAt computes L2Squared with an explicit tier, bypassing the hook.
-// Benchmarks use it to compare tiers side by side (Fig. 12).
-func L2SquaredAt(l Level, a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic("vec: dimension mismatch")
-	}
-	return kernels[l].l2(a, b)
-}
-
-// DotAt computes Dot with an explicit tier, bypassing the hook.
-func DotAt(l Level, a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic("vec: dimension mismatch")
-	}
-	return kernels[l].ip(a, b)
-}
-
 // L2SquaredBatch computes the squared L2 distance from q to every row of the
 // flat row-major matrix data (len(data) = n*dim) into out (len >= n), using
 // the hooked tier's register-blocked batch kernel: one dispatch per block
@@ -180,12 +163,6 @@ func DotAt(l Level, a, b []float32) float32 {
 func L2SquaredBatch(q, data []float32, dim int, out []float32) {
 	countCurrentBatch()
 	active.Load().l2b(q, data, dim, out)
-}
-
-// DotBatch computes the inner product of q with every row of data into out.
-func DotBatch(q, data []float32, dim int, out []float32) {
-	countCurrentBatch()
-	active.Load().ipb(q, data, dim, out)
 }
 
 // NegDotBatch is DotBatch negated into distances (smaller = more similar),
@@ -240,26 +217,6 @@ func NegDotTile(queries, data []float32, dim int, out []float32) {
 // benchmarks).
 func L2SquaredBatchAt(l Level, q, data []float32, dim int, out []float32) {
 	kernels[l].l2b(q, data, dim, out)
-}
-
-// DotBatchAt runs the dot batch kernel of an explicit tier.
-func DotBatchAt(l Level, q, data []float32, dim int, out []float32) {
-	kernels[l].ipb(q, data, dim, out)
-}
-
-// L2SquaredBatchBoundAt runs the bound kernel of an explicit tier.
-func L2SquaredBatchBoundAt(l Level, q, data []float32, dim int, bound float32, out []float32) {
-	kernels[l].l2bb(q, data, dim, bound, out)
-}
-
-// L2SquaredTileAt runs the tile kernel of an explicit tier.
-func L2SquaredTileAt(l Level, queries, data []float32, dim int, out []float32) {
-	kernels[l].l2t(queries, data, dim, len(queries)/dim, out)
-}
-
-// DotTileAt runs the dot tile kernel of an explicit tier.
-func DotTileAt(l Level, queries, data []float32, dim int, out []float32) {
-	kernels[l].ipt(queries, data, dim, len(queries)/dim, out)
 }
 
 // Norm returns the Euclidean norm of a.
