@@ -5,7 +5,6 @@
 //
 //	vectordbd [-addr :19530] [-data DIR] [-query-timeout 0] [-batch-size 0]
 //	          [-tier-dir DIR] [-tier-mapped-mb 0]
-//	          [-recalibrate]
 //
 // With -data, segments persist to the directory; otherwise storage is
 // in-memory. -query-timeout bounds each search request (0 = unbounded).
@@ -20,27 +19,20 @@
 // tier's one residency bound (0 = unlimited; the LRU demotes extents past
 // the budget).
 //
-// The query planner calibrates its cost model (kernel throughput per SIMD
-// tier, SQ8 scan, single-row distance and bitset compile rates) on first
-// use. With
-// -tier-dir the measured profile persists to plan-calibration.json under
-// the directory, keyed by CPU feature bits and GOMAXPROCS, so restarts on
-// the same hardware skip the measurement pass; a stale or foreign profile
-// is re-measured automatically. -recalibrate forces a fresh measurement
-// pass even when a valid profile is on disk.
+// The query planner prices its plans from fixed measured rates (kernel
+// throughput per SIMD tier, SQ8 scan, single-row distance and bitset
+// compile), so a start runs no measurement pass and writes no file.
 package main
 
 import (
 	"flag"
 	"log"
 	"net/http"
-	"path/filepath"
 	"time"
 
 	"vectordb/internal/core"
 	"vectordb/internal/exec"
 	"vectordb/internal/objstore"
-	"vectordb/internal/plan"
 	"vectordb/internal/rest"
 )
 
@@ -51,7 +43,6 @@ func main() {
 	batchSize := flag.Int("batch-size", 0, "formed-batch size cap (0 = engine default, 1 disables batching)")
 	tierDir := flag.String("tier-dir", "", "out-of-core extent directory (empty = segments stay in RAM)")
 	mappedMB := flag.Int64("tier-mapped-mb", 0, "per-collection mmap budget in MiB (0 = unlimited, with -tier-dir)")
-	recalibrate := flag.Bool("recalibrate", false, "force a fresh planner calibration pass, ignoring any persisted profile")
 	flag.Parse()
 
 	var store objstore.Store
@@ -70,26 +61,6 @@ func main() {
 			MappedBytes: *mappedMB << 20,
 		})
 		log.Printf("vectordbd tiering: extents under %s, mapped budget %d MiB per collection (0 = unlimited)", *tierDir, *mappedMB)
-	}
-
-	// Planner calibration: persisted beside the tier dir when there is one
-	// (restarts on the same hardware reuse the profile), in-process only
-	// otherwise. -recalibrate forces a fresh measurement pass either way.
-	if *tierDir != "" {
-		path := filepath.Join(*tierDir, plan.CalibrationFile)
-		prof, loaded, err := plan.LoadOrCalibrate(path, *recalibrate)
-		if err != nil {
-			log.Fatalf("vectordbd: planner calibration: %v", err)
-		}
-		db.Planner().UseProfile(prof)
-		if loaded {
-			log.Printf("vectordbd planner: loaded calibration %s (%s)", path, prof.Fingerprint)
-		} else {
-			log.Printf("vectordbd planner: calibrated and saved %s (%s)", path, prof.Fingerprint)
-		}
-	} else if *recalibrate {
-		db.Planner().UseProfile(plan.Calibrate())
-		log.Printf("vectordbd planner: calibrated in-memory (no -tier-dir to persist to)")
 	}
 
 	srv := rest.NewServerWithConfig(db, rest.ServerConfig{QueryTimeout: *queryTimeout})

@@ -103,12 +103,16 @@ func NewReader(id string, store objstore.Store, cfg ReaderConfig) *Reader {
 	r.searches = cfg.Obs.Counter("vectordb_reader_searches_total", "reader", id)
 	r.segLoads = cfg.Obs.Counter("vectordb_reader_segment_loads_total", "reader", id)
 	r.idxMet = index.NewMetrics(cfg.Obs)
-	// The shared cache-metrics shape: scrape-time funcs rather than
-	// counters, because the pool counts internally and is replaced
-	// wholesale on Crash — collection always reflects the live pool.
-	cfg.Obs.RegisterCacheMetrics("vectordb_reader_cache", func() obs.CacheStats {
-		h, m := r.CacheStats()
-		return obs.CacheStats{Hits: h, Misses: m}
+	// Scrape-time funcs rather than counters, because the pool counts
+	// internally and is replaced wholesale on Crash — collection always
+	// reflects the live pool.
+	cfg.Obs.CounterFunc("vectordb_reader_cache_hits_total", func() int64 {
+		h, _ := r.CacheStats()
+		return h
+	}, "reader", id)
+	cfg.Obs.CounterFunc("vectordb_reader_cache_misses_total", func() int64 {
+		_, m := r.CacheStats()
+		return m
 	}, "reader", id)
 	return r
 }

@@ -76,9 +76,9 @@ type Config struct {
 	TierMappedBytes int64
 	// Planner is the cost-based query planner pricing per-query execution
 	// venue and deciding filter strategy. Nil creates a collection-private
-	// planner (lazy process-wide calibration); DB-created collections share
-	// the database's planner so the calibration profile and the
-	// vectordb_plan_* series are process-wide.
+	// planner on the measured prior; DB-created collections share the
+	// database's planner so its profile and the vectordb_plan_* series are
+	// process-wide.
 	Planner *plan.Planner
 }
 

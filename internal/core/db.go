@@ -57,15 +57,14 @@ func NewDBWithExec(store objstore.Store, pcfg exec.Config) *DB {
 	pcfg.Obs = db.reg
 	db.pool = exec.NewPool(pcfg)
 	// One cost-based planner per DB: every collection's queries plan
-	// against the same calibration profile, and the vectordb_plan_* series
-	// land in this DB's registry.
+	// against the same cost profile, and the vectordb_plan_* series land
+	// in this DB's registry.
 	db.planner = plan.New(plan.Config{Obs: db.reg})
 	registerRuntimeMetrics(db.reg)
 	return db
 }
 
-// Planner returns the database's shared query planner (profile loading,
-// -recalibrate, tests).
+// Planner returns the database's shared query planner.
 func (db *DB) Planner() *plan.Planner { return db.planner }
 
 // Obs returns the database's metric registry.
@@ -175,6 +174,14 @@ func (db *DB) DropCollection(name string) error {
 	if err := c.Close(); err != nil {
 		return err
 	}
+	// The collection's series go with it: their scrape-time funcs hold its
+	// last snapshot. A collection re-created under the name meanwhile has
+	// registered its own, so they stay.
+	db.mu.Lock()
+	if _, back := db.collections[name]; !back {
+		db.reg.Forget("collection", name)
+	}
+	db.mu.Unlock()
 	keys, err := db.store.List(fmt.Sprintf("col/%s/", name))
 	if err != nil {
 		return err

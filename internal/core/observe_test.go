@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -139,6 +142,87 @@ func TestQueryCounterAllocs(t *testing.T) {
 		}
 		if got := reg.Counter("vectordb_query_total", "collection", "allocs", "type", k.String()).Value(); got != 101 {
 			t.Errorf("%v queries counted %d times, want 101", k, got)
+		}
+	}
+}
+
+// TestDropCollectionFreesItsData: a dropped collection leaves neither its
+// data on the heap nor its series on /metrics. Twelve collections of
+// 20,000 × 32 floats (2.5 MiB each) are created, filled and dropped under
+// new names; the live heap after the last drop stays within one
+// collection's vectors of the heap after the first. Re-creating a dropped
+// name reports fresh series, not the dropped collection's counts.
+func TestDropCollectionFreesItsData(t *testing.T) {
+	const (
+		rows, dim = 20000, 32
+		dataBytes = rows * dim * 4
+	)
+	db := NewDB(nil)
+	defer db.Close()
+	cfg := testConfig()
+	cfg.FlushRows = rows
+	fill := func(name string, n int) {
+		t.Helper()
+		c, err := db.CreateCollection(name, testSchema(dim), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert(mkEntities(n, dim, 7)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heapInuse := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	scrape := func() string {
+		var b strings.Builder
+		if err := db.Obs().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+
+	const drops = 12
+	var first uint64
+	for i := 0; i < drops; i++ {
+		name := fmt.Sprintf("drop%d", i)
+		fill(name, rows)
+		if !strings.Contains(scrape(), fmt.Sprintf(`vectordb_live_rows{collection=%q} %d`, name, rows)) {
+			t.Fatalf("%s: live rows not on /metrics", name)
+		}
+		if err := db.DropCollection(name); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = heapInuse()
+		}
+	}
+	if last := heapInuse(); last > first+dataBytes {
+		t.Errorf("heap in use grew from %d to %d bytes over %d drops, more than one collection's %d",
+			first, last, drops-1, dataBytes)
+	}
+	out := scrape()
+	for i := 0; i < drops; i++ {
+		if label := fmt.Sprintf(`collection="drop%d"`, i); strings.Contains(out, label) {
+			t.Errorf("/metrics still lists a series with %s", label)
+		}
+	}
+
+	fill("drop0", 100)
+	out = scrape()
+	for _, want := range []string{
+		`vectordb_live_rows{collection="drop0"} 100`,
+		`vectordb_wal_appends_total{collection="drop0"} 1`,
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("re-created collection: /metrics lacks %q", want)
 		}
 	}
 }

@@ -23,8 +23,6 @@ func fixedProfile(mutate func(*plan.Profile)) *plan.Profile {
 		kernel[l.String()] = 8e9
 	}
 	p := &plan.Profile{
-		Fingerprint:      plan.Fingerprint(),
-		GOMAXPROCS:       8,
 		KernelDimsPerSec: kernel,
 		SQ8DimsPerSec:    16e9,
 		RowOverheadNs:    30,

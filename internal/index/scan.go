@@ -31,7 +31,7 @@ const (
 
 // DenseSelectivity is the dense/sparse crossover: scans whose fraction of
 // surviving rows is at or above this run in dense (run-extraction) mode,
-// below it in sparse (gather) mode. Calibrated on the filtered-scan grid
+// below it in sparse (gather) mode. Measured on the filtered-scan grid
 // (EXPERIMENTS.md): above the threshold survivors cluster into runs long
 // enough that in-place kernel calls beat copying, below it the word-skipping
 // sparse iterator wins because whole empty words cost one load.

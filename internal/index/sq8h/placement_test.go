@@ -3,7 +3,6 @@ package sq8h_test
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"vectordb/internal/dataset"
@@ -108,8 +107,6 @@ func bestWorst(times map[string]int64) (best, worst string) {
 // default rates (1.5 GB/s PCIe, 30 µs per copy, 6.4e10 dims/s).
 func TestDevicePlacementGolden(t *testing.T) {
 	pl := plan.New(plan.Config{Profile: &plan.Profile{
-		Fingerprint:      plan.Fingerprint(),
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		KernelDimsPerSec: uniformKernel(8e9),
 		SQ8DimsPerSec:    16e9,
 	}})
@@ -221,8 +218,6 @@ func TestPlacementGridRegret(t *testing.T) {
 
 	cpu := gpu.DefaultCPUModel()
 	pl := plan.New(plan.Config{Profile: &plan.Profile{
-		Fingerprint:      plan.Fingerprint(),
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		KernelDimsPerSec: uniformKernel(cpu.DistThroughput),
 		SQ8DimsPerSec:    cpu.DistThroughput,
 	}})

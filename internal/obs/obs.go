@@ -183,7 +183,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return &Counter{}
 	}
-	return r.get(name, typeCounter, nil, labels).c
+	return r.get(name, typeCounter, nil, labels, nil).c
 }
 
 // Histogram returns the histogram for (name, labels), creating it on first
@@ -193,7 +193,7 @@ func (r *Registry) Histogram(name string, bounds []time.Duration, labels ...stri
 	if r == nil {
 		return newHistogram(bounds)
 	}
-	return r.get(name, typeHistogram, bounds, labels).h
+	return r.get(name, typeHistogram, bounds, labels, nil).h
 }
 
 // CounterFunc registers a counter series whose value is collected from fn
@@ -204,7 +204,7 @@ func (r *Registry) CounterFunc(name string, fn func() int64, labels ...string) {
 	if r == nil {
 		return
 	}
-	r.get(name, typeCounter, nil, labels).fn = fn
+	r.get(name, typeCounter, nil, labels, fn)
 }
 
 // GaugeFunc registers a gauge series collected from fn at scrape time.
@@ -212,10 +212,56 @@ func (r *Registry) GaugeFunc(name string, fn func() int64, labels ...string) {
 	if r == nil {
 		return
 	}
-	r.get(name, typeGauge, nil, labels).fn = fn
+	r.get(name, typeGauge, nil, labels, fn)
 }
 
-func (r *Registry) get(name string, typ metricType, bounds []time.Duration, labels []string) *series {
+// Forget removes every series labelled key=value, and any family it
+// empties: a dropped component's scrape-time funcs (and what they reach)
+// become garbage, and a later registration starts a fresh series.
+func (r *Registry) Forget(key, value string) {
+	if r == nil {
+		return
+	}
+	pair := key + `="` + escapeLabelValue(value) + `"`
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for name, f := range r.fams {
+		for k := range f.series {
+			if hasLabelPair(k, pair) {
+				delete(f.series, k)
+			}
+		}
+		if len(f.series) == 0 {
+			delete(r.fams, name)
+		}
+	}
+}
+
+// hasLabelPair reports whether a rendered label block holds the pair as
+// an entry. Keys hold no '=' and values escape their quotes, so an entry
+// ends at the first unescaped quote after its `="`.
+func hasLabelPair(block, pair string) bool {
+	for i := 1; i < len(block); i++ { // i steps over '{' or ','
+		start := i
+		i += strings.Index(block[i:], `="`) + 2
+		for block[i] != '"' {
+			if block[i] == '\\' {
+				i++
+			}
+			i++
+		}
+		i++
+		if block[start:i] == pair {
+			return true
+		}
+	}
+	return false
+}
+
+// get resolves (name, labels) to its series, creating it on first use. A
+// non-nil fn becomes the series' scrape-time source, set under r.mu like
+// every read of it.
+func (r *Registry) get(name string, typ metricType, bounds []time.Duration, labels []string, fn func() int64) *series {
 	key := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -243,6 +289,9 @@ func (r *Registry) get(name string, typ metricType, bounds []time.Duration, labe
 			s.h = newHistogram(f.bounds)
 		}
 		f.series[key] = s
+	}
+	if fn != nil {
+		s.fn = fn
 	}
 	return s
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,6 +59,48 @@ func TestRegistryOddLabelsPanics(t *testing.T) {
 		}
 	}()
 	r.Counter("m_total", "key_without_value")
+}
+
+// TestForgetDropsOneLabelPair: Forget removes exactly the series that
+// carry the pair as a label of their own, empty families go with them,
+// and a later registration under the same labels starts fresh.
+func TestForgetDropsOneLabelPair(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("vectordb_f_total", "collection", "a").Add(5)
+	r.Counter("vectordb_f_total", "collection", "b").Add(7)
+	r.GaugeFunc("vectordb_f_rows", func() int64 { return 9 }, "collection", "a")
+	r.Histogram("vectordb_f_seconds", nil, "collection", "a", "op", "x").Observe(time.Millisecond)
+	// Labels whose values only contain the pair's text are not the pair.
+	r.Counter("vectordb_f_total", "note", `collection="a"`).Inc()
+	r.Counter("vectordb_f_total", "collection", "ab").Inc()
+	r.Counter("vectordb_f_total", "collection", `a"`).Inc()
+	r.Forget("collection", "a")
+
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, gone := range []string{`collection="a"}`, `collection="a",`, "vectordb_f_rows", "vectordb_f_seconds"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("exposition still holds %q:\n%s", gone, out)
+		}
+	}
+	for _, kept := range []string{
+		`vectordb_f_total{collection="b"} 7`,
+		`vectordb_f_total{note="collection=\"a\""} 1`,
+		`vectordb_f_total{collection="ab"} 1`,
+		`vectordb_f_total{collection="a\""} 1`,
+	} {
+		if !strings.Contains(out, kept) {
+			t.Errorf("exposition lost %q:\n%s", kept, out)
+		}
+	}
+	if got := r.Counter("vectordb_f_total", "collection", "a").Value(); got != 0 {
+		t.Errorf("re-registered counter starts at %d, want 0", got)
+	}
+	var nilReg *Registry
+	nilReg.Forget("collection", "a")
 }
 
 func TestHistogramBuckets(t *testing.T) {

@@ -152,6 +152,46 @@ func TestReadRecordsAreValues(t *testing.T) {
 	}
 }
 
+// TestReregisterWhileScraping: re-registering a scrape-time series (a
+// reader rebuilt after a crash takes over its counters this way) while
+// another goroutine scrapes is synchronization-clean under -race, and
+// the scrape reads one of the registered funcs, never a torn series.
+func TestReregisterWhileScraping(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.CounterFunc("vectordb_race_rereg_total", func() int64 { return 1 }, "reader", "r0")
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var buf bytes.Buffer
+			if err := reg.WritePrometheus(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		v := int64(i)
+		reg.CounterFunc("vectordb_race_rereg_total", func() int64 { return v }, "reader", "r0")
+		reg.GaugeFunc("vectordb_race_rereg_gauge", func() int64 { return v }, "reader", "r0")
+	}
+	close(stop)
+	<-done
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := `vectordb_race_rereg_total{reader="r0"} 1999`; !bytes.Contains(buf.Bytes(), []byte(want)) {
+		t.Fatalf("exposition lacks %q:\n%s", want, buf.String())
+	}
+}
+
 type writerBuffer struct{ b []byte }
 
 func (w *writerBuffer) Write(p []byte) (int, error) {

@@ -1,17 +1,17 @@
-// Package plan implements the cost-based query planner: a calibrated
+// Package plan implements the cost-based query planner: a priced
 // per-query estimate and label for the CPU venue a query runs on (flat scan
 // or IVF probe), and a choice of filter strategy (pushdown vs
 // attribute-first exact scan vs filtered graph traversal).
 //
 // The filtered-scan grid (EXPERIMENTS.md) shows IVF pushdown losing below
 // ~10% selectivity: the O(n) bitset compile outweighs the scan. This package
-// prices each candidate with a handful of calibrated machine primitives
+// prices each candidate with a handful of measured machine primitives
 // (per-SIMD-tier kernel throughput, SQ8 ADC throughput, bitset compile
-// ns/row, per-row exact distance cost) and picks the cheapest — recording
-// the decision, its estimate, and later the estimate-vs-actual ratio so
-// mispredictions are auditable (vectordb_plan_decisions_total /
-// vectordb_plan_mispredict_total, plus plan= trace annotations written by
-// the callers).
+// ns/row, per-row exact distance cost; profile.go's prior) and picks the
+// cheapest — recording the decision, its estimate, and later the
+// estimate-vs-actual ratio so mispredictions are auditable
+// (vectordb_plan_decisions_total / vectordb_plan_mispredict_total, plus
+// plan= trace annotations written by the callers).
 //
 // Only venues the serving engine can execute are priced here. The paper's
 // device placement (Fig. 13's pure-GPU vs hybrid crossover) runs on a
@@ -26,7 +26,7 @@ package plan
 
 import (
 	"math"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"vectordb/internal/obs"
@@ -128,44 +128,35 @@ func (d Decision) Choice() string {
 type Config struct {
 	// Obs receives vectordb_plan_* metrics; nil keeps handles unscraped.
 	Obs *obs.Registry
-	// Profile fixes the calibration profile (deterministic tests, loaded
-	// persistence). Nil calibrates lazily, once per process.
+	// Profile fixes the cost profile (deterministic tests). Nil prices
+	// with the measured prior.
 	Profile *Profile
 }
 
-// Planner prices query plans against a calibration profile. Safe for
+// Planner prices query plans against a cost profile. Safe for
 // concurrent use.
 type Planner struct {
-	met *planMetrics
-
-	mu   sync.Mutex
-	prof *Profile
+	met  *planMetrics
+	prof atomic.Pointer[Profile]
 }
 
-// New creates a planner. With a nil Config.Profile the first decision
-// triggers the process-wide lazy calibration pass.
+// New creates a planner.
 func New(cfg Config) *Planner {
-	return &Planner{met: newPlanMetrics(cfg.Obs), prof: cfg.Profile}
+	p := &Planner{met: newPlanMetrics(cfg.Obs)}
+	p.UseProfile(cfg.Profile)
+	return p
 }
 
-// UseProfile replaces the calibration profile (e.g. after loading a
-// persisted one, or after -recalibrate).
+// UseProfile replaces the cost profile; nil restores the prior.
 func (p *Planner) UseProfile(prof *Profile) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.prof = prof
+	if prof == nil {
+		prof = prior
+	}
+	p.prof.Store(prof)
 }
 
-// Profile returns the active calibration profile, running the shared
-// process-wide calibration pass on first use.
-func (p *Planner) Profile() *Profile {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.prof == nil {
-		p.prof = SharedProfile()
-	}
-	return p.prof
-}
+// Profile returns the active cost profile.
+func (p *Planner) Profile() *Profile { return p.prof.Load() }
 
 // fin clamps a cost estimate to a finite non-negative value: the
 // estimator never returns NaN or a negative, whatever the inputs.
@@ -241,11 +232,11 @@ func ivfGeometry(rows, nlist, nprobe int) (nl, np int) {
 	return nl, np
 }
 
-// Per-row structural constants that are not worth calibrating: pushing a
-// candidate through the top-k heap, and triaging (skipping) a filtered-out
-// row beneath the kernels. Triage is not just the word test — the masked
-// probe still walks bucket layouts and block boundaries per skipped row,
-// ~3ns/row measured on the IVF scan path.
+// Per-row structural constants that the profile does not carry: pushing
+// a candidate through the top-k heap, and triaging (skipping) a
+// filtered-out row beneath the kernels. Triage is not just the word test —
+// the masked probe still walks bucket layouts and block boundaries per
+// skipped row, ~3ns/row measured on the IVF scan path.
 const (
 	heapNsPerRow   = 0.6
 	triageNsPerRow = 3.0
@@ -350,7 +341,7 @@ func (p *Planner) CostPushdown(s FilterShape) float64 {
 }
 
 // PickFilterStrategy chooses the filter strategy for one query from the
-// zone-map-estimated selectivity: below the calibrated crossover the
+// zone-map-estimated selectivity: below the priced crossover the
 // attribute-first exact scan (strategy A) wins because the O(n) bitset
 // compile outweighs the partial scan; above it the pushdown path wins.
 // Deterministic in the shape.

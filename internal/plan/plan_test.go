@@ -18,8 +18,6 @@ func testProfile() *Profile {
 		kernel[l.String()] = 8e9 // 0.125 ns per dim
 	}
 	return &Profile{
-		Fingerprint:      Fingerprint(),
-		GOMAXPROCS:       8,
 		KernelDimsPerSec: kernel,
 		SQ8DimsPerSec:    16e9,
 		RowOverheadNs:    30,

@@ -17,8 +17,6 @@ func planTestProfile() *plan.Profile {
 		kernel[l.String()] = 8e9
 	}
 	return &plan.Profile{
-		Fingerprint:      plan.Fingerprint(),
-		GOMAXPROCS:       8,
 		KernelDimsPerSec: kernel,
 		SQ8DimsPerSec:    16e9,
 		RowOverheadNs:    30,

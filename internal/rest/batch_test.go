@@ -16,7 +16,6 @@ import (
 	"vectordb/internal/core"
 	"vectordb/internal/exec"
 	"vectordb/internal/obs/promtext"
-	"vectordb/internal/plan"
 	"vectordb/internal/rest"
 )
 
@@ -127,10 +126,6 @@ func scrapeBatchformQueries(t *testing.T, url string) (total int64, ok bool) {
 func TestBatchingUnderQueryTimeout(t *testing.T) {
 	db := core.NewDB(nil)
 	t.Cleanup(func() { _ = db.Close() })
-	// Calibrate before serving, as vectordbd does at startup: the lazy
-	// first-query calibration would otherwise run inside the first
-	// searches' deadline, and under -race it alone can outlast it.
-	db.Planner().UseProfile(plan.SharedProfile())
 	srv := httptest.NewServer(rest.NewServerWithConfig(db, rest.ServerConfig{
 		QueryTimeout: 250 * time.Millisecond,
 	}))
